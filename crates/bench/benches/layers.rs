@@ -4,7 +4,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use cdl_tensor::{conv, im2col, ops, pool, Tensor};
+use cdl_tensor::im2col::{conv2d_valid_batch, ConvScratch};
+use cdl_tensor::{conv, ops, pool, GemmKernel, Tensor};
 
 fn bench_layers(c: &mut Criterion) {
     let mut group = c.benchmark_group("layers");
@@ -17,9 +18,19 @@ fn bench_layers(c: &mut Criterion) {
         b.iter(|| conv::conv2d_valid(black_box(&input), black_box(&kernels), &bias).unwrap())
     });
 
-    group.bench_function("conv_c1_im2col_lowering", |b| {
+    let mut scratch = ConvScratch::default();
+    let detected = GemmKernel::detect();
+    let batch_of_one = std::slice::from_ref(&input);
+    group.bench_function("conv_c1_batched_kernel", |b| {
         b.iter(|| {
-            im2col::conv2d_valid_im2col(black_box(&input), black_box(&kernels), &bias).unwrap()
+            conv2d_valid_batch(
+                black_box(batch_of_one),
+                &kernels,
+                &bias,
+                &mut scratch,
+                detected,
+            )
+            .unwrap()
         })
     });
 
@@ -31,9 +42,17 @@ fn bench_layers(c: &mut Criterion) {
         b.iter(|| conv::conv2d_valid(black_box(&input2), black_box(&kernels2), &bias2).unwrap())
     });
 
-    group.bench_function("conv_c2_im2col_lowering", |b| {
+    let batch_of_one = std::slice::from_ref(&input2);
+    group.bench_function("conv_c2_batched_kernel", |b| {
         b.iter(|| {
-            im2col::conv2d_valid_im2col(black_box(&input2), black_box(&kernels2), &bias2).unwrap()
+            conv2d_valid_batch(
+                black_box(batch_of_one),
+                &kernels2,
+                &bias2,
+                &mut scratch,
+                detected,
+            )
+            .unwrap()
         })
     });
 

@@ -6,8 +6,9 @@
 //! conditional network stage by stage. After each confidence gate the
 //! still-active subset is **compacted** — images that exited stop consuming
 //! any further operations, exactly as in the per-image cascade, while the
-//! survivors keep amortising one im2col+GEMM per conv layer and one batched
-//! affine per dense layer/head.
+//! survivors run each `conv → activation → max-pool` stage group as one
+//! fused pass per image and one batched affine per dense layer/head (see
+//! [`cdl_nn::batch`]).
 //!
 //! Every per-image quantity (`label`, `exit_stage`, `confidence`, `ops`,
 //! `stages_activated`, `exited_early`) is **bit-identical** to

@@ -15,6 +15,13 @@ use std::ops::{Add, AddAssign, Mul};
 ///
 /// `OpCount` forms a commutative monoid under `+`, so per-layer counts can be
 /// summed into per-stage and per-network counts.
+///
+/// The counts are the paper's **analytic per-layer model** of the work its
+/// accelerator does for a layer of a given shape — not a tally of host
+/// instructions. How the host executes a layer (which GEMM kernel, or
+/// `cdl-nn`'s fused `conv → max-pool → activation` stage groups, which
+/// evaluate the activation on the pooled map only) never changes them: an
+/// activation layer still counts one evaluation per unpooled cell.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OpCount {
     /// Multiply-accumulate operations (the bulk of conv/dense work).

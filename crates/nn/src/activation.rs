@@ -21,6 +21,31 @@ pub enum Activation {
 }
 
 impl Activation {
+    /// The activations whose computed [`Activation::apply`] **commutes with
+    /// max pooling bit for bit**: pooling the raw pre-activations with
+    /// `cdl_tensor::pool`'s scan (first element wins ties, a later one must
+    /// be strictly greater) and activating the pooled map gives exactly the
+    /// bits of activating every cell and pooling afterwards. The fused
+    /// `conv → activation → max-pool` stage groups of
+    /// [`crate::network::Network`] pool first for these — and only these —
+    /// activations, and `tests::pool_first_*` checks each of them over
+    /// every `f32`.
+    ///
+    /// What the tests establish, walking the non-NaN `f32`s in ascending
+    /// order: `apply` is non-decreasing and never NaN; two *distinct*
+    /// inputs with numerically equal outputs have bit-identical outputs (no
+    /// `-0.0`/`+0.0` split inside a plateau); `-0.0` and `+0.0` map to
+    /// equal values; and NaN maps to NaN. Then the raw scan and the
+    /// activated scan select the same window element, or elements whose
+    /// activations are the same bits, and a NaN lands in the same cells.
+    ///
+    /// `Relu` is absent on purpose: `f32::max` drops a NaN (`relu(NaN) =
+    /// 0`), so a window whose first raw element is NaN pools to NaN → 0
+    /// when pooled first but to the maximum of the other cells when
+    /// activated first.
+    pub const POOL_FIRST: [Activation; 3] =
+        [Activation::Sigmoid, Activation::Tanh, Activation::Identity];
+
     /// Applies the function to a scalar.
     #[inline]
     pub fn apply(self, x: f32) -> f32 {
@@ -116,6 +141,89 @@ mod tests {
     fn relu_derivative_zero_below() {
         assert_eq!(Activation::Relu.derivative_from_output(0.0), 0.0);
         assert_eq!(Activation::Relu.derivative_from_output(5.0), 1.0);
+    }
+
+    /// How many non-NaN `f32`s there are: `-inf ..= -0.0` and `+0.0 ..= +inf`.
+    const ORDERED_F32S: u64 = 2 * (f32::INFINITY.to_bits() as u64 + 1);
+
+    /// The `i`-th non-NaN `f32` in ascending order (0 is `-inf`; `-0.0`
+    /// comes just before `+0.0`).
+    fn nth_f32(i: u64) -> f32 {
+        let half = ORDERED_F32S / 2;
+        if i < half {
+            f32::from_bits((half - 1 - i) as u32 | 0x8000_0000)
+        } else {
+            f32::from_bits((i - half) as u32)
+        }
+    }
+
+    /// Inverse of [`nth_f32`].
+    fn ordinal(x: f32) -> u64 {
+        let half = ORDERED_F32S / 2;
+        let magnitude = u64::from(x.to_bits() & 0x7FFF_FFFF);
+        if x.is_sign_negative() {
+            half - 1 - magnitude
+        } else {
+            half + magnitude
+        }
+    }
+
+    /// Walks `inputs` (ascending) and panics unless `act` satisfies the
+    /// conditions documented on [`Activation::POOL_FIRST`].
+    fn assert_pool_first(act: Activation, inputs: impl Iterator<Item = f32>) {
+        let mut prev: Option<(f32, f32)> = None;
+        for x in inputs {
+            let y = act.apply(x);
+            assert!(!y.is_nan(), "{act}({x:e}) is NaN");
+            if let Some((px, py)) = prev {
+                assert!(y >= py, "{act} decreases: {px:e} -> {py:e}, {x:e} -> {y:e}");
+                assert!(
+                    y != py || x == px || y.to_bits() == py.to_bits(),
+                    "{act}: {px:e} and {x:e} give equal outputs with different bits"
+                );
+            }
+            prev = Some((x, y));
+        }
+        assert_eq!(act.apply(-0.0), act.apply(0.0), "{act} splits the zeros");
+        for nan in [f32::NAN, -f32::NAN, f32::from_bits(0x7F80_0001)] {
+            assert!(act.apply(nan).is_nan(), "{act} drops a NaN");
+        }
+    }
+
+    /// Tier-1 version of the sweep: every 4099th value, plus every value
+    /// of the neighbourhoods where a plateau begins or ends.
+    #[test]
+    fn pool_first_activations_commute_with_max_pool_strided() {
+        assert_eq!(nth_f32(0), f32::NEG_INFINITY);
+        assert_eq!(nth_f32(ORDERED_F32S - 1), f32::INFINITY);
+        assert_eq!(ordinal(0.0), ordinal(-0.0) + 1);
+        for act in Activation::POOL_FIRST {
+            assert_pool_first(act, (0..ORDERED_F32S).step_by(4099).map(nth_f32));
+            for centre in [0.0f32, 1.0, 9.0, 17.0, 88.0, 104.0] {
+                for c in [ordinal(-centre), ordinal(centre)] {
+                    assert_pool_first(act, (c - 2000..c + 2000).map(nth_f32));
+                }
+            }
+        }
+    }
+
+    /// All 4 278 190 082 non-NaN values per activation (~16 s each in
+    /// release): `cargo test --release -p cdl-nn -- --ignored pool_first`.
+    #[test]
+    #[ignore = "exhaustive f32 sweep; run in release"]
+    fn pool_first_activations_commute_with_max_pool_exhaustive() {
+        for act in Activation::POOL_FIRST {
+            assert_pool_first(act, (0..ORDERED_F32S).map(nth_f32));
+        }
+    }
+
+    #[test]
+    fn relu_is_not_pool_first_because_it_drops_nan() {
+        assert!(!Activation::POOL_FIRST.contains(&Activation::Relu));
+        // window [NaN, 5]: activating first pools [0, 5] to 5, pooling
+        // first keeps the leading NaN and activates it to 0
+        assert_eq!(Activation::Relu.apply(f32::NAN), 0.0);
+        assert_eq!(Activation::Relu.apply(5.0), 5.0);
     }
 
     #[test]

@@ -1,19 +1,58 @@
 //! Batched inference support: shared scratch buffers, the batch-wide GEMM
-//! kernel selection, and whole-batch forwards through (slices of) a
+//! kernel selection, and how a batch moves through (slices of) a
 //! [`crate::network::Network`].
 //!
 //! The pattern follows batched GPU evaluators (one persistent evaluator,
-//! preallocated buffers, whole batch per forward pass, conv algorithm
-//! picked once at construction): a [`BatchScratch`] is allocated once and
-//! threaded through every [`crate::layer::Layer::forward_batch`] call, so
-//! steady-state batch inference performs no im2col/GEMM allocations, and
-//! the [`GemmKernel`] it carries decides which microkernel runs every conv
-//! GEMM and batched affine. Convolutions lower the whole batch into one
-//! patch matrix and run a single GEMM; dense layers run one batched affine
-//! map. Both reproduce the per-image path **bit for bit** for every kernel
-//! (see `cdl_tensor::gemm` for why tiling never changes an element's
-//! addition sequence), which the cross-crate equivalence tests pin down per
-//! [`GemmKernel`] variant.
+//! preallocated buffers, the plan made once at construction): a
+//! [`BatchScratch`] is allocated once and threaded through every batched
+//! call, so steady-state batch inference allocates only its output
+//! tensors, and the [`GemmKernel`] it carries decides which microkernel
+//! runs every convolution, batched affine and head.
+//!
+//! # Fused stage groups
+//!
+//! `Network::from_spec` finds, once, every run of runtime layers
+//! `Conv2d → ActivationLayer → MaxPool2d` (the activation layer is absent
+//! for `Identity`) whose activation is on
+//! [`Activation::POOL_FIRST`](crate::activation::Activation::POOL_FIRST).
+//! The plan is a list of layer indices with the activation and the window —
+//! never a copy of weights — so training, `import_params` and a model
+//! hot-swap cannot leave it stale. `Network::forward_batch_segment` runs
+//! such a group as **one pass per image** whenever it lies wholly inside
+//! the requested `(from, upto]`, which every cascade segment does since
+//! taps sit after pools: convolve into the reused raw-map buffer of
+//! `scratch.conv` (the per-image direct AVX2 kernel on the `Simd` arm with
+//! `ow ≥ 8`, one im2col + GEMM over the batch otherwise), **max-pool the
+//! raw pre-activations**, apply the activation to the pooled map only, and
+//! emit that as the image's one output tensor
+//! (`cdl_tensor::im2col::conv2d_pool_batch`).
+//!
+//! Pooling first is exact, not approximate. For a non-decreasing `f`,
+//! `max(f(a), f(b)) = f(max(a, b))`; for the *bits* to agree under the
+//! pool's scan (first element wins ties, NaN-aware) `f` must also map NaN
+//! to NaN, give numerically equal outputs of distinct inputs identical
+//! bits, and treat `-0.0` and `+0.0` alike. `activation`'s tests establish
+//! this for each listed activation over every `f32`, and the plan consults
+//! the same list. A 2×2 pool therefore evaluates a quarter of the
+//! activations (864 instead of 3456 sigmoids for MNIST_2C's C1) with
+//! `Activation::apply` itself unchanged.
+//!
+//! Everything else runs layer by layer through
+//! [`Layer::forward_batch`](crate::layer::Layer::forward_batch), in the
+//! layers' own order: a `MeanPool2d` stage, an activation that is not on
+//! the list (`Relu`: `f32::max` drops a NaN), a segment that starts or
+//! ends inside a group, a mixed-shape batch. Which route a layer takes is
+//! decided by the layer sequence and the segment alone — there is no
+//! switch. Both routes reproduce the per-image `forward` path **bit for
+//! bit** for every kernel and every batch size, one included (see
+//! `cdl_tensor::gemm` for why tiling never changes an element's addition
+//! sequence); `tests/batch_equivalence.rs` and this crate's proptests pin
+//! that per [`GemmKernel`] variant.
+//!
+//! Fusion is a host-execution matter only: [`cdl_hw::OpCount`] remains the
+//! paper's per-layer analytic model — a fused group still costs its conv
+//! MACs, one activation per *unpooled* cell and the pool's compares — so
+//! ops-reduction and energy figures do not move.
 
 use cdl_tensor::gemm::GemmKernel;
 use cdl_tensor::im2col::ConvScratch;
@@ -28,7 +67,8 @@ use cdl_tensor::im2col::ConvScratch;
 /// one) so every layer of every batch runs the same microkernel.
 #[derive(Debug, Default, Clone)]
 pub struct BatchScratch {
-    /// im2col patch matrix + GEMM output shared by all conv layers.
+    /// im2col patch matrix + raw convolution output shared by all conv
+    /// layers and fused stage groups.
     pub conv: ConvScratch,
     /// Row-major `[batch, out_features]` output block shared by all dense
     /// layers' batched affine.

@@ -3,6 +3,7 @@
 use cdl_hw::OpCount;
 use cdl_tensor::Tensor;
 
+use crate::activation::Activation;
 use crate::batch::BatchScratch;
 use crate::Result;
 
@@ -35,7 +36,9 @@ pub struct ParamGrad<'a> {
 ///   the cache of the **most recent** `forward_train` and returns the
 ///   gradient w.r.t. that input while *accumulating* parameter gradients.
 /// * `op_count` must describe the work done by `forward` for a given input
-///   shape — it is the basis of the paper's OPS metric.
+///   shape — it is the basis of the paper's OPS metric, an analytic model of
+///   the paper's accelerator. The batched routes (`forward_batch`, the fused
+///   stage groups) are host optimisations and never change it.
 pub trait Layer: std::fmt::Debug + Send + Sync {
     /// Human-readable layer description, e.g. `"conv 5x5x1 -> 6 maps"`.
     fn name(&self) -> String;
@@ -51,10 +54,13 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
     /// scratch buffers (and running the GEMM microkernel they select — see
     /// [`crate::batch::BatchScratch::kernel`]).
     ///
-    /// Must produce exactly [`Layer::forward`]'s output for every element
-    /// (the default implementation simply loops); layers with a genuinely
-    /// batched kernel (conv via one im2col+GEMM, dense via one batched
-    /// affine) override this with a bit-identical vectorised path.
+    /// Must produce exactly [`Layer::forward`]'s output for every element,
+    /// for a batch of any size including one. The default implementation
+    /// simply loops; layers with a genuinely batched kernel (conv via the
+    /// direct kernel or one im2col+GEMM, dense via one batched affine)
+    /// override this with a bit-identical vectorised path.
+    /// [`crate::network::Network::forward_batch_segment`] calls this for
+    /// every layer that is not part of a fused stage group.
     ///
     /// # Errors
     ///
@@ -62,6 +68,28 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
     fn forward_batch(&self, xs: &[Tensor], scratch: &mut BatchScratch) -> Result<Vec<Tensor>> {
         let _ = scratch;
         xs.iter().map(|x| self.forward(x)).collect()
+    }
+
+    /// The fused stage group `self → activation → max-pool(window)` over a
+    /// whole batch, for layers that have one (convolutions): each image's
+    /// raw output is max-pooled first and `activation` is applied to the
+    /// pooled map only, one output tensor per image.
+    ///
+    /// Must produce exactly what [`Layer::forward`], the activation layer
+    /// and the pooling layer produce in sequence — which holds only for an
+    /// activation on the [`Activation::POOL_FIRST`] list; the caller
+    /// ([`crate::network::Network`]'s stage plan) guarantees that. `None`
+    /// (the default) means the layer has no fused form for this batch and
+    /// the caller runs the three layers one by one.
+    fn forward_batch_pooled(
+        &self,
+        xs: &[Tensor],
+        activation: Activation,
+        window: usize,
+        scratch: &mut BatchScratch,
+    ) -> Option<Result<Vec<Tensor>>> {
+        let _ = (xs, activation, window, scratch);
+        None
     }
 
     /// Training-mode forward pass; caches intermediates for `backward`.

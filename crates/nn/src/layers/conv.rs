@@ -4,6 +4,7 @@ use cdl_hw::OpCount;
 use cdl_tensor::{conv, init::Init, Tensor};
 use rand::Rng;
 
+use crate::activation::Activation;
 use crate::batch::BatchScratch;
 use crate::error::NnError;
 use crate::layer::{Layer, ParamGrad};
@@ -98,7 +99,7 @@ impl Layer for Conv2d {
     fn forward_batch(&self, xs: &[Tensor], scratch: &mut BatchScratch) -> Result<Vec<Tensor>> {
         // mixed-shape batches (never produced by the evaluators) fall back
         // to the per-image path rather than erroring
-        if xs.len() < 2 || xs.iter().any(|x| x.shape() != xs[0].shape()) {
+        if !same_shape(xs) {
             return xs.iter().map(|x| self.forward(x)).collect();
         }
         Ok(cdl_tensor::im2col::conv2d_valid_batch(
@@ -108,6 +109,30 @@ impl Layer for Conv2d {
             &mut scratch.conv,
             scratch.kernel,
         )?)
+    }
+
+    fn forward_batch_pooled(
+        &self,
+        xs: &[Tensor],
+        activation: Activation,
+        window: usize,
+        scratch: &mut BatchScratch,
+    ) -> Option<Result<Vec<Tensor>>> {
+        if !same_shape(xs) {
+            return None; // layer by layer, each with its per-image fallback
+        }
+        Some(
+            cdl_tensor::im2col::conv2d_pool_batch(
+                xs,
+                &self.kernels,
+                self.bias.data(),
+                window,
+                |v| activation.apply(v),
+                &mut scratch.conv,
+                scratch.kernel,
+            )
+            .map_err(Into::into),
+        )
     }
 
     fn forward_train(&mut self, x: &Tensor) -> Result<Tensor> {
@@ -197,6 +222,11 @@ impl Layer for Conv2d {
             mem_writes: out_volume,
         })
     }
+}
+
+/// Whether every tensor of the batch has the shape of the first.
+fn same_shape(xs: &[Tensor]) -> bool {
+    xs.iter().all(|x| x.shape() == xs[0].shape())
 }
 
 #[cfg(test)]

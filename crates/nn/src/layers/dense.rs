@@ -113,9 +113,6 @@ impl Layer for Dense {
     }
 
     fn forward_batch(&self, xs: &[Tensor], scratch: &mut BatchScratch) -> Result<Vec<Tensor>> {
-        if xs.len() < 2 {
-            return xs.iter().map(|x| self.forward(x)).collect();
-        }
         for x in xs {
             self.check_input(x)?;
         }

@@ -45,7 +45,7 @@ impl Layer for MaxPool2d {
     }
 
     fn forward(&self, x: &Tensor) -> Result<Tensor> {
-        Ok(pool::maxpool2d(x, self.window)?.output)
+        Ok(pool::maxpool2d_forward(x, self.window)?)
     }
 
     fn forward_train(&mut self, x: &Tensor) -> Result<Tensor> {

@@ -28,6 +28,22 @@ pub struct Network {
     /// dense spec with a non-identity activation expands into two runtime
     /// layers; the mapping points at the activation output).
     spec_to_runtime: Vec<usize>,
+    /// The fusable `Conv2d → [ActivationLayer] → MaxPool2d` runs of
+    /// `layers`, in order. Indices and scalars only — never parameters — so
+    /// training, [`Network::import_params`] and model hot-swaps cannot
+    /// leave it stale.
+    stage_groups: Vec<StageGroup>,
+}
+
+/// One fused stage group of the batched path: the runtime layers
+/// `conv ..= pool` are a convolution, its activation (absent for
+/// `Identity`) and a max-pool.
+#[derive(Debug, Clone, Copy)]
+struct StageGroup {
+    conv: usize,
+    pool: usize,
+    activation: Activation,
+    window: usize,
 }
 
 impl Network {
@@ -42,7 +58,23 @@ impl Network {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut layers: Vec<Box<dyn Layer>> = Vec::new();
         let mut spec_to_runtime = Vec::with_capacity(spec.layers.len());
-        for layer in &spec.layers {
+        let mut stage_groups = Vec::new();
+        for (i, layer) in spec.layers.iter().enumerate() {
+            // a conv whose activation commutes with max pooling, followed
+            // by a max-pool, runs as one fused pass per image
+            if let (LayerSpec::Conv { activation, .. }, Some(LayerSpec::MaxPool { window })) =
+                (layer, spec.layers.get(i + 1))
+            {
+                if Activation::POOL_FIRST.contains(activation) {
+                    let conv = layers.len();
+                    stage_groups.push(StageGroup {
+                        conv,
+                        pool: conv + 1 + usize::from(*activation != Activation::Identity),
+                        activation: *activation,
+                        window: *window,
+                    });
+                }
+            }
             match layer {
                 LayerSpec::Conv {
                     in_channels,
@@ -84,6 +116,7 @@ impl Network {
             spec: spec.clone(),
             layers,
             spec_to_runtime,
+            stage_groups,
         })
     }
 
@@ -205,10 +238,12 @@ impl Network {
     /// Every element of `xs` must be at the same point of the network (the
     /// batched evaluators guarantee this). Results are bit-identical to
     /// running [`Network::forward_prefix`] / [`Network::forward_between`]
-    /// per image; the win is one im2col+GEMM per conv layer and a
-    /// direct-into-output affine per dense sample, against `scratch`'s
-    /// preallocated buffers. The inputs are only borrowed — the first layer
-    /// reads them in place, so no upfront batch copy is made.
+    /// per image. A `conv → activation → max-pool` stage group that lies
+    /// wholly inside the segment runs as one fused pass per image — pooled
+    /// before it is activated, see [`crate::batch`] — and every other
+    /// layer through its [`Layer::forward_batch`], all against `scratch`'s
+    /// preallocated buffers. The inputs are only borrowed — the first
+    /// layer reads them in place, so no upfront batch copy is made.
     ///
     /// # Errors
     ///
@@ -227,17 +262,30 @@ impl Network {
                 self.layers.len()
             )));
         }
-        let start = from.map_or(0, |f| f + 1);
-        if start > upto {
-            // empty segment (from == upto): identity, exactly like
-            // `forward_between` with an empty layer range
-            return Ok(xs.to_vec());
+        // an empty segment (from == upto) is the identity, exactly like
+        // `forward_between` with an empty layer range
+        let mut cur: Option<Vec<Tensor>> = None;
+        let mut next = from.map_or(0, |f| f + 1);
+        while next <= upto {
+            let src = cur.as_deref().unwrap_or(xs);
+            let layer = &self.layers[next];
+            let group = self
+                .stage_groups
+                .iter()
+                .find(|g| g.conv == next && g.pool <= upto);
+            let fused = group.and_then(|g| {
+                layer
+                    .forward_batch_pooled(src, g.activation, g.window, scratch)
+                    .map(|out| (out, g.pool + 1))
+            });
+            let (out, after) = match fused {
+                Some(done) => done,
+                None => (layer.forward_batch(src, scratch), next + 1),
+            };
+            cur = Some(out?);
+            next = after;
         }
-        let mut cur = self.layers[start].forward_batch(xs, scratch)?;
-        for layer in &self.layers[start + 1..=upto] {
-            cur = layer.forward_batch(&cur, scratch)?;
-        }
-        Ok(cur)
+        Ok(cur.unwrap_or_else(|| xs.to_vec()))
     }
 
     /// Training forward pass (caches per-layer state).
@@ -512,6 +560,46 @@ mod tests {
         assert!(net
             .forward_batch_segment(&xs, None, last + 1, &mut scratch)
             .is_err());
+    }
+
+    #[test]
+    fn stage_plan_groups_conv_activation_maxpool_only() {
+        let plan = |layers: Vec<LayerSpec>, input: &[usize]| -> Vec<(usize, usize)> {
+            let net = Network::from_spec(&NetworkSpec::new(layers, input), 1).unwrap();
+            net.stage_groups.iter().map(|g| (g.conv, g.pool)).collect()
+        };
+        // conv+sigmoid, maxpool | conv (identity), maxpool: two groups
+        assert_eq!(
+            plan(
+                vec![
+                    LayerSpec::conv(1, 2, 3, Activation::Sigmoid),
+                    LayerSpec::maxpool(2),
+                    LayerSpec::conv(2, 2, 2, Activation::Identity),
+                    LayerSpec::maxpool(1),
+                ],
+                &[1, 8, 8],
+            ),
+            vec![(0, 2), (3, 4)]
+        );
+        let group = Network::from_spec(&tiny_spec(), 1).unwrap().stage_groups[0];
+        assert_eq!((group.activation, group.window), (Activation::Sigmoid, 2));
+        // not grouped: relu (drops NaN), mean pooling, a conv with no pool
+        for layers in [
+            vec![
+                LayerSpec::conv(1, 2, 3, Activation::Relu),
+                LayerSpec::maxpool(2),
+            ],
+            vec![
+                LayerSpec::conv(1, 2, 3, Activation::Sigmoid),
+                LayerSpec::meanpool(2),
+            ],
+            vec![
+                LayerSpec::conv(1, 2, 3, Activation::Tanh),
+                LayerSpec::flatten(),
+            ],
+        ] {
+            assert!(plan(layers, &[1, 8, 8]).is_empty());
+        }
     }
 
     #[test]

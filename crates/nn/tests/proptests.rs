@@ -1,13 +1,15 @@
 //! Property-based tests for the CNN substrate: exact gradients on random
-//! geometry, and training-loop invariants.
+//! geometry, training-loop invariants, and bit-identity of the fused
+//! batched stage groups with the per-image layers.
 
 use cdl_nn::activation::Activation;
+use cdl_nn::batch::BatchScratch;
 use cdl_nn::layer::Layer;
 use cdl_nn::layers::{Conv2d, Dense, MaxPool2d, MeanPool2d};
 use cdl_nn::loss::{one_hot, Loss};
 use cdl_nn::network::Network;
 use cdl_nn::spec::{LayerSpec, NetworkSpec};
-use cdl_tensor::Tensor;
+use cdl_tensor::{GemmKernel, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -34,6 +36,73 @@ fn input_gradient_matches<L: Layer>(layer: &mut L, x: &Tensor, tol: f32) -> Resu
         let analytic = gx.data()[i];
         if (fd - analytic).abs() > tol {
             return Err(format!("grad[{i}]: fd {fd} vs analytic {analytic}"));
+        }
+    }
+    Ok(())
+}
+
+/// A value from the edges the pool-first reorder has to survive: signed
+/// zeros, exact ties (small integers), magnitudes that saturate sigmoid and
+/// tanh to a plateau, and — rarely — infinities and NaN.
+fn edge_value(rng: &mut StdRng) -> f32 {
+    match rng.random_range(0..400u32) {
+        0 => f32::INFINITY,
+        1 => f32::NEG_INFINITY,
+        2 => f32::NAN,
+        3..=40 => -0.0,
+        41..=80 => 0.0,
+        81..=110 => [-1.0e4, -120.0, -20.0, 20.0, 120.0, 1.0e4][rng.random_range(0..6usize)],
+        111..=300 => rng.random_range(-2i32..3) as f32,
+        _ => rng.random_range(-1.5..1.5),
+    }
+}
+
+fn edge_tensor(rng: &mut StdRng, dims: &[usize]) -> Tensor {
+    let data = (0..dims.iter().product())
+        .map(|_| edge_value(rng))
+        .collect();
+    Tensor::from_vec(data, dims).unwrap()
+}
+
+/// Bit-for-bit equality, except that a NaN only has to be a NaN: which of
+/// two NaN operands an addition forwards is not part of the contract.
+fn same_bits(a: &Tensor, b: &Tensor) -> Result<(), String> {
+    if a.dims() != b.dims() {
+        return Err(format!("shape {:?} vs {:?}", a.dims(), b.dims()));
+    }
+    for (i, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
+        if x.to_bits() != y.to_bits() && !(x.is_nan() && y.is_nan()) {
+            return Err(format!(
+                "cell {i}: {x:e} ({:#x}) vs {y:e} ({:#x})",
+                x.to_bits(),
+                y.to_bits()
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Every image of `xs` through `forward_batch_segment(from, upto]` under
+/// every kernel, against the per-image layers.
+fn segment_matches_per_image(
+    net: &Network,
+    xs: &[Tensor],
+    from: Option<usize>,
+    upto: usize,
+) -> Result<(), String> {
+    for kernel in GemmKernel::ALL {
+        let mut scratch = BatchScratch::with_kernel(kernel);
+        let batched = net
+            .forward_batch_segment(xs, from, upto, &mut scratch)
+            .map_err(|e| format!("batched ({from:?}, {upto}]: {e}"))?;
+        for (x, b) in xs.iter().zip(&batched) {
+            let single = match from {
+                None => net.forward_prefix(x, upto),
+                Some(f) => net.forward_between(x, f, upto),
+            }
+            .map_err(|e| e.to_string())?;
+            same_bits(&single, b)
+                .map_err(|e| format!("kernel {kernel}, ({from:?}, {upto}]: {e}"))?;
         }
     }
     Ok(())
@@ -165,5 +234,85 @@ proptest! {
         let x = Tensor::full(&[1, 8, 8], 0.37);
         b.import_params(&a.export_params()).unwrap();
         prop_assert_eq!(a.forward(&x).unwrap(), b.forward(&x).unwrap());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// The fused `conv → activation → max-pool` group equals the three
+    /// layers run per image, bit for bit, for every kernel, activation and
+    /// window — on the paper's geometries (3C's 26→13, 10→5 and the 3→3
+    /// identity pool, 2C's 24→12 and 8→4) and on narrow maps, batches of
+    /// one included, with inputs and parameters drawn from the edge values.
+    #[test]
+    fn fused_stage_group_matches_per_image_layers(
+        geometry in 0usize..8,
+        act in 0usize..4,
+        n in 1usize..4,
+        seed in 0u64..10_000,
+    ) {
+        // (c_in, c_out, kernel, input side, window); conv output side is
+        // side - kernel + 1 and must be a multiple of the window
+        let (cin, cout, k, side, window) = [
+            (1usize, 3usize, 3usize, 28usize, 2usize), // 26 -> 13
+            (3, 6, 4, 13, 2),                          // 10 -> 5
+            (6, 9, 3, 5, 1),                           // 3 -> 3, ow < 8
+            (1, 6, 5, 28, 2),                          // 24 -> 12
+            (6, 12, 5, 12, 2),                         // 8 -> 4
+            (2, 4, 2, 10, 3),                          // 9 -> 3, column tail
+            (2, 3, 3, 8, 3),                           // 6 -> 2, ow < 8
+            (1, 2, 4, 15, 1),                          // 12 -> 12
+        ][geometry];
+        let act = [Activation::Sigmoid, Activation::Tanh, Activation::Relu, Activation::Identity][act];
+        let spec = NetworkSpec::new(
+            vec![LayerSpec::conv(cin, cout, k, act), LayerSpec::maxpool(window)],
+            &[cin, side, side],
+        );
+        let mut net = Network::from_spec(&spec, seed).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let xs: Vec<Tensor> = (0..n).map(|_| edge_tensor(&mut rng, &[cin, side, side])).collect();
+        let last = net.layer_count() - 1;
+        // trained-looking parameters first, then edge-valued ones imported
+        // into the same network: the stage plan must not remember weights
+        segment_matches_per_image(&net, &xs, None, last).map_err(TestCaseError::fail)?;
+        let params = vec![edge_tensor(&mut rng, &[cout, cin, k, k]), edge_tensor(&mut rng, &[cout])];
+        net.import_params(&params).unwrap();
+        segment_matches_per_image(&net, &xs, None, last).map_err(TestCaseError::fail)?;
+    }
+
+    /// Every segment `(from, upto]` of a two-stage network — whole groups,
+    /// segments that start or end inside a group, a mean-pool stage that is
+    /// never grouped — equals the per-image path.
+    #[test]
+    fn every_segment_matches_per_image_layers(mean_first in 0usize..2, seed in 0u64..10_000) {
+        let pool = |mean: bool| if mean { LayerSpec::meanpool(2) } else { LayerSpec::maxpool(2) };
+        let spec = NetworkSpec::new(
+            vec![
+                LayerSpec::conv(1, 3, 3, Activation::Sigmoid),
+                pool(mean_first == 1),
+                LayerSpec::conv(3, 4, 2, Activation::Tanh),
+                pool(mean_first == 0),
+                LayerSpec::flatten(),
+                LayerSpec::dense(4 * 4 * 4, 5, Activation::Sigmoid),
+            ],
+            &[1, 20, 20],
+        );
+        let net = Network::from_spec(&spec, seed).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let xs: Vec<Tensor> = (0..3)
+            .map(|_| {
+                let data = (0..400).map(|_| rng.random_range(-1.0..1.0)).collect();
+                Tensor::from_vec(data, &[1, 20, 20]).unwrap()
+            })
+            .collect();
+        let layers = net.layer_count();
+        for upto in 0..layers {
+            segment_matches_per_image(&net, &xs, None, upto).map_err(TestCaseError::fail)?;
+            for from in 0..upto {
+                let mid: Vec<Tensor> = xs.iter().map(|x| net.forward_prefix(x, from).unwrap()).collect();
+                segment_matches_per_image(&net, &mid, Some(from), upto).map_err(TestCaseError::fail)?;
+            }
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! Register-blocked GEMM microkernels behind a runtime [`GemmKernel`]
-//! choice — the shared inner engine of the two batched hot paths
-//! ([`crate::im2col::conv2d_valid_batch`] and
+//! choice — the shared inner engine of the batched hot paths
+//! ([`crate::im2col::conv2d_valid_batch`], its fused sibling
+//! [`crate::im2col::conv2d_pool_batch`], and
 //! [`crate::ops::affine_rows_into`]).
 //!
 //! # Why a kernel *enum* instead of just a faster loop
@@ -969,13 +970,13 @@ pub(crate) fn conv2d_direct_simd(
         if !simd::available() || ow < 8 {
             return false;
         }
-        debug_assert_eq!(input.len(), c_in * h * w);
-        debug_assert_eq!(weights.len(), c_out * c_in * kh * kw);
-        debug_assert_eq!(bias.len(), c_out);
-        debug_assert_eq!(out.len(), c_out * oh * ow);
-        // SAFETY: AVX2 confirmed; the debug asserts document the shape
-        // invariants the (checked-indexing-free) microkernels rely on,
-        // which `conv2d_valid_batch` has already validated.
+        assert_eq!(input.len(), c_in * h * w);
+        assert_eq!(weights.len(), c_out * c_in * kh * kw);
+        assert_eq!(bias.len(), c_out);
+        assert_eq!(out.len(), c_out * oh * ow);
+        assert!(h + 1 == oh + kh && w + 1 == ow + kw);
+        // SAFETY: AVX2 confirmed, and the asserts above are the shape
+        // invariants the (checked-indexing-free) microkernels rely on.
         unsafe {
             simd::conv2d_direct_avx2(input, c_in, h, w, weights, kh, kw, bias, out, oh, ow, c_out);
         }

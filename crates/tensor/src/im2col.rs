@@ -1,18 +1,20 @@
 //! im2col-based convolution: the classic lowering of convolution to one
-//! dense matrix multiply.
+//! dense matrix multiply, and the batched convolution entries built on it.
 //!
-//! [`conv2d_valid_im2col`] computes exactly the same result as
-//! [`crate::conv::conv2d_valid`] (a property test pins this down) but
-//! restructures the work as `[C_out, C_in·k²] × [C_in·k², oH·oW]`, which is
-//! friendlier to wide hardware and makes the MAC count of the op-count model
-//! visible as a single GEMM. The experiment harness uses the direct path
-//! (simpler, cache-resident at LeNet scale); this module exists for the
-//! performance ablation in `cargo bench -p cdl-bench --bench layers` and as
-//! the natural extension point for larger networks.
+//! [`conv2d_valid_batch`] convolves a whole batch against preallocated
+//! scratch — per image through the fused direct AVX2 kernel where it
+//! applies, otherwise as one `[C_out, C_in·k²] × [C_in·k², N·oH·oW]` GEMM
+//! over the shared patch matrix — and is bit-identical to the per-image
+//! reference [`crate::conv::conv2d_valid`] for every [`GemmKernel`].
+//! [`conv2d_pool_batch`] runs the same convolution and finishes each image
+//! with the max-pool → activation epilogue while its raw maps are still in
+//! the scratch buffer, so a `conv → activation → max-pool` stage produces
+//! one tensor per image instead of three.
 
 use crate::conv::{check_conv_bias, check_conv_operands, valid_out_size};
 use crate::error::TensorError;
 use crate::gemm::{self, GemmKernel};
+use crate::pool;
 use crate::tensor::Tensor;
 use crate::Result;
 
@@ -97,39 +99,133 @@ pub fn im2col_into(
     Ok(())
 }
 
-/// Valid cross-correlation via im2col + GEMM. Semantically identical to
-/// [`crate::conv::conv2d_valid`].
-///
-/// # Errors
-///
-/// Same conditions as [`crate::conv::conv2d_valid`].
-pub fn conv2d_valid_im2col(input: &Tensor, kernels: &Tensor, bias: &[f32]) -> Result<Tensor> {
-    let (c_in, h, w, c_out, kh, kw) = check_conv_operands(input, kernels)?;
-    check_conv_bias(c_out, bias)?;
-    let oh = valid_out_size(h, kh)?;
-    let ow = valid_out_size(w, kw)?;
-
-    let patches = im2col(input, kh, kw)?; // [kc*kh*kw, oh*ow]
-    let weights = kernels.reshape(&[c_out, c_in * kh * kw])?;
-    let mut out = crate::ops::matmul(&weights, &patches)?; // [c_out, oh*ow]
-    let cols = oh * ow;
-    for (m, &b) in bias.iter().enumerate() {
-        for v in &mut out.data_mut()[m * cols..(m + 1) * cols] {
-            *v += b;
-        }
-    }
-    out.reshape(&[c_out, oh, ow])
-}
-
-/// Reusable buffers for [`conv2d_valid_batch`]: the shared patch matrix and
-/// GEMM output for a whole batch. Allocate once per evaluator, reuse per
-/// stage — repeated batches at the same geometry never reallocate.
+/// Reusable buffers for [`conv2d_valid_batch`] and [`conv2d_pool_batch`]:
+/// the shared patch matrix and the raw convolution output. Allocate once
+/// per evaluator, reuse per stage — repeated batches at the same geometry
+/// never reallocate.
 #[derive(Debug, Default, Clone)]
 pub struct ConvScratch {
     /// The `[C_in·k², N·oH·oW]` im2col patch matrix of the current batch.
     pub patches: Vec<f32>,
-    /// The `[C_out, N·oH·oW]` GEMM output of the current batch.
+    /// Raw convolution output: the `[C_out, N·oH·oW]` GEMM result of the
+    /// current batch, or — on the direct path of [`conv2d_pool_batch`] —
+    /// the `[C_out, oH, oW]` maps of the image being pooled.
     pub out: Vec<f32>,
+}
+
+/// Validated geometry of one batched convolution.
+#[derive(Debug, Clone, Copy)]
+struct BatchGeometry {
+    c_in: usize,
+    h: usize,
+    w: usize,
+    c_out: usize,
+    kh: usize,
+    kw: usize,
+    oh: usize,
+    ow: usize,
+}
+
+impl BatchGeometry {
+    /// Checks operands, bias and that every input has the shape of the
+    /// first; `None` for an empty batch.
+    fn check(inputs: &[Tensor], kernels: &Tensor, bias: &[f32]) -> Result<Option<Self>> {
+        let Some(first) = inputs.first() else {
+            return Ok(None);
+        };
+        let (c_in, h, w, c_out, kh, kw) = check_conv_operands(first, kernels)?;
+        check_conv_bias(c_out, bias)?;
+        for t in inputs {
+            if t.shape() != first.shape() {
+                return Err(TensorError::ShapeMismatch {
+                    left: first.dims().to_vec(),
+                    right: t.dims().to_vec(),
+                });
+            }
+        }
+        Ok(Some(BatchGeometry {
+            c_in,
+            h,
+            w,
+            c_out,
+            kh,
+            kw,
+            oh: valid_out_size(h, kh)?,
+            ow: valid_out_size(w, kw)?,
+        }))
+    }
+
+    /// Output cells per map.
+    fn cols_per(&self) -> usize {
+        self.oh * self.ow
+    }
+
+    /// The per-image conv kernel of the [`GemmKernel::Simd`] arm: convolves
+    /// `input` straight from its feature maps into `raw` (`[C_out, oH,
+    /// oW]`) — no patch matrix. Returns `false`, writing nothing, when the
+    /// host lacks AVX2 or the maps are too narrow (`ow < 8`); the caller
+    /// then lowers the whole batch instead. Bit-identical to the lowered
+    /// path (bias first, then taps in im2col patch-row order; see
+    /// [`crate::gemm`]).
+    fn direct(&self, input: &Tensor, kernels: &Tensor, bias: &[f32], raw: &mut [f32]) -> bool {
+        gemm::conv2d_direct_simd(
+            input.data(),
+            self.c_in,
+            self.h,
+            self.w,
+            kernels.data(),
+            self.c_out,
+            self.kh,
+            self.kw,
+            bias,
+            raw,
+            self.oh,
+            self.ow,
+        )
+    }
+
+    /// Lowers the whole batch into `scratch.patches` and runs one GEMM
+    /// into `scratch.out` (`[C_out, N·oH·oW]`: image `i`'s map `m` starts
+    /// at `m·N·oH·oW + i·oH·oW`). Accumulators are bias-seeded and `p`
+    /// ascends per element — the exact addition sequence of the direct
+    /// convolution, whichever microkernel runs it.
+    fn lower_and_multiply(
+        &self,
+        inputs: &[Tensor],
+        kernels: &Tensor,
+        bias: &[f32],
+        scratch: &mut ConvScratch,
+        kernel: GemmKernel,
+    ) -> Result<()> {
+        let rows = self.c_in * self.kh * self.kw;
+        let total_cols = inputs.len() * self.cols_per();
+        // every cell is overwritten below (patches by the per-image
+        // lowering, out by the bias fill), so stale contents from a
+        // previous batch/geometry never need re-zeroing
+        scratch.patches.resize(rows * total_cols, 0.0);
+        for (i, input) in inputs.iter().enumerate() {
+            im2col_into(
+                input,
+                self.kh,
+                self.kw,
+                &mut scratch.patches,
+                total_cols,
+                i * self.cols_per(),
+            )?;
+        }
+        scratch.out.resize(self.c_out * total_cols, 0.0);
+        gemm::gemm_nn(
+            kernel,
+            self.c_out,
+            rows,
+            total_cols,
+            kernels.data(),
+            &scratch.patches,
+            bias,
+            &mut scratch.out,
+        );
+        Ok(())
+    }
 }
 
 /// Valid cross-correlation of a whole batch through one shared im2col
@@ -158,99 +254,114 @@ pub fn conv2d_valid_batch(
     scratch: &mut ConvScratch,
     kernel: GemmKernel,
 ) -> Result<Vec<Tensor>> {
-    let Some(first) = inputs.first() else {
+    let Some(g) = BatchGeometry::check(inputs, kernels, bias)? else {
         return Ok(Vec::new());
     };
-    let (c_in, h, w, c_out, kh, kw) = check_conv_operands(first, kernels)?;
-    check_conv_bias(c_out, bias)?;
-    for t in inputs {
-        if t.shape() != first.shape() {
-            return Err(TensorError::ShapeMismatch {
-                left: first.dims().to_vec(),
-                right: t.dims().to_vec(),
-            });
-        }
-    }
-    let oh = valid_out_size(h, kh)?;
-    let ow = valid_out_size(w, kw)?;
     let n = inputs.len();
-    let rows = c_in * kh * kw;
-    let cols_per = oh * ow;
-    let total_cols = n * cols_per;
+    let cols_per = g.cols_per();
+    let dims = [g.c_out, g.oh, g.ow];
 
-    // Fused fast path for the Simd arm: convolve each image straight from
-    // its feature maps — no patch-matrix materialization, no copy-out.
-    // Bit-identical to the lowered path (the fused kernel accumulates
-    // bias first, then taps in the im2col patch-row order; see
-    // `cdl_tensor::gemm`). Applicability is a pure function of geometry
-    // and host support, so if the first image takes the fused path the
-    // whole batch does.
+    // Applicability of the direct kernel is a pure function of geometry
+    // and host support, so if the first image takes it the whole batch
+    // does.
     if kernel == GemmKernel::Simd {
-        let mut fused = Vec::with_capacity(n);
+        let mut outs = Vec::with_capacity(n);
         for input in inputs {
-            let mut data = vec![0.0f32; c_out * cols_per];
-            if !gemm::conv2d_direct_simd(
-                input.data(),
-                c_in,
-                h,
-                w,
-                kernels.data(),
-                c_out,
-                kh,
-                kw,
-                bias,
-                &mut data,
-                oh,
-                ow,
-            ) {
-                break; // narrow geometry or no AVX2 — take the GEMM path
+            let mut data = vec![0.0f32; g.c_out * cols_per];
+            if !g.direct(input, kernels, bias, &mut data) {
+                break;
             }
-            fused.push(Tensor::from_vec(data, &[c_out, oh, ow])?);
+            outs.push(Tensor::from_vec(data, &dims)?);
         }
-        if fused.len() == n {
-            return Ok(fused);
+        if outs.len() == n {
+            return Ok(outs);
         }
     }
 
-    // grow-only resize: every cell is overwritten below (patches by the
-    // per-image lowering, out by the bias fill), so stale contents from a
-    // previous batch/geometry never need re-zeroing
-    scratch.patches.resize(rows * total_cols, 0.0);
-    for (i, input) in inputs.iter().enumerate() {
-        im2col_into(
-            input,
-            kh,
-            kw,
-            &mut scratch.patches,
-            total_cols,
-            i * cols_per,
-        )?;
-    }
-
-    // GEMM with bias-seeded accumulators, p ascending per element — the
-    // exact addition sequence of the direct convolution, whichever
-    // microkernel runs it.
-    scratch.out.resize(c_out * total_cols, 0.0);
-    gemm::gemm_nn(
-        kernel,
-        c_out,
-        rows,
-        total_cols,
-        kernels.data(),
-        &scratch.patches,
-        bias,
-        &mut scratch.out,
-    );
-
+    g.lower_and_multiply(inputs, kernels, bias, scratch, kernel)?;
+    let total_cols = n * cols_per;
     (0..n)
         .map(|i| {
-            let mut data = Vec::with_capacity(c_out * cols_per);
-            for m in 0..c_out {
+            let mut data = Vec::with_capacity(g.c_out * cols_per);
+            for m in 0..g.c_out {
                 let base = m * total_cols + i * cols_per;
                 data.extend_from_slice(&scratch.out[base..base + cols_per]);
             }
-            Tensor::from_vec(data, &[c_out, oh, ow])
+            Tensor::from_vec(data, &dims)
         })
+        .collect()
+}
+
+/// One fused `conv → activation → max-pool(window)` stage over a batch,
+/// with the pooling moved **ahead of** the activation: each image is
+/// convolved exactly as [`conv2d_valid_batch`] would (same per-image
+/// direct kernel on the Simd arm, same lowering + GEMM otherwise), its raw
+/// pre-activation maps are max-pooled while still in `scratch`, and
+/// `activation` is applied to the pooled `[C_out, oH/window, oW/window]`
+/// map only — a `window²`-fold cut in activation evaluations and one
+/// output tensor per image.
+///
+/// The result equals pooling the activated maps **bit for bit** whenever
+/// `activation` commutes with [`crate::pool`]'s scan: non-decreasing over
+/// the ordered non-NaN `f32`s, NaN in ⇒ NaN out, numerically equal
+/// outputs of distinct inputs identical in bits, and equal outputs for
+/// `-0.0` and `+0.0` (then the raw scan and the activated scan pick the
+/// same element, or elements whose activations are the same bits).
+/// Choosing such an activation is the caller's obligation; `cdl-nn` keeps
+/// the list and the exhaustive test behind it.
+///
+/// # Errors
+///
+/// Same conditions as [`conv2d_valid_batch`], plus
+/// [`TensorError::InvalidGeometry`] when `window` is zero or does not tile
+/// the convolution's output maps.
+pub fn conv2d_pool_batch(
+    inputs: &[Tensor],
+    kernels: &Tensor,
+    bias: &[f32],
+    window: usize,
+    activation: impl Fn(f32) -> f32,
+    scratch: &mut ConvScratch,
+    kernel: GemmKernel,
+) -> Result<Vec<Tensor>> {
+    let Some(g) = BatchGeometry::check(inputs, kernels, bias)? else {
+        return Ok(Vec::new());
+    };
+    if window == 0 || !g.oh.is_multiple_of(window) || !g.ow.is_multiple_of(window) {
+        return Err(TensorError::InvalidGeometry(format!(
+            "pooling window {window} does not tile conv output {}x{}",
+            g.oh, g.ow
+        )));
+    }
+    let n = inputs.len();
+    let cols_per = g.cols_per();
+    let dims = [g.c_out, g.oh / window, g.ow / window];
+    let pooled = |raw: &[f32], plane_stride: usize| {
+        let mut data = vec![0.0f32; dims.iter().product()];
+        pool::maxpool2d_into(raw, (g.c_out, g.oh, g.ow), plane_stride, window, &mut data);
+        for v in &mut data {
+            *v = activation(*v);
+        }
+        Tensor::from_vec(data, &dims)
+    };
+
+    if kernel == GemmKernel::Simd {
+        scratch.out.resize(g.c_out * cols_per, 0.0);
+        let mut outs = Vec::with_capacity(n);
+        for input in inputs {
+            if !g.direct(input, kernels, bias, &mut scratch.out) {
+                break;
+            }
+            outs.push(pooled(&scratch.out, cols_per)?);
+        }
+        if outs.len() == n {
+            return Ok(outs);
+        }
+    }
+
+    g.lower_and_multiply(inputs, kernels, bias, scratch, kernel)?;
+    (0..n)
+        .map(|i| pooled(&scratch.out[i * cols_per..], n * cols_per))
         .collect()
 }
 
@@ -277,42 +388,8 @@ mod tests {
     }
 
     #[test]
-    fn matches_direct_convolution_exhaustively() {
-        use rand::rngs::StdRng;
-        use rand::{RngExt, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(42);
-        for (c_in, c_out, k, size) in [
-            (1usize, 1usize, 1usize, 4usize),
-            (1, 6, 5, 28),
-            (6, 12, 5, 12),
-            (3, 9, 3, 5),
-            (2, 4, 2, 6),
-        ] {
-            let x_data: Vec<f32> = (0..c_in * size * size)
-                .map(|_| rng.random_range(-1.0..1.0))
-                .collect();
-            let k_data: Vec<f32> = (0..c_out * c_in * k * k)
-                .map(|_| rng.random_range(-0.5..0.5))
-                .collect();
-            let bias: Vec<f32> = (0..c_out).map(|_| rng.random_range(-0.2..0.2)).collect();
-            let x = t(x_data, &[c_in, size, size]);
-            let kernels = t(k_data, &[c_out, c_in, k, k]);
-            let direct = conv2d_valid(&x, &kernels, &bias).unwrap();
-            let lowered = conv2d_valid_im2col(&x, &kernels, &bias).unwrap();
-            assert_eq!(direct.dims(), lowered.dims());
-            for (a, b) in direct.data().iter().zip(lowered.data()) {
-                assert!((a - b).abs() < 1e-4, "mismatch: {a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
     fn validates_operands() {
         let x = Tensor::ones(&[2, 4, 4]);
-        let k = Tensor::ones(&[1, 3, 2, 2]); // wrong channels
-        assert!(conv2d_valid_im2col(&x, &k, &[0.0]).is_err());
-        let k = Tensor::ones(&[1, 2, 2, 2]);
-        assert!(conv2d_valid_im2col(&x, &k, &[0.0, 0.0]).is_err()); // bad bias
         assert!(im2col(&Tensor::ones(&[4, 4]), 2, 2).is_err()); // rank
         assert!(im2col(&x, 5, 5).is_err()); // kernel too big
     }
@@ -405,6 +482,99 @@ mod tests {
         // bad bias rejected
         let xs = vec![Tensor::ones(&[1, 4, 4])];
         assert!(conv2d_valid_batch(&xs, &k, &[0.0, 0.0], &mut scratch, gemm_kernel).is_err());
+    }
+
+    #[test]
+    fn pool_batch_matches_activate_then_pool() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        let sigmoid = |v: f32| 1.0 / (1.0 + (-v).exp());
+        for (n, c_in, c_out, k, size, window) in [
+            // 2C's C1/P1 and C2/P2: the direct kernel on the Simd arm
+            (3usize, 1usize, 6usize, 5usize, 28usize, 2usize),
+            (2, 6, 12, 5, 12, 2),
+            // ow = 6: narrow maps, every arm lowers the batch
+            (4, 2, 3, 3, 8, 3),
+            // a batch of one, and the identity window
+            (1, 3, 4, 3, 5, 1),
+        ] {
+            let inputs: Vec<Tensor> = (0..n)
+                .map(|_| {
+                    let d: Vec<f32> = (0..c_in * size * size)
+                        .map(|_| rng.random_range(-1.0..1.0))
+                        .collect();
+                    t(d, &[c_in, size, size])
+                })
+                .collect();
+            let k_data: Vec<f32> = (0..c_out * c_in * k * k)
+                .map(|_| rng.random_range(-0.5..0.5))
+                .collect();
+            let kernels = t(k_data, &[c_out, c_in, k, k]);
+            let bias: Vec<f32> = (0..c_out).map(|_| rng.random_range(-0.2..0.2)).collect();
+            let mut scratch = ConvScratch::default();
+            for gemm_kernel in GemmKernel::ALL {
+                let fused = conv2d_pool_batch(
+                    &inputs,
+                    &kernels,
+                    &bias,
+                    window,
+                    sigmoid,
+                    &mut scratch,
+                    gemm_kernel,
+                )
+                .unwrap();
+                for (x, f) in inputs.iter().zip(&fused) {
+                    let activated = conv2d_valid(x, &kernels, &bias).unwrap().map(sigmoid);
+                    let unfused = pool::maxpool2d_forward(&activated, window).unwrap();
+                    assert_eq!(unfused.dims(), f.dims());
+                    for (u, v) in unfused.data().iter().zip(f.data()) {
+                        assert_eq!(u.to_bits(), v.to_bits(), "kernel {gemm_kernel}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pool_batch_validates_window() {
+        let mut scratch = ConvScratch::default();
+        let k = Tensor::ones(&[1, 1, 2, 2]);
+        let xs = vec![Tensor::ones(&[1, 4, 4])]; // 3x3 output maps
+        for window in [0usize, 2] {
+            assert!(conv2d_pool_batch(
+                &xs,
+                &k,
+                &[0.0],
+                window,
+                |v| v,
+                &mut scratch,
+                GemmKernel::default()
+            )
+            .is_err());
+        }
+        let ok = conv2d_pool_batch(
+            &xs,
+            &k,
+            &[0.0],
+            3,
+            |v| v,
+            &mut scratch,
+            GemmKernel::default(),
+        )
+        .unwrap();
+        assert_eq!(ok[0].dims(), &[1, 1, 1]);
+        assert!(conv2d_pool_batch(
+            &[],
+            &k,
+            &[0.0],
+            2,
+            |v| v,
+            &mut scratch,
+            GemmKernel::default()
+        )
+        .unwrap()
+        .is_empty());
     }
 
     #[test]

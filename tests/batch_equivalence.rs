@@ -122,3 +122,23 @@ fn chunked_batches_agree_with_one_big_batch() {
         }
     }
 }
+
+/// A batch of one runs the selected kernel and the fused stage groups, not
+/// a per-image detour: every image classified alone through a
+/// `BatchEvaluator` equals `CdlNetwork::classify`, per `GemmKernel`.
+#[test]
+fn batch_of_one_is_bit_identical_to_per_image() {
+    let (cdln, test_set) = trained_cdln();
+    let images = &test_set.images[..48.min(test_set.len())];
+    for kernel in GemmKernel::ALL {
+        let mut eval = BatchEvaluator::with_kernel(cdln, kernel);
+        for image in images {
+            let batched = eval
+                .classify_batch(std::slice::from_ref(image))
+                .expect("batch of one");
+            assert_eq!(batched.len(), 1);
+            let single = cdln.classify(image).expect("per-image pass");
+            assert_eq!(batched[0], single, "kernel {kernel}");
+        }
+    }
+}
