@@ -294,9 +294,9 @@ pub fn prepare(
 /// policy, force-admitted heads — parameterized only by architecture,
 /// epoch count and seed.
 ///
-/// This is the **single** model setup shared by the examples
-/// (`serve_stream`, `bench_report`) and the criterion benches
-/// (`batch`, `serve`): they must all measure the same network, so the
+/// This is the **single** model setup shared by the `serve_stream`
+/// example and the `benchmark/` package (whose committed models were
+/// trained with it): they must all measure the same network, so the
 /// recipe lives here instead of being repeated (and drifting) per
 /// call site. Unlike [`prepare`], there is no cache and no env-driven
 /// configuration — deterministic in, deterministic out.

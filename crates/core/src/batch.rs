@@ -40,8 +40,8 @@ use crate::Result;
 
 /// The work a request had already consumed when it was shed mid-batch.
 ///
-/// Produced by the sheddable entry points
-/// ([`BatchEvaluator::classify_batch_with_override_sheddable`]) for inputs
+/// Produced by the sheddable entry point
+/// ([`BatchEvaluator::classify_stream_with_override_sheddable`]) for inputs
 /// the caller's shed hook evicted at a stage boundary: `stages_activated`
 /// cascade stages had run (and been paid for) by then, costing `ops`
 /// operations — the exact cumulative cost every image reaching that
@@ -143,15 +143,14 @@ impl<'a> BatchEvaluator<'a> {
         inputs: &[Tensor],
         policy: ConfidencePolicy,
     ) -> Result<Vec<CdlOutput>> {
-        let outcomes =
-            self.classify_batch_capped(inputs, policy, None, &mut |_, _| {}, &mut never_shed)?;
-        Ok(into_done(outcomes))
+        self.classify_chunk(inputs, policy, None, &mut |_, _| {}, &mut never_shed)
+            .map(into_done)
     }
 
     /// Classifies a batch with per-request [`ExitOverride`]s (δ replacement
     /// and/or cascade-depth cap) applied **uniformly to the whole batch** —
     /// the serving layer groups requests by effective override before
-    /// calling this, so scratch reuse and bit-exactness are preserved.
+    /// evaluating, so scratch reuse and bit-exactness are preserved.
     ///
     /// Every output is bit-identical to
     /// [`CdlNetwork::classify_with_override`] on the same input.
@@ -165,72 +164,30 @@ impl<'a> BatchEvaluator<'a> {
         inputs: &[Tensor],
         ovr: ExitOverride,
     ) -> Result<Vec<CdlOutput>> {
-        self.classify_batch_with_override_observed(inputs, ovr, &mut |_, _| {})
+        let policy = self.effective_policy(ovr)?;
+        self.classify_chunk(
+            inputs,
+            policy,
+            ovr.max_stage,
+            &mut |_, _| {},
+            &mut never_shed,
+        )
+        .map(into_done)
     }
 
-    /// [`BatchEvaluator::classify_batch_with_override`] with a per-stage
-    /// **observer**: after each cascade segment is evaluated (and before
-    /// the exit gate compacts the batch), `observer(stage, active)` is
-    /// called with the input indices still active at that stage; the final
-    /// baseline segment reports as stage [`CdlNetwork::stage_count`]. The
-    /// observer only watches — the arithmetic, and therefore every output,
-    /// is bit-identical to the unobserved call. This is the hook the
-    /// serving layer's request-lifecycle tracing builds per-stage spans on.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`BatchEvaluator::classify_batch_with_override`].
-    pub fn classify_batch_with_override_observed(
-        &mut self,
-        inputs: &[Tensor],
-        ovr: ExitOverride,
-        observer: &mut dyn FnMut(usize, &[usize]),
-    ) -> Result<Vec<CdlOutput>> {
+    /// The network's policy with `ovr` applied, validated.
+    fn effective_policy(&self, ovr: ExitOverride) -> Result<ConfidencePolicy> {
         let policy = ovr.effective_policy(self.net.policy());
         policy.validate()?;
-        let outcomes =
-            self.classify_batch_capped(inputs, policy, ovr.max_stage, observer, &mut never_shed)?;
-        Ok(into_done(outcomes))
+        Ok(policy)
     }
 
-    /// [`BatchEvaluator::classify_batch_with_override_observed`] with a
-    /// per-input **shed hook**: at every stage boundary — before cascade
-    /// stage `s ≥ 1` runs, and before the final baseline segment (reported
-    /// as stage [`CdlNetwork::stage_count`]) — `shed(next_stage, input_idx)`
-    /// is asked whether the still-active input at original index
-    /// `input_idx` should be evicted instead of paying for `next_stage`.
-    /// Evicted inputs settle as [`SheddableOutcome::Shed`] carrying the
-    /// exact work already consumed; survivors are **bit-identical** to the
-    /// non-sheddable pass (shedding only removes rows from the batched
-    /// GEMMs, which never changes per-row arithmetic). A hook that always
-    /// returns `false` reproduces
-    /// [`BatchEvaluator::classify_batch_with_override_observed`] exactly.
-    ///
-    /// The hook is *not* consulted before stage 0: admission-time expiry
-    /// is the dispatcher's job, and an input that was live at dispatch has
-    /// already been committed to its first segment.
-    ///
-    /// This is the mechanism the serving layer's mid-batch deadline
-    /// shedding builds on: a request whose deadline passes while its batch
-    /// is in flight stops consuming cascade stages at the next boundary.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as
-    /// [`BatchEvaluator::classify_batch_with_override_observed`].
-    pub fn classify_batch_with_override_sheddable(
-        &mut self,
-        inputs: &[Tensor],
-        ovr: ExitOverride,
-        observer: &mut dyn FnMut(usize, &[usize]),
-        shed: &mut dyn FnMut(usize, usize) -> bool,
-    ) -> Result<Vec<SheddableOutcome>> {
-        let policy = ovr.effective_policy(self.net.policy());
-        policy.validate()?;
-        self.classify_batch_capped(inputs, policy, ovr.max_stage, observer, shed)
-    }
-
-    fn classify_batch_capped(
+    /// One pass of the whole of `inputs` through the cascade under `policy`
+    /// and the depth cap `force_exit_at` — the routine every entry point
+    /// ends in. `observer` and `shed` are the hooks documented on
+    /// [`BatchEvaluator::classify_stream_with_override_sheddable`], here
+    /// with indices into `inputs`.
+    fn classify_chunk(
         &mut self,
         inputs: &[Tensor],
         policy: ConfidencePolicy,
@@ -390,10 +347,8 @@ impl<'a> BatchEvaluator<'a> {
 
     /// [`BatchEvaluator::classify_stream_with_override`] with the
     /// per-stage observer of
-    /// [`BatchEvaluator::classify_batch_with_override_observed`]. Observed
-    /// indices are positions in the full `inputs` stream (each chunk's
-    /// local indices are shifted by the chunk base before the callback),
-    /// so one observer serves the whole stream.
+    /// [`BatchEvaluator::classify_stream_with_override_sheddable`] — the
+    /// hook request-lifecycle tracing builds per-stage spans on.
     ///
     /// # Errors
     ///
@@ -404,35 +359,42 @@ impl<'a> BatchEvaluator<'a> {
         ovr: ExitOverride,
         observer: &mut dyn FnMut(usize, &[usize]),
     ) -> Result<Vec<CdlOutput>> {
-        let mut outputs = Vec::with_capacity(inputs.len());
-        let mut shifted: Vec<usize> = Vec::new();
-        for (chunk_no, chunk) in inputs.chunks(Self::STREAM_CHUNK).enumerate() {
-            let base = chunk_no * Self::STREAM_CHUNK;
-            outputs.extend(self.classify_batch_with_override_observed(
-                chunk,
-                ovr,
-                &mut |stage, active| {
-                    shifted.clear();
-                    shifted.extend(active.iter().map(|&k| base + k));
-                    observer(stage, &shifted);
-                },
-            )?);
-        }
-        Ok(outputs)
+        self.classify_stream_with_override_sheddable(inputs, ovr, observer, &mut never_shed)
+            .map(into_done)
     }
 
-    /// Sheddable twin of
-    /// [`BatchEvaluator::classify_stream_with_override_observed`]: pushes
-    /// [`BatchEvaluator::STREAM_CHUNK`]-image chunks through
-    /// [`BatchEvaluator::classify_batch_with_override_sheddable`]. Both
-    /// the observer and the shed hook see indices into the full `inputs`
-    /// stream (chunk-local indices are shifted by the chunk base), so one
-    /// pair of hooks serves the whole stream.
+    /// The full-form entry every other `classify_*` name is sugar for:
+    /// pushes [`BatchEvaluator::STREAM_CHUNK`]-image chunks through the
+    /// cascade under `ovr`, with a per-stage **observer** and a per-input
+    /// **shed hook**.
+    ///
+    /// After each cascade segment (before the exit gate compacts the
+    /// batch) `observer(stage, active)` sees the inputs still active at
+    /// that stage; the final baseline segment reports as stage
+    /// [`CdlNetwork::stage_count`]. The observer only watches: every output
+    /// is the same whatever it does.
+    ///
+    /// At every stage boundary — before cascade stage `s ≥ 1` runs, and
+    /// before the final baseline segment — `shed(next_stage, input)` may
+    /// evict a still-active input instead of paying for `next_stage`: it
+    /// settles as [`SheddableOutcome::Shed`] with the exact work already
+    /// consumed, and the survivors stay **bit-identical** to a pass that
+    /// sheds nothing (shedding only removes rows from the batched GEMMs,
+    /// which never changes per-row arithmetic). The hook is *not*
+    /// consulted before stage 0: admission-time expiry is the
+    /// dispatcher's job, and an input that was live at dispatch has
+    /// already been committed to its first segment. This is what the
+    /// serving layer's mid-batch deadline shedding builds on: a request
+    /// whose deadline passes while its batch is in flight stops consuming
+    /// cascade stages at the next boundary.
+    ///
+    /// Both hooks see indices into the full `inputs` stream (chunk-local
+    /// indices are shifted by the chunk base), so one pair serves the
+    /// whole stream.
     ///
     /// # Errors
     ///
-    /// Same contract as
-    /// [`BatchEvaluator::classify_batch_with_override_sheddable`].
+    /// Same contract as [`BatchEvaluator::classify_stream_with_override`].
     pub fn classify_stream_with_override_sheddable(
         &mut self,
         inputs: &[Tensor],
@@ -440,13 +402,15 @@ impl<'a> BatchEvaluator<'a> {
         observer: &mut dyn FnMut(usize, &[usize]),
         shed: &mut dyn FnMut(usize, usize) -> bool,
     ) -> Result<Vec<SheddableOutcome>> {
+        let policy = self.effective_policy(ovr)?;
         let mut outputs = Vec::with_capacity(inputs.len());
         let mut shifted: Vec<usize> = Vec::new();
         for (chunk_no, chunk) in inputs.chunks(Self::STREAM_CHUNK).enumerate() {
             let base = chunk_no * Self::STREAM_CHUNK;
-            outputs.extend(self.classify_batch_with_override_sheddable(
+            outputs.extend(self.classify_chunk(
                 chunk,
-                ovr,
+                policy,
+                ovr.max_stage,
                 &mut |stage, active| {
                     shifted.clear();
                     shifted.extend(active.iter().map(|&k| base + k));
@@ -760,7 +724,7 @@ mod tests {
         // shed inputs 3 and 7 at the first boundary they are offered
         let mut offered: Vec<Vec<usize>> = vec![Vec::new(); inputs.len()];
         let outcomes = eval
-            .classify_batch_with_override_sheddable(
+            .classify_stream_with_override_sheddable(
                 &inputs,
                 ovr,
                 &mut |_, _| {},

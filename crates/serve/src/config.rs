@@ -631,10 +631,10 @@ impl BatchPolicy {
     ///
     /// **Liveness caveat**: without a deadline, a batch larger than the
     /// number of requests that can be in flight never fills. With blocking
-    /// [`crate::Server::submit`] producers, keep
+    /// ([`crate::Admission::Block`]) producers, keep
     /// [`crate::ServerConfig::queue_capacity`] `>= max_batch_size`, or the
     /// producers and the batcher wait on each other until
-    /// [`crate::Server::shutdown`] flushes the batch (`try_submit` callers
+    /// [`crate::Server::shutdown`] flushes the batch (`Try` callers
     /// just see [`crate::ServeError::Full`] meanwhile — that stalled-open
     /// shape is exactly what the backpressure tests use deterministically).
     pub fn by_size(max_batch_size: usize) -> Self {
@@ -685,10 +685,11 @@ impl Default for BatchPolicy {
 pub struct ServerConfig {
     /// Batch-formation policy.
     pub policy: BatchPolicy,
-    /// Maximum number of **in-flight** requests: admitted (by `submit` /
-    /// `try_submit`) but not yet completed, cancelled or failed. Submitting
-    /// beyond this bound blocks (`submit`) or returns
-    /// [`ServeError::Full`] (`try_submit`) — the server's backpressure.
+    /// Maximum number of **in-flight** requests: admitted (by
+    /// [`crate::Server::admit`]) but not yet completed, cancelled or
+    /// failed. Submitting beyond this bound waits
+    /// ([`crate::Admission::Block`]) or returns [`ServeError::Full`]
+    /// (`Try`) — the server's backpressure.
     pub queue_capacity: usize,
     /// Worker threads; each owns one persistent
     /// [`cdl_core::batch::BatchEvaluator`] whose im2col/GEMM scratch is

@@ -1,6 +1,7 @@
 //! Error type for the serving layer.
 
 use cdl_core::CdlError;
+use cdl_tensor::Tensor;
 use std::fmt;
 
 use crate::config::Priority;
@@ -12,8 +13,9 @@ pub type ServeResult<T> = std::result::Result<T, ServeError>;
 /// Error produced by request submission or completion.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServeError {
-    /// The bounded submission queue is at capacity (`try_submit` only —
-    /// `submit` blocks instead). The request was **not** admitted.
+    /// The bounded submission queue is at capacity
+    /// ([`crate::Admission::Try`] only — `Block` waits instead). The
+    /// request was **not** admitted.
     Full,
     /// The server no longer accepts requests (shutdown has begun).
     ShuttingDown,
@@ -88,5 +90,33 @@ impl std::error::Error for ServeError {
 impl From<CdlError> for ServeError {
     fn from(e: CdlError) -> Self {
         ServeError::Eval(e)
+    }
+}
+
+/// A refused admission: why, and the request's tensor handed back so a
+/// caller that retries (the TCP edge parking on [`ServeError::Full`])
+/// resubmits the same allocation instead of cloning per attempt.
+#[derive(Debug)]
+pub struct Refused {
+    /// Why the request was not admitted.
+    pub error: ServeError,
+    /// The request's input. `None` only with [`ServeError::ShuttingDown`]
+    /// from a pipeline that consumed the request before its batcher was
+    /// found dead.
+    pub input: Option<Tensor>,
+}
+
+impl Refused {
+    pub(crate) fn returning(error: ServeError, input: Tensor) -> Self {
+        Refused {
+            error,
+            input: Some(input),
+        }
+    }
+}
+
+impl From<Refused> for ServeError {
+    fn from(refused: Refused) -> Self {
+        refused.error
     }
 }

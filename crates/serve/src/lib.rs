@@ -13,8 +13,8 @@
 //! ```text
 //!  clients                     cdl-serve                        evaluators
 //!  ───────                     ─────────                        ──────────
-//!  submit()/try_submit() ─▶ [bounded in-flight gate]
-//!        │                        │  backpressure: block / Full
+//!  admit(Request, Block|Try) ─▶ [bounded in-flight gate]
+//!        │                        │  no room: Block waits / Try → Refused
 //!        ▼                        ▼
 //!   Pending handle ◀──┐     submission queue
 //!   (one-shot,        │           │
@@ -30,9 +30,15 @@
 //!                          across every batch it processes)
 //! ```
 //!
-//! * **Admission** ([`Server::submit`] / [`Server::try_submit`]) is bounded
-//!   by [`ServerConfig::queue_capacity`] *in-flight* requests; beyond it,
-//!   `submit` blocks and `try_submit` returns [`ServeError::Full`].
+//! * **Admission** is one call, [`Server::admit`]: a [`Request`] (input,
+//!   [`SubmitOptions`], optionally a trace id to continue) plus an
+//!   [`Admission`]. At most [`ServerConfig::queue_capacity`] requests are
+//!   *in flight*; beyond that `Block` waits and `Try` returns a
+//!   [`Refused`] — the typed [`ServeError`] **and the tensor handed
+//!   back**, so a retrying caller never clones (`submit`, `submit_with`,
+//!   `try_submit_with` are one-line sugar). [`Router::admit`] is the same
+//!   call behind placement and, under a [`RetryPolicy`], the retry/hedge
+//!   race; the TCP edge calls exactly that with `Try`.
 //! * **Batch formation** ([`BatchPolicy`]) dispatches a batch when it is
 //!   full or when `max_wait` has passed since its first request — the
 //!   classic dynamic-batching throughput/latency trade-off.
@@ -185,7 +191,9 @@
 //!    evaluator ops, so hedging buys tail latency with queue slots, not
 //!    compute. Responses stay bit-identical to
 //!    [`cdl_core::network::CdlNetwork::classify_with_override`] whichever
-//!    attempt wins, because every replica evaluates the same network.
+//!    attempt wins, because every replica evaluates the same network. The
+//!    race lives inside [`Router::admit`], so requests arriving over TCP
+//!    are retried and hedged exactly like in-process ones.
 //! 4. **Model updates don't drain the world.** [`Router::swap_model`]
 //!    replaces a shard's network replica by replica: each retired
 //!    pipeline finishes every request it admitted (with its *old*
@@ -257,10 +265,10 @@ pub use config::{
     BatchPolicy, EdgeConfig, HealthPolicy, PlacementPolicy, Priority, ReplicaHealth, ReplicaSpec,
     RetryPolicy, ServerConfig, SubmitOptions,
 };
-pub use error::{ServeError, ServeResult};
+pub use error::{Refused, ServeError, ServeResult};
 pub use fault::{FaultKind, FaultPlan, FaultPlanBuilder};
 pub use metrics::{LatencyStats, ReplicaMetrics, RouterMetrics, ServerMetrics, ShardMetrics};
 pub use net::{ErrorCode, ErrorReply, TcpClient, TcpServer};
 pub use pending::Pending;
 pub use router::{ModelId, Router, ShardSpec};
-pub use server::Server;
+pub use server::{Admission, Request, Server};

@@ -90,7 +90,8 @@ pub struct ServerMetrics {
     pub elapsed: Duration,
     /// Requests admitted into the queue.
     pub submitted: u64,
-    /// `try_submit` calls bounced with [`crate::ServeError::Full`].
+    /// [`crate::Admission::Try`] admissions bounced with
+    /// [`crate::ServeError::Full`].
     pub rejected: u64,
     /// Requests evaluated and delivered.
     pub completed: u64,
@@ -448,7 +449,7 @@ impl ShardMetrics {
         self.replicas.iter().map(|r| r.metrics.submitted).sum()
     }
 
-    /// Total `try_submit` rejections across this model's replicas.
+    /// Total [`crate::ServeError::Full`] rejections across this model's replicas.
     pub fn rejected(&self) -> u64 {
         self.replicas.iter().map(|r| r.metrics.rejected).sum()
     }
@@ -596,7 +597,7 @@ impl RouterMetrics {
         self.shards.iter().map(|s| s.submitted()).sum()
     }
 
-    /// Total `try_submit` rejections across all models and replicas.
+    /// Total [`crate::ServeError::Full`] rejections across all models and replicas.
     pub fn rejected(&self) -> u64 {
         self.shards.iter().map(|s| s.rejected()).sum()
     }
@@ -813,7 +814,10 @@ impl Recorder {
     }
 
     pub(crate) fn admitted(&self) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
+        // Release, paired with the Acquire load in `snapshot`: a snapshot
+        // that sees this admission also sees the router's `routed`
+        // increment that preceded it (`submitted <= routed`)
+        self.submitted.fetch_add(1, Ordering::Release);
     }
 
     /// Rolls back an [`Recorder::admitted`] whose send never reached the
@@ -943,7 +947,7 @@ impl Recorder {
         let latency = LatencyStats::from_histogram(&c.latency);
         ServerMetrics {
             elapsed,
-            submitted: self.submitted.load(Ordering::Relaxed),
+            submitted: self.submitted.load(Ordering::Acquire),
             rejected: self.rejected.load(Ordering::Relaxed),
             completed: c.completed,
             cancelled: c.cancelled,

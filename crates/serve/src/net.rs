@@ -5,8 +5,8 @@
 //! requests per connection onto the router, and a blocking [`TcpClient`]
 //! speaks the same protocol from the other end. Everything below the edge
 //! is unchanged — requests admitted over TCP go through the exact same
-//! placement → gate → batcher → worker pipeline as in-process
-//! [`Router::submit_with`] calls, and responses stay bit-identical to
+//! [`Router::admit`] (placement, retry/hedge race, gate) → batcher →
+//! worker pipeline as in-process submits, and responses stay bit-identical to
 //! [`cdl_core::network::CdlNetwork::classify_with_override`] (f32s travel
 //! as IEEE-754 bit patterns, so the round trip is bit-exact; pinned by
 //! `tests/net_loopback.rs`).
@@ -57,8 +57,8 @@
 //! lower-priority request under load), and [`ErrorCode::Quota`] (the
 //! tenant is at its in-flight cap). A request with no deadline is never
 //! shed once admitted: a full gate **parks** the decoded request on its
-//! connection (the tensor moves into the parked slot — reclaimed from
-//! [`Router::try_submit_reclaim`], never cloned) and the owning poller
+//! connection (the tensor moves into the parked slot — handed back by
+//! [`Router::admit`]'s [`Refused`], never cloned) and the owning poller
 //! stops parsing that connection's stream until admission succeeds.
 //! Parked admissions resume **event-driven**: the gate fires the router's
 //! vacancy listeners when a slot frees, and each poller registers one
@@ -131,9 +131,10 @@ use cdl_tensor::Tensor;
 use reactor::{Events, Interest, Poll, Token, Waker};
 
 use crate::config::{EdgeConfig, Priority, SubmitOptions};
-use crate::error::ServeError;
+use crate::error::{Refused, ServeError};
 use crate::pending::Pending;
 use crate::router::{ModelId, Router};
+use crate::server::{Admission, Request};
 
 /// Hard cap on a frame body, request or response: 16 MiB — comfortably
 /// above any 28×28 batch-of-one payload, far below anything that could
@@ -360,9 +361,7 @@ fn encode_request(
 struct RequestFrame {
     id: u64,
     model: String,
-    options: SubmitOptions,
-    trace: Option<TraceId>,
-    input: Tensor,
+    request: Request,
 }
 
 /// Pulls `n` checked bytes-worth of remaining capacity or fails.
@@ -444,9 +443,11 @@ fn decode_request(body: &[u8]) -> io::Result<RequestFrame> {
     Ok(RequestFrame {
         id,
         model,
-        options,
-        trace,
-        input,
+        request: Request {
+            input,
+            options,
+            trace,
+        },
     })
 }
 
@@ -579,16 +580,14 @@ fn to_reply(e: &ServeError) -> ErrorReply {
 }
 
 /// A decoded request that admission refused with [`ServeError::Full`]:
-/// the tensor came back out of [`Router::try_submit_reclaim`] by move
-/// and waits here until the gate has room. While a request is parked its
+/// the tensor came back in [`Router::admit`]'s [`Refused`] by move and
+/// waits here until the gate has room. While a request is parked its
 /// connection's stream is not parsed further — that is the edge's
 /// per-connection backpressure.
 struct Parked {
     wire_id: u64,
     model: ModelId,
-    options: SubmitOptions,
-    trace: Option<TraceId>,
-    input: Tensor,
+    request: Request,
 }
 
 /// Per-connection state machine, owned by exactly one poller thread.
@@ -696,7 +695,7 @@ fn complete(conn: &mut Conn, seq: u64) {
 /// registered with a waker that notifies the owning poller and parked in
 /// `inflight`; a typed refusal (Shed, Quota, BadInput, …) is an answer,
 /// not congestion, and becomes an error reply; [`ServeError::Full`]
-/// hands the request back (tensor reclaimed by move, never cloned) for
+/// hands the request back (tensor returned by move, never cloned) for
 /// parking.
 fn admit(
     conn: &mut Conn,
@@ -709,11 +708,10 @@ fn admit(
     let Parked {
         wire_id,
         model,
-        options,
-        trace,
-        input,
+        request,
     } = parked;
-    match router.try_submit_reclaim(model, input, options, trace) {
+    let (options, trace) = (request.options, request.trace);
+    match router.admit(model, request, Admission::Try) {
         Ok(pending) => {
             let seq = conn.next_seq;
             conn.next_seq += 1;
@@ -728,15 +726,20 @@ fn admit(
             conn.inflight.insert(seq, (wire_id, pending));
             None
         }
-        Err((ServeError::Full, Some(input))) => Some(Parked {
+        Err(Refused {
+            error: ServeError::Full,
+            input: Some(input),
+        }) => Some(Parked {
             wire_id,
             model,
-            options,
-            trace,
-            input,
+            request: Request {
+                input,
+                options,
+                trace,
+            },
         }),
-        Err((e, _)) => {
-            push_reply(conn, wire_id, to_reply(&e));
+        Err(refused) => {
+            push_reply(conn, wire_id, to_reply(&refused.error));
             None
         }
     }
@@ -807,9 +810,7 @@ fn parse_frames(
                     let request = Parked {
                         wire_id: frame.id,
                         model,
-                        options: frame.options,
-                        trace: frame.trace,
-                        input: frame.input,
+                        request: frame.request,
                     };
                     conn.parked = admit(conn, key, router, done_tx, waker, request);
                 }
@@ -1381,11 +1382,11 @@ mod tests {
         let decoded = decode_request(one_frame(&frame)).unwrap();
         assert_eq!(decoded.id, 42);
         assert_eq!(decoded.model, "MNIST_2C");
-        assert_eq!(decoded.options, options);
-        assert_eq!(decoded.trace, Some(trace));
-        assert_eq!(decoded.input.dims(), input.dims());
+        assert_eq!(decoded.request.options, options);
+        assert_eq!(decoded.request.trace, Some(trace));
+        assert_eq!(decoded.request.input.dims(), input.dims());
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&decoded.input), bits(&input));
+        assert_eq!(bits(&decoded.request.input), bits(&input));
     }
 
     #[test]
@@ -1410,8 +1411,8 @@ mod tests {
         encode_request(&mut with_both, 0, "m", options, None, &input).unwrap();
         assert_eq!(with_both.len(), with_default.len() + 8);
         let decoded = decode_request(one_frame(&with_default)).unwrap();
-        assert_eq!(decoded.options, SubmitOptions::default());
-        assert_eq!(decoded.trace, None);
+        assert_eq!(decoded.request.options, SubmitOptions::default());
+        assert_eq!(decoded.request.trace, None);
         // the trace id is exactly 8 more bytes, only when present
         let mut with_trace = Vec::new();
         encode_request(
@@ -1456,7 +1457,7 @@ mod tests {
             encode_request(&mut frame, 5, "m", options, None, &input).unwrap();
             assert_eq!(frame.len(), plain.len() + extra, "{options:?}");
             let decoded = decode_request(one_frame(&frame)).unwrap();
-            assert_eq!(decoded.options, options);
+            assert_eq!(decoded.request.options, options);
         }
 
         // a default priority rides the flags byte for free
@@ -1501,12 +1502,12 @@ mod tests {
         body.put_f32(0.75);
         let decoded = decode_request(&body).unwrap();
         assert_eq!(decoded.id, 77);
-        assert_eq!(decoded.options.delta, Some(0.85));
-        assert_eq!(decoded.options.max_stage, Some(1));
-        assert_eq!(decoded.trace, TraceId::from_raw(0xBEEF));
-        assert_eq!(decoded.options.deadline, None);
-        assert_eq!(decoded.options.priority, Priority::High);
-        assert_eq!(decoded.options.tenant, None);
+        assert_eq!(decoded.request.options.delta, Some(0.85));
+        assert_eq!(decoded.request.options.max_stage, Some(1));
+        assert_eq!(decoded.request.trace, TraceId::from_raw(0xBEEF));
+        assert_eq!(decoded.request.options.deadline, None);
+        assert_eq!(decoded.request.options.priority, Priority::High);
+        assert_eq!(decoded.request.options.tenant, None);
         // and the encoder still writes that exact layout for such options
         let mut frame = Vec::new();
         encode_request(
@@ -1519,7 +1520,7 @@ mod tests {
                 ..SubmitOptions::default()
             },
             TraceId::from_raw(0xBEEF),
-            &decoded.input,
+            &decoded.request.input,
         )
         .unwrap();
         assert_eq!(one_frame(&frame), &body[..]);

@@ -46,11 +46,11 @@ use crate::config::{
     HealthPolicy, PlacementPolicy, ReplicaHealth, ReplicaSpec, RetryPolicy, ServerConfig,
     SubmitOptions,
 };
-use crate::error::{ServeError, ServeResult};
+use crate::error::{Refused, ServeError, ServeResult};
 use crate::fault::FaultPlan;
 use crate::metrics::{ReplicaMetrics, RouterMetrics, ServerMetrics, ShardMetrics};
 use crate::pending::{pending_pair, Fulfiller, Pending};
-use crate::server::Server;
+use crate::server::{Admission, Request, Server};
 
 /// Identifies one model (replica set) registered with a [`Router`].
 ///
@@ -235,6 +235,32 @@ impl Replica {
     fn queue_depth(&self) -> usize {
         self.server().map_or(usize::MAX, |s| s.queue_depth())
     }
+
+    /// Wraps this replica's already-taken `metrics` snapshot with the
+    /// router-level counters. `routed` is loaded here, *after* `metrics`
+    /// was taken (`submitted` pairs Release/Acquire with it): an
+    /// admission landing between the two reads then shows as
+    /// `routed > submitted`, the direction the invariant allows.
+    fn metrics_with(&self, metrics: ServerMetrics) -> ReplicaMetrics {
+        ReplicaMetrics {
+            routed: self.routed.load(Ordering::Relaxed),
+            health: self.health_state(),
+            transitions: self.transitions.load(Ordering::Relaxed),
+            metrics,
+        }
+    }
+
+    /// The live [`ReplicaMetrics`], retired-pipeline metrics folded in.
+    fn live_metrics(&self) -> ReplicaMetrics {
+        let mut metrics = self
+            .server()
+            .expect("replica pipeline live until shutdown")
+            .metrics();
+        for old in self.retired.lock().unwrap().iter() {
+            metrics.absorb(old);
+        }
+        self.metrics_with(metrics)
+    }
 }
 
 /// One running replica set.
@@ -343,6 +369,35 @@ impl Shard {
                 }
             }
         }
+    }
+
+    /// Places `request` on one replica and admits it there — the one
+    /// placement body, shared by the plain path and every attempt of a
+    /// retry/hedge race. Returns the replica index picked (what a relaunch
+    /// excludes) with the admission's outcome.
+    fn attempt(
+        &self,
+        exclude: Option<usize>,
+        request: Request,
+        admission: Admission,
+    ) -> (usize, Result<Pending, Refused>) {
+        let index = self.place(exclude);
+        let replica = &self.replicas[index];
+        let Some(server) = replica.server() else {
+            let refused = Refused::returning(ServeError::ShuttingDown, request.input);
+            return (index, Err(refused));
+        };
+        // count the placement BEFORE the replica admits and roll back on
+        // refusal (mirroring the admitted/unadmitted pattern inside the
+        // gate): a concurrent metrics() snapshot must never observe
+        // `submitted > routed` — that would break the documented
+        // cross-check invariant on `ReplicaMetrics::routed`
+        replica.routed.fetch_add(1, Ordering::Relaxed);
+        let admitted = server.admit(request, admission);
+        if admitted.is_err() {
+            replica.routed.fetch_sub(1, Ordering::Relaxed);
+        }
+        (index, admitted)
     }
 
     /// Counts a placement and runs the opportunistic health check when the
@@ -456,6 +511,21 @@ impl Shard {
         );
     }
 
+    /// This set's [`ShardMetrics`] around already-taken replica snapshots.
+    fn metrics_with(&self, replicas: Vec<ReplicaMetrics>) -> ShardMetrics {
+        ShardMetrics {
+            model: self.name.clone(),
+            placement: self.placement,
+            retries: self.retries.load(Ordering::Relaxed),
+            hedges: self.hedges.load(Ordering::Relaxed),
+            replicas,
+        }
+    }
+
+    fn live_metrics(&self) -> ShardMetrics {
+        self.metrics_with(self.replicas.iter().map(Replica::live_metrics).collect())
+    }
+
     /// The delay before a hedged second attempt: the shard's merged
     /// latency histogram at the policy's hedge quantile, floored at
     /// `hedge_floor`, cached across [`HEDGE_REFRESH`] submissions.
@@ -515,48 +585,62 @@ struct RaceState {
     next_id: u64,
 }
 
-/// One retried/hedged request: the submission parameters plus the race
-/// between its attempts. First completion wins the [`Fulfiller`]; losing
-/// attempts are dropped, which cancels them before any evaluator ops are
-/// spent on them.
+impl RaceState {
+    /// Unsettled, and the caller still holds its [`Pending`]. Nothing is
+    /// relaunched for a caller that hung up (a disconnected wire client
+    /// must not keep spawning attempts).
+    fn caller_waiting(&self) -> bool {
+        self.fulfiller.as_ref().is_some_and(|f| !f.is_cancelled())
+    }
+}
+
+/// One retried/hedged request: the request (cloned per attempt) plus the
+/// race between its attempts. First completion wins the [`Fulfiller`];
+/// losing attempts are dropped, which cancels them before any evaluator
+/// ops are spent on them.
 struct RaceCtx {
     shard: Arc<Shard>,
-    input: Tensor,
-    options: SubmitOptions,
-    trace: Option<TraceId>,
+    request: Request,
     state: Mutex<RaceState>,
 }
 
 impl RaceCtx {
-    /// Launches attempts until one is in flight, spending retry budget on
-    /// retryable synchronous refusals. `blocking` only holds for the very
-    /// first attempt from the caller's thread — relaunches from completion
-    /// callbacks must never block a worker on a full admission gate.
+    /// Launches one attempt, and relaunches ([`RaceCtx::retry`]) until one
+    /// is in flight or the chain dies. `admission` only holds for this
+    /// first attempt — relaunches, which also run from completion
+    /// callbacks, must never block a worker on a full admission gate.
     fn launch_until_inflight(
         ctx: &Arc<RaceCtx>,
-        mut exclude: Option<usize>,
-        mut blocking: bool,
+        exclude: Option<usize>,
+        admission: Admission,
     ) -> Result<(), ServeError> {
+        match Self::one_attempt(ctx, exclude, admission) {
+            Ok(()) => Ok(()),
+            Err((at, error)) => Self::retry(ctx, at, error),
+        }
+    }
+
+    /// An attempt on replica `at` failed with `error`, synchronously or
+    /// from its completion: relaunch elsewhere while the error is
+    /// retryable, the budget lasts and the caller still waits. `Err` is
+    /// the failure the chain died with.
+    fn retry(ctx: &Arc<RaceCtx>, mut at: usize, mut error: ServeError) -> Result<(), ServeError> {
         loop {
-            match Self::one_attempt(ctx, exclude, blocking) {
-                Ok(()) => return Ok(()),
-                Err((error, at)) => {
-                    blocking = false;
-                    let budgeted = retryable(&error) && {
-                        let mut state = ctx.state.lock().unwrap();
-                        if state.retries_left > 0 {
-                            state.retries_left -= 1;
-                            true
-                        } else {
-                            false
-                        }
-                    };
-                    if !budgeted {
-                        return Err(error);
-                    }
-                    ctx.shard.retries.fetch_add(1, Ordering::Relaxed);
-                    exclude = at;
+            let budgeted = retryable(&error) && {
+                let mut state = ctx.state.lock().unwrap();
+                let budgeted = state.caller_waiting() && state.retries_left > 0;
+                if budgeted {
+                    state.retries_left -= 1;
                 }
+                budgeted
+            };
+            if !budgeted {
+                return Err(error);
+            }
+            ctx.shard.retries.fetch_add(1, Ordering::Relaxed);
+            match Self::one_attempt(ctx, Some(at), Admission::Try) {
+                Ok(()) => return Ok(()),
+                Err(refusal) => (at, error) = refusal,
             }
         }
     }
@@ -566,27 +650,10 @@ impl RaceCtx {
     fn one_attempt(
         ctx: &Arc<RaceCtx>,
         exclude: Option<usize>,
-        blocking: bool,
-    ) -> Result<(), (ServeError, Option<usize>)> {
-        let index = ctx.shard.place(exclude);
-        let replica = &ctx.shard.replicas[index];
-        let Some(server) = replica.server() else {
-            return Err((ServeError::ShuttingDown, Some(index)));
-        };
-        replica.routed.fetch_add(1, Ordering::Relaxed);
-        let submitted = match (blocking, ctx.trace) {
-            (true, Some(t)) => server.submit_with_trace(ctx.input.clone(), ctx.options, t),
-            (true, None) => server.submit_with(ctx.input.clone(), ctx.options),
-            (false, Some(t)) => server.try_submit_with_trace(ctx.input.clone(), ctx.options, t),
-            (false, None) => server.try_submit_with(ctx.input.clone(), ctx.options),
-        };
-        let pending = match submitted {
-            Ok(pending) => Arc::new(pending),
-            Err(error) => {
-                replica.routed.fetch_sub(1, Ordering::Relaxed);
-                return Err((error, Some(index)));
-            }
-        };
+        admission: Admission,
+    ) -> Result<(), (usize, ServeError)> {
+        let (index, admitted) = ctx.shard.attempt(exclude, ctx.request.clone(), admission);
+        let pending = Arc::new(admitted.map_err(|refused| (index, refused.error))?);
         let id = {
             let mut state = ctx.state.lock().unwrap();
             if state.fulfiller.is_none() {
@@ -612,7 +679,7 @@ impl RaceCtx {
     }
 
     /// Completion callback of one attempt: settle the caller on success,
-    /// relaunch (budget permitting) on retryable failure.
+    /// [`RaceCtx::retry`] on failure.
     fn on_ready(ctx: &Arc<RaceCtx>, id: u64) {
         let mut state = ctx.state.lock().unwrap();
         let Some(position) = state.attempts.iter().position(|a| a.id == id) else {
@@ -635,20 +702,9 @@ impl RaceCtx {
                 drop(losers);
             }
             Err(error) => {
-                let budgeted =
-                    retryable(&error) && state.fulfiller.is_some() && state.retries_left > 0;
-                if budgeted {
-                    state.retries_left -= 1;
-                    drop(state);
-                    ctx.shard.retries.fetch_add(1, Ordering::Relaxed);
-                    if let Err(final_error) =
-                        Self::launch_until_inflight(ctx, Some(attempt.replica), false)
-                    {
-                        Self::no_attempt_left(ctx, final_error);
-                    }
-                } else {
-                    drop(state);
-                    Self::no_attempt_left(ctx, error);
+                drop(state);
+                if let Err(final_error) = Self::retry(ctx, attempt.replica, error) {
+                    Self::no_attempt_left(ctx, final_error);
                 }
             }
         }
@@ -671,13 +727,13 @@ impl RaceCtx {
     fn fire_hedge(ctx: &Arc<RaceCtx>) {
         let primary = {
             let state = ctx.state.lock().unwrap();
-            if state.fulfiller.is_none() || state.attempts.is_empty() {
-                return; // settled, or no primary left to hedge against
+            if !state.caller_waiting() || state.attempts.is_empty() {
+                return; // settled, hung up, or no primary left to hedge against
             }
             state.attempts[0].replica
         };
         ctx.shard.hedges.fetch_add(1, Ordering::Relaxed);
-        if let Err(error) = Self::launch_until_inflight(ctx, Some(primary), false) {
+        if let Err(error) = Self::launch_until_inflight(ctx, Some(primary), Admission::Try) {
             Self::no_attempt_left(ctx, error);
         }
     }
@@ -983,51 +1039,44 @@ impl Router {
             .ok_or(ServeError::UnknownModel(model))
     }
 
-    /// The routed submission path shared by the whole submit family.
-    /// Without a [`RetryPolicy`] this is one placement into one replica
-    /// (count-then-roll-back on refusal, exactly the pre-resilience
-    /// behaviour); with one it runs the retry/hedge race of [`RaceCtx`].
-    fn submit_routed(
+    /// The one routed admission path: picks a replica of `model` by the
+    /// set's [`PlacementPolicy`] and admits `request` there
+    /// ([`Server::admit`] — `admission` and the refusal contract are
+    /// its). Backpressure stays per replica: a saturated one blocks (or
+    /// bounces) only the submitters placed on it, never its siblings or
+    /// other models.
+    ///
+    /// Without a [`RetryPolicy`] that is one placement. With one it is the
+    /// retry/hedge race, for `Block` and `Try` alike and so for in-process
+    /// and wire traffic alike: a retryable refusal ([`ServeError::Full`]
+    /// included — a sibling may have headroom) or failure is relaunched on
+    /// another replica against the retry budget before the caller sees it.
+    ///
+    /// # Errors
+    ///
+    /// A [`Refused`] carrying [`ServeError::UnknownModel`] for an
+    /// unregistered id, else the placed replica's [`Server::admit`]
+    /// refusal (the last one, after the retry budget) — with the tensor
+    /// handed back in every case but a [`ServeError::ShuttingDown`] from a
+    /// pipeline that had already consumed it.
+    pub fn admit(
         &self,
         model: ModelId,
-        input: Tensor,
-        options: SubmitOptions,
-        trace: Option<TraceId>,
-        blocking: bool,
-    ) -> ServeResult<Pending> {
-        let shard = self.shard(model)?;
+        request: Request,
+        admission: Admission,
+    ) -> Result<Pending, Refused> {
+        let shard = match self.shard(model) {
+            Ok(shard) => shard,
+            Err(error) => return Err(Refused::returning(error, request.input)),
+        };
         shard.auto_check();
         let Some(policy) = shard.retry else {
-            let replica = &shard.replicas[shard.place(None)];
-            let Some(server) = replica.server() else {
-                return Err(ServeError::ShuttingDown);
-            };
-            // count the placement BEFORE the replica admits and roll back
-            // on failure (mirroring the admitted/unadmitted pattern inside
-            // the gate): a concurrent metrics() snapshot must never
-            // observe `submitted > routed` — that would break the
-            // documented cross-check invariant on `ReplicaMetrics::routed`
-            replica.routed.fetch_add(1, Ordering::Relaxed);
-            let submitted = match (blocking, trace) {
-                (true, Some(t)) => server.submit_with_trace(input, options, t),
-                (true, None) => server.submit_with(input, options),
-                (false, Some(t)) => server.try_submit_with_trace(input, options, t),
-                (false, None) => server.try_submit_with(input, options),
-            };
-            return match submitted {
-                Ok(pending) => Ok(pending),
-                Err(e) => {
-                    replica.routed.fetch_sub(1, Ordering::Relaxed);
-                    Err(e)
-                }
-            };
+            return shard.attempt(None, request, admission).1;
         };
-        let (pending, fulfiller) = pending_pair(trace);
+        let (pending, fulfiller) = pending_pair(request.trace);
         let ctx = Arc::new(RaceCtx {
             shard: Arc::clone(shard),
-            input,
-            options,
-            trace,
+            request,
             state: Mutex::new(RaceState {
                 fulfiller: Some(fulfiller),
                 retries_left: policy.max_retries,
@@ -1035,7 +1084,13 @@ impl Router {
                 next_id: 0,
             }),
         });
-        RaceCtx::launch_until_inflight(&ctx, None, blocking)?;
+        if let Err(error) = RaceCtx::launch_until_inflight(&ctx, None, admission) {
+            // no attempt registered and the hedge timer not yet armed:
+            // the context is uniquely owned, so the original tensor (each
+            // attempt took a clone) goes back to the caller
+            let input = Arc::try_unwrap(ctx).ok().map(|ctx| ctx.request.input);
+            return Err(Refused { error, input });
+        }
         if let (Some(_), Some(timer)) = (policy.hedge_quantile, &self.hedge) {
             let delay = shard.hedge_delay(&policy);
             let hedge_ctx = Arc::clone(&ctx);
@@ -1047,150 +1102,44 @@ impl Router {
         Ok(pending)
     }
 
-    /// Routes a request to a replica of `model` (picked by the set's
-    /// [`PlacementPolicy`]), **blocking** while that replica's in-flight
-    /// queue is at capacity. Sibling replicas and other models are
-    /// unaffected — their submitters neither block nor queue behind this
-    /// one.
+    /// [`Router::admit`] of a default-options request under
+    /// [`Admission::Block`].
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::UnknownModel`] for an unregistered id,
-    /// [`ServeError::ShuttingDown`] if the replica's pipeline is gone.
+    /// The [`ServeError`] of the [`Refused`] that [`Router::admit`] returns.
     pub fn submit(&self, model: ModelId, input: Tensor) -> ServeResult<Pending> {
         self.submit_with(model, input, SubmitOptions::default())
     }
 
-    /// [`Router::submit`] with per-request [`SubmitOptions`] (δ override
-    /// and/or cascade-depth cap for this request only).
+    /// [`Router::admit`] under [`Admission::Block`] with per-request
+    /// [`SubmitOptions`] (δ override and/or cascade-depth cap for this
+    /// request only).
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::UnknownModel`] for an unregistered id,
-    /// [`ServeError::BadOptions`] for an out-of-range δ override,
-    /// [`ServeError::ShuttingDown`] if the replica's pipeline is gone.
+    /// The [`ServeError`] of the [`Refused`] that [`Router::admit`] returns.
     pub fn submit_with(
         &self,
         model: ModelId,
         input: Tensor,
         options: SubmitOptions,
     ) -> ServeResult<Pending> {
-        self.submit_routed(model, input, options, None, true)
+        Ok(self.admit(model, Request::new(input, options), Admission::Block)?)
     }
 
-    /// [`Router::submit_with`] continuing a caller-supplied telemetry
-    /// trace id — the entry point the TCP edge uses so one trace covers
-    /// the wire hop, routing, and the serving replica. The id is recorded
-    /// only if the placed replica's [`crate::ServerConfig::telemetry`] has
-    /// spans on and the id falls inside its sample.
+    /// [`Router::submit_with`] under [`Admission::Try`]: never blocks.
     ///
     /// # Errors
     ///
-    /// Same contract as [`Router::submit_with`].
-    pub fn submit_with_trace(
-        &self,
-        model: ModelId,
-        input: Tensor,
-        options: SubmitOptions,
-        trace: TraceId,
-    ) -> ServeResult<Pending> {
-        self.submit_routed(model, input, options, Some(trace), true)
-    }
-
-    /// Routes a request to a replica of `model` (picked by the set's
-    /// [`PlacementPolicy`]) without blocking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::UnknownModel`] for an unregistered id,
-    /// [`ServeError::Full`] when the placed replica's queue is at capacity
-    /// (the request is not admitted; sibling replicas and other models
-    /// keep accepting — with a [`RetryPolicy`], siblings are in fact tried
-    /// against the retry budget before `Full` is returned),
-    /// [`ServeError::ShuttingDown`] if the replica's pipeline is gone.
-    pub fn try_submit(&self, model: ModelId, input: Tensor) -> ServeResult<Pending> {
-        self.try_submit_with(model, input, SubmitOptions::default())
-    }
-
-    /// [`Router::try_submit`] with per-request [`SubmitOptions`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Router::try_submit`], plus [`ServeError::BadOptions`] for an
-    /// out-of-range δ override, [`ServeError::BadInput`] for a
-    /// wrong-shaped input, [`ServeError::Shed`] /
-    /// [`ServeError::QuotaExceeded`] when the placed replica's overload
-    /// control refuses the class or tenant.
+    /// The [`ServeError`] of the [`Refused`] that [`Router::admit`] returns.
     pub fn try_submit_with(
         &self,
         model: ModelId,
         input: Tensor,
         options: SubmitOptions,
     ) -> ServeResult<Pending> {
-        self.submit_routed(model, input, options, None, false)
-    }
-
-    /// [`Router::try_submit_with`] continuing a caller-supplied telemetry
-    /// trace id (see [`Router::submit_with_trace`]) — the stop-aware
-    /// admission path the TCP edge retries on, so a wedged replica can
-    /// never park an edge thread in a blocking acquire.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Router::try_submit_with`].
-    pub fn try_submit_with_trace(
-        &self,
-        model: ModelId,
-        input: Tensor,
-        options: SubmitOptions,
-        trace: TraceId,
-    ) -> ServeResult<Pending> {
-        self.submit_routed(model, input, options, Some(trace), false)
-    }
-
-    /// [`Router::try_submit_with_trace`] that takes the input **by value**
-    /// and hands it back on refusal (see [`Server::try_submit_reclaim`]):
-    /// the tensor rides along with the typed error instead of forcing the
-    /// retrying TCP edge to clone it per admission attempt. Routing keeps
-    /// the count-then-roll-back discipline, so the `routed ≥ submitted`
-    /// snapshot invariant holds on this path too.
-    ///
-    /// This path is deliberately **single-attempt** even under a
-    /// [`RetryPolicy`]: the TCP edge already has its own park-and-retry
-    /// admission loop, and reclaim semantics (the tensor must come back on
-    /// refusal) are incompatible with a race that clones it per attempt.
-    ///
-    /// # Errors
-    ///
-    /// The same refusals as [`Router::try_submit_with_trace`], paired with
-    /// `Some(input)` whenever the tensor survives the bounce
-    /// ([`ServeError::UnknownModel`] trivially does; only
-    /// [`ServeError::ShuttingDown`] consumes it).
-    pub fn try_submit_reclaim(
-        &self,
-        model: ModelId,
-        input: Tensor,
-        options: SubmitOptions,
-        trace: Option<TraceId>,
-    ) -> Result<Pending, (ServeError, Option<Tensor>)> {
-        let shard = match self.shard(model) {
-            Ok(shard) => shard,
-            Err(e) => return Err((e, Some(input))),
-        };
-        shard.auto_check();
-        let replica = &shard.replicas[shard.place(None)];
-        let Some(server) = replica.server() else {
-            return Err((ServeError::ShuttingDown, Some(input)));
-        };
-        // same count-then-roll-back discipline as submit_with
-        replica.routed.fetch_add(1, Ordering::Relaxed);
-        match server.try_submit_reclaim(input, options, trace) {
-            Ok(pending) => Ok(pending),
-            Err(bounce) => {
-                replica.routed.fetch_sub(1, Ordering::Relaxed);
-                Err(bounce)
-            }
-        }
+        Ok(self.admit(model, Request::new(input, options), Admission::Try)?)
     }
 
     /// Hot-swaps the network `model`'s replicas evaluate, **without
@@ -1272,7 +1221,7 @@ impl Router {
     ///
     /// Returns [`ServeError::UnknownModel`] for an unregistered id.
     pub fn shard_metrics(&self, model: ModelId) -> ServeResult<ShardMetrics> {
-        Ok(snapshot_shard(self.shard(model)?))
+        Ok(self.shard(model)?.live_metrics())
     }
 
     /// A point-in-time snapshot across all models and replicas: per-model
@@ -1280,7 +1229,7 @@ impl Router {
     /// aggregate accessors.
     pub fn metrics(&self) -> RouterMetrics {
         RouterMetrics {
-            shards: self.shards.iter().map(|s| snapshot_shard(s)).collect(),
+            shards: self.shards.iter().map(|s| s.live_metrics()).collect(),
         }
     }
 
@@ -1307,16 +1256,17 @@ impl Router {
             for (i, replica) in shard.replicas.iter().enumerate() {
                 let index = i.to_string();
                 let labels = [("model", shard.name.as_str()), ("replica", index.as_str())];
-                snapshot_replica(replica).fill_telemetry(&mut snapshot, &labels);
+                let live = replica.live_metrics();
+                live.metrics.fill_telemetry(&mut snapshot, &labels);
                 snapshot.push_counter(
                     "cdl_replica_health_state",
                     &labels,
-                    u64::from(replica.health_state().code()),
+                    u64::from(live.health.code()),
                 );
                 snapshot.push_counter(
                     "cdl_replica_health_transitions_total",
                     &labels,
-                    replica.transitions.load(Ordering::Relaxed),
+                    live.transitions,
                 );
             }
         }
@@ -1369,20 +1319,9 @@ impl Router {
                 for old in replica.retired.lock().unwrap().drain(..) {
                     metrics.absorb(&old);
                 }
-                replicas.push(ReplicaMetrics {
-                    routed: replica.routed.load(Ordering::Relaxed),
-                    health: replica.health_state(),
-                    transitions: replica.transitions.load(Ordering::Relaxed),
-                    metrics,
-                });
+                replicas.push(replica.metrics_with(metrics));
             }
-            out.push(ShardMetrics {
-                model: shard.name.clone(),
-                placement: shard.placement,
-                retries: shard.retries.load(Ordering::Relaxed),
-                hedges: shard.hedges.load(Ordering::Relaxed),
-                replicas,
-            });
+            out.push(shard.metrics_with(replicas));
         }
         RouterMetrics { shards: out }
     }
@@ -1402,39 +1341,6 @@ fn wait_unshared(mut server: Arc<Server>) -> Server {
                 std::thread::sleep(Duration::from_micros(50));
             }
         }
-    }
-}
-
-/// One replica's live [`ServerMetrics`] with retired-pipeline metrics
-/// folded in.
-fn snapshot_replica(replica: &Replica) -> ServerMetrics {
-    let mut metrics = replica
-        .server()
-        .expect("replica pipeline live until shutdown")
-        .metrics();
-    for old in replica.retired.lock().unwrap().iter() {
-        metrics.absorb(old);
-    }
-    metrics
-}
-
-/// Builds one replica set's live [`ShardMetrics`] snapshot.
-fn snapshot_shard(shard: &Shard) -> ShardMetrics {
-    ShardMetrics {
-        model: shard.name.clone(),
-        placement: shard.placement,
-        retries: shard.retries.load(Ordering::Relaxed),
-        hedges: shard.hedges.load(Ordering::Relaxed),
-        replicas: shard
-            .replicas
-            .iter()
-            .map(|replica| ReplicaMetrics {
-                routed: replica.routed.load(Ordering::Relaxed),
-                health: replica.health_state(),
-                transitions: replica.transitions.load(Ordering::Relaxed),
-                metrics: snapshot_replica(replica),
-            })
-            .collect(),
     }
 }
 
@@ -1547,7 +1453,9 @@ mod tests {
             ServeError::UnknownModel(ghost)
         );
         assert_eq!(
-            router.try_submit(ghost, x).unwrap_err(),
+            router
+                .try_submit_with(ghost, x, SubmitOptions::default())
+                .unwrap_err(),
             ServeError::UnknownModel(ghost)
         );
         assert!(matches!(
@@ -1615,15 +1523,23 @@ mod tests {
         let inputs = images(2);
         let stuck: Vec<Pending> = inputs
             .iter()
-            .map(|x| router.try_submit(m2c, x.clone()).unwrap())
+            .map(|x| {
+                router
+                    .try_submit_with(m2c, x.clone(), SubmitOptions::default())
+                    .unwrap()
+            })
             .collect();
         // 2C is saturated…
         assert_eq!(
-            router.try_submit(m2c, inputs[0].clone()).unwrap_err(),
+            router
+                .try_submit_with(m2c, inputs[0].clone(), SubmitOptions::default())
+                .unwrap_err(),
             ServeError::Full
         );
         // …but 3C still accepts (and blocks nothing)
-        let other = router.try_submit(m3c, inputs[0].clone()).unwrap();
+        let other = router
+            .try_submit_with(m3c, inputs[0].clone(), SubmitOptions::default())
+            .unwrap();
         let live = router.metrics();
         assert_eq!(live.shards[m2c.index()].rejected(), 1);
         assert_eq!(live.shards[m3c.index()].rejected(), 0);
@@ -1702,7 +1618,11 @@ mod tests {
             let inputs = images(6);
             let _pendings: Vec<Pending> = inputs
                 .iter()
-                .map(|x| router.try_submit(model, x.clone()).unwrap())
+                .map(|x| {
+                    router
+                        .try_submit_with(model, x.clone(), SubmitOptions::default())
+                        .unwrap()
+                })
                 .collect();
             let live = router.metrics();
             assert_eq!(
@@ -1858,9 +1778,11 @@ mod tests {
         let model = router.model_id("m").unwrap();
         let trace = TraceId::next();
         let x = images(1).remove(0);
-        let pending = router
-            .submit_with_trace(model, x, SubmitOptions::default(), trace)
-            .unwrap();
+        let request = Request {
+            trace: Some(trace),
+            ..Request::new(x, SubmitOptions::default())
+        };
+        let pending = router.admit(model, request, Admission::Block).unwrap();
         assert_eq!(pending.trace(), Some(trace), "replica adopted the id");
         pending.wait().unwrap();
         // Exit is recorded before the result settles, so after wait() the
@@ -1986,5 +1908,128 @@ mod tests {
         for replica in &metrics.shards[0].replicas {
             assert_eq!(replica.routed, replica.metrics.submitted);
         }
+    }
+
+    #[test]
+    fn every_refusal_hands_the_tensor_back() {
+        use crate::config::Priority;
+        use crate::fault::{FaultKind, FaultPlan};
+        for retry in [None, Some(RetryPolicy::retries(2))] {
+            // a refused attempt is retried (on the same replica: there is
+            // only one), so the burst must outlast the budget to surface
+            let burst = 1 + retry.map_or(0, |r| u64::from(r.max_retries));
+            let mut spec = ShardSpec::new(
+                "m",
+                build_untrained(arch::mnist_2c(), 5),
+                ServerConfig {
+                    // stalled batcher: gate occupancy only ever grows.
+                    // capacity 6 → admission limits high 6, low 2
+                    policy: BatchPolicy::by_size(1 << 20),
+                    queue_capacity: 6,
+                    workers: 1,
+                    tenant_quota: Some(1),
+                    fault: FaultPlan::builder()
+                        .at(0, FaultKind::ErrorBurst(burst))
+                        .build(),
+                    ..ServerConfig::default()
+                },
+            );
+            spec.retry = retry;
+            let router = Router::start(vec![spec]).unwrap();
+            let model = router.model_id("m").unwrap();
+            let refused = |model: ModelId, input: Tensor, options: SubmitOptions| {
+                let allocation = input.data().as_ptr();
+                let refused = router
+                    .admit(model, Request::new(input, options), Admission::Try)
+                    .unwrap_err();
+                let back = refused.input.expect("refusal must return the tensor");
+                assert_eq!(
+                    back.data().as_ptr(),
+                    allocation,
+                    "{} returned a copy (retry: {retry:?})",
+                    refused.error
+                );
+                refused.error
+            };
+            let x = || images(1).remove(0);
+            let plain = SubmitOptions::default();
+            assert!(matches!(refused(model, x(), plain), ServeError::Fault(_)));
+            assert!(matches!(
+                refused(model, x(), SubmitOptions::with_delta(7.0)),
+                ServeError::BadOptions(_)
+            ));
+            assert!(matches!(
+                refused(model, Tensor::zeros(&[2, 2]), plain),
+                ServeError::BadInput(_)
+            ));
+            let ghost = ModelId::from_index(7);
+            assert_eq!(refused(ghost, x(), plain), ServeError::UnknownModel(ghost));
+            let mut held = vec![router.try_submit_with(model, x(), plain.tenant(1)).unwrap()];
+            assert_eq!(
+                refused(model, x(), plain.tenant(1)),
+                ServeError::QuotaExceeded(1)
+            );
+            held.push(router.try_submit_with(model, x(), plain).unwrap());
+            assert_eq!(
+                refused(model, x(), plain.priority(Priority::Low)),
+                ServeError::Shed(Priority::Low)
+            );
+            while held.len() < 6 {
+                held.push(router.try_submit_with(model, x(), plain).unwrap());
+            }
+            assert_eq!(refused(model, x(), plain), ServeError::Full);
+            // refusals were rolled back out of the placement count
+            let live = router.metrics();
+            let replica = &live.shards[0].replicas[0];
+            assert_eq!((replica.routed, replica.metrics.submitted), (6, 6));
+            drop(held);
+            router.shutdown();
+        }
+    }
+
+    #[test]
+    fn nothing_is_relaunched_for_a_caller_that_hung_up() {
+        use crate::fault::{FaultKind, FaultPlan};
+        // one replica whose first batch kills its worker; the stalled
+        // batcher holds everything admitted until shutdown flushes it
+        let spec = ShardSpec::new(
+            "m",
+            build_untrained(arch::mnist_2c(), 5),
+            ServerConfig {
+                policy: BatchPolicy::by_size(1 << 20),
+                queue_capacity: 8,
+                workers: 1,
+                fault: FaultPlan::builder().at(0, FaultKind::PanicOnce).build(),
+                ..ServerConfig::default()
+            },
+        )
+        .retry(RetryPolicy::retries(2));
+        let router = Router::start(vec![spec]).unwrap();
+        let model = router.model_id("m").unwrap();
+        let shard = Arc::clone(&router.shards[0]);
+        // the caller hangs up with its attempt still queued
+        drop(router.submit(model, images(1).remove(0)).unwrap());
+        // a hedge timer firing now finds nobody to hedge for
+        let (pending, fulfiller) = pending_pair(None);
+        let ctx = Arc::new(RaceCtx {
+            shard: Arc::clone(&shard),
+            request: Request::new(images(1).remove(0), SubmitOptions::default()),
+            state: Mutex::new(RaceState {
+                fulfiller: Some(fulfiller),
+                retries_left: 0,
+                attempts: Vec::new(),
+                next_id: 0,
+            }),
+        });
+        RaceCtx::launch_until_inflight(&ctx, None, Admission::Try).unwrap();
+        drop(pending);
+        RaceCtx::fire_hedge(&ctx);
+        assert_eq!(shard.hedges.load(Ordering::Relaxed), 0);
+        // the flush dispatches both attempts as one batch, the worker
+        // panics, and each settles Disconnected — retryable, budget left,
+        // but nobody is waiting: no retry may be spent
+        let metrics = router.shutdown();
+        assert_eq!(metrics.shards[0].retries, 0);
+        assert_eq!(metrics.completed(), 0);
     }
 }

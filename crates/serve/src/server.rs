@@ -17,7 +17,7 @@ use cdl_tensor::gemm::GemmKernel;
 use cdl_tensor::Tensor;
 
 use crate::config::{BatchPolicy, Priority, ServerConfig, SubmitOptions};
-use crate::error::{ServeError, ServeResult};
+use crate::error::{Refused, ServeError, ServeResult};
 use crate::fault::FaultPlan;
 use crate::metrics::{BatchCause, Recorder, ServerMetrics};
 use crate::pending::{pending_pair, Fulfiller, Pending};
@@ -28,18 +28,6 @@ use crate::pending::{pending_pair, Fulfiller, Pending};
 struct GateState {
     total: usize,
     per_tenant: HashMap<u32, usize>,
-}
-
-/// Why the gate refused a submission (the non-blocking path).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Refusal {
-    /// At capacity for the highest class — plain backpressure.
-    Full,
-    /// A lower priority class above its admission limit — overload
-    /// control shedding it in favour of higher classes.
-    Shed,
-    /// The tenant is at its in-flight quota.
-    Quota,
 }
 
 /// Callbacks fired whenever an in-flight slot frees up — the event-driven
@@ -115,23 +103,28 @@ impl Gate {
         }
     }
 
-    /// Would a submission of this class/tenant be admitted right now?
+    /// Would a submission of this class/tenant be admitted right now? If
+    /// not: [`ServeError::QuotaExceeded`] for a tenant at its in-flight
+    /// quota, [`ServeError::Full`] at capacity for the highest class
+    /// (plain backpressure), [`ServeError::Shed`] for a lower class above
+    /// its admission limit (overload control shedding it in favour of
+    /// higher classes).
     fn admittable(
         &self,
         state: &GateState,
         priority: Priority,
         tenant: Option<u32>,
-    ) -> Result<(), Refusal> {
+    ) -> ServeResult<()> {
         if let (Some(quota), Some(t)) = (self.tenant_quota, tenant) {
             if state.per_tenant.get(&t).copied().unwrap_or(0) >= quota {
-                return Err(Refusal::Quota);
+                return Err(ServeError::QuotaExceeded(t));
             }
         }
         if state.total >= priority.admission_limit(self.capacity) {
             return Err(if priority == Priority::High {
-                Refusal::Full
+                ServeError::Full
             } else {
-                Refusal::Shed
+                ServeError::Shed(priority)
             });
         }
         Ok(())
@@ -146,7 +139,7 @@ impl Gate {
 
     /// Non-blocking: the reason for refusal when the class or tenant is
     /// not admissible right now.
-    fn try_acquire(&self, priority: Priority, tenant: Option<u32>) -> Result<(), Refusal> {
+    fn try_acquire(&self, priority: Priority, tenant: Option<u32>) -> ServeResult<()> {
         let mut state = self.state.lock().unwrap();
         self.admittable(&state, priority, tenant)?;
         Gate::book(&mut state, tenant);
@@ -202,12 +195,53 @@ impl Drop for Ticket {
     }
 }
 
+/// What a caller asks the serving stack to classify — the one argument of
+/// [`Server::admit`] and [`crate::Router::admit`].
+#[derive(Debug, Clone)]
+pub struct Request {
+    /// The image to classify.
+    pub input: Tensor,
+    /// Per-request δ/depth override, deadline, priority class and tenant.
+    pub options: SubmitOptions,
+    /// A trace id to continue (the TCP edge passes the wire-carried one);
+    /// `None` lets the serving replica allocate a fresh id.
+    pub trace: Option<TraceId>,
+}
+
+impl Request {
+    /// An untraced request.
+    pub fn new(input: Tensor, options: SubmitOptions) -> Self {
+        Request {
+            input,
+            options,
+            trace: None,
+        }
+    }
+}
+
+/// What [`Server::admit`] does when the gate has no room for the request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Admission {
+    /// Wait for a slot (in-process submitters: backpressure).
+    Block,
+    /// Refuse with a typed error (the TCP edge: it parks the request and
+    /// keeps servicing its event loop).
+    Try,
+}
+
 /// One queued classification request.
 #[derive(Debug)]
-struct Request {
+struct Queued {
     input: Tensor,
     /// Per-request δ/depth override (validated at admission).
     overrides: ExitOverride,
+    live: LiveRequest,
+}
+
+/// A request's serving-side state — all of it but the input tensor and
+/// override, which the worker moves into its group's batch.
+#[derive(Debug)]
+struct LiveRequest {
     fulfiller: Fulfiller,
     ticket: Ticket,
     submitted_at: Instant,
@@ -224,7 +258,7 @@ struct Request {
     trace: Option<TraceId>,
 }
 
-impl Request {
+impl LiveRequest {
     /// Shed-eligible: the deadline passed and the client is still waiting
     /// (a cancelled request is accounted `cancelled`, never `expired`).
     fn is_expired(&self, now: Instant) -> bool {
@@ -235,7 +269,7 @@ impl Request {
 /// Settles an expired request with the typed error, unevaluated — zero
 /// evaluator ops, the queue-level analogue of early exit. Dropping the
 /// request frees its gate slot.
-fn settle_expired(request: Request, recorder: &Recorder) {
+fn settle_expired(request: LiveRequest, recorder: &Recorder) {
     recorder.expired(request.priority, request.tenant);
     request.fulfiller.settle(Err(ServeError::Expired));
 }
@@ -255,7 +289,7 @@ fn settle_expired(request: Request, recorder: &Recorder) {
 pub struct Server {
     net: Arc<CdlNetwork>,
     gemm_kernel: GemmKernel,
-    submit_tx: Option<Sender<Request>>,
+    submit_tx: Option<Sender<Queued>>,
     gate: Arc<Gate>,
     recorder: Arc<Recorder>,
     telemetry: Telemetry,
@@ -275,8 +309,8 @@ impl Server {
         let gate = Arc::new(Gate::new(config.queue_capacity, config.tenant_quota));
         let recorder = Arc::new(Recorder::new(config.energy_model));
         let telemetry = Telemetry::new(config.telemetry);
-        let (submit_tx, submit_rx) = channel::<Request>();
-        let (work_tx, work_rx) = channel::<Vec<Request>>();
+        let (submit_tx, submit_rx) = channel::<Queued>();
+        let (work_tx, work_rx) = channel::<Vec<Queued>>();
         let work_rx = Arc::new(Mutex::new(work_rx));
 
         let batcher = {
@@ -349,170 +383,107 @@ impl Server {
         self.gemm_kernel
     }
 
-    /// Submits a request, **blocking** while the in-flight queue is at
-    /// capacity (backpressure propagates to the producer). A submission
-    /// carrying a non-default [`Priority`] likewise blocks while its class
-    /// is over its admission limit, and a tenanted one while the tenant is
-    /// at quota — blocking submitters wait out overload instead of being
-    /// shed (typed shed errors are the `try_submit` contract).
+    /// The one admission path: validates `request` against the model,
+    /// consults the fault plan, resolves its trace, takes an in-flight
+    /// slot as `admission` says and queues it for the batcher.
+    ///
+    /// [`Admission::Block`] waits while the in-flight queue is at
+    /// capacity (backpressure propagates to the producer), while the
+    /// request's [`Priority`] class is over its admission limit, and while
+    /// its tenant is at quota — blocking submitters wait out overload
+    /// instead of being shed. [`Admission::Try`] never waits: the same
+    /// three conditions come back as typed refusals.
     ///
     /// With a pure size-bound [`BatchPolicy`] whose `max_batch_size`
     /// exceeds the queue capacity, the forming batch can never fill and
-    /// this call blocks until requests complete some other way — see the
+    /// `Block` waits until requests complete some other way — see the
     /// liveness caveat on [`BatchPolicy::by_size`]; give the policy a
-    /// deadline or use [`Server::try_submit`] for such configurations.
+    /// deadline or use `Try` for such configurations.
     ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::BadInput`] for a wrong-shaped input tensor
-    /// (checked before admission), [`ServeError::ShuttingDown`] if the
-    /// pipeline is gone.
-    pub fn submit(&self, input: Tensor) -> ServeResult<Pending> {
-        self.submit_with(input, SubmitOptions::default())
-    }
-
-    /// [`Server::submit`] with per-request [`SubmitOptions`]: this request
-    /// is gated with the overridden δ and/or capped cascade depth, while
-    /// the rest of the stream keeps the model's configured policy. The
-    /// response stays bit-identical to
-    /// [`CdlNetwork::classify_with_override`] with the same options.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::BadOptions`] for an out-of-range δ override,
-    /// [`ServeError::BadInput`] for a wrong-shaped input tensor (both
-    /// checked before admission), [`ServeError::ShuttingDown`] if the
-    /// pipeline is gone.
-    pub fn submit_with(&self, input: Tensor, options: SubmitOptions) -> ServeResult<Pending> {
-        options.validate_for(self.net.policy())?;
-        self.validate_input(&input)?;
-        self.check_fault()?;
-        let trace = self.telemetry.begin_trace();
-        self.gate.acquire(options.priority, options.tenant);
-        self.admit(input, options, trace)
-    }
-
-    /// [`Server::submit_with`] continuing a caller-supplied trace id
-    /// instead of allocating a fresh one — the shape the TCP edge uses so
-    /// one trace spans both sides of the wire. The id is recorded only if
-    /// this server's own [`cdl_telemetry::TelemetryConfig`] has spans on
-    /// and the id falls inside its sample (the sampling decision is a
+    /// `request.trace` continues a caller-supplied trace id (the TCP edge
+    /// passes the wire-carried one, so one trace spans both sides of the
+    /// wire); `None` allocates a fresh one. Either is recorded only if
+    /// this server's [`cdl_telemetry::TelemetryConfig`] has spans on and
+    /// the id falls inside its sample (the sampling decision is a
     /// deterministic function of the id, so client and server agree).
     ///
     /// # Errors
     ///
-    /// Same contract as [`Server::submit_with`].
-    pub fn submit_with_trace(
-        &self,
-        input: Tensor,
-        options: SubmitOptions,
-        trace: TraceId,
-    ) -> ServeResult<Pending> {
-        options.validate_for(self.net.policy())?;
-        self.validate_input(&input)?;
-        self.check_fault()?;
-        let trace = self.telemetry.adopt(trace);
-        self.gate.acquire(options.priority, options.tenant);
-        self.admit(input, options, trace)
-    }
-
-    /// Submits a request without blocking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Full`] when the in-flight queue is at capacity
-    /// (the request is not admitted), [`ServeError::BadInput`] for a
-    /// wrong-shaped input tensor, [`ServeError::ShuttingDown`] if the
-    /// pipeline is gone.
-    pub fn try_submit(&self, input: Tensor) -> ServeResult<Pending> {
-        self.try_submit_with(input, SubmitOptions::default())
-    }
-
-    /// [`Server::try_submit`] with per-request [`SubmitOptions`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::BadOptions`] for an out-of-range δ override,
-    /// [`ServeError::BadInput`] for a wrong-shaped input tensor,
-    /// [`ServeError::Full`] when the in-flight queue is at capacity,
-    /// [`ServeError::Shed`] when the request's [`Priority`] class is over
-    /// its admission limit, [`ServeError::QuotaExceeded`] when the tenant
-    /// is at its in-flight quota (in every refusal case the request is
-    /// **not** admitted), [`ServeError::ShuttingDown`] if the pipeline is
-    /// gone.
-    pub fn try_submit_with(&self, input: Tensor, options: SubmitOptions) -> ServeResult<Pending> {
-        options.validate_for(self.net.policy())?;
-        self.validate_input(&input)?;
-        self.check_fault()?;
-        let trace = self.telemetry.begin_trace();
-        if let Err(refusal) = self.gate.try_acquire(options.priority, options.tenant) {
-            return Err(self.refuse(refusal, options));
-        }
-        self.admit(input, options, trace)
-    }
-
-    /// [`Server::try_submit_with`] continuing a caller-supplied trace id
-    /// (see [`Server::submit_with_trace`]) — the stop-aware TCP edge
-    /// admission path.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Server::try_submit_with`].
-    pub fn try_submit_with_trace(
-        &self,
-        input: Tensor,
-        options: SubmitOptions,
-        trace: TraceId,
-    ) -> ServeResult<Pending> {
-        options.validate_for(self.net.policy())?;
-        self.validate_input(&input)?;
-        self.check_fault()?;
-        let trace = self.telemetry.adopt(trace);
-        if let Err(refusal) = self.gate.try_acquire(options.priority, options.tenant) {
-            return Err(self.refuse(refusal, options));
-        }
-        self.admit(input, options, trace)
-    }
-
-    /// [`Server::try_submit_with_trace`] that takes the input **by value**
-    /// and hands it back on refusal instead of forcing the caller to clone
-    /// per attempt: a refused submission returns `(error, Some(input))`
-    /// with the tensor intact, so a retrying edge (the gate-full admission
-    /// loop) resubmits the same allocation instead of cloning the tensor
-    /// every 50ms as the old reader loop did. Pass `trace: None` to
-    /// allocate a fresh trace id, `Some(id)` to continue a wire-carried
-    /// one (the [`Server::submit_with_trace`] semantics).
-    ///
-    /// # Errors
-    ///
-    /// The same refusals as [`Server::try_submit_with_trace`], paired with
-    /// `Some(input)` so the tensor survives the bounce. Only
-    /// [`ServeError::ShuttingDown`] loses the tensor (`None`): the request
-    /// was consumed by the pipeline before the batcher was found dead, and
-    /// there is nothing left to retry against anyway.
-    pub fn try_submit_reclaim(
-        &self,
-        input: Tensor,
-        options: SubmitOptions,
-        trace: Option<TraceId>,
-    ) -> Result<Pending, (ServeError, Option<Tensor>)> {
-        if let Err(e) = options.validate_for(self.net.policy()) {
-            return Err((e, Some(input)));
-        }
-        if let Err(e) = self.validate_input(&input) {
-            return Err((e, Some(input)));
-        }
-        if let Err(e) = self.check_fault() {
-            return Err((e, Some(input)));
+    /// A [`Refused`] carrying [`ServeError::BadOptions`] for an
+    /// out-of-range δ override, [`ServeError::BadInput`] for a
+    /// wrong-shaped input tensor, [`ServeError::Fault`] from an armed
+    /// fault plan (all checked before the gate), and under `Try`
+    /// [`ServeError::Full`] at capacity, [`ServeError::Shed`] for a class
+    /// over its admission limit or [`ServeError::QuotaExceeded`] for a
+    /// tenant at quota. In every one of those cases the request was
+    /// **not** admitted and `input` hands the tensor back, so a retrying
+    /// caller (the edge's gate-full park) resubmits the same allocation.
+    /// Only [`ServeError::ShuttingDown`] loses the tensor (`None`): the
+    /// pipeline consumed the request before the batcher was found dead,
+    /// and there is nothing left to retry against.
+    pub fn admit(&self, request: Request, admission: Admission) -> Result<Pending, Refused> {
+        let Request {
+            input,
+            options,
+            trace,
+        } = request;
+        let checked = options
+            .validate_for(self.net.policy())
+            .and_then(|()| self.validate_input(&input))
+            .and_then(|()| self.check_fault());
+        if let Err(error) = checked {
+            return Err(Refused::returning(error, input));
         }
         let trace = match trace {
             Some(id) => self.telemetry.adopt(id),
             None => self.telemetry.begin_trace(),
         };
-        if let Err(refusal) = self.gate.try_acquire(options.priority, options.tenant) {
-            return Err((self.refuse(refusal, options), Some(input)));
+        match admission {
+            Admission::Block => self.gate.acquire(options.priority, options.tenant),
+            Admission::Try => {
+                if let Err(error) = self.gate.try_acquire(options.priority, options.tenant) {
+                    match error {
+                        ServeError::Full => self.recorder.rejected(),
+                        _ => self.recorder.shed(options.priority, options.tenant),
+                    }
+                    return Err(Refused::returning(error, input));
+                }
+            }
         }
-        self.admit(input, options, trace).map_err(|e| (e, None))
+        self.enqueue(input, options, trace)
+            .map_err(|error| Refused { error, input: None })
+    }
+
+    /// [`Server::admit`] of a default-options request under
+    /// [`Admission::Block`].
+    ///
+    /// # Errors
+    ///
+    /// The [`ServeError`] of the [`Refused`] that [`Server::admit`] returns.
+    pub fn submit(&self, input: Tensor) -> ServeResult<Pending> {
+        self.submit_with(input, SubmitOptions::default())
+    }
+
+    /// [`Server::admit`] under [`Admission::Block`] with per-request
+    /// [`SubmitOptions`]: this request is gated with the overridden δ
+    /// and/or capped cascade depth, while the rest of the stream keeps the
+    /// model's configured policy. The response stays bit-identical to
+    /// [`CdlNetwork::classify_with_override`] with the same options.
+    ///
+    /// # Errors
+    ///
+    /// The [`ServeError`] of the [`Refused`] that [`Server::admit`] returns.
+    pub fn submit_with(&self, input: Tensor, options: SubmitOptions) -> ServeResult<Pending> {
+        Ok(self.admit(Request::new(input, options), Admission::Block)?)
+    }
+
+    /// [`Server::submit_with`] under [`Admission::Try`]: never blocks.
+    ///
+    /// # Errors
+    ///
+    /// The [`ServeError`] of the [`Refused`] that [`Server::admit`] returns.
+    pub fn try_submit_with(&self, input: Tensor, options: SubmitOptions) -> ServeResult<Pending> {
+        Ok(self.admit(Request::new(input, options), Admission::Try)?)
     }
 
     /// Admission fault hook: consults the installed [`FaultPlan`] (one
@@ -546,29 +517,8 @@ impl Server {
         Ok(())
     }
 
-    /// Records the refusal and maps it to its typed error.
-    fn refuse(&self, refusal: Refusal, options: SubmitOptions) -> ServeError {
-        match refusal {
-            Refusal::Full => {
-                self.recorder.rejected();
-                ServeError::Full
-            }
-            Refusal::Shed => {
-                self.recorder.shed(options.priority, options.tenant);
-                ServeError::Shed(options.priority)
-            }
-            Refusal::Quota => {
-                self.recorder.shed(options.priority, options.tenant);
-                ServeError::QuotaExceeded(
-                    options
-                        .tenant
-                        .expect("quota refusals always carry a tenant"),
-                )
-            }
-        }
-    }
-
-    fn admit(
+    /// Queues an admitted request (its gate slot is already held).
+    fn enqueue(
         &self,
         input: Tensor,
         options: SubmitOptions,
@@ -579,19 +529,21 @@ impl Server {
         }
         let (pending, fulfiller) = pending_pair(trace);
         let submitted_at = Instant::now();
-        let request = Request {
+        let request = Queued {
             input,
             overrides: options.exit_override(),
-            fulfiller,
-            ticket: Ticket {
-                gate: Arc::clone(&self.gate),
+            live: LiveRequest {
+                fulfiller,
+                ticket: Ticket {
+                    gate: Arc::clone(&self.gate),
+                    tenant: options.tenant,
+                },
+                submitted_at,
+                expires_at: options.deadline.map(|d| submitted_at + d),
+                priority: options.priority,
                 tenant: options.tenant,
+                trace,
             },
-            submitted_at,
-            expires_at: options.deadline.map(|d| submitted_at + d),
-            priority: options.priority,
-            tenant: options.tenant,
-            trace,
         };
         let tx = self.submit_tx.as_ref().expect("sender lives until drop");
         // count before sending: a fast worker may complete the request
@@ -677,8 +629,8 @@ impl Drop for Server {
 /// `max_wait` past the batch's first **submission**, whichever first; flush
 /// the tail on disconnect (shutdown).
 fn run_batcher(
-    rx: Receiver<Request>,
-    work_tx: Sender<Vec<Request>>,
+    rx: Receiver<Queued>,
+    work_tx: Sender<Vec<Queued>>,
     policy: BatchPolicy,
     recorder: &Recorder,
     telemetry: &Telemetry,
@@ -692,7 +644,7 @@ fn run_batcher(
         // time a request spent queued behind earlier batches already counts
         // against its max_wait budget, so a busy batcher dispatches late
         // openers immediately instead of silently extending their wait
-        let deadline = policy.max_wait.map(|w| first.submitted_at + w);
+        let deadline = policy.max_wait.map(|w| first.live.submitted_at + w);
         let mut batch = vec![first];
         let mut cause = BatchCause::Full;
         while batch.len() < policy.max_batch_size {
@@ -721,14 +673,14 @@ fn run_batcher(
         // passed while the batch was forming is settled Expired here,
         // spending zero evaluator ops and freeing its gate slot early
         let now = Instant::now();
-        let (batch, expired): (Vec<Request>, Vec<Request>) =
-            batch.into_iter().partition(|r| !r.is_expired(now));
+        let (batch, expired): (Vec<Queued>, Vec<Queued>) =
+            batch.into_iter().partition(|r| !r.live.is_expired(now));
         for request in expired {
-            settle_expired(request, recorder);
+            settle_expired(request.live, recorder);
         }
         if !batch.is_empty() {
             for request in &batch {
-                if let Some(t) = request.trace {
+                if let Some(t) = request.live.trace {
                     telemetry.record(t, EventKind::BatchSeal);
                 }
             }
@@ -748,7 +700,7 @@ fn run_batcher(
 fn run_worker(
     net: &CdlNetwork,
     kernel: GemmKernel,
-    work_rx: &Mutex<Receiver<Vec<Request>>>,
+    work_rx: &Mutex<Receiver<Vec<Queued>>>,
     fault: &FaultPlan,
     recorder: &Recorder,
     telemetry: &Telemetry,
@@ -780,7 +732,7 @@ fn run_worker(
 
 fn process_batch(
     eval: &mut BatchEvaluator<'_>,
-    batch: Vec<Request>,
+    batch: Vec<Queued>,
     recorder: &Recorder,
     telemetry: &Telemetry,
 ) {
@@ -789,16 +741,16 @@ fn process_batch(
     // applied to every image is exactly its request's policy while scratch
     // reuse and bit-exactness are preserved — a request's result does not
     // depend on which overrides its batch neighbours carried
-    let mut groups: Vec<(ExitOverride, Vec<Request>)> = Vec::new();
+    let mut groups: Vec<(ExitOverride, Vec<Queued>)> = Vec::new();
     let mut cancelled = 0u64;
     let now = Instant::now();
     for request in batch {
-        if request.fulfiller.is_cancelled() {
+        if request.live.fulfiller.is_cancelled() {
             cancelled += 1; // dropping the request frees its ticket
-        } else if request.is_expired(now) {
+        } else if request.live.is_expired(now) {
             // dispatch-time shed point: the deadline ran out while the
             // batch sat in the work queue — settle unevaluated
-            settle_expired(request, recorder);
+            settle_expired(request.live, recorder);
         } else {
             match groups.iter_mut().find(|(ovr, _)| *ovr == request.overrides) {
                 Some((_, members)) => members.push(request),
@@ -812,18 +764,6 @@ fn process_batch(
     }
 }
 
-/// One request's serving-side state while its group is in the evaluator
-/// (the input tensor has been moved into the group's batch).
-struct LiveRequest {
-    fulfiller: Fulfiller,
-    ticket: Ticket,
-    submitted_at: Instant,
-    expires_at: Option<Instant>,
-    priority: Priority,
-    tenant: Option<u32>,
-    trace: Option<TraceId>,
-}
-
 /// Evaluates one override-uniform group of a dispatched batch, settling
 /// every member: completions with their bit-exact output, mid-batch
 /// deadline victims with [`ServeError::Expired`], evaluator failures with
@@ -831,7 +771,7 @@ struct LiveRequest {
 fn evaluate_group(
     eval: &mut BatchEvaluator<'_>,
     overrides: ExitOverride,
-    members: Vec<Request>,
+    members: Vec<Queued>,
     recorder: &Recorder,
     telemetry: &Telemetry,
 ) {
@@ -839,57 +779,36 @@ fn evaluate_group(
     let mut live: Vec<LiveRequest> = Vec::with_capacity(members.len());
     for r in members {
         inputs.push(r.input);
-        live.push(LiveRequest {
-            fulfiller: r.fulfiller,
-            ticket: r.ticket,
-            submitted_at: r.submitted_at,
-            expires_at: r.expires_at,
-            priority: r.priority,
-            tenant: r.tenant,
-            trace: r.trace,
-        });
+        live.push(r.live);
     }
-    let traced = live.iter().any(|l| l.trace.is_some());
     for l in &live {
         if let Some(t) = l.trace {
             telemetry.record(t, EventKind::Dispatch);
         }
     }
-    // classify_stream, not classify_batch: a deadline-bound policy or a
-    // shutdown flush can hand over a batch as large as the whole queue,
+    // the stream entry, not a whole-batch one: a deadline-bound policy or
+    // a shutdown flush can hand over a batch as large as the whole queue,
     // and the evaluator's scratch must stay bounded by its streaming
-    // chunk. The observed variant runs the *same* arithmetic (results
-    // stay bit-identical); the observer only reports, per cascade
-    // stage, which members were still active. The shed hook is the
-    // mid-batch deadline check: a member whose deadline passes while the
-    // batch is in flight is evicted at the next cascade stage boundary
-    // instead of riding the whole cascade to a result nobody will read —
-    // survivors stay bit-identical (shedding only removes rows from the
-    // batched GEMMs).
+    // chunk. The observer only reports, per cascade stage, which members
+    // were still active (results stay bit-identical with or without
+    // traced members). The shed hook is the mid-batch deadline check: a
+    // member whose deadline passes while the batch is in flight is
+    // evicted at the next cascade stage boundary instead of riding the
+    // whole cascade to a result nobody will read — survivors stay
+    // bit-identical (shedding only removes rows from the batched GEMMs).
     let deadlines: Vec<Option<Instant>> = live.iter().map(|l| l.expires_at).collect();
-    let mut shed_hook =
-        |_next_stage: usize, k: usize| deadlines[k].is_some_and(|d| Instant::now() >= d);
-    let result = if traced {
-        eval.classify_stream_with_override_sheddable(
-            &inputs,
-            overrides,
-            &mut |stage, active| {
-                for &k in active {
-                    if let Some(t) = live[k].trace {
-                        telemetry.record(t, EventKind::Stage(stage as u32));
-                    }
+    let result = eval.classify_stream_with_override_sheddable(
+        &inputs,
+        overrides,
+        &mut |stage, active| {
+            for &k in active {
+                if let Some(t) = live[k].trace {
+                    telemetry.record(t, EventKind::Stage(stage as u32));
                 }
-            },
-            &mut shed_hook,
-        )
-    } else {
-        eval.classify_stream_with_override_sheddable(
-            &inputs,
-            overrides,
-            &mut |_, _| {},
-            &mut shed_hook,
-        )
-    };
+            }
+        },
+        &mut |_next_stage, k| deadlines[k].is_some_and(|d| Instant::now() >= d),
+    );
     match result {
         Ok(outcomes) => {
             let now = Instant::now();
@@ -1113,10 +1032,16 @@ mod tests {
         let inputs = images(4);
         let pendings: Vec<Pending> = inputs
             .iter()
-            .map(|x| server.try_submit(x.clone()).unwrap())
+            .map(|x| {
+                server
+                    .try_submit_with(x.clone(), SubmitOptions::default())
+                    .unwrap()
+            })
             .collect();
         assert_eq!(
-            server.try_submit(inputs[0].clone()).unwrap_err(),
+            server
+                .try_submit_with(inputs[0].clone(), SubmitOptions::default())
+                .unwrap_err(),
             ServeError::Full
         );
         let live = server.metrics();
@@ -1142,28 +1067,30 @@ mod tests {
         // would silently grant it a second full max_wait.
         let gate = Arc::new(Gate::new(8, None));
         let recorder = Arc::new(Recorder::new(cdl_hw::EnergyModel::cmos_45nm()));
-        let (tx, rx) = channel::<Request>();
-        let (work_tx, work_rx) = channel::<Vec<Request>>();
+        let (tx, rx) = channel::<Queued>();
+        let (work_tx, work_rx) = channel::<Vec<Queued>>();
         let policy = BatchPolicy::new(8, Duration::from_millis(100));
         let make = |submitted_at| {
             let (pending, fulfiller) = pending_pair(None);
             gate.acquire(Priority::High, None);
-            let request = Request {
+            let request = Queued {
                 input: Tensor::full(&[1, 1, 1], 0.0),
                 overrides: ExitOverride {
                     delta: None,
                     max_stage: None,
                 },
-                fulfiller,
-                ticket: Ticket {
-                    gate: Arc::clone(&gate),
+                live: LiveRequest {
+                    fulfiller,
+                    ticket: Ticket {
+                        gate: Arc::clone(&gate),
+                        tenant: None,
+                    },
+                    submitted_at,
+                    expires_at: None,
+                    priority: Priority::High,
                     tenant: None,
+                    trace: None,
                 },
-                submitted_at,
-                expires_at: None,
-                priority: Priority::High,
-                tenant: None,
-                trace: None,
             };
             (pending, request)
         };
@@ -1346,31 +1273,33 @@ mod tests {
         assert_eq!(metrics.completed, 60);
     }
 
-    /// Builds a Request directly (bypassing admission), for driving the
+    /// Builds a Queued directly (bypassing admission), for driving the
     /// pipeline stages in isolation.
     fn raw_request(
         gate: &Arc<Gate>,
         input: Tensor,
         expires_at: Option<Instant>,
-    ) -> (Pending, Request) {
+    ) -> (Pending, Queued) {
         let (pending, fulfiller) = pending_pair(None);
         gate.acquire(Priority::High, None);
-        let request = Request {
+        let request = Queued {
             input,
             overrides: ExitOverride {
                 delta: None,
                 max_stage: None,
             },
-            fulfiller,
-            ticket: Ticket {
-                gate: Arc::clone(gate),
+            live: LiveRequest {
+                fulfiller,
+                ticket: Ticket {
+                    gate: Arc::clone(gate),
+                    tenant: None,
+                },
+                submitted_at: Instant::now(),
+                expires_at,
+                priority: Priority::High,
                 tenant: None,
+                trace: None,
             },
-            submitted_at: Instant::now(),
-            expires_at,
-            priority: Priority::High,
-            tenant: None,
-            trace: None,
         };
         (pending, request)
     }
@@ -1498,7 +1427,7 @@ mod tests {
     }
 
     #[test]
-    fn reclaim_submit_returns_the_tensor_on_refusal() {
+    fn refused_admission_returns_the_tensor() {
         let net = build_untrained();
         // capacity 1 + stalled batcher: the second submission must bounce
         let server = Server::start(
@@ -1507,23 +1436,23 @@ mod tests {
         )
         .unwrap();
         let img = images(1).pop().unwrap();
-        let _held = server.try_submit(img.clone()).unwrap();
+        let _held = server.submit(img.clone()).unwrap();
+        let refused = |input: Tensor| {
+            let allocation = input.data().as_ptr();
+            let request = Request::new(input, SubmitOptions::default());
+            let refused = server.admit(request, Admission::Try).unwrap_err();
+            let back = refused.input.expect("refusal must return the tensor");
+            assert_eq!(back.data().as_ptr(), allocation, "moved, not copied");
+            refused.error
+        };
         // a Full refusal hands the exact tensor back — no clone needed to
-        // retry (this is what the TCP edge's admission retry loop leans on)
-        let (err, reclaimed) = server
-            .try_submit_reclaim(img.clone(), SubmitOptions::default(), None)
-            .unwrap_err();
-        assert_eq!(err, ServeError::Full);
-        let reclaimed = reclaimed.expect("refusal must return the tensor");
-        assert_eq!(reclaimed.dims(), img.dims());
-        assert_eq!(reclaimed.data(), img.data());
-        // a bad-input refusal also reclaims
-        let bad = Tensor::zeros(&[2, 2]);
-        let (err, reclaimed) = server
-            .try_submit_reclaim(bad, SubmitOptions::default(), None)
-            .unwrap_err();
-        assert!(matches!(err, ServeError::BadInput(_)));
-        assert_eq!(reclaimed.expect("tensor survives").dims(), &[2, 2]);
+        // retry (this is what the TCP edge's gate-full park leans on)
+        assert_eq!(refused(img), ServeError::Full);
+        // a bad-input refusal does too
+        assert!(matches!(
+            refused(Tensor::zeros(&[2, 2])),
+            ServeError::BadInput(_)
+        ));
         // metrics: exactly one capacity rejection was recorded
         let live = server.metrics();
         assert_eq!(live.rejected, 1);
@@ -1551,7 +1480,9 @@ mod tests {
         // tenant 2 and untenanted traffic are unaffected
         let _c = server.try_submit_with(img.clone(), opts(2)).unwrap();
         let _d = server.try_submit_with(img.clone(), opts(2)).unwrap();
-        let _e = server.try_submit(img.clone()).unwrap();
+        let _e = server
+            .try_submit_with(img.clone(), SubmitOptions::default())
+            .unwrap();
         let live = server.metrics();
         assert_eq!(live.submitted, 5);
         assert_eq!(live.shed, 1);
@@ -1648,7 +1579,9 @@ mod tests {
             ServeError::BadInput(_)
         ));
         assert!(matches!(
-            server.try_submit(bad).unwrap_err(),
+            server
+                .try_submit_with(bad, SubmitOptions::default())
+                .unwrap_err(),
             ServeError::BadInput(_)
         ));
         let metrics = server.shutdown();

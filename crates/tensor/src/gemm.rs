@@ -134,7 +134,7 @@
 //!
 //! `detect()` (the default) is right everywhere: `Simd` on AVX2 hosts,
 //! `Tiled` elsewhere — strictly performance transformations. `Reference`
-//! exists for A/B benchmarking (`cargo bench -p cdl-bench --bench batch`),
+//! exists for A/B benchmarking (the `benchmark/` package's `tensor.*` rows),
 //! for bisecting a suspected kernel bug in production (flip one shard's
 //! [`ServerConfig`] to `Reference` and diff), and as the executable
 //! specification new kernels are tested against. The next escalation

@@ -64,7 +64,7 @@ fn train_model(
     train_set: &LabelledSet,
     seed: u64,
 ) -> Result<Arc<CdlNetwork>, Box<dyn std::error::Error>> {
-    // the standard demo recipe shared with the criterion benches — see
+    // the standard demo recipe shared with `benchmark/` — see
     // `cdl_bench::pipeline::train_demo_model`
     let cdln = cdl_bench::pipeline::train_demo_model(arch, train_set, 3, seed)
         .map_err(|e| e as Box<dyn std::error::Error>)?;

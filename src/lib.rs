@@ -45,7 +45,9 @@
 //! crates/telemetry cdl-telemetry mergeable histograms + lifecycle spans
 //! crates/bench     cdl-bench    experiment harness (fig*/table* binaries)
 //! vendor/*                      offline stand-ins for rand, serde(+derive),
-//!                               serde_json, proptest, criterion, rayon, bytes
+//!                               serde_json, proptest, rayon, bytes, reactor
+//! benchmark/                    the measurement spine (its own workspace;
+//!                               see benchmark/README.md and BENCHMARK.json)
 //! ```
 //!
 //! The build environment is fully offline: every external dependency is
@@ -56,9 +58,8 @@
 //! cargo build --release            # build everything
 //! cargo test -q                    # full test suite (minutes)
 //! cargo run --release --example quickstart
-//! cargo bench -p cdl-bench --bench batch   # batched vs per-image serving
-//! cargo bench -p cdl-bench --bench serve   # streaming server throughput
 //! cargo run --release --example serve_stream       # serving demo + metrics
+//! (cd benchmark && cargo run --release -- run --seed 23)   # the benchmark
 //! cargo run --release -p cdl-bench --bin run_all   # every paper figure
 //! ```
 //!
@@ -97,21 +98,23 @@
 //! chosen once at evaluator construction
 //! ([`core::batch::BatchEvaluator::with_kernel`],
 //! `nn::batch::BatchScratch::with_kernel`) or per serving shard
-//! ([`serve::ServerConfig`]'s `gemm_kernel`); `cargo bench -p cdl-bench
-//! --bench batch` A/Bs the kernels on a 1k-image stream, and
-//! `cargo run --release --example bench_report` writes the machine-
-//! readable per-kernel throughput summary `BENCH_7.json` (now with
-//! p50/p99/p99.9 latency per leg, from the same [`telemetry::LogHistogram`]
-//! the server metrics use).
+//! ([`serve::ServerConfig`]'s `gemm_kernel`); the `benchmark/` package's
+//! traced runs (`--trace 1`) place each kernel on the machine's roofline
+//! (the `tensor.*` rows).
 //!
 //! ## Streaming serving
 //!
-//! Online request streams go through [`serve::Server`]: callers submit
-//! single images from any number of threads and get one-shot
-//! [`serve::Pending`] handles back; a dynamic batcher forms batches by
-//! size-or-deadline ([`serve::BatchPolicy`]) and a worker pool of
-//! persistent `BatchEvaluator`s answers them. Backpressure (bounded
-//! in-flight queue), drop-to-cancel, graceful drain-then-stop shutdown and
+//! Online request streams go through [`serve::Server`]. There is one way
+//! in, [`serve::Server::admit`]: a [`serve::Request`] (image,
+//! [`serve::SubmitOptions`], optional trace id) plus a
+//! [`serve::Admission`] — `Block` waits for room in the bounded in-flight
+//! queue, `Try` comes back at once with a [`serve::Refused`] carrying the
+//! typed error *and the tensor*, so a retrying caller never clones
+//! (`submit` / `submit_with` / `try_submit_with` are one-line sugar).
+//! Callers on any number of threads get one-shot [`serve::Pending`]
+//! handles back; a dynamic batcher forms batches by size-or-deadline
+//! ([`serve::BatchPolicy`]) and a worker pool of persistent
+//! `BatchEvaluator`s answers them. Drop-to-cancel, graceful drain-then-stop shutdown and
 //! a [`serve::ServerMetrics`] snapshot (throughput, batch-size histogram,
 //! latency percentiles, cumulative ops/energy) are built in. Responses are
 //! bit-identical to per-image `classify` for every interleaving (enforced
@@ -122,8 +125,11 @@
 //!
 //! [`serve::Router`] serves **several models behind one front-end**: each
 //! registered [`serve::ShardSpec`] gets its own shard (admission gate →
-//! batcher → worker pool), requests are routed by [`serve::ModelId`], and
-//! backpressure is per shard — a saturated model never blocks traffic for
+//! batcher → worker pool), [`serve::Router::admit`] routes a request by
+//! [`serve::ModelId`] — the same `Request`/`Admission`/`Refused` contract,
+//! behind placement and (when the shard has a [`serve::RetryPolicy`]) the
+//! retry/hedge race; the TCP edge enters through it too — and
+//! backpressure is per shard: a saturated model never blocks traffic for
 //! the others. Each request may also carry [`serve::SubmitOptions`]: a
 //! replacement confidence threshold δ and/or a hard cascade-depth cap,
 //! which is the paper's Fig. 10 accuracy/energy trade-off selectable *per
@@ -271,8 +277,7 @@
 //! clock by [`load::run_open_loop`]. The same seed reproduces the same
 //! schedule, so "with shedding" and "without shedding" runs compare the
 //! identical workload (`tests/overload.rs` pins shed-vs-baseline p99
-//! under a 2× burst; `examples/overload_bench.rs` records it in
-//! `BENCH_8.json`).
+//! under a 2× burst).
 //!
 //! ```
 //! use cdl::load::{ArrivalProcess, LoadSpec, TenantProfile};

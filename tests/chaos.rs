@@ -10,7 +10,8 @@
 //!   probes (`Probing → Healthy`) once the fault clears, and never routes
 //!   a request to an `Evicted` replica while siblings are live;
 //! * **retries and hedges** spend redundancy at zero marginal evaluator
-//!   cost — the losing side of a race is cancelled before evaluation;
+//!   cost — the losing side of a race is cancelled before evaluation —
+//!   for requests arriving over TCP exactly as for in-process ones;
 //! * **hot-swap** ([`Router::swap_model`]) loses nothing under concurrent
 //!   load, and every response is consistent with the network that was
 //!   current when its request was placed;
@@ -283,6 +284,50 @@ fn retries_recover_from_an_error_burst() {
     assert_eq!(shard.replicas[0].metrics.faults, 3);
     assert_eq!(shard.replicas[0].metrics.completed, 1);
     assert_eq!(shard.replicas[1].metrics.completed, 7);
+    assert_eq!(metrics.completed(), 8);
+    for replica in &shard.replicas {
+        assert_eq!(replica.routed, replica.metrics.submitted);
+    }
+}
+
+/// The wire twin of [`retries_recover_from_an_error_burst`]: the same shard
+/// behind a [`TcpServer`]. The edge admits through the same `Router::admit`
+/// as in-process submitters, so the refused placements are retried onto
+/// the healthy replica instead of coming back to the client as errors.
+#[test]
+fn retries_recover_from_an_error_burst_over_the_wire() {
+    let net = build_untrained(arch::mnist_2c(), 5);
+    let router = Arc::new(
+        Router::start(vec![ShardSpec::new(
+            "m",
+            Arc::clone(&net),
+            config(BatchPolicy::by_deadline(Duration::from_millis(1)), 64),
+        )
+        .replicated(ReplicaSpec::new(2, PlacementPolicy::RoundRobin))
+        .retry(RetryPolicy::retries(2))
+        .fault_on(
+            0,
+            FaultPlan::builder().at(0, FaultKind::ErrorBurst(3)).build(),
+        )])
+        .unwrap(),
+    );
+    let edge = TcpServer::bind("127.0.0.1:0", Arc::clone(&router)).unwrap();
+    let mut client = TcpClient::connect(edge.local_addr()).unwrap();
+    for i in 0..8 {
+        let reply = client
+            .call("m", &image(i), SubmitOptions::default())
+            .unwrap();
+        assert_eq!(
+            reply.expect("a refused placement must be retried, not returned"),
+            net.classify(&image(i)).unwrap(),
+            "request {i} settled wrong"
+        );
+    }
+    edge.shutdown();
+    let metrics = Arc::try_unwrap(router).unwrap().shutdown();
+    let shard = &metrics.shards[0];
+    assert_eq!(shard.retries, 3, "one retry per refused admission");
+    assert_eq!(shard.replicas[0].metrics.faults, 3);
     assert_eq!(metrics.completed(), 8);
     for replica in &shard.replicas {
         assert_eq!(replica.routed, replica.metrics.submitted);
