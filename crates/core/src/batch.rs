@@ -211,6 +211,9 @@ impl<'a> BatchEvaluator<'a> {
         // cumulative cost of reaching (and gating at) each stage — identical
         // for every image that reaches it, mirroring `classify_impl`
         let mut cum_ops = OpCount::ZERO;
+        // one image's head scores, the `[classes]` tensor `policy.decide`
+        // reads: one per chunk, refilled per image
+        let mut scores = Tensor::zeros(&[0]);
 
         for (stage_idx, stage) in self.net.stages().iter().enumerate() {
             // stage boundary: before paying for stage `stage_idx`, offer
@@ -244,12 +247,15 @@ impl<'a> BatchEvaluator<'a> {
                 .scores_batch_into(&active, &mut self.head_scores, self.scratch.kernel)?;
             observer(stage_idx, &active_idx);
             let classes = stage.head.classes();
+            if scores.len() != classes {
+                scores = Tensor::zeros(&[classes]);
+            }
 
             let mut keep: Vec<Tensor> = Vec::with_capacity(active.len());
             let mut keep_idx: Vec<usize> = Vec::with_capacity(active.len());
             for (k, features) in active.drain(..).enumerate() {
                 let row = &self.head_scores[k * classes..(k + 1) * classes];
-                let scores = Tensor::from_slice(row);
+                scores.data_mut().copy_from_slice(row);
                 let decision = policy.decide(&scores)?;
                 if decision.exit || force_exit_at.is_some_and(|cap| stage_idx >= cap) {
                     outputs[active_idx[k]] = Some(SheddableOutcome::Done(CdlOutput {

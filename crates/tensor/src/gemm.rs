@@ -106,15 +106,27 @@
 //!   skips the im2col lowering entirely. Lanes are contiguous output-x
 //!   positions, whose receptive fields are contiguous spans of the input
 //!   rows, so every tap is one weight broadcast against contiguous input
-//!   loads; three output channels share each load. The patch-matrix
-//!   write, its read-back, and the output copy-out all disappear — which
-//!   is worth more than the arithmetic at batch sizes whose patch matrix
-//!   outgrows the cache. Requires `ow ≥ 8` (a full vector of output
-//!   columns); narrower feature maps (e.g. the paper's 3×3 C3) take the
-//!   im2col + [`gemm_nn`] path. Bit-exactness is preserved because the
-//!   fused loop accumulates bias first, then taps in channel-major
-//!   `(c, ky, kx)` ascending order — exactly the im2col patch-row order
-//!   the GEMM sums.
+//!   loads; the patch-matrix write, its read-back and the output copy-out
+//!   all disappear. The output plane is covered by **vector positions**: a
+//!   row of `ow ≥ 8` columns takes `ceil(ow/8)` vectors at `ox = 0, 8, …`
+//!   with the last one placed at `ow − 8`, so a width that is not a
+//!   multiple of 8 costs one more full vector (up to 7 columns computed
+//!   twice) instead of a scalar column tail. The positions of the whole
+//!   `[oh, ow]` plane are walked in order and taken two at a time, across
+//!   a row end too, and three output channels share each input load:
+//!   every tile is 2 vectors × 3 channels = 6 independent add chains (the
+//!   odd last position runs 1 × 3), which is what hides the latency of the
+//!   dependent adds. Bit-exactness: each lane owns exactly one output
+//!   element and accumulates bias first, then taps in channel-major
+//!   `(c, ky, kx)` ascending order with separate mul and add — the im2col
+//!   patch-row order the GEMM sums — so its bits depend only on which
+//!   element it owns, and a cell stored by two overlapping vectors
+//!   receives the same bits twice. Requires `ow ≥ 8` (checked,
+//!   not assumed: `ow − 8` would underflow); narrower maps (the paper's
+//!   3×3 C3) take the im2col + [`gemm_nn`] path. Tried and dropped: 4
+//!   vectors × 3 channels (12 accumulators spill — slower than 2 × 3
+//!   throughout), a const-generic kernel size (no gain), and with them a
+//!   packed weight layout: the per-tap broadcasts are L1 hits already.
 //!
 //! # Runtime detection and fallback
 //!
@@ -290,8 +302,9 @@ pub fn gemm_nn(
             #[cfg(target_arch = "x86_64")]
             if simd::available() {
                 // SAFETY: `available()` just confirmed AVX2 at runtime, and
-                // the shape asserts above guarantee every in-bounds access
-                // the microkernels perform.
+                // the four length asserts above are `gemm_nn_avx2`'s shape
+                // contract (`a = [m,k]`, `b = [k,n]`, `bias = [m]`,
+                // `out = [m,n]`), which bounds every unchecked access.
                 unsafe { simd::gemm_nn_avx2(m, k, n, a, b, bias, out) };
                 return;
             }
@@ -461,7 +474,9 @@ pub fn gemm_nt(
         GemmKernel::Simd => {
             #[cfg(target_arch = "x86_64")]
             if simd::available() {
-                // SAFETY: AVX2 confirmed at runtime; shapes asserted above.
+                // SAFETY: AVX2 confirmed at runtime; the asserts above are
+                // `gemm_nt_avx2`'s shape contract (`w = [m,k]`, every row of
+                // length `k`, `out = [rows.len(), m]`).
                 unsafe { simd::gemm_nt_avx2(k, rows, w, bias, out) };
                 return;
             }
@@ -616,6 +631,8 @@ mod simd {
         let mut i0 = 0;
         while i0 < m {
             let mr = NN_MR.min(m - i0);
+            // SAFETY: AVX2 and the shapes are this function's own contract;
+            // `i0 + mr <= m` by the `min`.
             match mr {
                 6 => nn_rows_avx2::<6>(i0, k, n, a, b, bias, out),
                 5 => nn_rows_avx2::<5>(i0, k, n, a, b, bias, out),
@@ -632,6 +649,10 @@ mod simd {
     /// double-vector tiles, an 8-wide tile on the remainder, then the same
     /// scalar column tail as the tiled kernel. Every lane everywhere owns
     /// one output element's full sequential k-chain.
+    ///
+    /// # Safety
+    ///
+    /// As [`gemm_nn_avx2`], plus `i0 + MR <= m`.
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
     unsafe fn nn_rows_avx2<const MR: usize>(
@@ -647,6 +668,11 @@ mod simd {
         let n_wide = n - n % (2 * LANES);
         let n_main = n - n % LANES;
         let mut j0 = 0;
+        // SAFETY (every load, `get_unchecked` and store below): a vector
+        // access at column `j0` touches `j0..j0 + 8` (`+ 16` in the wide
+        // tile) with `j0 + 8 <= n_main <= n` (`j0 + 16 <= n_wide <= n`), in
+        // row `p < k` of `b = [k, n]` or row `i0 + mi < m` of `out = [m, n]`;
+        // `a` is read at `(i0 + mi)·k + p < m·k`.
         while j0 < n_wide {
             // each lane owns out[i0+mi][j0+lane]: seeded with the row
             // bias, then one mul+add per p — the scalar chain, 16
@@ -742,6 +768,9 @@ mod simd {
                 let mut i0 = 0;
                 while i0 < rows.len() {
                     let mr = NT_SIMD_MR.min(rows.len() - i0);
+                    // SAFETY: AVX2 and the shapes are this function's own
+                    // contract; `pack` was just sized to `k·8`, `nr <= 8`,
+                    // `r0 + nr <= m` and `i0 + mr <= rows.len()`.
                     match mr {
                         4 => nt_samples_avx2::<4>(i0, r0, nr, k, rows, &pack, bias, out),
                         3 => nt_samples_avx2::<3>(i0, r0, nr, k, rows, &pack, bias, out),
@@ -758,6 +787,11 @@ mod simd {
     /// `MR` samples × one packed 8-feature block: `MR` accumulator vectors
     /// advance through `k` together, every step one packed load shared by
     /// all samples plus one broadcast per sample.
+    ///
+    /// # Safety
+    ///
+    /// As [`gemm_nt_avx2`], plus `pack.len() == k·8`, `nr <= 8`,
+    /// `r0 + nr <= m` and `i0 + MR <= rows.len()`.
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
     unsafe fn nt_samples_avx2<const MR: usize>(
@@ -775,6 +809,8 @@ mod simd {
         let mut acc: [__m256; MR] = [_mm256_setzero_ps(); MR];
         let pp = pack.as_ptr();
         for p in 0..k {
+            // SAFETY: `p·8 + 8 <= k·8 = pack.len()`, and every row has `k`
+            // entries, so `p` indexes it.
             let wv = _mm256_loadu_ps(pp.add(p * LANES));
             for (lanes, xrow) in acc.iter_mut().zip(&xr) {
                 let xv = _mm256_set1_ps(*xrow.get_unchecked(p));
@@ -783,6 +819,7 @@ mod simd {
         }
         for (mi, lanes) in acc.iter().enumerate() {
             let mut tmp = [0.0f32; LANES];
+            // SAFETY: `tmp` is exactly one vector of 8 f32.
             _mm256_storeu_ps(tmp.as_mut_ptr(), *lanes);
             let obase = (i0 + mi) * m + r0;
             for (ni, &v) in tmp.iter().take(nr).enumerate() {
@@ -794,6 +831,9 @@ mod simd {
     /// Output channels advanced together per fused-conv tile — each input
     /// load is reused by this many weight broadcasts.
     const CONV_OC: usize = 3;
+
+    // the bound `conv2d_direct_simd` asserts is the one `ow - LANES` needs
+    const _: () = assert!(super::DIRECT_MIN_OW >= LANES);
 
     /// Fused direct convolution: lanes are contiguous output-x positions
     /// (whose receptive fields are contiguous in the input row), so every
@@ -825,6 +865,8 @@ mod simd {
         let mut oc0 = 0;
         while oc0 < c_out {
             let ocr = CONV_OC.min(c_out - oc0);
+            // SAFETY: AVX2 and the shape invariants are this function's own
+            // contract, passed through unchanged; `oc0 + ocr <= c_out`.
             match ocr {
                 3 => conv_oc_block_avx2::<3>(
                     oc0, input, c_in, h, w, weights, kh, kw, bias, out, oh, ow,
@@ -840,12 +882,23 @@ mod simd {
         }
     }
 
-    /// `OC` output channels × one output row × up-to-16 output columns per
-    /// tile: `2·OC` accumulators (≤ 6) + 2 input vectors + 1 broadcast
-    /// stay comfortably inside the 16 ymm registers. Per element the
-    /// accumulation is bias first, then taps in `(c, ky, kx)` ascending
-    /// order — the im2col patch-row order, hence bit-parity with
-    /// [`super::gemm_nn`] on the lowered form.
+    /// The whole `[oh, ow]` output plane of the `OC` channels starting at
+    /// `oc0`, as a walk over **vector positions**: a row of `ow >= 8`
+    /// columns is covered by `ceil(ow / 8)` 8-lane vectors at `ox = 0, 8,
+    /// …` with the last one placed at `ow − 8`, where it overlaps its
+    /// neighbour and recomputes up to 7 columns. The positions of the plane
+    /// are taken in row-major order two at a time — a pair may straddle a
+    /// row end — so every [`conv_tile_avx2`] call but possibly the last
+    /// runs `2 × OC` independent add chains.
+    ///
+    /// The overlap is bit-safe: a lane's value depends only on which output
+    /// element it owns (see [`conv_tile_avx2`]), so a cell stored twice
+    /// receives the same bits twice — which is what lets a full vector
+    /// stand in for a scalar loop over the `ow % 8` ragged columns.
+    ///
+    /// # Safety
+    ///
+    /// As [`conv2d_direct_avx2`], plus `oc0 + OC <= c_out`.
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
     unsafe fn conv_oc_block_avx2<const OC: usize>(
@@ -862,94 +915,133 @@ mod simd {
         oh: usize,
         ow: usize,
     ) {
-        let ip = input.as_ptr();
+        let per_row = ow.div_ceil(LANES);
+        // `(input offset, output offset)` within a plane of the `q`-th
+        // position; `ox + 8 <= ow` because `ow >= 8`
+        let (mut oy, mut v) = (0, 0);
+        let mut next = || {
+            let ox = (v * LANES).min(ow - LANES);
+            let at = (oy * w + ox, oy * ow + ox);
+            v += 1;
+            if v == per_row {
+                (oy, v) = (oy + 1, 0);
+            }
+            at
+        };
+        let positions = oh * per_row;
+        // SAFETY (both calls): every position handed over has `oy < oh` and
+        // `ox <= ow - 8`, which with this function's contract is the whole
+        // of `conv_tile_avx2`'s.
+        for _ in 0..positions / 2 {
+            let at = [next(), next()];
+            conv_tile_avx2::<OC, 2>(
+                oc0, at, input, c_in, h, w, weights, kh, kw, bias, out, oh, ow,
+            );
+        }
+        if positions % 2 == 1 {
+            let at = [next()];
+            conv_tile_avx2::<OC, 1>(
+                oc0, at, input, c_in, h, w, weights, kh, kw, bias, out, oh, ow,
+            );
+        }
+    }
+
+    /// The one conv tile: `NV` vector positions × `OC` output channels,
+    /// `NV·OC` accumulators (≤ 6) + `NV` input vectors + 1 broadcast inside
+    /// the 16 ymm registers. Each lane owns one output element and runs its
+    /// chain alone — bias first, then the taps in `(c, ky, kx)` ascending
+    /// order, a separate mul and add per tap — which is the im2col
+    /// patch-row order, hence bit-parity with [`super::gemm_nn`] on the
+    /// lowered form and with [`crate::conv::conv2d_valid`].
+    ///
+    /// Larger tiles and a const-generic kernel size were tried and dropped
+    /// (module docs).
+    ///
+    /// # Safety
+    ///
+    /// As [`conv2d_direct_avx2`], plus `oc0 + OC <= c_out` and, for each
+    /// `(input offset, output offset)` in `at`, `input offset = oy·w + ox`
+    /// and `output offset = oy·ow + ox` with `oy < oh` and `ox + 8 <= ow`.
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn conv_tile_avx2<const OC: usize, const NV: usize>(
+        oc0: usize,
+        at: [(usize, usize); NV],
+        input: &[f32],
+        c_in: usize,
+        h: usize,
+        w: usize,
+        weights: &[f32],
+        kh: usize,
+        kw: usize,
+        bias: &[f32],
+        out: &mut [f32],
+        oh: usize,
+        ow: usize,
+    ) {
+        let (ip, wp, op) = (input.as_ptr(), weights.as_ptr(), out.as_mut_ptr());
         let ktaps = c_in * kh * kw;
-        let ow_wide = ow - ow % (2 * LANES);
-        let ow_main = ow - ow % LANES;
-        for oy in 0..oh {
-            let mut ox = 0;
-            while ox < ow_wide {
-                let mut lo: [__m256; OC] = std::array::from_fn(|o| _mm256_set1_ps(bias[oc0 + o]));
-                let mut hi: [__m256; OC] = std::array::from_fn(|o| _mm256_set1_ps(bias[oc0 + o]));
-                for c in 0..c_in {
-                    for ky in 0..kh {
-                        let irow = ip.add(c * h * w + (oy + ky) * w + ox);
-                        for kx in 0..kw {
-                            let iv0 = _mm256_loadu_ps(irow.add(kx));
-                            let iv1 = _mm256_loadu_ps(irow.add(kx + LANES));
-                            let tap = (c * kh + ky) * kw + kx;
-                            for o in 0..OC {
-                                let wv =
-                                    _mm256_set1_ps(*weights.get_unchecked((oc0 + o) * ktaps + tap));
-                                lo[o] = _mm256_add_ps(lo[o], _mm256_mul_ps(wv, iv0));
-                                hi[o] = _mm256_add_ps(hi[o], _mm256_mul_ps(wv, iv1));
-                            }
+        // acc[o][p]: output channel `oc0 + o` at position `at[p]`
+        let mut acc: [[__m256; NV]; OC] =
+            std::array::from_fn(|o| [_mm256_set1_ps(bias[oc0 + o]); NV]);
+        for c in 0..c_in {
+            for ky in 0..kh {
+                let irow = c * h * w + ky * w;
+                let wrow = oc0 * ktaps + (c * kh + ky) * kw;
+                for kx in 0..kw {
+                    // SAFETY: the highest index any load reads is
+                    // (c_in−1)·h·w + (oh−1 + kh−1)·w + (ow−8) + (kw−1) + 7
+                    // = c_in·h·w − 1 (valid geometry: oh + kh − 1 = h,
+                    // ow + kw − 1 = w), the last element of `input`.
+                    let iv: [__m256; NV] =
+                        std::array::from_fn(|p| _mm256_loadu_ps(ip.add(irow + at[p].0 + kx)));
+                    for (o, chains) in acc.iter_mut().enumerate() {
+                        // SAFETY: (oc0 + o)·ktaps + tap with oc0 + o < c_out
+                        // and tap < ktaps is inside `weights = [c_out, ktaps]`.
+                        let wv = _mm256_set1_ps(*wp.add(wrow + o * ktaps + kx));
+                        for (chain, &x) in chains.iter_mut().zip(&iv) {
+                            *chain = _mm256_add_ps(*chain, _mm256_mul_ps(wv, x));
                         }
                     }
                 }
-                for o in 0..OC {
-                    let obase = (oc0 + o) * oh * ow + oy * ow + ox;
-                    _mm256_storeu_ps(out.as_mut_ptr().add(obase), lo[o]);
-                    _mm256_storeu_ps(out.as_mut_ptr().add(obase + LANES), hi[o]);
-                }
-                ox += 2 * LANES;
             }
-            while ox < ow_main {
-                let mut acc: [__m256; OC] = std::array::from_fn(|o| _mm256_set1_ps(bias[oc0 + o]));
-                for c in 0..c_in {
-                    for ky in 0..kh {
-                        let irow = ip.add(c * h * w + (oy + ky) * w + ox);
-                        for kx in 0..kw {
-                            let iv = _mm256_loadu_ps(irow.add(kx));
-                            let tap = (c * kh + ky) * kw + kx;
-                            for (o, lanes) in acc.iter_mut().enumerate() {
-                                let wv =
-                                    _mm256_set1_ps(*weights.get_unchecked((oc0 + o) * ktaps + tap));
-                                *lanes = _mm256_add_ps(*lanes, _mm256_mul_ps(wv, iv));
-                            }
-                        }
-                    }
-                }
-                for (o, lanes) in acc.iter().enumerate() {
-                    let obase = (oc0 + o) * oh * ow + oy * ow + ox;
-                    _mm256_storeu_ps(out.as_mut_ptr().add(obase), *lanes);
-                }
-                ox += LANES;
-            }
-            // scalar column tail: same per-element order, unblocked
-            for ox in ow_main..ow {
-                for o in 0..OC {
-                    let oc = oc0 + o;
-                    let mut acc = bias[oc];
-                    for c in 0..c_in {
-                        for ky in 0..kh {
-                            let ibase = c * h * w + (oy + ky) * w + ox;
-                            let wbase = (oc * c_in + c) * kh * kw + ky * kw;
-                            for kx in 0..kw {
-                                acc += weights[wbase + kx] * input[ibase + kx];
-                            }
-                        }
-                    }
-                    out[oc * oh * ow + oy * ow + ox] = acc;
-                }
+        }
+        for (o, chains) in acc.iter().enumerate() {
+            for (&chain, &(_, ooff)) in chains.iter().zip(&at) {
+                // SAFETY: the highest index stored is (oc0+OC−1)·oh·ow +
+                // (oh−1)·ow + (ow−8) + 7 <= c_out·oh·ow − 1, the last
+                // element of `out`.
+                _mm256_storeu_ps(op.add((oc0 + o) * oh * ow + ooff), chain);
             }
         }
     }
 }
 
+/// Narrowest output map [`conv2d_direct_simd`] takes: one full 8-lane
+/// vector of output columns (the overlapped last vector sits at `ow − 8`).
+pub(crate) const DIRECT_MIN_OW: usize = 8;
+
 /// Crate-internal entry for the fused direct convolution of the
 /// [`GemmKernel::Simd`] arm: convolves one `[c_in, h, w]` image straight
-/// from its feature maps (no im2col materialization), writing the
-/// `[c_out, oh, ow]` output. Returns `false` — and writes nothing — when
-/// the host lacks AVX2 or the geometry is out of the kernel's profile
-/// (`ow < 8`: too few output columns to fill a vector register), in which
-/// case the caller must run the im2col + [`gemm_nn`] path instead.
+/// from its feature maps (no im2col materialization), writing every cell
+/// of the `[c_out, oh, ow]` output. Whether it applies — AVX2 host, `ow >=`
+/// [`DIRECT_MIN_OW`] — is the caller's question to ask *before* calling
+/// (`im2col::BatchGeometry::direct_applies`); narrower maps take the
+/// im2col + [`gemm_nn`] path.
 ///
 /// Bit-exactness: each output lane accumulates `bias` first, then the
 /// taps in channel-major `(c, ky, kx)` ascending order with separate
 /// mul+add — exactly the im2col patch-row order that [`gemm_nn`] sums, so
 /// fused and lowered results are identical to the last bit (pinned by the
 /// conv parity suites, which iterate every kernel).
+///
+/// # Panics
+///
+/// Panics when a buffer length disagrees with the geometry, when the
+/// geometry is not the valid one (`oh = h − kh + 1`, `ow = w − kw + 1`),
+/// when `ow <` [`DIRECT_MIN_OW`], or when the CPU has no AVX2 — these
+/// are the invariants the unchecked loads and stores of the microkernel
+/// rely on, so they are checked in release builds too.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conv2d_direct_simd(
     input: &[f32],
@@ -964,29 +1056,28 @@ pub(crate) fn conv2d_direct_simd(
     out: &mut [f32],
     oh: usize,
     ow: usize,
-) -> bool {
+) {
+    assert_eq!(input.len(), c_in * h * w);
+    assert_eq!(weights.len(), c_out * c_in * kh * kw);
+    assert_eq!(bias.len(), c_out);
+    assert_eq!(out.len(), c_out * oh * ow);
+    assert!(h + 1 == oh + kh && w + 1 == ow + kw);
+    assert!(ow >= DIRECT_MIN_OW, "direct conv needs ow >= 8, got {ow}");
     #[cfg(target_arch = "x86_64")]
     {
-        if !simd::available() || ow < 8 {
-            return false;
-        }
-        assert_eq!(input.len(), c_in * h * w);
-        assert_eq!(weights.len(), c_out * c_in * kh * kw);
-        assert_eq!(bias.len(), c_out);
-        assert_eq!(out.len(), c_out * oh * ow);
-        assert!(h + 1 == oh + kh && w + 1 == ow + kw);
-        // SAFETY: AVX2 confirmed, and the asserts above are the shape
-        // invariants the (checked-indexing-free) microkernels rely on.
+        // the CPU itself, not `simd::available()`: the forced-fallback test
+        // hook only steers callers away, it cannot make the kernel unsound
+        assert!(is_x86_feature_detected!("avx2"), "direct conv needs AVX2");
+        // SAFETY: AVX2 confirmed on this CPU, and the asserts above are
+        // exactly the shape invariants `conv2d_direct_avx2` documents: every
+        // buffer has its geometry's length, the geometry is the valid one,
+        // and `ow >= 8` keeps the overlapped position `ow − 8` in range.
         unsafe {
             simd::conv2d_direct_avx2(input, c_in, h, w, weights, kh, kw, bias, out, oh, ow, c_out);
         }
-        true
     }
     #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (input, c_in, h, w, weights, c_out, kh, kw, bias, out, oh, ow);
-        false
-    }
+    unreachable!("the direct conv kernel exists on x86_64 only; `GemmKernel::simd_available()` is false here");
 }
 
 /// Non-x86 stand-in: the `Simd` arm always takes the `Tiled` fallback.
@@ -1002,6 +1093,9 @@ mod simd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conv::conv2d_valid;
+    use crate::im2col::{conv2d_valid_batch, ConvScratch};
+    use crate::tensor::Tensor;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -1247,6 +1341,31 @@ mod tests {
         for (got, want) in forced_nt.iter().zip(&tiled_nt) {
             assert_eq!(got.to_bits(), want.to_bits(), "forced-fallback nt");
         }
+
+        // the conv entry under the hook: 3C's C1 and C2 geometries leave
+        // the direct kernel for the lowering and keep their bits
+        for (c_in, c_out, k, side) in [(1usize, 3usize, 3usize, 28usize), (3, 6, 4, 13)] {
+            let mut tensor = |dims: &[usize]| {
+                Tensor::from_vec(fill(&mut rng, dims.iter().product()), dims).unwrap()
+            };
+            let xs = [tensor(&[c_in, side, side])];
+            let kernels = tensor(&[c_out, c_in, k, k]);
+            let cbias = tensor(&[c_out]).into_vec();
+            let oracle = conv2d_valid(&xs[0], &kernels, &cbias).unwrap();
+            let mut scratch = ConvScratch::default();
+            for forced in [false, true] {
+                force_simd_fallback(forced);
+                let got = conv2d_valid_batch(&xs, &kernels, &cbias, &mut scratch, GemmKernel::Simd)
+                    .unwrap();
+                for (g, want) in got[0].data().iter().zip(oracle.data()) {
+                    assert_eq!(
+                        g.to_bits(),
+                        want.to_bits(),
+                        "conv, fallback forced: {forced}"
+                    );
+                }
+            }
+        }
         drop(_restore);
         // with the hook released, detection is back to the host truth
         assert_eq!(
@@ -1303,5 +1422,124 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// An ordinary value most of the time; otherwise (one draw in `rate`)
+    /// one of the values that break a careless kernel: signed zeros, exact
+    /// ties, magnitudes whose products and sums saturate, subnormals, ±inf
+    /// and NaN.
+    fn edge_fill(rng: &mut StdRng, len: usize, rate: u32) -> Vec<f32> {
+        const EDGES: [f32; 14] = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.5,
+            -0.5,
+            f32::MAX,
+            f32::MIN,
+            1.0e38,
+            -1.0e38,
+            f32::MIN_POSITIVE / 4.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        (0..len)
+            .map(|_| {
+                if rng.random_range(0..rate) == 0 {
+                    EDGES[rng.random_range(0..EDGES.len())]
+                } else {
+                    rng.random_range(-2.0..2.0)
+                }
+            })
+            .collect()
+    }
+
+    /// The direct AVX2 kernel against the oracle [`conv2d_valid`], bit for
+    /// bit (a NaN only has to be a NaN in the same cell), for every output
+    /// width from one vector to five — every overlap `ow % 8` of the last
+    /// vector — crossed with output heights that make the position count
+    /// odd or even and let a pair of positions straddle a row end, every
+    /// channel-block remainder, and kernels from 1×1 to 5×5. The output
+    /// buffer starts as a sentinel no arithmetic on these inputs produces,
+    /// so a cell the tiles skipped shows.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn direct_conv_matches_oracle_for_every_width() {
+        if !is_x86_feature_detected!("avx2") {
+            return;
+        }
+        let sentinel = f32::from_bits(0x7fc0_dead);
+        let mut rng = StdRng::seed_from_u64(0xC0DE);
+        for ow in 8usize..=40 {
+            for oh in [1usize, 2, 5, 8] {
+                for c_out in 1usize..=7 {
+                    for k in 1usize..=5 {
+                        for c_in in 1usize..=3 {
+                            let (h, w) = (oh + k - 1, ow + k - 1);
+                            // clean, sparse and dense edge values in turn
+                            let rate = [u32::MAX, 64, 6][(ow + oh + c_out + k + c_in) % 3];
+                            let x = edge_fill(&mut rng, c_in * h * w, rate);
+                            let kernels = edge_fill(&mut rng, c_out * c_in * k * k, rate);
+                            let bias = edge_fill(&mut rng, c_out, rate);
+                            let mut out = vec![sentinel; c_out * oh * ow];
+                            conv2d_direct_simd(
+                                &x, c_in, h, w, &kernels, c_out, k, k, &bias, &mut out, oh, ow,
+                            );
+                            let oracle = conv2d_valid(
+                                &Tensor::from_vec(x, &[c_in, h, w]).unwrap(),
+                                &Tensor::from_vec(kernels, &[c_out, c_in, k, k]).unwrap(),
+                                &bias,
+                            )
+                            .unwrap();
+                            for (i, (got, want)) in out.iter().zip(oracle.data()).enumerate() {
+                                let at = format!(
+                                    "cell {i} of ow={ow} oh={oh} c_out={c_out} k={k} c_in={c_in}"
+                                );
+                                assert_ne!(got.to_bits(), sentinel.to_bits(), "unwritten {at}");
+                                assert!(
+                                    got.to_bits() == want.to_bits()
+                                        || (got.is_nan() && want.is_nan()),
+                                    "{at}: {got:e} ({:#x}) vs {want:e} ({:#x})",
+                                    got.to_bits(),
+                                    want.to_bits()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The shape checks in front of the unchecked loads and stores: a map
+    /// narrower than a vector (the overlapped position `ow − 8` would
+    /// underflow), a geometry that is not the valid one, a short buffer.
+    #[test]
+    fn direct_conv_rejects_what_its_unsafe_code_cannot_take() {
+        let run = |input: usize, h: usize, w: usize, out: usize, oh: usize, ow: usize| {
+            std::panic::catch_unwind(|| {
+                let mut o = vec![0.0f32; out];
+                conv2d_direct_simd(
+                    &vec![0.0; input],
+                    1,
+                    h,
+                    w,
+                    &[0.0; 4],
+                    1,
+                    2,
+                    2,
+                    &[0.0],
+                    &mut o,
+                    oh,
+                    ow,
+                );
+            })
+        };
+        assert!(run(8 * 8, 8, 8, 7 * 7, 7, 7).is_err(), "ow = 7");
+        assert!(run(9 * 9, 9, 9, 8 * 9, 8, 9).is_err(), "ow != w - kw + 1");
+        assert!(run(9 * 9 - 1, 9, 9, 8 * 8, 8, 8).is_err(), "short input");
+        assert!(run(9 * 9, 9, 9, 8 * 8 - 1, 8, 8).is_err(), "short output");
     }
 }

@@ -160,14 +160,21 @@ impl BatchGeometry {
         self.oh * self.ow
     }
 
+    /// Whether the per-image direct kernel runs this batch: the
+    /// [`GemmKernel::Simd`] arm, on a host with AVX2, over maps at least
+    /// one vector wide. A pure function of kernel, host and geometry, so
+    /// it is asked once per batch; everything else lowers the whole batch
+    /// ([`Self::lower_and_multiply`]).
+    fn direct_applies(&self, kernel: GemmKernel) -> bool {
+        kernel == GemmKernel::Simd && GemmKernel::simd_available() && self.ow >= gemm::DIRECT_MIN_OW
+    }
+
     /// The per-image conv kernel of the [`GemmKernel::Simd`] arm: convolves
-    /// `input` straight from its feature maps into `raw` (`[C_out, oH,
-    /// oW]`) — no patch matrix. Returns `false`, writing nothing, when the
-    /// host lacks AVX2 or the maps are too narrow (`ow < 8`); the caller
-    /// then lowers the whole batch instead. Bit-identical to the lowered
-    /// path (bias first, then taps in im2col patch-row order; see
-    /// [`crate::gemm`]).
-    fn direct(&self, input: &Tensor, kernels: &Tensor, bias: &[f32], raw: &mut [f32]) -> bool {
+    /// `input` straight from its feature maps into every cell of `raw`
+    /// (`[C_out, oH, oW]`) — no patch matrix. Call only when
+    /// [`Self::direct_applies`]. Bit-identical to the lowered path (bias
+    /// first, then taps in im2col patch-row order; see [`crate::gemm`]).
+    fn direct(&self, input: &Tensor, kernels: &Tensor, bias: &[f32], raw: &mut [f32]) {
         gemm::conv2d_direct_simd(
             input.data(),
             self.c_in,
@@ -230,18 +237,22 @@ impl BatchGeometry {
 
 /// Valid cross-correlation of a whole batch through one shared im2col
 /// lowering and one GEMM over preallocated scratch, evaluated by the
-/// chosen [`GemmKernel`] — except on the [`GemmKernel::Simd`] arm with
-/// wide-enough feature maps (`ow >= 8`), which convolves each image
-/// **directly from its feature maps** (fused AVX2 kernel, no patch
-/// matrix; see [`crate::gemm`]).
+/// chosen [`GemmKernel`] — except on the [`GemmKernel::Simd`] arm of an
+/// AVX2 host with feature maps at least one vector wide (`ow >= 8`), which
+/// convolves each image **directly from its feature maps** (fused AVX2
+/// kernel, no patch matrix: full 8-lane vectors over the whole output
+/// plane, the last of a row overlapping its neighbour when `ow` is not a
+/// multiple of 8; see [`crate::gemm`]). Which route runs is decided once
+/// per batch, from the kernel, the host and the geometry alone.
 ///
 /// Every input must have the shape of `inputs[0]`. The accumulation order
 /// per output element — bias first, then taps in channel-major `(c, ky, kx)`
 /// order — is exactly [`crate::conv::conv2d_valid`]'s **for every
 /// kernel** (the tiled kernel repartitions the output plane — and the
-/// fused SIMD kernel skips the lowering — but never changes an element's
-/// addition sequence; see [`crate::gemm`]), so results are
-/// **bit-identical** to the per-image direct path.
+/// fused SIMD kernel skips the lowering and computes some columns twice —
+/// but neither changes an element's addition sequence; see
+/// [`crate::gemm`]), so results are **bit-identical** to the per-image
+/// direct path.
 ///
 /// # Errors
 ///
@@ -261,21 +272,15 @@ pub fn conv2d_valid_batch(
     let cols_per = g.cols_per();
     let dims = [g.c_out, g.oh, g.ow];
 
-    // Applicability of the direct kernel is a pure function of geometry
-    // and host support, so if the first image takes it the whole batch
-    // does.
-    if kernel == GemmKernel::Simd {
-        let mut outs = Vec::with_capacity(n);
-        for input in inputs {
-            let mut data = vec![0.0f32; g.c_out * cols_per];
-            if !g.direct(input, kernels, bias, &mut data) {
-                break;
-            }
-            outs.push(Tensor::from_vec(data, &dims)?);
-        }
-        if outs.len() == n {
-            return Ok(outs);
-        }
+    if g.direct_applies(kernel) {
+        return inputs
+            .iter()
+            .map(|input| {
+                let mut data = vec![0.0f32; g.c_out * cols_per];
+                g.direct(input, kernels, bias, &mut data);
+                Tensor::from_vec(data, &dims)
+            })
+            .collect();
     }
 
     g.lower_and_multiply(inputs, kernels, bias, scratch, kernel)?;
@@ -345,18 +350,15 @@ pub fn conv2d_pool_batch(
         Tensor::from_vec(data, &dims)
     };
 
-    if kernel == GemmKernel::Simd {
+    if g.direct_applies(kernel) {
         scratch.out.resize(g.c_out * cols_per, 0.0);
-        let mut outs = Vec::with_capacity(n);
-        for input in inputs {
-            if !g.direct(input, kernels, bias, &mut scratch.out) {
-                break;
-            }
-            outs.push(pooled(&scratch.out, cols_per)?);
-        }
-        if outs.len() == n {
-            return Ok(outs);
-        }
+        return inputs
+            .iter()
+            .map(|input| {
+                g.direct(input, kernels, bias, &mut scratch.out);
+                pooled(&scratch.out, cols_per)
+            })
+            .collect();
     }
 
     g.lower_and_multiply(inputs, kernels, bias, scratch, kernel)?;
@@ -400,16 +402,26 @@ mod tests {
         use rand::{RngExt, SeedableRng};
         let mut rng = StdRng::seed_from_u64(11);
         for (n, c_in, c_out, k, size) in [
-            // ow = 24: fused Simd path, 16-wide + 8-wide tiles, OC blocks 3+3
+            // 2C's C1, ow = 24: direct Simd path, 3 aligned vectors a row,
+            // 72 positions in 2×3 tiles, OC blocks 3+3
             (1usize, 1usize, 6usize, 5usize, 28usize),
-            // ow = 8: fused path at the single-vector boundary, OC 3+3+3+3
+            // 2C's C2, ow = 8: one vector a row, every pair straddles a row
+            // end, OC 3+3+3+3
             (4, 6, 12, 5, 12),
-            // ow = 5: narrow geometry — Simd falls back to im2col + GEMM
+            // ow = 5: narrow geometry — Simd lowers the batch instead
             (9, 3, 4, 3, 7),
-            // ow = 10 with c_out = 2: fused path's OC=2 tail block
+            // ow = 10 with c_out = 2: overlapped last vector at ox = 2 and
+            // the OC=2 block
             (3, 2, 2, 3, 12),
-            // ow = 9 with c_out = 7: OC blocks 3+3+1 and a 1-wide column tail
+            // ow = 9 with c_out = 7: OC blocks 3+3+1, 7 recomputed columns
             (2, 1, 7, 2, 10),
+            // 3C's C1, ow = 26: vectors at ox = 0, 8, 16 and 18
+            (2, 1, 3, 3, 28),
+            // 3C's C2, ow = 10: vectors at ox = 0 and 2, 20 positions
+            (2, 3, 6, 4, 13),
+            // 19×19 maps: 3 vectors × 19 rows is an odd position count, so
+            // the last tile runs 1 vector × 1 channel
+            (1, 2, 1, 2, 20),
         ] {
             let inputs: Vec<Tensor> = (0..n)
                 .map(|_| {
