@@ -16,6 +16,14 @@ use cdl_nn::trainer::{train, LabelledSet, TrainConfig};
 use cdl_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
+/// Names the arithmetic a cached model was trained under, as part of its
+/// cache key: training is bit-reproducible only for one definition of the
+/// sigmoid, so a `target/cdl-cache/*.json` written under another one (libm
+/// `expf`, before `cdl_tensor::math`) must miss rather than load as if
+/// "retrained == cached" still held. Bump it with any change to the
+/// numerics of training.
+const NUMERICS: &str = "polyexp1";
+
 /// Error type used by the pipeline (send-able so preparation can run on
 /// worker threads).
 pub type BenchError = Box<dyn std::error::Error + Send + Sync>;
@@ -118,7 +126,7 @@ impl ExperimentConfig {
 
     fn cache_key(&self, arch_name: &str) -> String {
         format!(
-            "{}_n{}_e{}_d{}_s{}_{}{}",
+            "{}_{NUMERICS}_n{}_e{}_d{}_s{}_{}{}",
             arch_name,
             self.train_n,
             self.epochs,
@@ -447,6 +455,14 @@ mod tests {
         )
         .unwrap();
         assert!(p1.train_seconds > 0.0);
+        // the file is keyed by the numerics tag: one written under another
+        // definition of the sigmoid has another name and is never loaded
+        let written: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert_eq!(written.len(), 1);
+        assert!(written[0].contains(&format!("_{NUMERICS}_")), "{written:?}");
         // second call must hit the cache
         let p2 = prepare(
             arch::mnist_3c(),

@@ -13,7 +13,7 @@
 //! probabilities or distance from the decision boundary"); this module
 //! provides the three standard choices as a [`ConfidencePolicy`].
 
-use cdl_tensor::{ops, Tensor};
+use cdl_tensor::{math, ops, Tensor};
 use serde::{Deserialize, Serialize};
 
 use crate::error::CdlError;
@@ -150,11 +150,20 @@ impl ConfidencePolicy {
             return Err(CdlError::BadPolicy("empty score vector".into()));
         }
         if let ConfidencePolicy::SigmoidProb { delta } = *self {
-            // per-class sigmoid confidences: no normalisation across classes
-            let sig = scores.map(|v| 1.0 / (1.0 + (-v).exp()));
-            let label = sig.argmax().expect("non-empty scores");
-            let c_top = sig.data()[label];
-            let confident = sig.data().iter().filter(|&&c| c >= delta).count();
+            // per-class sigmoid confidences: no normalisation across classes,
+            // and no probability tensor — one pass keeps the arg-max (first
+            // occurrence, as `Tensor::argmax`) and counts the confident classes
+            let mut confidences = scores.data().iter().map(|&s| math::sigmoid(s));
+            let mut c_top = confidences.next().expect("non-empty scores");
+            let mut label = 0;
+            let mut confident = usize::from(c_top >= delta);
+            for (i, c) in confidences.enumerate() {
+                if c > c_top {
+                    label = i + 1;
+                    c_top = c;
+                }
+                confident += usize::from(c >= delta);
+            }
             return Ok(Decision {
                 label,
                 confidence: c_top,
@@ -329,6 +338,34 @@ mod tests {
             "confidence {} should not exit when two labels exceed delta",
             d.confidence
         );
+    }
+
+    /// The one-pass `SigmoidProb` arm decides what the probability-tensor
+    /// formulation did: arg-max by first occurrence, `>= delta` count over
+    /// every class — ties, a saturated pair and a leading NaN included.
+    #[test]
+    fn sigmoid_prob_matches_the_tensor_formulation() {
+        for delta in [0.5f32, 0.6, 1.0] {
+            for v in [
+                vec![3.0, -2.0, -4.0],
+                vec![-1.0, 2.5, 2.5, 0.0],
+                vec![0.3, 0.2, 0.1],
+                vec![40.0, -3.0, 40.0],
+                vec![f32::NAN, 5.0, -5.0],
+                vec![-5.0, f32::NAN, 5.0],
+                vec![0.0],
+            ] {
+                let s = scores(v);
+                let sig = s.map(math::sigmoid);
+                let label = sig.argmax().unwrap();
+                let c_top = sig.data()[label];
+                let confident = sig.data().iter().filter(|&&c| c >= delta).count();
+                let d = ConfidencePolicy::sigmoid_prob(delta).decide(&s).unwrap();
+                assert_eq!(d.label, label, "{s:?}");
+                assert_eq!(d.confidence.to_bits(), c_top.to_bits(), "{s:?}");
+                assert_eq!(d.exit, confident == 1 && c_top >= delta, "{s:?}");
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use cdl_nn::activation::Activation;
 use cdl_nn::loss::one_hot;
-use cdl_tensor::{gemm::GemmKernel, init::Init, ops, Tensor};
+use cdl_tensor::{gemm::GemmKernel, init::Init, math, ops, Tensor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -144,7 +144,9 @@ impl LinearClassifier {
     ///
     /// Same as [`LinearClassifier::scores`].
     pub fn outputs(&self, features: &Tensor) -> Result<Tensor> {
-        Ok(self.scores(features)?.map(|v| Activation::Sigmoid.apply(v)))
+        let mut out = self.scores(features)?;
+        math::sigmoid_slice(out.data_mut());
+        Ok(out)
     }
 
     /// Predicted label.

@@ -1,5 +1,6 @@
 //! Scalar activation functions and their derivatives.
 
+use cdl_tensor::math;
 use serde::{Deserialize, Serialize};
 
 /// An elementwise nonlinearity.
@@ -31,6 +32,15 @@ impl Activation {
     /// activations, and `tests::pool_first_*` checks each of them over
     /// every `f32`.
     ///
+    /// For `Sigmoid` this is a property of one particular operation
+    /// sequence — the polynomial `exp` of [`cdl_tensor::math`], whose
+    /// range reduction switches branch of the polynomial every `ln 2` —
+    /// and not of the logistic function, so it is measured, not derived:
+    /// change a constant or an operation there and the exhaustive sweep
+    /// (`cargo test --release -p cdl-nn --lib -- --ignored pool_first`,
+    /// ~2 min) has to pass again. [`Activation::apply_slice`] computes the
+    /// same bits as `apply` per cell, so the property carries over to it.
+    ///
     /// What the tests establish, walking the non-NaN `f32`s in ascending
     /// order: `apply` is non-decreasing and never NaN; two *distinct*
     /// inputs with numerically equal outputs have bit-identical outputs (no
@@ -46,14 +56,34 @@ impl Activation {
     pub const POOL_FIRST: [Activation; 3] =
         [Activation::Sigmoid, Activation::Tanh, Activation::Identity];
 
-    /// Applies the function to a scalar.
+    /// Applies the function to a scalar. `Sigmoid` is
+    /// [`cdl_tensor::math::sigmoid`] — the workspace's one logistic
+    /// function, a polynomial `exp` rather than libm's, positive even at
+    /// `-inf`; `Tanh` is libm's.
     #[inline]
     pub fn apply(self, x: f32) -> f32 {
         match self {
-            Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
+            Activation::Sigmoid => math::sigmoid(x),
             Activation::Tanh => x.tanh(),
             Activation::Relu => x.max(0.0),
             Activation::Identity => x,
+        }
+    }
+
+    /// Applies the function to every element of `xs` in place: exactly
+    /// `for v in xs { *v = self.apply(*v) }`, bit for bit, with `Sigmoid`
+    /// taking [`cdl_tensor::math::sigmoid_slice`] (8 AVX2 lanes at a time
+    /// where the host has them). This is what the batched layers and the
+    /// fused stage groups call.
+    pub fn apply_slice(self, xs: &mut [f32]) {
+        match self {
+            Activation::Sigmoid => math::sigmoid_slice(xs),
+            Activation::Identity => {}
+            Activation::Tanh | Activation::Relu => {
+                for v in xs {
+                    *v = self.apply(*v);
+                }
+            }
         }
     }
 
@@ -207,8 +237,9 @@ mod tests {
         }
     }
 
-    /// All 4 278 190 082 non-NaN values per activation (~16 s each in
-    /// release): `cargo test --release -p cdl-nn -- --ignored pool_first`.
+    /// All 4 278 190 082 non-NaN values per activation (~2 min in release,
+    /// most of it the sigmoid's subnormal `r²` below `|x| = 2⁻⁶³`):
+    /// `cargo test --release -p cdl-nn --lib -- --ignored pool_first`.
     #[test]
     #[ignore = "exhaustive f32 sweep; run in release"]
     fn pool_first_activations_commute_with_max_pool_exhaustive() {

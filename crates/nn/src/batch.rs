@@ -34,8 +34,14 @@
 //! bits, and treat `-0.0` and `+0.0` alike. `activation`'s tests establish
 //! this for each listed activation over every `f32`, and the plan consults
 //! the same list. A 2×2 pool therefore evaluates a quarter of the
-//! activations (864 instead of 3456 sigmoids for MNIST_2C's C1) with
-//! `Activation::apply` itself unchanged.
+//! activations (864 instead of 3456 sigmoids for MNIST_2C's C1), and those
+//! as one slice per image: the group hands the pooled map to
+//! [`Activation::apply_slice`](crate::activation::Activation::apply_slice),
+//! which for the sigmoid is `cdl_tensor::math::sigmoid_slice` — 8 AVX2
+//! lanes of the same FMA-free polynomial `exp` the per-image
+//! `Activation::apply` evaluates one cell at a time, equal bit for bit
+//! (`cdl_tensor::math`'s sweep over all 2³² patterns). Both sides changed
+//! together when the libm `expf` was retired; there is no second sigmoid.
 //!
 //! Everything else runs layer by layer through
 //! [`Layer::forward_batch`](crate::layer::Layer::forward_batch), in the

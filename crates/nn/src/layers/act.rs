@@ -40,11 +40,13 @@ impl Layer for ActivationLayer {
     }
 
     fn forward(&self, x: &Tensor) -> Result<Tensor> {
-        Ok(x.map(|v| self.act.apply(v)))
+        let mut y = x.clone();
+        self.act.apply_slice(y.data_mut());
+        Ok(y)
     }
 
     fn forward_train(&mut self, x: &Tensor) -> Result<Tensor> {
-        let y = x.map(|v| self.act.apply(v));
+        let y = self.forward(x)?;
         self.cache_output = Some(y.clone());
         Ok(y)
     }

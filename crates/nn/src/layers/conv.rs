@@ -127,7 +127,7 @@ impl Layer for Conv2d {
                 &self.kernels,
                 self.bias.data(),
                 window,
-                |v| activation.apply(v),
+                |pooled| activation.apply_slice(pooled),
                 &mut scratch.conv,
                 scratch.kernel,
             )

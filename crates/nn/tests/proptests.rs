@@ -43,7 +43,7 @@ fn input_gradient_matches<L: Layer>(layer: &mut L, x: &Tensor, tol: f32) -> Resu
 
 /// A value from the edges the pool-first reorder has to survive: signed
 /// zeros, exact ties (small integers), magnitudes that saturate sigmoid and
-/// tanh to a plateau, and — rarely — infinities and NaN.
+/// tanh to a plateau, subnormals, and — rarely — infinities and NaN.
 fn edge_value(rng: &mut StdRng) -> f32 {
     match rng.random_range(0..400u32) {
         0 => f32::INFINITY,
@@ -51,7 +51,8 @@ fn edge_value(rng: &mut StdRng) -> f32 {
         2 => f32::NAN,
         3..=40 => -0.0,
         41..=80 => 0.0,
-        81..=110 => [-1.0e4, -120.0, -20.0, 20.0, 120.0, 1.0e4][rng.random_range(0..6usize)],
+        81..=110 => [-1.0e4, -120.0, -20.0, -1.0e-40, 1.0e-40, 20.0, 120.0, 1.0e4]
+            [rng.random_range(0..8usize)],
         111..=300 => rng.random_range(-2i32..3) as f32,
         _ => rng.random_range(-1.5..1.5),
     }
@@ -239,6 +240,18 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// `apply_slice` stores what `apply` returns, cell by cell, for every
+    /// activation and every slice length around the 8-lane vector width.
+    #[test]
+    fn apply_slice_matches_apply(act in 0usize..4, len in 0usize..40, seed in 0u64..10_000) {
+        let act = [Activation::Sigmoid, Activation::Tanh, Activation::Relu, Activation::Identity][act];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let x = edge_tensor(&mut rng, &[len]);
+        let mut sliced = x.clone();
+        act.apply_slice(sliced.data_mut());
+        same_bits(&x.map(|v| act.apply(v)), &sliced).map_err(|e| TestCaseError::fail(format!("{act}: {e}")))?;
+    }
 
     /// The fused `conv → activation → max-pool` group equals the three
     /// layers run per image, bit for bit, for every kernel, activation and

@@ -1046,7 +1046,7 @@ impl TcpServer {
         let local_addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let mut pollers = Vec::with_capacity(config.pollers);
-        for _ in 0..config.pollers {
+        for i in 0..config.pollers {
             let poll = Poll::new()?;
             let waker = Arc::new(Waker::new(&poll, WAKER_TOKEN)?);
             let parked = Arc::new(AtomicBool::new(false));
@@ -1075,7 +1075,10 @@ impl TcpServer {
                 done_tx,
                 done_rx,
             };
-            let thread = std::thread::spawn(move || poller.run());
+            let thread = std::thread::Builder::new()
+                .name(format!("cdl-edge-poller-{i}"))
+                .spawn(move || poller.run())
+                .expect("spawn edge poller thread");
             pollers.push(PollerHandle {
                 reg_tx,
                 waker,
@@ -1090,7 +1093,7 @@ impl TcpServer {
                 .collect();
             let mut backoff =
                 AcceptBackoff::new(config.accept_backoff_initial, config.accept_backoff_max);
-            std::thread::spawn(move || {
+            let accept_loop = move || {
                 let mut next = 0usize;
                 loop {
                     let (stream, _) = match listener.accept() {
@@ -1126,7 +1129,11 @@ impl TcpServer {
                         let _ = waker.wake();
                     }
                 }
-            })
+            };
+            std::thread::Builder::new()
+                .name("cdl-edge-accept".into())
+                .spawn(accept_loop)
+                .expect("spawn edge accept thread")
         };
         Ok(TcpServer {
             local_addr,

@@ -1090,6 +1090,37 @@ mod simd {
     }
 }
 
+/// Serializes this crate's tests that read *and* those that flip the
+/// process-global forced-fallback flag — a flip between two reads in a
+/// concurrently running detection test would fail it spuriously (result
+/// bits are flip-immune; only detection itself is not) — and releases the
+/// hook when dropped, even on panic.
+#[cfg(test)]
+pub(crate) struct DetectionGuard {
+    _lock: std::sync::MutexGuard<'static, ()>,
+}
+
+#[cfg(test)]
+impl DetectionGuard {
+    pub(crate) fn lock() -> Self {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        // the flag is restored by `drop` before the lock is released, so a
+        // holder that panicked left nothing half-done behind the poison
+        DetectionGuard {
+            _lock: LOCK
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner),
+        }
+    }
+}
+
+#[cfg(test)]
+impl Drop for DetectionGuard {
+    fn drop(&mut self) {
+        force_simd_fallback(false);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1098,12 +1129,6 @@ mod tests {
     use crate::tensor::Tensor;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
-
-    /// Serializes the tests that read *and* the test that flips the
-    /// process-global forced-fallback flag: a flip between two reads in a
-    /// concurrently running detection test would fail it spuriously.
-    /// (Result bits are flip-immune — only detection itself is not.)
-    static DETECTION_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn fill(rng: &mut StdRng, len: usize) -> Vec<f32> {
         (0..len).map(|_| rng.random_range(-2.0..2.0)).collect()
@@ -1292,7 +1317,7 @@ mod tests {
 
     #[test]
     fn detect_matches_host_support() {
-        let _guard = DETECTION_LOCK.lock().unwrap();
+        let _guard = DetectionGuard::lock();
         if GemmKernel::simd_available() {
             assert_eq!(GemmKernel::detect(), GemmKernel::Simd);
         } else {
@@ -1306,14 +1331,7 @@ mod tests {
     /// dimension. The guard restores the real dispatch even on panic.
     #[test]
     fn simd_forced_fallback_is_bit_identical_to_tiled() {
-        let _guard = DETECTION_LOCK.lock().unwrap();
-        struct Restore;
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                force_simd_fallback(false);
-            }
-        }
-        let _restore = Restore;
+        let _guard = DetectionGuard::lock();
         let mut rng = StdRng::seed_from_u64(77);
         let (m, k, n) = (7usize, 13usize, 29usize);
         let a = fill(&mut rng, m * k);
@@ -1366,7 +1384,7 @@ mod tests {
                 }
             }
         }
-        drop(_restore);
+        force_simd_fallback(false);
         // with the hook released, detection is back to the host truth
         assert_eq!(
             GemmKernel::simd_available(),

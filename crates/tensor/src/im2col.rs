@@ -302,12 +302,16 @@ pub fn conv2d_valid_batch(
 /// convolved exactly as [`conv2d_valid_batch`] would (same per-image
 /// direct kernel on the Simd arm, same lowering + GEMM otherwise), its raw
 /// pre-activation maps are max-pooled while still in `scratch`, and
-/// `activation` is applied to the pooled `[C_out, oH/window, oW/window]`
-/// map only — a `window²`-fold cut in activation evaluations and one
-/// output tensor per image.
+/// `activation` is applied, in place and in one call, to the pooled
+/// `[C_out, oH/window, oW/window]` map only — a `window²`-fold cut in
+/// activation evaluations, a whole slice for a vectorised activation
+/// ([`crate::math::sigmoid_slice`]) to work on, and one output tensor per
+/// image.
 ///
 /// The result equals pooling the activated maps **bit for bit** whenever
-/// `activation` commutes with [`crate::pool`]'s scan: non-decreasing over
+/// `activation` is elementwise — cell `i` of the slice depends on cell `i`
+/// alone, whatever the slice's length — and, as a function of one cell,
+/// commutes with [`crate::pool`]'s scan: non-decreasing over
 /// the ordered non-NaN `f32`s, NaN in ⇒ NaN out, numerically equal
 /// outputs of distinct inputs identical in bits, and equal outputs for
 /// `-0.0` and `+0.0` (then the raw scan and the activated scan pick the
@@ -325,7 +329,7 @@ pub fn conv2d_pool_batch(
     kernels: &Tensor,
     bias: &[f32],
     window: usize,
-    activation: impl Fn(f32) -> f32,
+    activation: impl Fn(&mut [f32]),
     scratch: &mut ConvScratch,
     kernel: GemmKernel,
 ) -> Result<Vec<Tensor>> {
@@ -344,9 +348,7 @@ pub fn conv2d_pool_batch(
     let pooled = |raw: &[f32], plane_stride: usize| {
         let mut data = vec![0.0f32; dims.iter().product()];
         pool::maxpool2d_into(raw, (g.c_out, g.oh, g.ow), plane_stride, window, &mut data);
-        for v in &mut data {
-            *v = activation(*v);
-        }
+        activation(&mut data);
         Tensor::from_vec(data, &dims)
     };
 
@@ -371,6 +373,7 @@ pub fn conv2d_pool_batch(
 mod tests {
     use super::*;
     use crate::conv::conv2d_valid;
+    use crate::math;
 
     fn t(v: Vec<f32>, d: &[usize]) -> Tensor {
         Tensor::from_vec(v, d).unwrap()
@@ -501,7 +504,6 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{RngExt, SeedableRng};
         let mut rng = StdRng::seed_from_u64(5);
-        let sigmoid = |v: f32| 1.0 / (1.0 + (-v).exp());
         for (n, c_in, c_out, k, size, window) in [
             // 2C's C1/P1 and C2/P2: the direct kernel on the Simd arm
             (3usize, 1usize, 6usize, 5usize, 28usize, 2usize),
@@ -531,13 +533,13 @@ mod tests {
                     &kernels,
                     &bias,
                     window,
-                    sigmoid,
+                    math::sigmoid_slice,
                     &mut scratch,
                     gemm_kernel,
                 )
                 .unwrap();
                 for (x, f) in inputs.iter().zip(&fused) {
-                    let activated = conv2d_valid(x, &kernels, &bias).unwrap().map(sigmoid);
+                    let activated = conv2d_valid(x, &kernels, &bias).unwrap().map(math::sigmoid);
                     let unfused = pool::maxpool2d_forward(&activated, window).unwrap();
                     assert_eq!(unfused.dims(), f.dims());
                     for (u, v) in unfused.data().iter().zip(f.data()) {
@@ -559,7 +561,7 @@ mod tests {
                 &k,
                 &[0.0],
                 window,
-                |v| v,
+                |_| (),
                 &mut scratch,
                 GemmKernel::default()
             )
@@ -570,7 +572,7 @@ mod tests {
             &k,
             &[0.0],
             3,
-            |v| v,
+            |_| (),
             &mut scratch,
             GemmKernel::default(),
         )
@@ -581,7 +583,7 @@ mod tests {
             &k,
             &[0.0],
             2,
-            |v| v,
+            |_| (),
             &mut scratch,
             GemmKernel::default()
         )

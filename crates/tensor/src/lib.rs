@@ -13,6 +13,8 @@
 //! * *valid* 2-D multi-channel convolution / cross-correlation and their
 //!   gradients ([`conv`]),
 //! * max- and mean-pooling with argmax bookkeeping for backprop ([`pool`]),
+//! * the workspace's logistic function — an FMA-free polynomial `exp`,
+//!   scalar and 8-lane AVX2, bit for bit ([`math`]),
 //! * weight initialisers (uniform, Xavier/Glorot, LeCun) ([`init`]).
 //!
 //! The layer zoo in `cdl-nn` is written against this crate; nothing here is
@@ -42,6 +44,7 @@ pub mod error;
 pub mod gemm;
 pub mod im2col;
 pub mod init;
+pub mod math;
 pub mod ops;
 pub mod pool;
 pub mod shape;

@@ -2,8 +2,8 @@
 //! churn, and shutdown-under-load.
 //!
 //! The edge's scaling claim is structural — threads are O(pollers), not
-//! O(connections) — so these tests pin it with the OS's own ledger
-//! (`/proc/self/status` `Threads:`): 256 idle connections add **zero**
+//! O(connections) — so these tests pin it with the OS's own ledger (the
+//! `cdl-*` named tasks under `/proc/self/task`): 256 idle connections add **zero**
 //! threads beyond the fixed pool, and a connect/serve/disconnect churn
 //! loop leaves the count exactly where it started (regression for the old
 //! edge, which spawned reader+writer threads per connection and parked
@@ -34,16 +34,35 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
+/// The serving stack's threads: the tasks of this process named `cdl-*`
+/// (`cdl-edge-poller-*`, `cdl-edge-accept`, `cdl-serve-*`,
+/// `cdl-hedge-timer` — every thread the stack spawns is named, and one it
+/// spawned anonymously would inherit such a name), plus the tasks named
+/// like the calling thread: a new thread carries its spawner's name until
+/// it first runs and renames itself, so these are the stack's threads that
+/// have not started yet (and the caller, a constant). The process-wide
+/// `Threads:` line would also count the libtest worker of the previous
+/// test while it exits.
 #[cfg(target_os = "linux")]
 fn thread_count() -> usize {
-    std::fs::read_to_string("/proc/self/status")
+    let own = std::fs::read_to_string("/proc/thread-self/comm").unwrap();
+    std::fs::read_dir("/proc/self/task")
         .unwrap()
-        .lines()
-        .find_map(|line| line.strip_prefix("Threads:"))
-        .expect("/proc/self/status lists Threads:")
-        .trim()
-        .parse()
-        .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|name| name.starts_with("cdl-") || *name == own)
+        .count()
+}
+
+/// Asserts that the stack's thread count is `expected`, allowing it two
+/// seconds to get there: a thread that has been joined can stay listed for
+/// a moment while the kernel reaps it; a leaked one stays for good.
+#[cfg(target_os = "linux")]
+fn assert_thread_count(expected: usize, what: &str) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(2);
+    while thread_count() != expected && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(thread_count(), expected, "{what}");
 }
 
 fn build_untrained(arch: CdlArchitecture, seed: u64) -> Arc<CdlNetwork> {
@@ -103,10 +122,9 @@ fn idle_connections_cost_pollers_not_threads() {
         assert!(result.is_ok(), "sampled connection {i} failed: {result:?}");
         served += 1;
     }
-    assert_eq!(
-        thread_count(),
+    assert_thread_count(
         with_edge,
-        "idle connections must not spawn threads (O(pollers) edge)"
+        "idle connections must not spawn threads (O(pollers) edge)",
     );
 
     drop(clients);
@@ -148,11 +166,7 @@ fn connection_churn_leaves_no_threads_behind() {
         assert!(result.is_ok(), "churn iteration {i} failed: {result:?}");
         drop(client);
     }
-    assert_eq!(
-        thread_count(),
-        baseline,
-        "connection churn must not leak threads"
-    );
+    assert_thread_count(baseline, "connection churn must not leak threads");
 
     edge.shutdown();
     let metrics = Arc::try_unwrap(router).unwrap().shutdown();
@@ -218,10 +232,9 @@ fn shutdown_under_load_cancels_inflight_and_joins_the_pool() {
     // must not hang on the 8 stalled pendings
     edge.shutdown();
     #[cfg(target_os = "linux")]
-    assert_eq!(
-        thread_count(),
+    assert_thread_count(
         before_edge,
-        "shutdown must join the accept thread and every poller"
+        "shutdown must join the accept thread and every poller",
     );
     drop(clients);
 
