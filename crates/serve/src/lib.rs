@@ -66,8 +66,10 @@
 //!   requests by [`ModelId`] to per-model shards (each a full
 //!   batcher + worker-pool pipeline) with independent backpressure,
 //!   per-shard and aggregate metrics ([`RouterMetrics`]: routing histogram,
-//!   per-model exit/energy breakdown), and drain-then-stop shutdown across
-//!   all shards.
+//!   per-replica ledgers, and [`ShardMetrics::total`] /
+//!   [`RouterMetrics::total`] — the one [`ServerMetrics::merge`] folded
+//!   over a model's replicas or the whole router, so every total is a
+//!   field of one ledger), and drain-then-stop shutdown across all shards.
 //! * **Replica sets** ([`ReplicaSpec`]): each model may be served by N
 //!   identical replicas behind one [`ModelId`]; at admission a
 //!   [`PlacementPolicy`] (round-robin, least-loaded, or
@@ -112,15 +114,19 @@
 //!   hot-swap — see *Failure model* below.
 //! * **Telemetry** ([`cdl_telemetry`], re-exported here): every latency
 //!   metric is backed by a mergeable log-bucketed [`LogHistogram`] (O(1)
-//!   record, ≤ 1/64 relative quantile error, exact min/mean/max —
-//!   [`ShardMetrics::latency`] and [`RouterMetrics::latency`] merge the
-//!   per-replica histograms into true cross-replica tails), and
+//!   record, ≤ 1/64 relative quantile error, exact min/mean/max — the
+//!   merged ledger of [`ShardMetrics::total`] / [`RouterMetrics::total`]
+//!   carries the merged per-replica histogram, so its
+//!   [`ServerMetrics::latency`] is a true cross-replica tail), and
 //!   [`ServerConfig::telemetry`] can switch on per-request lifecycle
 //!   **spans** (admit → enqueue → batch-seal → dispatch → per-stage →
 //!   exit → reply, recorded into lock-free per-thread rings, sampled
 //!   deterministically by trace id). [`Server::telemetry_snapshot`] /
 //!   [`Router::telemetry_snapshot`] export both as Prometheus text or a
-//!   Chrome trace; [`TcpClient::submit_with_trace`] carries the
+//!   Chrome trace — the Prometheus side is [`Router::metrics`] rendered
+//!   by [`RouterMetrics::fill_telemetry`], including the paper's
+//!   quantities (`cdl_exits_total{stage}`, `cdl_ops_total{kind}`,
+//!   `cdl_energy_picojoules_total`); [`TcpClient::submit_with_trace`] carries the
 //!   [`TraceId`] across the wire so one trace covers the hop.
 //!
 //! ## Example

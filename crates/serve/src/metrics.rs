@@ -1,16 +1,13 @@
-//! Server observability: counters, batch-size/exit histograms, latency
-//! percentiles and cumulative op/energy accounting.
-//!
-//! Latency distributions are backed by [`LogHistogram`] (see
-//! `cdl_telemetry`): O(1) per-completion recording, O(buckets) snapshots
-//! (no more sorting a 65k-sample window per snapshot), exact lifetime
-//! `min`/`mean`/`max`, quantiles within a documented 1/64 relative-error
-//! bound — and, because histograms merge losslessly,
-//! [`ShardMetrics::latency`]/[`RouterMetrics::latency`] report *true*
-//! cross-replica tail percentiles instead of unaggregatable per-server
-//! numbers.
+//! Server observability: one mergeable ledger, [`ServerMetrics`] —
+//! counters, batch-size/exit histograms, latency histogram and cumulative
+//! op/energy accounting. It is the recorder's state, the snapshot a caller
+//! gets, the value a hot-swap carries forward and the unit of every rollup:
+//! [`ShardMetrics::total`] and [`RouterMetrics::total`] fold
+//! [`ServerMetrics::merge`] over their replicas (the latency
+//! [`LogHistogram`] merges losslessly, so a total's percentiles are *true*
+//! cross-replica tails), and the Prometheus export
+//! ([`RouterMetrics::fill_telemetry`]) renders the same snapshot.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -51,19 +48,16 @@ impl LatencyStats {
     /// Extract the stats from a latency histogram (`None` when empty).
     /// O(buckets), independent of how many samples were recorded.
     pub fn from_histogram(histogram: &LogHistogram) -> Option<LatencyStats> {
-        if histogram.is_empty() {
-            return None;
-        }
-        let q = |q: f64| histogram.quantile_duration(q).unwrap_or(Duration::ZERO);
+        let q = |q: f64| histogram.quantile_duration(q);
         Some(LatencyStats {
             count: histogram.count(),
-            min: Duration::from_nanos(histogram.min_value().unwrap_or(0)),
-            mean: Duration::from_nanos(histogram.mean().unwrap_or(0)),
-            p50: q(0.5),
-            p99: q(0.99),
-            p999: q(0.999),
-            p9999: q(0.9999),
-            max: Duration::from_nanos(histogram.max_value().unwrap_or(0)),
+            min: Duration::from_nanos(histogram.min_value()?),
+            mean: Duration::from_nanos(histogram.mean()?),
+            p50: q(0.5)?,
+            p99: q(0.99)?,
+            p999: q(0.999)?,
+            p9999: q(0.9999)?,
+            max: Duration::from_nanos(histogram.max_value()?),
         })
     }
 }
@@ -79,14 +73,23 @@ pub(crate) enum BatchCause {
     Flush,
 }
 
-/// A point-in-time snapshot of a [`crate::Server`]'s counters.
+/// The serve layer's ledger: a point-in-time snapshot of one
+/// [`crate::Server`]'s counters ([`crate::Server::metrics`] live,
+/// [`crate::Server::shutdown`] final), or the [`ServerMetrics::merge`] of
+/// several ([`ShardMetrics::total`] / [`RouterMetrics::total`]). `Display`
+/// renders a compact multi-line report.
 ///
-/// Obtained from [`crate::Server::metrics`] (live) or returned by
-/// [`crate::Server::shutdown`] (final). `Display` renders a compact
-/// multi-line report.
-#[derive(Debug, Clone)]
+/// Every field is **primary**: recorded once, and merged by one rule —
+/// counters, op ledgers, `energy_pj` and `queue_depth` sum, histograms add
+/// slot-wise, `elapsed` takes the maximum and `active_span` the union. The
+/// **derived** values — [`ServerMetrics::batches`],
+/// [`ServerMetrics::mean_batch_size`], [`ServerMetrics::throughput_rps`],
+/// [`ServerMetrics::latency`] — are methods over the primaries, so they
+/// mean the same on one server's snapshot and on a merge. `Default` is the
+/// empty ledger, the identity of `merge`.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServerMetrics {
-    /// Wall-clock since the server started.
+    /// Wall-clock since the server started (merged: the longest lifetime).
     pub elapsed: Duration,
     /// Requests admitted into the queue.
     pub submitted: u64,
@@ -130,15 +133,8 @@ pub struct ServerMetrics {
     /// Shed submissions per tenant id, sorted by tenant (quota refusals
     /// always carry a tenant and land here).
     pub shed_by_tenant: Vec<(u32, u64)>,
-    /// Admitted requests not yet completed/cancelled/failed.
+    /// Admitted requests not yet completed/cancelled/failed (a gauge).
     pub queue_depth: usize,
-    /// Batches evaluated (batches whose live requests were all cancelled
-    /// are not counted — nothing was evaluated). A dispatched batch whose
-    /// requests carry `k` distinct [`crate::SubmitOptions`] overrides is
-    /// evaluated as `k` policy-uniform sub-batches and counted `k` times
-    /// here (the `batches_full`/`batches_deadline`/`batches_flushed`
-    /// dispatch counters still count it once).
-    pub batches: u64,
     /// Batches dispatched because they were full.
     pub batches_full: u64,
     /// Batches dispatched by the `max_wait` deadline.
@@ -149,41 +145,33 @@ pub struct ServerMetrics {
     /// cancellation pruning and override grouping — see
     /// [`ServerMetrics::batches`]).
     pub batch_size_histogram: Vec<u64>,
-    /// Mean evaluated batch size.
-    pub mean_batch_size: f64,
-    /// Completed requests per second over the server's **active span** —
-    /// the wall-clock between its first and its last completion — so a
-    /// server that sat idle before its first request or after its last one
-    /// (e.g. a long pre-drain tail) is not understated. When the span is
-    /// degenerate (zero completions, or every completion at one instant,
-    /// as with a single completed request) the rate falls back to
-    /// completions per second of total uptime.
-    pub throughput_rps: f64,
-    /// Submit→result latency distribution (`None` until something
-    /// completed).
-    pub latency: Option<LatencyStats>,
-    /// The full latency histogram behind [`ServerMetrics::latency`] —
-    /// mergeable across replicas ([`LogHistogram::merge`] is lossless), so
-    /// shard- and router-level rollups report true union percentiles.
+    /// The **active span** [`ServerMetrics::throughput_rps`] is a rate
+    /// over: the instants of the first and the latest completion (`None`
+    /// until something completed). Merges as the union (earliest first,
+    /// latest last), so the rate keeps its meaning across a hot swap.
+    pub active_span: Option<(Instant, Instant)>,
+    /// The submit→result latency histogram behind
+    /// [`ServerMetrics::latency`] — [`LogHistogram::merge`] is lossless, so
+    /// shard- and router-level totals report true union percentiles.
     pub latency_histogram: LogHistogram,
     /// `exit_histogram[i]` = completed requests that exited at stage `i`
     /// (last slot = final output layer).
     pub exit_histogram: Vec<u64>,
     /// Cumulative operations of every completed request, plus the partial
-    /// work of requests shed mid-batch (broken out in
-    /// `expired_partial_ops`).
+    /// work of requests shed mid-batch (broken out in the next field).
     pub total_ops: OpCount,
     /// The slice of `total_ops` burned by requests shed **mid-batch**: a
     /// deadline that passed while its batch was in flight evicts the
     /// request at the next cascade stage boundary, and the stages already
     /// evaluated cost real ops even though no result was delivered.
-    /// `total_ops − expired_partial_ops` is exactly the work of completed
+    /// `total_ops` minus this slice is exactly the work of completed
     /// requests; requests expired before dispatch contribute to neither.
     pub expired_partial_ops: OpCount,
     /// Cumulative hardware stages activated by completed requests.
     pub stages_activated: u64,
-    /// Cumulative energy of completed requests under the server's
-    /// [`EnergyModel`], picojoules.
+    /// Cumulative energy of completed requests, picojoules — priced at
+    /// snapshot time under the server's own [`EnergyModel`], which is why
+    /// it is carried (and summed) rather than re-derived after a merge.
     pub energy_pj: f64,
 }
 
@@ -196,7 +184,7 @@ impl fmt::Display for ServerMetrics {
             self.elapsed.as_secs_f64(),
             self.submitted,
             self.completed,
-            self.throughput_rps,
+            self.throughput_rps(),
             self.cancelled,
             self.failed,
             self.rejected,
@@ -231,8 +219,8 @@ impl fmt::Display for ServerMetrics {
         writeln!(
             f,
             "batches: {} evaluated (mean size {:.1}; dispatched {} full / {} deadline / {} flush)",
-            self.batches,
-            self.mean_batch_size,
+            self.batches(),
+            self.mean_batch_size(),
             self.batches_full,
             self.batches_deadline,
             self.batches_flushed,
@@ -245,7 +233,7 @@ impl fmt::Display for ServerMetrics {
             .map(|(size, n)| format!("{size}x{n}"))
             .collect();
         writeln!(f, "batch sizes (size x count): {}", hist.join(" "))?;
-        if let Some(lat) = &self.latency {
+        if let Some(lat) = self.latency() {
             writeln!(
                 f,
                 "latency: min {:?} / mean {:?} / p50 {:?} / p99 {:?} / p99.9 {:?} / max {:?}",
@@ -274,71 +262,73 @@ impl fmt::Display for ServerMetrics {
     }
 }
 
+/// `slots[slot] += n`, growing the histogram to reach `slot`.
+fn add_at(slots: &mut Vec<u64>, slot: usize, n: u64) {
+    if slots.len() <= slot {
+        slots.resize(slot + 1, 0);
+    }
+    slots[slot] += n;
+}
+
+/// `by_tenant[tenant] += n` on a tenant-sorted association list.
+fn add_for_tenant(by_tenant: &mut Vec<(u32, u64)>, tenant: u32, n: u64) {
+    match by_tenant.binary_search_by_key(&tenant, |&(t, _)| t) {
+        Ok(i) => by_tenant[i].1 += n,
+        Err(i) => by_tenant.insert(i, (tenant, n)),
+    }
+}
+
 impl ServerMetrics {
-    /// Append this snapshot's counters and latency histogram to a
-    /// [`TelemetrySnapshot`] under the given labels — the building block
-    /// behind [`crate::Server::telemetry_snapshot`] and
-    /// [`crate::Router::telemetry_snapshot`].
-    pub fn fill_telemetry(&self, snapshot: &mut TelemetrySnapshot, labels: &[(&str, &str)]) {
-        snapshot.push_counter("cdl_requests_submitted_total", labels, self.submitted);
-        snapshot.push_counter("cdl_requests_completed_total", labels, self.completed);
-        snapshot.push_counter("cdl_requests_rejected_total", labels, self.rejected);
-        snapshot.push_counter("cdl_requests_cancelled_total", labels, self.cancelled);
-        snapshot.push_counter("cdl_requests_failed_total", labels, self.failed);
-        snapshot.push_counter("cdl_requests_expired_total", labels, self.expired);
-        snapshot.push_counter("cdl_requests_shed_total", labels, self.shed);
-        snapshot.push_counter("cdl_requests_faulted_total", labels, self.faults);
-        for p in Priority::ALL {
-            let class = p.to_string();
-            let mut class_labels: Vec<(&str, &str)> = labels.to_vec();
-            class_labels.push(("class", class.as_str()));
-            snapshot.push_counter(
-                "cdl_requests_expired_by_class_total",
-                &class_labels,
-                self.expired_by_class[p.class()],
-            );
-            snapshot.push_counter(
-                "cdl_requests_shed_by_class_total",
-                &class_labels,
-                self.shed_by_class[p.class()],
-            );
-        }
-        snapshot.push_counter("cdl_batches_total", labels, self.batches);
-        snapshot.push_counter("cdl_queue_depth", labels, self.queue_depth as u64);
-        snapshot.push_histogram(
-            "cdl_request_latency_ns",
-            labels,
-            self.latency_histogram.clone(),
-        );
+    /// Batches evaluated (batches whose live requests were all cancelled
+    /// are not counted — nothing was evaluated). A dispatched batch whose
+    /// requests carry `k` distinct [`crate::SubmitOptions`] overrides is
+    /// evaluated as `k` policy-uniform sub-batches and counted `k` times
+    /// here (the three `batches_*` dispatch counters still count it once).
+    pub fn batches(&self) -> u64 {
+        self.batch_size_histogram.iter().sum()
     }
 
-    /// Merges another server's final snapshot into this one — how a
-    /// replica slot carries the lifetime totals of the servers it retired
-    /// through [`crate::Router::swap_model`] forward into its live
-    /// numbers, so a hot-swap never loses history.
-    ///
-    /// Counters and op/energy ledgers sum; histograms merge losslessly
-    /// (latency percentiles of the result are true union order
-    /// statistics); `elapsed` takes the longer lifetime, and the derived
-    /// `mean_batch_size`/`throughput_rps`/`latency` are recomputed from
-    /// the merged data (`throughput_rps` over the merged `elapsed`, an
-    /// approximation of the two active spans).
-    pub fn absorb(&mut self, other: &ServerMetrics) {
-        fn merge_by_tenant(into: &mut Vec<(u32, u64)>, other: &[(u32, u64)]) {
-            let mut map: BTreeMap<u32, u64> = into.iter().copied().collect();
-            for &(t, n) in other {
-                *map.entry(t).or_insert(0) += n;
-            }
-            *into = map.into_iter().collect();
+    /// Mean evaluated batch size (0 before the first batch). Every member
+    /// of an evaluated batch is a completion (`Σ size ·
+    /// batch_size_histogram[size] == completed`), so this is completions
+    /// per batch.
+    pub fn mean_batch_size(&self) -> f64 {
+        match self.batches() {
+            0 => 0.0,
+            batches => self.completed as f64 / batches as f64,
         }
-        fn add_padded(into: &mut Vec<u64>, other: &[u64]) {
-            if into.len() < other.len() {
-                into.resize(other.len(), 0);
-            }
-            for (slot, &n) in other.iter().enumerate() {
-                into[slot] += n;
-            }
+    }
+
+    /// Completed requests per second over the **active span** — the
+    /// wall-clock between the first and the last completion — so a server
+    /// that sat idle before its first request or after its last one (e.g.
+    /// a long pre-drain tail) is not understated. When the span is
+    /// degenerate (zero completions, or every completion at one instant,
+    /// as with a single completed request) the rate falls back to
+    /// completions per second of `elapsed`.
+    pub fn throughput_rps(&self) -> f64 {
+        let span = match self.active_span {
+            Some((first, last)) if last > first => last - first,
+            _ => self.elapsed,
+        };
+        match span.as_secs_f64() {
+            secs if secs > 0.0 => self.completed as f64 / secs,
+            _ => 0.0,
         }
+    }
+
+    /// Submit→result latency distribution (`None` until something
+    /// completed).
+    pub fn latency(&self) -> Option<LatencyStats> {
+        LatencyStats::from_histogram(&self.latency_histogram)
+    }
+
+    /// Folds `other` into this ledger — the one rollup of the serve layer:
+    /// a replica slot carrying forward the servers it retired through
+    /// [`crate::Router::swap_model`], a shard summing its replicas, a
+    /// router its shards. Commutative and associative (up to float
+    /// rounding in `energy_pj`), with [`Default`] as the identity.
+    pub fn merge(&mut self, other: &ServerMetrics) {
         self.elapsed = self.elapsed.max(other.elapsed);
         self.submitted += other.submitted;
         self.rejected += other.rejected;
@@ -352,37 +342,97 @@ impl ServerMetrics {
             self.expired_by_class[c] += other.expired_by_class[c];
             self.shed_by_class[c] += other.shed_by_class[c];
         }
-        merge_by_tenant(&mut self.expired_by_tenant, &other.expired_by_tenant);
-        merge_by_tenant(&mut self.shed_by_tenant, &other.shed_by_tenant);
+        for &(tenant, n) in &other.expired_by_tenant {
+            add_for_tenant(&mut self.expired_by_tenant, tenant, n);
+        }
+        for &(tenant, n) in &other.shed_by_tenant {
+            add_for_tenant(&mut self.shed_by_tenant, tenant, n);
+        }
         self.queue_depth += other.queue_depth;
-        self.batches += other.batches;
         self.batches_full += other.batches_full;
         self.batches_deadline += other.batches_deadline;
         self.batches_flushed += other.batches_flushed;
-        add_padded(&mut self.batch_size_histogram, &other.batch_size_histogram);
-        let batched: u64 = self
-            .batch_size_histogram
-            .iter()
-            .enumerate()
-            .map(|(size, &n)| size as u64 * n)
-            .sum();
-        self.mean_batch_size = if self.batches > 0 {
-            batched as f64 / self.batches as f64
-        } else {
-            0.0
+        for (size, &n) in other.batch_size_histogram.iter().enumerate() {
+            add_at(&mut self.batch_size_histogram, size, n);
+        }
+        self.active_span = match (self.active_span, other.active_span) {
+            (Some((a, b)), Some((c, d))) => Some((a.min(c), b.max(d))),
+            (mine, theirs) => mine.or(theirs),
         };
         self.latency_histogram.merge(&other.latency_histogram);
-        self.latency = LatencyStats::from_histogram(&self.latency_histogram);
-        add_padded(&mut self.exit_histogram, &other.exit_histogram);
+        for (stage, &n) in other.exit_histogram.iter().enumerate() {
+            add_at(&mut self.exit_histogram, stage, n);
+        }
         self.total_ops += other.total_ops;
         self.expired_partial_ops += other.expired_partial_ops;
         self.stages_activated += other.stages_activated;
         self.energy_pj += other.energy_pj;
-        self.throughput_rps = if self.completed > 0 && self.elapsed > Duration::ZERO {
-            self.completed as f64 / self.elapsed.as_secs_f64()
-        } else {
-            0.0
+    }
+
+    /// Append this ledger to a [`TelemetrySnapshot`] under the given
+    /// labels: the request/batch counters, the paper's per-input
+    /// quantities (`cdl_exits_total{stage}`, `cdl_ops_total{kind}`,
+    /// `cdl_stages_activated_total`, `cdl_energy_picojoules_total` in whole
+    /// picojoules), the `cdl_queue_depth` gauge and the latency histogram.
+    pub fn fill_telemetry(&self, snapshot: &mut TelemetrySnapshot, labels: &[(&str, &str)]) {
+        for (name, value) in [
+            ("cdl_requests_submitted_total", self.submitted),
+            ("cdl_requests_completed_total", self.completed),
+            ("cdl_requests_rejected_total", self.rejected),
+            ("cdl_requests_cancelled_total", self.cancelled),
+            ("cdl_requests_failed_total", self.failed),
+            ("cdl_requests_expired_total", self.expired),
+            ("cdl_requests_shed_total", self.shed),
+            ("cdl_requests_faulted_total", self.faults),
+            ("cdl_batches_total", self.batches()),
+            ("cdl_stages_activated_total", self.stages_activated),
+            ("cdl_energy_picojoules_total", self.energy_pj.round() as u64),
+        ] {
+            snapshot.push_counter(name, labels, value);
+        }
+        let mut push = |name: &str, key: &str, value: &str, n: u64| {
+            let mut all: Vec<(&str, &str)> = labels.to_vec();
+            all.push((key, value));
+            snapshot.push_counter(name, &all, n);
         };
+        for (name, by_class) in [
+            (
+                "cdl_requests_expired_by_class_total",
+                &self.expired_by_class,
+            ),
+            ("cdl_requests_shed_by_class_total", &self.shed_by_class),
+        ] {
+            for p in Priority::ALL {
+                push(name, "class", &p.to_string(), by_class[p.class()]);
+            }
+        }
+        for (cause, n) in [
+            ("full", self.batches_full),
+            ("deadline", self.batches_deadline),
+            ("flush", self.batches_flushed),
+        ] {
+            push("cdl_batches_dispatched_total", "cause", cause, n);
+        }
+        for (stage, &n) in self.exit_histogram.iter().enumerate() {
+            push("cdl_exits_total", "stage", &stage.to_string(), n);
+        }
+        let ops = self.total_ops;
+        for (kind, n) in [
+            ("macs", ops.macs),
+            ("adds", ops.adds),
+            ("compares", ops.compares),
+            ("activations", ops.activations),
+            ("mem_reads", ops.mem_reads),
+            ("mem_writes", ops.mem_writes),
+        ] {
+            push("cdl_ops_total", "kind", kind, n);
+        }
+        snapshot.push_gauge("cdl_queue_depth", labels, self.queue_depth as u64);
+        snapshot.push_histogram(
+            "cdl_request_latency_ns",
+            labels,
+            self.latency_histogram.clone(),
+        );
     }
 }
 
@@ -405,16 +455,16 @@ pub struct ReplicaMetrics {
     /// health policy is installed, or while the replica has never left
     /// `Healthy`).
     pub transitions: u64,
-    /// The replica's own [`ServerMetrics`] snapshot. After a
-    /// [`crate::Router::swap_model`] this includes the absorbed lifetime
+    /// The replica's own [`ServerMetrics`] ledger. After a
+    /// [`crate::Router::swap_model`] this includes the merged lifetime
     /// totals of every server previously retired from this slot (see
-    /// [`ServerMetrics::absorb`]).
+    /// [`ServerMetrics::merge`]).
     pub metrics: ServerMetrics,
 }
 
 /// One model's slice of a [`RouterMetrics`] snapshot: the placement policy
-/// plus every replica's [`ReplicaMetrics`], with rollup accessors summing
-/// over the replica set.
+/// plus every replica's [`ReplicaMetrics`]; [`ShardMetrics::total`] is the
+/// rollup over the replica set.
 #[derive(Debug, Clone)]
 pub struct ShardMetrics {
     /// The model name the replica set was registered under.
@@ -444,125 +494,19 @@ impl ShardMetrics {
         self.replicas.iter().map(|r| r.routed).collect()
     }
 
-    /// Total requests admitted across this model's replicas.
-    pub fn submitted(&self) -> u64 {
-        self.replicas.iter().map(|r| r.metrics.submitted).sum()
+    /// This model's ledger, the [`ServerMetrics::merge`] of its replicas':
+    /// every per-model total is a field or method of it (`completed`,
+    /// `exit_histogram`, `latency()` — true cross-replica percentiles).
+    pub fn total(&self) -> ServerMetrics {
+        let mut total = ServerMetrics::default();
+        self.replicas.iter().for_each(|r| total.merge(&r.metrics));
+        total
     }
-
-    /// Total [`crate::ServeError::Full`] rejections across this model's replicas.
-    pub fn rejected(&self) -> u64 {
-        self.replicas.iter().map(|r| r.metrics.rejected).sum()
-    }
-
-    /// Total requests evaluated and delivered across this model's replicas.
-    pub fn completed(&self) -> u64 {
-        self.replicas.iter().map(|r| r.metrics.completed).sum()
-    }
-
-    /// Total requests cancelled across this model's replicas.
-    pub fn cancelled(&self) -> u64 {
-        self.replicas.iter().map(|r| r.metrics.cancelled).sum()
-    }
-
-    /// Total requests failed across this model's replicas.
-    pub fn failed(&self) -> u64 {
-        self.replicas.iter().map(|r| r.metrics.failed).sum()
-    }
-
-    /// Total requests expired unevaluated across this model's replicas.
-    pub fn expired(&self) -> u64 {
-        self.replicas.iter().map(|r| r.metrics.expired).sum()
-    }
-
-    /// Total submissions shed by overload control across this model's
-    /// replicas.
-    pub fn shed(&self) -> u64 {
-        self.replicas.iter().map(|r| r.metrics.shed).sum()
-    }
-
-    /// Total submissions refused by injected faults across this model's
-    /// replicas (zero outside chaos testing).
-    pub fn faults(&self) -> u64 {
-        self.replicas.iter().map(|r| r.metrics.faults).sum()
-    }
-
-    /// Total in-flight requests across this model's replicas — the live
-    /// queue depth the `LeastLoaded`/`PowerOfTwoChoices` policies balance.
-    pub fn queue_depth(&self) -> usize {
-        self.replicas.iter().map(|r| r.metrics.queue_depth).sum()
-    }
-
-    /// Total batches evaluated across this model's replicas.
-    pub fn batches(&self) -> u64 {
-        self.replicas.iter().map(|r| r.metrics.batches).sum()
-    }
-
-    /// Element-wise sum of the replicas' exit histograms.
-    pub fn exit_histogram(&self) -> Vec<u64> {
-        sum_exit_histograms(self.replicas.iter().map(|r| &r.metrics.exit_histogram))
-    }
-
-    /// The replicas' latency histograms merged into one. The merge is
-    /// lossless, so quantiles of the result are true order statistics of
-    /// the union of every replica's completions.
-    pub fn latency_histogram(&self) -> LogHistogram {
-        let mut merged = LogHistogram::new();
-        for r in &self.replicas {
-            merged.merge(&r.metrics.latency_histogram);
-        }
-        merged
-    }
-
-    /// Cross-replica latency distribution (`None` until any replica
-    /// completed a request) — including p99.9/p99.99 tails that per-server
-    /// percentiles could never be combined into.
-    pub fn latency(&self) -> Option<LatencyStats> {
-        LatencyStats::from_histogram(&self.latency_histogram())
-    }
-
-    /// Cumulative operations of every completed request across replicas.
-    pub fn total_ops(&self) -> OpCount {
-        self.replicas.iter().map(|r| r.metrics.total_ops).sum()
-    }
-
-    /// The slice of [`ShardMetrics::total_ops`] burned by mid-batch
-    /// shedding across replicas (see
-    /// [`ServerMetrics::expired_partial_ops`]).
-    pub fn expired_partial_ops(&self) -> OpCount {
-        self.replicas
-            .iter()
-            .map(|r| r.metrics.expired_partial_ops)
-            .sum()
-    }
-
-    /// Cumulative hardware stages activated across replicas.
-    pub fn stages_activated(&self) -> u64 {
-        self.replicas
-            .iter()
-            .map(|r| r.metrics.stages_activated)
-            .sum()
-    }
-
-    /// Cumulative energy across replicas, picojoules.
-    pub fn energy_pj(&self) -> f64 {
-        self.replicas.iter().map(|r| r.metrics.energy_pj).sum()
-    }
-}
-
-/// Element-wise sum of exit histograms of possibly different depths.
-fn sum_exit_histograms<'a>(histograms: impl Iterator<Item = &'a Vec<u64>> + Clone) -> Vec<u64> {
-    let len = histograms.clone().map(|h| h.len()).max().unwrap_or(0);
-    let mut total = vec![0u64; len];
-    for histogram in histograms {
-        for (slot, &n) in histogram.iter().enumerate() {
-            total[slot] += n;
-        }
-    }
-    total
 }
 
 /// A point-in-time snapshot across every shard of a [`crate::Router`]:
-/// per-model breakdowns plus aggregate accessors (sums over shards).
+/// per-model breakdowns plus [`RouterMetrics::total`], the one ledger
+/// summed over all of them.
 ///
 /// Obtained from [`crate::Router::metrics`] (live) or returned by
 /// [`crate::Router::shutdown`] (final). `Display` renders the aggregate
@@ -582,215 +526,150 @@ impl RouterMetrics {
         self.shards.iter().map(|s| s.routed()).collect()
     }
 
-    /// Per-model placement histograms, in registration order: entry `m` is
-    /// [`ShardMetrics::placement_histogram`] of model `m` — how each
-    /// model's placement policy spread its admissions across replicas.
-    pub fn placement_histograms(&self) -> Vec<Vec<u64>> {
-        self.shards
-            .iter()
-            .map(|s| s.placement_histogram())
-            .collect()
+    /// The router-wide ledger: the [`ServerMetrics::merge`] of every
+    /// replica of every model (each replica's energy priced under its own
+    /// [`EnergyModel`]). Take it once and read fields off it.
+    pub fn total(&self) -> ServerMetrics {
+        let mut total = ServerMetrics::default();
+        self.shards.iter().for_each(|s| total.merge(&s.total()));
+        total
     }
 
-    /// Total requests admitted across all models and replicas.
-    pub fn submitted(&self) -> u64 {
-        self.shards.iter().map(|s| s.submitted()).sum()
-    }
-
-    /// Total [`crate::ServeError::Full`] rejections across all models and replicas.
-    pub fn rejected(&self) -> u64 {
-        self.shards.iter().map(|s| s.rejected()).sum()
-    }
-
-    /// Total requests evaluated and delivered across all models and
-    /// replicas.
-    pub fn completed(&self) -> u64 {
-        self.shards.iter().map(|s| s.completed()).sum()
-    }
-
-    /// Total requests cancelled across all models and replicas.
-    pub fn cancelled(&self) -> u64 {
-        self.shards.iter().map(|s| s.cancelled()).sum()
-    }
-
-    /// Total requests failed across all models and replicas.
-    pub fn failed(&self) -> u64 {
-        self.shards.iter().map(|s| s.failed()).sum()
-    }
-
-    /// Total requests expired unevaluated across all models and replicas.
-    pub fn expired(&self) -> u64 {
-        self.shards.iter().map(|s| s.expired()).sum()
-    }
-
-    /// Total submissions shed by overload control across all models and
-    /// replicas.
-    pub fn shed(&self) -> u64 {
-        self.shards.iter().map(|s| s.shed()).sum()
-    }
-
-    /// Total submissions refused by injected faults across all models and
-    /// replicas (zero outside chaos testing).
-    pub fn faults(&self) -> u64 {
-        self.shards.iter().map(|s| s.faults()).sum()
-    }
-
-    /// Total in-flight requests across all models and replicas.
-    pub fn queue_depth(&self) -> usize {
-        self.shards.iter().map(|s| s.queue_depth()).sum()
-    }
-
-    /// Total batches evaluated across all models and replicas.
-    pub fn batches(&self) -> u64 {
-        self.shards.iter().map(|s| s.batches()).sum()
-    }
-
-    /// Element-wise sum of the shards' exit histograms (index `i` =
-    /// completed requests that exited at stage `i` on *any* model; models
-    /// with fewer stages simply contribute nothing to the deeper slots).
-    pub fn exit_histogram(&self) -> Vec<u64> {
-        let per_shard: Vec<Vec<u64>> = self.shards.iter().map(|s| s.exit_histogram()).collect();
-        sum_exit_histograms(per_shard.iter())
-    }
-
-    /// Every replica's latency histogram across every shard merged into
-    /// one (losslessly — see [`ShardMetrics::latency_histogram`]).
-    pub fn latency_histogram(&self) -> LogHistogram {
-        let mut merged = LogHistogram::new();
-        for s in &self.shards {
-            merged.merge(&s.latency_histogram());
+    /// Append the whole snapshot to a [`TelemetrySnapshot`]: per-shard
+    /// retry/hedge counters labelled `model`; every replica's ledger,
+    /// health-state gauge and transition counter labelled
+    /// `model`/`replica`. The one renderer behind
+    /// [`crate::Router::telemetry_snapshot`].
+    pub fn fill_telemetry(&self, snapshot: &mut TelemetrySnapshot) {
+        for shard in &self.shards {
+            let model = ("model", shard.model.as_str());
+            snapshot.push_counter("cdl_shard_retries_total", &[model], shard.retries);
+            snapshot.push_counter("cdl_shard_hedges_total", &[model], shard.hedges);
+            for (i, replica) in shard.replicas.iter().enumerate() {
+                let labels = [model, ("replica", &*i.to_string())];
+                replica.metrics.fill_telemetry(snapshot, &labels);
+                let health = u64::from(replica.health.code());
+                snapshot.push_gauge("cdl_replica_health_state", &labels, health);
+                let transitions = replica.transitions;
+                snapshot.push_counter("cdl_replica_health_transitions_total", &labels, transitions);
+            }
         }
-        merged
     }
+}
 
-    /// Router-wide latency distribution over every completion on every
-    /// replica of every model (`None` until anything completed).
-    pub fn latency(&self) -> Option<LatencyStats> {
-        LatencyStats::from_histogram(&self.latency_histogram())
+/// Reads of [`RouterMetrics::total`] that `benchmark/src/serve.rs`
+/// (`metrics_json`) calls by name. The benchmark package cannot change in
+/// the same PR as the code it measures, so these twelve stay until it
+/// moves to `total()`; new code reads `total()` once instead.
+#[allow(missing_docs)]
+impl RouterMetrics {
+    pub fn submitted(&self) -> u64 {
+        self.total().submitted
     }
-
-    /// Cumulative operations of every completed request across all models
-    /// and replicas.
+    pub fn rejected(&self) -> u64 {
+        self.total().rejected
+    }
+    pub fn completed(&self) -> u64 {
+        self.total().completed
+    }
+    pub fn cancelled(&self) -> u64 {
+        self.total().cancelled
+    }
+    pub fn failed(&self) -> u64 {
+        self.total().failed
+    }
+    pub fn expired(&self) -> u64 {
+        self.total().expired
+    }
+    pub fn shed(&self) -> u64 {
+        self.total().shed
+    }
+    pub fn queue_depth(&self) -> usize {
+        self.total().queue_depth
+    }
+    pub fn batches(&self) -> u64 {
+        self.total().batches()
+    }
     pub fn total_ops(&self) -> OpCount {
-        self.shards.iter().map(|s| s.total_ops()).sum()
+        self.total().total_ops
     }
-
-    /// The slice of [`RouterMetrics::total_ops`] burned by mid-batch
-    /// shedding across all models and replicas (see
-    /// [`ServerMetrics::expired_partial_ops`]).
     pub fn expired_partial_ops(&self) -> OpCount {
-        self.shards.iter().map(|s| s.expired_partial_ops()).sum()
+        self.total().expired_partial_ops
     }
-
-    /// Cumulative hardware stages activated across all models and replicas.
-    pub fn stages_activated(&self) -> u64 {
-        self.shards.iter().map(|s| s.stages_activated()).sum()
-    }
-
-    /// Cumulative energy across all models and replicas, picojoules (each
-    /// replica priced under its own [`EnergyModel`]).
-    pub fn energy_pj(&self) -> f64 {
-        self.shards.iter().map(|s| s.energy_pj()).sum()
+    pub fn latency_histogram(&self) -> LogHistogram {
+        self.total().latency_histogram
     }
 }
 
 impl fmt::Display for RouterMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let histogram: Vec<String> = self
+        let total = self.total();
+        let routed: Vec<String> = self
             .shards
             .iter()
             .map(|s| format!("{}:{}", s.model, s.routed()))
             .collect();
-        writeln!(
+        write!(
             f,
             "router: {} models — {} routed ({}), {} completed, {} cancelled, \
              {} failed, {} rejected, {:.2} µJ total",
             self.shards.len(),
-            self.submitted(),
-            histogram.join(" "),
-            self.completed(),
-            self.cancelled(),
-            self.failed(),
-            self.rejected(),
-            self.energy_pj() / 1e6,
+            total.submitted,
+            routed.join(" "),
+            total.completed,
+            total.cancelled,
+            total.failed,
+            total.rejected,
+            total.energy_pj / 1e6,
         )?;
-        if let Some(lat) = self.latency() {
-            writeln!(
+        // every later section opens with its own newline, so the report
+        // never ends on one
+        let merged_latency = |f: &mut fmt::Formatter<'_>, scope: &str, ledger: &ServerMetrics| {
+            let Some(lat) = ledger.latency() else {
+                return Ok(());
+            };
+            write!(
                 f,
-                "router latency (merged): p50 {:?} / p99 {:?} / p99.9 {:?} / max {:?}",
+                "\n{scope} latency (merged): p50 {:?} / p99 {:?} / p99.9 {:?} / max {:?}",
                 lat.p50, lat.p99, lat.p999, lat.max,
-            )?;
-        }
+            )
+        };
+        merged_latency(f, "router", &total)?;
         for (i, shard) in self.shards.iter().enumerate() {
             let placement: Vec<String> = shard
-                .placement_histogram()
+                .replicas
                 .iter()
-                .map(|n| n.to_string())
+                .map(|r| r.routed.to_string())
                 .collect();
-            writeln!(
+            write!(
                 f,
-                "── shard {} · {} — {} replica(s), {} placement [{}] ──",
+                "\n── shard {} · {} — {} replica(s), {} placement [{}] ──",
                 i,
                 shard.model,
                 shard.replicas.len(),
                 shard.placement,
                 placement.join(" "),
             )?;
-            if let Some(lat) = shard.latency() {
-                writeln!(
-                    f,
-                    "shard latency (merged): p50 {:?} / p99 {:?} / p99.9 {:?} / max {:?}",
-                    lat.p50, lat.p99, lat.p999, lat.max,
-                )?;
-            }
+            merged_latency(f, "shard", &shard.total())?;
             for (r, replica) in shard.replicas.iter().enumerate() {
-                writeln!(
+                let (routed, health) = (replica.routed, replica.health);
+                write!(
                     f,
-                    "· replica {} — routed {} [{}]",
-                    r, replica.routed, replica.health
+                    "\n· replica {r} — routed {routed} [{health}]\n{}",
+                    replica.metrics
                 )?;
-                let last = i + 1 == self.shards.len() && r + 1 == shard.replicas.len();
-                if last {
-                    write!(f, "{}", replica.metrics)?;
-                } else {
-                    writeln!(f, "{}", replica.metrics)?;
-                }
             }
         }
         Ok(())
     }
 }
 
-/// Mutable counters behind one mutex (updated per batch, so contention is
-/// amortised over the batch size).
-#[derive(Debug, Default)]
-struct Counters {
-    completed: u64,
-    cancelled: u64,
-    failed: u64,
-    expired: u64,
-    shed: u64,
-    expired_by_class: [u64; Priority::COUNT],
-    shed_by_class: [u64; Priority::COUNT],
-    expired_by_tenant: BTreeMap<u32, u64>,
-    shed_by_tenant: BTreeMap<u32, u64>,
-    batches_full: u64,
-    batches_deadline: u64,
-    batches_flushed: u64,
-    batch_sizes: Vec<u64>,
-    latency: LogHistogram,
-    exit_histogram: Vec<u64>,
-    total_ops: OpCount,
-    expired_partial_ops: OpCount,
-    stages_activated: u64,
-    /// When the first request completed — the start of the active span
-    /// `throughput_rps` is computed over.
-    first_completion: Option<Instant>,
-    /// When the most recent request completed — the end of the active span.
-    last_completion: Option<Instant>,
-}
-
-/// Shared metrics sink for the submit path, the batcher and the workers.
+/// Shared metrics sink for the submit path, the batcher and the workers:
+/// a [`ServerMetrics`] ledger behind one mutex (updated per batch, so
+/// contention is amortised over the batch size) plus the three admission
+/// counters every submit touches, kept as lock-free atomics. Those three,
+/// `elapsed`, `queue_depth` and `energy_pj` enter the ledger only in
+/// [`Recorder::snapshot`].
 #[derive(Debug)]
 pub(crate) struct Recorder {
     started: Instant,
@@ -798,7 +677,7 @@ pub(crate) struct Recorder {
     submitted: AtomicU64,
     rejected: AtomicU64,
     faulted: AtomicU64,
-    counters: Mutex<Counters>,
+    ledger: Mutex<ServerMetrics>,
 }
 
 impl Recorder {
@@ -809,7 +688,7 @@ impl Recorder {
             submitted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             faulted: AtomicU64::new(0),
-            counters: Mutex::new(Counters::default()),
+            ledger: Mutex::new(ServerMetrics::default()),
         }
     }
 
@@ -838,67 +717,57 @@ impl Recorder {
     }
 
     pub(crate) fn dispatched(&self, cause: BatchCause) {
-        let mut c = self.counters.lock().unwrap();
+        let mut m = self.ledger.lock().unwrap();
         match cause {
-            BatchCause::Full => c.batches_full += 1,
-            BatchCause::Deadline => c.batches_deadline += 1,
-            BatchCause::Flush => c.batches_flushed += 1,
+            BatchCause::Full => m.batches_full += 1,
+            BatchCause::Deadline => m.batches_deadline += 1,
+            BatchCause::Flush => m.batches_flushed += 1,
         }
     }
 
     pub(crate) fn cancelled(&self, n: u64) {
         if n > 0 {
-            self.counters.lock().unwrap().cancelled += n;
+            self.ledger.lock().unwrap().cancelled += n;
         }
     }
 
     pub(crate) fn batch_failed(&self, n: u64) {
-        self.counters.lock().unwrap().failed += n;
+        self.ledger.lock().unwrap().failed += n;
     }
 
-    /// Records an admitted request settled [`crate::ServeError::Expired`]
-    /// at a shed point (batch formation or dispatch), unevaluated.
-    pub(crate) fn expired(&self, priority: Priority, tenant: Option<u32>) {
-        let mut c = self.counters.lock().unwrap();
-        c.expired += 1;
-        c.expired_by_class[priority.class()] += 1;
-        if let Some(t) = tenant {
-            *c.expired_by_tenant.entry(t).or_insert(0) += 1;
-        }
-    }
-
-    /// Records an admitted request shed **mid-batch**: its deadline passed
-    /// while its batch was in flight, and the evaluator evicted it at a
-    /// cascade stage boundary after `stages` stages costing `ops`. Counts
-    /// toward `expired` like the zero-ops shed points, but the work
-    /// already burned is charged to the op/energy ledger — partial
-    /// evaluations consume real energy even though no result is delivered.
-    pub(crate) fn expired_mid_batch(
+    /// Records an admitted request settled [`crate::ServeError::Expired`]:
+    /// with zero `ops`/`stages` at the shed points before evaluation
+    /// (batch formation, dispatch), or — shed **mid-batch**, evicted at a
+    /// cascade stage boundary after its deadline passed in flight — with
+    /// the `stages` it ran and the `ops` they cost, charged to the
+    /// op/energy ledger because partial evaluations consume real energy
+    /// even though no result is delivered.
+    pub(crate) fn expired(
         &self,
         priority: Priority,
         tenant: Option<u32>,
         ops: OpCount,
         stages: u64,
     ) {
-        let mut c = self.counters.lock().unwrap();
-        c.expired += 1;
-        c.expired_by_class[priority.class()] += 1;
+        let mut m = self.ledger.lock().unwrap();
+        m.expired += 1;
+        m.expired_by_class[priority.class()] += 1;
         if let Some(t) = tenant {
-            *c.expired_by_tenant.entry(t).or_insert(0) += 1;
+            add_for_tenant(&mut m.expired_by_tenant, t, 1);
         }
-        c.total_ops += ops;
-        c.expired_partial_ops += ops;
-        c.stages_activated += stages;
+        m.total_ops += ops;
+        m.expired_partial_ops += ops;
+        m.stages_activated += stages;
     }
 
     /// Records a submission refused at the admission gate by overload
     /// control (priority class over its limit, or tenant over quota).
     pub(crate) fn shed(&self, priority: Priority, tenant: Option<u32>) {
-        let mut c = self.counters.lock().unwrap();
-        c.shed += 1;
-        c.shed_by_class[priority.class()] += 1;
+        let mut m = self.ledger.lock().unwrap();
+        m.shed += 1;
+        m.shed_by_class[priority.class()] += 1;
         if let Some(t) = tenant {
-            *c.shed_by_tenant.entry(t).or_insert(0) += 1;
+            add_for_tenant(&mut m.shed_by_tenant, t, 1);
         }
     }
 
@@ -908,94 +777,36 @@ impl Recorder {
         &self,
         outputs: impl Iterator<Item = (Duration, cdl_core::network::CdlOutput)>,
     ) {
-        let mut c = self.counters.lock().unwrap();
+        let mut m = self.ledger.lock().unwrap();
         let mut size = 0usize;
         for (latency, out) in outputs {
             size += 1;
-            c.completed += 1;
-            c.latency.record_duration(latency);
-            if c.exit_histogram.len() <= out.exit_stage {
-                c.exit_histogram.resize(out.exit_stage + 1, 0);
-            }
-            c.exit_histogram[out.exit_stage] += 1;
-            c.total_ops += out.ops;
-            c.stages_activated += out.stages_activated;
+            m.completed += 1;
+            m.latency_histogram.record_duration(latency);
+            add_at(&mut m.exit_histogram, out.exit_stage, 1);
+            m.total_ops += out.ops;
+            m.stages_activated += out.stages_activated;
         }
         if size > 0 {
-            if c.batch_sizes.len() <= size {
-                c.batch_sizes.resize(size + 1, 0);
-            }
-            c.batch_sizes[size] += 1;
+            add_at(&mut m.batch_size_histogram, size, 1);
             let now = Instant::now();
-            c.first_completion.get_or_insert(now);
-            c.last_completion = Some(now);
+            m.active_span = Some((m.active_span.map_or(now, |(first, _)| first), now));
         }
     }
 
-    /// Takes a consistent snapshot. `queue_depth` is sampled by the caller
-    /// (it lives in the admission gate, not here).
+    /// Takes a consistent snapshot: the ledger as recorded, plus the
+    /// fields only a snapshot knows. `queue_depth` is sampled by the
+    /// caller (it lives in the admission gate, not here).
     pub(crate) fn snapshot(&self, queue_depth: usize) -> ServerMetrics {
-        let c = self.counters.lock().unwrap();
-        let elapsed = self.started.elapsed();
-        let batches: u64 = c.batch_sizes.iter().sum();
-        let batched_requests: u64 = c
-            .batch_sizes
-            .iter()
-            .enumerate()
-            .map(|(size, &n)| size as u64 * n)
-            .sum();
-        let latency = LatencyStats::from_histogram(&c.latency);
+        let m = self.ledger.lock().unwrap();
         ServerMetrics {
-            elapsed,
+            elapsed: self.started.elapsed(),
             submitted: self.submitted.load(Ordering::Acquire),
             rejected: self.rejected.load(Ordering::Relaxed),
-            completed: c.completed,
-            cancelled: c.cancelled,
-            failed: c.failed,
-            expired: c.expired,
-            shed: c.shed,
             faults: self.faulted.load(Ordering::Relaxed),
-            expired_by_class: c.expired_by_class,
-            shed_by_class: c.shed_by_class,
-            expired_by_tenant: c.expired_by_tenant.iter().map(|(&t, &n)| (t, n)).collect(),
-            shed_by_tenant: c.shed_by_tenant.iter().map(|(&t, &n)| (t, n)).collect(),
             queue_depth,
-            batches,
-            batches_full: c.batches_full,
-            batches_deadline: c.batches_deadline,
-            batches_flushed: c.batches_flushed,
-            batch_size_histogram: c.batch_sizes.clone(),
-            mean_batch_size: if batches > 0 {
-                batched_requests as f64 / batches as f64
-            } else {
-                0.0
-            },
-            throughput_rps: {
-                // rate over the active span (first → last completion); a
-                // degenerate span (nothing completed, or one instant) falls
-                // back to total uptime — see the field docs
-                let active = match (c.first_completion, c.last_completion) {
-                    (Some(first), Some(last)) => last.saturating_duration_since(first),
-                    _ => Duration::ZERO,
-                };
-                let span = if active > Duration::ZERO {
-                    active
-                } else {
-                    elapsed
-                };
-                if c.completed > 0 && span > Duration::ZERO {
-                    c.completed as f64 / span.as_secs_f64()
-                } else {
-                    0.0
-                }
-            },
-            latency,
-            latency_histogram: c.latency.clone(),
-            exit_histogram: c.exit_histogram.clone(),
-            total_ops: c.total_ops,
-            expired_partial_ops: c.expired_partial_ops,
-            stages_activated: c.stages_activated,
-            energy_pj: self.energy_model.total_pj(&c.total_ops, c.stages_activated),
+            energy_pj: self.energy_model.total_pj(&m.total_ops, m.stages_activated),
+            ..m.clone()
         }
     }
 }
@@ -1004,6 +815,7 @@ impl Recorder {
 mod tests {
     use super::*;
     use cdl_core::network::CdlOutput;
+    use proptest::prelude::*;
 
     fn out(exit_stage: usize, macs: u64) -> CdlOutput {
         CdlOutput {
@@ -1105,65 +917,186 @@ mod tests {
         rec.snapshot(1)
     }
 
+    fn replica(routed: u64, metrics: ServerMetrics) -> ReplicaMetrics {
+        ReplicaMetrics {
+            routed,
+            health: ReplicaHealth::Healthy,
+            transitions: 0,
+            metrics,
+        }
+    }
+
+    fn shard(
+        model: &str,
+        placement: PlacementPolicy,
+        replicas: Vec<ReplicaMetrics>,
+    ) -> ShardMetrics {
+        ShardMetrics {
+            model: model.into(),
+            placement,
+            retries: 0,
+            hedges: 0,
+            replicas,
+        }
+    }
+
+    /// A random ledger: every primary field drawn independently (tenant
+    /// lists sorted and unique, as the recording sites keep them).
+    fn ledger() -> impl Strategy<Value = ServerMetrics> {
+        collection::vec(0u64..1_000, 64usize).prop_map(|draws| {
+            let mut draws = draws.into_iter();
+            let mut n = move || draws.next().expect("64 draws cover every field");
+            let mut m = ServerMetrics {
+                elapsed: Duration::from_millis(n()),
+                submitted: n(),
+                rejected: n(),
+                completed: n(),
+                cancelled: n(),
+                failed: n(),
+                expired: n(),
+                shed: n(),
+                faults: n(),
+                expired_by_class: [n(), n(), n()],
+                shed_by_class: [n(), n(), n()],
+                queue_depth: n() as usize,
+                batches_full: n(),
+                batches_deadline: n(),
+                batches_flushed: n(),
+                total_ops: OpCount {
+                    macs: n(),
+                    adds: n(),
+                    compares: n(),
+                    activations: n(),
+                    mem_reads: n(),
+                    mem_writes: n(),
+                },
+                expired_partial_ops: OpCount::from_macs(n()),
+                stages_activated: n(),
+                energy_pj: n() as f64 * 0.37,
+                ..ServerMetrics::default()
+            };
+            for _ in 0..n() % 4 {
+                add_for_tenant(&mut m.expired_by_tenant, (n() % 5) as u32, n());
+                add_for_tenant(&mut m.shed_by_tenant, (n() % 5) as u32, n());
+            }
+            m.batch_size_histogram = (0..n() % 6).map(|_| n()).collect();
+            m.exit_histogram = (0..n() % 4).map(|_| n()).collect();
+            for _ in 0..n() % 5 {
+                m.latency_histogram.record(n() * 1_000);
+            }
+            if n() % 3 > 0 {
+                let first = Instant::now() + Duration::from_millis(n());
+                m.active_span = Some((first, first + Duration::from_millis(n())));
+            }
+            m
+        })
+    }
+
+    fn merged(a: &ServerMetrics, b: &ServerMetrics) -> ServerMetrics {
+        let mut out = a.clone();
+        out.merge(b);
+        out
+    }
+
+    /// Field-for-field equality (histograms by `==`), `energy_pj` to 1e-9
+    /// relative: float addition is commutative but not associative.
+    fn assert_same(a: &ServerMetrics, b: &ServerMetrics) -> Result<(), TestCaseError> {
+        let (mut a, mut b) = (a.clone(), b.clone());
+        let (ea, eb) = (a.energy_pj, b.energy_pj);
+        prop_assert!((ea - eb).abs() <= 1e-9 * ea.abs().max(1.0), "{ea} vs {eb}");
+        (a.energy_pj, b.energy_pj) = (0.0, 0.0);
+        prop_assert_eq!(a, b);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn merge_is_commutative_associative_with_default_as_identity(
+            a in ledger(), b in ledger(), c in ledger(),
+        ) {
+            assert_same(&merged(&a, &b), &merged(&b, &a))?;
+            assert_same(&merged(&merged(&a, &b), &c), &merged(&a, &merged(&b, &c)))?;
+            assert_same(&merged(&a, &ServerMetrics::default()), &a)?;
+            assert_same(&merged(&ServerMetrics::default(), &a), &a)?;
+            // the derived values are functions of the merged primaries
+            let ab = merged(&a, &b);
+            prop_assert_eq!(ab.batches(), a.batches() + b.batches());
+            prop_assert_eq!(ab.latency().map(|l| l.count).unwrap_or(0),
+                a.latency_histogram.count() + b.latency_histogram.count());
+        }
+
+        #[test]
+        fn totals_equal_the_fold_of_the_replica_tree_in_any_order(
+            tree in collection::vec(collection::vec(ledger(), 1..4), 1..4),
+        ) {
+            let router = RouterMetrics {
+                shards: tree
+                    .iter()
+                    .map(|ledgers| {
+                        let replicas = ledgers.iter().map(|m| replica(m.submitted, m.clone()));
+                        shard("M", PlacementPolicy::RoundRobin, replicas.collect())
+                    })
+                    .collect(),
+            };
+            let fold = |ledgers: &mut dyn Iterator<Item = &ServerMetrics>| {
+                ledgers.fold(ServerMetrics::default(), |acc, m| merged(&acc, m))
+            };
+            for (shard, ledgers) in router.shards.iter().zip(&tree) {
+                assert_same(&shard.total(), &fold(&mut ledgers.iter().rev()))?;
+                prop_assert_eq!(shard.routed(), shard.total().submitted);
+            }
+            let total = router.total();
+            assert_same(&total, &fold(&mut tree.iter().flatten()))?;
+            assert_same(&total, &fold(&mut tree.iter().rev().flatten().rev()))?;
+            let shard_totals: Vec<ServerMetrics> = router.shards.iter().map(|s| s.total()).collect();
+            assert_same(&total, &fold(&mut shard_totals.iter()))?;
+            // the accessors the benchmark pins are reads of the same total
+            prop_assert_eq!(router.completed(), total.completed);
+            prop_assert_eq!(router.batches(), total.batches());
+            prop_assert_eq!(router.latency_histogram(), total.latency_histogram);
+        }
+    }
+
     #[test]
-    fn router_metrics_aggregate_replica_sums() {
+    fn router_metrics_render_shards_and_merged_latency() {
         let metrics = RouterMetrics {
             shards: vec![
-                ShardMetrics {
-                    model: "A".into(),
-                    placement: PlacementPolicy::RoundRobin,
-                    retries: 0,
-                    hedges: 0,
-                    replicas: vec![ReplicaMetrics {
-                        routed: 3,
-                        health: ReplicaHealth::Healthy,
-                        transitions: 0,
-                        metrics: shard_snapshot(3, vec![2, 1]),
-                    }],
-                },
-                ShardMetrics {
-                    model: "B".into(),
-                    placement: PlacementPolicy::LeastLoaded,
-                    retries: 0,
-                    hedges: 0,
-                    replicas: vec![
-                        ReplicaMetrics {
-                            routed: 2,
-                            health: ReplicaHealth::Healthy,
-                            transitions: 0,
-                            metrics: shard_snapshot(2, vec![1, 0, 1]),
-                        },
-                        ReplicaMetrics {
-                            routed: 2,
-                            health: ReplicaHealth::Healthy,
-                            transitions: 0,
-                            metrics: shard_snapshot(2, vec![0, 0, 2]),
-                        },
+                shard(
+                    "A",
+                    PlacementPolicy::RoundRobin,
+                    vec![replica(3, shard_snapshot(3, vec![2, 1]))],
+                ),
+                shard(
+                    "B",
+                    PlacementPolicy::LeastLoaded,
+                    vec![
+                        replica(2, shard_snapshot(2, vec![1, 0, 1])),
+                        replica(2, shard_snapshot(2, vec![0, 0, 2])),
                     ],
-                },
+                ),
             ],
         };
         assert_eq!(metrics.routing_histogram(), vec![3, 4]);
-        assert_eq!(metrics.placement_histograms(), vec![vec![3], vec![2, 2]]);
+        assert_eq!(metrics.shards[0].placement_histogram(), vec![3]);
         assert_eq!(metrics.shards[1].routed(), 4);
         assert_eq!(metrics.shards[1].placement_histogram(), vec![2, 2]);
-        assert_eq!(metrics.shards[1].submitted(), 4);
-        assert_eq!(metrics.shards[1].completed(), 4);
-        assert_eq!(metrics.shards[1].exit_histogram(), vec![1, 0, 3]);
-        assert_eq!(metrics.submitted(), 7);
-        assert_eq!(metrics.completed(), 7);
-        assert_eq!(metrics.batches(), 7);
-        assert_eq!(metrics.queue_depth(), 3);
-        assert_eq!(metrics.exit_histogram(), vec![3, 1, 3]);
-        assert_eq!(metrics.total_ops().macs, 7 * 50);
-        assert!(metrics.energy_pj() > 0.0);
+        assert_eq!(metrics.shards[1].total().exit_histogram, vec![1, 0, 3]);
+        let total = metrics.total();
+        assert_eq!(
+            (total.submitted, total.completed, total.batches()),
+            (7, 7, 7)
+        );
+        assert_eq!(total.queue_depth, 3);
+        assert_eq!(total.exit_histogram, vec![3, 1, 3]);
+        assert_eq!(total.total_ops.macs, 7 * 50);
+        assert!(total.energy_pj > 0.0);
         // latency rollups: the shard/router histograms are the lossless
         // merge of the replicas' (every completion was recorded at 1ms)
-        let shard_lat = metrics.shards[1].latency().unwrap();
-        assert_eq!(shard_lat.count, 4);
-        let router_lat = metrics.latency().unwrap();
+        assert_eq!(metrics.shards[1].total().latency().unwrap().count, 4);
+        let router_lat = total.latency().unwrap();
         assert_eq!(router_lat.count, 7);
-        assert_eq!(metrics.latency_histogram().count(), 7);
         let ms = Duration::from_millis(1).as_nanos() as u64;
         assert_within_bound("merged p50", router_lat.p50, ms);
         assert_within_bound("merged p99.9", router_lat.p999, ms);
@@ -1190,13 +1123,29 @@ mod tests {
         assert!(text.contains("cdl_requests_completed_total{model=\"A\",replica=\"0\"} 3"));
         assert!(text.contains("# TYPE cdl_request_latency_ns histogram"));
         assert!(text.contains("cdl_request_latency_ns_count{model=\"A\",replica=\"0\"} 3"));
+        // a level that goes down is a gauge, never a counter
+        assert!(text.contains("# TYPE cdl_queue_depth gauge"));
+        assert!(!text.contains("# TYPE cdl_queue_depth counter"));
+        assert!(text.contains("cdl_queue_depth{model=\"A\",replica=\"0\"} 1"));
+        // the paper's quantities: exits per stage, ops per kind, energy
+        assert!(text.contains("# TYPE cdl_exits_total counter"));
+        assert!(text.contains("cdl_exits_total{model=\"A\",replica=\"0\",stage=\"0\"} 2"));
+        assert!(text.contains("cdl_exits_total{model=\"A\",replica=\"0\",stage=\"1\"} 1"));
+        assert!(text.contains("cdl_ops_total{model=\"A\",replica=\"0\",kind=\"macs\"} 150"));
+        assert!(text.contains("cdl_stages_activated_total{model=\"A\",replica=\"0\"} 4"));
+        assert!(text
+            .contains("cdl_batches_dispatched_total{model=\"A\",replica=\"0\",cause=\"full\"} 3"));
+        let energy = format!(
+            "cdl_energy_picojoules_total{{model=\"A\",replica=\"0\"}} {}",
+            snap.energy_pj.round() as u64
+        );
+        assert!(text.contains(&energy), "{energy} not in:\n{text}");
     }
 
-    #[test]
-    fn throughput_is_computed_over_the_active_span() {
+    /// Two completion bursts 20 ms apart on a fresh recorder.
+    fn two_bursts() -> Recorder {
         let rec = Recorder::new(EnergyModel::cmos_45nm());
         let ms = Duration::from_millis(1);
-        // two completion bursts a little apart, then a long idle tail
         for _ in 0..10 {
             rec.admitted();
         }
@@ -1205,6 +1154,13 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         rec.dispatched(BatchCause::Full);
         rec.batch_completed((0..5).map(|_| (ms, out(0, 10))));
+        rec
+    }
+
+    #[test]
+    fn throughput_is_computed_over_the_active_span() {
+        // two completion bursts a little apart, then a long idle tail
+        let rec = two_bursts();
         std::thread::sleep(Duration::from_millis(200));
         let snap = rec.snapshot(0);
         // the active span is ~20ms; lifetime uptime is ~220ms. A
@@ -1212,14 +1168,36 @@ mod tests {
         // rate must be an order of magnitude above it.
         let lifetime_rate = snap.completed as f64 / snap.elapsed.as_secs_f64();
         assert!(
-            snap.throughput_rps > 2.0 * lifetime_rate,
+            snap.throughput_rps() > 2.0 * lifetime_rate,
             "active-span rate {} should beat lifetime rate {} (idle tail excluded)",
-            snap.throughput_rps,
+            snap.throughput_rps(),
             lifetime_rate
         );
         // and it can never exceed what the span supports: span >= 20ms
         // (two sleeps bound it below), so the rate is bounded above too
-        assert!(snap.throughput_rps <= 10.0 / 0.02 + 1.0);
+        assert!(snap.throughput_rps() <= 10.0 / 0.02 + 1.0);
+    }
+
+    #[test]
+    fn merged_throughput_is_over_the_merged_active_span() {
+        // the hot-swap shape: a retired server's bursts, its successor's,
+        // then an idle tail — the merged rate is still completions over
+        // first → last completion, not over the lifetime
+        let retired = two_bursts();
+        let live = two_bursts();
+        std::thread::sleep(Duration::from_millis(200));
+        let mut merged = live.snapshot(0);
+        merged.merge(&retired.snapshot(0));
+        assert_eq!(merged.completed, 20);
+        let lifetime_rate = merged.completed as f64 / merged.elapsed.as_secs_f64();
+        assert!(
+            merged.throughput_rps() > 2.0 * lifetime_rate,
+            "merged active-span rate {} should beat lifetime rate {}",
+            merged.throughput_rps(),
+            lifetime_rate
+        );
+        // the merged span covers both servers' bursts (>= 40ms of sleeps)
+        assert!(merged.throughput_rps() <= 20.0 / 0.04 + 1.0);
     }
 
     #[test]
@@ -1227,17 +1205,17 @@ mod tests {
         // nothing completed → 0
         let rec = Recorder::new(EnergyModel::cmos_45nm());
         std::thread::sleep(Duration::from_millis(5));
-        assert_eq!(rec.snapshot(0).throughput_rps, 0.0);
+        assert_eq!(rec.snapshot(0).throughput_rps(), 0.0);
         // a single completion instant → completed / uptime (never inf/NaN)
         let rec = Recorder::new(EnergyModel::cmos_45nm());
         rec.admitted();
         rec.batch_completed([(Duration::from_millis(1), out(0, 10))].into_iter());
         std::thread::sleep(Duration::from_millis(5));
         let snap = rec.snapshot(0);
-        assert!(snap.throughput_rps.is_finite());
-        assert!(snap.throughput_rps > 0.0);
+        assert!(snap.throughput_rps().is_finite());
+        assert!(snap.throughput_rps() > 0.0);
         let uptime_rate = snap.completed as f64 / snap.elapsed.as_secs_f64();
-        assert!((snap.throughput_rps - uptime_rate).abs() <= uptime_rate * 0.5);
+        assert!((snap.throughput_rps() - uptime_rate).abs() <= uptime_rate * 0.5);
     }
 
     #[test]
@@ -1246,8 +1224,8 @@ mod tests {
         rec.shed(Priority::Low, Some(1));
         rec.shed(Priority::Low, Some(1));
         rec.shed(Priority::Normal, None);
-        rec.expired(Priority::High, Some(2));
-        rec.expired(Priority::Low, None);
+        rec.expired(Priority::High, Some(2), OpCount::ZERO, 0);
+        rec.expired(Priority::Low, None, OpCount::ZERO, 0);
         let snap = rec.snapshot(0);
         assert_eq!(snap.shed, 3);
         assert_eq!(snap.expired, 2);
@@ -1256,7 +1234,7 @@ mod tests {
         assert_eq!(snap.shed_by_tenant, vec![(1, 2)]);
         assert_eq!(snap.expired_by_tenant, vec![(2, 1)]);
         // shed/expired never pollute the served-latency histogram
-        assert!(snap.latency.is_none());
+        assert!(snap.latency().is_none());
         let text = snap.to_string();
         assert!(text.contains("overload: 2 expired, 3 shed"));
         let mut telemetry = TelemetrySnapshot::new();
@@ -1271,7 +1249,7 @@ mod tests {
     fn mid_batch_expiry_charges_partial_work_to_the_energy_ledger() {
         let rec = Recorder::new(EnergyModel::cmos_45nm());
         let zero_work = rec.snapshot(0).energy_pj;
-        rec.expired_mid_batch(Priority::Normal, Some(7), OpCount::from_macs(1234), 2);
+        rec.expired(Priority::Normal, Some(7), OpCount::from_macs(1234), 2);
         let snap = rec.snapshot(0);
         assert_eq!(snap.expired, 1);
         assert_eq!(snap.expired_by_class, [0, 1, 0]);
@@ -1285,26 +1263,26 @@ mod tests {
         assert!(snap.energy_pj > zero_work);
         // but nothing was delivered: no completion, no latency sample
         assert_eq!(snap.completed, 0);
-        assert!(snap.latency.is_none());
+        assert!(snap.latency().is_none());
     }
 
     #[test]
-    fn absorbed_snapshots_merge_counters_and_histograms() {
+    fn merged_snapshots_sum_counters_and_histograms() {
         // the hot-swap shape: a retired server's final snapshot folded
         // into its successor's — totals must behave as if one server had
         // served both lifetimes
         let mut live = shard_snapshot(3, vec![2, 1]);
         let retired = shard_snapshot(4, vec![1, 0, 3]);
-        live.absorb(&retired);
+        live.merge(&retired);
         assert_eq!(live.submitted, 7);
         assert_eq!(live.completed, 7);
-        assert_eq!(live.batches, 7);
+        assert_eq!(live.batches(), 7);
         assert_eq!(live.exit_histogram, vec![3, 1, 3]);
         assert_eq!(live.total_ops.macs, 7 * 50);
         assert_eq!(live.latency_histogram.count(), 7);
-        assert_eq!(live.latency.unwrap().count, 7);
-        assert!((live.mean_batch_size - 1.0).abs() < 1e-12);
-        assert!(live.throughput_rps > 0.0);
+        assert_eq!(live.latency().unwrap().count, 7);
+        assert!((live.mean_batch_size() - 1.0).abs() < 1e-12);
+        assert!(live.throughput_rps() > 0.0);
         // queue_depth sums (shard_snapshot samples depth 1 each)
         assert_eq!(live.queue_depth, 2);
     }
@@ -1328,17 +1306,17 @@ mod tests {
         assert_eq!(snap.completed, 3);
         assert_eq!(snap.cancelled, 1);
         assert_eq!(snap.queue_depth, 7);
-        assert_eq!(snap.batches, 2);
+        assert_eq!(snap.batches(), 2);
         assert_eq!(snap.batches_full, 1);
         assert_eq!(snap.batches_deadline, 1);
         assert_eq!(snap.batch_size_histogram[1], 1);
         assert_eq!(snap.batch_size_histogram[2], 1);
-        assert!((snap.mean_batch_size - 1.5).abs() < 1e-12);
+        assert!((snap.mean_batch_size() - 1.5).abs() < 1e-12);
         assert_eq!(snap.exit_histogram, vec![2, 0, 1]);
         assert_eq!(snap.total_ops.macs, 500);
         assert_eq!(snap.stages_activated, 1 + 3 + 1);
         assert!(snap.energy_pj > 0.0);
-        assert!(snap.latency.is_some());
+        assert!(snap.latency().is_some());
         // the report renders
         let text = snap.to_string();
         assert!(text.contains("batches"));

@@ -153,38 +153,15 @@ impl ShardSpec {
     }
 }
 
-/// The health-check window baseline of one replica: the counter values and
-/// latency histogram at the last *judged* check, so the next check judges
-/// only the delta. Inconclusive checks (fewer than the policy's
-/// `min_samples` settled outcomes) leave the baseline in place and keep
-/// accumulating.
+/// The health-check window baseline of one replica: its ledger at the last
+/// *judged* check, so the next check judges only the delta. Inconclusive
+/// checks (fewer than the policy's `min_samples` settled outcomes) leave
+/// the baseline in place and keep accumulating.
+#[derive(Default)]
 struct HealthWindow {
-    completed: u64,
-    failed: u64,
-    faulted: u64,
-    latency: LogHistogram,
+    baseline: ServerMetrics,
     /// Consecutive unhealthy checks (1 on `Healthy → Degraded`).
     bad_streak: u32,
-}
-
-impl HealthWindow {
-    fn new() -> Self {
-        HealthWindow {
-            completed: 0,
-            failed: 0,
-            faulted: 0,
-            latency: LogHistogram::new(),
-            bad_streak: 0,
-        }
-    }
-
-    /// Re-baselines the window at `snapshot` (keeps `bad_streak`).
-    fn rebase(&mut self, snapshot: &ServerMetrics) {
-        self.completed = snapshot.completed;
-        self.failed = snapshot.failed;
-        self.faulted = snapshot.faults;
-        self.latency = snapshot.latency_histogram.clone();
-    }
 }
 
 /// One running replica: a hot-swappable [`Server`] slot plus the
@@ -216,9 +193,10 @@ struct Replica {
     probes_used: AtomicU64,
     /// Check-window baseline; the mutex also serializes health checks.
     window: Mutex<HealthWindow>,
-    /// Final metrics of servers retired by [`Router::swap_model`], folded
-    /// into every later snapshot so a swap never loses counters.
-    retired: Mutex<Vec<ServerMetrics>>,
+    /// The final ledgers of the servers retired by [`Router::swap_model`],
+    /// as one merge — folded into every later snapshot so a swap never
+    /// loses counters.
+    retired: Mutex<ServerMetrics>,
 }
 
 impl Replica {
@@ -256,9 +234,7 @@ impl Replica {
             .server()
             .expect("replica pipeline live until shutdown")
             .metrics();
-        for old in self.retired.lock().unwrap().iter() {
-            metrics.absorb(old);
-        }
+        metrics.merge(&self.retired.lock().unwrap());
         self.metrics_with(metrics)
     }
 }
@@ -437,14 +413,15 @@ impl Shard {
             // an evicted replica saw no traffic, so there is nothing to
             // judge — open the canary window instead
             replica.probes_used.store(0, Ordering::Relaxed);
-            window.rebase(&snapshot);
+            window.baseline = snapshot;
             window.bad_streak = 0;
             self.transition(replica, &server, state, ReplicaHealth::Probing);
             return;
         }
-        let completed = snapshot.completed.saturating_sub(window.completed);
-        let errors = snapshot.failed.saturating_sub(window.failed)
-            + snapshot.faults.saturating_sub(window.faulted);
+        let base = &window.baseline;
+        let completed = snapshot.completed.saturating_sub(base.completed);
+        let errors = snapshot.failed.saturating_sub(base.failed)
+            + snapshot.faults.saturating_sub(base.faults);
         let samples = completed + errors;
         let needed = if state == ReplicaHealth::Probing {
             policy.min_samples.min(policy.probe_budget)
@@ -456,7 +433,7 @@ impl Shard {
         }
         let tail = snapshot
             .latency_histogram
-            .subtracted(&window.latency)
+            .subtracted(&base.latency_histogram)
             .quantile_duration(policy.latency_quantile);
         let latency_bad = match (policy.latency_threshold, tail) {
             (Some(limit), Some(q)) => q > limit,
@@ -464,7 +441,7 @@ impl Shard {
         };
         let error_rate = errors as f64 / samples as f64;
         let bad = error_rate > policy.error_threshold || latency_bad;
-        window.rebase(&snapshot);
+        window.baseline = snapshot;
         match (state, bad) {
             (ReplicaHealth::Healthy, true) => {
                 window.bad_streak = 1;
@@ -925,8 +902,8 @@ impl Router {
                             health: AtomicU8::new(ReplicaHealth::Healthy.code()),
                             transitions: AtomicU64::new(0),
                             probes_used: AtomicU64::new(0),
-                            window: Mutex::new(HealthWindow::new()),
-                            retired: Mutex::new(Vec::new()),
+                            window: Mutex::new(HealthWindow::default()),
+                            retired: Mutex::default(),
                         })
                     })
                     .collect::<ServeResult<Vec<Replica>>>()?;
@@ -1189,11 +1166,11 @@ impl Router {
             };
             let old = wait_unshared(old.expect("checked above"));
             let metrics = old.shutdown();
-            replica.retired.lock().unwrap().push(metrics);
+            replica.retired.lock().unwrap().merge(&metrics);
             // the retired pipeline's window baseline is meaningless
             // against the fresh pipeline's zeroed counters
             let mut window = replica.window.lock().unwrap();
-            *window = HealthWindow::new();
+            *window = HealthWindow::default();
         }
         Ok(())
     }
@@ -1233,43 +1210,17 @@ impl Router {
         }
     }
 
-    /// A full exportable snapshot across all models and replicas: every
-    /// replica's counters, latency histogram, and health state labeled
-    /// with `model`/`replica`, per-shard retry/hedge counters, plus all
-    /// span events drained from every replica's telemetry domain. Render
-    /// it with [`TelemetrySnapshot::render_prometheus`] or
+    /// A full exportable snapshot across all models and replicas:
+    /// [`Router::metrics`] rendered through
+    /// [`RouterMetrics::fill_telemetry`] (every replica's ledger, latency
+    /// histogram and health state labeled `model`/`replica`, per-shard
+    /// retry/hedge counters), plus all span events drained from every
+    /// replica's telemetry domain. Render it with
+    /// [`TelemetrySnapshot::render_prometheus`] or
     /// [`TelemetrySnapshot::render_chrome_trace`].
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
         let mut snapshot = TelemetrySnapshot::new();
-        for shard in &self.shards {
-            let shard_labels = [("model", shard.name.as_str())];
-            snapshot.push_counter(
-                "cdl_shard_retries_total",
-                &shard_labels,
-                shard.retries.load(Ordering::Relaxed),
-            );
-            snapshot.push_counter(
-                "cdl_shard_hedges_total",
-                &shard_labels,
-                shard.hedges.load(Ordering::Relaxed),
-            );
-            for (i, replica) in shard.replicas.iter().enumerate() {
-                let index = i.to_string();
-                let labels = [("model", shard.name.as_str()), ("replica", index.as_str())];
-                let live = replica.live_metrics();
-                live.metrics.fill_telemetry(&mut snapshot, &labels);
-                snapshot.push_counter(
-                    "cdl_replica_health_state",
-                    &labels,
-                    u64::from(live.health.code()),
-                );
-                snapshot.push_counter(
-                    "cdl_replica_health_transitions_total",
-                    &labels,
-                    live.transitions,
-                );
-            }
-        }
+        self.metrics().fill_telemetry(&mut snapshot);
         snapshot.spans = self.drain_spans();
         snapshot
     }
@@ -1316,9 +1267,7 @@ impl Router {
                     .take()
                     .expect("router shutdown runs once");
                 let mut metrics = wait_unshared(server).shutdown();
-                for old in replica.retired.lock().unwrap().drain(..) {
-                    metrics.absorb(&old);
-                }
+                metrics.merge(&replica.retired.lock().unwrap());
                 replicas.push(replica.metrics_with(metrics));
             }
             out.push(shard.metrics_with(replicas));
@@ -1433,10 +1382,10 @@ mod tests {
         }
         let metrics = router.shutdown();
         assert_eq!(metrics.routing_histogram(), vec![6, 6]);
-        assert_eq!(metrics.completed(), 12);
-        assert_eq!(metrics.failed(), 0);
+        assert_eq!(metrics.total().completed, 12);
+        assert_eq!(metrics.total().failed, 0);
         for shard in &metrics.shards {
-            assert_eq!(shard.routed(), shard.submitted());
+            assert_eq!(shard.routed(), shard.total().submitted);
             for replica in &shard.replicas {
                 assert_eq!(replica.routed, replica.metrics.submitted);
             }
@@ -1466,7 +1415,7 @@ mod tests {
         assert!(router.replica_count(ghost).is_err());
         // nothing was admitted anywhere
         let metrics = router.shutdown();
-        assert_eq!(metrics.submitted(), 0);
+        assert_eq!(metrics.total().submitted, 0);
         assert!(ServeError::UnknownModel(ghost)
             .to_string()
             .contains("model#7"));
@@ -1541,10 +1490,10 @@ mod tests {
             .try_submit_with(m3c, inputs[0].clone(), SubmitOptions::default())
             .unwrap();
         let live = router.metrics();
-        assert_eq!(live.shards[m2c.index()].rejected(), 1);
-        assert_eq!(live.shards[m3c.index()].rejected(), 0);
-        assert_eq!(live.rejected(), 1);
-        assert_eq!(live.queue_depth(), 3);
+        assert_eq!(live.shards[m2c.index()].total().rejected, 1);
+        assert_eq!(live.shards[m3c.index()].total().rejected, 0);
+        assert_eq!(live.total().rejected, 1);
+        assert_eq!(live.total().queue_depth, 3);
         // the bounced request was rolled back out of the routed count, so
         // even this *unsettled* snapshot cross-checks per replica
         for shard in &live.shards {
@@ -1554,8 +1503,8 @@ mod tests {
         }
         // drain-then-stop resolves handles across ALL shards
         let metrics = router.shutdown();
-        assert_eq!(metrics.completed(), 3);
-        assert_eq!(metrics.queue_depth(), 0);
+        assert_eq!(metrics.total().completed, 3);
+        assert_eq!(metrics.total().queue_depth, 0);
         for pending in stuck {
             pending.wait().unwrap();
         }
@@ -1588,7 +1537,7 @@ mod tests {
         let metrics = router.shutdown();
         assert_eq!(metrics.shards[0].placement_histogram(), vec![3, 3, 3]);
         assert_eq!(metrics.routing_histogram(), vec![9]);
-        assert_eq!(metrics.completed(), 9);
+        assert_eq!(metrics.total().completed, 9);
         for replica in &metrics.shards[0].replicas {
             assert_eq!(replica.routed, replica.metrics.submitted);
         }
@@ -1631,7 +1580,7 @@ mod tests {
                 "{placement} must balance a stalled replica set"
             );
             let metrics = router.shutdown();
-            assert_eq!(metrics.completed(), 6);
+            assert_eq!(metrics.total().completed, 6);
         }
     }
 
@@ -1692,7 +1641,7 @@ mod tests {
             assert!(sampler.join().unwrap() > 0, "sampler never ran");
         });
         let metrics = router.shutdown();
-        assert_eq!(metrics.completed(), 240);
+        assert_eq!(metrics.total().completed, 240);
         for replica in &metrics.shards[0].replicas {
             assert_eq!(replica.routed, replica.metrics.submitted);
         }
@@ -1758,8 +1707,8 @@ mod tests {
         }
         let metrics = router.shutdown();
         assert_eq!(metrics.routing_histogram(), vec![10, 10]);
-        assert_eq!(metrics.completed(), 20);
-        assert_eq!(metrics.failed(), 0);
+        assert_eq!(metrics.total().completed, 20);
+        assert_eq!(metrics.total().failed, 0);
     }
 
     #[test]
@@ -1803,31 +1752,147 @@ mod tests {
         router.shutdown();
     }
 
+    /// Every `name{labels} value` sample line of a Prometheus exposition.
+    fn prometheus_samples(text: &str) -> std::collections::HashMap<String, u64> {
+        text.lines()
+            .filter(|line| !line.starts_with('#'))
+            .map(|line| {
+                let (series, value) = line.rsplit_once(' ').expect("sample line");
+                (series.to_string(), value.parse().expect("integer sample"))
+            })
+            .collect()
+    }
+
     #[test]
-    fn telemetry_snapshot_labels_every_replica() {
-        let router = Router::start(two_model_specs(
-            BatchPolicy::by_deadline(Duration::from_millis(1)),
-            64,
-        ))
-        .unwrap();
-        let m2c = router.model_id("MNIST_2C").unwrap();
-        let inputs = images(4);
-        let pendings: Vec<Pending> = inputs
-            .iter()
-            .map(|x| router.submit(m2c, x.clone()).unwrap())
+    fn prometheus_export_equals_the_metrics_snapshot() {
+        // mixed traffic: two models of different depth, one of them on two
+        // replicas, a few callers hanging up before their answer
+        let mut specs = two_model_specs(BatchPolicy::by_deadline(Duration::from_millis(1)), 64);
+        let three_c = specs.pop().unwrap();
+        specs.push(three_c.replicated(ReplicaSpec::new(2, PlacementPolicy::RoundRobin)));
+        let router = Router::start(specs).unwrap();
+        let models = [
+            router.model_id("MNIST_2C").unwrap(),
+            router.model_id("MNIST_3C").unwrap(),
+        ];
+        let mut pendings: Vec<Pending> = images(24)
+            .into_iter()
+            .enumerate()
+            .map(|(i, x)| router.submit(models[i % 2], x).unwrap())
             .collect();
+        pendings.truncate(20); // the last four are dropped unanswered
         for pending in pendings {
             pending.wait().unwrap();
         }
-        let snapshot = router.telemetry_snapshot();
-        let text = snapshot.render_prometheus();
-        assert!(text.contains(r#"model="MNIST_2C""#), "{text}");
-        assert!(text.contains(r#"model="MNIST_3C""#), "{text}");
-        assert!(text.contains(r#"replica="0""#), "{text}");
-        assert!(text.contains("cdl_requests_completed_total"), "{text}");
-        assert!(text.contains("cdl_request_latency_ns_bucket"), "{text}");
-        assert!(text.contains("cdl_replica_health_state"), "{text}");
-        assert!(text.contains("cdl_shard_retries_total"), "{text}");
+        while router.metrics().total().queue_depth > 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // settled: the export and the snapshot must now agree exactly
+        let text = router.telemetry_snapshot().render_prometheus();
+        let metrics = router.metrics();
+        let mut samples = prometheus_samples(&text);
+        let mut exported = |name: &str, labels: &str| {
+            let series = format!("{name}{{{labels}}}");
+            samples
+                .remove(&series)
+                .unwrap_or_else(|| panic!("{series} not exported:\n{text}"))
+        };
+        for shard in &metrics.shards {
+            let model = format!("model=\"{}\"", shard.model);
+            assert_eq!(exported("cdl_shard_retries_total", &model), shard.retries);
+            assert_eq!(exported("cdl_shard_hedges_total", &model), shard.hedges);
+            for (i, replica) in shard.replicas.iter().enumerate() {
+                let at = format!("{model},replica=\"{i}\"");
+                let m = &replica.metrics;
+                for (name, value) in [
+                    ("cdl_requests_submitted_total", m.submitted),
+                    ("cdl_requests_completed_total", m.completed),
+                    ("cdl_requests_rejected_total", m.rejected),
+                    ("cdl_requests_cancelled_total", m.cancelled),
+                    ("cdl_requests_failed_total", m.failed),
+                    ("cdl_requests_expired_total", m.expired),
+                    ("cdl_requests_shed_total", m.shed),
+                    ("cdl_requests_faulted_total", m.faults),
+                    ("cdl_batches_total", m.batches()),
+                    ("cdl_stages_activated_total", m.stages_activated),
+                    ("cdl_energy_picojoules_total", m.energy_pj.round() as u64),
+                    ("cdl_queue_depth", m.queue_depth as u64),
+                    ("cdl_replica_health_state", u64::from(replica.health.code())),
+                    ("cdl_replica_health_transitions_total", replica.transitions),
+                    ("cdl_request_latency_ns_count", m.latency_histogram.count()),
+                    ("cdl_request_latency_ns_sum", m.latency_histogram.sum()),
+                ] {
+                    assert_eq!(exported(name, &at), value, "{name}{{{at}}}");
+                }
+                let mut labelled = |name: &str, key: &str, value: &str, n: u64| {
+                    let labels = format!("{at},{key}=\"{value}\"");
+                    assert_eq!(exported(name, &labels), n, "{name}{{{labels}}}");
+                };
+                for p in crate::Priority::ALL {
+                    let (class, c) = (p.to_string(), p.class());
+                    labelled(
+                        "cdl_requests_expired_by_class_total",
+                        "class",
+                        &class,
+                        m.expired_by_class[c],
+                    );
+                    labelled(
+                        "cdl_requests_shed_by_class_total",
+                        "class",
+                        &class,
+                        m.shed_by_class[c],
+                    );
+                }
+                labelled(
+                    "cdl_batches_dispatched_total",
+                    "cause",
+                    "full",
+                    m.batches_full,
+                );
+                labelled(
+                    "cdl_batches_dispatched_total",
+                    "cause",
+                    "deadline",
+                    m.batches_deadline,
+                );
+                labelled(
+                    "cdl_batches_dispatched_total",
+                    "cause",
+                    "flush",
+                    m.batches_flushed,
+                );
+                for (stage, &n) in m.exit_histogram.iter().enumerate() {
+                    labelled("cdl_exits_total", "stage", &stage.to_string(), n);
+                }
+                let ops = m.total_ops;
+                labelled("cdl_ops_total", "kind", "macs", ops.macs);
+                labelled("cdl_ops_total", "kind", "adds", ops.adds);
+                labelled("cdl_ops_total", "kind", "compares", ops.compares);
+                labelled("cdl_ops_total", "kind", "activations", ops.activations);
+                labelled("cdl_ops_total", "kind", "mem_reads", ops.mem_reads);
+                labelled("cdl_ops_total", "kind", "mem_writes", ops.mem_writes);
+                labelled(
+                    "cdl_request_latency_ns_bucket",
+                    "le",
+                    "+Inf",
+                    m.latency_histogram.count(),
+                );
+            }
+        }
+        // nothing is exported that the snapshot does not account for
+        samples.retain(|series, _| !series.starts_with("cdl_request_latency_ns_bucket"));
+        assert!(samples.is_empty(), "unaccounted samples: {samples:?}");
+        // and the traffic was what the test set out to send
+        let total = metrics.total();
+        assert_eq!(total.submitted, 24);
+        assert_eq!(total.completed + total.cancelled, 24);
+        assert!(total.completed >= 20 && total.energy_pj > 0.0);
+        assert_eq!(total.exit_histogram.iter().sum::<u64>(), total.completed);
+        assert!(
+            text.contains("# TYPE cdl_replica_health_state gauge"),
+            "{text}"
+        );
+        assert!(text.contains("# TYPE cdl_exits_total counter"), "{text}");
         router.shutdown();
     }
 
@@ -1904,7 +1969,7 @@ mod tests {
         assert_eq!(after, net_b.classify(&x).unwrap());
         // retired-pipeline counters are folded into later snapshots
         let metrics = router.shutdown();
-        assert_eq!(metrics.completed(), 2);
+        assert_eq!(metrics.total().completed, 2);
         for replica in &metrics.shards[0].replicas {
             assert_eq!(replica.routed, replica.metrics.submitted);
         }
@@ -2030,6 +2095,6 @@ mod tests {
         // but nobody is waiting: no retry may be spent
         let metrics = router.shutdown();
         assert_eq!(metrics.shards[0].retries, 0);
-        assert_eq!(metrics.completed(), 0);
+        assert_eq!(metrics.total().completed, 0);
     }
 }

@@ -270,7 +270,7 @@ impl LiveRequest {
 /// evaluator ops, the queue-level analogue of early exit. Dropping the
 /// request frees its gate slot.
 fn settle_expired(request: LiveRequest, recorder: &Recorder) {
-    recorder.expired(request.priority, request.tenant);
+    recorder.expired(request.priority, request.tenant, cdl_hw::OpCount::ZERO, 0);
     request.fulfiller.settle(Err(ServeError::Expired));
 }
 
@@ -835,7 +835,7 @@ fn evaluate_group(
                         // honest accounting: the stages this request burned
                         // before eviction are real work — charge them to
                         // the op/energy ledger even though nothing ships
-                        recorder.expired_mid_batch(
+                        recorder.expired(
                             l.priority,
                             l.tenant,
                             partial.ops,
@@ -1171,7 +1171,7 @@ mod tests {
         assert_eq!(metrics.completed, 8);
         assert_eq!(metrics.batches_full, 2);
         assert_eq!(metrics.batch_size_histogram[4], 2);
-        assert!((metrics.mean_batch_size - 4.0).abs() < 1e-12);
+        assert!((metrics.mean_batch_size() - 4.0).abs() < 1e-12);
     }
 
     #[test]
@@ -1188,7 +1188,7 @@ mod tests {
         let metrics = server.shutdown();
         assert_eq!(metrics.cancelled, 3);
         assert_eq!(metrics.completed, 0);
-        assert_eq!(metrics.batches, 0, "nothing must be evaluated");
+        assert_eq!(metrics.batches(), 0, "nothing must be evaluated");
         assert_eq!(metrics.total_ops.compute_ops(), 0);
         assert_eq!(metrics.queue_depth, 0, "tickets released on cancel");
     }
@@ -1332,10 +1332,10 @@ mod tests {
         assert_eq!(metrics.failed, 0);
         assert_eq!(metrics.cancelled, 0);
         // the whole point: shedding spends zero evaluator ops
-        assert_eq!(metrics.batches, 0, "nothing must be evaluated");
+        assert_eq!(metrics.batches(), 0, "nothing must be evaluated");
         assert_eq!(metrics.total_ops.compute_ops(), 0);
         assert_eq!(metrics.stages_activated, 0);
-        assert!(metrics.latency.is_none(), "expired never enter latency");
+        assert!(metrics.latency().is_none(), "expired never enter latency");
         assert_eq!(metrics.queue_depth, 0, "tickets released on expiry");
     }
 
@@ -1422,7 +1422,7 @@ mod tests {
             snap.stages_activated > out.stages_activated,
             "the doomed request's stages count"
         );
-        assert!(snap.latency.is_none() || snap.latency.unwrap().count == 1);
+        assert!(snap.latency().is_none() || snap.latency().unwrap().count == 1);
         assert_eq!(snap.queue_depth, 0, "tickets released on mid-batch shed");
     }
 

@@ -10,11 +10,11 @@ use serde::Serialize;
 use crate::histogram::LogHistogram;
 use crate::span::{EventKind, SpanEvent, TraceId};
 
-/// One counter sample with optional labels.
+/// One counter or gauge sample with optional labels.
 #[derive(Debug, Clone)]
 pub struct CounterMetric {
     /// Metric name (Prometheus conventions: `snake_case`, `_total` suffix
-    /// for monotonic counters).
+    /// for monotonic counters, none for gauges).
     pub name: String,
     /// `(key, value)` label pairs.
     pub labels: Vec<(String, String)>,
@@ -37,8 +37,11 @@ pub struct HistogramMetric {
 /// exposition or as a Chrome trace-event JSON document.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetrySnapshot {
-    /// Counter samples.
+    /// Counter samples (monotonic: they only ever go up).
     pub counters: Vec<CounterMetric>,
+    /// Gauge samples (point-in-time levels that also go down, e.g. a queue
+    /// depth or a state code).
+    pub gauges: Vec<CounterMetric>,
     /// Histogram series.
     pub histograms: Vec<HistogramMetric>,
     /// Lifecycle span events drained from the collector.
@@ -75,20 +78,33 @@ fn render_labels(out: &mut String, labels: &[(String, String)], extra: Option<(&
     out.push('}');
 }
 
+fn owned_labels(labels: &[(&str, &str)]) -> Vec<(String, String)> {
+    labels
+        .iter()
+        .map(|(k, v)| (k.to_string(), v.to_string()))
+        .collect()
+}
+
 impl TelemetrySnapshot {
     /// An empty snapshot.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Append a counter sample.
+    /// Append a counter sample (rendered under `# TYPE … counter`).
     pub fn push_counter(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
         self.counters.push(CounterMetric {
             name: name.to_string(),
-            labels: labels
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .collect(),
+            labels: owned_labels(labels),
+            value,
+        });
+    }
+
+    /// Append a gauge sample (rendered under `# TYPE … gauge`).
+    pub fn push_gauge(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
+        self.gauges.push(CounterMetric {
+            name: name.to_string(),
+            labels: owned_labels(labels),
             value,
         });
     }
@@ -97,28 +113,27 @@ impl TelemetrySnapshot {
     pub fn push_histogram(&mut self, name: &str, labels: &[(&str, &str)], histogram: LogHistogram) {
         self.histograms.push(HistogramMetric {
             name: name.to_string(),
-            labels: labels
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .collect(),
+            labels: owned_labels(labels),
             histogram,
         });
     }
 
-    /// Render the counters and histograms in the Prometheus text
+    /// Render the counters, gauges and histograms in the Prometheus text
     /// exposition format (`# TYPE` headers, cumulative `_bucket{le=...}`
     /// series plus `_sum`/`_count` per histogram).
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
         let mut typed: Vec<&str> = Vec::new();
-        for c in &self.counters {
-            if !typed.contains(&c.name.as_str()) {
-                typed.push(&c.name);
-                out.push_str(&format!("# TYPE {} counter\n", c.name));
+        for (kind, samples) in [("counter", &self.counters), ("gauge", &self.gauges)] {
+            for c in samples {
+                if !typed.contains(&c.name.as_str()) {
+                    typed.push(&c.name);
+                    out.push_str(&format!("# TYPE {} {kind}\n", c.name));
+                }
+                out.push_str(&c.name);
+                render_labels(&mut out, &c.labels, None);
+                out.push_str(&format!(" {}\n", c.value));
             }
-            out.push_str(&c.name);
-            render_labels(&mut out, &c.labels, None);
-            out.push_str(&format!(" {}\n", c.value));
         }
         for h in &self.histograms {
             if !typed.contains(&h.name.as_str()) {
@@ -379,6 +394,7 @@ mod tests {
         let mut snap = TelemetrySnapshot::new();
         snap.push_counter("cdl_requests_completed_total", &[("model", "m2c")], 42);
         snap.push_counter("cdl_requests_completed_total", &[("model", "m3c")], 7);
+        snap.push_gauge("cdl_queue_depth", &[("model", "m2c")], 3);
         let mut h = LogHistogram::new();
         for v in [100u64, 200, 400, 100_000] {
             h.record(v);
@@ -392,6 +408,10 @@ mod tests {
             "one TYPE line per metric name:\n{text}"
         );
         assert!(text.contains("cdl_requests_completed_total{model=\"m2c\"} 42"));
+        // a level that goes down is typed gauge, never counter
+        assert!(text.contains("# TYPE cdl_queue_depth gauge\ncdl_queue_depth{model=\"m2c\"} 3\n"));
+        assert!(!text.contains("# TYPE cdl_queue_depth counter"));
+        assert!(text.contains("# TYPE cdl_request_latency_ns histogram"));
         assert!(text.contains("cdl_request_latency_ns_bucket{le=\"+Inf\"} 4"));
         assert!(text.contains("cdl_request_latency_ns_count 4"));
         assert!(text.contains("cdl_request_latency_ns_sum 100700"));

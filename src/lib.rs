@@ -138,7 +138,9 @@
 //! [`core::network::CdlNetwork::classify_with_override`] on the routed
 //! model (enforced by `tests/router_equivalence.rs` and the routing
 //! proptest in `tests/proptests.rs`); [`serve::RouterMetrics`] reports the
-//! routing histogram plus per-model exit/energy breakdowns.
+//! routing histogram plus per-model exit/energy breakdowns
+//! ([`serve::ShardMetrics::total`]) and the router-wide ledger
+//! ([`serve::RouterMetrics::total`]).
 //!
 //! ```
 //! use cdl::serve::{Router, ServerConfig, ShardSpec, SubmitOptions};
@@ -324,10 +326,11 @@
 //! histogram with O(1) recording, exact min/mean/max, and quantiles
 //! within a documented 1/64 relative error over the whole lifetime of the
 //! server (no sliding window, no unbounded sample buffer). Because merge
-//! is associative, [`serve::ShardMetrics::latency`] and
-//! [`serve::RouterMetrics::latency`] fold the per-replica histograms into
-//! **true cross-replica tails** (p99/p99.9/p99.99 of the merged
-//! distribution, not an average of per-replica percentiles).
+//! is associative, [`serve::ShardMetrics::total`] and
+//! [`serve::RouterMetrics::total`] fold the per-replica ledgers — latency
+//! histogram included — into one [`serve::ServerMetrics`], whose
+//! `latency()` reports **true cross-replica tails** (p99/p99.9/p99.99 of
+//! the merged distribution, not an average of per-replica percentiles).
 //!
 //! Switching [`serve::ServerConfig`]'s `telemetry` to
 //! [`telemetry::TelemetryConfig::enabled`] additionally records a

@@ -34,6 +34,9 @@ use cdl::serve::{
 };
 use cdl::tensor::Tensor;
 
+mod common;
+use common::{assert_settled, assert_settled_with};
+
 fn build_untrained(arch: CdlArchitecture, seed: u64) -> Arc<CdlNetwork> {
     let base = Network::from_spec(&arch.spec, seed).unwrap();
     let feats = arch.tap_features().unwrap();
@@ -189,10 +192,8 @@ fn stalled_replica_is_evicted_and_readmitted_with_no_lost_requests() {
     );
     assert_eq!(shard.replicas[0].transitions, 0);
     assert_eq!(shard.replicas[2].transitions, 0);
-    assert_eq!(metrics.completed(), 48);
-    for replica in &shard.replicas {
-        assert_eq!(replica.routed, replica.metrics.submitted);
-    }
+    assert_eq!(metrics.total().completed, 48);
+    assert_settled(&metrics);
 }
 
 /// A hedged request races a stalled primary: the hedge wins on the healthy
@@ -244,6 +245,7 @@ fn hedged_request_wins_on_a_healthy_replica_at_zero_loser_ops() {
     assert_eq!(loser.total_ops, OpCount::ZERO, "loser burned evaluator ops");
     let winner = &shard.replicas[1].metrics;
     assert_eq!(winner.completed, 1);
+    assert_settled_with(&metrics, [&out]);
 }
 
 /// Budgeted retries absorb an error burst: every request refused by the
@@ -270,12 +272,15 @@ fn retries_recover_from_an_error_burst() {
     let pendings: Vec<(usize, Pending)> = (0..8)
         .map(|i| (i, router.submit(model, image(i)).unwrap()))
         .collect();
+    let mut delivered = Vec::new();
     for (i, pending) in pendings {
+        let out = pending.wait().unwrap();
         assert_eq!(
-            pending.wait().unwrap(),
+            out,
             net.classify(&image(i)).unwrap(),
             "request {i} settled wrong"
         );
+        delivered.push(out);
     }
     let metrics = router.shutdown();
     let shard = &metrics.shards[0];
@@ -284,10 +289,9 @@ fn retries_recover_from_an_error_burst() {
     assert_eq!(shard.replicas[0].metrics.faults, 3);
     assert_eq!(shard.replicas[0].metrics.completed, 1);
     assert_eq!(shard.replicas[1].metrics.completed, 7);
-    assert_eq!(metrics.completed(), 8);
-    for replica in &shard.replicas {
-        assert_eq!(replica.routed, replica.metrics.submitted);
-    }
+    assert_eq!(metrics.total().completed, 8);
+    // refused placements count as `faults`, outside `submitted`
+    assert_settled_with(&metrics, &delivered);
 }
 
 /// The wire twin of [`retries_recover_from_an_error_burst`]: the same shard
@@ -328,10 +332,8 @@ fn retries_recover_from_an_error_burst_over_the_wire() {
     let shard = &metrics.shards[0];
     assert_eq!(shard.retries, 3, "one retry per refused admission");
     assert_eq!(shard.replicas[0].metrics.faults, 3);
-    assert_eq!(metrics.completed(), 8);
-    for replica in &shard.replicas {
-        assert_eq!(replica.routed, replica.metrics.submitted);
-    }
+    assert_eq!(metrics.total().completed, 8);
+    assert_settled(&metrics);
 }
 
 /// Hot-swapping the model under concurrent load loses nothing: every
@@ -360,13 +362,13 @@ fn swap_model_under_load_loses_nothing() {
     .unwrap();
     let model = router.model_id("m").unwrap();
 
-    std::thread::scope(|scope| {
+    let mut delivered: Vec<CdlOutput> = std::thread::scope(|scope| {
         let router = &router;
         let expected = &expected;
         let hammers: Vec<_> = (0..THREADS)
             .map(|t| {
                 scope.spawn(move || {
-                    for j in 0..PER_THREAD {
+                    let answer = |j| {
                         let i = t * PER_THREAD + j;
                         let out = router.submit(model, image(i)).unwrap().wait().unwrap();
                         let (a, b) = &expected[i % 11];
@@ -374,16 +376,17 @@ fn swap_model_under_load_loses_nothing() {
                             out == *a || out == *b,
                             "request {i} matches neither network"
                         );
-                    }
+                        out
+                    };
+                    (0..PER_THREAD).map(answer).collect::<Vec<_>>()
                 })
             })
             .collect();
         // swap mid-hammer — no drain, no pause
         std::thread::sleep(Duration::from_millis(10));
         router.swap_model(model, Arc::clone(&net_b)).unwrap();
-        for hammer in hammers {
-            hammer.join().unwrap();
-        }
+        let answers = hammers.into_iter().flat_map(|h| h.join().unwrap());
+        answers.collect()
     });
 
     // the swap completed before the hammers finished asserting membership;
@@ -391,17 +394,18 @@ fn swap_model_under_load_loses_nothing() {
     assert!(Arc::ptr_eq(&router.network(model).unwrap(), &net_b));
     let out = router.submit(model, image(7)).unwrap().wait().unwrap();
     assert_eq!(out, net_b.classify(&image(7)).unwrap());
+    delivered.push(out);
 
     let metrics = router.shutdown();
     assert_eq!(
-        metrics.completed(),
+        metrics.total().completed,
         (THREADS * PER_THREAD) as u64 + 1,
         "a request was lost across the swap"
     );
-    assert_eq!(metrics.failed(), 0);
-    for replica in &metrics.shards[0].replicas {
-        assert_eq!(replica.routed, replica.metrics.submitted);
-    }
+    assert_eq!(metrics.total().failed, 0);
+    // the retired pipelines' ledgers merged into the live ones: every
+    // conservation law holds across the swap, op for op
+    assert_settled_with(&metrics, &delivered);
 }
 
 /// CI chaos smoke: a *seeded* fault plan (error burst + slowdown drawn
@@ -468,10 +472,8 @@ fn chaos_smoke_recovers_to_healthy() {
     }
     assert!(recovered, "replica set never converged back to Healthy");
     let metrics = router.shutdown();
-    assert_eq!(metrics.completed(), submitted as u64, "lost requests");
-    for replica in &metrics.shards[0].replicas {
-        assert_eq!(replica.routed, replica.metrics.submitted);
-    }
+    assert_eq!(metrics.total().completed, submitted as u64, "lost requests");
+    assert_settled(&metrics);
 }
 
 /// A parked (gate-full) TCP admission resumes when the gate frees, not
@@ -541,7 +543,7 @@ fn parked_admission_resumes_on_gate_vacancy_without_polling() {
     );
     edge.shutdown();
     let metrics = Arc::try_unwrap(router).unwrap().shutdown();
-    assert_eq!(metrics.completed(), 2);
+    assert_eq!(metrics.total().completed, 2);
 }
 
 /// Property sweep: random seeded error bursts × every placement policy.
@@ -649,8 +651,8 @@ fn placement_never_routes_to_an_evicted_replica() {
                 shard.replicas.iter().map(|r| r.routed).sum::<u64>(),
                 "seed {seed} {placement}: placement histogram leaks requests"
             );
-            assert_eq!(metrics.completed(), ok);
-            assert_eq!(metrics.faults(), refused);
+            assert_eq!(metrics.total().completed, ok);
+            assert_eq!(metrics.total().faults, refused);
         }
     }
 }

@@ -4,6 +4,7 @@
 use cdl::core::arch;
 use cdl::core::builder::{BuilderConfig, CdlBuilder};
 use cdl::core::confidence::ConfidencePolicy;
+use cdl::core::network::CdlNetwork;
 use cdl::core::stats::evaluate;
 use cdl::dataset::SyntheticMnist;
 use cdl::hw::EnergyModel;
@@ -49,6 +50,25 @@ fn trained_base() -> Network {
     base
 }
 
+/// One run of Algorithm 1 over the trained baseline (the slow step of this
+/// file: every call retrains the stage classifiers).
+fn build_cdl() -> CdlNetwork {
+    CdlBuilder::new(arch::mnist_3c(), ConfidencePolicy::sigmoid_prob(0.5))
+        .build(
+            trained_base(),
+            &fixture().train_set,
+            &BuilderConfig::default(),
+        )
+        .unwrap()
+        .into_network()
+}
+
+/// The CDLN every test but the determinism one reads, built once.
+fn shared_cdl() -> &'static CdlNetwork {
+    static CDL: OnceLock<CdlNetwork> = OnceLock::new();
+    CDL.get_or_init(build_cdl)
+}
+
 #[test]
 fn baseline_learns_synthetic_digits() {
     let f = fixture();
@@ -59,10 +79,7 @@ fn baseline_learns_synthetic_digits() {
 #[test]
 fn cdl_cuts_ops_without_losing_accuracy() {
     let f = fixture();
-    let trained = CdlBuilder::new(arch::mnist_3c(), ConfidencePolicy::sigmoid_prob(0.5))
-        .build(trained_base(), &f.train_set, &BuilderConfig::default())
-        .unwrap();
-    let report = evaluate(trained.network(), &f.test_set, &EnergyModel::cmos_45nm()).unwrap();
+    let report = evaluate(shared_cdl(), &f.test_set, &EnergyModel::cmos_45nm()).unwrap();
     assert!(
         report.normalized_ops < 0.8,
         "expected a clear ops cut, got {}",
@@ -84,10 +101,7 @@ fn cdl_cuts_ops_without_losing_accuracy() {
 #[test]
 fn exit_histogram_partitions_test_set() {
     let f = fixture();
-    let trained = CdlBuilder::new(arch::mnist_3c(), ConfidencePolicy::sigmoid_prob(0.5))
-        .build(trained_base(), &f.train_set, &BuilderConfig::default())
-        .unwrap();
-    let report = evaluate(trained.network(), &f.test_set, &EnergyModel::cmos_45nm()).unwrap();
+    let report = evaluate(shared_cdl(), &f.test_set, &EnergyModel::cmos_45nm()).unwrap();
     assert_eq!(
         report.exit_histogram.iter().sum::<usize>(),
         f.test_set.len()
@@ -101,14 +115,11 @@ fn exit_histogram_partitions_test_set() {
 #[test]
 fn pipeline_is_deterministic() {
     let f = fixture();
-    let run = || {
-        let trained = CdlBuilder::new(arch::mnist_3c(), ConfidencePolicy::sigmoid_prob(0.5))
-            .build(trained_base(), &f.train_set, &BuilderConfig::default())
-            .unwrap();
-        evaluate(trained.network(), &f.test_set, &EnergyModel::cmos_45nm()).unwrap()
-    };
-    let a = run();
-    let b = run();
+    // a fresh build against the shared one: identical arguments, so
+    // identical networks, bit for bit
+    let report = |cdl: &CdlNetwork| evaluate(cdl, &f.test_set, &EnergyModel::cmos_45nm()).unwrap();
+    let a = report(shared_cdl());
+    let b = report(&build_cdl());
     assert_eq!(a.accuracy, b.accuracy);
     assert_eq!(a.normalized_ops, b.normalized_ops);
     assert_eq!(a.exit_histogram, b.exit_histogram);
@@ -117,10 +128,7 @@ fn pipeline_is_deterministic() {
 #[test]
 fn per_input_ops_are_bounded_by_worst_case() {
     let f = fixture();
-    let cdl = CdlBuilder::new(arch::mnist_3c(), ConfidencePolicy::sigmoid_prob(0.5))
-        .build(trained_base(), &f.train_set, &BuilderConfig::default())
-        .unwrap()
-        .into_network();
+    let cdl = shared_cdl();
     let worst = cdl.worst_case_ops().compute_ops();
     for img in f.test_set.images.iter().take(100) {
         let out = cdl.classify(img).unwrap();
@@ -134,10 +142,7 @@ fn per_input_ops_are_bounded_by_worst_case() {
 #[test]
 fn early_exits_are_cheaper_than_full_passes() {
     let f = fixture();
-    let cdl = CdlBuilder::new(arch::mnist_3c(), ConfidencePolicy::sigmoid_prob(0.5))
-        .build(trained_base(), &f.train_set, &BuilderConfig::default())
-        .unwrap()
-        .into_network();
+    let cdl = shared_cdl();
     let mut early_max = 0u64;
     let mut full_min = u64::MAX;
     for img in &f.test_set.images {

@@ -148,8 +148,8 @@ fn pipelined_connections_are_bit_exact_against_replicas() {
     edge.shutdown();
     let metrics = Arc::try_unwrap(router).unwrap().shutdown();
     let total = (CONNS * PER_CONN) as u64;
-    assert_eq!(metrics.completed(), total);
-    assert_eq!(metrics.failed(), 0);
+    assert_eq!(metrics.total().completed, total);
+    assert_eq!(metrics.total().failed, 0);
     assert_eq!(metrics.routing_histogram(), vec![total / 2, total / 2]);
     for shard in &metrics.shards {
         // the placement histogram is reported and partitions the traffic
@@ -280,8 +280,8 @@ fn malformed_frames_get_typed_errors() {
 
     edge.shutdown();
     let metrics = Arc::try_unwrap(router).unwrap().shutdown();
-    assert_eq!(metrics.completed(), 1);
-    assert_eq!(metrics.failed(), 0);
+    assert_eq!(metrics.total().completed, 1);
+    assert_eq!(metrics.total().failed, 0);
 }
 
 /// A desynchronised stream with requests still in flight hangs up
@@ -319,7 +319,7 @@ fn desync_with_pipelined_pendings_cancels_them_and_hangs_up() {
         stream.write_all(&raw_request(id, "stall", &x)).unwrap();
     }
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while router.metrics().shards[0].submitted() < 3 {
+    while router.metrics().shards[0].total().submitted < 3 {
         assert!(
             std::time::Instant::now() < deadline,
             "submissions never landed"
@@ -341,11 +341,11 @@ fn desync_with_pipelined_pendings_cancels_them_and_hangs_up() {
 
     edge.shutdown();
     let metrics = Arc::try_unwrap(router).unwrap().shutdown();
-    let stall = &metrics.shards[0];
-    assert_eq!(stall.submitted(), 3);
-    assert_eq!(stall.cancelled(), 3, "pipelined pendings were cancelled");
-    assert_eq!(stall.completed(), 0, "nothing was served past the desync");
-    assert_eq!(metrics.queue_depth(), 0);
+    let stall = metrics.shards[0].total();
+    assert_eq!(stall.submitted, 3);
+    assert_eq!(stall.cancelled, 3, "pipelined pendings were cancelled");
+    assert_eq!(stall.completed, 0, "nothing was served past the desync");
+    assert_eq!(metrics.total().queue_depth, 0);
 }
 
 /// A client that disconnects with requests still in flight cancels its
@@ -397,7 +397,7 @@ fn disconnect_cancels_pending_work_without_poisoning_the_shard() {
     }
     // give the reader thread time to route all 3, then hang up
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while router.metrics().shards[0].submitted() < 3 {
+    while router.metrics().shards[0].total().submitted < 3 {
         assert!(
             std::time::Instant::now() < deadline,
             "submissions never landed"
@@ -418,17 +418,16 @@ fn disconnect_cancels_pending_work_without_poisoning_the_shard() {
 
     edge.shutdown();
     let metrics = Arc::try_unwrap(router).unwrap().shutdown();
-    let stall = &metrics.shards[0];
-    assert_eq!(stall.submitted(), 3);
-    assert_eq!(stall.routed(), 3, "routed/submitted stay in lockstep");
+    let (stall_shard, fast_shard) = (&metrics.shards[0], &metrics.shards[1]);
+    let (stall, fast) = (stall_shard.total(), fast_shard.total());
+    assert_eq!(stall.submitted, 3);
+    assert_eq!(stall_shard.routed(), 3, "routed/submitted stay in lockstep");
     assert_eq!(
-        stall.cancelled(),
-        3,
+        stall.cancelled, 3,
         "the dead connection's work was cancelled"
     );
-    assert_eq!(stall.completed(), 0);
-    let fast = &metrics.shards[1];
-    assert_eq!(fast.completed(), 1);
-    assert_eq!(fast.cancelled(), 0);
-    assert_eq!(metrics.queue_depth(), 0);
+    assert_eq!(stall.completed, 0);
+    assert_eq!(fast.completed, 1);
+    assert_eq!(fast.cancelled, 0);
+    assert_eq!(metrics.total().queue_depth, 0);
 }

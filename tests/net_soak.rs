@@ -130,8 +130,8 @@ fn idle_connections_cost_pollers_not_threads() {
     drop(clients);
     edge.shutdown();
     let metrics = Arc::try_unwrap(router).unwrap().shutdown();
-    assert_eq!(metrics.completed(), served);
-    assert_eq!(metrics.queue_depth(), 0);
+    assert_eq!(metrics.total().completed, served);
+    assert_eq!(metrics.total().queue_depth, 0);
 }
 
 /// Connect/serve/disconnect churn neither leaks threads nor join-handle
@@ -170,9 +170,13 @@ fn connection_churn_leaves_no_threads_behind() {
 
     edge.shutdown();
     let metrics = Arc::try_unwrap(router).unwrap().shutdown();
-    assert_eq!(metrics.completed(), 60);
-    assert_eq!(metrics.cancelled(), 0, "clean disconnects cancel nothing");
-    assert_eq!(metrics.queue_depth(), 0);
+    assert_eq!(metrics.total().completed, 60);
+    assert_eq!(
+        metrics.total().cancelled,
+        0,
+        "clean disconnects cancel nothing"
+    );
+    assert_eq!(metrics.total().queue_depth, 0);
 }
 
 /// Shutting the edge down with pipelined requests still in flight
@@ -221,7 +225,7 @@ fn shutdown_under_load_cancels_inflight_and_joins_the_pool() {
         }
     }
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while router.metrics().shards[0].submitted() < 8 {
+    while router.metrics().shards[0].total().submitted < 8 {
         assert!(
             std::time::Instant::now() < deadline,
             "submissions never landed"
@@ -239,9 +243,9 @@ fn shutdown_under_load_cancels_inflight_and_joins_the_pool() {
     drop(clients);
 
     let metrics = Arc::try_unwrap(router).unwrap().shutdown();
-    let stall = &metrics.shards[0];
-    assert_eq!(stall.submitted(), 8);
-    assert_eq!(stall.cancelled(), 8, "orphaned inflight work cancelled");
-    assert_eq!(stall.completed(), 0);
-    assert_eq!(metrics.queue_depth(), 0);
+    let stall = metrics.shards[0].total();
+    assert_eq!(stall.submitted, 8);
+    assert_eq!(stall.cancelled, 8, "orphaned inflight work cancelled");
+    assert_eq!(stall.completed, 0);
+    assert_eq!(metrics.total().queue_depth, 0);
 }

@@ -24,6 +24,8 @@ use cdl::serve::{
 };
 use cdl::tensor::Tensor;
 
+mod common;
+
 fn build_untrained(arch: CdlArchitecture, seed: u64) -> Arc<CdlNetwork> {
     let base = Network::from_spec(&arch.spec, seed).unwrap();
     let feats = arch.tap_features().unwrap();
@@ -153,10 +155,13 @@ fn deadline_shedding_bounds_served_p99_under_a_burst() {
     let baseline = run(&net, &image, &baseline_schedule);
     let shed = run(&net, &image, &shed_schedule);
     let n = requests as u64;
+    common::assert_settled(&baseline.metrics);
+    common::assert_settled(&shed.metrics);
+    let (baseline_total, shed_total) = (baseline.metrics.total(), shed.metrics.total());
 
     // the baseline serves everything, eventually
     assert_eq!(baseline.served, n);
-    assert_eq!(baseline.metrics.completed(), n);
+    assert_eq!(baseline_total.completed, n);
 
     // the shed run actually shed: the burst exceeded sustainable rate by
     // enough that some requests could not make a 10×-service deadline
@@ -164,13 +169,13 @@ fn deadline_shedding_bounds_served_p99_under_a_burst() {
         shed.expired > 0,
         "no requests expired under a 3× overload with a {deadline:?} deadline"
     );
-    assert_eq!(shed.metrics.expired(), shed.expired);
+    assert_eq!(shed_total.expired, shed.expired);
     assert_eq!(
         shed.served + shed.expired,
         n,
         "every request settles exactly once"
     );
-    assert_eq!(shed.metrics.completed(), shed.served);
+    assert_eq!(shed_total.completed, shed.served);
 
     // the op ledger balances exactly: served requests cost full per-image
     // ops, requests shed before dispatch cost zero, and requests shed
@@ -180,9 +185,9 @@ fn deadline_shedding_bounds_served_p99_under_a_burst() {
     // expired request that ran to completion anyway would break the
     // identity.
     let per_image_ops = net.classify(&image).unwrap().ops.compute_ops();
-    let partial_ops = shed.metrics.expired_partial_ops().compute_ops();
+    let partial_ops = shed_total.expired_partial_ops.compute_ops();
     assert_eq!(
-        shed.metrics.total_ops().compute_ops(),
+        shed_total.total_ops.compute_ops(),
         shed.served * per_image_ops + partial_ops,
         "total ops must be exactly served work plus accounted partial work"
     );
@@ -197,8 +202,8 @@ fn deadline_shedding_bounds_served_p99_under_a_burst() {
     // and the point of it all: the served tail stays bounded near the
     // deadline, strictly below the queue-dominated baseline tail (2×
     // margin keeps scheduler noise from flaking the comparison)
-    let baseline_p99 = baseline.metrics.latency().unwrap().p99;
-    let shed_p99 = shed.metrics.latency().unwrap().p99;
+    let baseline_p99 = baseline_total.latency().unwrap().p99;
+    let shed_p99 = shed_total.latency().unwrap().p99;
     assert!(
         shed_p99 * 2 < baseline_p99,
         "shed p99 {shed_p99:?} is not well below baseline p99 {baseline_p99:?} \

@@ -12,6 +12,8 @@ use cdl::tensor::Tensor;
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 
+mod common;
+
 /// Two untrained CDLNs (MNIST_2C: 1 conditional stage, MNIST_3C: 2) —
 /// routing equivalence does not need trained weights, and assembling once
 /// keeps the proptest fast.
@@ -208,8 +210,9 @@ proptest! {
     /// Random routing sequences with random per-request overrides: every
     /// response is bit-identical to `classify_with_override` on the routed
     /// model (nothing dropped or mis-routed), the router-level routing
-    /// histogram matches each shard's own admission count, and per-shard
-    /// metrics sum to the aggregate accessors.
+    /// histogram matches each shard's own admission count, the final
+    /// snapshot obeys every conservation law, and the router total is the
+    /// merge of the shard totals.
     #[test]
     fn router_never_drops_or_misroutes(
         routes in collection::vec((0usize..2, 0usize..4, 0usize..4, 1usize..12), 1..20),
@@ -237,6 +240,7 @@ proptest! {
             })
             .collect();
         // every submission resolves with the routed model's per-image result
+        let mut delivered = Vec::new();
         for (id, opts, image, pending) in pendings {
             let out = pending.wait().expect("no response dropped");
             let net: &CdlNetwork = if id.index() == 0 { m2c } else { m3c };
@@ -246,38 +250,26 @@ proptest! {
                     ExitOverride { delta: opts.delta, max_stage: opts.max_stage },
                 )
                 .unwrap();
-            prop_assert_eq!(out, expected, "misrouted or wrong override: {} {:?}", id, opts);
+            prop_assert_eq!(&out, &expected, "misrouted or wrong override: {} {:?}", id, opts);
+            delivered.push(out);
         }
 
         let metrics = router.shutdown();
+        let total = metrics.total();
         prop_assert_eq!(metrics.routing_histogram(), expected_routed.to_vec());
-        prop_assert_eq!(metrics.completed(), routes.len() as u64);
-        prop_assert_eq!(metrics.failed(), 0);
-        prop_assert_eq!(metrics.cancelled(), 0);
-        prop_assert_eq!(metrics.queue_depth(), 0);
-        // per-shard metrics sum to the aggregate accessors
-        let mut submitted = 0;
-        let mut completed = 0;
-        let mut batches = 0;
-        let mut macs = 0;
-        let mut energy = 0.0;
+        prop_assert_eq!(total.completed, routes.len() as u64);
+        prop_assert_eq!(total.failed, 0);
+        prop_assert_eq!(total.cancelled, 0);
+        // conservation per replica, and the op ledger against the answers
+        common::assert_settled_with(&metrics, &delivered);
+        // the router total is the merge of the shard totals
+        let mut of_shards = cdl::serve::ServerMetrics::default();
         for shard in &metrics.shards {
-            prop_assert_eq!(shard.routed(), shard.submitted(), "{}", &shard.model);
-            for replica in &shard.replicas {
-                prop_assert_eq!(replica.routed, replica.metrics.submitted, "{}", &shard.model);
-            }
-            submitted += shard.submitted();
-            completed += shard.completed();
-            batches += shard.batches();
-            macs += shard.total_ops().macs;
-            energy += shard.energy_pj();
+            prop_assert_eq!(shard.routed(), shard.total().submitted, "{}", &shard.model);
+            of_shards.merge(&shard.total());
         }
-        prop_assert_eq!(metrics.submitted(), submitted);
-        prop_assert_eq!(metrics.completed(), completed);
-        prop_assert_eq!(metrics.batches(), batches);
-        prop_assert_eq!(metrics.total_ops().macs, macs);
-        prop_assert!((metrics.energy_pj() - energy).abs() < 1e-9);
-        let exits: u64 = metrics.exit_histogram().iter().sum();
-        prop_assert_eq!(exits, completed);
+        prop_assert!((total.energy_pj - of_shards.energy_pj).abs() < 1e-9);
+        of_shards.energy_pj = total.energy_pj;
+        prop_assert_eq!(total, of_shards);
     }
 }

@@ -166,9 +166,9 @@ fn assert_replicas_equivalent(placement: PlacementPolicy, clients: usize) -> Rou
 
     let metrics = router.shutdown();
     let half = (test_set.len() / 2) as u64;
-    assert_eq!(metrics.completed() as usize, test_set.len());
-    assert_eq!(metrics.failed(), 0);
-    assert_eq!(metrics.cancelled(), 0);
+    assert_eq!(metrics.total().completed as usize, test_set.len());
+    assert_eq!(metrics.total().failed, 0);
+    assert_eq!(metrics.total().cancelled, 0);
     assert_eq!(metrics.routing_histogram(), vec![half, half]);
     for shard in &metrics.shards {
         assert_eq!(shard.placement, placement);

@@ -165,16 +165,16 @@ fn assert_router_equivalent(policy: BatchPolicy, clients: usize, workers: usize)
     }
 
     let metrics = router.shutdown();
-    assert_eq!(metrics.completed() as usize, test_set.len());
-    assert_eq!(metrics.failed(), 0);
-    assert_eq!(metrics.queue_depth(), 0);
+    assert_eq!(metrics.total().completed as usize, test_set.len());
+    assert_eq!(metrics.total().failed, 0);
+    assert_eq!(metrics.total().queue_depth, 0);
     // routing histogram: even/odd split, and the router-side count agrees
     // with each shard's own admission count (nothing mis-routed or dropped)
     let half = (test_set.len() / 2) as u64;
     assert_eq!(metrics.routing_histogram(), vec![half, half]);
     for (shard, model) in metrics.shards.iter().zip(models) {
-        assert_eq!(shard.routed(), shard.submitted(), "{model}");
-        assert_eq!(shard.completed(), half);
+        assert_eq!(shard.routed(), shard.total().submitted, "{model}");
+        assert_eq!(shard.total().completed, half);
         for replica in &shard.replicas {
             assert_eq!(replica.routed, replica.metrics.submitted, "{model}");
         }
@@ -187,11 +187,11 @@ fn assert_router_equivalent(policy: BatchPolicy, clients: usize, workers: usize)
             .filter(|(i, _)| i % 2 == s)
             .map(|(_, o)| o.ops.compute_ops())
             .sum();
-        assert_eq!(shard.total_ops().compute_ops(), expected_ops);
-        assert!(shard.energy_pj() > 0.0);
+        assert_eq!(shard.total().total_ops.compute_ops(), expected_ops);
+        assert!(shard.total().energy_pj > 0.0);
     }
     assert_eq!(
-        metrics.total_ops().compute_ops(),
+        metrics.total().total_ops.compute_ops(),
         outputs
             .iter()
             .map(|(_, o)| o.ops.compute_ops())
@@ -234,6 +234,6 @@ fn unknown_model_rejected_without_side_effects() {
         Err(cdl::serve::ServeError::UnknownModel(id)) if id == ghost
     ));
     let metrics = router.shutdown();
-    assert_eq!(metrics.submitted(), 0);
+    assert_eq!(metrics.total().submitted, 0);
     assert_eq!(metrics.routing_histogram(), vec![0]);
 }

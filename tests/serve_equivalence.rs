@@ -132,9 +132,9 @@ fn assert_server_equivalent_with_kernel(
     // the (bit-identical) per-request counts
     let expected_ops: u64 = outputs.iter().map(|(_, o)| o.ops.compute_ops()).sum();
     assert_eq!(metrics.total_ops.compute_ops(), expected_ops);
-    assert!(metrics.throughput_rps > 0.0);
+    assert!(metrics.throughput_rps() > 0.0);
     assert!(metrics.energy_pj > 0.0);
-    assert!(metrics.latency.is_some());
+    assert!(metrics.latency().is_some());
 }
 
 #[test]

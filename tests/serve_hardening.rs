@@ -98,9 +98,13 @@ fn bad_input_cannot_poison_cobatched_requests_in_process() {
     assert_eq!(b.wait().unwrap(), net.classify(&image(1)).unwrap());
 
     let metrics = Arc::try_unwrap(router).unwrap().shutdown();
-    assert_eq!(metrics.submitted(), 2, "the poison was never admitted");
-    assert_eq!(metrics.completed(), 2);
-    assert_eq!(metrics.failed(), 0, "no co-batched request failed");
+    assert_eq!(
+        metrics.total().submitted,
+        2,
+        "the poison was never admitted"
+    );
+    assert_eq!(metrics.total().completed, 2);
+    assert_eq!(metrics.total().failed, 0, "no co-batched request failed");
 }
 
 /// Wire half of the poisoning regression: over TCP the wrong-shaped
@@ -156,8 +160,8 @@ fn bad_input_cannot_poison_cobatched_requests_over_tcp() {
     drop(client);
     edge.shutdown();
     let metrics = Arc::try_unwrap(router).unwrap().shutdown();
-    assert_eq!(metrics.completed(), 2);
-    assert_eq!(metrics.failed(), 0);
+    assert_eq!(metrics.total().completed, 2);
+    assert_eq!(metrics.total().failed, 0);
 }
 
 /// Reader-wedge regression: fill a tiny admission gate through TCP, keep
@@ -195,7 +199,7 @@ fn shutdown_completes_while_a_connection_is_wedged_on_a_full_gate() {
             .unwrap();
     }
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while router.metrics().shards[0].submitted() < 2 {
+    while router.metrics().shards[0].total().submitted < 2 {
         assert!(
             std::time::Instant::now() < deadline,
             "the gate never filled"
@@ -217,13 +221,9 @@ fn shutdown_completes_while_a_connection_is_wedged_on_a_full_gate() {
         .expect("TcpServer::shutdown wedged behind a full admission gate");
 
     let metrics = Arc::try_unwrap(router).unwrap().shutdown();
-    let stall = &metrics.shards[0];
-    assert_eq!(
-        stall.submitted(),
-        2,
-        "only the gate's capacity was admitted"
-    );
-    assert_eq!(stall.completed(), 0);
-    assert_eq!(stall.cancelled(), 2, "orphaned admissions were cancelled");
-    assert_eq!(metrics.queue_depth(), 0);
+    let stall = metrics.shards[0].total();
+    assert_eq!(stall.submitted, 2, "only the gate's capacity was admitted");
+    assert_eq!(stall.completed, 0);
+    assert_eq!(stall.cancelled, 2, "orphaned admissions were cancelled");
+    assert_eq!(metrics.total().queue_depth, 0);
 }

@@ -157,13 +157,13 @@ fn cross_replica_merged_tails_match_the_oracle() {
             oracle.merge(&replica.metrics.latency_histogram);
         }
     }
-    let merged = metrics.latency_histogram();
+    let merged = metrics.total().latency_histogram;
     assert_eq!(merged.count(), REQUESTS as u64);
     assert_eq!(oracle.count(), REQUESTS as u64);
     for q in [0.5, 0.99, 0.999, 1.0] {
         assert_eq!(merged.quantile(q), oracle.quantile(q), "q={q}");
     }
-    let stats = metrics.latency().unwrap();
+    let stats = metrics.total().latency().unwrap();
     assert_eq!(stats.p50, merged.quantile_duration(0.5).unwrap());
     assert_eq!(stats.p999, merged.quantile_duration(0.999).unwrap());
     assert!(stats.p50 <= stats.p99 && stats.p99 <= stats.p999);
