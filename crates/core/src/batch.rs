@@ -91,19 +91,18 @@ impl<'a> BatchEvaluator<'a> {
     /// the memory/throughput trade-off).
     pub const STREAM_CHUNK: usize = 256;
 
-    /// Creates an evaluator over `net` with empty (lazily grown) scratch,
-    /// running the detected GEMM microkernel ([`GemmKernel::detect`] —
-    /// the AVX2 `Simd` arm on hosts that support it, `Tiled` otherwise;
-    /// the detection runs once here, never per batch).
+    /// Creates an evaluator over `net` with empty (lazily grown) scratch.
+    /// Which GEMM bodies it runs is found from the host here, once
+    /// ([`GemmKernel::detect`]: AVX2 where the CPU has it, the portable
+    /// tiles otherwise) — it is not something a caller configures.
     pub fn new(net: &'a CdlNetwork) -> Self {
-        Self::with_kernel(net, GemmKernel::default())
+        Self::with_kernel(net, GemmKernel::detect())
     }
 
-    /// Creates an evaluator over `net` pinned to a specific
-    /// [`GemmKernel`] — selected once here, then run by every batched
-    /// conv, dense and head evaluation this evaluator performs. All
-    /// kernels are bit-identical; `Reference` exists for A/B benchmarking
-    /// and as the pinned baseline of the equivalence suites.
+    /// [`BatchEvaluator::new`] pinned to one [`GemmKernel`] arm — the seam
+    /// the evaluator-level parity suites use to drive both bodies on one
+    /// host (`for kernel in GemmKernel::ALL`). Both arms are bit-identical,
+    /// so nothing else has a reason to call this.
     pub fn with_kernel(net: &'a CdlNetwork, kernel: GemmKernel) -> Self {
         BatchEvaluator {
             net,
@@ -115,11 +114,6 @@ impl<'a> BatchEvaluator<'a> {
     /// The network this evaluator serves.
     pub fn network(&self) -> &CdlNetwork {
         self.net
-    }
-
-    /// The GEMM microkernel this evaluator runs.
-    pub fn gemm_kernel(&self) -> GemmKernel {
-        self.scratch.kernel
     }
 
     /// Classifies a batch with the network's configured policy.
@@ -569,15 +563,15 @@ mod tests {
         let inputs = batch(19);
         for kernel in GemmKernel::ALL {
             let mut eval = BatchEvaluator::with_kernel(&cdl, kernel);
-            assert_eq!(eval.gemm_kernel(), kernel);
+            assert_eq!(eval.scratch.kernel, kernel);
             let batched = eval.classify_batch(&inputs).unwrap();
             for (img, out) in inputs.iter().zip(&batched) {
-                assert_eq!(*out, cdl.classify(img).unwrap(), "kernel {kernel}");
+                assert_eq!(*out, cdl.classify(img).unwrap(), "kernel {kernel:?}");
             }
         }
         // the default evaluator runs the host-detected kernel
         assert_eq!(
-            BatchEvaluator::new(&cdl).gemm_kernel(),
+            BatchEvaluator::new(&cdl).scratch.kernel,
             GemmKernel::detect()
         );
     }

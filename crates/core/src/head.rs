@@ -105,11 +105,11 @@ impl LinearClassifier {
 
     /// Raw affine scores for a whole batch of feature tensors, written into
     /// a preallocated buffer (`out` becomes `[batch, classes]` row-major)
-    /// by the chosen GEMM microkernel.
+    /// by `kernel`'s body of the batched affine.
     ///
     /// Bit-identical to calling [`LinearClassifier::scores`] per element
-    /// for **every** [`GemmKernel`] — each kernel accumulates per element
-    /// in the same order (see `cdl_tensor::gemm`) — while performing no
+    /// on **both** [`GemmKernel`] arms — each accumulates per element in
+    /// the same order (see `cdl_tensor::gemm`) — while performing no
     /// allocation beyond growing `out` on first use.
     ///
     /// # Errors

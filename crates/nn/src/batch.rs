@@ -1,13 +1,14 @@
-//! Batched inference support: shared scratch buffers, the batch-wide GEMM
-//! kernel selection, and how a batch moves through (slices of) a
+//! Batched inference support: shared scratch buffers, the host's GEMM
+//! kernel, and how a batch moves through (slices of) a
 //! [`crate::network::Network`].
 //!
 //! The pattern follows batched GPU evaluators (one persistent evaluator,
-//! preallocated buffers, the plan made once at construction): a
-//! [`BatchScratch`] is allocated once and threaded through every batched
-//! call, so steady-state batch inference allocates only its output
-//! tensors, and the [`GemmKernel`] it carries decides which microkernel
-//! runs every convolution, batched affine and head.
+//! preallocated buffers, the plan — algorithm included — made once at
+//! construction from the device, never handed in): a [`BatchScratch`] is
+//! allocated once and threaded through every batched call, so steady-state
+//! batch inference allocates only its output tensors, and the
+//! [`GemmKernel`] it found at construction is the body every convolution,
+//! batched affine and head runs.
 //!
 //! # Fused stage groups
 //!
@@ -50,10 +51,11 @@
 //! ends inside a group, a mixed-shape batch. Which route a layer takes is
 //! decided by the layer sequence and the segment alone — there is no
 //! switch. Both routes reproduce the per-image `forward` path **bit for
-//! bit** for every kernel and every batch size, one included (see
-//! `cdl_tensor::gemm` for why tiling never changes an element's addition
-//! sequence); `tests/batch_equivalence.rs` and this crate's proptests pin
-//! that per [`GemmKernel`] variant.
+//! bit** on both [`GemmKernel`] arms and for every batch size, one
+//! included (see `cdl_tensor::gemm` for why tiling never changes an
+//! element's addition sequence); `tests/batch_equivalence.rs`, this
+//! crate's proptests and the golden vectors of `tests/golden.rs` pin that
+//! per arm.
 //!
 //! Fusion is a host-execution matter only: [`cdl_hw::OpCount`] remains the
 //! paper's per-layer analytic model — a fused group still costs its conv
@@ -63,14 +65,15 @@
 use cdl_tensor::gemm::GemmKernel;
 use cdl_tensor::im2col::ConvScratch;
 
-/// Reusable buffers plus the GEMM kernel choice for batched forward passes.
+/// Reusable buffers plus the GEMM kernel for batched forward passes.
 ///
 /// One instance serves a whole network: each layer resizes the buffers it
 /// needs, and repeated batches at the same geometry never reallocate. The
-/// kernel is fixed at construction ([`BatchScratch::new`] defaults to
-/// [`GemmKernel::detect`] — the AVX2 `Simd` arm where the host supports
-/// it, `Tiled` otherwise; [`BatchScratch::with_kernel`] pins a specific
-/// one) so every layer of every batch runs the same microkernel.
+/// kernel is fixed at construction — [`BatchScratch::new`] asks the host
+/// ([`GemmKernel::detect`]: the AVX2 bodies where the CPU has them, the
+/// portable ones otherwise); [`BatchScratch::with_kernel`] is the parity
+/// suites' way to run the other arm — so every layer of every batch runs
+/// the same body.
 #[derive(Debug, Default, Clone)]
 pub struct BatchScratch {
     /// im2col patch matrix + raw convolution output shared by all conv
@@ -79,18 +82,20 @@ pub struct BatchScratch {
     /// Row-major `[batch, out_features]` output block shared by all dense
     /// layers' batched affine.
     pub dense: Vec<f32>,
-    /// The GEMM microkernel every batched conv/dense/head evaluation runs.
+    /// The GEMM arm every batched conv/dense/head evaluation runs.
     pub kernel: GemmKernel,
 }
 
 impl BatchScratch {
-    /// A fresh, empty scratch running the detected kernel
+    /// A fresh, empty scratch running the host's kernel
     /// ([`GemmKernel::detect`]); buffers grow on first use.
     pub fn new() -> Self {
         BatchScratch::default()
     }
 
-    /// A fresh, empty scratch pinned to `kernel`.
+    /// A fresh, empty scratch pinned to `kernel` — for parity suites that
+    /// walk [`GemmKernel::ALL`]; nothing else has a reason to differ from
+    /// [`BatchScratch::new`].
     pub fn with_kernel(kernel: GemmKernel) -> Self {
         BatchScratch {
             kernel,
@@ -107,8 +112,6 @@ mod tests {
     fn default_kernel_is_the_detected_one() {
         assert_eq!(BatchScratch::new().kernel, GemmKernel::detect());
         assert_eq!(BatchScratch::default().kernel, GemmKernel::detect());
-        // never the baseline loops by default
-        assert_ne!(BatchScratch::new().kernel, GemmKernel::Reference);
     }
 
     #[test]

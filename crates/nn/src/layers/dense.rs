@@ -120,8 +120,7 @@ impl Layer for Dense {
         // tensors are row-major and contiguous, so each input's buffer is
         // already its flattened feature vector; the whole batch runs as one
         // GEMM into the shared dense scratch block under the scratch's
-        // kernel choice (bit-identical to per-sample affine_row for every
-        // kernel)
+        // kernel (bit-identical to per-sample affine_row on both arms)
         let rows: Vec<&[f32]> = xs.iter().map(Tensor::data).collect();
         scratch.dense.resize(xs.len() * m, 0.0);
         ops::affine_rows_into(

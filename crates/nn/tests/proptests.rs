@@ -103,7 +103,7 @@ fn segment_matches_per_image(
             }
             .map_err(|e| e.to_string())?;
             same_bits(&single, b)
-                .map_err(|e| format!("kernel {kernel}, ({from:?}, {upto}]: {e}"))?;
+                .map_err(|e| format!("kernel {kernel:?}, ({from:?}, {upto}]: {e}"))?;
         }
     }
     Ok(())

@@ -1,13 +1,10 @@
 //! Batch-formation policy, replica placement and server configuration.
 
 use std::fmt;
-use std::str::FromStr;
 use std::time::Duration;
 
 use cdl_core::confidence::{ConfidencePolicy, ExitOverride};
-use cdl_hw::EnergyModel;
 use cdl_telemetry::TelemetryConfig;
-use cdl_tensor::gemm::GemmKernel;
 
 use crate::error::{ServeError, ServeResult};
 use crate::fault::FaultPlan;
@@ -50,26 +47,6 @@ impl fmt::Display for PlacementPolicy {
             PlacementPolicy::LeastLoaded => "least_loaded",
             PlacementPolicy::PowerOfTwoChoices => "p2c",
         })
-    }
-}
-
-impl FromStr for PlacementPolicy {
-    type Err = ServeError;
-
-    /// Parses `"round_robin"`/`"rr"`, `"least_loaded"`, and
-    /// `"p2c"`/`"power_of_two_choices"` (case-insensitive, `-` ≡ `_`).
-    fn from_str(s: &str) -> ServeResult<Self> {
-        match s.to_ascii_lowercase().replace('-', "_").as_str() {
-            "round_robin" | "rr" => Ok(PlacementPolicy::RoundRobin),
-            "least_loaded" => Ok(PlacementPolicy::LeastLoaded),
-            "p2c" | "power_of_two" | "power_of_two_choices" => {
-                Ok(PlacementPolicy::PowerOfTwoChoices)
-            }
-            other => Err(ServeError::BadConfig(format!(
-                "unknown placement policy {other:?} \
-                 (expected round_robin, least_loaded or p2c)"
-            ))),
-        }
     }
 }
 
@@ -124,35 +101,6 @@ impl Default for ReplicaSpec {
 impl fmt::Display for ReplicaSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}x{}", self.replicas, self.placement)
-    }
-}
-
-impl FromStr for ReplicaSpec {
-    type Err = ServeError;
-
-    /// Parses `"N"` (N replicas, default placement), `"POLICY"` (one
-    /// replica… which any policy serves trivially — more useful combined),
-    /// or `"NxPOLICY"` (e.g. `"3xleast_loaded"`, `"4xp2c"`).
-    fn from_str(s: &str) -> ServeResult<Self> {
-        let spec = if let Some((count, policy)) = s.split_once('x') {
-            let replicas: usize = count
-                .trim()
-                .parse()
-                .map_err(|_| ServeError::BadConfig(format!("bad replica count in {s:?}")))?;
-            ReplicaSpec::new(replicas, policy.trim().parse()?)
-        } else if let Ok(replicas) = s.trim().parse::<usize>() {
-            ReplicaSpec {
-                replicas,
-                ..ReplicaSpec::default()
-            }
-        } else {
-            ReplicaSpec {
-                placement: s.trim().parse()?,
-                ..ReplicaSpec::default()
-            }
-        };
-        spec.validate()?;
-        Ok(spec)
     }
 }
 
@@ -695,16 +643,6 @@ pub struct ServerConfig {
     /// [`cdl_core::batch::BatchEvaluator`] whose im2col/GEMM scratch is
     /// reused across every batch it processes.
     pub workers: usize,
-    /// Energy model used for the cumulative energy figure in
-    /// [`crate::ServerMetrics`].
-    pub energy_model: EnergyModel,
-    /// GEMM microkernel every worker's evaluator runs (selected once at
-    /// [`crate::Server::start`]). All kernels are bit-identical
-    /// (`cdl_tensor::gemm`); the default is [`GemmKernel::detect`] — the
-    /// AVX2 `Simd` arm where the host supports it, `Tiled` otherwise —
-    /// and [`GemmKernel::Reference`] is the pinned baseline for A/B
-    /// comparison. Shards of a [`crate::Router`] may mix kernels freely.
-    pub gemm_kernel: GemmKernel,
     /// Runtime tracing switchboard: whether per-request lifecycle spans
     /// are recorded ([`crate::Server::telemetry`] drains them) and at what
     /// sample rate. Off by default — recording calls then cost one branch,
@@ -758,8 +696,6 @@ impl Default for ServerConfig {
             policy: BatchPolicy::default(),
             queue_capacity: 1024,
             workers,
-            energy_model: EnergyModel::cmos_45nm(),
-            gemm_kernel: GemmKernel::default(),
             telemetry: TelemetryConfig::default(),
             tenant_quota: None,
             fault: FaultPlan::none(),
@@ -771,9 +707,7 @@ impl Default for ServerConfig {
 ///
 /// The edge multiplexes every accepted connection onto a fixed pool of
 /// `pollers` reactor threads — connection count never changes the thread
-/// count — and its accept loop backs off exponentially between
-/// `accept_backoff_initial` and `accept_backoff_max` while `accept()` keeps
-/// failing (e.g. under fd exhaustion), instead of busy-spinning a core.
+/// count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EdgeConfig {
     /// Poller (reactor) threads multiplexing the connections. Each owns an
@@ -782,12 +716,6 @@ pub struct EdgeConfig {
     /// accept). Total edge threads = `pollers` + 1 accept thread,
     /// independent of connection count.
     pub pollers: usize,
-    /// First backoff after a failed `accept()`; doubles on every
-    /// consecutive failure.
-    pub accept_backoff_initial: Duration,
-    /// Backoff ceiling for repeated `accept()` failures. A successful
-    /// accept resets the backoff to `accept_backoff_initial`.
-    pub accept_backoff_max: Duration,
 }
 
 impl EdgeConfig {
@@ -795,21 +723,10 @@ impl EdgeConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::BadConfig`] for a zero poller count, a zero
-    /// initial backoff, or a ceiling below the initial backoff.
+    /// Returns [`ServeError::BadConfig`] for a zero poller count.
     pub fn validate(&self) -> ServeResult<()> {
         if self.pollers == 0 {
             return Err(ServeError::BadConfig("pollers must be >= 1".into()));
-        }
-        if self.accept_backoff_initial.is_zero() {
-            return Err(ServeError::BadConfig(
-                "accept_backoff_initial must be > 0".into(),
-            ));
-        }
-        if self.accept_backoff_max < self.accept_backoff_initial {
-            return Err(ServeError::BadConfig(
-                "accept_backoff_max must be >= accept_backoff_initial".into(),
-            ));
         }
         Ok(())
     }
@@ -817,17 +734,12 @@ impl EdgeConfig {
 
 impl Default for EdgeConfig {
     /// One poller per core up to 4 (the same shape as
-    /// [`ServerConfig::default`]'s worker pool), 1 ms initial accept
-    /// backoff doubling to a 250 ms ceiling.
+    /// [`ServerConfig::default`]'s worker pool).
     fn default() -> Self {
         let pollers = std::thread::available_parallelism()
             .map(|n| n.get().min(4))
             .unwrap_or(2);
-        EdgeConfig {
-            pollers,
-            accept_backoff_initial: Duration::from_millis(1),
-            accept_backoff_max: Duration::from_millis(250),
-        }
+        EdgeConfig { pollers }
     }
 }
 
@@ -855,76 +767,20 @@ mod tests {
     }
 
     #[test]
-    fn placement_policy_parses_and_displays() {
-        for policy in PlacementPolicy::ALL {
-            // Display → FromStr round trip
-            assert_eq!(
-                policy.to_string().parse::<PlacementPolicy>().unwrap(),
-                policy
-            );
-        }
-        assert_eq!(
-            "rr".parse::<PlacementPolicy>().unwrap(),
-            PlacementPolicy::RoundRobin
-        );
-        assert_eq!(
-            "Least-Loaded".parse::<PlacementPolicy>().unwrap(),
-            PlacementPolicy::LeastLoaded
-        );
-        assert_eq!(
-            "power_of_two_choices".parse::<PlacementPolicy>().unwrap(),
-            PlacementPolicy::PowerOfTwoChoices
-        );
-        assert!(matches!(
-            "weighted".parse::<PlacementPolicy>(),
-            Err(ServeError::BadConfig(_))
-        ));
+    fn placement_policy_displays() {
+        let names: Vec<String> = PlacementPolicy::ALL.iter().map(|p| p.to_string()).collect();
+        assert_eq!(names, ["round_robin", "least_loaded", "p2c"]);
     }
 
     #[test]
-    fn replica_spec_parses_and_validates() {
+    fn replica_spec_displays_and_validates() {
         assert_eq!(ReplicaSpec::default(), ReplicaSpec::single());
-        assert_eq!(
-            "3xleast_loaded".parse::<ReplicaSpec>().unwrap(),
-            ReplicaSpec::new(3, PlacementPolicy::LeastLoaded)
-        );
-        assert_eq!(
-            "4 x p2c".parse::<ReplicaSpec>().unwrap(),
-            ReplicaSpec::new(4, PlacementPolicy::PowerOfTwoChoices)
-        );
-        assert_eq!(
-            "2".parse::<ReplicaSpec>().unwrap(),
-            ReplicaSpec::new(2, PlacementPolicy::RoundRobin)
-        );
-        assert_eq!(
-            "least_loaded".parse::<ReplicaSpec>().unwrap(),
-            ReplicaSpec::new(1, PlacementPolicy::LeastLoaded)
-        );
-        // Display → FromStr round trip
         let spec = ReplicaSpec::new(3, PlacementPolicy::PowerOfTwoChoices);
-        assert_eq!(spec.to_string().parse::<ReplicaSpec>().unwrap(), spec);
+        assert_eq!(spec.to_string(), "3xp2c");
+        assert!(spec.validate().is_ok());
         assert!(ReplicaSpec::new(0, PlacementPolicy::RoundRobin)
             .validate()
             .is_err());
-        assert!("0xrr".parse::<ReplicaSpec>().is_err());
-        assert!("threexrr".parse::<ReplicaSpec>().is_err());
-    }
-
-    #[test]
-    fn config_round_trips_gemm_kernel() {
-        // default config runs the host-detected kernel (never Reference)…
-        assert_eq!(ServerConfig::default().gemm_kernel, GemmKernel::detect());
-        assert_ne!(ServerConfig::default().gemm_kernel, GemmKernel::Reference);
-        // …and an explicit choice survives validation untouched
-        for kernel in GemmKernel::ALL {
-            let config = ServerConfig {
-                gemm_kernel: kernel,
-                ..ServerConfig::default()
-            };
-            assert!(config.validate().is_ok());
-            assert_eq!(config.gemm_kernel, kernel);
-            assert_eq!(config.clone().gemm_kernel, kernel);
-        }
     }
 
     #[test]
@@ -994,20 +850,7 @@ mod tests {
         let edge = EdgeConfig::default();
         assert!(edge.pollers >= 1);
         assert!(edge.validate().is_ok());
-        assert!(EdgeConfig { pollers: 0, ..edge }.validate().is_err());
-        assert!(EdgeConfig {
-            accept_backoff_initial: Duration::ZERO,
-            ..edge
-        }
-        .validate()
-        .is_err());
-        assert!(EdgeConfig {
-            accept_backoff_initial: Duration::from_millis(10),
-            accept_backoff_max: Duration::from_millis(5),
-            ..edge
-        }
-        .validate()
-        .is_err());
+        assert!(EdgeConfig { pollers: 0 }.validate().is_err());
     }
 
     #[test]

@@ -43,12 +43,10 @@
 //!   full or when `max_wait` has passed since its first request — the
 //!   classic dynamic-batching throughput/latency trade-off.
 //! * **Workers** pull formed batches from a shared queue; each owns one
-//!   persistent [`cdl_core::batch::BatchEvaluator`] pinned to the
-//!   configured GEMM microkernel ([`ServerConfig::gemm_kernel`], default
-//!   [`GemmKernel::detect`] — the AVX2 `Simd` arm where the host supports
-//!   it), so steady-state serving performs no
-//!   im2col/GEMM allocations and every batch runs the kernel chosen once
-//!   at startup.
+//!   persistent [`cdl_core::batch::BatchEvaluator`], so steady-state
+//!   serving performs no im2col/GEMM allocations. Which GEMM bodies run
+//!   (AVX2 or portable, bit-identical) is a property of the host that the
+//!   evaluator finds at construction — the server has no option for it.
 //! * **Cancellation**: dropping a [`Pending`] before evaluation removes the
 //!   request from its batch at no evaluator cost.
 //! * **Shutdown** ([`Server::shutdown`]) drains then stops: queued requests
@@ -266,7 +264,6 @@ pub use cdl_telemetry::{
     EventKind, LogHistogram, PhaseBreakdown, SpanEvent, Telemetry, TelemetryConfig,
     TelemetrySnapshot, TraceId,
 };
-pub use cdl_tensor::gemm::GemmKernel;
 pub use config::{
     BatchPolicy, EdgeConfig, HealthPolicy, PlacementPolicy, Priority, ReplicaHealth, ReplicaSpec,
     RetryPolicy, ServerConfig, SubmitOptions,

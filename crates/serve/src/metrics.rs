@@ -169,9 +169,11 @@ pub struct ServerMetrics {
     pub expired_partial_ops: OpCount,
     /// Cumulative hardware stages activated by completed requests.
     pub stages_activated: u64,
-    /// Cumulative energy of completed requests, picojoules — priced at
-    /// snapshot time under the server's own [`EnergyModel`], which is why
-    /// it is carried (and summed) rather than re-derived after a merge.
+    /// Cumulative energy of `total_ops` / `stages_activated`, picojoules,
+    /// priced at snapshot time under [`EnergyModel::cmos_45nm`]. The model
+    /// is linear in both, so a reader who wants another technology
+    /// re-prices any snapshot, merged or not, with
+    /// `model.total_pj(&m.total_ops, m.stages_activated)`.
     pub energy_pj: f64,
 }
 
@@ -527,8 +529,7 @@ impl RouterMetrics {
     }
 
     /// The router-wide ledger: the [`ServerMetrics::merge`] of every
-    /// replica of every model (each replica's energy priced under its own
-    /// [`EnergyModel`]). Take it once and read fields off it.
+    /// replica of every model. Take it once and read fields off it.
     pub fn total(&self) -> ServerMetrics {
         let mut total = ServerMetrics::default();
         self.shards.iter().for_each(|s| total.merge(&s.total()));
@@ -673,7 +674,6 @@ impl fmt::Display for RouterMetrics {
 #[derive(Debug)]
 pub(crate) struct Recorder {
     started: Instant,
-    energy_model: EnergyModel,
     submitted: AtomicU64,
     rejected: AtomicU64,
     faulted: AtomicU64,
@@ -681,10 +681,9 @@ pub(crate) struct Recorder {
 }
 
 impl Recorder {
-    pub(crate) fn new(energy_model: EnergyModel) -> Self {
+    pub(crate) fn new() -> Self {
         Recorder {
             started: Instant::now(),
-            energy_model,
             submitted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             faulted: AtomicU64::new(0),
@@ -805,7 +804,7 @@ impl Recorder {
             rejected: self.rejected.load(Ordering::Relaxed),
             faults: self.faulted.load(Ordering::Relaxed),
             queue_depth,
-            energy_pj: self.energy_model.total_pj(&m.total_ops, m.stages_activated),
+            energy_pj: EnergyModel::cmos_45nm().total_pj(&m.total_ops, m.stages_activated),
             ..m.clone()
         }
     }
@@ -903,7 +902,7 @@ mod tests {
     }
 
     fn shard_snapshot(n_requests: u64, exits: Vec<u64>) -> ServerMetrics {
-        let rec = Recorder::new(EnergyModel::cmos_45nm());
+        let rec = Recorder::new();
         let ms = Duration::from_millis(1);
         for _ in 0..n_requests {
             rec.admitted();
@@ -1144,7 +1143,7 @@ mod tests {
 
     /// Two completion bursts 20 ms apart on a fresh recorder.
     fn two_bursts() -> Recorder {
-        let rec = Recorder::new(EnergyModel::cmos_45nm());
+        let rec = Recorder::new();
         let ms = Duration::from_millis(1);
         for _ in 0..10 {
             rec.admitted();
@@ -1203,11 +1202,11 @@ mod tests {
     #[test]
     fn throughput_falls_back_to_uptime_on_degenerate_spans() {
         // nothing completed → 0
-        let rec = Recorder::new(EnergyModel::cmos_45nm());
+        let rec = Recorder::new();
         std::thread::sleep(Duration::from_millis(5));
         assert_eq!(rec.snapshot(0).throughput_rps(), 0.0);
         // a single completion instant → completed / uptime (never inf/NaN)
-        let rec = Recorder::new(EnergyModel::cmos_45nm());
+        let rec = Recorder::new();
         rec.admitted();
         rec.batch_completed([(Duration::from_millis(1), out(0, 10))].into_iter());
         std::thread::sleep(Duration::from_millis(5));
@@ -1220,7 +1219,7 @@ mod tests {
 
     #[test]
     fn recorder_tracks_shed_and_expired_per_class_and_tenant() {
-        let rec = Recorder::new(EnergyModel::cmos_45nm());
+        let rec = Recorder::new();
         rec.shed(Priority::Low, Some(1));
         rec.shed(Priority::Low, Some(1));
         rec.shed(Priority::Normal, None);
@@ -1247,7 +1246,7 @@ mod tests {
 
     #[test]
     fn mid_batch_expiry_charges_partial_work_to_the_energy_ledger() {
-        let rec = Recorder::new(EnergyModel::cmos_45nm());
+        let rec = Recorder::new();
         let zero_work = rec.snapshot(0).energy_pj;
         rec.expired(Priority::Normal, Some(7), OpCount::from_macs(1234), 2);
         let snap = rec.snapshot(0);
@@ -1289,7 +1288,7 @@ mod tests {
 
     #[test]
     fn recorder_aggregates_batches() {
-        let rec = Recorder::new(EnergyModel::cmos_45nm());
+        let rec = Recorder::new();
         rec.admitted();
         rec.admitted();
         rec.admitted();

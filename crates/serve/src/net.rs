@@ -538,27 +538,24 @@ fn decode_response(body: &[u8]) -> io::Result<(u64, Result<CdlOutput, ErrorReply
 /// at 1 and are never reused within a poller.
 const WAKER_TOKEN: Token = Token(0);
 
+/// First delay after a failed `accept()`; doubles on every consecutive
+/// failure.
+const ACCEPT_BACKOFF_INITIAL: Duration = Duration::from_millis(1);
+/// Ceiling of the accept backoff.
+const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(250);
+
 /// Exponential backoff for a failing `accept()` loop: a persistent
 /// accept error (fd exhaustion, a torn-down listener) must never
 /// busy-spin a core. Consecutive failures double the delay from
-/// `initial` up to `max`; any successful accept resets the streak.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// [`ACCEPT_BACKOFF_INITIAL`] up to [`ACCEPT_BACKOFF_MAX`]; any successful
+/// accept resets the streak.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 struct AcceptBackoff {
-    initial: Duration,
-    max: Duration,
     /// Delay for the next failure; `None` while accepts are succeeding.
     next: Option<Duration>,
 }
 
 impl AcceptBackoff {
-    fn new(initial: Duration, max: Duration) -> AcceptBackoff {
-        AcceptBackoff {
-            initial,
-            max,
-            next: None,
-        }
-    }
-
     /// A successful accept ends the error streak.
     fn on_success(&mut self) {
         self.next = None;
@@ -566,8 +563,8 @@ impl AcceptBackoff {
 
     /// How long to sleep before retrying a failed accept.
     fn on_error(&mut self) -> Duration {
-        let delay = self.next.unwrap_or(self.initial).min(self.max);
-        self.next = Some((delay * 2).min(self.max));
+        let delay = self.next.unwrap_or(ACCEPT_BACKOFF_INITIAL);
+        self.next = Some((delay * 2).min(ACCEPT_BACKOFF_MAX));
         delay
     }
 }
@@ -1027,8 +1024,8 @@ impl TcpServer {
         TcpServer::bind_with(addr, router, EdgeConfig::default())
     }
 
-    /// [`TcpServer::bind`] with an explicit [`EdgeConfig`] — poller-pool
-    /// size and accept-backoff policy.
+    /// [`TcpServer::bind`] with an explicit [`EdgeConfig`] — the
+    /// poller-pool size.
     ///
     /// # Errors
     ///
@@ -1091,8 +1088,7 @@ impl TcpServer {
                 .iter()
                 .map(|p| (p.reg_tx.clone(), Arc::clone(&p.waker)))
                 .collect();
-            let mut backoff =
-                AcceptBackoff::new(config.accept_backoff_initial, config.accept_backoff_max);
+            let mut backoff = AcceptBackoff::default();
             let accept_loop = move || {
                 let mut next = 0usize;
                 loop {
@@ -1321,23 +1317,20 @@ mod tests {
     /// busy-spinning a core for as long as the error persisted.)
     #[test]
     fn accept_backoff_doubles_to_the_cap_and_resets_on_success() {
-        let mut backoff = AcceptBackoff::new(Duration::from_millis(1), Duration::from_millis(8));
-        assert_eq!(backoff.on_error(), Duration::from_millis(1));
-        assert_eq!(backoff.on_error(), Duration::from_millis(2));
-        assert_eq!(backoff.on_error(), Duration::from_millis(4));
-        assert_eq!(backoff.on_error(), Duration::from_millis(8));
-        assert_eq!(backoff.on_error(), Duration::from_millis(8), "capped");
+        let mut backoff = AcceptBackoff::default();
+        let mut expected = ACCEPT_BACKOFF_INITIAL;
+        while expected < ACCEPT_BACKOFF_MAX {
+            assert_eq!(backoff.on_error(), expected);
+            expected *= 2;
+        }
+        assert_eq!(backoff.on_error(), ACCEPT_BACKOFF_MAX, "capped");
+        assert_eq!(backoff.on_error(), ACCEPT_BACKOFF_MAX, "stays capped");
         backoff.on_success();
         assert_eq!(
             backoff.on_error(),
-            Duration::from_millis(1),
+            ACCEPT_BACKOFF_INITIAL,
             "a successful accept resets the streak"
         );
-        // a ceiling below the initial delay clamps immediately rather
-        // than sleeping longer than configured
-        let mut tight = AcceptBackoff::new(Duration::from_millis(10), Duration::from_millis(4));
-        assert_eq!(tight.on_error(), Duration::from_millis(4));
-        assert_eq!(tight.on_error(), Duration::from_millis(4));
     }
 
     fn output_fixture() -> CdlOutput {

@@ -1648,70 +1648,6 @@ mod tests {
     }
 
     #[test]
-    fn server_round_trips_gemm_kernel() {
-        use cdl_tensor::gemm::GemmKernel;
-        let net = build_untrained(arch::mnist_2c(), 5);
-        for kernel in GemmKernel::ALL {
-            let config = ServerConfig {
-                policy: BatchPolicy::by_deadline(Duration::from_millis(1)),
-                queue_capacity: 8,
-                workers: 1,
-                gemm_kernel: kernel,
-                ..ServerConfig::default()
-            };
-            let server = Server::start(Arc::clone(&net), config).unwrap();
-            assert_eq!(server.gemm_kernel(), kernel);
-            drop(server);
-        }
-    }
-
-    #[test]
-    fn mixed_kernel_shards_stay_isolated_and_identical() {
-        use cdl_tensor::gemm::GemmKernel;
-        // the SAME network behind two shards that differ only in GEMM
-        // kernel: every routed answer must be identical (all kernels are
-        // bit-exact) and each shard must run the kernel it was configured
-        // with — the choice never leaks across shards
-        let net = build_untrained(arch::mnist_3c(), 9);
-        let config = |kernel| ServerConfig {
-            policy: BatchPolicy::by_deadline(Duration::from_millis(1)),
-            queue_capacity: 64,
-            workers: 1,
-            gemm_kernel: kernel,
-            ..ServerConfig::default()
-        };
-        let router = Router::start(vec![
-            ShardSpec::new("tiled", Arc::clone(&net), config(GemmKernel::Tiled)),
-            ShardSpec::new("reference", Arc::clone(&net), config(GemmKernel::Reference)),
-        ])
-        .unwrap();
-        let tiled = router.model_id("tiled").unwrap();
-        let reference = router.model_id("reference").unwrap();
-        let inputs = images(10);
-        let pairs: Vec<(Pending, Pending)> = inputs
-            .iter()
-            .map(|x| {
-                (
-                    router.submit(tiled, x.clone()).unwrap(),
-                    router.submit(reference, x.clone()).unwrap(),
-                )
-            })
-            .collect();
-        for ((t, r), x) in pairs.into_iter().zip(&inputs) {
-            let expected = net.classify(x).unwrap();
-            let t = t.wait().unwrap();
-            let r = r.wait().unwrap();
-            assert_eq!(t, expected, "tiled shard");
-            assert_eq!(r, expected, "reference shard");
-            assert_eq!(t, r);
-        }
-        let metrics = router.shutdown();
-        assert_eq!(metrics.routing_histogram(), vec![10, 10]);
-        assert_eq!(metrics.total().completed, 20);
-        assert_eq!(metrics.total().failed, 0);
-    }
-
-    #[test]
     fn adopted_traces_flow_through_routing() {
         let net = build_untrained(arch::mnist_2c(), 5);
         let config = ServerConfig {

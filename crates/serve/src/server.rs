@@ -13,7 +13,6 @@ use cdl_core::batch::{BatchEvaluator, SheddableOutcome};
 use cdl_core::confidence::ExitOverride;
 use cdl_core::network::CdlNetwork;
 use cdl_telemetry::{EventKind, Telemetry, TelemetrySnapshot, TraceId};
-use cdl_tensor::gemm::GemmKernel;
 use cdl_tensor::Tensor;
 
 use crate::config::{BatchPolicy, Priority, ServerConfig, SubmitOptions};
@@ -288,7 +287,6 @@ fn settle_expired(request: LiveRequest, recorder: &Recorder) {
 #[derive(Debug)]
 pub struct Server {
     net: Arc<CdlNetwork>,
-    gemm_kernel: GemmKernel,
     submit_tx: Option<Sender<Queued>>,
     gate: Arc<Gate>,
     recorder: Arc<Recorder>,
@@ -307,7 +305,7 @@ impl Server {
     pub fn start(net: Arc<CdlNetwork>, config: ServerConfig) -> ServeResult<Server> {
         config.validate()?;
         let gate = Arc::new(Gate::new(config.queue_capacity, config.tenant_quota));
-        let recorder = Arc::new(Recorder::new(config.energy_model));
+        let recorder = Arc::new(Recorder::new());
         let telemetry = Telemetry::new(config.telemetry);
         let (submit_tx, submit_rx) = channel::<Queued>();
         let (work_tx, work_rx) = channel::<Vec<Queued>>();
@@ -328,22 +326,18 @@ impl Server {
                 let work_rx = Arc::clone(&work_rx);
                 let recorder = Arc::clone(&recorder);
                 let telemetry = telemetry.clone();
-                let kernel = config.gemm_kernel;
                 // clones share the plan's trigger state: the batch
                 // sequence is per pipeline, not per worker thread
                 let fault = config.fault.clone();
                 std::thread::Builder::new()
                     .name(format!("cdl-serve-worker-{i}"))
-                    .spawn(move || {
-                        run_worker(&net, kernel, &work_rx, &fault, &recorder, &telemetry)
-                    })
+                    .spawn(move || run_worker(&net, &work_rx, &fault, &recorder, &telemetry))
                     .expect("spawn worker thread")
             })
             .collect();
 
         Ok(Server {
             net,
-            gemm_kernel: config.gemm_kernel,
             submit_tx: Some(submit_tx),
             gate,
             recorder,
@@ -375,12 +369,6 @@ impl Server {
     /// appears, instead of polling on a timeout.
     pub fn on_gate_vacancy(&self, listener: Arc<dyn Fn() + Send + Sync>) {
         self.gate.vacancy.add(listener);
-    }
-
-    /// The GEMM microkernel every worker's evaluator runs (from
-    /// [`ServerConfig::gemm_kernel`]).
-    pub fn gemm_kernel(&self) -> GemmKernel {
-        self.gemm_kernel
     }
 
     /// The one admission path: validates `request` against the model,
@@ -694,18 +682,17 @@ fn run_batcher(
     }
 }
 
-/// Worker loop: one persistent [`BatchEvaluator`] per thread, pinned to the
-/// configured GEMM microkernel, batches pulled from the shared work queue
-/// until it closes.
+/// Worker loop: one persistent [`BatchEvaluator`] per thread (which GEMM
+/// bodies it runs is the host's matter, found in `BatchEvaluator::new`),
+/// batches pulled from the shared work queue until it closes.
 fn run_worker(
     net: &CdlNetwork,
-    kernel: GemmKernel,
     work_rx: &Mutex<Receiver<Vec<Queued>>>,
     fault: &FaultPlan,
     recorder: &Recorder,
     telemetry: &Telemetry,
 ) {
-    let mut eval = BatchEvaluator::with_kernel(net, kernel);
+    let mut eval = BatchEvaluator::new(net);
     loop {
         // holding the lock across recv() serialises *idle waiting*, not
         // work: the receiver hands over one batch, the lock drops, and the
@@ -1066,7 +1053,7 @@ mod tests {
         // must dispatch (nearly) immediately; a dequeue-anchored deadline
         // would silently grant it a second full max_wait.
         let gate = Arc::new(Gate::new(8, None));
-        let recorder = Arc::new(Recorder::new(cdl_hw::EnergyModel::cmos_45nm()));
+        let recorder = Arc::new(Recorder::new());
         let (tx, rx) = channel::<Queued>();
         let (work_tx, work_rx) = channel::<Vec<Queued>>();
         let policy = BatchPolicy::new(8, Duration::from_millis(100));
@@ -1346,8 +1333,8 @@ mod tests {
         // reach the evaluator, and its result stays bit-identical
         let net = build_untrained();
         let gate = Arc::new(Gate::new(8, None));
-        let recorder = Recorder::new(cdl_hw::EnergyModel::cmos_45nm());
-        let mut eval = BatchEvaluator::with_kernel(&net, GemmKernel::detect());
+        let recorder = Recorder::new();
+        let mut eval = BatchEvaluator::new(&net);
         let img = images(2);
         let (p_expired, r_expired) = raw_request(
             &gate,
@@ -1383,8 +1370,8 @@ mod tests {
         // with *partial* (non-zero, sub-full) work on the ledger.
         let net = build_untrained();
         let gate = Arc::new(Gate::new(8, None));
-        let recorder = Recorder::new(cdl_hw::EnergyModel::cmos_45nm());
-        let mut eval = BatchEvaluator::with_kernel(&net, GemmKernel::detect());
+        let recorder = Recorder::new();
+        let mut eval = BatchEvaluator::new(&net);
         let img = images(2);
         let (p_doomed, r_doomed) = raw_request(
             &gate,
@@ -1597,8 +1584,8 @@ mod tests {
         // request and deliver bit-identical results to its neighbours
         let net = build_untrained();
         let gate = Arc::new(Gate::new(8, None));
-        let recorder = Recorder::new(cdl_hw::EnergyModel::cmos_45nm());
-        let mut eval = BatchEvaluator::with_kernel(&net, GemmKernel::detect());
+        let recorder = Recorder::new();
+        let mut eval = BatchEvaluator::new(&net);
         let good = images(2);
         let (p_good1, r_good1) = raw_request(&gate, good[0].clone(), None);
         let (p_bad, r_bad) = raw_request(&gate, Tensor::full(&[2, 2], 0.5), None);

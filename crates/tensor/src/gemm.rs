@@ -1,34 +1,35 @@
-//! Register-blocked GEMM microkernels behind a runtime [`GemmKernel`]
-//! choice — the shared inner engine of the batched hot paths
-//! ([`crate::im2col::conv2d_valid_batch`], its fused sibling
-//! [`crate::im2col::conv2d_pool_batch`], and
-//! [`crate::ops::affine_rows_into`]).
+//! Register-blocked GEMM microkernels — the shared inner engine of the
+//! batched hot paths ([`crate::im2col::conv2d_valid_batch`], its fused
+//! sibling [`crate::im2col::conv2d_pool_batch`], and
+//! [`crate::ops::affine_rows_into`]) — with one portable body and one AVX2
+//! body per GEMM shape, chosen by the host.
 //!
-//! # Why a kernel *enum* instead of just a faster loop
+//! # Two arms, and why there is an enum at all
 //!
 //! Every batched evaluator in this workspace promises results that are
-//! **bit-identical** to the per-image reference path, and the equivalence
-//! suites enforce that promise per kernel. Keeping the original loops alive
-//! as [`GemmKernel::Reference`] makes the pinned baseline executable: any
-//! future kernel (intrinsics, a packed/blocked L2 design) is a new enum
-//! variant that must reproduce `Reference` bit for bit before it can
-//! become the default. [`GemmKernel::Simd`] — explicit AVX2 intrinsics —
-//! is the default wherever the host supports it ([`GemmKernel::detect`]
-//! runs once at evaluator/shard construction); [`GemmKernel::Tiled`] is
-//! the portable default everywhere else.
+//! **bit-identical** to the per-image path, and which loop runs is a
+//! property of the host, not of a configuration: [`GemmKernel::Simd`] runs
+//! the explicit AVX2 bodies where the CPU has AVX2 and the portable bodies
+//! everywhere else. The enum exists so that an AVX2 host can still be made
+//! to run the portable bodies — [`GemmKernel::Reference`] is that arm, and
+//! the parity suites iterate [`GemmKernel::ALL`] so both bodies of each
+//! shape are driven on every run. The specification both are held to is
+//! not in this module: it is the naive triple loops of the test modules,
+//! [`crate::ops::affine_row`] and [`crate::conv::conv2d_valid`]. A future
+//! arm (NEON, AVX-512, a kernel with lanes across images) is a new body
+//! behind `Simd` that must reproduce them bit for bit before it is timed.
 //!
-//! # Tiling scheme
+//! # Tiling scheme of the portable bodies
 //!
-//! Both kernels tile the M×N *output* plane into small register blocks and
-//! keep the **full-k inner loop sequential per output element**:
+//! Both tile the M×N *output* plane into small register blocks and keep
+//! the **full-k inner loop sequential per output element**:
 //!
 //! * [`gemm_nn`] (`C = bias ⊕ A·B`, the im2col convolution shape) uses
 //!   6×8 tiles: 6 output rows × 8 output columns of accumulators live in
 //!   registers for the whole `k` loop, and the 8-wide column dimension is a
-//!   straight independent-lane loop that autovectorizes. The reference
-//!   kernel instead re-reads and re-writes each `n`-length output row once
-//!   per `k` step — `m·k` passes over memory versus one per tile here,
-//!   which is where the speedup comes from.
+//!   straight independent-lane loop that autovectorizes. A straight loop
+//!   would re-read and re-write each `n`-length output row once per `k`
+//!   step — `m·k` passes over memory versus one per tile here.
 //! * [`gemm_nt`] (`out = rows·Wᵀ + bias`, the batched dense/head shape)
 //!   uses 4×4 tiles: 16 independent dot-product accumulators advance
 //!   through `k` together. A single f32 dot product cannot be vectorized
@@ -37,20 +38,23 @@
 //!   FPU busy — plus one pass over each operand row per tile instead of
 //!   one per output element.
 //!
+//! Straight (untiled) loops give the same bits 1.7–2.1× slower end to end
+//! on both benchmark models, so there is no third, slower arm.
+//!
 //! # Why the k-order is preserved
 //!
 //! f32 addition is not associative, so the *sequence* of additions that
 //! produces an output element defines its bit pattern. Tiling only
 //! repartitions **which** elements are computed together; within one
-//! element the accumulation stays exactly the reference order (`gemm_nn`:
+//! element the accumulation stays exactly the specified order (`gemm_nn`:
 //! bias first, then `p = 0..k` ascending; `gemm_nt`: `p = 0..k` ascending
 //! from zero, bias added last). Tails — `m` or `n` not divisible by the
 //! tile — fall back to narrower blocks or scalar loops with the same
 //! per-element order, so parity holds for every shape, including `k = 0`
 //! (pure bias). The parity proptests in `crates/tensor/tests/proptests.rs`
-//! pin every variant against a naive triple loop bit for bit.
+//! pin both arms against a naive triple loop bit for bit.
 //!
-//! # The SIMD arm: lane layout, and why mul+add instead of FMA
+//! # The AVX2 bodies: lane layout, and why mul+add instead of FMA
 //!
 //! [`GemmKernel::Simd`] re-expresses the tiled design in explicit
 //! `core::arch::x86_64` AVX2 intrinsics, 8 f32 lanes per `__m256` vector.
@@ -59,9 +63,9 @@
 //! columns of `gemm_nn`, output features of `gemm_nt`), so **each lane
 //! owns exactly one output element** and accumulates *its own* k-loop
 //! sequentially — `p = 0, 1, 2, …` in program order, one addition per
-//! step, exactly like the scalar reference. Lanes never cooperate on an
+//! step, exactly like the scalar chain. Lanes never cooperate on an
 //! element, so no horizontal reduction (and no reassociated addition tree)
-//! ever touches an accumulator. That is what keeps the SIMD arm
+//! ever touches an accumulator. That is what keeps the AVX2 bodies
 //! **bit-identical**: vectorizing across independent elements is pure
 //! repartitioning; vectorizing *within* an element's dot product would
 //! split its addition chain into per-lane partial sums and change the
@@ -70,14 +74,15 @@
 //! The second bit-exactness decision is arithmetic: the k-step is a
 //! separate `_mm256_mul_ps` followed by `_mm256_add_ps`, **never**
 //! `_mm256_fmadd_ps`. An FMA computes `a·b + c` with a *single* rounding
-//! of the infinitely precise product-sum; the scalar reference (and every
-//! other kernel) rounds the product first, then rounds the sum — two
-//! roundings. Fused results are usually *more* accurate, but they are
-//! different bits, and the contract of this module is bit-parity with
-//! `Reference`, enforced by the parity proptests across all three arms.
-//! (The tiled kernel has the same property implicitly: the autovectorizer
-//! may not fuse because the source says `mul` then `add` and `-C
-//! target-feature` doesn't enable FMA contraction for baseline x86-64.)
+//! of the infinitely precise product-sum; the scalar chain rounds the
+//! product first, then rounds the sum — two roundings. Fused results are
+//! usually *more* accurate, but they are different bits, and the contract
+//! of this module is bit-parity across hosts, enforced by the parity
+//! proptests and the golden vectors of `tests/golden.rs` on both arms.
+//! (The portable bodies have the same property implicitly: the
+//! autovectorizer may not fuse because the source says `mul` then `add`
+//! and `-C target-feature` doesn't enable FMA contraction for baseline
+//! x86-64.)
 //!
 //! Per shape:
 //!
@@ -88,7 +93,7 @@
 //!   two contiguous unaligned loads of `b[p][j0..j0+16]`, halving the
 //!   broadcast overhead that dominates the small-`k` conv layers. An
 //!   8-wide tile covers the 8..=15-column remainder, and ragged `n % 8` /
-//!   `m` tails fall back to the same scalar loops the tiled kernel uses.
+//!   `m` tails fall back to the same scalar loops the portable body uses.
 //!   (The paper-scale C1 layers are DRAM-bandwidth-bound at ~1 flop/byte,
 //!   so the SIMD gain there is bounded by memory, not arithmetic — the
 //!   compute-rich C2/C3/head shapes are where the 1.5–2x shows up.)
@@ -128,129 +133,85 @@
 //!   throughout), a const-generic kernel size (no gain), and with them a
 //!   packed weight layout: the per-tap broadcasts are L1 hits already.
 //!
-//! # Runtime detection and fallback
+//! # The host picks
 //!
-//! AVX2 is a runtime property of the host, so the kernel is chosen
-//! **once, at evaluator/shard construction**, via [`GemmKernel::detect`]
-//! (`is_x86_feature_detected!("avx2")`): `Simd` where available, `Tiled`
-//! otherwise. `GemmKernel::default()` delegates to `detect()`, which is
-//! how every `BatchEvaluator::new` / `BatchScratch::new` /
-//! `ServerConfig::default` picks the fastest bit-identical kernel without
-//! call-site changes. Selecting [`GemmKernel::Simd`] explicitly on a host
-//! without AVX2 (or on a non-x86 build, where the intrinsics module is
-//! compiled out) transparently runs the `Tiled` loops — same bits, so the
-//! fallback is observable only in throughput. Tests pin that path via the
-//! [`force_simd_fallback`] hook.
-//!
-//! # When to pick which kernel
-//!
-//! `detect()` (the default) is right everywhere: `Simd` on AVX2 hosts,
-//! `Tiled` elsewhere — strictly performance transformations. `Reference`
-//! exists for A/B benchmarking (the `benchmark/` package's `tensor.*` rows),
-//! for bisecting a suspected kernel bug in production (flip one shard's
-//! [`ServerConfig`] to `Reference` and diff), and as the executable
-//! specification new kernels are tested against. The next escalation
-//! steps if LeNet-scale feature maps are outgrown: an AVX-512 variant
-//! (16-lane, same lane-per-element layout) and a packed/L2-blocked
-//! operand layout.
-//!
-//! [`ServerConfig`]: ../../cdl_serve/struct.ServerConfig.html
+//! Nothing above the evaluator chooses a kernel. `BatchScratch::new` /
+//! `BatchEvaluator::new` take [`GemmKernel::detect`] — `Simd` where
+//! `is_x86_feature_detected!("avx2")`, `Reference` otherwise (and on
+//! non-x86 builds, where the intrinsics module is compiled out) — and the
+//! serving stack has no option for it. `Simd` on a host without AVX2 runs
+//! the portable bodies itself, so naming it explicitly is always safe and
+//! the difference is observable only in throughput; tests reach that path
+//! on an AVX2 host through the [`force_simd_fallback`] hook. The only
+//! caller that passes anything but `detect()` is a parity suite walking
+//! [`GemmKernel::ALL`] (`BatchEvaluator::with_kernel`), and the
+//! `benchmark/` package's `tensor.*` rows time the detected arm. The next
+//! steps if LeNet-scale feature maps are outgrown: lanes across images for
+//! the narrow and single-channel convolutions (which would retire the
+//! lowering and `gemm_nn`'s AVX2 body), an AVX-512 body, and a
+//! packed/L2-blocked operand layout.
 
-use std::fmt;
-use std::str::FromStr;
-
-/// Which GEMM inner kernel the batched paths run.
+/// Which body of each GEMM shape the batched paths run. Both arms are
+/// bit-identical; they differ only in speed.
 ///
-/// Selected once at evaluator construction
-/// (`BatchEvaluator::with_kernel`, `BatchScratch::with_kernel`, or
-/// `ServerConfig::gemm_kernel`) and threaded through every batched conv,
-/// dense and head evaluation. All variants are bit-identical; they differ
-/// only in speed.
+/// Callers do not choose: every evaluator takes [`GemmKernel::detect`].
+/// The value is still an argument of the kernels so that a parity suite
+/// can drive the portable bodies on an AVX2 host
+/// (`BatchEvaluator::with_kernel` over [`GemmKernel::ALL`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GemmKernel {
-    /// The original straight loops — the pinned executable baseline.
+    /// The portable body, always: register-blocked 6×8 / 4×4 output tiles
+    /// in plain Rust (see the [module docs](self)).
     Reference,
-    /// Register-blocked 6×8 / 4×4 output tiling (see the
-    /// [module docs](self)). The portable default.
-    Tiled,
     /// Explicit AVX2 intrinsics, 8 f32 lanes across the output-column
-    /// dimension (see the [module docs](self)). Transparently runs the
-    /// `Tiled` loops on hosts without AVX2 and on non-x86 builds.
+    /// dimension (see the [module docs](self)), where the host has AVX2;
+    /// the portable body of [`GemmKernel::Reference`] everywhere else.
     Simd,
 }
 
 impl GemmKernel {
-    /// Every kernel variant, for parity tests and benches that iterate the
-    /// whole set.
-    pub const ALL: [GemmKernel; 3] = [GemmKernel::Reference, GemmKernel::Tiled, GemmKernel::Simd];
+    /// Both arms, for the parity suites: on an AVX2 host iterating this
+    /// drives the AVX2 and the portable body of every shape.
+    pub const ALL: [GemmKernel; 2] = [GemmKernel::Reference, GemmKernel::Simd];
 
-    /// The fastest kernel this host can run: [`GemmKernel::Simd`] when the
-    /// CPU reports AVX2 (`is_x86_feature_detected!`), [`GemmKernel::Tiled`]
-    /// otherwise. This is what `GemmKernel::default()` returns, so every
-    /// evaluator/shard constructed without an explicit kernel picks it up
-    /// — the detection runs once per construction, never in the hot loop.
+    /// The arm that names what this host runs: [`GemmKernel::Simd`] when
+    /// the CPU reports AVX2 (`is_x86_feature_detected!`),
+    /// [`GemmKernel::Reference`] otherwise. This is what
+    /// `GemmKernel::default()` returns and what every evaluator is
+    /// constructed with — asked once per construction, never in a hot loop.
     pub fn detect() -> GemmKernel {
         if simd::available() {
             GemmKernel::Simd
         } else {
-            GemmKernel::Tiled
+            GemmKernel::Reference
         }
     }
 
-    /// Whether the [`GemmKernel::Simd`] arm would actually run its AVX2
-    /// microkernels on this host (rather than falling back to `Tiled`).
-    /// Benches and examples use this to annotate or skip SIMD-specific
-    /// throughput assertions.
+    /// Whether the [`GemmKernel::Simd`] arm runs its AVX2 bodies on this
+    /// host (rather than the portable ones). The other host-dispatched
+    /// kernels of this crate (`im2col`'s direct convolution,
+    /// `math::sigmoid_slice`) ask the same question.
     pub fn simd_available() -> bool {
         simd::available()
     }
 }
 
 impl Default for GemmKernel {
-    /// [`GemmKernel::detect`] — the fastest bit-identical kernel for this
-    /// host.
+    /// [`GemmKernel::detect`].
     fn default() -> Self {
         GemmKernel::detect()
     }
 }
 
-/// Test hook: force the [`GemmKernel::Simd`] arm to take its non-AVX2
-/// fallback path (the `Tiled` loops) regardless of what the host supports.
-/// Process-global; results are unchanged by construction (all kernels are
+/// Test hook: make the host look as if it had no AVX2, so
+/// [`GemmKernel::Simd`] — and every other kernel that asks
+/// [`GemmKernel::simd_available`] — takes its portable body.
+/// Process-global; results are unchanged by construction (both bodies are
 /// bit-identical), so flipping it concurrently with other work is safe —
 /// only throughput and [`GemmKernel::detect`] are affected.
 #[doc(hidden)]
 pub fn force_simd_fallback(on: bool) {
     simd::force_fallback(on);
-}
-
-impl fmt::Display for GemmKernel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            GemmKernel::Reference => "reference",
-            GemmKernel::Tiled => "tiled",
-            GemmKernel::Simd => "simd",
-        })
-    }
-}
-
-impl FromStr for GemmKernel {
-    type Err = String;
-
-    /// Parses `"reference"` / `"tiled"` / `"simd"` (alias `"avx2"`) plus
-    /// `"auto"` (= [`GemmKernel::detect`]), case-insensitive, for
-    /// env-driven configuration in examples and experiment binaries.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "reference" => Ok(GemmKernel::Reference),
-            "tiled" => Ok(GemmKernel::Tiled),
-            "simd" | "avx2" => Ok(GemmKernel::Simd),
-            "auto" => Ok(GemmKernel::detect()),
-            other => Err(format!(
-                "unknown GEMM kernel {other:?} (expected \"reference\", \"tiled\", \"simd\" or \"auto\")"
-            )),
-        }
-    }
 }
 
 /// Rows × columns of the [`gemm_nn`] register tile (output rows of `A·B`).
@@ -272,7 +233,7 @@ const NT_NR: usize = 4;
 /// This is the im2col convolution shape: `a` the reshaped kernel bank,
 /// `b` the batch patch matrix, `bias` one value per output channel. The
 /// per-element accumulation order — bias first, then `p` ascending — is
-/// identical for every kernel, so all variants produce the same bits.
+/// identical for both bodies, so both arms produce the same bits.
 ///
 /// # Panics
 ///
@@ -295,56 +256,26 @@ pub fn gemm_nn(
     assert_eq!(b.len(), k * n, "gemm_nn: b must be [k={k}, n={n}]");
     assert_eq!(bias.len(), m, "gemm_nn: bias must have m={m} entries");
     assert_eq!(out.len(), m * n, "gemm_nn: out must be [m={m}, n={n}]");
-    match kernel {
-        GemmKernel::Reference => gemm_nn_reference(m, k, n, a, b, bias, out),
-        GemmKernel::Tiled => gemm_nn_tiled(m, k, n, a, b, bias, out),
-        GemmKernel::Simd => {
-            #[cfg(target_arch = "x86_64")]
-            if simd::available() {
-                // SAFETY: `available()` just confirmed AVX2 at runtime, and
-                // the four length asserts above are `gemm_nn_avx2`'s shape
-                // contract (`a = [m,k]`, `b = [k,n]`, `bias = [m]`,
-                // `out = [m,n]`), which bounds every unchecked access.
-                unsafe { simd::gemm_nn_avx2(m, k, n, a, b, bias, out) };
-                return;
-            }
-            gemm_nn_tiled(m, k, n, a, b, bias, out)
-        }
+    if kernel == GemmKernel::Simd && simd::available() {
+        // SAFETY: `available()` just confirmed AVX2 at runtime (it is never
+        // true off x86-64), and the four length asserts above are
+        // `gemm_nn_avx2`'s shape contract (`a = [m,k]`, `b = [k,n]`,
+        // `bias = [m]`, `out = [m,n]`), which bounds every unchecked access.
+        #[cfg(target_arch = "x86_64")]
+        unsafe {
+            simd::gemm_nn_avx2(m, k, n, a, b, bias, out)
+        };
+    } else {
+        gemm_nn_portable(m, k, n, a, b, bias, out)
     }
 }
 
-/// The original batched-conv loop: seed every output row with its bias,
-/// then stream `out[i][·] += a[i,p] · b[p][·]` for `p` ascending.
-fn gemm_nn_reference(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    bias: &[f32],
-    out: &mut [f32],
-) {
-    for (i, &bv) in bias.iter().enumerate() {
-        out[i * n..(i + 1) * n].fill(bv);
-    }
-    for i in 0..m {
-        let orow = &mut out[i * n..(i + 1) * n];
-        for p in 0..k {
-            let av = a[i * k + p];
-            let brow = &b[p * n..(p + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o += av * bv;
-            }
-        }
-    }
-}
-
-/// Register-blocked variant: 6×8 output tiles accumulate in registers
-/// across the whole `k` loop; `m`/`n` tails fall back to narrower blocks
+/// The portable body: 6×8 output tiles accumulate in registers across
+/// the whole `k` loop; `m`/`n` tails fall back to narrower blocks
 /// and scalar columns with the same per-element order. The row-block
 /// height is dispatched to a const-generic microkernel so the compiler
 /// fully unrolls the tile and keeps every accumulator in a register.
-fn gemm_nn_tiled(
+fn gemm_nn_portable(
     m: usize,
     k: usize,
     n: usize,
@@ -441,7 +372,7 @@ fn nn_microkernel<const MR: usize>(
 ///
 /// `w` is the row-major `[m, k]` weight buffer with `m = bias.len()`;
 /// `out` is `[rows.len(), m]` row-major. This is the dense-layer / head
-/// shape: both operands are traversed along `k`, so the tiled variant
+/// shape: both operands are traversed along `k`, so the portable body
 /// wins through instruction-level parallelism (16 independent
 /// accumulators), not lane vectorization — see the [module docs](self).
 ///
@@ -468,37 +399,25 @@ pub fn gemm_nt(
     for row in rows {
         assert_eq!(row.len(), k, "gemm_nt: every row must have k={k} entries");
     }
-    match kernel {
-        GemmKernel::Reference => gemm_nt_reference(k, rows, w, bias, out),
-        GemmKernel::Tiled => gemm_nt_tiled(k, rows, w, bias, out),
-        GemmKernel::Simd => {
-            #[cfg(target_arch = "x86_64")]
-            if simd::available() {
-                // SAFETY: AVX2 confirmed at runtime; the asserts above are
-                // `gemm_nt_avx2`'s shape contract (`w = [m,k]`, every row of
-                // length `k`, `out = [rows.len(), m]`).
-                unsafe { simd::gemm_nt_avx2(k, rows, w, bias, out) };
-                return;
-            }
-            gemm_nt_tiled(k, rows, w, bias, out)
-        }
+    if kernel == GemmKernel::Simd && simd::available() {
+        // SAFETY: AVX2 confirmed at runtime; the asserts above are
+        // `gemm_nt_avx2`'s shape contract (`w = [m,k]`, every row of length
+        // `k`, `out = [rows.len(), m]`).
+        #[cfg(target_arch = "x86_64")]
+        unsafe {
+            simd::gemm_nt_avx2(k, rows, w, bias, out)
+        };
+    } else {
+        gemm_nt_portable(k, rows, w, bias, out)
     }
 }
 
-/// The original batched-affine loop: [`crate::ops::affine_row`] per sample.
-fn gemm_nt_reference(k: usize, rows: &[&[f32]], w: &[f32], bias: &[f32], out: &mut [f32]) {
-    let m = bias.len();
-    for (i, row) in rows.iter().enumerate() {
-        crate::ops::affine_row(row, w, k, bias, &mut out[i * m..(i + 1) * m]);
-    }
-}
-
-/// Register-blocked variant: up to 4 samples × 4 outputs of dot-product
+/// The portable body: up to 4 samples × 4 outputs of dot-product
 /// accumulators advance through `k` together; ragged tails shrink the
 /// tile, never the per-element order. Both tile dimensions are dispatched
 /// to a const-generic microkernel so all 16 accumulators stay in
 /// registers.
-fn gemm_nt_tiled(k: usize, rows: &[&[f32]], w: &[f32], bias: &[f32], out: &mut [f32]) {
+fn gemm_nt_portable(k: usize, rows: &[&[f32]], w: &[f32], bias: &[f32], out: &mut [f32]) {
     let mut i0 = 0;
     while i0 < rows.len() {
         let mr = NT_MR.min(rows.len() - i0);
@@ -647,7 +566,7 @@ mod simd {
 
     /// All `n` columns of the `MR` rows starting at `i0`: 16-wide
     /// double-vector tiles, an 8-wide tile on the remainder, then the same
-    /// scalar column tail as the tiled kernel. Every lane everywhere owns
+    /// scalar column tail as the portable body. Every lane everywhere owns
     /// one output element's full sequential k-chain.
     ///
     /// # Safety
@@ -1033,7 +952,7 @@ pub(crate) const DIRECT_MIN_OW: usize = 8;
 /// taps in channel-major `(c, ky, kx)` ascending order with separate
 /// mul+add — exactly the im2col patch-row order that [`gemm_nn`] sums, so
 /// fused and lowered results are identical to the last bit (pinned by the
-/// conv parity suites, which iterate every kernel).
+/// conv parity suites, which iterate both arms).
 ///
 /// # Panics
 ///
@@ -1080,7 +999,7 @@ pub(crate) fn conv2d_direct_simd(
     unreachable!("the direct conv kernel exists on x86_64 only; `GemmKernel::simd_available()` is false here");
 }
 
-/// Non-x86 stand-in: the `Simd` arm always takes the `Tiled` fallback.
+/// Non-x86 stand-in: the `Simd` arm always runs the portable bodies.
 #[cfg(not(target_arch = "x86_64"))]
 mod simd {
     pub(super) fn force_fallback(_on: bool) {}
@@ -1134,8 +1053,8 @@ mod tests {
         (0..len).map(|_| rng.random_range(-2.0..2.0)).collect()
     }
 
-    /// Naive triple loop replaying the reference accumulation order for
-    /// the nn (bias-first) shape.
+    /// The specification of the nn (bias-first) shape as a naive triple
+    /// loop: bias first, then `p` ascending.
     fn naive_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], bias: &[f32]) -> Vec<f32> {
         let mut out = vec![0.0f32; m * n];
         for i in 0..m {
@@ -1150,19 +1069,13 @@ mod tests {
         out
     }
 
-    /// Naive loop replaying the reference order for the nt (bias-last)
-    /// shape.
+    /// The specification of the nt (bias-last) shape:
+    /// [`crate::ops::affine_row`] per sample.
     fn naive_nt(k: usize, rows: &[&[f32]], w: &[f32], bias: &[f32]) -> Vec<f32> {
         let m = bias.len();
         let mut out = vec![0.0f32; rows.len() * m];
         for (i, row) in rows.iter().enumerate() {
-            for r in 0..m {
-                let mut acc = 0.0f32;
-                for p in 0..k {
-                    acc += w[r * k + p] * row[p];
-                }
-                out[i * m + r] = acc + bias[r];
-            }
+            crate::ops::affine_row(row, w, k, bias, &mut out[i * m..(i + 1) * m]);
         }
         out
     }
@@ -1193,7 +1106,7 @@ mod tests {
                     assert_eq!(
                         got.to_bits(),
                         want.to_bits(),
-                        "{kernel} nn mismatch at ({m},{k},{n})"
+                        "{kernel:?} nn mismatch at ({m},{k},{n})"
                     );
                 }
             }
@@ -1224,7 +1137,7 @@ mod tests {
                     assert_eq!(
                         got.to_bits(),
                         want.to_bits(),
-                        "{kernel} nt mismatch at ({rows_n},{m},{k})"
+                        "{kernel:?} nt mismatch at ({rows_n},{m},{k})"
                     );
                 }
             }
@@ -1278,7 +1191,7 @@ mod tests {
         let r = std::panic::catch_unwind(|| {
             let mut out = vec![0.0f32; 4];
             gemm_nn(
-                GemmKernel::Tiled,
+                GemmKernel::Reference,
                 2,
                 2,
                 2,
@@ -1292,27 +1205,16 @@ mod tests {
         let r = std::panic::catch_unwind(|| {
             let row: &[f32] = &[0.0; 3];
             let mut out = vec![0.0f32; 2];
-            gemm_nt(GemmKernel::Tiled, 2, &[row], &[0.0; 4], &[0.0; 2], &mut out);
+            gemm_nt(
+                GemmKernel::Reference,
+                2,
+                &[row],
+                &[0.0; 4],
+                &[0.0; 2],
+                &mut out,
+            );
         });
         assert!(r.is_err(), "wrong row length must panic");
-    }
-
-    #[test]
-    fn display_parse_round_trip() {
-        for kernel in GemmKernel::ALL {
-            assert_eq!(kernel.to_string().parse::<GemmKernel>().unwrap(), kernel);
-        }
-        assert_eq!(
-            "Reference".parse::<GemmKernel>().unwrap(),
-            GemmKernel::Reference
-        );
-        assert_eq!("avx2".parse::<GemmKernel>().unwrap(), GemmKernel::Simd);
-        // "auto" and the Default impl both resolve to the detected kernel,
-        // which is always one of the two fast arms
-        let auto = "auto".parse::<GemmKernel>().unwrap();
-        assert!(auto == GemmKernel::Simd || auto == GemmKernel::Tiled);
-        assert_ne!(GemmKernel::default(), GemmKernel::Reference);
-        assert!("avx512".parse::<GemmKernel>().is_err());
     }
 
     #[test]
@@ -1321,42 +1223,44 @@ mod tests {
         if GemmKernel::simd_available() {
             assert_eq!(GemmKernel::detect(), GemmKernel::Simd);
         } else {
-            assert_eq!(GemmKernel::detect(), GemmKernel::Tiled);
+            assert_eq!(GemmKernel::detect(), GemmKernel::Reference);
         }
+        assert_eq!(GemmKernel::default(), GemmKernel::detect());
     }
 
     /// The `Simd` arm on a host (or build) without AVX2 must silently run
-    /// the `Tiled` loops with identical results — exercised here through
-    /// the forced-fallback hook, on shapes with ragged tails in every
-    /// dimension. The guard restores the real dispatch even on panic.
+    /// the portable bodies of `Reference` with identical results —
+    /// exercised here through the forced-fallback hook, on shapes with
+    /// ragged tails in every dimension. The guard restores the real
+    /// dispatch even on panic.
     #[test]
-    fn simd_forced_fallback_is_bit_identical_to_tiled() {
+    fn simd_forced_fallback_is_bit_identical_to_reference() {
         let _guard = DetectionGuard::lock();
         let mut rng = StdRng::seed_from_u64(77);
         let (m, k, n) = (7usize, 13usize, 29usize);
         let a = fill(&mut rng, m * k);
         let b = fill(&mut rng, k * n);
         let bias = fill(&mut rng, m);
-        let mut tiled = vec![f32::NAN; m * n];
-        gemm_nn(GemmKernel::Tiled, m, k, n, &a, &b, &bias, &mut tiled);
+        let mut portable = vec![f32::NAN; m * n];
+        gemm_nn(GemmKernel::Reference, m, k, n, &a, &b, &bias, &mut portable);
 
         force_simd_fallback(true);
         assert!(!GemmKernel::simd_available());
-        assert_eq!(GemmKernel::detect(), GemmKernel::Tiled);
+        assert_eq!(GemmKernel::detect(), GemmKernel::Reference);
         let mut forced = vec![f32::NAN; m * n];
         gemm_nn(GemmKernel::Simd, m, k, n, &a, &b, &bias, &mut forced);
-        for (got, want) in forced.iter().zip(&tiled) {
+        for (got, want) in forced.iter().zip(&portable) {
             assert_eq!(got.to_bits(), want.to_bits(), "forced-fallback nn");
         }
 
         let samples: Vec<Vec<f32>> = (0..5).map(|_| fill(&mut rng, k)).collect();
         let rows: Vec<&[f32]> = samples.iter().map(Vec::as_slice).collect();
         let w = fill(&mut rng, m * k);
-        let mut tiled_nt = vec![f32::NAN; rows.len() * m];
-        gemm_nt(GemmKernel::Tiled, k, &rows, &w, &bias, &mut tiled_nt);
+        let mut portable_nt = vec![f32::NAN; rows.len() * m];
+        gemm_nt(GemmKernel::Reference, k, &rows, &w, &bias, &mut portable_nt);
         let mut forced_nt = vec![f32::NAN; rows.len() * m];
         gemm_nt(GemmKernel::Simd, k, &rows, &w, &bias, &mut forced_nt);
-        for (got, want) in forced_nt.iter().zip(&tiled_nt) {
+        for (got, want) in forced_nt.iter().zip(&portable_nt) {
             assert_eq!(got.to_bits(), want.to_bits(), "forced-fallback nt");
         }
 
@@ -1394,7 +1298,8 @@ mod tests {
 
     /// SIMD-specific shape torture: n exactly one vector, n just past a
     /// vector boundary, n under one vector, and a head-shaped nt (m = 10 →
-    /// one 8-lane block + a 2-lane tail) — all three kernels bit-identical.
+    /// one 8-lane block + a 2-lane tail) — both arms bit-identical to the
+    /// naive loops.
     #[test]
     fn simd_tail_shapes_match_reference() {
         let mut rng = StdRng::seed_from_u64(99);
@@ -1413,7 +1318,7 @@ mod tests {
                 let mut out = vec![f32::NAN; m * n];
                 gemm_nn(kernel, m, k, n, &a, &b, &bias, &mut out);
                 for (got, want) in out.iter().zip(&expected) {
-                    assert_eq!(got.to_bits(), want.to_bits(), "{kernel} at ({m},{k},{n})");
+                    assert_eq!(got.to_bits(), want.to_bits(), "{kernel:?} at ({m},{k},{n})");
                 }
             }
         }
@@ -1435,7 +1340,7 @@ mod tests {
                     assert_eq!(
                         got.to_bits(),
                         want.to_bits(),
-                        "{kernel} at ({rows_n},{m},{k})"
+                        "{kernel:?} at ({rows_n},{m},{k})"
                     );
                 }
             }

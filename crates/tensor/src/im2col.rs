@@ -236,8 +236,8 @@ impl BatchGeometry {
 }
 
 /// Valid cross-correlation of a whole batch through one shared im2col
-/// lowering and one GEMM over preallocated scratch, evaluated by the
-/// chosen [`GemmKernel`] — except on the [`GemmKernel::Simd`] arm of an
+/// lowering and one GEMM over preallocated scratch, evaluated by
+/// `kernel`'s body — except on the [`GemmKernel::Simd`] arm of an
 /// AVX2 host with feature maps at least one vector wide (`ow >= 8`), which
 /// convolves each image **directly from its feature maps** (fused AVX2
 /// kernel, no patch matrix: full 8-lane vectors over the whole output
@@ -247,12 +247,11 @@ impl BatchGeometry {
 ///
 /// Every input must have the shape of `inputs[0]`. The accumulation order
 /// per output element — bias first, then taps in channel-major `(c, ky, kx)`
-/// order — is exactly [`crate::conv::conv2d_valid`]'s **for every
-/// kernel** (the tiled kernel repartitions the output plane — and the
-/// fused SIMD kernel skips the lowering and computes some columns twice —
-/// but neither changes an element's addition sequence; see
-/// [`crate::gemm`]), so results are **bit-identical** to the per-image
-/// direct path.
+/// order — is exactly [`crate::conv::conv2d_valid`]'s **on both arms**
+/// (the GEMM bodies repartition the output plane — and the fused SIMD
+/// kernel skips the lowering and computes some columns twice — but
+/// neither changes an element's addition sequence; see [`crate::gemm`]),
+/// so results are **bit-identical** to the per-image direct path.
 ///
 /// # Errors
 ///
@@ -451,7 +450,7 @@ mod tests {
                     // replays the direct path's exact addition sequence,
                     // whichever microkernel ran it
                     for (dv, bv) in direct.data().iter().zip(b.data()) {
-                        assert_eq!(dv.to_bits(), bv.to_bits(), "kernel {gemm_kernel}");
+                        assert_eq!(dv.to_bits(), bv.to_bits(), "kernel {gemm_kernel:?}");
                     }
                 }
             }
@@ -543,7 +542,7 @@ mod tests {
                     let unfused = pool::maxpool2d_forward(&activated, window).unwrap();
                     assert_eq!(unfused.dims(), f.dims());
                     for (u, v) in unfused.data().iter().zip(f.data()) {
-                        assert_eq!(u.to_bits(), v.to_bits(), "kernel {gemm_kernel}");
+                        assert_eq!(u.to_bits(), v.to_bits(), "kernel {gemm_kernel:?}");
                     }
                 }
             }

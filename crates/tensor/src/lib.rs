@@ -7,9 +7,9 @@
 //! * a row-major, heap-allocated `f32` [`Tensor`] with a dynamic [`Shape`],
 //! * elementwise arithmetic and reductions ([`ops`]),
 //! * dense matrix–vector / matrix–matrix products ([`ops`]),
-//! * register-blocked and explicit-AVX2 GEMM microkernels behind a
-//!   runtime [`GemmKernel`] selection for the batched hot paths
-//!   ([`gemm`]), all bit-identical to the reference loops,
+//! * the GEMM microkernels of the batched hot paths ([`gemm`]): one
+//!   portable register-blocked body and one explicit-AVX2 body per shape,
+//!   bit-identical, the host deciding which runs ([`GemmKernel`]),
 //! * *valid* 2-D multi-channel convolution / cross-correlation and their
 //!   gradients ([`conv`]),
 //! * max- and mean-pooling with argmax bookkeeping for backprop ([`pool`]),

@@ -230,15 +230,15 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 }
 
 /// Batched affine map `out[i] = W·rows[i] + b` into a preallocated buffer,
-/// evaluated by the chosen [`GemmKernel`].
+/// evaluated by `kernel`'s body of [`gemm::gemm_nt`].
 ///
 /// `rows` are the flattened input vectors of a batch (each of length
 /// `W.cols`), `w` is `[m, k]`, `bias` has `m` entries, and `out` must hold
 /// `rows.len()·m` values (row-major, one output row per input row). The
 /// per-element accumulation — `k` ascending, bias added after the dot
-/// product — is exactly [`matvec`]-then-bias for **every** kernel, so
-/// results are bit-identical to the per-sample path used by dense layers
-/// and classifier heads regardless of the kernel picked (see
+/// product — is exactly [`matvec`]-then-bias for **both** arms of
+/// [`GemmKernel`], so results are bit-identical to the per-sample path
+/// used by dense layers and classifier heads on every host (see
 /// [`crate::gemm`]).
 ///
 /// # Errors
@@ -279,10 +279,10 @@ pub fn affine_rows_into(
 
 /// One affine row `out = W·row + b` against pre-validated operands (`wd` is
 /// the row-major `[out.len(), k]` weight buffer) — the per-sample
-/// **reference kernel** of the batched affine: `GemmKernel::Reference`
-/// replays exactly this loop per row, and every other kernel must match it
-/// bit for bit (see [`crate::gemm`]). Accumulates `k` ascending, bias
-/// after: bit-identical to [`matvec`]-then-bias.
+/// **specification** of the batched affine: both bodies of
+/// [`crate::gemm::gemm_nt`] must match this loop bit for bit, and its unit
+/// tests compare against it. Accumulates `k` ascending, bias after:
+/// bit-identical to [`matvec`]-then-bias.
 pub fn affine_row(row: &[f32], wd: &[f32], k: usize, bias: &[f32], out: &mut [f32]) {
     for (r, o) in out.iter_mut().enumerate() {
         let wrow = &wd[r * k..(r + 1) * k];
@@ -454,7 +454,7 @@ mod tests {
                     *o += b;
                 }
                 for (a, b) in y.data().iter().zip(&out[i * 2..(i + 1) * 2]) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "kernel {kernel}");
+                    assert_eq!(a.to_bits(), b.to_bits(), "kernel {kernel:?}");
                 }
             }
         }

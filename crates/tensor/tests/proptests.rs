@@ -162,7 +162,7 @@ proptest! {
                 let direct = conv::conv2d_valid(x, &kernels, &bias).unwrap();
                 prop_assert_eq!(direct.dims(), b.dims());
                 for (dv, bv) in direct.data().iter().zip(b.data()) {
-                    prop_assert_eq!(dv.to_bits(), bv.to_bits(), "kernel {}", gemm_kernel);
+                    prop_assert_eq!(dv.to_bits(), bv.to_bits(), "kernel {:?}", gemm_kernel);
                 }
             }
         }
@@ -195,17 +195,17 @@ proptest! {
                     *o += b;
                 }
                 for (a, b) in y.data().iter().zip(&out[i * m..(i + 1) * m]) {
-                    prop_assert_eq!(a.to_bits(), b.to_bits(), "kernel {}", gemm_kernel);
+                    prop_assert_eq!(a.to_bits(), b.to_bits(), "kernel {:?}", gemm_kernel);
                 }
             }
         }
     }
 
-    /// Kernel parity, nn shape: every [`GemmKernel`] — the reference
-    /// loops, the register-blocked tiles, and the AVX2 `Simd` arm (or its
-    /// transparent fallback on non-AVX2 hosts) — is bit-identical to a
-    /// naive triple loop replaying the reference accumulation order (bias
-    /// first, then k ascending), across random (m, k, n) — including
+    /// Kernel parity, nn shape: both [`GemmKernel`] arms — the portable
+    /// register-blocked tiles and the AVX2 `Simd` arm (the same tiles on
+    /// non-AVX2 hosts) — are bit-identical to a naive triple loop
+    /// replaying the specified accumulation order (bias first, then k
+    /// ascending), across random (m, k, n) — including
     /// remainder tails (m % 4 ≠ 0 and unaligned n % 8 ≠ 0, the SIMD
     /// vector-tail case, by construction of the ranges), k = 0, and
     /// single-row/column outputs.
@@ -237,7 +237,7 @@ proptest! {
             for (got, want) in out.iter().zip(&expected) {
                 prop_assert_eq!(
                     got.to_bits(), want.to_bits(),
-                    "kernel {} at ({}, {}, {})", gemm_kernel, m, kdim, n
+                    "kernel {:?} at ({}, {}, {})", gemm_kernel, m, kdim, n
                 );
             }
         }
@@ -279,7 +279,7 @@ proptest! {
             for (got, want) in out.iter().zip(&expected) {
                 prop_assert_eq!(
                     got.to_bits(), want.to_bits(),
-                    "kernel {} at ({}, {}, {})", gemm_kernel, rows, m, kdim
+                    "kernel {:?} at ({}, {}, {})", gemm_kernel, rows, m, kdim
                 );
             }
         }

@@ -4,8 +4,9 @@
 //! examples and downstream users can depend on a single crate:
 //!
 //! * [`tensor`] — minimal f32 tensor library (conv/pool primitives, batched
-//!   im2col/GEMM entry points with reusable scratch, and the
-//!   register-blocked GEMM microkernels behind [`tensor::GemmKernel`]),
+//!   im2col/GEMM entry points with reusable scratch, and the GEMM
+//!   microkernels — one portable and one AVX2 body per shape, the host
+//!   deciding which runs ([`tensor::GemmKernel`])),
 //! * [`nn`] — from-scratch CNN layers, losses and SGD trainer, plus
 //!   whole-batch forward passes ([`nn::batch`]),
 //! * [`dataset`] — synthetic MNIST generator (rayon-parallel) + IDX loader,
@@ -83,24 +84,26 @@
 //! ## GEMM microkernels
 //!
 //! Both batched hot paths — the im2col convolution GEMM and the batched
-//! dense/head affine — run through `cdl_tensor::gemm`, a microkernel
-//! layer behind the [`tensor::GemmKernel`] enum. `Simd` (the default on
-//! AVX2 hosts, via construction-time `GemmKernel::detect()`) runs
-//! explicit 8-lane AVX2 intrinsics with each lane owning one output
-//! element — separate mul+add, never FMA, so the rounding sequence stays
-//! the scalar one; `Tiled` (the portable default) keeps 6×8 / 4×4 output
-//! tiles in registers across the whole k loop; `Reference` is the
-//! original straight loops, kept alive as the pinned executable baseline.
-//! Every kernel accumulates each output element in the identical order
-//! (bias/k sequence preserved), so all variants are **bit-identical** —
-//! pinned by parity proptests against a naive triple loop and by running
-//! the batch / serve equivalence suites once per kernel. The kernel is
-//! chosen once at evaluator construction
-//! ([`core::batch::BatchEvaluator::with_kernel`],
-//! `nn::batch::BatchScratch::with_kernel`) or per serving shard
-//! ([`serve::ServerConfig`]'s `gemm_kernel`); the `benchmark/` package's
-//! traced runs (`--trace 1`) place each kernel on the machine's roofline
-//! (the `tensor.*` rows).
+//! dense/head affine — run through `cdl_tensor::gemm`, which has **one
+//! portable body and one AVX2 body per GEMM shape** and lets the host
+//! pick: [`tensor::GemmKernel::Simd`] runs explicit 8-lane AVX2
+//! intrinsics with each lane owning one output element — separate
+//! mul+add, never FMA, so the rounding sequence stays the scalar one —
+//! where the CPU has AVX2, and the portable body everywhere else;
+//! [`tensor::GemmKernel::Reference`] is that portable body always (6×8 /
+//! 4×4 output tiles kept in registers across the whole k loop). Both
+//! accumulate each output element in the identical order (bias/k sequence
+//! preserved), so they are **bit-identical** — pinned by parity proptests
+//! against a naive triple loop, by the batch equivalence suites walking
+//! `GemmKernel::ALL`, and by the golden vectors of `tests/golden.rs`,
+//! which hold both arms (forced fallback included) to committed bits for
+//! the two benchmark models. Nobody configures the kernel: every
+//! evaluator asks `GemmKernel::detect()` at construction and the serving
+//! stack has no option for it;
+//! [`core::batch::BatchEvaluator::with_kernel`] exists only so a parity
+//! suite can drive the other arm. The `benchmark/` package's traced runs
+//! (`--trace 1`) place the detected arm on the machine's roofline (the
+//! `tensor.*` rows).
 //!
 //! ## Streaming serving
 //!

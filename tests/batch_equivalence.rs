@@ -4,8 +4,8 @@
 //! image of a batch, the label, exit stage, confidence, op count, and
 //! early-exit flag must be **bit-identical** to `CdlNetwork::classify` on
 //! that image alone — across policies, batch compositions, repeated use of
-//! one evaluator's scratch buffers, and **every `GemmKernel` variant** (the
-//! tiled microkernel is pinned here exactly like the reference loops).
+//! one evaluator's scratch buffers, and **both `GemmKernel` arms** (on an
+//! AVX2 host: the AVX2 bodies and the portable ones).
 
 use cdl::core::arch;
 use cdl::core::batch::BatchEvaluator;
@@ -56,8 +56,8 @@ fn build_cdln() -> (CdlNetwork, LabelledSet) {
 #[test]
 fn batched_inference_is_bit_identical_to_per_image() {
     let (cdln, test_set) = trained_cdln();
-    // once per GemmKernel variant: the tiled default must satisfy the exact
-    // same bit-level pin as the reference loops
+    // once per GemmKernel arm: both bodies must satisfy the exact same
+    // bit-level pin
     for kernel in GemmKernel::ALL {
         let mut eval = BatchEvaluator::with_kernel(cdln, kernel);
 
@@ -70,7 +70,7 @@ fn batched_inference_is_bit_identical_to_per_image() {
             // CdlOutput derives PartialEq: label, exit_stage, confidence
             // (f32 equality, i.e. bit-identical scores), ops,
             // stages_activated, exited_early must all agree
-            assert_eq!(*out, single, "kernel {kernel}");
+            assert_eq!(*out, single, "kernel {kernel:?}");
             exit_histogram[out.exit_stage] += 1;
         }
         // the comparison is only meaningful if the cascade actually
@@ -78,7 +78,7 @@ fn batched_inference_is_bit_identical_to_per_image() {
         // exit early and some must reach the final classifier
         assert!(
             exit_histogram[..cdln.stage_count()].iter().sum::<usize>() > 0,
-            "no image exited early — equivalence test degenerated ({kernel}): {exit_histogram:?}"
+            "no image exited early — equivalence test degenerated ({kernel:?}): {exit_histogram:?}"
         );
     }
 }
@@ -101,7 +101,7 @@ fn equivalence_holds_across_policies_and_scratch_reuse() {
                 .expect("batched pass");
             for (image, out) in images.iter().zip(&batched) {
                 let single = cdln.classify_with_policy(image, policy).expect("per-image");
-                assert_eq!(*out, single, "policy {policy}, kernel {kernel}");
+                assert_eq!(*out, single, "policy {policy}, kernel {kernel:?}");
             }
         }
     }
@@ -118,7 +118,7 @@ fn chunked_batches_agree_with_one_big_batch() {
             for chunk in test_set.images.chunks(chunk_size) {
                 chunked.extend(eval.classify_batch(chunk).expect("chunk"));
             }
-            assert_eq!(whole, chunked, "chunk size {chunk_size}, kernel {kernel}");
+            assert_eq!(whole, chunked, "chunk size {chunk_size}, kernel {kernel:?}");
         }
     }
 }
@@ -138,7 +138,7 @@ fn batch_of_one_is_bit_identical_to_per_image() {
                 .expect("batch of one");
             assert_eq!(batched.len(), 1);
             let single = cdln.classify(image).expect("per-image pass");
-            assert_eq!(batched[0], single, "kernel {kernel}");
+            assert_eq!(batched[0], single, "kernel {kernel:?}");
         }
     }
 }

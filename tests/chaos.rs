@@ -502,10 +502,7 @@ fn parked_admission_resumes_on_gate_vacancy_without_polling() {
     let edge = TcpServer::bind_with(
         "127.0.0.1:0",
         Arc::clone(&router),
-        EdgeConfig {
-            pollers: 2, // conn A → poller 0, conn B → poller 1
-            ..EdgeConfig::default()
-        },
+        EdgeConfig { pollers: 2 }, // conn A → poller 0, conn B → poller 1
     )
     .unwrap();
     let addr = edge.local_addr();

@@ -101,10 +101,7 @@ fn idle_connections_cost_pollers_not_threads() {
     let edge = TcpServer::bind_with(
         "127.0.0.1:0",
         Arc::clone(&router),
-        EdgeConfig {
-            pollers: 2,
-            ..EdgeConfig::default()
-        },
+        EdgeConfig { pollers: 2 },
     )
     .unwrap();
     let with_edge = thread_count();
@@ -150,10 +147,7 @@ fn connection_churn_leaves_no_threads_behind() {
     let edge = TcpServer::bind_with(
         "127.0.0.1:0",
         Arc::clone(&router),
-        EdgeConfig {
-            pollers: 1,
-            ..EdgeConfig::default()
-        },
+        EdgeConfig { pollers: 1 },
     )
     .unwrap();
     let baseline = thread_count();
@@ -207,10 +201,7 @@ fn shutdown_under_load_cancels_inflight_and_joins_the_pool() {
     let edge = TcpServer::bind_with(
         "127.0.0.1:0",
         Arc::clone(&router),
-        EdgeConfig {
-            pollers: 2,
-            ..EdgeConfig::default()
-        },
+        EdgeConfig { pollers: 2 },
     )
     .unwrap();
 

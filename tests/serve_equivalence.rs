@@ -4,8 +4,7 @@
 //! batches a request lands in — size-bound, deadline-bound or mixed
 //! policies, concurrent clients, shutdown flushes — its `CdlOutput` (label,
 //! exit stage, confidence, op count, stages, early-exit flag) must be
-//! **bit-identical** to `CdlNetwork::classify` on the same image, under
-//! **every `GemmKernel`** the worker pool can be configured with.
+//! **bit-identical** to `CdlNetwork::classify` on the same image.
 
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -17,7 +16,7 @@ use cdl::core::network::CdlNetwork;
 use cdl::dataset::SyntheticMnist;
 use cdl::nn::network::Network;
 use cdl::nn::trainer::{train, LabelledSet, TrainConfig};
-use cdl::serve::{BatchPolicy, GemmKernel, Pending, Server, ServerConfig};
+use cdl::serve::{BatchPolicy, Pending, Server, ServerConfig};
 
 /// Trains once, shares across tests (training dominates runtime).
 fn trained_cdln() -> &'static (Arc<CdlNetwork>, LabelledSet) {
@@ -54,20 +53,8 @@ fn trained_cdln() -> &'static (Arc<CdlNetwork>, LabelledSet) {
 
 /// Streams every test image through a server with the given policy from
 /// `clients` concurrent client threads and pins each response bit-identical
-/// to the per-image path — once per [`GemmKernel`] variant, so the tiled
-/// worker pool is held to the exact pin of the reference one.
+/// to the per-image path.
 fn assert_server_equivalent(policy: BatchPolicy, clients: usize, workers: usize) {
-    for kernel in GemmKernel::ALL {
-        assert_server_equivalent_with_kernel(policy, clients, workers, kernel);
-    }
-}
-
-fn assert_server_equivalent_with_kernel(
-    policy: BatchPolicy,
-    clients: usize,
-    workers: usize,
-    gemm_kernel: GemmKernel,
-) {
     let (cdln, test_set) = trained_cdln();
     let server = Server::start(
         Arc::clone(cdln),
@@ -75,12 +62,10 @@ fn assert_server_equivalent_with_kernel(
             policy,
             queue_capacity: 256,
             workers,
-            gemm_kernel,
             ..ServerConfig::default()
         },
     )
     .expect("server start");
-    assert_eq!(server.gemm_kernel(), gemm_kernel);
 
     let outputs: Vec<(usize, cdl::core::network::CdlOutput)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
@@ -114,7 +99,7 @@ fn assert_server_equivalent_with_kernel(
         // CdlOutput derives PartialEq: label, exit_stage, confidence (f32
         // equality, i.e. bit-identical scores), ops, stages_activated and
         // exited_early must all agree
-        assert_eq!(*out, single, "request {i} under {policy:?} ({gemm_kernel})");
+        assert_eq!(*out, single, "request {i} under {policy:?}");
         early_exits += usize::from(out.exited_early);
     }
     // the comparison is only meaningful if the cascade actually branches
