@@ -55,7 +55,7 @@ impl fmt::Display for PlacementPolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplicaSpec {
     /// Number of identical shards serving this model (each the full
-    /// gate → batcher → worker-pool pipeline). Must be ≥ 1.
+    /// gate → queue → worker-pool pipeline). Must be ≥ 1.
     pub replicas: usize,
     /// The admission-time placement policy over the replica set.
     pub placement: PlacementPolicy,
@@ -452,8 +452,8 @@ impl fmt::Display for Priority {
 ///
 /// * `deadline` — a per-request latency budget, measured from admission. A
 ///   request still queued when its budget runs out is settled with
-///   [`ServeError::Expired`] at batch formation or dispatch time, spending
-///   zero evaluator ops (the queue-level analogue of early exit).
+///   [`ServeError::Expired`] as its batch is sealed, spending zero
+///   evaluator ops (the queue-level analogue of early exit).
 /// * `priority` — the admission class; lower classes are shed first as the
 ///   gate fills (see [`Priority`]).
 /// * `tenant` — an opaque tenant id for per-tenant admission quotas
@@ -542,13 +542,20 @@ impl SubmitOptions {
     }
 }
 
-/// When does the batcher stop collecting and dispatch a batch?
+/// When is a batch sealed and evaluated?
 ///
-/// A batch is dispatched as soon as **either** bound is hit:
+/// There is no batching thread: an idle worker seals a batch off the front
+/// of the server's one queue, oldest first, as soon as **either** bound is hit:
 ///
-/// * `max_batch_size` requests have been collected (size-bound), or
-/// * `max_wait` has elapsed since the batch's *first* request arrived
-///   (deadline-bound) — the classic dynamic-batching latency cap.
+/// * `max_batch_size` requests are queued (size-bound), or
+/// * `max_wait` has elapsed since the batch's *first* request was
+///   submitted (deadline-bound) — the classic dynamic-batching latency cap.
+///
+/// A batch is sealed when a worker takes it, so a `max_wait` that runs out
+/// while every worker is busy does not freeze a partial batch: it keeps
+/// filling, up to `max_batch_size`, until a worker is free. Its first
+/// members may then finish slightly later for sharing a fuller batch and
+/// everyone behind them earlier; batch composition never changes an answer.
 ///
 /// `max_wait == None` disables the deadline: a batch waits (possibly
 /// forever) until it is full, which is only sensible for offline/throughput
@@ -558,9 +565,9 @@ impl SubmitOptions {
 /// [`BatchPolicy::new`] (mixed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
-    /// Dispatch as soon as this many requests are collected.
+    /// Seal as soon as this many requests are queued.
     pub max_batch_size: usize,
-    /// Dispatch this long after the first request of the batch arrived,
+    /// Seal this long after the first request of the batch was submitted,
     /// full or not. `None` = wait until full.
     pub max_wait: Option<Duration>,
 }
@@ -581,7 +588,7 @@ impl BatchPolicy {
     /// number of requests that can be in flight never fills. With blocking
     /// ([`crate::Admission::Block`]) producers, keep
     /// [`crate::ServerConfig::queue_capacity`] `>= max_batch_size`, or the
-    /// producers and the batcher wait on each other until
+    /// producers and the workers wait on each other until
     /// [`crate::Server::shutdown`] flushes the batch (`Try` callers
     /// just see [`crate::ServeError::Full`] meanwhile — that stalled-open
     /// shape is exactly what the backpressure tests use deterministically).
@@ -593,8 +600,8 @@ impl BatchPolicy {
     }
 
     /// Pure deadline-bound policy: dispatch whatever arrived within
-    /// `max_wait` of the first request (batch size limited only by the
-    /// submission queue capacity).
+    /// `max_wait` of the first request (batch size limited only by
+    /// [`crate::ServerConfig::queue_capacity`]).
     pub fn by_deadline(max_wait: Duration) -> Self {
         BatchPolicy {
             max_batch_size: usize::MAX,

@@ -35,10 +35,9 @@ pub enum ServeError {
     /// The [`crate::ModelId`] on a routed request matches no shard of the
     /// [`crate::Router`]. The request was **not** admitted.
     UnknownModel(ModelId),
-    /// The request's deadline passed before it reached the evaluator. The
-    /// serving pipeline settled it at batch formation or dispatch time
-    /// without spending any evaluator ops — the queue-level analogue of
-    /// early exit.
+    /// The request's deadline passed before it reached the evaluator: it
+    /// was settled as its batch was sealed, without spending any evaluator
+    /// ops — the queue-level analogue of early exit.
     Expired,
     /// The admission gate shed the request because its priority class is
     /// not admitted at the current queue depth (lower classes are shed
@@ -100,9 +99,9 @@ impl From<CdlError> for ServeError {
 pub struct Refused {
     /// Why the request was not admitted.
     pub error: ServeError,
-    /// The request's input. `None` only with [`ServeError::ShuttingDown`]
-    /// from a pipeline that consumed the request before its batcher was
-    /// found dead.
+    /// The request's input. A [`crate::Server`] always hands it back;
+    /// `None` only from a [`crate::Router`] retry/hedge race that still
+    /// shares the request with an attempt or a hedge timer.
     pub input: Option<Tensor>,
 }
 

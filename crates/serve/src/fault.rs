@@ -19,7 +19,7 @@
 //!   [`FaultKind::SlowFactor`] sleep the worker (inflating the latency
 //!   tail exactly like a wedged or degraded evaluator would), and
 //!   [`FaultKind::PanicOnce`] panics the worker thread (its in-flight
-//!   batch settles `Disconnected` through the fulfiller drop path).
+//!   batch settles `Disconnected`, booked `failed`).
 //!
 //! The default plan is **unarmed**: every hook is then a single branch on
 //! an `Option` — the same disabled-path cost model as telemetry — so the
@@ -54,8 +54,9 @@ pub enum FaultKind {
         batches: u64,
     },
     /// The worker thread processing the anchor batch panics, once. Its
-    /// batch settles [`ServeError::Disconnected`]; the rest of the worker
-    /// pool keeps serving.
+    /// batch settles [`ServeError::Disconnected`] (booked `failed`); the
+    /// rest of the pool keeps serving, and a server that has lost its last
+    /// worker refuses admissions with [`ServeError::ShuttingDown`].
     PanicOnce,
 }
 

@@ -1,6 +1,6 @@
 //! # cdl-serve — streaming inference with dynamic batching
 //!
-//! A thread-and-channel serving layer over the batched early-exit evaluator
+//! A queue-and-worker-pool serving layer over the batched early-exit evaluator
 //! ([`cdl_core::batch::BatchEvaluator`]): callers submit single images from
 //! any number of threads, the server transparently forms batches and
 //! answers through one-shot [`Pending`] handles. Results are
@@ -16,15 +16,9 @@
 //!  admit(Request, Block|Try) ─▶ [bounded in-flight gate]
 //!        │                        │  no room: Block waits / Try → Refused
 //!        ▼                        ▼
-//!   Pending handle ◀──┐     submission queue
-//!   (one-shot,        │           │
-//!    drop = cancel)   │           ▼
-//!                     │     batcher thread ── max_batch_size OR max_wait,
-//!                     │           │            whichever hits first
-//!                     │           ▼
-//!                     │       work queue
-//!                     │       ╱        ╲
-//!                     │      ▼          ▼
+//!   Pending handle ◀──┐      the one queue ── a worker seals a batch
+//!   (one-shot,        │       ╱        ╲        off it at max_batch_size
+//!    drop = cancel)   │      ▼          ▼       OR max_wait, whichever first
 //!                     └── worker 1 … worker N   each owns a persistent
 //!                          BatchEvaluator (im2col/GEMM scratch reused
 //!                          across every batch it processes)
@@ -39,14 +33,14 @@
 //!   `try_submit_with` are one-line sugar). [`Router::admit`] is the same
 //!   call behind placement and, under a [`RetryPolicy`], the retry/hedge
 //!   race; the TCP edge calls exactly that with `Try`.
-//! * **Batch formation** ([`BatchPolicy`]) dispatches a batch when it is
-//!   full or when `max_wait` has passed since its first request — the
-//!   classic dynamic-batching throughput/latency trade-off.
-//! * **Workers** pull formed batches from a shared queue; each owns one
-//!   persistent [`cdl_core::batch::BatchEvaluator`], so steady-state
-//!   serving performs no im2col/GEMM allocations. Which GEMM bodies run
-//!   (AVX2 or portable, bit-identical) is a property of the host that the
-//!   evaluator finds at construction — the server has no option for it.
+//! * **Batch formation** ([`BatchPolicy`]) has no thread of its own: an
+//!   idle worker seals a batch off the queue when it is full or when
+//!   `max_wait` has passed since its first request's submission, so a
+//!   request changes threads once between admission and evaluation.
+//! * **Workers** each own one persistent
+//!   [`cdl_core::batch::BatchEvaluator`]: steady-state serving performs no
+//!   im2col/GEMM allocations, and which GEMM bodies run (AVX2 or portable,
+//!   bit-identical) is the host's matter, found at construction.
 //! * **Cancellation**: dropping a [`Pending`] before evaluation removes the
 //!   request from its batch at no evaluator cost.
 //! * **Shutdown** ([`Server::shutdown`]) drains then stops: queued requests
@@ -62,7 +56,7 @@
 //!   `classify_with_override` whatever mix of service levels a batch holds.
 //! * **Sharded multi-model serving** ([`Router`]): one front-end routing
 //!   requests by [`ModelId`] to per-model shards (each a full
-//!   batcher + worker-pool pipeline) with independent backpressure,
+//!   gate + queue + worker-pool pipeline) with independent backpressure,
 //!   per-shard and aggregate metrics ([`RouterMetrics`]: routing histogram,
 //!   per-replica ledgers, and [`ShardMetrics::total`] /
 //!   [`RouterMetrics::total`] — the one [`ServerMetrics::merge`] folded
@@ -77,20 +71,17 @@
 //!   bit-identical whichever replica serves them.
 //! * **Overload control** ([`SubmitOptions::deadline`] / [`Priority`] /
 //!   [`ServerConfig::tenant_quota`]): each request may carry a latency
-//!   budget, an admission class, and a tenant id. A request still queued
-//!   when its deadline passes is settled with [`ServeError::Expired`] at
-//!   batch-formation or dispatch time, spending **zero** evaluator ops —
-//!   the queue-level analogue of early exit. A deadline that expires
-//!   *mid-batch* sheds the request at the next stage boundary instead of
-//!   riding the cascade to the end: survivors stay bit-identical, and the
-//!   partial work already spent is charged honestly to the energy ledger
-//!   ([`ServerMetrics`] counts it expired, with its stages and ops in
-//!   `total_ops`/`stages_activated` but no completion or latency sample).
-//!   As the gate fills, lower
+//!   budget, an admission class, and a tenant id. A request whose deadline
+//!   passes on the queue is settled [`ServeError::Expired`] as its batch is
+//!   sealed, spending **zero** evaluator ops — the queue-level analogue of
+//!   early exit; one that expires *mid-batch* is shed at the next stage
+//!   boundary instead of riding the cascade to the end (survivors stay
+//!   bit-identical; the partial work is charged honestly to the energy
+//!   ledger, see [`ServerMetrics::expired`]). As the gate fills, lower
 //!   priority classes are refused first (typed [`ServeError::Shed`]), and
 //!   tenants over their in-flight quota get [`ServeError::QuotaExceeded`]
 //!   without disturbing anyone else. Shed/expired counts are broken out
-//!   per class and per tenant in [`ServerMetrics`].
+//!   per class and per tenant.
 //! * **Input validation**: submissions are shape-checked against the
 //!   model's declared input spec at admission ([`ServeError::BadInput`]),
 //!   so one malformed tensor can no longer poison the co-batched requests
@@ -172,9 +163,9 @@
 //!    success, or a typed [`ServeError`] — never a hang. Faults injected
 //!    mid-stream ([`fault::FaultPlan`]: stalls, error bursts, slowdowns,
 //!    a scripted worker panic) may slow or fail individual requests, but
-//!    cannot strand a [`Pending`] handle: worker panics drop the batch's
-//!    fulfillers, which settle their callers with
-//!    [`ServeError::Disconnected`].
+//!    cannot strand a [`Pending`] handle: a dying worker's batch settles
+//!    [`ServeError::Disconnected`] (booked `failed`), and the last worker
+//!    out closes the queue, so nothing parks behind a dead pool.
 //! 2. **Health is judged per replica, from the outside.** A
 //!    [`HealthPolicy`] on a [`ShardSpec`] drives a per-replica state
 //!    machine ([`config::ReplicaHealth`]: `Healthy → Degraded → Evicted →
@@ -191,7 +182,7 @@
 //!    against a per-request budget, and optionally *hedges*: after a
 //!    quantile-derived delay, a second attempt races the first and the
 //!    first completion wins. The losing attempt's handle is dropped,
-//!    which cancels it in the batcher — the loser spends **zero**
+//!    which cancels it on the queue — the loser spends **zero**
 //!    evaluator ops, so hedging buys tail latency with queue slots, not
 //!    compute. Responses stay bit-identical to
 //!    [`cdl_core::network::CdlNetwork::classify_with_override`] whichever

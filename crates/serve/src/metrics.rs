@@ -62,7 +62,7 @@ impl LatencyStats {
     }
 }
 
-/// Why the batcher dispatched a batch.
+/// Why a worker sealed a batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum BatchCause {
     /// `max_batch_size` reached.
@@ -100,15 +100,14 @@ pub struct ServerMetrics {
     pub completed: u64,
     /// Requests whose [`crate::Pending`] was dropped before evaluation.
     pub cancelled: u64,
-    /// Requests that failed (evaluator error / pipeline teardown).
+    /// Requests that failed (evaluator error, or dropped by a dying worker).
     pub failed: u64,
     /// Admitted requests whose deadline passed before they finished —
-    /// settled with [`crate::ServeError::Expired`] at batch formation,
-    /// at dispatch time (both spending zero evaluator ops), or shed
-    /// mid-batch at a cascade stage boundary (the ops already consumed by
-    /// then are charged to `total_ops`/`stages_activated`, so the energy
-    /// ledger stays honest). Never recorded in the latency histogram
-    /// (only served requests are).
+    /// settled with [`crate::ServeError::Expired`] as their batch was
+    /// sealed (zero evaluator ops), or shed mid-batch at a cascade stage
+    /// boundary (the ops already consumed by then are charged to
+    /// `total_ops`/`stages_activated`, so the energy ledger stays honest).
+    /// Never recorded in the latency histogram (only served requests are).
     pub expired: u64,
     /// Submissions refused at the admission gate by overload control: a
     /// priority class above its admission limit
@@ -282,10 +281,10 @@ fn add_for_tenant(by_tenant: &mut Vec<(u32, u64)>, tenant: u32, n: u64) {
 
 impl ServerMetrics {
     /// Batches evaluated (batches whose live requests were all cancelled
-    /// are not counted — nothing was evaluated). A dispatched batch whose
+    /// are not counted — nothing was evaluated). A sealed batch whose
     /// requests carry `k` distinct [`crate::SubmitOptions`] overrides is
     /// evaluated as `k` policy-uniform sub-batches and counted `k` times
-    /// here (the three `batches_*` dispatch counters still count it once).
+    /// here (the three `batches_*` seal counters still count it once).
     pub fn batches(&self) -> u64 {
         self.batch_size_histogram.iter().sum()
     }
@@ -665,7 +664,7 @@ impl fmt::Display for RouterMetrics {
     }
 }
 
-/// Shared metrics sink for the submit path, the batcher and the workers:
+/// Shared metrics sink for the submit path and the workers:
 /// a [`ServerMetrics`] ledger behind one mutex (updated per batch, so
 /// contention is amortised over the batch size) plus the three admission
 /// counters every submit touches, kept as lock-free atomics. Those three,
@@ -735,12 +734,11 @@ impl Recorder {
     }
 
     /// Records an admitted request settled [`crate::ServeError::Expired`]:
-    /// with zero `ops`/`stages` at the shed points before evaluation
-    /// (batch formation, dispatch), or — shed **mid-batch**, evicted at a
-    /// cascade stage boundary after its deadline passed in flight — with
-    /// the `stages` it ran and the `ops` they cost, charged to the
-    /// op/energy ledger because partial evaluations consume real energy
-    /// even though no result is delivered.
+    /// with zero `ops`/`stages` at the shed point before evaluation, or —
+    /// shed **mid-batch**, evicted at a cascade stage boundary after its
+    /// deadline passed in flight — with the `stages` it ran and the `ops`
+    /// they cost, charged to the op/energy ledger because partial
+    /// evaluations consume real energy even though no result is delivered.
     pub(crate) fn expired(
         &self,
         priority: Priority,

@@ -5,7 +5,7 @@
 //! requests per connection onto the router, and a blocking [`TcpClient`]
 //! speaks the same protocol from the other end. Everything below the edge
 //! is unchanged — requests admitted over TCP go through the exact same
-//! [`Router::admit`] (placement, retry/hedge race, gate) → batcher →
+//! [`Router::admit`] (placement, retry/hedge race, gate) → queue →
 //! worker pipeline as in-process submits, and responses stay bit-identical to
 //! [`cdl_core::network::CdlNetwork::classify_with_override`] (f32s travel
 //! as IEEE-754 bit patterns, so the round trip is bit-exact; pinned by
@@ -50,7 +50,7 @@
 //! # Overload control at the edge
 //!
 //! Deadline, priority, and tenant travel with the request and are enforced
-//! by the admission gate and batcher behind the edge, exactly as for
+//! by the admission gate and the workers behind the edge, exactly as for
 //! in-process submits. Refusals come back as typed error replies:
 //! [`ErrorCode::Expired`] (deadline passed before dispatch — zero
 //! evaluator ops were spent), [`ErrorCode::Shed`] (admission shed a
@@ -87,7 +87,7 @@
 //! accept thread hands each socket (round-robin) to one of
 //! [`EdgeConfig::pollers`] poller threads, and every poller multiplexes
 //! its share of the connections over an edge-triggered readiness selector
-//! (the vendored [`reactor`] crate — epoll on Linux, poll(2) elsewhere).
+//! (the vendored [`reactor`] crate — Linux only: epoll + eventfd).
 //! Total edge threads = pollers + 1, independent of connection count: 256
 //! idle connections cost buffers, not threads (pinned by
 //! `tests/net_soak.rs`).

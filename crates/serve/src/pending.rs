@@ -80,7 +80,7 @@ pub(crate) fn pending_pair(trace: Option<TraceId>) -> (Pending, Fulfiller) {
 /// [`cdl_core::network::CdlOutput`] the server will produce.
 ///
 /// Dropping a `Pending` before the result arrives **cancels** the request:
-/// the batcher/workers skip it without spending any evaluator operations on
+/// the workers skip it without spending any evaluator operations on
 /// it (it is counted in [`crate::ServerMetrics::cancelled`]).
 #[derive(Debug)]
 pub struct Pending {

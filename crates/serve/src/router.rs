@@ -3,7 +3,7 @@
 //!
 //! A [`Router`] owns one replica set per registered model; every replica is
 //! the full single-model pipeline of [`Server`] — bounded admission gate,
-//! dynamic batcher, worker pool of persistent
+//! one queue, worker pool of batch-sealing persistent
 //! [`cdl_core::batch::BatchEvaluator`]s. Requests carry a [`ModelId`]; at
 //! admission the model's [`PlacementPolicy`] picks the replica (round-robin,
 //! least-loaded, or power-of-two-choices over the replicas' **live queue
@@ -674,8 +674,8 @@ impl RaceCtx {
                 let losers: Vec<Attempt> = state.attempts.drain(..).collect();
                 drop(state);
                 fulfiller.settle(Ok(output));
-                // dropping the losers' handles cancels them: the batcher
-                // and workers skip cancelled slots without evaluating
+                // dropping the losers' handles cancels them: the workers
+                // skip cancelled slots without evaluating
                 drop(losers);
             }
             Err(error) => {
@@ -1465,7 +1465,7 @@ mod tests {
     #[test]
     fn shard_backpressure_is_independent() {
         // shard queues of 2; a size-bound batch that never fills keeps
-        // everything admitted to 2C stuck in its batcher
+        // everything admitted to 2C stuck on its queue
         let router = Router::start(two_model_specs(BatchPolicy::by_size(1 << 20), 2)).unwrap();
         let m2c = router.model_id("MNIST_2C").unwrap();
         let m3c = router.model_id("MNIST_3C").unwrap();
@@ -1923,7 +1923,7 @@ mod tests {
                 "m",
                 build_untrained(arch::mnist_2c(), 5),
                 ServerConfig {
-                    // stalled batcher: gate occupancy only ever grows.
+                    // never-full batch: gate occupancy only ever grows.
                     // capacity 6 → admission limits high 6, low 2
                     policy: BatchPolicy::by_size(1 << 20),
                     queue_capacity: 6,
@@ -1991,8 +1991,8 @@ mod tests {
     #[test]
     fn nothing_is_relaunched_for_a_caller_that_hung_up() {
         use crate::fault::{FaultKind, FaultPlan};
-        // one replica whose first batch kills its worker; the stalled
-        // batcher holds everything admitted until shutdown flushes it
+        // one replica whose first batch kills its worker; the never-full
+        // batch holds everything admitted until shutdown flushes it
         let spec = ShardSpec::new(
             "m",
             build_untrained(arch::mnist_2c(), 5),

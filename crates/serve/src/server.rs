@@ -1,13 +1,12 @@
 //! The streaming inference server: bounded admission, dynamic batch
 //! formation, and a pool of persistent batched evaluators.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use cdl_core::batch::{BatchEvaluator, SheddableOutcome};
 use cdl_core::confidence::ExitOverride;
@@ -136,22 +135,18 @@ impl Gate {
         }
     }
 
-    /// Non-blocking: the reason for refusal when the class or tenant is
-    /// not admissible right now.
-    fn try_acquire(&self, priority: Priority, tenant: Option<u32>) -> ServeResult<()> {
+    /// Takes a slot for this class and tenant: [`Admission::Block`] waits
+    /// until it may, [`Admission::Try`] returns why it may not right now.
+    fn acquire(&self, how: Admission, priority: Priority, tenant: Option<u32>) -> ServeResult<()> {
         let mut state = self.state.lock().unwrap();
-        self.admittable(&state, priority, tenant)?;
-        Gate::book(&mut state, tenant);
-        Ok(())
-    }
-
-    /// Blocks until this class (and tenant) may be admitted.
-    fn acquire(&self, priority: Priority, tenant: Option<u32>) {
-        let mut state = self.state.lock().unwrap();
-        while self.admittable(&state, priority, tenant).is_err() {
+        while let Err(refusal) = self.admittable(&state, priority, tenant) {
+            if how == Admission::Try {
+                return Err(refusal);
+            }
             state = self.freed.wait(state).unwrap();
         }
         Gate::book(&mut state, tenant);
+        Ok(())
     }
 
     fn release(&self, tenant: Option<u32>) {
@@ -170,7 +165,7 @@ impl Gate {
         self.freed.notify_all();
         drop(state);
         // listeners run outside the state lock so they may re-enter the
-        // gate (try_acquire) without deadlocking
+        // gate (`acquire`) without deadlocking
         self.vacancy.fire();
     }
 
@@ -248,29 +243,162 @@ struct LiveRequest {
     /// [`SubmitOptions::deadline`]); past this instant the shed points
     /// settle it [`ServeError::Expired`] instead of evaluating it.
     expires_at: Option<Instant>,
-    /// Admission class, kept for the per-class expired counters.
+    /// Admission class, kept for the per-class expired counters (the
+    /// tenant for the per-tenant ones is the ticket's).
     priority: Priority,
-    /// Tenant id, kept for the per-tenant expired counters.
-    tenant: Option<u32>,
     /// Sampled telemetry trace, if lifecycle spans are being recorded for
     /// this request.
     trace: Option<TraceId>,
 }
 
-impl LiveRequest {
-    /// Shed-eligible: the deadline passed and the client is still waiting
-    /// (a cancelled request is accounted `cancelled`, never `expired`).
-    fn is_expired(&self, now: Instant) -> bool {
-        !self.fulfiller.is_cancelled() && self.expires_at.is_some_and(|at| now >= at)
+/// Records `kind` on the request's trace, if it is a sampled one.
+fn mark(telemetry: &Telemetry, trace: Option<TraceId>, kind: EventKind) {
+    if let Some(t) = trace {
+        telemetry.record(t, kind);
     }
 }
 
-/// Settles an expired request with the typed error, unevaluated — zero
-/// evaluator ops, the queue-level analogue of early exit. Dropping the
-/// request frees its gate slot.
-fn settle_expired(request: LiveRequest, recorder: &Recorder) {
-    recorder.expired(request.priority, request.tenant, cdl_hw::OpCount::ZERO, 0);
-    request.fulfiller.settle(Err(ServeError::Expired));
+/// What [`WorkQueue`]'s mutex guards.
+#[derive(Debug)]
+struct QueueState {
+    /// Admitted requests, oldest first: the front one is the next *opener*.
+    queue: VecDeque<Queued>,
+    /// No more admissions: [`Server`] shutdown, or the last worker left.
+    closed: bool,
+    /// Worker threads that have not exited yet.
+    live_workers: usize,
+}
+
+/// The server's one queue, and all of batch formation: admission pushes
+/// onto it, every idle worker waits on it in [`WorkQueue::take_batch`], and
+/// a batch is sealed by [`BatchPolicy`] at the moment a worker takes it.
+/// Between admission and evaluation a request therefore changes threads
+/// once, and sealing and dispatch are the same instant.
+#[derive(Debug)]
+struct WorkQueue {
+    policy: BatchPolicy,
+    state: Mutex<QueueState>,
+    /// Idle workers wait here; notified sparingly, see [`WorkQueue::push`].
+    ready: Condvar,
+}
+
+impl WorkQueue {
+    fn new(policy: BatchPolicy, workers: usize) -> Self {
+        let state = QueueState {
+            queue: VecDeque::new(),
+            closed: false,
+            live_workers: workers,
+        };
+        WorkQueue {
+            policy,
+            state: Mutex::new(state),
+            ready: Condvar::new(),
+        }
+    }
+
+    /// Queues an admitted request, or hands it back once the queue closed.
+    ///
+    /// A push notifies one waiter only when it changes what a waiter would
+    /// do: it creates an opener (length 0 → 1: somebody must arm its
+    /// `max_wait` deadline) or completes a batch (length reaches
+    /// `max_batch_size`). A notify per push is a context switch per request
+    /// again, and what a rise in `net.server_ctx_switches_per_req` means.
+    #[allow(clippy::result_large_err)] // a refusal moves the request back, like `SendError`
+    fn push(&self, request: Queued) -> Result<(), Queued> {
+        let mut state = self.state.lock().unwrap();
+        if state.closed {
+            return Err(request);
+        }
+        state.queue.push_back(request);
+        let len = state.queue.len();
+        drop(state); // unlock first: the worker this wakes needs the lock
+        if len == 1 || len == self.policy.max_batch_size {
+            self.ready.notify_one();
+        }
+        Ok(())
+    }
+
+    /// Blocks until the policy seals a batch — oldest first, never more
+    /// than `max_batch_size` — and returns it with the reason: `Full` once
+    /// that many are queued, `Deadline` with whatever is queued once
+    /// `max_wait` has passed since the opener's **submission**, `Flush` for
+    /// the rest of a closed queue. `None` (closed and empty) ends a worker.
+    fn take_batch(&self) -> Option<(Vec<Queued>, BatchCause)> {
+        let max = self.policy.max_batch_size;
+        let mut state = self.state.lock().unwrap();
+        loop {
+            let len = state.queue.len();
+            // anchored at the opener's submission, not at the moment a
+            // worker first looks: time queued behind earlier batches counts
+            // against max_wait, so a late opener is sealed at once
+            let wait = state.queue.front().zip(self.policy.max_wait);
+            let wait = wait.map(|(opener, max_wait)| {
+                max_wait.saturating_sub(opener.live.submitted_at.elapsed())
+            });
+            let cause = match len {
+                0 if state.closed => return None,
+                0 => None,
+                _ if len >= max => Some(BatchCause::Full),
+                _ if state.closed => Some(BatchCause::Flush),
+                _ if wait == Some(Duration::ZERO) => Some(BatchCause::Deadline),
+                _ => None,
+            };
+            if let Some(cause) = cause {
+                let batch = state.queue.drain(..len.min(max)).collect();
+                if !state.queue.is_empty() {
+                    // what is left has an opener `push` will not announce
+                    // again, so the worker leaving it behind wakes a sibling
+                    self.ready.notify_one();
+                }
+                return Some((batch, cause));
+            }
+            state = match wait {
+                Some(wait) => self.ready.wait_timeout(state, wait).unwrap().0,
+                None => self.ready.wait(state).unwrap(),
+            };
+        }
+    }
+
+    /// Stops admissions and wakes every worker to drain what is queued.
+    fn close(&self) {
+        self.state.lock().unwrap().closed = true;
+        self.ready.notify_all();
+    }
+}
+
+/// Held by a worker thread for its whole life: the last worker out — by
+/// return or by panic ([`FaultPlan`]'s `PanicOnce`) — closes the queue and
+/// abandons what is on it, so later admissions get
+/// [`ServeError::ShuttingDown`] instead of parking on a queue nobody reads.
+struct WorkerExit<'a> {
+    queue: &'a WorkQueue,
+    recorder: &'a Recorder,
+}
+
+impl Drop for WorkerExit<'_> {
+    fn drop(&mut self) {
+        // this may run while a panic unwinds: a poisoned lock must not panic
+        let mut state = self.queue.state.lock().unwrap_or_else(|e| e.into_inner());
+        state.live_workers -= 1;
+        if state.live_workers == 0 {
+            state.closed = true;
+            let orphans = std::mem::take(&mut state.queue);
+            // outside the lock: a dropped request releases its gate slot,
+            // and a vacancy listener may re-enter `admit` and reach `push`
+            drop(state);
+            abandon(orphans.into(), self.recorder);
+        }
+    }
+}
+
+/// Books requests no worker will evaluate as `failed` (`cancelled` where the
+/// caller is gone), so the ledger still closes after a worker's death, then
+/// drops them: each settles [`ServeError::Disconnected`].
+fn abandon(requests: Vec<Queued>, recorder: &Recorder) {
+    let gone = |r: &&Queued| r.live.fulfiller.is_cancelled();
+    let cancelled = requests.iter().filter(gone).count() as u64;
+    recorder.cancelled(cancelled);
+    recorder.batch_failed(requests.len() as u64 - cancelled);
 }
 
 /// A streaming inference server over one [`CdlNetwork`].
@@ -281,23 +409,22 @@ fn settle_expired(request: LiveRequest, recorder: &Recorder) {
 /// the [`BatchEvaluator`] underneath guarantees per-image equivalence for
 /// any batch composition.
 ///
-/// `shutdown` (or `Drop`) is graceful: the submission queue is drained,
-/// partially formed batches are flushed to the workers, and every
-/// outstanding [`Pending`] resolves before the threads exit.
+/// `shutdown` (or `Drop`) is graceful: admissions stop, the workers drain
+/// the queue (a partially formed batch included) and every outstanding
+/// [`Pending`] resolves before the threads exit.
 #[derive(Debug)]
 pub struct Server {
     net: Arc<CdlNetwork>,
-    submit_tx: Option<Sender<Queued>>,
+    queue: Arc<WorkQueue>,
     gate: Arc<Gate>,
     recorder: Arc<Recorder>,
     telemetry: Telemetry,
     fault: FaultPlan,
-    batcher: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Starts the batcher and worker threads and begins accepting requests.
+    /// Starts the worker threads and begins accepting requests.
     ///
     /// # Errors
     ///
@@ -307,23 +434,11 @@ impl Server {
         let gate = Arc::new(Gate::new(config.queue_capacity, config.tenant_quota));
         let recorder = Arc::new(Recorder::new());
         let telemetry = Telemetry::new(config.telemetry);
-        let (submit_tx, submit_rx) = channel::<Queued>();
-        let (work_tx, work_rx) = channel::<Vec<Queued>>();
-        let work_rx = Arc::new(Mutex::new(work_rx));
-
-        let batcher = {
-            let recorder = Arc::clone(&recorder);
-            let telemetry = telemetry.clone();
-            let policy = config.policy;
-            std::thread::Builder::new()
-                .name("cdl-serve-batcher".into())
-                .spawn(move || run_batcher(submit_rx, work_tx, policy, &recorder, &telemetry))
-                .expect("spawn batcher thread")
-        };
+        let queue = Arc::new(WorkQueue::new(config.policy, config.workers));
         let workers = (0..config.workers)
             .map(|i| {
                 let net = Arc::clone(&net);
-                let work_rx = Arc::clone(&work_rx);
+                let queue = Arc::clone(&queue);
                 let recorder = Arc::clone(&recorder);
                 let telemetry = telemetry.clone();
                 // clones share the plan's trigger state: the batch
@@ -331,19 +446,18 @@ impl Server {
                 let fault = config.fault.clone();
                 std::thread::Builder::new()
                     .name(format!("cdl-serve-worker-{i}"))
-                    .spawn(move || run_worker(&net, &work_rx, &fault, &recorder, &telemetry))
+                    .spawn(move || run_worker(&net, &queue, &fault, &recorder, &telemetry))
                     .expect("spawn worker thread")
             })
             .collect();
 
         Ok(Server {
             net,
-            submit_tx: Some(submit_tx),
+            queue,
             gate,
             recorder,
             telemetry,
             fault: config.fault,
-            batcher: Some(batcher),
             workers,
         })
     }
@@ -373,7 +487,7 @@ impl Server {
 
     /// The one admission path: validates `request` against the model,
     /// consults the fault plan, resolves its trace, takes an in-flight
-    /// slot as `admission` says and queues it for the batcher.
+    /// slot as `admission` says and queues it for the workers.
     ///
     /// [`Admission::Block`] waits while the in-flight queue is at
     /// capacity (backpressure propagates to the producer), while the
@@ -403,43 +517,64 @@ impl Server {
     /// fault plan (all checked before the gate), and under `Try`
     /// [`ServeError::Full`] at capacity, [`ServeError::Shed`] for a class
     /// over its admission limit or [`ServeError::QuotaExceeded`] for a
-    /// tenant at quota. In every one of those cases the request was
-    /// **not** admitted and `input` hands the tensor back, so a retrying
-    /// caller (the edge's gate-full park) resubmits the same allocation.
-    /// Only [`ServeError::ShuttingDown`] loses the tensor (`None`): the
-    /// pipeline consumed the request before the batcher was found dead,
-    /// and there is nothing left to retry against.
+    /// tenant at quota; [`ServeError::ShuttingDown`] once the last worker
+    /// has exited. In every case the request was **not** admitted and
+    /// `input` hands the tensor back, so a retrying caller (the edge's
+    /// gate-full park) resubmits the same allocation.
     pub fn admit(&self, request: Request, admission: Admission) -> Result<Pending, Refused> {
-        let Request {
-            input,
-            options,
-            trace,
-        } = request;
+        let options = request.options;
         let checked = options
             .validate_for(self.net.policy())
-            .and_then(|()| self.validate_input(&input))
+            .and_then(|()| self.validate_input(&request.input))
             .and_then(|()| self.check_fault());
         if let Err(error) = checked {
-            return Err(Refused::returning(error, input));
+            return Err(Refused::returning(error, request.input));
         }
-        let trace = match trace {
+        let trace = match request.trace {
             Some(id) => self.telemetry.adopt(id),
             None => self.telemetry.begin_trace(),
         };
-        match admission {
-            Admission::Block => self.gate.acquire(options.priority, options.tenant),
-            Admission::Try => {
-                if let Err(error) = self.gate.try_acquire(options.priority, options.tenant) {
-                    match error {
-                        ServeError::Full => self.recorder.rejected(),
-                        _ => self.recorder.shed(options.priority, options.tenant),
-                    }
-                    return Err(Refused::returning(error, input));
-                }
+        let slot = self
+            .gate
+            .acquire(admission, options.priority, options.tenant);
+        if let Err(error) = slot {
+            match error {
+                ServeError::Full => self.recorder.rejected(),
+                _ => self.recorder.shed(options.priority, options.tenant),
             }
+            return Err(Refused::returning(error, request.input));
         }
-        self.enqueue(input, options, trace)
-            .map_err(|error| Refused { error, input: None })
+        // admitted: the gate slot is held from here on
+        mark(&self.telemetry, trace, EventKind::Admit);
+        let (pending, fulfiller) = pending_pair(trace);
+        let submitted_at = Instant::now();
+        let queued = Queued {
+            input: request.input,
+            overrides: options.exit_override(),
+            live: LiveRequest {
+                fulfiller,
+                ticket: Ticket {
+                    gate: Arc::clone(&self.gate),
+                    tenant: options.tenant,
+                },
+                submitted_at,
+                expires_at: options.deadline.map(|d| submitted_at + d),
+                priority: options.priority,
+                trace,
+            },
+        };
+        // count before pushing: a fast worker may complete the request
+        // before this thread resumes, and `completed > submitted` must
+        // never be observable in a snapshot
+        self.recorder.admitted();
+        mark(&self.telemetry, trace, EventKind::Enqueue);
+        if let Err(queued) = self.queue.push(queued) {
+            // every worker is gone: the tensor goes back to the caller and
+            // dropping the rest of the request frees its ticket
+            self.recorder.unadmitted();
+            return Err(Refused::returning(ServeError::ShuttingDown, queued.input));
+        }
+        Ok(pending)
     }
 
     /// [`Server::admit`] of a default-options request under
@@ -505,51 +640,6 @@ impl Server {
         Ok(())
     }
 
-    /// Queues an admitted request (its gate slot is already held).
-    fn enqueue(
-        &self,
-        input: Tensor,
-        options: SubmitOptions,
-        trace: Option<TraceId>,
-    ) -> ServeResult<Pending> {
-        if let Some(t) = trace {
-            self.telemetry.record(t, EventKind::Admit);
-        }
-        let (pending, fulfiller) = pending_pair(trace);
-        let submitted_at = Instant::now();
-        let request = Queued {
-            input,
-            overrides: options.exit_override(),
-            live: LiveRequest {
-                fulfiller,
-                ticket: Ticket {
-                    gate: Arc::clone(&self.gate),
-                    tenant: options.tenant,
-                },
-                submitted_at,
-                expires_at: options.deadline.map(|d| submitted_at + d),
-                priority: options.priority,
-                tenant: options.tenant,
-                trace,
-            },
-        };
-        let tx = self.submit_tx.as_ref().expect("sender lives until drop");
-        // count before sending: a fast worker may complete the request
-        // before this thread resumes, and `completed > submitted` must
-        // never be observable in a snapshot
-        self.recorder.admitted();
-        if let Some(t) = trace {
-            self.telemetry.record(t, EventKind::Enqueue);
-        }
-        if tx.send(request).is_err() {
-            // batcher died; the dropped request settles the pending with
-            // Disconnected and frees its ticket
-            self.recorder.unadmitted();
-            return Err(ServeError::ShuttingDown);
-        }
-        Ok(pending)
-    }
-
     /// A point-in-time metrics snapshot.
     pub fn metrics(&self) -> ServerMetrics {
         self.recorder.snapshot(self.gate.depth())
@@ -587,20 +677,17 @@ impl Server {
         self.gate.depth()
     }
 
-    /// Graceful drain-then-stop: stops admissions, lets the batcher flush
-    /// everything queued (including a partially formed batch), waits for
-    /// the workers to evaluate it all, and returns the final metrics.
-    /// Every outstanding [`Pending`] is resolved before this returns.
+    /// Graceful drain-then-stop: stops admissions, waits for the workers
+    /// to evaluate everything queued (including a partially formed batch),
+    /// and returns the final metrics. Every outstanding [`Pending`] is
+    /// resolved before this returns.
     pub fn shutdown(mut self) -> ServerMetrics {
         self.finish();
         self.recorder.snapshot(self.gate.depth())
     }
 
     fn finish(&mut self) {
-        drop(self.submit_tx.take());
-        if let Some(handle) = self.batcher.take() {
-            let _ = handle.join();
-        }
+        self.queue.close();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -613,104 +700,30 @@ impl Drop for Server {
     }
 }
 
-/// Batch-formation loop: collect until `max_batch_size` requests **or**
-/// `max_wait` past the batch's first **submission**, whichever first; flush
-/// the tail on disconnect (shutdown).
-fn run_batcher(
-    rx: Receiver<Queued>,
-    work_tx: Sender<Vec<Queued>>,
-    policy: BatchPolicy,
-    recorder: &Recorder,
-    telemetry: &Telemetry,
-) {
-    loop {
-        // block for the request that opens the next batch
-        let Ok(first) = rx.recv() else {
-            return; // drained and disconnected: workers stop when work_tx drops
-        };
-        // anchor the deadline at the opener's *submission*, not its dequeue:
-        // time a request spent queued behind earlier batches already counts
-        // against its max_wait budget, so a busy batcher dispatches late
-        // openers immediately instead of silently extending their wait
-        let deadline = policy.max_wait.map(|w| first.live.submitted_at + w);
-        let mut batch = vec![first];
-        let mut cause = BatchCause::Full;
-        while batch.len() < policy.max_batch_size {
-            let received = match deadline {
-                None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-                Some(d) => match d.checked_duration_since(Instant::now()) {
-                    None => Err(RecvTimeoutError::Timeout),
-                    Some(remaining) => rx.recv_timeout(remaining),
-                },
-            };
-            match received {
-                Ok(request) => batch.push(request),
-                Err(RecvTimeoutError::Timeout) => {
-                    cause = BatchCause::Deadline;
-                    break;
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    cause = BatchCause::Flush;
-                    break;
-                }
-            }
-        }
-        let disconnected = cause == BatchCause::Flush;
-        recorder.dispatched(cause);
-        // batch-formation shed point: a request whose deadline has already
-        // passed while the batch was forming is settled Expired here,
-        // spending zero evaluator ops and freeing its gate slot early
-        let now = Instant::now();
-        let (batch, expired): (Vec<Queued>, Vec<Queued>) =
-            batch.into_iter().partition(|r| !r.live.is_expired(now));
-        for request in expired {
-            settle_expired(request.live, recorder);
-        }
-        if !batch.is_empty() {
-            for request in &batch {
-                if let Some(t) = request.live.trace {
-                    telemetry.record(t, EventKind::BatchSeal);
-                }
-            }
-            if work_tx.send(batch).is_err() {
-                return; // all workers died; dropped requests settle as Disconnected
-            }
-        }
-        if disconnected {
-            return;
-        }
-    }
-}
-
 /// Worker loop: one persistent [`BatchEvaluator`] per thread (which GEMM
 /// bodies it runs is the host's matter, found in `BatchEvaluator::new`),
-/// batches pulled from the shared work queue until it closes.
+/// sealing its own batches off the shared queue until it closes.
 fn run_worker(
     net: &CdlNetwork,
-    work_rx: &Mutex<Receiver<Vec<Queued>>>,
+    queue: &WorkQueue,
     fault: &FaultPlan,
     recorder: &Recorder,
     telemetry: &Telemetry,
 ) {
+    let _exit = WorkerExit { queue, recorder };
     let mut eval = BatchEvaluator::new(net);
-    loop {
-        // holding the lock across recv() serialises *idle waiting*, not
-        // work: the receiver hands over one batch, the lock drops, and the
-        // next idle worker takes over the wait
-        let message = work_rx.lock().unwrap().recv();
-        let Ok(batch) = message else {
-            return;
-        };
+    while let Some((batch, cause)) = queue.take_batch() {
+        recorder.dispatched(cause);
         // scripted disruption (one branch when unarmed): stalls and
         // slowdowns sleep here, inflating the latency tail exactly like a
         // wedged evaluator; a panic kills this worker thread — its batch
-        // settles `Disconnected` through the fulfiller drop path and the
-        // rest of the pool keeps serving
+        // settles `Disconnected` and the rest of the pool keeps serving
         let disruption = fault.before_batch();
         if let Some(pause) = disruption.sleep {
             std::thread::sleep(pause);
         }
         if disruption.panic {
+            abandon(batch, recorder);
             panic!("scripted fault: PanicOnce");
         }
         process_batch(&mut eval, batch, recorder, telemetry);
@@ -723,7 +736,7 @@ fn process_batch(
     recorder: &Recorder,
     telemetry: &Telemetry,
 ) {
-    // partition the dispatched batch into groups of identical effective
+    // partition the sealed batch into groups of identical effective
     // override: each group is evaluated as one (sub-)batch, so the policy
     // applied to every image is exactly its request's policy while scratch
     // reuse and bit-exactness are preserved — a request's result does not
@@ -734,11 +747,16 @@ fn process_batch(
     for request in batch {
         if request.live.fulfiller.is_cancelled() {
             cancelled += 1; // dropping the request frees its ticket
-        } else if request.live.is_expired(now) {
-            // dispatch-time shed point: the deadline ran out while the
-            // batch sat in the work queue — settle unevaluated
-            settle_expired(request.live, recorder);
+        } else if request.live.expires_at.is_some_and(|at| now >= at) {
+            // the one shed point before evaluation (seal and dispatch are
+            // one instant: there is no second queue to expire in). The
+            // deadline ran out while the request waited for its batch: it
+            // is settled unevaluated — zero evaluator ops, gate slot freed
+            let live = request.live;
+            recorder.expired(live.priority, live.ticket.tenant, cdl_hw::OpCount::ZERO, 0);
+            live.fulfiller.settle(Err(ServeError::Expired));
         } else {
+            mark(telemetry, request.live.trace, EventKind::BatchSeal);
             match groups.iter_mut().find(|(ovr, _)| *ovr == request.overrides) {
                 Some((_, members)) => members.push(request),
                 None => groups.push((request.overrides, vec![request])),
@@ -762,16 +780,10 @@ fn evaluate_group(
     recorder: &Recorder,
     telemetry: &Telemetry,
 ) {
-    let mut inputs: Vec<Tensor> = Vec::with_capacity(members.len());
-    let mut live: Vec<LiveRequest> = Vec::with_capacity(members.len());
-    for r in members {
-        inputs.push(r.input);
-        live.push(r.live);
-    }
+    let (inputs, live): (Vec<Tensor>, Vec<LiveRequest>) =
+        members.into_iter().map(|r| (r.input, r.live)).unzip();
     for l in &live {
-        if let Some(t) = l.trace {
-            telemetry.record(t, EventKind::Dispatch);
-        }
+        mark(telemetry, l.trace, EventKind::Dispatch);
     }
     // the stream entry, not a whole-batch one: a deadline-bound policy or
     // a shutdown flush can hand over a batch as large as the whole queue,
@@ -789,9 +801,7 @@ fn evaluate_group(
         overrides,
         &mut |stage, active| {
             for &k in active {
-                if let Some(t) = live[k].trace {
-                    telemetry.record(t, EventKind::Stage(stage as u32));
-                }
+                mark(telemetry, live[k].trace, EventKind::Stage(stage as u32));
             }
         },
         &mut |_next_stage, k| deadlines[k].is_some_and(|d| Instant::now() >= d),
@@ -814,9 +824,7 @@ fn evaluate_group(
                 match outcome {
                     SheddableOutcome::Done(out) => {
                         l.fulfiller.settle(Ok(out));
-                        if let Some(t) = l.trace {
-                            telemetry.record(t, EventKind::Reply);
-                        }
+                        mark(telemetry, l.trace, EventKind::Reply);
                     }
                     SheddableOutcome::Shed(partial) => {
                         // honest accounting: the stages this request burned
@@ -824,7 +832,7 @@ fn evaluate_group(
                         // the op/energy ledger even though nothing ships
                         recorder.expired(
                             l.priority,
-                            l.tenant,
+                            l.ticket.tenant,
                             partial.ops,
                             partial.stages_activated,
                         );
@@ -850,16 +858,12 @@ fn evaluate_group(
                 match eval.classify_stream_with_override(std::slice::from_ref(input), overrides) {
                     Ok(mut outputs) => {
                         let out = outputs.pop().expect("one output per input");
-                        if let Some(t) = l.trace {
-                            telemetry.record(t, EventKind::Exit(out.exit_stage as u32));
-                        }
+                        mark(telemetry, l.trace, EventKind::Exit(out.exit_stage as u32));
                         recorder.batch_completed(
                             [(Instant::now() - l.submitted_at, out.clone())].into_iter(),
                         );
                         l.fulfiller.settle(Ok(out));
-                        if let Some(t) = l.trace {
-                            telemetry.record(t, EventKind::Reply);
-                        }
+                        mark(telemetry, l.trace, EventKind::Reply);
                     }
                     Err(e) => {
                         recorder.batch_failed(1);
@@ -1045,70 +1049,211 @@ mod tests {
         }
     }
 
+    /// A request straight onto a [`WorkQueue`]: its input is the one-cell
+    /// tensor `[id]`, its submission instant the caller's to backdate.
+    fn queued(gate: &Arc<Gate>, id: usize, submitted_at: Instant) -> Queued {
+        let (pending, mut request) = raw_request(gate, Tensor::full(&[1], id as f32), None);
+        drop(pending); // formation never looks at the caller's side
+        request.live.submitted_at = submitted_at;
+        request
+    }
+
+    fn ids(batch: &[Queued]) -> Vec<usize> {
+        batch.iter().map(|r| r.input.data()[0] as usize).collect()
+    }
+
     #[test]
-    fn batcher_deadline_anchors_at_submission_not_dequeue() {
-        // drive run_batcher directly with a request whose submission is
-        // backdated past max_wait — the shape a busy batcher produces when
-        // an opener sat in the submit channel behind earlier batches. It
-        // must dispatch (nearly) immediately; a dequeue-anchored deadline
-        // would silently grant it a second full max_wait.
+    fn batch_deadline_anchors_at_submission_not_dequeue() {
+        // drive take_batch directly with a request whose submission is
+        // backdated past max_wait — the shape busy workers produce when an
+        // opener sat on the queue behind earlier batches. It must be sealed
+        // (nearly) immediately; a dequeue-anchored deadline would silently
+        // grant it a second full max_wait.
         let gate = Arc::new(Gate::new(8, None));
-        let recorder = Arc::new(Recorder::new());
-        let (tx, rx) = channel::<Queued>();
-        let (work_tx, work_rx) = channel::<Vec<Queued>>();
-        let policy = BatchPolicy::new(8, Duration::from_millis(100));
-        let make = |submitted_at| {
-            let (pending, fulfiller) = pending_pair(None);
-            gate.acquire(Priority::High, None);
-            let request = Queued {
-                input: Tensor::full(&[1, 1, 1], 0.0),
-                overrides: ExitOverride {
-                    delta: None,
-                    max_stage: None,
-                },
-                live: LiveRequest {
-                    fulfiller,
-                    ticket: Ticket {
-                        gate: Arc::clone(&gate),
-                        tenant: None,
-                    },
-                    submitted_at,
-                    expires_at: None,
-                    priority: Priority::High,
-                    tenant: None,
-                    trace: None,
-                },
-            };
-            (pending, request)
-        };
+        let queue = WorkQueue::new(BatchPolicy::new(8, Duration::from_millis(100)), 1);
         let backdated = Instant::now() - Duration::from_millis(250);
-        let (_p1, r1) = make(backdated);
-        tx.send(r1).unwrap();
-        let batcher = {
-            let recorder = Arc::clone(&recorder);
-            std::thread::spawn(move || {
-                run_batcher(rx, work_tx, policy, &recorder, &Telemetry::disabled())
-            })
-        };
-        // budget already spent at dequeue → singleton batch, right away
-        let batch = work_rx
-            .recv_timeout(Duration::from_millis(50))
-            .expect("expired opener must dispatch immediately");
+        assert!(queue.push(queued(&gate, 0, backdated)).is_ok());
+        // budget already spent when a worker looks → singleton batch, right away
+        let asked = Instant::now();
+        let (batch, cause) = queue.take_batch().expect("queue is open");
+        assert!(
+            asked.elapsed() < Duration::from_millis(50),
+            "expired opener must be sealed immediately"
+        );
         assert_eq!(batch.len(), 1);
+        assert_eq!(cause, BatchCause::Deadline);
         // a fresh opener still gets its full max_wait, measured from submit
-        let (_p2, r2) = make(Instant::now());
         let sent = Instant::now();
-        tx.send(r2).unwrap();
-        let batch = work_rx
-            .recv_timeout(Duration::from_millis(2000))
-            .expect("fresh opener dispatches at its deadline");
+        assert!(queue.push(queued(&gate, 1, sent)).is_ok());
+        let (batch, cause) = queue.take_batch().expect("queue is open");
         assert_eq!(batch.len(), 1);
+        assert_eq!(cause, BatchCause::Deadline);
         assert!(
             sent.elapsed() >= Duration::from_millis(90),
-            "fresh opener dispatched before its max_wait elapsed"
+            "fresh opener sealed before its max_wait elapsed"
         );
-        drop(tx);
-        batcher.join().unwrap();
+    }
+
+    #[test]
+    fn a_full_batch_seals_without_waiting_for_the_timer() {
+        let gate = Arc::new(Gate::new(8, None));
+        let queue = WorkQueue::new(BatchPolicy::new(3, Duration::from_secs(3600)), 1);
+        let now = Instant::now();
+        for id in 0..4 {
+            assert!(queue.push(queued(&gate, id, now)).is_ok());
+        }
+        let (batch, cause) = queue.take_batch().expect("queue is open");
+        assert_eq!(ids(&batch), [0, 1, 2], "oldest first, never above max");
+        assert_eq!(cause, BatchCause::Full);
+        assert!(
+            now.elapsed() < Duration::from_secs(60),
+            "an hour's max_wait was not served"
+        );
+    }
+
+    #[test]
+    fn close_yields_full_batches_then_the_remainder_then_none() {
+        let gate = Arc::new(Gate::new(8, None));
+        let queue = WorkQueue::new(BatchPolicy::by_size(3), 1);
+        for id in 0..7 {
+            assert!(queue.push(queued(&gate, id, Instant::now())).is_ok());
+        }
+        queue.close();
+        let causes: Vec<(Vec<usize>, BatchCause)> = std::iter::from_fn(|| queue.take_batch())
+            .map(|(batch, cause)| (ids(&batch), cause))
+            .collect();
+        assert_eq!(
+            causes,
+            [
+                (vec![0, 1, 2], BatchCause::Full),
+                (vec![3, 4, 5], BatchCause::Full),
+                (vec![6], BatchCause::Flush),
+            ]
+        );
+        assert!(
+            queue.take_batch().is_none(),
+            "closed and empty stays that way"
+        );
+        // a push after close hands the request back, untouched
+        let back = queue.push(queued(&gate, 7, Instant::now())).unwrap_err();
+        assert_eq!(ids(&[back]), [7]);
+        assert_eq!(gate.depth(), 0, "every ticket was released");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Formation as a state machine: any sequence of push / take /
+        /// close over openers that are already due (so a take never has to
+        /// wait) conserves requests, in order, under the size cap.
+        #[test]
+        fn every_pushed_request_leaves_once_in_order_under_the_cap(
+            max in 1usize..6,
+            steps in proptest::collection::vec(0u8..8, 1..120),
+        ) {
+            use proptest::prelude::*;
+            let gate = Arc::new(Gate::new(1 << 20, None));
+            let queue = WorkQueue::new(BatchPolicy::new(max, Duration::from_millis(1)), 1);
+            let due = Instant::now() - Duration::from_millis(250);
+            let mut waiting = VecDeque::new(); // the model: ids queued, in order
+            let (mut pushed, mut closed) = (0usize, false);
+            let (mut taken, mut handed_back) = (Vec::new(), Vec::new());
+            // 5 in 8 steps push, 2 take, 1 closes; the tail closes, then
+            // takes more often than anything was pushed
+            for step in steps.into_iter().chain([7, 6].into_iter().cycle().take(300)) {
+                match step {
+                    0..=4 => {
+                        let id = pushed;
+                        pushed += 1;
+                        match queue.push(queued(&gate, id, due)) {
+                            Ok(()) => {
+                                prop_assert!(!closed, "a closed queue accepted {id}");
+                                waiting.push_back(id);
+                            }
+                            Err(back) => {
+                                prop_assert!(closed, "an open queue refused {id}");
+                                handed_back.extend(ids(&[back]));
+                            }
+                        }
+                    }
+                    // an open, empty queue would (rightly) block the take
+                    5..=6 if waiting.is_empty() && !closed => {}
+                    5..=6 => match queue.take_batch() {
+                        None => prop_assert!(closed && waiting.is_empty()),
+                        Some((batch, cause)) => {
+                            let n = waiting.len().min(max);
+                            prop_assert!(n > 0, "a batch out of an empty queue");
+                            let expected: Vec<usize> = waiting.drain(..n).collect();
+                            prop_assert_eq!(ids(&batch), expected);
+                            let want = match (n == max, closed) {
+                                (true, _) => BatchCause::Full,
+                                (false, true) => BatchCause::Flush,
+                                (false, false) => BatchCause::Deadline,
+                            };
+                            prop_assert_eq!(cause, want);
+                            taken.extend(ids(&batch));
+                        }
+                    },
+                    _ => {
+                        queue.close();
+                        closed = true;
+                    }
+                }
+            }
+            prop_assert!(waiting.is_empty() && queue.take_batch().is_none());
+            prop_assert!(taken.windows(2).all(|w| w[0] < w[1]), "FIFO");
+            let mut all = [taken, handed_back].concat();
+            all.sort_unstable();
+            prop_assert_eq!(all, (0..pushed).collect::<Vec<_>>());
+            prop_assert_eq!(gate.depth(), 0);
+        }
+    }
+
+    #[test]
+    fn the_last_worker_out_closes_the_queue() {
+        use crate::fault::FaultKind;
+        // regression: one worker, killed by its first batch. The caller in
+        // that batch gets Disconnected, and the server must then refuse
+        // admissions instead of parking them on a queue nobody reads.
+        let net = build_untrained();
+        let mut cfg = config(BatchPolicy::by_size(1), 4, 1);
+        cfg.fault = FaultPlan::builder().at(0, FaultKind::PanicOnce).build();
+        let server = Server::start(Arc::clone(&net), cfg).unwrap();
+        let img = images(1).pop().unwrap();
+        let doomed = server.submit(img.clone()).unwrap();
+        assert_eq!(doomed.wait().unwrap_err(), ServeError::Disconnected);
+        // the pending settles while the worker unwinds; its exit guard runs
+        // a moment later, and anything admitted in between is dropped by it
+        let mut orphans = Vec::new();
+        let refused = loop {
+            match server.admit(
+                Request::new(img.clone(), SubmitOptions::default()),
+                Admission::Block,
+            ) {
+                Ok(pending) => orphans.push(pending),
+                Err(refused) => break refused,
+            }
+            assert!(
+                orphans.len() < 1000,
+                "admissions keep parking on a dead server"
+            );
+            std::thread::yield_now();
+        };
+        assert_eq!(refused.error, ServeError::ShuttingDown);
+        assert!(refused.input.is_some(), "the tensor comes back");
+        for orphan in orphans {
+            assert_eq!(orphan.wait().unwrap_err(), ServeError::Disconnected);
+        }
+        let metrics = server.shutdown();
+        assert_eq!(metrics.queue_depth, 0);
+        assert_eq!(
+            metrics.failed, metrics.submitted,
+            "one doomed + the orphans"
+        );
+        assert_eq!(
+            metrics.submitted,
+            metrics.completed + metrics.cancelled + metrics.failed + metrics.expired
+        );
     }
 
     #[test]
@@ -1268,7 +1413,8 @@ mod tests {
         expires_at: Option<Instant>,
     ) -> (Pending, Queued) {
         let (pending, fulfiller) = pending_pair(None);
-        gate.acquire(Priority::High, None);
+        gate.acquire(Admission::Block, Priority::High, None)
+            .unwrap();
         let request = Queued {
             input,
             overrides: ExitOverride {
@@ -1284,7 +1430,6 @@ mod tests {
                 submitted_at: Instant::now(),
                 expires_at,
                 priority: Priority::High,
-                tenant: None,
                 trace: None,
             },
         };
@@ -1294,8 +1439,8 @@ mod tests {
     #[test]
     fn expired_requests_settle_without_evaluation() {
         let net = build_untrained();
-        // stalled batcher: requests sit in the forming batch until the
-        // shutdown flush reaches the batch-formation shed point
+        // a batch that never fills: requests sit on the queue until the
+        // shutdown flush seals them and the worker's shed point sees them
         let server = Server::start(
             Arc::clone(&net),
             config(BatchPolicy::by_size(1 << 20), 8, 1),
@@ -1328,8 +1473,8 @@ mod tests {
 
     #[test]
     fn dispatch_time_expiry_sheds_before_evaluation() {
-        // drive process_batch directly: one request expired while the batch
-        // sat in the work queue, one still live — only the live one may
+        // drive process_batch directly: one request expired while it
+        // waited for its batch, one still live — only the live one may
         // reach the evaluator, and its result stays bit-identical
         let net = build_untrained();
         let gate = Arc::new(Gate::new(8, None));
@@ -1416,7 +1561,8 @@ mod tests {
     #[test]
     fn refused_admission_returns_the_tensor() {
         let net = build_untrained();
-        // capacity 1 + stalled batcher: the second submission must bounce
+        // capacity 1 + a batch that never fills: the second submission
+        // must bounce
         let server = Server::start(
             Arc::clone(&net),
             config(BatchPolicy::by_size(1 << 20), 1, 1),

@@ -294,9 +294,11 @@ pub fn trace_timelines(events: &[SpanEvent]) -> Vec<TraceTimeline> {
 pub struct PhaseBreakdown {
     /// Number of complete traces the means are computed over.
     pub traces: u64,
-    /// Admission → batch seal (waiting in the batcher queue).
+    /// Admission → batch seal (waiting on the queue for a batch to form).
     pub queue_wait: Duration,
-    /// Batch seal → worker dispatch (waiting in the work queue).
+    /// Batch seal → worker dispatch: both marks are made by the one worker
+    /// that seals and evaluates the batch, so this is ≈ 0 unless the batch
+    /// mixes overrides — a later override group waits out the earlier ones.
     pub batch_wait: Duration,
     /// Dispatch → cascade exit (actual evaluation).
     pub eval: Duration,

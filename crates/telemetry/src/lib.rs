@@ -1,7 +1,7 @@
 //! `cdl-telemetry`: low-overhead structured tracing and mergeable
 //! tail-latency telemetry for the CDL serving stack.
 //!
-//! The serving pipeline (admission gate → dynamic batcher → worker pool →
+//! The serving pipeline (admission gate → queue → batch-sealing workers →
 //! replica routing → TCP edge) needs two kinds of visibility that plain
 //! end-state aggregates cannot give: *mergeable* latency distributions, so
 //! replica- and router-level tails are real percentiles instead of

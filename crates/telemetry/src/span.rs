@@ -63,11 +63,12 @@ impl std::fmt::Display for TraceId {
 pub enum EventKind {
     /// Admission-gate slot acquired; the request enters the system.
     Admit,
-    /// Handed to the batcher queue.
+    /// Pushed onto the server's queue.
     Enqueue,
-    /// The batch containing this request was sealed (size/deadline/flush).
+    /// The batch containing this request was sealed (size/deadline/flush)
+    /// by the worker that took it, and the request is going to be evaluated.
     BatchSeal,
-    /// A worker picked the batch up and began evaluation.
+    /// That worker began evaluating the request's group of the batch.
     Dispatch,
     /// The cascade evaluated conditional stage `n` for this request.
     Stage(u32),

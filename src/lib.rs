@@ -9,13 +9,15 @@
 //!   deciding which runs ([`tensor::GemmKernel`])),
 //! * [`nn`] — from-scratch CNN layers, losses and SGD trainer, plus
 //!   whole-batch forward passes ([`nn::batch`]),
-//! * [`dataset`] — synthetic MNIST generator (rayon-parallel) + IDX loader,
+//! * [`dataset`] — synthetic MNIST generator (parallel over scoped threads)
+//!   + IDX loader,
 //! * [`hw`] — analytical 45nm energy/area model,
 //! * [`core`] — the paper's contribution: cascaded linear classifiers with
 //!   confidence-gated early exit (Conditional Deep Learning), including the
 //!   batched serving path [`core::batch::BatchEvaluator`],
-//! * [`serve`] — streaming inference: bounded submission queue → dynamic
-//!   batcher → pool of persistent batched evaluators, per-request δ/depth
+//! * [`serve`] — streaming inference: bounded submission queue → pool of
+//!   persistent batched evaluators that seal their own batches off it by
+//!   size-or-deadline, per-request δ/depth
 //!   overrides, a sharded multi-model [`serve::Router`] front-end with
 //!   per-model replica sets ([`serve::ReplicaSpec`] + placement policies),
 //!   and a length-prefixed TCP edge ([`serve::TcpServer`] /
@@ -115,9 +117,9 @@
 //! typed error *and the tensor*, so a retrying caller never clones
 //! (`submit` / `submit_with` / `try_submit_with` are one-line sugar).
 //! Callers on any number of threads get one-shot [`serve::Pending`]
-//! handles back; a dynamic batcher forms batches by size-or-deadline
-//! ([`serve::BatchPolicy`]) and a worker pool of persistent
-//! `BatchEvaluator`s answers them. Drop-to-cancel, graceful drain-then-stop shutdown and
+//! handles back; a worker pool of persistent `BatchEvaluator`s seals
+//! batches off the one queue by size-or-deadline ([`serve::BatchPolicy`])
+//! and answers them. Drop-to-cancel, graceful drain-then-stop shutdown and
 //! a [`serve::ServerMetrics`] snapshot (throughput, batch-size histogram,
 //! latency percentiles, cumulative ops/energy) are built in. Responses are
 //! bit-identical to per-image `classify` for every interleaving (enforced
@@ -128,7 +130,7 @@
 //!
 //! [`serve::Router`] serves **several models behind one front-end**: each
 //! registered [`serve::ShardSpec`] gets its own shard (admission gate →
-//! batcher → worker pool), [`serve::Router::admit`] routes a request by
+//! queue → worker pool), [`serve::Router::admit`] routes a request by
 //! [`serve::ModelId`] — the same `Request`/`Admission`/`Refused` contract,
 //! behind placement and (when the shard has a [`serve::RetryPolicy`]) the
 //! retry/hedge race; the TCP edge enters through it too — and

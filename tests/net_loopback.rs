@@ -299,7 +299,7 @@ fn desync_with_pipelined_pendings_cancels_them_and_hangs_up() {
             Arc::clone(&net),
             ServerConfig {
                 // a size-bound batch that never fills: admitted requests
-                // pin their Pendings in the batcher indefinitely
+                // pin their Pendings on the queue indefinitely
                 policy: BatchPolicy::by_size(1 << 20),
                 queue_capacity: 16,
                 workers: 1,
@@ -363,7 +363,7 @@ fn disconnect_cancels_pending_work_without_poisoning_the_shard() {
     let router = Arc::new(
         Router::start(vec![
             // a size-bound batch that never fills: admitted requests sit
-            // in the batcher until cancelled or drained
+            // on the queue until cancelled or drained
             ShardSpec::new(
                 "stall",
                 Arc::clone(&stall_net),

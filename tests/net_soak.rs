@@ -187,7 +187,7 @@ fn shutdown_under_load_cancels_inflight_and_joins_the_pool() {
             net,
             ServerConfig {
                 // a size-bound batch that never fills: admitted requests
-                // pin their Pendings in the batcher indefinitely
+                // pin their Pendings on the queue indefinitely
                 policy: BatchPolicy::by_size(1 << 20),
                 queue_capacity: 16,
                 workers: 1,
