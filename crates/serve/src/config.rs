@@ -544,18 +544,22 @@ impl SubmitOptions {
 
 /// When is a batch sealed and evaluated?
 ///
-/// There is no batching thread: an idle worker seals a batch off the front
-/// of the server's one queue, oldest first, as soon as **either** bound is hit:
+/// There is no batching thread: a worker that asks for a batch seals one off
+/// the front of the server's one queue, oldest first, as soon as
 ///
 /// * `max_batch_size` requests are queued (size-bound), or
 /// * `max_wait` has elapsed since the batch's *first* request was
-///   submitted (deadline-bound) — the classic dynamic-batching latency cap.
+///   submitted (deadline-bound).
 ///
-/// A batch is sealed when a worker takes it, so a `max_wait` that runs out
-/// while every worker is busy does not freeze a partial batch: it keeps
-/// filling, up to `max_batch_size`, until a worker is free. Its first
-/// members may then finish slightly later for sharing a fuller batch and
-/// everyone behind them earlier; batch composition never changes an answer.
+/// `max_wait` is the **linger ceiling**: the longest a *free* worker holds
+/// the first request back for company. `Some(ZERO)`, the default, is
+/// work-conserving: a worker that asks takes what is queued, so batches grow
+/// only while every worker is busy — which is when batching pays. A positive
+/// linger trades latency for fuller batches on an idle server (at 4000 req/s
+/// 2 ms bought a mean batch of 5 for +1.2 ms of p50); one that runs out while
+/// every worker is busy freezes nothing, the batch keeps filling up to
+/// `max_batch_size` until a worker is free. Batch composition never changes
+/// an answer.
 ///
 /// `max_wait == None` disables the deadline: a batch waits (possibly
 /// forever) until it is full, which is only sensible for offline/throughput
@@ -567,14 +571,15 @@ impl SubmitOptions {
 pub struct BatchPolicy {
     /// Seal as soon as this many requests are queued.
     pub max_batch_size: usize,
-    /// Seal this long after the first request of the batch was submitted,
-    /// full or not. `None` = wait until full.
+    /// The linger ceiling: seal this long after the first request of the
+    /// batch was submitted, full or not. `Some(ZERO)` = never hold a free
+    /// worker back; `None` = wait until full.
     pub max_wait: Option<Duration>,
 }
 
 impl BatchPolicy {
-    /// Mixed policy: dispatch at `max_batch_size` requests **or** after
-    /// `max_wait`, whichever comes first.
+    /// Mixed policy: dispatch at `max_batch_size` requests **or** once the
+    /// first has lingered `max_wait` (zero: as soon as a worker is free).
     pub fn new(max_batch_size: usize, max_wait: Duration) -> Self {
         BatchPolicy {
             max_batch_size,
@@ -600,7 +605,8 @@ impl BatchPolicy {
     }
 
     /// Pure deadline-bound policy: dispatch whatever arrived within
-    /// `max_wait` of the first request (batch size limited only by
+    /// `max_wait` of the first request — with zero, whatever piled up while
+    /// the workers were busy (batch size limited only by
     /// [`crate::ServerConfig::queue_capacity`]).
     pub fn by_deadline(max_wait: Duration) -> Self {
         BatchPolicy {
@@ -613,25 +619,19 @@ impl BatchPolicy {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::BadConfig`] for a zero batch size or a zero
-    /// deadline.
+    /// Returns [`ServeError::BadConfig`] for a zero batch size.
     pub fn validate(&self) -> ServeResult<()> {
         if self.max_batch_size == 0 {
             return Err(ServeError::BadConfig("max_batch_size must be >= 1".into()));
-        }
-        if self.max_wait == Some(Duration::ZERO) {
-            return Err(ServeError::BadConfig(
-                "max_wait must be > 0 (use max_batch_size = 1 for unbatched dispatch)".into(),
-            ));
         }
         Ok(())
     }
 }
 
 impl Default for BatchPolicy {
-    /// 32 requests or 2 ms, whichever first.
+    /// Up to 32 requests, no linger: work-conserving formation.
     fn default() -> Self {
-        BatchPolicy::new(32, Duration::from_millis(2))
+        BatchPolicy::new(32, Duration::ZERO)
     }
 }
 
@@ -770,7 +770,12 @@ mod tests {
     #[test]
     fn invalid_policies_rejected() {
         assert!(BatchPolicy::by_size(0).validate().is_err());
-        assert!(BatchPolicy::new(4, Duration::ZERO).validate().is_err());
+        assert!(BatchPolicy::new(0, Duration::ZERO).validate().is_err());
+        // a zero linger is work-conserving formation, not unbatched dispatch
+        assert!(BatchPolicy::new(4, Duration::ZERO).validate().is_ok());
+        assert!(BatchPolicy::by_deadline(Duration::ZERO).validate().is_ok());
+        assert!(BatchPolicy::default().validate().is_ok());
+        assert_eq!(BatchPolicy::default().max_wait, Some(Duration::ZERO));
     }
 
     #[test]

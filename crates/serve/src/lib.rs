@@ -16,9 +16,9 @@
 //!  admit(Request, Block|Try) ─▶ [bounded in-flight gate]
 //!        │                        │  no room: Block waits / Try → Refused
 //!        ▼                        ▼
-//!   Pending handle ◀──┐      the one queue ── a worker seals a batch
-//!   (one-shot,        │       ╱        ╲        off it at max_batch_size
-//!    drop = cancel)   │      ▼          ▼       OR max_wait, whichever first
+//!   Pending handle ◀──┐      the one queue ── a worker that asks seals
+//!   (one-shot,        │       ╱        ╲        what is queued, ≤ max_batch_size
+//!    drop = cancel)   │      ▼          ▼       (max_wait > 0: it lingers first)
 //!                     └── worker 1 … worker N   each owns a persistent
 //!                          BatchEvaluator (im2col/GEMM scratch reused
 //!                          across every batch it processes)
@@ -33,10 +33,10 @@
 //!   `try_submit_with` are one-line sugar). [`Router::admit`] is the same
 //!   call behind placement and, under a [`RetryPolicy`], the retry/hedge
 //!   race; the TCP edge calls exactly that with `Try`.
-//! * **Batch formation** ([`BatchPolicy`]) has no thread of its own: an
-//!   idle worker seals a batch off the queue when it is full or when
-//!   `max_wait` has passed since its first request's submission, so a
-//!   request changes threads once between admission and evaluation.
+//! * **Batch formation** ([`BatchPolicy`]) has no thread of its own: a
+//!   worker that asks takes what is queued, up to `max_batch_size` (after
+//!   lingering for company if `max_wait` is set), so batches grow only while
+//!   every worker is busy and a request changes threads once on its way in.
 //! * **Workers** each own one persistent
 //!   [`cdl_core::batch::BatchEvaluator`]: steady-state serving performs no
 //!   im2col/GEMM allocations, and which GEMM bodies run (AVX2 or portable,
@@ -121,9 +121,8 @@
 //! ## Example
 //!
 //! ```
-//! use cdl_serve::{BatchPolicy, Server, ServerConfig};
+//! use cdl_serve::{Server, ServerConfig};
 //! use std::sync::Arc;
-//! use std::time::Duration;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! # let arch = cdl_core::arch::mnist_3c();
@@ -136,13 +135,7 @@
 //! # let cdln = cdl_core::network::CdlNetwork::assemble(
 //! #     base, stages, cdl_core::confidence::ConfidencePolicy::max_prob(0.6))?;
 //! // cdln: a trained cdl_core::network::CdlNetwork
-//! let server = Server::start(
-//!     Arc::new(cdln),
-//!     ServerConfig {
-//!         policy: BatchPolicy::new(32, Duration::from_millis(2)),
-//!         ..ServerConfig::default()
-//!     },
-//! )?;
+//! let server = Server::start(Arc::new(cdln), ServerConfig::default())?;
 //! let image = cdl_tensor::Tensor::full(&[1, 28, 28], 0.4);
 //! let pending = server.submit(image)?;          // returns immediately
 //! let output = pending.wait()?;                  // bit-identical to classify()
@@ -221,7 +214,7 @@
 //!     "mnist",
 //!     Arc::new(cdln),
 //!     ServerConfig {
-//!         policy: BatchPolicy::new(8, Duration::from_millis(2)),
+//!         policy: BatchPolicy::new(8, Duration::ZERO),
 //!         workers: 1,
 //!         ..ServerConfig::default()
 //!     },

@@ -67,7 +67,7 @@ impl LatencyStats {
 pub(crate) enum BatchCause {
     /// `max_batch_size` reached.
     Full,
-    /// `max_wait` elapsed since the batch's first request.
+    /// The first request's `max_wait` linger was spent (zero: at once).
     Deadline,
     /// Shutdown flushed a partially formed batch.
     Flush,
@@ -136,7 +136,8 @@ pub struct ServerMetrics {
     pub queue_depth: usize,
     /// Batches dispatched because they were full.
     pub batches_full: u64,
-    /// Batches dispatched by the `max_wait` deadline.
+    /// Batches dispatched short of full because their first request's
+    /// `max_wait` linger was spent: with a zero linger, when a worker asked.
     pub batches_deadline: u64,
     /// Partial batches flushed by shutdown.
     pub batches_flushed: u64,

@@ -269,6 +269,35 @@ struct QueueState {
     live_workers: usize,
 }
 
+/// What a worker holding the queue lock does next.
+#[derive(Debug, PartialEq, Eq)]
+enum Step {
+    /// Take up to `max_batch_size` off the front, for this reason.
+    Seal(BatchCause),
+    /// Park until notified, at most this long (`None`: no timer).
+    Wait(Option<Duration>),
+    /// Closed and empty: the worker is done.
+    Exit,
+}
+
+/// The one sealing rule, a pure function of what a worker sees under the
+/// lock: `Full` beats `Flush` (a closed queue) beats `Deadline` (the opener's
+/// linger is spent). `age` (unread while nothing is queued) counts from the
+/// opener's **submission**, not from when a worker first looks — time queued
+/// behind earlier batches is time lingered — so a late opener, and under a
+/// zero linger every opener, is sealed at once.
+fn next_step(policy: BatchPolicy, queued: usize, closed: bool, age: Duration) -> Step {
+    let linger = policy.max_wait.map(|max| max.saturating_sub(age));
+    match queued {
+        0 if closed => Step::Exit,
+        0 => Step::Wait(None),
+        n if n >= policy.max_batch_size => Step::Seal(BatchCause::Full),
+        _ if closed => Step::Seal(BatchCause::Flush),
+        _ if linger == Some(Duration::ZERO) => Step::Seal(BatchCause::Deadline),
+        _ => Step::Wait(linger),
+    }
+}
+
 /// The server's one queue, and all of batch formation: admission pushes
 /// onto it, every idle worker waits on it in [`WorkQueue::take_batch`], and
 /// a batch is sealed by [`BatchPolicy`] at the moment a worker takes it.
@@ -299,10 +328,14 @@ impl WorkQueue {
     /// Queues an admitted request, or hands it back once the queue closed.
     ///
     /// A push notifies one waiter only when it changes what a waiter would
-    /// do: it creates an opener (length 0 → 1: somebody must arm its
-    /// `max_wait` deadline) or completes a batch (length reaches
-    /// `max_batch_size`). A notify per push is a context switch per request
-    /// again, and what a rise in `net.server_ctx_switches_per_req` means.
+    /// do: it creates an opener (length 0 → 1: somebody must take it, or arm
+    /// its linger) or completes a batch (length reaches `max_batch_size`).
+    /// That is enough under a zero linger, where a worker parks only on an
+    /// empty queue: a burst's first push wakes one worker, which takes the
+    /// whole burst, and the push that fills a batch wakes a second; one woken
+    /// for an opener a returning sibling took parks again; one that leaves
+    /// requests behind wakes a sibling itself. A notify per push is a context
+    /// switch per request again: a rise in `net.server_ctx_switches_per_req`.
     #[allow(clippy::result_large_err)] // a refusal moves the request back, like `SendError`
     fn push(&self, request: Queued) -> Result<(), Queued> {
         let mut state = self.state.lock().unwrap();
@@ -318,43 +351,28 @@ impl WorkQueue {
         Ok(())
     }
 
-    /// Blocks until the policy seals a batch — oldest first, never more
-    /// than `max_batch_size` — and returns it with the reason: `Full` once
-    /// that many are queued, `Deadline` with whatever is queued once
-    /// `max_wait` has passed since the opener's **submission**, `Flush` for
-    /// the rest of a closed queue. `None` (closed and empty) ends a worker.
+    /// The lock-and-condvar loop around [`next_step`]: blocks until it seals
+    /// a batch, then returns the front of the queue — oldest first, never
+    /// more than `max_batch_size` — with the reason. `None` ends a worker.
     fn take_batch(&self) -> Option<(Vec<Queued>, BatchCause)> {
         let max = self.policy.max_batch_size;
         let mut state = self.state.lock().unwrap();
         loop {
             let len = state.queue.len();
-            // anchored at the opener's submission, not at the moment a
-            // worker first looks: time queued behind earlier batches counts
-            // against max_wait, so a late opener is sealed at once
-            let wait = state.queue.front().zip(self.policy.max_wait);
-            let wait = wait.map(|(opener, max_wait)| {
-                max_wait.saturating_sub(opener.live.submitted_at.elapsed())
-            });
-            let cause = match len {
-                0 if state.closed => return None,
-                0 => None,
-                _ if len >= max => Some(BatchCause::Full),
-                _ if state.closed => Some(BatchCause::Flush),
-                _ if wait == Some(Duration::ZERO) => Some(BatchCause::Deadline),
-                _ => None,
-            };
-            if let Some(cause) = cause {
-                let batch = state.queue.drain(..len.min(max)).collect();
-                if !state.queue.is_empty() {
-                    // what is left has an opener `push` will not announce
-                    // again, so the worker leaving it behind wakes a sibling
-                    self.ready.notify_one();
+            let age = state.queue.front().map(|o| o.live.submitted_at.elapsed());
+            state = match next_step(self.policy, len, state.closed, age.unwrap_or_default()) {
+                Step::Exit => return None,
+                Step::Seal(cause) => {
+                    let batch = state.queue.drain(..len.min(max)).collect();
+                    if !state.queue.is_empty() {
+                        // what is left has an opener `push` will not announce
+                        // again, so the worker leaving it behind wakes a sibling
+                        self.ready.notify_one();
+                    }
+                    return Some((batch, cause));
                 }
-                return Some((batch, cause));
-            }
-            state = match wait {
-                Some(wait) => self.ready.wait_timeout(state, wait).unwrap().0,
-                None => self.ready.wait(state).unwrap(),
+                Step::Wait(Some(linger)) => self.ready.wait_timeout(state, linger).unwrap().0,
+                Step::Wait(None) => self.ready.wait(state).unwrap(),
             };
         }
     }
@@ -1082,16 +1100,73 @@ mod tests {
         );
         assert_eq!(batch.len(), 1);
         assert_eq!(cause, BatchCause::Deadline);
-        // a fresh opener still gets its full max_wait, measured from submit
-        let sent = Instant::now();
-        assert!(queue.push(queued(&gate, 1, sent)).is_ok());
+        // (a fresh opener's full max_wait is a row of the table below)
+    }
+
+    #[test]
+    fn the_sealing_rule_as_a_table() {
+        use BatchCause::{Deadline, Flush, Full};
+        use Step::{Exit, Seal, Wait};
+        let ms = Duration::from_millis;
+        let (open, closed) = (false, true);
+        let linger = BatchPolicy::new(8, ms(100));
+        let uncapped = BatchPolicy::by_deadline(ms(0));
+        let rows = [
+            // nothing queued: park with no timer, or leave; the age is unread
+            (BatchPolicy::default(), 0, open, ms(0), Wait(None)),
+            (linger, 0, open, ms(500), Wait(None)),
+            (BatchPolicy::by_size(8), 0, closed, ms(0), Exit),
+            (BatchPolicy::default(), 0, closed, ms(0), Exit),
+            // zero linger: a worker that asks takes whatever is queued
+            (BatchPolicy::default(), 1, open, ms(0), Seal(Deadline)),
+            (BatchPolicy::default(), 31, open, ms(7), Seal(Deadline)),
+            (BatchPolicy::default(), 32, open, ms(0), Seal(Full)),
+            (BatchPolicy::default(), 40, open, ms(0), Seal(Full)),
+            (uncapped, 1 << 20, open, ms(0), Seal(Deadline)),
+            // no deadline: no timer either, until full or closed
+            (BatchPolicy::by_size(8), 7, open, ms(3_600_000), Wait(None)),
+            (BatchPolicy::by_size(8), 8, open, ms(0), Seal(Full)),
+            (BatchPolicy::by_size(8), 7, closed, ms(0), Seal(Flush)),
+            // a positive linger: exactly the remainder, counted from submission
+            (linger, 1, open, ms(0), Wait(Some(ms(100)))),
+            (linger, 7, open, ms(30), Wait(Some(ms(70)))),
+            (linger, 1, open, ms(100), Seal(Deadline)),
+            (linger, 1, open, ms(250), Seal(Deadline)),
+            // full beats flush beats deadline
+            (linger, 8, closed, ms(250), Seal(Full)),
+            (linger, 8, open, ms(250), Seal(Full)),
+            (linger, 7, closed, ms(250), Seal(Flush)),
+            (linger, 7, closed, ms(0), Seal(Flush)),
+            (BatchPolicy::default(), 1, closed, ms(0), Seal(Flush)),
+        ];
+        for (policy, queued, is_closed, age, want) in rows {
+            assert_eq!(
+                next_step(policy, queued, is_closed, age),
+                want,
+                "{policy:?}, {queued} queued, closed {is_closed}, opener aged {age:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_default_policy_hands_a_free_worker_what_is_queued() {
+        // fresh openers and nobody else to push: nothing here waits on a
+        // clock, so the sizes and causes are exact
+        let gate = Arc::new(Gate::new(64, None));
+        let queue = WorkQueue::new(BatchPolicy::default(), 1);
+        assert!(queue.push(queued(&gate, 0, Instant::now())).is_ok());
         let (batch, cause) = queue.take_batch().expect("queue is open");
-        assert_eq!(batch.len(), 1);
+        assert_eq!((ids(&batch), cause), (vec![0], BatchCause::Deadline));
+        // what piled up while every worker was busy still leaves in batches
+        for id in 1..=40 {
+            assert!(queue.push(queued(&gate, id, Instant::now())).is_ok());
+        }
+        let (batch, cause) = queue.take_batch().expect("queue is open");
+        assert_eq!(ids(&batch), (1..=32).collect::<Vec<_>>());
+        assert_eq!(cause, BatchCause::Full);
+        let (batch, cause) = queue.take_batch().expect("queue is open");
+        assert_eq!(ids(&batch), (33..=40).collect::<Vec<_>>());
         assert_eq!(cause, BatchCause::Deadline);
-        assert!(
-            sent.elapsed() >= Duration::from_millis(90),
-            "fresh opener sealed before its max_wait elapsed"
-        );
     }
 
     #[test]
@@ -1144,17 +1219,23 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
         /// Formation as a state machine: any sequence of push / take /
-        /// close over openers that are already due (so a take never has to
-        /// wait) conserves requests, in order, under the size cap.
+        /// close over openers that are already due — backdated past a 1 ms
+        /// linger, or fresh under the default's zero linger — (so a take
+        /// never has to wait) conserves requests, in order, under the size
+        /// cap.
         #[test]
         fn every_pushed_request_leaves_once_in_order_under_the_cap(
             max in 1usize..6,
+            zero_linger in 0u8..2,
             steps in proptest::collection::vec(0u8..8, 1..120),
         ) {
             use proptest::prelude::*;
             let gate = Arc::new(Gate::new(1 << 20, None));
-            let queue = WorkQueue::new(BatchPolicy::new(max, Duration::from_millis(1)), 1);
-            let due = Instant::now() - Duration::from_millis(250);
+            let (linger, backdate) = match zero_linger {
+                1 => (Duration::ZERO, Duration::ZERO),
+                _ => (Duration::from_millis(1), Duration::from_millis(250)),
+            };
+            let queue = WorkQueue::new(BatchPolicy::new(max, linger), 1);
             let mut waiting = VecDeque::new(); // the model: ids queued, in order
             let (mut pushed, mut closed) = (0usize, false);
             let (mut taken, mut handed_back) = (Vec::new(), Vec::new());
@@ -1165,7 +1246,7 @@ mod tests {
                     0..=4 => {
                         let id = pushed;
                         pushed += 1;
-                        match queue.push(queued(&gate, id, due)) {
+                        match queue.push(queued(&gate, id, Instant::now() - backdate)) {
                             Ok(()) => {
                                 prop_assert!(!closed, "a closed queue accepted {id}");
                                 waiting.push_back(id);
@@ -1284,6 +1365,23 @@ mod tests {
             .map(|(size, &n)| size as u64 * n)
             .sum();
         assert_eq!(total_in_batches, 3);
+    }
+
+    #[test]
+    fn the_default_server_serves_lone_requests_one_per_batch() {
+        let net = build_untrained();
+        let server = Server::start(Arc::clone(&net), ServerConfig::default()).unwrap();
+        // each request is alone on the queue for its whole life: nothing to
+        // linger for, so no batch is ever held open for a second member
+        for x in images(6) {
+            let pending = server.submit(x.clone()).unwrap();
+            assert_eq!(pending.wait().unwrap(), net.classify(&x).unwrap());
+        }
+        let metrics = server.shutdown();
+        assert_eq!(metrics.completed, 6);
+        assert_eq!(metrics.batch_size_histogram[1], 6);
+        assert_eq!(metrics.batches_deadline, 6);
+        assert_eq!(metrics.batches_full + metrics.batches_flushed, 0);
     }
 
     #[test]

@@ -220,6 +220,12 @@ fn mixed_policy_is_bit_identical_across_shards() {
 }
 
 #[test]
+fn default_zero_linger_policy_is_bit_identical_across_shards() {
+    // the policy production runs: a free worker takes what is queued
+    assert_router_equivalent(BatchPolicy::default(), 3, 2);
+}
+
+#[test]
 fn unknown_model_rejected_without_side_effects() {
     let (m2c, _, test_set) = trained_pair();
     let router = Router::start(vec![ShardSpec::new(

@@ -143,6 +143,13 @@ fn mixed_policy_is_bit_identical() {
 }
 
 #[test]
+fn default_zero_linger_policy_is_bit_identical() {
+    // the policy production runs: a free worker takes what is queued, so
+    // batch sizes follow the race between three clients and two workers
+    assert_server_equivalent(BatchPolicy::default(), 3, 2);
+}
+
+#[test]
 fn single_request_batches_are_bit_identical() {
     // degenerate policy: every request is its own batch
     assert_server_equivalent(BatchPolicy::by_size(1), 2, 2);
