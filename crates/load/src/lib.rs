@@ -21,10 +21,7 @@
 //! 2. [`run_open_loop`] replays a schedule against any submit closure
 //!    (in-process [`cdl_serve::Router`], TCP [`cdl_serve::TcpClient`], or
 //!    a test stub), sleeping to each arrival time and never waiting for a
-//!    response. [`run_open_loop_threaded`] shards the same schedule
-//!    round-robin across worker threads so the generator itself stops
-//!    being the bottleneck at rates where one thread's per-dispatch cost
-//!    exceeds the inter-arrival gap.
+//!    response.
 //!
 //! Arrival processes:
 //!
@@ -428,58 +425,6 @@ where
     }
 }
 
-/// [`run_open_loop`] sharded across `threads` worker threads: arrival `i`
-/// is dispatched by thread `i % threads`, every thread sleeps against the
-/// **same** start anchor, and the merged stats cover the whole schedule
-/// (`dispatched` sums, `max_lag` is the worst lag any thread saw).
-///
-/// Round-robin sharding keeps each thread's sub-schedule sorted (the full
-/// schedule is), so every thread is a well-formed open-loop replay of a
-/// thinned arrival process and the union offers exactly the original
-/// schedule. Use this when a single replay thread cannot keep up: at high
-/// rates the per-dispatch cost of `submit` (serialisation, a syscall, an
-/// admission gate) exceeds the inter-arrival gap and lag grows linearly —
-/// sharding divides that cost by `threads` without distorting arrival
-/// times. `threads` is clamped to `1..=schedule.len()`; `submit` must be
-/// `Sync` since all threads share it.
-pub fn run_open_loop_threaded<F>(schedule: &[Arrival], threads: usize, submit: F) -> OpenLoopStats
-where
-    F: Fn(&Arrival) + Sync,
-{
-    let threads = threads.clamp(1, schedule.len().max(1));
-    let start = Instant::now();
-    let submit = &submit;
-    let worst = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|t| {
-                scope.spawn(move || {
-                    let mut max_lag = Duration::ZERO;
-                    for arrival in schedule.iter().skip(t).step_by(threads) {
-                        let target = start + arrival.at;
-                        let now = Instant::now();
-                        if let Some(wait) = target.checked_duration_since(now) {
-                            std::thread::sleep(wait);
-                        } else {
-                            max_lag = max_lag.max(now - target);
-                        }
-                        submit(arrival);
-                    }
-                    max_lag
-                })
-            })
-            .collect();
-        workers
-            .into_iter()
-            .map(|w| w.join().expect("replay worker panicked"))
-            .max()
-            .unwrap_or(Duration::ZERO)
-    });
-    OpenLoopStats {
-        dispatched: schedule.len(),
-        max_lag: worst,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -582,36 +527,6 @@ mod tests {
             ..LoadSpec::poisson(10.0, 10, 0)
         };
         assert!(bad_phase.schedule().is_err());
-    }
-
-    #[test]
-    fn threaded_replay_dispatches_every_arrival_once_with_bounded_lag() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        // 20k rps is far beyond what one thread could dispatch if submit
-        // cost ~anything; four threads must still deliver every arrival
-        // exactly once with bounded offered-load error
-        let spec = LoadSpec::poisson(20_000.0, 2000, 17);
-        let schedule = spec.schedule().unwrap();
-        let hits: Vec<AtomicUsize> = (0..schedule.len()).map(|_| AtomicUsize::new(0)).collect();
-        let base = schedule.as_ptr() as usize;
-        let stats = run_open_loop_threaded(&schedule, 4, |arrival| {
-            let index =
-                (arrival as *const Arrival as usize - base) / std::mem::size_of::<Arrival>();
-            hits[index].fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(stats.dispatched, 2000);
-        for (i, hit) in hits.iter().enumerate() {
-            assert_eq!(hit.load(Ordering::Relaxed), 1, "arrival {i}");
-        }
-        // bounded offered-load error: the schedule spans ~100ms; a
-        // generator that fell behind by a whole poll/page interval would
-        // show here. Generous bound for CI noise.
-        assert!(stats.max_lag < Duration::from_millis(250), "{stats:?}");
-        // degenerate thread counts clamp instead of panicking
-        let one = run_open_loop_threaded(&schedule[..5], 0, |_| {});
-        assert_eq!(one.dispatched, 5);
-        let over = run_open_loop_threaded(&schedule[..3], 64, |_| {});
-        assert_eq!(over.dispatched, 3);
     }
 
     #[test]

@@ -544,74 +544,51 @@ impl SubmitOptions {
 
 /// When is a batch sealed and evaluated?
 ///
-/// There is no batching thread: a worker that asks for a batch seals one off
-/// the front of the server's one queue, oldest first, as soon as
+/// There is no batching thread and no timer: a worker that asks for a batch
+/// seals one off the front of the server's one queue, oldest first, at most
+/// `max_batch_size` requests. The policy's one choice is what the worker
+/// does with a *shorter* queue:
 ///
-/// * `max_batch_size` requests are queued (size-bound), or
-/// * `max_wait` has elapsed since the batch's *first* request was
-///   submitted (deadline-bound).
+/// * [`BatchPolicy::new`], the default, is work-conserving: the worker takes
+///   what is queued, so batches grow only while every worker is busy — which
+///   is when batching pays — and an idle server answers in batches of one;
+/// * [`BatchPolicy::by_size`] holds until full: only full batches are sealed,
+///   and the remainder when [`crate::Server::shutdown`] flushes it, so
+///   formation is a function of the arrivals alone, never of thread timing —
+///   the deterministic device of the backpressure and exact-size tests.
 ///
-/// `max_wait` is the **linger ceiling**: the longest a *free* worker holds
-/// the first request back for company. `Some(ZERO)`, the default, is
-/// work-conserving: a worker that asks takes what is queued, so batches grow
-/// only while every worker is busy — which is when batching pays. A positive
-/// linger trades latency for fuller batches on an idle server (at 4000 req/s
-/// 2 ms bought a mean batch of 5 for +1.2 ms of p50); one that runs out while
-/// every worker is busy freezes nothing, the batch keeps filling up to
-/// `max_batch_size` until a worker is free. Batch composition never changes
-/// an answer.
-///
-/// `max_wait == None` disables the deadline: a batch waits (possibly
-/// forever) until it is full, which is only sensible for offline/throughput
-/// workloads or together with [`crate::Server::shutdown`], which flushes the
-/// partially formed batch. The three useful corners have constructors:
-/// [`BatchPolicy::by_size`], [`BatchPolicy::by_deadline`] and
-/// [`BatchPolicy::new`] (mixed).
+/// Batch composition never changes an answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
-    /// Seal as soon as this many requests are queued.
+    /// The most requests one batch holds; a queue this long seals at once.
     pub max_batch_size: usize,
-    /// The linger ceiling: seal this long after the first request of the
-    /// batch was submitted, full or not. `Some(ZERO)` = never hold a free
-    /// worker back; `None` = wait until full.
-    pub max_wait: Option<Duration>,
+    /// Whether a worker leaves a shorter, open queue alone instead of taking it.
+    pub hold_until_full: bool,
 }
 
 impl BatchPolicy {
-    /// Mixed policy: dispatch at `max_batch_size` requests **or** once the
-    /// first has lingered `max_wait` (zero: as soon as a worker is free).
-    pub fn new(max_batch_size: usize, max_wait: Duration) -> Self {
+    /// Work-conserving policy: a free worker takes whatever is queued, up to
+    /// `max_batch_size` requests (`usize::MAX`: always the whole queue).
+    pub fn new(max_batch_size: usize) -> Self {
         BatchPolicy {
             max_batch_size,
-            max_wait: Some(max_wait),
+            hold_until_full: false,
         }
     }
 
-    /// Pure size-bound policy: dispatch only when full (or at shutdown).
+    /// Hold-until-full policy: only full batches dispatch (the rest at shutdown).
     ///
-    /// **Liveness caveat**: without a deadline, a batch larger than the
-    /// number of requests that can be in flight never fills. With blocking
-    /// ([`crate::Admission::Block`]) producers, keep
-    /// [`crate::ServerConfig::queue_capacity`] `>= max_batch_size`, or the
-    /// producers and the workers wait on each other until
-    /// [`crate::Server::shutdown`] flushes the batch (`Try` callers
-    /// just see [`crate::ServeError::Full`] meanwhile — that stalled-open
-    /// shape is exactly what the backpressure tests use deterministically).
+    /// **Liveness caveat**: a batch larger than the number of requests that
+    /// can be in flight never fills. With blocking ([`crate::Admission::Block`])
+    /// producers, keep [`crate::ServerConfig::queue_capacity`] `>=
+    /// max_batch_size`, or the producers and the workers wait on each other
+    /// until [`crate::Server::shutdown`] flushes the batch (`Try` callers just
+    /// see [`crate::ServeError::Full`] meanwhile — that stalled-open shape is
+    /// exactly what the backpressure tests use deterministically).
     pub fn by_size(max_batch_size: usize) -> Self {
         BatchPolicy {
             max_batch_size,
-            max_wait: None,
-        }
-    }
-
-    /// Pure deadline-bound policy: dispatch whatever arrived within
-    /// `max_wait` of the first request — with zero, whatever piled up while
-    /// the workers were busy (batch size limited only by
-    /// [`crate::ServerConfig::queue_capacity`]).
-    pub fn by_deadline(max_wait: Duration) -> Self {
-        BatchPolicy {
-            max_batch_size: usize::MAX,
-            max_wait: Some(max_wait),
+            hold_until_full: true,
         }
     }
 
@@ -629,9 +606,9 @@ impl BatchPolicy {
 }
 
 impl Default for BatchPolicy {
-    /// Up to 32 requests, no linger: work-conserving formation.
+    /// Up to 32 requests, work-conserving.
     fn default() -> Self {
-        BatchPolicy::new(32, Duration::ZERO)
+        BatchPolicy::new(32)
     }
 }
 
@@ -718,10 +695,10 @@ impl Default for ServerConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EdgeConfig {
     /// Poller (reactor) threads multiplexing the connections. Each owns an
-    /// epoll/poll instance and the full read/decode/submit/encode/write
-    /// state machines of the connections assigned to it (round-robin at
-    /// accept). Total edge threads = `pollers` + 1 accept thread,
-    /// independent of connection count.
+    /// epoll instance and the full read/decode/submit/encode/write state
+    /// machines of the connections assigned to it (round-robin at accept).
+    /// Total edge threads = `pollers` + 1 accept thread, independent of
+    /// connection count.
     pub pollers: usize,
 }
 
@@ -756,26 +733,28 @@ mod tests {
 
     #[test]
     fn policy_constructors() {
-        let p = BatchPolicy::by_size(8);
-        assert_eq!(p.max_batch_size, 8);
-        assert_eq!(p.max_wait, None);
-        let p = BatchPolicy::by_deadline(Duration::from_millis(3));
-        assert_eq!(p.max_batch_size, usize::MAX);
-        assert_eq!(p.max_wait, Some(Duration::from_millis(3)));
-        let p = BatchPolicy::new(16, Duration::from_millis(1));
-        assert_eq!(p.max_batch_size, 16);
-        assert!(p.validate().is_ok());
+        let policy = |max_batch_size, hold_until_full| BatchPolicy {
+            max_batch_size,
+            hold_until_full,
+        };
+        assert_eq!(BatchPolicy::new(16), policy(16, false));
+        assert_eq!(BatchPolicy::new(usize::MAX), policy(usize::MAX, false));
+        assert_eq!(BatchPolicy::by_size(8), policy(8, true));
+        assert_eq!(BatchPolicy::default(), policy(32, false));
     }
 
     #[test]
     fn invalid_policies_rejected() {
         assert!(BatchPolicy::by_size(0).validate().is_err());
-        assert!(BatchPolicy::new(0, Duration::ZERO).validate().is_err());
-        // a zero linger is work-conserving formation, not unbatched dispatch
-        assert!(BatchPolicy::new(4, Duration::ZERO).validate().is_ok());
-        assert!(BatchPolicy::by_deadline(Duration::ZERO).validate().is_ok());
-        assert!(BatchPolicy::default().validate().is_ok());
-        assert_eq!(BatchPolicy::default().max_wait, Some(Duration::ZERO));
+        assert!(BatchPolicy::new(0).validate().is_err());
+        for ok in [
+            BatchPolicy::new(1),
+            BatchPolicy::by_size(1),
+            BatchPolicy::new(usize::MAX),
+            BatchPolicy::default(),
+        ] {
+            assert!(ok.validate().is_ok(), "{ok:?}");
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!        ▼                        ▼
 //!   Pending handle ◀──┐      the one queue ── a worker that asks seals
 //!   (one-shot,        │       ╱        ╲        what is queued, ≤ max_batch_size
-//!    drop = cancel)   │      ▼          ▼       (max_wait > 0: it lingers first)
+//!    drop = cancel)   │      ▼          ▼       (by_size: only once it is full)
 //!                     └── worker 1 … worker N   each owns a persistent
 //!                          BatchEvaluator (im2col/GEMM scratch reused
 //!                          across every batch it processes)
@@ -34,9 +34,10 @@
 //!   call behind placement and, under a [`RetryPolicy`], the retry/hedge
 //!   race; the TCP edge calls exactly that with `Try`.
 //! * **Batch formation** ([`BatchPolicy`]) has no thread of its own: a
-//!   worker that asks takes what is queued, up to `max_batch_size` (after
-//!   lingering for company if `max_wait` is set), so batches grow only while
-//!   every worker is busy and a request changes threads once on its way in.
+//!   worker that asks takes what is queued, up to `max_batch_size`, so
+//!   batches grow only while every worker is busy and a request changes
+//!   threads once on its way in. No timer is involved: the one other mode,
+//!   [`BatchPolicy::by_size`], seals full batches only.
 //! * **Workers** each own one persistent
 //!   [`cdl_core::batch::BatchEvaluator`]: steady-state serving performs no
 //!   im2col/GEMM allocations, and which GEMM bodies run (AVX2 or portable,
@@ -196,7 +197,6 @@
 //!     ServerConfig, ShardSpec,
 //! };
 //! use std::sync::Arc;
-//! use std::time::Duration;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! # let arch = cdl_core::arch::mnist_2c();
@@ -214,7 +214,7 @@
 //!     "mnist",
 //!     Arc::new(cdln),
 //!     ServerConfig {
-//!         policy: BatchPolicy::new(8, Duration::ZERO),
+//!         policy: BatchPolicy::new(8),
 //!         workers: 1,
 //!         ..ServerConfig::default()
 //!     },

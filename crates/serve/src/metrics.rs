@@ -67,8 +67,8 @@ impl LatencyStats {
 pub(crate) enum BatchCause {
     /// `max_batch_size` reached.
     Full,
-    /// The first request's `max_wait` linger was spent (zero: at once).
-    Deadline,
+    /// A free worker took what was queued, short of full.
+    Ready,
     /// Shutdown flushed a partially formed batch.
     Flush,
 }
@@ -136,9 +136,9 @@ pub struct ServerMetrics {
     pub queue_depth: usize,
     /// Batches dispatched because they were full.
     pub batches_full: u64,
-    /// Batches dispatched short of full because their first request's
-    /// `max_wait` linger was spent: with a zero linger, when a worker asked.
-    pub batches_deadline: u64,
+    /// Batches dispatched short of full because a worker was free to take
+    /// them (never under [`crate::BatchPolicy::by_size`]).
+    pub batches_ready: u64,
     /// Partial batches flushed by shutdown.
     pub batches_flushed: u64,
     /// `batch_size_histogram[s]` = evaluated batches of size `s` (after
@@ -220,11 +220,11 @@ impl fmt::Display for ServerMetrics {
         }
         writeln!(
             f,
-            "batches: {} evaluated (mean size {:.1}; dispatched {} full / {} deadline / {} flush)",
+            "batches: {} evaluated (mean size {:.1}; dispatched {} full / {} ready / {} flush)",
             self.batches(),
             self.mean_batch_size(),
             self.batches_full,
-            self.batches_deadline,
+            self.batches_ready,
             self.batches_flushed,
         )?;
         let hist: Vec<String> = self
@@ -352,7 +352,7 @@ impl ServerMetrics {
         }
         self.queue_depth += other.queue_depth;
         self.batches_full += other.batches_full;
-        self.batches_deadline += other.batches_deadline;
+        self.batches_ready += other.batches_ready;
         self.batches_flushed += other.batches_flushed;
         for (size, &n) in other.batch_size_histogram.iter().enumerate() {
             add_at(&mut self.batch_size_histogram, size, n);
@@ -410,7 +410,7 @@ impl ServerMetrics {
         }
         for (cause, n) in [
             ("full", self.batches_full),
-            ("deadline", self.batches_deadline),
+            ("ready", self.batches_ready),
             ("flush", self.batches_flushed),
         ] {
             push("cdl_batches_dispatched_total", "cause", cause, n);
@@ -719,7 +719,7 @@ impl Recorder {
         let mut m = self.ledger.lock().unwrap();
         match cause {
             BatchCause::Full => m.batches_full += 1,
-            BatchCause::Deadline => m.batches_deadline += 1,
+            BatchCause::Ready => m.batches_ready += 1,
             BatchCause::Flush => m.batches_flushed += 1,
         }
     }
@@ -958,7 +958,7 @@ mod tests {
                 shed_by_class: [n(), n(), n()],
                 queue_depth: n() as usize,
                 batches_full: n(),
-                batches_deadline: n(),
+                batches_ready: n(),
                 batches_flushed: n(),
                 total_ops: OpCount {
                     macs: n(),
@@ -1293,7 +1293,7 @@ mod tests {
         rec.admitted();
         rec.rejected();
         rec.dispatched(BatchCause::Full);
-        rec.dispatched(BatchCause::Deadline);
+        rec.dispatched(BatchCause::Ready);
         rec.cancelled(1);
         let ms = Duration::from_millis(1);
         rec.batch_completed([(ms, out(0, 100)), (ms, out(2, 300))].into_iter());
@@ -1306,7 +1306,7 @@ mod tests {
         assert_eq!(snap.queue_depth, 7);
         assert_eq!(snap.batches(), 2);
         assert_eq!(snap.batches_full, 1);
-        assert_eq!(snap.batches_deadline, 1);
+        assert_eq!(snap.batches_ready, 1);
         assert_eq!(snap.batch_size_histogram[1], 1);
         assert_eq!(snap.batch_size_histogram[2], 1);
         assert!((snap.mean_batch_size() - 1.5).abs() < 1e-12);

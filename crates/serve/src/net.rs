@@ -101,11 +101,11 @@
 //! routed request's [`Pending`], a registered waker enqueues the
 //! (connection, sequence) pair and tickles the owning poller's
 //! [`reactor::Waker`] (an eventfd on Linux), so responses stream back
-//! with readiness latency instead of the old 50 ms poll slices. Because
-//! submission and completion are decoupled, a client may pipeline
-//! arbitrarily many requests before reading a single response; responses
-//! can complete out of submission order (different replicas, different
-//! batches) and carry the request id so the client can match them up.
+//! with readiness latency. Because submission and completion are
+//! decoupled, a client may pipeline arbitrarily many requests before
+//! reading a single response; responses can complete out of submission
+//! order (different replicas, different batches) and carry the request id
+//! so the client can match them up.
 //!
 //! A client that disconnects mid-request only cancels **its own** pending
 //! work: the poller sees the hangup, drops the connection's state, and
@@ -141,12 +141,16 @@ use crate::server::{Admission, Request};
 /// be a desynchronised stream misread as a length.
 pub const MAX_FRAME: u32 = 16 << 20;
 
-/// Poll timeout while a poller has a parked (gate-full) request. The
-/// normal resume path is event-driven — the admission gate fires the
-/// router's vacancy listeners when capacity frees, and each poller's
-/// listener wakes its eventfd — so this is only a safety net against a
-/// lost wakeup, not a retry cadence (it was a 1 ms poll before the
-/// vacancy hook existed).
+/// Poll timeout while a poller has a parked (gate-full) request. The normal
+/// resume path is event-driven — a freed gate slot fires the router's vacancy
+/// listeners, and each poller's listener wakes its eventfd if the poller's
+/// `parked` flag is up — so this is a safety net, not a retry cadence. The
+/// wakeup it stands in for can really be lost: the flag goes up at the top of
+/// the poller's *next* pass, so when an admission is refused and parks, and the
+/// last in-flight slot frees before `parked = true` is published, the listener
+/// stays silent and no later release exists to wake this poller (reachable at
+/// `queue_capacity` 1 with the releasing request on another poller or
+/// in-process). Only this timeout ends that wait.
 const PARKED_FALLBACK: Duration = Duration::from_millis(400);
 
 const FLAG_DELTA: u8 = 1 << 0;
@@ -871,6 +875,8 @@ struct Poller {
     /// full) admission — read by the router's gate-vacancy listener to
     /// decide whether a freed slot should wake this poller's eventfd.
     parked: Arc<AtomicBool>,
+    /// That listener, held weakly by the router: it goes with this poller.
+    _on_vacancy: Arc<dyn Fn() + Send + Sync>,
     /// New sockets handed over by the accept thread.
     reg_rx: Receiver<TcpStream>,
     /// Completion notices from request wakers: (connection token, seq).
@@ -1053,21 +1059,23 @@ impl TcpServer {
             // replica's gate frees capacity, wake this poller — but only
             // if it actually has something parked, so an idle edge costs
             // the gate one relaxed load per release, not an eventfd write
-            {
+            let on_vacancy: Arc<dyn Fn() + Send + Sync> = {
                 let waker = Arc::clone(&waker);
                 let parked = Arc::clone(&parked);
-                router.on_gate_vacancy(Arc::new(move || {
+                Arc::new(move || {
                     if parked.load(Ordering::Relaxed) {
                         let _ = waker.wake();
                     }
-                }));
-            }
+                })
+            };
+            router.on_gate_vacancy(&on_vacancy);
             let poller = Poller {
                 poll,
                 waker: Arc::clone(&waker),
                 router: Arc::clone(&router),
                 stop: Arc::clone(&stop),
                 parked,
+                _on_vacancy: on_vacancy,
                 reg_rx,
                 done_tx,
                 done_rx,

@@ -89,12 +89,6 @@ pub struct Pending {
 }
 
 impl Pending {
-    /// `true` once the result is available ([`Pending::wait`] will not
-    /// block).
-    pub fn is_ready(&self) -> bool {
-        matches!(self.slot.inner.lock().unwrap().state, SlotState::Done(_))
-    }
-
     /// The telemetry trace id this request is being recorded under —
     /// `Some` only when the server's [`cdl_telemetry::TelemetryConfig`]
     /// has spans on and this request fell inside the sample. Use it to
@@ -111,8 +105,7 @@ impl Pending {
     /// A later registration replaces an unfired earlier one.
     ///
     /// This is the readiness hook the event-loop edge uses: the callback
-    /// enqueues a completion and wakes the owning poller, replacing the
-    /// old model of a writer thread parked in [`Pending::wait_timeout`].
+    /// enqueues a completion and wakes the owning poller.
     pub(crate) fn set_waker(&self, wake: impl FnOnce() + Send + 'static) {
         let mut inner = self.slot.inner.lock().unwrap();
         match inner.state {
@@ -274,9 +267,7 @@ mod tests {
     #[test]
     fn settle_then_wait() {
         let (pending, fulfiller) = pending_pair(None);
-        assert!(!pending.is_ready());
         fulfiller.settle(Ok(output(3)));
-        assert!(pending.is_ready());
         assert_eq!(pending.wait().unwrap().label, 3);
     }
 

@@ -35,7 +35,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock, Weak};
 use std::time::{Duration, Instant};
 
 use cdl_core::network::CdlNetwork;
@@ -816,10 +816,6 @@ impl Drop for HedgeTimer {
     }
 }
 
-/// A gate-vacancy listener retained by the router (so swapped-in servers
-/// get re-registered) — see [`Router::on_gate_vacancy`].
-type VacancyListener = Arc<dyn Fn() + Send + Sync>;
-
 /// The sharded, replicated multi-network serving front-end.
 ///
 /// See the [module docs](self) for the architecture and guarantees.
@@ -828,7 +824,9 @@ type VacancyListener = Arc<dyn Fn() + Send + Sync>;
 pub struct Router {
     shards: Vec<Arc<Shard>>,
     hedge: Option<HedgeTimer>,
-    vacancy: Mutex<Vec<VacancyListener>>,
+    /// Gate-vacancy listeners, retained (weakly, like each gate's own list)
+    /// so swapped-in servers get them too — see [`Router::on_gate_vacancy`].
+    vacancy: Mutex<Vec<Weak<dyn Fn() + Send + Sync>>>,
 }
 
 impl fmt::Debug for Router {
@@ -928,11 +926,6 @@ impl Router {
             hedge: hedges.then(HedgeTimer::start),
             vacancy: Mutex::new(Vec::new()),
         })
-    }
-
-    /// Number of registered models (replica sets, not replicas).
-    pub fn model_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// `(id, name)` of every registered model, in registration order.
@@ -1150,8 +1143,8 @@ impl Router {
             let listeners = self.vacancy.lock().unwrap();
             for replica in &shard.replicas {
                 let server = Server::start(Arc::clone(&net), replica.config.clone())?;
-                for listener in listeners.iter() {
-                    server.on_gate_vacancy(Arc::clone(listener));
+                for listener in listeners.iter().filter_map(Weak::upgrade) {
+                    server.on_gate_vacancy(&listener);
                 }
                 fresh.push(Arc::new(server));
             }
@@ -1179,13 +1172,20 @@ impl Router {
     /// gate frees capacity (a request settles or is dropped). The TCP
     /// edge registers one per poller so parked admissions resume
     /// event-driven instead of polling. Listeners are retained and
-    /// re-registered on pipelines swapped in by [`Router::swap_model`].
-    pub fn on_gate_vacancy(&self, listener: Arc<dyn Fn() + Send + Sync>) {
-        self.vacancy.lock().unwrap().push(Arc::clone(&listener));
+    /// re-registered on pipelines swapped in by [`Router::swap_model`] —
+    /// **weakly**, as [`Server::on_gate_vacancy`] keeps them: one fires for
+    /// as long as the caller holds its `Arc` and is forgotten afterwards, so
+    /// an edge that has shut down costs the router nothing.
+    pub fn on_gate_vacancy(&self, listener: &Arc<dyn Fn() + Send + Sync>) {
+        {
+            let mut listeners = self.vacancy.lock().unwrap();
+            listeners.retain(|l| l.strong_count() > 0);
+            listeners.push(Arc::downgrade(listener));
+        }
         for shard in &self.shards {
             for replica in &shard.replicas {
                 if let Some(server) = replica.server() {
-                    server.on_gate_vacancy(Arc::clone(&listener));
+                    server.on_gate_vacancy(listener);
                 }
             }
         }
@@ -1346,12 +1346,8 @@ mod tests {
 
     #[test]
     fn routes_to_the_right_model() {
-        let router = Router::start(two_model_specs(
-            BatchPolicy::by_deadline(Duration::from_millis(2)),
-            64,
-        ))
-        .unwrap();
-        assert_eq!(router.model_count(), 2);
+        let router = Router::start(two_model_specs(BatchPolicy::new(usize::MAX), 64)).unwrap();
+        assert_eq!(router.models().count(), 2);
         let m2c = router.model_id("MNIST_2C").unwrap();
         let m3c = router.model_id("MNIST_3C").unwrap();
         assert_eq!(router.model_name(m2c).unwrap(), "MNIST_2C");
@@ -1423,11 +1419,7 @@ mod tests {
 
     #[test]
     fn per_request_overrides_route_with_the_request() {
-        let router = Router::start(two_model_specs(
-            BatchPolicy::by_deadline(Duration::from_millis(2)),
-            64,
-        ))
-        .unwrap();
+        let router = Router::start(two_model_specs(BatchPolicy::new(usize::MAX), 64)).unwrap();
         let m3c = router.model_id("MNIST_3C").unwrap();
         let x = images(1).remove(0);
         // δ ≈ 1 never exits by confidence; capping at stage 0 must force it
@@ -1515,7 +1507,7 @@ mod tests {
     fn round_robin_places_evenly() {
         let net = build_untrained(arch::mnist_2c(), 5);
         let config = ServerConfig {
-            policy: BatchPolicy::by_deadline(Duration::from_millis(1)),
+            policy: BatchPolicy::new(usize::MAX),
             queue_capacity: 64,
             workers: 1,
             ..ServerConfig::default()
@@ -1592,7 +1584,7 @@ mod tests {
         use std::sync::atomic::AtomicBool;
         let net = build_untrained(arch::mnist_2c(), 5);
         let config = ServerConfig {
-            policy: BatchPolicy::by_deadline(Duration::from_millis(1)),
+            policy: BatchPolicy::new(usize::MAX),
             queue_capacity: 4096,
             workers: 1,
             ..ServerConfig::default()
@@ -1651,7 +1643,7 @@ mod tests {
     fn adopted_traces_flow_through_routing() {
         let net = build_untrained(arch::mnist_2c(), 5);
         let config = ServerConfig {
-            policy: BatchPolicy::by_deadline(Duration::from_millis(1)),
+            policy: BatchPolicy::new(usize::MAX),
             queue_capacity: 64,
             workers: 1,
             telemetry: cdl_telemetry::TelemetryConfig::enabled(),
@@ -1703,7 +1695,7 @@ mod tests {
     fn prometheus_export_equals_the_metrics_snapshot() {
         // mixed traffic: two models of different depth, one of them on two
         // replicas, a few callers hanging up before their answer
-        let mut specs = two_model_specs(BatchPolicy::by_deadline(Duration::from_millis(1)), 64);
+        let mut specs = two_model_specs(BatchPolicy::new(usize::MAX), 64);
         let three_c = specs.pop().unwrap();
         specs.push(three_c.replicated(ReplicaSpec::new(2, PlacementPolicy::RoundRobin)));
         let router = Router::start(specs).unwrap();
@@ -1788,8 +1780,8 @@ mod tests {
                 labelled(
                     "cdl_batches_dispatched_total",
                     "cause",
-                    "deadline",
-                    m.batches_deadline,
+                    "ready",
+                    m.batches_ready,
                 );
                 labelled(
                     "cdl_batches_dispatched_total",
@@ -1887,7 +1879,7 @@ mod tests {
         let net_a = build_untrained(arch::mnist_2c(), 5);
         let net_b = build_untrained(arch::mnist_2c(), 11);
         let config = ServerConfig {
-            policy: BatchPolicy::by_deadline(Duration::from_millis(1)),
+            policy: BatchPolicy::new(usize::MAX),
             queue_capacity: 64,
             workers: 1,
             ..ServerConfig::default()

@@ -4,9 +4,9 @@
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use cdl_core::batch::{BatchEvaluator, SheddableOutcome};
 use cdl_core::confidence::ExitOverride;
@@ -31,36 +31,37 @@ struct GateState {
 /// Callbacks fired whenever an in-flight slot frees up — the event-driven
 /// alternative to polling the gate for vacancy. The TCP edge registers one
 /// per poller so a parked admission retries the moment capacity appears
-/// instead of waiting out a poll interval.
+/// instead of waiting out a poll interval. Held weakly: an edge that shut
+/// down leaves no closure (and no eventfd inside one) behind.
+#[derive(Default)]
 struct VacancyListeners {
-    /// Fast-path flag: until the first listener registers, `fire` is a
+    /// Fast-path flag: while no listener is registered, `fire` is a
     /// single relaxed load — no lock, no allocation.
     armed: AtomicBool,
-    list: Mutex<Vec<Arc<dyn Fn() + Send + Sync>>>,
+    list: Mutex<Vec<Weak<dyn Fn() + Send + Sync>>>,
 }
 
 impl VacancyListeners {
-    fn new() -> Self {
-        VacancyListeners {
-            armed: AtomicBool::new(false),
-            list: Mutex::new(Vec::new()),
-        }
-    }
-
-    fn add(&self, listener: Arc<dyn Fn() + Send + Sync>) {
-        self.list.lock().unwrap().push(listener);
+    fn add(&self, listener: Weak<dyn Fn() + Send + Sync>) {
+        let mut list = self.list.lock().unwrap();
+        list.retain(|l| l.strong_count() > 0); // a gate nobody releases prunes here
+        list.push(listener);
         self.armed.store(true, Ordering::Release);
     }
 
-    /// Invokes every listener. Callers must not hold the gate's state
-    /// lock: a listener may re-enter the gate (the edge retries a parked
-    /// admission from inside its wakeup).
+    /// Invokes every live listener and forgets the dead ones. Callers must
+    /// not hold the gate's state lock: a listener may re-enter the gate (the
+    /// edge retries a parked admission from inside its wakeup).
     fn fire(&self) {
         if !self.armed.load(Ordering::Acquire) {
             return;
         }
-        let listeners: Vec<_> = self.list.lock().unwrap().clone();
-        for listener in &listeners {
+        let mut live = Vec::new();
+        let mut list = self.list.lock().unwrap();
+        list.retain(|l| l.upgrade().map(|l| live.push(l)).is_some());
+        self.armed.store(!list.is_empty(), Ordering::Release);
+        drop(list);
+        for listener in &live {
             listener();
         }
     }
@@ -97,7 +98,7 @@ impl Gate {
             tenant_quota,
             state: Mutex::new(GateState::default()),
             freed: Condvar::new(),
-            vacancy: VacancyListeners::new(),
+            vacancy: VacancyListeners::default(),
         }
     }
 
@@ -274,27 +275,24 @@ struct QueueState {
 enum Step {
     /// Take up to `max_batch_size` off the front, for this reason.
     Seal(BatchCause),
-    /// Park until notified, at most this long (`None`: no timer).
-    Wait(Option<Duration>),
+    /// Park until a push, a leaving sibling or `close` notifies.
+    Wait,
     /// Closed and empty: the worker is done.
     Exit,
 }
 
-/// The one sealing rule, a pure function of what a worker sees under the
-/// lock: `Full` beats `Flush` (a closed queue) beats `Deadline` (the opener's
-/// linger is spent). `age` (unread while nothing is queued) counts from the
-/// opener's **submission**, not from when a worker first looks — time queued
-/// behind earlier batches is time lingered — so a late opener, and under a
-/// zero linger every opener, is sealed at once.
-fn next_step(policy: BatchPolicy, queued: usize, closed: bool, age: Duration) -> Step {
-    let linger = policy.max_wait.map(|max| max.saturating_sub(age));
+/// The one sealing rule, a pure function of the two numbers a worker sees
+/// under the lock and the policy: `Full` beats `Flush` (a closed queue) beats
+/// `Ready` (a free worker takes a short queue as it is, unless the policy
+/// holds out for a full one). How long anything has been queued decides nothing.
+fn next_step(policy: BatchPolicy, queued: usize, closed: bool) -> Step {
     match queued {
         0 if closed => Step::Exit,
-        0 => Step::Wait(None),
+        0 => Step::Wait,
         n if n >= policy.max_batch_size => Step::Seal(BatchCause::Full),
         _ if closed => Step::Seal(BatchCause::Flush),
-        _ if linger == Some(Duration::ZERO) => Step::Seal(BatchCause::Deadline),
-        _ => Step::Wait(linger),
+        _ if policy.hold_until_full => Step::Wait,
+        _ => Step::Seal(BatchCause::Ready),
     }
 }
 
@@ -327,15 +325,16 @@ impl WorkQueue {
 
     /// Queues an admitted request, or hands it back once the queue closed.
     ///
-    /// A push notifies one waiter only when it changes what a waiter would
-    /// do: it creates an opener (length 0 → 1: somebody must take it, or arm
-    /// its linger) or completes a batch (length reaches `max_batch_size`).
-    /// That is enough under a zero linger, where a worker parks only on an
-    /// empty queue: a burst's first push wakes one worker, which takes the
-    /// whole burst, and the push that fills a batch wakes a second; one woken
-    /// for an opener a returning sibling took parks again; one that leaves
-    /// requests behind wakes a sibling itself. A notify per push is a context
-    /// switch per request again: a rise in `net.server_ctx_switches_per_req`.
+    /// A push notifies one waiter only when the length goes 0 → 1 or reaches
+    /// `max_batch_size`, which covers the two states a worker parks in. On an
+    /// *empty* queue the 0 → 1 push wakes one worker, which takes the burst
+    /// that follows, and the push that fills a batch wakes a second. On a
+    /// *short* queue under `hold_until_full` nothing is sealable before the
+    /// push that fills the batch, which notifies (the 0 → 1 wake-up is then
+    /// spurious: the worker looks and parks again). A worker busy through
+    /// either push reads the length under the lock before it parks, and one
+    /// that leaves requests behind wakes a sibling itself. A notify per push is
+    /// a context switch per request: `net.server_ctx_switches_per_req` rises.
     #[allow(clippy::result_large_err)] // a refusal moves the request back, like `SendError`
     fn push(&self, request: Queued) -> Result<(), Queued> {
         let mut state = self.state.lock().unwrap();
@@ -359,20 +358,18 @@ impl WorkQueue {
         let mut state = self.state.lock().unwrap();
         loop {
             let len = state.queue.len();
-            let age = state.queue.front().map(|o| o.live.submitted_at.elapsed());
-            state = match next_step(self.policy, len, state.closed, age.unwrap_or_default()) {
+            state = match next_step(self.policy, len, state.closed) {
                 Step::Exit => return None,
                 Step::Seal(cause) => {
                     let batch = state.queue.drain(..len.min(max)).collect();
                     if !state.queue.is_empty() {
-                        // what is left has an opener `push` will not announce
-                        // again, so the worker leaving it behind wakes a sibling
+                        // `push` will not announce what is left a second time,
+                        // so the worker leaving it behind wakes a sibling
                         self.ready.notify_one();
                     }
                     return Some((batch, cause));
                 }
-                Step::Wait(Some(linger)) => self.ready.wait_timeout(state, linger).unwrap().0,
-                Step::Wait(None) => self.ready.wait(state).unwrap(),
+                Step::Wait => self.ready.wait(state).unwrap(),
             };
         }
     }
@@ -499,8 +496,9 @@ impl Server {
     /// may re-enter the submit API. The TCP edge uses this to wake a
     /// poller with parked (gate-full) admissions the moment capacity
     /// appears, instead of polling on a timeout.
-    pub fn on_gate_vacancy(&self, listener: Arc<dyn Fn() + Send + Sync>) {
-        self.gate.vacancy.add(listener);
+    /// Kept **weakly**: it fires for as long as the caller holds its `Arc`.
+    pub fn on_gate_vacancy(&self, listener: &Arc<dyn Fn() + Send + Sync>) {
+        self.gate.vacancy.add(Arc::downgrade(listener));
     }
 
     /// The one admission path: validates `request` against the model,
@@ -514,11 +512,10 @@ impl Server {
     /// instead of being shed. [`Admission::Try`] never waits: the same
     /// three conditions come back as typed refusals.
     ///
-    /// With a pure size-bound [`BatchPolicy`] whose `max_batch_size`
-    /// exceeds the queue capacity, the forming batch can never fill and
-    /// `Block` waits until requests complete some other way — see the
-    /// liveness caveat on [`BatchPolicy::by_size`]; give the policy a
-    /// deadline or use `Try` for such configurations.
+    /// Under [`BatchPolicy::by_size`] with a `max_batch_size` above the queue
+    /// capacity the forming batch can never fill and `Block` waits until
+    /// requests complete some other way — see that constructor's liveness
+    /// caveat; use [`BatchPolicy::new`] or `Try` for such configurations.
     ///
     /// `request.trace` continues a caller-supplied trace id (the TCP edge
     /// passes the wire-carried one, so one trace spans both sides of the
@@ -803,10 +800,10 @@ fn evaluate_group(
     for l in &live {
         mark(telemetry, l.trace, EventKind::Dispatch);
     }
-    // the stream entry, not a whole-batch one: a deadline-bound policy or
-    // a shutdown flush can hand over a batch as large as the whole queue,
-    // and the evaluator's scratch must stay bounded by its streaming
-    // chunk. The observer only reports, per cascade stage, which members
+    // the stream entry, not a whole-batch one: `max_batch_size` may be
+    // `usize::MAX` (a worker then takes the whole queue at once), and the
+    // evaluator's scratch must stay bounded by its streaming chunk.
+    // The observer only reports, per cascade stage, which members
     // were still active (results stay bit-identical with or without
     // traced members). The shed hook is the mid-batch deadline check: a
     // member whose deadline passes while the batch is in flight is
@@ -942,7 +939,7 @@ mod tests {
         let net = build_untrained();
         let server = Server::start(
             Arc::clone(&net),
-            config(BatchPolicy::by_deadline(Duration::from_millis(2)), 64, 2),
+            config(BatchPolicy::new(usize::MAX), 64, 2),
         )
         .unwrap();
         let inputs = images(24);
@@ -963,7 +960,7 @@ mod tests {
     #[test]
     fn lifecycle_spans_cover_admit_to_reply_and_stay_bit_identical() {
         let net = build_untrained();
-        let mut cfg = config(BatchPolicy::by_deadline(Duration::from_millis(2)), 64, 2);
+        let mut cfg = config(BatchPolicy::new(usize::MAX), 64, 2);
         cfg.telemetry = cdl_telemetry::TelemetryConfig::enabled();
         let server = Server::start(Arc::clone(&net), cfg).unwrap();
         let telemetry = server.telemetry().clone();
@@ -1018,7 +1015,7 @@ mod tests {
         let net = build_untrained();
         let server = Server::start(
             Arc::clone(&net),
-            config(BatchPolicy::by_deadline(Duration::from_millis(2)), 64, 1),
+            config(BatchPolicy::new(usize::MAX), 64, 1),
         )
         .unwrap();
         let pending = server.submit(images(1).pop().unwrap()).unwrap();
@@ -1068,11 +1065,10 @@ mod tests {
     }
 
     /// A request straight onto a [`WorkQueue`]: its input is the one-cell
-    /// tensor `[id]`, its submission instant the caller's to backdate.
-    fn queued(gate: &Arc<Gate>, id: usize, submitted_at: Instant) -> Queued {
-        let (pending, mut request) = raw_request(gate, Tensor::full(&[1], id as f32), None);
+    /// tensor `[id]`.
+    fn queued(gate: &Arc<Gate>, id: usize) -> Queued {
+        let (pending, request) = raw_request(gate, Tensor::full(&[1], id as f32), None);
         drop(pending); // formation never looks at the caller's side
-        request.live.submitted_at = submitted_at;
         request
     }
 
@@ -1081,109 +1077,126 @@ mod tests {
     }
 
     #[test]
-    fn batch_deadline_anchors_at_submission_not_dequeue() {
-        // drive take_batch directly with a request whose submission is
-        // backdated past max_wait — the shape busy workers produce when an
-        // opener sat on the queue behind earlier batches. It must be sealed
-        // (nearly) immediately; a dequeue-anchored deadline would silently
-        // grant it a second full max_wait.
-        let gate = Arc::new(Gate::new(8, None));
-        let queue = WorkQueue::new(BatchPolicy::new(8, Duration::from_millis(100)), 1);
-        let backdated = Instant::now() - Duration::from_millis(250);
-        assert!(queue.push(queued(&gate, 0, backdated)).is_ok());
-        // budget already spent when a worker looks → singleton batch, right away
-        let asked = Instant::now();
-        let (batch, cause) = queue.take_batch().expect("queue is open");
-        assert!(
-            asked.elapsed() < Duration::from_millis(50),
-            "expired opener must be sealed immediately"
-        );
-        assert_eq!(batch.len(), 1);
-        assert_eq!(cause, BatchCause::Deadline);
-        // (a fresh opener's full max_wait is a row of the table below)
-    }
-
-    #[test]
     fn the_sealing_rule_as_a_table() {
-        use BatchCause::{Deadline, Flush, Full};
+        use BatchCause::{Flush, Full, Ready};
         use Step::{Exit, Seal, Wait};
-        let ms = Duration::from_millis;
         let (open, closed) = (false, true);
-        let linger = BatchPolicy::new(8, ms(100));
-        let uncapped = BatchPolicy::by_deadline(ms(0));
+        let uncapped = BatchPolicy::new(usize::MAX);
+        let hold = BatchPolicy::by_size(8);
         let rows = [
-            // nothing queued: park with no timer, or leave; the age is unread
-            (BatchPolicy::default(), 0, open, ms(0), Wait(None)),
-            (linger, 0, open, ms(500), Wait(None)),
-            (BatchPolicy::by_size(8), 0, closed, ms(0), Exit),
-            (BatchPolicy::default(), 0, closed, ms(0), Exit),
-            // zero linger: a worker that asks takes whatever is queued
-            (BatchPolicy::default(), 1, open, ms(0), Seal(Deadline)),
-            (BatchPolicy::default(), 31, open, ms(7), Seal(Deadline)),
-            (BatchPolicy::default(), 32, open, ms(0), Seal(Full)),
-            (BatchPolicy::default(), 40, open, ms(0), Seal(Full)),
-            (uncapped, 1 << 20, open, ms(0), Seal(Deadline)),
-            // no deadline: no timer either, until full or closed
-            (BatchPolicy::by_size(8), 7, open, ms(3_600_000), Wait(None)),
-            (BatchPolicy::by_size(8), 8, open, ms(0), Seal(Full)),
-            (BatchPolicy::by_size(8), 7, closed, ms(0), Seal(Flush)),
-            // a positive linger: exactly the remainder, counted from submission
-            (linger, 1, open, ms(0), Wait(Some(ms(100)))),
-            (linger, 7, open, ms(30), Wait(Some(ms(70)))),
-            (linger, 1, open, ms(100), Seal(Deadline)),
-            (linger, 1, open, ms(250), Seal(Deadline)),
-            // full beats flush beats deadline
-            (linger, 8, closed, ms(250), Seal(Full)),
-            (linger, 8, open, ms(250), Seal(Full)),
-            (linger, 7, closed, ms(250), Seal(Flush)),
-            (linger, 7, closed, ms(0), Seal(Flush)),
-            (BatchPolicy::default(), 1, closed, ms(0), Seal(Flush)),
+            // nothing queued: park, or leave
+            (BatchPolicy::default(), 0, open, Wait),
+            (hold, 0, open, Wait),
+            (BatchPolicy::default(), 0, closed, Exit),
+            // work-conserving: a worker that asks takes whatever is queued
+            (BatchPolicy::default(), 1, open, Seal(Ready)),
+            (BatchPolicy::default(), 31, open, Seal(Ready)),
+            (BatchPolicy::default(), 32, open, Seal(Full)),
+            (BatchPolicy::default(), 40, open, Seal(Full)),
+            (uncapped, 1 << 20, open, Seal(Ready)),
+            // hold until full: a short queue stays, until full or closed
+            (hold, 1, open, Wait),
+            (hold, 7, open, Wait),
+            (hold, 8, open, Seal(Full)),
+            (hold, 9, open, Seal(Full)),
+            // full beats flush beats ready
+            (hold, 8, closed, Seal(Full)),
+            (hold, 7, closed, Seal(Flush)),
+            (BatchPolicy::default(), 1, closed, Seal(Flush)),
         ];
-        for (policy, queued, is_closed, age, want) in rows {
+        for (policy, queued, is_closed, want) in rows {
             assert_eq!(
-                next_step(policy, queued, is_closed, age),
+                next_step(policy, queued, is_closed),
                 want,
-                "{policy:?}, {queued} queued, closed {is_closed}, opener aged {age:?}"
+                "{policy:?}, {queued} queued, closed {is_closed}"
             );
         }
     }
 
     #[test]
     fn the_default_policy_hands_a_free_worker_what_is_queued() {
-        // fresh openers and nobody else to push: nothing here waits on a
-        // clock, so the sizes and causes are exact
+        // nobody else pushes or takes, so the sizes and causes are exact
         let gate = Arc::new(Gate::new(64, None));
         let queue = WorkQueue::new(BatchPolicy::default(), 1);
-        assert!(queue.push(queued(&gate, 0, Instant::now())).is_ok());
+        assert!(queue.push(queued(&gate, 0)).is_ok());
         let (batch, cause) = queue.take_batch().expect("queue is open");
-        assert_eq!((ids(&batch), cause), (vec![0], BatchCause::Deadline));
+        assert_eq!((ids(&batch), cause), (vec![0], BatchCause::Ready));
         // what piled up while every worker was busy still leaves in batches
         for id in 1..=40 {
-            assert!(queue.push(queued(&gate, id, Instant::now())).is_ok());
+            assert!(queue.push(queued(&gate, id)).is_ok());
         }
         let (batch, cause) = queue.take_batch().expect("queue is open");
         assert_eq!(ids(&batch), (1..=32).collect::<Vec<_>>());
         assert_eq!(cause, BatchCause::Full);
         let (batch, cause) = queue.take_batch().expect("queue is open");
         assert_eq!(ids(&batch), (33..=40).collect::<Vec<_>>());
-        assert_eq!(cause, BatchCause::Deadline);
+        assert_eq!(cause, BatchCause::Ready);
     }
 
     #[test]
-    fn a_full_batch_seals_without_waiting_for_the_timer() {
-        let gate = Arc::new(Gate::new(8, None));
-        let queue = WorkQueue::new(BatchPolicy::new(3, Duration::from_secs(3600)), 1);
-        let now = Instant::now();
-        for id in 0..4 {
-            assert!(queue.push(queued(&gate, id, now)).is_ok());
+    fn a_full_batch_seals_at_once() {
+        for policy in [BatchPolicy::new(3), BatchPolicy::by_size(3)] {
+            let gate = Arc::new(Gate::new(8, None));
+            let queue = WorkQueue::new(policy, 1);
+            for id in 0..4 {
+                assert!(queue.push(queued(&gate, id)).is_ok());
+            }
+            let (batch, cause) = queue.take_batch().expect("queue is open");
+            assert_eq!(ids(&batch), [0, 1, 2], "oldest first, never above max");
+            assert_eq!(cause, BatchCause::Full);
         }
-        let (batch, cause) = queue.take_batch().expect("queue is open");
-        assert_eq!(ids(&batch), [0, 1, 2], "oldest first, never above max");
-        assert_eq!(cause, BatchCause::Full);
-        assert!(
-            now.elapsed() < Duration::from_secs(60),
-            "an hour's max_wait was not served"
-        );
+    }
+
+    /// A thread blocked in `take_batch`, reporting what it sealed.
+    fn taker(
+        queue: &Arc<WorkQueue>,
+        sealed: &std::sync::mpsc::Sender<(Vec<usize>, BatchCause)>,
+    ) -> JoinHandle<()> {
+        let (queue, sealed) = (Arc::clone(queue), sealed.clone());
+        std::thread::spawn(move || {
+            let (batch, cause) = queue.take_batch().expect("queue is open");
+            sealed.send((ids(&batch), cause)).unwrap();
+        })
+    }
+
+    #[test]
+    fn a_taker_held_for_a_full_batch_returns_once_the_third_push_lands() {
+        // valid under either interleaving: the taker parked on a short queue
+        // and the push that filled it woke it, or it first looked with three
+        // already queued
+        let gate = Arc::new(Gate::new(8, None));
+        let queue = Arc::new(WorkQueue::new(BatchPolicy::by_size(3), 1));
+        let (sealed_tx, sealed) = std::sync::mpsc::channel();
+        let blocked = taker(&queue, &sealed_tx);
+        for id in 0..3 {
+            assert!(queue.push(queued(&gate, id)).is_ok());
+        }
+        assert_eq!(sealed.recv().unwrap(), (vec![0, 1, 2], BatchCause::Full));
+        blocked.join().unwrap();
+    }
+
+    #[test]
+    fn a_stranded_request_wakes_a_sibling_that_holds_out_for_a_full_batch() {
+        let gate = Arc::new(Gate::new(8, None));
+        let queue = Arc::new(WorkQueue::new(BatchPolicy::by_size(3), 2));
+        let (sealed_tx, sealed) = std::sync::mpsc::channel();
+        let takers = [taker(&queue, &sealed_tx), taker(&queue, &sealed_tx)];
+        // four at once, as pushes that outran both workers leave them; the
+        // notify is the one the push that reached three sent
+        let four = (0..4).map(|id| queued(&gate, id));
+        queue.state.lock().unwrap().queue.extend(four);
+        queue.ready.notify_one();
+        // one taker seals three and strands the fourth: the sibling it wakes
+        // (or that only now looks) must leave a short, open queue alone
+        assert_eq!(sealed.recv().unwrap(), (vec![0, 1, 2], BatchCause::Full));
+        for id in 4..6 {
+            assert!(queue.push(queued(&gate, id)).is_ok());
+        }
+        assert_eq!(sealed.recv().unwrap(), (vec![3, 4, 5], BatchCause::Full));
+        for taker in takers {
+            taker.join().unwrap();
+        }
+        assert_eq!(gate.depth(), 0);
     }
 
     #[test]
@@ -1191,7 +1204,7 @@ mod tests {
         let gate = Arc::new(Gate::new(8, None));
         let queue = WorkQueue::new(BatchPolicy::by_size(3), 1);
         for id in 0..7 {
-            assert!(queue.push(queued(&gate, id, Instant::now())).is_ok());
+            assert!(queue.push(queued(&gate, id)).is_ok());
         }
         queue.close();
         let causes: Vec<(Vec<usize>, BatchCause)> = std::iter::from_fn(|| queue.take_batch())
@@ -1210,7 +1223,7 @@ mod tests {
             "closed and empty stays that way"
         );
         // a push after close hands the request back, untouched
-        let back = queue.push(queued(&gate, 7, Instant::now())).unwrap_err();
+        let back = queue.push(queued(&gate, 7)).unwrap_err();
         assert_eq!(ids(&[back]), [7]);
         assert_eq!(gate.depth(), 0, "every ticket was released");
     }
@@ -1219,23 +1232,18 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
         /// Formation as a state machine: any sequence of push / take /
-        /// close over openers that are already due — backdated past a 1 ms
-        /// linger, or fresh under the default's zero linger — (so a take
-        /// never has to wait) conserves requests, in order, under the size
-        /// cap.
+        /// close, under either mode, conserves requests, in order, under
+        /// the size cap (the model skips a take that would rightly block).
         #[test]
         fn every_pushed_request_leaves_once_in_order_under_the_cap(
-            max in 1usize..6,
-            zero_linger in 0u8..2,
+            max_batch_size in 1usize..6,
+            hold in 0u8..2,
             steps in proptest::collection::vec(0u8..8, 1..120),
         ) {
             use proptest::prelude::*;
             let gate = Arc::new(Gate::new(1 << 20, None));
-            let (linger, backdate) = match zero_linger {
-                1 => (Duration::ZERO, Duration::ZERO),
-                _ => (Duration::from_millis(1), Duration::from_millis(250)),
-            };
-            let queue = WorkQueue::new(BatchPolicy::new(max, linger), 1);
+            let (max, hold_until_full) = (max_batch_size, hold == 1);
+            let queue = WorkQueue::new(BatchPolicy { max_batch_size, hold_until_full }, 1);
             let mut waiting = VecDeque::new(); // the model: ids queued, in order
             let (mut pushed, mut closed) = (0usize, false);
             let (mut taken, mut handed_back) = (Vec::new(), Vec::new());
@@ -1246,7 +1254,7 @@ mod tests {
                     0..=4 => {
                         let id = pushed;
                         pushed += 1;
-                        match queue.push(queued(&gate, id, Instant::now() - backdate)) {
+                        match queue.push(queued(&gate, id)) {
                             Ok(()) => {
                                 prop_assert!(!closed, "a closed queue accepted {id}");
                                 waiting.push_back(id);
@@ -1257,8 +1265,10 @@ mod tests {
                             }
                         }
                     }
-                    // an open, empty queue would (rightly) block the take
-                    5..=6 if waiting.is_empty() && !closed => {}
+                    // an open queue that is empty, or short under hold,
+                    // would (rightly) block the take
+                    5..=6 if !closed
+                        && (waiting.is_empty() || hold_until_full && waiting.len() < max) => {}
                     5..=6 => match queue.take_batch() {
                         None => prop_assert!(closed && waiting.is_empty()),
                         Some((batch, cause)) => {
@@ -1269,8 +1279,9 @@ mod tests {
                             let want = match (n == max, closed) {
                                 (true, _) => BatchCause::Full,
                                 (false, true) => BatchCause::Flush,
-                                (false, false) => BatchCause::Deadline,
+                                (false, false) => BatchCause::Ready,
                             };
+                            prop_assert!(want != BatchCause::Ready || !hold_until_full);
                             prop_assert_eq!(cause, want);
                             taken.extend(ids(&batch));
                         }
@@ -1338,25 +1349,22 @@ mod tests {
     }
 
     #[test]
-    fn deadline_forms_partial_batches() {
+    fn a_free_worker_forms_partial_batches() {
         let net = build_untrained();
-        let server = Server::start(
-            Arc::clone(&net),
-            config(BatchPolicy::new(1000, Duration::from_millis(20)), 64, 1),
-        )
-        .unwrap();
+        let server =
+            Server::start(Arc::clone(&net), config(BatchPolicy::new(1000), 64, 1)).unwrap();
         let inputs = images(3);
         let pendings: Vec<Pending> = inputs
             .iter()
             .map(|x| server.submit(x.clone()).unwrap())
             .collect();
-        // no shutdown needed: the deadline alone must dispatch the batch
+        // no shutdown needed: a free worker alone must dispatch the batch
         for (x, pending) in inputs.iter().zip(pendings) {
             assert_eq!(pending.wait().unwrap(), net.classify(x).unwrap());
         }
         let metrics = server.shutdown();
         assert_eq!(metrics.completed, 3);
-        assert!(metrics.batches_deadline >= 1);
+        assert!(metrics.batches_ready >= 1);
         assert_eq!(metrics.batches_full, 0);
         let total_in_batches: u64 = metrics
             .batch_size_histogram
@@ -1371,8 +1379,8 @@ mod tests {
     fn the_default_server_serves_lone_requests_one_per_batch() {
         let net = build_untrained();
         let server = Server::start(Arc::clone(&net), ServerConfig::default()).unwrap();
-        // each request is alone on the queue for its whole life: nothing to
-        // linger for, so no batch is ever held open for a second member
+        // each request is alone on the queue for its whole life, and no
+        // batch is ever held open for a second member
         for x in images(6) {
             let pending = server.submit(x.clone()).unwrap();
             assert_eq!(pending.wait().unwrap(), net.classify(&x).unwrap());
@@ -1380,7 +1388,7 @@ mod tests {
         let metrics = server.shutdown();
         assert_eq!(metrics.completed, 6);
         assert_eq!(metrics.batch_size_histogram[1], 6);
-        assert_eq!(metrics.batches_deadline, 6);
+        assert_eq!(metrics.batches_ready, 6);
         assert_eq!(metrics.batches_full + metrics.batches_flushed, 0);
     }
 
@@ -1468,11 +1476,7 @@ mod tests {
     #[test]
     fn concurrent_clients_interleave_arbitrarily() {
         let net = build_untrained();
-        let server = Server::start(
-            Arc::clone(&net),
-            config(BatchPolicy::new(8, Duration::from_millis(1)), 128, 3),
-        )
-        .unwrap();
+        let server = Server::start(Arc::clone(&net), config(BatchPolicy::new(8), 128, 3)).unwrap();
         let inputs = images(60);
         let outputs: Vec<_> = std::thread::scope(|scope| {
             let handles: Vec<_> = inputs
@@ -1799,11 +1803,7 @@ mod tests {
     #[test]
     fn bad_shape_inputs_rejected_at_admission() {
         let net = build_untrained();
-        let server = Server::start(
-            Arc::clone(&net),
-            config(BatchPolicy::by_deadline(Duration::from_millis(2)), 8, 1),
-        )
-        .unwrap();
+        let server = Server::start(Arc::clone(&net), config(BatchPolicy::default(), 8, 1)).unwrap();
         let bad = Tensor::full(&[2, 2], 0.5);
         assert!(matches!(
             server.submit(bad.clone()).unwrap_err(),

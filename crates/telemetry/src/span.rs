@@ -284,11 +284,6 @@ impl Telemetry {
         Self::new(TelemetryConfig::default())
     }
 
-    /// Whether lifecycle spans are being recorded at all.
-    pub fn spans_enabled(&self) -> bool {
-        self.inner.config.spans
-    }
-
     /// The active configuration.
     pub fn config(&self) -> TelemetryConfig {
         self.inner.config

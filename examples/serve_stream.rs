@@ -111,22 +111,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 4. The sharded router under an open-loop multi-client workload.
-    //    The default linger (none: a free worker takes what is queued) with
-    //    a larger cap, since the clients' burst outruns the workers.
-    let policy = BatchPolicy {
-        max_batch_size: 128,
-        ..BatchPolicy::default()
-    };
+    //    The default formation (a free worker takes what is queued) with a
+    //    larger cap, since the clients' burst outruns the workers.
+    let policy = BatchPolicy::new(128);
     let config = ServerConfig {
         policy,
         queue_capacity: 4096,
         workers,
         ..ServerConfig::default()
     };
-    let linger = policy.max_wait.expect("the default policy has a linger");
     println!(
-        "router: 2 shards × {workers} workers, {clients} clients, batch ≤ {} or {linger:?} of \
-         linger, per-request δ/depth overrides\n",
+        "router: 2 shards × {workers} workers, {clients} clients, batch ≤ {}, per-request \
+         δ/depth overrides\n",
         policy.max_batch_size,
     );
 

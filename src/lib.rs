@@ -16,8 +16,8 @@
 //!   confidence-gated early exit (Conditional Deep Learning), including the
 //!   batched serving path [`core::batch::BatchEvaluator`],
 //! * [`serve`] — streaming inference: bounded submission queue → pool of
-//!   persistent batched evaluators that seal their own batches off it by
-//!   size-or-deadline, per-request δ/depth
+//!   persistent batched evaluators that seal their own batches off it
+//!   (whatever is queued when a worker is free), per-request δ/depth
 //!   overrides, a sharded multi-model [`serve::Router`] front-end with
 //!   per-model replica sets ([`serve::ReplicaSpec`] + placement policies),
 //!   and a length-prefixed TCP edge ([`serve::TcpServer`] /
@@ -118,8 +118,8 @@
 //! (`submit` / `submit_with` / `try_submit_with` are one-line sugar).
 //! Callers on any number of threads get one-shot [`serve::Pending`]
 //! handles back; a worker pool of persistent `BatchEvaluator`s seals
-//! batches off the one queue by size-or-deadline ([`serve::BatchPolicy`])
-//! and answers them. Drop-to-cancel, graceful drain-then-stop shutdown and
+//! batches off the one queue — a free worker takes what is queued, up to
+//! [`serve::BatchPolicy`]'s `max_batch_size` — and answers them. Drop-to-cancel, graceful drain-then-stop shutdown and
 //! a [`serve::ServerMetrics`] snapshot (throughput, batch-size histogram,
 //! latency percentiles, cumulative ops/energy) are built in. Responses are
 //! bit-identical to per-image `classify` for every interleaving (enforced

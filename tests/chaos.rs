@@ -256,7 +256,7 @@ fn retries_recover_from_an_error_burst() {
     let router = Router::start(vec![ShardSpec::new(
         "m",
         Arc::clone(&net),
-        config(BatchPolicy::by_deadline(Duration::from_millis(1)), 64),
+        config(BatchPolicy::new(usize::MAX), 64),
     )
     .replicated(ReplicaSpec::new(2, PlacementPolicy::RoundRobin))
     .retry(RetryPolicy::retries(2))
@@ -305,7 +305,7 @@ fn retries_recover_from_an_error_burst_over_the_wire() {
         Router::start(vec![ShardSpec::new(
             "m",
             Arc::clone(&net),
-            config(BatchPolicy::by_deadline(Duration::from_millis(1)), 64),
+            config(BatchPolicy::new(usize::MAX), 64),
         )
         .replicated(ReplicaSpec::new(2, PlacementPolicy::RoundRobin))
         .retry(RetryPolicy::retries(2))
@@ -356,7 +356,7 @@ fn swap_model_under_load_loses_nothing() {
     let router = Router::start(vec![ShardSpec::new(
         "m",
         Arc::clone(&net_a),
-        config(BatchPolicy::by_deadline(Duration::from_millis(2)), 64),
+        config(BatchPolicy::new(usize::MAX), 64),
     )
     .replicated(ReplicaSpec::new(2, PlacementPolicy::RoundRobin))])
     .unwrap();
@@ -418,7 +418,7 @@ fn chaos_smoke_recovers_to_healthy() {
     let router = Router::start(vec![ShardSpec::new(
         "m",
         Arc::clone(&net),
-        config(BatchPolicy::by_deadline(Duration::from_millis(1)), 64),
+        config(BatchPolicy::new(usize::MAX), 64),
     )
     .replicated(ReplicaSpec::new(2, PlacementPolicy::RoundRobin))
     .health(HealthPolicy {
@@ -561,7 +561,7 @@ fn placement_never_routes_to_an_evicted_replica() {
             let router = Router::start(vec![ShardSpec::new(
                 "m",
                 Arc::clone(&net),
-                config(BatchPolicy::by_deadline(Duration::from_millis(1)), 64),
+                config(BatchPolicy::new(usize::MAX), 64),
             )
             .replicated(ReplicaSpec::new(3, placement))
             .health(HealthPolicy {

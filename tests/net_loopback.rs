@@ -83,7 +83,7 @@ fn pipelined_connections_are_bit_exact_against_replicas() {
     let m2c = build_untrained(arch::mnist_2c(), 5);
     let m3c = build_untrained(arch::mnist_3c(), 9);
     let config = ServerConfig {
-        policy: BatchPolicy::new(8, Duration::from_millis(1)),
+        policy: BatchPolicy::new(8),
         queue_capacity: 256,
         workers: 1,
         ..ServerConfig::default()
@@ -219,7 +219,7 @@ fn read_raw_response(stream: &mut TcpStream) -> RawResponse {
 fn malformed_frames_get_typed_errors() {
     let net = build_untrained(arch::mnist_2c(), 5);
     let config = ServerConfig {
-        policy: BatchPolicy::by_deadline(Duration::from_millis(1)),
+        policy: BatchPolicy::new(usize::MAX),
         queue_capacity: 16,
         workers: 1,
         ..ServerConfig::default()
@@ -376,7 +376,7 @@ fn disconnect_cancels_pending_work_without_poisoning_the_shard() {
                 "fast",
                 Arc::clone(&fast_net),
                 ServerConfig {
-                    policy: BatchPolicy::by_deadline(Duration::from_millis(1)),
+                    policy: BatchPolicy::new(usize::MAX),
                     ..base
                 },
             ),

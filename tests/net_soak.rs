@@ -9,7 +9,8 @@
 //! edge, which spawned reader+writer threads per connection and parked
 //! their join handles in a vec that only drained at shutdown). Shutdown
 //! with pipelined requests still in flight must return promptly, cancel
-//! the orphaned work, and leave the router's bookkeeping consistent.
+//! the orphaned work, and leave the router's bookkeeping consistent; and an
+//! edge takes its file descriptors with it, however long the router lives.
 
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
@@ -53,16 +54,23 @@ fn thread_count() -> usize {
         .count()
 }
 
-/// Asserts that the stack's thread count is `expected`, allowing it two
-/// seconds to get there: a thread that has been joined can stay listed for
-/// a moment while the kernel reaps it; a leaked one stays for good.
+/// Asserts that `count()` is `expected`, allowing it two seconds to get
+/// there: a thread that has been joined can stay listed for a moment while
+/// the kernel reaps it (and an fd open while another thread still holds its
+/// last owner); a leaked one stays for good.
 #[cfg(target_os = "linux")]
-fn assert_thread_count(expected: usize, what: &str) {
+fn assert_settles_at(count: fn() -> usize, expected: usize, what: &str) {
     let deadline = std::time::Instant::now() + Duration::from_secs(2);
-    while thread_count() != expected && std::time::Instant::now() < deadline {
+    while count() != expected && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
-    assert_eq!(thread_count(), expected, "{what}");
+    assert_eq!(count(), expected, "{what}");
+}
+
+/// [`assert_settles_at`] over the stack's thread count.
+#[cfg(target_os = "linux")]
+fn assert_thread_count(expected: usize, what: &str) {
+    assert_settles_at(thread_count, expected, what);
 }
 
 fn build_untrained(arch: CdlArchitecture, seed: u64) -> Arc<CdlNetwork> {
@@ -170,6 +178,51 @@ fn connection_churn_leaves_no_threads_behind() {
         0,
         "clean disconnects cancel nothing"
     );
+    assert_eq!(metrics.total().queue_depth, 0);
+}
+
+/// Open file descriptors of this process (the directory read holds one
+/// itself: a constant).
+#[cfg(target_os = "linux")]
+fn fd_count() -> usize {
+    std::fs::read_dir("/proc/self/fd").unwrap().count()
+}
+
+/// Edge after edge bound and shut down on one long-lived router returns the
+/// process to the fd count it had before the first. (Regression: each poller
+/// registers a gate-vacancy listener that owns its eventfd; the router and
+/// every gate kept the closure for the router's life, so a past edge cost
+/// one open fd per poller and a dead callback on every gate release.)
+#[cfg(target_os = "linux")]
+#[test]
+fn rebinding_the_edge_leaves_no_fds_behind() {
+    let _guard = serial();
+    let net = build_untrained(arch::mnist_2c(), 19);
+    let router =
+        Arc::new(Router::start(vec![ShardSpec::new("m", net, ServerConfig::default())]).unwrap());
+    let before = fd_count();
+    for i in 0..20 {
+        let edge = TcpServer::bind_with(
+            "127.0.0.1:0",
+            Arc::clone(&router),
+            EdgeConfig { pollers: 2 },
+        )
+        .unwrap();
+        // a served request releases the gate: the listeners fire
+        let mut client = TcpClient::connect(edge.local_addr()).unwrap();
+        let result = client
+            .call("m", &image(i), SubmitOptions::default())
+            .unwrap();
+        assert!(result.is_ok(), "edge {i} failed: {result:?}");
+        drop(client);
+        edge.shutdown();
+    }
+    // the worker that served the last request may still be inside the gate
+    // release that fired the last edge's listener, holding it (and its
+    // eventfd) for a moment more
+    assert_settles_at(fd_count, before, "a shut-down edge must close its fds");
+    let metrics = Arc::try_unwrap(router).unwrap().shutdown();
+    assert_eq!(metrics.total().completed, 20);
     assert_eq!(metrics.total().queue_depth, 0);
 }
 

@@ -46,7 +46,7 @@ fn build_untrained(arch: CdlArchitecture, seed: u64) -> Arc<CdlNetwork> {
 
 fn server_config() -> ServerConfig {
     ServerConfig {
-        policy: BatchPolicy::new(16, Duration::from_millis(1)),
+        policy: BatchPolicy::new(16),
         // far beyond any backlog this test builds: admission never blocks
         // the generator, so the offered schedule really is open-loop
         queue_capacity: 16384,

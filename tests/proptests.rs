@@ -219,7 +219,7 @@ proptest! {
     ) {
         let (m2c, m3c) = shard_pair();
         let config = ServerConfig {
-            policy: cdl::serve::BatchPolicy::new(4, std::time::Duration::from_millis(1)),
+            policy: cdl::serve::BatchPolicy::new(4),
             queue_capacity: 64,
             workers: 2,
             ..ServerConfig::default()

@@ -11,7 +11,6 @@
 //! count, and an exact round-robin split.
 
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 use cdl::core::arch;
 use cdl::core::builder::{BuilderConfig, CdlBuilder};
@@ -88,7 +87,7 @@ fn override_mix(i: usize) -> SubmitOptions {
 fn assert_replicas_equivalent(placement: PlacementPolicy, clients: usize) -> RouterMetrics {
     let (m2c, m3c, test_set) = trained_pair();
     let config = ServerConfig {
-        policy: BatchPolicy::new(8, Duration::from_millis(1)),
+        policy: BatchPolicy::new(8),
         queue_capacity: 256,
         workers: 1,
         ..ServerConfig::default()

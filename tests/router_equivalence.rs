@@ -9,7 +9,6 @@
 //! mix of overrides sharing a batch.
 
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 use cdl::core::arch;
 use cdl::core::builder::{BuilderConfig, CdlBuilder};
@@ -210,19 +209,25 @@ fn size_bound_policy_is_bit_identical_across_shards() {
 }
 
 #[test]
-fn deadline_bound_policy_is_bit_identical_across_shards() {
-    assert_router_equivalent(BatchPolicy::by_deadline(Duration::from_millis(1)), 3, 2);
+fn uncapped_policy_is_bit_identical_across_shards() {
+    assert_router_equivalent(BatchPolicy::new(usize::MAX), 3, 2);
 }
 
 #[test]
-fn mixed_policy_is_bit_identical_across_shards() {
-    assert_router_equivalent(BatchPolicy::new(8, Duration::from_millis(2)), 4, 2);
+fn capped_policy_is_bit_identical_across_shards() {
+    assert_router_equivalent(BatchPolicy::new(8), 4, 2);
 }
 
 #[test]
-fn default_zero_linger_policy_is_bit_identical_across_shards() {
+fn default_policy_is_bit_identical_across_shards() {
     // the policy production runs: a free worker takes what is queued
     assert_router_equivalent(BatchPolicy::default(), 3, 2);
+}
+
+#[test]
+fn single_request_batches_are_bit_identical_across_shards() {
+    // degenerate policy: every request is its own batch
+    assert_router_equivalent(BatchPolicy::new(1), 2, 2);
 }
 
 #[test]

@@ -7,7 +7,6 @@
 //! **bit-identical** to `CdlNetwork::classify` on the same image.
 
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 use cdl::core::arch;
 use cdl::core::builder::{BuilderConfig, CdlBuilder};
@@ -124,7 +123,7 @@ fn assert_server_equivalent(policy: BatchPolicy, clients: usize, workers: usize)
 
 #[test]
 fn size_bound_policy_is_bit_identical() {
-    // batches dispatch only when full — with no deadline, the clients'
+    // batches dispatch only when full, so the clients'
     // wait() calls (which run before shutdown could flush a tail) only
     // terminate because the 160-image stream tiles into 16-request batches
     // exactly
@@ -133,17 +132,17 @@ fn size_bound_policy_is_bit_identical() {
 }
 
 #[test]
-fn deadline_bound_policy_is_bit_identical() {
-    assert_server_equivalent(BatchPolicy::by_deadline(Duration::from_millis(1)), 3, 2);
+fn uncapped_policy_is_bit_identical() {
+    assert_server_equivalent(BatchPolicy::new(usize::MAX), 3, 2);
 }
 
 #[test]
-fn mixed_policy_is_bit_identical() {
-    assert_server_equivalent(BatchPolicy::new(8, Duration::from_millis(2)), 4, 3);
+fn capped_policy_is_bit_identical() {
+    assert_server_equivalent(BatchPolicy::new(8), 4, 3);
 }
 
 #[test]
-fn default_zero_linger_policy_is_bit_identical() {
+fn default_policy_is_bit_identical() {
     // the policy production runs: a free worker takes what is queued, so
     // batch sizes follow the race between three clients and two workers
     assert_server_equivalent(BatchPolicy::default(), 3, 2);
@@ -152,5 +151,5 @@ fn default_zero_linger_policy_is_bit_identical() {
 #[test]
 fn single_request_batches_are_bit_identical() {
     // degenerate policy: every request is its own batch
-    assert_server_equivalent(BatchPolicy::by_size(1), 2, 2);
+    assert_server_equivalent(BatchPolicy::new(1), 2, 2);
 }

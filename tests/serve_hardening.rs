@@ -66,9 +66,9 @@ fn bad_input_cannot_poison_cobatched_requests_in_process() {
             "m",
             Arc::clone(&net),
             ServerConfig {
-                // a wide size-bound batch, so the goods WOULD have been
-                // co-batched with the poison pre-fix
-                policy: BatchPolicy::new(8, Duration::from_millis(5)),
+                // batches of exactly two: the goods share one, and the
+                // poison WOULD have been sealed in with `a` pre-fix
+                policy: BatchPolicy::by_size(2),
                 queue_capacity: 64,
                 workers: 1,
                 ..ServerConfig::default()
@@ -78,8 +78,7 @@ fn bad_input_cannot_poison_cobatched_requests_in_process() {
     );
     let model = router.model_id("m").unwrap();
 
-    // good, poison, good — submitted back to back so they'd seal into
-    // one batch
+    // good, poison, good — the batch seals on the second admission
     let a = router
         .submit_with(model, image(0), SubmitOptions::default())
         .unwrap();
@@ -105,6 +104,11 @@ fn bad_input_cannot_poison_cobatched_requests_in_process() {
     );
     assert_eq!(metrics.total().completed, 2);
     assert_eq!(metrics.total().failed, 0, "no co-batched request failed");
+    assert_eq!(
+        metrics.total().batch_size_histogram[2],
+        1,
+        "the two good requests shared the batch the poison was kept out of"
+    );
 }
 
 /// Wire half of the poisoning regression: over TCP the wrong-shaped
@@ -119,7 +123,7 @@ fn bad_input_cannot_poison_cobatched_requests_over_tcp() {
             "m",
             Arc::clone(&net),
             ServerConfig {
-                policy: BatchPolicy::new(8, Duration::from_millis(5)),
+                policy: BatchPolicy::by_size(2),
                 queue_capacity: 64,
                 workers: 1,
                 ..ServerConfig::default()
@@ -162,6 +166,11 @@ fn bad_input_cannot_poison_cobatched_requests_over_tcp() {
     let metrics = Arc::try_unwrap(router).unwrap().shutdown();
     assert_eq!(metrics.total().completed, 2);
     assert_eq!(metrics.total().failed, 0);
+    assert_eq!(
+        metrics.total().batch_size_histogram[2],
+        1,
+        "the two good requests shared the batch the poison was kept out of"
+    );
 }
 
 /// Reader-wedge regression: fill a tiny admission gate through TCP, keep

@@ -133,7 +133,7 @@ fn cross_replica_merged_tails_match_the_oracle() {
     const REQUESTS: usize = 96;
     let net = build_untrained(arch::mnist_2c(), 5);
     let config = ServerConfig {
-        policy: BatchPolicy::new(8, Duration::from_millis(1)),
+        policy: BatchPolicy::new(8),
         queue_capacity: 256,
         workers: 1,
         ..ServerConfig::default()
@@ -177,7 +177,7 @@ fn cross_replica_merged_tails_match_the_oracle() {
 fn trace_ids_propagate_across_the_tcp_loopback() {
     let net = build_untrained(arch::mnist_3c(), 9);
     let config = ServerConfig {
-        policy: BatchPolicy::new(4, Duration::from_millis(1)),
+        policy: BatchPolicy::new(4),
         queue_capacity: 64,
         workers: 1,
         telemetry: TelemetryConfig::enabled(),
@@ -262,7 +262,7 @@ fn prometheus_export_reparses_with_cumulative_buckets() {
     const REQUESTS: usize = 48;
     let net = build_untrained(arch::mnist_2c(), 7);
     let config = ServerConfig {
-        policy: BatchPolicy::new(8, Duration::from_millis(1)),
+        policy: BatchPolicy::new(8),
         queue_capacity: 64,
         workers: 1,
         ..ServerConfig::default()
@@ -345,7 +345,7 @@ fn chrome_trace_export_reparses_from_a_live_server() {
     const REQUESTS: usize = 24;
     let net = build_untrained(arch::mnist_2c(), 11);
     let config = ServerConfig {
-        policy: BatchPolicy::new(8, Duration::from_millis(1)),
+        policy: BatchPolicy::new(8),
         queue_capacity: 64,
         workers: 1,
         telemetry: TelemetryConfig::enabled(),
