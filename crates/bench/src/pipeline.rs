@@ -345,7 +345,7 @@ pub fn train_demo_model(
 ///
 /// Splits `images` into chunks of `chunk_size` and groups the chunks into
 /// one contiguous run per rayon worker, so each worker drives a **single**
-/// [`BatchEvaluator`] across all of its chunks — the im2col/GEMM scratch is
+/// [`BatchEvaluator`] across all of its chunks — the arenas and kernel scratch are
 /// allocated once per worker, not once per chunk. Outputs come back in
 /// input order and are bit-identical to [`CdlNetwork::classify`] on the
 /// same image — this is the serving-path entry point the experiment

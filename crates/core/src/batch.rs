@@ -1,14 +1,20 @@
 //! Batched early-exit inference — Algorithm 2 over whole batches.
 //!
 //! [`BatchEvaluator`] is a persistent evaluator in the style of batched
-//! GPU serving systems: it owns preallocated im2col/GEMM scratch
-//! ([`cdl_nn::batch::BatchScratch`]) and pushes an entire batch through the
-//! conditional network stage by stage. After each confidence gate the
-//! still-active subset is **compacted** — images that exited stop consuming
-//! any further operations, exactly as in the per-image cascade, while the
-//! survivors run each `conv → activation → max-pool` stage group as one
-//! fused pass per image and one batched affine per dense layer/head (see
-//! [`cdl_nn::batch`]).
+//! GPU serving systems: it owns the two activation arenas and the kernel
+//! scratch ([`cdl_nn::batch::BatchScratch`]) and pushes an entire batch
+//! through the conditional network stage by stage **as one block** — a
+//! contiguous `[n, f]` array, image `i` in row `i`. The first segment reads
+//! the caller's tensors in place; from then on the batch lives in the
+//! arenas: each head is one GEMM over the block's rows as they lie, and
+//! after each confidence gate the still-active subset is **compacted in
+//! place** (surviving rows move up, the block shrinks) — images that exited
+//! stop consuming any further operations, exactly as in the per-image
+//! cascade, while the survivors run each `conv → activation → max-pool`
+//! stage group as one fused pass, eight images to a vector where that is
+//! the faster kernel (see [`cdl_nn::batch`]). No `Tensor` is built between
+//! the caller's inputs and the returned outputs, and once warm a batch
+//! allocates only its output vectors and index lists, whatever its size.
 //!
 //! Every per-image quantity (`label`, `exit_stage`, `confidence`, `ops`,
 //! `stages_activated`, `exited_early`) is **bit-identical** to
@@ -31,7 +37,7 @@
 use cdl_hw::OpCount;
 use cdl_nn::batch::BatchScratch;
 use cdl_tensor::gemm::GemmKernel;
-use cdl_tensor::Tensor;
+use cdl_tensor::{ops, Tensor};
 
 use crate::confidence::{ConfidencePolicy, ExitOverride};
 use crate::error::CdlError;
@@ -76,14 +82,19 @@ fn never_shed(_next_stage: usize, _input_idx: usize) -> bool {
 
 /// A persistent batched evaluator over one conditional network.
 ///
-/// Create once, feed batches forever: all intermediate buffers (im2col
-/// patch matrices, GEMM outputs, head score rows) are allocated on the
-/// first batch and reused afterwards.
+/// Create once, feed batches forever: all intermediate buffers (the two
+/// activation arenas, the conv kernels' scratch, head score rows, the
+/// softmax work row) grow on the first batches and are reused afterwards —
+/// a later batch no larger than an earlier one allocates none of them.
 #[derive(Debug)]
 pub struct BatchEvaluator<'a> {
     net: &'a CdlNetwork,
     scratch: BatchScratch,
+    /// `[active, classes]` scores of the stage being gated.
     head_scores: Vec<f32>,
+    /// One image's probabilities: the softmax policies' and the baseline
+    /// exit's work row.
+    probs: Vec<f32>,
 }
 
 impl<'a> BatchEvaluator<'a> {
@@ -108,12 +119,19 @@ impl<'a> BatchEvaluator<'a> {
             net,
             scratch: BatchScratch::with_kernel(kernel),
             head_scores: Vec::new(),
+            probs: Vec::new(),
         }
     }
 
     /// The network this evaluator serves.
     pub fn network(&self) -> &CdlNetwork {
         self.net
+    }
+
+    /// Values the evaluator's buffers can hold without growing — what "a
+    /// later, smaller batch allocates no buffer" is checked against.
+    pub fn scratch_capacity(&self) -> usize {
+        self.scratch.capacity() + self.head_scores.capacity() + self.probs.capacity()
     }
 
     /// Classifies a batch with the network's configured policy.
@@ -195,64 +213,55 @@ impl<'a> BatchEvaluator<'a> {
             return Ok(Vec::new());
         }
 
-        // the still-active subset: current activations + original indices;
-        // empty until the first stage runs — the first segment borrows the
-        // caller's inputs directly, so no upfront batch copy is made
-        let mut active: Vec<Tensor> = Vec::new();
-        let mut started = false;
+        // the still-active subset: row `k` of the scratch's block belongs to
+        // input `active_idx[k]`. Until the first segment has run the block
+        // *is* the caller's tensors, read in place.
+        let mut source = Some(inputs);
         let mut active_idx: Vec<usize> = (0..n).collect();
         let mut prev_tap: Option<usize> = None;
         // cumulative cost of reaching (and gating at) each stage — identical
         // for every image that reaches it, mirroring `classify_impl`
         let mut cum_ops = OpCount::ZERO;
-        // one image's head scores, the `[classes]` tensor `policy.decide`
-        // reads: one per chunk, refilled per image
-        let mut scores = Tensor::zeros(&[0]);
 
         for (stage_idx, stage) in self.net.stages().iter().enumerate() {
             // stage boundary: before paying for stage `stage_idx`, offer
             // every still-active input to the shed hook (never before
             // stage 0 — dispatch-time checks own that boundary)
-            if started {
+            if source.is_none() {
                 shed_boundary(
                     stage_idx,
                     cum_ops,
-                    &mut active,
+                    &mut self.scratch,
                     &mut active_idx,
                     &mut outputs,
                     shed,
                 );
-                if active.is_empty() {
+                if active_idx.is_empty() {
                     return collect(outputs);
                 }
             }
-            let src: &[Tensor] = if started { &active } else { inputs };
-            active = self.net.base().forward_batch_segment(
-                src,
+            self.net.base().forward_block_segment(
+                source.take(),
                 prev_tap,
                 stage.tap_runtime,
                 &mut self.scratch,
             )?;
-            started = true;
             cum_ops += stage.ops_from_prev + stage.head_ops;
 
-            stage
-                .head
-                .scores_batch_into(&active, &mut self.head_scores, self.scratch.kernel)?;
+            stage.head.scores_rows_into(
+                self.scratch.block(),
+                &mut self.head_scores,
+                self.scratch.kernel,
+            )?;
             observer(stage_idx, &active_idx);
             let classes = stage.head.classes();
-            if scores.len() != classes {
-                scores = Tensor::zeros(&[classes]);
-            }
-
-            let mut keep: Vec<Tensor> = Vec::with_capacity(active.len());
-            let mut keep_idx: Vec<usize> = Vec::with_capacity(active.len());
-            for (k, features) in active.drain(..).enumerate() {
-                let row = &self.head_scores[k * classes..(k + 1) * classes];
-                scores.data_mut().copy_from_slice(row);
-                let decision = policy.decide(&scores)?;
-                if decision.exit || force_exit_at.is_some_and(|cap| stage_idx >= cap) {
-                    outputs[active_idx[k]] = Some(SheddableOutcome::Done(CdlOutput {
+            let (head_scores, probs) = (&self.head_scores, &mut self.probs);
+            compact(&mut self.scratch, &mut active_idx, |k, idx| {
+                let row = &head_scores[k * classes..(k + 1) * classes];
+                let decision = policy.decide_row(row, probs)?;
+                let exits = decision.exit || force_exit_at.is_some_and(|cap| stage_idx >= cap);
+                if exits {
+                    outputs[idx] = Some(SheddableOutcome::Done(CdlOutput {
                         label: decision.label,
                         exit_stage: stage_idx,
                         confidence: decision.confidence,
@@ -260,14 +269,10 @@ impl<'a> BatchEvaluator<'a> {
                         stages_activated: stage_idx as u64 + 1,
                         exited_early: true,
                     }));
-                } else {
-                    keep.push(features);
-                    keep_idx.push(active_idx[k]);
                 }
-            }
-            active = keep;
-            active_idx = keep_idx;
-            if active.is_empty() {
+                Ok(!exits)
+            })?;
+            if active_idx.is_empty() {
                 return collect(outputs);
             }
             prev_tap = Some(stage.tap_runtime);
@@ -275,37 +280,36 @@ impl<'a> BatchEvaluator<'a> {
 
         // survivors run the remaining baseline layers to the final output
         let stage_count = self.net.stage_count();
-        if started {
+        if source.is_none() {
             // last boundary: shed before committing to the baseline tail
             shed_boundary(
                 stage_count,
                 cum_ops,
-                &mut active,
+                &mut self.scratch,
                 &mut active_idx,
                 &mut outputs,
                 shed,
             );
-            if active.is_empty() {
+            if active_idx.is_empty() {
                 return collect(outputs);
             }
         }
         let last = self.net.base().layer_count() - 1;
-        let src: &[Tensor] = if started { &active } else { inputs };
-        let finals =
-            self.net
-                .base()
-                .forward_batch_segment(src, prev_tap, last, &mut self.scratch)?;
+        self.net
+            .base()
+            .forward_block_segment(source.take(), prev_tap, last, &mut self.scratch)?;
         cum_ops += self.net.final_ops();
         observer(stage_count, &active_idx);
-        for (k, out) in finals.iter().enumerate() {
-            let label = out
-                .argmax()
+        self.probs.resize(self.scratch.width(), 0.0);
+        for (k, &idx) in active_idx.iter().enumerate() {
+            let out = self.scratch.row(k);
+            let label = ops::argmax(out)
                 .ok_or_else(|| CdlError::BadStage("baseline produced empty output".into()))?;
-            let probs = cdl_tensor::ops::softmax(out);
-            outputs[active_idx[k]] = Some(SheddableOutcome::Done(CdlOutput {
+            ops::softmax_into(out, &mut self.probs);
+            outputs[idx] = Some(SheddableOutcome::Done(CdlOutput {
                 label,
                 exit_stage: stage_count,
-                confidence: probs.data()[label],
+                confidence: self.probs[label],
                 ops: cum_ops,
                 stages_activated: stage_count as u64 + 1,
                 exited_early: false,
@@ -316,10 +320,11 @@ impl<'a> BatchEvaluator<'a> {
 
     /// Classifies an arbitrarily long stream by pushing
     /// [`BatchEvaluator::STREAM_CHUNK`]-image chunks through
-    /// [`BatchEvaluator::classify_batch`] — large enough to amortise one
-    /// im2col+GEMM per conv layer, small enough to bound the scratch
-    /// matrices (~`chunk × out_h × out_w × k²·c` floats for the widest
-    /// layer). Outputs stay bit-identical to per-image
+    /// [`BatchEvaluator::classify_batch`] — large enough to amortise each
+    /// layer's set-up over many blocks of eight, small enough to bound the
+    /// arenas (`chunk ×` the widest layer's per-image volume, twice; the
+    /// portable arm's patch matrix is `k²·c` times that). Outputs stay
+    /// bit-identical to per-image
     /// [`CdlNetwork::classify`], in input order.
     ///
     /// # Errors
@@ -437,21 +442,42 @@ impl<'a> BatchEvaluator<'a> {
             return Ok(Vec::new());
         }
         let last = self.net.base().layer_count() - 1;
-        let finals =
-            self.net
-                .base()
-                .forward_batch_segment(inputs, None, last, &mut self.scratch)?;
-        let ops = self.net.baseline_ops();
-        finals
-            .iter()
-            .map(|out| {
-                let label = out
-                    .argmax()
+        self.net
+            .base()
+            .forward_block_segment(Some(inputs), None, last, &mut self.scratch)?;
+        let baseline_ops = self.net.baseline_ops();
+        (0..inputs.len())
+            .map(|k| {
+                let label = ops::argmax(self.scratch.row(k))
                     .ok_or_else(|| CdlError::BadStage("baseline produced empty output".into()))?;
-                Ok((label, ops))
+                Ok((label, baseline_ops))
             })
             .collect()
     }
+}
+
+/// The one in-place row gather the exit gate and the shed boundary share:
+/// asks `keep(k, input)` about every row `k` of the scratch's block (the
+/// row of input `active_idx[k]`), in order, and moves the rows it keeps up
+/// over the ones it does not — block and index list shrink together, the
+/// survivors' order and values untouched.
+fn compact(
+    scratch: &mut BatchScratch,
+    active_idx: &mut Vec<usize>,
+    mut keep: impl FnMut(usize, usize) -> Result<bool>,
+) -> Result<()> {
+    let mut kept = 0;
+    for k in 0..active_idx.len() {
+        let idx = active_idx[k];
+        if keep(k, idx)? {
+            scratch.move_row(k, kept);
+            active_idx[kept] = idx;
+            kept += 1;
+        }
+    }
+    scratch.truncate_rows(kept);
+    active_idx.truncate(kept);
+    Ok(())
 }
 
 /// Offers every still-active input to the shed hook at the boundary
@@ -461,27 +487,22 @@ impl<'a> BatchEvaluator<'a> {
 fn shed_boundary(
     next_stage: usize,
     cum_ops: OpCount,
-    active: &mut Vec<Tensor>,
+    scratch: &mut BatchScratch,
     active_idx: &mut Vec<usize>,
     outputs: &mut [Option<SheddableOutcome>],
     shed: &mut dyn FnMut(usize, usize) -> bool,
 ) {
-    let mut keep: Vec<Tensor> = Vec::with_capacity(active.len());
-    let mut keep_idx: Vec<usize> = Vec::with_capacity(active_idx.len());
-    for (k, features) in active.drain(..).enumerate() {
-        let idx = active_idx[k];
-        if shed(next_stage, idx) {
+    compact(scratch, active_idx, |_, idx| {
+        let evicted = shed(next_stage, idx);
+        if evicted {
             outputs[idx] = Some(SheddableOutcome::Shed(PartialEval {
                 stages_activated: next_stage as u64,
                 ops: cum_ops,
             }));
-        } else {
-            keep.push(features);
-            keep_idx.push(idx);
         }
-    }
-    *active = keep;
-    *active_idx = keep_idx;
+        Ok(!evicted)
+    })
+    .expect("the shed hook cannot fail");
 }
 
 fn collect(outputs: Vec<Option<SheddableOutcome>>) -> Result<Vec<SheddableOutcome>> {

@@ -146,14 +146,27 @@ impl ConfidencePolicy {
     ///
     /// Returns [`CdlError::BadPolicy`] for an empty score vector.
     pub fn decide(&self, scores: &Tensor) -> Result<Decision> {
+        self.decide_row(scores.data(), &mut Vec::new())
+    }
+
+    /// [`ConfidencePolicy::decide`] on a bare score row — a row of a batch's
+    /// head-score block — with `probs` as the softmax policies' work buffer
+    /// (resized as needed; a batched caller passes the same one for every
+    /// row, so no tensor and no allocation is made per image). Same decision
+    /// bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CdlError::BadPolicy`] for an empty score vector.
+    pub fn decide_row(&self, scores: &[f32], probs: &mut Vec<f32>) -> Result<Decision> {
         if scores.is_empty() {
             return Err(CdlError::BadPolicy("empty score vector".into()));
         }
         if let ConfidencePolicy::SigmoidProb { delta } = *self {
             // per-class sigmoid confidences: no normalisation across classes,
-            // and no probability tensor — one pass keeps the arg-max (first
+            // and no probability buffer — one pass keeps the arg-max (first
             // occurrence, as `Tensor::argmax`) and counts the confident classes
-            let mut confidences = scores.data().iter().map(|&s| math::sigmoid(s));
+            let mut confidences = scores.iter().map(|&s| math::sigmoid(s));
             let mut c_top = confidences.next().expect("non-empty scores");
             let mut label = 0;
             let mut confident = usize::from(c_top >= delta);
@@ -170,11 +183,11 @@ impl ConfidencePolicy {
                 exit: confident == 1 && c_top >= delta,
             });
         }
-        let probs = ops::softmax(scores);
-        let label = probs.argmax().expect("non-empty probs");
-        let p_top = probs.data()[label];
+        probs.resize(scores.len(), 0.0);
+        ops::softmax_into(scores, probs);
+        let label = ops::argmax(probs).expect("non-empty probs");
+        let p_top = probs[label];
         let p_second = probs
-            .data()
             .iter()
             .enumerate()
             .filter(|&(i, _)| i != label)
@@ -193,7 +206,7 @@ impl ConfidencePolicy {
                 (m, m >= margin)
             }
             ConfidencePolicy::Entropy { max_nats } => {
-                let h = ops::entropy(&probs);
+                let h = ops::entropy(probs);
                 // report "confidence" as negative entropy mapped to [0,1]
                 let conf = 1.0 - h / (probs.len() as f32).ln().max(f32::EPSILON);
                 (conf, h <= max_nats)

@@ -9,7 +9,7 @@
 
 use cdl_nn::activation::Activation;
 use cdl_nn::loss::one_hot;
-use cdl_tensor::{gemm::GemmKernel, init::Init, math, ops, Tensor};
+use cdl_tensor::{gemm::GemmKernel, init::Init, math, ops, Rows, Tensor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -103,9 +103,10 @@ impl LinearClassifier {
         Ok(y)
     }
 
-    /// Raw affine scores for a whole batch of feature tensors, written into
-    /// a preallocated buffer (`out` becomes `[batch, classes]` row-major)
-    /// by `kernel`'s body of the batched affine.
+    /// Raw affine scores for a whole batch of feature rows — read where they
+    /// lie, a block of an evaluator's arena or the caller's tensors — written
+    /// into a preallocated buffer (`out` becomes `[batch, classes]`
+    /// row-major) by `kernel`'s body of the batched affine.
     ///
     /// Bit-identical to calling [`LinearClassifier::scores`] per element
     /// on **both** [`GemmKernel`] arms — each accumulates per element in
@@ -115,27 +116,37 @@ impl LinearClassifier {
     /// # Errors
     ///
     /// Returns [`CdlError::BadStage`] on any fan-in mismatch.
+    pub fn scores_rows_into(
+        &self,
+        features: Rows<'_>,
+        out: &mut Vec<f32>,
+        kernel: GemmKernel,
+    ) -> Result<()> {
+        if !features.all_have_width(self.features()) {
+            return Err(CdlError::BadStage(format!(
+                "head expects {} features per image",
+                self.features()
+            )));
+        }
+        // every element is overwritten by the affine pass
+        out.resize(features.len() * self.classes(), 0.0);
+        ops::affine_rows_into(features, &self.weight, self.bias.data(), out, kernel)?;
+        Ok(())
+    }
+
+    /// [`LinearClassifier::scores_rows_into`] over one feature tensor per
+    /// image (a row-major tensor's buffer is its flattened feature vector).
+    ///
+    /// # Errors
+    ///
+    /// As [`LinearClassifier::scores_rows_into`].
     pub fn scores_batch_into(
         &self,
         features: &[Tensor],
         out: &mut Vec<f32>,
         kernel: GemmKernel,
     ) -> Result<()> {
-        for f in features {
-            if f.len() != self.features() {
-                return Err(CdlError::BadStage(format!(
-                    "head expects {} features, got {}",
-                    self.features(),
-                    f.len()
-                )));
-            }
-        }
-        // row-major tensors: the raw buffer is the flattened feature vector
-        let rows: Vec<&[f32]> = features.iter().map(Tensor::data).collect();
-        // grow-only resize — every element is overwritten by the affine pass
-        out.resize(features.len() * self.classes(), 0.0);
-        ops::affine_rows_into(&rows, &self.weight, self.bias.data(), out, kernel)?;
-        Ok(())
+        self.scores_rows_into(Rows::Tensors(features), out, kernel)
     }
 
     /// Sigmoid outputs (the paper's output-neuron activations).

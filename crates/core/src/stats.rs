@@ -119,7 +119,7 @@ impl EvalReport {
 ///
 /// Both passes (conditional and baseline) run on the batched path: one
 /// persistent [`BatchEvaluator`] pushes [`EVAL_CHUNK`]-image chunks through
-/// the network, reusing its im2col/GEMM scratch across chunks. Per-image
+/// the network, reusing its arenas and kernel scratch across chunks. Per-image
 /// results — and therefore every statistic in the report — are
 /// bit-identical to the former per-image `classify` loop (the equivalence
 /// the batch test-suite pins down).

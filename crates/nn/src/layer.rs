@@ -3,8 +3,7 @@
 use cdl_hw::OpCount;
 use cdl_tensor::Tensor;
 
-use crate::activation::Activation;
-use crate::batch::BatchScratch;
+use crate::batch::Block;
 use crate::Result;
 
 /// A mutable view of one parameter tensor and its accumulated gradient.
@@ -37,7 +36,7 @@ pub struct ParamGrad<'a> {
 ///   gradient w.r.t. that input while *accumulating* parameter gradients.
 /// * `op_count` must describe the work done by `forward` for a given input
 ///   shape — it is the basis of the paper's OPS metric, an analytic model of
-///   the paper's accelerator. The batched routes (`forward_batch`, the fused
+///   the paper's accelerator. The batched routes (`forward_block`, the fused
 ///   stage groups) are host optimisations and never change it.
 pub trait Layer: std::fmt::Debug + Send + Sync {
     /// Human-readable layer description, e.g. `"conv 5x5x1 -> 6 maps"`.
@@ -50,46 +49,31 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
     /// Shape/geometry errors from the underlying tensor ops.
     fn forward(&self, x: &Tensor) -> Result<Tensor>;
 
-    /// Inference-mode forward pass over a whole batch, reusing the shared
-    /// scratch buffers (and running the GEMM microkernel they select — see
-    /// [`crate::batch::BatchScratch::kernel`]).
+    /// Inference-mode forward pass over a whole batch, as one step of a
+    /// [`Block`] (see [`crate::batch`]): read the block's per-image shape,
+    /// then write the next block, edit this one in place, or relabel it.
     ///
-    /// Must produce exactly [`Layer::forward`]'s output for every element,
-    /// for a batch of any size including one. The default implementation
-    /// simply loops; layers with a genuinely batched kernel (conv via the
-    /// direct kernel or one im2col+GEMM, dense via one batched affine)
-    /// override this with a bit-identical vectorised path.
-    /// [`crate::network::Network::forward_batch_segment`] calls this for
-    /// every layer that is not part of a fused stage group.
+    /// Must leave in the block exactly [`Layer::forward`]'s output for every
+    /// image, for a batch of any size including one. The default body does
+    /// literally that, image by image through tensors; layers with a
+    /// genuinely batched form override it with a bit-identical one
+    /// (convolution: the lanes-across-images / direct kernels or one
+    /// im2col+GEMM; dense: one batched affine over the rows as they lie;
+    /// activation: the slice in place; flatten: a relabel). A layer that
+    /// opens a fusable stage group may find the group's `(activation,
+    /// max-pool window)` in [`Block::take_epilogue`]; a layer that takes it
+    /// must produce what itself, the activation layer and the pooling layer
+    /// produce in sequence — which holds for a pool-first evaluation only
+    /// because the network offers it only for an activation on the
+    /// [`Activation::POOL_FIRST`](crate::activation::Activation::POOL_FIRST)
+    /// list. Leaving it untaken (the default) makes the network run the
+    /// three layers one by one.
     ///
     /// # Errors
     ///
     /// Shape/geometry errors from the underlying tensor ops.
-    fn forward_batch(&self, xs: &[Tensor], scratch: &mut BatchScratch) -> Result<Vec<Tensor>> {
-        let _ = scratch;
-        xs.iter().map(|x| self.forward(x)).collect()
-    }
-
-    /// The fused stage group `self → activation → max-pool(window)` over a
-    /// whole batch, for layers that have one (convolutions): each image's
-    /// raw output is max-pooled first and `activation` is applied to the
-    /// pooled map only, one output tensor per image.
-    ///
-    /// Must produce exactly what [`Layer::forward`], the activation layer
-    /// and the pooling layer produce in sequence — which holds only for an
-    /// activation on the [`Activation::POOL_FIRST`] list; the caller
-    /// ([`crate::network::Network`]'s stage plan) guarantees that. `None`
-    /// (the default) means the layer has no fused form for this batch and
-    /// the caller runs the three layers one by one.
-    fn forward_batch_pooled(
-        &self,
-        xs: &[Tensor],
-        activation: Activation,
-        window: usize,
-        scratch: &mut BatchScratch,
-    ) -> Option<Result<Vec<Tensor>>> {
-        let _ = (xs, activation, window, scratch);
-        None
+    fn forward_block(&self, block: &mut Block<'_>) -> Result<()> {
+        block.map_images(|x| self.forward(x))
     }
 
     /// Training-mode forward pass; caches intermediates for `backward`.

@@ -4,6 +4,7 @@ use cdl_hw::OpCount;
 use cdl_tensor::Tensor;
 
 use crate::activation::Activation;
+use crate::batch::Block;
 use crate::error::NnError;
 use crate::layer::Layer;
 use crate::Result;
@@ -43,6 +44,11 @@ impl Layer for ActivationLayer {
         let mut y = x.clone();
         self.act.apply_slice(y.data_mut());
         Ok(y)
+    }
+
+    fn forward_block(&self, block: &mut Block<'_>) -> Result<()> {
+        self.act.apply_slice(block.data_mut());
+        Ok(())
     }
 
     fn forward_train(&mut self, x: &Tensor) -> Result<Tensor> {

@@ -5,7 +5,7 @@ use cdl_tensor::{conv, init::Init, Tensor};
 use rand::Rng;
 
 use crate::activation::Activation;
-use crate::batch::BatchScratch;
+use crate::batch::Block;
 use crate::error::NnError;
 use crate::layer::{Layer, ParamGrad};
 use crate::Result;
@@ -80,6 +80,26 @@ impl Conv2d {
     pub fn kernels(&self) -> &Tensor {
         &self.kernels
     }
+
+    /// Height and width of the output maps for a `[C_in, H, W]` input shape.
+    fn output_hw(&self, input: &[usize]) -> Result<(usize, usize)> {
+        if input.len() != 3 {
+            return Err(NnError::BadConfig(format!(
+                "conv expects [C,H,W] input, got rank {}",
+                input.len()
+            )));
+        }
+        if input[0] != self.in_channels {
+            return Err(NnError::BadConfig(format!(
+                "conv expects {} input channels, got {}",
+                self.in_channels, input[0]
+            )));
+        }
+        Ok((
+            conv::valid_out_size(input[1], self.kernel)?,
+            conv::valid_out_size(input[2], self.kernel)?,
+        ))
+    }
 }
 
 impl Layer for Conv2d {
@@ -96,43 +116,24 @@ impl Layer for Conv2d {
         Ok(conv::conv2d_valid(x, &self.kernels, self.bias.data())?)
     }
 
-    fn forward_batch(&self, xs: &[Tensor], scratch: &mut BatchScratch) -> Result<Vec<Tensor>> {
-        // mixed-shape batches (never produced by the evaluators) fall back
-        // to the per-image path rather than erroring
-        if !same_shape(xs) {
-            return xs.iter().map(|x| self.forward(x)).collect();
-        }
-        Ok(cdl_tensor::im2col::conv2d_valid_batch(
-            xs,
-            &self.kernels,
-            self.bias.data(),
-            &mut scratch.conv,
-            scratch.kernel,
-        )?)
-    }
-
-    fn forward_batch_pooled(
-        &self,
-        xs: &[Tensor],
-        activation: Activation,
-        window: usize,
-        scratch: &mut BatchScratch,
-    ) -> Option<Result<Vec<Tensor>>> {
-        if !same_shape(xs) {
-            return None; // layer by layer, each with its per-image fallback
-        }
-        Some(
-            cdl_tensor::im2col::conv2d_pool_batch(
-                xs,
+    fn forward_block(&self, block: &mut Block<'_>) -> Result<()> {
+        let (oh, ow) = self.output_hw(block.dims())?;
+        // alone, a convolution is its own group with the identity pool
+        let (activation, window) = block.take_epilogue().unwrap_or((Activation::Identity, 1));
+        let pooled = [self.out_channels, oh / window.max(1), ow / window.max(1)];
+        block.write(&pooled, |src, dims, dst, conv, kernel| {
+            Ok(cdl_tensor::im2col::conv2d_pool_block(
+                src,
+                dims,
                 &self.kernels,
                 self.bias.data(),
                 window,
                 |pooled| activation.apply_slice(pooled),
-                &mut scratch.conv,
-                scratch.kernel,
-            )
-            .map_err(Into::into),
-        )
+                dst,
+                conv,
+                kernel,
+            )?)
+        })
     }
 
     fn forward_train(&mut self, x: &Tensor) -> Result<Tensor> {
@@ -182,20 +183,7 @@ impl Layer for Conv2d {
     }
 
     fn output_shape(&self, input: &[usize]) -> Result<Vec<usize>> {
-        if input.len() != 3 {
-            return Err(NnError::BadConfig(format!(
-                "conv expects [C,H,W] input, got rank {}",
-                input.len()
-            )));
-        }
-        if input[0] != self.in_channels {
-            return Err(NnError::BadConfig(format!(
-                "conv expects {} input channels, got {}",
-                self.in_channels, input[0]
-            )));
-        }
-        let oh = conv::valid_out_size(input[1], self.kernel)?;
-        let ow = conv::valid_out_size(input[2], self.kernel)?;
+        let (oh, ow) = self.output_hw(input)?;
         Ok(vec![self.out_channels, oh, ow])
     }
 
@@ -222,11 +210,6 @@ impl Layer for Conv2d {
             mem_writes: out_volume,
         })
     }
-}
-
-/// Whether every tensor of the batch has the shape of the first.
-fn same_shape(xs: &[Tensor]) -> bool {
-    xs.iter().all(|x| x.shape() == xs[0].shape())
 }
 
 #[cfg(test)]

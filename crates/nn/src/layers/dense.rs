@@ -4,7 +4,7 @@ use cdl_hw::OpCount;
 use cdl_tensor::{init::Init, ops, Tensor};
 use rand::Rng;
 
-use crate::batch::BatchScratch;
+use crate::batch::Block;
 use crate::error::NnError;
 use crate::layer::{Layer, ParamGrad};
 use crate::Result;
@@ -77,12 +77,11 @@ impl Dense {
         &self.bias
     }
 
-    fn check_input(&self, x: &Tensor) -> Result<()> {
-        if x.len() != self.in_features {
+    fn check_features(&self, features: usize) -> Result<()> {
+        if features != self.in_features {
             return Err(NnError::BadConfig(format!(
-                "dense expects {} input features, got {}",
-                self.in_features,
-                x.len()
+                "dense expects {} input features, got {features}",
+                self.in_features
             )));
         }
         Ok(())
@@ -108,40 +107,28 @@ impl Layer for Dense {
     }
 
     fn forward(&self, x: &Tensor) -> Result<Tensor> {
-        self.check_input(x)?;
+        self.check_features(x.len())?;
         self.affine(x)
     }
 
-    fn forward_batch(&self, xs: &[Tensor], scratch: &mut BatchScratch) -> Result<Vec<Tensor>> {
-        for x in xs {
-            self.check_input(x)?;
-        }
-        let m = self.out_features;
-        // tensors are row-major and contiguous, so each input's buffer is
-        // already its flattened feature vector; the whole batch runs as one
-        // GEMM into the shared dense scratch block under the scratch's
-        // kernel (bit-identical to per-sample affine_row on both arms)
-        let rows: Vec<&[f32]> = xs.iter().map(Tensor::data).collect();
-        scratch.dense.resize(xs.len() * m, 0.0);
-        ops::affine_rows_into(
-            &rows,
-            &self.weight,
-            self.bias.data(),
-            &mut scratch.dense,
-            scratch.kernel,
-        )?;
-        (0..xs.len())
-            .map(|i| {
-                Ok(Tensor::from_vec(
-                    scratch.dense[i * m..(i + 1) * m].to_vec(),
-                    &[m],
-                )?)
-            })
-            .collect()
+    fn forward_block(&self, block: &mut Block<'_>) -> Result<()> {
+        self.check_features(block.width())?;
+        // a row of the block is already its image's flattened feature
+        // vector, so the whole batch is one GEMM over the rows as they lie
+        // (bit-identical to per-sample affine_row on both arms)
+        block.write(&[self.out_features], |src, _, dst, _, kernel| {
+            Ok(ops::affine_rows_into(
+                src,
+                &self.weight,
+                self.bias.data(),
+                dst,
+                kernel,
+            )?)
+        })
     }
 
     fn forward_train(&mut self, x: &Tensor) -> Result<Tensor> {
-        self.check_input(x)?;
+        self.check_features(x.len())?;
         let y = self.affine(x)?;
         self.cache_input = Some(if x.rank() == 1 {
             x.clone()

@@ -3,6 +3,7 @@
 use cdl_hw::OpCount;
 use cdl_tensor::Tensor;
 
+use crate::batch::Block;
 use crate::error::NnError;
 use crate::layer::Layer;
 use crate::Result;
@@ -32,6 +33,10 @@ impl Layer for Flatten {
 
     fn forward(&self, x: &Tensor) -> Result<Tensor> {
         Ok(x.flatten())
+    }
+
+    fn forward_block(&self, block: &mut Block<'_>) -> Result<()> {
+        block.reshape(&[block.width()])
     }
 
     fn forward_train(&mut self, x: &Tensor) -> Result<Tensor> {

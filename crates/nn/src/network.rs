@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::activation::Activation;
-use crate::batch::BatchScratch;
+use crate::batch::{BatchScratch, Block};
 use crate::error::NnError;
 use crate::layer::Layer;
 use crate::layers::{ActivationLayer, Conv2d, Dense, Flatten, MaxPool2d, MeanPool2d};
@@ -28,6 +28,9 @@ pub struct Network {
     /// dense spec with a non-identity activation expands into two runtime
     /// layers; the mapping points at the activation output).
     spec_to_runtime: Vec<usize>,
+    /// Per-image shape at every point of the network: `shapes[i]` goes into
+    /// runtime layer `i`, `shapes[layer_count()]` comes out of the last.
+    shapes: Vec<Vec<usize>>,
     /// The fusable `Conv2d → [ActivationLayer] → MaxPool2d` runs of
     /// `layers`, in order. Indices and scalars only — never parameters — so
     /// training, [`Network::import_params`] and model hot-swaps cannot
@@ -112,10 +115,15 @@ impl Network {
             }
             spec_to_runtime.push(layers.len() - 1);
         }
+        let mut shapes = vec![spec.input_shape.clone()];
+        for layer in &layers {
+            shapes.push(layer.output_shape(&shapes[shapes.len() - 1])?);
+        }
         Ok(Network {
             spec: spec.clone(),
             layers,
             spec_to_runtime,
+            shapes,
             stage_groups,
         })
     }
@@ -232,23 +240,64 @@ impl Network {
         Ok(cur)
     }
 
-    /// Batched forward pass over runtime layers `(from, upto]`: `from` is
-    /// *exclusive* (`None` starts at the input), `upto` is *inclusive*.
+    /// Batched forward pass over runtime layers `(from, upto]` — `from` is
+    /// *exclusive* (`None` starts at the input), `upto` is *inclusive* — as
+    /// one block through `scratch`'s two arenas (see [`crate::batch`]).
     ///
-    /// Every element of `xs` must be at the same point of the network (the
-    /// batched evaluators guarantee this). Results are bit-identical to
-    /// running [`Network::forward_prefix`] / [`Network::forward_between`]
-    /// per image. A `conv → activation → max-pool` stage group that lies
-    /// wholly inside the segment runs as one fused pass per image — pooled
-    /// before it is activated, see [`crate::batch`] — and every other
-    /// layer through its [`Layer::forward_batch`], all against `scratch`'s
-    /// preallocated buffers. The inputs are only borrowed — the first
-    /// layer reads them in place, so no upfront batch copy is made.
+    /// The batch is `xs`, read in place by the segment's first layer, or —
+    /// `None` — the block the previous segment left in `scratch`; either
+    /// way every image must be at point `from` of the network, and the
+    /// output is `scratch`'s current block afterwards
+    /// ([`BatchScratch::block`], [`BatchScratch::rows`]). Results are
+    /// bit-identical to running [`Network::forward_prefix`] /
+    /// [`Network::forward_between`] per image. A `conv → activation →
+    /// max-pool` stage group that lies wholly inside the segment runs as one
+    /// fused pass — pooled before it is activated — and every other layer
+    /// through its [`Layer::forward_block`]. An empty segment (`from ==
+    /// upto`) is the identity.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::BadConfig`] for out-of-range or inverted indices
-    /// and propagates layer shape errors.
+    /// and for a batch whose images do not all have the shape this network
+    /// has at `from` — before anything is computed — and propagates layer
+    /// errors.
+    pub fn forward_block_segment(
+        &self,
+        xs: Option<&[Tensor]>,
+        from: Option<usize>,
+        upto: usize,
+        scratch: &mut BatchScratch,
+    ) -> Result<()> {
+        if upto >= self.layers.len() || from.is_some_and(|f| f > upto) {
+            return Err(NnError::BadConfig(format!(
+                "invalid batch segment ({from:?}, {upto}] for {} layers",
+                self.layers.len()
+            )));
+        }
+        let mut next = from.map_or(0, |f| f + 1);
+        let mut block = Block::begin(xs, &self.shapes[next], scratch)?;
+        while next <= upto && block.rows() > 0 {
+            let group = self
+                .stage_groups
+                .iter()
+                .find(|g| g.conv == next && g.pool <= upto);
+            let epilogue = group.map(|g| (g.activation, g.window));
+            next = match (block.run(self.layers[next].as_ref(), epilogue)?, group) {
+                (true, Some(g)) => g.pool + 1,
+                _ => next + 1,
+            };
+        }
+        block.finish();
+        Ok(())
+    }
+
+    /// [`Network::forward_block_segment`] for callers that hold tensors on
+    /// both sides: `xs` in, one output tensor per image out.
+    ///
+    /// # Errors
+    ///
+    /// As [`Network::forward_block_segment`].
     pub fn forward_batch_segment(
         &self,
         xs: &[Tensor],
@@ -256,36 +305,8 @@ impl Network {
         upto: usize,
         scratch: &mut BatchScratch,
     ) -> Result<Vec<Tensor>> {
-        if upto >= self.layers.len() || from.is_some_and(|f| f > upto) {
-            return Err(NnError::BadConfig(format!(
-                "invalid batch segment ({from:?}, {upto}] for {} layers",
-                self.layers.len()
-            )));
-        }
-        // an empty segment (from == upto) is the identity, exactly like
-        // `forward_between` with an empty layer range
-        let mut cur: Option<Vec<Tensor>> = None;
-        let mut next = from.map_or(0, |f| f + 1);
-        while next <= upto {
-            let src = cur.as_deref().unwrap_or(xs);
-            let layer = &self.layers[next];
-            let group = self
-                .stage_groups
-                .iter()
-                .find(|g| g.conv == next && g.pool <= upto);
-            let fused = group.and_then(|g| {
-                layer
-                    .forward_batch_pooled(src, g.activation, g.window, scratch)
-                    .map(|out| (out, g.pool + 1))
-            });
-            let (out, after) = match fused {
-                Some(done) => done,
-                None => (layer.forward_batch(src, scratch), next + 1),
-            };
-            cur = Some(out?);
-            next = after;
-        }
-        Ok(cur.unwrap_or_else(|| xs.to_vec()))
+        self.forward_block_segment(Some(xs), from, upto, scratch)?;
+        Ok(scratch.to_tensors())
     }
 
     /// Training forward pass (caches per-layer state).
@@ -373,13 +394,11 @@ impl Network {
     ///
     /// Propagates geometry errors.
     pub fn op_counts(&self) -> Result<Vec<OpCount>> {
-        let mut shapes = self.spec.input_shape.clone();
-        let mut counts = Vec::with_capacity(self.layers.len());
-        for layer in &self.layers {
-            counts.push(layer.op_count(&shapes)?);
-            shapes = layer.output_shape(&shapes)?;
-        }
-        Ok(counts)
+        self.layers
+            .iter()
+            .zip(&self.shapes)
+            .map(|(layer, shape)| layer.op_count(shape))
+            .collect()
     }
 
     /// Total operation count of a full forward pass.

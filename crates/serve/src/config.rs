@@ -624,7 +624,7 @@ pub struct ServerConfig {
     /// (`Try`) — the server's backpressure.
     pub queue_capacity: usize,
     /// Worker threads; each owns one persistent
-    /// [`cdl_core::batch::BatchEvaluator`] whose im2col/GEMM scratch is
+    /// [`cdl_core::batch::BatchEvaluator`] whose arenas and kernel scratch are
     /// reused across every batch it processes.
     pub workers: usize,
     /// Runtime tracing switchboard: whether per-request lifecycle spans

@@ -20,7 +20,7 @@
 //!   (one-shot,        │       ╱        ╲        what is queued, ≤ max_batch_size
 //!    drop = cancel)   │      ▼          ▼       (by_size: only once it is full)
 //!                     └── worker 1 … worker N   each owns a persistent
-//!                          BatchEvaluator (im2col/GEMM scratch reused
+//!                          BatchEvaluator (arenas + kernel scratch reused
 //!                          across every batch it processes)
 //! ```
 //!
@@ -40,7 +40,7 @@
 //!   [`BatchPolicy::by_size`], seals full batches only.
 //! * **Workers** each own one persistent
 //!   [`cdl_core::batch::BatchEvaluator`]: steady-state serving performs no
-//!   im2col/GEMM allocations, and which GEMM bodies run (AVX2 or portable,
+//!   arena/scratch allocations, and which kernel bodies run (AVX2 or portable,
 //!   bit-identical) is the host's matter, found at construction.
 //! * **Cancellation**: dropping a [`Pending`] before evaluation removes the
 //!   request from its batch at no evaluator cost.

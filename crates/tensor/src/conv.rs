@@ -33,13 +33,13 @@ pub fn valid_out_size(input: usize, kernel: usize) -> Result<usize> {
 }
 
 pub(crate) fn check_conv_operands(
-    input: &Tensor,
+    input_dims: &[usize],
     kernels: &Tensor,
 ) -> Result<(usize, usize, usize, usize, usize, usize)> {
-    if input.rank() != 3 {
+    if input_dims.len() != 3 {
         return Err(TensorError::RankMismatch {
             expected: 3,
-            actual: input.rank(),
+            actual: input_dims.len(),
         });
     }
     if kernels.rank() != 4 {
@@ -48,7 +48,7 @@ pub(crate) fn check_conv_operands(
             actual: kernels.rank(),
         });
     }
-    let (c_in, h, w) = (input.dims()[0], input.dims()[1], input.dims()[2]);
+    let (c_in, h, w) = (input_dims[0], input_dims[1], input_dims[2]);
     let (c_out, kc, kh, kw) = (
         kernels.dims()[0],
         kernels.dims()[1],
@@ -84,7 +84,7 @@ pub(crate) fn check_conv_bias(c_out: usize, bias: &[f32]) -> Result<()> {
 /// for malformed operands, including a bias length that differs from
 /// `C_out`.
 pub fn conv2d_valid(input: &Tensor, kernels: &Tensor, bias: &[f32]) -> Result<Tensor> {
-    let (c_in, h, w, c_out, kh, kw) = check_conv_operands(input, kernels)?;
+    let (c_in, h, w, c_out, kh, kw) = check_conv_operands(input.dims(), kernels)?;
     check_conv_bias(c_out, bias)?;
     let oh = valid_out_size(h, kh)?;
     let ow = valid_out_size(w, kw)?;

@@ -1,20 +1,31 @@
-//! im2col-based convolution: the classic lowering of convolution to one
-//! dense matrix multiply, and the batched convolution entries built on it.
+//! The batched convolution entry, and the im2col lowering behind its
+//! portable arm.
 //!
-//! [`conv2d_valid_batch`] convolves a whole batch against preallocated
-//! scratch — per image through the fused direct AVX2 kernel where it
-//! applies, otherwise as one `[C_out, C_in·k²] × [C_in·k², N·oH·oW]` GEMM
-//! over the shared patch matrix — and is bit-identical to the per-image
-//! reference [`crate::conv::conv2d_valid`] for every [`GemmKernel`].
-//! [`conv2d_pool_batch`] runs the same convolution and finishes each image
-//! with the max-pool → activation epilogue while its raw maps are still in
-//! the scratch buffer, so a `conv → activation → max-pool` stage produces
-//! one tensor per image instead of three.
+//! [`conv2d_pool_block`] runs one `conv → max-pool → activation` stage over
+//! a whole batch, from a [`Rows`] of `[c_in, h, w]` images (the caller's
+//! tensors, or a block of an evaluator's arena) into a contiguous `[n, f]`
+//! block — no tensor is built per image. Which kernel convolves is decided
+//! once per batch by `BatchGeometry::x8_images`, from the arm, the host,
+//! the geometry and `n` alone:
+//!
+//! * on the [`GemmKernel::Simd`] arm of an AVX2 host nothing is lowered:
+//!   blocks of eight images run the lanes-across-images kernel and single
+//!   images the per-image direct kernel (both in [`crate::gemm`]);
+//! * the im2col lowering — every image of the batch into one shared
+//!   `[C_in·k², N·oH·oW]` patch matrix, one [`gemm::gemm_nn`] over it — is
+//!   the **portable arm's only**: [`GemmKernel::Reference`], a host without
+//!   AVX2, the forced fallback.
+//!
+//! All three are bit-identical to the per-image reference
+//! [`crate::conv::conv2d_valid`] → activation → [`pool::maxpool2d_forward`].
+//! [`conv2d_valid_batch`] is the tensors-in, tensors-out form of the same
+//! path (identity window, no activation).
 
 use crate::conv::{check_conv_bias, check_conv_operands, valid_out_size};
 use crate::error::TensorError;
-use crate::gemm::{self, GemmKernel};
+use crate::gemm::{self, GemmKernel, X8Scratch};
 use crate::pool;
+use crate::rows::Rows;
 use crate::tensor::Tensor;
 use crate::Result;
 
@@ -39,111 +50,85 @@ pub fn im2col(input: &Tensor, kh: usize, kw: usize) -> Result<Tensor> {
     let rows = c_in * kh * kw;
     let cols = oh * ow;
     let mut out = vec![0.0f32; rows * cols];
-    im2col_into(input, kh, kw, &mut out, cols, 0)?;
+    lower_image(input.data(), (c_in, h, w), (kh, kw), &mut out, cols, 0);
     Tensor::from_vec(out, &[rows, cols])
 }
 
-/// Lowers one `[C_in, H, W]` input into a **column block** of a larger,
-/// preallocated patch matrix.
-///
-/// `out` is the row-major buffer of a `[C_in·kH·kW, total_cols]` matrix;
-/// this image's `oH·oW` patch columns are written starting at column
-/// `col_offset`. Batched evaluation lowers every image of a batch into one
-/// shared matrix (allocate once, reuse per stage) and runs a single GEMM.
-///
-/// # Errors
-///
-/// Returns [`TensorError::RankMismatch`] / [`TensorError::InvalidGeometry`]
-/// for malformed operands or a buffer/offset that cannot hold the block.
-pub fn im2col_into(
-    input: &Tensor,
-    kh: usize,
-    kw: usize,
+/// Lowers one `[c_in, h, w]` image `x` into a **column block** of a larger
+/// patch matrix: `out` is the row-major buffer of a `[c_in·kh·kw,
+/// total_cols]` matrix and the image's `oh·ow` patch columns are written
+/// starting at column `col_offset`. The portable arm lowers every image of
+/// a batch into one shared matrix and runs a single GEMM. Operands are the
+/// caller's to check (a valid geometry, a block that fits).
+fn lower_image(
+    x: &[f32],
+    (c_in, h, w): (usize, usize, usize),
+    (kh, kw): (usize, usize),
     out: &mut [f32],
     total_cols: usize,
     col_offset: usize,
-) -> Result<()> {
-    if input.rank() != 3 {
-        return Err(TensorError::RankMismatch {
-            expected: 3,
-            actual: input.rank(),
-        });
-    }
-    let (c_in, h, w) = (input.dims()[0], input.dims()[1], input.dims()[2]);
-    let oh = valid_out_size(h, kh)?;
-    let ow = valid_out_size(w, kw)?;
-    let rows = c_in * kh * kw;
-    let cols = oh * ow;
-    if col_offset + cols > total_cols || out.len() != rows * total_cols {
-        return Err(TensorError::InvalidGeometry(format!(
-            "im2col_into: {rows}x{cols} block at column {col_offset} does not fit a buffer of {} ({total_cols} total columns)",
-            out.len()
-        )));
-    }
-    let x = input.data();
-    let in_plane = h * w;
-
+) {
+    let (oh, ow) = (h + 1 - kh, w + 1 - kw);
     for c in 0..c_in {
         for ky in 0..kh {
             for kx in 0..kw {
                 let row = (c * kh + ky) * kw + kx;
                 let obase = row * total_cols + col_offset;
                 for oy in 0..oh {
-                    let xrow = c * in_plane + (oy + ky) * w + kx;
+                    let xrow = c * h * w + (oy + ky) * w + kx;
                     let orow = obase + oy * ow;
                     out[orow..orow + ow].copy_from_slice(&x[xrow..xrow + ow]);
                 }
             }
         }
     }
-    Ok(())
 }
 
-/// Reusable buffers for [`conv2d_valid_batch`] and [`conv2d_pool_batch`]:
-/// the shared patch matrix and the raw convolution output. Allocate once
-/// per evaluator, reuse per stage — repeated batches at the same geometry
-/// never reallocate.
+/// Reusable buffers of [`conv2d_pool_block`], whichever kernel it runs.
+/// Allocate once per evaluator, reuse per stage: they grow on first use and
+/// are never shrunk, so repeated batches at the same (or a smaller)
+/// geometry never reallocate.
 #[derive(Debug, Default, Clone)]
 pub struct ConvScratch {
-    /// The `[C_in·k², N·oH·oW]` im2col patch matrix of the current batch.
-    pub patches: Vec<f32>,
-    /// Raw convolution output: the `[C_out, N·oH·oW]` GEMM result of the
-    /// current batch, or — on the direct path of [`conv2d_pool_batch`] —
-    /// the `[C_out, oH, oW]` maps of the image being pooled.
-    pub out: Vec<f32>,
+    /// The portable arm's `[C_in·k², N·oH·oW]` patch matrix.
+    patches: Vec<f32>,
+    /// Raw maps awaiting their pool: the portable arm's `[C_out, N·oH·oW]`
+    /// GEMM result, or one image's `[C_out, oH, oW]` from the direct kernel.
+    raw: Vec<f32>,
+    /// The lanes-across-images kernel's interleaved buffers.
+    x8: X8Scratch,
+    /// [`conv2d_valid_batch`]'s output block, before it is cut into tensors.
+    block: Vec<f32>,
 }
 
-/// Validated geometry of one batched convolution.
+impl ConvScratch {
+    /// Values the buffers can hold without growing — what "a later, smaller
+    /// batch allocates nothing" is checked against.
+    pub fn capacity(&self) -> usize {
+        self.patches.capacity() + self.raw.capacity() + self.x8.capacity() + self.block.capacity()
+    }
+}
+
+/// Validated geometry of one batched valid convolution.
 #[derive(Debug, Clone, Copy)]
-struct BatchGeometry {
-    c_in: usize,
-    h: usize,
-    w: usize,
-    c_out: usize,
-    kh: usize,
-    kw: usize,
-    oh: usize,
-    ow: usize,
+pub(crate) struct BatchGeometry {
+    pub(crate) c_in: usize,
+    pub(crate) h: usize,
+    pub(crate) w: usize,
+    pub(crate) c_out: usize,
+    pub(crate) kh: usize,
+    pub(crate) kw: usize,
+    pub(crate) oh: usize,
+    pub(crate) ow: usize,
 }
 
 impl BatchGeometry {
-    /// Checks operands, bias and that every input has the shape of the
-    /// first; `None` for an empty batch.
-    fn check(inputs: &[Tensor], kernels: &Tensor, bias: &[f32]) -> Result<Option<Self>> {
-        let Some(first) = inputs.first() else {
-            return Ok(None);
-        };
-        let (c_in, h, w, c_out, kh, kw) = check_conv_operands(first, kernels)?;
+    /// Checks the per-image shape `dims` against the kernel bank and the
+    /// bias.
+    pub(crate) fn check(dims: &[usize], kernels: &Tensor, bias: &[f32]) -> Result<Self> {
+        let (c_in, h, w, c_out, kh, kw) = check_conv_operands(dims, kernels)?;
         check_conv_bias(c_out, bias)?;
-        for t in inputs {
-            if t.shape() != first.shape() {
-                return Err(TensorError::ShapeMismatch {
-                    left: first.dims().to_vec(),
-                    right: t.dims().to_vec(),
-                });
-            }
-        }
-        Ok(Some(BatchGeometry {
+        Ok(BatchGeometry {
             c_in,
             h,
             w,
@@ -152,7 +137,7 @@ impl BatchGeometry {
             kw,
             oh: valid_out_size(h, kh)?,
             ow: valid_out_size(w, kw)?,
-        }))
+        })
     }
 
     /// Output cells per map.
@@ -160,98 +145,202 @@ impl BatchGeometry {
         self.oh * self.ow
     }
 
-    /// Whether the per-image direct kernel runs this batch: the
-    /// [`GemmKernel::Simd`] arm, on a host with AVX2, over maps at least
-    /// one vector wide. A pure function of kernel, host and geometry, so
-    /// it is asked once per batch; everything else lowers the whole batch
-    /// ([`Self::lower_and_multiply`]).
-    fn direct_applies(&self, kernel: GemmKernel) -> bool {
-        kernel == GemmKernel::Simd && GemmKernel::simd_available() && self.ow >= gemm::DIRECT_MIN_OW
-    }
-
-    /// The per-image conv kernel of the [`GemmKernel::Simd`] arm: convolves
-    /// `input` straight from its feature maps into every cell of `raw`
-    /// (`[C_out, oH, oW]`) — no patch matrix. Call only when
-    /// [`Self::direct_applies`]. Bit-identical to the lowered path (bias
-    /// first, then taps in im2col patch-row order; see [`crate::gemm`]).
-    fn direct(&self, input: &Tensor, kernels: &Tensor, bias: &[f32], raw: &mut [f32]) {
-        gemm::conv2d_direct_simd(
-            input.data(),
-            self.c_in,
-            self.h,
-            self.w,
-            kernels.data(),
-            self.c_out,
-            self.kh,
-            self.kw,
-            bias,
-            raw,
-            self.oh,
-            self.ow,
-        )
+    /// **The kernel choice**: how many of a batch's `n` images — its
+    /// leading ones, in blocks of eight — run the lanes-across-images
+    /// kernel, given `simd` (the [`GemmKernel::Simd`] arm on a host with
+    /// AVX2). The rest run the per-image direct kernel; with `simd` off the
+    /// whole batch is lowered instead. A pure function of the geometry and
+    /// `n`:
+    ///
+    /// * `ow < 8`: all `n` — the direct kernel cannot take the map, so the
+    ///   `n % 8` remainder is one zero-padded block (still ×2.4 over the
+    ///   lowering at four images on 3C's C3, ×0.7 at one);
+    /// * `ow % 8 == 0`: none — the direct kernel's lanes are already full
+    ///   (2C's 24- and 8-wide maps measured ×0.89–1.08 under x8);
+    /// * otherwise every **full** block of eight, the remainder per image: a
+    ///   padded block loses to the direct kernel below about six images
+    ///   (×0.58–0.71 at four, ×0.14–0.20 at one).
+    pub(crate) fn x8_images(&self, simd: bool, n: usize) -> usize {
+        if !simd || self.ow.is_multiple_of(8) {
+            0
+        } else if self.ow < gemm::DIRECT_MIN_OW {
+            n
+        } else {
+            n - n % 8
+        }
     }
 
     /// Lowers the whole batch into `scratch.patches` and runs one GEMM
-    /// into `scratch.out` (`[C_out, N·oH·oW]`: image `i`'s map `m` starts
+    /// into `scratch.raw` (`[C_out, N·oH·oW]`: image `i`'s map `m` starts
     /// at `m·N·oH·oW + i·oH·oW`). Accumulators are bias-seeded and `p`
     /// ascends per element — the exact addition sequence of the direct
-    /// convolution, whichever microkernel runs it.
+    /// convolution.
     fn lower_and_multiply(
         &self,
-        inputs: &[Tensor],
+        src: Rows<'_>,
         kernels: &Tensor,
         bias: &[f32],
         scratch: &mut ConvScratch,
-        kernel: GemmKernel,
-    ) -> Result<()> {
+    ) {
         let rows = self.c_in * self.kh * self.kw;
-        let total_cols = inputs.len() * self.cols_per();
-        // every cell is overwritten below (patches by the per-image
-        // lowering, out by the bias fill), so stale contents from a
-        // previous batch/geometry never need re-zeroing
-        scratch.patches.resize(rows * total_cols, 0.0);
-        for (i, input) in inputs.iter().enumerate() {
-            im2col_into(
-                input,
-                self.kh,
-                self.kw,
-                &mut scratch.patches,
+        let total_cols = src.len() * self.cols_per();
+        // every cell of both is overwritten below (patches by the per-image
+        // lowering, raw by the GEMM), so stale contents never need zeroing
+        gemm::grow(&mut scratch.patches, rows * total_cols);
+        gemm::grow(&mut scratch.raw, self.c_out * total_cols);
+        let patches = &mut scratch.patches[..rows * total_cols];
+        for i in 0..src.len() {
+            lower_image(
+                src.row(i),
+                (self.c_in, self.h, self.w),
+                (self.kh, self.kw),
+                patches,
                 total_cols,
                 i * self.cols_per(),
-            )?;
+            );
         }
-        scratch.out.resize(self.c_out * total_cols, 0.0);
         gemm::gemm_nn(
-            kernel,
             self.c_out,
             rows,
             total_cols,
             kernels.data(),
-            &scratch.patches,
+            patches,
             bias,
-            &mut scratch.out,
+            &mut scratch.raw[..self.c_out * total_cols],
         );
-        Ok(())
     }
 }
 
-/// Valid cross-correlation of a whole batch through one shared im2col
-/// lowering and one GEMM over preallocated scratch, evaluated by
-/// `kernel`'s body — except on the [`GemmKernel::Simd`] arm of an
-/// AVX2 host with feature maps at least one vector wide (`ow >= 8`), which
-/// convolves each image **directly from its feature maps** (fused AVX2
-/// kernel, no patch matrix: full 8-lane vectors over the whole output
-/// plane, the last of a row overlapping its neighbour when `ow` is not a
-/// multiple of 8; see [`crate::gemm`]). Which route runs is decided once
-/// per batch, from the kernel, the host and the geometry alone.
+/// One `conv → activation → max-pool(window)` stage over a batch, with the
+/// pooling moved **ahead of** the activation: image `i` of `src` (each
+/// `dims = [c_in, h, w]`) is convolved, its raw pre-activation maps are
+/// max-pooled, `activation` is applied in place to the pooled values only,
+/// and the result is row `i` of `dst`, a contiguous `[n, c_out·(oh/window)
+/// ·(ow/window)]` block. `window = 1` with a no-op `activation` is the plain
+/// batched convolution. Which kernel convolves is
+/// `BatchGeometry::x8_images`'s decision (module docs).
 ///
-/// Every input must have the shape of `inputs[0]`. The accumulation order
+/// The result equals pooling the activated maps **bit for bit** whenever
+/// `activation` is elementwise — cell `i` of the slice it is handed depends
+/// on cell `i` alone, whatever the slice's length or what its other cells
+/// hold — and, as a function of one cell, commutes with [`crate::pool`]'s
+/// scan: non-decreasing over the ordered non-NaN `f32`s, NaN in ⇒ NaN out,
+/// numerically equal outputs of distinct inputs identical in bits, and
+/// equal outputs for `-0.0` and `+0.0` (then the raw scan and the activated
+/// scan pick the same element, or elements whose activations are the same
+/// bits). Choosing such an activation is the caller's obligation; `cdl-nn`
+/// keeps the list and the exhaustive test behind it. The accumulation order
 /// per output element — bias first, then taps in channel-major `(c, ky, kx)`
-/// order — is exactly [`crate::conv::conv2d_valid`]'s **on both arms**
-/// (the GEMM bodies repartition the output plane — and the fused SIMD
-/// kernel skips the lowering and computes some columns twice — but
-/// neither changes an element's addition sequence; see [`crate::gemm`]),
-/// so results are **bit-identical** to the per-image direct path.
+/// order — is [`crate::conv::conv2d_valid`]'s on every kernel.
+///
+/// # Errors
+///
+/// The conditions of [`crate::conv::conv2d_valid`] on `dims`, `kernels` and
+/// `bias`; [`TensorError::InvalidGeometry`] when `window` is zero or does
+/// not tile the output maps; [`TensorError::ShapeMismatch`] when a row of
+/// `src` is not `c_in·h·w` long or `dst` is not the output block — all
+/// before anything is computed.
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_pool_block(
+    src: Rows<'_>,
+    dims: &[usize],
+    kernels: &Tensor,
+    bias: &[f32],
+    window: usize,
+    activation: impl Fn(&mut [f32]),
+    dst: &mut [f32],
+    scratch: &mut ConvScratch,
+    kernel: GemmKernel,
+) -> Result<()> {
+    let g = BatchGeometry::check(dims, kernels, bias)?;
+    if window == 0 || !g.oh.is_multiple_of(window) || !g.ow.is_multiple_of(window) {
+        return Err(TensorError::InvalidGeometry(format!(
+            "pooling window {window} does not tile conv output {}x{}",
+            g.oh, g.ow
+        )));
+    }
+    let n = src.len();
+    let cols_per = g.cols_per();
+    let f_out = g.c_out * cols_per / (window * window);
+    if !src.all_have_width(g.c_in * g.h * g.w) || dst.len() != n * f_out {
+        return Err(TensorError::ShapeMismatch {
+            left: dims.to_vec(),
+            right: vec![n, dst.len()],
+        });
+    }
+    if dst.is_empty() {
+        return Ok(());
+    }
+    // one image's raw maps (plane `m` at `m·plane_stride`) into its row
+    let finish = |raw: &[f32], plane_stride: usize, row: &mut [f32]| {
+        pool::maxpool2d_into(raw, (g.c_out, g.oh, g.ow), plane_stride, window, row);
+        activation(row);
+    };
+
+    let simd = kernel == GemmKernel::Simd && GemmKernel::simd_available();
+    if !simd {
+        g.lower_and_multiply(src, kernels, bias, scratch);
+        for (i, row) in dst.chunks_exact_mut(f_out).enumerate() {
+            finish(&scratch.raw[i * cols_per..], n * cols_per, row);
+        }
+        return Ok(());
+    }
+    let x8 = g.x8_images(simd, n);
+    for first in (0..x8).step_by(8) {
+        let count = (x8 - first).min(8);
+        gemm::conv2d_x8(
+            &g,
+            src,
+            first,
+            count,
+            kernels.data(),
+            bias,
+            window,
+            &activation,
+            &mut scratch.x8,
+            &mut dst[first * f_out..(first + count) * f_out],
+        );
+    }
+    gemm::grow(&mut scratch.raw, g.c_out * cols_per);
+    let raw = &mut scratch.raw[..g.c_out * cols_per];
+    for (i, row) in dst.chunks_exact_mut(f_out).enumerate().skip(x8) {
+        let direct = |out: &mut [f32]| {
+            gemm::conv2d_direct_simd(
+                src.row(i),
+                g.c_in,
+                g.h,
+                g.w,
+                kernels.data(),
+                g.c_out,
+                g.kh,
+                g.kw,
+                bias,
+                out,
+                g.oh,
+                g.ow,
+            )
+        };
+        if window == 1 {
+            // the identity pool: convolve straight into the row
+            direct(row);
+            activation(row);
+        } else {
+            direct(raw);
+            finish(raw, cols_per, row);
+        }
+    }
+    Ok(())
+}
+
+/// Valid cross-correlation of a whole batch of tensors, one output tensor
+/// per input: [`conv2d_pool_block`] with the identity window and no
+/// activation, for callers that hold tensors on both sides (the benchmark's
+/// `tensor.conv_*` rows, the parity suites). It hands the batch over eight
+/// images at a time — the unit every kernel choice is made in, so the same
+/// kernels run as for the whole batch — which keeps the block the outputs
+/// are cut from small enough to still be in cache when they are.
+/// **Bit-identical** to [`crate::conv::conv2d_valid`] per image for every
+/// [`GemmKernel`].
 ///
 /// # Errors
 ///
@@ -264,108 +353,44 @@ pub fn conv2d_valid_batch(
     scratch: &mut ConvScratch,
     kernel: GemmKernel,
 ) -> Result<Vec<Tensor>> {
-    let Some(g) = BatchGeometry::check(inputs, kernels, bias)? else {
+    let Some(first) = inputs.first() else {
         return Ok(Vec::new());
     };
-    let n = inputs.len();
-    let cols_per = g.cols_per();
+    if let Some(other) = inputs.iter().find(|t| t.shape() != first.shape()) {
+        return Err(TensorError::ShapeMismatch {
+            left: first.dims().to_vec(),
+            right: other.dims().to_vec(),
+        });
+    }
+    let g = BatchGeometry::check(first.dims(), kernels, bias)?;
     let dims = [g.c_out, g.oh, g.ow];
-
-    if g.direct_applies(kernel) {
-        return inputs
-            .iter()
-            .map(|input| {
-                let mut data = vec![0.0f32; g.c_out * cols_per];
-                g.direct(input, kernels, bias, &mut data);
-                Tensor::from_vec(data, &dims)
-            })
-            .collect();
-    }
-
-    g.lower_and_multiply(inputs, kernels, bias, scratch, kernel)?;
-    let total_cols = n * cols_per;
-    (0..n)
-        .map(|i| {
-            let mut data = Vec::with_capacity(g.c_out * cols_per);
-            for m in 0..g.c_out {
-                let base = m * total_cols + i * cols_per;
-                data.extend_from_slice(&scratch.out[base..base + cols_per]);
+    let f_out = g.c_out * g.cols_per();
+    let mut block = std::mem::take(&mut scratch.block);
+    gemm::grow(&mut block, 8 * f_out);
+    let mut outputs = Vec::with_capacity(inputs.len());
+    let mut run = || -> Result<()> {
+        for eight in inputs.chunks(8) {
+            let rows = &mut block[..eight.len() * f_out];
+            conv2d_pool_block(
+                Rows::Tensors(eight),
+                first.dims(),
+                kernels,
+                bias,
+                1,
+                |_| {},
+                rows,
+                scratch,
+                kernel,
+            )?;
+            for row in rows.chunks_exact(f_out.max(1)) {
+                outputs.push(Tensor::from_vec(row.to_vec(), &dims)?);
             }
-            Tensor::from_vec(data, &dims)
-        })
-        .collect()
-}
-
-/// One fused `conv → activation → max-pool(window)` stage over a batch,
-/// with the pooling moved **ahead of** the activation: each image is
-/// convolved exactly as [`conv2d_valid_batch`] would (same per-image
-/// direct kernel on the Simd arm, same lowering + GEMM otherwise), its raw
-/// pre-activation maps are max-pooled while still in `scratch`, and
-/// `activation` is applied, in place and in one call, to the pooled
-/// `[C_out, oH/window, oW/window]` map only — a `window²`-fold cut in
-/// activation evaluations, a whole slice for a vectorised activation
-/// ([`crate::math::sigmoid_slice`]) to work on, and one output tensor per
-/// image.
-///
-/// The result equals pooling the activated maps **bit for bit** whenever
-/// `activation` is elementwise — cell `i` of the slice depends on cell `i`
-/// alone, whatever the slice's length — and, as a function of one cell,
-/// commutes with [`crate::pool`]'s scan: non-decreasing over
-/// the ordered non-NaN `f32`s, NaN in ⇒ NaN out, numerically equal
-/// outputs of distinct inputs identical in bits, and equal outputs for
-/// `-0.0` and `+0.0` (then the raw scan and the activated scan pick the
-/// same element, or elements whose activations are the same bits).
-/// Choosing such an activation is the caller's obligation; `cdl-nn` keeps
-/// the list and the exhaustive test behind it.
-///
-/// # Errors
-///
-/// Same conditions as [`conv2d_valid_batch`], plus
-/// [`TensorError::InvalidGeometry`] when `window` is zero or does not tile
-/// the convolution's output maps.
-pub fn conv2d_pool_batch(
-    inputs: &[Tensor],
-    kernels: &Tensor,
-    bias: &[f32],
-    window: usize,
-    activation: impl Fn(&mut [f32]),
-    scratch: &mut ConvScratch,
-    kernel: GemmKernel,
-) -> Result<Vec<Tensor>> {
-    let Some(g) = BatchGeometry::check(inputs, kernels, bias)? else {
-        return Ok(Vec::new());
+        }
+        Ok(())
     };
-    if window == 0 || !g.oh.is_multiple_of(window) || !g.ow.is_multiple_of(window) {
-        return Err(TensorError::InvalidGeometry(format!(
-            "pooling window {window} does not tile conv output {}x{}",
-            g.oh, g.ow
-        )));
-    }
-    let n = inputs.len();
-    let cols_per = g.cols_per();
-    let dims = [g.c_out, g.oh / window, g.ow / window];
-    let pooled = |raw: &[f32], plane_stride: usize| {
-        let mut data = vec![0.0f32; dims.iter().product()];
-        pool::maxpool2d_into(raw, (g.c_out, g.oh, g.ow), plane_stride, window, &mut data);
-        activation(&mut data);
-        Tensor::from_vec(data, &dims)
-    };
-
-    if g.direct_applies(kernel) {
-        scratch.out.resize(g.c_out * cols_per, 0.0);
-        return inputs
-            .iter()
-            .map(|input| {
-                g.direct(input, kernels, bias, &mut scratch.out);
-                pooled(&scratch.out, cols_per)
-            })
-            .collect();
-    }
-
-    g.lower_and_multiply(inputs, kernels, bias, scratch, kernel)?;
-    (0..n)
-        .map(|i| pooled(&scratch.out[i * cols_per..], n * cols_per))
-        .collect()
+    let done = run();
+    scratch.block = block;
+    done.map(|()| outputs)
 }
 
 #[cfg(test)]
@@ -498,16 +523,48 @@ mod tests {
         assert!(conv2d_valid_batch(&xs, &k, &[0.0, 0.0], &mut scratch, gemm_kernel).is_err());
     }
 
+    /// A batch through [`conv2d_pool_block`] as a fresh `[n, f]` block.
+    fn pool_block(
+        inputs: &[Tensor],
+        kernels: &Tensor,
+        bias: &[f32],
+        window: usize,
+        scratch: &mut ConvScratch,
+        kernel: GemmKernel,
+    ) -> Result<Vec<f32>> {
+        let g = BatchGeometry::check(inputs[0].dims(), kernels, bias)?;
+        let f_out = g.c_out * g.cols_per() / (window * window).max(1);
+        let mut block = vec![f32::NAN; inputs.len() * f_out];
+        conv2d_pool_block(
+            Rows::Tensors(inputs),
+            inputs[0].dims(),
+            kernels,
+            bias,
+            window,
+            math::sigmoid_slice,
+            &mut block,
+            scratch,
+            kernel,
+        )?;
+        Ok(block)
+    }
+
     #[test]
-    fn pool_batch_matches_activate_then_pool() {
+    fn pool_block_matches_activate_then_pool() {
         use rand::rngs::StdRng;
         use rand::{RngExt, SeedableRng};
         let mut rng = StdRng::seed_from_u64(5);
         for (n, c_in, c_out, k, size, window) in [
-            // 2C's C1/P1 and C2/P2: the direct kernel on the Simd arm
+            // 2C's C1/P1 and C2/P2: `ow % 8 == 0`, the direct kernel for
+            // every image on the Simd arm
             (3usize, 1usize, 6usize, 5usize, 28usize, 2usize),
-            (2, 6, 12, 5, 12, 2),
-            // ow = 6: narrow maps, every arm lowers the batch
+            (10, 6, 12, 5, 12, 2),
+            // 3C's C1/P1 and C2/P2: one x8 block, then direct images
+            (11, 1, 3, 3, 28, 2),
+            (9, 3, 6, 4, 13, 2),
+            // 3C's C3/P3, ow = 3: x8 for all, the last block padded
+            (13, 6, 9, 3, 5, 1),
+            // ow = 6: narrow maps, a lone padded block
             (4, 2, 3, 3, 8, 3),
             // a batch of one, and the identity window
             (1, 3, 4, 3, 5, 1),
@@ -527,21 +584,14 @@ mod tests {
             let bias: Vec<f32> = (0..c_out).map(|_| rng.random_range(-0.2..0.2)).collect();
             let mut scratch = ConvScratch::default();
             for gemm_kernel in GemmKernel::ALL {
-                let fused = conv2d_pool_batch(
-                    &inputs,
-                    &kernels,
-                    &bias,
-                    window,
-                    math::sigmoid_slice,
-                    &mut scratch,
-                    gemm_kernel,
-                )
-                .unwrap();
-                for (x, f) in inputs.iter().zip(&fused) {
+                let fused = pool_block(&inputs, &kernels, &bias, window, &mut scratch, gemm_kernel)
+                    .unwrap();
+                let f_out = fused.len() / n;
+                for (x, f) in inputs.iter().zip(fused.chunks(f_out)) {
                     let activated = conv2d_valid(x, &kernels, &bias).unwrap().map(math::sigmoid);
                     let unfused = pool::maxpool2d_forward(&activated, window).unwrap();
-                    assert_eq!(unfused.dims(), f.dims());
-                    for (u, v) in unfused.data().iter().zip(f.data()) {
+                    assert_eq!(unfused.len(), f.len());
+                    for (u, v) in unfused.data().iter().zip(f) {
                         assert_eq!(u.to_bits(), v.to_bits(), "kernel {gemm_kernel:?}");
                     }
                 }
@@ -550,57 +600,131 @@ mod tests {
     }
 
     #[test]
-    fn pool_batch_validates_window() {
+    fn pool_block_validates_before_it_computes() {
         let mut scratch = ConvScratch::default();
+        let kernel = GemmKernel::default();
         let k = Tensor::ones(&[1, 1, 2, 2]);
         let xs = vec![Tensor::ones(&[1, 4, 4])]; // 3x3 output maps
         for window in [0usize, 2] {
-            assert!(conv2d_pool_batch(
-                &xs,
-                &k,
-                &[0.0],
-                window,
-                |_| (),
-                &mut scratch,
-                GemmKernel::default()
-            )
-            .is_err());
+            assert!(pool_block(&xs, &k, &[0.0], window, &mut scratch, kernel).is_err());
         }
-        let ok = conv2d_pool_batch(
-            &xs,
+        assert_eq!(
+            pool_block(&xs, &k, &[0.0], 3, &mut scratch, kernel)
+                .unwrap()
+                .len(),
+            1
+        );
+        // a row that is not [c_in, h, w], in tensors and in a block
+        let mixed = vec![Tensor::ones(&[1, 4, 4]), Tensor::ones(&[1, 5, 5])];
+        assert!(pool_block(&mixed, &k, &[0.0], 1, &mut scratch, kernel).is_err());
+        let mut dst = vec![0.0f32; 9];
+        let block = Rows::Block {
+            data: &[0.0; 15],
+            width: 15,
+        };
+        assert!(conv2d_pool_block(
+            block,
+            &[1, 4, 4],
             &k,
             &[0.0],
-            3,
-            |_| (),
+            1,
+            |_| {},
+            &mut dst,
             &mut scratch,
-            GemmKernel::default(),
+            kernel
         )
-        .unwrap();
-        assert_eq!(ok[0].dims(), &[1, 1, 1]);
-        assert!(conv2d_pool_batch(
-            &[],
+        .is_err());
+        // a destination that is not the output block
+        let mut short = vec![0.0f32; 8];
+        assert!(conv2d_pool_block(
+            Rows::Tensors(&xs),
+            &[1, 4, 4],
             &k,
             &[0.0],
-            2,
-            |_| (),
+            1,
+            |_| {},
+            &mut short,
             &mut scratch,
-            GemmKernel::default()
+            kernel
         )
-        .unwrap()
-        .is_empty());
+        .is_err());
+        // an empty batch is fine
+        assert!(conv2d_pool_block(
+            Rows::Tensors(&[]),
+            &[1, 4, 4],
+            &k,
+            &[0.0],
+            1,
+            |_| {},
+            &mut [],
+            &mut scratch,
+            kernel
+        )
+        .is_ok());
+    }
+
+    /// The kernel choice as the table it is: `x8_images(simd, n)` per
+    /// geometry class.
+    #[test]
+    fn x8_kernel_choice_as_a_table() {
+        let geometry = |side: usize, k: usize| {
+            BatchGeometry::check(&[1, side, side], &Tensor::ones(&[1, 1, k, k]), &[0.0]).unwrap()
+        };
+        // (output width, [(n, images through x8)])
+        let table: [(usize, [(usize, usize); 7]); 6] = [
+            // narrow: all of them, the remainder as a padded block
+            (
+                3,
+                [(0, 0), (1, 1), (7, 7), (8, 8), (9, 9), (16, 16), (257, 257)],
+            ),
+            (
+                7,
+                [(0, 0), (1, 1), (7, 7), (8, 8), (9, 9), (16, 16), (257, 257)],
+            ),
+            // full direct lanes: none (2C's 8 and 24)
+            (
+                8,
+                [(0, 0), (1, 0), (7, 0), (8, 0), (9, 0), (16, 0), (257, 0)],
+            ),
+            (
+                24,
+                [(0, 0), (1, 0), (7, 0), (8, 0), (9, 0), (16, 0), (257, 0)],
+            ),
+            // ragged direct lanes: full blocks only (3C's 10 and 26)
+            (
+                10,
+                [(0, 0), (1, 0), (7, 0), (8, 8), (9, 8), (16, 16), (257, 256)],
+            ),
+            (
+                26,
+                [(0, 0), (1, 0), (7, 0), (8, 8), (9, 8), (16, 16), (257, 256)],
+            ),
+        ];
+        for (ow, cases) in table {
+            let g = geometry(ow + 2, 3);
+            assert_eq!(g.ow, ow);
+            for (n, x8) in cases {
+                assert_eq!(g.x8_images(true, n), x8, "ow={ow} n={n}");
+                // the portable arm lowers the whole batch
+                assert_eq!(g.x8_images(false, n), 0, "ow={ow} n={n}, portable");
+            }
+        }
     }
 
     #[test]
-    fn im2col_into_validates_buffer() {
-        let x = Tensor::ones(&[1, 3, 3]);
-        let mut buf = vec![0.0f32; 4 * 4];
-        // block does not fit at offset 1 of a 4-column matrix
-        assert!(im2col_into(&x, 2, 2, &mut buf, 4, 1).is_err());
-        // wrong buffer size
-        let mut small = vec![0.0f32; 7];
-        assert!(im2col_into(&x, 2, 2, &mut small, 4, 0).is_err());
-        // valid at offset 0 matches im2col
-        assert!(im2col_into(&x, 2, 2, &mut buf, 4, 0).is_ok());
-        assert_eq!(buf, im2col(&x, 2, 2).unwrap().into_vec());
+    fn scratch_does_not_grow_for_a_smaller_batch() {
+        let k = Tensor::ones(&[2, 1, 3, 3]);
+        for kernel in GemmKernel::ALL {
+            let mut scratch = ConvScratch::default();
+            let big: Vec<Tensor> = (0..19)
+                .map(|i| Tensor::full(&[1, 12, 12], i as f32))
+                .collect();
+            pool_block(&big, &k, &[0.1, 0.2], 2, &mut scratch, kernel).unwrap();
+            let grown = scratch.capacity();
+            assert!(grown > 0);
+            pool_block(&big[..5], &k, &[0.1, 0.2], 2, &mut scratch, kernel).unwrap();
+            pool_block(&big[..9], &k, &[0.1, 0.2], 2, &mut scratch, kernel).unwrap();
+            assert_eq!(scratch.capacity(), grown, "{kernel:?}");
+        }
     }
 }

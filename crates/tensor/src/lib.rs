@@ -47,11 +47,13 @@ pub mod init;
 pub mod math;
 pub mod ops;
 pub mod pool;
+pub mod rows;
 pub mod shape;
 pub mod tensor;
 
 pub use error::TensorError;
 pub use gemm::GemmKernel;
+pub use rows::Rows;
 pub use shape::Shape;
 pub use tensor::Tensor;
 

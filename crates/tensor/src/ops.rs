@@ -6,6 +6,7 @@
 
 use crate::error::TensorError;
 use crate::gemm::{self, GemmKernel};
+use crate::rows::Rows;
 use crate::tensor::Tensor;
 use crate::Result;
 
@@ -230,14 +231,14 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 }
 
 /// Batched affine map `out[i] = W·rows[i] + b` into a preallocated buffer,
-/// evaluated by `kernel`'s body of [`gemm::gemm_nt`].
+/// evaluated by `kernel`'s body of [`gemm::gemm_nt_rows`].
 ///
-/// `rows` are the flattened input vectors of a batch (each of length
-/// `W.cols`), `w` is `[m, k]`, `bias` has `m` entries, and `out` must hold
-/// `rows.len()·m` values (row-major, one output row per input row). The
-/// per-element accumulation — `k` ascending, bias added after the dot
-/// product — is exactly [`matvec`]-then-bias for **both** arms of
-/// [`GemmKernel`], so results are bit-identical to the per-sample path
+/// `rows` are the flattened input vectors of a batch, read where they lie
+/// (each of length `W.cols`), `w` is `[m, k]`, `bias` has `m` entries, and
+/// `out` must hold `rows.len()·m` values (row-major, one output row per
+/// input row). The per-element accumulation — `k` ascending, bias added
+/// after the dot product — is exactly [`matvec`]-then-bias for **both** arms
+/// of [`GemmKernel`], so results are bit-identical to the per-sample path
 /// used by dense layers and classifier heads on every host (see
 /// [`crate::gemm`]).
 ///
@@ -246,7 +247,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// Returns [`TensorError::RankMismatch`] / [`TensorError::ShapeMismatch`] on
 /// operand disagreement.
 pub fn affine_rows_into(
-    rows: &[&[f32]],
+    rows: Rows<'_>,
     w: &Tensor,
     bias: &[f32],
     out: &mut [f32],
@@ -259,21 +260,13 @@ pub fn affine_rows_into(
         });
     }
     let (m, k) = (w.dims()[0], w.dims()[1]);
-    if bias.len() != m || out.len() != rows.len() * m {
+    if bias.len() != m || out.len() != rows.len() * m || !rows.all_have_width(k) {
         return Err(TensorError::ShapeMismatch {
             left: w.dims().to_vec(),
             right: vec![rows.len(), bias.len(), out.len()],
         });
     }
-    for row in rows {
-        if row.len() != k {
-            return Err(TensorError::ShapeMismatch {
-                left: w.dims().to_vec(),
-                right: vec![row.len()],
-            });
-        }
-    }
-    gemm::gemm_nt(kernel, k, rows, w.data(), bias, out);
+    gemm::gemm_nt_rows(kernel, k, rows, w.data(), bias, out);
     Ok(())
 }
 
@@ -294,30 +287,54 @@ pub fn affine_row(row: &[f32], wd: &[f32], k: usize, bias: &[f32], out: &mut [f3
     }
 }
 
-/// Numerically stable softmax over a flat vector.
+/// Numerically stable softmax of `x` into `out` — the definition;
+/// [`softmax`] is this over a tensor. Subtracts the maximum before
+/// exponentiating, so arbitrarily large logits do not overflow; sums the
+/// exponentials in index order. Empty in, nothing written.
 ///
-/// Subtracts the maximum before exponentiating, so arbitrarily large logits
-/// do not overflow. An empty input yields an empty output.
-pub fn softmax(x: &Tensor) -> Tensor {
-    if x.is_empty() {
-        return x.clone();
+/// # Panics
+///
+/// Panics when `out` is not as long as `x`.
+pub fn softmax_into(x: &[f32], out: &mut [f32]) {
+    assert_eq!(x.len(), out.len(), "softmax_into: out must match x");
+    let Some((&first, rest)) = x.split_first() else {
+        return;
+    };
+    let m = rest.iter().fold(first, |m, &v| m.max(v));
+    for (o, &v) in out.iter_mut().zip(x) {
+        *o = (v - m).exp();
     }
-    let m = x.max().expect("non-empty checked above");
-    let exps: Vec<f32> = x.data().iter().map(|&v| (v - m).exp()).collect();
-    let z: f32 = exps.iter().sum();
-    let data = exps.into_iter().map(|e| e / z).collect();
-    Tensor::from_vec(data, x.dims()).expect("softmax preserves shape")
+    let z: f32 = out.iter().sum();
+    for o in out {
+        *o /= z;
+    }
+}
+
+/// [`softmax_into`] over a flat tensor, as a new tensor of its shape. An
+/// empty input yields an empty output.
+pub fn softmax(x: &Tensor) -> Tensor {
+    let mut out = x.clone();
+    softmax_into(x.data(), out.data_mut());
+    out
+}
+
+/// Index of the maximum of `xs` (first occurrence; a later element replaces
+/// the running best only when strictly greater); `None` when empty.
+pub fn argmax(xs: &[f32]) -> Option<usize> {
+    let mut best = 0usize;
+    for (i, &v) in xs.iter().enumerate() {
+        if v > xs[best] {
+            best = i;
+        }
+    }
+    (!xs.is_empty()).then_some(best)
 }
 
 /// Shannon entropy (nats) of a probability vector.
 ///
 /// Zero-probability entries contribute zero (the `p log p → 0` limit).
-pub fn entropy(p: &Tensor) -> f32 {
-    p.data()
-        .iter()
-        .filter(|&&v| v > 0.0)
-        .map(|&v| -v * v.ln())
-        .sum()
+pub fn entropy(p: &[f32]) -> f32 {
+    p.iter().filter(|&&v| v > 0.0).map(|&v| -v * v.ln()).sum()
 }
 
 #[cfg(test)]
@@ -446,7 +463,7 @@ mod tests {
         let rows: Vec<&[f32]> = rows_data.iter().map(|r| r.as_slice()).collect();
         for kernel in crate::gemm::GemmKernel::ALL {
             let mut out = vec![0.0f32; rows.len() * 2];
-            affine_rows_into(&rows, &w, &bias, &mut out, kernel).unwrap();
+            affine_rows_into(Rows::Slices(&rows), &w, &bias, &mut out, kernel).unwrap();
             for (i, row) in rows_data.iter().enumerate() {
                 let x = t(row.clone(), &[3]);
                 let mut y = matvec(&w, &x).unwrap();
@@ -466,18 +483,18 @@ mod tests {
         let w = t(vec![1.0, 2.0], &[1, 2]);
         let row: &[f32] = &[1.0, 2.0];
         let mut out = vec![0.0f32; 1];
-        assert!(affine_rows_into(&[row], &w, &[0.0], &mut out, kernel).is_ok());
+        assert!(affine_rows_into(Rows::Slices(&[row]), &w, &[0.0], &mut out, kernel).is_ok());
         // wrong bias length
-        assert!(affine_rows_into(&[row], &w, &[0.0, 0.0], &mut out, kernel).is_err());
+        assert!(affine_rows_into(Rows::Slices(&[row]), &w, &[0.0, 0.0], &mut out, kernel).is_err());
         // wrong out length
         let mut bad_out = vec![0.0f32; 2];
-        assert!(affine_rows_into(&[row], &w, &[0.0], &mut bad_out, kernel).is_err());
+        assert!(affine_rows_into(Rows::Slices(&[row]), &w, &[0.0], &mut bad_out, kernel).is_err());
         // wrong row length
         let short: &[f32] = &[1.0];
-        assert!(affine_rows_into(&[short], &w, &[0.0], &mut out, kernel).is_err());
+        assert!(affine_rows_into(Rows::Slices(&[short]), &w, &[0.0], &mut out, kernel).is_err());
         // rank-1 weight
         let w1 = t(vec![1.0, 2.0], &[2]);
-        assert!(affine_rows_into(&[row], &w1, &[0.0], &mut out, kernel).is_err());
+        assert!(affine_rows_into(Rows::Slices(&[row]), &w1, &[0.0], &mut out, kernel).is_err());
     }
 
     #[test]
@@ -507,9 +524,9 @@ mod tests {
     #[test]
     fn entropy_extremes() {
         // one-hot: zero entropy
-        assert_eq!(entropy(&t(vec![1.0, 0.0, 0.0], &[3])), 0.0);
+        assert_eq!(entropy(&[1.0, 0.0, 0.0]), 0.0);
         // uniform over 4: ln 4
-        let e = entropy(&t(vec![0.25; 4], &[4]));
+        let e = entropy(&[0.25; 4]);
         assert!((e - 4.0f32.ln()).abs() < 1e-6);
     }
 }

@@ -233,16 +233,7 @@ impl Tensor {
 
     /// Index of the maximum element (first occurrence); `None` when empty.
     pub fn argmax(&self) -> Option<usize> {
-        if self.data.is_empty() {
-            return None;
-        }
-        let mut best = 0usize;
-        for (i, &v) in self.data.iter().enumerate() {
-            if v > self.data[best] {
-                best = i;
-            }
-        }
-        Some(best)
+        crate::ops::argmax(&self.data)
     }
 
     /// Squared L2 norm of all elements.

@@ -3,10 +3,10 @@
 //! Facade crate re-exporting every sub-crate of the workspace so that
 //! examples and downstream users can depend on a single crate:
 //!
-//! * [`tensor`] — minimal f32 tensor library (conv/pool primitives, batched
-//!   im2col/GEMM entry points with reusable scratch, and the GEMM
-//!   microkernels — one portable and one AVX2 body per shape, the host
-//!   deciding which runs ([`tensor::GemmKernel`])),
+//! * [`tensor`] — minimal f32 tensor library (conv/pool primitives, the
+//!   batched block-to-block convolution and affine entries with reusable
+//!   scratch, and the kernels under them — portable tiles and AVX2 bodies,
+//!   the host deciding which runs ([`tensor::GemmKernel`])),
 //! * [`nn`] — from-scratch CNN layers, losses and SGD trainer, plus
 //!   whole-batch forward passes ([`nn::batch`]),
 //! * [`dataset`] — synthetic MNIST generator (parallel over scoped threads)
@@ -77,23 +77,29 @@
 //!
 //! High-throughput streams should go through
 //! [`core::batch::BatchEvaluator`] (or `cdl_bench::classify_batch_parallel`
-//! for rayon chunking): one persistent evaluator with preallocated
-//! im2col/GEMM scratch pushes whole batches stage by stage, compacting the
-//! still-active subset after every confidence gate. Outputs are
-//! bit-identical to per-image [`core::network::CdlNetwork::classify`]
+//! for rayon chunking): one persistent evaluator pushes a whole batch
+//! stage by stage **as one block** — a contiguous `[n, features]` array
+//! ping-ponging between two grow-only arenas ([`nn::batch`]); the first
+//! stage reads the caller's tensors in place, each head is one GEMM over
+//! the block's rows, and after every confidence gate the still-active rows
+//! are compacted in place. No tensor is built per image per layer, and a
+//! warm batch allocates only its outputs (`tests/eval_allocs.rs`). Outputs
+//! are bit-identical to per-image [`core::network::CdlNetwork::classify`]
 //! (enforced by `tests/batch_equivalence.rs`).
 //!
-//! ## GEMM microkernels
+//! ## Kernels
 //!
-//! Both batched hot paths — the im2col convolution GEMM and the batched
-//! dense/head affine — run through `cdl_tensor::gemm`, which has **one
-//! portable body and one AVX2 body per GEMM shape** and lets the host
-//! pick: [`tensor::GemmKernel::Simd`] runs explicit 8-lane AVX2
-//! intrinsics with each lane owning one output element — separate
-//! mul+add, never FMA, so the rounding sequence stays the scalar one —
-//! where the CPU has AVX2, and the portable body everywhere else;
-//! [`tensor::GemmKernel::Reference`] is that portable body always (6×8 /
-//! 4×4 output tiles kept in registers across the whole k loop). Both
+//! Both batched hot paths — the convolution and the batched dense/head
+//! affine — run through `cdl_tensor::gemm`, which lets the host pick:
+//! [`tensor::GemmKernel::Simd`] runs explicit 8-lane AVX2 intrinsics with
+//! each lane owning one output element — separate mul+add, never FMA, so
+//! the rounding sequence stays the scalar one — where the CPU has AVX2,
+//! and the portable bodies everywhere else. Its convolutions never lower
+//! to a GEMM: eight images share a vector (lanes across images) wherever
+//! a row of the output map cannot fill the lanes of the per-image direct
+//! kernel, which takes the rest. [`tensor::GemmKernel::Reference`] is the
+//! portable arm always (im2col + 6×8 tiles for the convolution, 4×4 tiles
+//! for the affine, kept in registers across the whole k loop). Both
 //! accumulate each output element in the identical order (bias/k sequence
 //! preserved), so they are **bit-identical** — pinned by parity proptests
 //! against a naive triple loop, by the batch equivalence suites walking

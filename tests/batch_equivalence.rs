@@ -15,7 +15,7 @@ use cdl::core::network::CdlNetwork;
 use cdl::dataset::SyntheticMnist;
 use cdl::nn::network::Network;
 use cdl::nn::trainer::{train, LabelledSet, TrainConfig};
-use cdl::tensor::GemmKernel;
+use cdl::tensor::{GemmKernel, Tensor};
 use std::sync::OnceLock;
 
 /// Trains once, shares across the three tests (training dominates runtime).
@@ -139,6 +139,211 @@ fn batch_of_one_is_bit_identical_to_per_image() {
             assert_eq!(batched.len(), 1);
             let single = cdln.classify(image).expect("per-image pass");
             assert_eq!(batched[0], single, "kernel {kernel:?}");
+        }
+    }
+}
+
+/// The two committed benchmark models (MNIST_2C: 24- and 8-wide maps, the
+/// direct kernel; MNIST_3C: 26-, 10- and 3-wide maps, the lanes-across-images
+/// kernel and its remainders).
+fn committed_models() -> [(&'static str, CdlNetwork); 2] {
+    let load = |json: &str| {
+        serde_json::from_str::<cdl::core::persist::SavedCdl>(json)
+            .expect("committed model parses")
+            .restore()
+            .expect("committed model restores")
+    };
+    [
+        (
+            "mnist_2c",
+            load(include_str!("../benchmark/models/mnist_2c.json")),
+        ),
+        (
+            "mnist_3c",
+            load(include_str!("../benchmark/models/mnist_3c.json")),
+        ),
+    ]
+}
+
+/// Releases the process-global forced-fallback hook even when an assert
+/// unwinds (results are flip-immune, so tests running beside this one are
+/// unaffected either way).
+struct FallbackGuard;
+
+impl Drop for FallbackGuard {
+    fn drop(&mut self) {
+        cdl::tensor::gemm::force_simd_fallback(false);
+    }
+}
+
+/// A batch of `n` pool images of which exactly `reach[d - 1]` run `d` or
+/// more stages past the first (so `reach[0]` survive the first gate,
+/// `reach[1]` the second), spread through the batch rather than sorted, so
+/// compaction has holes to close on both sides of every block edge. `depth`
+/// is the oracle's `stages_activated - 1` per pool image.
+fn compose(pool: &[Tensor], depth: &[usize], n: usize, reach: &[usize]) -> Vec<Tensor> {
+    let mut taken = vec![0usize; reach.len() + 1];
+    let mut pick = |d: usize| {
+        let of_depth: Vec<usize> = (0..pool.len())
+            .filter(|&i| {
+                if d == reach.len() {
+                    depth[i] >= d
+                } else {
+                    depth[i] == d
+                }
+            })
+            .collect();
+        assert!(!of_depth.is_empty(), "pool has no image of depth {d}");
+        taken[d] += 1;
+        pool[of_depth[(taken[d] - 1) % of_depth.len()]].clone()
+    };
+    // how many images of each exact depth (the deepest class is "or more")
+    let mut want: Vec<usize> = Vec::new();
+    want.push(n - reach[0]);
+    for d in 0..reach.len() {
+        want.push(reach[d] - reach.get(d + 1).copied().unwrap_or(0));
+    }
+    let mut batch: Vec<Option<Tensor>> = vec![None; n];
+    // deepest first, each class strided through the free slots
+    let mut slot = 0;
+    for d in (0..want.len()).rev() {
+        for _ in 0..want[d] {
+            while batch[slot % n].is_some() {
+                slot += 1;
+            }
+            batch[slot % n] = Some(pick(d));
+            slot += 5;
+        }
+    }
+    batch.into_iter().map(Option::unwrap).collect()
+}
+
+/// The evaluator across the 8-image block edge: both committed models at
+/// batch sizes around one, two and many blocks, composed so that the
+/// survivor counts after the first and the second gate land on 0, 1, 7, 8
+/// and 9 — empty, lone, one short of a block, a block, one over — on both
+/// arms with the forced-fallback hook off and on, every output against the
+/// per-image oracle under the same override.
+#[test]
+fn survivor_counts_around_the_block_edge_are_bit_identical() {
+    use cdl::core::confidence::ExitOverride;
+    let pool = SyntheticMnist::default()
+        .generate_split(0, 700, 41)
+        .1
+        .images;
+    let _guard = FallbackGuard;
+    for (name, net) in committed_models() {
+        for ovr in [ExitOverride::NONE, ExitOverride::with_delta(0.93)] {
+            let oracle: Vec<_> = pool
+                .iter()
+                .map(|x| net.classify_with_override(x, ovr).expect("oracle"))
+                .collect();
+            let depth: Vec<usize> = oracle
+                .iter()
+                .map(|o| o.stages_activated as usize - 1)
+                .collect();
+            let gates = net.stage_count();
+            for n in [1usize, 7, 8, 9, 16, 17, 64, 257] {
+                // survivor counts per gate, non-increasing, within `n`
+                let counts: Vec<usize> = [0usize, 1, 7, 8, 9]
+                    .into_iter()
+                    .filter(|&s| s <= n)
+                    .collect();
+                let mut reaches: Vec<Vec<usize>> = counts.iter().map(|&s| vec![s]).collect();
+                for _ in 1..gates {
+                    reaches = reaches
+                        .into_iter()
+                        .flat_map(|r| {
+                            let last = *r.last().unwrap();
+                            counts
+                                .iter()
+                                .filter(move |&&s| s <= last)
+                                .map(move |&s| [r.clone(), vec![s]].concat())
+                                .collect::<Vec<_>>()
+                        })
+                        .collect();
+                }
+                for reach in reaches {
+                    let batch = compose(&pool, &depth, n, &reach);
+                    let want: Vec<_> = batch
+                        .iter()
+                        .map(|x| net.classify_with_override(x, ovr).expect("oracle"))
+                        .collect();
+                    for (gate, &survivors) in reach.iter().enumerate() {
+                        let seen = want
+                            .iter()
+                            .filter(|o| o.stages_activated as usize > gate + 1)
+                            .count();
+                        assert_eq!(seen, survivors, "{name} n={n} {reach:?}: gate {gate}");
+                    }
+                    for kernel in GemmKernel::ALL {
+                        for forced in [false, true] {
+                            cdl::tensor::gemm::force_simd_fallback(forced);
+                            let got = BatchEvaluator::with_kernel(&net, kernel)
+                                .classify_batch_with_override(&batch, ovr)
+                                .expect("batched pass");
+                            assert_eq!(
+                                got, want,
+                                "{name} n={n} survivors {reach:?} {ovr} {kernel:?} forced={forced}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A shed hook evicting a run of inputs that straddles a block edge (rows
+/// 6..=9 of 17 deep images) at every boundary: the evicted settle with the
+/// work they did, the rest — now lying in different lanes of different
+/// blocks than an unshed pass would put them in — stay bit-identical.
+#[test]
+fn shedding_across_a_block_edge_leaves_survivors_bit_identical() {
+    use cdl::core::batch::SheddableOutcome;
+    use cdl::core::confidence::ExitOverride;
+    let pool = SyntheticMnist::default()
+        .generate_split(0, 400, 43)
+        .1
+        .images;
+    // never exit early: every image is offered at every boundary
+    let ovr = ExitOverride::with_delta(1.0);
+    let _guard = FallbackGuard;
+    for (name, net) in committed_models() {
+        let batch = &pool[..17];
+        let want: Vec<_> = batch
+            .iter()
+            .map(|x| net.classify_with_override(x, ovr).expect("oracle"))
+            .collect();
+        for boundary in 1..=net.stage_count() {
+            for kernel in GemmKernel::ALL {
+                for forced in [false, true] {
+                    cdl::tensor::gemm::force_simd_fallback(forced);
+                    let got = BatchEvaluator::with_kernel(&net, kernel)
+                        .classify_stream_with_override_sheddable(
+                            batch,
+                            ovr,
+                            &mut |_, _| {},
+                            &mut |next_stage, idx| next_stage == boundary && (6..=9).contains(&idx),
+                        )
+                        .expect("sheddable pass");
+                    for (i, outcome) in got.iter().enumerate() {
+                        let what = format!(
+                            "{name} boundary {boundary} input {i} {kernel:?} forced={forced}"
+                        );
+                        match outcome {
+                            SheddableOutcome::Shed(partial) => {
+                                assert!((6..=9).contains(&i), "{what}: shed");
+                                assert_eq!(partial.stages_activated, boundary as u64, "{what}");
+                            }
+                            SheddableOutcome::Done(out) => {
+                                assert!(!(6..=9).contains(&i), "{what}: not shed");
+                                assert_eq!(*out, want[i], "{what}");
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 }
