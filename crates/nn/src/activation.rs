@@ -72,9 +72,9 @@ impl Activation {
 
     /// Applies the function to every element of `xs` in place: exactly
     /// `for v in xs { *v = self.apply(*v) }`, bit for bit, with `Sigmoid`
-    /// taking [`cdl_tensor::math::sigmoid_slice`] (8 AVX2 lanes at a time
-    /// where the host has them). This is what the batched layers and the
-    /// fused stage groups call.
+    /// taking [`cdl_tensor::math::sigmoid_slice`] (the same loop, compiled
+    /// for AVX2 where the host has it). This is what the batched layers and
+    /// the fused stage groups call.
     pub fn apply_slice(self, xs: &mut [f32]) {
         match self {
             Activation::Sigmoid => math::sigmoid_slice(xs),

@@ -70,10 +70,12 @@
 //! activations (864 instead of 3456 sigmoids for MNIST_2C's C1), and those
 //! as whole slices:
 //! [`Activation::apply_slice`](crate::activation::Activation::apply_slice)
-//! for the sigmoid is `cdl_tensor::math::sigmoid_slice` — 8 AVX2 lanes of
+//! for the sigmoid is `cdl_tensor::math::sigmoid_slice` — a plain loop over
 //! the same FMA-free polynomial `exp` the per-image `Activation::apply`
-//! evaluates one cell at a time, equal bit for bit (`cdl_tensor::math`'s
-//! sweep over all 2³² patterns). There is no second sigmoid.
+//! evaluates one cell at a time, compiled a second time for AVX2 where the
+//! vectoriser runs eight cells to a register, equal bit for bit because it
+//! is one source (`cdl_tensor::math`'s sweep over all 2³² patterns confirms
+//! it). There is no second sigmoid.
 //!
 //! Everything else runs layer by layer through
 //! [`Layer::forward_block`], in the

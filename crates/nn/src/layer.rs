@@ -57,8 +57,8 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
     /// image, for a batch of any size including one. The default body does
     /// literally that, image by image through tensors; layers with a
     /// genuinely batched form override it with a bit-identical one
-    /// (convolution: the lanes-across-images / direct kernels or one
-    /// im2col+GEMM; dense: one batched affine over the rows as they lie;
+    /// (convolution: the lanes-across-images and direct kernels; dense: one
+    /// batched affine over the rows as they lie;
     /// activation: the slice in place; flatten: a relabel). A layer that
     /// opens a fusable stage group may find the group's `(activation,
     /// max-pool window)` in [`Block::take_epilogue`]; a layer that takes it

@@ -1,88 +1,29 @@
-//! The batched convolution entry, and the im2col lowering behind its
-//! portable arm.
+//! The batched convolution entry. (No im2col lowering is left behind it;
+//! the module keeps its name only because `benchmark/` imports
+//! `cdl_tensor::im2col` — the rename rides with ROADMAP item 1.)
 //!
 //! [`conv2d_pool_block`] runs one `conv → max-pool → activation` stage over
 //! a whole batch, from a [`Rows`] of `[c_in, h, w]` images (the caller's
 //! tensors, or a block of an evaluator's arena) into a contiguous `[n, f]`
-//! block — no tensor is built per image. Which kernel convolves is decided
-//! once per batch by `BatchGeometry::x8_images`, from the arm, the host,
-//! the geometry and `n` alone:
+//! block — no tensor is built per image and nothing is lowered to a patch
+//! matrix. Which kernel convolves is decided once per batch by
+//! `BatchGeometry::x8_images`, from the geometry and `n` alone: blocks of
+//! eight images run the lanes-across-images kernel and single images the
+//! per-image direct kernel (both in [`crate::gemm`]). The [`GemmKernel`]
+//! argument picks only which compilation of those two kernels runs.
 //!
-//! * on the [`GemmKernel::Simd`] arm of an AVX2 host nothing is lowered:
-//!   blocks of eight images run the lanes-across-images kernel and single
-//!   images the per-image direct kernel (both in [`crate::gemm`]);
-//! * the im2col lowering — every image of the batch into one shared
-//!   `[C_in·k², N·oH·oW]` patch matrix, one [`gemm::gemm_nn`] over it — is
-//!   the **portable arm's only**: [`GemmKernel::Reference`], a host without
-//!   AVX2, the forced fallback.
-//!
-//! All three are bit-identical to the per-image reference
+//! Both are bit-identical to the per-image reference
 //! [`crate::conv::conv2d_valid`] → activation → [`pool::maxpool2d_forward`].
 //! [`conv2d_valid_batch`] is the tensors-in, tensors-out form of the same
 //! path (identity window, no activation).
 
 use crate::conv::{check_conv_bias, check_conv_operands, valid_out_size};
 use crate::error::TensorError;
-use crate::gemm::{self, GemmKernel, X8Scratch};
+use crate::gemm::{self, GemmKernel, Target, X8Scratch};
 use crate::pool;
 use crate::rows::Rows;
 use crate::tensor::Tensor;
 use crate::Result;
-
-/// Lowers a `[C_in, H, W]` input into the im2col patch matrix
-/// `[C_in·kH·kW, oH·oW]`: column `j` holds the receptive field of output
-/// pixel `j`, flattened channel-major.
-///
-/// # Errors
-///
-/// Returns [`TensorError::RankMismatch`] / [`TensorError::InvalidGeometry`]
-/// for malformed operands.
-pub fn im2col(input: &Tensor, kh: usize, kw: usize) -> Result<Tensor> {
-    if input.rank() != 3 {
-        return Err(TensorError::RankMismatch {
-            expected: 3,
-            actual: input.rank(),
-        });
-    }
-    let (c_in, h, w) = (input.dims()[0], input.dims()[1], input.dims()[2]);
-    let oh = valid_out_size(h, kh)?;
-    let ow = valid_out_size(w, kw)?;
-    let rows = c_in * kh * kw;
-    let cols = oh * ow;
-    let mut out = vec![0.0f32; rows * cols];
-    lower_image(input.data(), (c_in, h, w), (kh, kw), &mut out, cols, 0);
-    Tensor::from_vec(out, &[rows, cols])
-}
-
-/// Lowers one `[c_in, h, w]` image `x` into a **column block** of a larger
-/// patch matrix: `out` is the row-major buffer of a `[c_in·kh·kw,
-/// total_cols]` matrix and the image's `oh·ow` patch columns are written
-/// starting at column `col_offset`. The portable arm lowers every image of
-/// a batch into one shared matrix and runs a single GEMM. Operands are the
-/// caller's to check (a valid geometry, a block that fits).
-fn lower_image(
-    x: &[f32],
-    (c_in, h, w): (usize, usize, usize),
-    (kh, kw): (usize, usize),
-    out: &mut [f32],
-    total_cols: usize,
-    col_offset: usize,
-) {
-    let (oh, ow) = (h + 1 - kh, w + 1 - kw);
-    for c in 0..c_in {
-        for ky in 0..kh {
-            for kx in 0..kw {
-                let row = (c * kh + ky) * kw + kx;
-                let obase = row * total_cols + col_offset;
-                for oy in 0..oh {
-                    let xrow = c * h * w + (oy + ky) * w + kx;
-                    let orow = obase + oy * ow;
-                    out[orow..orow + ow].copy_from_slice(&x[xrow..xrow + ow]);
-                }
-            }
-        }
-    }
-}
 
 /// Reusable buffers of [`conv2d_pool_block`], whichever kernel it runs.
 /// Allocate once per evaluator, reuse per stage: they grow on first use and
@@ -90,10 +31,8 @@ fn lower_image(
 /// geometry never reallocate.
 #[derive(Debug, Default, Clone)]
 pub struct ConvScratch {
-    /// The portable arm's `[C_in·k², N·oH·oW]` patch matrix.
-    patches: Vec<f32>,
-    /// Raw maps awaiting their pool: the portable arm's `[C_out, N·oH·oW]`
-    /// GEMM result, or one image's `[C_out, oH, oW]` from the direct kernel.
+    /// One image's raw `[C_out, oH, oW]` maps from the direct kernel,
+    /// awaiting their pool.
     raw: Vec<f32>,
     /// The lanes-across-images kernel's interleaved buffers.
     x8: X8Scratch,
@@ -105,7 +44,7 @@ impl ConvScratch {
     /// Values the buffers can hold without growing — what "a later, smaller
     /// batch allocates nothing" is checked against.
     pub fn capacity(&self) -> usize {
-        self.patches.capacity() + self.raw.capacity() + self.x8.capacity() + self.block.capacity()
+        self.raw.capacity() + self.x8.capacity() + self.block.capacity()
     }
 }
 
@@ -147,67 +86,26 @@ impl BatchGeometry {
 
     /// **The kernel choice**: how many of a batch's `n` images — its
     /// leading ones, in blocks of eight — run the lanes-across-images
-    /// kernel, given `simd` (the [`GemmKernel::Simd`] arm on a host with
-    /// AVX2). The rest run the per-image direct kernel; with `simd` off the
-    /// whole batch is lowered instead. A pure function of the geometry and
-    /// `n`:
+    /// kernel; the rest run the per-image direct kernel. A pure function of
+    /// the geometry and `n`, the same on every host and arm (the numbers
+    /// are the AVX2 compilation's; `crate::gemm` has the baseline one's):
     ///
     /// * `ow < 8`: all `n` — the direct kernel cannot take the map, so the
-    ///   `n % 8` remainder is one zero-padded block (still ×2.4 over the
-    ///   lowering at four images on 3C's C3, ×0.7 at one);
+    ///   `n % 8` remainder is one zero-padded block (a lone image on 3C's C3
+    ///   pays eight images' work);
     /// * `ow % 8 == 0`: none — the direct kernel's lanes are already full
     ///   (2C's 24- and 8-wide maps measured ×0.89–1.08 under x8);
     /// * otherwise every **full** block of eight, the remainder per image: a
     ///   padded block loses to the direct kernel below about six images
     ///   (×0.58–0.71 at four, ×0.14–0.20 at one).
-    pub(crate) fn x8_images(&self, simd: bool, n: usize) -> usize {
-        if !simd || self.ow.is_multiple_of(8) {
+    pub(crate) fn x8_images(&self, n: usize) -> usize {
+        if self.ow.is_multiple_of(8) {
             0
         } else if self.ow < gemm::DIRECT_MIN_OW {
             n
         } else {
             n - n % 8
         }
-    }
-
-    /// Lowers the whole batch into `scratch.patches` and runs one GEMM
-    /// into `scratch.raw` (`[C_out, N·oH·oW]`: image `i`'s map `m` starts
-    /// at `m·N·oH·oW + i·oH·oW`). Accumulators are bias-seeded and `p`
-    /// ascends per element — the exact addition sequence of the direct
-    /// convolution.
-    fn lower_and_multiply(
-        &self,
-        src: Rows<'_>,
-        kernels: &Tensor,
-        bias: &[f32],
-        scratch: &mut ConvScratch,
-    ) {
-        let rows = self.c_in * self.kh * self.kw;
-        let total_cols = src.len() * self.cols_per();
-        // every cell of both is overwritten below (patches by the per-image
-        // lowering, raw by the GEMM), so stale contents never need zeroing
-        gemm::grow(&mut scratch.patches, rows * total_cols);
-        gemm::grow(&mut scratch.raw, self.c_out * total_cols);
-        let patches = &mut scratch.patches[..rows * total_cols];
-        for i in 0..src.len() {
-            lower_image(
-                src.row(i),
-                (self.c_in, self.h, self.w),
-                (self.kh, self.kw),
-                patches,
-                total_cols,
-                i * self.cols_per(),
-            );
-        }
-        gemm::gemm_nn(
-            self.c_out,
-            rows,
-            total_cols,
-            kernels.data(),
-            patches,
-            bias,
-            &mut scratch.raw[..self.c_out * total_cols],
-        );
     }
 }
 
@@ -271,24 +169,12 @@ pub fn conv2d_pool_block(
     if dst.is_empty() {
         return Ok(());
     }
-    // one image's raw maps (plane `m` at `m·plane_stride`) into its row
-    let finish = |raw: &[f32], plane_stride: usize, row: &mut [f32]| {
-        pool::maxpool2d_into(raw, (g.c_out, g.oh, g.ow), plane_stride, window, row);
-        activation(row);
-    };
-
-    let simd = kernel == GemmKernel::Simd && GemmKernel::simd_available();
-    if !simd {
-        g.lower_and_multiply(src, kernels, bias, scratch);
-        for (i, row) in dst.chunks_exact_mut(f_out).enumerate() {
-            finish(&scratch.raw[i * cols_per..], n * cols_per, row);
-        }
-        return Ok(());
-    }
-    let x8 = g.x8_images(simd, n);
+    let target = Target::pick(kernel);
+    let x8 = g.x8_images(n);
     for first in (0..x8).step_by(8) {
         let count = (x8 - first).min(8);
         gemm::conv2d_x8(
+            target,
             &g,
             src,
             first,
@@ -305,29 +191,16 @@ pub fn conv2d_pool_block(
     let raw = &mut scratch.raw[..g.c_out * cols_per];
     for (i, row) in dst.chunks_exact_mut(f_out).enumerate().skip(x8) {
         let direct = |out: &mut [f32]| {
-            gemm::conv2d_direct_simd(
-                src.row(i),
-                g.c_in,
-                g.h,
-                g.w,
-                kernels.data(),
-                g.c_out,
-                g.kh,
-                g.kw,
-                bias,
-                out,
-                g.oh,
-                g.ow,
-            )
+            gemm::conv2d_direct(target, &g, src.row(i), kernels.data(), bias, out)
         };
         if window == 1 {
             // the identity pool: convolve straight into the row
             direct(row);
-            activation(row);
         } else {
             direct(raw);
-            finish(raw, cols_per, row);
+            pool::maxpool2d_into(raw, (g.c_out, g.oh, g.ow), cols_per, window, row);
         }
+        activation(row);
     }
     Ok(())
 }
@@ -404,38 +277,19 @@ mod tests {
     }
 
     #[test]
-    fn im2col_known_layout() {
-        // 1 channel 3x3, 2x2 kernel -> 4 rows x 4 cols
-        let x = t((0..9).map(|v| v as f32).collect(), &[1, 3, 3]);
-        let p = im2col(&x, 2, 2).unwrap();
-        assert_eq!(p.dims(), &[4, 4]);
-        // column 0 = receptive field of output (0,0): pixels 0,1,3,4
-        let col = |j: usize| -> Vec<f32> { (0..4).map(|r| p.get(&[r, j]).unwrap()).collect() };
-        assert_eq!(col(0), vec![0.0, 1.0, 3.0, 4.0]);
-        // column 3 = output (1,1): pixels 4,5,7,8
-        assert_eq!(col(3), vec![4.0, 5.0, 7.0, 8.0]);
-    }
-
-    #[test]
-    fn validates_operands() {
-        let x = Tensor::ones(&[2, 4, 4]);
-        assert!(im2col(&Tensor::ones(&[4, 4]), 2, 2).is_err()); // rank
-        assert!(im2col(&x, 5, 5).is_err()); // kernel too big
-    }
-
-    #[test]
     fn batch_is_bit_identical_to_direct() {
         use rand::rngs::StdRng;
         use rand::{RngExt, SeedableRng};
         let mut rng = StdRng::seed_from_u64(11);
         for (n, c_in, c_out, k, size) in [
-            // 2C's C1, ow = 24: direct Simd path, 3 aligned vectors a row,
+            // 2C's C1, ow = 24: the direct kernel, 3 aligned vectors a row,
             // 72 positions in 2×3 tiles, OC blocks 3+3
             (1usize, 1usize, 6usize, 5usize, 28usize),
             // 2C's C2, ow = 8: one vector a row, every pair straddles a row
             // end, OC 3+3+3+3
             (4, 6, 12, 5, 12),
-            // ow = 5: narrow geometry — Simd lowers the batch instead
+            // ow = 5: narrow geometry — x8 for all nine, the last block
+            // padded
             (9, 3, 4, 3, 7),
             // ow = 10 with c_out = 2: overlapped last vector at ox = 2 and
             // the OC=2 block
@@ -471,9 +325,9 @@ mod tests {
                 for (x, b) in inputs.iter().zip(&batched) {
                     let direct = conv2d_valid(x, &kernels, &bias).unwrap();
                     assert_eq!(direct.dims(), b.dims());
-                    // bit-identical, not just close: the batched GEMM
-                    // replays the direct path's exact addition sequence,
-                    // whichever microkernel ran it
+                    // bit-identical, not just close: every kernel replays
+                    // the oracle's exact addition sequence, whichever
+                    // compilation ran it
                     for (dv, bv) in direct.data().iter().zip(b.data()) {
                         assert_eq!(dv.to_bits(), bv.to_bits(), "kernel {gemm_kernel:?}");
                     }
@@ -556,7 +410,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         for (n, c_in, c_out, k, size, window) in [
             // 2C's C1/P1 and C2/P2: `ow % 8 == 0`, the direct kernel for
-            // every image on the Simd arm
+            // every image
             (3usize, 1usize, 6usize, 5usize, 28usize, 2usize),
             (10, 6, 12, 5, 12, 2),
             // 3C's C1/P1 and C2/P2: one x8 block, then direct images
@@ -663,8 +517,8 @@ mod tests {
         .is_ok());
     }
 
-    /// The kernel choice as the table it is: `x8_images(simd, n)` per
-    /// geometry class.
+    /// The kernel choice as the table it is: `x8_images(n)` per geometry
+    /// class.
     #[test]
     fn x8_kernel_choice_as_a_table() {
         let geometry = |side: usize, k: usize| {
@@ -704,9 +558,7 @@ mod tests {
             let g = geometry(ow + 2, 3);
             assert_eq!(g.ow, ow);
             for (n, x8) in cases {
-                assert_eq!(g.x8_images(true, n), x8, "ow={ow} n={n}");
-                // the portable arm lowers the whole batch
-                assert_eq!(g.x8_images(false, n), 0, "ow={ow} n={n}, portable");
+                assert_eq!(g.x8_images(n), x8, "ow={ow} n={n}");
             }
         }
     }

@@ -7,14 +7,15 @@
 //! * a row-major, heap-allocated `f32` [`Tensor`] with a dynamic [`Shape`],
 //! * elementwise arithmetic and reductions ([`ops`]),
 //! * dense matrix–vector / matrix–matrix products ([`ops`]),
-//! * the GEMM microkernels of the batched hot paths ([`gemm`]): one
-//!   portable register-blocked body and one explicit-AVX2 body per shape,
-//!   bit-identical, the host deciding which runs ([`GemmKernel`]),
+//! * the kernels of the batched hot paths ([`gemm`]; the batched
+//!   convolution's entry is [`im2col`]): each written once over `[f32; 8]`
+//!   lane arrays and compiled twice, baseline and AVX2, bit-identical by
+//!   construction, the host deciding which runs ([`GemmKernel`]),
 //! * *valid* 2-D multi-channel convolution / cross-correlation and their
 //!   gradients ([`conv`]),
 //! * max- and mean-pooling with argmax bookkeeping for backprop ([`pool`]),
 //! * the workspace's logistic function — an FMA-free polynomial `exp`,
-//!   scalar and 8-lane AVX2, bit for bit ([`math`]),
+//!   written once, compiled twice ([`math`]),
 //! * weight initialisers (uniform, Xavier/Glorot, LeCun) ([`init`]).
 //!
 //! The layer zoo in `cdl-nn` is written against this crate; nothing here is

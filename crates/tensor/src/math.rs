@@ -1,6 +1,8 @@
 //! The workspace's exponential and logistic function: one operation
-//! sequence, written twice — scalar Rust (the definition) and its 8-lane
-//! AVX2 transcription — and equal bit for bit.
+//! sequence, written once — scalar Rust, the definition — and compiled
+//! twice: [`sigmoid_slice`] is a plain loop over it, instantiated for the
+//! build's baseline target and under `target_feature(enable = "avx2")`,
+//! where the vectoriser runs eight elements to a register.
 //!
 //! Every sigmoid of the cascade goes through here: `Activation::Sigmoid`
 //! (the per-image oracle, training, the batched layers and the fused stage
@@ -38,13 +40,14 @@
 //! # Why no FMA
 //!
 //! Every `a·b + c` above is a separate multiply and a separate add, two
-//! roundings, in both transcriptions — the rule `crate::gemm` already
-//! follows. A fused multiply-add rounds once, so a build or a host that
-//! fused *some* of them would change results; Rust never contracts `a * b +
-//! c` on its own and the AVX2 routine uses `_mm256_mul_ps` + `_mm256_add_ps`
-//! only. That is what lets a lane of [`sigmoid_slice`] equal [`sigmoid`] bit
-//! for bit on every host, including those without AVX2 (which run the scalar
-//! definition).
+//! roundings — the rule `crate::gemm` follows. A fused multiply-add rounds
+//! once, so a build or a host that fused *some* of them would change
+//! results; Rust never contracts `a * b + c` on its own, under any
+//! `target_feature`, and a vectoriser may only repartition independent
+//! elements, so every compilation of [`sigmoid_slice`]'s loop performs
+//! [`sigmoid`]'s operations in [`sigmoid`]'s order on each element: equal
+//! bits on every host by construction, confirmed over all 2³² patterns by
+//! `slice_is_bit_identical_to_scalar_exhaustive`.
 //!
 //! # Monotonicity is tested, not assumed
 //!
@@ -80,9 +83,16 @@
 //!
 //! Against `1/(1 + exp(−x))` evaluated in `f64` and rounded once, `sigmoid`
 //! is within 2 ulp on a sweep of `[−90, 90]` (the test allows 4). On the
-//! reference box the kernel alone takes ~0.5 µs per 864 values (MNIST_2C's
-//! pooled C1 maps) against ~2.2 µs for the libm formulation and ~1.0 µs for
-//! the scalar definition; CHANGES.md (PR 15) has the end-to-end runs.
+//! reference box the AVX2 compilation of the loop takes ~0.5 µs per 864
+//! values (MNIST_2C's pooled C1 maps) — instruction for instruction the
+//! vector loop of the hand-written intrinsics it replaced (PR 22: ×0.97–1.04
+//! in process) — against ~2.2 µs for the libm formulation and ~1.0 µs for
+//! the baseline compilation. The `len % 8` elements behind the last whole
+//! vector run one at a time (~5 ns each; 150 values: ×0.92 of the parent,
+//! whose tail was a 4-wide baseline loop); every slice the x8 convolution
+//! hands over is a multiple of eight. **The loop must stay the straight
+//! one**: written over chunks of eight the vectoriser picks the outer loop
+//! and interleaves the chunks with shuffles, ×1.6 slower at 864 values.
 
 use crate::gemm::GemmKernel;
 
@@ -137,9 +147,10 @@ const _: () = {
 /// normal number (never 0, subnormal or infinite); NaN gives NaN. Within
 /// 1 ulp of the exact value inside the clamp.
 ///
-/// This function **is the definition**: [`sigmoid_slice`]'s AVX2 lanes
-/// perform exactly this sequence (see the [module docs](self) for the
-/// algorithm and why it must not be "simplified" into fused operations).
+/// This function **is the definition**: every compilation of
+/// [`sigmoid_slice`] performs exactly this sequence per element (see the
+/// [module docs](self) for the algorithm and why it must not be
+/// "simplified" into fused operations).
 #[inline]
 pub const fn exp(x: f32) -> f32 {
     // NaN fails both comparisons and passes through
@@ -173,98 +184,36 @@ pub const fn sigmoid(x: f32) -> f32 {
 }
 
 /// Replaces every element of `xs` with its [`sigmoid`], **bit for bit**
-/// what `for v in xs { *v = sigmoid(*v) }` stores: on hosts with AVX2
-/// (asked through [`GemmKernel::simd_available`], so the
-/// `force_simd_fallback` test hook steers this too) whole groups of 8 go
-/// through the vector transcription and the `len % 8` tail through the
-/// scalar definition; elsewhere everything does.
+/// what `for v in xs { *v = sigmoid(*v) }` stores — it is that loop, in
+/// the AVX2 compilation on hosts with AVX2 (asked through
+/// [`GemmKernel::simd_available`], so the `force_simd_fallback` test hook
+/// steers this too) and in the baseline one elsewhere.
 pub fn sigmoid_slice(xs: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    let xs = if GemmKernel::simd_available() {
-        // SAFETY: `simd_available()` is true only when
-        // `is_x86_feature_detected!("avx2")` is (the forced-fallback hook
-        // can only turn it off), which is `sigmoid_vectors_avx2`'s one
-        // requirement.
-        unsafe { simd::sigmoid_vectors_avx2(xs) }
+    if GemmKernel::simd_available() {
+        // SAFETY: `simd_available()` is true only when `gemm::Target::pick`
+        // found AVX2 on this CPU.
+        #[cfg(target_arch = "x86_64")]
+        unsafe {
+            sigmoid_loop_avx2(xs)
+        };
     } else {
-        xs
-    };
+        sigmoid_loop(xs)
+    }
+}
+
+/// The one loop (module docs: it must stay this straight).
+#[inline(always)]
+fn sigmoid_loop(xs: &mut [f32]) {
     for v in xs {
         *v = sigmoid(*v);
     }
 }
 
-/// The 8-lane transcription of [`exp`] / [`sigmoid`].
+/// [`sigmoid_loop`] compiled for AVX2.
 #[cfg(target_arch = "x86_64")]
-mod simd {
-    use std::arch::x86_64::{
-        __m256, _mm256_add_epi32, _mm256_add_ps, _mm256_castps_si256, _mm256_castsi256_ps,
-        _mm256_div_ps, _mm256_loadu_ps, _mm256_max_ps, _mm256_min_ps, _mm256_mul_ps,
-        _mm256_set1_epi32, _mm256_set1_ps, _mm256_slli_epi32, _mm256_storeu_ps, _mm256_sub_ps,
-        _mm256_xor_ps,
-    };
-
-    use super::{BIAS, EXP_HI, EXP_LO, LN2_HI, LN2_LO, LOG2_E, MANTISSA_BITS, P, ROUND_MAGIC};
-
-    /// Lane width of one `__m256` vector of f32.
-    const LANES: usize = 8;
-
-    /// Activates the leading whole vectors of `xs` in place and returns the
-    /// `len % 8` elements it did not touch. Each cell is loaded, activated
-    /// and stored exactly once — an overlapped last vector (as the direct
-    /// conv kernel uses) would activate some cells twice.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2. Nothing is required of `xs`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn sigmoid_vectors_avx2(xs: &mut [f32]) -> &mut [f32] {
-        let one = _mm256_set1_ps(1.0);
-        let sign = _mm256_set1_ps(-0.0);
-        let mut chunks = xs.chunks_exact_mut(LANES);
-        for chunk in &mut chunks {
-            let ptr = chunk.as_mut_ptr();
-            // SAFETY: `chunk` is exactly `LANES` contiguous f32, so the
-            // unaligned 8-lane load and store stay inside it (the highest
-            // index touched over the whole call is `len − len % 8 − 1`).
-            let x = unsafe { _mm256_loadu_ps(ptr) };
-            // −x by flipping the sign bit, as scalar negation does
-            let e = exp_avx2(_mm256_xor_ps(x, sign));
-            let y = _mm256_div_ps(one, _mm256_add_ps(one, e));
-            // SAFETY: as for the load above.
-            unsafe { _mm256_storeu_ps(ptr, y) };
-        }
-        chunks.into_remainder()
-    }
-
-    /// [`super::exp`] on 8 lanes: the same operations in the same order,
-    /// each `_mm256_*` call standing for the scalar line beside it.
-    #[target_feature(enable = "avx2")]
-    fn exp_avx2(x: __m256) -> __m256 {
-        // min/max return their *second* operand when either is NaN, which
-        // is the scalar `if x > hi { hi } else { x }`
-        let x = _mm256_min_ps(_mm256_set1_ps(EXP_HI), x);
-        let x = _mm256_max_ps(_mm256_set1_ps(EXP_LO), x);
-        let magic = _mm256_set1_ps(ROUND_MAGIC);
-        let shifted = _mm256_add_ps(_mm256_mul_ps(x, _mm256_set1_ps(LOG2_E)), magic);
-        let k = _mm256_sub_ps(shifted, magic);
-        let r = _mm256_sub_ps(
-            _mm256_sub_ps(x, _mm256_mul_ps(k, _mm256_set1_ps(LN2_HI))),
-            _mm256_mul_ps(k, _mm256_set1_ps(LN2_LO)),
-        );
-        let mut p = _mm256_set1_ps(P[0]);
-        for c in &P[1..] {
-            p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(*c));
-        }
-        let e = _mm256_add_ps(
-            _mm256_add_ps(_mm256_mul_ps(p, _mm256_mul_ps(r, r)), r),
-            _mm256_set1_ps(1.0),
-        );
-        let scale = _mm256_castsi256_ps(_mm256_slli_epi32::<{ MANTISSA_BITS as i32 }>(
-            _mm256_add_epi32(_mm256_castps_si256(shifted), _mm256_set1_epi32(BIAS as i32)),
-        ));
-        _mm256_mul_ps(e, scale)
-    }
+#[target_feature(enable = "avx2")]
+fn sigmoid_loop_avx2(xs: &mut [f32]) {
+    sigmoid_loop(xs)
 }
 
 #[cfg(test)]
@@ -278,9 +227,9 @@ mod tests {
 
     /// Feeds the bit patterns `nth(0..count)` through [`sigmoid_slice`] in
     /// slices of `BLOCK + t` values that start `BLOCK` apart — so every
-    /// pattern sits in a vector lane once and the patterns behind it in a
-    /// scalar tail — and compares each cell with [`sigmoid`]: the same
-    /// bits, or NaN for NaN.
+    /// pattern sits in the vectorised part of a slice once and the patterns
+    /// behind it in its remainder — and compares each cell with
+    /// [`sigmoid`]: the same bits, or NaN for NaN.
     fn assert_slice_matches_scalar(count: u64, nth: impl Fn(u64) -> u32) {
         let mut input: Vec<f32> = Vec::new();
         let mut got: Vec<f32> = Vec::new();
@@ -304,7 +253,7 @@ mod tests {
         }
     }
 
-    /// Runs `check` with the AVX2 path as the host has it, then with the
+    /// Runs `check` on the compilation the host picks, then with the
     /// fallback forced.
     fn with_and_without_simd(check: impl Fn()) {
         let _guard = DetectionGuard::lock();

@@ -5,8 +5,9 @@
 //!
 //! * [`tensor`] — minimal f32 tensor library (conv/pool primitives, the
 //!   batched block-to-block convolution and affine entries with reusable
-//!   scratch, and the kernels under them — portable tiles and AVX2 bodies,
-//!   the host deciding which runs ([`tensor::GemmKernel`])),
+//!   scratch, and the kernels under them — one body each, compiled for the
+//!   baseline target and for AVX2, the host deciding which runs
+//!   ([`tensor::GemmKernel`])),
 //! * [`nn`] — from-scratch CNN layers, losses and SGD trainer, plus
 //!   whole-batch forward passes ([`nn::batch`]),
 //! * [`dataset`] — synthetic MNIST generator (parallel over scoped threads)
@@ -90,22 +91,26 @@
 //! ## Kernels
 //!
 //! Both batched hot paths — the convolution and the batched dense/head
-//! affine — run through `cdl_tensor::gemm`, which lets the host pick:
-//! [`tensor::GemmKernel::Simd`] runs explicit 8-lane AVX2 intrinsics with
-//! each lane owning one output element — separate mul+add, never FMA, so
-//! the rounding sequence stays the scalar one — where the CPU has AVX2,
-//! and the portable bodies everywhere else. Its convolutions never lower
-//! to a GEMM: eight images share a vector (lanes across images) wherever
-//! a row of the output map cannot fill the lanes of the per-image direct
-//! kernel, which takes the rest. [`tensor::GemmKernel::Reference`] is the
-//! portable arm always (im2col + 6×8 tiles for the convolution, 4×4 tiles
-//! for the affine, kept in registers across the whole k loop). Both
-//! accumulate each output element in the identical order (bias/k sequence
-//! preserved), so they are **bit-identical** — pinned by parity proptests
-//! against a naive triple loop, by the batch equivalence suites walking
-//! `GemmKernel::ALL`, and by the golden vectors of `tests/golden.rs`,
-//! which hold both arms (forced fallback included) to committed bits for
-//! the two benchmark models. Nobody configures the kernel: every
+//! affine — run through `cdl_tensor::gemm`, where every hot body is written
+//! once, in plain Rust over `[f32; 8]` lane arrays with each lane owning one
+//! output element — separate mul+add, never FMA, so the rounding sequence
+//! stays the scalar one — and compiled twice; the host picks.
+//! [`tensor::GemmKernel::Simd`] runs the AVX2 compilation where the CPU has
+//! AVX2 and the baseline one everywhere else;
+//! [`tensor::GemmKernel::Reference`] is the baseline compilation always.
+//! Both arms run the same kernels. No convolution is lowered to a GEMM:
+//! eight images share a vector (lanes across images) wherever a row of the
+//! output map cannot fill the lanes of the per-image direct kernel, which
+//! takes the rest. (Two measured exceptions to "one body": the 8×8
+//! transposes of the x8 pack keep AVX shuffles, and the affine's baseline
+//! arm keeps 4×4 register tiles where the AVX2 arm packs weights `[k × 8]`.)
+//! The arms accumulate each output element in the identical order because
+//! they are one source, so they are **bit-identical** — held to the
+//! specification by parity proptests against a naive triple loop, by the
+//! batch equivalence suites walking `GemmKernel::ALL`, and by the golden
+//! vectors of `tests/golden.rs`, which hold both arms (forced fallback
+//! included) to committed bits for the two benchmark models. Nobody
+//! configures the kernel: every
 //! evaluator asks `GemmKernel::detect()` at construction and the serving
 //! stack has no option for it;
 //! [`core::batch::BatchEvaluator::with_kernel`] exists only so a parity
