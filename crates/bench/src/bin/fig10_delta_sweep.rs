@@ -4,7 +4,7 @@ use cdl_bench::experiments::fig10;
 use cdl_bench::pipeline::{prepare_pair, ExperimentConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
-    let mut pair = prepare_pair(&ExperimentConfig::from_env())?;
-    print!("{}", fig10::render(&fig10::run(&mut pair)?));
+    let pair = prepare_pair(&ExperimentConfig::from_env())?;
+    print!("{}", fig10::render(&fig10::run(&pair)?));
     Ok(())
 }

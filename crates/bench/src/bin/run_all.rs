@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     println!("{arch_report}");
     save_report("table1_2_arch", &arch_report)?;
 
-    let mut pair = prepare_pair(&cfg)?;
+    let pair = prepare_pair(&cfg)?;
 
     let fig5_result = fig5::run(&pair)?;
     for (name, render) in [
@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         save_report(name, &render)?;
     }
 
-    let delta_points = fig10::run(&mut pair)?;
+    let delta_points = fig10::run(&pair)?;
     let render = fig10::render(&delta_points);
     println!("{render}");
     save_report("fig10_delta_sweep", &render)?;

@@ -1,4 +1,5 @@
-//! Ablations beyond the paper's figures (DESIGN.md §5):
+//! Ablations beyond the paper's figures (saved by `--bin run_all` as
+//! `ablation_*.txt` / `analysis_oracle.txt`):
 //!
 //! * **confidence policy** — the paper leaves the confidence measure open
 //!   ("class probabilities or distance from the decision boundary"); this
@@ -7,13 +8,44 @@
 //! * **head training budget** — LMS epochs vs CDLN accuracy/ops, probing
 //!   the paper's claim that the linear classifiers converge quickly.
 
+use cdl_core::batch::BatchEvaluator;
 use cdl_core::builder::{BuilderConfig, CdlBuilder};
 use cdl_core::confidence::ConfidencePolicy;
 use cdl_core::head::LmsConfig;
-use cdl_core::stats::evaluate;
+use cdl_core::stats::{evaluate, replay};
 use cdl_hw::EnergyModel;
 
 use crate::pipeline::{BenchError, ExperimentConfig, PreparedPair};
+
+/// One table row per `(name, per-stage schedule)`: the 8-layer CDLN's test
+/// set is traced once and each schedule is a [`replay`] of that trace (a
+/// schedule shorter than the cascade reuses its last entry, as
+/// `CdlNetwork::classify_with_schedule` does).
+fn policy_rows(
+    pair: &PreparedPair,
+    width: usize,
+    rows: &[(String, Vec<ConfidencePolicy>)],
+) -> Result<String, BenchError> {
+    let trace = BatchEvaluator::new(&pair.net_3c.cdl).trace(&pair.test_set.images)?;
+    let model = EnergyModel::cmos_45nm();
+    let mut out = String::new();
+    for (name, schedule) in rows {
+        let report = replay(
+            &trace,
+            &pair.test_set.labels,
+            |stage| schedule[stage.min(schedule.len() - 1)],
+            &model,
+        )?;
+        out.push_str(&format!(
+            "{:<width$} {:>9.2}% {:>12.3} {:>9.1}%\n",
+            name,
+            report.accuracy * 100.0,
+            report.normalized_ops,
+            report.fc_fraction() * 100.0,
+        ));
+    }
+    Ok(out)
+}
 
 /// Compares termination policies on the prepared 8-layer CDLN.
 ///
@@ -21,7 +53,6 @@ use crate::pipeline::{BenchError, ExperimentConfig, PreparedPair};
 ///
 /// Propagates evaluation errors.
 pub fn confidence_policies(pair: &PreparedPair) -> Result<String, BenchError> {
-    let model = EnergyModel::cmos_45nm();
     let mut out = String::from("=== Ablation: confidence policy (8-layer CDLN) ===\n\n");
     out.push_str(&format!(
         "{:<28} {:>10} {:>12} {:>10}\n",
@@ -37,31 +68,8 @@ pub fn confidence_policies(pair: &PreparedPair) -> Result<String, BenchError> {
         ConfidencePolicy::entropy(0.5),
         ConfidencePolicy::entropy(0.2),
     ];
-    for policy in policies {
-        let mut correct = 0usize;
-        let mut ops_sum = 0.0f64;
-        let mut fc = 0usize;
-        for (img, &label) in pair.test_set.images.iter().zip(&pair.test_set.labels) {
-            let o = pair.net_3c.cdl.classify_with_policy(img, policy)?;
-            if o.label == label {
-                correct += 1;
-            }
-            ops_sum += o.ops.compute_ops() as f64;
-            if !o.exited_early {
-                fc += 1;
-            }
-        }
-        let n = pair.test_set.len() as f64;
-        let base = pair.net_3c.cdl.baseline_ops().compute_ops() as f64;
-        out.push_str(&format!(
-            "{:<28} {:>9.2}% {:>12.3} {:>9.1}%\n",
-            policy.to_string(),
-            correct as f64 / n * 100.0,
-            ops_sum / n / base,
-            fc as f64 / n * 100.0,
-        ));
-    }
-    let _ = model;
+    let rows: Vec<_> = policies.map(|p| (p.to_string(), vec![p])).into();
+    out.push_str(&policy_rows(pair, 28, &rows)?);
     out.push_str(
         "\nshape to check: all policies trace the same frontier; the per-class sigmoid\n\
          reading (the paper's) and margin give the best accuracy at comparable ops.\n",
@@ -82,50 +90,17 @@ pub fn policy_schedules(pair: &PreparedPair) -> Result<String, BenchError> {
         "{:<32} {:>10} {:>12} {:>10}\n",
         "schedule", "accuracy", "norm. #OPS", "FC frac."
     ));
-    let schedules: [(&str, Vec<ConfidencePolicy>); 4] = [
-        ("uniform δ=0.5", vec![ConfidencePolicy::sigmoid_prob(0.5)]),
-        (
-            "strict early (0.8, 0.4)",
-            vec![
-                ConfidencePolicy::sigmoid_prob(0.8),
-                ConfidencePolicy::sigmoid_prob(0.4),
-            ],
-        ),
-        (
-            "lax early (0.4, 0.8)",
-            vec![
-                ConfidencePolicy::sigmoid_prob(0.4),
-                ConfidencePolicy::sigmoid_prob(0.8),
-            ],
-        ),
-        (
-            "very strict O1 (0.95, 0.5)",
-            vec![
-                ConfidencePolicy::sigmoid_prob(0.95),
-                ConfidencePolicy::sigmoid_prob(0.5),
-            ],
-        ),
+    let schedule = |name: &str, deltas: &[f32]| {
+        let policies = deltas.iter().map(|&d| ConfidencePolicy::sigmoid_prob(d));
+        (name.to_string(), policies.collect())
+    };
+    let rows = [
+        schedule("uniform δ=0.5", &[0.5]),
+        schedule("strict early (0.8, 0.4)", &[0.8, 0.4]),
+        schedule("lax early (0.4, 0.8)", &[0.4, 0.8]),
+        schedule("very strict O1 (0.95, 0.5)", &[0.95, 0.5]),
     ];
-    let base = pair.net_3c.cdl.baseline_ops().compute_ops() as f64;
-    let n = pair.test_set.len() as f64;
-    for (name, schedule) in schedules {
-        let mut correct = 0usize;
-        let mut ops_sum = 0.0f64;
-        let mut fc = 0usize;
-        for (img, &label) in pair.test_set.images.iter().zip(&pair.test_set.labels) {
-            let o = pair.net_3c.cdl.classify_with_schedule(img, &schedule)?;
-            correct += (o.label == label) as usize;
-            ops_sum += o.ops.compute_ops() as f64;
-            fc += (!o.exited_early) as usize;
-        }
-        out.push_str(&format!(
-            "{:<32} {:>9.2}% {:>12.3} {:>9.1}%\n",
-            name,
-            correct as f64 / n * 100.0,
-            ops_sum / n / base,
-            fc as f64 / n * 100.0,
-        ));
-    }
+    out.push_str(&policy_rows(pair, 32, &rows)?);
     out.push_str(
         "\nshape to check: per-stage schedules trace points between the uniform-δ\n\
          extremes — a strictly-gated O1 buys accuracy at moderate extra ops.\n",

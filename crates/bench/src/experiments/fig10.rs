@@ -27,15 +27,16 @@ pub fn delta_grid() -> Vec<f32> {
     (1..=19).map(|i| i as f32 * 0.05).collect()
 }
 
-/// Runs the δ sweep on the prepared 8-layer CDLN.
+/// Runs the δ sweep on the prepared 8-layer CDLN (one pass of the network;
+/// every grid point is read off the same trace).
 ///
 /// # Errors
 ///
 /// Propagates evaluation errors.
-pub fn run(pair: &mut PreparedPair) -> Result<Vec<DeltaPoint>, BenchError> {
+pub fn run(pair: &PreparedPair) -> Result<Vec<DeltaPoint>, BenchError> {
     let deltas = delta_grid();
     Ok(delta_sweep(
-        &mut pair.net_3c.cdl,
+        &pair.net_3c.cdl,
         &pair.test_set,
         &deltas,
         &EnergyModel::cmos_45nm(),

@@ -1,4 +1,5 @@
-//! One module per table/figure of the paper's evaluation (DESIGN.md §4).
+//! One module per table/figure of the paper's evaluation — the list below is
+//! the index; each has a binary of the same name under `src/bin/`.
 //!
 //! Every experiment returns its rendered report as a `String` (the binaries
 //! print it; `run_all` also writes each to `target/cdl-results/`).

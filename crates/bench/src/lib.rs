@@ -8,8 +8,9 @@
 //! cargo run --release -p cdl-bench --bin fig5_ops_per_digit
 //! ```
 //!
-//! prints the reproduction of Fig. 5, and so on (see DESIGN.md §4 for the
-//! full index, and `--bin run_all` for the whole evaluation in one go).
+//! prints the reproduction of Fig. 5, and so on (the [`experiments`] module
+//! docs are the full index, and `--bin run_all` runs the whole evaluation in
+//! one go).
 //!
 //! The [`pipeline`] module holds the shared train-once logic: baselines are
 //! trained and heads built through Algorithm 1, then cached on disk
@@ -31,4 +32,4 @@
 pub mod experiments;
 pub mod pipeline;
 
-pub use pipeline::{classify_batch_parallel, ExperimentConfig, Prepared, PreparedPair};
+pub use pipeline::{ExperimentConfig, Prepared, PreparedPair};

@@ -4,11 +4,10 @@
 use std::path::PathBuf;
 
 use cdl_core::arch::{self, CdlArchitecture};
-use cdl_core::batch::BatchEvaluator;
 use cdl_core::builder::{BuilderConfig, CdlBuilder, StageReport};
 use cdl_core::confidence::ConfidencePolicy;
 use cdl_core::head::LinearClassifier;
-use cdl_core::network::{CdlNetwork, CdlOutput};
+use cdl_core::network::CdlNetwork;
 use cdl_dataset::idx;
 use cdl_dataset::SyntheticMnist;
 use cdl_nn::network::Network;
@@ -341,50 +340,6 @@ pub fn train_demo_model(
         .into_network())
 }
 
-/// Batched, data-parallel early-exit inference over an image stream.
-///
-/// Splits `images` into chunks of `chunk_size` and groups the chunks into
-/// one contiguous run per rayon worker, so each worker drives a **single**
-/// [`BatchEvaluator`] across all of its chunks — the arenas and kernel scratch are
-/// allocated once per worker, not once per chunk. Outputs come back in
-/// input order and are bit-identical to [`CdlNetwork::classify`] on the
-/// same image — this is the serving-path entry point the experiment
-/// binaries and benches share.
-///
-/// # Errors
-///
-/// Propagates layer/head evaluation errors from any chunk.
-pub fn classify_batch_parallel(
-    cdl: &CdlNetwork,
-    images: &[Tensor],
-    chunk_size: usize,
-) -> Result<Vec<CdlOutput>, BenchError> {
-    use rayon::prelude::*;
-    if images.is_empty() {
-        return Ok(Vec::new());
-    }
-    let chunks: Vec<&[Tensor]> = images.chunks(chunk_size.max(1)).collect();
-    let workers = rayon::current_num_threads().max(1);
-    let per_group = chunks.len().div_ceil(workers);
-    let groups: Vec<&[&[Tensor]]> = chunks.chunks(per_group).collect();
-    let group_results: Vec<cdl_core::Result<Vec<CdlOutput>>> = groups
-        .into_par_iter()
-        .map(|group| {
-            let mut eval = BatchEvaluator::new(cdl);
-            let mut outs = Vec::new();
-            for chunk in group {
-                outs.extend(eval.classify_batch(chunk)?);
-            }
-            Ok(outs)
-        })
-        .collect();
-    let mut out = Vec::with_capacity(images.len());
-    for r in group_results {
-        out.extend(r?);
-    }
-    Ok(out)
-}
-
 /// Prepares both paper architectures on one shared dataset (training them in
 /// parallel on first run).
 ///
@@ -480,34 +435,5 @@ mod tests {
         );
         std::env::remove_var("CDL_CACHE_DIR");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn parallel_batch_matches_per_image() {
-        let cfg = tiny_cfg();
-        let (train_set, test_set) = cfg.datasets();
-        let arch = arch::mnist_3c();
-        let mut base = cdl_nn::network::Network::from_spec(&arch.spec, cfg.seed).unwrap();
-        cdl_nn::trainer::train(&mut base, &train_set, &cfg.train_config()).unwrap();
-        let cdl = CdlBuilder::new(arch, cfg.policy())
-            .build(
-                base,
-                &train_set,
-                &BuilderConfig {
-                    force_admit_all: true,
-                    ..BuilderConfig::default()
-                },
-            )
-            .unwrap()
-            .into_network();
-        // chunked-parallel outputs must be bit-identical to the scalar loop,
-        // independent of the chunk size
-        for chunk in [7usize, 32, 1000] {
-            let batched = classify_batch_parallel(&cdl, &test_set.images, chunk).unwrap();
-            assert_eq!(batched.len(), test_set.len());
-            for (img, out) in test_set.images.iter().zip(&batched) {
-                assert_eq!(*out, cdl.classify(img).unwrap());
-            }
-        }
     }
 }

@@ -147,8 +147,8 @@ pub fn mnist_2c_full() -> CdlArchitecture {
 /// after `P2` (150 features).
 ///
 /// The paper lists `P3` as "3×3, 9 maps" following a 3×3 `C3` output — a
-/// size-preserving stage, modelled here as a 1×1 (identity) pool; see
-/// DESIGN.md §7.
+/// size-preserving stage, modelled here as a 1×1 (identity) pool (the
+/// `table1_2_arch` report of `cdl-bench` prints the resulting shapes).
 pub fn mnist_3c() -> CdlArchitecture {
     CdlArchitecture {
         name: "MNIST_3C".into(),

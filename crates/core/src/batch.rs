@@ -23,6 +23,25 @@
 //! `batch_equivalence` integration test and the `cdl-tensor` property
 //! tests).
 //!
+//! # The trace: δ is a runtime knob
+//!
+//! The activation module is the only thing δ touches — the heads' outputs do
+//! not depend on it — so analysis that asks "what would the cascade do
+//! under *this* policy" never has to run the network again.
+//! [`BatchEvaluator::trace`] sends the batch through every stage of the same
+//! loop with a gate that lets nothing exit and keeps, per input, every
+//! head's raw score row and the final layer's output row — one float per
+//! input, stage (plus the final layer) and class, 1.2 MB for the paper's
+//! 10 k test images — beside the network's cumulative-ops table.
+//! [`CascadeTrace::outputs`] then replays any policy kind, δ, per-stage
+//! schedule or depth cap as a pure function of those rows — the same gate
+//! over the same bits, so each [`CdlOutput`] equals the per-image cascade's
+//! — and the final row's arg-max *is* the baseline's label. Every δ sweep,
+//! calibration, ablation and oracle bound in [`crate::stats`],
+//! [`crate::sweep`] and [`crate::calibrate`] is one trace plus replays; the
+//! per-image [`CdlNetwork::classify`] family does no work outside tests,
+//! where it is the reference every batched answer is compared with.
+//!
 //! ```no_run
 //! use cdl_core::batch::BatchEvaluator;
 //! # fn demo(cdln: cdl_core::network::CdlNetwork, images: Vec<cdl_tensor::Tensor>)
@@ -39,7 +58,7 @@ use cdl_nn::batch::BatchScratch;
 use cdl_tensor::gemm::GemmKernel;
 use cdl_tensor::{ops, Tensor};
 
-use crate::confidence::{ConfidencePolicy, ExitOverride};
+use crate::confidence::{ConfidencePolicy, Decision, ExitOverride};
 use crate::error::CdlError;
 use crate::network::{CdlNetwork, CdlOutput};
 use crate::Result;
@@ -142,21 +161,7 @@ impl<'a> BatchEvaluator<'a> {
     ///
     /// Propagates layer/head evaluation errors.
     pub fn classify_batch(&mut self, inputs: &[Tensor]) -> Result<Vec<CdlOutput>> {
-        self.classify_batch_with_policy(inputs, self.net.policy())
-    }
-
-    /// Classifies a batch under an explicit policy (for δ sweeps).
-    ///
-    /// # Errors
-    ///
-    /// Propagates layer/head evaluation errors.
-    pub fn classify_batch_with_policy(
-        &mut self,
-        inputs: &[Tensor],
-        policy: ConfidencePolicy,
-    ) -> Result<Vec<CdlOutput>> {
-        self.classify_chunk(inputs, policy, None, &mut |_, _| {}, &mut never_shed)
-            .map(into_done)
+        self.classify_batch_with_override(inputs, ExitOverride::NONE)
     }
 
     /// Classifies a batch with per-request [`ExitOverride`]s (δ replacement
@@ -176,15 +181,9 @@ impl<'a> BatchEvaluator<'a> {
         inputs: &[Tensor],
         ovr: ExitOverride,
     ) -> Result<Vec<CdlOutput>> {
-        let policy = self.effective_policy(ovr)?;
-        self.classify_chunk(
-            inputs,
-            policy,
-            ovr.max_stage,
-            &mut |_, _| {},
-            &mut never_shed,
-        )
-        .map(into_done)
+        let mut gate = policy_gate(self.effective_policy(ovr)?, ovr.max_stage);
+        self.classify_chunk(inputs, &mut gate, &mut |_, _| {}, &mut never_shed)
+            .map(into_done)
     }
 
     /// The network's policy with `ovr` applied, validated.
@@ -194,16 +193,21 @@ impl<'a> BatchEvaluator<'a> {
         Ok(policy)
     }
 
-    /// One pass of the whole of `inputs` through the cascade under `policy`
-    /// and the depth cap `force_exit_at` — the routine every entry point
-    /// ends in. `observer` and `shed` are the hooks documented on
+    /// One pass of the whole of `inputs` through the cascade — the one
+    /// segment → head → gate loop, which every entry point ends in. The
+    /// exit test is the parameter: `gate(stage, scores, probs)` is shown
+    /// each still-active input's score row at `stage`, in input order
+    /// (`probs` is the evaluator's softmax work row), and settles the input
+    /// there with the decision it returns or, with `None`, sends it on.
+    /// Classification passes [`policy_gate`]; [`BatchEvaluator::trace`]
+    /// passes one that copies the row out and exits nothing. `observer` and
+    /// `shed` are the hooks documented on
     /// [`BatchEvaluator::classify_stream_with_override_sheddable`], here
     /// with indices into `inputs`.
     fn classify_chunk(
         &mut self,
         inputs: &[Tensor],
-        policy: ConfidencePolicy,
-        force_exit_at: Option<usize>,
+        gate: &mut impl FnMut(usize, &[f32], &mut Vec<f32>) -> Result<Option<Decision>>,
         observer: &mut dyn FnMut(usize, &[usize]),
         shed: &mut dyn FnMut(usize, usize) -> bool,
     ) -> Result<Vec<SheddableOutcome>> {
@@ -258,19 +262,12 @@ impl<'a> BatchEvaluator<'a> {
             let (head_scores, probs) = (&self.head_scores, &mut self.probs);
             compact(&mut self.scratch, &mut active_idx, |k, idx| {
                 let row = &head_scores[k * classes..(k + 1) * classes];
-                let decision = policy.decide_row(row, probs)?;
-                let exits = decision.exit || force_exit_at.is_some_and(|cap| stage_idx >= cap);
-                if exits {
-                    outputs[idx] = Some(SheddableOutcome::Done(CdlOutput {
-                        label: decision.label,
-                        exit_stage: stage_idx,
-                        confidence: decision.confidence,
-                        ops: cum_ops,
-                        stages_activated: stage_idx as u64 + 1,
-                        exited_early: true,
-                    }));
+                let exit = gate(stage_idx, row, probs)?;
+                if let Some(decision) = exit {
+                    let out = early_output(stage_idx, decision, cum_ops);
+                    outputs[idx] = Some(SheddableOutcome::Done(out));
                 }
-                Ok(!exits)
+                Ok(exit.is_none())
             })?;
             if active_idx.is_empty() {
                 return collect(outputs);
@@ -300,20 +297,9 @@ impl<'a> BatchEvaluator<'a> {
             .forward_block_segment(source.take(), prev_tap, last, &mut self.scratch)?;
         cum_ops += self.net.final_ops();
         observer(stage_count, &active_idx);
-        self.probs.resize(self.scratch.width(), 0.0);
         for (k, &idx) in active_idx.iter().enumerate() {
-            let out = self.scratch.row(k);
-            let label = ops::argmax(out)
-                .ok_or_else(|| CdlError::BadStage("baseline produced empty output".into()))?;
-            ops::softmax_into(out, &mut self.probs);
-            outputs[idx] = Some(SheddableOutcome::Done(CdlOutput {
-                label,
-                exit_stage: stage_count,
-                confidence: self.probs[label],
-                ops: cum_ops,
-                stages_activated: stage_count as u64 + 1,
-                exited_early: false,
-            }));
+            let out = final_output(stage_count, self.scratch.row(k), &mut self.probs, cum_ops)?;
+            outputs[idx] = Some(SheddableOutcome::Done(out));
         }
         collect(outputs)
     }
@@ -407,15 +393,14 @@ impl<'a> BatchEvaluator<'a> {
         observer: &mut dyn FnMut(usize, &[usize]),
         shed: &mut dyn FnMut(usize, usize) -> bool,
     ) -> Result<Vec<SheddableOutcome>> {
-        let policy = self.effective_policy(ovr)?;
+        let mut gate = policy_gate(self.effective_policy(ovr)?, ovr.max_stage);
         let mut outputs = Vec::with_capacity(inputs.len());
         let mut shifted: Vec<usize> = Vec::new();
         for (chunk_no, chunk) in inputs.chunks(Self::STREAM_CHUNK).enumerate() {
             let base = chunk_no * Self::STREAM_CHUNK;
             outputs.extend(self.classify_chunk(
                 chunk,
-                policy,
-                ovr.max_stage,
+                &mut gate,
                 &mut |stage, active| {
                     shifted.clear();
                     shifted.extend(active.iter().map(|&k| base + k));
@@ -427,33 +412,190 @@ impl<'a> BatchEvaluator<'a> {
         Ok(outputs)
     }
 
-    /// Batched [`CdlNetwork::classify_baseline`]: runs the *baseline*
-    /// network alone (no heads, no gates) over the whole batch against this
-    /// evaluator's scratch, returning each image's `(label, baseline_ops)`.
-    ///
-    /// Bit-identical to calling `classify_baseline` per image — the batched
-    /// segment reproduces `Network::forward` exactly.
+    /// Runs `inputs` through **every** stage once — in
+    /// [`BatchEvaluator::STREAM_CHUNK`] chunks, through the same loop as
+    /// classification with a gate that exits nothing — and returns what the
+    /// activation module would have been shown: each input's raw score row
+    /// at every head and its final-layer output row. The trace does not
+    /// depend on any policy; [`CascadeTrace::outputs`] replays one.
     ///
     /// # Errors
     ///
-    /// Propagates layer evaluation errors.
-    pub fn classify_baseline_batch(&mut self, inputs: &[Tensor]) -> Result<Vec<(usize, OpCount)>> {
-        if inputs.is_empty() {
-            return Ok(Vec::new());
+    /// Propagates layer/head evaluation errors.
+    pub fn trace(&mut self, inputs: &[Tensor]) -> Result<CascadeTrace> {
+        let stages = self.net.stage_count();
+        let mut rows = vec![Vec::new(); stages + 1];
+        for chunk in inputs.chunks(Self::STREAM_CHUNK) {
+            self.classify_chunk(
+                chunk,
+                &mut |stage, scores: &[f32], _: &mut Vec<f32>| {
+                    rows[stage].extend_from_slice(scores);
+                    Ok(None)
+                },
+                &mut |_, _| {},
+                &mut never_shed,
+            )?;
+            // nothing exited and nothing was shed, so the block the pass
+            // left in the arena is every input's final output, in input order
+            for k in 0..chunk.len() {
+                rows[stages].extend_from_slice(self.scratch.row(k));
+            }
         }
-        let last = self.net.base().layer_count() - 1;
-        self.net
-            .base()
-            .forward_block_segment(Some(inputs), None, last, &mut self.scratch)?;
-        let baseline_ops = self.net.baseline_ops();
-        (0..inputs.len())
-            .map(|k| {
-                let label = ops::argmax(self.scratch.row(k))
-                    .ok_or_else(|| CdlError::BadStage("baseline produced empty output".into()))?;
-                Ok((label, baseline_ops))
+        let mut exit_ops = Vec::with_capacity(stages + 1);
+        let mut cum_ops = OpCount::ZERO;
+        for stage in self.net.stages() {
+            cum_ops += stage.ops_from_prev + stage.head_ops;
+            exit_ops.push(cum_ops);
+        }
+        exit_ops.push(cum_ops + self.net.final_ops());
+        Ok(CascadeTrace {
+            rows,
+            exit_ops,
+            baseline_ops: self.net.baseline_ops(),
+            len: inputs.len(),
+        })
+    }
+}
+
+/// What the activation module is shown for a set of inputs, whatever its
+/// policy: produced once by [`BatchEvaluator::trace`], answered from as
+/// often as there are questions (see the [module docs](self)).
+#[derive(Debug)]
+pub struct CascadeTrace {
+    /// `rows[s]` is a row-major `[len, width]` block: head `s`'s raw scores
+    /// for `s < stage_count`, the final layer's outputs for the last.
+    rows: Vec<Vec<f32>>,
+    /// `exit_ops[s]`: what an input that terminates at `s` has cost — the
+    /// table `classify_chunk` accumulates as it goes (`stage_count()`: the
+    /// whole cascade, every head included).
+    pub(crate) exit_ops: Vec<OpCount>,
+    /// One full baseline pass, no heads: what the statistics normalise by.
+    pub(crate) baseline_ops: OpCount,
+    len: usize,
+}
+
+impl CascadeTrace {
+    /// Conditional stages of the traced network.
+    pub fn stage_count(&self) -> usize {
+        self.rows.len() - 1
+    }
+
+    /// Replays the cascade over the stored rows: stage `s` is gated by
+    /// `policy_for(s)` and `max_stage` caps the depth, as
+    /// [`ExitOverride::max_stage`] does. A uniform policy is `|_| policy`,
+    /// a schedule `|s| schedule[s.min(schedule.len() - 1)]`. Every output
+    /// is bit-identical to [`CdlNetwork::classify_with_policy`] /
+    /// [`CdlNetwork::classify_with_schedule`] /
+    /// [`CdlNetwork::classify_with_override`] on the same input: the same
+    /// gate reads the same score bits and the same ops table.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CdlError::BadPolicy`] when a stage's policy is out of
+    /// range, before anything is replayed.
+    pub fn outputs(
+        &self,
+        policy_for: impl Fn(usize) -> ConfidencePolicy,
+        max_stage: Option<usize>,
+    ) -> Result<Vec<CdlOutput>> {
+        let stages = self.stage_count();
+        let mut gates = Vec::with_capacity(stages);
+        for stage in 0..stages {
+            let policy = policy_for(stage);
+            policy.validate()?;
+            gates.push(policy_gate(policy, max_stage));
+        }
+        let mut probs = Vec::new();
+        (0..self.len)
+            .map(|i| {
+                for (stage, gate) in gates.iter_mut().enumerate() {
+                    if let Some(decision) = gate(stage, self.row(stage, i), &mut probs)? {
+                        return Ok(early_output(stage, decision, self.exit_ops[stage]));
+                    }
+                }
+                final_output(
+                    stages,
+                    self.row(stages, i),
+                    &mut probs,
+                    self.exit_ops[stages],
+                )
             })
             .collect()
     }
+
+    /// The baseline network's label for input `i` — the arg-max of its
+    /// final-layer row, as [`CdlNetwork::classify_baseline`] computes it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` is not one of the traced inputs.
+    pub fn baseline_label(&self, i: usize) -> usize {
+        self.stage_label(self.stage_count(), i)
+    }
+
+    /// The label head `stage` alone would give input `i` (the arg-max of
+    /// its score row); `stage == stage_count()` is the final layer.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `stage > stage_count()` or `i` is not one of the traced
+    /// inputs.
+    pub fn stage_label(&self, stage: usize, i: usize) -> usize {
+        ops::argmax(self.row(stage, i)).expect("a head or output layer has at least one class")
+    }
+
+    fn row(&self, stage: usize, i: usize) -> &[f32] {
+        assert!(i < self.len, "input {i} of a {}-input trace", self.len);
+        let width = self.rows[stage].len() / self.len;
+        &self.rows[stage][i * width..(i + 1) * width]
+    }
+}
+
+/// The cascade's own exit test: `policy`'s decision on the score row, which
+/// settles the input when it says exit — or, at and past the depth cap
+/// `force_exit_at`, whatever it says.
+fn policy_gate(
+    policy: ConfidencePolicy,
+    force_exit_at: Option<usize>,
+) -> impl FnMut(usize, &[f32], &mut Vec<f32>) -> Result<Option<Decision>> {
+    move |stage, scores, probs| {
+        let decision = policy.decide_row(scores, probs)?;
+        let exits = decision.exit || force_exit_at.is_some_and(|cap| stage >= cap);
+        Ok(exits.then_some(decision))
+    }
+}
+
+/// The output of an input settled by head `stage`'s `decision`.
+fn early_output(stage: usize, decision: Decision, ops: OpCount) -> CdlOutput {
+    CdlOutput {
+        label: decision.label,
+        exit_stage: stage,
+        confidence: decision.confidence,
+        ops,
+        stages_activated: stage as u64 + 1,
+        exited_early: true,
+    }
+}
+
+/// The output of an input that passed every gate, from its final-layer row.
+fn final_output(
+    stage_count: usize,
+    out: &[f32],
+    probs: &mut Vec<f32>,
+    ops: OpCount,
+) -> Result<CdlOutput> {
+    let label = ops::argmax(out)
+        .ok_or_else(|| CdlError::BadStage("baseline produced empty output".into()))?;
+    probs.resize(out.len(), 0.0);
+    ops::softmax_into(out, probs);
+    Ok(CdlOutput {
+        label,
+        exit_stage: stage_count,
+        confidence: probs[label],
+        ops,
+        stages_activated: stage_count as u64 + 1,
+        exited_early: false,
+    })
 }
 
 /// The one in-place row gather the exit gate and the shed boundary share:
@@ -570,7 +712,16 @@ mod tests {
             ConfidencePolicy::max_prob(0.999),
             ConfidencePolicy::sigmoid_prob(0.5),
         ] {
-            let batched = eval.classify_batch_with_policy(&inputs, policy).unwrap();
+            // the gated loop itself, under each policy kind
+            let batched = eval
+                .classify_chunk(
+                    &inputs,
+                    &mut policy_gate(policy, None),
+                    &mut |_, _| {},
+                    &mut never_shed,
+                )
+                .map(into_done)
+                .unwrap();
             for (img, out) in inputs.iter().zip(&batched) {
                 let single = cdl.classify_with_policy(img, policy).unwrap();
                 assert_eq!(*out, single, "policy {policy}");
@@ -636,15 +787,48 @@ mod tests {
     }
 
     #[test]
-    fn baseline_batch_matches_per_image() {
+    fn trace_replays_to_the_per_image_cascade_and_baseline() {
         let cdl = build_untrained();
-        let inputs = batch(13);
+        // spans two stream chunks
+        let inputs = batch(BatchEvaluator::STREAM_CHUNK + 13);
         let mut eval = BatchEvaluator::new(&cdl);
-        let batched = eval.classify_baseline_batch(&inputs).unwrap();
-        for (img, got) in inputs.iter().zip(&batched) {
-            assert_eq!(*got, cdl.classify_baseline(img).unwrap());
+        let trace = eval.trace(&inputs).unwrap();
+        assert_eq!(trace.stage_count(), 2);
+        // the network's policy kind at δ ≈ 1 (nothing exits on its own), and
+        // a margin any non-tied row clears
+        let strict = ConfidencePolicy::max_prob(0.999);
+        let lax = ConfidencePolicy::margin(1e-6);
+        let capped = ExitOverride {
+            delta: Some(0.999),
+            max_stage: Some(1),
+        };
+        let uniform_strict = trace.outputs(|_| strict, None).unwrap();
+        let uniform_lax = trace.outputs(|_| lax, None).unwrap();
+        let scheduled = trace.outputs(|s| [strict, lax][s], None).unwrap();
+        let with_cap = trace.outputs(|_| strict, capped.max_stage).unwrap();
+        for (i, img) in inputs.iter().enumerate() {
+            let oracle = |policy| cdl.classify_with_policy(img, policy).unwrap();
+            assert_eq!(uniform_strict[i], oracle(strict));
+            assert_eq!(uniform_lax[i], oracle(lax));
+            assert_eq!(
+                scheduled[i],
+                cdl.classify_with_schedule(img, &[strict, lax]).unwrap()
+            );
+            assert_eq!(
+                with_cap[i],
+                cdl.classify_with_override(img, capped).unwrap()
+            );
+            let baseline = (trace.baseline_label(i), trace.baseline_ops);
+            assert_eq!(baseline, cdl.classify_baseline(img).unwrap());
         }
-        assert!(eval.classify_baseline_batch(&[]).unwrap().is_empty());
+        assert_eq!(uniform_strict.len(), inputs.len());
+        assert_eq!(trace.exit_ops[2], cdl.worst_case_ops());
+        // an out-of-range policy is rejected before anything is replayed
+        assert!(trace
+            .outputs(|_| ConfidencePolicy::max_prob(0.0), None)
+            .is_err());
+        let nothing = eval.trace(&[]).unwrap();
+        assert!(nothing.outputs(|_| strict, None).unwrap().is_empty());
     }
 
     #[test]
@@ -798,5 +982,8 @@ mod tests {
             assert_eq!(out.exit_stage, 0);
             assert!(!out.exited_early);
         }
+        // with no head to store, the trace is the final rows alone
+        let trace = eval.trace(&inputs).unwrap();
+        assert_eq!(trace.outputs(|_| cdl.policy(), None).unwrap(), outs);
     }
 }

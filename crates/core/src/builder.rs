@@ -18,12 +18,14 @@
 //!    cost (the Eq. 1 penalty inflicted on instances that pass through);
 //! 4. admit the stage into the CDLN iff `G_i > ε`.
 
+use cdl_nn::batch::BatchScratch;
 use cdl_nn::network::Network;
 use cdl_nn::trainer::LabelledSet;
 use cdl_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
 use crate::arch::CdlArchitecture;
+use crate::batch::BatchEvaluator;
 use crate::confidence::ConfidencePolicy;
 use crate::error::CdlError;
 use crate::head::{LinearClassifier, LmsConfig};
@@ -93,11 +95,6 @@ impl TrainedCdl {
     /// The assembled conditional network.
     pub fn network(&self) -> &CdlNetwork {
         &self.network
-    }
-
-    /// Mutable access (e.g. to adjust δ at runtime).
-    pub fn network_mut(&mut self) -> &mut CdlNetwork {
-        &mut self.network
     }
 
     /// Consumes the wrapper, returning the network.
@@ -242,7 +239,10 @@ impl CdlBuilder {
 }
 
 /// Extracts the flattened feature vector at every candidate tap for every
-/// training instance (one forward pass per instance).
+/// training instance: [`BatchEvaluator::STREAM_CHUNK`] images at a time
+/// travel from tap to tap as one block (bit-identical to a per-image
+/// forward pass, by the batch contract of [`cdl_nn::batch`]) and each tap's
+/// rows are copied out.
 fn extract_tap_features(
     base: &Network,
     arch: &CdlArchitecture,
@@ -254,15 +254,14 @@ fn extract_tap_features(
         .map(|t| base.runtime_index_of(t.spec_layer).map_err(CdlError::Nn))
         .collect::<Result<_>>()?;
     let mut features: Vec<Vec<Tensor>> = vec![Vec::with_capacity(train.len()); tap_runtimes.len()];
-    for img in &train.images {
-        let mut cur = img.clone();
+    let mut scratch = BatchScratch::new();
+    for chunk in train.images.chunks(BatchEvaluator::STREAM_CHUNK) {
         let mut prev: Option<usize> = None;
         for (ti, &rt) in tap_runtimes.iter().enumerate() {
-            cur = match prev {
-                None => base.forward_prefix(&cur, rt).map_err(CdlError::Nn)?,
-                Some(p) => base.forward_between(&cur, p, rt).map_err(CdlError::Nn)?,
-            };
-            features[ti].push(cur.flatten());
+            let input = prev.is_none().then_some(chunk);
+            base.forward_block_segment(input, prev, rt, &mut scratch)
+                .map_err(CdlError::Nn)?;
+            features[ti].extend((0..scratch.rows()).map(|k| Tensor::from_slice(scratch.row(k))));
             prev = Some(rt);
         }
     }

@@ -12,11 +12,14 @@
 //!   policies can't beat this; the gap to it measures how much the
 //!   confidence estimate (rather than the heads) is leaving on the table.
 
+use cdl_hw::EnergyModel;
 use cdl_nn::trainer::LabelledSet;
 use serde::{Deserialize, Serialize};
 
+use crate::batch::BatchEvaluator;
 use crate::error::CdlError;
 use crate::network::CdlNetwork;
+use crate::stats::replay;
 use crate::Result;
 
 /// Outcome of a δ calibration.
@@ -34,12 +37,15 @@ pub struct Calibration {
 
 /// Picks the cheapest δ on `grid` whose validation accuracy is at least
 /// `baseline accuracy − max_accuracy_drop`. Falls back to the most accurate
-/// grid point when no point satisfies the budget.
+/// grid point when no point satisfies the budget. The network runs once
+/// ([`BatchEvaluator::trace`]); each grid point is a [`replay`] of that
+/// trace.
 ///
 /// # Errors
 ///
-/// Returns [`CdlError::BadDataset`] for an empty set or grid, and
-/// propagates evaluation errors.
+/// Returns [`CdlError::BadDataset`] for an empty set or grid,
+/// [`CdlError::BadPolicy`] for a grid point out of range, and propagates
+/// evaluation errors.
 pub fn calibrate_delta(
     cdl: &CdlNetwork,
     validation: &LabelledSet,
@@ -52,34 +58,23 @@ pub fn calibrate_delta(
     if grid.is_empty() {
         return Err(CdlError::BadDataset("empty delta grid".into()));
     }
-    let n = validation.len() as f64;
-    let base_ops = cdl.baseline_ops().compute_ops() as f64;
-    let mut baseline_correct = 0usize;
-    for (img, &label) in validation.images.iter().zip(&validation.labels) {
-        let (pred, _) = cdl.classify_baseline(img)?;
-        baseline_correct += (pred == label) as usize;
-    }
-    let baseline_accuracy = baseline_correct as f64 / n;
-    let budget = baseline_accuracy - max_accuracy_drop;
-
-    let mut candidates = Vec::with_capacity(grid.len());
-    for &delta in grid {
-        let policy = cdl.policy().with_threshold(delta);
-        policy.validate()?;
-        let mut correct = 0usize;
-        let mut ops_sum = 0.0f64;
-        for (img, &label) in validation.images.iter().zip(&validation.labels) {
-            let out = cdl.classify_with_policy(img, policy)?;
-            correct += (out.label == label) as usize;
-            ops_sum += out.ops.compute_ops() as f64;
-        }
-        candidates.push(Calibration {
-            delta,
-            accuracy: correct as f64 / n,
-            normalized_ops: ops_sum / n / base_ops,
-            baseline_accuracy,
-        });
-    }
+    let trace = BatchEvaluator::new(cdl).trace(&validation.images)?;
+    // accuracy and ops do not depend on the energy model `replay` also wants
+    let energy_model = EnergyModel::cmos_45nm();
+    let candidates = grid
+        .iter()
+        .map(|&delta| {
+            let policy = cdl.policy().with_threshold(delta);
+            let report = replay(&trace, &validation.labels, |_| policy, &energy_model)?;
+            Ok(Calibration {
+                delta,
+                accuracy: report.accuracy,
+                normalized_ops: report.normalized_ops,
+                baseline_accuracy: report.baseline_accuracy,
+            })
+        })
+        .collect::<Result<Vec<_>>>()?;
+    let budget = candidates[0].baseline_accuracy - max_accuracy_drop;
     let within_budget = candidates
         .iter()
         .filter(|c| c.accuracy >= budget)
@@ -106,7 +101,8 @@ pub struct OracleBound {
     pub unclassifiable: f64,
 }
 
-/// Computes the oracle early-exit bound on a labelled set.
+/// Computes the oracle early-exit bound on a labelled set: one
+/// [`BatchEvaluator::trace`], read head by head.
 ///
 /// # Errors
 ///
@@ -116,51 +112,28 @@ pub fn oracle_bound(cdl: &CdlNetwork, set: &LabelledSet) -> Result<OracleBound> 
     if set.is_empty() {
         return Err(CdlError::BadDataset("empty evaluation set".into()));
     }
+    let trace = BatchEvaluator::new(cdl).trace(&set.images)?;
+    let stages = trace.stage_count();
     let mut correct = 0usize;
     let mut unclassifiable = 0usize;
     let mut ops_sum = 0.0f64;
-    let worst = cdl.worst_case_ops().compute_ops() as f64;
-    for (img, &label) in set.images.iter().zip(&set.labels) {
-        // walk the stages manually, stopping at the first correct head
-        let mut cur = img.clone();
-        let mut prev: Option<usize> = None;
-        let mut ops = 0.0f64;
-        let mut exited = false;
-        for stage in cdl.stages() {
-            cur = match prev {
-                None => cdl
-                    .base()
-                    .forward_prefix(&cur, stage.tap_runtime)
-                    .map_err(CdlError::Nn)?,
-                Some(p) => cdl
-                    .base()
-                    .forward_between(&cur, p, stage.tap_runtime)
-                    .map_err(CdlError::Nn)?,
-            };
-            ops += (stage.ops_from_prev + stage.head_ops).compute_ops() as f64;
-            if stage.head.predict(&cur)? == label {
-                correct += 1;
-                exited = true;
-                break;
-            }
-            prev = Some(stage.tap_runtime);
+    for (i, &label) in set.labels.iter().enumerate() {
+        // the first head that is right, else the final layer — for which the
+        // oracle pays the full cascade
+        let exit = (0..stages)
+            .find(|&stage| trace.stage_label(stage, i) == label)
+            .unwrap_or(stages);
+        ops_sum += trace.exit_ops[exit].compute_ops() as f64;
+        if exit < stages || trace.baseline_label(i) == label {
+            correct += 1;
+        } else {
+            unclassifiable += 1;
         }
-        if !exited {
-            // run to the end; the oracle pays the full cascade
-            ops = worst;
-            let (pred, _) = cdl.classify_baseline(img)?;
-            if pred == label {
-                correct += 1;
-            } else {
-                unclassifiable += 1;
-            }
-        }
-        ops_sum += ops;
     }
     let n = set.len() as f64;
     Ok(OracleBound {
         accuracy: correct as f64 / n,
-        normalized_ops: ops_sum / n / cdl.baseline_ops().compute_ops() as f64,
+        normalized_ops: ops_sum / n / trace.baseline_ops.compute_ops() as f64,
         unclassifiable: unclassifiable as f64 / n,
     })
 }

@@ -263,11 +263,6 @@ impl LinearClassifier {
         }
         Ok(correct as f64 / features.len() as f64)
     }
-
-    /// MAC count of one head evaluation (the Eq. 1 "additional cost").
-    pub fn mac_count(&self) -> u64 {
-        (self.features() * self.classes()) as u64
-    }
 }
 
 #[cfg(test)]
@@ -307,7 +302,8 @@ mod tests {
         let h = LinearClassifier::new(864, 10, 1).unwrap();
         assert_eq!(h.features(), 864);
         assert_eq!(h.classes(), 10);
-        assert_eq!(h.mac_count(), 8640);
+        // the Eq. 1 "additional cost" of one evaluation
+        assert_eq!(crate::network::head_op_count(&h).macs, 8640);
     }
 
     #[test]

@@ -25,7 +25,9 @@
 //! The architecture presets of the paper's Tables I & II live in [`arch`];
 //! evaluation/statistics (per-digit OPS, exit histograms, energy) in
 //! [`stats`]; the δ- and stage-count sweeps behind Figs. 9 & 10 in
-//! [`sweep`].
+//! [`sweep`]; δ calibration and the oracle bound in [`calibrate`]. All of
+//! them read one δ-free [`batch::CascadeTrace`] per data set — δ is a
+//! runtime knob, so asking about another δ never runs the network again.
 //!
 //! ## Example
 //!
@@ -69,7 +71,7 @@ pub mod stats;
 pub mod sweep;
 
 pub use arch::CdlArchitecture;
-pub use batch::{BatchEvaluator, PartialEval, SheddableOutcome};
+pub use batch::{BatchEvaluator, CascadeTrace, PartialEval, SheddableOutcome};
 pub use builder::{BuilderConfig, CdlBuilder, TrainedCdl};
 pub use confidence::{ConfidencePolicy, Decision, ExitOverride};
 pub use error::CdlError;

@@ -5,18 +5,15 @@
 //! (normalized energy, difficulty ordering, FC activation fractions),
 //! Table III (accuracy) and the exit histograms behind Fig. 9.
 
-use cdl_hw::{EnergyModel, OpCount};
+use cdl_hw::EnergyModel;
 use cdl_nn::trainer::LabelledSet;
 use serde::{Deserialize, Serialize};
 
-use crate::batch::BatchEvaluator;
+use crate::batch::{BatchEvaluator, CascadeTrace};
+use crate::confidence::ConfidencePolicy;
 use crate::error::CdlError;
 use crate::network::CdlNetwork;
 use crate::Result;
-
-/// Images per batched evaluation pass (the [`BatchEvaluator`] streaming
-/// chunk: amortises GEMMs while bounding the scratch matrices).
-const EVAL_CHUNK: usize = BatchEvaluator::STREAM_CHUNK;
 
 /// Per-class statistics from one evaluation pass.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -115,18 +112,8 @@ impl EvalReport {
 }
 
 /// Evaluates a CDLN on a test set, producing every statistic the paper's
-/// figures use.
-///
-/// Both passes (conditional and baseline) run on the batched path: one
-/// persistent [`BatchEvaluator`] pushes [`EVAL_CHUNK`]-image chunks through
-/// the network, reusing its arenas and kernel scratch across chunks. Per-image
-/// results — and therefore every statistic in the report — are
-/// bit-identical to the former per-image `classify` loop (the equivalence
-/// the batch test-suite pins down).
-///
-/// Energy is computed with `energy_model`; the baseline is charged a single
-/// control stage (one monolithic design), the CDLN one control charge per
-/// activated stage.
+/// figures use: one [`BatchEvaluator::trace`] of the set, replayed under the
+/// network's configured policy (see [`replay`]).
 ///
 /// # Errors
 ///
@@ -137,12 +124,46 @@ pub fn evaluate(
     test: &LabelledSet,
     energy_model: &EnergyModel,
 ) -> Result<EvalReport> {
-    if test.is_empty() {
-        return Err(CdlError::BadDataset("empty test set".into()));
+    let trace = BatchEvaluator::new(cdl).trace(&test.images)?;
+    replay(&trace, &test.labels, |_| cdl.policy(), energy_model)
+}
+
+/// The statistics of one replay of `trace` — the cascade gated by
+/// `policy_for(stage)` at each stage, as [`CascadeTrace::outputs`] takes it
+/// — against the inputs' `labels`. It is the one place accuracy, ops, energy
+/// and exit shares are accumulated: [`evaluate`], the δ sweep, δ calibration
+/// and the policy ablations all ask it, each about the same trace, so a
+/// question about another δ never runs the network. Per-image results — and
+/// therefore every statistic — are bit-identical to a per-image
+/// [`CdlNetwork::classify_with_policy`] loop (the equivalence the batch
+/// test-suite pins down).
+///
+/// Energy is computed with `energy_model`; the baseline is charged a single
+/// control stage (one monolithic design), the CDLN one control charge per
+/// activated stage.
+///
+/// # Errors
+///
+/// Returns [`CdlError::BadPolicy`] for an out-of-range policy and
+/// [`CdlError::BadDataset`] for an empty set or a label list of another
+/// length than the trace.
+pub fn replay(
+    trace: &CascadeTrace,
+    labels: &[usize],
+    policy_for: impl Fn(usize) -> ConfidencePolicy,
+    energy_model: &EnergyModel,
+) -> Result<EvalReport> {
+    let outputs = trace.outputs(policy_for, None)?;
+    if labels.is_empty() || labels.len() != outputs.len() {
+        return Err(CdlError::BadDataset(format!(
+            "{} labels for {} traced inputs: need one each, and at least one",
+            labels.len(),
+            outputs.len()
+        )));
     }
-    let classes = test.class_count().max(1);
-    let stage_slots = cdl.stage_count() + 1;
-    let baseline_ops = cdl.baseline_ops();
+    let classes = labels.iter().max().map_or(1, |&m| m + 1);
+    let stage_slots = trace.stage_count() + 1;
+    let baseline_ops = trace.baseline_ops;
     let baseline_energy = energy_model.total_pj(&baseline_ops, 1);
 
     #[derive(Default, Clone)]
@@ -161,25 +182,18 @@ pub fn evaluate(
         classes
     ];
     let mut baseline_correct = 0usize;
-
-    let mut eval = BatchEvaluator::new(cdl);
-    for (chunk_idx, chunk) in test.images.chunks(EVAL_CHUNK).enumerate() {
-        let labels = &test.labels[chunk_idx * EVAL_CHUNK..];
-        let outs = eval.classify_batch(chunk)?;
-        let base = eval.classify_baseline_batch(chunk)?;
-        for ((out, (base_label, _)), &label) in outs.iter().zip(&base).zip(labels) {
-            let energy = energy_model.total_pj(&out.ops, out.stages_activated);
-            let acc = &mut per_digit[label];
-            acc.count += 1;
-            acc.ops_sum += out.ops.compute_ops() as f64;
-            acc.energy_sum += energy;
-            acc.exits[out.exit_stage.min(stage_slots - 1)] += 1;
-            if out.label == label {
-                acc.correct += 1;
-            }
-            if *base_label == label {
-                baseline_correct += 1;
-            }
+    for (i, (out, &label)) in outputs.iter().zip(labels).enumerate() {
+        let energy = energy_model.total_pj(&out.ops, out.stages_activated);
+        let acc = &mut per_digit[label];
+        acc.count += 1;
+        acc.ops_sum += out.ops.compute_ops() as f64;
+        acc.energy_sum += energy;
+        acc.exits[out.exit_stage] += 1;
+        if out.label == label {
+            acc.correct += 1;
+        }
+        if trace.baseline_label(i) == label {
+            baseline_correct += 1;
         }
     }
 
@@ -212,7 +226,7 @@ pub fn evaluate(
             fc_fraction: acc.exits[stage_slots - 1] as f64 / n,
         });
     }
-    let n = test.len() as f64;
+    let n = labels.len() as f64;
     Ok(EvalReport {
         accuracy: correct_total as f64 / n,
         baseline_accuracy: baseline_correct as f64 / n,
@@ -223,12 +237,6 @@ pub fn evaluate(
         exit_histogram,
         digits,
     })
-}
-
-/// Op count helper re-exported for reports: total ops of a labelled
-/// evaluation when *every* instance runs the full baseline.
-pub fn baseline_total_ops(cdl: &CdlNetwork, instances: usize) -> OpCount {
-    cdl.baseline_ops() * instances as u64
 }
 
 #[cfg(test)]
@@ -388,13 +396,5 @@ mod tests {
         let total: usize = report.exit_histogram.iter().sum();
         let fc = *report.exit_histogram.last().unwrap();
         assert!((report.fc_fraction() - fc as f64 / total as f64).abs() < 1e-12);
-    }
-
-    #[test]
-    fn baseline_total_ops_scales() {
-        let (cdl, _) = trained_cdl();
-        let one = baseline_total_ops(&cdl, 1);
-        let ten = baseline_total_ops(&cdl, 10);
-        assert_eq!(ten.compute_ops(), one.compute_ops() * 10);
     }
 }

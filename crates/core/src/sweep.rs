@@ -6,11 +6,12 @@ use cdl_nn::trainer::LabelledSet;
 use serde::{Deserialize, Serialize};
 
 use crate::arch::CdlArchitecture;
+use crate::batch::BatchEvaluator;
 use crate::builder::{BuilderConfig, CdlBuilder};
 use crate::confidence::ConfidencePolicy;
 use crate::error::CdlError;
 use crate::network::CdlNetwork;
-use crate::stats::evaluate;
+use crate::stats::{evaluate, replay};
 use crate::Result;
 
 /// One point of a δ sweep.
@@ -29,14 +30,17 @@ pub struct DeltaPoint {
 /// Sweeps the confidence threshold δ on an already-built CDLN (Fig. 10).
 ///
 /// The heads stay fixed — only the activation module's threshold changes,
-/// exactly the paper's "δ can be adjusted during runtime".
+/// exactly the paper's "δ can be adjusted during runtime" — so the network
+/// runs once ([`BatchEvaluator::trace`]) and every point is a
+/// [`replay`] of that trace; `cdl` and its configured policy are only read.
 ///
 /// # Errors
 ///
 /// Returns [`CdlError::BadDataset`] for an empty test set or empty δ list,
+/// [`CdlError::BadPolicy`] for a δ out of range (at any point of the list),
 /// and propagates evaluation errors.
 pub fn delta_sweep(
-    cdl: &mut CdlNetwork,
+    cdl: &CdlNetwork,
     test: &LabelledSet,
     deltas: &[f32],
     energy_model: &EnergyModel,
@@ -44,20 +48,20 @@ pub fn delta_sweep(
     if deltas.is_empty() {
         return Err(CdlError::BadDataset("empty delta list".into()));
     }
-    let original = cdl.policy();
-    let mut points = Vec::with_capacity(deltas.len());
-    for &delta in deltas {
-        cdl.set_policy(original.with_threshold(delta))?;
-        let report = evaluate(cdl, test, energy_model)?;
-        points.push(DeltaPoint {
-            delta,
-            accuracy: report.accuracy,
-            normalized_ops: report.normalized_ops,
-            fc_fraction: report.fc_fraction(),
-        });
-    }
-    cdl.set_policy(original)?;
-    Ok(points)
+    let trace = BatchEvaluator::new(cdl).trace(&test.images)?;
+    deltas
+        .iter()
+        .map(|&delta| {
+            let policy = cdl.policy().with_threshold(delta);
+            let report = replay(&trace, &test.labels, |_| policy, energy_model)?;
+            Ok(DeltaPoint {
+                delta,
+                accuracy: report.accuracy,
+                normalized_ops: report.normalized_ops,
+                fc_fraction: report.fc_fraction(),
+            })
+        })
+        .collect()
 }
 
 /// One point of a stage-count sweep.
@@ -148,7 +152,7 @@ mod tests {
     #[test]
     fn delta_sweep_is_monotone_in_ops() {
         let (arch, base, train_set, test_set) = fixture();
-        let mut cdl = CdlBuilder::new(arch, ConfidencePolicy::max_prob(0.5))
+        let cdl = CdlBuilder::new(arch, ConfidencePolicy::max_prob(0.5))
             .build(
                 base,
                 &train_set,
@@ -160,7 +164,7 @@ mod tests {
             .unwrap()
             .into_network();
         let deltas = [0.3f32, 0.5, 0.7, 0.9];
-        let points = delta_sweep(&mut cdl, &test_set, &deltas, &EnergyModel::cmos_45nm()).unwrap();
+        let points = delta_sweep(&cdl, &test_set, &deltas, &EnergyModel::cmos_45nm()).unwrap();
         assert_eq!(points.len(), 4);
         // raising delta keeps more inputs in the cascade → ops rise (paper
         // phrases it with the complementary convention; see bench fig10)
@@ -171,18 +175,32 @@ mod tests {
             );
             assert!(pair[1].fc_fraction >= pair[0].fc_fraction - 1e-9);
         }
-        // the policy is restored afterwards
+        // the network's own policy is never touched
         assert_eq!(cdl.policy().threshold(), 0.5);
+    }
+
+    /// A sweep that fails part-way has still only read the network: there
+    /// is no installed δ to be left behind by the early return.
+    #[test]
+    fn an_invalid_delta_mid_grid_is_an_error_and_leaves_the_policy_alone() {
+        let (arch, base, train_set, test_set) = fixture();
+        let cdl = CdlBuilder::new(arch, ConfidencePolicy::max_prob(0.5))
+            .build(base, &train_set, &BuilderConfig::default())
+            .unwrap()
+            .into_network();
+        let swept = delta_sweep(&cdl, &test_set, &[0.3, 0.0], &EnergyModel::cmos_45nm());
+        assert!(matches!(swept, Err(CdlError::BadPolicy(_))), "{swept:?}");
+        assert_eq!(cdl.policy(), ConfidencePolicy::max_prob(0.5));
     }
 
     #[test]
     fn delta_sweep_rejects_empty() {
         let (arch, base, train_set, test_set) = fixture();
-        let mut cdl = CdlBuilder::new(arch, ConfidencePolicy::max_prob(0.5))
+        let cdl = CdlBuilder::new(arch, ConfidencePolicy::max_prob(0.5))
             .build(base, &train_set, &BuilderConfig::default())
             .unwrap()
             .into_network();
-        assert!(delta_sweep(&mut cdl, &test_set, &[], &EnergyModel::cmos_45nm()).is_err());
+        assert!(delta_sweep(&cdl, &test_set, &[], &EnergyModel::cmos_45nm()).is_err());
     }
 
     #[test]

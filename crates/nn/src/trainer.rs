@@ -75,11 +75,6 @@ impl LabelledSet {
             labels: self.labels.iter().take(n).copied().collect(),
         }
     }
-
-    /// Largest label + 1, or 0 for an empty set.
-    pub fn class_count(&self) -> usize {
-        self.labels.iter().max().map_or(0, |&m| m + 1)
-    }
 }
 
 /// Hyper-parameters for [`train`].
@@ -257,7 +252,6 @@ mod tests {
         assert!(LabelledSet::new(vec![Tensor::zeros(&[1])], vec![]).is_err());
         let s = LabelledSet::new(vec![Tensor::zeros(&[1])], vec![3]).unwrap();
         assert_eq!(s.len(), 1);
-        assert_eq!(s.class_count(), 4);
         assert!(!s.is_empty());
     }
 

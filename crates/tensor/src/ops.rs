@@ -28,15 +28,6 @@ pub fn sub(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     zip_with(a, b, |x, y| x - y)
 }
 
-/// Elementwise (Hadamard) product: `out = a ⊙ b`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when shapes differ.
-pub fn mul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    zip_with(a, b, |x, y| x * y)
-}
-
 /// Applies `f` pairwise to two same-shaped tensors.
 ///
 /// # Errors
@@ -79,21 +70,6 @@ pub fn axpy(acc: &mut Tensor, alpha: f32, x: &Tensor) -> Result<()> {
 /// Multiplies every element by a scalar, returning a new tensor.
 pub fn scale(a: &Tensor, alpha: f32) -> Tensor {
     a.map(|x| x * alpha)
-}
-
-/// Dot product of two tensors viewed as flat vectors.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when element counts differ.
-pub fn dot(a: &Tensor, b: &Tensor) -> Result<f32> {
-    if a.len() != b.len() {
-        return Err(TensorError::ShapeMismatch {
-            left: a.dims().to_vec(),
-            right: b.dims().to_vec(),
-        });
-    }
-    Ok(a.data().iter().zip(b.data()).map(|(&x, &y)| x * y).sum())
 }
 
 /// Matrix–vector product `W x` where `w` is `[rows, cols]` and `x` has `cols`
@@ -351,7 +327,6 @@ mod tests {
         let b = t(vec![4.0, 5.0, 6.0], &[3]);
         assert_eq!(add(&a, &b).unwrap().data(), &[5.0, 7.0, 9.0]);
         assert_eq!(sub(&b, &a).unwrap().data(), &[3.0, 3.0, 3.0]);
-        assert_eq!(mul(&a, &b).unwrap().data(), &[4.0, 10.0, 18.0]);
     }
 
     #[test]
@@ -373,14 +348,6 @@ mod tests {
     #[test]
     fn scale_works() {
         assert_eq!(scale(&t(vec![1.0, -2.0], &[2]), -2.0).data(), &[-2.0, 4.0]);
-    }
-
-    #[test]
-    fn dot_product() {
-        let a = t(vec![1.0, 2.0, 3.0], &[3]);
-        let b = t(vec![4.0, 5.0, 6.0], &[3]);
-        assert_eq!(dot(&a, &b).unwrap(), 32.0);
-        assert!(dot(&a, &t(vec![1.0], &[1])).is_err());
     }
 
     #[test]

@@ -71,15 +71,15 @@
 //!
 //! See `examples/quickstart.rs` for an end-to-end train → attach heads →
 //! early-exit inference walkthrough (its compiled twin runs in
-//! `tests/quickstart_smoke.rs`), and `DESIGN.md` / `EXPERIMENTS.md` for the
-//! experiment index reproducing every table and figure of the paper.
+//! `tests/quickstart_smoke.rs`), and `cdl_bench::experiments`' module docs
+//! for the experiment index reproducing every table and figure of the paper
+//! (`cargo run --release -p cdl-bench --bin run_all` runs them all).
 //!
 //! ## Batched serving
 //!
 //! High-throughput streams should go through
-//! [`core::batch::BatchEvaluator`] (or `cdl_bench::classify_batch_parallel`
-//! for rayon chunking): one persistent evaluator pushes a whole batch
-//! stage by stage **as one block** — a contiguous `[n, features]` array
+//! [`core::batch::BatchEvaluator`]: one persistent evaluator pushes a whole
+//! batch stage by stage **as one block** — a contiguous `[n, features]` array
 //! ping-ponging between two grow-only arenas ([`nn::batch`]); the first
 //! stage reads the caller's tensors in place, each head is one GEMM over
 //! the block's rows, and after every confidence gate the still-active rows
@@ -87,6 +87,18 @@
 //! warm batch allocates only its outputs (`tests/eval_allocs.rs`). Outputs
 //! are bit-identical to per-image [`core::network::CdlNetwork::classify`]
 //! (enforced by `tests/batch_equivalence.rs`).
+//!
+//! The analysis side runs on the same loop, once per data set:
+//! [`core::batch::BatchEvaluator::trace`] lets nothing exit and stores, per
+//! input, every head's raw score row and the final layer's output row
+//! ([`core::batch::CascadeTrace`]). δ only enters at the gate, so
+//! [`core::batch::CascadeTrace::outputs`] replays any policy, δ, per-stage
+//! schedule or depth cap from the stored rows — bit-identical to the
+//! per-image cascade — and the δ sweep of Fig. 10, δ calibration, the policy
+//! ablations and the oracle bound ([`core::stats::replay`], [`core::sweep`],
+//! [`core::calibrate`]) never re-run the network for another δ. The
+//! per-image `CdlNetwork::classify*` family is the reference the suites
+//! compare against; no library code path calls it.
 //!
 //! ## Kernels
 //!

@@ -96,12 +96,72 @@ fn equivalence_holds_across_policies_and_scratch_reuse() {
             ConfidencePolicy::margin(0.2),
             ConfidencePolicy::entropy(0.4),
         ] {
+            // δ-free: one pass stores every head's scores, the policy is
+            // applied to the stored rows (the gated loop under each policy
+            // kind is `cdl_core::batch`'s own unit test)
             let batched = eval
-                .classify_batch_with_policy(images, policy)
-                .expect("batched pass");
+                .trace(images)
+                .expect("batched pass")
+                .outputs(|_| policy, None)
+                .expect("replay");
             for (image, out) in images.iter().zip(&batched) {
                 let single = cdln.classify_with_policy(image, policy).expect("per-image");
                 assert_eq!(*out, single, "policy {policy}, kernel {kernel:?}");
+            }
+        }
+    }
+}
+
+/// The trace replays everything the per-image cascade can be asked: a
+/// per-stage schedule (strict-then-lax, lax-then-strict, and one shorter
+/// than the cascade), every depth cap with and without a δ override, and
+/// the baseline's label — for a batch of one and for batches on either side
+/// of the 8-image block edge, on both arms.
+#[test]
+fn trace_replays_schedules_depth_caps_and_the_baseline() {
+    use cdl::core::confidence::ExitOverride;
+    let (cdln, test_set) = trained_cdln();
+    let sigmoid = ConfidencePolicy::sigmoid_prob;
+    let schedules = [
+        vec![sigmoid(0.8), sigmoid(0.4)],
+        vec![sigmoid(0.4), sigmoid(0.8)],
+        vec![ConfidencePolicy::margin(0.2)],
+    ];
+    for kernel in GemmKernel::ALL {
+        let mut eval = BatchEvaluator::with_kernel(cdln, kernel);
+        for n in [1usize, 7, 8, 9, 17, 64] {
+            let images = &test_set.images[..n];
+            let trace = eval.trace(images).expect("trace");
+            assert_eq!(trace.stage_count(), cdln.stage_count());
+            for schedule in &schedules {
+                let replayed = trace
+                    .outputs(|s| schedule[s.min(schedule.len() - 1)], None)
+                    .expect("replay");
+                assert_eq!(replayed.len(), n);
+                for (image, out) in images.iter().zip(&replayed) {
+                    let single = cdln
+                        .classify_with_schedule(image, schedule)
+                        .expect("oracle");
+                    assert_eq!(*out, single, "{schedule:?}, n={n}, kernel {kernel:?}");
+                }
+            }
+            for cap in 0..=cdln.stage_count() {
+                for delta in [None, Some(0.9)] {
+                    let ovr = ExitOverride {
+                        delta,
+                        max_stage: Some(cap),
+                    };
+                    let policy = ovr.effective_policy(cdln.policy());
+                    let replayed = trace.outputs(|_| policy, ovr.max_stage).expect("replay");
+                    for (image, out) in images.iter().zip(&replayed) {
+                        let single = cdln.classify_with_override(image, ovr).expect("oracle");
+                        assert_eq!(*out, single, "{ovr}, n={n}, kernel {kernel:?}");
+                    }
+                }
+            }
+            for (i, image) in images.iter().enumerate() {
+                let (label, _) = cdln.classify_baseline(image).expect("baseline");
+                assert_eq!(trace.baseline_label(i), label, "n={n}, kernel {kernel:?}");
             }
         }
     }
@@ -290,6 +350,61 @@ fn survivor_counts_around_the_block_edge_are_bit_identical() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// Inputs that sit **on** a gate: the trace knows each image's stage-0 and
+/// stage-1 confidence `c`, so δ is set to `c` itself and to its two `f32`
+/// neighbours — the exit flips between them — and the per-image oracle, the
+/// gated batch path and the trace's replay must agree on exit stage, label
+/// and confidence bits, for both committed models on both arms.
+#[test]
+fn marginal_inputs_exit_identically_on_every_path() {
+    use cdl::core::confidence::ExitOverride;
+    let pool = SyntheticMnist::default().generate_split(0, 96, 47).1.images;
+    for (name, net) in committed_models() {
+        for kernel in GemmKernel::ALL {
+            let mut eval = BatchEvaluator::with_kernel(&net, kernel);
+            let trace = eval.trace(&pool).expect("trace");
+            let mut flips = 0usize;
+            for stage in 0..net.stage_count() {
+                // δ = 1 lets (next to) nothing exit by itself: the cap makes
+                // every image that reaches `stage` report its confidence there
+                let at_stage = trace
+                    .outputs(|_| net.policy().with_threshold(1.0), Some(stage))
+                    .expect("replay");
+                let marginal = (0..pool.len()).filter(|&i| at_stage[i].exit_stage == stage);
+                for i in marginal.take(24) {
+                    let c = at_stage[i].confidence;
+                    let mut exits = Vec::new();
+                    for delta in [c.next_down(), c, c.next_up()] {
+                        let ovr = ExitOverride::with_delta(delta);
+                        if ovr.validate_for(net.policy()).is_err() {
+                            continue; // c saturated at 1.0: no δ above it
+                        }
+                        let what = format!("{name} {kernel:?} stage {stage} input {i} δ={delta:e}");
+                        let oracle = net.classify_with_override(&pool[i], ovr).expect("oracle");
+                        let gated = eval
+                            .classify_batch_with_override(&pool[i..i + 1], ovr)
+                            .expect("gated batch");
+                        let replayed = trace
+                            .outputs(|_| net.policy().with_threshold(delta), None)
+                            .expect("replay");
+                        assert_eq!(gated[0], oracle, "{what}: gated batch");
+                        assert_eq!(replayed[i], oracle, "{what}: trace");
+                        assert_eq!(
+                            replayed[i].confidence.to_bits(),
+                            oracle.confidence.to_bits(),
+                            "{what}"
+                        );
+                        exits.push(oracle.exit_stage);
+                    }
+                    flips += usize::from(exits.windows(2).any(|w| w[0] != w[1]));
+                }
+            }
+            // the sample is only marginal if one ulp of δ moves exits
+            assert!(flips >= 24, "{name} {kernel:?}: {flips} inputs flipped");
         }
     }
 }

@@ -1,5 +1,6 @@
 //! Shape-level assertions mirroring the paper's result figures, at reduced
-//! scale: these are the properties EXPERIMENTS.md reports at full scale.
+//! scale: these are the properties `cdl-bench`'s `run_all` reports at full
+//! scale.
 
 use cdl::core::arch;
 use cdl::core::builder::{BuilderConfig, CdlBuilder};
@@ -56,7 +57,7 @@ fn trained_base() -> Network {
 #[test]
 fn fig10_shape_delta_tradeoff() {
     let f = fixture();
-    let mut cdl = CdlBuilder::new(arch::mnist_3c(), ConfidencePolicy::sigmoid_prob(0.5))
+    let cdl = CdlBuilder::new(arch::mnist_3c(), ConfidencePolicy::sigmoid_prob(0.5))
         .build(
             trained_base(),
             &f.train_set,
@@ -68,7 +69,7 @@ fn fig10_shape_delta_tradeoff() {
         .unwrap()
         .into_network();
     let deltas = [0.15f32, 0.3, 0.5, 0.7, 0.9];
-    let points = delta_sweep(&mut cdl, &f.test_set, &deltas, &EnergyModel::cmos_45nm()).unwrap();
+    let points = delta_sweep(&cdl, &f.test_set, &deltas, &EnergyModel::cmos_45nm()).unwrap();
     let min_idx = points
         .iter()
         .enumerate()
