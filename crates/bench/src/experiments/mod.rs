@@ -1,8 +1,8 @@
 //! One module per table/figure of the paper's evaluation — the list below is
-//! the index; each has a binary of the same name under `src/bin/`.
+//! the index; `run_all <report-name>` runs one of them.
 //!
-//! Every experiment returns its rendered report as a `String` (the binaries
-//! print it; `run_all` also writes each to `target/cdl-results/`).
+//! Every experiment returns its rendered report as a `String` (`run_all`
+//! prints it and writes it to `target/cdl-results/`).
 
 pub mod ablation;
 pub mod fig10;

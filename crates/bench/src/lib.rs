@@ -2,19 +2,21 @@
 //!
 //! Experiment harness regenerating **every table and figure** of the CDL
 //! paper (Panda et al., DATE 2016). Each experiment is a module under
-//! [`experiments`] with a matching binary, so
+//! [`experiments`], and the one binary runs them all or the reports it is
+//! given by name, so
 //!
 //! ```text
-//! cargo run --release -p cdl-bench --bin fig5_ops_per_digit
+//! cargo run --release -p cdl-bench --bin run_all -- fig5_ops_per_digit
 //! ```
 //!
-//! prints the reproduction of Fig. 5, and so on (the [`experiments`] module
-//! docs are the full index, and `--bin run_all` runs the whole evaluation in
-//! one go).
+//! prints (and saves) the reproduction of Fig. 5, and so on (the
+//! [`experiments`] module docs are the full index; `--bin run_all` with no
+//! argument runs the whole evaluation in one go, and an unknown name lists
+//! the fifteen reports).
 //!
 //! The [`pipeline`] module holds the shared train-once logic: baselines are
 //! trained and heads built through Algorithm 1, then cached on disk
-//! (`target/cdl-cache/`) so individual figure binaries don't retrain.
+//! (`target/cdl-cache/`) so a later run for one figure doesn't retrain.
 //!
 //! ## Scale knobs (environment variables)
 //!

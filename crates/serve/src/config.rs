@@ -203,9 +203,10 @@ pub struct HealthPolicy {
     /// `min_samples.min(probe_budget)` so a small probe budget can still
     /// readmit).
     pub min_samples: u64,
-    /// Consecutive unhealthy checks (the first of which moves
-    /// `Healthy → Degraded`) before the replica is evicted. `1` evicts on
-    /// the first bad window; `2` (the default) requires confirmation.
+    /// Consecutive unhealthy checks before the replica is evicted. `1`
+    /// evicts on the first bad window, straight from `Healthy`; `2` (the
+    /// default) requires confirmation, the first bad window moving
+    /// `Healthy → Degraded`.
     pub evict_after: u32,
     /// Canary admissions a `Probing` replica may take before its probe
     /// window is judged for readmission.
@@ -283,10 +284,10 @@ impl Default for HealthPolicy {
 ///
 /// A failed attempt is retried (on a freshly placed replica) when its
 /// error is *retryable* — [`ServeError::Eval`],
-/// [`ServeError::Disconnected`], or [`ServeError::Fault`] — up to
-/// `max_retries` extra attempts. Typed refusals (`Full`, `Shed`, quota,
-/// validation) are **not** retried: they are backpressure, and retrying
-/// them would amplify overload.
+/// [`ServeError::Disconnected`], [`ServeError::Fault`], or
+/// [`ServeError::Full`] (a sibling may have queue headroom) — up to
+/// `max_retries` extra attempts. The other typed refusals (`Shed`, quota,
+/// validation) are **not** retried: retrying them would amplify overload.
 ///
 /// With `hedge_quantile` set, a second attempt is also launched if the
 /// first has not settled after the shard's merged latency histogram says
@@ -628,9 +629,9 @@ pub struct ServerConfig {
     /// reused across every batch it processes.
     pub workers: usize,
     /// Runtime tracing switchboard: whether per-request lifecycle spans
-    /// are recorded ([`crate::Server::telemetry`] drains them) and at what
-    /// sample rate. Off by default — recording calls then cost one branch,
-    /// so the instrumentation stays compiled into production paths.
+    /// are recorded ([`crate::Server::telemetry`] drains them). Off by
+    /// default — recording calls then cost one branch, so the
+    /// instrumentation stays compiled into production paths.
     pub telemetry: TelemetryConfig,
     /// Per-tenant cap on in-flight requests: a submission carrying
     /// [`SubmitOptions::tenant`] is refused with
@@ -651,8 +652,7 @@ impl ServerConfig {
     /// # Errors
     ///
     /// Returns [`ServeError::BadConfig`] for an invalid policy, a zero
-    /// queue capacity, an empty worker pool or an out-of-range telemetry
-    /// sample rate.
+    /// queue capacity or an empty worker pool.
     pub fn validate(&self) -> ServeResult<()> {
         self.policy.validate()?;
         if self.queue_capacity == 0 {
@@ -666,7 +666,6 @@ impl ServerConfig {
                 "tenant_quota must be >= 1 when set (use None to disable quotas)".into(),
             ));
         }
-        self.telemetry.validate().map_err(ServeError::BadConfig)?;
         Ok(())
     }
 }
@@ -786,14 +785,6 @@ mod tests {
         assert!(bad.validate().is_err());
         let bad = ServerConfig {
             workers: 0,
-            ..ServerConfig::default()
-        };
-        assert!(bad.validate().is_err());
-        let bad = ServerConfig {
-            telemetry: TelemetryConfig {
-                spans: true,
-                sample_rate: 2.0,
-            },
             ..ServerConfig::default()
         };
         assert!(bad.validate().is_err());
@@ -952,10 +943,9 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_defaults_off_with_full_sampling() {
+    fn telemetry_defaults_off() {
         let config = ServerConfig::default();
         assert!(!config.telemetry.spans);
-        assert_eq!(config.telemetry.sample_rate, 1.0);
         let traced = ServerConfig {
             telemetry: TelemetryConfig::enabled(),
             ..ServerConfig::default()

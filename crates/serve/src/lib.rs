@@ -110,8 +110,8 @@
 //!   [`ServerMetrics::latency`] is a true cross-replica tail), and
 //!   [`ServerConfig::telemetry`] can switch on per-request lifecycle
 //!   **spans** (admit → enqueue → batch-seal → dispatch → per-stage →
-//!   exit → reply, recorded into lock-free per-thread rings, sampled
-//!   deterministically by trace id). [`Server::telemetry_snapshot`] /
+//!   exit → reply, recorded into lock-free per-thread rings, every
+//!   request under its trace id). [`Server::telemetry_snapshot`] /
 //!   [`Router::telemetry_snapshot`] export both as Prometheus text or a
 //!   Chrome trace — the Prometheus side is [`Router::metrics`] rendered
 //!   by [`RouterMetrics::fill_telemetry`], including the paper's
@@ -170,7 +170,11 @@
 //!    canary window (`probe_budget` placements while `Probing`) so one
 //!    recovering replica cannot re-poison the stream. If *every* replica
 //!    is evicted the shard keeps serving on the full set: eviction
-//!    degrades placement, it never strands traffic.
+//!    degrades placement, it never strands traffic. Both rules are pure
+//!    functions with table tests that need no server, thread or clock —
+//!    `router::placement` (`candidates`, `pick`) and `router::health`
+//!    (`step`, the whole transition table); `tests/chaos.rs` drives the
+//!    same cells through real pipelines.
 //! 3. **Redundancy is spent at zero marginal evaluator cost.** A
 //!    [`RetryPolicy`] relaunches a failed attempt on a sibling replica
 //!    against a per-request budget, and optionally *hedges*: after a
@@ -181,15 +185,19 @@
 //!    compute. Responses stay bit-identical to
 //!    [`cdl_core::network::CdlNetwork::classify_with_override`] whichever
 //!    attempt wins, because every replica evaluates the same network. The
-//!    race lives inside [`Router::admit`], so requests arriving over TCP
-//!    are retried and hedged exactly like in-process ones.
+//!    race lives inside [`Router::admit`] (`router::race`), so requests
+//!    arriving over TCP are retried and hedged exactly like in-process
+//!    ones.
 //! 4. **Model updates don't drain the world.** [`Router::swap_model`]
 //!    replaces a shard's network replica by replica: each retired
 //!    pipeline finishes every request it admitted (with its *old*
 //!    network — a response is always consistent with the network that was
 //!    current at placement), its final counters fold into later
 //!    snapshots, and traffic keeps flowing to the rest of the set
-//!    throughout.
+//!    throughout. Gate-vacancy listeners ([`Router::on_gate_vacancy`]:
+//!    how the TCP edge resumes parked admissions) live in one registry
+//!    that every gate of every generation is built on, so none is lost
+//!    however a registration and a swap interleave.
 //!
 //! ```
 //! use cdl_serve::{

@@ -44,8 +44,8 @@
 //! (bits 2–5 clear) decode unchanged, and a request carrying only default
 //! options costs no wire space beyond the flags byte. A traced request
 //! continues the client's [`cdl_telemetry::TraceId`] on the server side —
-//! the serving replica re-derives the sampling decision from the id
-//! itself, so one trace covers the wire hop without any coordination.
+//! the serving replica records it whenever its own spans are on, so one
+//! trace covers the wire hop without any coordination.
 //!
 //! # Overload control at the edge
 //!

@@ -53,7 +53,7 @@ struct Slot {
 
 /// Creates a connected response pair: the caller keeps the [`Pending`], the
 /// server pipeline carries the [`Fulfiller`] alongside the input tensor.
-/// `trace` is the request's sampled telemetry trace id, if any — surfaced
+/// `trace` is the request's telemetry trace id, if any — surfaced
 /// on [`Pending::trace`] so callers can correlate their handle with the
 /// drained span events.
 pub(crate) fn pending_pair(trace: Option<TraceId>) -> (Pending, Fulfiller) {
@@ -91,9 +91,8 @@ pub struct Pending {
 impl Pending {
     /// The telemetry trace id this request is being recorded under —
     /// `Some` only when the server's [`cdl_telemetry::TelemetryConfig`]
-    /// has spans on and this request fell inside the sample. Use it to
-    /// pick this request's events out of a [`cdl_telemetry::Telemetry`]
-    /// drain.
+    /// has spans on. Use it to pick this request's events out of a
+    /// [`cdl_telemetry::Telemetry`] drain.
     pub fn trace(&self) -> Option<TraceId> {
         self.trace
     }

@@ -21,27 +21,46 @@
 //! `tests/replica_equivalence.rs`).
 //!
 //! On top of routing, each shard optionally carries the fault-tolerance
-//! stack (see the crate-level *Failure model* essay in [`crate`]):
+//! stack (see the crate-level *Failure model* essay in [`crate`]). Each of
+//! its decisions is written once, in a module of its own:
 //!
-//! - a [`HealthPolicy`] drives a per-replica health state machine
+//! - `placement` — `candidates(health, exclude)`, which replicas an
+//!   admission may go to (`Evicted` ones never, while anything else is
+//!   live), and `pick(policy, cursor, candidates, depth)`, the three
+//!   [`PlacementPolicy`] arms;
+//! - `health` — a [`HealthPolicy`] drives a per-replica state machine
 //!   ([`ReplicaHealth`]) over windowed error-rate and latency-tail
-//!   signals — placement skips `Evicted` replicas entirely and readmits
-//!   through bounded canary probes;
-//! - a [`RetryPolicy`] adds budgeted retries on replica failure and an
-//!   optional hedged second attempt, first-completion-wins, with the
-//!   losing attempt cancelled at zero evaluator ops;
-//! - [`Router::swap_model`] hot-swaps a shard's network replica by
-//!   replica without draining the router.
+//!   signals, readmitting through bounded canary probes:
+//!   `step(state, bad_streak, window, policy)` is its whole transition
+//!   table, over a window of three numbers;
+//! - `race` — a [`RetryPolicy`] adds budgeted retries on replica failure
+//!   and an optional hedged second attempt, first-completion-wins, with
+//!   the losing attempt cancelled at zero evaluator ops; the hedge timer.
+//!
+//! The first two are pure functions whose table tests start no server and
+//! no thread, and the tables are the specification: `tests/chaos.rs`
+//! exercises the same cells end to end, through real pipelines and faults.
+//! This file is the state they are applied to (`Shard::place` and
+//! `Shard::check_replica` read the atomics and the ledger delta, call the
+//! function, apply the result), the [`Router`] API, metrics, and
+//! [`Router::swap_model`], which hot-swaps a shard's network replica by
+//! replica without draining the router.
+
+mod health;
+mod placement;
+mod race;
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock, Weak};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, RwLock};
+use std::time::Duration;
 
 use cdl_core::network::CdlNetwork;
-use cdl_telemetry::{EventKind, LogHistogram, SpanEvent, TelemetrySnapshot, TraceId};
+use cdl_telemetry::{EventKind, SpanEvent, TelemetrySnapshot, TraceId};
 use cdl_tensor::Tensor;
 
+use self::health::{HealthWindow, Window};
+use self::race::HedgeTimer;
 use crate::config::{
     HealthPolicy, PlacementPolicy, ReplicaHealth, ReplicaSpec, RetryPolicy, ServerConfig,
     SubmitOptions,
@@ -49,8 +68,8 @@ use crate::config::{
 use crate::error::{Refused, ServeError, ServeResult};
 use crate::fault::FaultPlan;
 use crate::metrics::{ReplicaMetrics, RouterMetrics, ServerMetrics, ShardMetrics};
-use crate::pending::{pending_pair, Fulfiller, Pending};
-use crate::server::{Admission, Request, Server};
+use crate::pending::Pending;
+use crate::server::{Admission, Request, Server, VacancyListeners};
 
 /// Identifies one model (replica set) registered with a [`Router`].
 ///
@@ -153,17 +172,6 @@ impl ShardSpec {
     }
 }
 
-/// The health-check window baseline of one replica: its ledger at the last
-/// *judged* check, so the next check judges only the delta. Inconclusive
-/// checks (fewer than the policy's `min_samples` settled outcomes) leave
-/// the baseline in place and keep accumulating.
-#[derive(Default)]
-struct HealthWindow {
-    baseline: ServerMetrics,
-    /// Consecutive unhealthy checks (1 on `Healthy → Degraded`).
-    bad_streak: u32,
-}
-
 /// One running replica: a hot-swappable [`Server`] slot plus the
 /// router-level placement counter and health state.
 struct Replica {
@@ -263,33 +271,16 @@ struct Shard {
     replicas: Vec<Replica>,
 }
 
-/// How many hedged submissions share one cached hedge-delay computation
-/// (merging every replica's latency histogram is too heavy per request).
-const HEDGE_REFRESH: u64 = 128;
-
-/// SplitMix64 — the cheap stateless mixer turning the placement cursor
-/// into the pseudo-random probe pair for power-of-two-choices.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl Shard {
     /// Picks the replica index the next admission goes to.
     ///
     /// With no [`HealthPolicy`] this is exactly the placement policy over
     /// live queue depths. With one, a `Probing` replica first claims
     /// canary placements up to its probe budget; normal placements then
-    /// run over the **live** subset ({`Healthy`, `Degraded`}), falling
-    /// back to the full set if nothing is live (an all-evicted shard keeps
-    /// serving rather than stranding traffic). `exclude` (used by retries
-    /// and hedges) removes one replica from consideration when siblings
-    /// remain — a retry should not land on the replica that just failed.
+    /// run over [`placement::candidates`]. `exclude` (used by retries and
+    /// hedges) is the replica that just failed or is already racing.
     fn place(&self, exclude: Option<usize>) -> usize {
-        let n = self.replicas.len();
-        if n == 1 {
+        if self.replicas.len() == 1 {
             return 0;
         }
         if let Some(policy) = &self.health {
@@ -304,47 +295,13 @@ impl Shard {
                 replica.probes_used.fetch_sub(1, Ordering::Relaxed);
             }
         }
-        let mut candidates: Vec<usize> = (0..n)
-            .filter(|&i| self.replicas[i].health_state().is_live())
-            .collect();
-        if candidates.len() > 1 {
-            if let Some(x) = exclude {
-                candidates.retain(|&i| i != x);
-            }
-        }
-        if candidates.is_empty() {
-            candidates = (0..n).collect();
-        }
-        let m = candidates.len();
-        if m == 1 {
-            return candidates[0];
-        }
-        let depth = |i: usize| self.replicas[i].queue_depth();
-        match self.placement {
-            PlacementPolicy::RoundRobin => {
-                candidates[(self.cursor.fetch_add(1, Ordering::Relaxed) % m as u64) as usize]
-            }
-            PlacementPolicy::LeastLoaded => candidates
-                .iter()
-                .copied()
-                .min_by_key(|&i| depth(i))
-                .expect("candidate set is non-empty"),
-            PlacementPolicy::PowerOfTwoChoices => {
-                let h = splitmix64(self.cursor.fetch_add(1, Ordering::Relaxed));
-                let a = (h % m as u64) as usize;
-                // pick b from the m-1 non-a indices so the pair is distinct
-                let mut b = ((h >> 32) % (m as u64 - 1)) as usize;
-                if b >= a {
-                    b += 1;
-                }
-                let (a, b) = (candidates[a], candidates[b]);
-                if depth(b) < depth(a) {
-                    b
-                } else {
-                    a
-                }
-            }
-        }
+        let health = self.replicas.iter().map(Replica::health_state);
+        placement::pick(
+            self.placement,
+            || self.cursor.fetch_add(1, Ordering::Relaxed),
+            &placement::candidates(health, exclude),
+            |i| self.replicas[i].queue_depth(),
+        )
     }
 
     /// Places `request` on one replica and admits it there — the one
@@ -399,7 +356,7 @@ impl Shard {
     }
 
     /// Judges one replica's window since its last conclusive check and
-    /// advances the state machine (see [`ReplicaHealth`]).
+    /// applies what [`health::step`] decides.
     fn check_replica(&self, replica: &Replica, policy: &HealthPolicy) {
         let Some(server) = replica.server() else {
             return; // shutting down
@@ -409,83 +366,23 @@ impl Shard {
         let mut window = replica.window.lock().unwrap();
         let state = replica.health_state();
         let snapshot = server.metrics();
-        if state == ReplicaHealth::Evicted {
-            // an evicted replica saw no traffic, so there is nothing to
-            // judge — open the canary window instead
-            replica.probes_used.store(0, Ordering::Relaxed);
-            window.baseline = snapshot;
-            window.bad_streak = 0;
-            self.transition(replica, &server, state, ReplicaHealth::Probing);
-            return;
-        }
-        let base = &window.baseline;
-        let completed = snapshot.completed.saturating_sub(base.completed);
-        let errors = snapshot.failed.saturating_sub(base.failed)
-            + snapshot.faults.saturating_sub(base.faults);
-        let samples = completed + errors;
-        let needed = if state == ReplicaHealth::Probing {
-            policy.min_samples.min(policy.probe_budget)
-        } else {
-            policy.min_samples
-        };
-        if samples < needed {
+        let judged = Window::since(&window.baseline, &snapshot, policy.latency_quantile);
+        let Some((next, bad_streak)) = health::step(state, window.bad_streak, judged, policy)
+        else {
             return; // inconclusive: keep accumulating this window
-        }
-        let tail = snapshot
-            .latency_histogram
-            .subtracted(&base.latency_histogram)
-            .quantile_duration(policy.latency_quantile);
-        let latency_bad = match (policy.latency_threshold, tail) {
-            (Some(limit), Some(q)) => q > limit,
-            _ => false,
         };
-        let error_rate = errors as f64 / samples as f64;
-        let bad = error_rate > policy.error_threshold || latency_bad;
-        window.baseline = snapshot;
-        match (state, bad) {
-            (ReplicaHealth::Healthy, true) => {
-                window.bad_streak = 1;
-                self.transition(replica, &server, state, ReplicaHealth::Degraded);
-            }
-            (ReplicaHealth::Healthy, false) => window.bad_streak = 0,
-            (ReplicaHealth::Degraded, true) => {
-                window.bad_streak += 1;
-                if window.bad_streak >= policy.evict_after {
-                    self.transition(replica, &server, state, ReplicaHealth::Evicted);
-                }
-            }
-            (ReplicaHealth::Degraded, false) => {
-                window.bad_streak = 0;
-                self.transition(replica, &server, state, ReplicaHealth::Healthy);
-            }
-            (ReplicaHealth::Probing, true) => {
-                self.transition(replica, &server, state, ReplicaHealth::Evicted);
-            }
-            (ReplicaHealth::Probing, false) => {
-                window.bad_streak = 0;
-                self.transition(replica, &server, state, ReplicaHealth::Healthy);
-            }
-            (ReplicaHealth::Evicted, _) => unreachable!("handled above"),
+        (window.baseline, window.bad_streak) = (snapshot, bad_streak);
+        if next == ReplicaHealth::Probing {
+            replica.probes_used.store(0, Ordering::Relaxed);
         }
-    }
-
-    /// Records one health transition: state slot, counter, span event.
-    fn transition(
-        &self,
-        replica: &Replica,
-        server: &Server,
-        from: ReplicaHealth,
-        to: ReplicaHealth,
-    ) {
-        replica.health.store(to.code(), Ordering::Relaxed);
-        replica.transitions.fetch_add(1, Ordering::Relaxed);
-        server.telemetry().record(
-            TraceId::next(),
-            EventKind::Health {
-                from: from.code(),
-                to: to.code(),
-            },
-        );
+        if next != state {
+            // one transition: state slot, counter, span event
+            replica.health.store(next.code(), Ordering::Relaxed);
+            replica.transitions.fetch_add(1, Ordering::Relaxed);
+            let (from, to) = (state.code(), next.code());
+            let event = EventKind::Health { from, to };
+            server.telemetry().record(TraceId::next(), event);
+        }
     }
 
     /// This set's [`ShardMetrics`] around already-taken replica snapshots.
@@ -502,318 +399,6 @@ impl Shard {
     fn live_metrics(&self) -> ShardMetrics {
         self.metrics_with(self.replicas.iter().map(Replica::live_metrics).collect())
     }
-
-    /// The delay before a hedged second attempt: the shard's merged
-    /// latency histogram at the policy's hedge quantile, floored at
-    /// `hedge_floor`, cached across [`HEDGE_REFRESH`] submissions.
-    fn hedge_delay(&self, policy: &RetryPolicy) -> Duration {
-        let Some(quantile) = policy.hedge_quantile else {
-            return policy.hedge_floor;
-        };
-        if self
-            .hedge_calls
-            .fetch_add(1, Ordering::Relaxed)
-            .is_multiple_of(HEDGE_REFRESH)
-        {
-            let mut merged = LogHistogram::new();
-            for replica in &self.replicas {
-                if let Some(server) = replica.server() {
-                    merged.merge(&server.metrics().latency_histogram);
-                }
-            }
-            let delay = merged
-                .quantile_duration(quantile)
-                .unwrap_or(Duration::ZERO)
-                .max(policy.hedge_floor);
-            self.hedge_delay_ns
-                .store(delay.as_nanos() as u64, Ordering::Relaxed);
-        }
-        Duration::from_nanos(self.hedge_delay_ns.load(Ordering::Relaxed))
-    }
-}
-
-/// Whether a failed attempt may be relaunched on another replica. Typed
-/// refusals (`Full` is the exception below, `Shed`, quota, validation) are
-/// backpressure or caller errors — retrying them would amplify overload or
-/// just fail again. `Full` *is* retryable: a sibling replica may have
-/// queue headroom even when the placed one does not.
-fn retryable(error: &ServeError) -> bool {
-    matches!(
-        error,
-        ServeError::Eval(_) | ServeError::Disconnected | ServeError::Fault(_) | ServeError::Full
-    )
-}
-
-/// One in-flight attempt of a retried/hedged request.
-struct Attempt {
-    id: u64,
-    replica: usize,
-    /// Shared so the slot can both be claimed on completion and dropped
-    /// (→ cancelled at zero evaluator ops) when a sibling attempt wins.
-    pending: Arc<Pending>,
-}
-
-/// Mutable half of one retried/hedged request's race.
-struct RaceState {
-    /// Taken exactly once, by whichever attempt settles the caller.
-    fulfiller: Option<Fulfiller>,
-    retries_left: u32,
-    attempts: Vec<Attempt>,
-    next_id: u64,
-}
-
-impl RaceState {
-    /// Unsettled, and the caller still holds its [`Pending`]. Nothing is
-    /// relaunched for a caller that hung up (a disconnected wire client
-    /// must not keep spawning attempts).
-    fn caller_waiting(&self) -> bool {
-        self.fulfiller.as_ref().is_some_and(|f| !f.is_cancelled())
-    }
-}
-
-/// One retried/hedged request: the request (cloned per attempt) plus the
-/// race between its attempts. First completion wins the [`Fulfiller`];
-/// losing attempts are dropped, which cancels them before any evaluator
-/// ops are spent on them.
-struct RaceCtx {
-    shard: Arc<Shard>,
-    request: Request,
-    state: Mutex<RaceState>,
-}
-
-impl RaceCtx {
-    /// Launches one attempt, and relaunches ([`RaceCtx::retry`]) until one
-    /// is in flight or the chain dies. `admission` only holds for this
-    /// first attempt — relaunches, which also run from completion
-    /// callbacks, must never block a worker on a full admission gate.
-    fn launch_until_inflight(
-        ctx: &Arc<RaceCtx>,
-        exclude: Option<usize>,
-        admission: Admission,
-    ) -> Result<(), ServeError> {
-        match Self::one_attempt(ctx, exclude, admission) {
-            Ok(()) => Ok(()),
-            Err((at, error)) => Self::retry(ctx, at, error),
-        }
-    }
-
-    /// An attempt on replica `at` failed with `error`, synchronously or
-    /// from its completion: relaunch elsewhere while the error is
-    /// retryable, the budget lasts and the caller still waits. `Err` is
-    /// the failure the chain died with.
-    fn retry(ctx: &Arc<RaceCtx>, mut at: usize, mut error: ServeError) -> Result<(), ServeError> {
-        loop {
-            let budgeted = retryable(&error) && {
-                let mut state = ctx.state.lock().unwrap();
-                let budgeted = state.caller_waiting() && state.retries_left > 0;
-                if budgeted {
-                    state.retries_left -= 1;
-                }
-                budgeted
-            };
-            if !budgeted {
-                return Err(error);
-            }
-            ctx.shard.retries.fetch_add(1, Ordering::Relaxed);
-            match Self::one_attempt(ctx, Some(at), Admission::Try) {
-                Ok(()) => return Ok(()),
-                Err(refusal) => (at, error) = refusal,
-            }
-        }
-    }
-
-    /// Places and submits one attempt. `Err` carries the refusing replica
-    /// so the caller can exclude it from the relaunch.
-    fn one_attempt(
-        ctx: &Arc<RaceCtx>,
-        exclude: Option<usize>,
-        admission: Admission,
-    ) -> Result<(), (usize, ServeError)> {
-        let (index, admitted) = ctx.shard.attempt(exclude, ctx.request.clone(), admission);
-        let pending = Arc::new(admitted.map_err(|refused| (index, refused.error))?);
-        let id = {
-            let mut state = ctx.state.lock().unwrap();
-            if state.fulfiller.is_none() {
-                // a sibling settled while this attempt was admitting:
-                // dropping the handle cancels it at zero evaluator ops
-                drop(state);
-                return Ok(());
-            }
-            let id = state.next_id;
-            state.next_id += 1;
-            state.attempts.push(Attempt {
-                id,
-                replica: index,
-                pending: Arc::clone(&pending),
-            });
-            id
-        };
-        // outside the state lock: an already-settled slot fires the waker
-        // synchronously, and the waker re-enters the state lock
-        let waker_ctx = Arc::clone(ctx);
-        pending.set_waker(move || Self::on_ready(&waker_ctx, id));
-        Ok(())
-    }
-
-    /// Completion callback of one attempt: settle the caller on success,
-    /// [`RaceCtx::retry`] on failure.
-    fn on_ready(ctx: &Arc<RaceCtx>, id: u64) {
-        let mut state = ctx.state.lock().unwrap();
-        let Some(position) = state.attempts.iter().position(|a| a.id == id) else {
-            return; // already drained by a winning sibling
-        };
-        let Some(result) = state.attempts[position].pending.try_claim() else {
-            return;
-        };
-        let attempt = state.attempts.remove(position);
-        match result {
-            Ok(output) => {
-                let Some(fulfiller) = state.fulfiller.take() else {
-                    return;
-                };
-                let losers: Vec<Attempt> = state.attempts.drain(..).collect();
-                drop(state);
-                fulfiller.settle(Ok(output));
-                // dropping the losers' handles cancels them: the workers
-                // skip cancelled slots without evaluating
-                drop(losers);
-            }
-            Err(error) => {
-                drop(state);
-                if let Err(final_error) = Self::retry(ctx, attempt.replica, error) {
-                    Self::no_attempt_left(ctx, final_error);
-                }
-            }
-        }
-    }
-
-    /// A launch chain died with `error`: settle the caller with it unless
-    /// a sibling attempt is still racing (its own outcome will settle).
-    fn no_attempt_left(ctx: &Arc<RaceCtx>, error: ServeError) {
-        let mut state = ctx.state.lock().unwrap();
-        if state.attempts.is_empty() {
-            if let Some(fulfiller) = state.fulfiller.take() {
-                drop(state);
-                fulfiller.settle(Err(error));
-            }
-        }
-    }
-
-    /// Hedge-timer callback: launch the hedged second attempt if the
-    /// primary is still unsettled.
-    fn fire_hedge(ctx: &Arc<RaceCtx>) {
-        let primary = {
-            let state = ctx.state.lock().unwrap();
-            if !state.caller_waiting() || state.attempts.is_empty() {
-                return; // settled, hung up, or no primary left to hedge against
-            }
-            state.attempts[0].replica
-        };
-        ctx.shard.hedges.fetch_add(1, Ordering::Relaxed);
-        if let Err(error) = Self::launch_until_inflight(ctx, Some(primary), Admission::Try) {
-            Self::no_attempt_left(ctx, error);
-        }
-    }
-}
-
-/// A timer queue entry: the instant to fire at and the callback.
-type TimerEntry = (Instant, Box<dyn FnOnce() + Send>);
-
-struct TimerQueue {
-    entries: Vec<TimerEntry>,
-    stopped: bool,
-}
-
-struct TimerShared {
-    queue: Mutex<TimerQueue>,
-    cv: Condvar,
-}
-
-/// One shared timer thread firing hedged second attempts — started only
-/// when some shard actually hedges, joined on router shutdown/drop.
-struct HedgeTimer {
-    shared: Arc<TimerShared>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl HedgeTimer {
-    fn start() -> HedgeTimer {
-        let shared = Arc::new(TimerShared {
-            queue: Mutex::new(TimerQueue {
-                entries: Vec::new(),
-                stopped: false,
-            }),
-            cv: Condvar::new(),
-        });
-        let run_shared = Arc::clone(&shared);
-        let thread = std::thread::Builder::new()
-            .name("cdl-hedge-timer".into())
-            .spawn(move || Self::run(&run_shared))
-            .expect("spawn hedge timer thread");
-        HedgeTimer {
-            shared,
-            thread: Some(thread),
-        }
-    }
-
-    fn schedule(&self, at: Instant, fire: Box<dyn FnOnce() + Send>) {
-        let mut queue = self.shared.queue.lock().unwrap();
-        if queue.stopped {
-            return;
-        }
-        queue.entries.push((at, fire));
-        self.shared.cv.notify_one();
-    }
-
-    fn run(shared: &TimerShared) {
-        let mut queue = shared.queue.lock().unwrap();
-        loop {
-            if queue.stopped {
-                return;
-            }
-            let now = Instant::now();
-            let mut due = Vec::new();
-            let mut i = 0;
-            while i < queue.entries.len() {
-                if queue.entries[i].0 <= now {
-                    due.push(queue.entries.swap_remove(i).1);
-                } else {
-                    i += 1;
-                }
-            }
-            if !due.is_empty() {
-                // fire outside the lock: callbacks submit requests and may
-                // schedule further timers
-                drop(queue);
-                for fire in due {
-                    fire();
-                }
-                queue = shared.queue.lock().unwrap();
-                continue;
-            }
-            queue = match queue.entries.iter().map(|e| e.0).min() {
-                None => shared.cv.wait(queue).unwrap(),
-                Some(next) => {
-                    let wait = next.saturating_duration_since(now);
-                    shared.cv.wait_timeout(queue, wait).unwrap().0
-                }
-            };
-        }
-    }
-}
-
-impl Drop for HedgeTimer {
-    fn drop(&mut self) {
-        {
-            let mut queue = self.shared.queue.lock().unwrap();
-            queue.stopped = true;
-            queue.entries.clear();
-            self.shared.cv.notify_one();
-        }
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
 }
 
 /// The sharded, replicated multi-network serving front-end.
@@ -824,9 +409,9 @@ impl Drop for HedgeTimer {
 pub struct Router {
     shards: Vec<Arc<Shard>>,
     hedge: Option<HedgeTimer>,
-    /// Gate-vacancy listeners, retained (weakly, like each gate's own list)
-    /// so swapped-in servers get them too — see [`Router::on_gate_vacancy`].
-    vacancy: Mutex<Vec<Weak<dyn Fn() + Send + Sync>>>,
+    /// The one gate-vacancy registry, shared with the gate of every
+    /// pipeline this router ever builds — see [`Router::on_gate_vacancy`].
+    vacancy: Arc<VacancyListeners>,
 }
 
 impl fmt::Debug for Router {
@@ -881,6 +466,7 @@ impl Router {
         let hedges = specs
             .iter()
             .any(|s| s.retry.as_ref().is_some_and(|r| r.hedge_quantile.is_some()));
+        let vacancy = Arc::new(VacancyListeners::default());
         let shards = specs
             .into_iter()
             .map(|spec| {
@@ -892,7 +478,11 @@ impl Router {
                         {
                             config.fault = plan.clone();
                         }
-                        let server = Server::start(Arc::clone(&spec.net), config.clone())?;
+                        let server = Server::start_on(
+                            Arc::clone(&spec.net),
+                            config.clone(),
+                            Arc::clone(&vacancy),
+                        )?;
                         Ok(Replica {
                             server: RwLock::new(Some(Arc::new(server))),
                             config,
@@ -924,7 +514,7 @@ impl Router {
         Ok(Router {
             shards,
             hedge: hedges.then(HedgeTimer::start),
-            vacancy: Mutex::new(Vec::new()),
+            vacancy,
         })
     }
 
@@ -998,9 +588,8 @@ impl Router {
     ///
     /// Returns [`ServeError::UnknownModel`] for an unregistered id.
     pub fn check_health(&self, model: ModelId) -> ServeResult<Vec<ReplicaHealth>> {
-        let shard = self.shard(model)?;
-        shard.check_health_now();
-        Ok(shard.replicas.iter().map(|r| r.health_state()).collect())
+        self.shard(model)?.check_health_now();
+        self.replica_health(model)
     }
 
     fn shard(&self, model: ModelId) -> ServeResult<&Arc<Shard>> {
@@ -1040,36 +629,10 @@ impl Router {
             Err(error) => return Err(Refused::returning(error, request.input)),
         };
         shard.auto_check();
-        let Some(policy) = shard.retry else {
-            return shard.attempt(None, request, admission).1;
-        };
-        let (pending, fulfiller) = pending_pair(request.trace);
-        let ctx = Arc::new(RaceCtx {
-            shard: Arc::clone(shard),
-            request,
-            state: Mutex::new(RaceState {
-                fulfiller: Some(fulfiller),
-                retries_left: policy.max_retries,
-                attempts: Vec::new(),
-                next_id: 0,
-            }),
-        });
-        if let Err(error) = RaceCtx::launch_until_inflight(&ctx, None, admission) {
-            // no attempt registered and the hedge timer not yet armed:
-            // the context is uniquely owned, so the original tensor (each
-            // attempt took a clone) goes back to the caller
-            let input = Arc::try_unwrap(ctx).ok().map(|ctx| ctx.request.input);
-            return Err(Refused { error, input });
+        match &shard.retry {
+            None => shard.attempt(None, request, admission).1,
+            Some(policy) => race::admit(shard, policy, self.hedge.as_ref(), request, admission),
         }
-        if let (Some(_), Some(timer)) = (policy.hedge_quantile, &self.hedge) {
-            let delay = shard.hedge_delay(&policy);
-            let hedge_ctx = Arc::clone(&ctx);
-            timer.schedule(
-                Instant::now() + delay,
-                Box::new(move || RaceCtx::fire_hedge(&hedge_ctx)),
-            );
-        }
-        Ok(pending)
     }
 
     /// [`Router::admit`] of a default-options request under
@@ -1124,8 +687,9 @@ impl Router {
     /// metrics are folded into all later snapshots, so no counters are
     /// lost.
     ///
-    /// Gate-vacancy listeners ([`Router::on_gate_vacancy`]) are
-    /// re-registered on each swapped-in pipeline before it is published.
+    /// Gate-vacancy listeners ([`Router::on_gate_vacancy`]) need nothing
+    /// done for them: each swapped-in pipeline's gate is built on the
+    /// router's one registry.
     ///
     /// # Errors
     ///
@@ -1138,17 +702,14 @@ impl Router {
         let shard = self.shard(model)?;
         // build every replacement first so a mid-set start failure can
         // never leave the set half-swapped
-        let mut fresh: Vec<Arc<Server>> = Vec::with_capacity(shard.replicas.len());
-        {
-            let listeners = self.vacancy.lock().unwrap();
-            for replica in &shard.replicas {
-                let server = Server::start(Arc::clone(&net), replica.config.clone())?;
-                for listener in listeners.iter().filter_map(Weak::upgrade) {
-                    server.on_gate_vacancy(&listener);
-                }
-                fresh.push(Arc::new(server));
-            }
-        }
+        let fresh = shard
+            .replicas
+            .iter()
+            .map(|replica| {
+                let (net, vacancy) = (Arc::clone(&net), Arc::clone(&self.vacancy));
+                Server::start_on(net, replica.config.clone(), vacancy).map(Arc::new)
+            })
+            .collect::<ServeResult<Vec<Arc<Server>>>>()?;
         for (replica, next) in shard.replicas.iter().zip(fresh) {
             let old = {
                 let mut slot = replica.server.write().unwrap();
@@ -1171,24 +732,15 @@ impl Router {
     /// Registers a callback fired whenever **any** replica's admission
     /// gate frees capacity (a request settles or is dropped). The TCP
     /// edge registers one per poller so parked admissions resume
-    /// event-driven instead of polling. Listeners are retained and
-    /// re-registered on pipelines swapped in by [`Router::swap_model`] —
-    /// **weakly**, as [`Server::on_gate_vacancy`] keeps them: one fires for
-    /// as long as the caller holds its `Arc` and is forgotten afterwards, so
-    /// an edge that has shut down costs the router nothing.
+    /// event-driven instead of polling. There is one registry per router:
+    /// every gate of every replica fires it, and [`Router::swap_model`]
+    /// builds its replacement pipelines on the same one, so a listener
+    /// outlives any number of swaps however registration and swap
+    /// interleave. It is held **weakly**: a listener fires for as long as
+    /// the caller holds its `Arc` and is forgotten afterwards, so an edge
+    /// that has shut down costs the router nothing.
     pub fn on_gate_vacancy(&self, listener: &Arc<dyn Fn() + Send + Sync>) {
-        {
-            let mut listeners = self.vacancy.lock().unwrap();
-            listeners.retain(|l| l.strong_count() > 0);
-            listeners.push(Arc::downgrade(listener));
-        }
-        for shard in &self.shards {
-            for replica in &shard.replicas {
-                if let Some(server) = replica.server() {
-                    server.on_gate_vacancy(listener);
-                }
-            }
-        }
+        self.vacancy.add(Arc::downgrade(listener));
     }
 
     /// A point-in-time snapshot of one model's replica set: per-replica
@@ -1303,7 +855,7 @@ mod tests {
     use cdl_nn::network::Network;
     use std::time::Duration;
 
-    fn build_untrained(arch: CdlArchitecture, seed: u64) -> Arc<CdlNetwork> {
+    pub(super) fn build_untrained(arch: CdlArchitecture, seed: u64) -> Arc<CdlNetwork> {
         let base = Network::from_spec(&arch.spec, seed).unwrap();
         let feats = arch.tap_features().unwrap();
         let stages = arch
@@ -1338,7 +890,7 @@ mod tests {
         ]
     }
 
-    fn images(n: usize) -> Vec<Tensor> {
+    pub(super) fn images(n: usize) -> Vec<Tensor> {
         (0..n)
             .map(|i| Tensor::full(&[1, 28, 28], 0.1 + 0.07 * (i as f32 % 11.0)))
             .collect()
@@ -1501,79 +1053,6 @@ mod tests {
             pending.wait().unwrap();
         }
         other.wait().unwrap();
-    }
-
-    #[test]
-    fn round_robin_places_evenly() {
-        let net = build_untrained(arch::mnist_2c(), 5);
-        let config = ServerConfig {
-            policy: BatchPolicy::new(usize::MAX),
-            queue_capacity: 64,
-            workers: 1,
-            ..ServerConfig::default()
-        };
-        let router = Router::start(vec![ShardSpec::new("m", Arc::clone(&net), config)
-            .replicated(ReplicaSpec::new(3, PlacementPolicy::RoundRobin))])
-        .unwrap();
-        let model = router.model_id("m").unwrap();
-        assert_eq!(router.replica_count(model).unwrap(), 3);
-        let inputs = images(9);
-        let pendings: Vec<Pending> = inputs
-            .iter()
-            .map(|x| router.submit(model, x.clone()).unwrap())
-            .collect();
-        // bit-identical wherever each request was placed
-        for (x, pending) in inputs.iter().zip(pendings) {
-            assert_eq!(pending.wait().unwrap(), net.classify(x).unwrap());
-        }
-        let metrics = router.shutdown();
-        assert_eq!(metrics.shards[0].placement_histogram(), vec![3, 3, 3]);
-        assert_eq!(metrics.routing_histogram(), vec![9]);
-        assert_eq!(metrics.total().completed, 9);
-        for replica in &metrics.shards[0].replicas {
-            assert_eq!(replica.routed, replica.metrics.submitted);
-        }
-    }
-
-    #[test]
-    fn load_aware_policies_balance_a_stalled_set() {
-        // never-dispatching batches freeze queue depths, so placement over
-        // depth is fully deterministic: both LeastLoaded and (with 2
-        // replicas, where both probes always see the whole set) P2C must
-        // alternate and split the stream exactly evenly
-        for placement in [
-            PlacementPolicy::LeastLoaded,
-            PlacementPolicy::PowerOfTwoChoices,
-        ] {
-            let net = build_untrained(arch::mnist_2c(), 5);
-            let config = ServerConfig {
-                policy: BatchPolicy::by_size(1 << 20),
-                queue_capacity: 64,
-                workers: 1,
-                ..ServerConfig::default()
-            };
-            let router = Router::start(vec![ShardSpec::new("m", Arc::clone(&net), config)
-                .replicated(ReplicaSpec::new(2, placement))])
-            .unwrap();
-            let model = router.model_id("m").unwrap();
-            let inputs = images(6);
-            let _pendings: Vec<Pending> = inputs
-                .iter()
-                .map(|x| {
-                    router
-                        .try_submit_with(model, x.clone(), SubmitOptions::default())
-                        .unwrap()
-                })
-                .collect();
-            let live = router.metrics();
-            assert_eq!(
-                live.shards[0].placement_histogram(),
-                vec![3, 3],
-                "{placement} must balance a stalled replica set"
-            );
-            let metrics = router.shutdown();
-            assert_eq!(metrics.total().completed, 6);
-        }
     }
 
     #[test]
@@ -1904,6 +1383,73 @@ mod tests {
     }
 
     #[test]
+    fn a_listener_registered_while_a_swap_is_in_flight_fires_on_every_new_pipeline() {
+        use std::sync::atomic::AtomicUsize;
+        use std::time::Instant;
+        let net_a = build_untrained(arch::mnist_2c(), 5);
+        let net_b = build_untrained(arch::mnist_2c(), 11);
+        let config = ServerConfig {
+            policy: BatchPolicy::new(usize::MAX),
+            queue_capacity: 64,
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let router = Router::start(vec![ShardSpec::new("m", net_a, config)
+            .replicated(ReplicaSpec::new(3, PlacementPolicy::RoundRobin))])
+        .unwrap();
+        let model = router.model_id("m").unwrap();
+        let listener = || {
+            let fired = Arc::new(AtomicUsize::new(0));
+            let count = Arc::clone(&fired);
+            let callback: Arc<dyn Fn() + Send + Sync> = Arc::new(move || {
+                count.fetch_add(1, Ordering::SeqCst);
+            });
+            (fired, callback)
+        };
+        let before = listener();
+        router.on_gate_vacancy(&before.1);
+        // a handle on replica 0's pipeline holds the swap exactly where the
+        // registration has to land: replica 0's replacement is published,
+        // `wait_unshared` spins on the retiring pipeline, and replicas 1 and
+        // 2 still run the pipelines they are about to lose
+        let held = router.shards[0].replicas[0].server().unwrap();
+        let during = std::thread::scope(|scope| {
+            let swap = scope.spawn(|| router.swap_model(model, Arc::clone(&net_b)));
+            while !Arc::ptr_eq(&router.network(model).unwrap(), &net_b) {
+                std::thread::yield_now();
+            }
+            let during = listener();
+            router.on_gate_vacancy(&during.1);
+            drop(held);
+            swap.join().unwrap().unwrap();
+            during
+        });
+        // every listener hears a slot freed on every replica's *current*
+        // pipeline (each request goes straight to one replica's server)
+        for (index, replica) in router.shards[0].replicas.iter().enumerate() {
+            let server = replica.server().unwrap();
+            assert!(Arc::ptr_eq(&server.network_arc(), &net_b));
+            let heard = [&before.0, &during.0].map(|fired| fired.load(Ordering::SeqCst));
+            server.submit(images(1).remove(0)).unwrap().wait().unwrap();
+            // the slot is released after the answer settles: wait for it
+            let deadline = Instant::now() + Duration::from_secs(5);
+            for (name, fired, heard) in [
+                ("before", &before.0, heard[0]),
+                ("during", &during.0, heard[1]),
+            ] {
+                while fired.load(Ordering::SeqCst) == heard {
+                    assert!(
+                        Instant::now() < deadline,
+                        "the listener registered {name} the swap never heard replica {index}"
+                    );
+                    std::thread::yield_now();
+                }
+            }
+        }
+        router.shutdown();
+    }
+
+    #[test]
     fn every_refusal_hands_the_tensor_back() {
         use crate::config::Priority;
         use crate::fault::{FaultKind, FaultPlan};
@@ -1978,51 +1524,5 @@ mod tests {
             drop(held);
             router.shutdown();
         }
-    }
-
-    #[test]
-    fn nothing_is_relaunched_for_a_caller_that_hung_up() {
-        use crate::fault::{FaultKind, FaultPlan};
-        // one replica whose first batch kills its worker; the never-full
-        // batch holds everything admitted until shutdown flushes it
-        let spec = ShardSpec::new(
-            "m",
-            build_untrained(arch::mnist_2c(), 5),
-            ServerConfig {
-                policy: BatchPolicy::by_size(1 << 20),
-                queue_capacity: 8,
-                workers: 1,
-                fault: FaultPlan::builder().at(0, FaultKind::PanicOnce).build(),
-                ..ServerConfig::default()
-            },
-        )
-        .retry(RetryPolicy::retries(2));
-        let router = Router::start(vec![spec]).unwrap();
-        let model = router.model_id("m").unwrap();
-        let shard = Arc::clone(&router.shards[0]);
-        // the caller hangs up with its attempt still queued
-        drop(router.submit(model, images(1).remove(0)).unwrap());
-        // a hedge timer firing now finds nobody to hedge for
-        let (pending, fulfiller) = pending_pair(None);
-        let ctx = Arc::new(RaceCtx {
-            shard: Arc::clone(&shard),
-            request: Request::new(images(1).remove(0), SubmitOptions::default()),
-            state: Mutex::new(RaceState {
-                fulfiller: Some(fulfiller),
-                retries_left: 0,
-                attempts: Vec::new(),
-                next_id: 0,
-            }),
-        });
-        RaceCtx::launch_until_inflight(&ctx, None, Admission::Try).unwrap();
-        drop(pending);
-        RaceCtx::fire_hedge(&ctx);
-        assert_eq!(shard.hedges.load(Ordering::Relaxed), 0);
-        // the flush dispatches both attempts as one batch, the worker
-        // panics, and each settles Disconnected — retryable, budget left,
-        // but nobody is waiting: no retry may be spent
-        let metrics = router.shutdown();
-        assert_eq!(metrics.shards[0].retries, 0);
-        assert_eq!(metrics.total().completed, 0);
     }
 }

@@ -2,7 +2,6 @@
 //! formation, and a pool of persistent batched evaluators.
 
 use std::collections::{HashMap, VecDeque};
-use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
@@ -33,8 +32,13 @@ struct GateState {
 /// per poller so a parked admission retries the moment capacity appears
 /// instead of waiting out a poll interval. Held weakly: an edge that shut
 /// down leaves no closure (and no eventfd inside one) behind.
-#[derive(Default)]
-struct VacancyListeners {
+///
+/// The one listener list in the crate: a [`Server`] started on its own
+/// makes one for its gate, a [`crate::Router`] makes one and builds every
+/// gate of every replica on it, swapped-in generations included — what
+/// the router registers and what a gate fires cannot disagree.
+#[derive(Debug, Default)]
+pub(crate) struct VacancyListeners {
     /// Fast-path flag: while no listener is registered, `fire` is a
     /// single relaxed load — no lock, no allocation.
     armed: AtomicBool,
@@ -42,7 +46,7 @@ struct VacancyListeners {
 }
 
 impl VacancyListeners {
-    fn add(&self, listener: Weak<dyn Fn() + Send + Sync>) {
+    pub(crate) fn add(&self, listener: Weak<dyn Fn() + Send + Sync>) {
         let mut list = self.list.lock().unwrap();
         list.retain(|l| l.strong_count() > 0); // a gate nobody releases prunes here
         list.push(listener);
@@ -67,14 +71,6 @@ impl VacancyListeners {
     }
 }
 
-impl fmt::Debug for VacancyListeners {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("VacancyListeners")
-            .field("count", &self.list.lock().unwrap().len())
-            .finish()
-    }
-}
-
 /// Counting semaphore bounding the number of in-flight requests — the
 /// server's backpressure, extended with overload control: each
 /// [`Priority`] class is admitted only up to its
@@ -88,17 +84,17 @@ struct Gate {
     tenant_quota: Option<usize>,
     state: Mutex<GateState>,
     freed: Condvar,
-    vacancy: VacancyListeners,
+    vacancy: Arc<VacancyListeners>,
 }
 
 impl Gate {
-    fn new(capacity: usize, tenant_quota: Option<usize>) -> Self {
+    fn new(capacity: usize, tenant_quota: Option<usize>, vacancy: Arc<VacancyListeners>) -> Self {
         Gate {
             capacity,
             tenant_quota,
             state: Mutex::new(GateState::default()),
             freed: Condvar::new(),
-            vacancy: VacancyListeners::default(),
+            vacancy,
         }
     }
 
@@ -252,7 +248,7 @@ struct LiveRequest {
     trace: Option<TraceId>,
 }
 
-/// Records `kind` on the request's trace, if it is a sampled one.
+/// Records `kind` on the request's trace, if it has one.
 fn mark(telemetry: &Telemetry, trace: Option<TraceId>, kind: EventKind) {
     if let Some(t) = trace {
         telemetry.record(t, kind);
@@ -445,8 +441,19 @@ impl Server {
     ///
     /// Returns [`ServeError::BadConfig`] for an invalid configuration.
     pub fn start(net: Arc<CdlNetwork>, config: ServerConfig) -> ServeResult<Server> {
+        Server::start_on(net, config, Arc::default())
+    }
+
+    /// [`Server::start`] with the gate built on `vacancy` — how a router
+    /// gives every pipeline it builds the one registry.
+    pub(crate) fn start_on(
+        net: Arc<CdlNetwork>,
+        config: ServerConfig,
+        vacancy: Arc<VacancyListeners>,
+    ) -> ServeResult<Server> {
         config.validate()?;
-        let gate = Arc::new(Gate::new(config.queue_capacity, config.tenant_quota));
+        let (capacity, quota) = (config.queue_capacity, config.tenant_quota);
+        let gate = Arc::new(Gate::new(capacity, quota, vacancy));
         let recorder = Arc::new(Recorder::new());
         let telemetry = Telemetry::new(config.telemetry);
         let queue = Arc::new(WorkQueue::new(config.policy, config.workers));
@@ -495,8 +502,9 @@ impl Server {
     /// thread released the slot and must be cheap and non-blocking; it
     /// may re-enter the submit API. The TCP edge uses this to wake a
     /// poller with parked (gate-full) admissions the moment capacity
-    /// appears, instead of polling on a timeout.
-    /// Kept **weakly**: it fires for as long as the caller holds its `Arc`.
+    /// appears, instead of polling on a timeout. The listener joins this
+    /// gate's registry (`VacancyListeners`, the only list there is) and is
+    /// kept **weakly**: it fires for as long as the caller holds its `Arc`.
     pub fn on_gate_vacancy(&self, listener: &Arc<dyn Fn() + Send + Sync>) {
         self.gate.vacancy.add(Arc::downgrade(listener));
     }
@@ -520,9 +528,7 @@ impl Server {
     /// `request.trace` continues a caller-supplied trace id (the TCP edge
     /// passes the wire-carried one, so one trace spans both sides of the
     /// wire); `None` allocates a fresh one. Either is recorded only if
-    /// this server's [`cdl_telemetry::TelemetryConfig`] has spans on and
-    /// the id falls inside its sample (the sampling decision is a
-    /// deterministic function of the id, so client and server agree).
+    /// this server's [`cdl_telemetry::TelemetryConfig`] has spans on.
     ///
     /// # Errors
     ///
@@ -971,7 +977,7 @@ mod tests {
             .collect();
         let traces: Vec<TraceId> = pendings
             .iter()
-            .map(|p| p.trace().expect("sampling at 1.0 records every request"))
+            .map(|p| p.trace().expect("spans on records every request"))
             .collect();
         // tracing must not perturb results
         for (x, pending) in inputs.iter().zip(pendings) {
@@ -1116,7 +1122,7 @@ mod tests {
     #[test]
     fn the_default_policy_hands_a_free_worker_what_is_queued() {
         // nobody else pushes or takes, so the sizes and causes are exact
-        let gate = Arc::new(Gate::new(64, None));
+        let gate = Arc::new(Gate::new(64, None, Arc::default()));
         let queue = WorkQueue::new(BatchPolicy::default(), 1);
         assert!(queue.push(queued(&gate, 0)).is_ok());
         let (batch, cause) = queue.take_batch().expect("queue is open");
@@ -1136,7 +1142,7 @@ mod tests {
     #[test]
     fn a_full_batch_seals_at_once() {
         for policy in [BatchPolicy::new(3), BatchPolicy::by_size(3)] {
-            let gate = Arc::new(Gate::new(8, None));
+            let gate = Arc::new(Gate::new(8, None, Arc::default()));
             let queue = WorkQueue::new(policy, 1);
             for id in 0..4 {
                 assert!(queue.push(queued(&gate, id)).is_ok());
@@ -1164,7 +1170,7 @@ mod tests {
         // valid under either interleaving: the taker parked on a short queue
         // and the push that filled it woke it, or it first looked with three
         // already queued
-        let gate = Arc::new(Gate::new(8, None));
+        let gate = Arc::new(Gate::new(8, None, Arc::default()));
         let queue = Arc::new(WorkQueue::new(BatchPolicy::by_size(3), 1));
         let (sealed_tx, sealed) = std::sync::mpsc::channel();
         let blocked = taker(&queue, &sealed_tx);
@@ -1177,7 +1183,7 @@ mod tests {
 
     #[test]
     fn a_stranded_request_wakes_a_sibling_that_holds_out_for_a_full_batch() {
-        let gate = Arc::new(Gate::new(8, None));
+        let gate = Arc::new(Gate::new(8, None, Arc::default()));
         let queue = Arc::new(WorkQueue::new(BatchPolicy::by_size(3), 2));
         let (sealed_tx, sealed) = std::sync::mpsc::channel();
         let takers = [taker(&queue, &sealed_tx), taker(&queue, &sealed_tx)];
@@ -1201,7 +1207,7 @@ mod tests {
 
     #[test]
     fn close_yields_full_batches_then_the_remainder_then_none() {
-        let gate = Arc::new(Gate::new(8, None));
+        let gate = Arc::new(Gate::new(8, None, Arc::default()));
         let queue = WorkQueue::new(BatchPolicy::by_size(3), 1);
         for id in 0..7 {
             assert!(queue.push(queued(&gate, id)).is_ok());
@@ -1241,7 +1247,7 @@ mod tests {
             steps in proptest::collection::vec(0u8..8, 1..120),
         ) {
             use proptest::prelude::*;
-            let gate = Arc::new(Gate::new(1 << 20, None));
+            let gate = Arc::new(Gate::new(1 << 20, None, Arc::default()));
             let (max, hold_until_full) = (max_batch_size, hold == 1);
             let queue = WorkQueue::new(BatchPolicy { max_batch_size, hold_until_full }, 1);
             let mut waiting = VecDeque::new(); // the model: ids queued, in order
@@ -1579,7 +1585,7 @@ mod tests {
         // waited for its batch, one still live — only the live one may
         // reach the evaluator, and its result stays bit-identical
         let net = build_untrained();
-        let gate = Arc::new(Gate::new(8, None));
+        let gate = Arc::new(Gate::new(8, None, Arc::default()));
         let recorder = Recorder::new();
         let mut eval = BatchEvaluator::new(&net);
         let img = images(2);
@@ -1616,7 +1622,7 @@ mod tests {
         // first stage boundary would — and require it to settle Expired
         // with *partial* (non-zero, sub-full) work on the ledger.
         let net = build_untrained();
-        let gate = Arc::new(Gate::new(8, None));
+        let gate = Arc::new(Gate::new(8, None, Arc::default()));
         let recorder = Recorder::new();
         let mut eval = BatchEvaluator::new(&net);
         let img = images(2);
@@ -1827,7 +1833,7 @@ mod tests {
         // process_batch — the per-request fallback must fail only the bad
         // request and deliver bit-identical results to its neighbours
         let net = build_untrained();
-        let gate = Arc::new(Gate::new(8, None));
+        let gate = Arc::new(Gate::new(8, None, Arc::default()));
         let recorder = Recorder::new();
         let mut eval = BatchEvaluator::new(&net);
         let good = images(2);

@@ -60,11 +60,8 @@
 //!   cheap enough to leave in release binaries unconditionally.
 //! - **Spans on**: one `Instant::elapsed` read, a thread-local lookup,
 //!   and a ring push (one release store) per event; roughly seven events
-//!   per sampled request end to end.
-//! - **Sampling**: [`TelemetryConfig::sample_rate`] keeps a deterministic
-//!   hash-selected fraction of traces. The decision is a pure function of
-//!   the trace id, so a client and every server it talks to agree on the
-//!   sampled subset with no coordination.
+//!   per request end to end. Every request is traced: there is no
+//!   sampling, [`TelemetryConfig::spans`] is the whole switchboard.
 //!
 //! # Export
 //!
@@ -92,7 +89,7 @@
 //!
 //! // lifecycle spans: record, drain, attribute
 //! let telemetry = Telemetry::new(TelemetryConfig::enabled());
-//! let trace = telemetry.begin_trace().expect("sampling at 1.0");
+//! let trace = telemetry.begin_trace().expect("spans are on");
 //! telemetry.record(trace, EventKind::Admit);
 //! telemetry.record(trace, EventKind::Reply);
 //! assert_eq!(telemetry.drain().len(), 2);

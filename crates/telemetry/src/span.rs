@@ -174,63 +174,26 @@ impl SpanRing {
 
 thread_local! {
     /// Per-thread registry of rings, keyed by [`Telemetry`] instance id.
-    /// Linear scan: a thread talks to a handful of instances at most.
+    /// Linear scan: a thread talks to a handful of *live* instances at
+    /// most — registering a ring drops those whose domain is gone.
     static THREAD_RINGS: RefCell<Vec<(u64, Arc<SpanRing>)>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Runtime telemetry switchboard: whether lifecycle spans are recorded,
-/// and for what fraction of traces.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Runtime telemetry switchboard: whether lifecycle spans are recorded.
+/// The [`Default`] is spans off, the production setting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TelemetryConfig {
     /// Record per-request lifecycle spans. When `false`, every recording
     /// call is a single branch — safe to leave compiled into production.
     pub spans: bool,
-    /// Fraction of traces to record, in `[0, 1]`. The decision is a
-    /// deterministic hash of the trace id, so a client and the servers it
-    /// talks to sample the *same* subset without coordination.
-    pub sample_rate: f64,
-}
-
-impl Default for TelemetryConfig {
-    /// Spans off (production default); sampling at 1.0 once enabled.
-    fn default() -> Self {
-        Self {
-            spans: false,
-            sample_rate: 1.0,
-        }
-    }
 }
 
 impl TelemetryConfig {
-    /// Spans on, every trace sampled — the right setting for tests and
+    /// Spans on, every trace recorded — the right setting for tests and
     /// offline trace capture.
     pub fn enabled() -> Self {
-        Self {
-            spans: true,
-            sample_rate: 1.0,
-        }
+        Self { spans: true }
     }
-
-    /// Validate the configuration (sample rate must be a finite value in
-    /// `[0, 1]`).
-    pub fn validate(&self) -> Result<(), String> {
-        if !self.sample_rate.is_finite() || !(0.0..=1.0).contains(&self.sample_rate) {
-            return Err(format!(
-                "telemetry sample_rate must be in [0, 1], got {}",
-                self.sample_rate
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// SplitMix64 finalizer — decorrelates sequential trace ids before the
-/// sampling threshold comparison.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 struct TelemetryInner {
@@ -294,37 +257,17 @@ impl Telemetry {
         self.inner.epoch
     }
 
-    /// Whether `trace` falls inside the configured sample. Deterministic
-    /// in the id, so every domain with the same `sample_rate` agrees.
-    pub fn sampled(&self, trace: TraceId) -> bool {
-        let rate = self.inner.config.sample_rate;
-        if rate >= 1.0 {
-            return true;
-        }
-        if rate <= 0.0 {
-            return false;
-        }
-        let unit = (splitmix64(trace.raw()) >> 11) as f64 / (1u64 << 53) as f64;
-        unit < rate
-    }
-
-    /// Start a trace for a new request: allocates a fresh id and returns
-    /// it iff spans are on and the id falls inside the sample. `None`
-    /// means "record nothing for this request" — callers thread the
+    /// Start a trace for a new request: a fresh id iff spans are on.
+    /// `None` means "record nothing for this request" — callers thread the
     /// `Option` through and every downstream record becomes free.
     pub fn begin_trace(&self) -> Option<TraceId> {
-        if !self.inner.config.spans {
-            return None;
-        }
-        let id = TraceId::next();
-        self.sampled(id).then_some(id)
+        self.inner.config.spans.then(TraceId::next)
     }
 
     /// Adopt a trace id that arrived from elsewhere (the TCP edge):
-    /// returns it iff this domain would also record it, re-deriving the
-    /// client's sampling decision from the id itself.
+    /// returns it iff this domain records spans.
     pub fn adopt(&self, trace: TraceId) -> Option<TraceId> {
-        (self.inner.config.spans && self.sampled(trace)).then_some(trace)
+        self.inner.config.spans.then_some(trace)
     }
 
     /// Record a lifecycle event on the calling thread's ring. O(1),
@@ -344,6 +287,11 @@ impl Telemetry {
                 ring.push(event);
                 return;
             }
+            // a domain that was dropped released its half of every ring it
+            // collected: what this thread alone still holds is garbage
+            // (every server is a new domain, so each `swap_model` would
+            // otherwise leave ~96 KiB behind per recording thread)
+            rings.retain(|(_, ring)| Arc::strong_count(ring) > 1);
             let ring = Arc::new(SpanRing::new());
             self.inner.rings.lock().unwrap().push(Arc::clone(&ring));
             ring.push(event);
@@ -399,7 +347,7 @@ mod tests {
     #[test]
     fn events_round_trip_through_the_ring_in_order() {
         let t = Telemetry::new(TelemetryConfig::enabled());
-        let trace = t.begin_trace().expect("sampling at 1.0");
+        let trace = t.begin_trace().expect("spans are on");
         t.record(trace, EventKind::Admit);
         t.record(trace, EventKind::BatchSeal);
         t.record(trace, EventKind::Stage(0));
@@ -449,38 +397,25 @@ mod tests {
     }
 
     #[test]
-    fn sampling_is_deterministic_and_roughly_proportional() {
-        let half = Telemetry::new(TelemetryConfig {
-            spans: true,
-            sample_rate: 0.5,
-        });
-        let twin = Telemetry::new(TelemetryConfig {
-            spans: true,
-            sample_rate: 0.5,
-        });
-        let ids: Vec<TraceId> = (1..=4000u64)
-            .map(|i| TraceId::from_raw(i).unwrap())
-            .collect();
-        let kept = ids.iter().filter(|&&id| half.sampled(id)).count();
-        assert!(
-            (1600..=2400).contains(&kept),
-            "sample_rate 0.5 kept {kept} of 4000"
-        );
-        // the twin domain agrees on every single id — that is what lets
-        // a TCP server reproduce its client's sampling decision
-        assert!(ids.iter().all(|&id| half.sampled(id) == twin.sampled(id)));
-    }
-
-    #[test]
-    fn config_validation_rejects_bad_rates() {
-        assert!(TelemetryConfig::default().validate().is_ok());
-        assert!(TelemetryConfig::enabled().validate().is_ok());
-        for rate in [-0.1, 1.1, f64::NAN, f64::INFINITY] {
-            let config = TelemetryConfig {
-                spans: true,
-                sample_rate: rate,
-            };
-            assert!(config.validate().is_err(), "rate {rate} must be rejected");
+    fn a_thread_keeps_rings_only_for_live_domains() {
+        let registered = || THREAD_RINGS.with(|rings| rings.borrow().len());
+        let keeper = Telemetry::new(TelemetryConfig::enabled());
+        keeper.record(TraceId::next(), EventKind::Admit);
+        assert_eq!(registered(), 1);
+        // every server is a domain of its own: a few dozen come and go
+        for _ in 0..40 {
+            let short_lived = Telemetry::new(TelemetryConfig::enabled());
+            short_lived.record(TraceId::next(), EventKind::Admit);
+            assert_eq!(short_lived.drain().len(), 1);
+            assert!(registered() <= 2, "{} rings for two domains", registered());
         }
+        // the next registration collects the last dead one; the live
+        // domain's ring, events included, is untouched
+        let other = Telemetry::new(TelemetryConfig::enabled());
+        other.record(TraceId::next(), EventKind::Admit);
+        assert_eq!(registered(), 2);
+        keeper.record(TraceId::next(), EventKind::Reply);
+        assert_eq!(keeper.drain().len(), 2);
+        assert_eq!(other.drain().len(), 1);
     }
 }

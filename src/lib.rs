@@ -65,6 +65,7 @@
 //! cargo run --release --example serve_stream       # serving demo + metrics
 //! (cd benchmark && cargo run --release -- run --seed 23)   # the benchmark
 //! cargo run --release -p cdl-bench --bin run_all   # every paper figure
+//! cargo run --release -p cdl-bench --bin run_all -- fig10_delta_sweep   # one of them
 //! ```
 //!
 //! ## Quickstart
@@ -364,9 +365,9 @@
 //! [`telemetry::TelemetryConfig::enabled`] additionally records a
 //! per-request lifecycle span — admit, enqueue, batch-seal, dispatch,
 //! each cascade stage, exit, reply — into lock-free per-thread rings,
-//! deterministically sampled by [`telemetry::TraceId`] (a client id
-//! carried across the TCP edge is resampled to the *same* decision
-//! server-side). [`serve::Server::telemetry_snapshot`] /
+//! keyed by [`telemetry::TraceId`] (a client id carried across the TCP
+//! edge is continued server-side, so one trace covers the hop).
+//! [`serve::Server::telemetry_snapshot`] /
 //! [`serve::Router::telemetry_snapshot`] bundle counters, histograms and
 //! drained spans for [`telemetry::TelemetrySnapshot::render_prometheus`]
 //! or [`telemetry::TelemetrySnapshot::render_chrome_trace`]
@@ -393,7 +394,7 @@
 //!
 //! // lifecycle spans: record on any thread, drain centrally
 //! let telemetry = Telemetry::new(TelemetryConfig::enabled());
-//! let trace = telemetry.begin_trace().expect("sample_rate 1.0");
+//! let trace = telemetry.begin_trace().expect("spans are on");
 //! telemetry.record(trace, EventKind::Admit);
 //! telemetry.record(trace, EventKind::Reply);
 //! assert_eq!(telemetry.drain().len(), 2);
