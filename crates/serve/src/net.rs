@@ -98,14 +98,27 @@
 //! router's placement policy, and completed responses are serialised into
 //! a write buffer drained as fast as the socket accepts them. Completion
 //! crosses threads without parking anyone: when a worker settles a
-//! routed request's [`Pending`], a registered waker enqueues the
-//! (connection, sequence) pair and tickles the owning poller's
-//! [`reactor::Waker`] (an eventfd on Linux), so responses stream back
-//! with readiness latency. Because submission and completion are
-//! decoupled, a client may pipeline arbitrarily many requests before
-//! reading a single response; responses can complete out of submission
-//! order (different replicas, different batches) and carry the request id
-//! so the client can match them up.
+//! routed request's [`Pending`], its registered waker pushes the
+//! (connection, sequence) pair onto the owning poller's completion list,
+//! and only a push that finds no wake outstanding writes the poller's
+//! [`reactor::Waker`] (an eventfd on Linux). That is one `write(2)` per
+//! drain of the list, not per reply: a worker settles a whole batch
+//! between two passes of a busy poller. Responses stream back with
+//! readiness latency. Because submission and completion are decoupled, a
+//! client may pipeline many requests before reading a single response;
+//! responses can complete out of submission order (different replicas,
+//! different batches) and carry the request id so the client can match
+//! them up.
+//!
+//! What a connection may owe is bounded. While its unsent reply bytes, with
+//! an OK reply's worth reserved for each request still in flight, exceed
+//! `MAX_OWED` (256 KiB, ~3 000 replies), the poller neither reads nor parses
+//! that connection, so a peer that stops reading its replies is pushed back
+//! by TCP flow control instead of growing the server's memory; reading
+//! resumes on the writable edge that takes the backlog. A client must
+//! therefore read its replies at some point — one that writes thousands of
+//! requests before reading any can fill both directions' socket buffers and
+//! stall itself.
 //!
 //! A client that disconnects mid-request only cancels **its own** pending
 //! work: the poller sees the hangup, drops the connection's state, and
@@ -119,7 +132,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -140,6 +153,18 @@ use crate::server::{Admission, Request};
 /// above any 28×28 batch-of-one payload, far below anything that could
 /// be a desynchronised stream misread as a length.
 pub const MAX_FRAME: u32 = 16 << 20;
+
+/// Reply bytes a connection may owe before it is neither read nor parsed
+/// until its socket takes some: those serialised but unsent, plus
+/// [`OK_REPLY`] reserved for each request still in flight. ~3 000 replies,
+/// far above any pipeline a client that reads its replies keeps in flight,
+/// and the bound that keeps one that never reads from growing the server's
+/// memory.
+const MAX_OWED: usize = 256 << 10;
+
+/// The frame of an OK reply: length prefix, id, status, label, exit stage,
+/// confidence, six op counts, stages activated, exited-early flag.
+const OK_REPLY: usize = 4 + 8 + 1 + 4 + 4 + 4 + 6 * 8 + 8 + 1;
 
 /// Poll timeout while a poller has a parked (gate-full) request. The normal
 /// resume path is event-driven — a freed gate slot fires the router's vacancy
@@ -279,17 +304,29 @@ fn malformed(what: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what.into())
 }
 
-/// Appends `body` as one length-prefixed frame to `out`.
-fn put_frame(out: &mut Vec<u8>, body: &[u8]) -> io::Result<()> {
-    if body.len() > MAX_FRAME as usize {
-        return Err(malformed(format!(
-            "frame body of {} bytes exceeds MAX_FRAME ({MAX_FRAME})",
-            body.len()
-        )));
+/// Appends one length-prefixed frame to `out`: `body` writes the body in
+/// place behind a placeholder prefix, which is patched to the body's length
+/// afterwards. On an error — `body`'s own, or a body over [`MAX_FRAME`] —
+/// `out` is truncated back to its entry length.
+fn framed(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> io::Result<()> {
+    let start = out.len();
+    out.put_u32(0);
+    let len = body(out).and_then(|()| match out.len() - start - 4 {
+        len if len > MAX_FRAME as usize => Err(malformed(format!(
+            "frame body of {len} bytes exceeds MAX_FRAME ({MAX_FRAME})"
+        ))),
+        len => Ok(len as u32),
+    });
+    match len {
+        Ok(len) => {
+            out[start..start + 4].copy_from_slice(&len.to_be_bytes());
+            Ok(())
+        }
+        Err(e) => {
+            out.truncate(start);
+            Err(e)
+        }
     }
-    out.put_u32(body.len() as u32);
-    out.put_slice(body);
-    Ok(())
 }
 
 fn encode_request(
@@ -306,10 +343,6 @@ fn encode_request(
     if input.dims().len() > u8::MAX as usize {
         return Err(malformed("tensor rank exceeds u8::MAX"));
     }
-    let mut body = Vec::with_capacity(32 + model.len() + 4 * input.data().len());
-    body.put_u64(id);
-    body.put_u16(model.len() as u16);
-    body.put_slice(model.as_bytes());
     let mut flags = 0u8;
     if options.delta.is_some() {
         flags |= FLAG_DELTA;
@@ -333,38 +366,45 @@ fn encode_request(
     if options.tenant.is_some() {
         flags |= FLAG_TENANT;
     }
-    body.put_u8(flags);
-    if let Some(delta) = options.delta {
-        body.put_f32(delta);
-    }
-    if let Some(max_stage) = options.max_stage {
-        body.put_u32(u32::try_from(max_stage).map_err(|_| malformed("max_stage exceeds u32"))?);
-    }
-    if let Some(trace) = trace {
-        body.put_u64(trace.raw());
-    }
-    if let Some(nanos) = deadline_nanos {
-        body.put_u64(nanos);
-    }
-    if flags & FLAG_PRIORITY != 0 {
-        body.put_u8(options.priority.class() as u8);
-    }
-    if let Some(tenant) = options.tenant {
-        body.put_u32(tenant);
-    }
-    body.put_u8(input.dims().len() as u8);
-    for &d in input.dims() {
-        body.put_u32(u32::try_from(d).map_err(|_| malformed("tensor dim exceeds u32"))?);
-    }
-    for &v in input.data() {
-        body.put_f32(v);
-    }
-    put_frame(out, &body)
+    framed(out, |body| {
+        body.reserve(32 + model.len() + 4 * input.data().len());
+        body.put_u64(id);
+        body.put_u16(model.len() as u16);
+        body.put_slice(model.as_bytes());
+        body.put_u8(flags);
+        if let Some(delta) = options.delta {
+            body.put_f32(delta);
+        }
+        if let Some(max_stage) = options.max_stage {
+            body.put_u32(u32::try_from(max_stage).map_err(|_| malformed("max_stage exceeds u32"))?);
+        }
+        if let Some(trace) = trace {
+            body.put_u64(trace.raw());
+        }
+        if let Some(nanos) = deadline_nanos {
+            body.put_u64(nanos);
+        }
+        if flags & FLAG_PRIORITY != 0 {
+            body.put_u8(options.priority.class() as u8);
+        }
+        if let Some(tenant) = options.tenant {
+            body.put_u32(tenant);
+        }
+        body.put_u8(input.dims().len() as u8);
+        for &d in input.dims() {
+            body.put_u32(u32::try_from(d).map_err(|_| malformed("tensor dim exceeds u32"))?);
+        }
+        for &v in input.data() {
+            body.put_f32(v);
+        }
+        Ok(())
+    })
 }
 
-struct RequestFrame {
+/// A decoded request frame; the model name is borrowed from the frame.
+struct RequestFrame<'a> {
     id: u64,
-    model: String,
+    model: &'a str,
     request: Request,
 }
 
@@ -376,16 +416,17 @@ fn need(cursor: &&[u8], n: usize, what: &str) -> io::Result<()> {
     Ok(())
 }
 
-fn decode_request(body: &[u8]) -> io::Result<RequestFrame> {
+fn decode_request(body: &[u8]) -> io::Result<RequestFrame<'_>> {
     let mut cursor = body;
     need(&cursor, 8, "request id")?;
     let id = cursor.get_u64();
     need(&cursor, 2, "model-name length")?;
     let name_len = cursor.get_u16() as usize;
     need(&cursor, name_len, "model name")?;
-    let mut name = vec![0u8; name_len];
-    cursor.copy_to_slice(&mut name);
-    let model = String::from_utf8(name).map_err(|_| malformed("model name is not valid UTF-8"))?;
+    let (name, rest) = cursor.split_at(name_len);
+    let model =
+        std::str::from_utf8(name).map_err(|_| malformed("model name is not valid UTF-8"))?;
+    cursor = rest;
     need(&cursor, 1, "option flags")?;
     let flags = cursor.get_u8();
     if flags & !KNOWN_FLAGS != 0 {
@@ -435,13 +476,20 @@ fn decode_request(body: &[u8]) -> io::Result<RequestFrame> {
         })
         .ok_or_else(|| malformed("tensor volume overflows the frame cap"))?;
     need(&cursor, 4 * volume, "tensor payload")?;
-    let data: Vec<f32> = (0..volume).map(|_| cursor.get_f32()).collect();
-    if cursor.remaining() != 0 {
+    let (payload, rest) = cursor.split_at(4 * volume);
+    if !rest.is_empty() {
         return Err(malformed(format!(
             "{} trailing bytes after tensor payload",
-            cursor.remaining()
+            rest.len()
         )));
     }
+    // one bounds check for the whole payload, not one per float, so the
+    // conversion vectorises; the bit patterns pass through unchanged
+    let (words, _) = payload.as_chunks::<4>();
+    let data: Vec<f32> = words
+        .iter()
+        .map(|&w| f32::from_bits(u32::from_be_bytes(w)))
+        .collect();
     let input =
         Tensor::from_vec(data, &dims).map_err(|e| malformed(format!("bad tensor shape: {e}")))?;
     Ok(RequestFrame {
@@ -460,35 +508,38 @@ fn encode_response(
     id: u64,
     result: &Result<CdlOutput, ErrorReply>,
 ) -> io::Result<()> {
-    let mut body = Vec::with_capacity(96);
-    body.put_u64(id);
-    match result {
-        Ok(output) => {
-            body.put_u8(0);
-            body.put_u32(u32::try_from(output.label).map_err(|_| malformed("label exceeds u32"))?);
-            body.put_u32(
-                u32::try_from(output.exit_stage)
-                    .map_err(|_| malformed("exit stage exceeds u32"))?,
-            );
-            body.put_f32(output.confidence);
-            body.put_u64(output.ops.macs);
-            body.put_u64(output.ops.adds);
-            body.put_u64(output.ops.compares);
-            body.put_u64(output.ops.activations);
-            body.put_u64(output.ops.mem_reads);
-            body.put_u64(output.ops.mem_writes);
-            body.put_u64(output.stages_activated);
-            body.put_u8(output.exited_early as u8);
+    framed(out, |body| {
+        body.put_u64(id);
+        match result {
+            Ok(output) => {
+                body.put_u8(0);
+                body.put_u32(
+                    u32::try_from(output.label).map_err(|_| malformed("label exceeds u32"))?,
+                );
+                body.put_u32(
+                    u32::try_from(output.exit_stage)
+                        .map_err(|_| malformed("exit stage exceeds u32"))?,
+                );
+                body.put_f32(output.confidence);
+                body.put_u64(output.ops.macs);
+                body.put_u64(output.ops.adds);
+                body.put_u64(output.ops.compares);
+                body.put_u64(output.ops.activations);
+                body.put_u64(output.ops.mem_reads);
+                body.put_u64(output.ops.mem_writes);
+                body.put_u64(output.stages_activated);
+                body.put_u8(output.exited_early as u8);
+            }
+            Err(reply) => {
+                body.put_u8(reply.code as u8);
+                let msg = reply.message.as_bytes();
+                let take = msg.len().min(u16::MAX as usize);
+                body.put_u16(take as u16);
+                body.put_slice(&msg[..take]);
+            }
         }
-        Err(reply) => {
-            body.put_u8(reply.code as u8);
-            let msg = reply.message.as_bytes();
-            let take = msg.len().min(u16::MAX as usize);
-            body.put_u16(take as u16);
-            body.put_slice(&msg[..take]);
-        }
-    }
-    put_frame(out, &body)
+        Ok(())
+    })
 }
 
 fn decode_response(body: &[u8]) -> io::Result<(u64, Result<CdlOutput, ErrorReply>)> {
@@ -603,7 +654,8 @@ struct Conn {
     /// The read side saw EOF or an error; drop the connection after the
     /// current service pass (its inflight handles cancel).
     peer_gone: bool,
-    /// Responses serialised but not yet accepted by the socket.
+    /// Serialised responses; those before `write_pos` are on the wire and
+    /// are dropped once they are half the buffer.
     write_buf: Vec<u8>,
     write_pos: usize,
     /// The last write hit `WouldBlock`; wait for the writable edge.
@@ -636,6 +688,25 @@ impl Conn {
             parked: None,
         }
     }
+
+    /// Reply bytes the socket has not taken yet.
+    fn unsent(&self) -> usize {
+        self.write_buf.len() - self.write_pos
+    }
+
+    /// Reply bytes owed to the peer: unsent, plus an OK reply's worth per
+    /// request in flight — each will land in the write buffer, whenever its
+    /// batch completes.
+    fn owed(&self) -> usize {
+        self.unsent() + OK_REPLY * self.inflight.len()
+    }
+
+    /// Whether more requests may be read and parsed: not while the stream
+    /// is desynced, a request is parked, the peer is gone, or more than
+    /// [`MAX_OWED`] reply bytes are owed.
+    fn takes_input(&self) -> bool {
+        !self.closing && self.parked.is_none() && !self.peer_gone && self.owed() <= MAX_OWED
+    }
 }
 
 fn push_error(conn: &mut Conn, wire_id: u64, code: ErrorCode, message: String) {
@@ -648,8 +719,11 @@ fn push_reply(conn: &mut Conn, wire_id: u64, reply: ErrorReply) {
     let _ = encode_response(&mut conn.write_buf, wire_id, &Err(reply));
 }
 
-/// Drains the write buffer into the socket until empty or `WouldBlock`.
-/// Returns `false` on a write error (the connection is unusable).
+/// Drains the write buffer into the socket until empty or `WouldBlock`,
+/// then drops the sent prefix once it is at least half the buffer — so a
+/// peer that reads slowly but never stops does not keep every byte already
+/// sent alive. Returns `false` on a write error (the connection is
+/// unusable).
 fn flush(conn: &mut Conn) -> bool {
     if conn.write_blocked {
         return true; // nothing to do until the writable edge arrives
@@ -666,8 +740,8 @@ fn flush(conn: &mut Conn) -> bool {
             Err(_) => return false,
         }
     }
-    if conn.write_pos == conn.write_buf.len() {
-        conn.write_buf.clear();
+    if conn.write_pos >= conn.unsent() {
+        conn.write_buf.drain(..conn.write_pos);
         conn.write_pos = 0;
     }
     true
@@ -693,17 +767,16 @@ fn complete(conn: &mut Conn, seq: u64) {
 }
 
 /// Tries to route one decoded request. On success the [`Pending`] is
-/// registered with a waker that notifies the owning poller and parked in
-/// `inflight`; a typed refusal (Shed, Quota, BadInput, …) is an answer,
-/// not congestion, and becomes an error reply; [`ServeError::Full`]
-/// hands the request back (tensor returned by move, never cloned) for
-/// parking.
+/// registered with a waker that posts its completion to the owning poller
+/// and parked in `inflight`; a typed refusal (Shed, Quota, BadInput, …) is
+/// an answer, not congestion, and becomes an error reply;
+/// [`ServeError::Full`] hands the request back (tensor returned by move,
+/// never cloned) for parking.
 fn admit(
     conn: &mut Conn,
     key: usize,
     router: &Router,
-    done_tx: &Sender<(usize, u64)>,
-    waker: &Arc<Waker>,
+    completions: &Arc<Completions>,
     parked: Parked,
 ) -> Option<Parked> {
     let Parked {
@@ -716,14 +789,8 @@ fn admit(
         Ok(pending) => {
             let seq = conn.next_seq;
             conn.next_seq += 1;
-            let tx = done_tx.clone();
-            let wake = Arc::clone(waker);
-            pending.set_waker(move || {
-                // both halves are best-effort: at shutdown the poller (and
-                // its channel) may already be gone
-                let _ = tx.send((key, seq));
-                let _ = wake.wake();
-            });
+            let completions = Arc::clone(completions);
+            pending.set_waker(move || completions.push(key, seq));
             conn.inflight.insert(seq, (wire_id, pending));
             None
         }
@@ -747,18 +814,12 @@ fn admit(
 }
 
 /// Parses every complete frame in the read buffer, stopping early when
-/// the stream desyncs (bogus length → goodbye, then hang up) or
-/// admission parks a request (backpressure: the rest of the buffer
-/// waits).
-fn parse_frames(
-    conn: &mut Conn,
-    key: usize,
-    router: &Router,
-    done_tx: &Sender<(usize, u64)>,
-    waker: &Arc<Waker>,
-) {
+/// the stream desyncs (bogus length → goodbye, then hang up), admission
+/// parks a request or the unsent replies pass their bound (backpressure:
+/// the rest of the buffer waits).
+fn parse_frames(conn: &mut Conn, key: usize, router: &Router, completions: &Arc<Completions>) {
     let mut consumed = 0;
-    while !conn.closing && conn.parked.is_none() {
+    while conn.takes_input() {
         let rest = &conn.read_buf[consumed..];
         if rest.len() < 4 {
             break;
@@ -800,20 +861,18 @@ fn parse_frames(
         consumed += 4 + len;
         match decoded {
             Err(e) => push_error(conn, claimed_id, ErrorCode::Malformed, e.to_string()),
-            Ok(frame) => match router.model_id(&frame.model) {
-                None => push_error(
-                    conn,
-                    frame.id,
-                    ErrorCode::UnknownModel,
-                    format!("no replica set serves {:?}", frame.model),
-                ),
+            Ok(RequestFrame { id, model, request }) => match router.model_id(model) {
+                None => {
+                    let message = format!("no replica set serves {model:?}");
+                    push_error(conn, id, ErrorCode::UnknownModel, message);
+                }
                 Some(model) => {
                     let request = Parked {
-                        wire_id: frame.id,
+                        wire_id: id,
                         model,
-                        request: frame.request,
+                        request,
                     };
-                    conn.parked = admit(conn, key, router, done_tx, waker, request);
+                    conn.parked = admit(conn, key, router, completions, request);
                 }
             },
         }
@@ -832,43 +891,105 @@ fn service(
     conn: &mut Conn,
     key: usize,
     router: &Router,
-    done_tx: &Sender<(usize, u64)>,
-    waker: &Arc<Waker>,
+    completions: &Arc<Completions>,
     scratch: &mut [u8],
 ) -> bool {
     if let Some(parked) = conn.parked.take() {
-        conn.parked = admit(conn, key, router, done_tx, waker, parked);
+        conn.parked = admit(conn, key, router, completions, parked);
     }
-    while !conn.closing && conn.parked.is_none() && !conn.peer_gone {
-        parse_frames(conn, key, router, done_tx, waker);
-        if conn.closing || conn.parked.is_some() || !conn.readable {
+    loop {
+        while conn.takes_input() {
+            parse_frames(conn, key, router, completions);
+            if !conn.takes_input() || !conn.readable {
+                break;
+            }
+            match conn.stream.read(scratch) {
+                // even a clean close means nobody will read further
+                // responses: the connection is done
+                Ok(0) => conn.peer_gone = true,
+                Ok(n) => conn.read_buf.extend_from_slice(&scratch[..n]),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => conn.readable = false,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => conn.peer_gone = true,
+            }
+        }
+        if conn.peer_gone {
+            return false;
+        }
+        let at_bound = conn.owed() > MAX_OWED;
+        if !flush(conn) {
+            return false;
+        }
+        // input stopped at the bound and the socket took enough of the
+        // backlog to lift it: go on reading. Otherwise a later pass lifts
+        // it — a writable edge, or completions whose replies the socket takes.
+        if !(at_bound && conn.takes_input()) {
             break;
         }
-        match conn.stream.read(scratch) {
-            // even a clean close means nobody will read further
-            // responses: the connection is done
-            Ok(0) => conn.peer_gone = true,
-            Ok(n) => conn.read_buf.extend_from_slice(&scratch[..n]),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => conn.readable = false,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => conn.peer_gone = true,
-        }
-    }
-    if conn.peer_gone {
-        return false;
-    }
-    if !flush(conn) {
-        return false;
     }
     // a desynced connection hangs up once its goodbye is on the wire
-    !(conn.closing && conn.write_pos == conn.write_buf.len())
+    !(conn.closing && conn.unsent() == 0)
+}
+
+/// Completion notices from request wakers to one poller: the (connection
+/// key, sequence) of every settled request, coalesced so that a burst of
+/// settles costs the poller one eventfd `write(2)`, not one per reply.
+///
+/// No wake is lost. A push writes the eventfd only when it flips
+/// `signalled` from `false`, and [`Completions::drain`] stores `false`
+/// *before* it swaps the list out under the lock: a notice pushed before
+/// that store is in the list the swap takes (the mutex orders the two), and
+/// one pushed after it finds `signalled` clear and wakes the poller again.
+struct Completions {
+    list: Mutex<Vec<(usize, u64)>>,
+    /// An eventfd write is outstanding for notices not yet drained.
+    signalled: AtomicBool,
+    waker: Arc<Waker>,
+}
+
+impl Completions {
+    fn new(waker: Arc<Waker>) -> Completions {
+        Completions {
+            list: Mutex::new(Vec::new()),
+            signalled: AtomicBool::new(false),
+            waker,
+        }
+    }
+
+    /// Posts a settled request, waking the poller unless a wake is
+    /// already outstanding.
+    fn push(&self, key: usize, seq: u64) {
+        self.list
+            .lock()
+            .expect("no panic while a completion list is locked")
+            .push((key, seq));
+        // SeqCst, paired with the store in `drain`: the swap that reads
+        // `false` comes after that store, so its eventfd write follows the
+        // poller's reset of the eventfd and raises a fresh event
+        if !self.signalled.swap(true, Ordering::SeqCst) {
+            // best-effort: at shutdown the poller may already be gone
+            let _ = self.waker.wake();
+        }
+    }
+
+    /// Swaps every notice posted so far into `notices`, which must come in
+    /// empty (its capacity goes to the next batch of pushes).
+    fn drain(&self, notices: &mut Vec<(usize, u64)>) {
+        self.signalled.store(false, Ordering::SeqCst);
+        std::mem::swap(
+            &mut *self
+                .list
+                .lock()
+                .expect("no panic while a completion list is locked"),
+            notices,
+        );
+    }
 }
 
 /// One poller thread: owns a [`Poll`] instance and the full state of the
 /// connections the accept thread assigned to it.
 struct Poller {
     poll: Poll,
-    waker: Arc<Waker>,
     router: Arc<Router>,
     stop: Arc<AtomicBool>,
     /// True while any of this poller's connections has a parked (gate-
@@ -879,112 +1000,161 @@ struct Poller {
     _on_vacancy: Arc<dyn Fn() + Send + Sync>,
     /// New sockets handed over by the accept thread.
     reg_rx: Receiver<TcpStream>,
-    /// Completion notices from request wakers: (connection token, seq).
-    done_tx: Sender<(usize, u64)>,
-    done_rx: Receiver<(usize, u64)>,
+    /// Where request wakers post completions; it holds this poller's waker.
+    completions: Arc<Completions>,
+    // the event loop's state, kept across passes
+    conns: HashMap<usize, Conn>,
+    next_token: usize,
+    events: Events,
+    scratch: Vec<u8>,
+    touched: Vec<usize>,
+    notices: Vec<(usize, u64)>,
 }
 
 impl Poller {
-    fn run(self) {
-        let mut conns: HashMap<usize, Conn> = HashMap::new();
-        let mut next_token = WAKER_TOKEN.0 + 1;
-        let mut events = Events::with_capacity(256);
-        let mut scratch = vec![0u8; 64 * 1024];
-        let mut touched: Vec<usize> = Vec::new();
-        loop {
-            // with a parked request, publish the fact so a gate-vacancy
-            // wakeup reaches this poller, and bound the wait as a safety
-            // net against a wakeup lost in the park/publish window
-            let any_parked = conns.values().any(|c| c.parked.is_some());
-            self.parked.store(any_parked, Ordering::Relaxed);
-            let timeout = any_parked.then_some(PARKED_FALLBACK);
-            if self.poll.wait(&mut events, timeout).is_err() {
-                break; // fatal selector failure: drop every connection
-            }
-            if self.stop.load(Ordering::Relaxed) {
-                break;
-            }
-            touched.clear();
-            for event in events.iter() {
-                if event.token() == WAKER_TOKEN {
-                    self.waker.reset();
-                    continue;
+    /// A poller serving `router`, with the channel the accept thread hands
+    /// it sockets through and the waker that makes it look.
+    fn new(
+        router: &Arc<Router>,
+        stop: &Arc<AtomicBool>,
+    ) -> io::Result<(Poller, Sender<TcpStream>, Arc<Waker>)> {
+        let poll = Poll::new()?;
+        let waker = Arc::new(Waker::new(&poll, WAKER_TOKEN)?);
+        let parked = Arc::new(AtomicBool::new(false));
+        let (reg_tx, reg_rx) = mpsc::channel();
+        // event-driven resume for parked admissions: when any replica's
+        // gate frees capacity, wake this poller — but only if it actually
+        // has something parked, so an idle edge costs the gate one relaxed
+        // load per release, not an eventfd write
+        let on_vacancy: Arc<dyn Fn() + Send + Sync> = {
+            let waker = Arc::clone(&waker);
+            let parked = Arc::clone(&parked);
+            Arc::new(move || {
+                if parked.load(Ordering::Relaxed) {
+                    let _ = waker.wake();
                 }
-                let key = event.token().0;
-                if let Some(conn) = conns.get_mut(&key) {
-                    if event.is_readable() || event.is_hangup() || event.is_error() {
-                        conn.readable = true;
-                    }
-                    if event.is_writable() {
-                        conn.write_blocked = false;
-                    }
-                    touched.push(key);
-                }
-            }
-            while let Ok(stream) = self.reg_rx.try_recv() {
-                if stream.set_nonblocking(true).is_err() {
-                    continue; // never registered; the socket just closes
-                }
-                let key = next_token;
-                if self
-                    .poll
-                    .register(
-                        stream.as_raw_fd(),
-                        Token(key),
-                        Interest::READABLE | Interest::WRITABLE,
-                    )
-                    .is_err()
-                {
-                    continue;
-                }
-                next_token += 1;
-                conns.insert(key, Conn::new(stream));
-                touched.push(key);
-            }
-            while let Ok((key, seq)) = self.done_rx.try_recv() {
-                if let Some(conn) = conns.get_mut(&key) {
-                    complete(conn, seq);
-                    touched.push(key);
-                }
-            }
-            // parked admissions retry on every pass; a gate-vacancy
-            // wakeup (or the PARKED_FALLBACK timeout) guarantees a pass
-            // happens as soon as capacity frees
-            for (key, conn) in &conns {
-                if conn.parked.is_some() {
-                    touched.push(*key);
-                }
-            }
-            touched.sort_unstable();
-            touched.dedup();
-            for &key in &touched {
-                let Some(conn) = conns.get_mut(&key) else {
-                    continue;
-                };
-                let alive = service(
-                    conn,
-                    key,
-                    &self.router,
-                    &self.done_tx,
-                    &self.waker,
-                    &mut scratch,
-                );
-                if !alive {
-                    if let Some(conn) = conns.remove(&key) {
-                        let _ = self.poll.deregister(conn.stream.as_raw_fd());
-                        // dropping `conn` drops its inflight Pendings,
-                        // cancelling this connection's outstanding work
-                    }
-                }
-            }
-        }
+            })
+        };
+        router.on_gate_vacancy(&on_vacancy);
+        let poller = Poller {
+            poll,
+            router: Arc::clone(router),
+            stop: Arc::clone(stop),
+            parked,
+            _on_vacancy: on_vacancy,
+            reg_rx,
+            completions: Arc::new(Completions::new(Arc::clone(&waker))),
+            conns: HashMap::new(),
+            next_token: WAKER_TOKEN.0 + 1,
+            events: Events::with_capacity(256),
+            scratch: vec![0u8; 64 * 1024],
+            touched: Vec::new(),
+            notices: Vec::new(),
+        };
+        Ok((poller, reg_tx, waker))
+    }
+
+    fn run(mut self) {
+        while self.pass() {}
         // shutdown (or selector failure): flush responses that already
         // completed, then drop every connection — inflight handles cancel
         // in the pipeline, parked requests go unanswered (the peer sees
         // the close)
-        for (_, mut conn) in conns.drain() {
+        for (_, mut conn) in self.conns.drain() {
             let _ = flush(&mut conn);
         }
+    }
+
+    /// One turn of the event loop: wait for readiness, a wake or the parked
+    /// fallback, then service every connection with news. `false` when the
+    /// loop should end (shutdown, or a fatal selector failure).
+    fn pass(&mut self) -> bool {
+        // with a parked request, publish the fact so a gate-vacancy
+        // wakeup reaches this poller, and bound the wait as a safety
+        // net against a wakeup lost in the park/publish window
+        let any_parked = self.conns.values().any(|c| c.parked.is_some());
+        self.parked.store(any_parked, Ordering::Relaxed);
+        let timeout = any_parked.then_some(PARKED_FALLBACK);
+        if self.poll.wait(&mut self.events, timeout).is_err() {
+            return false; // fatal selector failure: drop every connection
+        }
+        if self.stop.load(Ordering::Relaxed) {
+            return false;
+        }
+        self.touched.clear();
+        for event in self.events.iter() {
+            if event.token() == WAKER_TOKEN {
+                self.completions.waker.reset();
+                continue;
+            }
+            let key = event.token().0;
+            if let Some(conn) = self.conns.get_mut(&key) {
+                if event.is_readable() || event.is_hangup() || event.is_error() {
+                    conn.readable = true;
+                }
+                if event.is_writable() {
+                    conn.write_blocked = false;
+                }
+                self.touched.push(key);
+            }
+        }
+        while let Ok(stream) = self.reg_rx.try_recv() {
+            if stream.set_nonblocking(true).is_err() {
+                continue; // never registered; the socket just closes
+            }
+            let key = self.next_token;
+            if self
+                .poll
+                .register(
+                    stream.as_raw_fd(),
+                    Token(key),
+                    Interest::READABLE | Interest::WRITABLE,
+                )
+                .is_err()
+            {
+                continue;
+            }
+            self.next_token += 1;
+            self.conns.insert(key, Conn::new(stream));
+            self.touched.push(key);
+        }
+        self.completions.drain(&mut self.notices);
+        for (key, seq) in self.notices.drain(..) {
+            if let Some(conn) = self.conns.get_mut(&key) {
+                complete(conn, seq);
+                self.touched.push(key);
+            }
+        }
+        // parked admissions retry on every pass; a gate-vacancy
+        // wakeup (or the PARKED_FALLBACK timeout) guarantees a pass
+        // happens as soon as capacity frees
+        for (key, conn) in &self.conns {
+            if conn.parked.is_some() {
+                self.touched.push(*key);
+            }
+        }
+        self.touched.sort_unstable();
+        self.touched.dedup();
+        for &key in &self.touched {
+            let Some(conn) = self.conns.get_mut(&key) else {
+                continue;
+            };
+            let alive = service(
+                conn,
+                key,
+                &self.router,
+                &self.completions,
+                &mut self.scratch,
+            );
+            if !alive {
+                if let Some(conn) = self.conns.remove(&key) {
+                    let _ = self.poll.deregister(conn.stream.as_raw_fd());
+                    // dropping `conn` drops its inflight Pendings,
+                    // cancelling this connection's outstanding work
+                }
+            }
+        }
+        true
     }
 }
 
@@ -1050,36 +1220,7 @@ impl TcpServer {
         let stop = Arc::new(AtomicBool::new(false));
         let mut pollers = Vec::with_capacity(config.pollers);
         for i in 0..config.pollers {
-            let poll = Poll::new()?;
-            let waker = Arc::new(Waker::new(&poll, WAKER_TOKEN)?);
-            let parked = Arc::new(AtomicBool::new(false));
-            let (reg_tx, reg_rx) = mpsc::channel();
-            let (done_tx, done_rx) = mpsc::channel();
-            // event-driven resume for parked admissions: when any
-            // replica's gate frees capacity, wake this poller — but only
-            // if it actually has something parked, so an idle edge costs
-            // the gate one relaxed load per release, not an eventfd write
-            let on_vacancy: Arc<dyn Fn() + Send + Sync> = {
-                let waker = Arc::clone(&waker);
-                let parked = Arc::clone(&parked);
-                Arc::new(move || {
-                    if parked.load(Ordering::Relaxed) {
-                        let _ = waker.wake();
-                    }
-                })
-            };
-            router.on_gate_vacancy(&on_vacancy);
-            let poller = Poller {
-                poll,
-                waker: Arc::clone(&waker),
-                router: Arc::clone(&router),
-                stop: Arc::clone(&stop),
-                parked,
-                _on_vacancy: on_vacancy,
-                reg_rx,
-                done_tx,
-                done_rx,
-            };
+            let (poller, reg_tx, waker) = Poller::new(&router, &stop)?;
             let thread = std::thread::Builder::new()
                 .name(format!("cdl-edge-poller-{i}"))
                 .spawn(move || poller.run())
@@ -1538,6 +1679,7 @@ mod tests {
     fn response_round_trips_both_arms() {
         let mut frame = Vec::new();
         encode_response(&mut frame, 9, &Ok(output_fixture())).unwrap();
+        assert_eq!(frame.len(), OK_REPLY, "what the edge reserves per request");
         let (id, result) = decode_response(one_frame(&frame)).unwrap();
         assert_eq!(id, 9);
         assert_eq!(result.unwrap(), output_fixture());
@@ -1551,6 +1693,228 @@ mod tests {
         let (id, result) = decode_response(one_frame(&frame)).unwrap();
         assert_eq!(id, 10);
         assert_eq!(result.unwrap_err(), reply);
+    }
+
+    #[test]
+    fn an_encode_error_leaves_the_output_as_it_was() {
+        let input = Tensor::from_vec(vec![0.5], &[1]).unwrap();
+        let mut out = Vec::new();
+        encode_request(&mut out, 1, "m", SubmitOptions::default(), None, &input).unwrap();
+        let before = out.clone();
+        // fails mid-body: the id, name, flags and δ are already written when
+        // the stage cap turns out too wide for the wire
+        let options = SubmitOptions {
+            delta: Some(0.5),
+            max_stage: Some(usize::MAX),
+            ..SubmitOptions::default()
+        };
+        assert!(encode_request(&mut out, 2, "m", options, None, &input).is_err());
+        assert_eq!(out, before);
+        // fails after the whole body is written: it exceeds MAX_FRAME
+        let oversized = Tensor::zeros(&[MAX_FRAME as usize / 4]);
+        let err = encode_request(&mut out, 3, "m", SubmitOptions::default(), None, &oversized);
+        assert!(err.is_err());
+        assert_eq!(out, before);
+        // the response side: a label too wide for the wire
+        let wide = CdlOutput {
+            label: usize::MAX,
+            ..output_fixture()
+        };
+        assert!(encode_response(&mut out, 4, &Ok(wide)).is_err());
+        assert_eq!(out, before);
+        // and the buffer goes on taking frames where the good one ended
+        encode_response(&mut out, 5, &Ok(output_fixture())).unwrap();
+        let (id, result) = decode_response(one_frame(&out[before.len()..])).unwrap();
+        assert_eq!((id, result.unwrap()), (5, output_fixture()));
+    }
+
+    #[test]
+    fn completions_arrive_once_each_and_the_last_push_always_wakes() {
+        const PUSHERS: usize = 4;
+        const PER_PUSHER: u64 = 20_000;
+        let poll = Poll::new().unwrap();
+        let waker = Arc::new(Waker::new(&poll, WAKER_TOKEN).unwrap());
+        let completions = Arc::new(Completions::new(waker));
+        let pushers: Vec<_> = (0..PUSHERS)
+            .map(|key| {
+                let completions = Arc::clone(&completions);
+                std::thread::spawn(move || {
+                    for seq in 0..PER_PUSHER {
+                        completions.push(key, seq);
+                    }
+                })
+            })
+            .collect();
+        let mut events = Events::with_capacity(4);
+        let mut notices = Vec::new();
+        let mut next = [0u64; PUSHERS];
+        let mut outstanding = PUSHERS as u64 * PER_PUSHER;
+        while outstanding > 0 {
+            // drain only on a wake, as the poller does: a notice whose push
+            // left no wake pending is never collected, and this wait times out
+            poll.wait(&mut events, Some(Duration::from_secs(10)))
+                .unwrap();
+            assert!(
+                !events.is_empty(),
+                "{outstanding} notices posted and no wake pending"
+            );
+            completions.waker.reset();
+            completions.drain(&mut notices);
+            for (key, seq) in notices.drain(..) {
+                assert_eq!(seq, next[key], "pusher {key}: each notice once, in order");
+                next[key] += 1;
+                outstanding -= 1;
+            }
+        }
+        for pusher in pushers {
+            pusher.join().unwrap();
+        }
+        assert_eq!(next, [PER_PUSHER; PUSHERS]);
+    }
+
+    /// Regression: the poller used to read and admit frames whatever its
+    /// write buffer held, so a peer that pipelined without reading grew the
+    /// server's memory by one reply per request, without end. Drives one
+    /// real poller, pass by pass, over a loopback connection.
+    ///
+    /// The kernel takes ~4 MB of replies before a write blocks, so the
+    /// stream is mostly 29-byte frames that admission refuses with a ~100-byte
+    /// error reply (a one-float tensor); every 64th is a real image, so
+    /// completions from the workers land while the connection is held too.
+    #[test]
+    fn a_peer_that_never_reads_holds_the_unsent_replies_at_the_bound() {
+        const CAPACITY: usize = 16;
+        const FRAMES: u64 = 102_400;
+        const EVERY: u64 = 64;
+        const REAL: u64 = FRAMES / EVERY;
+        let is_real = |id: u64| id % EVERY == EVERY - 1; // the last frame is one
+                                                         // in-flight replies are reserved against the bound before they land,
+                                                         // so the only overshoot is the one error reply of the frame parsed
+                                                         // last (~100 bytes)
+        const CEILING: usize = MAX_OWED + 256;
+        let net = crate::router::tests::build_untrained(cdl_core::arch::mnist_2c(), 5);
+        let config = crate::config::ServerConfig {
+            queue_capacity: CAPACITY,
+            workers: 1,
+            ..crate::config::ServerConfig::default()
+        };
+        let shard = crate::router::ShardSpec::new("m", net, config);
+        let router = Arc::new(Router::start(vec![shard]).unwrap());
+        let stop = Arc::new(AtomicBool::new(false));
+        let (mut poller, reg_tx, waker) = Poller::new(&router, &stop).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        // the accept thread's handoff: the first pass registers the socket
+        reg_tx.send(listener.accept().unwrap().0).unwrap();
+        waker.wake().unwrap();
+        let key = WAKER_TOKEN.0 + 1;
+
+        let (image, refused) = (Tensor::full(&[1, 28, 28], 0.5), Tensor::full(&[1], 0.5));
+        let mut frames = Vec::new();
+        for id in 0..FRAMES {
+            let input = if is_real(id) { &image } else { &refused };
+            encode_request(&mut frames, id, "m", SubmitOptions::default(), None, input).unwrap();
+        }
+        let writer = {
+            let mut peer = peer.try_clone().unwrap();
+            std::thread::spawn(move || peer.write_all(&frames))
+        };
+        let held = |poller: &Poller| {
+            let conn = &poller.conns[&key];
+            assert!(conn.unsent() <= CEILING, "{} unsent bytes", conn.unsent());
+            // and what was sent is not kept beside it
+            assert!(conn.write_buf.len() <= 2 * CEILING);
+        };
+
+        // the peer reads nothing: run passes until the connection can go no
+        // further without it
+        loop {
+            assert!(poller.pass());
+            held(&poller);
+            let conn = &poller.conns[&key];
+            // the last frame is a real one: all of them admitted means the
+            // stream was read to its end
+            assert!(
+                conn.next_seq < REAL,
+                "all {FRAMES} frames were read before the bound held: offer more"
+            );
+            if conn.write_blocked
+                && conn.owed() > MAX_OWED
+                && conn.inflight.is_empty()
+                && conn.parked.is_none()
+            {
+                break;
+            }
+        }
+
+        // the peer reads: every frame is answered, once
+        let done = Arc::new(AtomicBool::new(false));
+        let reader = {
+            let done = Arc::clone(&done);
+            // a clone: `peer` stays open until the end, so no hangup races
+            // the last passes
+            let peer = peer.try_clone().unwrap();
+            std::thread::spawn(move || {
+                let mut replies = BufReader::new(peer);
+                let mut read_one = || -> io::Result<(u64, bool)> {
+                    let mut header = [0u8; 4];
+                    replies.read_exact(&mut header)?;
+                    let mut body = vec![0u8; u32::from_be_bytes(header) as usize];
+                    replies.read_exact(&mut body)?;
+                    let (id, result) = decode_response(&body)?;
+                    Ok((id, result.is_ok()))
+                };
+                let answers: io::Result<Vec<_>> = (0..FRAMES).map(|_| read_one()).collect();
+                // set before the wake, so the pass that wake ends sees it
+                done.store(true, Ordering::SeqCst);
+                let _ = waker.wake();
+                answers
+            })
+        };
+        while !done.load(Ordering::SeqCst) {
+            assert!(poller.pass());
+            held(&poller);
+        }
+        let mut answered = vec![false; FRAMES as usize];
+        for (id, ok) in reader.join().unwrap().unwrap() {
+            assert_eq!(ok, is_real(id), "frame {id}: only the images are served");
+            assert!(!answered[id as usize], "frame {id} answered twice");
+            answered[id as usize] = true;
+        }
+        writer.join().unwrap().unwrap();
+    }
+
+    /// Regression: `flush` dropped the sent prefix only once the whole
+    /// buffer was on the wire, so a peer that read a little less than it
+    /// was sent, round after round, kept every byte ever sent alive.
+    #[test]
+    fn a_slow_reader_does_not_keep_the_sent_replies_alive() {
+        const ROUND: usize = 64 << 10;
+        const READ: usize = 48 << 10;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        let mut conn = Conn::new(stream);
+        let mut sink = vec![0u8; READ];
+        let mut partial = 0;
+        for round in 0..4000 {
+            conn.write_buf.extend_from_slice(&[0u8; ROUND]);
+            conn.write_blocked = false; // as the writable edge would
+            assert!(flush(&mut conn));
+            partial += usize::from(conn.write_blocked);
+            assert!(
+                conn.write_pos == 0 || conn.write_pos < conn.unsent(),
+                "round {round}: {} sent bytes kept beside {} unsent",
+                conn.write_pos,
+                conn.unsent()
+            );
+            if partial == 64 {
+                return;
+            }
+            peer.read_exact(&mut sink).unwrap();
+        }
+        panic!("the socket took everything for 4000 rounds: nothing was left unsent");
     }
 
     #[test]

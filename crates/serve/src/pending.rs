@@ -1,5 +1,10 @@
 //! One-shot response handles: the future-like half a caller holds while the
 //! server works on its request.
+//!
+//! A settle wakes only what waits: the slot's condvar if a blocking wait
+//! recorded itself on it, the registered waker if the TCP edge left one.
+//! std's futex condvar makes a `FUTEX_WAKE` syscall on every notify, waiter
+//! or not, and on the wire path nobody blocks on the condvar.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -33,6 +38,10 @@ type WakeFn = Box<dyn FnOnce() + Send>;
 struct SlotInner {
     state: SlotState,
     waker: Option<WakeFn>,
+    /// A [`Pending::wait`] / [`Pending::wait_timeout`] has parked on the
+    /// slot's condvar. Set under this lock before each wait, so a settle that
+    /// reads it `false` knows nobody can be parked and skips the notify.
+    waited: bool,
 }
 
 impl std::fmt::Debug for SlotInner {
@@ -40,6 +49,7 @@ impl std::fmt::Debug for SlotInner {
         f.debug_struct("SlotInner")
             .field("state", &self.state)
             .field("waker", &self.waker.is_some())
+            .field("waited", &self.waited)
             .finish()
     }
 }
@@ -61,6 +71,7 @@ pub(crate) fn pending_pair(trace: Option<TraceId>) -> (Pending, Fulfiller) {
         inner: Mutex::new(SlotInner {
             state: SlotState::Waiting,
             waker: None,
+            waited: false,
         }),
         ready: Condvar::new(),
     });
@@ -145,6 +156,7 @@ impl Pending {
     pub fn wait(self) -> ServeResult<CdlOutput> {
         let mut inner = self.slot.inner.lock().unwrap();
         while matches!(inner.state, SlotState::Waiting) {
+            inner.waited = true;
             inner = self.slot.ready.wait(inner).unwrap();
         }
         match std::mem::replace(&mut inner.state, SlotState::Claimed) {
@@ -169,6 +181,7 @@ impl Pending {
                 drop(inner);
                 return Err(self);
             };
+            inner.waited = true;
             let (guard, timed_out) = self.slot.ready.wait_timeout(inner, remaining).unwrap();
             inner = guard;
             if timed_out.timed_out() && matches!(inner.state, SlotState::Waiting) {
@@ -213,7 +226,8 @@ impl Fulfiller {
     }
 
     /// Delivers the result (ignored if the caller cancelled meanwhile) and
-    /// wakes the waiter.
+    /// wakes the waiter: the condvar only if a wait parked on it, the
+    /// registered waker if there is one.
     pub(crate) fn settle(mut self, result: ServeResult<CdlOutput>) {
         self.settle_inner(result);
     }
@@ -226,7 +240,9 @@ impl Fulfiller {
         let mut inner = self.slot.inner.lock().unwrap();
         let waker = if matches!(inner.state, SlotState::Waiting) {
             inner.state = SlotState::Done(result);
-            self.slot.ready.notify_all();
+            if inner.waited {
+                self.slot.ready.notify_all();
+            }
             inner.waker.take()
         } else {
             None
@@ -290,6 +306,38 @@ mod tests {
             .wait_timeout(Duration::from_millis(5))
             .expect("settled");
         assert_eq!(result.unwrap().label, 1);
+    }
+
+    #[test]
+    fn a_wait_timeout_parked_before_the_settle_is_woken_by_it() {
+        const TIMEOUT: Duration = Duration::from_secs(20);
+        let (pending, fulfiller) = pending_pair(None);
+        let slot = Arc::clone(&pending.slot);
+        let waiter = std::thread::spawn(move || {
+            let start = std::time::Instant::now();
+            let label = match pending.wait_timeout(TIMEOUT) {
+                Ok(result) => result.map(|out| out.label),
+                Err(_) => panic!("a settled slot timed out"),
+            };
+            (label, start.elapsed())
+        });
+        // the waiter records itself under the slot's lock and parks in the
+        // condvar wait that releases it: once the flag reads true, it is parked
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !slot.inner.lock().unwrap().waited {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the waiter never recorded itself"
+            );
+            std::thread::yield_now();
+        }
+        fulfiller.settle(Ok(output(4)));
+        let (label, took) = waiter.join().unwrap();
+        assert_eq!(label, Ok(4));
+        assert!(
+            took < TIMEOUT / 2,
+            "woken by the settle, not by its timeout: {took:?}"
+        );
     }
 
     #[test]

@@ -846,7 +846,7 @@ fn wait_unshared(mut server: Arc<Server>) -> Server {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::BatchPolicy;
     use cdl_core::arch::{self, CdlArchitecture};
@@ -855,7 +855,7 @@ mod tests {
     use cdl_nn::network::Network;
     use std::time::Duration;
 
-    pub(super) fn build_untrained(arch: CdlArchitecture, seed: u64) -> Arc<CdlNetwork> {
+    pub(crate) fn build_untrained(arch: CdlArchitecture, seed: u64) -> Arc<CdlNetwork> {
         let base = Network::from_spec(&arch.spec, seed).unwrap();
         let feats = arch.tap_features().unwrap();
         let stages = arch

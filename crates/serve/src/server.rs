@@ -25,6 +25,8 @@ use crate::pending::{pending_pair, Fulfiller, Pending};
 struct GateState {
     total: usize,
     per_tenant: HashMap<u32, usize>,
+    /// [`Admission::Block`] submitters parked on [`Gate::freed`] right now.
+    blocked: usize,
 }
 
 /// Callbacks fired whenever an in-flight slot frees up — the event-driven
@@ -140,7 +142,9 @@ impl Gate {
             if how == Admission::Try {
                 return Err(refusal);
             }
+            state.blocked += 1;
             state = self.freed.wait(state).unwrap();
+            state.blocked -= 1;
         }
         Gate::book(&mut state, tenant);
         Ok(())
@@ -158,8 +162,14 @@ impl Gate {
             }
         }
         // waiters are heterogeneous (classes, tenants): wake them all so a
-        // newly-admissible one is never starved behind a still-blocked one
-        self.freed.notify_all();
+        // newly-admissible one is never starved behind a still-blocked one.
+        // Only `Admission::Block` submitters ever wait here, each counted
+        // under this lock before it parks, and std's futex condvar issues a
+        // `FUTEX_WAKE` syscall even with no waiter: notify only when one is
+        // counted (the TCP edge admits with `Try`, so its releases never do)
+        if state.blocked > 0 {
+            self.freed.notify_all();
+        }
         drop(state);
         // listeners run outside the state lock so they may re-enter the
         // gate (`acquire`) without deadlocking
@@ -1477,6 +1487,38 @@ mod tests {
         let metrics = server.shutdown();
         assert_eq!(metrics.completed, 20);
         assert_eq!(metrics.batch_size_histogram[1], 20);
+    }
+
+    #[test]
+    fn a_blocked_submitter_parked_on_a_full_gate_is_woken_by_a_release() {
+        let gate = Arc::new(Gate::new(1, None, Arc::default()));
+        gate.acquire(Admission::Try, Priority::High, None).unwrap();
+        let (admitted_tx, admitted) = std::sync::mpsc::channel();
+        let blocked = {
+            let gate = Arc::clone(&gate);
+            std::thread::spawn(move || {
+                gate.acquire(Admission::Block, Priority::High, None)
+                    .unwrap();
+                admitted_tx.send(()).unwrap();
+            })
+        };
+        // the submitter counts itself under the gate's lock and parks in the
+        // condvar wait that releases it: once the count reads 1, it is parked
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while gate.state.lock().unwrap().blocked == 0 {
+            assert!(
+                Instant::now() < deadline,
+                "the submitter never counted itself"
+            );
+            std::thread::yield_now();
+        }
+        gate.release(None);
+        admitted
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the release wakes the parked submitter");
+        blocked.join().unwrap();
+        assert_eq!(gate.depth(), 1, "the woken submitter holds the slot");
+        assert_eq!(gate.state.lock().unwrap().blocked, 0);
     }
 
     #[test]
