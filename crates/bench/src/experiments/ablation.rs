@@ -19,8 +19,8 @@ use crate::pipeline::{BenchError, ExperimentConfig, PreparedPair};
 
 /// One table row per `(name, per-stage schedule)`: the 8-layer CDLN's test
 /// set is traced once and each schedule is a [`replay`] of that trace (a
-/// schedule shorter than the cascade reuses its last entry, as
-/// `CdlNetwork::classify_with_schedule` does).
+/// schedule shorter than the cascade reuses its last entry, the
+/// `policy_for` that `CdlNetwork::classify_with` takes for a schedule).
 fn policy_rows(
     pair: &PreparedPair,
     width: usize,

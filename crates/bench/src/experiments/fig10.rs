@@ -23,7 +23,7 @@ use cdl_hw::EnergyModel;
 use crate::pipeline::{BenchError, PreparedPair};
 
 /// The δ grid used for the sweep.
-pub fn delta_grid() -> Vec<f32> {
+pub(crate) fn delta_grid() -> Vec<f32> {
     (1..=19).map(|i| i as f32 * 0.05).collect()
 }
 

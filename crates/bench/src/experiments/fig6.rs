@@ -43,11 +43,3 @@ pub fn render(fig: &Fig5) -> String {
     );
     out
 }
-
-/// Consistency check used by integration tests: energy improvement must not
-/// exceed ops improvement for either network.
-pub fn energy_gap_holds(fig: &Fig5) -> bool {
-    let eps = 1e-9;
-    fig.report_2c.energy_improvement() <= fig.report_2c.ops_improvement() + eps
-        && fig.report_3c.energy_improvement() <= fig.report_3c.ops_improvement() + eps
-}

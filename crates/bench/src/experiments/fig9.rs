@@ -45,10 +45,3 @@ pub fn render(points: &[StagePoint]) -> String {
     );
     out
 }
-
-/// The sweep point with minimum normalized ops (the paper's break-even).
-pub fn break_even(points: &[StagePoint]) -> Option<&StagePoint> {
-    points
-        .iter()
-        .min_by(|a, b| a.normalized_ops.total_cmp(&b.normalized_ops))
-}

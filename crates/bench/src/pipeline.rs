@@ -87,12 +87,12 @@ impl ExperimentConfig {
 
     /// The termination policy used across the experiments (the paper's
     /// sigmoid output-neuron confidence).
-    pub fn policy(&self) -> ConfidencePolicy {
+    pub(crate) fn policy(&self) -> ConfidencePolicy {
         ConfidencePolicy::sigmoid_prob(self.delta)
     }
 
     /// Baseline trainer configuration.
-    pub fn train_config(&self) -> TrainConfig {
+    pub(crate) fn train_config(&self) -> TrainConfig {
         TrainConfig {
             epochs: self.epochs,
             lr: 1.5,
@@ -103,7 +103,7 @@ impl ExperimentConfig {
     }
 
     /// Loads (real MNIST) or generates (synthetic) the train/test split.
-    pub fn datasets(&self) -> (LabelledSet, LabelledSet) {
+    pub(crate) fn datasets(&self) -> (LabelledSet, LabelledSet) {
         if let Some(dir) = &self.mnist_dir {
             match idx::load_mnist_dir(dir) {
                 Ok((train_set, test_set)) => {
@@ -164,7 +164,7 @@ impl Prepared {
     ///
     /// Propagates spec/parameter errors (impossible for an intact
     /// `Prepared`).
-    pub fn fresh_base(&self) -> Result<Network, BenchError> {
+    pub(crate) fn fresh_base(&self) -> Result<Network, BenchError> {
         let mut base = Network::from_spec(&self.arch.spec, 0)?;
         base.import_params(&self.params)?;
         Ok(base)
@@ -203,7 +203,7 @@ fn cache_dir() -> PathBuf {
 /// # Errors
 ///
 /// Propagates training/builder failures as boxed errors.
-pub fn prepare(
+pub(crate) fn prepare(
     arch: CdlArchitecture,
     cfg: &ExperimentConfig,
     train_set: &LabelledSet,
@@ -305,7 +305,7 @@ pub fn prepare(
 /// example and the `benchmark/` package (whose committed models were
 /// trained with it): they must all measure the same network, so the
 /// recipe lives here instead of being repeated (and drifting) per
-/// call site. Unlike [`prepare`], there is no cache and no env-driven
+/// call site. Unlike `prepare`, there is no cache and no env-driven
 /// configuration — deterministic in, deterministic out.
 ///
 /// # Errors

@@ -88,7 +88,7 @@ impl CdlArchitecture {
 
     /// Restricted copy keeping only the first `n` taps (used by the
     /// stage-count sweep of Fig. 9).
-    pub fn with_first_taps(&self, n: usize) -> CdlArchitecture {
+    pub(crate) fn with_first_taps(&self, n: usize) -> CdlArchitecture {
         CdlArchitecture {
             name: format!("{}[{}taps]", self.name, n.min(self.taps.len())),
             spec: self.spec.clone(),
@@ -101,7 +101,7 @@ impl CdlArchitecture {
     /// # Errors
     ///
     /// Propagates spec shape errors.
-    pub fn classes(&self) -> Result<usize> {
+    pub(crate) fn classes(&self) -> Result<usize> {
         let out = self.spec.output_shape().map_err(CdlError::Nn)?;
         Ok(out[0])
     }
@@ -128,18 +128,6 @@ pub fn mnist_2c() -> CdlArchitecture {
             name: "O1".into(),
         }],
     }
-}
-
-/// Table I architecture with an additional candidate head after `P2`
-/// (for stage-count ablations beyond the paper's O1-only MNIST_2C).
-pub fn mnist_2c_full() -> CdlArchitecture {
-    let mut arch = mnist_2c();
-    arch.name = "MNIST_2C+O2".into();
-    arch.taps.push(TapPoint {
-        spec_layer: 3,
-        name: "O2".into(),
-    });
-    arch
 }
 
 /// Table II baseline: `I → C1(3×3,3) → P1 → C2(4×4,6) → P2 → C3(3×3,9) → P3
@@ -196,7 +184,7 @@ mod tests {
 
     #[test]
     fn presets_validate() {
-        for arch in [mnist_2c(), mnist_2c_full(), mnist_3c(), mnist_3c_full()] {
+        for arch in [mnist_2c(), mnist_3c(), mnist_3c_full()] {
             arch.validate()
                 .unwrap_or_else(|e| panic!("{}: {e}", arch.name));
             assert_eq!(arch.classes().unwrap(), 10);

@@ -142,11 +142,6 @@ impl<'a> BatchEvaluator<'a> {
         }
     }
 
-    /// The network this evaluator serves.
-    pub fn network(&self) -> &CdlNetwork {
-        self.net
-    }
-
     /// Values the evaluator's buffers can hold without growing — what "a
     /// later, smaller batch allocates no buffer" is checked against.
     pub fn scratch_capacity(&self) -> usize {
@@ -224,7 +219,7 @@ impl<'a> BatchEvaluator<'a> {
         let mut active_idx: Vec<usize> = (0..n).collect();
         let mut prev_tap: Option<usize> = None;
         // cumulative cost of reaching (and gating at) each stage — identical
-        // for every image that reaches it, mirroring `classify_impl`
+        // for every image that reaches it, mirroring `CdlNetwork::classify_with`
         let mut cum_ops = OpCount::ZERO;
 
         for (stage_idx, stage) in self.net.stages().iter().enumerate() {
@@ -484,10 +479,9 @@ impl CascadeTrace {
     /// `policy_for(s)` and `max_stage` caps the depth, as
     /// [`ExitOverride::max_stage`] does. A uniform policy is `|_| policy`,
     /// a schedule `|s| schedule[s.min(schedule.len() - 1)]`. Every output
-    /// is bit-identical to [`CdlNetwork::classify_with_policy`] /
-    /// [`CdlNetwork::classify_with_schedule`] /
-    /// [`CdlNetwork::classify_with_override`] on the same input: the same
-    /// gate reads the same score bits and the same ops table.
+    /// is bit-identical to [`CdlNetwork::classify_with`] on the same input
+    /// and the same pair: the same gate reads the same score bits and the
+    /// same ops table.
     ///
     /// # Errors
     ///
@@ -540,7 +534,7 @@ impl CascadeTrace {
     ///
     /// Panics when `stage > stage_count()` or `i` is not one of the traced
     /// inputs.
-    pub fn stage_label(&self, stage: usize, i: usize) -> usize {
+    pub(crate) fn stage_label(&self, stage: usize, i: usize) -> usize {
         ops::argmax(self.row(stage, i)).expect("a head or output layer has at least one class")
     }
 
@@ -723,7 +717,7 @@ mod tests {
                 .map(into_done)
                 .unwrap();
             for (img, out) in inputs.iter().zip(&batched) {
-                let single = cdl.classify_with_policy(img, policy).unwrap();
+                let single = cdl.classify_with(img, |_| policy, None).unwrap();
                 assert_eq!(*out, single, "policy {policy}");
             }
         }
@@ -804,16 +798,22 @@ mod tests {
         };
         let uniform_strict = trace.outputs(|_| strict, None).unwrap();
         let uniform_lax = trace.outputs(|_| lax, None).unwrap();
-        let scheduled = trace.outputs(|s| [strict, lax][s], None).unwrap();
+        let schedule = |s: usize| [strict, lax][s];
+        // a per-stage schedule under every depth cap, and uncapped
+        let scheduled: Vec<_> = (0..trace.stage_count())
+            .map(Some)
+            .chain([None])
+            .map(|cap| (cap, trace.outputs(schedule, cap).unwrap()))
+            .collect();
         let with_cap = trace.outputs(|_| strict, capped.max_stage).unwrap();
         for (i, img) in inputs.iter().enumerate() {
-            let oracle = |policy| cdl.classify_with_policy(img, policy).unwrap();
+            let oracle = |policy| cdl.classify_with(img, |_| policy, None).unwrap();
             assert_eq!(uniform_strict[i], oracle(strict));
             assert_eq!(uniform_lax[i], oracle(lax));
-            assert_eq!(
-                scheduled[i],
-                cdl.classify_with_schedule(img, &[strict, lax]).unwrap()
-            );
+            for (cap, outputs) in &scheduled {
+                let single = cdl.classify_with(img, schedule, *cap).unwrap();
+                assert_eq!(outputs[i], single, "cap {cap:?}");
+            }
             assert_eq!(
                 with_cap[i],
                 cdl.classify_with_override(img, capped).unwrap()
@@ -823,10 +823,11 @@ mod tests {
         }
         assert_eq!(uniform_strict.len(), inputs.len());
         assert_eq!(trace.exit_ops[2], cdl.worst_case_ops());
-        // an out-of-range policy is rejected before anything is replayed
-        assert!(trace
-            .outputs(|_| ConfidencePolicy::max_prob(0.0), None)
-            .is_err());
+        // an out-of-range stage policy is rejected by both before anything
+        // is evaluated, even behind a stage every input exits at
+        let bad = |s: usize| [lax, ConfidencePolicy::max_prob(0.0)][s];
+        assert!(trace.outputs(bad, None).is_err());
+        assert!(cdl.classify_with(&inputs[0], bad, None).is_err());
         let nothing = eval.trace(&[]).unwrap();
         assert!(nothing.outputs(|_| strict, None).unwrap().is_empty());
     }
@@ -840,8 +841,14 @@ mod tests {
             ExitOverride::NONE,
             ExitOverride::with_delta(0.45),
             ExitOverride::with_delta(0.999),
-            ExitOverride::with_max_stage(0),
-            ExitOverride::with_max_stage(1),
+            ExitOverride {
+                max_stage: Some(0),
+                ..ExitOverride::NONE
+            },
+            ExitOverride {
+                max_stage: Some(1),
+                ..ExitOverride::NONE
+            },
             ExitOverride {
                 delta: Some(0.999),
                 max_stage: Some(1),

@@ -194,7 +194,7 @@ mod tests {
                 let mut ops_sum = 0.0;
                 let mut correct = 0usize;
                 for (img, &label) in val.images.iter().zip(&val.labels) {
-                    let o = cdl.classify_with_policy(img, policy).unwrap();
+                    let o = cdl.classify_with(img, |_| policy, None).unwrap();
                     ops_sum += o.ops.compute_ops() as f64;
                     correct += (o.label == label) as usize;
                 }

@@ -94,7 +94,7 @@ impl ConfidencePolicy {
     /// # Errors
     ///
     /// Returns [`CdlError::BadPolicy`] for out-of-range thresholds.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         match *self {
             ConfidencePolicy::SigmoidProb { delta } | ConfidencePolicy::MaxProb { delta } => {
                 if !(0.0..=1.0).contains(&delta) || delta == 0.0 {
@@ -119,15 +119,6 @@ impl ConfidencePolicy {
             }
         }
         Ok(())
-    }
-
-    /// Returns the policy's scalar threshold (the δ knob of Fig. 10).
-    pub fn threshold(&self) -> f32 {
-        match *self {
-            ConfidencePolicy::SigmoidProb { delta } | ConfidencePolicy::MaxProb { delta } => delta,
-            ConfidencePolicy::Margin { margin } => margin,
-            ConfidencePolicy::Entropy { max_nats } => max_nats,
-        }
     }
 
     /// Returns a copy with the threshold replaced (for δ sweeps).
@@ -158,7 +149,7 @@ impl ConfidencePolicy {
     /// # Errors
     ///
     /// Returns [`CdlError::BadPolicy`] for an empty score vector.
-    pub fn decide_row(&self, scores: &[f32], probs: &mut Vec<f32>) -> Result<Decision> {
+    pub(crate) fn decide_row(&self, scores: &[f32], probs: &mut Vec<f32>) -> Result<Decision> {
         if scores.is_empty() {
             return Err(CdlError::BadPolicy("empty score vector".into()));
         }
@@ -258,19 +249,6 @@ impl ExitOverride {
             delta: Some(delta),
             max_stage: None,
         }
-    }
-
-    /// Caps only the cascade depth.
-    pub fn with_max_stage(max_stage: usize) -> Self {
-        ExitOverride {
-            delta: None,
-            max_stage: Some(max_stage),
-        }
-    }
-
-    /// `true` when this override changes nothing.
-    pub fn is_none(&self) -> bool {
-        self.delta.is_none() && self.max_stage.is_none()
     }
 
     /// The policy actually gating a request: `base` with this override's
@@ -426,8 +404,7 @@ mod tests {
     fn threshold_round_trip() {
         let p = ConfidencePolicy::max_prob(0.5);
         let q = p.with_threshold(0.8);
-        assert_eq!(q.threshold(), 0.8);
-        assert!(matches!(q, ConfidencePolicy::MaxProb { .. }));
+        assert_eq!(q, ConfidencePolicy::max_prob(0.8));
         let m = ConfidencePolicy::margin(0.2).with_threshold(0.4);
         assert!(matches!(m, ConfidencePolicy::Margin { margin } if margin == 0.4));
     }

@@ -69,7 +69,7 @@ impl LinearClassifier {
     }
 
     /// Input feature count.
-    pub fn features(&self) -> usize {
+    pub(crate) fn features(&self) -> usize {
         self.weight.dims()[1]
     }
 
@@ -116,7 +116,7 @@ impl LinearClassifier {
     /// # Errors
     ///
     /// Returns [`CdlError::BadStage`] on any fan-in mismatch.
-    pub fn scores_rows_into(
+    pub(crate) fn scores_rows_into(
         &self,
         features: Rows<'_>,
         out: &mut Vec<f32>,
@@ -134,12 +134,12 @@ impl LinearClassifier {
         Ok(())
     }
 
-    /// [`LinearClassifier::scores_rows_into`] over one feature tensor per
+    /// `LinearClassifier::scores_rows_into` over one feature tensor per
     /// image (a row-major tensor's buffer is its flattened feature vector).
     ///
     /// # Errors
     ///
-    /// As [`LinearClassifier::scores_rows_into`].
+    /// As `LinearClassifier::scores_rows_into`.
     pub fn scores_batch_into(
         &self,
         features: &[Tensor],
@@ -154,7 +154,7 @@ impl LinearClassifier {
     /// # Errors
     ///
     /// Same as [`LinearClassifier::scores`].
-    pub fn outputs(&self, features: &Tensor) -> Result<Tensor> {
+    pub(crate) fn outputs(&self, features: &Tensor) -> Result<Tensor> {
         let mut out = self.scores(features)?;
         math::sigmoid_slice(out.data_mut());
         Ok(out)
@@ -165,7 +165,7 @@ impl LinearClassifier {
     /// # Errors
     ///
     /// Same as [`LinearClassifier::scores`].
-    pub fn predict(&self, features: &Tensor) -> Result<usize> {
+    pub(crate) fn predict(&self, features: &Tensor) -> Result<usize> {
         Ok(self
             .scores(features)?
             .argmax()
@@ -178,7 +178,7 @@ impl LinearClassifier {
     /// # Errors
     ///
     /// Propagates score errors; rejects out-of-range labels.
-    pub fn lms_update(&mut self, features: &Tensor, label: usize, lr: f32) -> Result<f32> {
+    pub(crate) fn lms_update(&mut self, features: &Tensor, label: usize, lr: f32) -> Result<f32> {
         let target = one_hot(label, self.classes()).map_err(CdlError::Nn)?;
         let out = self.outputs(features)?;
         let flat = if features.rank() == 1 {

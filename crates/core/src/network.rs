@@ -81,6 +81,11 @@ impl CdlNetwork {
         policy: ConfidencePolicy,
     ) -> Result<Self> {
         policy.validate()?;
+        if base.layer_count() == 0 {
+            return Err(CdlError::BadStage(
+                "the baseline network has no layers".into(),
+            ));
+        }
         let per_layer = base.op_counts().map_err(CdlError::Nn)?;
         let baseline_ops: OpCount = per_layer.iter().copied().sum();
         let shape_chain = base.spec().shape_chain().map_err(CdlError::Nn)?;
@@ -173,7 +178,7 @@ impl CdlNetwork {
     /// Ops from the last tap (exclusive) through the final layer — the cost
     /// an input pays after passing every gate (used by the batched
     /// evaluator's op accounting).
-    pub fn final_ops(&self) -> OpCount {
+    pub(crate) fn final_ops(&self) -> OpCount {
         self.final_ops
     }
 
@@ -190,7 +195,7 @@ impl CdlNetwork {
     ///
     /// Propagates layer/head evaluation errors.
     pub fn classify(&self, x: &Tensor) -> Result<CdlOutput> {
-        self.classify_with_policy(x, self.policy)
+        self.classify_with(x, |_| self.policy, None)
     }
 
     /// Classifies with per-request [`ExitOverride`]s applied to the
@@ -204,76 +209,45 @@ impl CdlNetwork {
     /// range; propagates layer/head evaluation errors.
     pub fn classify_with_override(&self, x: &Tensor, ovr: ExitOverride) -> Result<CdlOutput> {
         let policy = ovr.effective_policy(self.policy);
-        policy.validate()?;
-        self.classify_impl_capped(x, |_| policy, ovr.max_stage)
+        self.classify_with(x, |_| policy, ovr.max_stage)
     }
 
-    /// Classifies with a **per-stage policy schedule** — an extension beyond
-    /// the paper's single global δ: early stages can be given stricter
-    /// thresholds (they see easier inputs but have weaker features) and
-    /// late stages laxer ones. `schedule[i]` gates stage `i`; a schedule
-    /// shorter than the stage count reuses its last entry.
+    /// The cascade with stage `s` gated by `policy_for(s)` and its depth
+    /// capped at `max_stage`, as [`ExitOverride::max_stage`] does: reaching
+    /// conditional stage `max_stage` terminates there with that head's
+    /// decision (the label/confidence bits the gate computed), whatever the
+    /// gate said. A uniform policy is `|_| policy`. A per-stage schedule —
+    /// an extension beyond the paper's single global δ, stricter early
+    /// stages and laxer late ones — is
+    /// `|s| schedule[s.min(schedule.len() - 1)]`.
+    /// [`crate::batch::CascadeTrace::outputs`] replays the same pair.
     ///
     /// # Errors
     ///
-    /// Returns [`CdlError::BadPolicy`] for an empty schedule and propagates
-    /// layer/head evaluation errors.
-    pub fn classify_with_schedule(
-        &self,
-        x: &Tensor,
-        schedule: &[ConfidencePolicy],
-    ) -> Result<CdlOutput> {
-        let last = schedule
-            .last()
-            .ok_or_else(|| CdlError::BadPolicy("empty policy schedule".into()))?;
-        self.classify_impl(x, |idx| *schedule.get(idx).unwrap_or(last))
-    }
-
-    /// Classifies with an explicit policy (used by δ sweeps so the heads
-    /// need not be rebuilt).
-    ///
-    /// # Errors
-    ///
-    /// Propagates layer/head evaluation errors.
-    pub fn classify_with_policy(&self, x: &Tensor, policy: ConfidencePolicy) -> Result<CdlOutput> {
-        self.classify_impl(x, |_| policy)
-    }
-
-    fn classify_impl(
+    /// Returns [`CdlError::BadPolicy`] when a stage's policy is out of
+    /// range, before anything is evaluated; propagates layer/head
+    /// evaluation errors.
+    pub fn classify_with(
         &self,
         x: &Tensor,
         policy_for: impl Fn(usize) -> ConfidencePolicy,
+        max_stage: Option<usize>,
     ) -> Result<CdlOutput> {
-        self.classify_impl_capped(x, policy_for, None)
-    }
-
-    /// The cascade with an optional depth cap: reaching conditional stage
-    /// `force_exit_at` terminates there with that head's decision (same
-    /// label/confidence bits the gate computed), whatever the gate said.
-    fn classify_impl_capped(
-        &self,
-        x: &Tensor,
-        policy_for: impl Fn(usize) -> ConfidencePolicy,
-        force_exit_at: Option<usize>,
-    ) -> Result<CdlOutput> {
+        for stage in 0..self.stages.len() {
+            policy_for(stage).validate()?;
+        }
         let mut cur = x.clone();
         let mut prev_tap: Option<usize> = None;
         let mut ops = OpCount::ZERO;
         for (idx, stage) in self.stages.iter().enumerate() {
-            cur = match prev_tap {
-                None => self
-                    .base
-                    .forward_prefix(&cur, stage.tap_runtime)
-                    .map_err(CdlError::Nn)?,
-                Some(p) => self
-                    .base
-                    .forward_between(&cur, p, stage.tap_runtime)
-                    .map_err(CdlError::Nn)?,
-            };
+            cur = self
+                .base
+                .forward_segment(&cur, prev_tap, stage.tap_runtime)
+                .map_err(CdlError::Nn)?;
             ops += stage.ops_from_prev + stage.head_ops;
             let scores = stage.head.scores(&cur)?;
             let decision = policy_for(idx).decide(&scores)?;
-            if decision.exit || force_exit_at.is_some_and(|cap| idx >= cap) {
+            if decision.exit || max_stage.is_some_and(|cap| idx >= cap) {
                 return Ok(CdlOutput {
                     label: decision.label,
                     exit_stage: idx,
@@ -286,13 +260,10 @@ impl CdlNetwork {
             prev_tap = Some(stage.tap_runtime);
         }
         // final stage: run the remaining baseline layers
-        let out = match prev_tap {
-            None => self.base.forward(&cur).map_err(CdlError::Nn)?,
-            Some(p) => self
-                .base
-                .forward_between(&cur, p, self.base.layer_count() - 1)
-                .map_err(CdlError::Nn)?,
-        };
+        let out = self
+            .base
+            .forward_segment(&cur, prev_tap, self.base.layer_count() - 1)
+            .map_err(CdlError::Nn)?;
         ops += self.final_ops;
         let label = out
             .argmax()
@@ -360,6 +331,14 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_baseline_is_rejected() {
+        let spec = cdl_nn::spec::NetworkSpec::new(vec![], &[1, 28, 28]);
+        let base = NnNetwork::from_spec(&spec, 0).unwrap();
+        let policy = ConfidencePolicy::max_prob(0.5);
+        assert!(CdlNetwork::assemble(base, vec![], policy).is_err());
+    }
+
+    #[test]
     fn assembles_with_correct_op_partition() {
         let cdl = build_untrained();
         assert_eq!(cdl.stage_count(), 2);
@@ -395,11 +374,11 @@ mod tests {
         let cdl = build_untrained();
         let x = Tensor::full(&[1, 28, 28], 0.4);
         let lenient = cdl
-            .classify_with_policy(&x, ConfidencePolicy::margin(1e-6))
+            .classify_with(&x, |_| ConfidencePolicy::margin(1e-6), None)
             .unwrap();
         // delta ~1.0 with untrained heads never exits early
         let strict = cdl
-            .classify_with_policy(&x, ConfidencePolicy::max_prob(0.999))
+            .classify_with(&x, |_| ConfidencePolicy::max_prob(0.999), None)
             .unwrap();
         assert!(lenient.exit_stage <= strict.exit_stage);
         assert!(lenient.ops.compute_ops() <= strict.ops.compute_ops());
@@ -415,10 +394,10 @@ mod tests {
         // non-tied score vector (max-prob with small δ would NOT: several
         // classes exceed δ and the uniqueness criterion keeps cascading)
         let early = cdl
-            .classify_with_policy(&x, ConfidencePolicy::margin(1e-6))
+            .classify_with(&x, |_| ConfidencePolicy::margin(1e-6), None)
             .unwrap();
         let full = cdl
-            .classify_with_policy(&x, ConfidencePolicy::max_prob(0.999))
+            .classify_with(&x, |_| ConfidencePolicy::max_prob(0.999), None)
             .unwrap();
         assert_eq!(early.exit_stage, 0);
         assert!(early.exited_early);
@@ -479,21 +458,8 @@ mod tests {
     fn set_policy_validates() {
         let mut cdl = build_untrained();
         assert!(cdl.set_policy(ConfidencePolicy::max_prob(0.8)).is_ok());
-        assert_eq!(cdl.policy().threshold(), 0.8);
+        assert_eq!(cdl.policy(), ConfidencePolicy::max_prob(0.8));
         assert!(cdl.set_policy(ConfidencePolicy::max_prob(0.0)).is_err());
-    }
-
-    #[test]
-    fn schedule_matches_uniform_policy_when_constant() {
-        let cdl = build_untrained();
-        let x = Tensor::full(&[1, 28, 28], 0.4);
-        let p = ConfidencePolicy::margin(0.2);
-        let uniform = cdl.classify_with_policy(&x, p).unwrap();
-        let scheduled = cdl.classify_with_schedule(&x, &[p, p]).unwrap();
-        assert_eq!(uniform, scheduled);
-        // a short schedule reuses its last entry
-        let short = cdl.classify_with_schedule(&x, &[p]).unwrap();
-        assert_eq!(uniform, short);
     }
 
     #[test]
@@ -503,13 +469,15 @@ mod tests {
         // stage 0 impossible (margin 1.0 ~ never), stage 1 trivial
         let strict = ConfidencePolicy::margin(1.0);
         let trivial = ConfidencePolicy::margin(1e-6);
-        let out = cdl.classify_with_schedule(&x, &[strict, trivial]).unwrap();
+        let out = cdl
+            .classify_with(&x, |s| [strict, trivial][s], None)
+            .unwrap();
         assert_eq!(out.exit_stage, 1, "must pass stage 0 and exit at stage 1");
         // reversed: exits at stage 0
-        let out = cdl.classify_with_schedule(&x, &[trivial, strict]).unwrap();
+        let out = cdl
+            .classify_with(&x, |s| [trivial, strict][s], None)
+            .unwrap();
         assert_eq!(out.exit_stage, 0);
-        // empty schedule is rejected
-        assert!(cdl.classify_with_schedule(&x, &[]).is_err());
     }
 
     #[test]
@@ -521,7 +489,13 @@ mod tests {
         assert_eq!(plain, ovr);
         // a cap at/after the final stage also changes nothing
         let capped = cdl
-            .classify_with_override(&x, ExitOverride::with_max_stage(cdl.stage_count()))
+            .classify_with_override(
+                &x,
+                ExitOverride {
+                    max_stage: Some(cdl.stage_count()),
+                    ..ExitOverride::NONE
+                },
+            )
             .unwrap();
         assert_eq!(plain, capped);
     }
@@ -535,7 +509,7 @@ mod tests {
                 .classify_with_override(&x, ExitOverride::with_delta(delta))
                 .unwrap();
             let explicit = cdl
-                .classify_with_policy(&x, cdl.policy().with_threshold(delta))
+                .classify_with(&x, |_| cdl.policy().with_threshold(delta), None)
                 .unwrap();
             assert_eq!(ovr, explicit, "delta {delta}");
         }
@@ -575,17 +549,11 @@ mod tests {
 
     #[test]
     fn exit_override_helpers() {
-        assert!(ExitOverride::NONE.is_none());
-        assert!(ExitOverride::default().is_none());
-        assert!(!ExitOverride::with_delta(0.5).is_none());
-        assert!(!ExitOverride::with_max_stage(1).is_none());
         let p = ConfidencePolicy::max_prob(0.6);
         assert_eq!(ExitOverride::NONE.effective_policy(p), p);
         assert_eq!(
-            ExitOverride::with_delta(0.9)
-                .effective_policy(p)
-                .threshold(),
-            0.9
+            ExitOverride::with_delta(0.9).effective_policy(p),
+            ConfidencePolicy::max_prob(0.9)
         );
         assert!(ExitOverride::with_delta(2.0).validate_for(p).is_err());
         assert!(ExitOverride::with_delta(0.9).validate_for(p).is_ok());

@@ -32,7 +32,7 @@ pub struct SavedCdl {
 
 impl SavedCdl {
     /// Captures a CDLN into its serialisable form.
-    pub fn capture(cdl: &CdlNetwork) -> SavedCdl {
+    pub(crate) fn capture(cdl: &CdlNetwork) -> SavedCdl {
         let spec = cdl.base().spec().clone();
         // recover each stage's spec-layer index from its runtime tap index
         let mut runtime_to_spec = std::collections::HashMap::new();

@@ -135,8 +135,8 @@ pub fn evaluate(
 /// and the policy ablations all ask it, each about the same trace, so a
 /// question about another δ never runs the network. Per-image results — and
 /// therefore every statistic — are bit-identical to a per-image
-/// [`CdlNetwork::classify_with_policy`] loop (the equivalence the batch
-/// test-suite pins down).
+/// [`CdlNetwork::classify_with`] loop over the same `policy_for` (the
+/// equivalence the batch test-suite pins down).
 ///
 /// Energy is computed with `energy_model`; the baseline is charged a single
 /// control stage (one monolithic design), the CDLN one control charge per

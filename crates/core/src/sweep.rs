@@ -176,7 +176,7 @@ mod tests {
             assert!(pair[1].fc_fraction >= pair[0].fc_fraction - 1e-9);
         }
         // the network's own policy is never touched
-        assert_eq!(cdl.policy().threshold(), 0.5);
+        assert_eq!(cdl.policy(), ConfidencePolicy::max_prob(0.5));
     }
 
     /// A sweep that fails part-way has still only read the network: there

@@ -86,7 +86,11 @@ pub struct Distortion {
 }
 
 /// Samples a distortion for difficulty `d` using `rng`.
-pub fn sample_distortion<R: Rng + ?Sized>(cfg: &DistortConfig, d: f32, rng: &mut R) -> Distortion {
+pub(crate) fn sample_distortion<R: Rng + ?Sized>(
+    cfg: &DistortConfig,
+    d: f32,
+    rng: &mut R,
+) -> Distortion {
     let lv = cfg.level(d);
     let angle = rng.random_range(-1.0f32..1.0) * cfg.max_rotation * lv;
     let scale = 1.0 + rng.random_range(-1.0f32..1.0) * cfg.max_scale * lv;
@@ -123,7 +127,7 @@ pub fn sample_distortion<R: Rng + ?Sized>(cfg: &DistortConfig, d: f32, rng: &mut
 
 /// Applies the geometric part of a distortion to a skeleton (about the box
 /// centre), including per-point wobble.
-pub fn warp_skeleton<R: Rng + ?Sized>(
+pub(crate) fn warp_skeleton<R: Rng + ?Sized>(
     skeleton: &Skeleton,
     distortion: &Distortion,
     rng: &mut R,
@@ -153,7 +157,7 @@ pub fn warp_skeleton<R: Rng + ?Sized>(
 }
 
 /// Adds clipped Gaussian pixel noise in place.
-pub fn add_pixel_noise<R: Rng + ?Sized>(img: &mut Tensor, sigma: f32, rng: &mut R) {
+pub(crate) fn add_pixel_noise<R: Rng + ?Sized>(img: &mut Tensor, sigma: f32, rng: &mut R) {
     if sigma <= 0.0 {
         return;
     }
@@ -165,7 +169,7 @@ pub fn add_pixel_noise<R: Rng + ?Sized>(img: &mut Tensor, sigma: f32, rng: &mut 
 /// Adds `count` random short "clutter" strokes (distractor pen marks) to a
 /// skeleton — the synthetic analogue of the messy backgrounds and stray
 /// marks that make real handwriting samples hard.
-pub fn add_clutter<R: Rng + ?Sized>(skeleton: &mut Skeleton, count: usize, rng: &mut R) {
+pub(crate) fn add_clutter<R: Rng + ?Sized>(skeleton: &mut Skeleton, count: usize, rng: &mut R) {
     for _ in 0..count {
         let cx = rng.random_range(0.08f32..0.92);
         let cy = rng.random_range(0.08f32..0.92);
@@ -182,7 +186,7 @@ pub fn add_clutter<R: Rng + ?Sized>(skeleton: &mut Skeleton, count: usize, rng: 
 /// Blanks a random square patch of the image (simulating over-/under-inking
 /// or damage). `max_side` bounds the patch size; patches are clamped to the
 /// image.
-pub fn occlude<R: Rng + ?Sized>(img: &mut Tensor, max_side: usize, rng: &mut R) {
+pub(crate) fn occlude<R: Rng + ?Sized>(img: &mut Tensor, max_side: usize, rng: &mut R) {
     let dims = img.dims().to_vec();
     let (h, w) = match dims.as_slice() {
         [1, h, w] => (*h, *w),
@@ -222,7 +226,7 @@ fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f32 {
 /// easy distribution with a meaningful hard tail, mirroring the paper's
 /// observation that "only a small fraction of inputs require the full
 /// computational effort".
-pub fn sample_difficulty<R: Rng + ?Sized>(exponent: f32, rng: &mut R) -> f32 {
+pub(crate) fn sample_difficulty<R: Rng + ?Sized>(exponent: f32, rng: &mut R) -> f32 {
     let u: f32 = rng.random_range(0.0f32..1.0);
     u.powf(exponent.max(0.01))
 }

@@ -90,13 +90,8 @@ impl SyntheticMnist {
         SyntheticMnist { config }
     }
 
-    /// The generator's configuration.
-    pub fn config(&self) -> &SyntheticConfig {
-        &self.config
-    }
-
     /// Generates sample `index` of stream `seed`.
-    pub fn sample(&self, seed: u64, index: u64) -> Sample {
+    pub(crate) fn sample(&self, seed: u64, index: u64) -> Sample {
         // independent per-sample stream: splitmix the (seed, index) pair
         let mut rng = StdRng::seed_from_u64(mix(seed, index));
         let label = rng.random_range(0..10usize);
@@ -104,7 +99,7 @@ impl SyntheticMnist {
     }
 
     /// Generates a sample of a specific digit using the supplied RNG.
-    pub fn sample_digit(&self, label: usize, rng: &mut StdRng) -> Sample {
+    pub(crate) fn sample_digit(&self, label: usize, rng: &mut StdRng) -> Sample {
         let difficulty = sample_difficulty(self.config.difficulty_exponent, rng);
         self.sample_with_difficulty(label, difficulty, rng)
     }
@@ -147,7 +142,7 @@ impl SyntheticMnist {
     /// embarrassingly parallel: indices fan out across worker threads and
     /// the result is identical to the sequential order regardless of the
     /// worker count.
-    pub fn generate_samples(&self, n: usize, seed: u64) -> Vec<Sample> {
+    pub(crate) fn generate_samples(&self, n: usize, seed: u64) -> Vec<Sample> {
         use rayon::prelude::*;
         (0..n as u64)
             .into_par_iter()
@@ -179,7 +174,7 @@ impl Default for SyntheticMnist {
 
 /// Converts generated samples into the training exchange format, dropping
 /// the difficulty metadata.
-pub fn to_labelled_set(samples: Vec<Sample>) -> LabelledSet {
+pub(crate) fn to_labelled_set(samples: Vec<Sample>) -> LabelledSet {
     let mut images = Vec::with_capacity(samples.len());
     let mut labels = Vec::with_capacity(samples.len());
     for s in samples {

@@ -183,7 +183,7 @@ pub fn write_labels(labels: &[usize]) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns [`IdxError::CountMismatch`] when lengths differ.
-pub fn combine(images: Vec<Tensor>, labels: Vec<usize>) -> Result<LabelledSet, IdxError> {
+pub(crate) fn combine(images: Vec<Tensor>, labels: Vec<usize>) -> Result<LabelledSet, IdxError> {
     if images.len() != labels.len() {
         return Err(IdxError::CountMismatch {
             images: images.len(),
@@ -211,18 +211,6 @@ pub fn load_mnist_dir(dir: &Path) -> Result<(LabelledSet, LabelledSet), IdxError
         parse_labels(&read("t10k-labels-idx1-ubyte")?)?,
     )?;
     Ok((train, test))
-}
-
-/// `true` if `dir` appears to contain the four MNIST files.
-pub fn mnist_dir_present(dir: &Path) -> bool {
-    [
-        "train-images-idx3-ubyte",
-        "train-labels-idx1-ubyte",
-        "t10k-images-idx3-ubyte",
-        "t10k-labels-idx1-ubyte",
-    ]
-    .iter()
-    .all(|f| dir.join(f).is_file())
 }
 
 #[cfg(test)]
@@ -336,13 +324,11 @@ mod tests {
         .unwrap();
         std::fs::write(dir.join("t10k-images-idx3-ubyte"), write_images(&imgs[..1])).unwrap();
         std::fs::write(dir.join("t10k-labels-idx1-ubyte"), write_labels(&[7])).unwrap();
-        assert!(mnist_dir_present(&dir));
         let (train, test) = load_mnist_dir(&dir).unwrap();
         assert_eq!(train.len(), 3);
         assert_eq!(test.len(), 1);
         assert_eq!(test.labels, vec![7]);
         std::fs::remove_dir_all(&dir).unwrap();
-        assert!(!mnist_dir_present(&dir));
     }
 
     #[test]

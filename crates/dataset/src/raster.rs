@@ -51,7 +51,7 @@ fn dist_sq_to_segment(p: (f32, f32), a: Point, b: Point) -> f32 {
 
 /// Renders a skeleton (unit-box coordinates) into a `[1, size, size]`
 /// grayscale tensor with intensities in `[0, 1]` (1 = ink).
-pub fn rasterize(skeleton: &Skeleton, cfg: &RasterConfig) -> Tensor {
+pub(crate) fn rasterize(skeleton: &Skeleton, cfg: &RasterConfig) -> Tensor {
     let size = cfg.size.max(1);
     let scale = size as f32;
     let mut img = vec![0.0f32; size * size];
@@ -98,11 +98,6 @@ pub fn rasterize(skeleton: &Skeleton, cfg: &RasterConfig) -> Tensor {
     Tensor::from_vec(img, &[1, size, size]).expect("sized buffer")
 }
 
-/// Mean ink coverage of an image (fraction of total possible intensity).
-pub fn ink_coverage(img: &Tensor) -> f32 {
-    img.mean()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,7 +110,7 @@ mod tests {
             let img = rasterize(&digit_skeleton(d), &cfg);
             assert_eq!(img.dims(), &[1, 28, 28]);
             assert!(img.data().iter().all(|&v| (0.0..=1.0).contains(&v)));
-            let cover = ink_coverage(&img);
+            let cover = img.mean(); // ink coverage
             assert!(cover > 0.02, "digit {d} almost empty: {cover}");
             assert!(cover < 0.5, "digit {d} floods the image: {cover}");
         }

@@ -1,7 +1,7 @@
 //! Stroke skeletons for the ten digits.
 //!
 //! Each digit is a set of polylines in a unit box (`x` right, `y` down,
-//! both in `[0, 1]`). Curved digits are described with quadratic/cubic
+//! both in `[0, 1]`). Curved digits are described with quadratic
 //! Bézier segments sampled into polylines. These skeletons are the "pen
 //! trajectories" that the rasteriser inks and the distortion model warps.
 
@@ -16,7 +16,7 @@ pub struct Point {
 
 impl Point {
     /// Creates a point.
-    pub const fn new(x: f32, y: f32) -> Self {
+    pub(crate) const fn new(x: f32, y: f32) -> Self {
         Point { x, y }
     }
 }
@@ -28,45 +28,8 @@ pub struct Skeleton {
     pub strokes: Vec<Vec<Point>>,
 }
 
-impl Skeleton {
-    /// Total number of polyline segments.
-    pub fn segment_count(&self) -> usize {
-        self.strokes.iter().map(|s| s.len().saturating_sub(1)).sum()
-    }
-
-    /// Total ink length (sum of segment lengths).
-    pub fn ink_length(&self) -> f32 {
-        let mut len = 0.0;
-        for stroke in &self.strokes {
-            for pair in stroke.windows(2) {
-                let dx = pair[1].x - pair[0].x;
-                let dy = pair[1].y - pair[0].y;
-                len += (dx * dx + dy * dy).sqrt();
-            }
-        }
-        len
-    }
-
-    /// Bounding box `(min, max)` over every stroke point.
-    ///
-    /// Returns `None` for an empty skeleton.
-    pub fn bounds(&self) -> Option<(Point, Point)> {
-        let mut it = self.strokes.iter().flatten();
-        let first = *it.next()?;
-        let mut min = first;
-        let mut max = first;
-        for p in self.strokes.iter().flatten() {
-            min.x = min.x.min(p.x);
-            min.y = min.y.min(p.y);
-            max.x = max.x.max(p.x);
-            max.y = max.y.max(p.y);
-        }
-        Some((min, max))
-    }
-}
-
 /// Samples a quadratic Bézier `p0 → p1 → p2` into `n + 1` points.
-pub fn quad_bezier(p0: Point, p1: Point, p2: Point, n: usize) -> Vec<Point> {
+pub(crate) fn quad_bezier(p0: Point, p1: Point, p2: Point, n: usize) -> Vec<Point> {
     let n = n.max(1);
     (0..=n)
         .map(|i| {
@@ -80,29 +43,8 @@ pub fn quad_bezier(p0: Point, p1: Point, p2: Point, n: usize) -> Vec<Point> {
         .collect()
 }
 
-/// Samples a cubic Bézier into `n + 1` points.
-pub fn cubic_bezier(p0: Point, p1: Point, p2: Point, p3: Point, n: usize) -> Vec<Point> {
-    let n = n.max(1);
-    (0..=n)
-        .map(|i| {
-            let t = i as f32 / n as f32;
-            let u = 1.0 - t;
-            Point::new(
-                u * u * u * p0.x
-                    + 3.0 * u * u * t * p1.x
-                    + 3.0 * u * t * t * p2.x
-                    + t * t * t * p3.x,
-                u * u * u * p0.y
-                    + 3.0 * u * u * t * p1.y
-                    + 3.0 * u * t * t * p2.y
-                    + t * t * t * p3.y,
-            )
-        })
-        .collect()
-}
-
 /// Samples a full ellipse centred at `(cx, cy)` into a closed polyline.
-pub fn ellipse(cx: f32, cy: f32, rx: f32, ry: f32, n: usize) -> Vec<Point> {
+pub(crate) fn ellipse(cx: f32, cy: f32, rx: f32, ry: f32, n: usize) -> Vec<Point> {
     let n = n.max(3);
     (0..=n)
         .map(|i| {
@@ -113,7 +55,7 @@ pub fn ellipse(cx: f32, cy: f32, rx: f32, ry: f32, n: usize) -> Vec<Point> {
 }
 
 /// Samples an elliptical arc from angle `a0` to `a1` (radians).
-pub fn arc(cx: f32, cy: f32, rx: f32, ry: f32, a0: f32, a1: f32, n: usize) -> Vec<Point> {
+pub(crate) fn arc(cx: f32, cy: f32, rx: f32, ry: f32, a0: f32, a1: f32, n: usize) -> Vec<Point> {
     let n = n.max(2);
     (0..=n)
         .map(|i| {
@@ -130,7 +72,7 @@ const CURVE_SAMPLES: usize = 16;
 /// # Panics
 ///
 /// Panics when `digit > 9`.
-pub fn digit_skeleton(digit: u8) -> Skeleton {
+pub(crate) fn digit_skeleton(digit: u8) -> Skeleton {
     let p = Point::new;
     let strokes: Vec<Vec<Point>> = match digit {
         0 => vec![ellipse(0.5, 0.5, 0.24, 0.36, 28)],
@@ -232,16 +174,6 @@ pub fn digit_skeleton(digit: u8) -> Skeleton {
     Skeleton { strokes }
 }
 
-/// Relative stroke complexity of each digit (segment count of the canonical
-/// skeleton). Used by analyses; the generator itself does not bias by digit.
-pub fn complexity_rank() -> Vec<(u8, usize)> {
-    let mut ranks: Vec<(u8, usize)> = (0u8..10)
-        .map(|d| (d, digit_skeleton(d).segment_count()))
-        .collect();
-    ranks.sort_by_key(|&(_, c)| c);
-    ranks
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,27 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn digit_one_is_simplest() {
-        let ranks = complexity_rank();
-        // the three simplest skeletons include 1 and 7 (straight-stroke digits)
-        let simplest: Vec<u8> = ranks.iter().take(3).map(|&(d, _)| d).collect();
-        assert!(simplest.contains(&1), "ranks: {ranks:?}");
-        assert!(simplest.contains(&7), "ranks: {ranks:?}");
-        // the most complex half contains the curvy digits 3, 5 or 8
-        let complex: Vec<u8> = ranks.iter().rev().take(5).map(|&(d, _)| d).collect();
-        assert!(complex.contains(&3) && complex.contains(&5));
-    }
-
-    #[test]
-    fn ink_length_positive_and_bounded() {
-        for d in 0u8..10 {
-            let len = digit_skeleton(d).ink_length();
-            assert!(len > 0.5, "digit {d} too short: {len}");
-            assert!(len < 6.0, "digit {d} too long: {len}");
-        }
-    }
-
-    #[test]
     fn bezier_endpoints_exact() {
         let a = Point::new(0.0, 0.0);
         let b = Point::new(1.0, 2.0);
@@ -301,11 +212,6 @@ mod tests {
         assert_eq!(q.first().unwrap(), &a);
         assert_eq!(q.last().unwrap(), &c);
         assert_eq!(q.len(), 9);
-
-        let d = Point::new(3.0, 3.0);
-        let cu = cubic_bezier(a, b, c, d, 5);
-        assert_eq!(cu.first().unwrap(), &a);
-        assert_eq!(cu.last().unwrap(), &d);
     }
 
     #[test]
@@ -322,16 +228,5 @@ mod tests {
         let a = arc(0.0, 0.0, 1.0, 1.0, 0.0, std::f32::consts::PI, 10);
         assert!((a.first().unwrap().x - 1.0).abs() < 1e-5);
         assert!((a.last().unwrap().x + 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn bounds_cover_all_points() {
-        let sk = digit_skeleton(4);
-        let (min, max) = sk.bounds().unwrap();
-        for p in sk.strokes.iter().flatten() {
-            assert!(p.x >= min.x && p.x <= max.x);
-            assert!(p.y >= min.y && p.y <= max.y);
-        }
-        assert!(Skeleton { strokes: vec![] }.bounds().is_none());
     }
 }

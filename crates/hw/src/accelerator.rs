@@ -48,7 +48,7 @@ impl Accelerator {
     /// throughput and non-MAC ops ride along one per cycle per lane.
     ///
     /// Always at least 1 cycle for a non-empty workload.
-    pub fn cycles(&self, ops: &OpCount) -> u64 {
+    pub(crate) fn cycles(&self, ops: &OpCount) -> u64 {
         if ops.is_zero() {
             return 0;
         }
@@ -63,19 +63,9 @@ impl Accelerator {
         self.cycles(ops) as f64 / self.clock_hz
     }
 
-    /// Leakage energy while executing the workload, in picojoules.
-    pub fn leakage_pj(&self, ops: &OpCount) -> f64 {
-        self.latency_s(ops) * self.leakage_w * 1e12
-    }
-
     /// Total die area of the design, in mm².
     pub fn area_mm2(&self) -> f64 {
         self.mac_lanes as f64 * self.mac_lane_area_mm2 + self.sram_kib * self.sram_area_mm2_per_kib
-    }
-
-    /// Peak throughput in operations per second (lanes × frequency).
-    pub fn peak_ops_per_s(&self) -> f64 {
-        self.mac_lanes as f64 * self.clock_hz
     }
 
     /// Achieved utilisation of the MAC array for the workload in `[0, 1]`.
@@ -112,7 +102,6 @@ mod tests {
         let acc = Accelerator::cmos_45nm();
         assert_eq!(acc.cycles(&OpCount::ZERO), 0);
         assert_eq!(acc.latency_s(&OpCount::ZERO), 0.0);
-        assert_eq!(acc.leakage_pj(&OpCount::ZERO), 0.0);
     }
 
     #[test]
@@ -132,14 +121,6 @@ mod tests {
         let l1 = acc.latency_s(&macs(64 * 100));
         let l2 = acc.latency_s(&macs(64 * 200));
         assert!((l2 / l1 - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn leakage_proportional_to_latency() {
-        let acc = Accelerator::cmos_45nm();
-        let ops = macs(64 * 1000);
-        let expect = acc.latency_s(&ops) * acc.leakage_w * 1e12;
-        assert!((acc.leakage_pj(&ops) - expect).abs() < 1e-6);
     }
 
     #[test]
@@ -179,11 +160,5 @@ mod tests {
             ..Accelerator::cmos_45nm()
         };
         assert_eq!(degenerate.cycles(&macs(10)), 10);
-    }
-
-    #[test]
-    fn peak_throughput() {
-        let acc = Accelerator::cmos_45nm();
-        assert!((acc.peak_ops_per_s() - 64.0 * 500e6).abs() < 1.0);
     }
 }

@@ -49,21 +49,6 @@ impl EnergyTable {
             sram_write_pj: 5.0,
         }
     }
-
-    /// A hypothetical scaled process (all energies multiplied by `factor`).
-    ///
-    /// Useful for sensitivity studies; ratios between designs are invariant
-    /// to this scaling.
-    pub fn scaled(&self, factor: f64) -> Self {
-        EnergyTable {
-            mac_pj: self.mac_pj * factor,
-            add_pj: self.add_pj * factor,
-            compare_pj: self.compare_pj * factor,
-            activation_pj: self.activation_pj * factor,
-            sram_read_pj: self.sram_read_pj * factor,
-            sram_write_pj: self.sram_write_pj * factor,
-        }
-    }
 }
 
 impl Default for EnergyTable {
@@ -259,18 +244,6 @@ mod tests {
         let energy_ratio = base / cond;
         assert!(energy_ratio < 2.0);
         assert!(energy_ratio > 1.5);
-    }
-
-    #[test]
-    fn table_scaling_preserves_ratios() {
-        let t = EnergyTable::cmos_45nm();
-        let m1 = EnergyModel::ideal(t);
-        let m2 = EnergyModel::ideal(t.scaled(0.5));
-        let a = ops(123, 45, 6);
-        let b = ops(456, 78, 9);
-        let r1 = m1.total_pj(&a, 0) / m1.total_pj(&b, 0);
-        let r2 = m2.total_pj(&a, 0) / m2.total_pj(&b, 0);
-        assert!((r1 - r2).abs() < 1e-9);
     }
 
     #[test]

@@ -77,7 +77,7 @@ impl OpCount {
     }
 
     /// Element-wise saturating scale by an integer factor (e.g. ops per batch).
-    pub fn scaled(&self, factor: u64) -> OpCount {
+    pub(crate) fn scaled(&self, factor: u64) -> OpCount {
         OpCount {
             macs: self.macs.saturating_mul(factor),
             adds: self.adds.saturating_mul(factor),
@@ -111,7 +111,7 @@ impl AddAssign for OpCount {
 
 impl Mul<u64> for OpCount {
     type Output = OpCount;
-    /// Saturating scalar scaling, same as [`OpCount::scaled`].
+    /// Saturating scalar scaling, same as `OpCount::scaled`.
     fn mul(self, rhs: u64) -> OpCount {
         self.scaled(rhs)
     }

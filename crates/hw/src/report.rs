@@ -39,21 +39,6 @@ impl CostReport {
         });
     }
 
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// `true` when the report has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Borrow the rows.
-    pub fn rows(&self) -> &[CostRow] {
-        &self.rows
-    }
-
     /// Sum of all rows.
     pub fn total(&self) -> (OpCount, EnergyBreakdown) {
         let ops = self.rows.iter().map(|r| r.ops).sum();
@@ -100,14 +85,6 @@ impl CostReport {
     }
 }
 
-/// Formats a ratio like the paper's "1.91x" figures.
-pub fn format_ratio(baseline: f64, improved: f64) -> String {
-    if improved <= 0.0 {
-        return "inf".to_string();
-    }
-    format!("{:.2}x", baseline / improved)
-}
-
 /// Renders a horizontal ASCII bar chart (used by the figure binaries).
 ///
 /// `rows` pairs labels with values; bars are scaled so the maximum value
@@ -138,8 +115,6 @@ mod tests {
     #[test]
     fn empty_report() {
         let r = CostReport::new();
-        assert!(r.is_empty());
-        assert_eq!(r.len(), 0);
         let (ops, e) = r.total();
         assert!(ops.is_zero());
         assert_eq!(e.total_pj(), 0.0);
@@ -158,7 +133,6 @@ mod tests {
         let (ops, e) = r.total();
         assert_eq!(ops.macs, 400);
         assert!(e.total_pj() > 0.0);
-        assert_eq!(r.rows().len(), 2);
     }
 
     #[test]
@@ -180,12 +154,6 @@ mod tests {
         assert!(s.contains("75.0%"));
         assert!(s.contains("25.0%"));
         assert!(s.lines().count() == 4); // header + 2 rows + total
-    }
-
-    #[test]
-    fn ratio_formatting() {
-        assert_eq!(format_ratio(191.0, 100.0), "1.91x");
-        assert_eq!(format_ratio(1.0, 0.0), "inf");
     }
 
     #[test]

@@ -188,12 +188,6 @@ impl TenantProfile {
         self
     }
 
-    /// Sets the `max_stage`-cap mix (each arrival draws one uniformly).
-    pub fn max_stage_choices(mut self, choices: Vec<Option<usize>>) -> TenantProfile {
-        self.max_stage_choices = choices;
-        self
-    }
-
     fn validate(&self) -> Result<(), LoadError> {
         if !self.weight.is_finite() || self.weight <= 0.0 {
             return Err(LoadError::BadSpec(format!(
@@ -439,13 +433,15 @@ mod tests {
                 mean_off: Duration::from_millis(120),
             },
             tenants: vec![
-                TenantProfile::new()
-                    .tenant(1)
-                    .weight(3.0)
-                    .priority(Priority::Low)
-                    .deadline(Duration::from_millis(20))
-                    .delta_choices(vec![None, Some(0.4), Some(0.9)])
-                    .max_stage_choices(vec![None, Some(1)]),
+                TenantProfile {
+                    max_stage_choices: vec![None, Some(1)],
+                    ..TenantProfile::new()
+                        .tenant(1)
+                        .weight(3.0)
+                        .priority(Priority::Low)
+                        .deadline(Duration::from_millis(20))
+                        .delta_choices(vec![None, Some(0.4), Some(0.9)])
+                },
                 TenantProfile::new().tenant(2).weight(1.0),
             ],
             requests: 500,

@@ -108,7 +108,7 @@ impl Activation {
     }
 
     /// Short display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Activation::Sigmoid => "sigmoid",
             Activation::Tanh => "tanh",

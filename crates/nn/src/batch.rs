@@ -16,14 +16,14 @@
 //! per-image shape (`[c, h, w]`, `[f]`, …) kept beside it — living in one of
 //! two grow-only arenas owned by the [`BatchScratch`]. A layer that computes
 //! something new reads the rows of the current arena and writes its output
-//! block into the other, which then becomes current ([`Block::write`]):
+//! block into the other, which then becomes current (`Block::write`):
 //! `Conv2d` (alone or as a fused stage group, below), `Dense` (one
-//! [`gemm_nt_rows`](cdl_tensor::gemm::gemm_nt_rows) over the rows as they
+//! `cdl_tensor::gemm::gemm_nt_rows` over the rows as they
 //! lie) and any layer without a block form (the [`Layer::forward_block`]
 //! default, image by image). The rest never move the data:
 //! `ActivationLayer` runs [`Activation::apply_slice`] over the whole block
-//! **in place** ([`Block::data_mut`]) and `Flatten` only relabels the
-//! per-image shape ([`Block::reshape`]). No `Tensor` is built per image per
+//! **in place** (`Block::data_mut`) and `Flatten` only relabels the
+//! per-image shape (`Block::reshape`). No `Tensor` is built per image per
 //! layer, and after the first batch nothing is allocated: the arenas and the
 //! conv scratch only grow, so a later, smaller batch fits what is there.
 //!
@@ -53,7 +53,7 @@
 //! hot-swap cannot leave it stale. A segment runs such a group as **one
 //! pass** whenever it lies wholly inside the requested `(from, upto]`, which
 //! every cascade segment does since taps sit after pools: the network
-//! offers the conv layer the group's epilogue ([`Block::take_epilogue`]),
+//! offers the conv layer the group's epilogue (`Block::take_epilogue`),
 //! and `cdl_tensor::im2col::conv2d_pool_block` convolves, **max-pools the
 //! raw pre-activations**, applies the activation to the pooled values only
 //! and writes them straight into the next block — eight images to a vector
@@ -151,13 +151,8 @@ impl BatchScratch {
         self.rows
     }
 
-    /// Per-image shape of the current block.
-    pub fn dims(&self) -> &[usize] {
-        &self.dims
-    }
-
     /// Values per image of the current block.
-    pub fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         self.dims.iter().product()
     }
 
@@ -207,7 +202,7 @@ impl BatchScratch {
 
     /// The current block as one tensor per image — for callers that hold
     /// tensors on both sides of a segment.
-    pub fn to_tensors(&self) -> Vec<Tensor> {
+    pub(crate) fn to_tensors(&self) -> Vec<Tensor> {
         (0..self.rows)
             .map(|i| {
                 Tensor::from_vec(self.row(i).to_vec(), &self.dims)
@@ -238,9 +233,9 @@ fn grow(arena: &mut Vec<f32>, len: usize) {
 /// A batch on its way through a segment: what a
 /// [`Layer::forward_block`] is handed. It is either still the caller's
 /// tensors (until the first layer writes) or the scratch's current block;
-/// a layer reads [`Block::dims`] and then either [`Block::write`]s a new
-/// block, edits the values in place ([`Block::data_mut`]) or relabels
-/// their shape ([`Block::reshape`]).
+/// a layer reads `Block::dims` and then either `Block::write`s a new
+/// block, edits the values in place (`Block::data_mut`) or relabels
+/// their shape (`Block::reshape`).
 #[derive(Debug)]
 pub struct Block<'a> {
     input: Option<&'a [Tensor]>,
@@ -258,7 +253,7 @@ impl<'a> Block<'a> {
     /// Returns [`NnError::BadConfig`] when an input tensor, or the
     /// scratch's block, does not have shape `expected` — before anything is
     /// read.
-    pub fn begin(
+    pub(crate) fn begin(
         xs: Option<&'a [Tensor]>,
         expected: &[usize],
         scratch: &'a mut BatchScratch,
@@ -294,17 +289,17 @@ impl<'a> Block<'a> {
     }
 
     /// Images in the batch.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.scratch.rows
     }
 
     /// Per-image shape at this point of the segment.
-    pub fn dims(&self) -> &[usize] {
+    pub(crate) fn dims(&self) -> &[usize] {
         &self.scratch.dims
     }
 
     /// Values per image at this point of the segment.
-    pub fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         self.scratch.width()
     }
 
@@ -315,7 +310,7 @@ impl<'a> Block<'a> {
     /// # Errors
     ///
     /// Whatever the layer returns.
-    pub fn run(
+    pub(crate) fn run(
         &mut self,
         layer: &dyn Layer,
         epilogue: Option<(Activation, usize)>,
@@ -328,7 +323,7 @@ impl<'a> Block<'a> {
     /// The `(activation, max-pool window)` that follows this layer in a
     /// fusable stage group, if the network offered one. Taking it is the
     /// layer's promise to produce the group's output instead of its own.
-    pub fn take_epilogue(&mut self) -> Option<(Activation, usize)> {
+    pub(crate) fn take_epilogue(&mut self) -> Option<(Activation, usize)> {
         self.epilogue.take()
     }
 
@@ -340,7 +335,7 @@ impl<'a> Block<'a> {
     /// # Errors
     ///
     /// Whatever `step` returns; the block is unchanged then.
-    pub fn write(
+    pub(crate) fn write(
         &mut self,
         out_dims: &[usize],
         step: impl FnOnce(Rows<'_>, &[usize], &mut [f32], &mut ConvScratch, GemmKernel) -> Result<()>,
@@ -375,7 +370,7 @@ impl<'a> Block<'a> {
 
     /// The block's values, `[rows, width]`, to edit in place. If the block
     /// is still the caller's tensors they are copied into an arena first.
-    pub fn data_mut(&mut self) -> &mut [f32] {
+    pub(crate) fn data_mut(&mut self) -> &mut [f32] {
         let s = &mut *self.scratch;
         let width = s.width();
         let arena = &mut s.arenas[s.current];
@@ -393,7 +388,7 @@ impl<'a> Block<'a> {
     /// # Errors
     ///
     /// Returns [`NnError::BadConfig`] when `dims` has a different volume.
-    pub fn reshape(&mut self, dims: &[usize]) -> Result<()> {
+    pub(crate) fn reshape(&mut self, dims: &[usize]) -> Result<()> {
         if dims.iter().product::<usize>() != self.width() {
             return Err(NnError::BadConfig(format!(
                 "cannot relabel a block of shape {:?} as {dims:?}",
@@ -411,7 +406,7 @@ impl<'a> Block<'a> {
     ///
     /// Whatever `forward` returns, or [`NnError::BadConfig`] when it does
     /// not give every image the same output shape.
-    pub fn map_images(&mut self, forward: impl Fn(&Tensor) -> Result<Tensor>) -> Result<()> {
+    pub(crate) fn map_images(&mut self, forward: impl Fn(&Tensor) -> Result<Tensor>) -> Result<()> {
         if self.rows() == 0 {
             return Ok(());
         }
@@ -444,7 +439,7 @@ impl<'a> Block<'a> {
     /// Ends the segment: a batch no layer wrote (an empty segment, or one
     /// of relabelling layers only) is copied into an arena, so the scratch
     /// holds the segment's output whatever ran.
-    pub fn finish(mut self) {
+    pub(crate) fn finish(mut self) {
         self.data_mut();
     }
 }
@@ -501,7 +496,7 @@ mod tests {
             *v += 1.0;
         }
         block.finish();
-        assert_eq!((scratch.rows(), scratch.dims()), (4, &[2usize, 3][..]));
+        assert_eq!((scratch.rows(), &scratch.dims[..]), (4, &[2usize, 3][..]));
         assert_eq!(scratch.row(3), &[61.0, 63.0, 65.0, 67.0, 69.0, 71.0]);
         assert_eq!(scratch.to_tensors()[1].dims(), &[2, 3]);
 
@@ -517,7 +512,7 @@ mod tests {
         let mut next = Block::begin(None, &[2, 3], &mut scratch).unwrap();
         next.map_images(|x| Ok(x.flatten())).unwrap();
         next.finish();
-        assert_eq!((scratch.rows(), scratch.dims()), (2, &[6usize][..]));
+        assert_eq!((scratch.rows(), &scratch.dims[..]), (2, &[6usize][..]));
         assert_eq!(scratch.row(1)[5], 71.0);
     }
 

@@ -61,7 +61,7 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
     /// batched affine over the rows as they lie;
     /// activation: the slice in place; flatten: a relabel). A layer that
     /// opens a fusable stage group may find the group's `(activation,
-    /// max-pool window)` in [`Block::take_epilogue`]; a layer that takes it
+    /// max-pool window)` in `Block::take_epilogue`; a layer that takes it
     /// must produce what itself, the activation layer and the pooling layer
     /// produce in sequence — which holds for a pool-first evaluation only
     /// because the network offers it only for an activation on the

@@ -22,16 +22,11 @@ pub struct ActivationLayer {
 
 impl ActivationLayer {
     /// Wraps an activation function as a layer.
-    pub fn new(act: Activation) -> Self {
+    pub(crate) fn new(act: Activation) -> Self {
         ActivationLayer {
             act,
             cache_output: None,
         }
-    }
-
-    /// The wrapped activation.
-    pub fn activation(&self) -> Activation {
-        self.act
     }
 }
 

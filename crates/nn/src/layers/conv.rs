@@ -61,26 +61,6 @@ impl Conv2d {
         })
     }
 
-    /// Number of input channels.
-    pub fn in_channels(&self) -> usize {
-        self.in_channels
-    }
-
-    /// Number of output maps.
-    pub fn out_channels(&self) -> usize {
-        self.out_channels
-    }
-
-    /// Kernel side length.
-    pub fn kernel(&self) -> usize {
-        self.kernel
-    }
-
-    /// Read-only access to the kernel bank (`[C_out, C_in, k, k]`).
-    pub fn kernels(&self) -> &Tensor {
-        &self.kernels
-    }
-
     /// Height and width of the output maps for a `[C_in, H, W]` input shape.
     fn output_hw(&self, input: &[usize]) -> Result<(usize, usize)> {
         if input.len() != 3 {

@@ -57,26 +57,6 @@ impl Dense {
         })
     }
 
-    /// Input feature count.
-    pub fn in_features(&self) -> usize {
-        self.in_features
-    }
-
-    /// Output feature count.
-    pub fn out_features(&self) -> usize {
-        self.out_features
-    }
-
-    /// Read-only weight matrix (`[out, in]`).
-    pub fn weight(&self) -> &Tensor {
-        &self.weight
-    }
-
-    /// Read-only bias vector.
-    pub fn bias(&self) -> &Tensor {
-        &self.bias
-    }
-
     fn check_features(&self, features: usize) -> Result<()> {
         if features != self.in_features {
             return Err(NnError::BadConfig(format!(

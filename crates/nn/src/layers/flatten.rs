@@ -21,7 +21,7 @@ pub struct Flatten {
 
 impl Flatten {
     /// Creates a flatten layer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Flatten { cache_shape: None }
     }
 }

@@ -32,11 +32,6 @@ impl MaxPool2d {
             cache: None,
         })
     }
-
-    /// The pooling window/stride.
-    pub fn window(&self) -> usize {
-        self.window
-    }
 }
 
 impl Layer for MaxPool2d {
@@ -105,11 +100,6 @@ impl MeanPool2d {
             window,
             cache_shape: None,
         })
-    }
-
-    /// The pooling window/stride.
-    pub fn window(&self) -> usize {
-        self.window
     }
 }
 

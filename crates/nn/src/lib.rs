@@ -13,8 +13,7 @@
 //! * [`optim`] — SGD with momentum, weight decay and step decay;
 //! * [`network`] — a sequential [`Network`] container with per-layer
 //!   activation capture (the hook the conditional stages attach to);
-//! * [`trainer`] — epoch/minibatch training loop with metrics;
-//! * [`metrics`] — accuracy and confusion matrices;
+//! * [`trainer`] — epoch/minibatch training loop and accuracy;
 //! * every layer reports categorised operation counts
 //!   ([`cdl_hw::OpCount`]) so the energy model can cost any network.
 //!
@@ -48,7 +47,6 @@ pub mod error;
 pub mod layer;
 pub mod layers;
 pub mod loss;
-pub mod metrics;
 pub mod network;
 pub mod optim;
 pub mod spec;

@@ -61,7 +61,7 @@ impl Loss {
     ///
     /// Returns [`NnError::BadConfig`] when output/target lengths differ or
     /// are empty.
-    pub fn gradient(self, output: &Tensor, target: &Tensor) -> Result<Tensor> {
+    pub(crate) fn gradient(self, output: &Tensor, target: &Tensor) -> Result<Tensor> {
         check_pair(output, target)?;
         match self {
             Loss::Mse => {
@@ -74,14 +74,6 @@ impl Loss {
                 let p = ops::softmax(output);
                 Ok(ops::sub(&p, target)?)
             }
-        }
-    }
-
-    /// Short display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Loss::Mse => "mse",
-            Loss::SoftmaxCrossEntropy => "softmax-ce",
         }
     }
 }
@@ -168,8 +160,7 @@ mod tests {
                 let fd = (lp - lm) / (2.0 * eps);
                 assert!(
                     (fd - g.data()[i]).abs() < 1e-2,
-                    "{}: i={i} fd={fd} g={}",
-                    loss.name(),
+                    "{loss:?}: i={i} fd={fd} g={}",
                     g.data()[i]
                 );
             }

@@ -193,48 +193,25 @@ impl Network {
         Ok(outs)
     }
 
-    /// Forward pass up to and including runtime layer `upto` (inclusive
-    /// index), returning that layer's output. Running a prefix of the
-    /// network is the "conditional activation" primitive: later layers are
-    /// simply never executed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::BadConfig`] when `upto >= layer_count()`.
-    pub fn forward_prefix(&self, x: &Tensor, upto: usize) -> Result<Tensor> {
-        if upto >= self.layers.len() {
-            return Err(NnError::BadConfig(format!(
-                "prefix end {upto} out of range for {} layers",
-                self.layers.len()
-            )));
-        }
-        let mut cur = x.clone();
-        for layer in &self.layers[..=upto] {
-            cur = layer.forward(&cur)?;
-        }
-        Ok(cur)
-    }
-
-    /// Continues a forward pass from the output of layer `from` (exclusive)
-    /// to the output of layer `upto` (inclusive).
+    /// Forward pass of one image over runtime layers `(from, upto]` —
+    /// `from` is *exclusive* (`None` starts at the input, `Some(f)`
+    /// continues from the output of layer `f`), `upto` is *inclusive* —
+    /// returning layer `upto`'s output. Running a segment is the
+    /// "conditional activation" primitive: later layers are simply never
+    /// executed. An empty segment (`from == Some(upto)`) is the identity.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::BadConfig`] for out-of-range or inverted indices.
-    pub fn forward_between(
-        &self,
-        intermediate: &Tensor,
-        from: usize,
-        upto: usize,
-    ) -> Result<Tensor> {
-        if upto >= self.layers.len() || from > upto {
+    pub fn forward_segment(&self, x: &Tensor, from: Option<usize>, upto: usize) -> Result<Tensor> {
+        if upto >= self.layers.len() || from.is_some_and(|f| f > upto) {
             return Err(NnError::BadConfig(format!(
-                "invalid range ({from}, {upto}] for {} layers",
+                "invalid segment ({from:?}, {upto}] for {} layers",
                 self.layers.len()
             )));
         }
-        let mut cur = intermediate.clone();
-        for layer in &self.layers[from + 1..=upto] {
+        let mut cur = x.clone();
+        for layer in &self.layers[from.map_or(0, |f| f + 1)..=upto] {
             cur = layer.forward(&cur)?;
         }
         Ok(cur)
@@ -249,12 +226,11 @@ impl Network {
     /// way every image must be at point `from` of the network, and the
     /// output is `scratch`'s current block afterwards
     /// ([`BatchScratch::block`], [`BatchScratch::rows`]). Results are
-    /// bit-identical to running [`Network::forward_prefix`] /
-    /// [`Network::forward_between`] per image. A `conv → activation →
-    /// max-pool` stage group that lies wholly inside the segment runs as one
-    /// fused pass — pooled before it is activated — and every other layer
-    /// through its [`Layer::forward_block`]. An empty segment (`from ==
-    /// upto`) is the identity.
+    /// bit-identical to running [`Network::forward_segment`] per image. A
+    /// `conv → activation → max-pool` stage group that lies wholly inside
+    /// the segment runs as one fused pass — pooled before it is activated —
+    /// and every other layer through its [`Layer::forward_block`]. An empty
+    /// segment (`from == upto`) is the identity.
     ///
     /// # Errors
     ///
@@ -314,7 +290,7 @@ impl Network {
     /// # Errors
     ///
     /// Propagates layer shape errors.
-    pub fn forward_train(&mut self, x: &Tensor) -> Result<Tensor> {
+    pub(crate) fn forward_train(&mut self, x: &Tensor) -> Result<Tensor> {
         let mut cur = x.clone();
         for layer in &mut self.layers {
             cur = layer.forward_train(&cur)?;
@@ -327,7 +303,7 @@ impl Network {
     /// # Errors
     ///
     /// Propagates layer errors (e.g. backward before forward).
-    pub fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    pub(crate) fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
         let mut grad = grad_out.clone();
         for layer in self.layers.iter_mut().rev() {
             grad = layer.backward(&grad)?;
@@ -380,11 +356,6 @@ impl Network {
     /// Mutable access to the boxed layers (used by the optimizer).
     pub(crate) fn layers_mut(&mut self) -> &mut [Box<dyn Layer>] {
         &mut self.layers
-    }
-
-    /// Immutable access to the boxed layers.
-    pub fn layers(&self) -> &[Box<dyn Layer>] {
-        &self.layers
     }
 
     /// Per-runtime-layer operation counts for one forward pass, paired with
@@ -515,26 +486,28 @@ mod tests {
     }
 
     #[test]
-    fn forward_prefix_matches_forward_all() {
+    fn forward_segment_from_the_input_matches_forward_all() {
         let net = Network::from_spec(&tiny_spec(), 7).unwrap();
         let x = Tensor::full(&[1, 8, 8], 0.5);
         let outs = net.forward_all(&x).unwrap();
         for (i, out) in outs.iter().enumerate() {
-            assert_eq!(&net.forward_prefix(&x, i).unwrap(), out, "layer {i}");
+            assert_eq!(&net.forward_segment(&x, None, i).unwrap(), out, "layer {i}");
         }
-        assert!(net.forward_prefix(&x, 6).is_err());
+        assert!(net.forward_segment(&x, None, 6).is_err());
     }
 
     #[test]
-    fn forward_between_continues_correctly() {
+    fn forward_segment_continues_correctly() {
         let net = Network::from_spec(&tiny_spec(), 7).unwrap();
         let x = Tensor::full(&[1, 8, 8], 0.25);
         let outs = net.forward_all(&x).unwrap();
         // continue from pool output (layer 2) to the end (layer 5)
-        let cont = net.forward_between(&outs[2], 2, 5).unwrap();
+        let cont = net.forward_segment(&outs[2], Some(2), 5).unwrap();
         assert_eq!(cont, outs[5]);
-        assert!(net.forward_between(&outs[2], 3, 2).is_err());
-        assert!(net.forward_between(&outs[2], 2, 6).is_err());
+        // an empty segment is the identity
+        assert_eq!(net.forward_segment(&outs[2], Some(2), 2).unwrap(), outs[2]);
+        assert!(net.forward_segment(&outs[2], Some(3), 2).is_err());
+        assert!(net.forward_segment(&outs[2], Some(2), 6).is_err());
     }
 
     #[test]
@@ -555,15 +528,15 @@ mod tests {
         // mid-network continuation
         let taps: Vec<Tensor> = xs
             .iter()
-            .map(|x| net.forward_prefix(x, 2).unwrap())
+            .map(|x| net.forward_segment(x, None, 2).unwrap())
             .collect();
         let cont = net
             .forward_batch_segment(&taps, Some(2), last, &mut scratch)
             .unwrap();
         for (t, c) in taps.iter().zip(&cont) {
-            assert_eq!(&net.forward_between(t, 2, last).unwrap(), c);
+            assert_eq!(&net.forward_segment(t, Some(2), last).unwrap(), c);
         }
-        // empty segment (from == upto) is identity, like forward_between
+        // empty segment (from == upto) is identity, like forward_segment
         let idem = net
             .forward_batch_segment(&taps, Some(2), 2, &mut scratch)
             .unwrap();

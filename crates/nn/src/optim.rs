@@ -24,7 +24,7 @@ pub struct Sgd {
 
 impl Sgd {
     /// Creates an SGD optimizer.
-    pub fn new(lr: f32, momentum: f32, weight_decay: f32) -> Self {
+    pub(crate) fn new(lr: f32, momentum: f32, weight_decay: f32) -> Self {
         Sgd {
             lr,
             momentum,
@@ -82,13 +82,8 @@ impl Sgd {
     }
 
     /// Multiplies the learning rate by `factor` (step decay).
-    pub fn decay_lr(&mut self, factor: f32) {
+    pub(crate) fn decay_lr(&mut self, factor: f32) {
         self.lr *= factor;
-    }
-
-    /// Drops all velocity state (e.g. when starting a fresh training run).
-    pub fn reset(&mut self) {
-        self.velocities.clear();
     }
 }
 
@@ -169,7 +164,7 @@ mod tests {
     }
 
     #[test]
-    fn lr_decay_and_reset() {
+    fn lr_decay_and_velocity_state() {
         let mut opt = Sgd::new(1.0, 0.9, 0.0);
         opt.decay_lr(0.5);
         assert!((opt.lr - 0.5).abs() < 1e-9);
@@ -180,8 +175,6 @@ mod tests {
         n.train_sample(&x, &t, Loss::Mse, 1.0).unwrap();
         opt.step(&mut n).unwrap();
         assert!(!opt.velocities.is_empty());
-        opt.reset();
-        assert!(opt.velocities.is_empty());
     }
 
     #[test]

@@ -8,7 +8,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::NnError;
 use crate::loss::{one_hot, Loss};
-use crate::metrics::accuracy;
 use crate::network::Network;
 use crate::optim::Sgd;
 use crate::Result;
@@ -28,23 +27,6 @@ pub struct LabelledSet {
 }
 
 impl LabelledSet {
-    /// Creates a set, validating alignment.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::BadDataset`] when images and labels disagree in
-    /// length.
-    pub fn new(images: Vec<Tensor>, labels: Vec<usize>) -> Result<Self> {
-        if images.len() != labels.len() {
-            return Err(NnError::BadDataset(format!(
-                "{} images vs {} labels",
-                images.len(),
-                labels.len()
-            )));
-        }
-        Ok(LabelledSet { images, labels })
-    }
-
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.images.len()
@@ -53,19 +35,6 @@ impl LabelledSet {
     /// `true` when the set has no samples.
     pub fn is_empty(&self) -> bool {
         self.images.is_empty()
-    }
-
-    /// Returns the subset whose labels equal `label`.
-    pub fn filter_label(&self, label: usize) -> LabelledSet {
-        let mut images = Vec::new();
-        let mut labels = Vec::new();
-        for (img, &l) in self.images.iter().zip(&self.labels) {
-            if l == label {
-                images.push(img.clone());
-                labels.push(l);
-            }
-        }
-        LabelledSet { images, labels }
     }
 
     /// Returns the first `n` samples (or fewer if the set is smaller).
@@ -135,13 +104,6 @@ pub struct TrainReport {
     pub epochs: Vec<EpochStats>,
 }
 
-impl TrainReport {
-    /// Final epoch's mean loss (`None` before any epoch ran).
-    pub fn final_loss(&self) -> Option<f32> {
-        self.epochs.last().map(|e| e.mean_loss)
-    }
-}
-
 /// Trains `net` on `data` with minibatch SGD.
 ///
 /// Gradients are accumulated per batch with a `1/batch` scale and applied
@@ -208,6 +170,24 @@ pub fn evaluate(net: &Network, data: &LabelledSet) -> Result<f64> {
     Ok(accuracy(pairs))
 }
 
+/// Fraction of `(true, predicted)` pairs that match; 0 for an empty
+/// iterator.
+fn accuracy(pairs: impl IntoIterator<Item = (usize, usize)>) -> f64 {
+    let mut total = 0u64;
+    let mut correct = 0u64;
+    for (t, p) in pairs {
+        total += 1;
+        if t == p {
+            correct += 1;
+        }
+    }
+    if total == 0 {
+        0.0
+    } else {
+        correct as f64 / total as f64
+    }
+}
+
 fn output_classes(net: &Network) -> Result<usize> {
     let out = net.spec().output_shape()?;
     if out.len() != 1 || out[0] == 0 {
@@ -239,7 +219,7 @@ mod tests {
             images.push(Tensor::from_vec(v, &[4]).unwrap());
             labels.push(label);
         }
-        LabelledSet::new(images, labels).unwrap()
+        LabelledSet { images, labels }
     }
 
     fn toy_net(seed: u64) -> Network {
@@ -248,19 +228,9 @@ mod tests {
     }
 
     #[test]
-    fn labelled_set_validation() {
-        assert!(LabelledSet::new(vec![Tensor::zeros(&[1])], vec![]).is_err());
-        let s = LabelledSet::new(vec![Tensor::zeros(&[1])], vec![3]).unwrap();
-        assert_eq!(s.len(), 1);
-        assert!(!s.is_empty());
-    }
-
-    #[test]
-    fn filter_and_take() {
+    fn take_is_bounded_by_the_set() {
         let s = toy_data(50);
-        let zeros = s.filter_label(0);
-        assert!(zeros.labels.iter().all(|&l| l == 0));
-        assert!(!zeros.is_empty());
+        assert!(!s.is_empty());
         assert_eq!(s.take(10).len(), 10);
         assert_eq!(s.take(10_000).len(), 50);
     }
@@ -281,7 +251,13 @@ mod tests {
         let acc = evaluate(&net, &data).unwrap();
         assert!(acc > 0.95, "accuracy {acc} too low for separable data");
         // loss decreased over epochs
-        assert!(report.final_loss().unwrap() < report.epochs[0].mean_loss);
+        assert!(report.epochs.last().unwrap().mean_loss < report.epochs[0].mean_loss);
+    }
+
+    #[test]
+    fn accuracy_helper() {
+        assert_eq!(accuracy(Vec::<(usize, usize)>::new()), 0.0);
+        assert!((accuracy(vec![(1, 1), (2, 3)]) - 0.5).abs() < 1e-12);
     }
 
     #[test]

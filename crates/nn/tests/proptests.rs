@@ -97,11 +97,9 @@ fn segment_matches_per_image(
             .forward_batch_segment(xs, from, upto, &mut scratch)
             .map_err(|e| format!("batched ({from:?}, {upto}]: {e}"))?;
         for (x, b) in xs.iter().zip(&batched) {
-            let single = match from {
-                None => net.forward_prefix(x, upto),
-                Some(f) => net.forward_between(x, f, upto),
-            }
-            .map_err(|e| e.to_string())?;
+            let single = net
+                .forward_segment(x, from, upto)
+                .map_err(|e| e.to_string())?;
             same_bits(&single, b)
                 .map_err(|e| format!("kernel {kernel:?}, ({from:?}, {upto}]: {e}"))?;
         }
@@ -190,8 +188,8 @@ proptest! {
         prop_assert!(after <= before + 1e-6, "loss rose: {before} -> {after}");
     }
 
-    /// forward_all's last element always equals forward, and prefix runs
-    /// agree with it, for random inputs.
+    /// forward_all's last element always equals forward, and segment runs
+    /// from the input or from any split agree with it, for random inputs.
     #[test]
     fn forward_variants_agree(seed in 0u64..60) {
         let spec = NetworkSpec::new(
@@ -210,11 +208,11 @@ proptest! {
         let outs = net.forward_all(&x).unwrap();
         prop_assert_eq!(outs.last().unwrap(), &net.forward(&x).unwrap());
         for (i, out) in outs.iter().enumerate() {
-            prop_assert_eq!(&net.forward_prefix(&x, i).unwrap(), out);
+            prop_assert_eq!(&net.forward_segment(&x, None, i).unwrap(), out);
         }
         // continuing from any split point reaches the same output
         for split in 0..net.layer_count() - 1 {
-            let cont = net.forward_between(&outs[split], split, net.layer_count() - 1).unwrap();
+            let cont = net.forward_segment(&outs[split], Some(split), net.layer_count() - 1).unwrap();
             prop_assert_eq!(&cont, outs.last().unwrap());
         }
     }
@@ -323,7 +321,7 @@ proptest! {
         for upto in 0..layers {
             segment_matches_per_image(&net, &xs, None, upto).map_err(TestCaseError::fail)?;
             for from in 0..upto {
-                let mid: Vec<Tensor> = xs.iter().map(|x| net.forward_prefix(x, from).unwrap()).collect();
+                let mid: Vec<Tensor> = xs.iter().map(|x| net.forward_segment(x, None, from).unwrap()).collect();
                 segment_matches_per_image(&net, &mid, Some(from), upto).map_err(TestCaseError::fail)?;
             }
         }

@@ -11,7 +11,7 @@ use crate::fault::FaultPlan;
 
 /// How a [`crate::Router`] picks the replica that admits a request, chosen
 /// once per submission over the replica set's **live queue depths** (the
-/// gate occupancy [`crate::Server::queue_depth`] reports).
+/// gate occupancy `crate::Server::queue_depth` reports).
 ///
 /// Whatever the policy picks, the response is bit-identical — every replica
 /// of a model serves the same network — so placement only shapes load,
@@ -71,7 +71,7 @@ impl ReplicaSpec {
     }
 
     /// The unreplicated spec: one shard (placement is then irrelevant).
-    pub fn single() -> Self {
+    pub(crate) fn single() -> Self {
         ReplicaSpec::default()
     }
 
@@ -80,7 +80,7 @@ impl ReplicaSpec {
     /// # Errors
     ///
     /// Returns [`ServeError::BadConfig`] for a zero replica count.
-    pub fn validate(&self) -> ServeResult<()> {
+    pub(crate) fn validate(&self) -> ServeResult<()> {
         if self.replicas == 0 {
             return Err(ServeError::BadConfig("replicas must be >= 1".into()));
         }
@@ -138,12 +138,12 @@ pub enum ReplicaHealth {
 
 impl ReplicaHealth {
     /// Stable numeric code (also the telemetry export encoding).
-    pub fn code(self) -> u8 {
+    pub(crate) fn code(self) -> u8 {
         self as u8
     }
 
     /// Inverse of [`ReplicaHealth::code`].
-    pub fn from_code(code: u8) -> Option<ReplicaHealth> {
+    pub(crate) fn from_code(code: u8) -> Option<ReplicaHealth> {
         match code {
             0 => Some(ReplicaHealth::Healthy),
             1 => Some(ReplicaHealth::Degraded),
@@ -154,7 +154,7 @@ impl ReplicaHealth {
     }
 
     /// Whether the replica takes normal (non-canary) placements.
-    pub fn is_live(self) -> bool {
+    pub(crate) fn is_live(self) -> bool {
         matches!(self, ReplicaHealth::Healthy | ReplicaHealth::Degraded)
     }
 }
@@ -188,15 +188,16 @@ impl fmt::Display for ReplicaHealth {
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthPolicy {
     /// Window error rate (failed + injected-fault outcomes over all
-    /// settled outcomes) above which the window is unhealthy. In `(0, 1]`;
-    /// `1.0` effectively disables the error signal (a rate can equal but
-    /// never exceed it).
+    /// settled outcomes) above which the window is unhealthy. In `[0, 1]`:
+    /// `0.0` makes any error unhealthy, and `1.0` effectively disables the
+    /// error signal (a rate can equal but never exceed it).
     pub error_threshold: f64,
     /// Window latency above which the window is unhealthy, compared at
     /// `latency_quantile`. `None` disables the latency signal.
     pub latency_threshold: Option<Duration>,
     /// Which quantile of the window's latency histogram to compare against
-    /// `latency_threshold`. In `(0, 1]`.
+    /// `latency_threshold`. In `[0, 1]` (`0.0` is the window's fastest
+    /// outcome, `1.0` its slowest).
     pub latency_quantile: f64,
     /// Minimum settled outcomes in a window before it is judged (for a
     /// `Probing` replica, the effective minimum is
@@ -224,7 +225,7 @@ impl HealthPolicy {
     ///
     /// Returns [`ServeError::BadConfig`] for thresholds or quantiles out
     /// of range, or zero hysteresis/probe/window parameters.
-    pub fn validate(&self) -> ServeResult<()> {
+    pub(crate) fn validate(&self) -> ServeResult<()> {
         if !self.error_threshold.is_finite() || !(0.0..=1.0).contains(&self.error_threshold) {
             return Err(ServeError::BadConfig(format!(
                 "health error_threshold must be in [0, 1], got {}",
@@ -338,7 +339,7 @@ impl RetryPolicy {
     /// Returns [`ServeError::BadConfig`] for an out-of-range hedge
     /// quantile or a zero-attempt policy (no retries *and* no hedge —
     /// use no policy at all instead).
-    pub fn validate(&self) -> ServeResult<()> {
+    pub(crate) fn validate(&self) -> ServeResult<()> {
         if let Some(q) = self.hedge_quantile {
             if !q.is_finite() || !(0.0..=1.0).contains(&q) {
                 return Err(ServeError::BadConfig(format!(
@@ -403,7 +404,7 @@ impl Priority {
     }
 
     /// Inverse of [`Priority::class`] (and of the u8 wire encoding).
-    pub fn from_class(class: u8) -> Option<Priority> {
+    pub(crate) fn from_class(class: u8) -> Option<Priority> {
         match class {
             0 => Some(Priority::High),
             1 => Some(Priority::Normal),
@@ -416,7 +417,7 @@ impl Priority {
     /// of `capacity` slots: `High` ⇒ the full capacity, lower classes ⇒
     /// proportionally smaller ceilings (always ≥ 1 so a lone low-priority
     /// request on an idle server is never refused).
-    pub fn admission_limit(self, capacity: usize) -> usize {
+    pub(crate) fn admission_limit(self, capacity: usize) -> usize {
         let keep = Priority::COUNT - self.class();
         (capacity * keep).div_ceil(Priority::COUNT).max(1)
     }
@@ -504,12 +505,6 @@ impl SubmitOptions {
         }
     }
 
-    /// Returns these options with `deadline` set (builder-style).
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
     /// Returns these options with `priority` set (builder-style).
     pub fn priority(mut self, priority: Priority) -> Self {
         self.priority = priority;
@@ -536,7 +531,7 @@ impl SubmitOptions {
     ///
     /// Returns [`ServeError::BadOptions`] when the substituted δ is out of
     /// range for the model's policy type.
-    pub fn validate_for(&self, policy: ConfidencePolicy) -> ServeResult<()> {
+    pub(crate) fn validate_for(&self, policy: ConfidencePolicy) -> ServeResult<()> {
         self.exit_override()
             .validate_for(policy)
             .map_err(|e| ServeError::BadOptions(e.to_string()))
@@ -598,7 +593,7 @@ impl BatchPolicy {
     /// # Errors
     ///
     /// Returns [`ServeError::BadConfig`] for a zero batch size.
-    pub fn validate(&self) -> ServeResult<()> {
+    pub(crate) fn validate(&self) -> ServeResult<()> {
         if self.max_batch_size == 0 {
             return Err(ServeError::BadConfig("max_batch_size must be >= 1".into()));
         }
@@ -619,7 +614,7 @@ pub struct ServerConfig {
     /// Batch-formation policy.
     pub policy: BatchPolicy,
     /// Maximum number of **in-flight** requests: admitted (by
-    /// [`crate::Server::admit`]) but not yet completed, cancelled or
+    /// `crate::Server::admit`) but not yet completed, cancelled or
     /// failed. Submitting beyond this bound waits
     /// ([`crate::Admission::Block`]) or returns [`ServeError::Full`]
     /// (`Try`) — the server's backpressure.
@@ -653,7 +648,7 @@ impl ServerConfig {
     ///
     /// Returns [`ServeError::BadConfig`] for an invalid policy, a zero
     /// queue capacity or an empty worker pool.
-    pub fn validate(&self) -> ServeResult<()> {
+    pub(crate) fn validate(&self) -> ServeResult<()> {
         self.policy.validate()?;
         if self.queue_capacity == 0 {
             return Err(ServeError::BadConfig("queue_capacity must be >= 1".into()));
@@ -707,7 +702,7 @@ impl EdgeConfig {
     /// # Errors
     ///
     /// Returns [`ServeError::BadConfig`] for a zero poller count.
-    pub fn validate(&self) -> ServeResult<()> {
+    pub(crate) fn validate(&self) -> ServeResult<()> {
         if self.pollers == 0 {
             return Err(ServeError::BadConfig("pollers must be >= 1".into()));
         }
@@ -814,11 +809,9 @@ mod tests {
     #[test]
     fn submit_options_builders_compose() {
         let opts = SubmitOptions::with_delta(0.8)
-            .deadline(Duration::from_millis(5))
             .priority(Priority::Low)
             .tenant(7);
         assert_eq!(opts.delta, Some(0.8));
-        assert_eq!(opts.deadline, Some(Duration::from_millis(5)));
         assert_eq!(opts.priority, Priority::Low);
         assert_eq!(opts.tenant, Some(7));
         let opts = SubmitOptions::with_deadline(Duration::from_secs(1));
@@ -930,7 +923,7 @@ mod tests {
     #[test]
     fn server_config_defaults_unarmed_fault_plan() {
         let config = ServerConfig::default();
-        assert!(!config.fault.is_armed());
+        assert!(config.fault.on_admission().is_none());
         assert!(config.validate().is_ok());
         let chaotic = ServerConfig {
             fault: crate::fault::FaultPlan::builder()
@@ -938,7 +931,7 @@ mod tests {
                 .build(),
             ..ServerConfig::default()
         };
-        assert!(chaotic.fault.is_armed());
+        assert!(chaotic.fault.on_admission().is_some());
         assert!(chaotic.validate().is_ok());
     }
 

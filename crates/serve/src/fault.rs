@@ -114,13 +114,8 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// The unarmed plan: injects nothing, costs one branch per hook.
-    pub fn none() -> FaultPlan {
+    pub(crate) fn none() -> FaultPlan {
         FaultPlan::default()
-    }
-
-    /// Whether any fault is scripted at all.
-    pub fn is_armed(&self) -> bool {
-        self.inner.is_some()
     }
 
     /// Start building an explicit plan (faults at chosen sequence
@@ -258,19 +253,19 @@ mod tests {
     #[test]
     fn unarmed_plan_injects_nothing() {
         let plan = FaultPlan::none();
-        assert!(!plan.is_armed());
+        assert!(plan.inner.is_none());
         for _ in 0..100 {
             assert!(plan.on_admission().is_none());
             assert_eq!(plan.before_batch(), Disruption::NONE);
         }
-        assert!(!FaultPlan::builder().build().is_armed());
-        assert!(!FaultPlan::default().is_armed());
+        assert!(FaultPlan::builder().build().inner.is_none());
+        assert!(FaultPlan::default().inner.is_none());
     }
 
     #[test]
     fn error_burst_refuses_exactly_its_window() {
         let plan = FaultPlan::builder().at(2, FaultKind::ErrorBurst(3)).build();
-        assert!(plan.is_armed());
+        assert!(plan.inner.is_some());
         let refused: Vec<bool> = (0..8).map(|_| plan.on_admission().is_some()).collect();
         assert_eq!(
             refused,

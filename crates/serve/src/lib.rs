@@ -24,13 +24,14 @@
 //!                          across every batch it processes)
 //! ```
 //!
-//! * **Admission** is one call, [`Server::admit`]: a [`Request`] (input,
+//! * **Admission** is one call, `Server::admit`: a [`Request`] (input,
 //!   [`SubmitOptions`], optionally a trace id to continue) plus an
 //!   [`Admission`]. At most [`ServerConfig::queue_capacity`] requests are
 //!   *in flight*; beyond that `Block` waits and `Try` returns a
 //!   [`Refused`] — the typed [`ServeError`] **and the tensor handed
-//!   back**, so a retrying caller never clones (`submit`, `submit_with`,
-//!   `try_submit_with` are one-line sugar). [`Router::admit`] is the same
+//!   back**, so a retrying caller never clones ([`Server::submit`] and
+//!   [`Router::submit`] / [`Router::submit_with`] /
+//!   [`Router::try_submit_with`] are one-line sugar). `Router::admit` is the same
 //!   call behind placement and, under a [`RetryPolicy`], the retry/hedge
 //!   race; the TCP edge calls exactly that with `Try`.
 //! * **Batch formation** ([`BatchPolicy`]) has no thread of its own: a
@@ -49,7 +50,7 @@
 //!   resolves, threads join, and the final [`ServerMetrics`] snapshot is
 //!   returned (throughput, queue depth, batch-size histogram, latency
 //!   min/mean/p50/p99/p99.9, cumulative ops + energy).
-//! * **Per-request overrides** ([`Server::submit_with`] +
+//! * **Per-request overrides** (`Server::submit_with` +
 //!   [`SubmitOptions`]): each request may replace the model's confidence
 //!   threshold δ and/or cap its cascade depth — the Fig. 10
 //!   accuracy/energy trade-off, selectable per request. Workers group each
@@ -111,10 +112,10 @@
 //!   [`ServerConfig::telemetry`] can switch on per-request lifecycle
 //!   **spans** (admit → enqueue → batch-seal → dispatch → per-stage →
 //!   exit → reply, recorded into lock-free per-thread rings, every
-//!   request under its trace id). [`Server::telemetry_snapshot`] /
-//!   [`Router::telemetry_snapshot`] export both as Prometheus text or a
+//!   request under its trace id). [`Router::telemetry_snapshot`] exports
+//!   both as Prometheus text or a
 //!   Chrome trace — the Prometheus side is [`Router::metrics`] rendered
-//!   by [`RouterMetrics::fill_telemetry`], including the paper's
+//!   by `RouterMetrics::fill_telemetry`, including the paper's
 //!   quantities (`cdl_exits_total{stage}`, `cdl_ops_total{kind}`,
 //!   `cdl_energy_picojoules_total`); [`TcpClient::submit_with_trace`] carries the
 //!   [`TraceId`] across the wire so one trace covers the hop.
@@ -185,7 +186,7 @@
 //!    compute. Responses stay bit-identical to
 //!    [`cdl_core::network::CdlNetwork::classify_with_override`] whichever
 //!    attempt wins, because every replica evaluates the same network. The
-//!    race lives inside [`Router::admit`] (`router::race`), so requests
+//!    race lives inside `Router::admit` (`router::race`), so requests
 //!    arriving over TCP are retried and hedged exactly like in-process
 //!    ones.
 //! 4. **Model updates don't drain the world.** [`Router::swap_model`]
@@ -194,7 +195,7 @@
 //!    network — a response is always consistent with the network that was
 //!    current at placement), its final counters fold into later
 //!    snapshots, and traffic keeps flowing to the rest of the set
-//!    throughout. Gate-vacancy listeners ([`Router::on_gate_vacancy`]:
+//!    throughout. Gate-vacancy listeners (`Router::on_gate_vacancy`:
 //!    how the TCP edge resumes parked admissions) live in one registry
 //!    that every gate of every generation is built on, so none is lost
 //!    however a registration and a swap interleave.

@@ -6,7 +6,7 @@
 //! [`ServerMetrics::merge`] over their replicas (the latency
 //! [`LogHistogram`] merges losslessly, so a total's percentiles are *true*
 //! cross-replica tails), and the Prometheus export
-//! ([`RouterMetrics::fill_telemetry`]) renders the same snapshot.
+//! (`RouterMetrics::fill_telemetry`) renders the same snapshot.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,7 +47,7 @@ pub struct LatencyStats {
 impl LatencyStats {
     /// Extract the stats from a latency histogram (`None` when empty).
     /// O(buckets), independent of how many samples were recorded.
-    pub fn from_histogram(histogram: &LogHistogram) -> Option<LatencyStats> {
+    pub(crate) fn from_histogram(histogram: &LogHistogram) -> Option<LatencyStats> {
         let q = |q: f64| histogram.quantile_duration(q);
         Some(LatencyStats {
             count: histogram.count(),
@@ -74,7 +74,7 @@ pub(crate) enum BatchCause {
 }
 
 /// The serve layer's ledger: a point-in-time snapshot of one
-/// [`crate::Server`]'s counters ([`crate::Server::metrics`] live,
+/// [`crate::Server`]'s counters (`crate::Server::metrics` live,
 /// [`crate::Server::shutdown`] final), or the [`ServerMetrics::merge`] of
 /// several ([`ShardMetrics::total`] / [`RouterMetrics::total`]). `Display`
 /// renders a compact multi-line report.
@@ -82,8 +82,8 @@ pub(crate) enum BatchCause {
 /// Every field is **primary**: recorded once, and merged by one rule —
 /// counters, op ledgers, `energy_pj` and `queue_depth` sum, histograms add
 /// slot-wise, `elapsed` takes the maximum and `active_span` the union. The
-/// **derived** values — [`ServerMetrics::batches`],
-/// [`ServerMetrics::mean_batch_size`], [`ServerMetrics::throughput_rps`],
+/// **derived** values — `ServerMetrics::batches`,
+/// `ServerMetrics::mean_batch_size`, [`ServerMetrics::throughput_rps`],
 /// [`ServerMetrics::latency`] — are methods over the primaries, so they
 /// mean the same on one server's snapshot and on a merge. `Default` is the
 /// empty ledger, the identity of `merge`.
@@ -143,7 +143,7 @@ pub struct ServerMetrics {
     pub batches_flushed: u64,
     /// `batch_size_histogram[s]` = evaluated batches of size `s` (after
     /// cancellation pruning and override grouping — see
-    /// [`ServerMetrics::batches`]).
+    /// `ServerMetrics::batches`).
     pub batch_size_histogram: Vec<u64>,
     /// The **active span** [`ServerMetrics::throughput_rps`] is a rate
     /// over: the instants of the first and the latest completion (`None`
@@ -286,7 +286,7 @@ impl ServerMetrics {
     /// requests carry `k` distinct [`crate::SubmitOptions`] overrides is
     /// evaluated as `k` policy-uniform sub-batches and counted `k` times
     /// here (the three `batches_*` seal counters still count it once).
-    pub fn batches(&self) -> u64 {
+    pub(crate) fn batches(&self) -> u64 {
         self.batch_size_histogram.iter().sum()
     }
 
@@ -294,7 +294,7 @@ impl ServerMetrics {
     /// of an evaluated batch is a completion (`Σ size ·
     /// batch_size_histogram[size] == completed`), so this is completions
     /// per batch.
-    pub fn mean_batch_size(&self) -> f64 {
+    pub(crate) fn mean_batch_size(&self) -> f64 {
         match self.batches() {
             0 => 0.0,
             batches => self.completed as f64 / batches as f64,
@@ -376,7 +376,7 @@ impl ServerMetrics {
     /// quantities (`cdl_exits_total{stage}`, `cdl_ops_total{kind}`,
     /// `cdl_stages_activated_total`, `cdl_energy_picojoules_total` in whole
     /// picojoules), the `cdl_queue_depth` gauge and the latency histogram.
-    pub fn fill_telemetry(&self, snapshot: &mut TelemetrySnapshot, labels: &[(&str, &str)]) {
+    pub(crate) fn fill_telemetry(&self, snapshot: &mut TelemetrySnapshot, labels: &[(&str, &str)]) {
         for (name, value) in [
             ("cdl_requests_submitted_total", self.submitted),
             ("cdl_requests_completed_total", self.completed),
@@ -541,7 +541,7 @@ impl RouterMetrics {
     /// health-state gauge and transition counter labelled
     /// `model`/`replica`. The one renderer behind
     /// [`crate::Router::telemetry_snapshot`].
-    pub fn fill_telemetry(&self, snapshot: &mut TelemetrySnapshot) {
+    pub(crate) fn fill_telemetry(&self, snapshot: &mut TelemetrySnapshot) {
         for shard in &self.shards {
             let model = ("model", shard.model.as_str());
             snapshot.push_counter("cdl_shard_retries_total", &[model], shard.retries);

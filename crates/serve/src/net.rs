@@ -5,7 +5,7 @@
 //! requests per connection onto the router, and a blocking [`TcpClient`]
 //! speaks the same protocol from the other end. Everything below the edge
 //! is unchanged — requests admitted over TCP go through the exact same
-//! [`Router::admit`] (placement, retry/hedge race, gate) → queue →
+//! `Router::admit` (placement, retry/hedge race, gate) → queue →
 //! worker pipeline as in-process submits, and responses stay bit-identical to
 //! [`cdl_core::network::CdlNetwork::classify_with_override`] (f32s travel
 //! as IEEE-754 bit patterns, so the round trip is bit-exact; pinned by
@@ -58,7 +58,7 @@
 //! tenant is at its in-flight cap). A request with no deadline is never
 //! shed once admitted: a full gate **parks** the decoded request on its
 //! connection (the tensor moves into the parked slot — handed back by
-//! [`Router::admit`]'s [`Refused`], never cloned) and the owning poller
+//! `Router::admit`'s [`Refused`], never cloned) and the owning poller
 //! stops parsing that connection's stream until admission succeeds.
 //! Parked admissions resume **event-driven**: the gate fires the router's
 //! vacancy listeners when a slot frees, and each poller registers one

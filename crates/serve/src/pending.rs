@@ -7,10 +7,8 @@
 //! or not, and on the wire path nobody blocks on the condvar.
 
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 
 use cdl_core::network::CdlOutput;
-use cdl_telemetry::TraceId;
 
 use crate::error::{ServeError, ServeResult};
 
@@ -38,9 +36,9 @@ type WakeFn = Box<dyn FnOnce() + Send>;
 struct SlotInner {
     state: SlotState,
     waker: Option<WakeFn>,
-    /// A [`Pending::wait`] / [`Pending::wait_timeout`] has parked on the
-    /// slot's condvar. Set under this lock before each wait, so a settle that
-    /// reads it `false` knows nobody can be parked and skips the notify.
+    /// A [`Pending::wait`] has parked on the slot's condvar. Set under this
+    /// lock before each wait, so a settle that reads it `false` knows nobody
+    /// can be parked and skips the notify.
     waited: bool,
 }
 
@@ -63,10 +61,7 @@ struct Slot {
 
 /// Creates a connected response pair: the caller keeps the [`Pending`], the
 /// server pipeline carries the [`Fulfiller`] alongside the input tensor.
-/// `trace` is the request's telemetry trace id, if any — surfaced
-/// on [`Pending::trace`] so callers can correlate their handle with the
-/// drained span events.
-pub(crate) fn pending_pair(trace: Option<TraceId>) -> (Pending, Fulfiller) {
+pub(crate) fn pending_pair() -> (Pending, Fulfiller) {
     let slot = Arc::new(Slot {
         inner: Mutex::new(SlotInner {
             state: SlotState::Waiting,
@@ -78,7 +73,6 @@ pub(crate) fn pending_pair(trace: Option<TraceId>) -> (Pending, Fulfiller) {
     (
         Pending {
             slot: Arc::clone(&slot),
-            trace,
         },
         Fulfiller {
             slot,
@@ -96,18 +90,9 @@ pub(crate) fn pending_pair(trace: Option<TraceId>) -> (Pending, Fulfiller) {
 #[derive(Debug)]
 pub struct Pending {
     slot: Arc<Slot>,
-    trace: Option<TraceId>,
 }
 
 impl Pending {
-    /// The telemetry trace id this request is being recorded under —
-    /// `Some` only when the server's [`cdl_telemetry::TelemetryConfig`]
-    /// has spans on. Use it to pick this request's events out of a
-    /// [`cdl_telemetry::Telemetry`] drain.
-    pub fn trace(&self) -> Option<TraceId> {
-        self.trace
-    }
-
     /// Registers a one-shot callback fired when the slot settles (result
     /// delivered or the pipeline dropped the request). Fired **at most
     /// once**, from whichever thread settles, outside the slot's lock; if
@@ -161,36 +146,6 @@ impl Pending {
         }
         match std::mem::replace(&mut inner.state, SlotState::Claimed) {
             SlotState::Done(result) => result,
-            other => unreachable!("pending woke in non-terminal state {other:?}"),
-        }
-    }
-
-    /// Like [`Pending::wait`] with a timeout: `Ok(result)` when the result
-    /// arrived in time, `Err(self)` (the handle back, still live) when it
-    /// did not.
-    ///
-    /// # Errors
-    ///
-    /// Returns the handle itself on timeout so the caller can keep waiting.
-    pub fn wait_timeout(self, timeout: Duration) -> Result<ServeResult<CdlOutput>, Pending> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut inner = self.slot.inner.lock().unwrap();
-        while matches!(inner.state, SlotState::Waiting) {
-            let now = std::time::Instant::now();
-            let Some(remaining) = deadline.checked_duration_since(now) else {
-                drop(inner);
-                return Err(self);
-            };
-            inner.waited = true;
-            let (guard, timed_out) = self.slot.ready.wait_timeout(inner, remaining).unwrap();
-            inner = guard;
-            if timed_out.timed_out() && matches!(inner.state, SlotState::Waiting) {
-                drop(inner);
-                return Err(self);
-            }
-        }
-        match std::mem::replace(&mut inner.state, SlotState::Claimed) {
-            SlotState::Done(result) => Ok(result),
             other => unreachable!("pending woke in non-terminal state {other:?}"),
         }
     }
@@ -267,6 +222,8 @@ mod tests {
     use super::*;
     use cdl_hw::OpCount;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
 
     fn output(label: usize) -> CdlOutput {
         CdlOutput {
@@ -281,14 +238,14 @@ mod tests {
 
     #[test]
     fn settle_then_wait() {
-        let (pending, fulfiller) = pending_pair(None);
+        let (pending, fulfiller) = pending_pair();
         fulfiller.settle(Ok(output(3)));
         assert_eq!(pending.wait().unwrap().label, 3);
     }
 
     #[test]
     fn wait_blocks_until_settled_from_another_thread() {
-        let (pending, fulfiller) = pending_pair(None);
+        let (pending, fulfiller) = pending_pair();
         let handle = std::thread::spawn(move || pending.wait());
         std::thread::sleep(Duration::from_millis(10));
         fulfiller.settle(Ok(output(7)));
@@ -296,53 +253,35 @@ mod tests {
     }
 
     #[test]
-    fn wait_timeout_returns_handle_then_result() {
-        let (pending, fulfiller) = pending_pair(None);
-        let pending = pending
-            .wait_timeout(Duration::from_millis(5))
-            .expect_err("not settled yet");
-        fulfiller.settle(Ok(output(1)));
-        let result = pending
-            .wait_timeout(Duration::from_millis(5))
-            .expect("settled");
-        assert_eq!(result.unwrap().label, 1);
-    }
-
-    #[test]
-    fn a_wait_timeout_parked_before_the_settle_is_woken_by_it() {
-        const TIMEOUT: Duration = Duration::from_secs(20);
-        let (pending, fulfiller) = pending_pair(None);
+    fn a_wait_parked_before_the_settle_is_woken_by_it() {
+        let (pending, fulfiller) = pending_pair();
         let slot = Arc::clone(&pending.slot);
+        let (tx, rx) = mpsc::channel();
         let waiter = std::thread::spawn(move || {
-            let start = std::time::Instant::now();
-            let label = match pending.wait_timeout(TIMEOUT) {
-                Ok(result) => result.map(|out| out.label),
-                Err(_) => panic!("a settled slot timed out"),
-            };
-            (label, start.elapsed())
+            tx.send(pending.wait().map(|out| out.label)).unwrap();
         });
         // the waiter records itself under the slot's lock and parks in the
         // condvar wait that releases it: once the flag reads true, it is parked
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let deadline = Instant::now() + Duration::from_secs(10);
         while !slot.inner.lock().unwrap().waited {
             assert!(
-                std::time::Instant::now() < deadline,
+                Instant::now() < deadline,
                 "the waiter never recorded itself"
             );
             std::thread::yield_now();
         }
         fulfiller.settle(Ok(output(4)));
-        let (label, took) = waiter.join().unwrap();
+        // a settle that skipped the notify would leave the waiter parked
+        let label = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("woken by the settle");
         assert_eq!(label, Ok(4));
-        assert!(
-            took < TIMEOUT / 2,
-            "woken by the settle, not by its timeout: {took:?}"
-        );
+        waiter.join().unwrap();
     }
 
     #[test]
     fn dropping_pending_cancels() {
-        let (pending, fulfiller) = pending_pair(None);
+        let (pending, fulfiller) = pending_pair();
         assert!(!fulfiller.is_cancelled());
         drop(pending);
         assert!(fulfiller.is_cancelled());
@@ -352,7 +291,7 @@ mod tests {
 
     #[test]
     fn dropping_fulfiller_disconnects_waiter() {
-        let (pending, fulfiller) = pending_pair(None);
+        let (pending, fulfiller) = pending_pair();
         drop(fulfiller);
         assert_eq!(pending.wait(), Err(ServeError::Disconnected));
     }
@@ -360,7 +299,7 @@ mod tests {
     #[test]
     fn waker_fires_once_on_settle_and_result_is_claimable() {
         let fired = Arc::new(AtomicUsize::new(0));
-        let (pending, fulfiller) = pending_pair(None);
+        let (pending, fulfiller) = pending_pair();
         let f = Arc::clone(&fired);
         pending.set_waker(move || {
             f.fetch_add(1, Ordering::SeqCst);
@@ -376,7 +315,7 @@ mod tests {
     #[test]
     fn waker_set_after_settle_fires_immediately() {
         let fired = Arc::new(AtomicUsize::new(0));
-        let (pending, fulfiller) = pending_pair(None);
+        let (pending, fulfiller) = pending_pair();
         fulfiller.settle(Ok(output(2)));
         let f = Arc::clone(&fired);
         pending.set_waker(move || {
@@ -389,7 +328,7 @@ mod tests {
     #[test]
     fn waker_fires_when_fulfiller_is_dropped() {
         let fired = Arc::new(AtomicUsize::new(0));
-        let (pending, fulfiller) = pending_pair(None);
+        let (pending, fulfiller) = pending_pair();
         let f = Arc::clone(&fired);
         pending.set_waker(move || {
             f.fetch_add(1, Ordering::SeqCst);
@@ -402,7 +341,7 @@ mod tests {
     #[test]
     fn cancelling_discards_the_waker_silently() {
         let fired = Arc::new(AtomicUsize::new(0));
-        let (pending, fulfiller) = pending_pair(None);
+        let (pending, fulfiller) = pending_pair();
         let f = Arc::clone(&fired);
         pending.set_waker(move || {
             f.fetch_add(1, Ordering::SeqCst);

@@ -114,7 +114,7 @@ pub struct ShardSpec {
     /// count, energy model) **each replica** gets — replica sets are
     /// configured independently of each other.
     pub config: ServerConfig,
-    /// Replica count + placement policy ([`ReplicaSpec::single`] by
+    /// Replica count + placement policy (`ReplicaSpec::single` by
     /// default — the unreplicated PR-3 behaviour).
     pub replicas: ReplicaSpec,
     /// Health-based eviction/readmission thresholds; `None` (the default)
@@ -518,14 +518,6 @@ impl Router {
         })
     }
 
-    /// `(id, name)` of every registered model, in registration order.
-    pub fn models(&self) -> impl Iterator<Item = (ModelId, &str)> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (ModelId(i), s.name.as_str()))
-    }
-
     /// Looks a model up by name.
     pub fn model_id(&self, name: &str) -> Option<ModelId> {
         self.shards.iter().position(|s| s.name == name).map(ModelId)
@@ -618,7 +610,7 @@ impl Router {
     /// refusal (the last one, after the retry budget) — with the tensor
     /// handed back in every case but a [`ServeError::ShuttingDown`] from a
     /// pipeline that had already consumed it.
-    pub fn admit(
+    pub(crate) fn admit(
         &self,
         model: ModelId,
         request: Request,
@@ -635,23 +627,23 @@ impl Router {
         }
     }
 
-    /// [`Router::admit`] of a default-options request under
+    /// `Router::admit` of a default-options request under
     /// [`Admission::Block`].
     ///
     /// # Errors
     ///
-    /// The [`ServeError`] of the [`Refused`] that [`Router::admit`] returns.
+    /// The [`ServeError`] of the [`Refused`] that `Router::admit` returns.
     pub fn submit(&self, model: ModelId, input: Tensor) -> ServeResult<Pending> {
         self.submit_with(model, input, SubmitOptions::default())
     }
 
-    /// [`Router::admit`] under [`Admission::Block`] with per-request
+    /// `Router::admit` under [`Admission::Block`] with per-request
     /// [`SubmitOptions`] (δ override and/or cascade-depth cap for this
     /// request only).
     ///
     /// # Errors
     ///
-    /// The [`ServeError`] of the [`Refused`] that [`Router::admit`] returns.
+    /// The [`ServeError`] of the [`Refused`] that `Router::admit` returns.
     pub fn submit_with(
         &self,
         model: ModelId,
@@ -665,7 +657,7 @@ impl Router {
     ///
     /// # Errors
     ///
-    /// The [`ServeError`] of the [`Refused`] that [`Router::admit`] returns.
+    /// The [`ServeError`] of the [`Refused`] that `Router::admit` returns.
     pub fn try_submit_with(
         &self,
         model: ModelId,
@@ -687,7 +679,7 @@ impl Router {
     /// metrics are folded into all later snapshots, so no counters are
     /// lost.
     ///
-    /// Gate-vacancy listeners ([`Router::on_gate_vacancy`]) need nothing
+    /// Gate-vacancy listeners (`Router::on_gate_vacancy`) need nothing
     /// done for them: each swapped-in pipeline's gate is built on the
     /// router's one registry.
     ///
@@ -738,8 +730,10 @@ impl Router {
     /// outlives any number of swaps however registration and swap
     /// interleave. It is held **weakly**: a listener fires for as long as
     /// the caller holds its `Arc` and is forgotten afterwards, so an edge
-    /// that has shut down costs the router nothing.
-    pub fn on_gate_vacancy(&self, listener: &Arc<dyn Fn() + Send + Sync>) {
+    /// that has shut down costs the router nothing. The callback runs on
+    /// whichever thread released the slot, outside every lock: it must be
+    /// cheap and non-blocking, and it may re-enter the submit API.
+    pub(crate) fn on_gate_vacancy(&self, listener: &Arc<dyn Fn() + Send + Sync>) {
         self.vacancy.add(Arc::downgrade(listener));
     }
 
@@ -764,7 +758,7 @@ impl Router {
 
     /// A full exportable snapshot across all models and replicas:
     /// [`Router::metrics`] rendered through
-    /// [`RouterMetrics::fill_telemetry`] (every replica's ledger, latency
+    /// `RouterMetrics::fill_telemetry` (every replica's ledger, latency
     /// histogram and health state labeled `model`/`replica`, per-shard
     /// retry/hedge counters), plus all span events drained from every
     /// replica's telemetry domain. Render it with
@@ -899,18 +893,11 @@ pub(crate) mod tests {
     #[test]
     fn routes_to_the_right_model() {
         let router = Router::start(two_model_specs(BatchPolicy::new(usize::MAX), 64)).unwrap();
-        assert_eq!(router.models().count(), 2);
         let m2c = router.model_id("MNIST_2C").unwrap();
         let m3c = router.model_id("MNIST_3C").unwrap();
         assert_eq!(router.model_name(m2c).unwrap(), "MNIST_2C");
+        assert_eq!(router.model_name(m3c).unwrap(), "MNIST_3C");
         assert_eq!(router.replica_count(m2c).unwrap(), 1);
-        assert_eq!(
-            router
-                .models()
-                .map(|(_, n)| n.to_string())
-                .collect::<Vec<_>>(),
-            vec!["MNIST_2C", "MNIST_3C"]
-        );
         // 2C has 1 conditional stage, 3C has 2 — structurally different
         assert_eq!(router.network(m2c).unwrap().stage_count(), 1);
         assert_eq!(router.network(m3c).unwrap().stage_count(), 2);
@@ -1139,7 +1126,6 @@ pub(crate) mod tests {
             ..Request::new(x, SubmitOptions::default())
         };
         let pending = router.admit(model, request, Admission::Block).unwrap();
-        assert_eq!(pending.trace(), Some(trace), "replica adopted the id");
         pending.wait().unwrap();
         // Exit is recorded before the result settles, so after wait() the
         // admission-to-exit lifecycle is guaranteed drained (only Reply

@@ -31,7 +31,7 @@ pub(super) fn admit(
     request: Request,
     admission: Admission,
 ) -> Result<Pending, Refused> {
-    let (pending, fulfiller) = pending_pair(request.trace);
+    let (pending, fulfiller) = pending_pair();
     let ctx = Arc::new(RaceCtx {
         shard: Arc::clone(shard),
         request,
@@ -404,7 +404,7 @@ mod tests {
         // the caller hangs up with its attempt still queued
         drop(router.submit(model, images(1).remove(0)).unwrap());
         // a hedge timer firing now finds nobody to hedge for
-        let (pending, fulfiller) = pending_pair(None);
+        let (pending, fulfiller) = pending_pair();
         let ctx = Arc::new(RaceCtx {
             shard: Arc::clone(&shard),
             request: Request::new(images(1).remove(0), SubmitOptions::default()),

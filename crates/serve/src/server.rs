@@ -10,7 +10,7 @@ use std::time::Instant;
 use cdl_core::batch::{BatchEvaluator, SheddableOutcome};
 use cdl_core::confidence::ExitOverride;
 use cdl_core::network::CdlNetwork;
-use cdl_telemetry::{EventKind, Telemetry, TelemetrySnapshot, TraceId};
+use cdl_telemetry::{EventKind, Telemetry, TraceId};
 use cdl_tensor::Tensor;
 
 use crate::config::{BatchPolicy, Priority, ServerConfig, SubmitOptions};
@@ -44,33 +44,49 @@ pub(crate) struct VacancyListeners {
     /// Fast-path flag: while no listener is registered, `fire` is a
     /// single relaxed load — no lock, no allocation.
     armed: AtomicBool,
-    list: Mutex<Vec<Weak<dyn Fn() + Send + Sync>>>,
+    /// Copy-on-write: `add`, and the rare `fire` that meets a dead entry,
+    /// build a new list; every other `fire` only clones the `Arc`, so a
+    /// gate release allocates nothing.
+    list: Mutex<Arc<[Listener]>>,
 }
 
+type Listener = Weak<dyn Fn() + Send + Sync>;
+
 impl VacancyListeners {
-    pub(crate) fn add(&self, listener: Weak<dyn Fn() + Send + Sync>) {
+    pub(crate) fn add(&self, listener: Listener) {
         let mut list = self.list.lock().unwrap();
-        list.retain(|l| l.strong_count() > 0); // a gate nobody releases prunes here
-        list.push(listener);
+        // a gate nobody releases prunes here
+        *list = live(&list).chain([listener]).collect();
         self.armed.store(true, Ordering::Release);
     }
 
     /// Invokes every live listener and forgets the dead ones. Callers must
     /// not hold the gate's state lock: a listener may re-enter the gate (the
-    /// edge retries a parked admission from inside its wakeup).
+    /// edge retries a parked admission from inside its wakeup), so the
+    /// listeners run outside this registry's lock too.
     fn fire(&self) {
         if !self.armed.load(Ordering::Acquire) {
             return;
         }
-        let mut live = Vec::new();
-        let mut list = self.list.lock().unwrap();
-        list.retain(|l| l.upgrade().map(|l| live.push(l)).is_some());
-        self.armed.store(!list.is_empty(), Ordering::Release);
-        drop(list);
-        for listener in &live {
-            listener();
+        let snapshot = Arc::clone(&self.list.lock().unwrap());
+        let mut dead = false;
+        for listener in snapshot.iter() {
+            match listener.upgrade() {
+                Some(listener) => listener(),
+                None => dead = true,
+            }
+        }
+        if dead {
+            let mut list = self.list.lock().unwrap();
+            *list = live(&list).collect();
+            self.armed.store(!list.is_empty(), Ordering::Release);
         }
     }
+}
+
+/// The entries of `list` whose owner still holds its `Arc`.
+fn live(list: &[Listener]) -> impl Iterator<Item = Listener> + '_ {
+    list.iter().filter(|l| l.strong_count() > 0).cloned()
 }
 
 /// Counting semaphore bounding the number of in-flight requests — the
@@ -197,7 +213,7 @@ impl Drop for Ticket {
 }
 
 /// What a caller asks the serving stack to classify — the one argument of
-/// [`Server::admit`] and [`crate::Router::admit`].
+/// `Server::admit` and `crate::Router::admit`.
 #[derive(Debug, Clone)]
 pub struct Request {
     /// The image to classify.
@@ -211,7 +227,7 @@ pub struct Request {
 
 impl Request {
     /// An untraced request.
-    pub fn new(input: Tensor, options: SubmitOptions) -> Self {
+    pub(crate) fn new(input: Tensor, options: SubmitOptions) -> Self {
         Request {
             input,
             options,
@@ -220,7 +236,7 @@ impl Request {
     }
 }
 
-/// What [`Server::admit`] does when the gate has no room for the request.
+/// What `Server::admit` does when the gate has no room for the request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admission {
     /// Wait for a slot (in-process submitters: backpressure).
@@ -494,29 +510,11 @@ impl Server {
         })
     }
 
-    /// The network this server evaluates.
-    pub fn network(&self) -> &CdlNetwork {
-        &self.net
-    }
-
     /// A shared handle to the network this server evaluates — what the
     /// router's hot-swap path compares and hands out without borrowing
     /// through the replica lock.
     pub(crate) fn network_arc(&self) -> Arc<CdlNetwork> {
         Arc::clone(&self.net)
-    }
-
-    /// Registers a callback fired every time an in-flight slot frees up
-    /// (completion, cancellation, expiry, or failure — any path that
-    /// releases the admission gate). The callback runs on whichever
-    /// thread released the slot and must be cheap and non-blocking; it
-    /// may re-enter the submit API. The TCP edge uses this to wake a
-    /// poller with parked (gate-full) admissions the moment capacity
-    /// appears, instead of polling on a timeout. The listener joins this
-    /// gate's registry (`VacancyListeners`, the only list there is) and is
-    /// kept **weakly**: it fires for as long as the caller holds its `Arc`.
-    pub fn on_gate_vacancy(&self, listener: &Arc<dyn Fn() + Send + Sync>) {
-        self.gate.vacancy.add(Arc::downgrade(listener));
     }
 
     /// The one admission path: validates `request` against the model,
@@ -552,7 +550,7 @@ impl Server {
     /// has exited. In every case the request was **not** admitted and
     /// `input` hands the tensor back, so a retrying caller (the edge's
     /// gate-full park) resubmits the same allocation.
-    pub fn admit(&self, request: Request, admission: Admission) -> Result<Pending, Refused> {
+    pub(crate) fn admit(&self, request: Request, admission: Admission) -> Result<Pending, Refused> {
         let options = request.options;
         let checked = options
             .validate_for(self.net.policy())
@@ -577,7 +575,7 @@ impl Server {
         }
         // admitted: the gate slot is held from here on
         mark(&self.telemetry, trace, EventKind::Admit);
-        let (pending, fulfiller) = pending_pair(trace);
+        let (pending, fulfiller) = pending_pair();
         let submitted_at = Instant::now();
         let queued = Queued {
             input: request.input,
@@ -608,12 +606,12 @@ impl Server {
         Ok(pending)
     }
 
-    /// [`Server::admit`] of a default-options request under
+    /// `Server::admit` of a default-options request under
     /// [`Admission::Block`].
     ///
     /// # Errors
     ///
-    /// The [`ServeError`] of the [`Refused`] that [`Server::admit`] returns.
+    /// The [`ServeError`] of the [`Refused`] that `Server::admit` returns.
     pub fn submit(&self, input: Tensor) -> ServeResult<Pending> {
         self.submit_with(input, SubmitOptions::default())
     }
@@ -627,17 +625,12 @@ impl Server {
     /// # Errors
     ///
     /// The [`ServeError`] of the [`Refused`] that [`Server::admit`] returns.
-    pub fn submit_with(&self, input: Tensor, options: SubmitOptions) -> ServeResult<Pending> {
+    pub(crate) fn submit_with(
+        &self,
+        input: Tensor,
+        options: SubmitOptions,
+    ) -> ServeResult<Pending> {
         Ok(self.admit(Request::new(input, options), Admission::Block)?)
-    }
-
-    /// [`Server::submit_with`] under [`Admission::Try`]: never blocks.
-    ///
-    /// # Errors
-    ///
-    /// The [`ServeError`] of the [`Refused`] that [`Server::admit`] returns.
-    pub fn try_submit_with(&self, input: Tensor, options: SubmitOptions) -> ServeResult<Pending> {
-        Ok(self.admit(Request::new(input, options), Admission::Try)?)
     }
 
     /// Admission fault hook: consults the installed [`FaultPlan`] (one
@@ -672,7 +665,7 @@ impl Server {
     }
 
     /// A point-in-time metrics snapshot.
-    pub fn metrics(&self) -> ServerMetrics {
+    pub(crate) fn metrics(&self) -> ServerMetrics {
         self.recorder.snapshot(self.gate.depth())
     }
 
@@ -681,18 +674,6 @@ impl Server {
     /// [`crate::ServerConfig::telemetry`] enabled them.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    /// A full exportable snapshot: every counter and the latency histogram
-    /// from [`Server::metrics`], plus all span events drained since the
-    /// last drain. Render it with
-    /// [`TelemetrySnapshot::render_prometheus`] or
-    /// [`TelemetrySnapshot::render_chrome_trace`].
-    pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
-        let mut snapshot = TelemetrySnapshot::new();
-        self.metrics().fill_telemetry(&mut snapshot, &[]);
-        snapshot.spans = self.telemetry.drain();
-        snapshot
     }
 
     /// The current number of in-flight requests: admitted but not yet
@@ -704,7 +685,7 @@ impl Server {
     /// ([`crate::PlacementPolicy::LeastLoaded`] /
     /// [`crate::PlacementPolicy::PowerOfTwoChoices`]) sample on every
     /// admission.
-    pub fn queue_depth(&self) -> usize {
+    pub(crate) fn queue_depth(&self) -> usize {
         self.gate.depth()
     }
 
@@ -941,6 +922,11 @@ mod tests {
             .collect()
     }
 
+    /// [`Server::admit`] under [`Admission::Try`], the refusal as its error.
+    fn try_submit(server: &Server, input: Tensor, options: SubmitOptions) -> ServeResult<Pending> {
+        Ok(server.admit(Request::new(input, options), Admission::Try)?)
+    }
+
     fn config(policy: BatchPolicy, queue_capacity: usize, workers: usize) -> ServerConfig {
         ServerConfig {
             policy,
@@ -985,16 +971,15 @@ mod tests {
             .iter()
             .map(|x| server.submit(x.clone()).unwrap())
             .collect();
-        let traces: Vec<TraceId> = pendings
-            .iter()
-            .map(|p| p.trace().expect("spans on records every request"))
-            .collect();
         // tracing must not perturb results
         for (x, pending) in inputs.iter().zip(pendings) {
             assert_eq!(pending.wait().unwrap(), net.classify(x).unwrap());
         }
         server.shutdown();
         let events = telemetry.drain();
+        // spans on records every request under a trace of its own
+        let traces: std::collections::BTreeSet<TraceId> = events.iter().map(|e| e.trace).collect();
+        assert_eq!(traces.len(), inputs.len());
         for trace in traces {
             let mine: Vec<&cdl_telemetry::SpanEvent> =
                 events.iter().filter(|e| e.trace == trace).collect();
@@ -1027,7 +1012,7 @@ mod tests {
     }
 
     #[test]
-    fn spans_off_means_no_trace_and_no_events() {
+    fn spans_off_means_no_events() {
         let net = build_untrained();
         let server = Server::start(
             Arc::clone(&net),
@@ -1035,7 +1020,6 @@ mod tests {
         )
         .unwrap();
         let pending = server.submit(images(1).pop().unwrap()).unwrap();
-        assert!(pending.trace().is_none(), "spans default off");
         pending.wait().unwrap();
         assert!(server.telemetry().drain().is_empty());
         server.shutdown();
@@ -1054,16 +1038,10 @@ mod tests {
         let inputs = images(4);
         let pendings: Vec<Pending> = inputs
             .iter()
-            .map(|x| {
-                server
-                    .try_submit_with(x.clone(), SubmitOptions::default())
-                    .unwrap()
-            })
+            .map(|x| try_submit(&server, x.clone(), SubmitOptions::default()).unwrap())
             .collect();
         assert_eq!(
-            server
-                .try_submit_with(inputs[0].clone(), SubmitOptions::default())
-                .unwrap_err(),
+            try_submit(&server, inputs[0].clone(), SubmitOptions::default()).unwrap_err(),
             ServeError::Full
         );
         let live = server.metrics();
@@ -1562,7 +1540,7 @@ mod tests {
         input: Tensor,
         expires_at: Option<Instant>,
     ) -> (Pending, Queued) {
-        let (pending, fulfiller) = pending_pair(None);
+        let (pending, fulfiller) = pending_pair();
         gate.acquire(Admission::Block, Priority::High, None)
             .unwrap();
         let request = Queued {
@@ -1754,18 +1732,16 @@ mod tests {
         let opts = |t: u32| SubmitOptions::default().tenant(t);
         // tenant 1 fills its quota; the third submission is refused even
         // though the gate has plenty of room
-        let _a = server.try_submit_with(img.clone(), opts(1)).unwrap();
-        let _b = server.try_submit_with(img.clone(), opts(1)).unwrap();
+        let _a = try_submit(&server, img.clone(), opts(1)).unwrap();
+        let _b = try_submit(&server, img.clone(), opts(1)).unwrap();
         assert_eq!(
-            server.try_submit_with(img.clone(), opts(1)).unwrap_err(),
+            try_submit(&server, img.clone(), opts(1)).unwrap_err(),
             ServeError::QuotaExceeded(1)
         );
         // tenant 2 and untenanted traffic are unaffected
-        let _c = server.try_submit_with(img.clone(), opts(2)).unwrap();
-        let _d = server.try_submit_with(img.clone(), opts(2)).unwrap();
-        let _e = server
-            .try_submit_with(img.clone(), SubmitOptions::default())
-            .unwrap();
+        let _c = try_submit(&server, img.clone(), opts(2)).unwrap();
+        let _d = try_submit(&server, img.clone(), opts(2)).unwrap();
+        let _e = try_submit(&server, img.clone(), SubmitOptions::default()).unwrap();
         let live = server.metrics();
         assert_eq!(live.submitted, 5);
         assert_eq!(live.shed, 1);
@@ -1790,53 +1766,23 @@ mod tests {
         let img = images(1).pop().unwrap();
         let opts = |p: Priority| SubmitOptions::default().priority(p);
         let mut held = Vec::new();
-        held.push(
-            server
-                .try_submit_with(img.clone(), opts(Priority::Low))
-                .unwrap(),
-        );
-        held.push(
-            server
-                .try_submit_with(img.clone(), opts(Priority::Low))
-                .unwrap(),
-        );
+        held.push(try_submit(&server, img.clone(), opts(Priority::Low)).unwrap());
+        held.push(try_submit(&server, img.clone(), opts(Priority::Low)).unwrap());
         assert_eq!(
-            server
-                .try_submit_with(img.clone(), opts(Priority::Low))
-                .unwrap_err(),
+            try_submit(&server, img.clone(), opts(Priority::Low)).unwrap_err(),
             ServeError::Shed(Priority::Low)
         );
-        held.push(
-            server
-                .try_submit_with(img.clone(), opts(Priority::Normal))
-                .unwrap(),
-        );
-        held.push(
-            server
-                .try_submit_with(img.clone(), opts(Priority::Normal))
-                .unwrap(),
-        );
+        held.push(try_submit(&server, img.clone(), opts(Priority::Normal)).unwrap());
+        held.push(try_submit(&server, img.clone(), opts(Priority::Normal)).unwrap());
         assert_eq!(
-            server
-                .try_submit_with(img.clone(), opts(Priority::Normal))
-                .unwrap_err(),
+            try_submit(&server, img.clone(), opts(Priority::Normal)).unwrap_err(),
             ServeError::Shed(Priority::Normal)
         );
-        held.push(
-            server
-                .try_submit_with(img.clone(), opts(Priority::High))
-                .unwrap(),
-        );
-        held.push(
-            server
-                .try_submit_with(img.clone(), opts(Priority::High))
-                .unwrap(),
-        );
+        held.push(try_submit(&server, img.clone(), opts(Priority::High)).unwrap());
+        held.push(try_submit(&server, img.clone(), opts(Priority::High)).unwrap());
         // the highest class sees plain capacity backpressure, never Shed
         assert_eq!(
-            server
-                .try_submit_with(img.clone(), opts(Priority::High))
-                .unwrap_err(),
+            try_submit(&server, img.clone(), opts(Priority::High)).unwrap_err(),
             ServeError::Full
         );
         let live = server.metrics();
@@ -1858,9 +1804,7 @@ mod tests {
             ServeError::BadInput(_)
         ));
         assert!(matches!(
-            server
-                .try_submit_with(bad, SubmitOptions::default())
-                .unwrap_err(),
+            try_submit(&server, bad, SubmitOptions::default()).unwrap_err(),
             ServeError::BadInput(_)
         ));
         let metrics = server.shutdown();

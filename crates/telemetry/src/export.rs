@@ -249,7 +249,7 @@ pub struct TraceTimeline {
 
 /// Group drained events by trace id and reconstruct each request's
 /// timeline, in first-seen order.
-pub fn trace_timelines(events: &[SpanEvent]) -> Vec<TraceTimeline> {
+pub(crate) fn trace_timelines(events: &[SpanEvent]) -> Vec<TraceTimeline> {
     let mut order: Vec<TraceId> = Vec::new();
     let mut by_trace: HashMap<TraceId, TraceTimeline> = HashMap::new();
     for e in events {

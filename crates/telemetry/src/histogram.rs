@@ -166,11 +166,6 @@ impl LogHistogram {
         self.count
     }
 
-    /// `count() == 0`.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// Exact sum of all recorded samples (saturating).
     pub fn sum(&self) -> u64 {
         self.sum
@@ -218,7 +213,7 @@ impl LogHistogram {
     /// The non-empty buckets as `(inclusive upper bound, count)` pairs in
     /// increasing value order — the shape Prometheus-style cumulative
     /// `_bucket{le=...}` series are built from.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
+    pub(crate) fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
         self.counts
             .iter()
             .enumerate()
@@ -327,7 +322,7 @@ mod tests {
         assert!(window.quantile(0.5).unwrap() >= 1_000);
         // subtracting a snapshot from itself leaves an empty window
         let empty = h.subtracted(&h);
-        assert!(empty.is_empty());
+        assert_eq!(empty.count(), 0);
         assert_eq!(empty.quantile(0.99), None);
     }
 
@@ -343,7 +338,7 @@ mod tests {
     #[test]
     fn empty_histogram_reports_nothing() {
         let h = LogHistogram::new();
-        assert!(h.is_empty());
+        assert_eq!(h.count(), 0);
         assert_eq!(h.quantile(0.99), None);
         assert_eq!(h.min_value(), None);
         assert_eq!(h.max_value(), None);

@@ -102,9 +102,6 @@ mod export;
 mod histogram;
 mod span;
 
-pub use export::{
-    trace_timelines, CounterMetric, HistogramMetric, PhaseBreakdown, TelemetrySnapshot,
-    TraceTimeline,
-};
+pub use export::{CounterMetric, HistogramMetric, PhaseBreakdown, TelemetrySnapshot};
 pub use histogram::{LogHistogram, MAX_RELATIVE_ERROR};
 pub use span::{EventKind, SpanEvent, Telemetry, TelemetryConfig, TraceId};

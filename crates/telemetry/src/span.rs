@@ -96,7 +96,7 @@ pub struct SpanEvent {
     pub trace: TraceId,
     /// What happened.
     pub kind: EventKind,
-    /// When it happened, in nanoseconds since [`Telemetry::epoch`].
+    /// When it happened, in nanoseconds since the owning [`Telemetry`]'s epoch.
     pub at_ns: u64,
 }
 
@@ -245,16 +245,6 @@ impl Telemetry {
     /// is a single branch.
     pub fn disabled() -> Self {
         Self::new(TelemetryConfig::default())
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> TelemetryConfig {
-        self.inner.config
-    }
-
-    /// The instant `at_ns` timestamps are measured from.
-    pub fn epoch(&self) -> Instant {
-        self.inner.epoch
     }
 
     /// Start a trace for a new request: a fresh id iff spans are on.

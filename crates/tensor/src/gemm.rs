@@ -14,15 +14,17 @@
 //! everywhere else. The enum exists so that an AVX2 host can still be made
 //! to run the baseline compilation — [`GemmKernel::Reference`] is that arm,
 //! and the parity suites iterate [`GemmKernel::ALL`] so both are driven on
-//! every run. The specification both are held to is not in this module: it
-//! is [`crate::ops::affine_row`] and [`crate::conv::conv2d_valid`].
+//! every run. The specification both are held to is not in this module's
+//! code: it is [`crate::ops::matvec`] with the bias added last (the unit
+//! tests' `affine_row` is that loop over slices) and
+//! [`crate::conv::conv2d_valid`].
 //!
 //! | shape | body | `Reference` (and `Simd` without AVX2) | `Simd` on an AVX2 host |
 //! |---|---|---|---|
 //! | convolution, lanes across images (`conv2d_x8`) | `x8_oc_block` over `tile::<_, _, 8>` | baseline compilation | AVX2 compilation |
 //! | convolution, lanes across a row (`conv2d_direct`) | `direct_oc_block` over `tile::<_, _, 1>` | baseline compilation | AVX2 compilation |
 //! | logistic ([`crate::math::sigmoid_slice`]) | one straight loop | baseline compilation | AVX2 compilation |
-//! | batched affine ([`gemm_nt_rows`]) | two (exception 3 below) | 4×4 register tiles | packed `[k × 8]` lane body, AVX2 compilation |
+//! | batched affine (`gemm_nt_rows`) | two (exception 3 below) | 4×4 register tiles | packed `[k × 8]` lane body, AVX2 compilation |
 //!
 //! Which convolution runs is a function of the geometry and the batch size
 //! (below) and never of the arm: nothing is lowered to a patch matrix on
@@ -54,7 +56,7 @@
 //!   convolutions seed with the bias and add the taps in channel-major
 //!   `(c, ky, kx)` ascending order ([`crate::conv::conv2d_valid`]);
 //!   `gemm_nt` sums `p = 0..k` ascending from zero and adds the bias last
-//!   ([`crate::ops::affine_row`]). Tiling only repartitions **which**
+//!   (`affine_row` in the unit tests). Tiling only repartitions **which**
 //!   elements are computed together; tails fall back to narrower tiles with
 //!   the same per-element order, so parity holds for every shape, `k = 0`
 //!   (pure bias) included.
@@ -228,7 +230,7 @@ impl GemmKernel {
 
     /// Whether the [`GemmKernel::Simd`] arm runs the AVX2 compilation on
     /// this host (rather than the baseline one).
-    pub fn simd_available() -> bool {
+    pub(crate) fn simd_available() -> bool {
         Target::pick(GemmKernel::Simd).avx2
     }
 }
@@ -302,7 +304,7 @@ thread_local! {
 
 /// Batched affine map `out[i][r] = (Σ_p rows[i][p]·w[r,p]) + bias[r]` —
 /// one dot product per (sample, output) pair, bias added **after** the
-/// sum, exactly [`crate::ops::affine_row`]'s order.
+/// sum, exactly the unit tests' `affine_row` order.
 ///
 /// `w` is the row-major `[m, k]` weight buffer with `m = bias.len()`;
 /// `out` is `[rows.len(), m]` row-major. This is the dense-layer / head
@@ -315,7 +317,7 @@ thread_local! {
 ///
 /// Panics when a buffer length disagrees with the shapes (callers
 /// pre-validate; this guards the indexing below).
-pub fn gemm_nt_rows(
+pub(crate) fn gemm_nt_rows(
     kernel: GemmKernel,
     k: usize,
     rows: Rows<'_>,
@@ -347,11 +349,11 @@ pub fn gemm_nt_rows(
     }
 }
 
-/// [`gemm_nt_rows`] over one slice per row.
+/// `gemm_nt_rows` over one slice per row.
 ///
 /// # Panics
 ///
-/// As [`gemm_nt_rows`].
+/// As `gemm_nt_rows`.
 pub fn gemm_nt(
     kernel: GemmKernel,
     k: usize,
@@ -411,7 +413,7 @@ fn nt_row_block<const MR: usize>(
 /// One `MR×NR` tile of (sample, output) dot products: `MR·NR` independent
 /// accumulators advance through `k` together — per element the sum is
 /// still a single sequential chain from zero, bias added last, exactly
-/// [`crate::ops::affine_row`]'s order.
+/// `affine_row`'s order.
 #[inline]
 fn nt_microkernel<const MR: usize, const NR: usize>(
     i0: usize,
@@ -1278,13 +1280,29 @@ mod tests {
         (0..len).map(|_| rng.random_range(-2.0..2.0)).collect()
     }
 
-    /// The specification of the nt (bias-last) shape:
-    /// [`crate::ops::affine_row`] per sample.
+    /// One affine row `out = W·row + b` (`wd` is the row-major
+    /// `[out.len(), k]` weight buffer) — the per-sample **specification** of
+    /// the batched affine: both bodies of [`gemm_nt`] must match this loop
+    /// bit for bit. Accumulates `k` ascending, bias after: bit-identical to
+    /// [`crate::ops::matvec`]-then-bias.
+    fn affine_row(row: &[f32], wd: &[f32], k: usize, bias: &[f32], out: &mut [f32]) {
+        for (r, o) in out.iter_mut().enumerate() {
+            let wrow = &wd[r * k..(r + 1) * k];
+            let mut acc = 0.0f32;
+            for (a, b) in wrow.iter().zip(row) {
+                acc += a * b;
+            }
+            *o = acc + bias[r];
+        }
+    }
+
+    /// The specification of the nt (bias-last) shape: [`affine_row`] per
+    /// sample.
     fn naive_nt(k: usize, rows: &[&[f32]], w: &[f32], bias: &[f32]) -> Vec<f32> {
         let m = bias.len();
         let mut out = vec![0.0f32; rows.len() * m];
         for (i, row) in rows.iter().enumerate() {
-            crate::ops::affine_row(row, w, k, bias, &mut out[i * m..(i + 1) * m]);
+            affine_row(row, w, k, bias, &mut out[i * m..(i + 1) * m]);
         }
         out
     }
@@ -1420,7 +1438,7 @@ mod tests {
             };
             let xs: Vec<Tensor> = (0..9).map(|_| tensor(&[c_in, side, side])).collect();
             let kernels = tensor(&[c_out, c_in, k, k]);
-            let cbias = tensor(&[c_out]).into_vec();
+            let cbias = tensor(&[c_out]).data().to_vec();
             let mut scratch = ConvScratch::default();
             for forced in [false, true] {
                 force_simd_fallback(forced);

@@ -56,7 +56,7 @@ impl Init {
 }
 
 /// Tensor with elements drawn i.i.d. from `U(-a, a)`.
-pub fn random_uniform<R: Rng + ?Sized>(dims: &[usize], a: f32, rng: &mut R) -> Tensor {
+pub(crate) fn random_uniform<R: Rng + ?Sized>(dims: &[usize], a: f32, rng: &mut R) -> Tensor {
     let shape = crate::Shape::new(dims);
     let n = shape.volume();
     let data = (0..n)

@@ -16,7 +16,7 @@
 //!
 //! # Algorithm
 //!
-//! [`exp`] is the classic Cephes `expf` (S. Moshier, `cephes/single/expf.c`;
+//! `exp` is the classic Cephes `expf` (S. Moshier, `cephes/single/expf.c`;
 //! the constants below are that file's), made branch-free:
 //!
 //! 1. **Clamp** `x` to `[−87, 87]`. A NaN passes through (`if x > hi { hi } else { x }`, not `f32::min`, which
@@ -152,7 +152,7 @@ const _: () = {
 /// [module docs](self) for the algorithm and why it must not be
 /// "simplified" into fused operations).
 #[inline]
-pub const fn exp(x: f32) -> f32 {
+pub(crate) const fn exp(x: f32) -> f32 {
     // NaN fails both comparisons and passes through
     let x = if x > EXP_HI { EXP_HI } else { x };
     let x = if x < EXP_LO { EXP_LO } else { x };
@@ -175,7 +175,7 @@ pub const fn exp(x: f32) -> f32 {
     e * scale
 }
 
-/// The logistic function `1 / (1 + e^{−x})` over [`exp`]: positive
+/// The logistic function `1 / (1 + e^{−x})` over `exp`: positive
 /// everywhere (`≈ 1.6e-38` from `x = −87` down to `−∞`), exactly `0.5` at
 /// both zeros, exactly `1` from `x ≈ 17.4` up to `+∞`, NaN for NaN.
 #[inline]
@@ -186,7 +186,7 @@ pub const fn sigmoid(x: f32) -> f32 {
 /// Replaces every element of `xs` with its [`sigmoid`], **bit for bit**
 /// what `for v in xs { *v = sigmoid(*v) }` stores — it is that loop, in
 /// the AVX2 compilation on hosts with AVX2 (asked through
-/// [`GemmKernel::simd_available`], so the `force_simd_fallback` test hook
+/// `GemmKernel::simd_available`, so the `force_simd_fallback` test hook
 /// steers this too) and in the baseline one elsewhere.
 pub fn sigmoid_slice(xs: &mut [f32]) {
     if GemmKernel::simd_available() {

@@ -166,48 +166,8 @@ pub fn outer(y: &Tensor, x: &Tensor) -> Tensor {
     Tensor::from_vec(out, &[rows, cols]).expect("outer: length is rows*cols by construction")
 }
 
-/// Matrix–matrix product of `[m, k]` by `[k, n]`, returning `[m, n]`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::RankMismatch`] / [`TensorError::ShapeMismatch`] on
-/// bad operands.
-pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    if a.rank() != 2 || b.rank() != 2 {
-        return Err(TensorError::RankMismatch {
-            expected: 2,
-            actual: if a.rank() != 2 { a.rank() } else { b.rank() },
-        });
-    }
-    let (m, k) = (a.dims()[0], a.dims()[1]);
-    let (k2, n) = (b.dims()[0], b.dims()[1]);
-    if k != k2 {
-        return Err(TensorError::ShapeMismatch {
-            left: a.dims().to_vec(),
-            right: b.dims().to_vec(),
-        });
-    }
-    let ad = a.data();
-    let bd = b.data();
-    let mut out = vec![0.0f32; m * n];
-    for i in 0..m {
-        for p in 0..k {
-            let av = ad[i * k + p];
-            if av == 0.0 {
-                continue;
-            }
-            let brow = &bd[p * n..(p + 1) * n];
-            let orow = &mut out[i * n..(i + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o += av * bv;
-            }
-        }
-    }
-    Tensor::from_vec(out, &[m, n])
-}
-
 /// Batched affine map `out[i] = W·rows[i] + b` into a preallocated buffer,
-/// evaluated by `kernel`'s body of [`gemm::gemm_nt_rows`].
+/// evaluated by `kernel`'s body of `gemm::gemm_nt_rows`.
 ///
 /// `rows` are the flattened input vectors of a batch, read where they lie
 /// (each of length `W.cols`), `w` is `[m, k]`, `bias` has `m` entries, and
@@ -244,23 +204,6 @@ pub fn affine_rows_into(
     }
     gemm::gemm_nt_rows(kernel, k, rows, w.data(), bias, out);
     Ok(())
-}
-
-/// One affine row `out = W·row + b` against pre-validated operands (`wd` is
-/// the row-major `[out.len(), k]` weight buffer) — the per-sample
-/// **specification** of the batched affine: both bodies of
-/// [`crate::gemm::gemm_nt`] must match this loop bit for bit, and its unit
-/// tests compare against it. Accumulates `k` ascending, bias after:
-/// bit-identical to [`matvec`]-then-bias.
-pub fn affine_row(row: &[f32], wd: &[f32], k: usize, bias: &[f32], out: &mut [f32]) {
-    for (r, o) in out.iter_mut().enumerate() {
-        let wrow = &wd[r * k..(r + 1) * k];
-        let mut acc = 0.0f32;
-        for (a, b) in wrow.iter().zip(row) {
-            acc += a * b;
-        }
-        *o = acc + bias[r];
-    }
 }
 
 /// Numerically stable softmax of `x` into `out` — the definition;
@@ -381,41 +324,6 @@ mod tests {
         let o = outer(&y, &x);
         assert_eq!(o.dims(), &[2, 3]);
         assert_eq!(o.data(), &[3.0, 4.0, 5.0, 6.0, 8.0, 10.0]);
-    }
-
-    #[test]
-    fn matmul_identity() {
-        let a = t(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        let i = t(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]);
-        assert_eq!(matmul(&a, &i).unwrap(), a);
-        assert_eq!(matmul(&i, &a).unwrap(), a);
-    }
-
-    #[test]
-    fn matmul_rect() {
-        let a = t(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
-        let b = t(vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0], &[3, 2]);
-        let c = matmul(&a, &b).unwrap();
-        assert_eq!(c.dims(), &[2, 2]);
-        assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
-    }
-
-    #[test]
-    fn matmul_checks_dims() {
-        let a = t(vec![1.0, 2.0], &[1, 2]);
-        let b = t(vec![1.0, 2.0], &[1, 2]);
-        assert!(matmul(&a, &b).is_err());
-    }
-
-    #[test]
-    fn matvec_consistency_with_matmul() {
-        let w = t(vec![1.0, -2.0, 0.5, 3.0, 4.0, -1.0], &[2, 3]);
-        let x = t(vec![0.3, -0.7, 2.0], &[3]);
-        let via_mv = matvec(&w, &x).unwrap();
-        let via_mm = matmul(&w, &x.reshape(&[3, 1]).unwrap()).unwrap();
-        for (a, b) in via_mv.data().iter().zip(via_mm.data()) {
-            assert!((a - b).abs() < 1e-6);
-        }
     }
 
     #[test]

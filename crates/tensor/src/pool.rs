@@ -158,7 +158,7 @@ pub fn maxpool2d_forward(input: &Tensor, window: usize) -> Result<Tensor> {
 /// Panics when `window` is zero or does not tile `h`×`w`, when `out` is
 /// not `c * (h/window) * (w/window)` long, or when `x` is too short for
 /// the last plane (callers validate geometry first).
-pub fn maxpool2d_into(
+pub(crate) fn maxpool2d_into(
     x: &[f32],
     (c, h, w): (usize, usize, usize),
     plane_stride: usize,
@@ -300,17 +300,6 @@ pub fn meanpool2d_backward(
         }
     }
     Tensor::from_vec(gx, input_shape)
-}
-
-/// Comparison operations performed by a max-pool of the given geometry
-/// (window²−1 compares per output cell), used by the OPS accounting.
-pub fn pool_ops(c: usize, h: usize, w: usize, window: usize) -> u64 {
-    if window == 0 || !h.is_multiple_of(window) || !w.is_multiple_of(window) {
-        return 0;
-    }
-    let oh = h / window;
-    let ow = w / window;
-    (c * oh * ow) as u64 * (window * window - 1).max(1) as u64
 }
 
 #[cfg(test)]
@@ -487,14 +476,5 @@ mod tests {
         assert!(maxpool2d_backward(&[1, 4, 4], &[0, 1, 2], &g).is_err());
         assert!(meanpool2d_backward(&[1, 4, 4], 3, &g).is_err());
         assert!(meanpool2d_backward(&[1, 4, 4], 2, &Tensor::ones(&[1, 3, 3])).is_err());
-    }
-
-    #[test]
-    fn pool_ops_counting() {
-        // 6 maps of 24x24 pooled by 2: 6*12*12 cells * 3 compares
-        assert_eq!(pool_ops(6, 24, 24, 2), 6 * 144 * 3);
-        // identity pool still costs 1 op per cell (a copy/compare)
-        assert_eq!(pool_ops(9, 3, 3, 1), 81);
-        assert_eq!(pool_ops(1, 3, 3, 2), 0);
     }
 }

@@ -1,6 +1,6 @@
 //! A borrowed batch of equal-length `f32` rows, wherever they happen to lie.
 //!
-//! The batched kernels ([`crate::gemm::gemm_nt_rows`],
+//! The batched kernels (`crate::gemm::gemm_nt_rows`,
 //! [`crate::im2col::conv2d_pool_block`], [`crate::ops::affine_rows_into`])
 //! read "image `i`'s values" and nothing else, so they take a [`Rows`]: the
 //! caller's tensors read in place (a cascade's first stage), or a contiguous

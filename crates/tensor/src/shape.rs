@@ -37,7 +37,7 @@ impl Shape {
     }
 
     /// Number of axes.
-    pub fn rank(&self) -> usize {
+    pub(crate) fn rank(&self) -> usize {
         self.dims.len()
     }
 
@@ -46,11 +46,6 @@ impl Shape {
     /// A rank-0 shape has volume 1 (a scalar).
     pub fn volume(&self) -> usize {
         self.dims.iter().product()
-    }
-
-    /// Returns `true` if any axis has zero length.
-    pub fn is_empty(&self) -> bool {
-        self.dims.contains(&0)
     }
 
     /// Row-major strides for this shape.
@@ -147,7 +142,6 @@ mod tests {
         let s = Shape::new(&[6, 12, 12]);
         assert_eq!(s.rank(), 3);
         assert_eq!(s.volume(), 864);
-        assert!(!s.is_empty());
     }
 
     #[test]
@@ -159,10 +153,8 @@ mod tests {
     }
 
     #[test]
-    fn zero_axis_is_empty() {
-        let s = Shape::new(&[3, 0, 2]);
-        assert!(s.is_empty());
-        assert_eq!(s.volume(), 0);
+    fn zero_axis_has_no_volume() {
+        assert_eq!(Shape::new(&[3, 0, 2]).volume(), 0);
     }
 
     #[test]

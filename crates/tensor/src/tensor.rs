@@ -106,11 +106,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns the raw buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Reads the element at a multi-dimensional index.
     ///
     /// # Errors
@@ -119,27 +114,6 @@ impl Tensor {
     pub fn get(&self, index: &[usize]) -> Result<f32> {
         let off = self.shape.linear_index(index)?;
         Ok(self.data[off])
-    }
-
-    /// Writes the element at a multi-dimensional index.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IndexOutOfBounds`] for a bad index.
-    pub fn set(&mut self, index: &[usize], value: f32) -> Result<()> {
-        let off = self.shape.linear_index(index)?;
-        self.data[off] = value;
-        Ok(())
-    }
-
-    /// Unchecked read by precomputed flat offset.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offset >= len()`.
-    #[inline]
-    pub fn at(&self, offset: usize) -> f32 {
-        self.data[offset]
     }
 
     /// Returns a copy with a new shape sharing the same element count.
@@ -159,23 +133,6 @@ impl Tensor {
             shape: new_shape,
             data: self.data.clone(),
         })
-    }
-
-    /// In-place reshape (no data copy).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ReshapeMismatch`] when volumes differ.
-    pub fn reshape_in_place(&mut self, dims: &[usize]) -> Result<()> {
-        let new_shape = Shape::new(dims);
-        if new_shape.volume() != self.len() {
-            return Err(TensorError::ReshapeMismatch {
-                from: self.len(),
-                to: new_shape.volume(),
-            });
-        }
-        self.shape = new_shape;
-        Ok(())
     }
 
     /// Flattens to rank 1 without copying element data.
@@ -215,22 +172,6 @@ impl Tensor {
         }
     }
 
-    /// Maximum element; `None` for an empty tensor.
-    pub fn max(&self) -> Option<f32> {
-        self.data.iter().copied().fold(None, |acc, x| match acc {
-            None => Some(x),
-            Some(m) => Some(m.max(x)),
-        })
-    }
-
-    /// Minimum element; `None` for an empty tensor.
-    pub fn min(&self) -> Option<f32> {
-        self.data.iter().copied().fold(None, |acc, x| match acc {
-            None => Some(x),
-            Some(m) => Some(m.min(x)),
-        })
-    }
-
     /// Index of the maximum element (first occurrence); `None` when empty.
     pub fn argmax(&self) -> Option<usize> {
         crate::ops::argmax(&self.data)
@@ -239,40 +180,6 @@ impl Tensor {
     /// Squared L2 norm of all elements.
     pub fn norm_sq(&self) -> f32 {
         self.data.iter().map(|x| x * x).sum()
-    }
-
-    /// Returns `true` if any element is NaN or infinite.
-    pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|x| !x.is_finite())
-    }
-
-    /// Extracts channel `c` of a rank-3 `[C, H, W]` tensor as a `[H, W]`
-    /// tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] for non-rank-3 tensors and
-    /// [`TensorError::IndexOutOfBounds`] for a bad channel.
-    pub fn channel(&self, c: usize) -> Result<Tensor> {
-        if self.rank() != 3 {
-            return Err(TensorError::RankMismatch {
-                expected: 3,
-                actual: self.rank(),
-            });
-        }
-        let dims = self.dims();
-        let (ch, h, w) = (dims[0], dims[1], dims[2]);
-        if c >= ch {
-            return Err(TensorError::IndexOutOfBounds {
-                index: vec![c],
-                shape: dims.to_vec(),
-            });
-        }
-        let plane = h * w;
-        Ok(Tensor {
-            shape: Shape::new(&[h, w]),
-            data: self.data[c * plane..(c + 1) * plane].to_vec(),
-        })
     }
 }
 
@@ -325,11 +232,10 @@ mod tests {
     }
 
     #[test]
-    fn get_set_round_trip() {
-        let mut t = Tensor::zeros(&[2, 3, 4]);
-        t.set(&[1, 2, 3], 7.5).unwrap();
-        assert_eq!(t.get(&[1, 2, 3]).unwrap(), 7.5);
-        assert_eq!(t.get(&[0, 0, 0]).unwrap(), 0.0);
+    fn get_reads_row_major() {
+        let t = Tensor::from_vec((0..24).map(|x| x as f32).collect(), &[2, 3, 4]).unwrap();
+        assert_eq!(t.get(&[1, 2, 3]).unwrap(), 23.0);
+        assert_eq!(t.get(&[0, 1, 0]).unwrap(), 4.0);
         assert!(t.get(&[2, 0, 0]).is_err());
     }
 
@@ -343,20 +249,10 @@ mod tests {
     }
 
     #[test]
-    fn reshape_in_place_works() {
-        let mut t = Tensor::zeros(&[4]);
-        t.reshape_in_place(&[2, 2]).unwrap();
-        assert_eq!(t.dims(), &[2, 2]);
-        assert!(t.reshape_in_place(&[3]).is_err());
-    }
-
-    #[test]
     fn reductions() {
         let t = Tensor::from_vec(vec![3.0, -1.0, 4.0, 1.0], &[4]).unwrap();
         assert_eq!(t.sum(), 7.0);
         assert_eq!(t.mean(), 1.75);
-        assert_eq!(t.max(), Some(4.0));
-        assert_eq!(t.min(), Some(-1.0));
         assert_eq!(t.argmax(), Some(2));
         assert_eq!(t.norm_sq(), 9.0 + 1.0 + 16.0 + 1.0);
     }
@@ -371,8 +267,6 @@ mod tests {
     fn empty_reductions() {
         let t = Tensor::default();
         assert!(t.is_empty());
-        assert_eq!(t.max(), None);
-        assert_eq!(t.min(), None);
         assert_eq!(t.argmax(), None);
         assert_eq!(t.mean(), 0.0);
     }
@@ -385,25 +279,6 @@ mod tests {
         let mut u = t.clone();
         u.map_in_place(|x| -x);
         assert_eq!(u.data(), &[-1.0, -2.0]);
-    }
-
-    #[test]
-    fn channel_extraction() {
-        // [2, 2, 2]: channel 0 = 0..4, channel 1 = 4..8
-        let t = Tensor::from_vec((0..8).map(|x| x as f32).collect(), &[2, 2, 2]).unwrap();
-        let c1 = t.channel(1).unwrap();
-        assert_eq!(c1.dims(), &[2, 2]);
-        assert_eq!(c1.data(), &[4.0, 5.0, 6.0, 7.0]);
-        assert!(t.channel(2).is_err());
-        assert!(Tensor::zeros(&[4]).channel(0).is_err());
-    }
-
-    #[test]
-    fn non_finite_detection() {
-        let mut t = Tensor::zeros(&[3]);
-        assert!(!t.has_non_finite());
-        t.data_mut()[1] = f32::NAN;
-        assert!(t.has_non_finite());
     }
 
     #[test]

@@ -134,12 +134,13 @@
 //! ## Streaming serving
 //!
 //! Online request streams go through [`serve::Server`]. There is one way
-//! in, [`serve::Server::admit`]: a [`serve::Request`] (image,
+//! in, `Server::admit`: a [`serve::Request`] (image,
 //! [`serve::SubmitOptions`], optional trace id) plus a
 //! [`serve::Admission`] — `Block` waits for room in the bounded in-flight
 //! queue, `Try` comes back at once with a [`serve::Refused`] carrying the
 //! typed error *and the tensor*, so a retrying caller never clones
-//! (`submit` / `submit_with` / `try_submit_with` are one-line sugar).
+//! ([`serve::Server::submit`] and the router's `submit` / `submit_with` /
+//! `try_submit_with` are one-line sugar).
 //! Callers on any number of threads get one-shot [`serve::Pending`]
 //! handles back; a worker pool of persistent `BatchEvaluator`s seals
 //! batches off the one queue — a free worker takes what is queued, up to
@@ -154,7 +155,7 @@
 //!
 //! [`serve::Router`] serves **several models behind one front-end**: each
 //! registered [`serve::ShardSpec`] gets its own shard (admission gate →
-//! queue → worker pool), [`serve::Router::admit`] routes a request by
+//! queue → worker pool), `Router::admit` routes a request by
 //! [`serve::ModelId`] — the same `Request`/`Admission`/`Refused` contract,
 //! behind placement and (when the shard has a [`serve::RetryPolicy`]) the
 //! retry/hedge race; the TCP edge enters through it too — and
@@ -367,8 +368,7 @@
 //! each cascade stage, exit, reply — into lock-free per-thread rings,
 //! keyed by [`telemetry::TraceId`] (a client id carried across the TCP
 //! edge is continued server-side, so one trace covers the hop).
-//! [`serve::Server::telemetry_snapshot`] /
-//! [`serve::Router::telemetry_snapshot`] bundle counters, histograms and
+//! [`serve::Router::telemetry_snapshot`] bundles counters, histograms and
 //! drained spans for [`telemetry::TelemetrySnapshot::render_prometheus`]
 //! or [`telemetry::TelemetrySnapshot::render_chrome_trace`]
 //! (`chrome://tracing`-loadable JSON), and

@@ -105,7 +105,9 @@ fn equivalence_holds_across_policies_and_scratch_reuse() {
                 .outputs(|_| policy, None)
                 .expect("replay");
             for (image, out) in images.iter().zip(&batched) {
-                let single = cdln.classify_with_policy(image, policy).expect("per-image");
+                let single = cdln
+                    .classify_with(image, |_| policy, None)
+                    .expect("per-image");
                 assert_eq!(*out, single, "policy {policy}, kernel {kernel:?}");
             }
         }
@@ -140,7 +142,7 @@ fn trace_replays_schedules_depth_caps_and_the_baseline() {
                 assert_eq!(replayed.len(), n);
                 for (image, out) in images.iter().zip(&replayed) {
                     let single = cdln
-                        .classify_with_schedule(image, schedule)
+                        .classify_with(image, |s| schedule[s.min(schedule.len() - 1)], None)
                         .expect("oracle");
                     assert_eq!(*out, single, "{schedule:?}, n={n}, kernel {kernel:?}");
                 }

@@ -136,11 +136,10 @@ fn oracle_record(net: &CdlNetwork, x: &Tensor) -> Record {
     let mut cur = x.clone();
     let mut prev: Option<usize> = None;
     for stage in net.stages() {
-        cur = match prev {
-            None => net.base().forward_prefix(&cur, stage.tap_runtime),
-            Some(p) => net.base().forward_between(&cur, p, stage.tap_runtime),
-        }
-        .unwrap();
+        cur = net
+            .base()
+            .forward_segment(&cur, prev, stage.tap_runtime)
+            .unwrap();
         scores.push(bits(stage.head.scores(&cur).unwrap().data()));
         prev = Some(stage.tap_runtime);
     }

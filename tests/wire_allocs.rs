@@ -5,10 +5,9 @@
 //! allocation is the server's — edge, gate, queue, workers, evaluator and
 //! reply path together.
 //!
-//! Six allocations per request are left: the decoded input (the dims list,
-//! the tensor's shape and its data), the `Pending` / `Fulfiller` slot, the
-//! boxed completion waker, and the vacancy listeners' snapshot taken on each
-//! gate release. The rest is per batch — the sealed batch, its override
+//! Five allocations per request are left: the decoded input (the dims list,
+//! the tensor's shape and its data), the `Pending` / `Fulfiller` slot and
+//! the boxed completion waker. The rest is per batch — the sealed batch, its override
 //! groups, the evaluator's outcome lists — about 0.4 per request at full
 //! batches of 32. Decoding into the batch's input arena is what would take
 //! the first three. (The reply frame and the model name are written and
@@ -77,10 +76,11 @@ const BATCH: usize = 32;
 /// stage, confidence, six op counts, stages activated, exited-early flag.
 const REPLY: usize = 4 + 8 + 1 + 4 + 4 + 4 + 6 * 8 + 8 + 1;
 
-/// Allocations per request the wire path may make (measured: 6.44, steady
-/// from run to run; 8.47 when each reply had a body `Vec` of its own and
-/// each decode a `String` for the model name).
-const CEILING: f64 = 7.0;
+/// Allocations per request the wire path may make (measured: 5.43, steady
+/// from run to run; 6.44 while every gate release snapshotted the vacancy
+/// listeners into a `Vec`, 8.47 when each reply also had a body `Vec` of its
+/// own and each decode a `String` for the model name).
+const CEILING: f64 = 6.0;
 
 /// One request frame with default options, encoded by hand as the wire
 /// protocol lays it out (`cdl_serve::net` module docs).
