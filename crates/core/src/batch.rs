@@ -66,7 +66,7 @@ use crate::Result;
 /// The work a request had already consumed when it was shed mid-batch.
 ///
 /// Produced by the sheddable entry point
-/// ([`BatchEvaluator::classify_stream_with_override_sheddable`]) for inputs
+/// ([`BatchEvaluator::classify_stream_sheddable`]) for inputs
 /// the caller's shed hook evicted at a stage boundary: `stages_activated`
 /// cascade stages had run (and been paid for) by then, costing `ops`
 /// operations — the exact cumulative cost every image reaching that
@@ -91,12 +91,6 @@ pub enum SheddableOutcome {
     /// The shed hook evicted the input at a stage boundary; the work done
     /// up to that boundary is recorded.
     Shed(PartialEval),
-}
-
-/// Shed hook that never sheds — the non-sheddable entry points route
-/// through the sheddable core with this.
-fn never_shed(_next_stage: usize, _input_idx: usize) -> bool {
-    false
 }
 
 /// A persistent batched evaluator over one conditional network.
@@ -159,10 +153,8 @@ impl<'a> BatchEvaluator<'a> {
         self.classify_batch_with_override(inputs, ExitOverride::NONE)
     }
 
-    /// Classifies a batch with per-request [`ExitOverride`]s (δ replacement
-    /// and/or cascade-depth cap) applied **uniformly to the whole batch** —
-    /// the serving layer groups requests by effective override before
-    /// evaluating, so scratch reuse and bit-exactness are preserved.
+    /// Classifies a batch, as one block, with one [`ExitOverride`] (δ
+    /// replacement and/or cascade-depth cap) applied to every input.
     ///
     /// Every output is bit-identical to
     /// [`CdlNetwork::classify_with_override`] on the same input.
@@ -176,33 +168,32 @@ impl<'a> BatchEvaluator<'a> {
         inputs: &[Tensor],
         ovr: ExitOverride,
     ) -> Result<Vec<CdlOutput>> {
-        let mut gate = policy_gate(self.effective_policy(ovr)?, ovr.max_stage);
-        self.classify_chunk(inputs, &mut gate, &mut |_, _| {}, &mut never_shed)
-            .map(into_done)
-    }
-
-    /// The network's policy with `ovr` applied, validated.
-    fn effective_policy(&self, ovr: ExitOverride) -> Result<ConfidencePolicy> {
         let policy = ovr.effective_policy(self.net.policy());
         policy.validate()?;
-        Ok(policy)
+        let gate = (policy, ovr.max_stage);
+        self.classify_chunk(
+            inputs,
+            &mut |stage, _, scores, probs| exit_test(gate, stage, scores, probs),
+            &mut |_, _| {},
+            &mut |_, _| false,
+        )
+        .map(into_done)
     }
 
     /// One pass of the whole of `inputs` through the cascade — the one
     /// segment → head → gate loop, which every entry point ends in. The
-    /// exit test is the parameter: `gate(stage, scores, probs)` is shown
-    /// each still-active input's score row at `stage`, in input order
+    /// exit test is the parameter: `gate(stage, input, scores, probs)` is
+    /// shown each still-active input's score row at `stage`, in input order
     /// (`probs` is the evaluator's softmax work row), and settles the input
     /// there with the decision it returns or, with `None`, sends it on.
-    /// Classification passes [`policy_gate`]; [`BatchEvaluator::trace`]
-    /// passes one that copies the row out and exits nothing. `observer` and
-    /// `shed` are the hooks documented on
-    /// [`BatchEvaluator::classify_stream_with_override_sheddable`], here
-    /// with indices into `inputs`.
+    /// Classification passes [`exit_test`] under the input's own override;
+    /// [`BatchEvaluator::trace`] passes one that copies the row out and
+    /// exits nothing. Every index is into `inputs`; `observer` and `shed`
+    /// are the hooks of [`BatchEvaluator::classify_stream_sheddable`].
     fn classify_chunk(
         &mut self,
         inputs: &[Tensor],
-        gate: &mut impl FnMut(usize, &[f32], &mut Vec<f32>) -> Result<Option<Decision>>,
+        gate: &mut impl FnMut(usize, usize, &[f32], &mut Vec<f32>) -> Result<Option<Decision>>,
         observer: &mut dyn FnMut(usize, &[usize]),
         shed: &mut dyn FnMut(usize, usize) -> bool,
     ) -> Result<Vec<SheddableOutcome>> {
@@ -257,7 +248,7 @@ impl<'a> BatchEvaluator<'a> {
             let (head_scores, probs) = (&self.head_scores, &mut self.probs);
             compact(&mut self.scratch, &mut active_idx, |k, idx| {
                 let row = &head_scores[k * classes..(k + 1) * classes];
-                let exit = gate(stage_idx, row, probs)?;
+                let exit = gate(stage_idx, idx, row, probs)?;
                 if let Some(decision) = exit {
                     let out = early_output(stage_idx, decision, cum_ops);
                     outputs[idx] = Some(SheddableOutcome::Done(out));
@@ -312,47 +303,37 @@ impl<'a> BatchEvaluator<'a> {
     ///
     /// Propagates layer/head evaluation errors.
     pub fn classify_stream(&mut self, inputs: &[Tensor]) -> Result<Vec<CdlOutput>> {
-        self.classify_stream_with_override(inputs, ExitOverride::NONE)
+        self.classify_stream_with_override_observed(inputs, ExitOverride::NONE, &mut |_, _| {})
     }
 
     /// [`BatchEvaluator::classify_stream`] with one [`ExitOverride`]
-    /// applied to every image of the stream (see
-    /// [`BatchEvaluator::classify_batch_with_override`]).
+    /// applied to every image of the stream and the per-stage observer of
+    /// [`BatchEvaluator::classify_stream_sheddable`] — the hook
+    /// request-lifecycle tracing builds per-stage spans on.
     ///
     /// # Errors
     ///
     /// Returns [`CdlError::BadPolicy`] when the overridden δ is out of
     /// range; propagates layer/head evaluation errors.
-    pub fn classify_stream_with_override(
-        &mut self,
-        inputs: &[Tensor],
-        ovr: ExitOverride,
-    ) -> Result<Vec<CdlOutput>> {
-        self.classify_stream_with_override_observed(inputs, ovr, &mut |_, _| {})
-    }
-
-    /// [`BatchEvaluator::classify_stream_with_override`] with the
-    /// per-stage observer of
-    /// [`BatchEvaluator::classify_stream_with_override_sheddable`] — the
-    /// hook request-lifecycle tracing builds per-stage spans on.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`BatchEvaluator::classify_stream_with_override`].
     pub fn classify_stream_with_override_observed(
         &mut self,
         inputs: &[Tensor],
         ovr: ExitOverride,
         observer: &mut dyn FnMut(usize, &[usize]),
     ) -> Result<Vec<CdlOutput>> {
-        self.classify_stream_with_override_sheddable(inputs, ovr, observer, &mut never_shed)
+        let policy = ovr.effective_policy(self.net.policy());
+        policy.validate()?;
+        let gate = (policy, ovr.max_stage);
+        self.stream(inputs, |_| gate, observer, &mut |_, _| false)
             .map(into_done)
     }
 
-    /// The full-form entry every other `classify_*` name is sugar for:
-    /// pushes [`BatchEvaluator::STREAM_CHUNK`]-image chunks through the
-    /// cascade under `ovr`, with a per-stage **observer** and a per-input
-    /// **shed hook**.
+    /// The full form of every `classify_*` entry: pushes
+    /// [`BatchEvaluator::STREAM_CHUNK`]-image chunks through the cascade with
+    /// input `i` gated by `overrides[i]` — rows never interact, so each output
+    /// equals [`CdlNetwork::classify_with_override`] under its own override
+    /// whatever its neighbours carry — with a per-stage **observer** and a
+    /// per-input **shed hook**.
     ///
     /// After each cascade segment (before the exit gate compacts the
     /// batch) `observer(stage, active)` sees the inputs still active at
@@ -380,22 +361,42 @@ impl<'a> BatchEvaluator<'a> {
     ///
     /// # Errors
     ///
-    /// Same contract as [`BatchEvaluator::classify_stream_with_override`].
-    pub fn classify_stream_with_override_sheddable(
+    /// Returns [`CdlError::BadPolicy`] when `overrides` does not hold one
+    /// override per input or any overridden δ is out of range — before
+    /// anything is evaluated; propagates layer/head evaluation errors.
+    pub fn classify_stream_sheddable(
         &mut self,
         inputs: &[Tensor],
-        ovr: ExitOverride,
+        overrides: &[ExitOverride],
         observer: &mut dyn FnMut(usize, &[usize]),
         shed: &mut dyn FnMut(usize, usize) -> bool,
     ) -> Result<Vec<SheddableOutcome>> {
-        let mut gate = policy_gate(self.effective_policy(ovr)?, ovr.max_stage);
+        if overrides.len() != inputs.len() {
+            let counts = format!("{} overrides for {} inputs", overrides.len(), inputs.len());
+            return Err(CdlError::BadPolicy(counts));
+        }
+        let base = self.net.policy();
+        overrides.iter().try_for_each(|o| o.validate_for(base))?;
+        let gate_of = |i: usize| (overrides[i].effective_policy(base), overrides[i].max_stage);
+        self.stream(inputs, gate_of, observer, shed)
+    }
+
+    /// The chunk loop under both stream entries: input `i` is gated under
+    /// `gate_of(i)` (see [`exit_test`]), which the caller has validated.
+    fn stream(
+        &mut self,
+        inputs: &[Tensor],
+        gate_of: impl Fn(usize) -> (ConfidencePolicy, Option<usize>),
+        observer: &mut dyn FnMut(usize, &[usize]),
+        shed: &mut dyn FnMut(usize, usize) -> bool,
+    ) -> Result<Vec<SheddableOutcome>> {
         let mut outputs = Vec::with_capacity(inputs.len());
         let mut shifted: Vec<usize> = Vec::new();
         for (chunk_no, chunk) in inputs.chunks(Self::STREAM_CHUNK).enumerate() {
             let base = chunk_no * Self::STREAM_CHUNK;
             outputs.extend(self.classify_chunk(
                 chunk,
-                &mut gate,
+                &mut |stage, k, scores, probs| exit_test(gate_of(base + k), stage, scores, probs),
                 &mut |stage, active| {
                     shifted.clear();
                     shifted.extend(active.iter().map(|&k| base + k));
@@ -423,12 +424,12 @@ impl<'a> BatchEvaluator<'a> {
         for chunk in inputs.chunks(Self::STREAM_CHUNK) {
             self.classify_chunk(
                 chunk,
-                &mut |stage, scores: &[f32], _: &mut Vec<f32>| {
+                &mut |stage, _, scores: &[f32], _: &mut Vec<f32>| {
                     rows[stage].extend_from_slice(scores);
                     Ok(None)
                 },
                 &mut |_, _| {},
-                &mut never_shed,
+                &mut |_, _| false,
             )?;
             // nothing exited and nothing was shed, so the block the pass
             // left in the arena is every input's final output, in input order
@@ -493,17 +494,14 @@ impl CascadeTrace {
         max_stage: Option<usize>,
     ) -> Result<Vec<CdlOutput>> {
         let stages = self.stage_count();
-        let mut gates = Vec::with_capacity(stages);
-        for stage in 0..stages {
-            let policy = policy_for(stage);
-            policy.validate()?;
-            gates.push(policy_gate(policy, max_stage));
-        }
+        let gates: Vec<_> = (0..stages).map(|s| (policy_for(s), max_stage)).collect();
+        gates.iter().try_for_each(|(policy, _)| policy.validate())?;
         let mut probs = Vec::new();
         (0..self.len)
             .map(|i| {
-                for (stage, gate) in gates.iter_mut().enumerate() {
-                    if let Some(decision) = gate(stage, self.row(stage, i), &mut probs)? {
+                for (stage, &gate) in gates.iter().enumerate() {
+                    let row = self.row(stage, i);
+                    if let Some(decision) = exit_test(gate, stage, row, &mut probs)? {
                         return Ok(early_output(stage, decision, self.exit_ops[stage]));
                     }
                 }
@@ -545,18 +543,18 @@ impl CascadeTrace {
     }
 }
 
-/// The cascade's own exit test: `policy`'s decision on the score row, which
-/// settles the input when it says exit — or, at and past the depth cap
-/// `force_exit_at`, whatever it says.
-fn policy_gate(
-    policy: ConfidencePolicy,
-    force_exit_at: Option<usize>,
-) -> impl FnMut(usize, &[f32], &mut Vec<f32>) -> Result<Option<Decision>> {
-    move |stage, scores, probs| {
-        let decision = policy.decide_row(scores, probs)?;
-        let exits = decision.exit || force_exit_at.is_some_and(|cap| stage >= cap);
-        Ok(exits.then_some(decision))
-    }
+/// The cascade's own exit test at `stage` under the gate `(policy,
+/// max_stage)`: `policy`'s decision on the score row, which settles the
+/// input when it says exit — or, at and past the depth cap, whatever it says.
+fn exit_test(
+    (policy, max_stage): (ConfidencePolicy, Option<usize>),
+    stage: usize,
+    scores: &[f32],
+    probs: &mut Vec<f32>,
+) -> Result<Option<Decision>> {
+    let decision = policy.decide_row(scores, probs)?;
+    let exits = decision.exit || max_stage.is_some_and(|cap| stage >= cap);
+    Ok(exits.then_some(decision))
 }
 
 /// The output of an input settled by head `stage`'s `decision`.
@@ -650,15 +648,15 @@ fn collect(outputs: Vec<Option<SheddableOutcome>>) -> Result<Vec<SheddableOutcom
         .collect()
 }
 
-/// Unwraps a never-shed pass back to plain outputs (the non-sheddable
-/// entry points route through the sheddable core with [`never_shed`], so
-/// a `Shed` arm here is impossible).
+/// Unwraps a pass whose shed hook never sheds back to plain outputs (the
+/// non-sheddable entry points pass `|_, _| false`, so a `Shed` arm here is
+/// impossible).
 fn into_done(outcomes: Vec<SheddableOutcome>) -> Vec<CdlOutput> {
     outcomes
         .into_iter()
         .map(|o| match o {
             SheddableOutcome::Done(out) => out,
-            SheddableOutcome::Shed(_) => unreachable!("never_shed hook cannot shed"),
+            SheddableOutcome::Shed(_) => unreachable!("a never-shedding hook cannot shed"),
         })
         .collect()
 }
@@ -710,9 +708,9 @@ mod tests {
             let batched = eval
                 .classify_chunk(
                     &inputs,
-                    &mut policy_gate(policy, None),
+                    &mut |stage, _, scores, probs| exit_test((policy, None), stage, scores, probs),
                     &mut |_, _| {},
-                    &mut never_shed,
+                    &mut |_, _| false,
                 )
                 .map(into_done)
                 .unwrap();
@@ -837,7 +835,26 @@ mod tests {
         let cdl = build_untrained();
         let inputs = batch(17);
         let mut eval = BatchEvaluator::new(&cdl);
-        for ovr in [
+        for ovr in override_mix() {
+            let batched = eval.classify_batch_with_override(&inputs, ovr).unwrap();
+            for (img, out) in inputs.iter().zip(&batched) {
+                let single = cdl.classify_with_override(img, ovr).unwrap();
+                assert_eq!(*out, single, "override {ovr}");
+            }
+            let streamed = eval
+                .classify_stream_with_override_observed(&inputs, ovr, &mut |_, _| {})
+                .unwrap();
+            assert_eq!(streamed, batched, "override {ovr}");
+        }
+        // invalid δ is rejected before any evaluation
+        assert!(eval
+            .classify_batch_with_override(&inputs, ExitOverride::with_delta(-1.0))
+            .is_err());
+    }
+
+    /// Lax and strict δ, depth caps, and both at once.
+    fn override_mix() -> [ExitOverride; 6] {
+        [
             ExitOverride::NONE,
             ExitOverride::with_delta(0.45),
             ExitOverride::with_delta(0.999),
@@ -853,19 +870,46 @@ mod tests {
                 delta: Some(0.999),
                 max_stage: Some(1),
             },
-        ] {
-            let batched = eval.classify_batch_with_override(&inputs, ovr).unwrap();
-            for (img, out) in inputs.iter().zip(&batched) {
-                let single = cdl.classify_with_override(img, ovr).unwrap();
-                assert_eq!(*out, single, "override {ovr}");
-            }
-            let streamed = eval.classify_stream_with_override(&inputs, ovr).unwrap();
-            assert_eq!(streamed, batched, "override {ovr}");
+        ]
+    }
+
+    #[test]
+    fn every_row_is_gated_by_its_own_override_in_one_pass() {
+        let cdl = build_untrained();
+        // spans two stream chunks, so the per-input lookup crosses a chunk base
+        let inputs = batch(BatchEvaluator::STREAM_CHUNK + 23);
+        let mix = override_mix();
+        let overrides: Vec<ExitOverride> = (0..inputs.len()).map(|i| mix[i % 5 + i % 2]).collect();
+        let mut eval = BatchEvaluator::new(&cdl);
+        let outcomes = eval
+            .classify_stream_sheddable(&inputs, &overrides, &mut |_, _| {}, &mut |_, _| false)
+            .unwrap();
+        let mut exit_stages = std::collections::BTreeSet::new();
+        for (i, outcome) in outcomes.iter().enumerate() {
+            let single = cdl
+                .classify_with_override(&inputs[i], overrides[i])
+                .unwrap();
+            assert_eq!(
+                *outcome,
+                SheddableOutcome::Done(single.clone()),
+                "input {i}"
+            );
+            exit_stages.insert(single.exit_stage);
         }
-        // invalid δ is rejected before any evaluation
-        assert!(eval
-            .classify_batch_with_override(&inputs, ExitOverride::with_delta(-1.0))
-            .is_err());
+        // the mix really does send rows of one block to different exits
+        assert!(exit_stages.len() > 1, "exits {exit_stages:?}");
+        // one override per input, every one of them in range, or nothing runs
+        let mut bad = overrides.clone();
+        bad[BatchEvaluator::STREAM_CHUNK + 3] = ExitOverride::with_delta(-1.0);
+        let mut sheddable = |ovr: &[ExitOverride]| {
+            let mut observer = |_: usize, _: &[usize]| panic!("no stage may run");
+            eval.classify_stream_sheddable(&inputs, ovr, &mut observer, &mut |_, _| false)
+        };
+        assert!(matches!(sheddable(&bad), Err(CdlError::BadPolicy(_))));
+        assert!(matches!(
+            sheddable(&overrides[1..]),
+            Err(CdlError::BadPolicy(_))
+        ));
     }
 
     #[test]
@@ -874,9 +918,7 @@ mod tests {
         // spans two stream chunks so the index-shifting path is exercised
         let inputs = batch(BatchEvaluator::STREAM_CHUNK + 31);
         let mut eval = BatchEvaluator::new(&cdl);
-        let plain = eval
-            .classify_stream_with_override(&inputs, ExitOverride::NONE)
-            .unwrap();
+        let plain = eval.classify_stream(&inputs).unwrap();
         // per input: the set of stages the observer saw it active at
         let mut seen: Vec<Vec<usize>> = vec![Vec::new(); inputs.len()];
         let observed = eval
@@ -911,11 +953,16 @@ mod tests {
         let inputs = batch(BatchEvaluator::STREAM_CHUNK + 9);
         let mut eval = BatchEvaluator::new(&cdl);
         let ovr = ExitOverride::with_delta(0.999); // keep most images deep
-        let plain = eval.classify_stream_with_override(&inputs, ovr).unwrap();
+        let plain = eval
+            .classify_stream_with_override_observed(&inputs, ovr, &mut |_, _| {})
+            .unwrap();
         let sheddable = eval
-            .classify_stream_with_override_sheddable(&inputs, ovr, &mut |_, _| {}, &mut |_, _| {
-                false
-            })
+            .classify_stream_sheddable(
+                &inputs,
+                &vec![ovr; inputs.len()],
+                &mut |_, _| {},
+                &mut |_, _| false,
+            )
             .unwrap();
         assert_eq!(sheddable.len(), plain.len());
         for (got, want) in sheddable.iter().zip(&plain) {
@@ -936,9 +983,9 @@ mod tests {
         // shed inputs 3 and 7 at the first boundary they are offered
         let mut offered: Vec<Vec<usize>> = vec![Vec::new(); inputs.len()];
         let outcomes = eval
-            .classify_stream_with_override_sheddable(
+            .classify_stream_sheddable(
                 &inputs,
-                ovr,
+                &vec![ovr; inputs.len()],
                 &mut |_, _| {},
                 &mut |next_stage, idx| {
                     offered[idx].push(next_stage);

@@ -444,10 +444,10 @@ impl fmt::Display for Priority {
 ///   conditional stage `max_stage` (0-based) terminates there
 ///   unconditionally — a hard per-request cost bound.
 ///
-/// The worker pool groups each batch by effective override before
-/// evaluation, so responses stay **bit-identical** to
-/// [`cdl_core::network::CdlNetwork::classify_with_override`] regardless of
-/// which batch (and which mix of overrides) a request lands in.
+/// A sealed batch is one evaluator pass, each row gated by its own
+/// request's override, so responses stay **bit-identical** to
+/// [`cdl_core::network::CdlNetwork::classify_with_override`] whatever batch
+/// (and whichever neighbours) a request lands in.
 ///
 /// Beyond the accuracy/energy knobs, a submission can carry service-level
 /// metadata for overload control:

@@ -53,9 +53,9 @@
 //! * **Per-request overrides** (`Server::submit_with` +
 //!   [`SubmitOptions`]): each request may replace the model's confidence
 //!   threshold δ and/or cap its cascade depth — the Fig. 10
-//!   accuracy/energy trade-off, selectable per request. Workers group each
-//!   batch by effective override, so results stay bit-identical to
-//!   `classify_with_override` whatever mix of service levels a batch holds.
+//!   accuracy/energy trade-off, selectable per request. A batch is one
+//!   evaluator pass with each row gated by its own override, so results stay
+//!   bit-identical to `classify_with_override` whatever mix it holds.
 //! * **Sharded multi-model serving** ([`Router`]): one front-end routing
 //!   requests by [`ModelId`] to per-model shards (each a full
 //!   gate + queue + worker-pool pipeline) with independent backpressure,
@@ -87,8 +87,8 @@
 //! * **Input validation**: submissions are shape-checked against the
 //!   model's declared input spec at admission ([`ServeError::BadInput`]),
 //!   so one malformed tensor can no longer poison the co-batched requests
-//!   around it; if a batch still fails as a group, workers re-evaluate
-//!   its members individually so only the offending request fails.
+//!   around it (a batch whose evaluator pass fails settles every member
+//!   with [`ServeError::Eval`]).
 //! * **Network edge** ([`net`]): a length-prefixed binary TCP protocol
 //!   ([`TcpServer`] / [`TcpClient`]) in front of the router — pipelined
 //!   request ids per connection, typed error replies, and bit-exact f32

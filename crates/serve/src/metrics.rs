@@ -142,8 +142,7 @@ pub struct ServerMetrics {
     /// Partial batches flushed by shutdown.
     pub batches_flushed: u64,
     /// `batch_size_histogram[s]` = evaluated batches of size `s` (after
-    /// cancellation pruning and override grouping — see
-    /// `ServerMetrics::batches`).
+    /// cancellation and expiry pruning — see `ServerMetrics::batches`).
     pub batch_size_histogram: Vec<u64>,
     /// The **active span** [`ServerMetrics::throughput_rps`] is a rate
     /// over: the instants of the first and the latest completion (`None`
@@ -282,10 +281,10 @@ fn add_for_tenant(by_tenant: &mut Vec<(u32, u64)>, tenant: u32, n: u64) {
 
 impl ServerMetrics {
     /// Batches evaluated (batches whose live requests were all cancelled
-    /// are not counted — nothing was evaluated). A sealed batch whose
-    /// requests carry `k` distinct [`crate::SubmitOptions`] overrides is
-    /// evaluated as `k` policy-uniform sub-batches and counted `k` times
-    /// here (the three `batches_*` seal counters still count it once).
+    /// are not counted — nothing was evaluated). A sealed batch is one
+    /// evaluator pass whatever mix of [`crate::SubmitOptions`] overrides its
+    /// requests carry, so it is counted here at most once, as the three
+    /// `batches_*` seal counters count it.
     pub(crate) fn batches(&self) -> u64 {
         self.batch_size_histogram.iter().sum()
     }

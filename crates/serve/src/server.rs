@@ -256,7 +256,7 @@ struct Queued {
 }
 
 /// A request's serving-side state — all of it but the input tensor and
-/// override, which the worker moves into its group's batch.
+/// override, which the worker moves into the evaluator's input lists.
 #[derive(Debug)]
 struct LiveRequest {
     fulfiller: Fulfiller,
@@ -649,9 +649,8 @@ impl Server {
     }
 
     /// Rejects a wrong-shaped input before it can reach a batch: one bad
-    /// tensor co-batched with innocent neighbours would otherwise fail the
-    /// whole group evaluation (see the per-request fallback in
-    /// `process_batch` for the defence-in-depth second layer).
+    /// tensor co-batched with innocent neighbours would fail the whole
+    /// batch's evaluator pass, and every member with it.
     fn validate_input(&self, input: &Tensor) -> ServeResult<()> {
         let expected = &self.net.base().spec().input_shape;
         if input.dims() != expected.as_slice() {
@@ -742,18 +741,15 @@ fn run_worker(
     }
 }
 
+/// Settles the cancelled and the already-expired members of a sealed batch
+/// and evaluates the rest together.
 fn process_batch(
     eval: &mut BatchEvaluator<'_>,
     batch: Vec<Queued>,
     recorder: &Recorder,
     telemetry: &Telemetry,
 ) {
-    // partition the sealed batch into groups of identical effective
-    // override: each group is evaluated as one (sub-)batch, so the policy
-    // applied to every image is exactly its request's policy while scratch
-    // reuse and bit-exactness are preserved — a request's result does not
-    // depend on which overrides its batch neighbours carried
-    let mut groups: Vec<(ExitOverride, Vec<Queued>)> = Vec::new();
+    let mut members = Vec::with_capacity(batch.len());
     let mut cancelled = 0u64;
     let now = Instant::now();
     for request in batch {
@@ -769,31 +765,28 @@ fn process_batch(
             live.fulfiller.settle(Err(ServeError::Expired));
         } else {
             mark(telemetry, request.live.trace, EventKind::BatchSeal);
-            match groups.iter_mut().find(|(ovr, _)| *ovr == request.overrides) {
-                Some((_, members)) => members.push(request),
-                None => groups.push((request.overrides, vec![request])),
-            }
+            members.push(request);
         }
     }
     recorder.cancelled(cancelled);
-    for (overrides, members) in groups {
-        evaluate_group(eval, overrides, members, recorder, telemetry);
-    }
+    evaluate(eval, members, recorder, telemetry);
 }
 
-/// Evaluates one override-uniform group of a dispatched batch, settling
-/// every member: completions with their bit-exact output, mid-batch
-/// deadline victims with [`ServeError::Expired`], evaluator failures with
-/// [`ServeError::Eval`].
-fn evaluate_group(
+/// Evaluates the live members of a dispatched batch in one evaluator pass,
+/// each row gated by its own request's override, and settles every member:
+/// completions with their bit-exact output, mid-batch deadline victims with
+/// [`ServeError::Expired`], and all of them with [`ServeError::Eval`] if
+/// the pass fails.
+fn evaluate(
     eval: &mut BatchEvaluator<'_>,
-    overrides: ExitOverride,
     members: Vec<Queued>,
     recorder: &Recorder,
     telemetry: &Telemetry,
 ) {
-    let (inputs, live): (Vec<Tensor>, Vec<LiveRequest>) =
-        members.into_iter().map(|r| (r.input, r.live)).unzip();
+    let (inputs, (overrides, live)): (Vec<_>, (Vec<_>, Vec<LiveRequest>)) = members
+        .into_iter()
+        .map(|r| (r.input, (r.overrides, r.live)))
+        .unzip();
     for l in &live {
         mark(telemetry, l.trace, EventKind::Dispatch);
     }
@@ -807,16 +800,15 @@ fn evaluate_group(
     // evicted at the next cascade stage boundary instead of riding the
     // whole cascade to a result nobody will read — survivors stay
     // bit-identical (shedding only removes rows from the batched GEMMs).
-    let deadlines: Vec<Option<Instant>> = live.iter().map(|l| l.expires_at).collect();
-    let result = eval.classify_stream_with_override_sheddable(
+    let result = eval.classify_stream_sheddable(
         &inputs,
-        overrides,
+        &overrides,
         &mut |stage, active| {
             for &k in active {
                 mark(telemetry, live[k].trace, EventKind::Stage(stage as u32));
             }
         },
-        &mut |_next_stage, k| deadlines[k].is_some_and(|d| Instant::now() >= d),
+        &mut |_next_stage, k| live[k].expires_at.is_some_and(|d| Instant::now() >= d),
     );
     match result {
         Ok(outcomes) => {
@@ -854,35 +846,13 @@ fn evaluate_group(
                 drop(l.ticket);
             }
         }
-        Err(group_err) if live.len() == 1 => {
-            recorder.batch_failed(1);
-            let l = live.into_iter().next().expect("one live entry");
-            l.fulfiller.settle(Err(ServeError::Eval(group_err)));
-            drop(l.ticket);
-        }
-        Err(_) => {
-            // co-batch poisoning defence: one bad input must not fail
-            // its innocent neighbours. Re-evaluate each request alone so
-            // only the offending one settles with the evaluator error —
-            // results of the survivors stay bit-identical (singleton
-            // evaluation is the equivalence baseline).
-            for (l, input) in live.into_iter().zip(&inputs) {
-                match eval.classify_stream_with_override(std::slice::from_ref(input), overrides) {
-                    Ok(mut outputs) => {
-                        let out = outputs.pop().expect("one output per input");
-                        mark(telemetry, l.trace, EventKind::Exit(out.exit_stage as u32));
-                        recorder.batch_completed(
-                            [(Instant::now() - l.submitted_at, out.clone())].into_iter(),
-                        );
-                        l.fulfiller.settle(Ok(out));
-                        mark(telemetry, l.trace, EventKind::Reply);
-                    }
-                    Err(e) => {
-                        recorder.batch_failed(1);
-                        l.fulfiller.settle(Err(ServeError::Eval(e)));
-                    }
-                }
-                drop(l.ticket);
+        Err(e) => {
+            // every error the pass can raise is a wrong input shape or an
+            // out-of-range δ, which admission already refuses one request
+            // at a time: a member run alone would only fail the same way
+            recorder.batch_failed(live.len() as u64);
+            for l in live {
+                l.fulfiller.settle(Err(ServeError::Eval(e.clone())));
             }
         }
     }
@@ -1636,7 +1606,7 @@ mod tests {
     fn mid_batch_expiry_sheds_at_a_stage_boundary_with_partial_accounting() {
         // regression (pre-fix this fails): a request inside a *sealed*
         // batch whose deadline passes mid-flight used to ride the whole
-        // cascade to a result nobody reads. Drive evaluate_group directly
+        // cascade to a result nobody reads. Drive `evaluate` directly
         // with an already-expired member — bypassing the dispatch-time
         // check exactly as a deadline that lapses between dispatch and the
         // first stage boundary would — and require it to settle Expired
@@ -1646,18 +1616,18 @@ mod tests {
         let recorder = Recorder::new();
         let mut eval = BatchEvaluator::new(&net);
         let img = images(2);
-        let (p_doomed, r_doomed) = raw_request(
+        let (p_doomed, mut r_doomed) = raw_request(
             &gate,
             img[0].clone(),
             Some(Instant::now() - Duration::from_millis(1)),
         );
-        let (p_live, r_live) = raw_request(&gate, img[1].clone(), None);
+        let (p_live, mut r_live) = raw_request(&gate, img[1].clone(), None);
         // δ → 1.0 keeps untrained images active through every stage, so
         // boundaries after stage 0 actually see the doomed request
         let overrides = ExitOverride::with_delta(0.999);
-        evaluate_group(
+        (r_doomed.overrides, r_live.overrides) = (overrides, overrides);
+        evaluate(
             &mut eval,
-            overrides,
             vec![r_doomed, r_live],
             &recorder,
             &Telemetry::disabled(),
@@ -1813,11 +1783,10 @@ mod tests {
     }
 
     #[test]
-    fn group_eval_error_fails_only_the_offending_request() {
-        // defence in depth behind admission validation: force a poisoned
-        // group (one wrong-shaped input bypassing admission) through
-        // process_batch — the per-request fallback must fail only the bad
-        // request and deliver bit-identical results to its neighbours
+    fn a_failed_pass_fails_every_member_and_frees_every_slot() {
+        // admission refuses a wrong-shaped input, so only a request that
+        // bypasses it reaches this arm: the batch's one evaluator pass
+        // fails, and every member settles with that error, booked failed
         let net = build_untrained();
         let gate = Arc::new(Gate::new(8, None, Arc::default()));
         let recorder = Recorder::new();
@@ -1825,20 +1794,22 @@ mod tests {
         let good = images(2);
         let (p_good1, r_good1) = raw_request(&gate, good[0].clone(), None);
         let (p_bad, r_bad) = raw_request(&gate, Tensor::full(&[2, 2], 0.5), None);
-        let (p_good2, r_good2) = raw_request(&gate, good[1].clone(), None);
+        let (p_good2, mut r_good2) = raw_request(&gate, good[1].clone(), None);
+        r_good2.overrides = ExitOverride::with_delta(0.999);
+        assert_eq!(gate.depth(), 3);
         process_batch(
             &mut eval,
             vec![r_good1, r_bad, r_good2],
             &recorder,
             &Telemetry::disabled(),
         );
-        assert_eq!(p_good1.wait().unwrap(), net.classify(&good[0]).unwrap());
-        assert_eq!(p_good2.wait().unwrap(), net.classify(&good[1]).unwrap());
-        assert!(matches!(p_bad.wait().unwrap_err(), ServeError::Eval(_)));
+        for pending in [p_good1, p_bad, p_good2] {
+            assert!(matches!(pending.wait().unwrap_err(), ServeError::Eval(_)));
+        }
         let snap = recorder.snapshot(gate.depth());
-        assert_eq!(snap.completed, 2);
-        assert_eq!(snap.failed, 1);
-        assert_eq!(snap.queue_depth, 0);
+        assert_eq!((snap.failed, snap.completed), (3, 0));
+        assert_eq!(snap.batches(), 0, "a failed pass is no evaluated batch");
+        assert_eq!(snap.queue_depth, 0, "every ticket was released");
     }
 
     #[test]

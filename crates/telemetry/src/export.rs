@@ -297,8 +297,8 @@ pub struct PhaseBreakdown {
     /// Admission → batch seal (waiting on the queue for a batch to form).
     pub queue_wait: Duration,
     /// Batch seal → worker dispatch: both marks are made by the one worker
-    /// that seals and evaluates the batch, so this is ≈ 0 unless the batch
-    /// mixes overrides — a later override group waits out the earlier ones.
+    /// that seals and evaluates the batch, just before its one evaluator
+    /// pass, so this is ≈ 0.
     pub batch_wait: Duration,
     /// Dispatch → cascade exit (actual evaluation).
     pub eval: Duration,

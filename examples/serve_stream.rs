@@ -251,9 +251,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 7. Lifecycle tracing: the same workload once more with spans on
     //    (every request traced), then the mean per-stage breakdown of the
     //    request lifecycle — where a request's wall time actually goes:
-    //    waiting for a batch vs seal → dispatch (one worker does both, so
-    //    this is only a mixed batch's later override groups waiting for
-    //    the earlier ones) vs cascade evaluation vs reply.
+    //    waiting for a batch vs seal → dispatch (one worker does both in
+    //    one pass over the batch, so this is ≈ 0) vs cascade evaluation
+    //    vs reply.
     println!("\n=== request-lifecycle tracing (spans on, sample rate 1.0) ===");
     let traced_config = ServerConfig {
         telemetry: TelemetryConfig::enabled(),

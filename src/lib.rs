@@ -163,8 +163,8 @@
 //! the others. Each request may also carry [`serve::SubmitOptions`]: a
 //! replacement confidence threshold δ and/or a hard cascade-depth cap,
 //! which is the paper's Fig. 10 accuracy/energy trade-off selectable *per
-//! request* within one stream. Workers group every batch by effective
-//! override, so each response stays bit-identical to
+//! request* within one stream. A batch is one evaluator pass with each row
+//! gated by its own override, so each response stays bit-identical to
 //! [`core::network::CdlNetwork::classify_with_override`] on the routed
 //! model (enforced by `tests/router_equivalence.rs` and the routing
 //! proptest in `tests/proptests.rs`); [`serve::RouterMetrics`] reports the

@@ -437,9 +437,9 @@ fn shedding_across_a_block_edge_leaves_survivors_bit_identical() {
                 for forced in [false, true] {
                     cdl::tensor::gemm::force_simd_fallback(forced);
                     let got = BatchEvaluator::with_kernel(&net, kernel)
-                        .classify_stream_with_override_sheddable(
+                        .classify_stream_sheddable(
                             batch,
-                            ovr,
+                            &[ovr; 17],
                             &mut |_, _| {},
                             &mut |next_stage, idx| next_stage == boundary && (6..=9).contains(&idx),
                         )

@@ -231,6 +231,47 @@ fn single_request_batches_are_bit_identical_across_shards() {
 }
 
 #[test]
+fn a_batch_of_mixed_overrides_is_one_evaluated_batch() {
+    // one worker holding out for four: the four requests are sealed as one
+    // batch, and its four service levels share one evaluator pass
+    let (_, m3c, test_set) = trained_pair();
+    let config = ServerConfig {
+        policy: BatchPolicy::by_size(4),
+        workers: 1,
+        ..ServerConfig::default()
+    };
+    let router = Router::start(vec![ShardSpec::new("MNIST_3C", Arc::clone(m3c), config)])
+        .expect("router start");
+    let model = router.model_id("MNIST_3C").unwrap();
+    let options = [
+        SubmitOptions::default(),
+        SubmitOptions::with_delta(0.35),
+        SubmitOptions::with_delta(0.9),
+        SubmitOptions::with_max_stage(0),
+    ];
+    let pendings: Vec<Pending> = options
+        .iter()
+        .zip(&test_set.images)
+        .map(|(&opts, image)| router.submit_with(model, image.clone(), opts).unwrap())
+        .collect();
+    for ((opts, image), pending) in options.iter().zip(&test_set.images).zip(pendings) {
+        let expected = m3c
+            .classify_with_override(image, opts.exit_override())
+            .expect("per-image pass");
+        assert_eq!(pending.wait().expect("response"), expected, "{opts:?}");
+    }
+    let total = router.shutdown().shards[0].total();
+    assert_eq!(total.completed, 4);
+    let batches: u64 = total.batch_size_histogram.iter().sum();
+    assert_eq!(
+        (batches, total.batch_size_histogram.get(4).copied()),
+        (1, Some(1)),
+        "one batch of four, not one per override: {:?}",
+        total.batch_size_histogram
+    );
+}
+
+#[test]
 fn unknown_model_rejected_without_side_effects() {
     let (m2c, _, test_set) = trained_pair();
     let router = Router::start(vec![ShardSpec::new(

@@ -4,12 +4,11 @@
 //! Two bugs this suite pins down:
 //!
 //! 1. **Co-batch poisoning** — a single wrong-shaped tensor used to ride
-//!    into a batch and fail *the whole override group* when the evaluator
-//!    rejected it: innocent co-batched requests were settled with `Eval`
-//!    errors. Inputs are now shape-checked at admission (typed
+//!    into a batch and fail *the whole batch* when the evaluator rejected
+//!    it: innocent co-batched requests were settled with `Eval` errors.
+//!    Inputs are now shape-checked at admission (typed
 //!    [`ServeError::BadInput`] in-process, a `Malformed`-class reply on
-//!    the wire), and if a batch still fails as a group, workers fall back
-//!    to per-request evaluation so only the offending request fails.
+//!    the wire), so no wrong-shaped tensor reaches a batch.
 //! 2. **Reader wedge** — the TCP reader used to call the *blocking*
 //!    router submit, which parks in the admission gate with no stop
 //!    check: a connection pipelining past a full gate could never be shut

@@ -7,9 +7,9 @@
 //!
 //! Five allocations per request are left: the decoded input (the dims list,
 //! the tensor's shape and its data), the `Pending` / `Fulfiller` slot and
-//! the boxed completion waker. The rest is per batch — the sealed batch, its override
-//! groups, the evaluator's outcome lists — about 0.4 per request at full
-//! batches of 32. Decoding into the batch's input arena is what would take
+//! the boxed completion waker. The rest is per batch — the sealed batch, its
+//! live members, their input and override lists, the evaluator's outcome
+//! lists — about 0.3 per request at full batches of 32. Decoding into the batch's input arena is what would take
 //! the first three. (The reply frame and the model name are written and
 //! read in place, and completions reach the poller through one reused list.)
 //!
@@ -76,8 +76,9 @@ const BATCH: usize = 32;
 /// stage, confidence, six op counts, stages activated, exited-early flag.
 const REPLY: usize = 4 + 8 + 1 + 4 + 4 + 4 + 6 * 8 + 8 + 1;
 
-/// Allocations per request the wire path may make (measured: 5.43, steady
-/// from run to run; 6.44 while every gate release snapshotted the vacancy
+/// Allocations per request the wire path may make (measured: 5.28, steady
+/// from run to run; 5.43 while a worker split each batch into one list per
+/// distinct override, 6.44 while every gate release snapshotted the vacancy
 /// listeners into a `Vec`, 8.47 when each reply also had a body `Vec` of its
 /// own and each decode a `String` for the model name).
 const CEILING: f64 = 6.0;
