@@ -575,11 +575,11 @@ impl BatchPolicy {
     /// Hold-until-full policy: only full batches dispatch (the rest at shutdown).
     ///
     /// **Liveness caveat**: a batch larger than the number of requests that
-    /// can be in flight never fills. With blocking ([`crate::Admission::Block`])
-    /// producers, keep [`crate::ServerConfig::queue_capacity`] `>=
-    /// max_batch_size`, or the producers and the workers wait on each other
-    /// until [`crate::Server::shutdown`] flushes the batch (`Try` callers just
-    /// see [`crate::ServeError::Full`] meanwhile — that stalled-open shape is
+    /// can be in flight never fills. With blocking (`submit`) producers,
+    /// keep [`crate::ServerConfig::queue_capacity`] `>= max_batch_size`, or
+    /// the producers and the workers wait on each other until
+    /// [`crate::Server::shutdown`] flushes the batch (`try_submit_with`
+    /// callers just see [`crate::ServeError::Full`] meanwhile — that stalled-open shape is
     /// exactly what the backpressure tests use deterministically).
     pub fn by_size(max_batch_size: usize) -> Self {
         BatchPolicy {
@@ -615,9 +615,8 @@ pub struct ServerConfig {
     pub policy: BatchPolicy,
     /// Maximum number of **in-flight** requests: admitted (by
     /// `crate::Server::admit`) but not yet completed, cancelled or
-    /// failed. Submitting beyond this bound waits
-    /// ([`crate::Admission::Block`]) or returns [`ServeError::Full`]
-    /// (`Try`) — the server's backpressure.
+    /// failed. Submitting beyond this bound waits (`submit`) or returns
+    /// [`ServeError::Full`] (`try_submit_with`) — the server's backpressure.
     pub queue_capacity: usize,
     /// Worker threads; each owns one persistent
     /// [`cdl_core::batch::BatchEvaluator`] whose arenas and kernel scratch are

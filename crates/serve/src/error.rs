@@ -13,9 +13,9 @@ pub type ServeResult<T> = std::result::Result<T, ServeError>;
 /// Error produced by request submission or completion.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServeError {
-    /// The bounded submission queue is at capacity
-    /// ([`crate::Admission::Try`] only — `Block` waits instead). The
-    /// request was **not** admitted.
+    /// The bounded submission queue is at capacity (a non-blocking admission
+    /// such as [`crate::Router::try_submit_with`] — a blocking submit waits
+    /// instead). The request was **not** admitted.
     Full,
     /// The server no longer accepts requests (shutdown has begun).
     ShuttingDown,
@@ -96,13 +96,13 @@ impl From<CdlError> for ServeError {
 /// caller that retries (the TCP edge parking on [`ServeError::Full`])
 /// resubmits the same allocation instead of cloning per attempt.
 #[derive(Debug)]
-pub struct Refused {
+pub(crate) struct Refused {
     /// Why the request was not admitted.
-    pub error: ServeError,
+    pub(crate) error: ServeError,
     /// The request's input. A [`crate::Server`] always hands it back;
     /// `None` only from a [`crate::Router`] retry/hedge race that still
     /// shares the request with an attempt or a hedge timer.
-    pub input: Option<Tensor>,
+    pub(crate) input: Option<Tensor>,
 }
 
 impl Refused {

@@ -13,8 +13,8 @@
 //! ```text
 //!  clients                     cdl-serve                        evaluators
 //!  ───────                     ─────────                        ──────────
-//!  admit(Request, Block|Try) ─▶ [bounded in-flight gate]
-//!        │                        │  no room: Block waits / Try → Refused
+//!  submit / try_submit_with ──▶ [bounded in-flight gate]
+//!        │                        │  no room: submit waits / try_ → Full
 //!        ▼                        ▼
 //!   Pending handle ◀──┐      the one queue ── a worker that asks seals
 //!   (one-shot,        │       ╱        ╲        what is queued, ≤ max_batch_size
@@ -24,16 +24,14 @@
 //!                          across every batch it processes)
 //! ```
 //!
-//! * **Admission** is one call, `Server::admit`: a [`Request`] (input,
-//!   [`SubmitOptions`], optionally a trace id to continue) plus an
-//!   [`Admission`]. At most [`ServerConfig::queue_capacity`] requests are
-//!   *in flight*; beyond that `Block` waits and `Try` returns a
-//!   [`Refused`] — the typed [`ServeError`] **and the tensor handed
-//!   back**, so a retrying caller never clones ([`Server::submit`] and
-//!   [`Router::submit`] / [`Router::submit_with`] /
-//!   [`Router::try_submit_with`] are one-line sugar). `Router::admit` is the same
-//!   call behind placement and, under a [`RetryPolicy`], the retry/hedge
-//!   race; the TCP edge calls exactly that with `Try`.
+//! * **Admission**: at most [`ServerConfig::queue_capacity`] requests are
+//!   *in flight*. Beyond that [`Server::submit`], [`Router::submit`] and
+//!   [`Router::submit_with`] wait, and [`Router::try_submit_with`] returns
+//!   [`ServeError::Full`]. Each is one line over the crate's one admission
+//!   call, `Server::admit` (behind placement and, under a [`RetryPolicy`],
+//!   the retry/hedge race in `Router::admit`). The TCP edge calls it too: a
+//!   refusal hands its tensor back, and a `Full` one leaves the edge's
+//!   waker on the gate that refused, which calls it at its next release.
 //! * **Batch formation** ([`BatchPolicy`]) has no thread of its own: a
 //!   worker that asks takes what is queued, up to `max_batch_size`, so
 //!   batches grow only while every worker is busy and a request changes
@@ -195,10 +193,9 @@
 //!    network — a response is always consistent with the network that was
 //!    current at placement), its final counters fold into later
 //!    snapshots, and traffic keeps flowing to the rest of the set
-//!    throughout. Gate-vacancy listeners (`Router::on_gate_vacancy`:
-//!    how the TCP edge resumes parked admissions) live in one registry
-//!    that every gate of every generation is built on, so none is lost
-//!    however a registration and a swap interleave.
+//!    throughout. A TCP request parked on a retiring pipeline's full gate
+//!    is woken by that pipeline's drain, like any release, and its retry
+//!    is placed on the replacement.
 //!
 //! ```
 //! use cdl_serve::{
@@ -261,10 +258,10 @@ pub use config::{
     BatchPolicy, EdgeConfig, HealthPolicy, PlacementPolicy, Priority, ReplicaHealth, ReplicaSpec,
     RetryPolicy, ServerConfig, SubmitOptions,
 };
-pub use error::{Refused, ServeError, ServeResult};
+pub use error::{ServeError, ServeResult};
 pub use fault::{FaultKind, FaultPlan, FaultPlanBuilder};
 pub use metrics::{LatencyStats, ReplicaMetrics, RouterMetrics, ServerMetrics, ShardMetrics};
 pub use net::{ErrorCode, ErrorReply, TcpClient, TcpServer};
 pub use pending::Pending;
 pub use router::{ModelId, Router, ShardSpec};
-pub use server::{Admission, Request, Server};
+pub use server::Server;

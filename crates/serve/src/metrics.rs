@@ -93,7 +93,7 @@ pub struct ServerMetrics {
     pub elapsed: Duration,
     /// Requests admitted into the queue.
     pub submitted: u64,
-    /// [`crate::Admission::Try`] admissions bounced with
+    /// Non-blocking admissions bounced with
     /// [`crate::ServeError::Full`].
     pub rejected: u64,
     /// Requests evaluated and delivered.

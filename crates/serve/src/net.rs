@@ -58,17 +58,17 @@
 //! tenant is at its in-flight cap). A request with no deadline is never
 //! shed once admitted: a full gate **parks** the decoded request on its
 //! connection (the tensor moves into the parked slot — handed back by
-//! `Router::admit`'s [`Refused`], never cloned) and the owning poller
-//! stops parsing that connection's stream until admission succeeds.
-//! Parked admissions resume **event-driven**: the gate fires the router's
-//! vacancy listeners when a slot frees, and each poller registers one
-//! that wakes its eventfd whenever it has something parked — the retry
-//! rides a wakeup, not a poll interval (a long 400 ms fallback poll
-//! remains as a lost-wakeup safety net). Backpressure is per connection
-//! and propagates to the peer as ordinary TCP flow control while every
-//! other connection keeps flowing; a saturated gate can never wedge the
-//! edge against shutdown because the poller keeps servicing its event
-//! loop between retries.
+//! `Router::admit`'s refusal, never cloned) and the owning poller stops
+//! parsing that connection's stream until admission succeeds. The poller
+//! admits with `Admission::Park`: the gate that refuses with `Full` keeps
+//! the poller's waker, in the same critical section, and its next release
+//! wakes the poller's eventfd. The wait has no timeout, and it needs none:
+//! `Full` means the gate holds a slot, every slot is released, and that
+//! release finds the waker. Backpressure is per connection and propagates
+//! to the peer as ordinary TCP flow control while every other connection
+//! keeps flowing; a saturated gate can never wedge the edge against
+//! shutdown because the poller keeps servicing its event loop between
+//! retries.
 //!
 //! Response body:
 //!
@@ -165,18 +165,6 @@ const MAX_OWED: usize = 256 << 10;
 /// The frame of an OK reply: length prefix, id, status, label, exit stage,
 /// confidence, six op counts, stages activated, exited-early flag.
 const OK_REPLY: usize = 4 + 8 + 1 + 4 + 4 + 4 + 6 * 8 + 8 + 1;
-
-/// Poll timeout while a poller has a parked (gate-full) request. The normal
-/// resume path is event-driven — a freed gate slot fires the router's vacancy
-/// listeners, and each poller's listener wakes its eventfd if the poller's
-/// `parked` flag is up — so this is a safety net, not a retry cadence. The
-/// wakeup it stands in for can really be lost: the flag goes up at the top of
-/// the poller's *next* pass, so when an admission is refused and parks, and the
-/// last in-flight slot frees before `parked = true` is published, the listener
-/// stays silent and no later release exists to wake this poller (reachable at
-/// `queue_capacity` 1 with the releasing request on another poller or
-/// in-process). Only this timeout ends that wait.
-const PARKED_FALLBACK: Duration = Duration::from_millis(400);
 
 const FLAG_DELTA: u8 = 1 << 0;
 const FLAG_MAX_STAGE: u8 = 1 << 1;
@@ -771,7 +759,7 @@ fn complete(conn: &mut Conn, seq: u64) {
 /// and parked in `inflight`; a typed refusal (Shed, Quota, BadInput, …) is
 /// an answer, not congestion, and becomes an error reply;
 /// [`ServeError::Full`] hands the request back (tensor returned by move,
-/// never cloned) for parking.
+/// never cloned) for parking, with the poller's waker left on the gate.
 fn admit(
     conn: &mut Conn,
     key: usize,
@@ -785,7 +773,7 @@ fn admit(
         request,
     } = parked;
     let (options, trace) = (request.options, request.trace);
-    match router.admit(model, request, Admission::Try) {
+    match router.admit(model, request, Admission::Park(&completions.on_vacancy)) {
         Ok(pending) => {
             let seq = conn.next_seq;
             conn.next_seq += 1;
@@ -945,14 +933,19 @@ struct Completions {
     /// An eventfd write is outstanding for notices not yet drained.
     signalled: AtomicBool,
     waker: Arc<Waker>,
+    /// Wakes the poller too: what `Admission::Park` leaves on a full gate.
+    /// The gate holds it weakly, so no gate keeps it, or its eventfd, alive.
+    on_vacancy: Arc<dyn Fn() + Send + Sync>,
 }
 
 impl Completions {
     fn new(waker: Arc<Waker>) -> Completions {
+        let wake = Arc::clone(&waker);
         Completions {
             list: Mutex::new(Vec::new()),
             signalled: AtomicBool::new(false),
             waker,
+            on_vacancy: Arc::new(move || drop(wake.wake())),
         }
     }
 
@@ -992,15 +985,10 @@ struct Poller {
     poll: Poll,
     router: Arc<Router>,
     stop: Arc<AtomicBool>,
-    /// True while any of this poller's connections has a parked (gate-
-    /// full) admission — read by the router's gate-vacancy listener to
-    /// decide whether a freed slot should wake this poller's eventfd.
-    parked: Arc<AtomicBool>,
-    /// That listener, held weakly by the router: it goes with this poller.
-    _on_vacancy: Arc<dyn Fn() + Send + Sync>,
     /// New sockets handed over by the accept thread.
     reg_rx: Receiver<TcpStream>,
-    /// Where request wakers post completions; it holds this poller's waker.
+    /// Where request wakers post completions; it holds this poller's waker,
+    /// and the one the gates call.
     completions: Arc<Completions>,
     // the event loop's state, kept across passes
     conns: HashMap<usize, Conn>,
@@ -1020,28 +1008,11 @@ impl Poller {
     ) -> io::Result<(Poller, Sender<TcpStream>, Arc<Waker>)> {
         let poll = Poll::new()?;
         let waker = Arc::new(Waker::new(&poll, WAKER_TOKEN)?);
-        let parked = Arc::new(AtomicBool::new(false));
         let (reg_tx, reg_rx) = mpsc::channel();
-        // event-driven resume for parked admissions: when any replica's
-        // gate frees capacity, wake this poller — but only if it actually
-        // has something parked, so an idle edge costs the gate one relaxed
-        // load per release, not an eventfd write
-        let on_vacancy: Arc<dyn Fn() + Send + Sync> = {
-            let waker = Arc::clone(&waker);
-            let parked = Arc::clone(&parked);
-            Arc::new(move || {
-                if parked.load(Ordering::Relaxed) {
-                    let _ = waker.wake();
-                }
-            })
-        };
-        router.on_gate_vacancy(&on_vacancy);
         let poller = Poller {
             poll,
             router: Arc::clone(router),
             stop: Arc::clone(stop),
-            parked,
-            _on_vacancy: on_vacancy,
             reg_rx,
             completions: Arc::new(Completions::new(Arc::clone(&waker))),
             conns: HashMap::new(),
@@ -1065,17 +1036,11 @@ impl Poller {
         }
     }
 
-    /// One turn of the event loop: wait for readiness, a wake or the parked
-    /// fallback, then service every connection with news. `false` when the
-    /// loop should end (shutdown, or a fatal selector failure).
+    /// One turn of the event loop: wait for readiness or a wake, then
+    /// service every connection with news. `false` when the loop should end
+    /// (shutdown, or a fatal selector failure).
     fn pass(&mut self) -> bool {
-        // with a parked request, publish the fact so a gate-vacancy
-        // wakeup reaches this poller, and bound the wait as a safety
-        // net against a wakeup lost in the park/publish window
-        let any_parked = self.conns.values().any(|c| c.parked.is_some());
-        self.parked.store(any_parked, Ordering::Relaxed);
-        let timeout = any_parked.then_some(PARKED_FALLBACK);
-        if self.poll.wait(&mut self.events, timeout).is_err() {
+        if self.poll.wait(&mut self.events, None).is_err() {
             return false; // fatal selector failure: drop every connection
         }
         if self.stop.load(Ordering::Relaxed) {
@@ -1125,9 +1090,8 @@ impl Poller {
                 self.touched.push(key);
             }
         }
-        // parked admissions retry on every pass; a gate-vacancy
-        // wakeup (or the PARKED_FALLBACK timeout) guarantees a pass
-        // happens as soon as capacity frees
+        // parked admissions retry on every pass; the release of the gate
+        // that refused one wakes this poller, so a pass follows it
         for (key, conn) in &self.conns {
             if conn.parked.is_some() {
                 self.touched.push(*key);
@@ -1882,6 +1846,63 @@ mod tests {
             answered[id as usize] = true;
         }
         writer.join().unwrap().unwrap();
+    }
+
+    /// Regression: a poller announced that it had a request parked only at
+    /// the top of its next pass, so a slot freed in between woke nobody and
+    /// the parked request waited out a 400 ms fallback poll. Drives one real
+    /// poller, pass by pass, over a loopback connection.
+    #[test]
+    fn a_request_parked_on_a_full_gate_is_admitted_by_the_pass_its_release_wakes() {
+        use crate::fault::{FaultKind, FaultPlan};
+        use std::time::Instant;
+        let net = crate::router::tests::build_untrained(cdl_core::arch::mnist_2c(), 5);
+        // one slot, held by an in-process request whose batch stalls
+        let stall = FaultKind::Stall(Duration::from_millis(300));
+        let config = crate::config::ServerConfig {
+            queue_capacity: 1,
+            workers: 1,
+            fault: FaultPlan::builder().at(0, stall).build(),
+            ..crate::config::ServerConfig::default()
+        };
+        let shard = crate::router::ShardSpec::new("m", net, config);
+        let router = Arc::new(Router::start(vec![shard]).unwrap());
+        let image = Tensor::full(&[1, 28, 28], 0.5);
+        let holder = router.submit(router.model_id("m").unwrap(), image.clone());
+        let stop = Arc::new(AtomicBool::new(false));
+        let (mut poller, reg_tx, waker) = Poller::new(&router, &stop).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        reg_tx.send(listener.accept().unwrap().0).unwrap();
+        waker.wake().unwrap();
+        let key = WAKER_TOKEN.0 + 1;
+        // the first pass registers the socket, the second takes the edges its
+        // registration raised: after them nothing is pending
+        assert!(poller.pass() && poller.pass());
+        let mut frame = Vec::new();
+        encode_request(&mut frame, 7, "m", SubmitOptions::default(), None, &image).unwrap();
+        peer.write_all(&frame).unwrap();
+        assert!(poller.pass());
+        assert!(
+            poller.conns[&key].parked.is_some(),
+            "the full gate parks it"
+        );
+        holder.unwrap().wait().unwrap();
+        while router.metrics().total().queue_depth > 0 {
+            std::thread::yield_now();
+        }
+        let started = Instant::now();
+        assert!(poller.pass());
+        let took = started.elapsed();
+        let conn = &poller.conns[&key];
+        assert!(
+            conn.parked.is_none() && conn.inflight.len() == 1,
+            "not admitted"
+        );
+        assert!(
+            took < Duration::from_millis(100),
+            "the waking pass took {took:?}"
+        );
     }
 
     /// Regression: `flush` dropped the sent prefix only once the whole

@@ -69,7 +69,7 @@ use crate::error::{Refused, ServeError, ServeResult};
 use crate::fault::FaultPlan;
 use crate::metrics::{ReplicaMetrics, RouterMetrics, ServerMetrics, ShardMetrics};
 use crate::pending::Pending;
-use crate::server::{Admission, Request, Server, VacancyListeners};
+use crate::server::{Admission, Request, Server};
 
 /// Identifies one model (replica set) registered with a [`Router`].
 ///
@@ -409,9 +409,6 @@ impl Shard {
 pub struct Router {
     shards: Vec<Arc<Shard>>,
     hedge: Option<HedgeTimer>,
-    /// The one gate-vacancy registry, shared with the gate of every
-    /// pipeline this router ever builds — see [`Router::on_gate_vacancy`].
-    vacancy: Arc<VacancyListeners>,
 }
 
 impl fmt::Debug for Router {
@@ -466,7 +463,6 @@ impl Router {
         let hedges = specs
             .iter()
             .any(|s| s.retry.as_ref().is_some_and(|r| r.hedge_quantile.is_some()));
-        let vacancy = Arc::new(VacancyListeners::default());
         let shards = specs
             .into_iter()
             .map(|spec| {
@@ -478,11 +474,7 @@ impl Router {
                         {
                             config.fault = plan.clone();
                         }
-                        let server = Server::start_on(
-                            Arc::clone(&spec.net),
-                            config.clone(),
-                            Arc::clone(&vacancy),
-                        )?;
+                        let server = Server::start(Arc::clone(&spec.net), config.clone())?;
                         Ok(Replica {
                             server: RwLock::new(Some(Arc::new(server))),
                             config,
@@ -514,7 +506,6 @@ impl Router {
         Ok(Router {
             shards,
             hedge: hedges.then(HedgeTimer::start),
-            vacancy,
         })
     }
 
@@ -598,7 +589,7 @@ impl Router {
     /// other models.
     ///
     /// Without a [`RetryPolicy`] that is one placement. With one it is the
-    /// retry/hedge race, for `Block` and `Try` alike and so for in-process
+    /// retry/hedge race, for every [`Admission`] and so for in-process
     /// and wire traffic alike: a retryable refusal ([`ServeError::Full`]
     /// included — a sibling may have headroom) or failure is relaunched on
     /// another replica against the retry budget before the caller sees it.
@@ -627,23 +618,22 @@ impl Router {
         }
     }
 
-    /// `Router::admit` of a default-options request under
-    /// [`Admission::Block`].
+    /// `Router::admit` of a default-options request under `Admission::Block`.
     ///
     /// # Errors
     ///
-    /// The [`ServeError`] of the [`Refused`] that `Router::admit` returns.
+    /// The [`ServeError`] that `Router::admit` refuses with.
     pub fn submit(&self, model: ModelId, input: Tensor) -> ServeResult<Pending> {
         self.submit_with(model, input, SubmitOptions::default())
     }
 
-    /// `Router::admit` under [`Admission::Block`] with per-request
+    /// `Router::admit` under `Admission::Block` with per-request
     /// [`SubmitOptions`] (δ override and/or cascade-depth cap for this
     /// request only).
     ///
     /// # Errors
     ///
-    /// The [`ServeError`] of the [`Refused`] that `Router::admit` returns.
+    /// The [`ServeError`] that `Router::admit` refuses with.
     pub fn submit_with(
         &self,
         model: ModelId,
@@ -653,11 +643,11 @@ impl Router {
         Ok(self.admit(model, Request::new(input, options), Admission::Block)?)
     }
 
-    /// [`Router::submit_with`] under [`Admission::Try`]: never blocks.
+    /// [`Router::submit_with`] under `Admission::Try`: never blocks.
     ///
     /// # Errors
     ///
-    /// The [`ServeError`] of the [`Refused`] that `Router::admit` returns.
+    /// The [`ServeError`] that `Router::admit` refuses with.
     pub fn try_submit_with(
         &self,
         model: ModelId,
@@ -679,10 +669,6 @@ impl Router {
     /// metrics are folded into all later snapshots, so no counters are
     /// lost.
     ///
-    /// Gate-vacancy listeners (`Router::on_gate_vacancy`) need nothing
-    /// done for them: each swapped-in pipeline's gate is built on the
-    /// router's one registry.
-    ///
     /// # Errors
     ///
     /// Returns [`ServeError::UnknownModel`] for an unregistered id, any
@@ -697,10 +683,7 @@ impl Router {
         let fresh = shard
             .replicas
             .iter()
-            .map(|replica| {
-                let (net, vacancy) = (Arc::clone(&net), Arc::clone(&self.vacancy));
-                Server::start_on(net, replica.config.clone(), vacancy).map(Arc::new)
-            })
+            .map(|replica| Server::start(Arc::clone(&net), replica.config.clone()).map(Arc::new))
             .collect::<ServeResult<Vec<Arc<Server>>>>()?;
         for (replica, next) in shard.replicas.iter().zip(fresh) {
             let old = {
@@ -719,22 +702,6 @@ impl Router {
             *window = HealthWindow::default();
         }
         Ok(())
-    }
-
-    /// Registers a callback fired whenever **any** replica's admission
-    /// gate frees capacity (a request settles or is dropped). The TCP
-    /// edge registers one per poller so parked admissions resume
-    /// event-driven instead of polling. There is one registry per router:
-    /// every gate of every replica fires it, and [`Router::swap_model`]
-    /// builds its replacement pipelines on the same one, so a listener
-    /// outlives any number of swaps however registration and swap
-    /// interleave. It is held **weakly**: a listener fires for as long as
-    /// the caller holds its `Arc` and is forgotten afterwards, so an edge
-    /// that has shut down costs the router nothing. The callback runs on
-    /// whichever thread released the slot, outside every lock: it must be
-    /// cheap and non-blocking, and it may re-enter the submit API.
-    pub(crate) fn on_gate_vacancy(&self, listener: &Arc<dyn Fn() + Send + Sync>) {
-        self.vacancy.add(Arc::downgrade(listener));
     }
 
     /// A point-in-time snapshot of one model's replica set: per-replica
@@ -1369,69 +1336,69 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn a_listener_registered_while_a_swap_is_in_flight_fires_on_every_new_pipeline() {
-        use std::sync::atomic::AtomicUsize;
-        use std::time::Instant;
+    fn a_request_parked_on_a_retiring_pipeline_is_woken_by_its_drain_and_served_by_the_next() {
         let net_a = build_untrained(arch::mnist_2c(), 5);
         let net_b = build_untrained(arch::mnist_2c(), 11);
+        // capacity 1 and a batch that never fills: the held request keeps the
+        // gate full until a drain flushes it
         let config = ServerConfig {
-            policy: BatchPolicy::new(usize::MAX),
-            queue_capacity: 64,
+            policy: BatchPolicy::by_size(1 << 20),
+            queue_capacity: 1,
             workers: 1,
             ..ServerConfig::default()
         };
-        let router = Router::start(vec![ShardSpec::new("m", net_a, config)
-            .replicated(ReplicaSpec::new(3, PlacementPolicy::RoundRobin))])
-        .unwrap();
+        let router = Router::start(vec![ShardSpec::new("m", Arc::clone(&net_a), config)]).unwrap();
         let model = router.model_id("m").unwrap();
-        let listener = || {
-            let fired = Arc::new(AtomicUsize::new(0));
-            let count = Arc::clone(&fired);
-            let callback: Arc<dyn Fn() + Send + Sync> = Arc::new(move || {
-                count.fetch_add(1, Ordering::SeqCst);
-            });
-            (fired, callback)
+        let x = images(2);
+        let held = router.submit(model, x[0].clone()).unwrap();
+        // what the TCP edge does with a decoded request
+        let (woken, waker) = crate::server::tests::counting_waker();
+        let park = |input: Tensor| {
+            let request = Request::new(input, SubmitOptions::default());
+            router.admit(model, request, Admission::Park(&waker))
         };
-        let before = listener();
-        router.on_gate_vacancy(&before.1);
-        // a handle on replica 0's pipeline holds the swap exactly where the
-        // registration has to land: replica 0's replacement is published,
-        // `wait_unshared` spins on the retiring pipeline, and replicas 1 and
-        // 2 still run the pipelines they are about to lose
-        let held = router.shards[0].replicas[0].server().unwrap();
-        let during = std::thread::scope(|scope| {
-            let swap = scope.spawn(|| router.swap_model(model, Arc::clone(&net_b)));
-            while !Arc::ptr_eq(&router.network(model).unwrap(), &net_b) {
-                std::thread::yield_now();
-            }
-            let during = listener();
-            router.on_gate_vacancy(&during.1);
-            drop(held);
-            swap.join().unwrap().unwrap();
-            during
-        });
-        // every listener hears a slot freed on every replica's *current*
-        // pipeline (each request goes straight to one replica's server)
-        for (index, replica) in router.shards[0].replicas.iter().enumerate() {
-            let server = replica.server().unwrap();
-            assert!(Arc::ptr_eq(&server.network_arc(), &net_b));
-            let heard = [&before.0, &during.0].map(|fired| fired.load(Ordering::SeqCst));
-            server.submit(images(1).remove(0)).unwrap().wait().unwrap();
-            // the slot is released after the answer settles: wait for it
-            let deadline = Instant::now() + Duration::from_secs(5);
-            for (name, fired, heard) in [
-                ("before", &before.0, heard[0]),
-                ("during", &during.0, heard[1]),
-            ] {
-                while fired.load(Ordering::SeqCst) == heard {
-                    assert!(
-                        Instant::now() < deadline,
-                        "the listener registered {name} the swap never heard replica {index}"
-                    );
-                    std::thread::yield_now();
-                }
-            }
-        }
+        let refused = park(x[1].clone()).unwrap_err();
+        assert_eq!(refused.error, ServeError::Full);
+        assert_eq!(woken.load(Ordering::SeqCst), 0);
+        router.swap_model(model, Arc::clone(&net_b)).unwrap();
+        // the swap drained the retiring pipeline, whose release woke the edge
+        assert_eq!(woken.load(Ordering::SeqCst), 1);
+        assert_eq!(held.wait().unwrap(), net_a.classify(&x[0]).unwrap());
+        let retried = park(refused.input.unwrap()).unwrap();
+        router.shutdown(); // the replacement's drain flushes the retry
+        assert_eq!(retried.wait().unwrap(), net_b.classify(&x[1]).unwrap());
+    }
+
+    #[test]
+    fn a_park_relaunched_past_a_fault_leaves_its_waker_on_the_full_replica() {
+        use crate::fault::{FaultKind, FaultPlan};
+        let config = ServerConfig {
+            policy: BatchPolicy::by_size(1 << 20),
+            queue_capacity: 1,
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        // round-robin places the first attempt on replica 0, which refuses
+        // every admission; the one retry goes to replica 1, which is full
+        let faulty = FaultPlan::builder()
+            .at(0, FaultKind::ErrorBurst(1 << 20))
+            .build();
+        let spec = ShardSpec::new("m", build_untrained(arch::mnist_2c(), 5), config)
+            .replicated(ReplicaSpec::new(2, PlacementPolicy::RoundRobin))
+            .fault_on(0, faulty)
+            .retry(RetryPolicy::retries(1));
+        let router = Router::start(vec![spec]).unwrap();
+        let model = router.model_id("m").unwrap();
+        let server = |i: usize| router.shards[0].replicas[i].server().unwrap();
+        let _held = server(1).submit(images(1).remove(0)).unwrap();
+        let (_, waker) = crate::server::tests::counting_waker();
+        let request = Request::new(images(1).remove(0), SubmitOptions::default());
+        let refused = router
+            .admit(model, request, Admission::Park(&waker))
+            .unwrap_err();
+        assert_eq!(refused.error, ServeError::Full);
+        // the `Full` that reached the caller left the waker where it was said
+        assert_eq!([0, 1].map(|i| server(i).parked_wakers()), [0, 1]);
         router.shutdown();
     }
 

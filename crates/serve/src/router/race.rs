@@ -140,25 +140,35 @@ struct RaceCtx {
 
 impl RaceCtx {
     /// Launches one attempt, and relaunches ([`RaceCtx::retry`]) until one
-    /// is in flight or the chain dies. `admission` only holds for this
-    /// first attempt — relaunches, which also run from completion
-    /// callbacks, must never block a worker on a full admission gate.
+    /// is in flight or the chain dies. The relaunches never block (a
+    /// `Block` first attempt relaunches with `Try`), but a `Park` chain
+    /// stays `Park`: the `Full` it may end on left the waker on its gate.
     fn launch_until_inflight(
         ctx: &Arc<RaceCtx>,
         exclude: Option<usize>,
         admission: Admission,
     ) -> Result<(), ServeError> {
+        let relaunch = match admission {
+            Admission::Block => Admission::Try,
+            other => other,
+        };
         match Self::one_attempt(ctx, exclude, admission) {
             Ok(()) => Ok(()),
-            Err((at, error)) => Self::retry(ctx, at, error),
+            Err((at, error)) => Self::retry(ctx, at, error, relaunch),
         }
     }
 
     /// An attempt on replica `at` failed with `error`, synchronously or
-    /// from its completion: relaunch elsewhere while the error is
-    /// retryable, the budget lasts and the caller still waits. `Err` is
+    /// from its completion: relaunch elsewhere under `admission` (`Try`
+    /// from a completion, which must never block a worker) while the error
+    /// is retryable, the budget lasts and the caller still waits. `Err` is
     /// the failure the chain died with.
-    fn retry(ctx: &Arc<RaceCtx>, mut at: usize, mut error: ServeError) -> Result<(), ServeError> {
+    fn retry(
+        ctx: &Arc<RaceCtx>,
+        mut at: usize,
+        mut error: ServeError,
+        admission: Admission,
+    ) -> Result<(), ServeError> {
         loop {
             let budgeted = retryable(&error) && {
                 let mut state = ctx.state.lock().unwrap();
@@ -172,7 +182,7 @@ impl RaceCtx {
                 return Err(error);
             }
             ctx.shard.retries.fetch_add(1, Ordering::Relaxed);
-            match Self::one_attempt(ctx, Some(at), Admission::Try) {
+            match Self::one_attempt(ctx, Some(at), admission) {
                 Ok(()) => return Ok(()),
                 Err(refusal) => (at, error) = refusal,
             }
@@ -237,7 +247,7 @@ impl RaceCtx {
             }
             Err(error) => {
                 drop(state);
-                if let Err(final_error) = Self::retry(ctx, attempt.replica, error) {
+                if let Err(final_error) = Self::retry(ctx, attempt.replica, error, Admission::Try) {
                     Self::no_attempt_left(ctx, final_error);
                 }
             }

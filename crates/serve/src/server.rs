@@ -2,7 +2,6 @@
 //! formation, and a pool of persistent batched evaluators.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -27,66 +26,9 @@ struct GateState {
     per_tenant: HashMap<u32, usize>,
     /// [`Admission::Block`] submitters parked on [`Gate::freed`] right now.
     blocked: usize,
-}
-
-/// Callbacks fired whenever an in-flight slot frees up — the event-driven
-/// alternative to polling the gate for vacancy. The TCP edge registers one
-/// per poller so a parked admission retries the moment capacity appears
-/// instead of waiting out a poll interval. Held weakly: an edge that shut
-/// down leaves no closure (and no eventfd inside one) behind.
-///
-/// The one listener list in the crate: a [`Server`] started on its own
-/// makes one for its gate, a [`crate::Router`] makes one and builds every
-/// gate of every replica on it, swapped-in generations included — what
-/// the router registers and what a gate fires cannot disagree.
-#[derive(Debug, Default)]
-pub(crate) struct VacancyListeners {
-    /// Fast-path flag: while no listener is registered, `fire` is a
-    /// single relaxed load — no lock, no allocation.
-    armed: AtomicBool,
-    /// Copy-on-write: `add`, and the rare `fire` that meets a dead entry,
-    /// build a new list; every other `fire` only clones the `Arc`, so a
-    /// gate release allocates nothing.
-    list: Mutex<Arc<[Listener]>>,
-}
-
-type Listener = Weak<dyn Fn() + Send + Sync>;
-
-impl VacancyListeners {
-    pub(crate) fn add(&self, listener: Listener) {
-        let mut list = self.list.lock().unwrap();
-        // a gate nobody releases prunes here
-        *list = live(&list).chain([listener]).collect();
-        self.armed.store(true, Ordering::Release);
-    }
-
-    /// Invokes every live listener and forgets the dead ones. Callers must
-    /// not hold the gate's state lock: a listener may re-enter the gate (the
-    /// edge retries a parked admission from inside its wakeup), so the
-    /// listeners run outside this registry's lock too.
-    fn fire(&self) {
-        if !self.armed.load(Ordering::Acquire) {
-            return;
-        }
-        let snapshot = Arc::clone(&self.list.lock().unwrap());
-        let mut dead = false;
-        for listener in snapshot.iter() {
-            match listener.upgrade() {
-                Some(listener) => listener(),
-                None => dead = true,
-            }
-        }
-        if dead {
-            let mut list = self.list.lock().unwrap();
-            *list = live(&list).collect();
-            self.armed.store(!list.is_empty(), Ordering::Release);
-        }
-    }
-}
-
-/// The entries of `list` whose owner still holds its `Arc`.
-fn live(list: &[Listener]) -> impl Iterator<Item = Listener> + '_ {
-    list.iter().filter(|l| l.strong_count() > 0).cloned()
+    /// What [`Admission::Park`] left on a [`ServeError::Full`] refusal, each
+    /// waker once, held weakly: the next release takes and calls them.
+    parked: Vec<Weak<dyn Fn() + Send + Sync>>,
 }
 
 /// Counting semaphore bounding the number of in-flight requests — the
@@ -102,17 +44,15 @@ struct Gate {
     tenant_quota: Option<usize>,
     state: Mutex<GateState>,
     freed: Condvar,
-    vacancy: Arc<VacancyListeners>,
 }
 
 impl Gate {
-    fn new(capacity: usize, tenant_quota: Option<usize>, vacancy: Arc<VacancyListeners>) -> Self {
+    fn new(capacity: usize, tenant_quota: Option<usize>) -> Self {
         Gate {
             capacity,
             tenant_quota,
             state: Mutex::new(GateState::default()),
             freed: Condvar::new(),
-            vacancy,
         }
     }
 
@@ -151,12 +91,26 @@ impl Gate {
     }
 
     /// Takes a slot for this class and tenant: [`Admission::Block`] waits
-    /// until it may, [`Admission::Try`] returns why it may not right now.
+    /// until it may, [`Admission::Try`] and [`Admission::Park`] return why it
+    /// may not right now.
+    ///
+    /// `Park` leaves its waker on a [`ServeError::Full`] refusal under the
+    /// lock that refused, so no wake is lost: `Full` means a slot is held,
+    /// every slot is released, and that release locks after this refusal.
     fn acquire(&self, how: Admission, priority: Priority, tenant: Option<u32>) -> ServeResult<()> {
         let mut state = self.state.lock().unwrap();
         while let Err(refusal) = self.admittable(&state, priority, tenant) {
-            if how == Admission::Try {
-                return Err(refusal);
+            match how {
+                Admission::Block => {}
+                Admission::Try => return Err(refusal),
+                Admission::Park(waker) => {
+                    let waker = Arc::downgrade(waker);
+                    let stored = state.parked.iter().any(|w| w.ptr_eq(&waker));
+                    if refusal == ServeError::Full && !stored {
+                        state.parked.push(waker);
+                    }
+                    return Err(refusal);
+                }
             }
             state.blocked += 1;
             state = self.freed.wait(state).unwrap();
@@ -182,14 +136,16 @@ impl Gate {
         // Only `Admission::Block` submitters ever wait here, each counted
         // under this lock before it parks, and std's futex condvar issues a
         // `FUTEX_WAKE` syscall even with no waiter: notify only when one is
-        // counted (the TCP edge admits with `Try`, so its releases never do)
+        // counted (the TCP edge admits with `Park`, so its releases never do)
         if state.blocked > 0 {
             self.freed.notify_all();
         }
+        let parked = std::mem::take(&mut state.parked);
         drop(state);
-        // listeners run outside the state lock so they may re-enter the
-        // gate (`acquire`) without deadlocking
-        self.vacancy.fire();
+        // outside the lock: a waker may re-enter the gate (`acquire`)
+        for waker in parked.iter().filter_map(Weak::upgrade) {
+            waker();
+        }
     }
 
     fn depth(&self) -> usize {
@@ -215,14 +171,14 @@ impl Drop for Ticket {
 /// What a caller asks the serving stack to classify — the one argument of
 /// `Server::admit` and `crate::Router::admit`.
 #[derive(Debug, Clone)]
-pub struct Request {
+pub(crate) struct Request {
     /// The image to classify.
-    pub input: Tensor,
+    pub(crate) input: Tensor,
     /// Per-request δ/depth override, deadline, priority class and tenant.
-    pub options: SubmitOptions,
+    pub(crate) options: SubmitOptions,
     /// A trace id to continue (the TCP edge passes the wire-carried one);
     /// `None` lets the serving replica allocate a fresh id.
-    pub trace: Option<TraceId>,
+    pub(crate) trace: Option<TraceId>,
 }
 
 impl Request {
@@ -237,13 +193,16 @@ impl Request {
 }
 
 /// What `Server::admit` does when the gate has no room for the request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
+#[derive(Clone, Copy)]
+pub(crate) enum Admission<'a> {
     /// Wait for a slot (in-process submitters: backpressure).
     Block,
-    /// Refuse with a typed error (the TCP edge: it parks the request and
-    /// keeps servicing its event loop).
+    /// Refuse with a typed error.
     Try,
+    /// Refuse like `Try`; on [`ServeError::Full`] the gate also keeps the
+    /// waker and calls it at its next release (the TCP edge: it parks the
+    /// request and keeps servicing its event loop).
+    Park(&'a Arc<dyn Fn() + Send + Sync>),
 }
 
 /// One queued classification request.
@@ -421,7 +380,7 @@ impl Drop for WorkerExit<'_> {
             state.closed = true;
             let orphans = std::mem::take(&mut state.queue);
             // outside the lock: a dropped request releases its gate slot,
-            // and a vacancy listener may re-enter `admit` and reach `push`
+            // and a parked waker may re-enter `admit` and reach `push`
             drop(state);
             abandon(orphans.into(), self.recorder);
         }
@@ -467,19 +426,8 @@ impl Server {
     ///
     /// Returns [`ServeError::BadConfig`] for an invalid configuration.
     pub fn start(net: Arc<CdlNetwork>, config: ServerConfig) -> ServeResult<Server> {
-        Server::start_on(net, config, Arc::default())
-    }
-
-    /// [`Server::start`] with the gate built on `vacancy` — how a router
-    /// gives every pipeline it builds the one registry.
-    pub(crate) fn start_on(
-        net: Arc<CdlNetwork>,
-        config: ServerConfig,
-        vacancy: Arc<VacancyListeners>,
-    ) -> ServeResult<Server> {
         config.validate()?;
-        let (capacity, quota) = (config.queue_capacity, config.tenant_quota);
-        let gate = Arc::new(Gate::new(capacity, quota, vacancy));
+        let gate = Arc::new(Gate::new(config.queue_capacity, config.tenant_quota));
         let recorder = Arc::new(Recorder::new());
         let telemetry = Telemetry::new(config.telemetry);
         let queue = Arc::new(WorkQueue::new(config.policy, config.workers));
@@ -525,8 +473,8 @@ impl Server {
     /// capacity (backpressure propagates to the producer), while the
     /// request's [`Priority`] class is over its admission limit, and while
     /// its tenant is at quota — blocking submitters wait out overload
-    /// instead of being shed. [`Admission::Try`] never waits: the same
-    /// three conditions come back as typed refusals.
+    /// instead of being shed. `Try` and `Park` never wait: the same three
+    /// conditions come back as typed refusals.
     ///
     /// Under [`BatchPolicy::by_size`] with a `max_batch_size` above the queue
     /// capacity the forming batch can never fill and `Block` waits until
@@ -543,7 +491,7 @@ impl Server {
     /// A [`Refused`] carrying [`ServeError::BadOptions`] for an
     /// out-of-range δ override, [`ServeError::BadInput`] for a
     /// wrong-shaped input tensor, [`ServeError::Fault`] from an armed
-    /// fault plan (all checked before the gate), and under `Try`
+    /// fault plan (all checked before the gate), and under `Try` or `Park`
     /// [`ServeError::Full`] at capacity, [`ServeError::Shed`] for a class
     /// over its admission limit or [`ServeError::QuotaExceeded`] for a
     /// tenant at quota; [`ServeError::ShuttingDown`] once the last worker
@@ -606,12 +554,11 @@ impl Server {
         Ok(pending)
     }
 
-    /// `Server::admit` of a default-options request under
-    /// [`Admission::Block`].
+    /// `Server::admit` of a default-options request under `Admission::Block`.
     ///
     /// # Errors
     ///
-    /// The [`ServeError`] of the [`Refused`] that `Server::admit` returns.
+    /// The [`ServeError`] that `Server::admit` refuses with.
     pub fn submit(&self, input: Tensor) -> ServeResult<Pending> {
         self.submit_with(input, SubmitOptions::default())
     }
@@ -859,12 +806,13 @@ fn evaluate(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cdl_core::arch::mnist_3c;
     use cdl_core::confidence::ConfidencePolicy;
     use cdl_core::head::LinearClassifier;
     use cdl_nn::network::Network;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
     fn build_untrained() -> Arc<CdlNetwork> {
@@ -1080,7 +1028,7 @@ mod tests {
     #[test]
     fn the_default_policy_hands_a_free_worker_what_is_queued() {
         // nobody else pushes or takes, so the sizes and causes are exact
-        let gate = Arc::new(Gate::new(64, None, Arc::default()));
+        let gate = Arc::new(Gate::new(64, None));
         let queue = WorkQueue::new(BatchPolicy::default(), 1);
         assert!(queue.push(queued(&gate, 0)).is_ok());
         let (batch, cause) = queue.take_batch().expect("queue is open");
@@ -1100,7 +1048,7 @@ mod tests {
     #[test]
     fn a_full_batch_seals_at_once() {
         for policy in [BatchPolicy::new(3), BatchPolicy::by_size(3)] {
-            let gate = Arc::new(Gate::new(8, None, Arc::default()));
+            let gate = Arc::new(Gate::new(8, None));
             let queue = WorkQueue::new(policy, 1);
             for id in 0..4 {
                 assert!(queue.push(queued(&gate, id)).is_ok());
@@ -1128,7 +1076,7 @@ mod tests {
         // valid under either interleaving: the taker parked on a short queue
         // and the push that filled it woke it, or it first looked with three
         // already queued
-        let gate = Arc::new(Gate::new(8, None, Arc::default()));
+        let gate = Arc::new(Gate::new(8, None));
         let queue = Arc::new(WorkQueue::new(BatchPolicy::by_size(3), 1));
         let (sealed_tx, sealed) = std::sync::mpsc::channel();
         let blocked = taker(&queue, &sealed_tx);
@@ -1141,7 +1089,7 @@ mod tests {
 
     #[test]
     fn a_stranded_request_wakes_a_sibling_that_holds_out_for_a_full_batch() {
-        let gate = Arc::new(Gate::new(8, None, Arc::default()));
+        let gate = Arc::new(Gate::new(8, None));
         let queue = Arc::new(WorkQueue::new(BatchPolicy::by_size(3), 2));
         let (sealed_tx, sealed) = std::sync::mpsc::channel();
         let takers = [taker(&queue, &sealed_tx), taker(&queue, &sealed_tx)];
@@ -1165,7 +1113,7 @@ mod tests {
 
     #[test]
     fn close_yields_full_batches_then_the_remainder_then_none() {
-        let gate = Arc::new(Gate::new(8, None, Arc::default()));
+        let gate = Arc::new(Gate::new(8, None));
         let queue = WorkQueue::new(BatchPolicy::by_size(3), 1);
         for id in 0..7 {
             assert!(queue.push(queued(&gate, id)).is_ok());
@@ -1205,7 +1153,7 @@ mod tests {
             steps in proptest::collection::vec(0u8..8, 1..120),
         ) {
             use proptest::prelude::*;
-            let gate = Arc::new(Gate::new(1 << 20, None, Arc::default()));
+            let gate = Arc::new(Gate::new(1 << 20, None));
             let (max, hold_until_full) = (max_batch_size, hold == 1);
             let queue = WorkQueue::new(BatchPolicy { max_batch_size, hold_until_full }, 1);
             let mut waiting = VecDeque::new(); // the model: ids queued, in order
@@ -1439,7 +1387,7 @@ mod tests {
 
     #[test]
     fn a_blocked_submitter_parked_on_a_full_gate_is_woken_by_a_release() {
-        let gate = Arc::new(Gate::new(1, None, Arc::default()));
+        let gate = Arc::new(Gate::new(1, None));
         gate.acquire(Admission::Try, Priority::High, None).unwrap();
         let (admitted_tx, admitted) = std::sync::mpsc::channel();
         let blocked = {
@@ -1467,6 +1415,157 @@ mod tests {
         blocked.join().unwrap();
         assert_eq!(gate.depth(), 1, "the woken submitter holds the slot");
         assert_eq!(gate.state.lock().unwrap().blocked, 0);
+    }
+
+    impl Server {
+        /// How many wakers [`Admission::Park`] has left on this server's gate.
+        pub(crate) fn parked_wakers(&self) -> usize {
+            parked(&self.gate)
+        }
+    }
+
+    /// A waker for [`Admission::Park`], and the count of its calls.
+    pub(crate) fn counting_waker() -> (Arc<AtomicUsize>, Arc<dyn Fn() + Send + Sync>) {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let count = Arc::clone(&calls);
+        let waker = Arc::new(move || {
+            count.fetch_add(1, Ordering::SeqCst);
+        });
+        (calls, waker)
+    }
+
+    fn parked(gate: &Gate) -> usize {
+        gate.state.lock().unwrap().parked.len()
+    }
+
+    #[test]
+    fn a_parked_waker_is_left_by_a_full_refusal_under_park_only() {
+        let (_, waker) = counting_waker();
+        let (high, low) = (Priority::High, Priority::Low);
+        // the gate, the (class, tenant) holding a slot, the one refused, and why
+        let cases = [
+            (
+                Gate::new(1, None),
+                (high, None),
+                (high, None),
+                ServeError::Full,
+            ),
+            // capacity 3 admits one `Low` at a time
+            (
+                Gate::new(3, None),
+                (high, None),
+                (low, None),
+                ServeError::Shed(low),
+            ),
+            (
+                Gate::new(8, Some(1)),
+                (high, Some(7)),
+                (high, Some(7)),
+                ServeError::QuotaExceeded(7),
+            ),
+        ];
+        for (gate, (class, tenant), (refused_class, refused_tenant), refusal) in cases {
+            gate.acquire(Admission::Try, class, tenant).unwrap();
+            // `Block` stores nothing: it waits, counted, for the slot to free
+            std::thread::scope(|scope| {
+                let blocked =
+                    scope.spawn(|| gate.acquire(Admission::Block, refused_class, refused_tenant));
+                while gate.state.lock().unwrap().blocked == 0 {
+                    std::thread::yield_now();
+                }
+                assert_eq!(parked(&gate), 0, "{refusal:?} under Block");
+                gate.release(tenant);
+                blocked.join().unwrap().unwrap();
+            });
+            let stored = usize::from(refusal == ServeError::Full);
+            for (how, want) in [
+                (Admission::Try, 0),
+                (Admission::Park(&waker), stored),
+                (Admission::Park(&waker), stored), // each waker once
+            ] {
+                let refused = gate.acquire(how, refused_class, refused_tenant);
+                assert_eq!(refused, Err(refusal.clone()));
+                assert_eq!(parked(&gate), want, "{refusal:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_parked_waker_fires_once_at_the_next_release_unless_dropped() {
+        let gate = Gate::new(1, None);
+        gate.acquire(Admission::Try, Priority::High, None).unwrap();
+        let [(first, first_waker), (second, second_waker), (dropped, dropped_waker)] =
+            [(); 3].map(|()| counting_waker());
+        for waker in [&first_waker, &second_waker, &first_waker, &dropped_waker] {
+            let refused = gate.acquire(Admission::Park(waker), Priority::High, None);
+            assert_eq!(refused, Err(ServeError::Full));
+        }
+        assert_eq!(parked(&gate), 3, "the same waker is stored once");
+        drop(dropped_waker); // held weakly: the gate does not keep it alive
+        let calls = || [&first, &second, &dropped].map(|c| c.load(Ordering::SeqCst));
+        gate.release(None);
+        assert_eq!(calls(), [1, 1, 0]);
+        assert_eq!(parked(&gate), 0, "a release takes the list");
+        gate.acquire(Admission::Try, Priority::High, None).unwrap();
+        gate.release(None);
+        assert_eq!(calls(), [1, 1, 0], "a waker fires for one release");
+    }
+
+    /// The lost-wake race, hammered: a `Park` refused with `Full` while
+    /// another thread frees the slot must either see the slot free or be
+    /// woken by that release. Each round starts the two calls together,
+    /// skewed by a few spins that sweep the window between them.
+    #[test]
+    fn a_parked_waker_is_never_lost_to_a_racing_release() {
+        const ROUNDS: usize = 20_000;
+        let gate = Gate::new(1, None);
+        let (fired, waker) = counting_waker();
+        let (go, done) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let spin = |n: usize| (0..n).for_each(|_| std::hint::spin_loop());
+        let (mut refused, mut lost) = (0, None);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for round in 1..=ROUNDS {
+                    let mut at = go.load(Ordering::Acquire);
+                    while at < round {
+                        std::hint::spin_loop();
+                        at = go.load(Ordering::Acquire);
+                    }
+                    if at != round {
+                        return; // the parker stopped early
+                    }
+                    spin(round / 32 % 32);
+                    gate.release(None);
+                    done.store(round, Ordering::Release);
+                }
+            });
+            for round in 1..=ROUNDS {
+                gate.acquire(Admission::Try, Priority::High, None).unwrap();
+                go.store(round, Ordering::Release);
+                spin(round % 32);
+                let admitted = gate.acquire(Admission::Park(&waker), Priority::High, None);
+                while done.load(Ordering::Acquire) != round {
+                    std::hint::spin_loop();
+                }
+                match admitted {
+                    Ok(()) => gate.release(None),
+                    Err(_) => refused += 1,
+                }
+                if parked(&gate) != 0 || fired.load(Ordering::SeqCst) != refused {
+                    lost = Some(round);
+                    go.store(usize::MAX, Ordering::Release);
+                    break;
+                }
+            }
+        });
+        assert_eq!(
+            lost, None,
+            "a waker outlived the release that should call it"
+        );
+        assert!(
+            refused > 0 && refused < ROUNDS,
+            "no race: {refused} refused"
+        );
     }
 
     #[test]
@@ -1575,7 +1674,7 @@ mod tests {
         // waited for its batch, one still live — only the live one may
         // reach the evaluator, and its result stays bit-identical
         let net = build_untrained();
-        let gate = Arc::new(Gate::new(8, None, Arc::default()));
+        let gate = Arc::new(Gate::new(8, None));
         let recorder = Recorder::new();
         let mut eval = BatchEvaluator::new(&net);
         let img = images(2);
@@ -1612,7 +1711,7 @@ mod tests {
         // first stage boundary would — and require it to settle Expired
         // with *partial* (non-zero, sub-full) work on the ledger.
         let net = build_untrained();
-        let gate = Arc::new(Gate::new(8, None, Arc::default()));
+        let gate = Arc::new(Gate::new(8, None));
         let recorder = Recorder::new();
         let mut eval = BatchEvaluator::new(&net);
         let img = images(2);
@@ -1788,7 +1887,7 @@ mod tests {
         // bypasses it reaches this arm: the batch's one evaluator pass
         // fails, and every member settles with that error, booked failed
         let net = build_untrained();
-        let gate = Arc::new(Gate::new(8, None, Arc::default()));
+        let gate = Arc::new(Gate::new(8, None));
         let recorder = Recorder::new();
         let mut eval = BatchEvaluator::new(&net);
         let good = images(2);

@@ -133,18 +133,15 @@
 //!
 //! ## Streaming serving
 //!
-//! Online request streams go through [`serve::Server`]. There is one way
-//! in, `Server::admit`: a [`serve::Request`] (image,
-//! [`serve::SubmitOptions`], optional trace id) plus a
-//! [`serve::Admission`] — `Block` waits for room in the bounded in-flight
-//! queue, `Try` comes back at once with a [`serve::Refused`] carrying the
-//! typed error *and the tensor*, so a retrying caller never clones
-//! ([`serve::Server::submit`] and the router's `submit` / `submit_with` /
-//! `try_submit_with` are one-line sugar).
-//! Callers on any number of threads get one-shot [`serve::Pending`]
-//! handles back; a worker pool of persistent `BatchEvaluator`s seals
-//! batches off the one queue — a free worker takes what is queued, up to
-//! [`serve::BatchPolicy`]'s `max_batch_size` — and answers them. Drop-to-cancel, graceful drain-then-stop shutdown and
+//! Online request streams go through [`serve::Server`]:
+//! [`serve::Server::submit`] waits while the bounded in-flight queue is
+//! full, then returns a one-shot [`serve::Pending`] handle at once. Callers
+//! on any number of threads share one server, and every submit, routed and
+//! wire-borne ones included, ends in the same crate-internal admission call.
+//! A worker pool of persistent `BatchEvaluator`s seals batches off the one
+//! queue — a free worker takes what is queued, up to
+//! [`serve::BatchPolicy`]'s `max_batch_size` — and answers them.
+//! Drop-to-cancel, graceful drain-then-stop shutdown and
 //! a [`serve::ServerMetrics`] snapshot (throughput, batch-size histogram,
 //! latency percentiles, cumulative ops/energy) are built in. Responses are
 //! bit-identical to per-image `classify` for every interleaving (enforced
@@ -155,12 +152,13 @@
 //!
 //! [`serve::Router`] serves **several models behind one front-end**: each
 //! registered [`serve::ShardSpec`] gets its own shard (admission gate →
-//! queue → worker pool), `Router::admit` routes a request by
-//! [`serve::ModelId`] — the same `Request`/`Admission`/`Refused` contract,
-//! behind placement and (when the shard has a [`serve::RetryPolicy`]) the
-//! retry/hedge race; the TCP edge enters through it too — and
-//! backpressure is per shard: a saturated model never blocks traffic for
-//! the others. Each request may also carry [`serve::SubmitOptions`]: a
+//! queue → worker pool). [`serve::Router::submit_with`] routes a request by
+//! [`serve::ModelId`], through placement and, when the shard has a
+//! [`serve::RetryPolicy`], the retry/hedge race; the TCP edge takes the same
+//! path. [`serve::Router::try_submit_with`] refuses a full replica with
+//! [`serve::ServeError::Full`] instead of waiting. Backpressure is per
+//! shard: a saturated model never blocks traffic for the others. Each
+//! request may also carry [`serve::SubmitOptions`]: a
 //! replacement confidence threshold δ and/or a hard cascade-depth cap,
 //! which is the paper's Fig. 10 accuracy/energy trade-off selectable *per
 //! request* within one stream. A batch is one evaluator pass with each row

@@ -15,8 +15,9 @@
 //! * **hot-swap** ([`Router::swap_model`]) loses nothing under concurrent
 //!   load, and every response is consistent with the network that was
 //!   current when its request was placed;
-//! * the TCP edge resumes **parked admissions event-driven** on gate
-//!   vacancy instead of polling.
+//! * a TCP admission **parked** on a full gate resumes at that gate's next
+//!   release, which calls the waker the refusal left on it; no poll backs
+//!   it up.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -479,8 +480,8 @@ fn chaos_smoke_recovers_to_healthy() {
 /// A parked (gate-full) TCP admission resumes when the gate frees, not
 /// when a poll interval elapses. The parked connection lives on a
 /// *different* poller than the one whose completion frees the gate, so
-/// only the gate-vacancy wakeup (400ms fallback aside) can explain a
-/// prompt resume.
+/// only the waker the refusing gate kept can explain a prompt resume (the
+/// edge has no poll to fall back on).
 #[test]
 fn parked_admission_resumes_on_gate_vacancy_without_polling() {
     let net = build_untrained(arch::mnist_2c(), 5);
@@ -531,8 +532,8 @@ fn parked_admission_resumes_on_gate_vacancy_without_polling() {
         (a.join().unwrap(), b.join().unwrap())
     });
     // A settles at ~300ms (the stall); B's parked admission must ride the
-    // vacancy wakeup and finish within tens of ms of A — the 400ms parked
-    // fallback poll alone would put B ~150ms behind A
+    // wakeup of that release and finish within tens of ms of A — with the
+    // wakeup lost, nothing else would ever retry B
     let gap = done_b.saturating_duration_since(done_a);
     assert!(
         gap < Duration::from_millis(100),

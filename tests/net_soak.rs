@@ -190,9 +190,9 @@ fn fd_count() -> usize {
 
 /// Edge after edge bound and shut down on one long-lived router returns the
 /// process to the fd count it had before the first. (Regression: each poller
-/// registers a gate-vacancy listener that owns its eventfd; the router and
-/// every gate kept the closure for the router's life, so a past edge cost
-/// one open fd per poller and a dead callback on every gate release.)
+/// has a gate waker that owns its eventfd; while the router kept it for its
+/// life, a past edge cost one open fd per poller and a dead callback on every
+/// gate release. A gate holds the wakers parked on it weakly.)
 #[cfg(target_os = "linux")]
 #[test]
 fn rebinding_the_edge_leaves_no_fds_behind() {
@@ -208,7 +208,7 @@ fn rebinding_the_edge_leaves_no_fds_behind() {
             EdgeConfig { pollers: 2 },
         )
         .unwrap();
-        // a served request releases the gate: the listeners fire
+        // a served request settles through the poller's completion waker
         let mut client = TcpClient::connect(edge.local_addr()).unwrap();
         let result = client
             .call("m", &image(i), SubmitOptions::default())
@@ -217,9 +217,9 @@ fn rebinding_the_edge_leaves_no_fds_behind() {
         drop(client);
         edge.shutdown();
     }
-    // the worker that served the last request may still be inside the gate
-    // release that fired the last edge's listener, holding it (and its
-    // eventfd) for a moment more
+    // the worker that served the last request may still be inside the
+    // settle that called the last edge's completion waker, holding it (and
+    // its eventfd) for a moment more
     assert_settles_at(fd_count, before, "a shut-down edge must close its fds");
     let metrics = Arc::try_unwrap(router).unwrap().shutdown();
     assert_eq!(metrics.total().completed, 20);

@@ -77,7 +77,8 @@ const BATCH: usize = 32;
 const REPLY: usize = 4 + 8 + 1 + 4 + 4 + 4 + 6 * 8 + 8 + 1;
 
 /// Allocations per request the wire path may make (measured: 5.28, steady
-/// from run to run; 5.43 while a worker split each batch into one list per
+/// from run to run, and unchanged since full gates keep the edge's waker
+/// themselves; 5.43 while a worker split each batch into one list per
 /// distinct override, 6.44 while every gate release snapshotted the vacancy
 /// listeners into a `Vec`, 8.47 when each reply also had a body `Vec` of its
 /// own and each decode a `String` for the model name).
