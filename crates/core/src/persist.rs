@@ -158,6 +158,29 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// A model file that names a layer or an activation the network crate
+    /// does not build is refused at load, and the error names it. The
+    /// committed benchmark model is read, never written.
+    #[test]
+    fn a_model_naming_an_unbuilt_variant_is_refused() {
+        let committed = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../benchmark/models/mnist_3c.json"
+        );
+        let json = std::fs::read_to_string(committed).unwrap();
+        assert!(load(Path::new(committed)).is_ok());
+        for (from, to) in [("\"Sigmoid\"", "Tanh"), ("\"MaxPool\"", "MeanPool")] {
+            assert!(json.contains(from));
+            let path =
+                std::env::temp_dir().join(format!("cdl_persist_{to}_{}.json", std::process::id()));
+            std::fs::write(&path, json.replacen(from, &format!("\"{to}\""), 1)).unwrap();
+            let loaded = load(&path);
+            std::fs::remove_file(&path).unwrap();
+            let err = loaded.expect_err("the file must not load").to_string();
+            assert!(err.contains(&format!("unknown variant `{to}`")), "{err}");
+        }
+    }
+
     #[test]
     fn snapshot_matches_export() {
         let arch = mnist_3c();

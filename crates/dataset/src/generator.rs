@@ -256,9 +256,13 @@ mod tests {
             for i in 0..30u64 {
                 let mut rng = StdRng::seed_from_u64(1000 + i);
                 let s = gen.sample_with_difficulty(3, difficulty, &mut rng);
-                total += cdl_tensor::ops::sub(&s.image, &canonical)
-                    .unwrap()
-                    .norm_sq();
+                total += s
+                    .image
+                    .data()
+                    .iter()
+                    .zip(canonical.data())
+                    .map(|(a, b)| (a - b) * (a - b))
+                    .sum::<f32>();
             }
             total
         };

@@ -110,7 +110,7 @@ mod tests {
             let img = rasterize(&digit_skeleton(d), &cfg);
             assert_eq!(img.dims(), &[1, 28, 28]);
             assert!(img.data().iter().all(|&v| (0.0..=1.0).contains(&v)));
-            let cover = img.mean(); // ink coverage
+            let cover = img.sum() / img.len() as f32; // ink coverage
             assert!(cover > 0.02, "digit {d} almost empty: {cover}");
             assert!(cover < 0.5, "digit {d} floods the image: {cover}");
         }

@@ -6,66 +6,58 @@ use serde::{Deserialize, Serialize};
 /// An elementwise nonlinearity.
 ///
 /// The paper's baselines follow R. Palm's convolutional backprop setup, which
-/// uses logistic sigmoid units throughout; `Tanh` and `ReLU` are provided for
-/// ablations. `Identity` turns an activation slot off (used by linear
-/// classifier heads that operate on raw scores).
+/// uses logistic sigmoid units throughout. `Identity` turns an activation
+/// slot off (used by linear classifier heads that operate on raw scores).
+///
+/// Every variant **commutes with max pooling bit for bit**: pooling the raw
+/// pre-activations with `cdl_tensor::pool`'s scan (first element wins ties,
+/// a later one must be strictly greater) and activating the pooled map gives
+/// exactly the bits of activating every cell and pooling afterwards. The
+/// fused `conv → activation → max-pool` stage groups of
+/// [`crate::network::Network`] rely on it and pool first, and
+/// `tests::pool_first_*` checks every variant over every `f32`.
+///
+/// For `Sigmoid` this is a property of one particular operation sequence —
+/// the polynomial `exp` of [`cdl_tensor::math`], whose range reduction
+/// switches branch of the polynomial every `ln 2` — and not of the logistic
+/// function, so it is measured, not derived: change a constant or an
+/// operation there and the exhaustive sweep (`cargo test --release -p cdl-nn
+/// --lib -- --ignored pool_first`, ~2 min) has to pass again.
+/// [`Activation::apply_slice`] computes the same bits as `apply` per cell,
+/// so the property carries over to it.
+///
+/// What the tests establish, walking the non-NaN `f32`s in ascending order:
+/// `apply` is non-decreasing and never NaN; two *distinct* inputs with
+/// numerically equal outputs have bit-identical outputs (no `-0.0`/`+0.0`
+/// split inside a plateau); `-0.0` and `+0.0` map to equal values; and NaN
+/// maps to NaN. Then the raw scan and the activated scan select the same
+/// window element, or elements whose activations are the same bits, and a
+/// NaN lands in the same cells.
+///
+/// **Adding a variant** means passing that sweep. The tests walk the
+/// variants through an exhaustive `match`, so a new one does not compile
+/// until the sweep covers it. One that fails it cannot simply be added: a
+/// rectifier written with `f32::max`, for instance, maps NaN to 0, so a
+/// window whose first raw element is NaN pools to NaN → 0 when pooled first
+/// but to the maximum of the other cells when activated first. Such a
+/// variant needs the stage plan to activate before pooling for it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Activation {
     /// Logistic sigmoid `1 / (1 + e^{-x})`.
     Sigmoid,
-    /// Hyperbolic tangent.
-    Tanh,
-    /// Rectified linear unit `max(0, x)`.
-    Relu,
     /// No-op.
     Identity,
 }
 
 impl Activation {
-    /// The activations whose computed [`Activation::apply`] **commutes with
-    /// max pooling bit for bit**: pooling the raw pre-activations with
-    /// `cdl_tensor::pool`'s scan (first element wins ties, a later one must
-    /// be strictly greater) and activating the pooled map gives exactly the
-    /// bits of activating every cell and pooling afterwards. The fused
-    /// `conv → activation → max-pool` stage groups of
-    /// [`crate::network::Network`] pool first for these — and only these —
-    /// activations, and `tests::pool_first_*` checks each of them over
-    /// every `f32`.
-    ///
-    /// For `Sigmoid` this is a property of one particular operation
-    /// sequence — the polynomial `exp` of [`cdl_tensor::math`], whose
-    /// range reduction switches branch of the polynomial every `ln 2` —
-    /// and not of the logistic function, so it is measured, not derived:
-    /// change a constant or an operation there and the exhaustive sweep
-    /// (`cargo test --release -p cdl-nn --lib -- --ignored pool_first`,
-    /// ~2 min) has to pass again. [`Activation::apply_slice`] computes the
-    /// same bits as `apply` per cell, so the property carries over to it.
-    ///
-    /// What the tests establish, walking the non-NaN `f32`s in ascending
-    /// order: `apply` is non-decreasing and never NaN; two *distinct*
-    /// inputs with numerically equal outputs have bit-identical outputs (no
-    /// `-0.0`/`+0.0` split inside a plateau); `-0.0` and `+0.0` map to
-    /// equal values; and NaN maps to NaN. Then the raw scan and the
-    /// activated scan select the same window element, or elements whose
-    /// activations are the same bits, and a NaN lands in the same cells.
-    ///
-    /// `Relu` is absent on purpose: `f32::max` drops a NaN (`relu(NaN) =
-    /// 0`), so a window whose first raw element is NaN pools to NaN → 0
-    /// when pooled first but to the maximum of the other cells when
-    /// activated first.
-    pub const POOL_FIRST: [Activation; 3] =
-        [Activation::Sigmoid, Activation::Tanh, Activation::Identity];
-
     /// Applies the function to a scalar. `Sigmoid` is
     /// [`cdl_tensor::math::sigmoid`] — the workspace's one logistic
     /// function, a polynomial `exp` rather than libm's, positive even at
-    /// `-inf`; `Tanh` is libm's.
+    /// `-inf`.
     #[inline]
     pub fn apply(self, x: f32) -> f32 {
         match self {
             Activation::Sigmoid => math::sigmoid(x),
-            Activation::Tanh => x.tanh(),
-            Activation::Relu => x.max(0.0),
             Activation::Identity => x,
         }
     }
@@ -79,30 +71,15 @@ impl Activation {
         match self {
             Activation::Sigmoid => math::sigmoid_slice(xs),
             Activation::Identity => {}
-            Activation::Tanh | Activation::Relu => {
-                for v in xs {
-                    *v = self.apply(*v);
-                }
-            }
         }
     }
 
-    /// Derivative expressed in terms of the *output* `y = apply(x)`.
-    ///
-    /// All supported activations admit this form (sigmoid: `y(1-y)`, tanh:
-    /// `1-y²`, ReLU: `1[y>0]`), which lets layers cache only their outputs.
+    /// Derivative expressed in terms of the *output* `y = apply(x)`
+    /// (sigmoid: `y(1-y)`), which lets layers cache only their outputs.
     #[inline]
     pub fn derivative_from_output(self, y: f32) -> f32 {
         match self {
             Activation::Sigmoid => y * (1.0 - y),
-            Activation::Tanh => 1.0 - y * y,
-            Activation::Relu => {
-                if y > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
             Activation::Identity => 1.0,
         }
     }
@@ -111,8 +88,6 @@ impl Activation {
     pub(crate) fn name(self) -> &'static str {
         match self {
             Activation::Sigmoid => "sigmoid",
-            Activation::Tanh => "tanh",
-            Activation::Relu => "relu",
             Activation::Identity => "identity",
         }
     }
@@ -128,20 +103,21 @@ impl std::fmt::Display for Activation {
 mod tests {
     use super::*;
 
-    const ACTS: [Activation; 4] = [
-        Activation::Sigmoid,
-        Activation::Tanh,
-        Activation::Relu,
-        Activation::Identity,
-    ];
+    /// Every variant, in declaration order. The `match` is exhaustive, so a
+    /// new variant does not compile until it has a place in this walk — and
+    /// with it in every sweep below.
+    fn every_activation() -> impl Iterator<Item = Activation> {
+        std::iter::successors(Some(Activation::Sigmoid), |a| match a {
+            Activation::Sigmoid => Some(Activation::Identity),
+            Activation::Identity => None,
+        })
+    }
 
     #[test]
     fn known_values() {
         assert!((Activation::Sigmoid.apply(0.0) - 0.5).abs() < 1e-6);
-        assert!((Activation::Tanh.apply(0.0)).abs() < 1e-6);
-        assert_eq!(Activation::Relu.apply(-3.0), 0.0);
-        assert_eq!(Activation::Relu.apply(3.0), 3.0);
         assert_eq!(Activation::Identity.apply(1.25), 1.25);
+        assert_eq!(every_activation().count(), 2);
     }
 
     #[test]
@@ -154,7 +130,7 @@ mod tests {
     #[test]
     fn derivative_matches_finite_difference() {
         let eps = 1e-3f32;
-        for act in ACTS {
+        for act in every_activation() {
             for &x in &[-2.0f32, -0.5, 0.1, 0.9, 2.5] {
                 let y = act.apply(x);
                 let fd = (act.apply(x + eps) - act.apply(x - eps)) / (2.0 * eps);
@@ -165,12 +141,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn relu_derivative_zero_below() {
-        assert_eq!(Activation::Relu.derivative_from_output(0.0), 0.0);
-        assert_eq!(Activation::Relu.derivative_from_output(5.0), 1.0);
     }
 
     /// How many non-NaN `f32`s there are: `-inf ..= -0.0` and `+0.0 ..= +inf`.
@@ -199,7 +169,7 @@ mod tests {
     }
 
     /// Walks `inputs` (ascending) and panics unless `act` satisfies the
-    /// conditions documented on [`Activation::POOL_FIRST`].
+    /// conditions documented on [`Activation`].
     fn assert_pool_first(act: Activation, inputs: impl Iterator<Item = f32>) {
         let mut prev: Option<(f32, f32)> = None;
         for x in inputs {
@@ -227,7 +197,7 @@ mod tests {
         assert_eq!(nth_f32(0), f32::NEG_INFINITY);
         assert_eq!(nth_f32(ORDERED_F32S - 1), f32::INFINITY);
         assert_eq!(ordinal(0.0), ordinal(-0.0) + 1);
-        for act in Activation::POOL_FIRST {
+        for act in every_activation() {
             assert_pool_first(act, (0..ORDERED_F32S).step_by(4099).map(nth_f32));
             for centre in [0.0f32, 1.0, 9.0, 17.0, 88.0, 104.0] {
                 for c in [ordinal(-centre), ordinal(centre)] {
@@ -243,29 +213,20 @@ mod tests {
     #[test]
     #[ignore = "exhaustive f32 sweep; run in release"]
     fn pool_first_activations_commute_with_max_pool_exhaustive() {
-        for act in Activation::POOL_FIRST {
+        for act in every_activation() {
             assert_pool_first(act, (0..ORDERED_F32S).map(nth_f32));
         }
     }
 
     #[test]
-    fn relu_is_not_pool_first_because_it_drops_nan() {
-        assert!(!Activation::POOL_FIRST.contains(&Activation::Relu));
-        // window [NaN, 5]: activating first pools [0, 5] to 5, pooling
-        // first keeps the leading NaN and activates it to 0
-        assert_eq!(Activation::Relu.apply(f32::NAN), 0.0);
-        assert_eq!(Activation::Relu.apply(5.0), 5.0);
-    }
-
-    #[test]
     fn names_unique() {
-        let names: std::collections::HashSet<&str> = ACTS.iter().map(|a| a.name()).collect();
-        assert_eq!(names.len(), ACTS.len());
+        let names: std::collections::HashSet<&str> = every_activation().map(|a| a.name()).collect();
+        assert_eq!(names.len(), every_activation().count());
     }
 
     #[test]
     fn serde_round_trip() {
-        for a in ACTS {
+        for a in every_activation() {
             let s = serde_json::to_string(&a).unwrap();
             assert_eq!(serde_json::from_str::<Activation>(&s).unwrap(), a);
         }

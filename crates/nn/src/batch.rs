@@ -17,10 +17,10 @@
 //! two grow-only arenas owned by the [`BatchScratch`]. A layer that computes
 //! something new reads the rows of the current arena and writes its output
 //! block into the other, which then becomes current (`Block::write`):
-//! `Conv2d` (alone or as a fused stage group, below), `Dense` (one
-//! `cdl_tensor::gemm::gemm_nt_rows` over the rows as they
-//! lie) and any layer without a block form (the [`Layer::forward_block`]
-//! default, image by image). The rest never move the data:
+//! `Conv2d` (alone or as a fused stage group, below), `MaxPool2d` alone
+//! (each image's planes scanned where they lie) and `Dense` (one
+//! `cdl_tensor::gemm::gemm_nt_rows` over the rows as they lie). The rest
+//! never move the data:
 //! `ActivationLayer` runs [`Activation::apply_slice`] over the whole block
 //! **in place** (`Block::data_mut`) and `Flatten` only relabels the
 //! per-image shape (`Block::reshape`). No `Tensor` is built per image per
@@ -46,13 +46,13 @@
 //!
 //! `Network::from_spec` finds, once, every run of runtime layers
 //! `Conv2d → ActivationLayer → MaxPool2d` (the activation layer is absent
-//! for `Identity`) whose activation is on
-//! [`Activation::POOL_FIRST`](crate::activation::Activation::POOL_FIRST).
-//! The plan is a list of layer indices with the activation and the window —
-//! never a copy of weights — so training, `import_params` and a model
-//! hot-swap cannot leave it stale. A segment runs such a group as **one
-//! pass** whenever it lies wholly inside the requested `(from, upto]`, which
-//! every cascade segment does since taps sit after pools: the network
+//! for `Identity`): every [`Activation`] commutes with max pooling, so every
+//! convolution a max-pool follows opens one. The plan is a list of layer
+//! indices with the activation and the window — never a copy of weights —
+//! so training, `import_params` and a model hot-swap cannot leave it stale.
+//! A segment runs such a group as **one pass** whenever it lies wholly
+//! inside the requested `(from, upto]`, which every cascade segment does
+//! since taps sit after pools: the network
 //! offers the conv layer the group's epilogue (`Block::take_epilogue`),
 //! and `cdl_tensor::im2col::conv2d_pool_block` convolves, **max-pools the
 //! raw pre-activations**, applies the activation to the pooled values only
@@ -65,10 +65,9 @@
 //! pool's scan (first element wins ties, NaN-aware) `f` must also map NaN
 //! to NaN, give numerically equal outputs of distinct inputs identical
 //! bits, and treat `-0.0` and `+0.0` alike. `activation`'s tests establish
-//! this for each listed activation over every `f32`, and the plan consults
-//! the same list. A 2×2 pool therefore evaluates a quarter of the
-//! activations (864 instead of 3456 sigmoids for MNIST_2C's C1), and those
-//! as whole slices:
+//! this for every variant over every `f32`. A 2×2 pool therefore evaluates
+//! a quarter of the activations (864 instead of 3456 sigmoids for MNIST_2C's
+//! C1), and those as whole slices:
 //! [`Activation::apply_slice`](crate::activation::Activation::apply_slice)
 //! for the sigmoid is `cdl_tensor::math::sigmoid_slice` — a plain loop over
 //! the same FMA-free polynomial `exp` the per-image `Activation::apply`
@@ -77,15 +76,13 @@
 //! is one source (`cdl_tensor::math`'s sweep over all 2³² patterns confirms
 //! it). There is no second sigmoid.
 //!
-//! Everything else runs layer by layer through
-//! [`Layer::forward_block`], in the
-//! layers' own order: a `MeanPool2d` stage, an activation that is not on
-//! the list (`Relu`: `f32::max` drops a NaN), a segment that starts or
-//! ends inside a group. Which route a layer takes is decided by the layer
-//! sequence and the segment alone — there is no switch. Both routes
-//! reproduce the per-image `forward` path **bit for bit** on both
-//! [`GemmKernel`] arms and for every batch size, one included (see
-//! `cdl_tensor::gemm` for why neither tiling nor sharing a vector with
+//! Everything else runs layer by layer through [`Layer::forward_block`], in
+//! the layers' own order: flatten, dense and the dense layer's activation,
+//! and a segment that starts or ends inside a group. Which route a layer
+//! takes is decided by the layer sequence and the segment alone — there is
+//! no switch. Both routes reproduce the per-image `forward` path **bit for
+//! bit** on both [`GemmKernel`] arms and for every batch size, one included
+//! (see `cdl_tensor::gemm` for why neither tiling nor sharing a vector with
 //! other images changes an element's addition sequence);
 //! `tests/batch_equivalence.rs`, this crate's proptests and the golden
 //! vectors of `tests/golden.rs` pin that per arm.
@@ -399,43 +396,6 @@ impl<'a> Block<'a> {
         Ok(())
     }
 
-    /// The step of a layer without a block form: `forward` image by image,
-    /// each through a tensor of its own, into the next block.
-    ///
-    /// # Errors
-    ///
-    /// Whatever `forward` returns, or [`NnError::BadConfig`] when it does
-    /// not give every image the same output shape.
-    pub(crate) fn map_images(&mut self, forward: impl Fn(&Tensor) -> Result<Tensor>) -> Result<()> {
-        if self.rows() == 0 {
-            return Ok(());
-        }
-        let first = match self.input {
-            Some(xs) => forward(&xs[0])?,
-            None => forward(&Tensor::from_vec(
-                self.scratch.row(0).to_vec(),
-                self.dims(),
-            )?)?,
-        };
-        let out_dims = first.dims().to_vec();
-        self.write(&out_dims, |rows, dims, dst, _, _| {
-            for (i, out_row) in dst.chunks_exact_mut(first.len().max(1)).enumerate() {
-                let y = match i {
-                    0 => first.clone(),
-                    _ => forward(&Tensor::from_vec(rows.row(i).to_vec(), dims)?)?,
-                };
-                if y.dims() != out_dims {
-                    return Err(NnError::BadConfig(format!(
-                        "layer gave image {i} shape {:?} and image 0 shape {out_dims:?}",
-                        y.dims()
-                    )));
-                }
-                out_row.copy_from_slice(y.data());
-            }
-            Ok(())
-        })
-    }
-
     /// Ends the segment: a batch no layer wrote (an empty segment, or one
     /// of relabelling layers only) is copied into an arena, so the scratch
     /// holds the segment's output whatever ran.
@@ -510,7 +470,7 @@ mod tests {
         // the next segment continues from the block, and checks its shape
         assert!(Block::begin(None, &[6], &mut scratch).is_err());
         let mut next = Block::begin(None, &[2, 3], &mut scratch).unwrap();
-        next.map_images(|x| Ok(x.flatten())).unwrap();
+        next.reshape(&[6]).unwrap();
         next.finish();
         assert_eq!((scratch.rows(), &scratch.dims[..]), (2, &[6usize][..]));
         assert_eq!(scratch.row(1)[5], 71.0);
@@ -544,7 +504,14 @@ mod tests {
         let run = |scratch: &mut BatchScratch, n: usize| {
             let xs = images(n);
             let mut block = Block::begin(Some(&xs), &[1, 2, 3], scratch).unwrap();
-            block.map_images(|x| Ok(x.flatten())).unwrap();
+            block
+                .write(&[6], |rows, _, dst, _, _| {
+                    for (i, out) in dst.chunks_exact_mut(6).enumerate() {
+                        out.copy_from_slice(rows.row(i));
+                    }
+                    Ok(())
+                })
+                .unwrap();
             block.data_mut();
             block.finish();
         };

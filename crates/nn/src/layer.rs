@@ -54,27 +54,24 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
     /// then write the next block, edit this one in place, or relabel it.
     ///
     /// Must leave in the block exactly [`Layer::forward`]'s output for every
-    /// image, for a batch of any size including one. The default body does
-    /// literally that, image by image through tensors; layers with a
-    /// genuinely batched form override it with a bit-identical one
-    /// (convolution: the lanes-across-images and direct kernels; dense: one
-    /// batched affine over the rows as they lie;
-    /// activation: the slice in place; flatten: a relabel). A layer that
-    /// opens a fusable stage group may find the group's `(activation,
-    /// max-pool window)` in `Block::take_epilogue`; a layer that takes it
-    /// must produce what itself, the activation layer and the pooling layer
-    /// produce in sequence — which holds for a pool-first evaluation only
-    /// because the network offers it only for an activation on the
-    /// [`Activation::POOL_FIRST`](crate::activation::Activation::POOL_FIRST)
-    /// list. Leaving it untaken (the default) makes the network run the
-    /// three layers one by one.
+    /// image, bit for bit, for a batch of any size including one. There is
+    /// no image-by-image default: every layer has a batched form
+    /// (convolution: the lanes-across-images and direct kernels; max-pool:
+    /// each image's planes scanned where they lie; dense: one batched affine
+    /// over the rows as they lie; activation: the slice in place; flatten: a
+    /// relabel). A layer that opens a fusable stage group may find the
+    /// group's `(activation, max-pool window)` in `Block::take_epilogue`; a
+    /// layer that takes it must produce what itself, the activation layer
+    /// and the pooling layer produce in sequence — which holds for a
+    /// pool-first evaluation because every
+    /// [`Activation`](crate::activation::Activation) commutes with max
+    /// pooling. Leaving it untaken makes the network run the three layers
+    /// one by one.
     ///
     /// # Errors
     ///
     /// Shape/geometry errors from the underlying tensor ops.
-    fn forward_block(&self, block: &mut Block<'_>) -> Result<()> {
-        block.map_images(|x| self.forward(x))
-    }
+    fn forward_block(&self, block: &mut Block<'_>) -> Result<()>;
 
     /// Training-mode forward pass; caches intermediates for `backward`.
     ///
@@ -142,6 +139,9 @@ mod tests {
         }
         fn forward(&self, x: &Tensor) -> Result<Tensor> {
             Ok(x.clone())
+        }
+        fn forward_block(&self, _block: &mut Block<'_>) -> Result<()> {
+            Ok(())
         }
         fn forward_train(&mut self, x: &Tensor) -> Result<Tensor> {
             Ok(x.clone())

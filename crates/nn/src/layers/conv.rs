@@ -35,7 +35,7 @@ impl Conv2d {
     /// # Errors
     ///
     /// Returns [`NnError::BadConfig`] when any dimension is zero.
-    pub fn new<R: Rng + ?Sized>(
+    pub(crate) fn new<R: Rng + ?Sized>(
         in_channels: usize,
         out_channels: usize,
         kernel: usize,

@@ -31,7 +31,7 @@ impl Dense {
     /// # Errors
     ///
     /// Returns [`NnError::BadConfig`] when either feature count is zero.
-    pub fn new<R: Rng + ?Sized>(
+    pub(crate) fn new<R: Rng + ?Sized>(
         in_features: usize,
         out_features: usize,
         rng: &mut R,

@@ -1,8 +1,9 @@
-//! Non-overlapping pooling layers.
+//! Non-overlapping max-pooling layer.
 
 use cdl_hw::OpCount;
 use cdl_tensor::{pool, Tensor};
 
+use crate::batch::Block;
 use crate::error::NnError;
 use crate::layer::Layer;
 use crate::Result;
@@ -23,7 +24,7 @@ impl MaxPool2d {
     /// # Errors
     ///
     /// Returns [`NnError::BadConfig`] for a zero window.
-    pub fn new(window: usize) -> Result<Self> {
+    pub(crate) fn new(window: usize) -> Result<Self> {
         if window == 0 {
             return Err(NnError::BadConfig("pooling window must be >= 1".into()));
         }
@@ -43,12 +44,23 @@ impl Layer for MaxPool2d {
         Ok(pool::maxpool2d_forward(x, self.window)?)
     }
 
+    fn forward_block(&self, block: &mut Block<'_>) -> Result<()> {
+        // alone — a segment that starts at the pool of a stage group — each
+        // image's planes are pooled where they lie, by the scan `forward` runs
+        let out = self.output_shape(block.dims())?;
+        let width = out.iter().product::<usize>();
+        block.write(&out, |src, dims, dst, _, _| {
+            let (c, h, w) = (dims[0], dims[1], dims[2]);
+            for (i, row) in dst.chunks_exact_mut(width.max(1)).enumerate() {
+                pool::maxpool2d_into(src.row(i), (c, h, w), h * w, self.window, row);
+            }
+            Ok(())
+        })
+    }
+
     fn forward_train(&mut self, x: &Tensor) -> Result<Tensor> {
         let out = pool::maxpool2d(x, self.window)?;
-        self.cache = Some((
-            x.dims().to_vec(),
-            out.argmax.expect("maxpool2d always returns argmax"),
-        ));
+        self.cache = Some((x.dims().to_vec(), out.argmax));
         Ok(out.output)
     }
 
@@ -61,7 +73,19 @@ impl Layer for MaxPool2d {
     }
 
     fn output_shape(&self, input: &[usize]) -> Result<Vec<usize>> {
-        pool_output_shape(input, self.window)
+        let window = self.window;
+        let &[c, h, w] = input else {
+            return Err(NnError::BadConfig(format!(
+                "pooling expects [C,H,W] input, got rank {}",
+                input.len()
+            )));
+        };
+        if h % window != 0 || w % window != 0 {
+            return Err(NnError::BadConfig(format!(
+                "pooling window {window} does not tile {h}x{w}"
+            )));
+        }
+        Ok(vec![c, h / window, w / window])
     }
 
     fn op_count(&self, input: &[usize]) -> Result<OpCount> {
@@ -79,89 +103,6 @@ impl Layer for MaxPool2d {
     }
 }
 
-/// Non-overlapping mean pooling (`window` == stride).
-#[derive(Debug)]
-pub struct MeanPool2d {
-    window: usize,
-    cache_shape: Option<Vec<usize>>,
-}
-
-impl MeanPool2d {
-    /// Creates a mean-pool layer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::BadConfig`] for a zero window.
-    pub fn new(window: usize) -> Result<Self> {
-        if window == 0 {
-            return Err(NnError::BadConfig("pooling window must be >= 1".into()));
-        }
-        Ok(MeanPool2d {
-            window,
-            cache_shape: None,
-        })
-    }
-}
-
-impl Layer for MeanPool2d {
-    fn name(&self) -> String {
-        format!("meanpool {w}x{w}", w = self.window)
-    }
-
-    fn forward(&self, x: &Tensor) -> Result<Tensor> {
-        Ok(pool::meanpool2d(x, self.window)?.output)
-    }
-
-    fn forward_train(&mut self, x: &Tensor) -> Result<Tensor> {
-        let out = pool::meanpool2d(x, self.window)?;
-        self.cache_shape = Some(x.dims().to_vec());
-        Ok(out.output)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let shape = self
-            .cache_shape
-            .as_ref()
-            .ok_or_else(|| NnError::NoForwardCache { layer: self.name() })?;
-        Ok(pool::meanpool2d_backward(shape, self.window, grad_out)?)
-    }
-
-    fn output_shape(&self, input: &[usize]) -> Result<Vec<usize>> {
-        pool_output_shape(input, self.window)
-    }
-
-    fn op_count(&self, input: &[usize]) -> Result<OpCount> {
-        let out = self.output_shape(input)?;
-        let out_volume: u64 = out.iter().product::<usize>() as u64;
-        let in_volume: u64 = input.iter().product::<usize>() as u64;
-        Ok(OpCount {
-            macs: 0,
-            // window²-1 adds plus one scale per output cell
-            adds: out_volume * (self.window * self.window) as u64,
-            compares: 0,
-            activations: 0,
-            mem_reads: in_volume,
-            mem_writes: out_volume,
-        })
-    }
-}
-
-fn pool_output_shape(input: &[usize], window: usize) -> Result<Vec<usize>> {
-    if input.len() != 3 {
-        return Err(NnError::BadConfig(format!(
-            "pooling expects [C,H,W] input, got rank {}",
-            input.len()
-        )));
-    }
-    let (c, h, w) = (input[0], input[1], input[2]);
-    if h % window != 0 || w % window != 0 {
-        return Err(NnError::BadConfig(format!(
-            "pooling window {window} does not tile {h}x{w}"
-        )));
-    }
-    Ok(vec![c, h / window, w / window])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,7 +110,6 @@ mod tests {
     #[test]
     fn construction_validates() {
         assert!(MaxPool2d::new(0).is_err());
-        assert!(MeanPool2d::new(0).is_err());
         assert!(MaxPool2d::new(2).is_ok());
     }
 
@@ -194,21 +134,9 @@ mod tests {
     }
 
     #[test]
-    fn forward_backward_round_trip_mean() {
-        let mut p = MeanPool2d::new(2).unwrap();
-        let x = Tensor::ones(&[1, 2, 2]);
-        let y = p.forward_train(&x).unwrap();
-        assert_eq!(y.data(), &[1.0]);
-        let gx = p.backward(&Tensor::ones(&[1, 1, 1])).unwrap();
-        assert!(gx.data().iter().all(|&g| (g - 0.25).abs() < 1e-6));
-    }
-
-    #[test]
     fn backward_without_forward_errors() {
         let mut p = MaxPool2d::new(2).unwrap();
         assert!(p.backward(&Tensor::ones(&[1, 1, 1])).is_err());
-        let mut m = MeanPool2d::new(2).unwrap();
-        assert!(m.backward(&Tensor::ones(&[1, 1, 1])).is_err());
     }
 
     #[test]
@@ -219,10 +147,6 @@ mod tests {
         assert_eq!(ops.mem_reads, 6 * 576);
         assert_eq!(ops.mem_writes, 6 * 144);
         assert_eq!(ops.macs, 0);
-
-        let m = MeanPool2d::new(2).unwrap();
-        let ops = m.op_count(&[6, 24, 24]).unwrap();
-        assert_eq!(ops.adds, 6 * 144 * 4);
     }
 
     #[test]
@@ -235,6 +159,5 @@ mod tests {
     #[test]
     fn names() {
         assert_eq!(MaxPool2d::new(2).unwrap().name(), "maxpool 2x2");
-        assert_eq!(MeanPool2d::new(3).unwrap().name(), "meanpool 3x3");
     }
 }

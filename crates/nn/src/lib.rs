@@ -5,12 +5,12 @@
 //! reproduction. It provides everything needed to train the paper's two
 //! LeNet-style baselines (Tables I & II) with plain minibatch SGD:
 //!
-//! * [`layers`] — `Conv2d`, `MaxPool2d`/`MeanPool2d`, `Dense`, elementwise
-//!   activations and `Flatten`, all implementing the [`Layer`] trait with
-//!   exact backward passes;
-//! * [`loss`] — mean-squared error (the paper trains sigmoid nets with MSE,
-//!   following R. Palm's toolbox) and softmax cross-entropy;
-//! * [`optim`] — SGD with momentum, weight decay and step decay;
+//! * [`layers`] — `Conv2d`, `MaxPool2d`, `Dense`, the sigmoid activation
+//!   layer and `Flatten`, all implementing the [`Layer`] trait with exact
+//!   backward passes;
+//! * [`loss`] — mean-squared error against a one-hot target (the paper
+//!   trains sigmoid nets with MSE, following R. Palm's toolbox);
+//! * [`optim`] — SGD with momentum and step decay;
 //! * [`network`] — a sequential [`Network`] container with per-layer
 //!   activation capture (the hook the conditional stages attach to);
 //! * [`trainer`] — epoch/minibatch training loop and accuracy;
@@ -56,7 +56,6 @@ pub use activation::Activation;
 pub use batch::BatchScratch;
 pub use error::NnError;
 pub use layer::Layer;
-pub use loss::Loss;
 pub use network::Network;
 pub use optim::Sgd;
 

@@ -1,81 +1,45 @@
-//! Loss functions and their output-layer gradients.
+//! The training objective and its output-layer gradient.
+//!
+//! Mean squared error against a one-hot target is what the paper
+//! (following R. Palm's convolutional backprop toolbox) uses for both the
+//! baseline DLN and the "least mean square rule" that trains the linear
+//! classifiers, and the only loss here.
 
 use cdl_tensor::{ops, Tensor};
-use serde::{Deserialize, Serialize};
 
 use crate::error::NnError;
 use crate::Result;
 
-/// A training objective.
+/// Mean squared error of one sample, `L = 1/n Σ (y_i - t_i)²`.
 ///
-/// * [`Loss::Mse`] — mean squared error against a one-hot target; this is
-///   what the paper (following R. Palm's convolutional backprop toolbox)
-///   uses for both the baseline DLN and the "least mean square rule" that
-///   trains the linear classifiers.
-/// * [`Loss::SoftmaxCrossEntropy`] — treats the network output as logits;
-///   provided for ablations against the modern default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Loss {
-    /// `L = 1/n Σ (y_i - t_i)²`.
-    Mse,
-    /// `L = -Σ t_i log softmax(y)_i`.
-    SoftmaxCrossEntropy,
+/// # Errors
+///
+/// Returns [`NnError::BadConfig`] when output/target lengths differ or are
+/// empty.
+pub(crate) fn mse(output: &Tensor, target: &Tensor) -> Result<f32> {
+    check_pair(output, target)?;
+    let n = output.len() as f32;
+    let se: f32 = output
+        .data()
+        .iter()
+        .zip(target.data())
+        .map(|(&y, &t)| (y - t) * (y - t))
+        .sum();
+    Ok(se / n)
 }
 
-impl Loss {
-    /// Scalar loss for one sample.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::BadConfig`] when output/target lengths differ or
-    /// are empty.
-    pub fn value(self, output: &Tensor, target: &Tensor) -> Result<f32> {
-        check_pair(output, target)?;
-        match self {
-            Loss::Mse => {
-                let n = output.len() as f32;
-                let se: f32 = output
-                    .data()
-                    .iter()
-                    .zip(target.data())
-                    .map(|(&y, &t)| (y - t) * (y - t))
-                    .sum();
-                Ok(se / n)
-            }
-            Loss::SoftmaxCrossEntropy => {
-                let p = ops::softmax(output);
-                let mut loss = 0.0f32;
-                for (&pi, &ti) in p.data().iter().zip(target.data()) {
-                    if ti > 0.0 {
-                        loss -= ti * pi.max(1e-12).ln();
-                    }
-                }
-                Ok(loss)
-            }
-        }
-    }
-
-    /// Gradient of the loss w.r.t. the network output.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::BadConfig`] when output/target lengths differ or
-    /// are empty.
-    pub(crate) fn gradient(self, output: &Tensor, target: &Tensor) -> Result<Tensor> {
-        check_pair(output, target)?;
-        match self {
-            Loss::Mse => {
-                let n = output.len() as f32;
-                Ok(ops::zip_with(output, target, move |y, t| {
-                    2.0 * (y - t) / n
-                })?)
-            }
-            Loss::SoftmaxCrossEntropy => {
-                let p = ops::softmax(output);
-                Ok(ops::sub(&p, target)?)
-            }
-        }
-    }
+/// Gradient of [`mse`] w.r.t. the network output, `2 (y - t) / n`.
+///
+/// # Errors
+///
+/// Returns [`NnError::BadConfig`] when output/target lengths differ or are
+/// empty.
+pub(crate) fn mse_gradient(output: &Tensor, target: &Tensor) -> Result<Tensor> {
+    check_pair(output, target)?;
+    let n = output.len() as f32;
+    Ok(ops::zip_with(output, target, move |y, t| {
+        2.0 * (y - t) / n
+    })?)
 }
 
 fn check_pair(output: &Tensor, target: &Tensor) -> Result<()> {
@@ -120,8 +84,8 @@ mod tests {
     #[test]
     fn mse_perfect_prediction_is_zero() {
         let y = t(vec![0.0, 1.0, 0.0]);
-        assert_eq!(Loss::Mse.value(&y, &y).unwrap(), 0.0);
-        let g = Loss::Mse.gradient(&y, &y).unwrap();
+        assert_eq!(mse(&y, &y).unwrap(), 0.0);
+        let g = mse_gradient(&y, &y).unwrap();
         assert!(g.data().iter().all(|&v| v == 0.0));
     }
 
@@ -129,41 +93,29 @@ mod tests {
     fn mse_known_value() {
         let y = t(vec![1.0, 0.0]);
         let tgt = t(vec![0.0, 0.0]);
-        assert!((Loss::Mse.value(&y, &tgt).unwrap() - 0.5).abs() < 1e-6);
+        assert!((mse(&y, &tgt).unwrap() - 0.5).abs() < 1e-6);
     }
 
+    /// Finite-difference check of the gradient.
     #[test]
-    fn ce_prefers_correct_class() {
-        let tgt = one_hot(0, 3).unwrap();
-        let good = t(vec![5.0, 0.0, 0.0]);
-        let bad = t(vec![0.0, 5.0, 0.0]);
-        let lg = Loss::SoftmaxCrossEntropy.value(&good, &tgt).unwrap();
-        let lb = Loss::SoftmaxCrossEntropy.value(&bad, &tgt).unwrap();
-        assert!(lg < lb);
-    }
-
-    /// Finite-difference check of both gradients.
-    #[test]
-    fn gradients_match_finite_difference() {
+    fn gradient_matches_finite_difference() {
         let tgt = one_hot(1, 4).unwrap();
-        for loss in [Loss::Mse, Loss::SoftmaxCrossEntropy] {
-            let mut y = t(vec![0.3, -0.2, 0.8, 0.1]);
-            let g = loss.gradient(&y, &tgt).unwrap();
-            let eps = 1e-3;
-            for i in 0..y.len() {
-                let orig = y.data()[i];
-                y.data_mut()[i] = orig + eps;
-                let lp = loss.value(&y, &tgt).unwrap();
-                y.data_mut()[i] = orig - eps;
-                let lm = loss.value(&y, &tgt).unwrap();
-                y.data_mut()[i] = orig;
-                let fd = (lp - lm) / (2.0 * eps);
-                assert!(
-                    (fd - g.data()[i]).abs() < 1e-2,
-                    "{loss:?}: i={i} fd={fd} g={}",
-                    g.data()[i]
-                );
-            }
+        let mut y = t(vec![0.3, -0.2, 0.8, 0.1]);
+        let g = mse_gradient(&y, &tgt).unwrap();
+        let eps = 1e-3;
+        for i in 0..y.len() {
+            let orig = y.data()[i];
+            y.data_mut()[i] = orig + eps;
+            let lp = mse(&y, &tgt).unwrap();
+            y.data_mut()[i] = orig - eps;
+            let lm = mse(&y, &tgt).unwrap();
+            y.data_mut()[i] = orig;
+            let fd = (lp - lm) / (2.0 * eps);
+            assert!(
+                (fd - g.data()[i]).abs() < 1e-2,
+                "i={i} fd={fd} g={}",
+                g.data()[i]
+            );
         }
     }
 
@@ -171,11 +123,9 @@ mod tests {
     fn validation() {
         let y = t(vec![1.0, 2.0]);
         let bad = t(vec![1.0]);
-        assert!(Loss::Mse.value(&y, &bad).is_err());
-        assert!(Loss::Mse.gradient(&y, &bad).is_err());
-        assert!(Loss::Mse
-            .value(&Tensor::default(), &Tensor::default())
-            .is_err());
+        assert!(mse(&y, &bad).is_err());
+        assert!(mse_gradient(&y, &bad).is_err());
+        assert!(mse(&Tensor::default(), &Tensor::default()).is_err());
     }
 
     #[test]
@@ -183,18 +133,5 @@ mod tests {
         let t = one_hot(2, 4).unwrap();
         assert_eq!(t.data(), &[0.0, 0.0, 1.0, 0.0]);
         assert!(one_hot(4, 4).is_err());
-    }
-
-    #[test]
-    fn ce_loss_is_never_negative() {
-        let tgt = one_hot(0, 3).unwrap();
-        for logits in [
-            vec![0.0, 0.0, 0.0],
-            vec![10.0, -10.0, 0.0],
-            vec![-5.0, 5.0, 5.0],
-        ] {
-            let l = Loss::SoftmaxCrossEntropy.value(&t(logits), &tgt).unwrap();
-            assert!(l >= 0.0);
-        }
     }
 }

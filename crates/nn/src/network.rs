@@ -9,17 +9,18 @@ use crate::activation::Activation;
 use crate::batch::{BatchScratch, Block};
 use crate::error::NnError;
 use crate::layer::Layer;
-use crate::layers::{ActivationLayer, Conv2d, Dense, Flatten, MaxPool2d, MeanPool2d};
-use crate::loss::Loss;
+use crate::layers::{ActivationLayer, Conv2d, Dense, Flatten, MaxPool2d};
+use crate::loss;
 use crate::spec::{LayerSpec, NetworkSpec};
 use crate::Result;
 
 /// A sequential feed-forward network (the paper's "DLN").
 ///
 /// Built from a [`NetworkSpec`]; owns boxed [`Layer`]s. Besides the ordinary
-/// forward pass it exposes [`Network::forward_all`], which returns the output
-/// of *every* layer — the hook `cdl-core` uses to tap convolutional features
-/// for its cascaded linear classifiers.
+/// forward pass it runs any segment `(from, upto]` of its layers, per image
+/// ([`Network::forward_segment`]) or as one block
+/// ([`Network::forward_block_segment`]) — the hook `cdl-core` uses to tap
+/// convolutional features for its cascaded linear classifiers.
 #[derive(Debug)]
 pub struct Network {
     spec: NetworkSpec,
@@ -63,20 +64,18 @@ impl Network {
         let mut spec_to_runtime = Vec::with_capacity(spec.layers.len());
         let mut stage_groups = Vec::new();
         for (i, layer) in spec.layers.iter().enumerate() {
-            // a conv whose activation commutes with max pooling, followed
-            // by a max-pool, runs as one fused pass per image
+            // a conv followed by a max-pool runs as one fused pass: every
+            // activation commutes with max pooling (see `Activation`)
             if let (LayerSpec::Conv { activation, .. }, Some(LayerSpec::MaxPool { window })) =
                 (layer, spec.layers.get(i + 1))
             {
-                if Activation::POOL_FIRST.contains(activation) {
-                    let conv = layers.len();
-                    stage_groups.push(StageGroup {
-                        conv,
-                        pool: conv + 1 + usize::from(*activation != Activation::Identity),
-                        activation: *activation,
-                        window: *window,
-                    });
-                }
+                let conv = layers.len();
+                stage_groups.push(StageGroup {
+                    conv,
+                    pool: conv + 1 + usize::from(*activation != Activation::Identity),
+                    activation: *activation,
+                    window: *window,
+                });
             }
             match layer {
                 LayerSpec::Conv {
@@ -97,9 +96,6 @@ impl Network {
                 }
                 LayerSpec::MaxPool { window } => {
                     layers.push(Box::new(MaxPool2d::new(*window)?));
-                }
-                LayerSpec::MeanPool { window } => {
-                    layers.push(Box::new(MeanPool2d::new(*window)?));
                 }
                 LayerSpec::Flatten => layers.push(Box::new(Flatten::new())),
                 LayerSpec::Dense {
@@ -175,22 +171,6 @@ impl Network {
             cur = layer.forward(&cur)?;
         }
         Ok(cur)
-    }
-
-    /// Inference-mode forward pass returning the output of **every** layer
-    /// (index `i` = output of runtime layer `i`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates layer shape errors.
-    pub fn forward_all(&self, x: &Tensor) -> Result<Vec<Tensor>> {
-        let mut outs = Vec::with_capacity(self.layers.len());
-        let mut cur = x.clone();
-        for layer in &self.layers {
-            cur = layer.forward(&cur)?;
-            outs.push(cur.clone());
-        }
-        Ok(outs)
     }
 
     /// Forward pass of one image over runtime layers `(from, upto]` —
@@ -290,7 +270,7 @@ impl Network {
     /// # Errors
     ///
     /// Propagates layer shape errors.
-    pub(crate) fn forward_train(&mut self, x: &Tensor) -> Result<Tensor> {
+    fn forward_train(&mut self, x: &Tensor) -> Result<Tensor> {
         let mut cur = x.clone();
         for layer in &mut self.layers {
             cur = layer.forward_train(&cur)?;
@@ -303,7 +283,7 @@ impl Network {
     /// # Errors
     ///
     /// Propagates layer errors (e.g. backward before forward).
-    pub(crate) fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
         let mut grad = grad_out.clone();
         for layer in self.layers.iter_mut().rev() {
             grad = layer.backward(&grad)?;
@@ -312,34 +292,32 @@ impl Network {
     }
 
     /// Clears all accumulated gradients.
-    pub fn zero_grads(&mut self) {
+    pub(crate) fn zero_grads(&mut self) {
         for layer in &mut self.layers {
             layer.zero_grads();
         }
     }
 
-    /// One training step on a single sample: forward, loss, backward.
-    /// Returns the loss value. Gradients accumulate; callers divide the
-    /// learning rate by the batch size (or scale here via `grad_scale`).
+    /// One training step on a single sample: forward, MSE loss, backward
+    /// of the loss gradient times `grad_scale` (a minibatch passes
+    /// `1 / batch`). Gradients accumulate until [`Network::zero_grads`].
+    /// Returns the loss value and the network's output.
     ///
     /// # Errors
     ///
     /// Propagates layer and loss errors.
-    pub fn train_sample(
+    pub(crate) fn train_sample(
         &mut self,
         x: &Tensor,
         target: &Tensor,
-        loss: Loss,
         grad_scale: f32,
-    ) -> Result<f32> {
+    ) -> Result<(f32, Tensor)> {
         let out = self.forward_train(x)?;
-        let value = loss.value(&out, target)?;
-        let mut grad = loss.gradient(&out, target)?;
-        if grad_scale != 1.0 {
-            grad.map_in_place(|g| g * grad_scale);
-        }
+        let value = loss::mse(&out, target)?;
+        let mut grad = loss::mse_gradient(&out, target)?;
+        grad.map_in_place(|g| g * grad_scale);
         self.backward(&grad)?;
-        Ok(value)
+        Ok((value, out))
     }
 
     /// Predicted class (argmax of the output) for an input.
@@ -471,25 +449,40 @@ mod tests {
         assert!(Network::from_spec(&bad, 0).is_err());
     }
 
+    /// Each runtime layer's output for `x` (index `i` = output of layer
+    /// `i`), one single-layer segment at a time.
+    fn layer_outputs(net: &Network, x: &Tensor) -> Vec<Tensor> {
+        let mut cur = x.clone();
+        (0..net.layer_count())
+            .map(|i| {
+                cur = net.forward_segment(&cur, i.checked_sub(1), i).unwrap();
+                cur.clone()
+            })
+            .collect()
+    }
+
     #[test]
-    fn forward_all_returns_every_layer() {
+    fn every_layer_output_has_its_planned_shape() {
         let net = Network::from_spec(&tiny_spec(), 1).unwrap();
-        let outs = net.forward_all(&Tensor::zeros(&[1, 8, 8])).unwrap();
+        let outs = layer_outputs(&net, &Tensor::zeros(&[1, 8, 8]));
         assert_eq!(outs.len(), 6);
         assert_eq!(outs[0].dims(), &[2, 6, 6]); // conv
         assert_eq!(outs[1].dims(), &[2, 6, 6]); // sigmoid
         assert_eq!(outs[2].dims(), &[2, 3, 3]); // pool
         assert_eq!(outs[3].dims(), &[18]); // flatten
         assert_eq!(outs[5].dims(), &[4]); // final sigmoid
-                                          // last entry equals plain forward
+        for (out, shape) in outs.iter().zip(&net.shapes[1..]) {
+            assert_eq!(out.dims(), shape);
+        }
+        // the last entry equals the plain forward pass
         assert_eq!(outs[5], net.forward(&Tensor::zeros(&[1, 8, 8])).unwrap());
     }
 
     #[test]
-    fn forward_segment_from_the_input_matches_forward_all() {
+    fn forward_segment_from_the_input_matches_every_layer() {
         let net = Network::from_spec(&tiny_spec(), 7).unwrap();
         let x = Tensor::full(&[1, 8, 8], 0.5);
-        let outs = net.forward_all(&x).unwrap();
+        let outs = layer_outputs(&net, &x);
         for (i, out) in outs.iter().enumerate() {
             assert_eq!(&net.forward_segment(&x, None, i).unwrap(), out, "layer {i}");
         }
@@ -500,7 +493,7 @@ mod tests {
     fn forward_segment_continues_correctly() {
         let net = Network::from_spec(&tiny_spec(), 7).unwrap();
         let x = Tensor::full(&[1, 8, 8], 0.25);
-        let outs = net.forward_all(&x).unwrap();
+        let outs = layer_outputs(&net, &x);
         // continue from pool output (layer 2) to the end (layer 5)
         let cont = net.forward_segment(&outs[2], Some(2), 5).unwrap();
         assert_eq!(cont, outs[5]);
@@ -555,7 +548,7 @@ mod tests {
     }
 
     #[test]
-    fn stage_plan_groups_conv_activation_maxpool_only() {
+    fn stage_plan_groups_every_conv_followed_by_a_maxpool() {
         let plan = |layers: Vec<LayerSpec>, input: &[usize]| -> Vec<(usize, usize)> {
             let net = Network::from_spec(&NetworkSpec::new(layers, input), 1).unwrap();
             net.stage_groups.iter().map(|g| (g.conv, g.pool)).collect()
@@ -575,20 +568,14 @@ mod tests {
         );
         let group = Network::from_spec(&tiny_spec(), 1).unwrap().stage_groups[0];
         assert_eq!((group.activation, group.window), (Activation::Sigmoid, 2));
-        // not grouped: relu (drops NaN), mean pooling, a conv with no pool
+        // not grouped: a conv with no pool after it, a pool with no conv
+        // before it
         for layers in [
             vec![
-                LayerSpec::conv(1, 2, 3, Activation::Relu),
-                LayerSpec::maxpool(2),
-            ],
-            vec![
                 LayerSpec::conv(1, 2, 3, Activation::Sigmoid),
-                LayerSpec::meanpool(2),
-            ],
-            vec![
-                LayerSpec::conv(1, 2, 3, Activation::Tanh),
                 LayerSpec::flatten(),
             ],
+            vec![LayerSpec::maxpool(2), LayerSpec::flatten()],
         ] {
             assert!(plan(layers, &[1, 8, 8]).is_empty());
         }
@@ -608,15 +595,16 @@ mod tests {
     fn training_reduces_loss_on_single_sample() {
         let mut net = Network::from_spec(&tiny_spec(), 3).unwrap();
         let x = Tensor::full(&[1, 8, 8], 0.7);
-        let target = crate::loss::one_hot(2, 4).unwrap();
-        let mut opt = crate::optim::Sgd::new(0.5, 0.0, 0.0);
-        let initial = Loss::Mse.value(&net.forward(&x).unwrap(), &target).unwrap();
+        let target = loss::one_hot(2, 4).unwrap();
+        let mut opt = crate::optim::Sgd::new(0.5, 0.0);
+        let initial = loss::mse(&net.forward(&x).unwrap(), &target).unwrap();
         for _ in 0..50 {
             net.zero_grads();
-            net.train_sample(&x, &target, Loss::Mse, 1.0).unwrap();
+            let (value, out) = net.train_sample(&x, &target, 1.0).unwrap();
+            assert_eq!(value, loss::mse(&out, &target).unwrap());
             opt.step(&mut net).unwrap();
         }
-        let trained = Loss::Mse.value(&net.forward(&x).unwrap(), &target).unwrap();
+        let trained = loss::mse(&net.forward(&x).unwrap(), &target).unwrap();
         assert!(
             trained < initial * 0.5,
             "loss should halve: {initial} -> {trained}"

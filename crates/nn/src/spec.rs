@@ -31,11 +31,6 @@ pub enum LayerSpec {
         /// Window side length (= stride).
         window: usize,
     },
-    /// Non-overlapping mean pooling with the given window.
-    MeanPool {
-        /// Window side length (= stride).
-        window: usize,
-    },
     /// Flatten to rank 1.
     Flatten,
     /// Fully connected layer followed by `activation`.
@@ -68,11 +63,6 @@ impl LayerSpec {
     /// Max-pool shorthand.
     pub fn maxpool(window: usize) -> Self {
         LayerSpec::MaxPool { window }
-    }
-
-    /// Mean-pool shorthand.
-    pub fn meanpool(window: usize) -> Self {
-        LayerSpec::MeanPool { window }
     }
 
     /// Flatten shorthand.
@@ -139,7 +129,7 @@ impl NetworkSpec {
                     }
                     vec![*out_channels, cur[1] - kernel + 1, cur[2] - kernel + 1]
                 }
-                LayerSpec::MaxPool { window } | LayerSpec::MeanPool { window } => {
+                LayerSpec::MaxPool { window } => {
                     if cur.len() != 3 {
                         return Err(NnError::BadConfig(format!(
                             "layer {i}: pooling expects [C,H,W], got {cur:?}"
@@ -253,7 +243,7 @@ mod tests {
     #[test]
     fn detects_oversized_kernel() {
         let spec = NetworkSpec::new(
-            vec![LayerSpec::conv(1, 2, 30, Activation::Relu)],
+            vec![LayerSpec::conv(1, 2, 30, Activation::Sigmoid)],
             &[1, 28, 28],
         );
         assert!(spec.shape_chain().is_err());

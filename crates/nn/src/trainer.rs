@@ -7,7 +7,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::error::NnError;
-use crate::loss::{one_hot, Loss};
+use crate::loss::one_hot;
 use crate::network::Network;
 use crate::optim::Sgd;
 use crate::Result;
@@ -57,12 +57,8 @@ pub struct TrainConfig {
     pub lr: f32,
     /// Momentum coefficient.
     pub momentum: f32,
-    /// L2 weight decay.
-    pub weight_decay: f32,
     /// Learning-rate multiplier applied after every epoch.
     pub lr_decay: f32,
-    /// Training loss.
-    pub loss: Loss,
     /// Shuffle seed (shuffling is always on, for SGD to make sense).
     pub seed: u64,
 }
@@ -77,9 +73,7 @@ impl Default for TrainConfig {
             batch_size: 16,
             lr: 0.5,
             momentum: 0.9,
-            weight_decay: 0.0,
             lr_decay: 0.7,
-            loss: Loss::Mse,
             seed: 0xCD1,
         }
     }
@@ -104,7 +98,7 @@ pub struct TrainReport {
     pub epochs: Vec<EpochStats>,
 }
 
-/// Trains `net` on `data` with minibatch SGD.
+/// Trains `net` on `data` with minibatch SGD on the MSE loss.
 ///
 /// Gradients are accumulated per batch with a `1/batch` scale and applied
 /// once per batch. Returns per-epoch statistics.
@@ -118,7 +112,7 @@ pub fn train(net: &mut Network, data: &LabelledSet, cfg: &TrainConfig) -> Result
         return Err(NnError::BadDataset("empty training set".into()));
     }
     let classes = output_classes(net)?;
-    let mut opt = Sgd::new(cfg.lr, cfg.momentum, cfg.weight_decay);
+    let mut opt = Sgd::new(cfg.lr, cfg.momentum);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut order: Vec<usize> = (0..data.len()).collect();
     let batch = cfg.batch_size.max(1);
@@ -135,11 +129,7 @@ pub fn train(net: &mut Network, data: &LabelledSet, cfg: &TrainConfig) -> Result
                 let x = &data.images[i];
                 let label = data.labels[i];
                 let target = one_hot(label, classes)?;
-                let out = net.forward_train(x)?;
-                let lv = cfg.loss.value(&out, &target)?;
-                let mut grad = cfg.loss.gradient(&out, &target)?;
-                grad.map_in_place(|g| g * scale);
-                net.backward(&grad)?;
+                let (lv, out) = net.train_sample(x, &target, scale)?;
                 loss_sum += lv as f64;
                 if let Some(pred) = out.argmax() {
                     pairs.push((label, pred));

@@ -16,7 +16,7 @@ pub enum Init {
     Uniform(f32),
     /// Xavier/Glorot uniform: `a = sqrt(6 / (fan_in + fan_out))`.
     ///
-    /// The classic choice for the sigmoid/tanh nets the paper trains.
+    /// The classic choice for sigmoid nets like the ones the paper trains.
     XavierUniform,
     /// LeCun uniform: `a = sqrt(3 / fan_in)`.
     LecunUniform,

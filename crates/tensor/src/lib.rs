@@ -13,7 +13,7 @@
 //!   construction, the host deciding which runs ([`GemmKernel`]),
 //! * *valid* 2-D multi-channel convolution / cross-correlation and their
 //!   gradients ([`conv`]),
-//! * max- and mean-pooling with argmax bookkeeping for backprop ([`pool`]),
+//! * max pooling with argmax bookkeeping for backprop ([`pool`]),
 //! * the workspace's logistic function — an FMA-free polynomial `exp`,
 //!   written once, compiled twice ([`math`]),
 //! * weight initialisers (uniform, Xavier/Glorot, LeCun) ([`init`]).

@@ -11,8 +11,8 @@
 //! libm `expf` behind any of them, so a model, an oracle or a bit-identity
 //! claim no longer depends on which libm the host ships, and no switch
 //! selects another implementation. `ops::softmax` (one per final-exit image)
-//! and `Activation::Tanh` (ablation only) still call libm `exp`/`tanh`;
-//! neither is on a measured hot path, so they were left alone.
+//! still calls libm `exp`; it is not on a measured hot path, so it was left
+//! alone.
 //!
 //! # Algorithm
 //!
@@ -53,11 +53,12 @@
 //!
 //! The fused stage groups of `cdl_nn` max-pool *before* they activate, which
 //! is exact only if the computed sigmoid is non-decreasing over the ordered
-//! `f32`s, maps NaN to NaN, and gives equal outputs identical bits
-//! (`Activation::POOL_FIRST`). A polynomial `exp` has no such property by
-//! construction — at every point where `k` steps, two different
-//! reduction/polynomial roundings meet — so it is a property of *this exact
-//! operation sequence with these constants*, established by `cdl-nn`'s
+//! `f32`s, maps NaN to NaN, and gives equal outputs identical bits (what
+//! `cdl_nn::Activation`'s docs require of every variant). A polynomial
+//! `exp` has no such property by construction — at every point where `k`
+//! steps, two different reduction/polynomial roundings meet — so it is a
+//! property of *this exact operation sequence with these constants*,
+//! established by `cdl-nn`'s
 //! exhaustive sweep over all 4 278 190 082 non-NaN `f32` (`cargo test
 //! --release -p cdl-nn --lib -- --ignored pool_first`). Change an operation,
 //! its order or a constant and that sweep has to be rerun.

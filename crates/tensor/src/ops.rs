@@ -10,24 +10,6 @@ use crate::rows::Rows;
 use crate::tensor::Tensor;
 use crate::Result;
 
-/// Elementwise addition: `out = a + b`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when shapes differ.
-pub fn add(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    zip_with(a, b, |x, y| x + y)
-}
-
-/// Elementwise subtraction: `out = a - b`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when shapes differ.
-pub fn sub(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    zip_with(a, b, |x, y| x - y)
-}
-
 /// Applies `f` pairwise to two same-shaped tensors.
 ///
 /// # Errors
@@ -65,11 +47,6 @@ pub fn axpy(acc: &mut Tensor, alpha: f32, x: &Tensor) -> Result<()> {
         *a += alpha * b;
     }
     Ok(())
-}
-
-/// Multiplies every element by a scalar, returning a new tensor.
-pub fn scale(a: &Tensor, alpha: f32) -> Tensor {
-    a.map(|x| x * alpha)
 }
 
 /// Matrix–vector product `W x` where `w` is `[rows, cols]` and `x` has `cols`
@@ -265,18 +242,15 @@ mod tests {
     }
 
     #[test]
-    fn elementwise_ops() {
+    fn zip_with_pairs_elements_and_checks_shapes() {
         let a = t(vec![1.0, 2.0, 3.0], &[3]);
         let b = t(vec![4.0, 5.0, 6.0], &[3]);
-        assert_eq!(add(&a, &b).unwrap().data(), &[5.0, 7.0, 9.0]);
-        assert_eq!(sub(&b, &a).unwrap().data(), &[3.0, 3.0, 3.0]);
-    }
-
-    #[test]
-    fn elementwise_shape_checked() {
-        let a = t(vec![1.0, 2.0], &[2]);
-        let b = t(vec![1.0, 2.0], &[2, 1]);
-        assert!(add(&a, &b).is_err());
+        assert_eq!(
+            zip_with(&b, &a, |x, y| x - y).unwrap().data(),
+            &[3.0, 3.0, 3.0]
+        );
+        let c = t(vec![1.0, 2.0], &[2, 1]);
+        assert!(zip_with(&t(vec![1.0, 2.0], &[2]), &c, |x, y| x + y).is_err());
     }
 
     #[test]
@@ -286,11 +260,6 @@ mod tests {
         axpy(&mut acc, 0.5, &x).unwrap();
         assert_eq!(acc.data(), &[2.0, 2.5]);
         assert!(axpy(&mut acc, 1.0, &t(vec![0.0], &[1])).is_err());
-    }
-
-    #[test]
-    fn scale_works() {
-        assert_eq!(scale(&t(vec![1.0, -2.0], &[2]), -2.0).data(), &[-2.0, 4.0]);
     }
 
     #[test]

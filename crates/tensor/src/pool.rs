@@ -1,5 +1,5 @@
-//! Max- and mean-pooling over `[C, H, W]` tensors, with the bookkeeping
-//! needed to backpropagate through them.
+//! Max pooling over `[C, H, W]` tensors, with the bookkeeping needed to
+//! backpropagate through it.
 //!
 //! The paper's DLN baselines use non-overlapping pooling (window == stride),
 //! which is what these helpers implement. A window of 1 is the identity and
@@ -9,17 +9,14 @@ use crate::error::TensorError;
 use crate::tensor::Tensor;
 use crate::Result;
 
-/// Result of a pooling forward pass.
-///
-/// `argmax` is only populated for max pooling; it stores, for every output
-/// cell, the flat input offset of the winning element so the backward pass
-/// can route gradients.
+/// Result of a training-mode max-pool forward pass.
 #[derive(Debug, Clone)]
 pub struct PoolOutput {
     /// Pooled activations, `[C, H/k, W/k]`.
     pub output: Tensor,
-    /// For max pooling: flat input offset of each output cell's maximum.
-    pub argmax: Option<Vec<usize>>,
+    /// For every output cell, the flat input offset of its maximum, so the
+    /// backward pass can route gradients.
+    pub argmax: Vec<usize>,
 }
 
 fn check_pool(input: &Tensor, window: usize) -> Result<(usize, usize, usize, usize, usize)> {
@@ -131,7 +128,7 @@ pub fn maxpool2d(input: &Tensor, window: usize) -> Result<PoolOutput> {
     );
     Ok(PoolOutput {
         output: Tensor::from_vec(out, &[c, oh, ow])?,
-        argmax: Some(arg),
+        argmax: arg,
     })
 }
 
@@ -158,7 +155,7 @@ pub fn maxpool2d_forward(input: &Tensor, window: usize) -> Result<Tensor> {
 /// Panics when `window` is zero or does not tile `h`×`w`, when `out` is
 /// not `c * (h/window) * (w/window)` long, or when `x` is too short for
 /// the last plane (callers validate geometry first).
-pub(crate) fn maxpool2d_into(
+pub fn maxpool2d_into(
     x: &[f32],
     (c, h, w): (usize, usize, usize),
     plane_stride: usize,
@@ -175,40 +172,6 @@ pub(crate) fn maxpool2d_into(
         "maxpool2d_into: out must be [c, h/window, w/window]"
     );
     maxpool_scan(x, (c, h, w), plane_stride, window, out, |_, _| {});
-}
-
-/// Non-overlapping mean pooling.
-///
-/// # Errors
-///
-/// Same geometry conditions as [`maxpool2d`].
-pub fn meanpool2d(input: &Tensor, window: usize) -> Result<PoolOutput> {
-    let (c, h, w, oh, ow) = check_pool(input, window)?;
-    let x = input.data();
-    let mut out = vec![0.0f32; c * oh * ow];
-    let in_plane = h * w;
-    let norm = 1.0 / (window * window) as f32;
-
-    for ch in 0..c {
-        let xbase = ch * in_plane;
-        let obase = ch * oh * ow;
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc = 0.0f32;
-                for wy in 0..window {
-                    let row = xbase + (oy * window + wy) * w + ox * window;
-                    for wx in 0..window {
-                        acc += x[row + wx];
-                    }
-                }
-                out[obase + oy * ow + ox] = acc * norm;
-            }
-        }
-    }
-    Ok(PoolOutput {
-        output: Tensor::from_vec(out, &[c, oh, ow])?,
-        argmax: None,
-    })
 }
 
 /// Backward pass for max pooling: routes each upstream gradient cell to the
@@ -243,65 +206,6 @@ pub fn maxpool2d_backward(
     Ok(gx)
 }
 
-/// Backward pass for mean pooling: spreads each upstream gradient uniformly
-/// over its window.
-///
-/// # Errors
-///
-/// Returns geometry errors when `grad_out` is inconsistent with
-/// `input_shape`/`window`.
-pub fn meanpool2d_backward(
-    input_shape: &[usize],
-    window: usize,
-    grad_out: &Tensor,
-) -> Result<Tensor> {
-    if input_shape.len() != 3 {
-        return Err(TensorError::RankMismatch {
-            expected: 3,
-            actual: input_shape.len(),
-        });
-    }
-    if window == 0 {
-        return Err(TensorError::InvalidGeometry(
-            "zero-sized pooling window".into(),
-        ));
-    }
-    let (c, h, w) = (input_shape[0], input_shape[1], input_shape[2]);
-    if h % window != 0 || w % window != 0 {
-        return Err(TensorError::InvalidGeometry(format!(
-            "pooling window {window} does not tile input {h}x{w}"
-        )));
-    }
-    let (oh, ow) = (h / window, w / window);
-    if grad_out.dims() != [c, oh, ow] {
-        return Err(TensorError::ShapeMismatch {
-            left: grad_out.dims().to_vec(),
-            right: vec![c, oh, ow],
-        });
-    }
-    let norm = 1.0 / (window * window) as f32;
-    let g = grad_out.data();
-    let mut gx = vec![0.0f32; c * h * w];
-    let in_plane = h * w;
-
-    for ch in 0..c {
-        let xbase = ch * in_plane;
-        let obase = ch * oh * ow;
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let gv = g[obase + oy * ow + ox] * norm;
-                for wy in 0..window {
-                    let row = xbase + (oy * window + wy) * w + ox * window;
-                    for wx in 0..window {
-                        gx[row + wx] += gv;
-                    }
-                }
-            }
-        }
-    }
-    Tensor::from_vec(gx, input_shape)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,8 +228,7 @@ mod tests {
         let p = maxpool2d(&x, 2).unwrap();
         assert_eq!(p.output.dims(), &[1, 2, 2]);
         assert_eq!(p.output.data(), &[4.0, 8.0, 0.0, 0.75]);
-        let arg = p.argmax.unwrap();
-        assert_eq!(arg, vec![5, 7, 9, 14]);
+        assert_eq!(p.argmax, vec![5, 7, 9, 14]);
     }
 
     #[test]
@@ -346,7 +249,7 @@ mod tests {
                 .output
                 .data()
                 .iter()
-                .zip(with_arg.argmax.as_ref().unwrap())
+                .zip(&with_arg.argmax)
                 .enumerate()
             {
                 let (ch, oy, ox) = (cell / (o * o), cell / o % o, cell % o);
@@ -399,27 +302,16 @@ mod tests {
     }
 
     #[test]
-    fn meanpool_basic() {
-        let x = t(vec![1.0, 2.0, 3.0, 4.0], &[1, 2, 2]);
-        let p = meanpool2d(&x, 2).unwrap();
-        assert_eq!(p.output.data(), &[2.5]);
-        assert!(p.argmax.is_none());
-    }
-
-    #[test]
     fn window_one_is_identity() {
         let x = t((0..8).map(|v| v as f32).collect(), &[2, 2, 2]);
         let pm = maxpool2d(&x, 1).unwrap();
         assert_eq!(pm.output, x);
-        let pa = meanpool2d(&x, 1).unwrap();
-        assert_eq!(pa.output, x);
     }
 
     #[test]
     fn rejects_non_tiling_window() {
         let x = Tensor::zeros(&[1, 3, 3]);
         assert!(maxpool2d(&x, 2).is_err());
-        assert!(meanpool2d(&x, 2).is_err());
         assert!(maxpool2d(&x, 0).is_err());
     }
 
@@ -440,41 +332,13 @@ mod tests {
         );
         let p = maxpool2d(&x, 2).unwrap();
         let g = t(vec![10.0], &[1, 1, 1]);
-        let gx = maxpool2d_backward(x.dims(), p.argmax.as_ref().unwrap(), &g).unwrap();
+        let gx = maxpool2d_backward(x.dims(), &p.argmax, &g).unwrap();
         assert_eq!(gx.data(), &[0.0, 0.0, 0.0, 10.0]);
-    }
-
-    #[test]
-    fn meanpool_backward_spreads_uniformly() {
-        let g = t(vec![8.0], &[1, 1, 1]);
-        let gx = meanpool2d_backward(&[1, 2, 2], 2, &g).unwrap();
-        assert_eq!(gx.data(), &[2.0, 2.0, 2.0, 2.0]);
-    }
-
-    /// Finite-difference check of mean-pool backward.
-    #[test]
-    fn meanpool_gradient_matches_finite_difference() {
-        let mut x = t((0..16).map(|v| v as f32 * 0.1).collect(), &[1, 4, 4]);
-        let g_out = Tensor::ones(&[1, 2, 2]);
-        let gx = meanpool2d_backward(x.dims(), 2, &g_out).unwrap();
-        let eps = 1e-3;
-        for i in 0..x.len() {
-            let orig = x.data()[i];
-            x.data_mut()[i] = orig + eps;
-            let lp = meanpool2d(&x, 2).unwrap().output.sum();
-            x.data_mut()[i] = orig - eps;
-            let lm = meanpool2d(&x, 2).unwrap().output.sum();
-            x.data_mut()[i] = orig;
-            let fd = (lp - lm) / (2.0 * eps);
-            assert!((fd - gx.data()[i]).abs() < 1e-3);
-        }
     }
 
     #[test]
     fn backward_validates_lengths() {
         let g = Tensor::ones(&[1, 2, 2]);
         assert!(maxpool2d_backward(&[1, 4, 4], &[0, 1, 2], &g).is_err());
-        assert!(meanpool2d_backward(&[1, 4, 4], 3, &g).is_err());
-        assert!(meanpool2d_backward(&[1, 4, 4], 2, &Tensor::ones(&[1, 3, 3])).is_err());
     }
 }

@@ -84,28 +84,6 @@ impl Shape {
         }
         Ok(offset)
     }
-
-    /// Inverse of [`linear_index`](Self::linear_index): converts a flat
-    /// offset back into a multi-dimensional index.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IndexOutOfBounds`] if `offset >= volume()`.
-    pub fn multi_index(&self, offset: usize) -> Result<Vec<usize>> {
-        if offset >= self.volume() {
-            return Err(TensorError::IndexOutOfBounds {
-                index: vec![offset],
-                shape: self.dims.clone(),
-            });
-        }
-        let mut rem = offset;
-        let mut idx = vec![0usize; self.dims.len()];
-        for (i, stride) in self.strides().into_iter().enumerate() {
-            idx[i] = rem / stride;
-            rem %= stride;
-        }
-        Ok(idx)
-    }
 }
 
 impl From<Vec<usize>> for Shape {
@@ -164,12 +142,28 @@ mod tests {
         assert_eq!(Shape::new(&[7, 2]).strides(), vec![2, 1]);
     }
 
+    /// Row-major order: walking every index with the last axis fastest
+    /// visits the offsets `0, 1, 2, …`, each the index dotted with the
+    /// strides.
     #[test]
-    fn linear_index_round_trip() {
-        let s = Shape::new(&[3, 4, 5]);
-        for off in 0..s.volume() {
-            let idx = s.multi_index(off).unwrap();
-            assert_eq!(s.linear_index(&idx).unwrap(), off);
+    fn linear_index_walks_row_major() {
+        for dims in [vec![3usize, 4, 5], vec![7], vec![2, 1, 3, 2]] {
+            let s = Shape::new(&dims);
+            let strides = s.strides();
+            let mut idx = vec![0usize; dims.len()];
+            for off in 0..s.volume() {
+                assert_eq!(s.linear_index(&idx).unwrap(), off, "{dims:?} at {idx:?}");
+                let dot: usize = idx.iter().zip(&strides).map(|(i, st)| i * st).sum();
+                assert_eq!(dot, off);
+                // next index, last axis fastest
+                for a in (0..dims.len()).rev() {
+                    idx[a] += 1;
+                    if idx[a] < dims[a] {
+                        break;
+                    }
+                    idx[a] = 0;
+                }
+            }
         }
     }
 
@@ -188,13 +182,6 @@ mod tests {
         assert!(s.linear_index(&[0, 2]).is_err());
         assert!(s.linear_index(&[2, 0]).is_err());
         assert!(s.linear_index(&[1, 1]).is_ok());
-    }
-
-    #[test]
-    fn multi_index_rejects_past_end() {
-        let s = Shape::new(&[2, 2]);
-        assert!(s.multi_index(4).is_err());
-        assert_eq!(s.multi_index(3).unwrap(), vec![1, 1]);
     }
 
     #[test]

@@ -163,23 +163,9 @@ impl Tensor {
         self.data.iter().sum()
     }
 
-    /// Arithmetic mean of all elements; 0.0 for an empty tensor.
-    pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f32
-        }
-    }
-
     /// Index of the maximum element (first occurrence); `None` when empty.
     pub fn argmax(&self) -> Option<usize> {
         crate::ops::argmax(&self.data)
-    }
-
-    /// Squared L2 norm of all elements.
-    pub fn norm_sq(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum()
     }
 }
 
@@ -252,9 +238,7 @@ mod tests {
     fn reductions() {
         let t = Tensor::from_vec(vec![3.0, -1.0, 4.0, 1.0], &[4]).unwrap();
         assert_eq!(t.sum(), 7.0);
-        assert_eq!(t.mean(), 1.75);
         assert_eq!(t.argmax(), Some(2));
-        assert_eq!(t.norm_sq(), 9.0 + 1.0 + 16.0 + 1.0);
     }
 
     #[test]
@@ -268,7 +252,7 @@ mod tests {
         let t = Tensor::default();
         assert!(t.is_empty());
         assert_eq!(t.argmax(), None);
-        assert_eq!(t.mean(), 0.0);
+        assert_eq!(t.sum(), 0.0);
     }
 
     #[test]

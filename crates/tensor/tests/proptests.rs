@@ -2,7 +2,7 @@
 
 use cdl_tensor::gemm::{self, GemmKernel};
 use cdl_tensor::im2col::{conv2d_valid_batch, ConvScratch};
-use cdl_tensor::{conv, ops, pool, Rows, Shape, Tensor};
+use cdl_tensor::{conv, ops, pool, Rows, Tensor};
 use proptest::prelude::*;
 
 /// Strategy: a small tensor with shape `[c, h, w]` and bounded values.
@@ -14,32 +14,6 @@ fn small_chw() -> impl Strategy<Value = Tensor> {
 }
 
 proptest! {
-    /// linear_index and multi_index are mutual inverses for every offset.
-    #[test]
-    fn shape_index_round_trip(dims in proptest::collection::vec(1usize..6, 1..4)) {
-        let s = Shape::new(&dims);
-        for off in 0..s.volume() {
-            let idx = s.multi_index(off).unwrap();
-            prop_assert_eq!(s.linear_index(&idx).unwrap(), off);
-        }
-    }
-
-    /// Elementwise addition commutes, subtraction anti-commutes.
-    #[test]
-    fn add_commutes(v in proptest::collection::vec(-100.0f32..100.0, 1..64)) {
-        let n = v.len();
-        let a = Tensor::from_vec(v.clone(), &[n]).unwrap();
-        let b = a.map(|x| x * 0.5 - 1.0);
-        let ab = ops::add(&a, &b).unwrap();
-        let ba = ops::add(&b, &a).unwrap();
-        prop_assert_eq!(ab, ba);
-        let s1 = ops::sub(&a, &b).unwrap();
-        let s2 = ops::scale(&ops::sub(&b, &a).unwrap(), -1.0);
-        for (x, y) in s1.data().iter().zip(s2.data()) {
-            prop_assert!((x - y).abs() < 1e-5);
-        }
-    }
-
     /// softmax output is a probability distribution and preserves argmax.
     #[test]
     fn softmax_is_distribution(v in proptest::collection::vec(-30.0f32..30.0, 2..16)) {
@@ -52,18 +26,19 @@ proptest! {
         prop_assert_eq!(p.argmax(), x.argmax());
     }
 
-    /// Max pooling dominates mean pooling pointwise.
+    /// Max pooling dominates every element of its window.
     #[test]
-    fn maxpool_geq_meanpool(x in small_chw()) {
+    fn maxpool_dominates_its_window(x in small_chw()) {
         let dims = x.dims().to_vec();
         let window = 1 + (dims[1].min(dims[2]) > 1) as usize;
         if !dims[1].is_multiple_of(window) || !dims[2].is_multiple_of(window) {
             return Ok(()); // geometry not tileable; covered by unit tests
         }
         let mx = pool::maxpool2d(&x, window).unwrap().output;
-        let mn = pool::meanpool2d(&x, window).unwrap().output;
-        for (a, b) in mx.data().iter().zip(mn.data()) {
-            prop_assert!(a >= b || (a - b).abs() < 1e-6);
+        let (oh, ow) = (dims[1] / window, dims[2] / window);
+        for (i, &v) in x.data().iter().enumerate() {
+            let (ch, y, xx) = (i / (dims[1] * dims[2]), i / dims[2] % dims[1], i % dims[2]);
+            prop_assert!(mx.data()[(ch * oh + y / window) * ow + xx / window] >= v);
         }
     }
 
@@ -77,7 +52,7 @@ proptest! {
             return Ok(());
         }
         let y1 = conv::conv2d_valid(&x, &k, &bias).unwrap();
-        let xs = ops::scale(&x, alpha);
+        let xs = x.map(|v| v * alpha);
         let y2 = conv::conv2d_valid(&xs, &k, &bias).unwrap();
         for (a, b) in y1.data().iter().zip(y2.data()) {
             prop_assert!((a * alpha - b).abs() < 1e-2);
@@ -93,20 +68,7 @@ proptest! {
         }
         let p = pool::maxpool2d(&x, 2).unwrap();
         let g = Tensor::ones(p.output.dims());
-        let gx = pool::maxpool2d_backward(&dims, p.argmax.as_ref().unwrap(), &g).unwrap();
-        prop_assert!((gx.sum() - g.sum()).abs() < 1e-4);
-    }
-
-    /// Mean-pool backward conserves gradient mass.
-    #[test]
-    fn meanpool_backward_conserves_mass(x in small_chw()) {
-        let dims = x.dims().to_vec();
-        if !dims[1].is_multiple_of(2) || !dims[2].is_multiple_of(2) {
-            return Ok(());
-        }
-        let p = pool::meanpool2d(&x, 2).unwrap();
-        let g = Tensor::ones(p.output.dims());
-        let gx = pool::meanpool2d_backward(&dims, 2, &g).unwrap();
+        let gx = pool::maxpool2d_backward(&dims, &p.argmax, &g).unwrap();
         prop_assert!((gx.sum() - g.sum()).abs() < 1e-4);
     }
 

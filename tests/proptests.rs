@@ -97,9 +97,12 @@ proptest! {
         );
         let net = Network::from_spec(&spec, seed).unwrap();
         let chain = spec.shape_chain().unwrap();
-        let outs = net.forward_all(&Tensor::full(&[1, size, size], 0.5)).unwrap();
-        // final runtime output must equal the final spec shape
-        prop_assert_eq!(outs.last().unwrap().dims(), chain.last().unwrap().as_slice());
+        let x = Tensor::full(&[1, size, size], 0.5);
+        // every spec layer's runtime output has the shape the spec predicts
+        for (i, shape) in chain.iter().enumerate() {
+            let out = net.forward_segment(&x, None, net.runtime_index_of(i).unwrap()).unwrap();
+            prop_assert_eq!(out.dims(), shape.as_slice());
+        }
         // op counts are positive and finite
         let total = net.total_ops().unwrap();
         prop_assert!(total.compute_ops() > 0);
