@@ -19,10 +19,10 @@ use crate::pipeline::{BenchError, ExperimentConfig, PreparedPair};
 /// Propagates sweep errors.
 pub fn run(pair: &PreparedPair, cfg: &ExperimentConfig) -> Result<Vec<StagePoint>, BenchError> {
     let arch = mnist_3c_full();
-    let mut base = pair.net_3c.fresh_base()?;
+    let base = pair.net_3c.fresh_base()?;
     Ok(stage_count_sweep(
         &arch,
-        &mut base,
+        &base,
         &pair.train_set,
         &pair.test_set,
         cfg.policy(),

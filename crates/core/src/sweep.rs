@@ -93,7 +93,7 @@ pub struct StagePoint {
 /// Propagates build/evaluation errors.
 pub fn stage_count_sweep(
     arch: &CdlArchitecture,
-    base: &mut Network,
+    base: &Network,
     train_set: &LabelledSet,
     test_set: &LabelledSet,
     policy: ConfidencePolicy,
@@ -205,10 +205,10 @@ mod tests {
 
     #[test]
     fn stage_sweep_covers_zero_to_all() {
-        let (arch, mut base, train_set, test_set) = fixture();
+        let (arch, base, train_set, test_set) = fixture();
         let points = stage_count_sweep(
             &arch,
-            &mut base,
+            &base,
             &train_set,
             &test_set,
             ConfidencePolicy::max_prob(0.55),

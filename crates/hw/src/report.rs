@@ -9,13 +9,13 @@ use crate::ops::OpCount;
 
 /// One row of a cost report (a layer, a stage, or a whole network).
 #[derive(Debug, Clone)]
-pub struct CostRow {
+struct CostRow {
     /// Row label, e.g. `"C1 (conv 5x5, 6 maps)"`.
-    pub label: String,
+    label: String,
     /// Operation counts for the row.
-    pub ops: OpCount,
+    ops: OpCount,
     /// Energy for the row.
-    pub energy: EnergyBreakdown,
+    energy: EnergyBreakdown,
 }
 
 /// A formatted multi-row cost table.

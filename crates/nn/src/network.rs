@@ -360,19 +360,7 @@ impl Network {
     }
 
     /// Exports all parameters in layer order (for persistence).
-    pub fn export_params(&mut self) -> Vec<Tensor> {
-        let mut out = Vec::new();
-        for layer in &mut self.layers {
-            for pg in layer.params() {
-                out.push(pg.param.clone());
-            }
-        }
-        out
-    }
-
-    /// Read-only parameter snapshot, identical to
-    /// [`Network::export_params`] but without requiring `&mut self`.
-    pub fn snapshot_params(&self) -> Vec<Tensor> {
+    pub fn export_params(&self) -> Vec<Tensor> {
         self.layers
             .iter()
             .flat_map(|l| l.param_snapshot())
@@ -626,7 +614,7 @@ mod tests {
 
     #[test]
     fn param_export_import_round_trip() {
-        let mut a = Network::from_spec(&tiny_spec(), 1).unwrap();
+        let a = Network::from_spec(&tiny_spec(), 1).unwrap();
         let mut b = Network::from_spec(&tiny_spec(), 2).unwrap();
         let x = Tensor::full(&[1, 8, 8], 0.3);
         assert_ne!(a.forward(&x).unwrap(), b.forward(&x).unwrap());

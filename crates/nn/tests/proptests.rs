@@ -134,7 +134,7 @@ proptest! {
             ],
             &[1, 8, 8],
         );
-        let mut a = Network::from_spec(&spec, seed_a).unwrap();
+        let a = Network::from_spec(&spec, seed_a).unwrap();
         let mut b = Network::from_spec(&spec, seed_b).unwrap();
         let x = Tensor::full(&[1, 8, 8], 0.37);
         b.import_params(&a.export_params()).unwrap();

@@ -98,12 +98,6 @@ impl Default for ReplicaSpec {
     }
 }
 
-impl fmt::Display for ReplicaSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}x{}", self.replicas, self.placement)
-    }
-}
-
 /// Health state of one replica in a [`crate::Router`] shard, as driven by
 /// the shard's [`HealthPolicy`] state machine:
 ///
@@ -156,17 +150,6 @@ impl ReplicaHealth {
     /// Whether the replica takes normal (non-canary) placements.
     pub(crate) fn is_live(self) -> bool {
         matches!(self, ReplicaHealth::Healthy | ReplicaHealth::Degraded)
-    }
-}
-
-impl fmt::Display for ReplicaHealth {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            ReplicaHealth::Healthy => "healthy",
-            ReplicaHealth::Degraded => "degraded",
-            ReplicaHealth::Evicted => "evicted",
-            ReplicaHealth::Probing => "probing",
-        })
     }
 }
 
@@ -757,10 +740,9 @@ mod tests {
     }
 
     #[test]
-    fn replica_spec_displays_and_validates() {
+    fn replica_spec_validates() {
         assert_eq!(ReplicaSpec::default(), ReplicaSpec::single());
         let spec = ReplicaSpec::new(3, PlacementPolicy::PowerOfTwoChoices);
-        assert_eq!(spec.to_string(), "3xp2c");
         assert!(spec.validate().is_ok());
         assert!(ReplicaSpec::new(0, PlacementPolicy::RoundRobin)
             .validate()
@@ -903,7 +885,6 @@ mod tests {
         assert!(!ReplicaHealth::Evicted.is_live());
         assert!(!ReplicaHealth::Probing.is_live());
         assert_eq!(ReplicaHealth::default(), ReplicaHealth::Healthy);
-        assert_eq!(ReplicaHealth::Evicted.to_string(), "evicted");
     }
 
     #[test]

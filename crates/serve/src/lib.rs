@@ -46,8 +46,8 @@
 //! * **Shutdown** ([`Server::shutdown`]) drains then stops: queued requests
 //!   and partially formed batches are flushed, every outstanding handle
 //!   resolves, threads join, and the final [`ServerMetrics`] snapshot is
-//!   returned (throughput, queue depth, batch-size histogram, latency
-//!   min/mean/p50/p99/p99.9, cumulative ops + energy).
+//!   returned (queue depth, batch-size and latency histograms,
+//!   cumulative ops + energy).
 //! * **Per-request overrides** (`Server::submit_with` +
 //!   [`SubmitOptions`]): each request may replace the model's confidence
 //!   threshold δ and/or cap its cascade depth — the Fig. 10
@@ -105,18 +105,20 @@
 //!   metric is backed by a mergeable log-bucketed [`LogHistogram`] (O(1)
 //!   record, ≤ 1/64 relative quantile error, exact min/mean/max — the
 //!   merged ledger of [`ShardMetrics::total`] / [`RouterMetrics::total`]
-//!   carries the merged per-replica histogram, so its
-//!   [`ServerMetrics::latency`] is a true cross-replica tail), and
+//!   carries the merged per-replica histogram, so a quantile of its
+//!   [`ServerMetrics::latency_histogram`] is a true cross-replica tail), and
 //!   [`ServerConfig::telemetry`] can switch on per-request lifecycle
 //!   **spans** (admit → enqueue → batch-seal → dispatch → per-stage →
 //!   exit → reply, recorded into lock-free per-thread rings, every
 //!   request under its trace id). [`Router::telemetry_snapshot`] exports
-//!   both as Prometheus text or a
-//!   Chrome trace — the Prometheus side is [`Router::metrics`] rendered
-//!   by `RouterMetrics::fill_telemetry`, including the paper's
-//!   quantities (`cdl_exits_total{stage}`, `cdl_ops_total{kind}`,
-//!   `cdl_energy_picojoules_total`); [`TcpClient::submit_with_trace`] carries the
-//!   [`TraceId`] across the wire so one trace covers the hop.
+//!   both as Prometheus text or a Chrome trace — the Prometheus side is
+//!   [`Router::metrics`] rendered by `RouterMetrics::fill_telemetry`, one
+//!   series per ledger field, the paper's quantities among them
+//!   (`cdl_exits_total{stage}`, `cdl_ops_total{kind}`,
+//!   `cdl_energy_picojoules_total`). That text is the only report: the
+//!   `Display` of [`ServerMetrics`] and [`RouterMetrics`] prints it too.
+//!   [`TcpClient::submit_with_trace`] carries the [`TraceId`] across the
+//!   wire so one trace covers the hop.
 //!
 //! ## Example
 //!
@@ -140,7 +142,7 @@
 //! let pending = server.submit(image)?;          // returns immediately
 //! let output = pending.wait()?;                  // bit-identical to classify()
 //! println!("label {} at stage {}", output.label, output.exit_stage);
-//! println!("{}", server.shutdown());             // final metrics report
+//! println!("{}", server.shutdown());             // final ledger, Prometheus text
 //! # Ok(())
 //! # }
 //! ```
@@ -260,7 +262,7 @@ pub use config::{
 };
 pub use error::{ServeError, ServeResult};
 pub use fault::{FaultKind, FaultPlan, FaultPlanBuilder};
-pub use metrics::{LatencyStats, ReplicaMetrics, RouterMetrics, ServerMetrics, ShardMetrics};
+pub use metrics::{ReplicaMetrics, RouterMetrics, ServerMetrics, ShardMetrics};
 pub use net::{ErrorCode, ErrorReply, TcpClient, TcpServer};
 pub use pending::Pending;
 pub use router::{ModelId, Router, ShardSpec};

@@ -1,66 +1,24 @@
 //! Server observability: one mergeable ledger, [`ServerMetrics`] —
 //! counters, batch-size/exit histograms, latency histogram and cumulative
-//! op/energy accounting. It is the recorder's state, the snapshot a caller
-//! gets, the value a hot-swap carries forward and the unit of every rollup:
-//! [`ShardMetrics::total`] and [`RouterMetrics::total`] fold
-//! [`ServerMetrics::merge`] over their replicas (the latency
-//! [`LogHistogram`] merges losslessly, so a total's percentiles are *true*
-//! cross-replica tails), and the Prometheus export
-//! (`RouterMetrics::fill_telemetry`) renders the same snapshot.
+//! op/energy accounting — and one renderer of it. The ledger is the
+//! recorder's state, the snapshot a caller gets, the value a hot-swap
+//! carries forward and the unit of every rollup: [`ShardMetrics::total`]
+//! and [`RouterMetrics::total`] fold [`ServerMetrics::merge`] over their
+//! replicas (the latency [`LogHistogram`] merges losslessly, so a total's
+//! percentiles are *true* cross-replica tails). The renderer is
+//! `fill_telemetry`, which appends a ledger to a [`TelemetrySnapshot`]:
+//! [`crate::Router::telemetry_snapshot`] exports it, and `Display` of
+//! [`ServerMetrics`] and [`RouterMetrics`] prints its Prometheus text.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cdl_hw::{EnergyModel, OpCount};
 use cdl_telemetry::{LogHistogram, TelemetrySnapshot};
 
 use crate::config::{PlacementPolicy, Priority, ReplicaHealth};
-
-/// Latency distribution over completed requests (submit → result).
-///
-/// Extracted from a [`LogHistogram`]: `count`/`min`/`mean`/`max` are exact
-/// lifetime values; the percentiles are nearest-rank estimates within
-/// [`cdl_telemetry::MAX_RELATIVE_ERROR`] (1/64) of the exact order
-/// statistic.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencyStats {
-    /// Completed requests over the server's lifetime.
-    pub count: u64,
-    /// Fastest request (lifetime, exact).
-    pub min: Duration,
-    /// Arithmetic mean (lifetime, exact).
-    pub mean: Duration,
-    /// Median (lifetime, bounded relative error).
-    pub p50: Duration,
-    /// 99th percentile (lifetime, bounded relative error).
-    pub p99: Duration,
-    /// 99.9th percentile (lifetime, bounded relative error).
-    pub p999: Duration,
-    /// 99.99th percentile (lifetime, bounded relative error).
-    pub p9999: Duration,
-    /// Slowest request (lifetime, exact).
-    pub max: Duration,
-}
-
-impl LatencyStats {
-    /// Extract the stats from a latency histogram (`None` when empty).
-    /// O(buckets), independent of how many samples were recorded.
-    pub(crate) fn from_histogram(histogram: &LogHistogram) -> Option<LatencyStats> {
-        let q = |q: f64| histogram.quantile_duration(q);
-        Some(LatencyStats {
-            count: histogram.count(),
-            min: Duration::from_nanos(histogram.min_value()?),
-            mean: Duration::from_nanos(histogram.mean()?),
-            p50: q(0.5)?,
-            p99: q(0.99)?,
-            p999: q(0.999)?,
-            p9999: q(0.9999)?,
-            max: Duration::from_nanos(histogram.max_value()?),
-        })
-    }
-}
 
 /// Why a worker sealed a batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,20 +35,16 @@ pub(crate) enum BatchCause {
 /// [`crate::Server`]'s counters (`crate::Server::metrics` live,
 /// [`crate::Server::shutdown`] final), or the [`ServerMetrics::merge`] of
 /// several ([`ShardMetrics::total`] / [`RouterMetrics::total`]). `Display`
-/// renders a compact multi-line report.
+/// prints its Prometheus text, unlabelled.
 ///
 /// Every field is **primary**: recorded once, and merged by one rule —
 /// counters, op ledgers, `energy_pj` and `queue_depth` sum, histograms add
-/// slot-wise, `elapsed` takes the maximum and `active_span` the union. The
-/// **derived** values — `ServerMetrics::batches`,
-/// `ServerMetrics::mean_batch_size`, [`ServerMetrics::throughput_rps`],
-/// [`ServerMetrics::latency`] — are methods over the primaries, so they
-/// mean the same on one server's snapshot and on a merge. `Default` is the
-/// empty ledger, the identity of `merge`.
+/// slot-wise. What is derived (the batch count, latency quantiles through
+/// [`LogHistogram::quantile_duration`]) is read off the primaries, so it
+/// means the same on one server's snapshot and on a merge. `Default` is
+/// the empty ledger, the identity of `merge`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServerMetrics {
-    /// Wall-clock since the server started (merged: the longest lifetime).
-    pub elapsed: Duration,
     /// Requests admitted into the queue.
     pub submitted: u64,
     /// Non-blocking admissions bounced with
@@ -144,14 +98,9 @@ pub struct ServerMetrics {
     /// `batch_size_histogram[s]` = evaluated batches of size `s` (after
     /// cancellation and expiry pruning — see `ServerMetrics::batches`).
     pub batch_size_histogram: Vec<u64>,
-    /// The **active span** [`ServerMetrics::throughput_rps`] is a rate
-    /// over: the instants of the first and the latest completion (`None`
-    /// until something completed). Merges as the union (earliest first,
-    /// latest last), so the rate keeps its meaning across a hot swap.
-    pub active_span: Option<(Instant, Instant)>,
-    /// The submit→result latency histogram behind
-    /// [`ServerMetrics::latency`] — [`LogHistogram::merge`] is lossless, so
-    /// shard- and router-level totals report true union percentiles.
+    /// The submit→result latency histogram — [`LogHistogram::merge`] is
+    /// lossless, so shard- and router-level totals report true union
+    /// percentiles.
     pub latency_histogram: LogHistogram,
     /// `exit_histogram[i]` = completed requests that exited at stage `i`
     /// (last slot = final output layer).
@@ -176,90 +125,20 @@ pub struct ServerMetrics {
     pub energy_pj: f64,
 }
 
+/// Writes the Prometheus text of what `fill` appends to an empty
+/// [`TelemetrySnapshot`]: the one rendering of the ledger.
+fn write_prometheus(
+    f: &mut fmt::Formatter<'_>,
+    fill: impl FnOnce(&mut TelemetrySnapshot),
+) -> fmt::Result {
+    let mut snapshot = TelemetrySnapshot::new();
+    fill(&mut snapshot);
+    f.write_str(&snapshot.render_prometheus())
+}
+
 impl fmt::Display for ServerMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "uptime {:.3}s — {} submitted, {} completed ({:.0} req/s), \
-             {} cancelled, {} failed, {} rejected, queue depth {}",
-            self.elapsed.as_secs_f64(),
-            self.submitted,
-            self.completed,
-            self.throughput_rps(),
-            self.cancelled,
-            self.failed,
-            self.rejected,
-            self.queue_depth,
-        )?;
-        if self.faults > 0 {
-            writeln!(
-                f,
-                "chaos: {} submissions refused by injected faults",
-                self.faults
-            )?;
-        }
-        if self.expired > 0 || self.shed > 0 {
-            let by_class: Vec<String> = Priority::ALL
-                .iter()
-                .map(|p| {
-                    format!(
-                        "{p}:{}e/{}s",
-                        self.expired_by_class[p.class()],
-                        self.shed_by_class[p.class()]
-                    )
-                })
-                .collect();
-            writeln!(
-                f,
-                "overload: {} expired, {} shed ({})",
-                self.expired,
-                self.shed,
-                by_class.join(" "),
-            )?;
-        }
-        writeln!(
-            f,
-            "batches: {} evaluated (mean size {:.1}; dispatched {} full / {} ready / {} flush)",
-            self.batches(),
-            self.mean_batch_size(),
-            self.batches_full,
-            self.batches_ready,
-            self.batches_flushed,
-        )?;
-        let hist: Vec<String> = self
-            .batch_size_histogram
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(size, n)| format!("{size}x{n}"))
-            .collect();
-        writeln!(f, "batch sizes (size x count): {}", hist.join(" "))?;
-        if let Some(lat) = self.latency() {
-            writeln!(
-                f,
-                "latency: min {:?} / mean {:?} / p50 {:?} / p99 {:?} / p99.9 {:?} / max {:?}",
-                lat.min, lat.mean, lat.p50, lat.p99, lat.p999, lat.max,
-            )?;
-        }
-        let exits: Vec<String> = self
-            .exit_histogram
-            .iter()
-            .enumerate()
-            .map(|(stage, &n)| format!("stage{stage}:{n}"))
-            .collect();
-        writeln!(f, "exits: {}", exits.join(" "))?;
-        write!(
-            f,
-            "work: {} compute ops, {} stages activated, {:.2} µJ total ({:.1} nJ/request)",
-            self.total_ops.compute_ops(),
-            self.stages_activated,
-            self.energy_pj / 1e6,
-            if self.completed > 0 {
-                self.energy_pj / 1e3 / self.completed as f64
-            } else {
-                0.0
-            },
-        )
+        write_prometheus(f, |snapshot| self.fill_telemetry(snapshot, &[]))
     }
 }
 
@@ -289,48 +168,12 @@ impl ServerMetrics {
         self.batch_size_histogram.iter().sum()
     }
 
-    /// Mean evaluated batch size (0 before the first batch). Every member
-    /// of an evaluated batch is a completion (`Σ size ·
-    /// batch_size_histogram[size] == completed`), so this is completions
-    /// per batch.
-    pub(crate) fn mean_batch_size(&self) -> f64 {
-        match self.batches() {
-            0 => 0.0,
-            batches => self.completed as f64 / batches as f64,
-        }
-    }
-
-    /// Completed requests per second over the **active span** — the
-    /// wall-clock between the first and the last completion — so a server
-    /// that sat idle before its first request or after its last one (e.g.
-    /// a long pre-drain tail) is not understated. When the span is
-    /// degenerate (zero completions, or every completion at one instant,
-    /// as with a single completed request) the rate falls back to
-    /// completions per second of `elapsed`.
-    pub fn throughput_rps(&self) -> f64 {
-        let span = match self.active_span {
-            Some((first, last)) if last > first => last - first,
-            _ => self.elapsed,
-        };
-        match span.as_secs_f64() {
-            secs if secs > 0.0 => self.completed as f64 / secs,
-            _ => 0.0,
-        }
-    }
-
-    /// Submit→result latency distribution (`None` until something
-    /// completed).
-    pub fn latency(&self) -> Option<LatencyStats> {
-        LatencyStats::from_histogram(&self.latency_histogram)
-    }
-
     /// Folds `other` into this ledger — the one rollup of the serve layer:
     /// a replica slot carrying forward the servers it retired through
     /// [`crate::Router::swap_model`], a shard summing its replicas, a
     /// router its shards. Commutative and associative (up to float
     /// rounding in `energy_pj`), with [`Default`] as the identity.
     pub fn merge(&mut self, other: &ServerMetrics) {
-        self.elapsed = self.elapsed.max(other.elapsed);
         self.submitted += other.submitted;
         self.rejected += other.rejected;
         self.completed += other.completed;
@@ -356,10 +199,6 @@ impl ServerMetrics {
         for (size, &n) in other.batch_size_histogram.iter().enumerate() {
             add_at(&mut self.batch_size_histogram, size, n);
         }
-        self.active_span = match (self.active_span, other.active_span) {
-            (Some((a, b)), Some((c, d))) => Some((a.min(c), b.max(d))),
-            (mine, theirs) => mine.or(theirs),
-        };
         self.latency_histogram.merge(&other.latency_histogram);
         for (stage, &n) in other.exit_histogram.iter().enumerate() {
             add_at(&mut self.exit_histogram, stage, n);
@@ -371,8 +210,11 @@ impl ServerMetrics {
     }
 
     /// Append this ledger to a [`TelemetrySnapshot`] under the given
-    /// labels: the request/batch counters, the paper's per-input
-    /// quantities (`cdl_exits_total{stage}`, `cdl_ops_total{kind}`,
+    /// labels, one series per primary field: the request/batch counters
+    /// (per class, per tenant, per seal cause, per evaluated batch size
+    /// that occurred), the paper's per-input quantities
+    /// (`cdl_exits_total{stage}`, `cdl_ops_total{kind}` with its
+    /// mid-batch-expiry slice `cdl_expired_partial_ops_total{kind}`,
     /// `cdl_stages_activated_total`, `cdl_energy_picojoules_total` in whole
     /// picojoules), the `cdl_queue_depth` gauge and the latency histogram.
     pub(crate) fn fill_telemetry(&self, snapshot: &mut TelemetrySnapshot, labels: &[(&str, &str)]) {
@@ -407,6 +249,17 @@ impl ServerMetrics {
                 push(name, "class", &p.to_string(), by_class[p.class()]);
             }
         }
+        for (name, by_tenant) in [
+            (
+                "cdl_requests_expired_by_tenant_total",
+                &self.expired_by_tenant,
+            ),
+            ("cdl_requests_shed_by_tenant_total", &self.shed_by_tenant),
+        ] {
+            for &(tenant, n) in by_tenant {
+                push(name, "tenant", &tenant.to_string(), n);
+            }
+        }
         for (cause, n) in [
             ("full", self.batches_full),
             ("ready", self.batches_ready),
@@ -414,19 +267,28 @@ impl ServerMetrics {
         ] {
             push("cdl_batches_dispatched_total", "cause", cause, n);
         }
+        for (size, &n) in self.batch_size_histogram.iter().enumerate() {
+            if n > 0 {
+                push("cdl_batches_by_size_total", "size", &size.to_string(), n);
+            }
+        }
         for (stage, &n) in self.exit_histogram.iter().enumerate() {
             push("cdl_exits_total", "stage", &stage.to_string(), n);
         }
-        let ops = self.total_ops;
-        for (kind, n) in [
-            ("macs", ops.macs),
-            ("adds", ops.adds),
-            ("compares", ops.compares),
-            ("activations", ops.activations),
-            ("mem_reads", ops.mem_reads),
-            ("mem_writes", ops.mem_writes),
+        for (name, ops) in [
+            ("cdl_ops_total", self.total_ops),
+            ("cdl_expired_partial_ops_total", self.expired_partial_ops),
         ] {
-            push("cdl_ops_total", "kind", kind, n);
+            for (kind, n) in [
+                ("macs", ops.macs),
+                ("adds", ops.adds),
+                ("compares", ops.compares),
+                ("activations", ops.activations),
+                ("mem_reads", ops.mem_reads),
+                ("mem_writes", ops.mem_writes),
+            ] {
+                push(name, "kind", kind, n);
+            }
         }
         snapshot.push_gauge("cdl_queue_depth", labels, self.queue_depth as u64);
         snapshot.push_histogram(
@@ -496,8 +358,9 @@ impl ShardMetrics {
     }
 
     /// This model's ledger, the [`ServerMetrics::merge`] of its replicas':
-    /// every per-model total is a field or method of it (`completed`,
-    /// `exit_histogram`, `latency()` — true cross-replica percentiles).
+    /// every per-model total is a field of it (`completed`,
+    /// `exit_histogram`, `latency_histogram` — true cross-replica
+    /// percentiles).
     pub fn total(&self) -> ServerMetrics {
         let mut total = ServerMetrics::default();
         self.replicas.iter().for_each(|r| total.merge(&r.metrics));
@@ -510,8 +373,8 @@ impl ShardMetrics {
 /// summed over all of them.
 ///
 /// Obtained from [`crate::Router::metrics`] (live) or returned by
-/// [`crate::Router::shutdown`] (final). `Display` renders the aggregate
-/// line followed by each shard's full report.
+/// [`crate::Router::shutdown`] (final). `Display` prints the same
+/// Prometheus text as [`crate::Router::telemetry_snapshot`].
 #[derive(Debug, Clone)]
 pub struct RouterMetrics {
     /// Per-shard metrics, in model registration order ([`crate::ModelId`]
@@ -536,10 +399,10 @@ impl RouterMetrics {
     }
 
     /// Append the whole snapshot to a [`TelemetrySnapshot`]: per-shard
-    /// retry/hedge counters labelled `model`; every replica's ledger,
-    /// health-state gauge and transition counter labelled
+    /// retry/hedge counters labelled `model`; every replica's routed
+    /// counter, ledger, health-state gauge and transition counter labelled
     /// `model`/`replica`. The one renderer behind
-    /// [`crate::Router::telemetry_snapshot`].
+    /// [`crate::Router::telemetry_snapshot`] and `Display`.
     pub(crate) fn fill_telemetry(&self, snapshot: &mut TelemetrySnapshot) {
         for shard in &self.shards {
             let model = ("model", shard.model.as_str());
@@ -547,6 +410,7 @@ impl RouterMetrics {
             snapshot.push_counter("cdl_shard_hedges_total", &[model], shard.hedges);
             for (i, replica) in shard.replicas.iter().enumerate() {
                 let labels = [model, ("replica", &*i.to_string())];
+                snapshot.push_counter("cdl_replica_routed_total", &labels, replica.routed);
                 replica.metrics.fill_telemetry(snapshot, &labels);
                 let health = u64::from(replica.health.code());
                 snapshot.push_gauge("cdl_replica_health_state", &labels, health);
@@ -603,64 +467,7 @@ impl RouterMetrics {
 
 impl fmt::Display for RouterMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let total = self.total();
-        let routed: Vec<String> = self
-            .shards
-            .iter()
-            .map(|s| format!("{}:{}", s.model, s.routed()))
-            .collect();
-        write!(
-            f,
-            "router: {} models — {} routed ({}), {} completed, {} cancelled, \
-             {} failed, {} rejected, {:.2} µJ total",
-            self.shards.len(),
-            total.submitted,
-            routed.join(" "),
-            total.completed,
-            total.cancelled,
-            total.failed,
-            total.rejected,
-            total.energy_pj / 1e6,
-        )?;
-        // every later section opens with its own newline, so the report
-        // never ends on one
-        let merged_latency = |f: &mut fmt::Formatter<'_>, scope: &str, ledger: &ServerMetrics| {
-            let Some(lat) = ledger.latency() else {
-                return Ok(());
-            };
-            write!(
-                f,
-                "\n{scope} latency (merged): p50 {:?} / p99 {:?} / p99.9 {:?} / max {:?}",
-                lat.p50, lat.p99, lat.p999, lat.max,
-            )
-        };
-        merged_latency(f, "router", &total)?;
-        for (i, shard) in self.shards.iter().enumerate() {
-            let placement: Vec<String> = shard
-                .replicas
-                .iter()
-                .map(|r| r.routed.to_string())
-                .collect();
-            write!(
-                f,
-                "\n── shard {} · {} — {} replica(s), {} placement [{}] ──",
-                i,
-                shard.model,
-                shard.replicas.len(),
-                shard.placement,
-                placement.join(" "),
-            )?;
-            merged_latency(f, "shard", &shard.total())?;
-            for (r, replica) in shard.replicas.iter().enumerate() {
-                let (routed, health) = (replica.routed, replica.health);
-                write!(
-                    f,
-                    "\n· replica {r} — routed {routed} [{health}]\n{}",
-                    replica.metrics
-                )?;
-            }
-        }
-        Ok(())
+        write_prometheus(f, |snapshot| self.fill_telemetry(snapshot))
     }
 }
 
@@ -668,11 +475,10 @@ impl fmt::Display for RouterMetrics {
 /// a [`ServerMetrics`] ledger behind one mutex (updated per batch, so
 /// contention is amortised over the batch size) plus the three admission
 /// counters every submit touches, kept as lock-free atomics. Those three,
-/// `elapsed`, `queue_depth` and `energy_pj` enter the ledger only in
+/// `queue_depth` and `energy_pj` enter the ledger only in
 /// [`Recorder::snapshot`].
 #[derive(Debug)]
 pub(crate) struct Recorder {
-    started: Instant,
     submitted: AtomicU64,
     rejected: AtomicU64,
     faulted: AtomicU64,
@@ -682,7 +488,6 @@ pub(crate) struct Recorder {
 impl Recorder {
     pub(crate) fn new() -> Self {
         Recorder {
-            started: Instant::now(),
             submitted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             faulted: AtomicU64::new(0),
@@ -786,8 +591,6 @@ impl Recorder {
         }
         if size > 0 {
             add_at(&mut m.batch_size_histogram, size, 1);
-            let now = Instant::now();
-            m.active_span = Some((m.active_span.map_or(now, |(first, _)| first), now));
         }
     }
 
@@ -797,7 +600,6 @@ impl Recorder {
     pub(crate) fn snapshot(&self, queue_depth: usize) -> ServerMetrics {
         let m = self.ledger.lock().unwrap();
         ServerMetrics {
-            elapsed: self.started.elapsed(),
             submitted: self.submitted.load(Ordering::Acquire),
             rejected: self.rejected.load(Ordering::Relaxed),
             faults: self.faulted.load(Ordering::Relaxed),
@@ -828,75 +630,13 @@ mod tests {
         }
     }
 
-    /// Asserts `actual` is within the histogram's documented relative
-    /// error (1/64) of the exact order statistic `exact_ns`.
-    fn assert_within_bound(what: &str, actual: Duration, exact_ns: u64) {
-        let err = (actual.as_nanos() as i128 - exact_ns as i128).unsigned_abs();
+    /// Asserts the `q` quantile `actual` is within the histogram's
+    /// documented relative error (1/64) of the exact order statistic.
+    fn assert_within_bound(q: f64, actual: u64, exact: u64) {
         assert!(
-            err * 64 <= exact_ns as u128,
-            "{what}: {actual:?} is more than 1/64 away from exact {exact_ns}ns"
+            actual.abs_diff(exact) * 64 <= exact,
+            "q{q}: {actual} is more than 1/64 away from exact {exact}"
         );
-    }
-
-    #[test]
-    fn latency_percentiles() {
-        let mut h = LogHistogram::new();
-        assert!(LatencyStats::from_histogram(&h).is_none());
-        for i in 1..=100u64 {
-            h.record(i * 1000);
-        }
-        let stats = LatencyStats::from_histogram(&h).unwrap();
-        assert_eq!(stats.count, 100);
-        // min/mean/max are exact lifetime accumulators
-        assert_eq!(stats.min, Duration::from_nanos(1000));
-        assert_eq!(stats.max, Duration::from_nanos(100_000));
-        assert_eq!(stats.mean, Duration::from_nanos(50_500));
-        // percentiles carry the documented 1/64 bound vs the exact
-        // nearest-rank order statistics (rank ceil(q*n))
-        assert_within_bound("p50", stats.p50, 50_000);
-        assert_within_bound("p99", stats.p99, 99_000);
-        assert_within_bound("p99.9", stats.p999, 100_000);
-        assert_within_bound("p99.99", stats.p9999, 100_000);
-    }
-
-    #[test]
-    fn latency_stats_cover_the_whole_lifetime_not_a_window() {
-        // the old 65k ring evicted early samples from the percentile
-        // window; the histogram keeps every sample at fixed memory
-        let mut h = LogHistogram::new();
-        let n = 200_000u64;
-        h.record(5); // early outlier
-        for i in 0..n {
-            h.record(1_000_000 + i);
-        }
-        let stats = LatencyStats::from_histogram(&h).unwrap();
-        assert_eq!(stats.count, n + 1);
-        assert_eq!(stats.min, Duration::from_nanos(5));
-        assert_eq!(stats.max, Duration::from_nanos(1_000_000 + n - 1));
-        // exact p50 over the lifetime is ~1_100_000; the early outlier is
-        // still in the distribution but cannot drag the median
-        assert_within_bound("p50", stats.p50, 1_000_000 + n / 2 - 1);
-        assert_within_bound("p99.9", stats.p999, 1_000_000 + n * 999 / 1000 - 1);
-    }
-
-    #[test]
-    fn bimodal_distribution_keeps_both_modes() {
-        let mut h = LogHistogram::new();
-        let half = 65_536u64;
-        for _ in 0..half {
-            h.record(1_000);
-        }
-        for _ in 0..half {
-            h.record(5_000);
-        }
-        let stats = LatencyStats::from_histogram(&h).unwrap();
-        assert_eq!(stats.count, 2 * half);
-        assert_eq!(stats.min, Duration::from_nanos(1_000));
-        assert_eq!(stats.max, Duration::from_nanos(5_000));
-        // exact nearest-rank p50 (rank = n) lands on the last 1_000 sample
-        assert_within_bound("p50", stats.p50, 1_000);
-        assert_within_bound("p99", stats.p99, 5_000);
-        assert_within_bound("p99.9", stats.p999, 5_000);
     }
 
     fn shard_snapshot(n_requests: u64, exits: Vec<u64>) -> ServerMetrics {
@@ -944,7 +684,6 @@ mod tests {
             let mut draws = draws.into_iter();
             let mut n = move || draws.next().expect("64 draws cover every field");
             let mut m = ServerMetrics {
-                elapsed: Duration::from_millis(n()),
                 submitted: n(),
                 rejected: n(),
                 completed: n(),
@@ -981,10 +720,6 @@ mod tests {
             for _ in 0..n() % 5 {
                 m.latency_histogram.record(n() * 1_000);
             }
-            if n() % 3 > 0 {
-                let first = Instant::now() + Duration::from_millis(n());
-                m.active_span = Some((first, first + Duration::from_millis(n())));
-            }
             m
         })
     }
@@ -1020,7 +755,7 @@ mod tests {
             // the derived values are functions of the merged primaries
             let ab = merged(&a, &b);
             prop_assert_eq!(ab.batches(), a.batches() + b.batches());
-            prop_assert_eq!(ab.latency().map(|l| l.count).unwrap_or(0),
+            prop_assert_eq!(ab.latency_histogram.count(),
                 a.latency_histogram.count() + b.latency_histogram.count());
         }
 
@@ -1057,7 +792,7 @@ mod tests {
     }
 
     #[test]
-    fn router_metrics_render_shards_and_merged_latency() {
+    fn router_metrics_roll_up_shards_and_merged_latency() {
         let metrics = RouterMetrics {
             shards: vec![
                 shard(
@@ -1091,23 +826,22 @@ mod tests {
         assert!(total.energy_pj > 0.0);
         // latency rollups: the shard/router histograms are the lossless
         // merge of the replicas' (every completion was recorded at 1ms)
-        assert_eq!(metrics.shards[1].total().latency().unwrap().count, 4);
-        let router_lat = total.latency().unwrap();
-        assert_eq!(router_lat.count, 7);
+        // merge of the replicas' (every completion was recorded at 1ms)
+        let shard_latency = metrics.shards[1].total().latency_histogram;
+        assert_eq!(shard_latency.count(), 4);
+        let router_latency = &total.latency_histogram;
+        assert_eq!(router_latency.count(), 7);
         let ms = Duration::from_millis(1).as_nanos() as u64;
-        assert_within_bound("merged p50", router_lat.p50, ms);
-        assert_within_bound("merged p99.9", router_lat.p999, ms);
-        assert_eq!(router_lat.min, Duration::from_millis(1));
-        assert_eq!(router_lat.max, Duration::from_millis(1));
+        for q in [0.5, 0.999] {
+            assert_within_bound(q, router_latency.quantile(q).unwrap(), ms);
+        }
+        assert_eq!(router_latency.min_value(), Some(ms));
+        assert_eq!(router_latency.max_value(), Some(ms));
+        // the report is the export: per-replica series under model/replica
         let text = metrics.to_string();
-        assert!(text.contains("router: 2 models"));
-        assert!(text.contains("router latency (merged): p50"));
-        assert!(text.contains("shard latency (merged): p50"));
-        assert!(text.contains("p99.9"));
-        assert!(text.contains("shard 0 · A"));
-        assert!(text.contains("shard 1 · B"));
-        assert!(text.contains("least_loaded"));
-        assert!(text.contains("replica 1"));
+        assert!(text.contains("cdl_replica_routed_total{model=\"B\",replica=\"1\"} 2"));
+        assert!(text.contains("cdl_exits_total{model=\"B\",replica=\"1\",stage=\"2\"} 2"));
+        assert!(text.contains("cdl_request_latency_ns_count{model=\"A\",replica=\"0\"} 3"));
     }
 
     #[test]
@@ -1137,82 +871,9 @@ mod tests {
             snap.energy_pj.round() as u64
         );
         assert!(text.contains(&energy), "{energy} not in:\n{text}");
-    }
-
-    /// Two completion bursts 20 ms apart on a fresh recorder.
-    fn two_bursts() -> Recorder {
-        let rec = Recorder::new();
-        let ms = Duration::from_millis(1);
-        for _ in 0..10 {
-            rec.admitted();
-        }
-        rec.dispatched(BatchCause::Full);
-        rec.batch_completed((0..5).map(|_| (ms, out(0, 10))));
-        std::thread::sleep(Duration::from_millis(20));
-        rec.dispatched(BatchCause::Full);
-        rec.batch_completed((0..5).map(|_| (ms, out(0, 10))));
-        rec
-    }
-
-    #[test]
-    fn throughput_is_computed_over_the_active_span() {
-        // two completion bursts a little apart, then a long idle tail
-        let rec = two_bursts();
-        std::thread::sleep(Duration::from_millis(200));
-        let snap = rec.snapshot(0);
-        // the active span is ~20ms; lifetime uptime is ~220ms. A
-        // lifetime-based rate would report ≤ 50 rps here; the span-based
-        // rate must be an order of magnitude above it.
-        let lifetime_rate = snap.completed as f64 / snap.elapsed.as_secs_f64();
-        assert!(
-            snap.throughput_rps() > 2.0 * lifetime_rate,
-            "active-span rate {} should beat lifetime rate {} (idle tail excluded)",
-            snap.throughput_rps(),
-            lifetime_rate
-        );
-        // and it can never exceed what the span supports: span >= 20ms
-        // (two sleeps bound it below), so the rate is bounded above too
-        assert!(snap.throughput_rps() <= 10.0 / 0.02 + 1.0);
-    }
-
-    #[test]
-    fn merged_throughput_is_over_the_merged_active_span() {
-        // the hot-swap shape: a retired server's bursts, its successor's,
-        // then an idle tail — the merged rate is still completions over
-        // first → last completion, not over the lifetime
-        let retired = two_bursts();
-        let live = two_bursts();
-        std::thread::sleep(Duration::from_millis(200));
-        let mut merged = live.snapshot(0);
-        merged.merge(&retired.snapshot(0));
-        assert_eq!(merged.completed, 20);
-        let lifetime_rate = merged.completed as f64 / merged.elapsed.as_secs_f64();
-        assert!(
-            merged.throughput_rps() > 2.0 * lifetime_rate,
-            "merged active-span rate {} should beat lifetime rate {}",
-            merged.throughput_rps(),
-            lifetime_rate
-        );
-        // the merged span covers both servers' bursts (>= 40ms of sleeps)
-        assert!(merged.throughput_rps() <= 20.0 / 0.04 + 1.0);
-    }
-
-    #[test]
-    fn throughput_falls_back_to_uptime_on_degenerate_spans() {
-        // nothing completed → 0
-        let rec = Recorder::new();
-        std::thread::sleep(Duration::from_millis(5));
-        assert_eq!(rec.snapshot(0).throughput_rps(), 0.0);
-        // a single completion instant → completed / uptime (never inf/NaN)
-        let rec = Recorder::new();
-        rec.admitted();
-        rec.batch_completed([(Duration::from_millis(1), out(0, 10))].into_iter());
-        std::thread::sleep(Duration::from_millis(5));
-        let snap = rec.snapshot(0);
-        assert!(snap.throughput_rps().is_finite());
-        assert!(snap.throughput_rps() > 0.0);
-        let uptime_rate = snap.completed as f64 / snap.elapsed.as_secs_f64();
-        assert!((snap.throughput_rps() - uptime_rate).abs() <= uptime_rate * 0.5);
+        // every batch was one request: three batches of size one
+        assert!(text.contains("cdl_batches_by_size_total{model=\"A\",replica=\"0\",size=\"1\"} 3"));
+        assert!(!text.contains("size=\"0\""));
     }
 
     #[test]
@@ -1231,9 +892,12 @@ mod tests {
         assert_eq!(snap.shed_by_tenant, vec![(1, 2)]);
         assert_eq!(snap.expired_by_tenant, vec![(2, 1)]);
         // shed/expired never pollute the served-latency histogram
-        assert!(snap.latency().is_none());
+        assert_eq!(snap.latency_histogram.count(), 0);
+        // the report is the unlabelled export
         let text = snap.to_string();
-        assert!(text.contains("overload: 2 expired, 3 shed"));
+        assert!(text.contains("cdl_requests_expired_total 2"));
+        assert!(text.contains("cdl_requests_shed_by_tenant_total{tenant=\"1\"} 2"));
+        assert!(text.contains("cdl_requests_expired_by_tenant_total{tenant=\"2\"} 1"));
         let mut telemetry = TelemetrySnapshot::new();
         snap.fill_telemetry(&mut telemetry, &[("model", "A")]);
         let text = telemetry.render_prometheus();
@@ -1258,9 +922,12 @@ mod tests {
         assert_eq!(snap.expired_partial_ops.macs, 1234);
         assert_eq!(snap.stages_activated, 2);
         assert!(snap.energy_pj > zero_work);
+        assert!(snap
+            .to_string()
+            .contains("cdl_expired_partial_ops_total{kind=\"macs\"} 1234"));
         // but nothing was delivered: no completion, no latency sample
         assert_eq!(snap.completed, 0);
-        assert!(snap.latency().is_none());
+        assert_eq!(snap.latency_histogram.count(), 0);
     }
 
     #[test]
@@ -1274,12 +941,10 @@ mod tests {
         assert_eq!(live.submitted, 7);
         assert_eq!(live.completed, 7);
         assert_eq!(live.batches(), 7);
+        assert_eq!(live.batch_size_histogram, vec![0, 7]);
         assert_eq!(live.exit_histogram, vec![3, 1, 3]);
         assert_eq!(live.total_ops.macs, 7 * 50);
         assert_eq!(live.latency_histogram.count(), 7);
-        assert_eq!(live.latency().unwrap().count, 7);
-        assert!((live.mean_batch_size() - 1.0).abs() < 1e-12);
-        assert!(live.throughput_rps() > 0.0);
         // queue_depth sums (shard_snapshot samples depth 1 each)
         assert_eq!(live.queue_depth, 2);
     }
@@ -1306,17 +971,16 @@ mod tests {
         assert_eq!(snap.batches(), 2);
         assert_eq!(snap.batches_full, 1);
         assert_eq!(snap.batches_ready, 1);
-        assert_eq!(snap.batch_size_histogram[1], 1);
-        assert_eq!(snap.batch_size_histogram[2], 1);
-        assert!((snap.mean_batch_size() - 1.5).abs() < 1e-12);
+        assert_eq!(snap.batch_size_histogram, vec![0, 1, 1]);
         assert_eq!(snap.exit_histogram, vec![2, 0, 1]);
         assert_eq!(snap.total_ops.macs, 500);
         assert_eq!(snap.stages_activated, 1 + 3 + 1);
         assert!(snap.energy_pj > 0.0);
-        assert!(snap.latency().is_some());
-        // the report renders
+        assert_eq!(snap.latency_histogram.count(), 3);
+        // the report renders the batch sizes that occurred
         let text = snap.to_string();
-        assert!(text.contains("batches"));
-        assert!(text.contains("latency"));
+        assert!(text.contains("cdl_batches_by_size_total{size=\"1\"} 1"));
+        assert!(text.contains("cdl_batches_by_size_total{size=\"2\"} 1"));
+        assert!(text.contains("cdl_request_latency_ns_count 3"));
     }
 }

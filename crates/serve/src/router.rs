@@ -725,10 +725,11 @@ impl Router {
 
     /// A full exportable snapshot across all models and replicas:
     /// [`Router::metrics`] rendered through
-    /// `RouterMetrics::fill_telemetry` (every replica's ledger, latency
-    /// histogram and health state labeled `model`/`replica`, per-shard
-    /// retry/hedge counters), plus all span events drained from every
-    /// replica's telemetry domain. Render it with
+    /// `RouterMetrics::fill_telemetry` (every replica's routed count,
+    /// ledger, latency histogram and health state labeled
+    /// `model`/`replica`, per-shard retry/hedge counters; the text
+    /// `RouterMetrics`' `Display` prints), plus all span events drained
+    /// from every replica's telemetry domain. Render it with
     /// [`TelemetrySnapshot::render_prometheus`] or
     /// [`TelemetrySnapshot::render_chrome_trace`].
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
@@ -1126,8 +1127,10 @@ pub(crate) mod tests {
     #[test]
     fn prometheus_export_equals_the_metrics_snapshot() {
         // mixed traffic: two models of different depth, one of them on two
-        // replicas, a few callers hanging up before their answer
-        let mut specs = two_model_specs(BatchPolicy::new(usize::MAX), 64);
+        // replicas, batches held to pairs, a few callers hanging up before
+        // their answer, and tenant-tagged requests that are shed or expire
+        let mut specs = two_model_specs(BatchPolicy::by_size(2), 64);
+        specs[0].config.tenant_quota = Some(1);
         let three_c = specs.pop().unwrap();
         specs.push(three_c.replicated(ReplicaSpec::new(2, PlacementPolicy::RoundRobin)));
         let router = Router::start(specs).unwrap();
@@ -1141,6 +1144,17 @@ pub(crate) mod tests {
             .map(|(i, x)| router.submit(models[i % 2], x).unwrap())
             .collect();
         pendings.truncate(20); // the last four are dropped unanswered
+
+        // tenant 7 holds its one slot while its request waits for a pair,
+        // so its second is shed; tenant 8's completes the pair, expired
+        let x = images(1).remove(0);
+        let tenant = |t: u32| SubmitOptions::default().tenant(t);
+        pendings.push(router.submit_with(models[0], x.clone(), tenant(7)).unwrap());
+        let refused = router.try_submit_with(models[0], x.clone(), tenant(7));
+        assert_eq!(refused.unwrap_err(), ServeError::QuotaExceeded(7));
+        let doomed = SubmitOptions::with_deadline(Duration::ZERO).tenant(8);
+        let expired = router.submit_with(models[0], x, doomed).unwrap();
+        assert_eq!(expired.wait().unwrap_err(), ServeError::Expired);
         for pending in pendings {
             pending.wait().unwrap();
         }
@@ -1150,6 +1164,8 @@ pub(crate) mod tests {
         // settled: the export and the snapshot must now agree exactly
         let text = router.telemetry_snapshot().render_prometheus();
         let metrics = router.metrics();
+        // and the report is that same text
+        assert_eq!(metrics.to_string(), text);
         let mut samples = prometheus_samples(&text);
         let mut exported = |name: &str, labels: &str| {
             let series = format!("{name}{{{labels}}}");
@@ -1157,30 +1173,71 @@ pub(crate) mod tests {
                 .remove(&series)
                 .unwrap_or_else(|| panic!("{series} not exported:\n{text}"))
         };
+        // every field is destructured with no `..`: a field added to the
+        // snapshot does not compile here until it is exported or named as
+        // skipped
         for shard in &metrics.shards {
-            let model = format!("model=\"{}\"", shard.model);
-            assert_eq!(exported("cdl_shard_retries_total", &model), shard.retries);
-            assert_eq!(exported("cdl_shard_hedges_total", &model), shard.hedges);
-            for (i, replica) in shard.replicas.iter().enumerate() {
+            let ShardMetrics {
+                model,
+                placement: _, // configuration, not a count
+                retries,
+                hedges,
+                replicas,
+            } = shard;
+            let model = format!("model=\"{model}\"");
+            assert_eq!(exported("cdl_shard_retries_total", &model), *retries);
+            assert_eq!(exported("cdl_shard_hedges_total", &model), *hedges);
+            for (i, replica) in replicas.iter().enumerate() {
                 let at = format!("{model},replica=\"{i}\"");
-                let m = &replica.metrics;
+                let ReplicaMetrics {
+                    routed,
+                    health,
+                    transitions,
+                    metrics,
+                } = replica;
+                let ServerMetrics {
+                    submitted,
+                    rejected,
+                    completed,
+                    cancelled,
+                    failed,
+                    expired,
+                    shed,
+                    faults,
+                    expired_by_class,
+                    shed_by_class,
+                    expired_by_tenant,
+                    shed_by_tenant,
+                    queue_depth,
+                    batches_full,
+                    batches_ready,
+                    batches_flushed,
+                    batch_size_histogram,
+                    latency_histogram,
+                    exit_histogram,
+                    total_ops,
+                    expired_partial_ops,
+                    stages_activated,
+                    energy_pj,
+                } = metrics;
                 for (name, value) in [
-                    ("cdl_requests_submitted_total", m.submitted),
-                    ("cdl_requests_completed_total", m.completed),
-                    ("cdl_requests_rejected_total", m.rejected),
-                    ("cdl_requests_cancelled_total", m.cancelled),
-                    ("cdl_requests_failed_total", m.failed),
-                    ("cdl_requests_expired_total", m.expired),
-                    ("cdl_requests_shed_total", m.shed),
-                    ("cdl_requests_faulted_total", m.faults),
-                    ("cdl_batches_total", m.batches()),
-                    ("cdl_stages_activated_total", m.stages_activated),
-                    ("cdl_energy_picojoules_total", m.energy_pj.round() as u64),
-                    ("cdl_queue_depth", m.queue_depth as u64),
-                    ("cdl_replica_health_state", u64::from(replica.health.code())),
-                    ("cdl_replica_health_transitions_total", replica.transitions),
-                    ("cdl_request_latency_ns_count", m.latency_histogram.count()),
-                    ("cdl_request_latency_ns_sum", m.latency_histogram.sum()),
+                    ("cdl_replica_routed_total", *routed),
+                    ("cdl_replica_health_state", u64::from(health.code())),
+                    ("cdl_replica_health_transitions_total", *transitions),
+                    ("cdl_requests_submitted_total", *submitted),
+                    ("cdl_requests_completed_total", *completed),
+                    ("cdl_requests_rejected_total", *rejected),
+                    ("cdl_requests_cancelled_total", *cancelled),
+                    ("cdl_requests_failed_total", *failed),
+                    ("cdl_requests_expired_total", *expired),
+                    ("cdl_requests_shed_total", *shed),
+                    ("cdl_requests_faulted_total", *faults),
+                    ("cdl_batches_total", batch_size_histogram.iter().sum()),
+                    ("cdl_stages_activated_total", *stages_activated),
+                    ("cdl_energy_picojoules_total", energy_pj.round() as u64),
+                    ("cdl_queue_depth", *queue_depth as u64),
+                    ("cdl_request_latency_ns_count", latency_histogram.count()),
+                    ("cdl_request_latency_ns_sum", latency_histogram.sum()),
                 ] {
                     assert_eq!(exported(name, &at), value, "{name}{{{at}}}");
                 }
@@ -1190,53 +1247,47 @@ pub(crate) mod tests {
                 };
                 for p in crate::Priority::ALL {
                     let (class, c) = (p.to_string(), p.class());
-                    labelled(
-                        "cdl_requests_expired_by_class_total",
-                        "class",
-                        &class,
-                        m.expired_by_class[c],
-                    );
-                    labelled(
-                        "cdl_requests_shed_by_class_total",
-                        "class",
-                        &class,
-                        m.shed_by_class[c],
-                    );
+                    let name = "cdl_requests_expired_by_class_total";
+                    labelled(name, "class", &class, expired_by_class[c]);
+                    let name = "cdl_requests_shed_by_class_total";
+                    labelled(name, "class", &class, shed_by_class[c]);
                 }
-                labelled(
-                    "cdl_batches_dispatched_total",
-                    "cause",
-                    "full",
-                    m.batches_full,
-                );
-                labelled(
-                    "cdl_batches_dispatched_total",
-                    "cause",
-                    "ready",
-                    m.batches_ready,
-                );
-                labelled(
-                    "cdl_batches_dispatched_total",
-                    "cause",
-                    "flush",
-                    m.batches_flushed,
-                );
-                for (stage, &n) in m.exit_histogram.iter().enumerate() {
+                for (name, by_tenant) in [
+                    ("cdl_requests_expired_by_tenant_total", expired_by_tenant),
+                    ("cdl_requests_shed_by_tenant_total", shed_by_tenant),
+                ] {
+                    for &(t, n) in by_tenant {
+                        labelled(name, "tenant", &t.to_string(), n);
+                    }
+                }
+                for (cause, n) in [
+                    ("full", batches_full),
+                    ("ready", batches_ready),
+                    ("flush", batches_flushed),
+                ] {
+                    labelled("cdl_batches_dispatched_total", "cause", cause, *n);
+                }
+                for (size, &n) in batch_size_histogram.iter().enumerate() {
+                    if n > 0 {
+                        labelled("cdl_batches_by_size_total", "size", &size.to_string(), n);
+                    }
+                }
+                for (stage, &n) in exit_histogram.iter().enumerate() {
                     labelled("cdl_exits_total", "stage", &stage.to_string(), n);
                 }
-                let ops = m.total_ops;
-                labelled("cdl_ops_total", "kind", "macs", ops.macs);
-                labelled("cdl_ops_total", "kind", "adds", ops.adds);
-                labelled("cdl_ops_total", "kind", "compares", ops.compares);
-                labelled("cdl_ops_total", "kind", "activations", ops.activations);
-                labelled("cdl_ops_total", "kind", "mem_reads", ops.mem_reads);
-                labelled("cdl_ops_total", "kind", "mem_writes", ops.mem_writes);
-                labelled(
-                    "cdl_request_latency_ns_bucket",
-                    "le",
-                    "+Inf",
-                    m.latency_histogram.count(),
-                );
+                for (name, ops) in [
+                    ("cdl_ops_total", total_ops),
+                    ("cdl_expired_partial_ops_total", expired_partial_ops),
+                ] {
+                    labelled(name, "kind", "macs", ops.macs);
+                    labelled(name, "kind", "adds", ops.adds);
+                    labelled(name, "kind", "compares", ops.compares);
+                    labelled(name, "kind", "activations", ops.activations);
+                    labelled(name, "kind", "mem_reads", ops.mem_reads);
+                    labelled(name, "kind", "mem_writes", ops.mem_writes);
+                }
+                let count = latency_histogram.count();
+                labelled("cdl_request_latency_ns_bucket", "le", "+Inf", count);
             }
         }
         // nothing is exported that the snapshot does not account for
@@ -1244,10 +1295,13 @@ pub(crate) mod tests {
         assert!(samples.is_empty(), "unaccounted samples: {samples:?}");
         // and the traffic was what the test set out to send
         let total = metrics.total();
-        assert_eq!(total.submitted, 24);
-        assert_eq!(total.completed + total.cancelled, 24);
-        assert!(total.completed >= 20 && total.energy_pj > 0.0);
+        assert_eq!(total.submitted, 26);
+        assert_eq!(total.completed + total.cancelled, 25);
+        assert!(total.completed >= 21 && total.energy_pj > 0.0);
         assert_eq!(total.exit_histogram.iter().sum::<u64>(), total.completed);
+        assert!(total.batch_size_histogram[2] > 0, "no batch of two");
+        assert_eq!(total.shed_by_tenant, vec![(7, 1)]);
+        assert_eq!(total.expired_by_tenant, vec![(8, 1)]);
         assert!(
             text.contains("# TYPE cdl_replica_health_state gauge"),
             "{text}"

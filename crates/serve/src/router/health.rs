@@ -180,7 +180,7 @@ mod tests {
             assert_eq!(
                 step(state, streak, window, policy),
                 want,
-                "{state} with streak {streak} on {window:?}, evict_after {}",
+                "{state:?} with streak {streak} on {window:?}, evict_after {}",
                 policy.evict_after
             );
         }

@@ -326,6 +326,73 @@ mod tests {
         assert_eq!(empty.quantile(0.99), None);
     }
 
+    /// Asserts the `q` quantile of `h` is within the documented relative
+    /// error (1/64) of the exact nearest-rank order statistic `exact`.
+    fn assert_quantile_within_bound(h: &LogHistogram, q: f64, exact: u64) {
+        let actual = h.quantile(q).unwrap();
+        assert!(
+            actual.abs_diff(exact) * 64 <= exact,
+            "q{q}: {actual} is more than 1/64 away from exact {exact}"
+        );
+    }
+
+    #[test]
+    fn quantiles_are_within_the_bound_and_extremes_exact() {
+        let mut h = LogHistogram::new();
+        for i in 1..=100u64 {
+            h.record(i * 1000);
+        }
+        assert_eq!(h.count(), 100);
+        // min/mean/max are exact lifetime accumulators
+        assert_eq!(
+            (h.min_value(), h.mean(), h.max_value()),
+            (Some(1000), Some(50_500), Some(100_000))
+        );
+        // nearest-rank order statistics: rank ceil(q * n)
+        for (q, exact) in [
+            (0.5, 50_000),
+            (0.99, 99_000),
+            (0.999, 100_000),
+            (0.9999, 100_000),
+        ] {
+            assert_quantile_within_bound(&h, q, exact);
+        }
+    }
+
+    #[test]
+    fn quantiles_cover_the_whole_lifetime_not_a_window() {
+        // a ring of recent samples would evict the early outlier; the
+        // histogram keeps every sample at fixed memory
+        let mut h = LogHistogram::new();
+        let n = 200_000u64;
+        h.record(5);
+        for i in 0..n {
+            h.record(1_000_000 + i);
+        }
+        assert_eq!(h.count(), n + 1);
+        assert_eq!(h.min_value(), Some(5));
+        assert_eq!(h.max_value(), Some(1_000_000 + n - 1));
+        // the outlier is in the distribution but cannot drag the median
+        assert_quantile_within_bound(&h, 0.5, 1_000_000 + n / 2 - 1);
+        assert_quantile_within_bound(&h, 0.999, 1_000_000 + n * 999 / 1000 - 1);
+    }
+
+    #[test]
+    fn a_bimodal_distribution_keeps_both_modes() {
+        let mut h = LogHistogram::new();
+        let half = 65_536u64;
+        for v in [1_000u64, 5_000] {
+            for _ in 0..half {
+                h.record(v);
+            }
+        }
+        assert_eq!(h.count(), 2 * half);
+        // exact nearest-rank p50 (rank = half) is the last 1_000 sample
+        assert_quantile_within_bound(&h, 0.5, 1_000);
+        assert_quantile_within_bound(&h, 0.99, 5_000);
+        assert_quantile_within_bound(&h, 0.999, 5_000);
+    }
+
     #[test]
     fn quantiles_clamp_to_exact_extremes() {
         let mut h = LogHistogram::new();

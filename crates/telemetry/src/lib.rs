@@ -31,9 +31,9 @@
 //!   per-replica histograms yields exactly the histogram that one global
 //!   recorder would have produced, so p99.9 across a replica set is a
 //!   true order statistic of the union, not an average of averages.
-//! - **Snapshot cost.** Extracting `LatencyStats` walks the buckets once:
-//!   O(1920) regardless of sample count, replacing the serve layer's old
-//!   sort-a-65k-ring-per-snapshot scheme.
+//! - **Snapshot cost.** A quantile ([`LogHistogram::quantile`]) walks the
+//!   buckets once: O(1920) regardless of sample count, replacing the serve
+//!   layer's old sort-a-65k-ring-per-snapshot scheme.
 //!
 //! # Pillar 2: per-request lifecycle spans
 //!

@@ -9,8 +9,9 @@
 //! the `Pending` handles). Request `i` is routed to model `i % 2` and
 //! carries a per-request δ/depth override from a small service-level mix —
 //! the Fig. 10 accuracy/energy trade-off exercised per request within one
-//! stream. Prints the router's final per-shard + aggregate metrics report
-//! (routing histogram, per-model exit/energy breakdown), cross-checks a
+//! stream. Prints the router's ledger as Prometheus text — the same
+//! text `Router::telemetry_snapshot` exports: per-replica routed counts,
+//! exits, ops, energy and latency histograms — cross-checks a
 //! sample of responses against `CdlNetwork::classify_with_override`, then
 //! serves the same workload from 1 vs 3 least-loaded replicas per model,
 //! asserting bit-identical answers and consistent placement bookkeeping,
@@ -195,7 +196,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_sample_identical(&outputs, "on the two-shard router")?;
     let srv_exits: usize = outputs.iter().map(|(_, out)| out.exit_stage).sum();
     assert_eq!(srv_exits, seq_exits, "same exit decisions as sequential");
-    println!("=== router metrics ===\n{metrics}\n");
+    println!("=== router metrics (Prometheus text) ===\n{metrics}");
     println!(
         "router: {} requests in {:.3}s ({:.0} req/s) → {:.2}x vs sequential",
         requests,

@@ -141,12 +141,12 @@
 //! A worker pool of persistent `BatchEvaluator`s seals batches off the one
 //! queue — a free worker takes what is queued, up to
 //! [`serve::BatchPolicy`]'s `max_batch_size` — and answers them.
-//! Drop-to-cancel, graceful drain-then-stop shutdown and
-//! a [`serve::ServerMetrics`] snapshot (throughput, batch-size histogram,
-//! latency percentiles, cumulative ops/energy) are built in. Responses are
-//! bit-identical to per-image `classify` for every interleaving (enforced
-//! by `tests/serve_equivalence.rs`); see `examples/serve_stream.rs` for an
-//! end-to-end simulated workload.
+//! Drop-to-cancel, graceful drain-then-stop shutdown and a
+//! [`serve::ServerMetrics`] snapshot (batch-size histogram, latency
+//! histogram, cumulative ops/energy; printed as Prometheus text) are built
+//! in. Responses are bit-identical to per-image `classify` for every
+//! interleaving (enforced by `tests/serve_equivalence.rs`); see
+//! `examples/serve_stream.rs` for an end-to-end simulated workload.
 //!
 //! ## Sharded multi-model serving & per-request δ overrides
 //!
@@ -206,7 +206,7 @@
 //! let pending = router.submit_with(m3c, image, SubmitOptions::with_delta(0.35))?;
 //! let output = pending.wait()?; // bit-identical to classify_with_override
 //! assert!(output.label < 10);
-//! println!("{}", router.shutdown()); // per-shard + aggregate report
+//! println!("{}", router.shutdown()); // final ledger as Prometheus text
 //! # Ok(())
 //! # }
 //! ```
@@ -357,8 +357,9 @@
 //! is associative, [`serve::ShardMetrics::total`] and
 //! [`serve::RouterMetrics::total`] fold the per-replica ledgers — latency
 //! histogram included — into one [`serve::ServerMetrics`], whose
-//! `latency()` reports **true cross-replica tails** (p99/p99.9/p99.99 of
-//! the merged distribution, not an average of per-replica percentiles).
+//! `latency_histogram` quantiles are **true cross-replica tails**
+//! (p99/p99.9/p99.99 of the merged distribution, not an average of
+//! per-replica percentiles).
 //!
 //! Switching [`serve::ServerConfig`]'s `telemetry` to
 //! [`telemetry::TelemetryConfig::enabled`] additionally records a

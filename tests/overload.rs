@@ -202,8 +202,14 @@ fn deadline_shedding_bounds_served_p99_under_a_burst() {
     // and the point of it all: the served tail stays bounded near the
     // deadline, strictly below the queue-dominated baseline tail (2×
     // margin keeps scheduler noise from flaking the comparison)
-    let baseline_p99 = baseline_total.latency().unwrap().p99;
-    let shed_p99 = shed_total.latency().unwrap().p99;
+    let baseline_p99 = baseline_total
+        .latency_histogram
+        .quantile_duration(0.99)
+        .unwrap();
+    let shed_p99 = shed_total
+        .latency_histogram
+        .quantile_duration(0.99)
+        .unwrap();
     assert!(
         shed_p99 * 2 < baseline_p99,
         "shed p99 {shed_p99:?} is not well below baseline p99 {baseline_p99:?} \

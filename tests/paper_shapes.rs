@@ -105,7 +105,7 @@ fn fig9_shape_stage_sweep() {
     let f = fixture();
     let points = stage_count_sweep(
         &arch::mnist_3c_full(),
-        &mut trained_base(),
+        &trained_base(),
         &f.train_set,
         &f.test_set,
         ConfidencePolicy::sigmoid_prob(0.5),

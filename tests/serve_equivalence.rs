@@ -116,9 +116,15 @@ fn assert_server_equivalent(policy: BatchPolicy, clients: usize, workers: usize)
     // the (bit-identical) per-request counts
     let expected_ops: u64 = outputs.iter().map(|(_, o)| o.ops.compute_ops()).sum();
     assert_eq!(metrics.total_ops.compute_ops(), expected_ops);
-    assert!(metrics.throughput_rps() > 0.0);
+    let batched: u64 = metrics
+        .batch_size_histogram
+        .iter()
+        .enumerate()
+        .map(|(size, &n)| size as u64 * n)
+        .sum();
+    assert_eq!(batched, metrics.completed);
     assert!(metrics.energy_pj > 0.0);
-    assert!(metrics.latency().is_some());
+    assert_eq!(metrics.latency_histogram.count(), metrics.completed);
 }
 
 #[test]
