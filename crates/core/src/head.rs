@@ -156,7 +156,7 @@ impl LinearClassifier {
     /// Same as [`LinearClassifier::scores`].
     pub(crate) fn outputs(&self, features: &Tensor) -> Result<Tensor> {
         let mut out = self.scores(features)?;
-        math::sigmoid_slice(out.data_mut());
+        math::sigmoid_slice(GemmKernel::detect(), out.data_mut());
         Ok(out)
     }
 

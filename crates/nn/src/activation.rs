@@ -1,6 +1,6 @@
 //! Scalar activation functions and their derivatives.
 
-use cdl_tensor::math;
+use cdl_tensor::{math, GemmKernel};
 use serde::{Deserialize, Serialize};
 
 /// An elementwise nonlinearity.
@@ -64,12 +64,13 @@ impl Activation {
 
     /// Applies the function to every element of `xs` in place: exactly
     /// `for v in xs { *v = self.apply(*v) }`, bit for bit, with `Sigmoid`
-    /// taking [`cdl_tensor::math::sigmoid_slice`] (the same loop, compiled
-    /// for AVX2 where the host has it). This is what the batched layers and
-    /// the fused stage groups call.
-    pub fn apply_slice(self, xs: &mut [f32]) {
+    /// taking [`cdl_tensor::math::sigmoid_slice`] — the same loop, in the
+    /// compilation `kernel` picks. The batched layers and the fused stage
+    /// groups pass their batch's arm, `ActivationLayer::forward`
+    /// [`GemmKernel::detect`].
+    pub fn apply_slice(self, kernel: GemmKernel, xs: &mut [f32]) {
         match self {
-            Activation::Sigmoid => math::sigmoid_slice(xs),
+            Activation::Sigmoid => math::sigmoid_slice(kernel, xs),
             Activation::Identity => {}
         }
     }

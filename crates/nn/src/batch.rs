@@ -72,7 +72,8 @@
 //! for the sigmoid is `cdl_tensor::math::sigmoid_slice` — a plain loop over
 //! the same FMA-free polynomial `exp` the per-image `Activation::apply`
 //! evaluates one cell at a time, compiled a second time for AVX2 where the
-//! vectoriser runs eight cells to a register, equal bit for bit because it
+//! vectoriser runs eight cells to a register — the batch's arm picks which,
+//! as it does for every other body — equal bit for bit because it
 //! is one source (`cdl_tensor::math`'s sweep over all 2³² patterns confirms
 //! it). There is no second sigmoid.
 //!
@@ -298,6 +299,11 @@ impl<'a> Block<'a> {
     /// Values per image at this point of the segment.
     pub(crate) fn width(&self) -> usize {
         self.scratch.width()
+    }
+
+    /// The arm every body of this batch runs.
+    pub(crate) fn kernel(&self) -> GemmKernel {
+        self.scratch.kernel
     }
 
     /// Runs `layer` on the block, offering it `epilogue` — the `(activation,

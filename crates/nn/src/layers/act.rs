@@ -1,7 +1,7 @@
 //! Elementwise activation layer.
 
 use cdl_hw::OpCount;
-use cdl_tensor::Tensor;
+use cdl_tensor::{GemmKernel, Tensor};
 
 use crate::activation::Activation;
 use crate::batch::Block;
@@ -37,12 +37,12 @@ impl Layer for ActivationLayer {
 
     fn forward(&self, x: &Tensor) -> Result<Tensor> {
         let mut y = x.clone();
-        self.act.apply_slice(y.data_mut());
+        self.act.apply_slice(GemmKernel::detect(), y.data_mut());
         Ok(y)
     }
 
     fn forward_block(&self, block: &mut Block<'_>) -> Result<()> {
-        self.act.apply_slice(block.data_mut());
+        self.act.apply_slice(block.kernel(), block.data_mut());
         Ok(())
     }
 

@@ -108,7 +108,7 @@ impl Layer for Conv2d {
                 &self.kernels,
                 self.bias.data(),
                 window,
-                |pooled| activation.apply_slice(pooled),
+                |pooled| activation.apply_slice(kernel, pooled),
                 dst,
                 conv,
                 kernel,

@@ -146,15 +146,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     /// `apply_slice` stores what `apply` returns, cell by cell, for every
-    /// activation and every slice length around the 8-lane vector width.
+    /// activation, on both arms, and every slice length around the 8-lane
+    /// vector width.
     #[test]
     fn apply_slice_matches_apply(act in 0usize..2, len in 0usize..40, seed in 0u64..10_000) {
         let act = [Activation::Sigmoid, Activation::Identity][act];
         let mut rng = StdRng::seed_from_u64(seed);
         let x = edge_tensor(&mut rng, &[len]);
-        let mut sliced = x.clone();
-        act.apply_slice(sliced.data_mut());
-        same_bits(&x.map(|v| act.apply(v)), &sliced).map_err(|e| TestCaseError::fail(format!("{act}: {e}")))?;
+        for kernel in GemmKernel::ALL {
+            let mut sliced = x.clone();
+            act.apply_slice(kernel, sliced.data_mut());
+            same_bits(&x.map(|v| act.apply(v)), &sliced)
+                .map_err(|e| TestCaseError::fail(format!("{act} {kernel:?}: {e}")))?;
+        }
     }
 
     /// The fused `conv → activation → max-pool` group equals the three

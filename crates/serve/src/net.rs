@@ -520,10 +520,10 @@ fn encode_response(
             }
             Err(reply) => {
                 body.put_u8(reply.code as u8);
-                let msg = reply.message.as_bytes();
-                let take = msg.len().min(u16::MAX as usize);
-                body.put_u16(take as u16);
-                body.put_slice(&msg[..take]);
+                // cut on a character boundary: the peer rejects invalid UTF-8
+                let msg = &reply.message[..reply.message.floor_char_boundary(u16::MAX as usize)];
+                body.put_u16(msg.len() as u16);
+                body.put_slice(msg.as_bytes());
             }
         }
         Ok(())
@@ -1657,6 +1657,24 @@ mod tests {
         let (id, result) = decode_response(one_frame(&frame)).unwrap();
         assert_eq!(id, 10);
         assert_eq!(result.unwrap_err(), reply);
+    }
+
+    /// A message over u16::MAX bytes is cut at the last character boundary
+    /// at or below it, never inside a character: `x` and 21 845 × `€` (3
+    /// bytes each) is 65 536 bytes, and byte 65 535 falls mid-character.
+    #[test]
+    fn an_overlong_multibyte_error_message_is_cut_on_a_character_boundary() {
+        let reply = ErrorReply {
+            code: ErrorCode::UnknownModel,
+            message: format!("x{}", "€".repeat(21_845)),
+        };
+        let mut frame = Vec::new();
+        encode_response(&mut frame, 11, &Err(reply)).unwrap();
+        let (id, result) = decode_response(one_frame(&frame)).unwrap();
+        assert_eq!(id, 11);
+        let got = result.unwrap_err();
+        assert_eq!(got.code, ErrorCode::UnknownModel);
+        assert_eq!(got.message, format!("x{}", "€".repeat(21_844)));
     }
 
     #[test]

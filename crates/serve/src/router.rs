@@ -1456,6 +1456,70 @@ pub(crate) mod tests {
         router.shutdown();
     }
 
+    /// The production trigger: with `check_every: k` the k-th placement
+    /// runs a health check on its own, no `Router::check_health` call. The
+    /// first k − 1 placements alternate over the two replicas, so replica
+    /// 1 refuses four of them under its error burst; the k-th judges that
+    /// window and evicts it. Checks are counted in placements, not timed,
+    /// so the placement that triggers one is known exactly.
+    #[test]
+    fn the_kth_placement_runs_the_health_check() {
+        use crate::fault::{FaultKind, FaultPlan};
+        const K: u64 = 9;
+        let config = ServerConfig {
+            policy: BatchPolicy::new(usize::MAX),
+            queue_capacity: 64,
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let spec = ShardSpec::new("m", build_untrained(arch::mnist_2c(), 5), config)
+            .replicated(ReplicaSpec::new(2, PlacementPolicy::RoundRobin))
+            .fault_on(
+                1,
+                FaultPlan::builder()
+                    .at(0, FaultKind::ErrorBurst(1 << 20))
+                    .build(),
+            )
+            .health(HealthPolicy {
+                check_every: K,
+                evict_after: 1,
+                min_samples: 4,
+                latency_threshold: None,
+                ..HealthPolicy::default()
+            });
+        let router = Router::start(vec![spec]).unwrap();
+        let model = router.model_id("m").unwrap();
+        let healthy = vec![ReplicaHealth::Healthy; 2];
+        let mut pending = Vec::new();
+        for x in images(K as usize - 1) {
+            // replica 1's refusals are the window the check will judge
+            pending.extend(
+                router
+                    .try_submit_with(model, x, SubmitOptions::default())
+                    .ok(),
+            );
+            assert_eq!(router.replica_health(model).unwrap(), healthy);
+        }
+        assert_eq!(
+            pending.len(),
+            K as usize / 2,
+            "replica 0 admitted its share"
+        );
+        pending.extend(
+            router
+                .try_submit_with(model, images(1).remove(0), SubmitOptions::default())
+                .ok(),
+        );
+        assert_eq!(
+            router.replica_health(model).unwrap(),
+            [ReplicaHealth::Healthy, ReplicaHealth::Evicted]
+        );
+        router.shutdown();
+        for p in pending {
+            p.wait().unwrap();
+        }
+    }
+
     #[test]
     fn every_refusal_hands_the_tensor_back() {
         use crate::config::Priority;

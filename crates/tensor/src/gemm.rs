@@ -23,7 +23,7 @@
 //! |---|---|---|---|
 //! | convolution, lanes across images (`conv2d_x8`) | `x8_oc_block` over `tile::<_, _, 8>` | baseline compilation | AVX2 compilation |
 //! | convolution, lanes across a row (`conv2d_direct`) | `direct_oc_block` over `tile::<_, _, 1>` | baseline compilation | AVX2 compilation |
-//! | logistic ([`crate::math::sigmoid_slice`]) | one straight loop | baseline compilation | AVX2 compilation |
+//! | logistic ([`crate::math::sigmoid_slice`], which takes the arm like every body above) | one straight loop | baseline compilation | AVX2 compilation |
 //! | batched affine (`gemm_nt_rows`) | two (exception 3 below) | 4×4 register tiles | packed `[k × 8]` lane body, AVX2 compilation |
 //!
 //! Which convolution runs is a function of the geometry and the batch size
@@ -172,21 +172,22 @@
 //! Nothing above the evaluator chooses a kernel. `BatchScratch::new` /
 //! `BatchEvaluator::new` take [`GemmKernel::detect`] — `Simd` where
 //! `is_x86_feature_detected!("avx2")`, `Reference` otherwise — and the
-//! serving stack has no option for it. Inside this crate the question is
-//! asked at one place, `Target::pick`, whose answer is the only proof of
-//! AVX2 an instantiation is ever called on. `Simd` on a host without AVX2
-//! runs the baseline compilation itself, so naming it explicitly is always
-//! safe and the difference is observable only in throughput; tests reach
-//! that path on an AVX2 host through the [`force_simd_fallback`] hook. The
-//! only caller that passes anything but `detect()` is a parity suite walking
-//! [`GemmKernel::ALL`] (`BatchEvaluator::with_kernel`), and the `benchmark/`
-//! package's `tensor.*` rows time the detected arm. The next steps if
-//! LeNet-scale feature maps are outgrown: the heads on the interleaved
-//! block (lanes across images for `gemm_nt`), an AVX-512 instantiation, and
-//! a packed/L2-blocked operand layout.
+//! serving stack has no option for it. The arm is the only switch: every
+//! batched body, the sigmoid included, takes it as an argument, and the
+//! per-image paths pass `detect()`. Inside this crate the CPU is asked at
+//! one place, `Target::pick`, whose answer is the only proof of AVX2 an
+//! instantiation is ever called on; the rule it applies to that answer is
+//! the pure table `Target::resolve`, tested cell by cell. `Simd` on a host
+//! without AVX2 runs the baseline compilation itself, so naming it
+//! explicitly is always safe and the difference is observable only in
+//! throughput. The only caller that passes anything but `detect()` is a
+//! parity suite walking [`GemmKernel::ALL`] (`BatchEvaluator::with_kernel`),
+//! and the `benchmark/` package's `tensor.*` rows time the detected arm.
+//! The next steps if LeNet-scale feature maps are outgrown: the heads on
+//! the interleaved block (lanes across images for `gemm_nt`), an AVX-512
+//! instantiation, and a packed/L2-blocked operand layout.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::im2col::BatchGeometry;
 use crate::rows::Rows;
@@ -218,20 +219,15 @@ impl GemmKernel {
     /// The arm that names what this host runs: [`GemmKernel::Simd`] when
     /// the CPU reports AVX2 (`is_x86_feature_detected!`),
     /// [`GemmKernel::Reference`] otherwise. This is what
-    /// `GemmKernel::default()` returns and what every evaluator is
-    /// constructed with — asked once per construction, never in a hot loop.
+    /// `GemmKernel::default()` returns, what every evaluator is constructed
+    /// with and what the per-image paths pass to their sigmoid (the CPU's
+    /// answer is cached by the standard library, so a call is one load).
     pub fn detect() -> GemmKernel {
-        if GemmKernel::simd_available() {
+        if Target::pick(GemmKernel::Simd).avx2 {
             GemmKernel::Simd
         } else {
             GemmKernel::Reference
         }
-    }
-
-    /// Whether the [`GemmKernel::Simd`] arm runs the AVX2 compilation on
-    /// this host (rather than the baseline one).
-    pub(crate) fn simd_available() -> bool {
-        Target::pick(GemmKernel::Simd).avx2
     }
 }
 
@@ -240,22 +236,6 @@ impl Default for GemmKernel {
     fn default() -> Self {
         GemmKernel::detect()
     }
-}
-
-static FORCE_FALLBACK: AtomicBool = AtomicBool::new(false);
-
-/// Test hook: make the host look as if it had no AVX2, so
-/// [`GemmKernel::Simd`] — and [`crate::math::sigmoid_slice`], which asks
-/// the same question — runs the baseline compilation. Process-global;
-/// results are unchanged by construction (both compilations are
-/// bit-identical), so flipping it concurrently with other work is safe —
-/// only throughput and [`GemmKernel::detect`] are affected.
-#[doc(hidden)]
-pub fn force_simd_fallback(on: bool) {
-    // `Relaxed` on both sides: the flag publishes no other data, and a
-    // reader that sees a flip late runs the other compilation of the same
-    // source — the same bits.
-    FORCE_FALLBACK.store(on, Ordering::Relaxed);
 }
 
 /// Which compilation of the lane bodies a call runs. Only [`Target::pick`]
@@ -268,18 +248,30 @@ pub(crate) struct Target {
 }
 
 impl Target {
-    /// **The one dispatch point**: the AVX2 compilation for
-    /// [`GemmKernel::Simd`] on a CPU that reports AVX2 (unless the
-    /// forced-fallback hook is on), the baseline compilation otherwise —
-    /// always, on builds for anything but x86-64.
+    /// **The one dispatch point**, and the one place the CPU is asked:
+    /// [`Target::resolve`] on whether it reports AVX2 — never, on builds
+    /// for anything but x86-64.
     pub(crate) fn pick(kernel: GemmKernel) -> Target {
         #[cfg(target_arch = "x86_64")]
-        let cpu = is_x86_feature_detected!("avx2");
+        let cpu_has_avx2 = is_x86_feature_detected!("avx2");
         #[cfg(not(target_arch = "x86_64"))]
-        let cpu = false;
+        let cpu_has_avx2 = false;
+        Target::resolve(cpu_has_avx2, kernel)
+    }
+
+    /// The dispatch rule: the AVX2 compilation for [`GemmKernel::Simd`] on
+    /// a CPU with AVX2, the baseline compilation otherwise. Only
+    /// [`Target::pick`] may call it with anything but the CPU's answer —
+    /// the unit tests, which never run what it returns.
+    fn resolve(cpu_has_avx2: bool, kernel: GemmKernel) -> Target {
         Target {
-            avx2: cpu && kernel == GemmKernel::Simd && !FORCE_FALLBACK.load(Ordering::Relaxed),
+            avx2: cpu_has_avx2 && kernel == GemmKernel::Simd,
         }
+    }
+
+    /// Whether this is the AVX2 compilation.
+    pub(crate) fn avx2(self) -> bool {
+        self.avx2
     }
 }
 
@@ -1236,42 +1228,10 @@ pub(crate) fn conv2d_x8(
     unsafe { unpack_x8(target, &scratch.pooled, f_out, count, dst) };
 }
 
-/// Serializes this crate's tests that read *and* those that flip the
-/// process-global forced-fallback flag — a flip between two reads in a
-/// concurrently running detection test would fail it spuriously (result
-/// bits are flip-immune; only detection itself is not) — and releases the
-/// hook when dropped, even on panic.
-#[cfg(test)]
-pub(crate) struct DetectionGuard {
-    _lock: std::sync::MutexGuard<'static, ()>,
-}
-
-#[cfg(test)]
-impl DetectionGuard {
-    pub(crate) fn lock() -> Self {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        // the flag is restored by `drop` before the lock is released, so a
-        // holder that panicked left nothing half-done behind the poison
-        DetectionGuard {
-            _lock: LOCK
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        }
-    }
-}
-
-#[cfg(test)]
-impl Drop for DetectionGuard {
-    fn drop(&mut self) {
-        force_simd_fallback(false);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::conv::conv2d_valid;
-    use crate::im2col::{conv2d_valid_batch, ConvScratch};
     use crate::tensor::Tensor;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
@@ -1389,79 +1349,29 @@ mod tests {
 
     #[test]
     fn detect_matches_host_support() {
-        let _guard = DetectionGuard::lock();
-        if GemmKernel::simd_available() {
-            assert_eq!(GemmKernel::detect(), GemmKernel::Simd);
-        } else {
-            assert_eq!(GemmKernel::detect(), GemmKernel::Reference);
-        }
+        let avx2 = Target::pick(GemmKernel::Simd).avx2;
+        assert_eq!(GemmKernel::detect() == GemmKernel::Simd, avx2);
         assert_eq!(GemmKernel::default(), GemmKernel::detect());
+        assert!(!Target::pick(GemmKernel::Reference).avx2);
     }
 
-    /// The `Simd` arm on a host (or build) without AVX2 must silently run
-    /// what `Reference` runs, with identical results — exercised here
-    /// through the forced-fallback hook, on shapes with ragged tails in
-    /// every dimension. The guard restores the real dispatch even on panic.
+    /// The dispatch rule, cell by cell: only `Simd` on a CPU with AVX2
+    /// runs the AVX2 compilation, so `Simd` on a host without AVX2 runs
+    /// exactly what `Reference` runs.
     #[test]
-    fn simd_forced_fallback_is_bit_identical_to_reference() {
-        let _guard = DetectionGuard::lock();
-        let mut rng = StdRng::seed_from_u64(77);
-        let (m, k) = (7usize, 13usize);
-        let bias = fill(&mut rng, m);
-
-        force_simd_fallback(true);
-        assert!(!GemmKernel::simd_available());
-        assert_eq!(GemmKernel::detect(), GemmKernel::Reference);
-
-        let samples: Vec<Vec<f32>> = (0..5).map(|_| fill(&mut rng, k)).collect();
-        let rows: Vec<&[f32]> = samples.iter().map(Vec::as_slice).collect();
-        let w = fill(&mut rng, m * k);
-        let mut portable_nt = vec![f32::NAN; rows.len() * m];
-        gemm_nt(GemmKernel::Reference, k, &rows, &w, &bias, &mut portable_nt);
-        let mut forced_nt = vec![f32::NAN; rows.len() * m];
-        gemm_nt(GemmKernel::Simd, k, &rows, &w, &bias, &mut forced_nt);
-        for (got, want) in forced_nt.iter().zip(&portable_nt) {
-            assert_eq!(got.to_bits(), want.to_bits(), "forced-fallback nt");
-        }
-
-        // the conv entry under the hook: nine images of 3C's C1 and C2
-        // geometries (one x8 block and one direct image) and of its C3 (a
-        // full and a padded x8 block) run the same two kernels on the
-        // baseline compilation and keep their bits
-        for (c_in, c_out, k, side) in [
-            (1usize, 3usize, 3usize, 28usize),
-            (3, 6, 4, 13),
-            (6, 9, 3, 5),
+    fn resolve_is_the_dispatch_table() {
+        for (cpu_has_avx2, kernel, avx2) in [
+            (false, GemmKernel::Reference, false),
+            (false, GemmKernel::Simd, false),
+            (true, GemmKernel::Reference, false),
+            (true, GemmKernel::Simd, true),
         ] {
-            let mut tensor = |dims: &[usize]| {
-                Tensor::from_vec(fill(&mut rng, dims.iter().product()), dims).unwrap()
-            };
-            let xs: Vec<Tensor> = (0..9).map(|_| tensor(&[c_in, side, side])).collect();
-            let kernels = tensor(&[c_out, c_in, k, k]);
-            let cbias = tensor(&[c_out]).data().to_vec();
-            let mut scratch = ConvScratch::default();
-            for forced in [false, true] {
-                force_simd_fallback(forced);
-                let got = conv2d_valid_batch(&xs, &kernels, &cbias, &mut scratch, GemmKernel::Simd)
-                    .unwrap();
-                for (x, got) in xs.iter().zip(&got) {
-                    let oracle = conv2d_valid(x, &kernels, &cbias).unwrap();
-                    for (g, want) in got.data().iter().zip(oracle.data()) {
-                        assert_eq!(
-                            g.to_bits(),
-                            want.to_bits(),
-                            "conv, fallback forced: {forced}"
-                        );
-                    }
-                }
-            }
+            assert_eq!(
+                Target::resolve(cpu_has_avx2, kernel),
+                Target { avx2 },
+                "cpu has avx2: {cpu_has_avx2}, {kernel:?}"
+            );
         }
-        force_simd_fallback(false);
-        // with the hook released, detection is back to the host truth
-        assert_eq!(
-            GemmKernel::simd_available(),
-            GemmKernel::detect() == GemmKernel::Simd
-        );
     }
 
     /// Lane-specific shape torture for the packed nt body: m exactly one
@@ -1528,25 +1438,6 @@ mod tests {
             .collect()
     }
 
-    /// Every compilation this host can be asked for — each arm of
-    /// [`GemmKernel::ALL`] with the hook off and with the fallback forced —
-    /// once each: the baseline one, and the AVX2 one where the CPU has it.
-    fn targets() -> Vec<Target> {
-        let _guard = DetectionGuard::lock();
-        let mut targets = Vec::new();
-        for forced in [false, true] {
-            force_simd_fallback(forced);
-            for kernel in GemmKernel::ALL {
-                let target = Target::pick(kernel);
-                assert!(!target.avx2 || (kernel == GemmKernel::Simd && !forced));
-                if !targets.contains(&target) {
-                    targets.push(target);
-                }
-            }
-        }
-        targets
-    }
-
     /// The square-kernel valid geometry with `oh × ow` output maps.
     fn geometry(c_in: usize, c_out: usize, k: usize, oh: usize, ow: usize) -> BatchGeometry {
         BatchGeometry {
@@ -1571,7 +1462,6 @@ mod tests {
     /// these inputs produces, so a cell the tiles skipped shows.
     #[test]
     fn direct_conv_matches_oracle_for_every_width() {
-        let targets = targets();
         let sentinel = f32::from_bits(0x7fc0_dead);
         let mut rng = StdRng::seed_from_u64(0xC0DE);
         for ow in 8usize..=40 {
@@ -1591,12 +1481,19 @@ mod tests {
                                 &bias,
                             )
                             .unwrap();
-                            for &target in &targets {
+                            for kernel in GemmKernel::ALL {
                                 let mut out = vec![sentinel; c_out * oh * ow];
-                                conv2d_direct(target, &g, &x, &kernels, &bias, &mut out);
+                                conv2d_direct(
+                                    Target::pick(kernel),
+                                    &g,
+                                    &x,
+                                    &kernels,
+                                    &bias,
+                                    &mut out,
+                                );
                                 for (i, (got, want)) in out.iter().zip(oracle.data()).enumerate() {
                                     let at = format!(
-                                        "cell {i} of ow={ow} oh={oh} c_out={c_out} k={k} c_in={c_in}, {target:?}"
+                                        "cell {i} of ow={ow} oh={oh} c_out={c_out} k={k} c_in={c_in}, {kernel:?}"
                                     );
                                     assert_ne!(got.to_bits(), sentinel.to_bits(), "unwritten {at}");
                                     assert!(
@@ -1636,7 +1533,7 @@ mod tests {
     /// guard row no call is handed.
     #[allow(clippy::too_many_arguments)]
     fn run_x8(
-        target: Target,
+        kernel: GemmKernel,
         g: &BatchGeometry,
         xs: &[Tensor],
         kernels: &[f32],
@@ -1648,15 +1545,15 @@ mod tests {
     ) -> Vec<f32> {
         let f_out = g.c_out * (g.oh / window) * (g.ow / window);
         let mut out = vec![sentinel; (xs.len() + 1) * f_out];
-        let activation: &dyn Fn(&mut [f32]) = if sigmoid {
-            &crate::math::sigmoid_slice
-        } else {
-            &|_| {}
+        let activation = |xs: &mut [f32]| {
+            if sigmoid {
+                crate::math::sigmoid_slice(kernel, xs)
+            }
         };
         for first in (0..xs.len()).step_by(8) {
             let count = (xs.len() - first).min(8);
             conv2d_x8(
-                target,
+                Target::pick(kernel),
                 g,
                 Rows::Tensors(xs),
                 first,
@@ -1664,7 +1561,7 @@ mod tests {
                 kernels,
                 bias,
                 window,
-                activation,
+                &activation,
                 scratch,
                 &mut out[first * f_out..(first + count) * f_out],
             );
@@ -1686,7 +1583,6 @@ mod tests {
     /// padded lane leaking into a neighbour.
     #[test]
     fn x8_conv_matches_oracle_for_every_shape() {
-        let targets = targets();
         let sentinel = f32::from_bits(0x7fc0_dead);
         let mut rng = StdRng::seed_from_u64(0x8C0DE);
         let mut scratch = X8Scratch::default();
@@ -1723,9 +1619,9 @@ mod tests {
                                 .iter()
                                 .map(|x| staged_oracle(x, &kernels, &bias, sigmoid, window))
                                 .collect();
-                            for &target in &targets {
+                            for kernel in GemmKernel::ALL {
                                 let out = run_x8(
-                                    target,
+                                    kernel,
                                     &g,
                                     &xs,
                                     kernels.data(),
@@ -1737,7 +1633,7 @@ mod tests {
                                 );
                                 let f_out = out.len() / (n + 1);
                                 let what = format!(
-                                    "ow={ow} oh={oh} c_out={c_out} k={k} c_in={c_in} n={n} window={window} sigmoid={sigmoid}, {target:?}"
+                                    "ow={ow} oh={oh} c_out={c_out} k={k} c_in={c_in} n={n} window={window} sigmoid={sigmoid}, {kernel:?}"
                                 );
                                 for (i, oracle) in oracles.iter().enumerate() {
                                     let row = &out[i * f_out..(i + 1) * f_out];
@@ -1805,9 +1701,9 @@ mod tests {
         let g = geometry(1, 1, 1, 2, 12);
         let kernels = Tensor::from_vec(vec![1.0], &[1, 1, 1, 1]).unwrap();
         let mut scratch = X8Scratch::default();
-        for target in targets() {
+        for kernel in GemmKernel::ALL {
             let out = run_x8(
-                target,
+                kernel,
                 &g,
                 &xs,
                 kernels.data(),
@@ -1826,7 +1722,7 @@ mod tests {
                 {
                     assert!(
                         got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
-                        "image {i} window {col}, {target:?}: {got:e} vs {want:e}"
+                        "image {i} window {col}, {kernel:?}: {got:e} vs {want:e}"
                     );
                 }
             }
@@ -1849,19 +1745,18 @@ mod tests {
     /// and must leave the same interleaved buffer and the same rows.
     #[test]
     fn x8_pack_unpack_round_trip() {
-        let targets = targets();
         let mut rng = StdRng::seed_from_u64(8);
         for f in 1usize..=70 {
             for count in 1usize..=8 {
                 let data: Vec<Vec<f32>> = (0..count).map(|_| fill(&mut rng, f)).collect();
                 let rows: Vec<&[f32]> = data.iter().map(Vec::as_slice).collect();
                 let mut firsts: Option<(Vec<f32>, Vec<f32>)> = None;
-                for &target in &targets {
-                    let at = format!("f={f} count={count} {target:?}");
+                for kernel in GemmKernel::ALL {
+                    let at = format!("f={f} count={count} {kernel:?}");
                     let mut packed = vec![f32::NAN; f * 8];
                     // SAFETY: `count <= 8` rows of `f` values, `packed`
                     // holds `f·8`.
-                    unsafe { pack_x8(target, &rows, f, &mut packed) };
+                    unsafe { pack_x8(Target::pick(kernel), &rows, f, &mut packed) };
                     for j in 0..f {
                         for lane in 0..8 {
                             let want = data.get(lane).map_or(0.0, |row| row[j]);
@@ -1875,7 +1770,15 @@ mod tests {
                     let mut back = vec![f32::NAN; (count + 1) * f];
                     // SAFETY: `packed` holds `f·8` values and the
                     // destination is exactly `count·f`.
-                    unsafe { unpack_x8(target, &packed, f, count, &mut back[..count * f]) };
+                    unsafe {
+                        unpack_x8(
+                            Target::pick(kernel),
+                            &packed,
+                            f,
+                            count,
+                            &mut back[..count * f],
+                        )
+                    };
                     for (r, row) in data.iter().enumerate() {
                         assert_eq!(&back[r * f..(r + 1) * f], &row[..], "{at} row {r}");
                     }
@@ -1902,7 +1805,7 @@ mod tests {
     /// that does not tile the maps, a geometry that is not the valid one.
     #[test]
     fn x8_conv_rejects_what_its_unsafe_code_cannot_take() {
-        for target in targets() {
+        for kernel in GemmKernel::ALL {
             let good = geometry(1, 2, 2, 4, 4);
             let run = |g: BatchGeometry,
                        n: usize,
@@ -1916,7 +1819,7 @@ mod tests {
                     let rows: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
                     let mut out = vec![0.0f32; dst];
                     conv2d_x8(
-                        target,
+                        Target::pick(kernel),
                         &g,
                         Rows::Slices(&rows),
                         first,
@@ -1961,11 +1864,18 @@ mod tests {
     /// underflow), a geometry that is not the valid one, a short buffer.
     #[test]
     fn direct_conv_rejects_what_its_unsafe_code_cannot_take() {
-        for target in targets() {
+        for kernel in GemmKernel::ALL {
             let run = |input: usize, g: BatchGeometry, out: usize| {
                 std::panic::catch_unwind(move || {
                     let mut o = vec![0.0f32; out];
-                    conv2d_direct(target, &g, &vec![0.0; input], &[0.0; 4], &[0.0], &mut o);
+                    conv2d_direct(
+                        Target::pick(kernel),
+                        &g,
+                        &vec![0.0; input],
+                        &[0.0; 4],
+                        &[0.0],
+                        &mut o,
+                    );
                 })
             };
             let good = geometry(1, 1, 2, 8, 8);

@@ -395,7 +395,7 @@ mod tests {
             kernels,
             bias,
             window,
-            math::sigmoid_slice,
+            |xs| math::sigmoid_slice(kernel, xs),
             &mut block,
             scratch,
             kernel,

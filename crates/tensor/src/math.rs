@@ -95,7 +95,7 @@
 //! one**: written over chunks of eight the vectoriser picks the outer loop
 //! and interleaves the chunks with shuffles, ×1.6 slower at 864 values.
 
-use crate::gemm::GemmKernel;
+use crate::gemm::{GemmKernel, Target};
 
 /// Upper clamp of [`exp`]'s argument: `exp(x) = exp(87) ≈ 6.08e37` for
 /// every `x ≥ 87`.
@@ -186,13 +186,13 @@ pub const fn sigmoid(x: f32) -> f32 {
 
 /// Replaces every element of `xs` with its [`sigmoid`], **bit for bit**
 /// what `for v in xs { *v = sigmoid(*v) }` stores — it is that loop, in
-/// the AVX2 compilation on hosts with AVX2 (asked through
-/// `GemmKernel::simd_available`, so the `force_simd_fallback` test hook
-/// steers this too) and in the baseline one elsewhere.
-pub fn sigmoid_slice(xs: &mut [f32]) {
-    if GemmKernel::simd_available() {
-        // SAFETY: `simd_available()` is true only when `gemm::Target::pick`
-        // found AVX2 on this CPU.
+/// the compilation `kernel` picks, like every batched body of
+/// [`crate::gemm`]: the AVX2 one for [`GemmKernel::Simd`] on a host with
+/// AVX2, the baseline one otherwise. Batched callers pass their batch's
+/// arm, per-image callers [`GemmKernel::detect`].
+pub fn sigmoid_slice(kernel: GemmKernel, xs: &mut [f32]) {
+    if Target::pick(kernel).avx2() {
+        // SAFETY: `Target::pick` found AVX2 on this CPU.
         #[cfg(target_arch = "x86_64")]
         unsafe {
             sigmoid_loop_avx2(xs)
@@ -220,18 +220,17 @@ fn sigmoid_loop_avx2(xs: &mut [f32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::{force_simd_fallback, DetectionGuard};
 
     /// Patterns per block; a block's slice is `BLOCK + t` long, `t` cycling
     /// through every tail length `0..8`.
     const BLOCK: u64 = 4096;
 
-    /// Feeds the bit patterns `nth(0..count)` through [`sigmoid_slice`] in
-    /// slices of `BLOCK + t` values that start `BLOCK` apart — so every
-    /// pattern sits in the vectorised part of a slice once and the patterns
-    /// behind it in its remainder — and compares each cell with
-    /// [`sigmoid`]: the same bits, or NaN for NaN.
-    fn assert_slice_matches_scalar(count: u64, nth: impl Fn(u64) -> u32) {
+    /// Feeds the bit patterns `nth(0..count)` through [`sigmoid_slice`] on
+    /// `kernel`'s compilation in slices of `BLOCK + t` values that start
+    /// `BLOCK` apart — so every pattern sits in the vectorised part of a
+    /// slice once and the patterns behind it in its remainder — and compares
+    /// each cell with [`sigmoid`]: the same bits, or NaN for NaN.
+    fn assert_slice_matches_scalar(kernel: GemmKernel, count: u64, nth: impl Fn(u64) -> u32) {
         let mut input: Vec<f32> = Vec::new();
         let mut got: Vec<f32> = Vec::new();
         for (block, start) in (0..count).step_by(BLOCK as usize).enumerate() {
@@ -239,7 +238,7 @@ mod tests {
             input.clear();
             input.extend((start..end).map(|i| f32::from_bits(nth(i))));
             got.clone_from(&input);
-            sigmoid_slice(&mut got);
+            sigmoid_slice(kernel, &mut got);
             for (&x, &y) in input.iter().zip(&got) {
                 let want = sigmoid(x);
                 assert!(
@@ -254,43 +253,34 @@ mod tests {
         }
     }
 
-    /// Runs `check` on the compilation the host picks, then with the
-    /// fallback forced.
-    fn with_and_without_simd(check: impl Fn()) {
-        let _guard = DetectionGuard::lock();
-        for forced in [false, true] {
-            force_simd_fallback(forced);
-            assert!(!forced || !GemmKernel::simd_available());
-            check();
-        }
-    }
-
-    /// Tier-1 version: every 4099th bit pattern (NaNs of both signs
-    /// included), every short slice length, and every pattern around the
-    /// values where a branch of the scalar code or a plateau begins.
+    /// Tier-1 version, on both arms: every 4099th bit pattern (NaNs of both
+    /// signs included), every short slice length, and every pattern around
+    /// the values where a branch of the scalar code or a plateau begins.
     #[test]
     fn slice_is_bit_identical_to_scalar_strided() {
-        with_and_without_simd(|| {
-            assert_slice_matches_scalar((1 << 32) / 4099 + 1, |i| (i * 4099) as u32);
+        for kernel in GemmKernel::ALL {
+            assert_slice_matches_scalar(kernel, (1 << 32) / 4099 + 1, |i| (i * 4099) as u32);
             for centre in [0.0f32, 1.0e-40, 1.0, 17.0, 87.0, 88.0, 104.0, f32::INFINITY] {
                 for c in [centre.to_bits(), (-centre).to_bits()] {
-                    assert_slice_matches_scalar(5000, |i| {
+                    assert_slice_matches_scalar(kernel, 5000, |i| {
                         c.wrapping_add(i as u32).wrapping_sub(2500)
                     });
                 }
             }
             for len in 0..40u64 {
-                assert_slice_matches_scalar(len, |i| (-3.0 + 0.17 * i as f32).to_bits());
+                assert_slice_matches_scalar(kernel, len, |i| (-3.0 + 0.17 * i as f32).to_bits());
             }
-        });
+        }
     }
 
-    /// All 2³² bit patterns, twice (~3.5 min in release): `cargo test --release
-    /// -p cdl-tensor --lib -- --ignored slice_is_bit_identical_to_scalar`.
+    /// All 2³² bit patterns, once per arm (~3.5 min in release): `cargo test
+    /// --release -p cdl-tensor --lib -- --ignored slice_is_bit_identical_to_scalar`.
     #[test]
     #[ignore = "exhaustive sweep over every f32 bit pattern; run in release"]
     fn slice_is_bit_identical_to_scalar_exhaustive() {
-        with_and_without_simd(|| assert_slice_matches_scalar(1 << 32, |i| i as u32));
+        for kernel in GemmKernel::ALL {
+            assert_slice_matches_scalar(kernel, 1 << 32, |i| i as u32);
+        }
     }
 
     /// Distance in units in the last place between two positive floats.

@@ -121,11 +121,12 @@
 //! they are one source, so they are **bit-identical** — held to the
 //! specification by parity proptests against a naive triple loop, by the
 //! batch equivalence suites walking `GemmKernel::ALL`, and by the golden
-//! vectors of `tests/golden.rs`, which hold both arms (forced fallback
-//! included) to committed bits for the two benchmark models. Nobody
-//! configures the kernel: every
-//! evaluator asks `GemmKernel::detect()` at construction and the serving
-//! stack has no option for it;
+//! vectors of `tests/golden.rs`, which hold both arms to committed bits for
+//! the two benchmark models. The arm is the only switch — every batched
+//! body, the sigmoid included, runs the compilation it names — and nobody
+//! configures it: every evaluator asks `GemmKernel::detect()` at
+//! construction, the per-image paths pass the same, and the serving stack
+//! has no option for it;
 //! [`core::batch::BatchEvaluator::with_kernel`] exists only so a parity
 //! suite can drive the other arm. The `benchmark/` package's traced runs
 //! (`--trace 1`) place the detected arm on the machine's roofline (the

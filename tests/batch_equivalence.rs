@@ -227,17 +227,6 @@ fn committed_models() -> [(&'static str, CdlNetwork); 2] {
     ]
 }
 
-/// Releases the process-global forced-fallback hook even when an assert
-/// unwinds (results are flip-immune, so tests running beside this one are
-/// unaffected either way).
-struct FallbackGuard;
-
-impl Drop for FallbackGuard {
-    fn drop(&mut self) {
-        cdl::tensor::gemm::force_simd_fallback(false);
-    }
-}
-
 /// A batch of `n` pool images of which exactly `reach[d - 1]` run `d` or
 /// more stages past the first (so `reach[0]` survive the first gate,
 /// `reach[1]` the second), spread through the batch rather than sorted, so
@@ -284,8 +273,7 @@ fn compose(pool: &[Tensor], depth: &[usize], n: usize, reach: &[usize]) -> Vec<T
 /// batch sizes around one, two and many blocks, composed so that the
 /// survivor counts after the first and the second gate land on 0, 1, 7, 8
 /// and 9 — empty, lone, one short of a block, a block, one over — on both
-/// arms with the forced-fallback hook off and on, every output against the
-/// per-image oracle under the same override.
+/// arms, every output against the per-image oracle under the same override.
 #[test]
 fn survivor_counts_around_the_block_edge_are_bit_identical() {
     use cdl::core::confidence::ExitOverride;
@@ -293,7 +281,6 @@ fn survivor_counts_around_the_block_edge_are_bit_identical() {
         .generate_split(0, 700, 41)
         .1
         .images;
-    let _guard = FallbackGuard;
     for (name, net) in committed_models() {
         for ovr in [ExitOverride::NONE, ExitOverride::with_delta(0.93)] {
             let oracle: Vec<_> = pool
@@ -339,16 +326,13 @@ fn survivor_counts_around_the_block_edge_are_bit_identical() {
                         assert_eq!(seen, survivors, "{name} n={n} {reach:?}: gate {gate}");
                     }
                     for kernel in GemmKernel::ALL {
-                        for forced in [false, true] {
-                            cdl::tensor::gemm::force_simd_fallback(forced);
-                            let got = BatchEvaluator::with_kernel(&net, kernel)
-                                .classify_batch_with_override(&batch, ovr)
-                                .expect("batched pass");
-                            assert_eq!(
-                                got, want,
-                                "{name} n={n} survivors {reach:?} {ovr} {kernel:?} forced={forced}"
-                            );
-                        }
+                        let got = BatchEvaluator::with_kernel(&net, kernel)
+                            .classify_batch_with_override(&batch, ovr)
+                            .expect("batched pass");
+                        assert_eq!(
+                            got, want,
+                            "{name} n={n} survivors {reach:?} {ovr} {kernel:?}"
+                        );
                     }
                 }
             }
@@ -425,7 +409,6 @@ fn shedding_across_a_block_edge_leaves_survivors_bit_identical() {
         .images;
     // never exit early: every image is offered at every boundary
     let ovr = ExitOverride::with_delta(1.0);
-    let _guard = FallbackGuard;
     for (name, net) in committed_models() {
         let batch = &pool[..17];
         let want: Vec<_> = batch
@@ -434,29 +417,24 @@ fn shedding_across_a_block_edge_leaves_survivors_bit_identical() {
             .collect();
         for boundary in 1..=net.stage_count() {
             for kernel in GemmKernel::ALL {
-                for forced in [false, true] {
-                    cdl::tensor::gemm::force_simd_fallback(forced);
-                    let got = BatchEvaluator::with_kernel(&net, kernel)
-                        .classify_stream_sheddable(
-                            batch,
-                            &[ovr; 17],
-                            &mut |_, _| {},
-                            &mut |next_stage, idx| next_stage == boundary && (6..=9).contains(&idx),
-                        )
-                        .expect("sheddable pass");
-                    for (i, outcome) in got.iter().enumerate() {
-                        let what = format!(
-                            "{name} boundary {boundary} input {i} {kernel:?} forced={forced}"
-                        );
-                        match outcome {
-                            SheddableOutcome::Shed(partial) => {
-                                assert!((6..=9).contains(&i), "{what}: shed");
-                                assert_eq!(partial.stages_activated, boundary as u64, "{what}");
-                            }
-                            SheddableOutcome::Done(out) => {
-                                assert!(!(6..=9).contains(&i), "{what}: not shed");
-                                assert_eq!(*out, want[i], "{what}");
-                            }
+                let got = BatchEvaluator::with_kernel(&net, kernel)
+                    .classify_stream_sheddable(
+                        batch,
+                        &[ovr; 17],
+                        &mut |_, _| {},
+                        &mut |next_stage, idx| next_stage == boundary && (6..=9).contains(&idx),
+                    )
+                    .expect("sheddable pass");
+                for (i, outcome) in got.iter().enumerate() {
+                    let what = format!("{name} boundary {boundary} input {i} {kernel:?}");
+                    match outcome {
+                        SheddableOutcome::Shed(partial) => {
+                            assert!((6..=9).contains(&i), "{what}: shed");
+                            assert_eq!(partial.stages_activated, boundary as u64, "{what}");
+                        }
+                        SheddableOutcome::Done(out) => {
+                            assert!(!(6..=9).contains(&i), "{what}: not shed");
+                            assert_eq!(*out, want[i], "{what}");
                         }
                     }
                 }

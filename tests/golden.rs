@@ -9,9 +9,10 @@
 //! pool digits stored u8-quantised in the file itself, and edge images.
 //!
 //! The replay recomputes them through the per-image oracle and through the
-//! batched path on **both `GemmKernel` arms with the forced-fallback hook
-//! off and on**, so on an AVX2 host the AVX2 bodies, the portable bodies
-//! and `Simd`'s fallback are all held to one committed answer. A reordered
+//! batched path on **both `GemmKernel` arms**, so on an AVX2 host both
+//! compilations of every body, the sigmoid included, are held to one
+//! committed answer (what `Simd` runs on a host without AVX2 is the
+//! `Reference` arm: `gemm`'s dispatch-table test). A reordered
 //! sum, an FMA the compiler was allowed to contract or a new libm call on
 //! the classify path fails here by name instead of silently retraining a
 //! cache; it is also what `cdl_bench::pipeline::NUMERICS` has to be bumped
@@ -24,7 +25,6 @@ use cdl::core::network::{CdlNetwork, CdlOutput};
 use cdl::core::persist::SavedCdl;
 use cdl::dataset::SyntheticMnist;
 use cdl::nn::batch::BatchScratch;
-use cdl::tensor::gemm::force_simd_fallback;
 use cdl::tensor::{GemmKernel, Tensor};
 use serde::{Deserialize, Serialize};
 
@@ -188,20 +188,10 @@ fn assert_records(got: &[Record], want: &[Record], what: &str) {
     }
 }
 
-/// Releases the process-global hook even when an assert unwinds.
-struct FallbackGuard;
-
-impl Drop for FallbackGuard {
-    fn drop(&mut self) {
-        force_simd_fallback(false);
-    }
-}
-
 #[test]
 fn golden_vectors_replay_on_every_arm() {
     let golden: Golden = serde_json::from_str(GOLDEN).expect("tests/golden/vectors.json parses");
     let xs = inputs(&golden.digits);
-    let _guard = FallbackGuard;
     for ((name, json), want) in MODELS.into_iter().zip([&golden.mnist_2c, &golden.mnist_3c]) {
         let net = load(json);
         // a file in which every input takes the same exit would pin little
@@ -214,12 +204,8 @@ fn golden_vectors_replay_on_every_arm() {
         let oracle: Vec<Record> = xs.iter().map(|x| oracle_record(&net, x)).collect();
         assert_records(&oracle, want, &format!("{name} per-image oracle"));
         for kernel in GemmKernel::ALL {
-            for forced in [false, true] {
-                force_simd_fallback(forced);
-                let got = batched_records(&net, &xs, kernel);
-                let what = format!("{name} batched {kernel:?}, fallback forced: {forced}");
-                assert_records(&got, want, &what);
-            }
+            let got = batched_records(&net, &xs, kernel);
+            assert_records(&got, want, &format!("{name} batched {kernel:?}"));
         }
     }
 }

@@ -284,6 +284,44 @@ fn malformed_frames_get_typed_errors() {
     assert_eq!(metrics.total().failed, 0);
 }
 
+/// An unknown model named by the longest name the wire carries, in 3-byte
+/// characters, gets its typed error — the echoed name cut at u16::MAX bytes
+/// on a character boundary, not inside one — and the connection goes on
+/// serving.
+#[test]
+fn an_unknown_multibyte_model_name_gets_a_typed_reply() {
+    let net = build_untrained(arch::mnist_2c(), 5);
+    let config = ServerConfig {
+        policy: BatchPolicy::new(usize::MAX),
+        queue_capacity: 16,
+        workers: 1,
+        ..ServerConfig::default()
+    };
+    let router =
+        Arc::new(Router::start(vec![ShardSpec::new("m", Arc::clone(&net), config)]).unwrap());
+    let edge = TcpServer::bind("127.0.0.1:0", Arc::clone(&router)).unwrap();
+    let mut client = TcpClient::connect(edge.local_addr()).unwrap();
+
+    // 21 845 × `€` is 65 535 bytes; behind the message's prefix the cut at
+    // u16::MAX bytes falls inside a character
+    let name = "€".repeat(21_845);
+    let x = image(0);
+    let reply = client
+        .call(&name, &x, SubmitOptions::default())
+        .expect("a decodable reply")
+        .unwrap_err();
+    assert_eq!(reply.code, ErrorCode::UnknownModel);
+    assert!(reply.message.len() > u16::MAX as usize - '€'.len_utf8());
+    assert!(reply.message.ends_with('€'), "{}", &reply.message[..40]);
+
+    let out = client.call("m", &x, SubmitOptions::default()).unwrap();
+    assert_eq!(out.unwrap(), expected(&net, &x, SubmitOptions::default()));
+
+    edge.shutdown();
+    let metrics = Arc::try_unwrap(router).unwrap().shutdown();
+    assert_eq!(metrics.total().completed, 1);
+}
+
 /// A desynchronised stream with requests still in flight hangs up
 /// promptly: the bogus length prefix marks the connection dead, so the
 /// writer CANCELS the pipelined pendings instead of waiting them out
