@@ -453,7 +453,8 @@ pub struct SubmitOptions {
     pub max_stage: Option<usize>,
     /// Latency budget measured from admission; once it elapses the request
     /// is shed unevaluated with [`ServeError::Expired`] (`None` = never
-    /// expires).
+    /// expires, and so does a budget that ends past the clock's range, such
+    /// as `Duration::MAX`).
     pub deadline: Option<Duration>,
     /// Admission priority class (default [`Priority::High`] — the
     /// pre-priority behavior).

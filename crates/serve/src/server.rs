@@ -535,7 +535,7 @@ impl Server {
                     tenant: options.tenant,
                 },
                 submitted_at,
-                expires_at: options.deadline.map(|d| submitted_at + d),
+                expires_at: options.deadline.and_then(|d| submitted_at.checked_add(d)),
                 priority: options.priority,
                 trace,
             },
@@ -1756,6 +1756,29 @@ pub(crate) mod tests {
         );
         assert!(snap.latency_histogram.count() <= 1);
         assert_eq!(snap.queue_depth, 0, "tickets released on mid-batch shed");
+    }
+
+    #[test]
+    fn a_deadline_past_the_clock_never_expires() {
+        // regression: `Duration::MAX`, a caller's natural "no deadline",
+        // overflowed `Instant + Duration` and panicked the submitting thread
+        let net = build_untrained();
+        let server =
+            Server::start(Arc::clone(&net), config(BatchPolicy::new(usize::MAX), 8, 1)).unwrap();
+        let options = SubmitOptions::with_deadline(Duration::MAX);
+        let x = images(1).remove(0);
+        let out = server
+            .submit_with(x.clone(), options)
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(
+            out,
+            net.classify_with_override(&x, options.exit_override())
+                .unwrap()
+        );
+        let metrics = server.shutdown();
+        assert_eq!((metrics.completed, metrics.expired), (1, 0));
     }
 
     #[test]

@@ -24,12 +24,17 @@
 //! | convolution, lanes across images (`conv2d_x8`) | `x8_oc_block` over `tile::<_, _, 8>` | baseline compilation | AVX2 compilation |
 //! | convolution, lanes across a row (`conv2d_direct`) | `direct_oc_block` over `tile::<_, _, 1>` | baseline compilation | AVX2 compilation |
 //! | logistic ([`crate::math::sigmoid_slice`], which takes the arm like every body above) | one straight loop | baseline compilation | AVX2 compilation |
-//! | batched affine (`gemm_nt_rows`) | two (exception 3 below) | 4×4 register tiles | packed `[k × 8]` lane body, AVX2 compilation |
+//! | batched affine, lanes across images (`gemm_nt_rows`) | `nt_rows` | baseline compilation | AVX2 compilation |
 //!
 //! Which convolution runs is a function of the geometry and the batch size
 //! (below) and never of the arm: nothing is lowered to a patch matrix on
-//! any host. A future arm (AVX-512, aarch64) is one more thin instantiation
-//! of the same bodies.
+//! any host. The batched affine is the heads' and the dense layer's shape,
+//! `m` outputs (a head's ten classes) over `k` features, and it runs lanes
+//! across images as `conv2d_x8` does: each block of up to eight rows is
+//! transposed into `[k, 8]` by `pack_x8` (a short block zero-padded), and
+//! a tile of ten accumulator vectors — one per output, the weights read in
+//! place — walks `p = 0..k` under it. A future arm (AVX-512, aarch64) is
+//! one more thin instantiation of the same bodies.
 //!
 //! # The lane-array form, and why one source gives equal bits
 //!
@@ -42,7 +47,7 @@
 //! because the source fixes every rounding:
 //!
 //! * **each lane owns exactly one output element** — a column, an image's
-//!   copy of a cell, a feature — and accumulates *its own* chain
+//!   copy of a cell or of an output — and accumulates *its own* chain
 //!   sequentially, one addition per tap in program order. Lanes never
 //!   cooperate on an element, so there is no horizontal reduction and no
 //!   reassociated addition tree for a wider or narrower register to change;
@@ -57,8 +62,9 @@
 //!   `(c, ky, kx)` ascending order ([`crate::conv::conv2d_valid`]);
 //!   `gemm_nt` sums `p = 0..k` ascending from zero and adds the bias last
 //!   (`affine_row` in the unit tests). Tiling only repartitions **which**
-//!   elements are computed together; tails fall back to narrower tiles with
-//!   the same per-element order, so parity holds for every shape, `k = 0`
+//!   elements are computed together; tails fall back to narrower tiles, or
+//!   are padded with lanes and outputs whose values are dropped, with the
+//!   same per-element order, so parity holds for every shape, `k = 0`
 //!   (pure bias) included.
 //!
 //! The arms are therefore equal because they are one source, not because a
@@ -79,28 +85,17 @@
 //!    transpose (`from_fn(|i| from_fn(|j| r[j][i]))`) ran every x8 stage
 //!    ×1.16–1.34 slower at nine images and up. `x8_pack_unpack_round_trip`
 //!    runs both paths on the same input and compares them cell for cell.
-//! 2. **The tile reads and writes without bounds checks** (`load8`,
-//!    `store8`, the weight read), under the contracts the safe entries
+//! 2. **The tiles read and write without bounds checks** (`load8`,
+//!    `store8`, the weight reads), under the contracts the safe entries
 //!    assert before the first of them: slice-indexed loads ran the five conv
-//!    stages ×1.3–2.2 slower. `nt_samples` reads its rows the same way
-//!    (checked: ×1.17–1.4 slower at 256 rows).
-//! 3. **`gemm_nt` keeps its 4×4 register tiles on the baseline arm.** It is
-//!    the one old body that beats the lane body somewhere: at `n ≤ 4` rows
-//!    ×1.6–1.9 against the lane body compiled for the baseline target
-//!    (which is only 3–6 % ahead at 256 rows) and ×1.2–1.8 against the AVX2
-//!    compilation, because the lane body re-packs each 8-feature block of
-//!    the weights into `[k × 8]` on every call and that pack is most of a
-//!    lone row's head (ROADMAP item 2(b) has the remedy for the AVX2 arm,
-//!    where the packed body is ahead from about thirty-two rows up). 16
-//!    independent dot-product chains give the 4×4 body its instruction-level
-//!    parallelism; a single dot product cannot be vectorised without
-//!    reassociating its sum.
+//!    stages ×1.3–2.2 slower, and the head body ×1.1–1.9 (the models' five
+//!    head shapes, 1 to 256 rows).
 //!
 //! Two rules keep the compiled lane code at the intrinsics' speed, both
 //! found the hard way: a lane vector is always loaded **whole and by
-//! value** (`load8`, `for &wv in pack`) — read element by element through a
-//! reference, the vectoriser has to rediscover the vector, and where it does
-//! not the body runs scalar (`nt_samples`: ×4–6 slower) — and
+//! value** (`load8`) — read element by element through a reference, the
+//! vectoriser has to rediscover the vector, and where it does not the body
+//! runs scalar (measured ×4–6 slower) — and
 //! `math::sigmoid_slice`'s loop must be the straight one (stated there).
 //!
 //! # The two convolutions
@@ -183,9 +178,10 @@
 //! throughput. The only caller that passes anything but `detect()` is a
 //! parity suite walking [`GemmKernel::ALL`] (`BatchEvaluator::with_kernel`),
 //! and the `benchmark/` package's `tensor.*` rows time the detected arm.
-//! The next steps if LeNet-scale feature maps are outgrown: the heads on
-//! the interleaved block (lanes across images for `gemm_nt`), an AVX-512
-//! instantiation, and a packed/L2-blocked operand layout.
+//! The next steps if LeNet-scale feature maps are outgrown: handing
+//! `conv2d_x8`'s interleaved block straight to the next head instead of
+//! unpacking and repacking it, an AVX-512 instantiation, and a
+//! packed/L2-blocked operand layout.
 
 use std::cell::RefCell;
 
@@ -201,13 +197,13 @@ use crate::rows::Rows;
 /// (`BatchEvaluator::with_kernel` over [`GemmKernel::ALL`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GemmKernel {
-    /// The bodies as compiled for the build's baseline target, always (and
-    /// `gemm_nt`'s 4×4 register tiles; see the [module docs](self)).
+    /// The bodies as compiled for the build's baseline target, always.
     Reference,
     /// The same bodies compiled under `target_feature(enable = "avx2")` —
-    /// 8 f32 lanes each owning one output element: a column, a feature, or
-    /// an image's copy of a cell (see the [module docs](self)) — where the
-    /// host has AVX2; what [`GemmKernel::Reference`] runs everywhere else.
+    /// 8 f32 lanes each owning one output element: a column, or an image's
+    /// copy of a cell or of an output (see the [module docs](self)) — where
+    /// the host has AVX2; what [`GemmKernel::Reference`] runs everywhere
+    /// else.
     Simd,
 }
 
@@ -280,18 +276,16 @@ const LANES: usize = 8;
 /// One lane vector. Every body below is written over these.
 type Lanes = [f32; LANES];
 
-/// Sample rows per 4×4 [`gemm_nt`] register tile.
-const NT_MR: usize = 4;
-/// Output features per 4×4 [`gemm_nt`] register tile.
-const NT_NR: usize = 4;
-/// Samples advanced together per packed weight block in the lane body of
-/// [`gemm_nt`] — each reuses the same packed load of 8 weights.
-const NT_PACKED_MR: usize = 4;
+/// Outputs per `gemm_nt` tile: a head's ten classes in one pass over the
+/// block — ten accumulator vectors, the step's load and a broadcast fit the
+/// 16 `ymm` registers of the AVX2 compilation.
+const NT_OUT: usize = 10;
 
 thread_local! {
-    /// Interleaved `[k × 8]` weight pack reused across `gemm_nt_packed`
-    /// calls, so steady-state batched inference stays allocation-free.
-    static NT_PACK: RefCell<Vec<Lanes>> = const { RefCell::new(Vec::new()) };
+    /// The interleaved `[k, 8]` block of `gemm_nt`'s current eight rows,
+    /// grown once and reused across calls, so steady-state batched
+    /// inference stays allocation-free.
+    static NT_BLOCK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Batched affine map `out[i][r] = (Σ_p rows[i][p]·w[r,p]) + bias[r]` —
@@ -301,14 +295,13 @@ thread_local! {
 /// `w` is the row-major `[m, k]` weight buffer with `m = bias.len()`;
 /// `out` is `[rows.len(), m]` row-major. This is the dense-layer / head
 /// shape. The rows are read where they lie ([`Rows`]): the caller's
-/// tensors, or a contiguous block of an evaluator's arena. The AVX2 arm
-/// runs the packed lane body, the baseline arm the 4×4 register tiles (the
-/// [module docs](self) say why there are two).
+/// tensors, or a contiguous block of an evaluator's arena. One body,
+/// `nt_rows` (lanes across images), on the compilation `kernel` picks.
 ///
 /// # Panics
 ///
-/// Panics when a buffer length disagrees with the shapes (callers
-/// pre-validate; this guards the indexing below).
+/// Panics when a buffer length disagrees with the shapes — the invariants
+/// the unchecked reads rely on, checked in release builds too.
 pub(crate) fn gemm_nt_rows(
     kernel: GemmKernel,
     k: usize,
@@ -329,16 +322,20 @@ pub(crate) fn gemm_nt_rows(
         rows.all_have_width(k),
         "gemm_nt: every row must have k={k} entries"
     );
-    if Target::pick(kernel).avx2 {
-        // SAFETY: `Target::pick` found AVX2 on this CPU, and every row has
-        // `k` entries (asserted above).
-        #[cfg(target_arch = "x86_64")]
+    let target = Target::pick(kernel);
+    NT_BLOCK.with(|cell| {
+        let mut packed = cell.borrow_mut();
+        grow(&mut packed, k * LANES);
+        // SAFETY: the asserts above and the `grow` are `nt_rows`' contract;
+        // `target` carries the proof of AVX2.
         unsafe {
-            gemm_nt_packed(k, rows, w, bias, out)
-        };
-    } else {
-        gemm_nt_tiles(k, rows, w, bias, out)
-    }
+            match target.avx2 {
+                #[cfg(target_arch = "x86_64")]
+                true => nt_rows_avx2(target, k, rows, w, bias, &mut packed, out),
+                _ => nt_rows(target, k, rows, w, bias, &mut packed, out),
+            }
+        }
+    });
 }
 
 /// `gemm_nt_rows` over one slice per row.
@@ -357,180 +354,81 @@ pub fn gemm_nt(
     gemm_nt_rows(kernel, k, Rows::Slices(rows), w, bias, out)
 }
 
-/// The baseline arm's body: up to 4 samples × 4 outputs of dot-product
-/// accumulators advance through `k` together; ragged tails shrink the
-/// tile, never the per-element order. Both tile dimensions are dispatched
-/// to a const-generic microkernel so all 16 accumulators stay in
-/// registers.
-fn gemm_nt_tiles(k: usize, rows: Rows<'_>, w: &[f32], bias: &[f32], out: &mut [f32]) {
-    let mut i0 = 0;
-    while i0 < rows.len() {
-        let mr = NT_MR.min(rows.len() - i0);
-        match mr {
-            4 => nt_row_block::<4>(i0, k, rows, w, bias, out),
-            3 => nt_row_block::<3>(i0, k, rows, w, bias, out),
-            2 => nt_row_block::<2>(i0, k, rows, w, bias, out),
-            _ => nt_row_block::<1>(i0, k, rows, w, bias, out),
-        }
-        i0 += mr;
-    }
-}
-
-/// All `m` outputs of the `MR` samples starting at `i0`, in 4-wide output
-/// tiles with a narrower tail.
-#[inline]
-fn nt_row_block<const MR: usize>(
-    i0: usize,
+/// **The one body of `gemm_nt`**, lanes across images as in [`conv2d_x8`]:
+/// each block of up to eight rows is transposed by [`pack_x8`] into the
+/// interleaved `[k, 8]` `packed` (a short block's missing lanes are zeros),
+/// so step `p` is the eight rows' `x[p]` in one vector. A tile of
+/// [`NT_OUT`] accumulator vectors, one per output, runs `p = 0..k` from
+/// zero — one load of the step, and per output one broadcast of `w[r, p]`
+/// read where it lies, a separate mul and add — and the bias is added per
+/// lane last: `affine_row`'s order, so a lane's bits are its row's whatever
+/// shares the vector. A tile reaching past the last output repeats the last
+/// weight row in its spare accumulators and stores only the outputs that
+/// exist, as a padded lane is computed and dropped. Always inlined: into
+/// `gemm_nt_rows` (the baseline compilation) and into [`nt_rows_avx2`].
+///
+/// # Safety
+///
+/// Every row of `rows` has exactly `k` values, `w.len() == m·k` with
+/// `m = bias.len()`, `out.len() == rows.len()·m` and `packed.len() >= k·8`.
+#[inline(always)]
+unsafe fn nt_rows(
+    target: Target,
     k: usize,
     rows: Rows<'_>,
     w: &[f32],
     bias: &[f32],
+    packed: &mut [f32],
     out: &mut [f32],
 ) {
     let m = bias.len();
-    let xr: [&[f32]; MR] = std::array::from_fn(|mi| &rows.row(i0 + mi)[..k]);
-    let mut r0 = 0;
-    while r0 < m {
-        let nr = NT_NR.min(m - r0);
-        match nr {
-            4 => nt_microkernel::<MR, 4>(i0, r0, k, &xr, w, bias, out),
-            3 => nt_microkernel::<MR, 3>(i0, r0, k, &xr, w, bias, out),
-            2 => nt_microkernel::<MR, 2>(i0, r0, k, &xr, w, bias, out),
-            _ => nt_microkernel::<MR, 1>(i0, r0, k, &xr, w, bias, out),
-        }
-        r0 += nr;
-    }
-}
-
-/// One `MR×NR` tile of (sample, output) dot products: `MR·NR` independent
-/// accumulators advance through `k` together — per element the sum is
-/// still a single sequential chain from zero, bias added last, exactly
-/// `affine_row`'s order.
-#[inline]
-fn nt_microkernel<const MR: usize, const NR: usize>(
-    i0: usize,
-    r0: usize,
-    k: usize,
-    xr: &[&[f32]; MR],
-    w: &[f32],
-    bias: &[f32],
-    out: &mut [f32],
-) {
-    let m = bias.len();
-    let wr: [&[f32]; NR] = std::array::from_fn(|ni| &w[(r0 + ni) * k..(r0 + ni) * k + k]);
-    let mut acc = [[0.0f32; NR]; MR];
-    for p in 0..k {
-        for (lanes, xrow) in acc.iter_mut().zip(xr) {
-            let xv = xrow[p];
-            for (o, wrow) in lanes.iter_mut().zip(&wr) {
-                *o += xv * wrow[p];
+    for i0 in (0..rows.len()).step_by(LANES) {
+        let count = LANES.min(rows.len() - i0);
+        let block: [&[f32]; LANES] =
+            std::array::from_fn(|l| if l < count { rows.row(i0 + l) } else { &[] });
+        // SAFETY: `count <= 8` rows of exactly `k` values, `packed` holds
+        // `k·8`.
+        pack_x8(target, &block[..count], k, packed);
+        for r0 in (0..m).step_by(NT_OUT) {
+            // SAFETY: row `min(r0 + o, m − 1) < m` of `w = [m, k]` starts
+            // inside it.
+            let wp: [*const f32; NT_OUT] =
+                std::array::from_fn(|o| w.as_ptr().add((r0 + o).min(m - 1) * k));
+            let mut acc = [[0.0f32; LANES]; NT_OUT];
+            for p in 0..k {
+                // SAFETY: `p < k`, so the load reads step `p` of `packed`
+                // (`k·8` values) and `wp[o] + p` a value of a weight row.
+                let x = load8(packed.as_ptr().add(p * LANES));
+                for (chain, wp) in acc.iter_mut().zip(&wp) {
+                    mul_add(chain, *wp.add(p), &x);
+                }
+            }
+            for (o, chain) in acc.iter().enumerate().take(m - r0) {
+                for (l, &v) in chain.iter().enumerate().take(count) {
+                    out[(i0 + l) * m + r0 + o] = v + bias[r0 + o];
+                }
             }
         }
     }
-    for (mi, lanes) in acc.iter().enumerate() {
-        let obase = (i0 + mi) * m + r0;
-        for (ni, &v) in lanes.iter().enumerate() {
-            out[obase + ni] = v + bias[r0 + ni];
-        }
-    }
 }
 
-/// The lane body of `gemm_nt`, compiled for AVX2: the 8 lanes are 8
-/// *output features*, whose weight rows are `k`-strided in the row-major
-/// `[m, k]` buffer — a gather per step if read in place. Instead each
-/// 8-feature block is packed once per call into the interleaved `[k × 8]`
-/// scratch (`pack[p][lane] = w[r0 + lane, p]`, lanes past `m` zero — they
-/// compute dot products that are never stored), turning every k-step into
-/// one contiguous load and one broadcast of `x[p]`, amortized over all
-/// samples in the batch; up to [`NT_PACKED_MR`] samples advance together to
-/// reuse each packed load. Per element the sum is a single sequential chain
-/// from zero with the bias added last — `affine_row`'s exact order.
+/// [`nt_rows`] compiled for AVX2.
 ///
 /// # Safety
 ///
-/// Every row of `rows` has at least `k` entries (the one unchecked read,
-/// in `nt_samples`); the CPU must support AVX2.
+/// As [`nt_rows`]; the CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn gemm_nt_packed(k: usize, rows: Rows<'_>, w: &[f32], bias: &[f32], out: &mut [f32]) {
-    let m = bias.len();
-    NT_PACK.with(|cell| {
-        let mut pack = cell.borrow_mut();
-        // every lane of every step is overwritten below, per block
-        pack.resize(k, [0.0; LANES]);
-        let mut r0 = 0;
-        while r0 < m {
-            let nr = LANES.min(m - r0);
-            for lane in 0..LANES {
-                if lane < nr {
-                    let wrow = &w[(r0 + lane) * k..(r0 + lane) * k + k];
-                    for (step, &wv) in pack.iter_mut().zip(wrow) {
-                        step[lane] = wv;
-                    }
-                } else {
-                    for step in pack.iter_mut() {
-                        step[lane] = 0.0;
-                    }
-                }
-            }
-            let mut i0 = 0;
-            while i0 < rows.len() {
-                let mr = NT_PACKED_MR.min(rows.len() - i0);
-                // SAFETY: `i0 + mr <= rows.len()`, `pack` was just sized to
-                // `k`, and every row has `k` entries by this function's
-                // own contract.
-                match mr {
-                    4 => nt_samples::<4>(i0, r0, nr, rows, &pack, bias, out),
-                    3 => nt_samples::<3>(i0, r0, nr, rows, &pack, bias, out),
-                    2 => nt_samples::<2>(i0, r0, nr, rows, &pack, bias, out),
-                    _ => nt_samples::<1>(i0, r0, nr, rows, &pack, bias, out),
-                }
-                i0 += mr;
-            }
-            r0 += nr;
-        }
-    });
-}
-
-/// `MR` samples × one packed 8-feature block: `MR` accumulator vectors
-/// advance through `k = pack.len()` together, every step one packed load
-/// shared by all samples plus one broadcast per sample. The packed vector
-/// is taken **by value** — read element by element through the reference
-/// the vectoriser has to rediscover it, and where it does not the body runs
-/// scalar (measured ×4–6 slower at 32 rows and up) — and the rows are read
-/// without a bounds check, as the tile's loads are (checked: ×1.17–1.4
-/// slower at 256 rows).
-///
-/// # Safety
-///
-/// Rows `i0 .. i0 + MR` of `rows` exist and have at least `pack.len()`
-/// entries each.
-#[inline(always)]
-unsafe fn nt_samples<const MR: usize>(
-    i0: usize,
-    r0: usize,
-    nr: usize,
+unsafe fn nt_rows_avx2(
+    target: Target,
+    k: usize,
     rows: Rows<'_>,
-    pack: &[Lanes],
+    w: &[f32],
     bias: &[f32],
+    packed: &mut [f32],
     out: &mut [f32],
 ) {
-    let m = bias.len();
-    let xr: [&[f32]; MR] = std::array::from_fn(|mi| rows.row(i0 + mi));
-    let mut acc = [[0.0f32; LANES]; MR];
-    for (p, &wv) in pack.iter().enumerate() {
-        for (lanes, xrow) in acc.iter_mut().zip(&xr) {
-            // SAFETY: every row has `k = pack.len()` entries, so `p`
-            // indexes it.
-            mul_add(lanes, *xrow.get_unchecked(p), &wv);
-        }
-    }
-    for (mi, lanes) in acc.iter().enumerate() {
-        let obase = (i0 + mi) * m + r0;
-        for (ni, &v) in lanes.iter().take(nr).enumerate() {
-            out[obase + ni] = v + bias[r0 + ni];
-        }
-    }
+    nt_rows(target, k, rows, w, bias, packed, out)
 }
 
 /// `acc[l] += w * x[l]` on every lane: the k-step of every lane body, a
@@ -1242,9 +1140,9 @@ mod tests {
 
     /// One affine row `out = W·row + b` (`wd` is the row-major
     /// `[out.len(), k]` weight buffer) — the per-sample **specification** of
-    /// the batched affine: both bodies of [`gemm_nt`] must match this loop
-    /// bit for bit. Accumulates `k` ascending, bias after: bit-identical to
-    /// [`crate::ops::matvec`]-then-bias.
+    /// the batched affine: both compilations of [`gemm_nt`] must match this
+    /// loop bit for bit. Accumulates `k` ascending, bias after:
+    /// bit-identical to [`crate::ops::matvec`]-then-bias.
     fn affine_row(row: &[f32], wd: &[f32], k: usize, bias: &[f32], out: &mut [f32]) {
         for (r, o) in out.iter_mut().enumerate() {
             let wrow = &wd[r * k..(r + 1) * k];
@@ -1267,31 +1165,41 @@ mod tests {
         out
     }
 
+    /// Both compilations of the head body against [`naive_nt`], bit for bit
+    /// (a NaN only has to be a NaN in the same cell): the benchmark models'
+    /// head shapes, row counts on both sides of the eight-row block edge and
+    /// across two of them, output counts under, at and past one tile, and
+    /// one case on dense edge values (signed zeros, ±inf, NaN, subnormals).
     #[test]
-    fn nt_kernels_bit_identical_across_shapes() {
+    fn x8_nt_kernels_bit_identical_across_shapes() {
         let mut rng = StdRng::seed_from_u64(43);
-        for (rows_n, m, k) in [
-            (1usize, 1usize, 1usize),
-            (4, 4, 9),
-            (5, 10, 864),
-            (9, 3, 17),
-            (2, 6, 0),
-            (1, 13, 5),
-            (16, 1, 12),
+        for (rows_n, m, k, rate) in [
+            (1usize, 1usize, 1usize, u32::MAX),
+            (4, 4, 9, u32::MAX),
+            (5, 10, 864, u32::MAX),
+            (9, 3, 17, u32::MAX),
+            (2, 6, 0, u32::MAX),
+            (1, 13, 5, u32::MAX),
+            (16, 1, 12, u32::MAX),
+            (7, 10, 150, u32::MAX),
+            (8, 10, 81, u32::MAX),
+            (9, 10, 192, u32::MAX),
+            (17, 10, 507, u32::MAX),
+            (17, 12, 6, 4),
         ] {
-            let samples: Vec<Vec<f32>> = (0..rows_n).map(|_| fill(&mut rng, k)).collect();
+            let samples: Vec<Vec<f32>> =
+                (0..rows_n).map(|_| edge_fill(&mut rng, k, rate)).collect();
             let rows: Vec<&[f32]> = samples.iter().map(Vec::as_slice).collect();
-            let w = fill(&mut rng, m * k);
-            let bias = fill(&mut rng, m);
+            let w = edge_fill(&mut rng, m * k, rate);
+            let bias = edge_fill(&mut rng, m, rate);
             let expected = naive_nt(k, &rows, &w, &bias);
             for kernel in GemmKernel::ALL {
                 let mut out = vec![f32::NAN; rows_n * m];
                 gemm_nt(kernel, k, &rows, &w, &bias, &mut out);
                 for (got, want) in out.iter().zip(&expected) {
-                    assert_eq!(
-                        got.to_bits(),
-                        want.to_bits(),
-                        "{kernel:?} nt mismatch at ({rows_n},{m},{k})"
+                    assert!(
+                        got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                        "{kernel:?} nt mismatch at ({rows_n},{m},{k}): {got:e} vs {want:e}"
                     );
                 }
             }
@@ -1299,7 +1207,7 @@ mod tests {
     }
 
     #[test]
-    fn zero_k_is_pure_bias() {
+    fn x8_nt_zero_k_is_pure_bias() {
         for kernel in GemmKernel::ALL {
             let mut out = vec![9.0f32; 4];
             let rows: Vec<&[f32]> = vec![&[], &[]];
@@ -1309,7 +1217,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_row_set_writes_nothing() {
+    fn x8_nt_empty_row_set_writes_nothing() {
         for kernel in GemmKernel::ALL {
             let mut out = Vec::new();
             gemm_nt(kernel, 3, &[], &[0.0; 6], &[0.0, 0.0], &mut out);
@@ -1318,7 +1226,7 @@ mod tests {
     }
 
     #[test]
-    fn known_values_match_hand_computation() {
+    fn x8_nt_known_values_match_hand_computation() {
         // rows·Wᵀ + bias with W = [[1,2],[3,4]], bias = [0.5, -0.5]:
         // row [1,1] → [1+2+0.5, 3+4-0.5]
         let a = [1.0, 2.0, 3.0, 4.0];
@@ -1331,7 +1239,7 @@ mod tests {
     }
 
     #[test]
-    fn validates_buffer_shapes() {
+    fn x8_nt_validates_buffer_shapes() {
         let r = std::panic::catch_unwind(|| {
             let row: &[f32] = &[0.0; 3];
             let mut out = vec![0.0f32; 2];
@@ -1374,17 +1282,19 @@ mod tests {
         }
     }
 
-    /// Lane-specific shape torture for the packed nt body: m exactly one
-    /// 8-feature block, a head (m = 10 → one block + a 2-lane tail), m just
-    /// past two blocks, and fewer samples than the 4-row tile — both arms
-    /// bit-identical to the naive loop.
+    /// Output-tile torture for the head body: m short of one tile, exactly
+    /// one (a head's ten classes), just past one and two (the last tile
+    /// repeats the last weight row in its spare accumulators), with short and
+    /// full eight-row blocks — both arms bit-identical to the naive loop.
     #[test]
-    fn simd_tail_shapes_match_reference() {
+    fn x8_nt_output_tails_match_reference() {
         let mut rng = StdRng::seed_from_u64(99);
         for (rows_n, m, k) in [
             (6usize, 10usize, 84usize),
             (3, 8, 5),
+            (8, 11, 12),
             (5, 17, 12),
+            (10, 23, 7),
             (1, 2, 9),
         ] {
             let samples: Vec<Vec<f32>> = (0..rows_n).map(|_| fill(&mut rng, k)).collect();

@@ -144,7 +144,8 @@ pub fn outer(y: &Tensor, x: &Tensor) -> Tensor {
 }
 
 /// Batched affine map `out[i] = W·rows[i] + b` into a preallocated buffer,
-/// evaluated by `kernel`'s body of `gemm::gemm_nt_rows`.
+/// evaluated by `gemm::gemm_nt_rows` (lanes across eight rows at a time) on
+/// the compilation `kernel` picks.
 ///
 /// `rows` are the flattened input vectors of a batch, read where they lie
 /// (each of length `W.cols`), `w` is `[m, k]`, `bias` has `m` entries, and

@@ -114,9 +114,9 @@
 //! Both arms run the same kernels. No convolution is lowered to a GEMM:
 //! eight images share a vector (lanes across images) wherever a row of the
 //! output map cannot fill the lanes of the per-image direct kernel, which
-//! takes the rest. (Two measured exceptions to "one body": the 8×8
-//! transposes of the x8 pack keep AVX shuffles, and the affine's baseline
-//! arm keeps 4×4 register tiles where the AVX2 arm packs weights `[k × 8]`.)
+//! takes the rest; the heads' affine runs lanes across images too, eight
+//! rows a block. (One measured exception to "one body": the 8×8 transposes
+//! of the x8 pack keep AVX shuffles.)
 //! The arms accumulate each output element in the identical order because
 //! they are one source, so they are **bit-identical** — held to the
 //! specification by parity proptests against a naive triple loop, by the
