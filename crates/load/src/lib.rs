@@ -19,9 +19,9 @@
 //!    repeatable and two runs (say, with and without deadlines) see the
 //!    *same* arrival sequence.
 //! 2. [`run_open_loop`] replays a schedule against any submit closure
-//!    (in-process [`cdl_serve::Router`], TCP [`cdl_serve::TcpClient`], or
-//!    a test stub), sleeping to each arrival time and never waiting for a
-//!    response.
+//!    (in-process [`cdl_serve::Router`], the send half of a TCP connection,
+//!    [`cdl_serve::net::SendHalf`], or a test stub), sleeping to each arrival
+//!    time and never waiting for a response.
 //!
 //! Arrival processes:
 //!
@@ -395,8 +395,9 @@ pub struct OpenLoopStats {
 /// instant (relative to a start anchored at entry) and invokes `submit`.
 /// Never waits on completions — that is the whole point: the caller's
 /// closure must hand the request off (e.g. [`cdl_serve::Router::try_submit_with`]
-/// or a [`cdl_serve::TcpClient::submit`] pipeline) and return promptly,
-/// keeping offered load independent of response times.
+/// or [`cdl_serve::net::SendHalf::queue`] and `flush`, with a receive half
+/// on a thread of its own) and return promptly, keeping offered load
+/// independent of response times.
 pub fn run_open_loop<F>(schedule: &[Arrival], mut submit: F) -> OpenLoopStats
 where
     F: FnMut(&Arrival),

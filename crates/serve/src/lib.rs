@@ -88,7 +88,8 @@
 //!   around it (a batch whose evaluator pass fails settles every member
 //!   with [`ServeError::Eval`]).
 //! * **Network edge** ([`net`]): a length-prefixed binary TCP protocol
-//!   ([`TcpServer`] / [`TcpClient`]) in front of the router — pipelined
+//!   ([`TcpServer`] / [`TcpClient`]; the format is written once, in
+//!   [`net::codec`]) in front of the router — pipelined
 //!   request ids per connection, typed error replies, and bit-exact f32
 //!   transport (IEEE-754 bit patterns on the wire). The server side is a
 //!   fixed-size event loop ([`EdgeConfig`]): an accept thread with

@@ -2,50 +2,15 @@
 //!
 //! This is the process boundary of the serving stack: a [`TcpServer`]
 //! accepts plain `std::net` connections and multiplexes **pipelined**
-//! requests per connection onto the router, and a blocking [`TcpClient`]
-//! speaks the same protocol from the other end. Everything below the edge
+//! requests per connection onto the router, and a [`TcpClient`] — or its
+//! two halves, [`SendHalf`] and [`RecvHalf`] — speaks the same protocol from
+//! the other end. Both ends frame, encode and decode through [`codec`], which
+//! documents the wire protocol. Everything below the edge
 //! is unchanged — requests admitted over TCP go through the exact same
 //! `Router::admit` (placement, retry/hedge race, gate) → queue →
 //! worker pipeline as in-process submits, and responses stay bit-identical to
-//! [`cdl_core::network::CdlNetwork::classify_with_override`] (f32s travel
-//! as IEEE-754 bit patterns, so the round trip is bit-exact; pinned by
+//! [`cdl_core::network::CdlNetwork::classify_with_override`] (pinned by
 //! `tests/net_loopback.rs`).
-//!
-//! # Wire protocol
-//!
-//! Every frame is a big-endian `u32` body length followed by the body
-//! (at most [`MAX_FRAME`] bytes), encoded with the vendored [`bytes`]
-//! [`Buf`]/[`BufMut`] traits.
-//!
-//! Request body:
-//!
-//! ```text
-//! u64 request id        (client-chosen; echoed verbatim in the response)
-//! u16 model-name length, then that many UTF-8 bytes
-//! u8  option flags      (bit0: δ override follows, bit1: stage cap follows,
-//!                        bit2: telemetry trace id follows, bit3: deadline
-//!                        follows, bit4: priority class follows, bit5:
-//!                        tenant id follows)
-//! f32 δ override        (iff bit0)
-//! u32 max stage         (iff bit1)
-//! u64 trace id          (iff bit2; non-zero — zero is reserved for "no
-//!                        trace" and rejected as malformed)
-//! u64 deadline          (iff bit3; relative nanoseconds from admission —
-//!                        the server sheds the request with an `Expired`
-//!                        reply if it cannot dispatch in time)
-//! u8  priority class    (iff bit4; 0 = high, 1 = normal, 2 = low —
-//!                        anything else is rejected as malformed)
-//! u32 tenant id         (iff bit5; counted against the server's
-//!                        per-tenant in-flight quota, if one is set)
-//! u8  rank, then u32 × rank dims, then f32 × volume payload
-//! ```
-//!
-//! Every flag bit is backward compatible in both directions: old frames
-//! (bits 2–5 clear) decode unchanged, and a request carrying only default
-//! options costs no wire space beyond the flags byte. A traced request
-//! continues the client's [`cdl_telemetry::TraceId`] on the server side —
-//! the serving replica records it whenever its own spans are on, so one
-//! trace covers the wire hop without any coordination.
 //!
 //! # Overload control at the edge
 //!
@@ -69,17 +34,6 @@
 //! keeps flowing; a saturated gate can never wedge the edge against
 //! shutdown because the poller keeps servicing its event loop between
 //! retries.
-//!
-//! Response body:
-//!
-//! ```text
-//! u64 request id
-//! u8  status            (0 = OK, else an ErrorCode discriminant)
-//! OK  → u32 label · u32 exit stage · f32 confidence · u64 × 6 op counts
-//!       (macs, adds, compares, activations, mem reads, mem writes) ·
-//!       u64 stages activated · u8 exited-early flag
-//! err → u16 message length, then that many UTF-8 bytes
-//! ```
 //!
 //! # Connection model
 //!
@@ -127,7 +81,7 @@
 //! everyone else.
 
 use std::collections::HashMap;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -136,94 +90,32 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use bytes::{Buf, BufMut};
 use cdl_core::network::CdlOutput;
-use cdl_hw::OpCount;
 use cdl_telemetry::TraceId;
 use cdl_tensor::Tensor;
 use reactor::{Events, Interest, Poll, Token, Waker};
 
-use crate::config::{EdgeConfig, Priority, SubmitOptions};
+use crate::config::{EdgeConfig, SubmitOptions};
 use crate::error::{Refused, ServeError};
 use crate::pending::Pending;
 use crate::router::{ModelId, Router};
 use crate::server::{Admission, Request};
 
-/// Hard cap on a frame body, request or response: 16 MiB — comfortably
-/// above any 28×28 batch-of-one payload, far below anything that could
-/// be a desynchronised stream misread as a length.
-pub const MAX_FRAME: u32 = 16 << 20;
+pub mod codec;
+
+use codec::{
+    claimed_id, decode_request, decode_response, encode_request, encode_response, next_frame,
+    put_tensor, RequestFrame, MAX_FRAME, MAX_RESPONSE, NO_ID, OK_REPLY,
+};
+pub use codec::{ErrorCode, ErrorReply, Reply};
 
 /// Reply bytes a connection may owe before it is neither read nor parsed
 /// until its socket takes some: those serialised but unsent, plus
-/// [`OK_REPLY`] reserved for each request still in flight. ~3 000 replies,
+/// `OK_REPLY` reserved for each request still in flight. ~3 000 replies,
 /// far above any pipeline a client that reads its replies keeps in flight,
 /// and the bound that keeps one that never reads from growing the server's
 /// memory.
 const MAX_OWED: usize = 256 << 10;
-
-/// The frame of an OK reply: length prefix, id, status, label, exit stage,
-/// confidence, six op counts, stages activated, exited-early flag.
-const OK_REPLY: usize = 4 + 8 + 1 + 4 + 4 + 4 + 6 * 8 + 8 + 1;
-
-const FLAG_DELTA: u8 = 1 << 0;
-const FLAG_MAX_STAGE: u8 = 1 << 1;
-const FLAG_TRACE: u8 = 1 << 2;
-const FLAG_DEADLINE: u8 = 1 << 3;
-const FLAG_PRIORITY: u8 = 1 << 4;
-const FLAG_TENANT: u8 = 1 << 5;
-
-const KNOWN_FLAGS: u8 =
-    FLAG_DELTA | FLAG_MAX_STAGE | FLAG_TRACE | FLAG_DEADLINE | FLAG_PRIORITY | FLAG_TENANT;
-
-/// Request id used on error replies for frames too corrupt to carry one.
-const NO_ID: u64 = u64::MAX;
-
-/// Typed error category carried in a response frame's status byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum ErrorCode {
-    /// No replica set serves the requested model name.
-    UnknownModel = 1,
-    /// The per-request override was rejected at admission.
-    BadOptions = 2,
-    /// The placed replica's queue was at capacity.
-    Full = 3,
-    /// The router is shutting down.
-    ShuttingDown = 4,
-    /// The pipeline dropped the request without evaluating it.
-    Disconnected = 5,
-    /// The evaluator failed on the batch containing this request.
-    Eval = 6,
-    /// The request frame could not be decoded.
-    Malformed = 7,
-    /// The request's deadline passed before dispatch; no evaluator ops
-    /// were spent on it.
-    Expired = 8,
-    /// Admission shed the request under load (lower priority classes are
-    /// shed first).
-    Shed = 9,
-    /// The request's tenant is at its in-flight quota.
-    Quota = 10,
-}
-
-impl ErrorCode {
-    fn from_status(status: u8) -> Option<ErrorCode> {
-        match status {
-            1 => Some(ErrorCode::UnknownModel),
-            2 => Some(ErrorCode::BadOptions),
-            3 => Some(ErrorCode::Full),
-            4 => Some(ErrorCode::ShuttingDown),
-            5 => Some(ErrorCode::Disconnected),
-            6 => Some(ErrorCode::Eval),
-            7 => Some(ErrorCode::Malformed),
-            8 => Some(ErrorCode::Expired),
-            9 => Some(ErrorCode::Shed),
-            10 => Some(ErrorCode::Quota),
-            _ => None,
-        }
-    }
-}
 
 impl From<&ServeError> for ErrorCode {
     fn from(e: &ServeError) -> ErrorCode {
@@ -244,332 +136,6 @@ impl From<&ServeError> for ErrorCode {
             // the client sees the same category a real replica fault would
             ServeError::Fault(_) => ErrorCode::Eval,
         }
-    }
-}
-
-impl std::fmt::Display for ErrorCode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let name = match self {
-            ErrorCode::UnknownModel => "unknown model",
-            ErrorCode::BadOptions => "bad options",
-            ErrorCode::Full => "queue full",
-            ErrorCode::ShuttingDown => "shutting down",
-            ErrorCode::Disconnected => "disconnected",
-            ErrorCode::Eval => "evaluation failed",
-            ErrorCode::Malformed => "malformed frame",
-            ErrorCode::Expired => "deadline expired",
-            ErrorCode::Shed => "shed under load",
-            ErrorCode::Quota => "tenant quota exceeded",
-        };
-        f.write_str(name)
-    }
-}
-
-/// The error half of a response frame: a typed category plus the server's
-/// human-readable message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ErrorReply {
-    /// Typed category (drives client-side handling: retry on
-    /// [`ErrorCode::Full`], fail fast on [`ErrorCode::UnknownModel`], …).
-    pub code: ErrorCode,
-    /// Server-side detail, for logs and operators.
-    pub message: String,
-}
-
-impl std::fmt::Display for ErrorReply {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}: {}", self.code, self.message)
-    }
-}
-
-impl std::error::Error for ErrorReply {}
-
-// ---------------------------------------------------------------------------
-// frame codec
-// ---------------------------------------------------------------------------
-
-fn malformed(what: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, what.into())
-}
-
-/// Appends one length-prefixed frame to `out`: `body` writes the body in
-/// place behind a placeholder prefix, which is patched to the body's length
-/// afterwards. On an error — `body`'s own, or a body over [`MAX_FRAME`] —
-/// `out` is truncated back to its entry length.
-fn framed(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> io::Result<()> {
-    let start = out.len();
-    out.put_u32(0);
-    let len = body(out).and_then(|()| match out.len() - start - 4 {
-        len if len > MAX_FRAME as usize => Err(malformed(format!(
-            "frame body of {len} bytes exceeds MAX_FRAME ({MAX_FRAME})"
-        ))),
-        len => Ok(len as u32),
-    });
-    match len {
-        Ok(len) => {
-            out[start..start + 4].copy_from_slice(&len.to_be_bytes());
-            Ok(())
-        }
-        Err(e) => {
-            out.truncate(start);
-            Err(e)
-        }
-    }
-}
-
-fn encode_request(
-    out: &mut Vec<u8>,
-    id: u64,
-    model: &str,
-    options: SubmitOptions,
-    trace: Option<TraceId>,
-    input: &Tensor,
-) -> io::Result<()> {
-    if model.len() > u16::MAX as usize {
-        return Err(malformed("model name longer than u16::MAX bytes"));
-    }
-    if input.dims().len() > u8::MAX as usize {
-        return Err(malformed("tensor rank exceeds u8::MAX"));
-    }
-    let mut flags = 0u8;
-    if options.delta.is_some() {
-        flags |= FLAG_DELTA;
-    }
-    if options.max_stage.is_some() {
-        flags |= FLAG_MAX_STAGE;
-    }
-    if trace.is_some() {
-        flags |= FLAG_TRACE;
-    }
-    let deadline_nanos = options
-        .deadline
-        .map(|d| u64::try_from(d.as_nanos()).map_err(|_| malformed("deadline exceeds u64 nanos")))
-        .transpose()?;
-    if deadline_nanos.is_some() {
-        flags |= FLAG_DEADLINE;
-    }
-    if options.priority != Priority::default() {
-        flags |= FLAG_PRIORITY;
-    }
-    if options.tenant.is_some() {
-        flags |= FLAG_TENANT;
-    }
-    framed(out, |body| {
-        body.reserve(32 + model.len() + 4 * input.data().len());
-        body.put_u64(id);
-        body.put_u16(model.len() as u16);
-        body.put_slice(model.as_bytes());
-        body.put_u8(flags);
-        if let Some(delta) = options.delta {
-            body.put_f32(delta);
-        }
-        if let Some(max_stage) = options.max_stage {
-            body.put_u32(u32::try_from(max_stage).map_err(|_| malformed("max_stage exceeds u32"))?);
-        }
-        if let Some(trace) = trace {
-            body.put_u64(trace.raw());
-        }
-        if let Some(nanos) = deadline_nanos {
-            body.put_u64(nanos);
-        }
-        if flags & FLAG_PRIORITY != 0 {
-            body.put_u8(options.priority.class() as u8);
-        }
-        if let Some(tenant) = options.tenant {
-            body.put_u32(tenant);
-        }
-        body.put_u8(input.dims().len() as u8);
-        for &d in input.dims() {
-            body.put_u32(u32::try_from(d).map_err(|_| malformed("tensor dim exceeds u32"))?);
-        }
-        for &v in input.data() {
-            body.put_f32(v);
-        }
-        Ok(())
-    })
-}
-
-/// A decoded request frame; the model name is borrowed from the frame.
-struct RequestFrame<'a> {
-    id: u64,
-    model: &'a str,
-    request: Request,
-}
-
-/// Pulls `n` checked bytes-worth of remaining capacity or fails.
-fn need(cursor: &&[u8], n: usize, what: &str) -> io::Result<()> {
-    if cursor.remaining() < n {
-        return Err(malformed(format!("truncated frame: {what}")));
-    }
-    Ok(())
-}
-
-fn decode_request(body: &[u8]) -> io::Result<RequestFrame<'_>> {
-    let mut cursor = body;
-    need(&cursor, 8, "request id")?;
-    let id = cursor.get_u64();
-    need(&cursor, 2, "model-name length")?;
-    let name_len = cursor.get_u16() as usize;
-    need(&cursor, name_len, "model name")?;
-    let (name, rest) = cursor.split_at(name_len);
-    let model =
-        std::str::from_utf8(name).map_err(|_| malformed("model name is not valid UTF-8"))?;
-    cursor = rest;
-    need(&cursor, 1, "option flags")?;
-    let flags = cursor.get_u8();
-    if flags & !KNOWN_FLAGS != 0 {
-        return Err(malformed(format!("unknown option flags {flags:#04x}")));
-    }
-    let mut options = SubmitOptions::default();
-    if flags & FLAG_DELTA != 0 {
-        need(&cursor, 4, "delta override")?;
-        options.delta = Some(cursor.get_f32());
-    }
-    if flags & FLAG_MAX_STAGE != 0 {
-        need(&cursor, 4, "max-stage cap")?;
-        options.max_stage = Some(cursor.get_u32() as usize);
-    }
-    let trace =
-        if flags & FLAG_TRACE != 0 {
-            need(&cursor, 8, "trace id")?;
-            Some(TraceId::from_raw(cursor.get_u64()).ok_or_else(|| {
-                malformed("zero trace id (the trace flag promises a non-zero id)")
-            })?)
-        } else {
-            None
-        };
-    if flags & FLAG_DEADLINE != 0 {
-        need(&cursor, 8, "deadline")?;
-        options.deadline = Some(Duration::from_nanos(cursor.get_u64()));
-    }
-    if flags & FLAG_PRIORITY != 0 {
-        need(&cursor, 1, "priority class")?;
-        let class = cursor.get_u8();
-        options.priority = Priority::from_class(class)
-            .ok_or_else(|| malformed(format!("unknown priority class {class}")))?;
-    }
-    if flags & FLAG_TENANT != 0 {
-        need(&cursor, 4, "tenant id")?;
-        options.tenant = Some(cursor.get_u32());
-    }
-    need(&cursor, 1, "tensor rank")?;
-    let rank = cursor.get_u8() as usize;
-    need(&cursor, 4 * rank, "tensor dims")?;
-    let dims: Vec<usize> = (0..rank).map(|_| cursor.get_u32() as usize).collect();
-    let volume: usize = dims
-        .iter()
-        .try_fold(1usize, |acc, &d| {
-            acc.checked_mul(d)
-                .filter(|&v| v <= (MAX_FRAME as usize) / 4)
-        })
-        .ok_or_else(|| malformed("tensor volume overflows the frame cap"))?;
-    need(&cursor, 4 * volume, "tensor payload")?;
-    let (payload, rest) = cursor.split_at(4 * volume);
-    if !rest.is_empty() {
-        return Err(malformed(format!(
-            "{} trailing bytes after tensor payload",
-            rest.len()
-        )));
-    }
-    // one bounds check for the whole payload, not one per float, so the
-    // conversion vectorises; the bit patterns pass through unchanged
-    let (words, _) = payload.as_chunks::<4>();
-    let data: Vec<f32> = words
-        .iter()
-        .map(|&w| f32::from_bits(u32::from_be_bytes(w)))
-        .collect();
-    let input =
-        Tensor::from_vec(data, &dims).map_err(|e| malformed(format!("bad tensor shape: {e}")))?;
-    Ok(RequestFrame {
-        id,
-        model,
-        request: Request {
-            input,
-            options,
-            trace,
-        },
-    })
-}
-
-fn encode_response(
-    out: &mut Vec<u8>,
-    id: u64,
-    result: &Result<CdlOutput, ErrorReply>,
-) -> io::Result<()> {
-    framed(out, |body| {
-        body.put_u64(id);
-        match result {
-            Ok(output) => {
-                body.put_u8(0);
-                body.put_u32(
-                    u32::try_from(output.label).map_err(|_| malformed("label exceeds u32"))?,
-                );
-                body.put_u32(
-                    u32::try_from(output.exit_stage)
-                        .map_err(|_| malformed("exit stage exceeds u32"))?,
-                );
-                body.put_f32(output.confidence);
-                body.put_u64(output.ops.macs);
-                body.put_u64(output.ops.adds);
-                body.put_u64(output.ops.compares);
-                body.put_u64(output.ops.activations);
-                body.put_u64(output.ops.mem_reads);
-                body.put_u64(output.ops.mem_writes);
-                body.put_u64(output.stages_activated);
-                body.put_u8(output.exited_early as u8);
-            }
-            Err(reply) => {
-                body.put_u8(reply.code as u8);
-                // cut on a character boundary: the peer rejects invalid UTF-8
-                let msg = &reply.message[..reply.message.floor_char_boundary(u16::MAX as usize)];
-                body.put_u16(msg.len() as u16);
-                body.put_slice(msg.as_bytes());
-            }
-        }
-        Ok(())
-    })
-}
-
-fn decode_response(body: &[u8]) -> io::Result<(u64, Result<CdlOutput, ErrorReply>)> {
-    let mut cursor = body;
-    need(&cursor, 9, "response header")?;
-    let id = cursor.get_u64();
-    let status = cursor.get_u8();
-    if status == 0 {
-        need(&cursor, 4 + 4 + 4 + 8 * 7 + 1, "output payload")?;
-        let output = CdlOutput {
-            label: cursor.get_u32() as usize,
-            exit_stage: cursor.get_u32() as usize,
-            confidence: cursor.get_f32(),
-            ops: OpCount {
-                macs: cursor.get_u64(),
-                adds: cursor.get_u64(),
-                compares: cursor.get_u64(),
-                activations: cursor.get_u64(),
-                mem_reads: cursor.get_u64(),
-                mem_writes: cursor.get_u64(),
-            },
-            stages_activated: cursor.get_u64(),
-            exited_early: cursor.get_u8() != 0,
-        };
-        if cursor.remaining() != 0 {
-            return Err(malformed("trailing bytes after output payload"));
-        }
-        Ok((id, Ok(output)))
-    } else {
-        let code = ErrorCode::from_status(status)
-            .ok_or_else(|| malformed(format!("unknown status byte {status}")))?;
-        need(&cursor, 2, "error-message length")?;
-        let msg_len = cursor.get_u16() as usize;
-        need(&cursor, msg_len, "error message")?;
-        let mut msg = vec![0u8; msg_len];
-        cursor.copy_to_slice(&mut msg);
-        if cursor.remaining() != 0 {
-            return Err(malformed("trailing bytes after error message"));
-        }
-        let message =
-            String::from_utf8(msg).map_err(|_| malformed("error message is not valid UTF-8"))?;
-        Ok((id, Err(ErrorReply { code, message })))
     }
 }
 
@@ -808,45 +374,31 @@ fn admit(
 fn parse_frames(conn: &mut Conn, key: usize, router: &Router, completions: &Arc<Completions>) {
     let mut consumed = 0;
     while conn.takes_input() {
-        let rest = &conn.read_buf[consumed..];
-        if rest.len() < 4 {
-            break;
-        }
-        let len = u32::from_be_bytes(rest[..4].try_into().unwrap());
-        if len == 0 || len > MAX_FRAME {
-            // the stream can't be trusted past a bogus length: report and
-            // hang up rather than misparse whatever follows. Pipelined
-            // requests still pending are cancelled *now* — the goodbye is
-            // only sent on an otherwise-quiet connection; with work still
-            // in flight the peer just sees the close (it desynced the
-            // stream, it cannot be trusted to parse a frame either)
-            if conn.inflight.is_empty() {
-                push_error(
-                    conn,
-                    NO_ID,
-                    ErrorCode::Malformed,
-                    format!("frame length {len} outside 1..={MAX_FRAME}"),
-                );
+        let body = match next_frame(&conn.read_buf[consumed..], MAX_FRAME as usize) {
+            Ok(Some(body)) => body,
+            Ok(None) => break, // partial frame: wait for more bytes
+            Err(desync) => {
+                // the stream can't be trusted past a bogus length: report
+                // and hang up rather than misparse whatever follows.
+                // Pipelined requests still pending are cancelled *now* — the
+                // goodbye is only sent on an otherwise-quiet connection; with
+                // work still in flight the peer just sees the close (it
+                // desynced the stream, it cannot be trusted to parse a frame
+                // either)
+                if conn.inflight.is_empty() {
+                    push_error(conn, NO_ID, ErrorCode::Malformed, desync.to_string());
+                }
+                conn.inflight.clear();
+                conn.closing = true;
+                break;
             }
-            conn.inflight.clear();
-            conn.closing = true;
-            break;
-        }
-        let len = len as usize;
-        if rest.len() - 4 < len {
-            break; // partial body: wait for more bytes
-        }
-        // the frame boundary itself was sound, so the connection survives
-        // a malformed body: reply under the id the frame claimed (its
-        // first 8 bytes) and keep parsing
-        let body = &conn.read_buf[consumed + 4..consumed + 4 + len];
-        let claimed_id = if body.len() >= 8 {
-            u64::from_be_bytes(body[..8].try_into().unwrap())
-        } else {
-            NO_ID
         };
+        // the frame boundary itself was sound, so the connection survives
+        // a malformed body: reply under the id the frame claimed and keep
+        // parsing
+        let claimed_id = claimed_id(body);
         let decoded = decode_request(body);
-        consumed += 4 + len;
+        consumed += 4 + body.len();
         match decoded {
             Err(e) => push_error(conn, claimed_id, ErrorCode::Malformed, e.to_string()),
             Ok(RequestFrame { id, model, request }) => match router.model_id(model) {
@@ -1123,7 +675,7 @@ impl Poller {
 }
 
 /// Event-loop TCP front door over a [`Router`]: accepts connections and
-/// serves the [module-level wire protocol](self) until dropped or
+/// serves the [wire protocol](codec) until dropped or
 /// [`TcpServer::shutdown`].
 ///
 /// The server shares the router (`Arc`) and never consumes it — shut the
@@ -1292,7 +844,122 @@ impl Drop for TcpServer {
 // client
 // ---------------------------------------------------------------------------
 
-/// Blocking client for the [module-level wire protocol](self).
+/// Splits a connected stream into a send and a receive half, for a sender
+/// and a receiver on threads of their own. The send half coalesces its own
+/// frames, so Nagle's algorithm goes off; a read time-out set on `stream`
+/// bounds each [`RecvHalf::recv`].
+///
+/// # Errors
+///
+/// Propagates a failure to configure or clone the socket.
+pub fn split(stream: TcpStream) -> io::Result<(SendHalf, RecvHalf)> {
+    stream.set_nodelay(true)?;
+    let recv = RecvHalf {
+        stream: stream.try_clone()?,
+        // room for the longest reply behind a partial one, and many per read
+        buf: vec![0; 4 * (4 + MAX_RESPONSE)],
+        start: 0,
+        end: 0,
+    };
+    let frames = Vec::new();
+    Ok((SendHalf { stream, frames }, recv))
+}
+
+/// The send half of a connection: frames queue in one buffer and leave in
+/// one write per [`SendHalf::flush`].
+#[derive(Debug)]
+pub struct SendHalf {
+    stream: TcpStream,
+    frames: Vec<u8>,
+}
+
+impl SendHalf {
+    /// Queues a request under a caller-chosen id; `tensor` is the input as
+    /// [`codec::tensor_payload`] encodes it, once however often it is sent.
+    ///
+    /// # Errors
+    ///
+    /// A request the wire cannot carry; nothing is queued.
+    pub fn queue(
+        &mut self,
+        id: u64,
+        model: &str,
+        options: &SubmitOptions,
+        tensor: &[u8],
+    ) -> io::Result<()> {
+        encode_request(&mut self.frames, id, model, options, None, tensor)
+    }
+
+    /// Writes every queued frame.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the write failure.
+    pub fn flush(&mut self) -> io::Result<()> {
+        self.stream.write_all(&self.frames)?;
+        self.frames.clear();
+        Ok(())
+    }
+}
+
+/// The receive half of a connection: it hands out every whole reply one
+/// `read` delivered before it reads again.
+pub struct RecvHalf {
+    stream: TcpStream,
+    /// `buf[start..end]` holds the bytes not handed out yet.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl std::fmt::Debug for RecvHalf {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RecvHalf")
+            .field("stream", &self.stream)
+            .finish_non_exhaustive()
+    }
+}
+
+impl RecvHalf {
+    /// The next reply; `None` once the stream's read time-out runs out with
+    /// no whole reply in.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::UnexpectedEof`] when the connection closes between
+    /// replies; [`io::ErrorKind::InvalidData`] when it closes inside one, at
+    /// once on a length prefix over [`codec::MAX_RESPONSE`], and on a reply
+    /// that does not decode.
+    pub fn recv(&mut self) -> io::Result<Option<Reply>> {
+        loop {
+            if let Some(body) = next_frame(&self.buf[self.start..self.end], MAX_RESPONSE)? {
+                self.start += 4 + body.len();
+                return decode_response(body).map(Some);
+            }
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+            match self.stream.read(&mut self.buf[self.end..]) {
+                Ok(0) if self.end == 0 => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(0) => return Err(codec::malformed("the connection closed inside a reply")),
+                Ok(n) => self.end += n,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    return Ok(None)
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+/// Blocking client for the [wire protocol](codec), over a [`SendHalf`] that
+/// sends each request as it is submitted and a [`RecvHalf`].
 ///
 /// [`TcpClient::submit`] and [`TcpClient::recv`] are decoupled so a
 /// client can pipeline: write a burst of requests, then match the
@@ -1300,8 +967,10 @@ impl Drop for TcpServer {
 /// [`TcpClient::call`] is the one-in-one-out convenience wrapper.
 #[derive(Debug)]
 pub struct TcpClient {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    send: SendHalf,
+    recv: RecvHalf,
+    /// The tensor part of the request being sent, reused across submits.
+    tensor: Vec<u8>,
     next_id: u64,
 }
 
@@ -1312,11 +981,11 @@ impl TcpClient {
     ///
     /// Propagates the connect failure.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<TcpClient> {
-        let stream = TcpStream::connect(addr)?;
-        let read_half = stream.try_clone()?;
+        let (send, recv) = split(TcpStream::connect(addr)?)?;
         Ok(TcpClient {
-            reader: BufReader::new(read_half),
-            writer: BufWriter::new(stream),
+            send,
+            recv,
+            tensor: Vec::new(),
             next_id: 0,
         })
     }
@@ -1367,10 +1036,11 @@ impl TcpClient {
     ) -> io::Result<u64> {
         let id = self.next_id;
         self.next_id += 1;
-        let mut frame = Vec::new();
-        encode_request(&mut frame, id, model, options, trace, input)?;
-        self.writer.write_all(&frame)?;
-        self.writer.flush()?;
+        self.tensor.clear();
+        put_tensor(&mut self.tensor, input)?;
+        let frames = &mut self.send.frames;
+        encode_request(frames, id, model, &options, trace, &self.tensor)?;
+        self.send.flush()?;
         Ok(id)
     }
 
@@ -1382,17 +1052,10 @@ impl TcpClient {
     ///
     /// Fails when the connection closes or the stream desyncs.
     pub fn recv(&mut self) -> io::Result<(u64, Result<CdlOutput, ErrorReply>)> {
-        let mut header = [0u8; 4];
-        self.reader.read_exact(&mut header)?;
-        let len = u32::from_be_bytes(header);
-        if len == 0 || len > MAX_FRAME {
-            return Err(malformed(format!(
-                "response frame length {len} outside 1..={MAX_FRAME}"
-            )));
-        }
-        let mut body = vec![0u8; len as usize];
-        self.reader.read_exact(&mut body)?;
-        decode_response(&body)
+        // no read time-out is set: the receive half never gives up
+        self.recv
+            .recv()?
+            .ok_or_else(|| io::ErrorKind::TimedOut.into())
     }
 
     /// Submit-then-receive for the non-pipelined case.
@@ -1411,7 +1074,7 @@ impl TcpClient {
         let id = self.submit(model, input, options)?;
         let (answered, result) = self.recv()?;
         if answered != id {
-            return Err(malformed(format!(
+            return Err(codec::malformed(format!(
                 "response for request {answered} while awaiting {id}"
             )));
         }
@@ -1422,6 +1085,7 @@ impl TcpClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Priority;
 
     /// The accept loop's retry policy: consecutive failures double the
     /// delay from the initial value to the ceiling (never beyond), and a
@@ -1444,270 +1108,6 @@ mod tests {
             ACCEPT_BACKOFF_INITIAL,
             "a successful accept resets the streak"
         );
-    }
-
-    fn output_fixture() -> CdlOutput {
-        CdlOutput {
-            label: 7,
-            exit_stage: 1,
-            confidence: 0.625,
-            ops: OpCount {
-                macs: 1,
-                adds: 2,
-                compares: 3,
-                activations: 4,
-                mem_reads: 5,
-                mem_writes: 6,
-            },
-            stages_activated: 2,
-            exited_early: true,
-        }
-    }
-
-    fn one_frame(buf: &[u8]) -> &[u8] {
-        let mut cursor = buf;
-        let len = cursor.get_u32() as usize;
-        assert_eq!(cursor.remaining(), len, "exactly one frame");
-        cursor
-    }
-
-    #[test]
-    fn request_round_trips_bit_exactly() {
-        // a payload with the nastiest f32s: NaN payload, -0.0, subnormal
-        let input = Tensor::from_vec(
-            vec![
-                f32::from_bits(0x7FC0_0001),
-                -0.0,
-                f32::MIN_POSITIVE / 2.0,
-                1.5,
-            ],
-            &[2, 2],
-        )
-        .unwrap();
-        let options = SubmitOptions {
-            delta: Some(0.75),
-            max_stage: Some(1),
-            ..SubmitOptions::default()
-        };
-        let mut frame = Vec::new();
-        let trace = TraceId::from_raw(0xDEAD_BEEF).unwrap();
-        encode_request(&mut frame, 42, "MNIST_2C", options, Some(trace), &input).unwrap();
-        let decoded = decode_request(one_frame(&frame)).unwrap();
-        assert_eq!(decoded.id, 42);
-        assert_eq!(decoded.model, "MNIST_2C");
-        assert_eq!(decoded.request.options, options);
-        assert_eq!(decoded.request.trace, Some(trace));
-        assert_eq!(decoded.request.input.dims(), input.dims());
-        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&decoded.request.input), bits(&input));
-    }
-
-    #[test]
-    fn default_options_take_no_wire_space() {
-        let input = Tensor::from_vec(vec![0.5], &[1]).unwrap();
-        let mut with_default = Vec::new();
-        encode_request(
-            &mut with_default,
-            0,
-            "m",
-            SubmitOptions::default(),
-            None,
-            &input,
-        )
-        .unwrap();
-        let mut with_both = Vec::new();
-        let options = SubmitOptions {
-            delta: Some(0.5),
-            max_stage: Some(0),
-            ..SubmitOptions::default()
-        };
-        encode_request(&mut with_both, 0, "m", options, None, &input).unwrap();
-        assert_eq!(with_both.len(), with_default.len() + 8);
-        let decoded = decode_request(one_frame(&with_default)).unwrap();
-        assert_eq!(decoded.request.options, SubmitOptions::default());
-        assert_eq!(decoded.request.trace, None);
-        // the trace id is exactly 8 more bytes, only when present
-        let mut with_trace = Vec::new();
-        encode_request(
-            &mut with_trace,
-            0,
-            "m",
-            SubmitOptions::default(),
-            TraceId::from_raw(1),
-            &input,
-        )
-        .unwrap();
-        assert_eq!(with_trace.len(), with_default.len() + 8);
-        // a zero trace id never encodes; hand-patching one in must be
-        // rejected at decode (zero is the wire's "no trace" reserve)
-        let mut zero_trace = with_trace.clone();
-        let flags_at = 4 + 8 + 2 + 1; // frame len + id + name len + name "m"
-        assert_eq!(zero_trace[flags_at], FLAG_TRACE);
-        zero_trace[flags_at + 1..flags_at + 9].fill(0);
-        assert!(decode_request(one_frame(&zero_trace)).is_err());
-    }
-
-    #[test]
-    fn overload_options_round_trip_and_cost_exact_wire_space() {
-        let input = Tensor::from_vec(vec![0.5], &[1]).unwrap();
-        let mut plain = Vec::new();
-        encode_request(&mut plain, 0, "m", SubmitOptions::default(), None, &input).unwrap();
-
-        // each service-level field costs exactly its payload, only when set
-        let cases: [(SubmitOptions, usize); 4] = [
-            (SubmitOptions::with_deadline(Duration::from_millis(250)), 8),
-            (SubmitOptions::default().priority(Priority::Low), 1),
-            (SubmitOptions::default().tenant(17), 4),
-            (
-                SubmitOptions::with_deadline(Duration::from_micros(1500))
-                    .priority(Priority::Normal)
-                    .tenant(u32::MAX),
-                8 + 1 + 4,
-            ),
-        ];
-        for (options, extra) in cases {
-            let mut frame = Vec::new();
-            encode_request(&mut frame, 5, "m", options, None, &input).unwrap();
-            assert_eq!(frame.len(), plain.len() + extra, "{options:?}");
-            let decoded = decode_request(one_frame(&frame)).unwrap();
-            assert_eq!(decoded.request.options, options);
-        }
-
-        // a default priority rides the flags byte for free
-        let mut high = Vec::new();
-        let explicit_high = SubmitOptions::default().priority(Priority::High);
-        encode_request(&mut high, 0, "m", explicit_high, None, &input).unwrap();
-        assert_eq!(high.len(), plain.len());
-
-        // an out-of-range priority class is rejected at decode
-        let mut frame = Vec::new();
-        encode_request(
-            &mut frame,
-            0,
-            "m",
-            SubmitOptions::default().priority(Priority::Low),
-            None,
-            &input,
-        )
-        .unwrap();
-        let class_at = 4 + 8 + 2 + 1 + 1; // frame len + id + name len + "m" + flags
-        assert_eq!(frame[class_at], 2);
-        frame[class_at] = 3;
-        assert!(decode_request(one_frame(&frame)).is_err());
-    }
-
-    #[test]
-    fn pre_overload_frames_decode_unchanged() {
-        // a frame laid out exactly as the previous protocol revision wrote
-        // it (only flag bits 0–2 existed) must decode to the same options
-        // with the new service-level fields at their defaults
-        let mut body = Vec::new();
-        body.put_u64(77);
-        body.put_u16(8);
-        body.put_slice(b"MNIST_2C");
-        body.put_u8(FLAG_DELTA | FLAG_MAX_STAGE | FLAG_TRACE);
-        body.put_f32(0.85);
-        body.put_u32(1);
-        body.put_u64(0xBEEF);
-        body.put_u8(1);
-        body.put_u32(2);
-        body.put_f32(0.25);
-        body.put_f32(0.75);
-        let decoded = decode_request(&body).unwrap();
-        assert_eq!(decoded.id, 77);
-        assert_eq!(decoded.request.options.delta, Some(0.85));
-        assert_eq!(decoded.request.options.max_stage, Some(1));
-        assert_eq!(decoded.request.trace, TraceId::from_raw(0xBEEF));
-        assert_eq!(decoded.request.options.deadline, None);
-        assert_eq!(decoded.request.options.priority, Priority::High);
-        assert_eq!(decoded.request.options.tenant, None);
-        // and the encoder still writes that exact layout for such options
-        let mut frame = Vec::new();
-        encode_request(
-            &mut frame,
-            77,
-            "MNIST_2C",
-            SubmitOptions {
-                delta: Some(0.85),
-                max_stage: Some(1),
-                ..SubmitOptions::default()
-            },
-            TraceId::from_raw(0xBEEF),
-            &decoded.request.input,
-        )
-        .unwrap();
-        assert_eq!(one_frame(&frame), &body[..]);
-    }
-
-    #[test]
-    fn response_round_trips_both_arms() {
-        let mut frame = Vec::new();
-        encode_response(&mut frame, 9, &Ok(output_fixture())).unwrap();
-        assert_eq!(frame.len(), OK_REPLY, "what the edge reserves per request");
-        let (id, result) = decode_response(one_frame(&frame)).unwrap();
-        assert_eq!(id, 9);
-        assert_eq!(result.unwrap(), output_fixture());
-
-        let reply = ErrorReply {
-            code: ErrorCode::Full,
-            message: "submission queue full".into(),
-        };
-        let mut frame = Vec::new();
-        encode_response(&mut frame, 10, &Err(reply.clone())).unwrap();
-        let (id, result) = decode_response(one_frame(&frame)).unwrap();
-        assert_eq!(id, 10);
-        assert_eq!(result.unwrap_err(), reply);
-    }
-
-    /// A message over u16::MAX bytes is cut at the last character boundary
-    /// at or below it, never inside a character: `x` and 21 845 × `€` (3
-    /// bytes each) is 65 536 bytes, and byte 65 535 falls mid-character.
-    #[test]
-    fn an_overlong_multibyte_error_message_is_cut_on_a_character_boundary() {
-        let reply = ErrorReply {
-            code: ErrorCode::UnknownModel,
-            message: format!("x{}", "€".repeat(21_845)),
-        };
-        let mut frame = Vec::new();
-        encode_response(&mut frame, 11, &Err(reply)).unwrap();
-        let (id, result) = decode_response(one_frame(&frame)).unwrap();
-        assert_eq!(id, 11);
-        let got = result.unwrap_err();
-        assert_eq!(got.code, ErrorCode::UnknownModel);
-        assert_eq!(got.message, format!("x{}", "€".repeat(21_844)));
-    }
-
-    #[test]
-    fn an_encode_error_leaves_the_output_as_it_was() {
-        let input = Tensor::from_vec(vec![0.5], &[1]).unwrap();
-        let mut out = Vec::new();
-        encode_request(&mut out, 1, "m", SubmitOptions::default(), None, &input).unwrap();
-        let before = out.clone();
-        // fails mid-body: the id, name, flags and δ are already written when
-        // the stage cap turns out too wide for the wire
-        let options = SubmitOptions {
-            delta: Some(0.5),
-            max_stage: Some(usize::MAX),
-            ..SubmitOptions::default()
-        };
-        assert!(encode_request(&mut out, 2, "m", options, None, &input).is_err());
-        assert_eq!(out, before);
-        // fails after the whole body is written: it exceeds MAX_FRAME
-        let oversized = Tensor::zeros(&[MAX_FRAME as usize / 4]);
-        let err = encode_request(&mut out, 3, "m", SubmitOptions::default(), None, &oversized);
-        assert!(err.is_err());
-        assert_eq!(out, before);
-        // the response side: a label too wide for the wire
-        let wide = CdlOutput {
-            label: usize::MAX,
-            ..output_fixture()
-        };
-        assert!(encode_response(&mut out, 4, &Ok(wide)).is_err());
-        assert_eq!(out, before);
-        // and the buffer goes on taking frames where the good one ended
-        encode_response(&mut out, 5, &Ok(output_fixture())).unwrap();
-        let (id, result) = decode_response(one_frame(&out[before.len()..])).unwrap();
-        assert_eq!((id, result.unwrap()), (5, output_fixture()));
     }
 
     #[test]
@@ -1791,16 +1191,17 @@ mod tests {
         waker.wake().unwrap();
         let key = WAKER_TOKEN.0 + 1;
 
-        let (image, refused) = (Tensor::full(&[1, 28, 28], 0.5), Tensor::full(&[1], 0.5));
-        let mut frames = Vec::new();
+        let image = codec::tensor_payload(&Tensor::full(&[1, 28, 28], 0.5));
+        let refused = codec::tensor_payload(&Tensor::full(&[1], 0.5));
+        let (mut send, mut recv) = split(peer).unwrap();
         for id in 0..FRAMES {
             let input = if is_real(id) { &image } else { &refused };
-            encode_request(&mut frames, id, "m", SubmitOptions::default(), None, input).unwrap();
+            send.queue(id, "m", &SubmitOptions::default(), input)
+                .unwrap();
         }
-        let writer = {
-            let mut peer = peer.try_clone().unwrap();
-            std::thread::spawn(move || peer.write_all(&frames))
-        };
+        // the writer hands its half back when joined, at the end, so no
+        // hangup races the last passes
+        let writer = std::thread::spawn(move || send.flush().map(|()| send));
         let held = |poller: &Poller| {
             let conn = &poller.conns[&key];
             assert!(conn.unsent() <= CEILING, "{} unsent bytes", conn.unsent());
@@ -1833,20 +1234,13 @@ mod tests {
         let done = Arc::new(AtomicBool::new(false));
         let reader = {
             let done = Arc::clone(&done);
-            // a clone: `peer` stays open until the end, so no hangup races
-            // the last passes
-            let peer = peer.try_clone().unwrap();
             std::thread::spawn(move || {
-                let mut replies = BufReader::new(peer);
-                let mut read_one = || -> io::Result<(u64, bool)> {
-                    let mut header = [0u8; 4];
-                    replies.read_exact(&mut header)?;
-                    let mut body = vec![0u8; u32::from_be_bytes(header) as usize];
-                    replies.read_exact(&mut body)?;
-                    let (id, result) = decode_response(&body)?;
-                    Ok((id, result.is_ok()))
-                };
-                let answers: io::Result<Vec<_>> = (0..FRAMES).map(|_| read_one()).collect();
+                let answers: io::Result<Vec<_>> = (0..FRAMES)
+                    .map(|_| {
+                        let (id, result) = recv.recv()?.expect("no read time-out is set");
+                        Ok((id, result.is_ok()))
+                    })
+                    .collect();
                 // set before the wake, so the pass that wake ends sees it
                 done.store(true, Ordering::SeqCst);
                 let _ = waker.wake();
@@ -1890,16 +1284,22 @@ mod tests {
         let stop = Arc::new(AtomicBool::new(false));
         let (mut poller, reg_tx, waker) = Poller::new(&router, &stop).unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         reg_tx.send(listener.accept().unwrap().0).unwrap();
         waker.wake().unwrap();
         let key = WAKER_TOKEN.0 + 1;
         // the first pass registers the socket, the second takes the edges its
         // registration raised: after them nothing is pending
         assert!(poller.pass() && poller.pass());
-        let mut frame = Vec::new();
-        encode_request(&mut frame, 7, "m", SubmitOptions::default(), None, &image).unwrap();
-        peer.write_all(&frame).unwrap();
+        let (mut send, _recv) = split(peer).unwrap();
+        send.queue(
+            7,
+            "m",
+            &SubmitOptions::default(),
+            &codec::tensor_payload(&image),
+        )
+        .unwrap();
+        send.flush().unwrap();
         assert!(poller.pass());
         assert!(
             poller.conns[&key].parked.is_some(),
@@ -1956,42 +1356,83 @@ mod tests {
         panic!("the socket took everything for 4000 rounds: nothing was left unsent");
     }
 
+    /// A receive half over a fresh loopback connection, and the server's end.
+    fn halves_and_peer() -> (SendHalf, RecvHalf, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let (send, recv) = split(stream).unwrap();
+        (send, recv, listener.accept().unwrap().0)
+    }
+
+    /// Regression: `TcpClient::recv` took any reply length up to
+    /// `MAX_FRAME` (16 MiB), allocated it and blocked reading it, so a
+    /// desynced server that kept the connection open wedged the client.
     #[test]
-    fn decode_rejects_malformed_bodies() {
-        let input = Tensor::from_vec(vec![0.5, 1.0], &[2]).unwrap();
-        let mut frame = Vec::new();
-        encode_request(&mut frame, 3, "m", SubmitOptions::default(), None, &input).unwrap();
-        let body = one_frame(&frame);
-        // truncations at every boundary fail, never panic
-        for cut in 0..body.len() {
-            assert!(decode_request(&body[..cut]).is_err(), "cut at {cut}");
+    fn a_reply_length_no_reply_can_have_is_rejected_at_once() {
+        use std::time::Instant;
+        let (_send, mut recv, mut server) = halves_and_peer();
+        // the length prefix of a 1 MiB frame, and nothing after it
+        server.write_all(&(1u32 << 20).to_be_bytes()).unwrap();
+        let started = Instant::now();
+        let err = recv.recv().expect_err("a desynced stream");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(started.elapsed() < Duration::from_secs(1));
+        drop(server);
+    }
+
+    /// A close between replies is the end of the stream; a close inside one
+    /// is a reply cut short.
+    #[test]
+    fn a_close_inside_a_reply_is_not_a_clean_end_of_stream() {
+        let mut whole = Vec::new();
+        encode_response(&mut whole, 3, &Err(to_reply(&ServeError::Full))).unwrap();
+        for cut in [whole.len(), whole.len() - 1, 2] {
+            let (_send, mut recv, mut server) = halves_and_peer();
+            server.write_all(&whole[..cut]).unwrap();
+            drop(server);
+            if cut == whole.len() {
+                let (id, result) = recv.recv().unwrap().unwrap();
+                assert_eq!((id, result.unwrap_err().code), (3, ErrorCode::Full));
+                let end = recv.recv().expect_err("closed");
+                assert_eq!(end.kind(), io::ErrorKind::UnexpectedEof, "{end}");
+            } else {
+                let err = recv.recv().expect_err("closed inside a reply");
+                assert_eq!(
+                    err.kind(),
+                    io::ErrorKind::InvalidData,
+                    "cut at {cut}: {err}"
+                );
+            }
         }
-        // trailing garbage is rejected too
-        let mut long = body.to_vec();
-        long.push(0);
-        assert!(decode_request(&long).is_err());
-        // unknown option flags are rejected (forward-compat is explicit)
-        let mut bad_flags = body.to_vec();
-        let flags_at = 8 + 2 + 1; // id + name len + name "m"
-        bad_flags[flags_at] = 0x80;
-        assert!(decode_request(&bad_flags).is_err());
-        // a dim product that overflows the frame cap is rejected before
-        // any allocation
-        let mut huge = Vec::new();
-        huge.put_u64(1);
-        huge.put_u16(1);
-        huge.put_slice(b"m");
-        huge.put_u8(0);
-        huge.put_u8(2);
-        huge.put_u32(u32::MAX);
-        huge.put_u32(u32::MAX);
-        assert!(decode_request(&huge).is_err());
-        // response side: unknown status byte
-        let mut bad_status = Vec::new();
-        bad_status.put_u64(1);
-        bad_status.put_u8(99);
-        bad_status.put_u16(0);
-        assert!(decode_response(&bad_status).is_err());
+    }
+
+    /// A request the wire cannot carry is refused at the queue and leaves
+    /// nothing behind: the flush sends the others, in order.
+    #[test]
+    fn an_unencodable_request_is_not_queued() {
+        let (mut send, recv, mut peer) = halves_and_peer();
+        let tensor = codec::tensor_payload(&Tensor::full(&[1], 0.5));
+        let default = SubmitOptions::default();
+        send.queue(1, "m", &default, &tensor).unwrap();
+        let err = send
+            .queue(2, &"m".repeat(1 << 16), &default, &tensor)
+            .expect_err("a model name over u16::MAX bytes");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        send.queue(3, "m", &default, &tensor).unwrap();
+        send.flush().unwrap();
+        drop((send, recv));
+        let mut sent = Vec::new();
+        peer.read_to_end(&mut sent).unwrap();
+        let mut ids = Vec::new();
+        let mut rest = &sent[..];
+        while let Some(body) = next_frame(rest, MAX_FRAME as usize).unwrap() {
+            ids.push(decode_request(body).unwrap().id);
+            rest = &rest[4 + body.len()..];
+        }
+        assert_eq!((ids, rest.len()), (vec![1, 3], 0));
     }
 
     #[test]

@@ -22,8 +22,9 @@
 //!   overrides, a sharded multi-model [`serve::Router`] front-end with
 //!   per-model replica sets ([`serve::ReplicaSpec`] + placement policies),
 //!   and a length-prefixed TCP edge ([`serve::TcpServer`] /
-//!   [`serve::TcpClient`]), with deadline / priority / tenant-quota
-//!   overload control ([`serve::Priority`]),
+//!   [`serve::TcpClient`]; the wire format is [`serve::net::codec`]), with
+//!   deadline / priority / tenant-quota overload control
+//!   ([`serve::Priority`]),
 //! * [`load`] — open-loop workload generation: seeded Poisson and bursty
 //!   ON/OFF arrival schedules with per-tenant request mixes
 //!   ([`load::LoadSpec`]), replayed on the wall clock by

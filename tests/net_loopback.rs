@@ -9,16 +9,17 @@
 //! client that disconnects mid-request cancels only its own pending work
 //! — the shard keeps serving everyone else.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cdl::core::arch::{self, CdlArchitecture};
 use cdl::core::confidence::{ConfidencePolicy, ExitOverride};
 use cdl::core::head::LinearClassifier;
 use cdl::core::network::{CdlNetwork, CdlOutput};
 use cdl::nn::network::Network;
+use cdl::serve::net::{self, codec};
 use cdl::serve::{
     BatchPolicy, ErrorCode, PlacementPolicy, ReplicaSpec, Router, ServerConfig, ShardSpec,
     SubmitOptions, TcpClient, TcpServer,
@@ -168,50 +169,6 @@ fn pipelined_connections_are_bit_exact_against_replicas() {
     );
 }
 
-// -- raw-frame helpers: this test hand-rolls the wire format on purpose,
-// pinning it independently of the client-side codec --
-
-fn frame(body: &[u8]) -> Vec<u8> {
-    let mut out = (body.len() as u32).to_be_bytes().to_vec();
-    out.extend_from_slice(body);
-    out
-}
-
-fn raw_request(id: u64, model: &str, input: &Tensor) -> Vec<u8> {
-    let mut body = Vec::new();
-    body.extend_from_slice(&id.to_be_bytes());
-    body.extend_from_slice(&(model.len() as u16).to_be_bytes());
-    body.extend_from_slice(model.as_bytes());
-    body.push(0); // no option flags
-    body.push(input.dims().len() as u8);
-    for &d in input.dims() {
-        body.extend_from_slice(&(d as u32).to_be_bytes());
-    }
-    for &v in input.data() {
-        body.extend_from_slice(&v.to_bits().to_be_bytes());
-    }
-    frame(&body)
-}
-
-struct RawResponse {
-    id: u64,
-    status: u8,
-    rest: Vec<u8>,
-}
-
-fn read_raw_response(stream: &mut TcpStream) -> RawResponse {
-    let mut header = [0u8; 4];
-    stream.read_exact(&mut header).unwrap();
-    let len = u32::from_be_bytes(header) as usize;
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body).unwrap();
-    RawResponse {
-        id: u64::from_be_bytes(body[..8].try_into().unwrap()),
-        status: body[8],
-        rest: body[9..].to_vec(),
-    }
-}
-
 /// Malformed bodies and unknown models come back as typed errors on the
 /// same connection; a bogus length prefix (stream desync) gets a final
 /// typed error and then hangs up.
@@ -228,55 +185,62 @@ fn malformed_frames_get_typed_errors() {
         Arc::new(Router::start(vec![ShardSpec::new("m", Arc::clone(&net), config)]).unwrap());
     let edge = TcpServer::bind("127.0.0.1:0", Arc::clone(&router)).unwrap();
 
-    let mut stream = TcpStream::connect(edge.local_addr()).unwrap();
+    let stream = TcpStream::connect(edge.local_addr()).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
+    // the raw clone writes what the send half refuses to
+    let mut raw = stream.try_clone().unwrap();
+    let (mut send, mut replies) = net::split(stream).unwrap();
+    let mut reply = || {
+        replies
+            .recv()
+            .unwrap()
+            .expect("a reply inside the time-out")
+    };
 
     // a garbage body (too short to even carry a request id) is answered
     // with Malformed under the sentinel id…
-    stream.write_all(&frame(&[1, 2, 3, 4, 5])).unwrap();
-    let reply = read_raw_response(&mut stream);
-    assert_eq!(reply.id, u64::MAX);
-    assert_eq!(reply.status, ErrorCode::Malformed as u8);
+    raw.write_all(&[0, 0, 0, 5, 1, 2, 3, 4, 5]).unwrap();
+    let (id, result) = reply();
+    assert_eq!(id, u64::MAX);
+    assert_eq!(result.unwrap_err().code, ErrorCode::Malformed);
 
     // …and the connection SURVIVES: an unknown model on the same stream
     // still gets its typed error under the request's own id…
     let x = image(0);
-    stream.write_all(&raw_request(42, "NOPE", &x)).unwrap();
-    let reply = read_raw_response(&mut stream);
-    assert_eq!(reply.id, 42);
-    assert_eq!(reply.status, ErrorCode::UnknownModel as u8);
+    let payload = codec::tensor_payload(&x);
+    send.queue(42, "NOPE", &SubmitOptions::default(), &payload)
+        .unwrap();
+    send.flush().unwrap();
+    let (id, result) = reply();
+    assert_eq!(id, 42);
+    assert_eq!(result.unwrap_err().code, ErrorCode::UnknownModel);
 
     // …and a well-formed request after both errors is served bit-exactly
-    stream.write_all(&raw_request(43, "m", &x)).unwrap();
-    let reply = read_raw_response(&mut stream);
-    assert_eq!(reply.id, 43);
-    assert_eq!(reply.status, 0, "OK status");
-    let want = net.classify(&x).unwrap();
-    let rest = reply.rest;
+    send.queue(43, "m", &SubmitOptions::default(), &payload)
+        .unwrap();
+    send.flush().unwrap();
+    let (id, result) = reply();
+    assert_eq!(id, 43);
+    let (got, want) = (result.expect("OK status"), net.classify(&x).unwrap());
     assert_eq!(
-        u32::from_be_bytes(rest[..4].try_into().unwrap()) as usize,
-        want.label
-    );
-    assert_eq!(
-        u32::from_be_bytes(rest[4..8].try_into().unwrap()) as usize,
-        want.exit_stage
-    );
-    assert_eq!(
-        u32::from_be_bytes(rest[8..12].try_into().unwrap()),
+        got.confidence.to_bits(),
         want.confidence.to_bits(),
         "confidence travels as its exact bit pattern"
     );
+    assert_eq!(got, want);
 
-    // a frame length outside 1..=MAX_FRAME desyncs the stream: one last
-    // Malformed reply, then the server hangs up
-    stream.write_all(&0u32.to_be_bytes()).unwrap();
-    let reply = read_raw_response(&mut stream);
-    assert_eq!(reply.id, u64::MAX);
-    assert_eq!(reply.status, ErrorCode::Malformed as u8);
-    let mut rest = Vec::new();
-    assert_eq!(stream.read_to_end(&mut rest).unwrap(), 0, "server hung up");
+    // a zero length prefix, outside 1..=MAX_FRAME, desyncs the stream: one
+    // last Malformed reply, then the server hangs up
+    raw.write_all(&[0; 4]).unwrap();
+    let (id, result) = reply();
+    assert_eq!(id, u64::MAX);
+    assert_eq!(result.unwrap_err().code, ErrorCode::Malformed);
+    // `UnexpectedEof` is a close between replies: not one byte followed the
+    // last reply (a close inside a reply is `InvalidData`)
+    let hangup = replies.recv().expect_err("server hung up");
+    assert_eq!(hangup.kind(), ErrorKind::UnexpectedEof, "{hangup}");
 
     edge.shutdown();
     let metrics = Arc::try_unwrap(router).unwrap().shutdown();
@@ -348,14 +312,18 @@ fn desync_with_pipelined_pendings_cancels_them_and_hangs_up() {
     );
     let edge = TcpServer::bind("127.0.0.1:0", Arc::clone(&router)).unwrap();
 
-    let mut stream = TcpStream::connect(edge.local_addr()).unwrap();
+    let stream = TcpStream::connect(edge.local_addr()).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
-    let x = image(0);
+    let mut raw = stream.try_clone().unwrap();
+    let (mut send, _replies) = net::split(stream).unwrap();
+    let x = codec::tensor_payload(&image(0));
     for id in 0..3u64 {
-        stream.write_all(&raw_request(id, "stall", &x)).unwrap();
+        send.queue(id, "stall", &SubmitOptions::default(), &x)
+            .unwrap();
     }
+    send.flush().unwrap();
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     while router.metrics().shards[0].total().submitted < 3 {
         assert!(
@@ -365,14 +333,14 @@ fn desync_with_pipelined_pendings_cancels_them_and_hangs_up() {
         std::thread::sleep(Duration::from_millis(10));
     }
 
-    // desync the stream while all three requests are still pending
-    stream.write_all(&0u32.to_be_bytes()).unwrap();
-    // the server hangs up without serving them: EOF, promptly (the 30s
-    // read timeout would fire if the writer were still waiting the
-    // pendings out)
+    // desync the stream with a zero length prefix while all three requests
+    // are still pending; the server hangs up without serving them and
+    // without a byte of reply: EOF, promptly (the 30s read timeout would fire
+    // if the writer were still waiting the pendings out)
+    raw.write_all(&[0; 4]).unwrap();
     let mut rest = Vec::new();
     assert_eq!(
-        stream.read_to_end(&mut rest).unwrap(),
+        raw.read_to_end(&mut rest).unwrap(),
         0,
         "server must hang up on desync, not wait out pipelined pendings"
     );
@@ -468,4 +436,65 @@ fn disconnect_cancels_pending_work_without_poisoning_the_shard() {
     assert_eq!(fast.completed, 1);
     assert_eq!(fast.cancelled, 0);
     assert_eq!(metrics.total().queue_depth, 0);
+}
+
+/// The two halves of a fresh connection to `edge`; the receive half gives
+/// up after `read_timeout`.
+fn halves(edge: &TcpServer, read_timeout: Duration) -> (net::SendHalf, net::RecvHalf) {
+    let stream = TcpStream::connect(edge.local_addr()).unwrap();
+    stream.set_read_timeout(Some(read_timeout)).unwrap();
+    net::split(stream).unwrap()
+}
+
+/// The load generator's pattern on the two halves: 512 requests under
+/// caller-chosen ids, sent in one flush, their replies matched by id on the
+/// receive half — each bit-exact against the per-image oracle — and an idle
+/// receive half that gives up after its read time-out.
+#[test]
+fn the_halves_pipeline_one_flush_and_match_replies_by_id() {
+    const N: usize = 512;
+    let id_of = |i: usize| 0xC0DE_0000 + 3 * (N - i) as u64;
+    let net = build_untrained(arch::mnist_2c(), 5);
+    let config = ServerConfig {
+        policy: BatchPolicy::new(32),
+        workers: 2,
+        ..ServerConfig::default()
+    };
+    let router =
+        Arc::new(Router::start(vec![ShardSpec::new("m", Arc::clone(&net), config)]).unwrap());
+    let edge = TcpServer::bind("127.0.0.1:0", Arc::clone(&router)).unwrap();
+
+    let (mut send, mut recv) = halves(&edge, Duration::from_secs(30));
+    let payloads: Vec<Vec<u8>> = (0..11).map(|i| codec::tensor_payload(&image(i))).collect();
+    for i in 0..N {
+        send.queue(id_of(i), "m", &override_mix(i), &payloads[i % 11])
+            .unwrap();
+    }
+    send.flush().unwrap();
+    let mut answered = vec![false; N];
+    for _ in 0..N {
+        let (id, result) = recv.recv().unwrap().expect("a reply inside the time-out");
+        let i = (0..N)
+            .find(|&i| id_of(i) == id)
+            .expect("an id that was sent");
+        assert!(!answered[i], "id {id} answered twice");
+        answered[i] = true;
+        let (got, want) = (result.unwrap(), expected(&net, &image(i), override_mix(i)));
+        assert_eq!(
+            got.confidence.to_bits(),
+            want.confidence.to_bits(),
+            "request {i}"
+        );
+        assert_eq!(got, want, "request {i}");
+    }
+
+    let (_idle_send, mut idle) = halves(&edge, Duration::from_millis(50));
+    let started = Instant::now();
+    assert!(idle.recv().unwrap().is_none(), "nothing was asked");
+    assert!(started.elapsed() >= Duration::from_millis(40));
+
+    drop((send, recv, idle));
+    edge.shutdown();
+    let metrics = Arc::try_unwrap(router).unwrap().shutdown();
+    assert_eq!(metrics.total().completed, N as u64);
 }

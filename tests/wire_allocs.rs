@@ -1,9 +1,10 @@
 //! What a request costs the heap on the wire path: N requests pipelined
 //! through a warm `TcpServer` over both committed benchmark models, counted
-//! by a process-wide allocator. The client sends frames encoded before the
-//! count starts and reads every reply into one fixed buffer, so each counted
-//! allocation is the server's — edge, gate, queue, workers, evaluator and
-//! reply path together.
+//! by a process-wide allocator. The client's send half queues into a buffer
+//! the warm-up bursts grew, from tensors encoded before the count starts,
+//! and its receive half reads every reply into one fixed buffer, so each
+//! counted allocation is the server's — edge, gate, queue, workers,
+//! evaluator and reply path together.
 //!
 //! Five allocations per request are left: the decoded input (the dims list,
 //! the tensor's shape and its data), the `Pending` / `Fulfiller` slot and
@@ -16,15 +17,15 @@
 //! A binary of its own: the counting allocator is process-global.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use cdl::core::persist::SavedCdl;
 use cdl::dataset::SyntheticMnist;
-use cdl::serve::{BatchPolicy, Router, ServerConfig, ShardSpec, TcpServer};
-use cdl::tensor::Tensor;
+use cdl::serve::net::{self, codec};
+use cdl::serve::{BatchPolicy, Router, ServerConfig, ShardSpec, SubmitOptions, TcpServer};
 
 /// Allocations (and reallocations) made by every thread of the process.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -72,10 +73,6 @@ const MODELS: [(&str, &str); 2] = [
 const N: usize = 1024;
 const BATCH: usize = 32;
 
-/// The bytes of every OK reply: length prefix, id, status, label, exit
-/// stage, confidence, six op counts, stages activated, exited-early flag.
-const REPLY: usize = 4 + 8 + 1 + 4 + 4 + 4 + 6 * 8 + 8 + 1;
-
 /// Allocations per request the wire path may make (measured: 5.28, steady
 /// from run to run, and unchanged since full gates keep the edge's waker
 /// themselves; 5.43 while a worker split each batch into one list per
@@ -83,25 +80,6 @@ const REPLY: usize = 4 + 8 + 1 + 4 + 4 + 4 + 6 * 8 + 8 + 1;
 /// listeners into a `Vec`, 8.47 when each reply also had a body `Vec` of its
 /// own and each decode a `String` for the model name).
 const CEILING: f64 = 6.0;
-
-/// One request frame with default options, encoded by hand as the wire
-/// protocol lays it out (`cdl_serve::net` module docs).
-fn put_frame(out: &mut Vec<u8>, id: u64, model: &str, image: &Tensor) {
-    let mut body = Vec::new();
-    body.extend_from_slice(&id.to_be_bytes());
-    body.extend_from_slice(&(model.len() as u16).to_be_bytes());
-    body.extend_from_slice(model.as_bytes());
-    body.push(0); // no option flags
-    body.push(image.dims().len() as u8);
-    for &d in image.dims() {
-        body.extend_from_slice(&(d as u32).to_be_bytes());
-    }
-    for &v in image.data() {
-        body.extend_from_slice(&v.to_bits().to_be_bytes());
-    }
-    out.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    out.extend_from_slice(&body);
-}
 
 #[test]
 fn a_warm_wire_request_allocates_a_handful() {
@@ -123,24 +101,31 @@ fn a_warm_wire_request_allocates_a_handful() {
         .collect();
     let router = Arc::new(Router::start(shards).expect("valid router"));
     let edge = TcpServer::bind("127.0.0.1:0", Arc::clone(&router)).expect("bind loopback");
-    let mut stream = TcpStream::connect(edge.local_addr()).expect("connect");
+    let stream = TcpStream::connect(edge.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("a read time-out");
+    let (mut send, mut recv) = net::split(stream).expect("split the connection");
 
     let images = SyntheticMnist::default().generate_split(0, N, 71).1.images;
-    let mut frames = Vec::new();
-    for (i, image) in images.iter().enumerate() {
-        put_frame(&mut frames, i as u64, MODELS[i % 2].0, image);
-    }
-    let mut reply = [0u8; REPLY];
+    let payloads: Vec<Vec<u8>> = images.iter().map(codec::tensor_payload).collect();
     let mut burst = || {
-        stream.write_all(&frames).expect("send the burst");
+        for (i, payload) in payloads.iter().enumerate() {
+            send.queue(
+                i as u64,
+                MODELS[i % 2].0,
+                &SubmitOptions::default(),
+                payload,
+            )
+            .expect("an encodable request");
+        }
+        send.flush().expect("send the burst");
         for _ in 0..N {
-            stream.read_exact(&mut reply).expect("read a reply");
-            assert_eq!(
-                u32::from_be_bytes(reply[..4].try_into().unwrap()) as usize,
-                REPLY - 4,
-                "an OK reply"
-            );
-            assert_eq!(reply[12], 0, "status OK");
+            let (_, result) = recv
+                .recv()
+                .expect("read a reply")
+                .expect("a reply inside the time-out");
+            assert!(result.is_ok(), "an OK reply");
         }
     };
     // twice to warm: arenas, buffers and maps reach their high-water marks
@@ -157,7 +142,6 @@ fn a_warm_wire_request_allocates_a_handful() {
     );
 
     edge.shutdown();
-    drop(stream);
     let metrics = Arc::try_unwrap(router)
         .expect("the edge is down")
         .shutdown();
