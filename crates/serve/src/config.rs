@@ -70,11 +70,6 @@ impl ReplicaSpec {
         }
     }
 
-    /// The unreplicated spec: one shard (placement is then irrelevant).
-    pub(crate) fn single() -> Self {
-        ReplicaSpec::default()
-    }
-
     /// Validates the spec.
     ///
     /// # Errors
@@ -401,8 +396,11 @@ impl Priority {
     /// proportionally smaller ceilings (always ≥ 1 so a lone low-priority
     /// request on an idle server is never refused).
     pub(crate) fn admission_limit(self, capacity: usize) -> usize {
+        // ⌈capacity · keep / 3⌉ without forming the product, which
+        // overflows for a capacity above `usize::MAX / 3`
         let keep = Priority::COUNT - self.class();
-        (capacity * keep).div_ceil(Priority::COUNT).max(1)
+        let (q, r) = (capacity / Priority::COUNT, capacity % Priority::COUNT);
+        (q * keep + (r * keep).div_ceil(Priority::COUNT)).max(1)
     }
 }
 
@@ -659,7 +657,7 @@ impl Default for ServerConfig {
             workers,
             telemetry: TelemetryConfig::default(),
             tenant_quota: None,
-            fault: FaultPlan::none(),
+            fault: FaultPlan::default(),
         }
     }
 }
@@ -742,7 +740,7 @@ mod tests {
 
     #[test]
     fn replica_spec_validates() {
-        assert_eq!(ReplicaSpec::default(), ReplicaSpec::single());
+        assert_eq!(ReplicaSpec::default().replicas, 1);
         let spec = ReplicaSpec::new(3, PlacementPolicy::PowerOfTwoChoices);
         assert!(spec.validate().is_ok());
         assert!(ReplicaSpec::new(0, PlacementPolicy::RoundRobin)
@@ -772,9 +770,9 @@ mod tests {
         // the default class keeps the pre-priority behavior: full capacity
         assert_eq!(Priority::default(), Priority::High);
         assert_eq!(SubmitOptions::default().priority, Priority::High);
-        for capacity in [1, 2, 3, 4, 7, 64, 1000] {
+        for capacity in [1, 2, 3, 4, 7, 64, 1000, usize::MAX / 2, usize::MAX] {
             assert_eq!(Priority::High.admission_limit(capacity), capacity);
-            let mut prev = capacity + 1;
+            let mut prev = capacity;
             for p in Priority::ALL {
                 let limit = p.admission_limit(capacity);
                 assert!(limit >= 1, "class {p} starved at capacity {capacity}");
@@ -907,9 +905,10 @@ mod tests {
         assert!(config.fault.on_admission().is_none());
         assert!(config.validate().is_ok());
         let chaotic = ServerConfig {
-            fault: crate::fault::FaultPlan::builder()
-                .at(0, crate::fault::FaultKind::ErrorBurst(1))
-                .build(),
+            fault: crate::fault::FaultPlan::scripted(vec![(
+                0,
+                crate::fault::FaultKind::ErrorBurst(1),
+            )]),
             ..ServerConfig::default()
         };
         assert!(chaotic.fault.on_admission().is_some());

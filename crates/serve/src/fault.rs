@@ -4,7 +4,7 @@
 //! time, addressed by *sequence numbers* instead of wall-clock time so a
 //! chaos test replays identically on any machine: admission faults fire on
 //! the N-th admission attempt, worker faults on the N-th dispatched batch.
-//! Plans are built explicitly ([`FaultPlan::builder`]) or drawn from a
+//! Plans are scripted explicitly ([`FaultPlan::scripted`]) or drawn from a
 //! seed ([`FaultPlan::seeded`] — xoshiro256\*\*, the same determinism
 //! discipline `cdl-load` uses for arrival schedules).
 //!
@@ -33,8 +33,8 @@ use rand::{Rng, SeedableRng};
 
 use crate::error::ServeError;
 
-/// One scripted fault, anchored at a sequence number when installed with
-/// [`FaultPlanBuilder::at`] (admission sequence for [`FaultKind::ErrorBurst`],
+/// One scripted fault, anchored at a sequence number by
+/// [`FaultPlan::scripted`] (admission sequence for [`FaultKind::ErrorBurst`],
 /// batch sequence for the worker-side kinds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
@@ -60,44 +60,28 @@ pub enum FaultKind {
     PanicOnce,
 }
 
-/// Mutable trigger state behind an armed plan: the two sequence counters
-/// plus the scripted windows, shared by every worker of the server the
-/// plan is installed on.
+/// The script behind an armed plan: the two sequence counters plus the
+/// scripted faults, shared by every worker of the server the plan is
+/// installed on.
 #[derive(Debug)]
-struct FaultState {
+struct Script {
     /// Admission-hook invocations so far.
     admissions: u64,
     /// Worker-hook invocations (dispatched batches) so far.
     batches: u64,
-    /// `[start, end)` admission-sequence windows that refuse with `Fault`.
-    error_windows: Vec<(u64, u64)>,
-    /// One-shot `(batch seq, sleep)` stalls; consumed when fired.
-    stalls: Vec<(u64, Duration)>,
-    /// `(start, end, per-batch sleep)` batch-sequence slowdown windows.
-    slow_windows: Vec<(u64, u64, Duration)>,
-    /// One-shot batch sequences that panic the worker; consumed when fired.
-    panics: Vec<u64>,
+    /// `(anchor sequence, fault)`; a one-shot fault fires once because its
+    /// sequence number passes once.
+    faults: Vec<(u64, FaultKind)>,
 }
 
-#[derive(Debug)]
-struct FaultInner {
-    state: Mutex<FaultState>,
-}
-
-/// What the worker hook asks of the worker before a batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What the worker hook asks of the worker before a batch; the default asks
+/// nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Disruption {
     /// Sleep this long before evaluating (stall + slowdown, combined).
     pub(crate) sleep: Option<Duration>,
     /// Panic the worker thread (after any sleep).
     pub(crate) panic: bool,
-}
-
-impl Disruption {
-    pub(crate) const NONE: Disruption = Disruption {
-        sleep: None,
-        panic: false,
-    };
 }
 
 /// A scripted, deterministic set of faults for one serving pipeline. See
@@ -109,19 +93,24 @@ impl Disruption {
 /// per-thread one. The [`Default`] plan is unarmed and free.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    inner: Option<Arc<FaultInner>>,
+    inner: Option<Arc<Mutex<Script>>>,
 }
 
 impl FaultPlan {
-    /// The unarmed plan: injects nothing, costs one branch per hook.
-    pub(crate) fn none() -> FaultPlan {
-        FaultPlan::default()
-    }
-
-    /// Start building an explicit plan (faults at chosen sequence
-    /// numbers).
-    pub fn builder() -> FaultPlanBuilder {
-        FaultPlanBuilder::default()
+    /// An explicit plan: each `(at, kind)` scripts `kind` at sequence number
+    /// `at` (admission sequence for [`FaultKind::ErrorBurst`], batch
+    /// sequence otherwise; both count from 0). With no faults this is the
+    /// unarmed plan.
+    pub fn scripted(faults: Vec<(u64, FaultKind)>) -> FaultPlan {
+        FaultPlan {
+            inner: (!faults.is_empty()).then(|| {
+                Arc::new(Mutex::new(Script {
+                    admissions: 0,
+                    batches: 0,
+                    faults,
+                }))
+            }),
+        }
     }
 
     /// A seeded plan: each fault in `kinds` is anchored at a trigger
@@ -130,16 +119,10 @@ impl FaultPlan {
     /// produces the same plan — the chaos-suite reproducibility contract.
     pub fn seeded(seed: u64, horizon: u64, kinds: &[FaultKind]) -> FaultPlan {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut builder = FaultPlan::builder();
-        for &kind in kinds {
-            let at = if horizon == 0 {
-                0
-            } else {
-                rng.next_u64() % horizon
-            };
-            builder = builder.at(at, kind);
-        }
-        builder.build()
+        let anchors = kinds
+            .iter()
+            .map(|&kind| (rng.next_u64() % horizon.max(1), kind));
+        FaultPlan::scripted(anchors.collect())
     }
 
     /// Admission hook: called once per submission after validation,
@@ -147,101 +130,38 @@ impl FaultPlan {
     /// falls in an [`FaultKind::ErrorBurst`] window.
     pub(crate) fn on_admission(&self) -> Option<ServeError> {
         let inner = self.inner.as_ref()?; // unarmed: one branch, done
-        let mut state = inner.state.lock().unwrap();
-        let seq = state.admissions;
-        state.admissions += 1;
-        if state
-            .error_windows
-            .iter()
-            .any(|&(start, end)| seq >= start && seq < end)
-        {
-            return Some(ServeError::Fault(format!(
-                "scripted error burst refused admission #{seq}"
-            )));
-        }
-        None
+        let mut script = inner.lock().unwrap();
+        let seq = script.admissions;
+        script.admissions += 1;
+        let refused = script.faults.iter().any(
+            |&(at, kind)| matches!(kind, FaultKind::ErrorBurst(n) if seq >= at && seq - at < n),
+        );
+        refused.then(|| ServeError::Fault(format!("scripted error burst refused admission #{seq}")))
     }
 
     /// Worker hook: called once per dispatched batch, before evaluation.
     pub(crate) fn before_batch(&self) -> Disruption {
         let Some(inner) = self.inner.as_ref() else {
-            return Disruption::NONE; // unarmed: one branch, done
+            return Disruption::default(); // unarmed: one branch, done
         };
-        let mut state = inner.state.lock().unwrap();
-        let seq = state.batches;
-        state.batches += 1;
+        let mut script = inner.lock().unwrap();
+        let seq = script.batches;
+        script.batches += 1;
         let mut sleep = Duration::ZERO;
-        state.stalls.retain(|&(at, d)| {
-            if at == seq {
-                sleep += d;
-                false
-            } else {
-                true
-            }
-        });
-        for &(start, end, d) in &state.slow_windows {
-            if seq >= start && seq < end {
-                sleep += d;
+        let mut panic = false;
+        for &(at, kind) in &script.faults {
+            match kind {
+                FaultKind::Stall(d) if seq == at => sleep += d,
+                FaultKind::SlowFactor { per_batch, batches } if seq >= at && seq - at < batches => {
+                    sleep += per_batch
+                }
+                FaultKind::PanicOnce if seq == at => panic = true,
+                _ => {}
             }
         }
-        let panic = if let Some(i) = state.panics.iter().position(|&at| at == seq) {
-            state.panics.remove(i);
-            true
-        } else {
-            false
-        };
         Disruption {
             sleep: (sleep > Duration::ZERO).then_some(sleep),
             panic,
-        }
-    }
-}
-
-/// Builder for an explicit [`FaultPlan`].
-#[derive(Debug, Default)]
-pub struct FaultPlanBuilder {
-    faults: Vec<(u64, FaultKind)>,
-}
-
-impl FaultPlanBuilder {
-    /// Script `kind` at sequence number `at` (admission sequence for
-    /// [`FaultKind::ErrorBurst`], batch sequence otherwise; both count
-    /// from 0).
-    pub fn at(mut self, at: u64, kind: FaultKind) -> Self {
-        self.faults.push((at, kind));
-        self
-    }
-
-    /// Finish the plan. With no faults scripted this returns the unarmed
-    /// plan.
-    pub fn build(self) -> FaultPlan {
-        if self.faults.is_empty() {
-            return FaultPlan::none();
-        }
-        let mut state = FaultState {
-            admissions: 0,
-            batches: 0,
-            error_windows: Vec::new(),
-            stalls: Vec::new(),
-            slow_windows: Vec::new(),
-            panics: Vec::new(),
-        };
-        for (at, kind) in self.faults {
-            match kind {
-                FaultKind::Stall(d) => state.stalls.push((at, d)),
-                FaultKind::ErrorBurst(n) => state.error_windows.push((at, at.saturating_add(n))),
-                FaultKind::SlowFactor { per_batch, batches } => {
-                    state
-                        .slow_windows
-                        .push((at, at.saturating_add(batches), per_batch))
-                }
-                FaultKind::PanicOnce => state.panics.push(at),
-            }
-        }
-        FaultPlan {
-            inner: Some(Arc::new(FaultInner {
-                state: Mutex::new(state),
-            })),
         }
     }
 }
@@ -252,19 +172,18 @@ mod tests {
 
     #[test]
     fn unarmed_plan_injects_nothing() {
-        let plan = FaultPlan::none();
+        let plan = FaultPlan::default();
         assert!(plan.inner.is_none());
         for _ in 0..100 {
             assert!(plan.on_admission().is_none());
-            assert_eq!(plan.before_batch(), Disruption::NONE);
+            assert_eq!(plan.before_batch(), Disruption::default());
         }
-        assert!(FaultPlan::builder().build().inner.is_none());
-        assert!(FaultPlan::default().inner.is_none());
+        assert!(FaultPlan::scripted(Vec::new()).inner.is_none());
     }
 
     #[test]
     fn error_burst_refuses_exactly_its_window() {
-        let plan = FaultPlan::builder().at(2, FaultKind::ErrorBurst(3)).build();
+        let plan = FaultPlan::scripted(vec![(2, FaultKind::ErrorBurst(3))]);
         assert!(plan.inner.is_some());
         let refused: Vec<bool> = (0..8).map(|_| plan.on_admission().is_some()).collect();
         assert_eq!(
@@ -275,33 +194,33 @@ mod tests {
 
     #[test]
     fn worker_faults_fire_on_their_batch_sequence() {
-        let plan = FaultPlan::builder()
-            .at(1, FaultKind::Stall(Duration::from_millis(50)))
-            .at(
+        let plan = FaultPlan::scripted(vec![
+            (1, FaultKind::Stall(Duration::from_millis(50))),
+            (
                 3,
                 FaultKind::SlowFactor {
                     per_batch: Duration::from_millis(5),
                     batches: 2,
                 },
-            )
-            .at(6, FaultKind::PanicOnce)
-            .build();
+            ),
+            (6, FaultKind::PanicOnce),
+        ]);
         let hits: Vec<Disruption> = (0..8).map(|_| plan.before_batch()).collect();
-        assert_eq!(hits[0], Disruption::NONE);
+        assert_eq!(hits[0], Disruption::default());
         assert_eq!(hits[1].sleep, Some(Duration::from_millis(50)));
         assert!(!hits[1].panic);
-        assert_eq!(hits[2], Disruption::NONE);
+        assert_eq!(hits[2], Disruption::default());
         assert_eq!(hits[3].sleep, Some(Duration::from_millis(5)));
         assert_eq!(hits[4].sleep, Some(Duration::from_millis(5)));
-        assert_eq!(hits[5], Disruption::NONE);
+        assert_eq!(hits[5], Disruption::default());
         assert!(hits[6].panic);
         assert!(hits[6].sleep.is_none());
-        assert_eq!(hits[7], Disruption::NONE);
+        assert_eq!(hits[7], Disruption::default());
     }
 
     #[test]
     fn clones_share_one_trigger_sequence() {
-        let plan = FaultPlan::builder().at(0, FaultKind::ErrorBurst(2)).build();
+        let plan = FaultPlan::scripted(vec![(0, FaultKind::ErrorBurst(2))]);
         let clone = plan.clone();
         assert!(plan.on_admission().is_some()); // admission #0
         assert!(clone.on_admission().is_some()); // admission #1 — shared counter

@@ -48,7 +48,7 @@
 //!   resolves, threads join, and the final [`ServerMetrics`] snapshot is
 //!   returned (queue depth, batch-size and latency histograms,
 //!   cumulative ops + energy).
-//! * **Per-request overrides** (`Server::submit_with` +
+//! * **Per-request overrides** ([`Router::submit_with`] +
 //!   [`SubmitOptions`]): each request may replace the model's confidence
 //!   threshold δ and/or cap its cascade depth — the Fig. 10
 //!   accuracy/energy trade-off, selectable per request. A batch is one
@@ -88,8 +88,9 @@
 //!   around it (a batch whose evaluator pass fails settles every member
 //!   with [`ServeError::Eval`]).
 //! * **Network edge** ([`net`]): a length-prefixed binary TCP protocol
-//!   ([`TcpServer`] / [`TcpClient`]; the format is written once, in
-//!   [`net::codec`]) in front of the router — pipelined
+//!   ([`TcpServer`]; a client pipelines on the halves of [`net::split`], or
+//!   calls one request at a time through [`TcpClient`]; the format is
+//!   written once, in [`net::codec`]) in front of the router — pipelined
 //!   request ids per connection, typed error replies, and bit-exact f32
 //!   transport (IEEE-754 bit patterns on the wire). The server side is a
 //!   fixed-size event loop ([`EdgeConfig`]): an accept thread with
@@ -118,7 +119,7 @@
 //!   (`cdl_exits_total{stage}`, `cdl_ops_total{kind}`,
 //!   `cdl_energy_picojoules_total`). That text is the only report: the
 //!   `Display` of [`ServerMetrics`] and [`RouterMetrics`] prints it too.
-//!   [`TcpClient::submit_with_trace`] carries the [`TraceId`] across the
+//!   [`net::SendHalf::queue`] carries a client's [`TraceId`] across the
 //!   wire so one trace covers the hop.
 //!
 //! ## Example
@@ -262,7 +263,7 @@ pub use config::{
     RetryPolicy, ServerConfig, SubmitOptions,
 };
 pub use error::{ServeError, ServeResult};
-pub use fault::{FaultKind, FaultPlan, FaultPlanBuilder};
+pub use fault::{FaultKind, FaultPlan};
 pub use metrics::{ReplicaMetrics, RouterMetrics, ServerMetrics, ShardMetrics};
 pub use net::{ErrorCode, ErrorReply, TcpClient, TcpServer};
 pub use pending::Pending;

@@ -2,9 +2,10 @@
 //!
 //! This is the process boundary of the serving stack: a [`TcpServer`]
 //! accepts plain `std::net` connections and multiplexes **pipelined**
-//! requests per connection onto the router, and a [`TcpClient`] — or its
-//! two halves, [`SendHalf`] and [`RecvHalf`] — speaks the same protocol from
-//! the other end. Both ends frame, encode and decode through [`codec`], which
+//! requests per connection onto the router. From the other end, a client
+//! that pipelines or traces its requests drives the two halves of
+//! [`split`], [`SendHalf`] and [`RecvHalf`]; [`TcpClient`] runs one call at
+//! a time on them. Both ends frame, encode and decode through [`codec`], which
 //! documents the wire protocol. Everything below the edge
 //! is unchanged — requests admitted over TCP go through the exact same
 //! `Router::admit` (placement, retry/hedge race, gate) → queue →
@@ -876,6 +877,10 @@ pub struct SendHalf {
 impl SendHalf {
     /// Queues a request under a caller-chosen id; `tensor` is the input as
     /// [`codec::tensor_payload`] encodes it, once however often it is sent.
+    /// A `trace` carries a telemetry [`TraceId`] (allocate one with
+    /// [`TraceId::next`]), so the server-side lifecycle, admission through
+    /// reply, is recorded under an id the client chose. It costs 8 bytes on
+    /// the wire; an untraced request costs nothing.
     ///
     /// # Errors
     ///
@@ -885,9 +890,10 @@ impl SendHalf {
         id: u64,
         model: &str,
         options: &SubmitOptions,
+        trace: Option<TraceId>,
         tensor: &[u8],
     ) -> io::Result<()> {
-        encode_request(&mut self.frames, id, model, options, None, tensor)
+        encode_request(&mut self.frames, id, model, options, trace, tensor)
     }
 
     /// Writes every queued frame.
@@ -958,18 +964,14 @@ impl RecvHalf {
     }
 }
 
-/// Blocking client for the [wire protocol](codec), over a [`SendHalf`] that
-/// sends each request as it is submitted and a [`RecvHalf`].
-///
-/// [`TcpClient::submit`] and [`TcpClient::recv`] are decoupled so a
-/// client can pipeline: write a burst of requests, then match the
-/// responses (which may arrive out of submission order) by id.
-/// [`TcpClient::call`] is the one-in-one-out convenience wrapper.
+/// Blocking one-in-one-out client for the [wire protocol](codec), over a
+/// [`SendHalf`] and a [`RecvHalf`]. A client that pipelines, or traces its
+/// requests, drives the halves of [`split`] itself.
 #[derive(Debug)]
 pub struct TcpClient {
     send: SendHalf,
     recv: RecvHalf,
-    /// The tensor part of the request being sent, reused across submits.
+    /// The tensor part of the request being sent, reused across calls.
     tensor: Vec<u8>,
     next_id: u64,
 }
@@ -991,88 +993,28 @@ impl TcpClient {
     }
 
     /// Sends one request (model by registered name, per-request
-    /// [`SubmitOptions`]) and returns the request id to match the
-    /// response with. Does **not** wait for the response — pipeline as
-    /// many submits as you like before receiving.
+    /// [`SubmitOptions`]) and blocks for its response: either the
+    /// bit-exact [`CdlOutput`] or the server's typed [`ErrorReply`].
     ///
     /// # Errors
     ///
-    /// Fails on unencodable inputs (oversized name, rank, or payload) or
-    /// a broken connection.
-    pub fn submit(
-        &mut self,
-        model: &str,
-        input: &Tensor,
-        options: SubmitOptions,
-    ) -> io::Result<u64> {
-        self.submit_inner(model, input, options, None)
-    }
-
-    /// [`TcpClient::submit`] carrying a telemetry [`TraceId`], so the
-    /// server-side lifecycle (admission through reply) is recorded under
-    /// an id the client chose — allocate one with [`TraceId::next`] and
-    /// correlate client-observed latency with the server's span drain.
-    /// Costs 8 bytes on the wire; untraced submits cost nothing.
-    ///
-    /// # Errors
-    ///
-    /// As [`TcpClient::submit`].
-    pub fn submit_with_trace(
-        &mut self,
-        model: &str,
-        input: &Tensor,
-        options: SubmitOptions,
-        trace: TraceId,
-    ) -> io::Result<u64> {
-        self.submit_inner(model, input, options, Some(trace))
-    }
-
-    fn submit_inner(
-        &mut self,
-        model: &str,
-        input: &Tensor,
-        options: SubmitOptions,
-        trace: Option<TraceId>,
-    ) -> io::Result<u64> {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.tensor.clear();
-        put_tensor(&mut self.tensor, input)?;
-        let frames = &mut self.send.frames;
-        encode_request(frames, id, model, &options, trace, &self.tensor)?;
-        self.send.flush()?;
-        Ok(id)
-    }
-
-    /// Blocks for the next response frame: the request id it answers,
-    /// and either the bit-exact [`CdlOutput`] or the server's typed
-    /// [`ErrorReply`].
-    ///
-    /// # Errors
-    ///
-    /// Fails when the connection closes or the stream desyncs.
-    pub fn recv(&mut self) -> io::Result<(u64, Result<CdlOutput, ErrorReply>)> {
-        // no read time-out is set: the receive half never gives up
-        self.recv
-            .recv()?
-            .ok_or_else(|| io::ErrorKind::TimedOut.into())
-    }
-
-    /// Submit-then-receive for the non-pipelined case.
-    ///
-    /// # Errors
-    ///
-    /// As [`TcpClient::submit`] and [`TcpClient::recv`], plus a protocol
-    /// error if the server answers a different request id (impossible
-    /// unless submits and receives were interleaved).
+    /// Fails on unencodable inputs (oversized name, rank, or payload), a
+    /// broken connection, a desynced stream, or a reply to a different
+    /// request id.
     pub fn call(
         &mut self,
         model: &str,
         input: &Tensor,
         options: SubmitOptions,
     ) -> io::Result<Result<CdlOutput, ErrorReply>> {
-        let id = self.submit(model, input, options)?;
-        let (answered, result) = self.recv()?;
+        let id = self.next_id;
+        self.next_id += 1;
+        self.tensor.clear();
+        put_tensor(&mut self.tensor, input)?;
+        self.send.queue(id, model, &options, None, &self.tensor)?;
+        self.send.flush()?;
+        // no read time-out is set: the receive half never gives up
+        let (answered, result) = self.recv.recv()?.ok_or(io::ErrorKind::TimedOut)?;
         if answered != id {
             return Err(codec::malformed(format!(
                 "response for request {answered} while awaiting {id}"
@@ -1196,7 +1138,7 @@ mod tests {
         let (mut send, mut recv) = split(peer).unwrap();
         for id in 0..FRAMES {
             let input = if is_real(id) { &image } else { &refused };
-            send.queue(id, "m", &SubmitOptions::default(), input)
+            send.queue(id, "m", &SubmitOptions::default(), None, input)
                 .unwrap();
         }
         // the writer hands its half back when joined, at the end, so no
@@ -1274,7 +1216,7 @@ mod tests {
         let config = crate::config::ServerConfig {
             queue_capacity: 1,
             workers: 1,
-            fault: FaultPlan::builder().at(0, stall).build(),
+            fault: FaultPlan::scripted(vec![(0, stall)]),
             ..crate::config::ServerConfig::default()
         };
         let shard = crate::router::ShardSpec::new("m", net, config);
@@ -1296,6 +1238,7 @@ mod tests {
             7,
             "m",
             &SubmitOptions::default(),
+            None,
             &codec::tensor_payload(&image),
         )
         .unwrap();
@@ -1367,7 +1310,7 @@ mod tests {
         (send, recv, listener.accept().unwrap().0)
     }
 
-    /// Regression: `TcpClient::recv` took any reply length up to
+    /// Regression: the client's receive took any reply length up to
     /// `MAX_FRAME` (16 MiB), allocated it and blocked reading it, so a
     /// desynced server that kept the connection open wedged the client.
     #[test]
@@ -1416,12 +1359,12 @@ mod tests {
         let (mut send, recv, mut peer) = halves_and_peer();
         let tensor = codec::tensor_payload(&Tensor::full(&[1], 0.5));
         let default = SubmitOptions::default();
-        send.queue(1, "m", &default, &tensor).unwrap();
+        send.queue(1, "m", &default, None, &tensor).unwrap();
         let err = send
-            .queue(2, &"m".repeat(1 << 16), &default, &tensor)
+            .queue(2, &"m".repeat(1 << 16), &default, None, &tensor)
             .expect_err("a model name over u16::MAX bytes");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        send.queue(3, "m", &default, &tensor).unwrap();
+        send.queue(3, "m", &default, None, &tensor).unwrap();
         send.flush().unwrap();
         drop((send, recv));
         let mut sent = Vec::new();

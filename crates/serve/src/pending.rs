@@ -1,12 +1,11 @@
 //! One-shot response handles: the future-like half a caller holds while the
 //! server works on its request.
 //!
-//! A settle wakes only what waits: the slot's condvar if a blocking wait
-//! recorded itself on it, the registered waker if the TCP edge left one.
-//! std's futex condvar makes a `FUTEX_WAKE` syscall on every notify, waiter
-//! or not, and on the wire path nobody blocks on the condvar.
+//! A settle wakes one way: through the slot's waker, if one is registered.
+//! The TCP edge registers a push onto its poller's completion list; a
+//! blocking [`Pending::wait`] registers its own thread's `unpark`.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 use cdl_core::network::CdlOutput;
 
@@ -27,49 +26,34 @@ enum SlotState {
 }
 
 /// One-shot settle notification: registered by a readiness-driven waiter
-/// (the TCP edge's pollers), invoked by whichever thread settles the slot.
+/// (the TCP edge's pollers) or a blocking wait, invoked by whichever thread
+/// settles the slot.
 type WakeFn = Box<dyn FnOnce() + Send>;
 
-/// State guarded by the slot's mutex: the lifecycle plus the optional
-/// waker, kept under one lock so a waker registration can never race a
-/// settle into a missed wake.
-struct SlotInner {
+/// The slot one [`Pending`] and one [`Fulfiller`] share, behind one mutex:
+/// the lifecycle plus the optional waker, kept under one lock so a waker
+/// registration can never race a settle into a missed wake.
+struct Slot {
     state: SlotState,
     waker: Option<WakeFn>,
-    /// A [`Pending::wait`] has parked on the slot's condvar. Set under this
-    /// lock before each wait, so a settle that reads it `false` knows nobody
-    /// can be parked and skips the notify.
-    waited: bool,
 }
 
-impl std::fmt::Debug for SlotInner {
+impl std::fmt::Debug for Slot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SlotInner")
+        f.debug_struct("Slot")
             .field("state", &self.state)
             .field("waker", &self.waker.is_some())
-            .field("waited", &self.waited)
             .finish()
     }
-}
-
-/// The shared slot between one [`Pending`] and one [`Fulfiller`].
-#[derive(Debug)]
-struct Slot {
-    inner: Mutex<SlotInner>,
-    ready: Condvar,
 }
 
 /// Creates a connected response pair: the caller keeps the [`Pending`], the
 /// server pipeline carries the [`Fulfiller`] alongside the input tensor.
 pub(crate) fn pending_pair() -> (Pending, Fulfiller) {
-    let slot = Arc::new(Slot {
-        inner: Mutex::new(SlotInner {
-            state: SlotState::Waiting,
-            waker: None,
-            waited: false,
-        }),
-        ready: Condvar::new(),
-    });
+    let slot = Arc::new(Mutex::new(Slot {
+        state: SlotState::Waiting,
+        waker: None,
+    }));
     (
         Pending {
             slot: Arc::clone(&slot),
@@ -89,7 +73,7 @@ pub(crate) fn pending_pair() -> (Pending, Fulfiller) {
 /// it (it is counted in [`crate::ServerMetrics::cancelled`]).
 #[derive(Debug)]
 pub struct Pending {
-    slot: Arc<Slot>,
+    slot: Arc<Mutex<Slot>>,
 }
 
 impl Pending {
@@ -99,15 +83,16 @@ impl Pending {
     /// the slot is already settled it fires immediately on this thread.
     /// A later registration replaces an unfired earlier one.
     ///
-    /// This is the readiness hook the event-loop edge uses: the callback
-    /// enqueues a completion and wakes the owning poller.
+    /// This is the readiness hook the event-loop edge uses (the callback
+    /// enqueues a completion and wakes the owning poller), and the one a
+    /// blocking [`Pending::wait`] parks behind.
     pub(crate) fn set_waker(&self, wake: impl FnOnce() + Send + 'static) {
-        let mut inner = self.slot.inner.lock().unwrap();
-        match inner.state {
-            SlotState::Waiting => inner.waker = Some(Box::new(wake)),
+        let mut slot = self.slot.lock().unwrap();
+        match slot.state {
+            SlotState::Waiting => slot.waker = Some(Box::new(wake)),
             SlotState::Done(_) => {
-                inner.waker = None;
-                drop(inner);
+                slot.waker = None;
+                drop(slot);
                 wake();
             }
             // cancelled or claimed: no result will arrive / it was already
@@ -120,18 +105,19 @@ impl Pending {
     /// `None` if it is still pending. After a `Some`, the handle is spent
     /// (drop it; [`Pending::wait`] may no longer be called).
     pub(crate) fn try_claim(&self) -> Option<ServeResult<CdlOutput>> {
-        let mut inner = self.slot.inner.lock().unwrap();
-        if matches!(inner.state, SlotState::Done(_)) {
-            match std::mem::replace(&mut inner.state, SlotState::Claimed) {
-                SlotState::Done(result) => Some(result),
-                _ => unreachable!("state checked Done under the same lock"),
+        let mut slot = self.slot.lock().unwrap();
+        match std::mem::replace(&mut slot.state, SlotState::Claimed) {
+            SlotState::Done(result) => Some(result),
+            other => {
+                slot.state = other;
+                None
             }
-        } else {
-            None
         }
     }
 
-    /// Blocks until the server produced this request's result.
+    /// Blocks until the server produced this request's result: registers
+    /// this thread's `unpark` as the slot's waker, then parks until the
+    /// claim succeeds.
     ///
     /// # Errors
     ///
@@ -139,28 +125,27 @@ impl Pending {
     /// containing this request, [`ServeError::Disconnected`] when the
     /// pipeline dropped it without evaluating.
     pub fn wait(self) -> ServeResult<CdlOutput> {
-        let mut inner = self.slot.inner.lock().unwrap();
-        while matches!(inner.state, SlotState::Waiting) {
-            inner.waited = true;
-            inner = self.slot.ready.wait(inner).unwrap();
-        }
-        match std::mem::replace(&mut inner.state, SlotState::Claimed) {
-            SlotState::Done(result) => result,
-            other => unreachable!("pending woke in non-terminal state {other:?}"),
+        let thread = std::thread::current();
+        self.set_waker(move || thread.unpark());
+        loop {
+            if let Some(result) = self.try_claim() {
+                return result;
+            }
+            std::thread::park();
         }
     }
 }
 
 impl Drop for Pending {
     fn drop(&mut self) {
-        let mut inner = self.slot.inner.lock().unwrap();
-        if matches!(inner.state, SlotState::Waiting) {
-            inner.state = SlotState::Cancelled;
+        let mut slot = self.slot.lock().unwrap();
+        if matches!(slot.state, SlotState::Waiting) {
+            slot.state = SlotState::Cancelled;
         }
         // a registered waker can never fire after the handle is gone;
         // take it under the lock and drop its captures outside
-        let waker = inner.waker.take();
-        drop(inner);
+        let waker = slot.waker.take();
+        drop(slot);
         drop(waker);
     }
 }
@@ -170,19 +155,18 @@ impl Drop for Pending {
 /// no [`Pending`] waits forever.
 #[derive(Debug)]
 pub(crate) struct Fulfiller {
-    slot: Arc<Slot>,
+    slot: Arc<Mutex<Slot>>,
     settled: bool,
 }
 
 impl Fulfiller {
     /// `true` when the caller dropped its handle: skip evaluation.
     pub(crate) fn is_cancelled(&self) -> bool {
-        matches!(self.slot.inner.lock().unwrap().state, SlotState::Cancelled)
+        matches!(self.slot.lock().unwrap().state, SlotState::Cancelled)
     }
 
     /// Delivers the result (ignored if the caller cancelled meanwhile) and
-    /// wakes the waiter: the condvar only if a wait parked on it, the
-    /// registered waker if there is one.
+    /// fires the registered waker, if there is one.
     pub(crate) fn settle(mut self, result: ServeResult<CdlOutput>) {
         self.settle_inner(result);
     }
@@ -192,17 +176,14 @@ impl Fulfiller {
             return;
         }
         self.settled = true;
-        let mut inner = self.slot.inner.lock().unwrap();
-        let waker = if matches!(inner.state, SlotState::Waiting) {
-            inner.state = SlotState::Done(result);
-            if inner.waited {
-                self.slot.ready.notify_all();
-            }
-            inner.waker.take()
+        let mut slot = self.slot.lock().unwrap();
+        let waker = if matches!(slot.state, SlotState::Waiting) {
+            slot.state = SlotState::Done(result);
+            slot.waker.take()
         } else {
             None
         };
-        drop(inner);
+        drop(slot);
         // fire outside the lock: the waker may grab poller-side locks of
         // its own, and must never deadlock against a concurrent wait()
         if let Some(wake) = waker {
@@ -260,10 +241,10 @@ mod tests {
         let waiter = std::thread::spawn(move || {
             tx.send(pending.wait().map(|out| out.label)).unwrap();
         });
-        // the waiter records itself under the slot's lock and parks in the
-        // condvar wait that releases it: once the flag reads true, it is parked
+        // the waiter registers its waker before its first claim: once the
+        // waker is in, a settle must reach it whether or not it has parked yet
         let deadline = Instant::now() + Duration::from_secs(10);
-        while !slot.inner.lock().unwrap().waited {
+        while slot.lock().unwrap().waker.is_none() {
             assert!(
                 Instant::now() < deadline,
                 "the waiter never recorded itself"
@@ -271,7 +252,7 @@ mod tests {
             std::thread::yield_now();
         }
         fulfiller.settle(Ok(output(4)));
-        // a settle that skipped the notify would leave the waiter parked
+        // a settle that skipped the waker would leave the waiter parked
         let label = rx
             .recv_timeout(Duration::from_secs(10))
             .expect("woken by the settle");

@@ -114,8 +114,8 @@ pub struct ShardSpec {
     /// count, energy model) **each replica** gets — replica sets are
     /// configured independently of each other.
     pub config: ServerConfig,
-    /// Replica count + placement policy (`ReplicaSpec::single` by
-    /// default — the unreplicated PR-3 behaviour).
+    /// Replica count + placement policy (one replica by default — the
+    /// unreplicated behaviour).
     pub replicas: ReplicaSpec,
     /// Health-based eviction/readmission thresholds; `None` (the default)
     /// disables health tracking and every replica stays
@@ -137,7 +137,7 @@ impl ShardSpec {
             name: name.into(),
             net,
             config,
-            replicas: ReplicaSpec::single(),
+            replicas: ReplicaSpec::default(),
             health: None,
             retry: None,
             replica_faults: Vec::new(),
@@ -430,7 +430,7 @@ impl Router {
     /// Returns [`ServeError::BadConfig`] when no shard is given, a model
     /// name repeats, a replica count is zero, any [`ServerConfig`],
     /// [`HealthPolicy`], or [`RetryPolicy`] is invalid, or a
-    /// [`ShardSpec::fault_on`] index is out of range.
+    /// [`ShardSpec::fault_on`] index is out of range or repeats.
     pub fn start(specs: Vec<ShardSpec>) -> ServeResult<Router> {
         if specs.is_empty() {
             return Err(ServeError::BadConfig(
@@ -451,11 +451,17 @@ impl Router {
             if let Some(policy) = &spec.retry {
                 policy.validate()?;
             }
-            for (index, _) in &spec.replica_faults {
+            for (k, (index, _)) in spec.replica_faults.iter().enumerate() {
                 if *index >= spec.replicas.replicas {
                     return Err(ServeError::BadConfig(format!(
                         "fault_on replica {index} out of range for {} replicas",
                         spec.replicas.replicas
+                    )));
+                }
+                if spec.replica_faults[..k].iter().any(|(i, _)| i == index) {
+                    return Err(ServeError::BadConfig(format!(
+                        "fault_on replica {index} of {:?} given twice",
+                        spec.name
                     )));
                 }
             }
@@ -1312,6 +1318,7 @@ pub(crate) mod tests {
 
     #[test]
     fn start_validates_shard_set() {
+        use crate::fault::{FaultKind, FaultPlan};
         assert!(matches!(
             Router::start(vec![]),
             Err(ServeError::BadConfig(_))
@@ -1347,17 +1354,23 @@ pub(crate) mod tests {
             Router::start(specs),
             Err(ServeError::BadConfig(_))
         ));
-        let specs = two_model_specs(BatchPolicy::default(), 8);
-        let specs = vec![specs.into_iter().next().unwrap().fault_on(
-            3,
-            crate::fault::FaultPlan::builder()
-                .at(0, crate::fault::FaultKind::ErrorBurst(1))
-                .build(),
-        )];
+        let spec = two_model_specs(BatchPolicy::default(), 8).remove(0);
+        let specs =
+            vec![spec.fault_on(3, FaultPlan::scripted(vec![(0, FaultKind::ErrorBurst(1))]))];
         assert!(matches!(
             Router::start(specs),
             Err(ServeError::BadConfig(_))
         ));
+        // a second plan for one replica is refused, not silently dropped
+        let spec = two_model_specs(BatchPolicy::default(), 8).remove(0);
+        let spec = spec
+            .fault_on(0, FaultPlan::scripted(vec![(0, FaultKind::ErrorBurst(1))]))
+            .fault_on(0, FaultPlan::scripted(vec![(0, FaultKind::PanicOnce)]));
+        let err = Router::start(vec![spec]).err();
+        assert!(
+            matches!(&err, Some(ServeError::BadConfig(m)) if m.contains("MNIST_2C")),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -1434,9 +1447,7 @@ pub(crate) mod tests {
         };
         // round-robin places the first attempt on replica 0, which refuses
         // every admission; the one retry goes to replica 1, which is full
-        let faulty = FaultPlan::builder()
-            .at(0, FaultKind::ErrorBurst(1 << 20))
-            .build();
+        let faulty = FaultPlan::scripted(vec![(0, FaultKind::ErrorBurst(1 << 20))]);
         let spec = ShardSpec::new("m", build_untrained(arch::mnist_2c(), 5), config)
             .replicated(ReplicaSpec::new(2, PlacementPolicy::RoundRobin))
             .fault_on(0, faulty)
@@ -1476,9 +1487,7 @@ pub(crate) mod tests {
             .replicated(ReplicaSpec::new(2, PlacementPolicy::RoundRobin))
             .fault_on(
                 1,
-                FaultPlan::builder()
-                    .at(0, FaultKind::ErrorBurst(1 << 20))
-                    .build(),
+                FaultPlan::scripted(vec![(0, FaultKind::ErrorBurst(1 << 20))]),
             )
             .health(HealthPolicy {
                 check_every: K,
@@ -1538,9 +1547,7 @@ pub(crate) mod tests {
                     queue_capacity: 6,
                     workers: 1,
                     tenant_quota: Some(1),
-                    fault: FaultPlan::builder()
-                        .at(0, FaultKind::ErrorBurst(burst))
-                        .build(),
+                    fault: FaultPlan::scripted(vec![(0, FaultKind::ErrorBurst(burst))]),
                     ..ServerConfig::default()
                 },
             );

@@ -403,7 +403,7 @@ mod tests {
                 policy: BatchPolicy::by_size(1 << 20),
                 queue_capacity: 8,
                 workers: 1,
-                fault: FaultPlan::builder().at(0, FaultKind::PanicOnce).build(),
+                fault: FaultPlan::scripted(vec![(0, FaultKind::PanicOnce)]),
                 ..ServerConfig::default()
             },
         )

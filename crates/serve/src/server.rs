@@ -560,24 +560,8 @@ impl Server {
     ///
     /// The [`ServeError`] that `Server::admit` refuses with.
     pub fn submit(&self, input: Tensor) -> ServeResult<Pending> {
-        self.submit_with(input, SubmitOptions::default())
-    }
-
-    /// [`Server::admit`] under [`Admission::Block`] with per-request
-    /// [`SubmitOptions`]: this request is gated with the overridden δ
-    /// and/or capped cascade depth, while the rest of the stream keeps the
-    /// model's configured policy. The response stays bit-identical to
-    /// [`CdlNetwork::classify_with_override`] with the same options.
-    ///
-    /// # Errors
-    ///
-    /// The [`ServeError`] of the [`Refused`] that [`Server::admit`] returns.
-    pub(crate) fn submit_with(
-        &self,
-        input: Tensor,
-        options: SubmitOptions,
-    ) -> ServeResult<Pending> {
-        Ok(self.admit(Request::new(input, options), Admission::Block)?)
+        let request = Request::new(input, SubmitOptions::default());
+        Ok(self.admit(request, Admission::Block)?)
     }
 
     /// Admission fault hook: consults the installed [`FaultPlan`] (one
@@ -1221,7 +1205,7 @@ pub(crate) mod tests {
         // admissions instead of parking them on a queue nobody reads.
         let net = build_untrained();
         let mut cfg = config(BatchPolicy::by_size(1), 4, 1);
-        cfg.fault = FaultPlan::builder().at(0, FaultKind::PanicOnce).build();
+        cfg.fault = FaultPlan::scripted(vec![(0, FaultKind::PanicOnce)]);
         let server = Server::start(Arc::clone(&net), cfg).unwrap();
         let img = images(1).pop().unwrap();
         let doomed = server.submit(img.clone()).unwrap();
@@ -1645,8 +1629,9 @@ pub(crate) mod tests {
         let pendings: Vec<Pending> = images(3)
             .into_iter()
             .map(|x| {
+                let options = SubmitOptions::with_deadline(Duration::ZERO);
                 server
-                    .submit_with(x, SubmitOptions::with_deadline(Duration::ZERO))
+                    .admit(Request::new(x, options), Admission::Block)
                     .unwrap()
             })
             .collect();
@@ -1768,7 +1753,7 @@ pub(crate) mod tests {
         let options = SubmitOptions::with_deadline(Duration::MAX);
         let x = images(1).remove(0);
         let out = server
-            .submit_with(x.clone(), options)
+            .admit(Request::new(x.clone(), options), Admission::Block)
             .unwrap()
             .wait()
             .unwrap();

@@ -21,7 +21,8 @@
 //!   (whatever is queued when a worker is free), per-request δ/depth
 //!   overrides, a sharded multi-model [`serve::Router`] front-end with
 //!   per-model replica sets ([`serve::ReplicaSpec`] + placement policies),
-//!   and a length-prefixed TCP edge ([`serve::TcpServer`] /
+//!   and a length-prefixed TCP edge ([`serve::TcpServer`]; clients pipeline
+//!   on the halves of [`serve::net::split`] or call through
 //!   [`serve::TcpClient`]; the wire format is [`serve::net::codec`]), with
 //!   deadline / priority / tenant-quota overload control
 //!   ([`serve::Priority`]),
@@ -224,9 +225,11 @@
 //! [`serve::RouterMetrics`] reports a per-shard placement histogram next
 //! to the routing histogram, and answers stay bit-identical whichever
 //! replica serves them (`tests/replica_equivalence.rs`, per placement
-//! policy). In front of the router, [`serve::TcpServer`] /
-//! [`serve::TcpClient`] speak a length-prefixed binary protocol over
-//! plain `std::net` sockets: pipelined request ids per connection, typed
+//! policy). In front of the router, [`serve::TcpServer`] speaks a
+//! length-prefixed binary protocol over plain `std::net` sockets to a
+//! client's [`serve::net::SendHalf`] / [`serve::net::RecvHalf`], or to
+//! [`serve::TcpClient`], which runs one call at a time on them: pipelined
+//! request ids per connection, typed
 //! error replies ([`serve::ErrorCode`]), and f32s travelling as IEEE-754
 //! bit patterns so even the network edge is bit-exact
 //! (`tests/net_loopback.rs`). The server side is a fixed-size **event
@@ -342,7 +345,7 @@
 //! assert_eq!(schedule.len(), 200);
 //! // same seed ⇒ bit-identical schedule: runs are exactly comparable
 //! assert_eq!(schedule, spec.schedule().unwrap());
-//! // replay it open-loop against any submit closure (Router, TcpClient…)
+//! // replay it open-loop against any submit closure (Router, a SendHalf…)
 //! let stats = cdl::load::run_open_loop(&schedule[..10], |arrival| {
 //!     assert!(arrival.tenant.is_some());
 //! });

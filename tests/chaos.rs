@@ -22,43 +22,17 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cdl::core::arch::{self, CdlArchitecture};
-use cdl::core::confidence::ConfidencePolicy;
-use cdl::core::head::LinearClassifier;
-use cdl::core::network::{CdlNetwork, CdlOutput};
+use cdl::core::arch;
+use cdl::core::network::CdlOutput;
 use cdl::hw::OpCount;
-use cdl::nn::network::Network;
 use cdl::serve::{
     BatchPolicy, EdgeConfig, FaultKind, FaultPlan, HealthPolicy, Pending, PlacementPolicy,
     ReplicaHealth, ReplicaSpec, RetryPolicy, Router, ServeError, ServerConfig, ShardSpec,
     SubmitOptions, TcpClient, TcpServer,
 };
-use cdl::tensor::Tensor;
 
 mod common;
-use common::{assert_settled, assert_settled_with};
-
-fn build_untrained(arch: CdlArchitecture, seed: u64) -> Arc<CdlNetwork> {
-    let base = Network::from_spec(&arch.spec, seed).unwrap();
-    let feats = arch.tap_features().unwrap();
-    let stages = arch
-        .taps
-        .iter()
-        .zip(&feats)
-        .map(|(t, &f)| {
-            (
-                t.spec_layer,
-                t.name.clone(),
-                LinearClassifier::new(f, 10, 1).unwrap(),
-            )
-        })
-        .collect();
-    Arc::new(CdlNetwork::assemble(base, stages, ConfidencePolicy::max_prob(0.6)).unwrap())
-}
-
-fn image(i: usize) -> Tensor {
-    Tensor::full(&[1, 28, 28], 0.1 + 0.07 * (i as f32 % 11.0))
-}
+use common::{assert_settled, assert_settled_with, build_untrained, image};
 
 fn config(policy: BatchPolicy, queue_capacity: usize) -> ServerConfig {
     ServerConfig {
@@ -97,15 +71,13 @@ fn stalled_replica_is_evicted_and_readmitted_with_no_lost_requests() {
     })
     .fault_on(
         1,
-        FaultPlan::builder()
-            .at(
-                0,
-                FaultKind::SlowFactor {
-                    per_batch: Duration::from_millis(80),
-                    batches: 8,
-                },
-            )
-            .build(),
+        FaultPlan::scripted(vec![(
+            0,
+            FaultKind::SlowFactor {
+                per_batch: Duration::from_millis(80),
+                batches: 8,
+            },
+        )]),
     )])
     .unwrap();
     let model = router.model_id("m").unwrap();
@@ -218,9 +190,7 @@ fn hedged_request_wins_on_a_healthy_replica_at_zero_loser_ops() {
     // first batch half a second — far past the 30ms hedge floor
     .fault_on(
         0,
-        FaultPlan::builder()
-            .at(0, FaultKind::Stall(Duration::from_millis(500)))
-            .build(),
+        FaultPlan::scripted(vec![(0, FaultKind::Stall(Duration::from_millis(500)))]),
     )])
     .unwrap();
     let model = router.model_id("m").unwrap();
@@ -261,10 +231,7 @@ fn retries_recover_from_an_error_burst() {
     )
     .replicated(ReplicaSpec::new(2, PlacementPolicy::RoundRobin))
     .retry(RetryPolicy::retries(2))
-    .fault_on(
-        0,
-        FaultPlan::builder().at(0, FaultKind::ErrorBurst(3)).build(),
-    )])
+    .fault_on(0, FaultPlan::scripted(vec![(0, FaultKind::ErrorBurst(3))]))])
     .unwrap();
     let model = router.model_id("m").unwrap();
     // round-robin alternates 0,1,0,1,…: the first three placements on
@@ -310,10 +277,7 @@ fn retries_recover_from_an_error_burst_over_the_wire() {
         )
         .replicated(ReplicaSpec::new(2, PlacementPolicy::RoundRobin))
         .retry(RetryPolicy::retries(2))
-        .fault_on(
-            0,
-            FaultPlan::builder().at(0, FaultKind::ErrorBurst(3)).build(),
-        )])
+        .fault_on(0, FaultPlan::scripted(vec![(0, FaultKind::ErrorBurst(3))]))])
         .unwrap(),
     );
     let edge = TcpServer::bind("127.0.0.1:0", Arc::clone(&router)).unwrap();
@@ -494,9 +458,7 @@ fn parked_admission_resumes_on_gate_vacancy_without_polling() {
         )
         .fault_on(
             0,
-            FaultPlan::builder()
-                .at(0, FaultKind::Stall(Duration::from_millis(300)))
-                .build(),
+            FaultPlan::scripted(vec![(0, FaultKind::Stall(Duration::from_millis(300)))]),
         )])
         .unwrap(),
     );
@@ -512,10 +474,9 @@ fn parked_admission_resumes_on_gate_vacancy_without_polling() {
         let a = scope.spawn(move || {
             let mut client = TcpClient::connect(addr).unwrap();
             client
-                .submit("m", &image(0), SubmitOptions::default())
+                .call("m", &image(0), SubmitOptions::default())
+                .unwrap()
                 .unwrap();
-            let (_, result) = client.recv().unwrap();
-            result.unwrap();
             Instant::now()
         });
         let b = scope.spawn(move || {
@@ -523,10 +484,9 @@ fn parked_admission_resumes_on_gate_vacancy_without_polling() {
             std::thread::sleep(Duration::from_millis(50));
             let mut client = TcpClient::connect(addr).unwrap();
             client
-                .submit("m", &image(1), SubmitOptions::default())
+                .call("m", &image(1), SubmitOptions::default())
+                .unwrap()
                 .unwrap();
-            let (_, result) = client.recv().unwrap();
-            result.unwrap();
             Instant::now()
         });
         (a.join().unwrap(), b.join().unwrap())

@@ -1,9 +1,42 @@
-//! Checks shared by the serving integration suites (`mod common;`).
+//! Fixtures and checks shared by the serving integration suites
+//! (`mod common;`).
 #![allow(dead_code)] // each suite uses the subset it has the data for
 
-use cdl::core::network::CdlOutput;
+use std::sync::Arc;
+
+use cdl::core::arch::CdlArchitecture;
+use cdl::core::confidence::ConfidencePolicy;
+use cdl::core::head::LinearClassifier;
+use cdl::core::network::{CdlNetwork, CdlOutput};
 use cdl::hw::OpCount;
+use cdl::nn::network::Network;
 use cdl::serve::RouterMetrics;
+use cdl::tensor::Tensor;
+
+/// An untrained cascade of `arch` (weights drawn from `seed`), one linear
+/// head per tap, gated at max-probability 0.6.
+pub fn build_untrained(arch: CdlArchitecture, seed: u64) -> Arc<CdlNetwork> {
+    let base = Network::from_spec(&arch.spec, seed).unwrap();
+    let feats = arch.tap_features().unwrap();
+    let stages = arch
+        .taps
+        .iter()
+        .zip(&feats)
+        .map(|(t, &f)| {
+            (
+                t.spec_layer,
+                t.name.clone(),
+                LinearClassifier::new(f, 10, 1).unwrap(),
+            )
+        })
+        .collect();
+    Arc::new(CdlNetwork::assemble(base, stages, ConfidencePolicy::max_prob(0.6)).unwrap())
+}
+
+/// A constant MNIST-shaped image; eleven distinct values as `i` runs.
+pub fn image(i: usize) -> Tensor {
+    Tensor::full(&[1, 28, 28], 0.1 + 0.07 * (i as f32 % 11.0))
+}
 
 /// The conservation laws of a **settled** snapshot — one taken after every
 /// admitted request resolved (a final `Router::shutdown()` always is).

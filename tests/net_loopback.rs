@@ -14,11 +14,9 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cdl::core::arch::{self, CdlArchitecture};
-use cdl::core::confidence::{ConfidencePolicy, ExitOverride};
-use cdl::core::head::LinearClassifier;
+use cdl::core::arch;
+use cdl::core::confidence::ExitOverride;
 use cdl::core::network::{CdlNetwork, CdlOutput};
-use cdl::nn::network::Network;
 use cdl::serve::net::{self, codec};
 use cdl::serve::{
     BatchPolicy, ErrorCode, PlacementPolicy, ReplicaSpec, Router, ServerConfig, ShardSpec,
@@ -26,27 +24,8 @@ use cdl::serve::{
 };
 use cdl::tensor::Tensor;
 
-fn build_untrained(arch: CdlArchitecture, seed: u64) -> Arc<CdlNetwork> {
-    let base = Network::from_spec(&arch.spec, seed).unwrap();
-    let feats = arch.tap_features().unwrap();
-    let stages = arch
-        .taps
-        .iter()
-        .zip(&feats)
-        .map(|(t, &f)| {
-            (
-                t.spec_layer,
-                t.name.clone(),
-                LinearClassifier::new(f, 10, 1).unwrap(),
-            )
-        })
-        .collect();
-    Arc::new(CdlNetwork::assemble(base, stages, ConfidencePolicy::max_prob(0.6)).unwrap())
-}
-
-fn image(i: usize) -> Tensor {
-    Tensor::full(&[1, 28, 28], 0.1 + 0.07 * (i as f32 % 11.0))
-}
+mod common;
+use common::{build_untrained, image};
 
 fn override_mix(i: usize) -> SubmitOptions {
     match i % 6 {
@@ -108,7 +87,8 @@ fn pipelined_connections_are_bit_exact_against_replicas() {
                 let m3c = &m3c;
                 scope.spawn(move || {
                     let nets = [m2c, m3c];
-                    let mut client = TcpClient::connect(addr).unwrap();
+                    let stream = TcpStream::connect(addr).unwrap();
+                    let (mut send, mut recv) = net::split(stream).unwrap();
                     // pipeline the whole burst before reading anything
                     let mut sent = Vec::with_capacity(PER_CONN);
                     for j in 0..PER_CONN {
@@ -118,14 +98,16 @@ fn pipelined_connections_are_bit_exact_against_replicas() {
                         } else {
                             "MNIST_3C"
                         };
-                        let id = client.submit(model, &image(i), override_mix(i)).unwrap();
+                        let (id, x) = (j as u64, codec::tensor_payload(&image(i)));
+                        send.queue(id, model, &override_mix(i), None, &x).unwrap();
+                        send.flush().unwrap();
                         sent.push((id, i));
                     }
                     // responses may complete out of order across replicas
                     // and batches; match them up by id
                     let mut answered = vec![None; PER_CONN];
                     for _ in 0..PER_CONN {
-                        let (id, result) = client.recv().unwrap();
+                        let (id, result) = recv.recv().unwrap().expect("no read time-out is set");
                         let slot = sent.iter().position(|&(s, _)| s == id).unwrap();
                         assert!(answered[slot].is_none(), "id {id} answered twice");
                         answered[slot] = Some(result.unwrap());
@@ -210,7 +192,7 @@ fn malformed_frames_get_typed_errors() {
     // still gets its typed error under the request's own id…
     let x = image(0);
     let payload = codec::tensor_payload(&x);
-    send.queue(42, "NOPE", &SubmitOptions::default(), &payload)
+    send.queue(42, "NOPE", &SubmitOptions::default(), None, &payload)
         .unwrap();
     send.flush().unwrap();
     let (id, result) = reply();
@@ -218,7 +200,7 @@ fn malformed_frames_get_typed_errors() {
     assert_eq!(result.unwrap_err().code, ErrorCode::UnknownModel);
 
     // …and a well-formed request after both errors is served bit-exactly
-    send.queue(43, "m", &SubmitOptions::default(), &payload)
+    send.queue(43, "m", &SubmitOptions::default(), None, &payload)
         .unwrap();
     send.flush().unwrap();
     let (id, result) = reply();
@@ -320,7 +302,7 @@ fn desync_with_pipelined_pendings_cancels_them_and_hangs_up() {
     let (mut send, _replies) = net::split(stream).unwrap();
     let x = codec::tensor_payload(&image(0));
     for id in 0..3u64 {
-        send.queue(id, "stall", &SubmitOptions::default(), &x)
+        send.queue(id, "stall", &SubmitOptions::default(), None, &x)
             .unwrap();
     }
     send.flush().unwrap();
@@ -395,11 +377,13 @@ fn disconnect_cancels_pending_work_without_poisoning_the_shard() {
     // connection A pipelines 3 requests into the stalled shard and drops
     // without reading a single response
     let x = image(0);
-    let mut doomed = TcpClient::connect(addr).unwrap();
-    for _ in 0..3 {
+    let (mut doomed, replies) = net::split(TcpStream::connect(addr).unwrap()).unwrap();
+    let payload = codec::tensor_payload(&x);
+    for id in 0..3 {
         doomed
-            .submit("stall", &x, SubmitOptions::default())
+            .queue(id, "stall", &SubmitOptions::default(), None, &payload)
             .unwrap();
+        doomed.flush().unwrap();
     }
     // give the reader thread time to route all 3, then hang up
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
@@ -410,7 +394,7 @@ fn disconnect_cancels_pending_work_without_poisoning_the_shard() {
         );
         std::thread::sleep(Duration::from_millis(10));
     }
-    drop(doomed);
+    drop((doomed, replies));
 
     // the shard is NOT poisoned: a fresh connection is served correctly
     // while the orphaned requests are being cancelled
@@ -467,7 +451,7 @@ fn the_halves_pipeline_one_flush_and_match_replies_by_id() {
     let (mut send, mut recv) = halves(&edge, Duration::from_secs(30));
     let payloads: Vec<Vec<u8>> = (0..11).map(|i| codec::tensor_payload(&image(i))).collect();
     for i in 0..N {
-        send.queue(id_of(i), "m", &override_mix(i), &payloads[i % 11])
+        send.queue(id_of(i), "m", &override_mix(i), None, &payloads[i % 11])
             .unwrap();
     }
     send.flush().unwrap();

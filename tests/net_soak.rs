@@ -12,18 +12,18 @@
 //! the orphaned work, and leave the router's bookkeeping consistent; and an
 //! edge takes its file descriptors with it, however long the router lives.
 
+use std::net::TcpStream;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
-use cdl::core::arch::{self, CdlArchitecture};
-use cdl::core::confidence::ConfidencePolicy;
-use cdl::core::head::LinearClassifier;
-use cdl::core::network::CdlNetwork;
-use cdl::nn::network::Network;
+use cdl::core::arch;
+use cdl::serve::net::{self, codec};
 use cdl::serve::{
     BatchPolicy, EdgeConfig, Router, ServerConfig, ShardSpec, SubmitOptions, TcpClient, TcpServer,
 };
-use cdl::tensor::Tensor;
+
+mod common;
+use common::{build_untrained, image};
 
 /// Thread-count assertions can't tolerate another test on this binary
 /// spawning servers concurrently: every test in this file serialises on
@@ -71,28 +71,6 @@ fn assert_settles_at(count: fn() -> usize, expected: usize, what: &str) {
 #[cfg(target_os = "linux")]
 fn assert_thread_count(expected: usize, what: &str) {
     assert_settles_at(thread_count, expected, what);
-}
-
-fn build_untrained(arch: CdlArchitecture, seed: u64) -> Arc<CdlNetwork> {
-    let base = Network::from_spec(&arch.spec, seed).unwrap();
-    let feats = arch.tap_features().unwrap();
-    let stages = arch
-        .taps
-        .iter()
-        .zip(&feats)
-        .map(|(t, &f)| {
-            (
-                t.spec_layer,
-                t.name.clone(),
-                LinearClassifier::new(f, 10, 1).unwrap(),
-            )
-        })
-        .collect();
-    Arc::new(CdlNetwork::assemble(base, stages, ConfidencePolicy::max_prob(0.6)).unwrap())
-}
-
-fn image(i: usize) -> Tensor {
-    Tensor::full(&[1, 28, 28], 0.1 + 0.07 * (i as f32 % 11.0))
 }
 
 /// 256 idle connections on a 2-poller edge cost buffers, not threads:
@@ -258,14 +236,15 @@ fn shutdown_under_load_cancels_inflight_and_joins_the_pool() {
     )
     .unwrap();
 
-    let mut clients: Vec<TcpClient> = (0..2)
-        .map(|_| TcpClient::connect(edge.local_addr()).unwrap())
+    let mut clients: Vec<_> = (0..2)
+        .map(|_| net::split(TcpStream::connect(edge.local_addr()).unwrap()).unwrap())
         .collect();
-    for (c, client) in clients.iter_mut().enumerate() {
+    for (c, (send, _)) in clients.iter_mut().enumerate() {
         for i in 0..4 {
-            client
-                .submit("stall", &image(4 * c + i), SubmitOptions::default())
+            let x = codec::tensor_payload(&image(4 * c + i));
+            send.queue(i as u64, "stall", &SubmitOptions::default(), None, &x)
                 .unwrap();
+            send.flush().unwrap();
         }
     }
     let deadline = std::time::Instant::now() + Duration::from_secs(10);

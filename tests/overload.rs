@@ -13,36 +13,16 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cdl::core::arch::{self, CdlArchitecture};
-use cdl::core::confidence::ConfidencePolicy;
-use cdl::core::head::LinearClassifier;
+use cdl::core::arch;
 use cdl::core::network::CdlNetwork;
 use cdl::load::{run_open_loop, ArrivalProcess, LoadSpec, TenantProfile};
-use cdl::nn::network::Network;
 use cdl::serve::{
     BatchPolicy, Pending, Router, RouterMetrics, ServeError, ServerConfig, ShardSpec,
 };
 use cdl::tensor::Tensor;
 
 mod common;
-
-fn build_untrained(arch: CdlArchitecture, seed: u64) -> Arc<CdlNetwork> {
-    let base = Network::from_spec(&arch.spec, seed).unwrap();
-    let feats = arch.tap_features().unwrap();
-    let stages = arch
-        .taps
-        .iter()
-        .zip(&feats)
-        .map(|(t, &f)| {
-            (
-                t.spec_layer,
-                t.name.clone(),
-                LinearClassifier::new(f, 10, 1).unwrap(),
-            )
-        })
-        .collect();
-    Arc::new(CdlNetwork::assemble(base, stages, ConfidencePolicy::max_prob(0.6)).unwrap())
-}
+use common::build_untrained;
 
 fn server_config() -> ServerConfig {
     ServerConfig {

@@ -16,42 +16,20 @@
 //!    polled retry), so `TcpServer::shutdown` completes within a bound
 //!    even with a wedged-pipeline connection.
 
+use std::net::TcpStream;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use cdl::core::arch::{self, CdlArchitecture};
-use cdl::core::confidence::ConfidencePolicy;
-use cdl::core::head::LinearClassifier;
-use cdl::core::network::CdlNetwork;
-use cdl::nn::network::Network;
+use cdl::core::arch;
+use cdl::serve::net::{self, codec};
 use cdl::serve::{
-    BatchPolicy, ErrorCode, Router, ServeError, ServerConfig, ShardSpec, SubmitOptions, TcpClient,
-    TcpServer,
+    BatchPolicy, ErrorCode, Router, ServeError, ServerConfig, ShardSpec, SubmitOptions, TcpServer,
 };
 use cdl::tensor::Tensor;
 
-fn build_untrained(arch: CdlArchitecture, seed: u64) -> Arc<CdlNetwork> {
-    let base = Network::from_spec(&arch.spec, seed).unwrap();
-    let feats = arch.tap_features().unwrap();
-    let stages = arch
-        .taps
-        .iter()
-        .zip(&feats)
-        .map(|(t, &f)| {
-            (
-                t.spec_layer,
-                t.name.clone(),
-                LinearClassifier::new(f, 10, 1).unwrap(),
-            )
-        })
-        .collect();
-    Arc::new(CdlNetwork::assemble(base, stages, ConfidencePolicy::max_prob(0.6)).unwrap())
-}
-
-fn image(i: usize) -> Tensor {
-    Tensor::full(&[1, 28, 28], 0.1 + 0.07 * (i as f32 % 11.0))
-}
+mod common;
+use common::{build_untrained, image};
 
 /// In-process half of the poisoning regression: a wrong-shaped tensor is
 /// refused at admission with a typed `BadInput`, before it can share a
@@ -132,21 +110,20 @@ fn bad_input_cannot_poison_cobatched_requests_over_tcp() {
     );
     let edge = TcpServer::bind("127.0.0.1:0", Arc::clone(&router)).unwrap();
 
-    let mut client = TcpClient::connect(edge.local_addr()).unwrap();
-    let good_a = client
-        .submit("m", &image(0), SubmitOptions::default())
-        .unwrap();
+    let stream = TcpStream::connect(edge.local_addr()).unwrap();
+    let (mut send, mut recv) = net::split(stream).unwrap();
     let poison = Tensor::full(&[2, 2], 0.5);
-    let poison_id = client
-        .submit("m", &poison, SubmitOptions::default())
-        .unwrap();
-    let good_b = client
-        .submit("m", &image(1), SubmitOptions::default())
-        .unwrap();
+    let (good_a, poison_id, good_b) = (0, 1, 2);
+    for (id, x) in [(good_a, image(0)), (poison_id, poison), (good_b, image(1))] {
+        let payload = codec::tensor_payload(&x);
+        send.queue(id, "m", &SubmitOptions::default(), None, &payload)
+            .unwrap();
+        send.flush().unwrap();
+    }
 
     let mut outputs = std::collections::HashMap::new();
     for _ in 0..3 {
-        let (id, result) = client.recv().unwrap();
+        let (id, result) = recv.recv().unwrap().expect("no read time-out is set");
         outputs.insert(id, result);
     }
     let err = outputs.remove(&poison_id).unwrap().unwrap_err();
@@ -160,7 +137,7 @@ fn bad_input_cannot_poison_cobatched_requests_over_tcp() {
         net.classify(&image(1)).unwrap()
     );
 
-    drop(client);
+    drop((send, recv));
     edge.shutdown();
     let metrics = Arc::try_unwrap(router).unwrap().shutdown();
     assert_eq!(metrics.total().completed, 2);
@@ -199,12 +176,13 @@ fn shutdown_completes_while_a_connection_is_wedged_on_a_full_gate() {
 
     // pipeline well past the gate: requests 1–2 occupy it, request 3
     // wedges the reader in admission, 4–6 sit unread in the socket
-    let mut client = TcpClient::connect(edge.local_addr()).unwrap();
-    let x = image(0);
-    for _ in 0..6 {
+    let (mut client, replies) = net::split(TcpStream::connect(edge.local_addr()).unwrap()).unwrap();
+    let x = codec::tensor_payload(&image(0));
+    for id in 0..6 {
         client
-            .submit("stall", &x, SubmitOptions::default())
+            .queue(id, "stall", &SubmitOptions::default(), None, &x)
             .unwrap();
+        client.flush().unwrap();
     }
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     while router.metrics().shards[0].total().submitted < 2 {
@@ -214,7 +192,7 @@ fn shutdown_completes_while_a_connection_is_wedged_on_a_full_gate() {
         );
         std::thread::sleep(Duration::from_millis(10));
     }
-    drop(client);
+    drop((client, replies));
 
     // shutdown must come back even though the reader is parked on a gate
     // that will never drain; run it on a scratch thread so a regression

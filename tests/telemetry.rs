@@ -18,18 +18,17 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cdl::core::arch::{self, CdlArchitecture};
-use cdl::core::confidence::ConfidencePolicy;
-use cdl::core::head::LinearClassifier;
-use cdl::core::network::CdlNetwork;
-use cdl::nn::network::Network;
+use cdl::core::arch;
+use cdl::serve::net::{self, codec};
 use cdl::serve::{
     BatchPolicy, EventKind, PlacementPolicy, ReplicaSpec, Router, ServerConfig, ShardSpec,
-    SubmitOptions, TcpClient, TcpServer, Telemetry, TelemetryConfig, TraceId,
+    SubmitOptions, TcpServer, Telemetry, TelemetryConfig, TraceId,
 };
 use cdl::telemetry::{LogHistogram, MAX_RELATIVE_ERROR};
-use cdl::tensor::Tensor;
 use proptest::prelude::*;
+
+mod common;
+use common::{build_untrained, image};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -103,28 +102,6 @@ proptest! {
     }
 }
 
-fn build_untrained(arch: CdlArchitecture, seed: u64) -> Arc<CdlNetwork> {
-    let base = Network::from_spec(&arch.spec, seed).unwrap();
-    let feats = arch.tap_features().unwrap();
-    let stages = arch
-        .taps
-        .iter()
-        .zip(&feats)
-        .map(|(t, &f)| {
-            (
-                t.spec_layer,
-                t.name.clone(),
-                LinearClassifier::new(f, 10, 1).unwrap(),
-            )
-        })
-        .collect();
-    Arc::new(CdlNetwork::assemble(base, stages, ConfidencePolicy::max_prob(0.6)).unwrap())
-}
-
-fn image(i: usize) -> Tensor {
-    Tensor::full(&[1, 28, 28], 0.1 + 0.07 * (i as f32 % 11.0))
-}
-
 /// A replicated router's aggregate tail latencies are the merge of the
 /// per-replica histograms: `RouterMetrics::latency()` quantiles match the
 /// hand-merged oracle exactly, and the merged count covers every request.
@@ -185,18 +162,21 @@ fn trace_ids_propagate_across_the_tcp_loopback() {
         Router::start(vec![ShardSpec::new("MNIST_3C", Arc::clone(&net), config)]).unwrap(),
     );
     let edge = TcpServer::bind("127.0.0.1:0", Arc::clone(&router)).unwrap();
-    let mut client = TcpClient::connect(edge.local_addr()).unwrap();
+    let stream = std::net::TcpStream::connect(edge.local_addr()).unwrap();
+    let (mut send, mut recv) = net::split(stream).unwrap();
 
     let trace = TraceId::next();
-    let traced_id = client
-        .submit_with_trace("MNIST_3C", &image(0), SubmitOptions::default(), trace)
+    let (traced_id, plain_id) = (0, 1);
+    let options = SubmitOptions::default();
+    let payload = |i| codec::tensor_payload(&image(i));
+    send.queue(traced_id, "MNIST_3C", &options, Some(trace), &payload(0))
         .unwrap();
-    let plain_id = client
-        .submit("MNIST_3C", &image(1), SubmitOptions::default())
+    send.queue(plain_id, "MNIST_3C", &options, None, &payload(1))
         .unwrap();
+    send.flush().unwrap();
     let mut outputs = [None, None];
     for _ in 0..2 {
-        let (id, result) = client.recv().unwrap();
+        let (id, result) = recv.recv().unwrap().expect("no read time-out is set");
         let slot = if id == traced_id {
             0
         } else {

@@ -115,6 +115,7 @@ fn a_warm_wire_request_allocates_a_handful() {
                 i as u64,
                 MODELS[i % 2].0,
                 &SubmitOptions::default(),
+                None,
                 payload,
             )
             .expect("an encodable request");
