@@ -93,7 +93,8 @@ pub enum SheddableOutcome {
     Shed(PartialEval),
 }
 
-/// A persistent batched evaluator over one conditional network.
+/// A persistent batched evaluator over one conditional network: the
+/// network it reads and an [`EvalState`].
 ///
 /// Create once, feed batches forever: all intermediate buffers (the two
 /// activation arenas, the conv kernels' scratch, head score rows, the
@@ -102,12 +103,38 @@ pub enum SheddableOutcome {
 #[derive(Debug)]
 pub struct BatchEvaluator<'a> {
     net: &'a CdlNetwork,
+    state: EvalState,
+}
+
+/// A [`BatchEvaluator`]'s buffers without the network it reads: what a pool
+/// of evaluators shared by several threads keeps between batches
+/// ([`BatchEvaluator::from_state`] / [`BatchEvaluator::into_state`] move it
+/// in and out, allocating nothing). `Default` is empty, lazily grown
+/// scratch running the host's kernel arm ([`GemmKernel::detect`]).
+#[derive(Debug)]
+pub struct EvalState {
     scratch: BatchScratch,
     /// `[active, classes]` scores of the stage being gated.
     head_scores: Vec<f32>,
     /// One image's probabilities: the softmax policies' and the baseline
     /// exit's work row.
     probs: Vec<f32>,
+}
+
+impl EvalState {
+    fn with_kernel(kernel: GemmKernel) -> Self {
+        EvalState {
+            scratch: BatchScratch::with_kernel(kernel),
+            head_scores: Vec::new(),
+            probs: Vec::new(),
+        }
+    }
+}
+
+impl Default for EvalState {
+    fn default() -> Self {
+        EvalState::with_kernel(GemmKernel::detect())
+    }
 }
 
 impl<'a> BatchEvaluator<'a> {
@@ -120,7 +147,7 @@ impl<'a> BatchEvaluator<'a> {
     /// ([`GemmKernel::detect`]: AVX2 where the CPU has it, the portable
     /// tiles otherwise) — it is not something a caller configures.
     pub fn new(net: &'a CdlNetwork) -> Self {
-        Self::with_kernel(net, GemmKernel::detect())
+        Self::from_state(net, EvalState::default())
     }
 
     /// [`BatchEvaluator::new`] pinned to one [`GemmKernel`] arm — the seam
@@ -128,18 +155,25 @@ impl<'a> BatchEvaluator<'a> {
     /// host (`for kernel in GemmKernel::ALL`). Both arms are bit-identical,
     /// so nothing else has a reason to call this.
     pub fn with_kernel(net: &'a CdlNetwork, kernel: GemmKernel) -> Self {
-        BatchEvaluator {
-            net,
-            scratch: BatchScratch::with_kernel(kernel),
-            head_scores: Vec::new(),
-            probs: Vec::new(),
-        }
+        Self::from_state(net, EvalState::with_kernel(kernel))
+    }
+
+    /// An evaluator over `net` on buffers an earlier one left
+    /// ([`BatchEvaluator::into_state`]), grown as far as they were.
+    pub fn from_state(net: &'a CdlNetwork, state: EvalState) -> Self {
+        BatchEvaluator { net, state }
+    }
+
+    /// The buffers, for a later [`BatchEvaluator::from_state`].
+    pub fn into_state(self) -> EvalState {
+        self.state
     }
 
     /// Values the evaluator's buffers can hold without growing — what "a
     /// later, smaller batch allocates no buffer" is checked against.
     pub fn scratch_capacity(&self) -> usize {
-        self.scratch.capacity() + self.head_scores.capacity() + self.probs.capacity()
+        let state = &self.state;
+        state.scratch.capacity() + state.head_scores.capacity() + state.probs.capacity()
     }
 
     /// Classifies a batch with the network's configured policy.
@@ -221,7 +255,7 @@ impl<'a> BatchEvaluator<'a> {
                 shed_boundary(
                     stage_idx,
                     cum_ops,
-                    &mut self.scratch,
+                    &mut self.state.scratch,
                     &mut active_idx,
                     &mut outputs,
                     shed,
@@ -234,19 +268,19 @@ impl<'a> BatchEvaluator<'a> {
                 source.take(),
                 prev_tap,
                 stage.tap_runtime,
-                &mut self.scratch,
+                &mut self.state.scratch,
             )?;
             cum_ops += stage.ops_from_prev + stage.head_ops;
 
             stage.head.scores_rows_into(
-                self.scratch.block(),
-                &mut self.head_scores,
-                self.scratch.kernel,
+                self.state.scratch.block(),
+                &mut self.state.head_scores,
+                self.state.scratch.kernel,
             )?;
             observer(stage_idx, &active_idx);
             let classes = stage.head.classes();
-            let (head_scores, probs) = (&self.head_scores, &mut self.probs);
-            compact(&mut self.scratch, &mut active_idx, |k, idx| {
+            let (head_scores, probs) = (&self.state.head_scores, &mut self.state.probs);
+            compact(&mut self.state.scratch, &mut active_idx, |k, idx| {
                 let row = &head_scores[k * classes..(k + 1) * classes];
                 let exit = gate(stage_idx, idx, row, probs)?;
                 if let Some(decision) = exit {
@@ -268,7 +302,7 @@ impl<'a> BatchEvaluator<'a> {
             shed_boundary(
                 stage_count,
                 cum_ops,
-                &mut self.scratch,
+                &mut self.state.scratch,
                 &mut active_idx,
                 &mut outputs,
                 shed,
@@ -278,13 +312,21 @@ impl<'a> BatchEvaluator<'a> {
             }
         }
         let last = self.net.base().layer_count() - 1;
-        self.net
-            .base()
-            .forward_block_segment(source.take(), prev_tap, last, &mut self.scratch)?;
+        self.net.base().forward_block_segment(
+            source.take(),
+            prev_tap,
+            last,
+            &mut self.state.scratch,
+        )?;
         cum_ops += self.net.final_ops();
         observer(stage_count, &active_idx);
         for (k, &idx) in active_idx.iter().enumerate() {
-            let out = final_output(stage_count, self.scratch.row(k), &mut self.probs, cum_ops)?;
+            let out = final_output(
+                stage_count,
+                self.state.scratch.row(k),
+                &mut self.state.probs,
+                cum_ops,
+            )?;
             outputs[idx] = Some(SheddableOutcome::Done(out));
         }
         collect(outputs)
@@ -434,7 +476,7 @@ impl<'a> BatchEvaluator<'a> {
             // nothing exited and nothing was shed, so the block the pass
             // left in the arena is every input's final output, in input order
             for k in 0..chunk.len() {
-                rows[stages].extend_from_slice(self.scratch.row(k));
+                rows[stages].extend_from_slice(self.state.scratch.row(k));
             }
         }
         let mut exit_ops = Vec::with_capacity(stages + 1);
@@ -727,7 +769,7 @@ mod tests {
         let inputs = batch(19);
         for kernel in GemmKernel::ALL {
             let mut eval = BatchEvaluator::with_kernel(&cdl, kernel);
-            assert_eq!(eval.scratch.kernel, kernel);
+            assert_eq!(eval.state.scratch.kernel, kernel);
             let batched = eval.classify_batch(&inputs).unwrap();
             for (img, out) in inputs.iter().zip(&batched) {
                 assert_eq!(*out, cdl.classify(img).unwrap(), "kernel {kernel:?}");
@@ -735,7 +777,7 @@ mod tests {
         }
         // the default evaluator runs the host-detected kernel
         assert_eq!(
-            BatchEvaluator::new(&cdl).scratch.kernel,
+            BatchEvaluator::new(&cdl).state.scratch.kernel,
             GemmKernel::detect()
         );
     }

@@ -600,9 +600,11 @@ pub struct ServerConfig {
     /// failed. Submitting beyond this bound waits (`submit`) or returns
     /// [`ServeError::Full`] (`try_submit_with`) — the server's backpressure.
     pub queue_capacity: usize,
-    /// Worker threads; each owns one persistent
-    /// [`cdl_core::batch::BatchEvaluator`] whose arenas and kernel scratch are
-    /// reused across every batch it processes.
+    /// Batches in evaluation at once: the worker threads, and the persistent
+    /// evaluator states ([`cdl_core::batch::EvalState`]: arenas and kernel
+    /// scratch, reused across every batch) that whichever thread runs a batch
+    /// draws from — a worker, or the TCP edge thread that read an idle
+    /// server's request. A worker seals only while one of them is free.
     pub workers: usize,
     /// Runtime tracing switchboard: whether per-request lifecycle spans
     /// are recorded ([`crate::Server::telemetry`] drains them). Off by

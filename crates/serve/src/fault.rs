@@ -125,6 +125,12 @@ impl FaultPlan {
         FaultPlan::scripted(anchors.collect())
     }
 
+    /// Whether the plan scripts anything: an armed plan's batches run on the
+    /// workers only, where its stalls and panics belong.
+    pub(crate) fn is_armed(&self) -> bool {
+        self.inner.is_some()
+    }
+
     /// Admission hook: called once per submission after validation,
     /// before the gate. Returns the injected refusal, if this admission
     /// falls in an [`FaultKind::ErrorBurst`] window.

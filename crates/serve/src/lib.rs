@@ -19,9 +19,10 @@
 //!   Pending handle ◀──┐      the one queue ── a worker that asks seals
 //!   (one-shot,        │       ╱        ╲        what is queued, ≤ max_batch_size
 //!    drop = cancel)   │      ▼          ▼       (by_size: only once it is full)
-//!                     └── worker 1 … worker N   each owns a persistent
-//!                          BatchEvaluator (arenas + kernel scratch reused
-//!                          across every batch it processes)
+//!                     └── worker 1 … worker N   each batch on one of N persistent
+//!                          (or, on an idle      evaluator states (arenas + kernel
+//!                          server, the TCP      scratch reused across batches)
+//!                          edge thread)
 //! ```
 //!
 //! * **Admission**: at most [`ServerConfig::queue_capacity`] requests are
@@ -37,10 +38,23 @@
 //!   batches grow only while every worker is busy and a request changes
 //!   threads once on its way in. No timer is involved: the one other mode,
 //!   [`BatchPolicy::by_size`], seals full batches only.
-//! * **Workers** each own one persistent
-//!   [`cdl_core::batch::BatchEvaluator`]: steady-state serving performs no
-//!   arena/scratch allocations, and which kernel bodies run (AVX2 or portable,
-//!   bit-identical) is the host's matter, found at construction.
+//! * **An idle server evaluates on the edge.** A request the TCP edge pushes
+//!   onto a server with no batch in evaluation wakes no worker: at the end
+//!   of its pass the poller thread that read it seals the batch and runs it
+//!   through the workers' own batch path, so an unloaded wire request
+//!   changes no thread between its read and its reply. One pure rule beside
+//!   the sealing rule decides: the edge runs only what a free worker would
+//!   take short of full, whole; a full batch is load, and its push wakes a
+//!   worker so the edge keeps reading through a burst; a busy server, a
+//!   closed queue, a short `by_size` queue or an armed [`FaultPlan`] leave
+//!   the batch to the workers. [`ServerMetrics::batches_on_edge`] counts
+//!   the batches the edge ran.
+//! * **Evaluators**: each server keeps [`ServerConfig::workers`] persistent
+//!   evaluator states ([`cdl_core::batch::EvalState`]) in one pool that
+//!   whichever thread runs a batch draws from, so at most `workers` batches
+//!   are in evaluation at once: steady-state serving performs no
+//!   arena/scratch allocations, and which kernel bodies run (AVX2 or
+//!   portable, bit-identical) is the host's matter, found at construction.
 //! * **Cancellation**: dropping a [`Pending`] before evaluation removes the
 //!   request from its batch at no evaluator cost.
 //! * **Shutdown** ([`Server::shutdown`]) drains then stops: queued requests
@@ -98,7 +112,9 @@
 //!   that own every connection's read/decode/submit/encode/write state
 //!   machine over edge-triggered readiness, so idle connections cost
 //!   buffers rather than threads and completions wake the edge through
-//!   an eventfd instead of 50 ms poll slices.
+//!   an eventfd instead of 50 ms poll slices; an idle server's batch is
+//!   evaluated by the poller that read it (see *An idle server evaluates on
+//!   the edge* above).
 //! * **Fault tolerance** ([`fault`], [`HealthPolicy`], [`RetryPolicy`],
 //!   [`Router::swap_model`]): seeded fault injection, health-based replica
 //!   eviction/readmission, budgeted retries + hedging, and no-drain model

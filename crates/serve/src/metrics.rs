@@ -95,6 +95,10 @@ pub struct ServerMetrics {
     pub batches_ready: u64,
     /// Partial batches flushed by shutdown.
     pub batches_flushed: u64,
+    /// Batches sealed and evaluated by the TCP edge thread that read their
+    /// requests rather than by a worker: what an idle server does with a
+    /// wire request (each is also counted under its seal cause above).
+    pub batches_on_edge: u64,
     /// `batch_size_histogram[s]` = evaluated batches of size `s` (after
     /// cancellation and expiry pruning — see `ServerMetrics::batches`).
     pub batch_size_histogram: Vec<u64>,
@@ -196,6 +200,7 @@ impl ServerMetrics {
         self.batches_full += other.batches_full;
         self.batches_ready += other.batches_ready;
         self.batches_flushed += other.batches_flushed;
+        self.batches_on_edge += other.batches_on_edge;
         for (size, &n) in other.batch_size_histogram.iter().enumerate() {
             add_at(&mut self.batch_size_histogram, size, n);
         }
@@ -228,6 +233,7 @@ impl ServerMetrics {
             ("cdl_requests_shed_total", self.shed),
             ("cdl_requests_faulted_total", self.faults),
             ("cdl_batches_total", self.batches()),
+            ("cdl_batches_on_edge_total", self.batches_on_edge),
             ("cdl_stages_activated_total", self.stages_activated),
             ("cdl_energy_picojoules_total", self.energy_pj.round() as u64),
         ] {
@@ -519,13 +525,16 @@ impl Recorder {
         self.faulted.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn dispatched(&self, cause: BatchCause) {
+    /// Records a sealed batch: why it was sealed, and whether the edge
+    /// thread sealed it (to evaluate it there) instead of a worker.
+    pub(crate) fn dispatched(&self, cause: BatchCause, on_edge: bool) {
         let mut m = self.ledger.lock().unwrap();
         match cause {
             BatchCause::Full => m.batches_full += 1,
             BatchCause::Ready => m.batches_ready += 1,
             BatchCause::Flush => m.batches_flushed += 1,
         }
+        m.batches_on_edge += u64::from(on_edge);
     }
 
     pub(crate) fn cancelled(&self, n: u64) {
@@ -644,7 +653,7 @@ mod tests {
         let ms = Duration::from_millis(1);
         for _ in 0..n_requests {
             rec.admitted();
-            rec.dispatched(BatchCause::Full);
+            rec.dispatched(BatchCause::Full, false);
         }
         for (stage, &count) in exits.iter().enumerate() {
             for _ in 0..count {
@@ -698,6 +707,7 @@ mod tests {
                 batches_full: n(),
                 batches_ready: n(),
                 batches_flushed: n(),
+                batches_on_edge: n(),
                 total_ops: OpCount {
                     macs: n(),
                     adds: n(),
@@ -956,8 +966,8 @@ mod tests {
         rec.admitted();
         rec.admitted();
         rec.rejected();
-        rec.dispatched(BatchCause::Full);
-        rec.dispatched(BatchCause::Ready);
+        rec.dispatched(BatchCause::Full, false);
+        rec.dispatched(BatchCause::Ready, true);
         rec.cancelled(1);
         let ms = Duration::from_millis(1);
         rec.batch_completed([(ms, out(0, 100)), (ms, out(2, 300))].into_iter());
@@ -971,6 +981,10 @@ mod tests {
         assert_eq!(snap.batches(), 2);
         assert_eq!(snap.batches_full, 1);
         assert_eq!(snap.batches_ready, 1);
+        assert_eq!(
+            snap.batches_on_edge, 1,
+            "the ready batch was sealed on the edge"
+        );
         assert_eq!(snap.batch_size_histogram, vec![0, 1, 1]);
         assert_eq!(snap.exit_histogram, vec![2, 0, 1]);
         assert_eq!(snap.total_ops.macs, 500);
@@ -982,5 +996,6 @@ mod tests {
         assert!(text.contains("cdl_batches_by_size_total{size=\"1\"} 1"));
         assert!(text.contains("cdl_batches_by_size_total{size=\"2\"} 1"));
         assert!(text.contains("cdl_request_latency_ns_count 3"));
+        assert!(text.contains("cdl_batches_on_edge_total 1"));
     }
 }

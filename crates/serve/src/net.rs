@@ -51,10 +51,25 @@
 //! a read buffer reassembles length-prefixed frames incrementally from
 //! whatever the socket yields, decoded requests are submitted through the
 //! router's placement policy, and completed responses are serialised into
-//! a write buffer drained as fast as the socket accepts them. Completion
-//! crosses threads without parking anyone: when a worker settles a
-//! routed request's [`Pending`], its registered waker pushes the
-//! (connection, sequence) pair onto the owning poller's completion list,
+//! a write buffer drained as fast as the socket accepts them.
+//!
+//! A request that reaches an **idle** server (no batch of it in evaluation)
+//! does not change threads at all. Its push wakes no worker; the poller
+//! notes the server, and at the end of its pass `Edge::end_pass` applies
+//! the one rule beside the sealing rule: an idle server's queue, short of a
+//! full batch, is sealed whole and evaluated right here, through the
+//! workers' own batch path, on an evaluator state from the server's pool —
+//! the reply then goes out on the pass its settle wakes. A full batch is
+//! load: the push that fills it wakes a worker, so the poller keeps reading
+//! through a burst. A server that became busy, a closed queue, a `by_size`
+//! queue short of a batch or an armed fault plan is left to the workers
+//! (the last of these with a wake). Under load, pushes find their server
+//! busy and wake workers as before.
+//!
+//! Completion crosses threads without parking anyone: when a worker (or
+//! a poller, for an idle server) settles a routed request's [`Pending`],
+//! its registered waker pushes the (connection, sequence) pair onto the
+//! owning poller's completion list,
 //! and only a push that finds no wake outstanding writes the poller's
 //! [`reactor::Waker`] (an eventfd on Linux). That is one `write(2)` per
 //! drain of the list, not per reply: a worker settles a whole batch
@@ -100,7 +115,7 @@ use crate::config::{EdgeConfig, SubmitOptions};
 use crate::error::{Refused, ServeError};
 use crate::pending::Pending;
 use crate::router::{ModelId, Router};
-use crate::server::{Admission, Request};
+use crate::server::{Admission, Edge, Request};
 
 pub mod codec;
 
@@ -332,6 +347,7 @@ fn admit(
     key: usize,
     router: &Router,
     completions: &Arc<Completions>,
+    edge: &Edge,
     parked: Parked,
 ) -> Option<Parked> {
     let Parked {
@@ -340,7 +356,7 @@ fn admit(
         request,
     } = parked;
     let (options, trace) = (request.options, request.trace);
-    match router.admit(model, request, Admission::Park(&completions.on_vacancy)) {
+    match router.admit(model, request, Admission::Park(edge)) {
         Ok(pending) => {
             let seq = conn.next_seq;
             conn.next_seq += 1;
@@ -372,7 +388,13 @@ fn admit(
 /// the stream desyncs (bogus length → goodbye, then hang up), admission
 /// parks a request or the unsent replies pass their bound (backpressure:
 /// the rest of the buffer waits).
-fn parse_frames(conn: &mut Conn, key: usize, router: &Router, completions: &Arc<Completions>) {
+fn parse_frames(
+    conn: &mut Conn,
+    key: usize,
+    router: &Router,
+    completions: &Arc<Completions>,
+    edge: &Edge,
+) {
     let mut consumed = 0;
     while conn.takes_input() {
         let body = match next_frame(&conn.read_buf[consumed..], MAX_FRAME as usize) {
@@ -413,7 +435,7 @@ fn parse_frames(conn: &mut Conn, key: usize, router: &Router, completions: &Arc<
                         model,
                         request,
                     };
-                    conn.parked = admit(conn, key, router, completions, request);
+                    conn.parked = admit(conn, key, router, completions, edge, request);
                 }
             },
         }
@@ -433,14 +455,15 @@ fn service(
     key: usize,
     router: &Router,
     completions: &Arc<Completions>,
+    edge: &Edge,
     scratch: &mut [u8],
 ) -> bool {
     if let Some(parked) = conn.parked.take() {
-        conn.parked = admit(conn, key, router, completions, parked);
+        conn.parked = admit(conn, key, router, completions, edge, parked);
     }
     loop {
         while conn.takes_input() {
-            parse_frames(conn, key, router, completions);
+            parse_frames(conn, key, router, completions, edge);
             if !conn.takes_input() || !conn.readable {
                 break;
             }
@@ -486,19 +509,14 @@ struct Completions {
     /// An eventfd write is outstanding for notices not yet drained.
     signalled: AtomicBool,
     waker: Arc<Waker>,
-    /// Wakes the poller too: what `Admission::Park` leaves on a full gate.
-    /// The gate holds it weakly, so no gate keeps it, or its eventfd, alive.
-    on_vacancy: Arc<dyn Fn() + Send + Sync>,
 }
 
 impl Completions {
     fn new(waker: Arc<Waker>) -> Completions {
-        let wake = Arc::clone(&waker);
         Completions {
             list: Mutex::new(Vec::new()),
             signalled: AtomicBool::new(false),
             waker,
-            on_vacancy: Arc::new(move || drop(wake.wake())),
         }
     }
 
@@ -540,9 +558,12 @@ struct Poller {
     stop: Arc<AtomicBool>,
     /// New sockets handed over by the accept thread.
     reg_rx: Receiver<TcpStream>,
-    /// Where request wakers post completions; it holds this poller's waker,
-    /// and the one the gates call.
+    /// Where request wakers post completions; it holds this poller's waker.
     completions: Arc<Completions>,
+    /// What this poller admits with: the waker a full gate keeps (it wakes
+    /// the poller too; the gate holds it weakly, so no gate keeps it, or its
+    /// eventfd, alive) and the servers a pass pushed to.
+    edge: Edge,
     // the event loop's state, kept across passes
     conns: HashMap<usize, Conn>,
     next_token: usize,
@@ -562,12 +583,14 @@ impl Poller {
         let poll = Poll::new()?;
         let waker = Arc::new(Waker::new(&poll, WAKER_TOKEN)?);
         let (reg_tx, reg_rx) = mpsc::channel();
+        let wake = Arc::clone(&waker);
         let poller = Poller {
             poll,
             router: Arc::clone(router),
             stop: Arc::clone(stop),
             reg_rx,
             completions: Arc::new(Completions::new(Arc::clone(&waker))),
+            edge: Edge::new(Arc::new(move || drop(wake.wake()))),
             conns: HashMap::new(),
             next_token: WAKER_TOKEN.0 + 1,
             events: Events::with_capacity(256),
@@ -589,9 +612,11 @@ impl Poller {
         }
     }
 
-    /// One turn of the event loop: wait for readiness or a wake, then
-    /// service every connection with news. `false` when the loop should end
-    /// (shutdown, or a fatal selector failure).
+    /// One turn of the event loop: wait for readiness or a wake, service
+    /// every connection with news, then settle what the admissions pushed
+    /// ([`Edge::end_pass`]: an idle server's batch is evaluated right here,
+    /// and its replies go out in the pass its settles wake). `false` when the
+    /// loop should end (shutdown, or a fatal selector failure).
     fn pass(&mut self) -> bool {
         if self.poll.wait(&mut self.events, None).is_err() {
             return false; // fatal selector failure: drop every connection
@@ -661,6 +686,7 @@ impl Poller {
                 key,
                 &self.router,
                 &self.completions,
+                &self.edge,
                 &mut self.scratch,
             );
             if !alive {
@@ -671,6 +697,7 @@ impl Poller {
                 }
             }
         }
+        self.edge.end_pass();
         true
     }
 }
@@ -1128,6 +1155,9 @@ mod tests {
         let (mut poller, reg_tx, waker) = Poller::new(&router, &stop).unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        // bounded: a reply that never comes fails the reader below
+        peer.set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
         // the accept thread's handoff: the first pass registers the socket
         reg_tx.send(listener.accept().unwrap().0).unwrap();
         waker.wake().unwrap();
@@ -1179,11 +1209,12 @@ mod tests {
             std::thread::spawn(move || {
                 let answers: io::Result<Vec<_>> = (0..FRAMES)
                     .map(|_| {
-                        let (id, result) = recv.recv()?.expect("no read time-out is set");
+                        let (id, result) = recv.recv()?.ok_or(io::ErrorKind::TimedOut)?;
                         Ok((id, result.is_ok()))
                     })
                     .collect();
-                // set before the wake, so the pass that wake ends sees it
+                // set before the wake, so the pass that wake ends sees it —
+                // answered or timed out, the poller loop below ends
                 done.store(true, Ordering::SeqCst);
                 let _ = waker.wake();
                 answers

@@ -227,10 +227,18 @@ mod tests {
     #[test]
     fn wait_blocks_until_settled_from_another_thread() {
         let (pending, fulfiller) = pending_pair();
-        let handle = std::thread::spawn(move || pending.wait());
+        let (tx, rx) = mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            tx.send(pending.wait().map(|out| out.label)).unwrap();
+        });
         std::thread::sleep(Duration::from_millis(10));
         fulfiller.settle(Ok(output(7)));
-        assert_eq!(handle.join().unwrap().unwrap().label, 7);
+        // bounded: a settle that skipped the waker fails here, not hangs
+        let label = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("woken by the settle");
+        assert_eq!(label, Ok(7));
+        waiter.join().unwrap();
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! A [`Router`] owns one replica set per registered model; every replica is
 //! the full single-model pipeline of [`Server`] — bounded admission gate,
-//! one queue, worker pool of batch-sealing persistent
-//! [`cdl_core::batch::BatchEvaluator`]s. Requests carry a [`ModelId`]; at
+//! one queue, a worker pool sealing batches onto a pool of persistent
+//! evaluator states. Requests carry a [`ModelId`]; at
 //! admission the model's [`PlacementPolicy`] picks the replica (round-robin,
 //! least-loaded, or power-of-two-choices over the replicas' **live queue
 //! depths**), and the request is routed synchronously into that replica's
@@ -327,8 +327,13 @@ impl Shard {
         // cross-check invariant on `ReplicaMetrics::routed`
         replica.routed.fetch_add(1, Ordering::Relaxed);
         let admitted = server.admit(request, admission);
-        if admitted.is_err() {
-            replica.routed.fetch_sub(1, Ordering::Relaxed);
+        match (&admitted, admission) {
+            (Err(_), _) => {
+                replica.routed.fetch_sub(1, Ordering::Relaxed);
+            }
+            // the edge announces (or runs) what it pushed at its pass's end
+            (Ok(_), Admission::Park(edge)) => edge.pushed_to(&server),
+            (Ok(_), _) => {}
         }
         (index, admitted)
     }
@@ -798,9 +803,10 @@ impl Router {
 
 /// Spins (briefly sleeping) until `server` is the only handle left, then
 /// returns it by value so it can be shut down. Submission paths hold their
-/// clones only across one admission call, so the wait is bounded by the
-/// longest in-flight admission (a *blocking* `submit` against a full gate
-/// in the extreme).
+/// clones only across one admission call, and the TCP edge across the rest
+/// of the pass that pushed to it (an idle server's batch is evaluated in
+/// it), so the wait is bounded by the longest in-flight admission (a
+/// *blocking* `submit` against a full gate in the extreme) or edge batch.
 fn wait_unshared(mut server: Arc<Server>) -> Server {
     loop {
         match Arc::try_unwrap(server) {
@@ -817,6 +823,7 @@ fn wait_unshared(mut server: Arc<Server>) -> Server {
 pub(crate) mod tests {
     use super::*;
     use crate::config::BatchPolicy;
+    use crate::server::tests::join_within;
     use cdl_core::arch::{self, CdlArchitecture};
     use cdl_core::confidence::{ConfidencePolicy, ExitOverride};
     use cdl_core::head::LinearClassifier;
@@ -1029,28 +1036,30 @@ pub(crate) mod tests {
             workers: 1,
             ..ServerConfig::default()
         };
-        let router = Router::start(vec![ShardSpec::new("m", Arc::clone(&net), config)
-            .replicated(ReplicaSpec::new(2, PlacementPolicy::RoundRobin))])
-        .unwrap();
+        let router = Arc::new(
+            Router::start(vec![ShardSpec::new("m", Arc::clone(&net), config)
+                .replicated(ReplicaSpec::new(2, PlacementPolicy::RoundRobin))])
+            .unwrap(),
+        );
         let model = router.model_id("m").unwrap();
-        let done = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            let router = &router;
-            let done = &done;
-            let submitters: Vec<_> = (0..3)
-                .map(|t| {
-                    scope.spawn(move || {
-                        let x = Tensor::full(&[1, 28, 28], 0.1 + 0.01 * t as f32);
-                        let pendings: Vec<Pending> = (0..80)
-                            .map(|_| router.submit(model, x.clone()).unwrap())
-                            .collect();
-                        for pending in pendings {
-                            pending.wait().unwrap();
-                        }
-                    })
+        let done = Arc::new(AtomicBool::new(false));
+        let submitters: Vec<_> = (0..3)
+            .map(|t| {
+                let router = Arc::clone(&router);
+                std::thread::spawn(move || {
+                    let x = Tensor::full(&[1, 28, 28], 0.1 + 0.01 * t as f32);
+                    let pendings: Vec<Pending> = (0..80)
+                        .map(|_| router.submit(model, x.clone()).unwrap())
+                        .collect();
+                    for pending in pendings {
+                        pending.wait().unwrap();
+                    }
                 })
-                .collect();
-            let sampler = scope.spawn(move || {
+            })
+            .collect();
+        let sampler = {
+            let (router, done) = (Arc::clone(&router), Arc::clone(&done));
+            std::thread::spawn(move || {
                 let mut samples = 0u64;
                 while !done.load(Ordering::Relaxed) {
                     let snapshot = router.metrics();
@@ -1065,13 +1074,14 @@ pub(crate) mod tests {
                     samples += 1;
                 }
                 samples
-            });
-            for handle in submitters {
-                handle.join().unwrap();
-            }
-            done.store(true, Ordering::Relaxed);
-            assert!(sampler.join().unwrap() > 0, "sampler never ran");
-        });
+            })
+        };
+        for handle in submitters {
+            join_within(handle);
+        }
+        done.store(true, Ordering::Relaxed);
+        assert!(join_within(sampler) > 0, "sampler never ran");
+        let router = Arc::into_inner(router).expect("every thread is done");
         let metrics = router.shutdown();
         assert_eq!(metrics.total().completed, 240);
         for replica in &metrics.shards[0].replicas {
@@ -1218,6 +1228,7 @@ pub(crate) mod tests {
                     batches_full,
                     batches_ready,
                     batches_flushed,
+                    batches_on_edge,
                     batch_size_histogram,
                     latency_histogram,
                     exit_histogram,
@@ -1239,6 +1250,7 @@ pub(crate) mod tests {
                     ("cdl_requests_shed_total", *shed),
                     ("cdl_requests_faulted_total", *faults),
                     ("cdl_batches_total", batch_size_histogram.iter().sum()),
+                    ("cdl_batches_on_edge_total", *batches_on_edge),
                     ("cdl_stages_activated_total", *stages_activated),
                     ("cdl_energy_picojoules_total", energy_pj.round() as u64),
                     ("cdl_queue_depth", *queue_depth as u64),
@@ -1419,10 +1431,10 @@ pub(crate) mod tests {
         let x = images(2);
         let held = router.submit(model, x[0].clone()).unwrap();
         // what the TCP edge does with a decoded request
-        let (woken, waker) = crate::server::tests::counting_waker();
+        let (woken, edge) = crate::server::tests::counting_edge();
         let park = |input: Tensor| {
             let request = Request::new(input, SubmitOptions::default());
-            router.admit(model, request, Admission::Park(&waker))
+            router.admit(model, request, Admission::Park(&edge))
         };
         let refused = park(x[1].clone()).unwrap_err();
         assert_eq!(refused.error, ServeError::Full);
@@ -1432,6 +1444,7 @@ pub(crate) mod tests {
         assert_eq!(woken.load(Ordering::SeqCst), 1);
         assert_eq!(held.wait().unwrap(), net_a.classify(&x[0]).unwrap());
         let retried = park(refused.input.unwrap()).unwrap();
+        edge.end_pass(); // as the edge does after every pass: it holds no server past it
         router.shutdown(); // the replacement's drain flushes the retry
         assert_eq!(retried.wait().unwrap(), net_b.classify(&x[1]).unwrap());
     }
@@ -1456,10 +1469,10 @@ pub(crate) mod tests {
         let model = router.model_id("m").unwrap();
         let server = |i: usize| router.shards[0].replicas[i].server().unwrap();
         let _held = server(1).submit(images(1).remove(0)).unwrap();
-        let (_, waker) = crate::server::tests::counting_waker();
+        let (_, edge) = crate::server::tests::counting_edge();
         let request = Request::new(images(1).remove(0), SubmitOptions::default());
         let refused = router
-            .admit(model, request, Admission::Park(&waker))
+            .admit(model, request, Admission::Park(&edge))
             .unwrap_err();
         assert_eq!(refused.error, ServeError::Full);
         // the `Full` that reached the caller left the waker where it was said

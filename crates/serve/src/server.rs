@@ -1,12 +1,13 @@
 //! The streaming inference server: bounded admission, dynamic batch
 //! formation, and a pool of persistent batched evaluators.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use cdl_core::batch::{BatchEvaluator, SheddableOutcome};
+use cdl_core::batch::{BatchEvaluator, EvalState, SheddableOutcome};
 use cdl_core::confidence::ExitOverride;
 use cdl_core::network::CdlNetwork;
 use cdl_telemetry::{EventKind, Telemetry, TraceId};
@@ -103,8 +104,8 @@ impl Gate {
             match how {
                 Admission::Block => {}
                 Admission::Try => return Err(refusal),
-                Admission::Park(waker) => {
-                    let waker = Arc::downgrade(waker);
+                Admission::Park(edge) => {
+                    let waker = Arc::downgrade(&edge.on_vacancy);
                     let stored = state.parked.iter().any(|w| w.ptr_eq(&waker));
                     if refusal == ServeError::Full && !stored {
                         state.parked.push(waker);
@@ -200,9 +201,51 @@ pub(crate) enum Admission<'a> {
     /// Refuse with a typed error.
     Try,
     /// Refuse like `Try`; on [`ServeError::Full`] the gate also keeps the
-    /// waker and calls it at its next release (the TCP edge: it parks the
-    /// request and keeps servicing its event loop).
-    Park(&'a Arc<dyn Fn() + Send + Sync>),
+    /// edge's waker and calls it at its next release (the TCP edge: it parks
+    /// the request and keeps servicing its event loop). A push that starts
+    /// an idle server's queue wakes no worker: the edge runs or announces it
+    /// at the end of its pass ([`Edge::end_pass`]), having learnt the server
+    /// from `crate::Router::admit`'s placement ([`Edge::pushed_to`]).
+    Park(&'a Edge),
+}
+
+/// The TCP edge's side of [`Admission::Park`], one per poller thread.
+pub(crate) struct Edge {
+    /// What a gate that refuses with [`ServeError::Full`] keeps, weakly, and
+    /// calls at its next release.
+    on_vacancy: Arc<dyn Fn() + Send + Sync>,
+    /// The servers this pass's admissions pushed to, each once.
+    pushed: RefCell<Vec<Arc<Server>>>,
+}
+
+impl Edge {
+    /// An edge whose parked requests are announced by `on_vacancy`.
+    pub(crate) fn new(on_vacancy: Arc<dyn Fn() + Send + Sync>) -> Edge {
+        Edge {
+            on_vacancy,
+            pushed: RefCell::new(Vec::new()),
+        }
+    }
+
+    /// Notes that a `Park` admission pushed onto `server`'s queue.
+    pub(crate) fn pushed_to(&self, server: &Arc<Server>) {
+        let mut pushed = self.pushed.borrow_mut();
+        if !pushed.iter().any(|s| Arc::ptr_eq(s, server)) {
+            pushed.push(Arc::clone(server));
+        }
+    }
+
+    /// The end of a poller pass: for each server the pass pushed to,
+    /// [`edge_step`] decides whether this thread seals a batch and evaluates
+    /// it, as a worker would — an unloaded request then changes no thread
+    /// between its read and its reply — or wakes a worker.
+    pub(crate) fn end_pass(&self) {
+        let mut pushed = self.pushed.take();
+        for server in pushed.drain(..) {
+            server.help_from_edge();
+        }
+        self.pushed.replace(pushed); // its capacity serves the next pass
+    }
 }
 
 /// One queued classification request.
@@ -249,6 +292,10 @@ struct QueueState {
     closed: bool,
     /// Worker threads that have not exited yet.
     live_workers: usize,
+    /// The evaluator states no batch is using. The pool holds one per worker
+    /// and whichever thread runs a batch draws one, so `workers - idle.len()`
+    /// batches are in evaluation.
+    idle: Vec<EvalState>,
 }
 
 /// What a worker holding the queue lock does next.
@@ -277,14 +324,66 @@ fn next_step(policy: BatchPolicy, queued: usize, closed: bool) -> Step {
     }
 }
 
+/// What the edge does at the end of a pass that pushed to a server.
+#[derive(Debug, PartialEq, Eq)]
+enum EdgeStep {
+    /// Seal the whole (short) queue and evaluate it on the edge thread.
+    Run,
+    /// Wake a worker, as a push to a busy server does.
+    Wake,
+    /// Nothing to announce.
+    Leave,
+}
+
+/// The help rule beside [`next_step`], a pure function of what the edge
+/// sees under the queue lock. An idle server (no batch in evaluation) whose
+/// queue a free worker would take short of full (`Ready`) has it run on the
+/// edge thread that read the requests — the whole queue, so nothing is left
+/// to announce — unless a fault plan is armed: its stalls and panics belong
+/// on a worker, which is woken instead. Everything else needs nothing: the
+/// push that fills a batch wakes a worker (a burst is load, and the edge
+/// keeps reading through it); on a busy server a push woke a worker, or
+/// whoever sealed after an idle push took the queue's front and announced
+/// what it left; a closed queue is the workers' to drain; a queue that would
+/// not seal waits for the push that makes it sealable. The worker count
+/// decides nothing: the edge takes only from an idle server.
+fn edge_step(
+    policy: BatchPolicy,
+    queued: usize,
+    closed: bool,
+    busy: usize,
+    armed: bool,
+) -> EdgeStep {
+    match next_step(policy, queued, closed) {
+        _ if closed || busy > 0 => EdgeStep::Leave,
+        Step::Seal(BatchCause::Ready) if !armed => EdgeStep::Run,
+        Step::Seal(BatchCause::Ready) => EdgeStep::Wake,
+        Step::Seal(_) | Step::Wait | Step::Exit => EdgeStep::Leave,
+    }
+}
+
+/// A sealed batch and the evaluator state it runs on.
+struct Sealed {
+    batch: Vec<Queued>,
+    cause: BatchCause,
+    eval: EvalState,
+}
+
 /// The server's one queue, and all of batch formation: admission pushes
 /// onto it, every idle worker waits on it in [`WorkQueue::take_batch`], and
-/// a batch is sealed by [`BatchPolicy`] at the moment a worker takes it.
-/// Between admission and evaluation a request therefore changes threads
-/// once, and sealing and dispatch are the same instant.
+/// a batch is sealed by [`BatchPolicy`] at the moment a thread takes it —
+/// sealing and dispatch are the same instant. Under load a request changes
+/// threads once between admission and evaluation (edge → worker). On an
+/// idle server it changes none: the TCP edge's push wakes no worker, and
+/// the edge thread that read the request seals and evaluates it at the end
+/// of its pass ([`edge_step`]). Either way the batch runs on an evaluator
+/// state drawn from the queue's pool of `workers`, so at most `workers`
+/// batches are in evaluation at once and evaluator memory is the workers'.
 #[derive(Debug)]
 struct WorkQueue {
     policy: BatchPolicy,
+    /// The size of the evaluator pool.
+    workers: usize,
     state: Mutex<QueueState>,
     /// Idle workers wait here; notified sparingly, see [`WorkQueue::push`].
     ready: Condvar,
@@ -296,9 +395,11 @@ impl WorkQueue {
             queue: VecDeque::new(),
             closed: false,
             live_workers: workers,
+            idle: (0..workers).map(|_| EvalState::default()).collect(),
         };
         WorkQueue {
             policy,
+            workers,
             state: Mutex::new(state),
             ready: Condvar::new(),
         }
@@ -316,42 +417,95 @@ impl WorkQueue {
     /// either push reads the length under the lock before it parks, and one
     /// that leaves requests behind wakes a sibling itself. A notify per push is
     /// a context switch per request: `net.server_ctx_switches_per_req` rises.
+    ///
+    /// A push `from_edge` ([`Admission::Park`]) that starts the queue of an
+    /// idle server notifies nobody: the edge settles it at the end of its
+    /// pass ([`edge_step`]). The push that fills a batch always notifies.
     #[allow(clippy::result_large_err)] // a refusal moves the request back, like `SendError`
-    fn push(&self, request: Queued) -> Result<(), Queued> {
+    fn push(&self, request: Queued, from_edge: bool) -> Result<(), Queued> {
         let mut state = self.state.lock().unwrap();
         if state.closed {
             return Err(request);
         }
         state.queue.push_back(request);
         let len = state.queue.len();
+        let idle = state.idle.len() == self.workers;
         drop(state); // unlock first: the worker this wakes needs the lock
-        if len == 1 || len == self.policy.max_batch_size {
+        if len == self.policy.max_batch_size || (len == 1 && !(from_edge && idle)) {
             self.ready.notify_one();
         }
         Ok(())
     }
 
-    /// The lock-and-condvar loop around [`next_step`]: blocks until it seals
-    /// a batch, then returns the front of the queue — oldest first, never
-    /// more than `max_batch_size` — with the reason. `None` ends a worker.
-    fn take_batch(&self) -> Option<(Vec<Queued>, BatchCause)> {
-        let max = self.policy.max_batch_size;
+    /// Takes the front of the queue — oldest first, never more than
+    /// `max_batch_size` — and an evaluator state from the pool.
+    fn seal(&self, state: &mut QueueState, cause: BatchCause) -> Sealed {
+        let n = state.queue.len().min(self.policy.max_batch_size);
+        Sealed {
+            batch: state.queue.drain(..n).collect(),
+            cause,
+            eval: state.idle.pop().expect("a seal draws on a non-empty pool"),
+        }
+    }
+
+    /// A worker's lock-and-condvar loop around [`next_step`]: returns the
+    /// evaluator state of its last batch (`done`) to the pool, then blocks
+    /// until it seals a batch. A worker seals only while the pool holds a
+    /// state — fewer than `workers` batches are in evaluation — since the edge
+    /// may hold one. `None` ends a worker.
+    fn take_batch(&self, done: Option<EvalState>) -> Option<Sealed> {
         let mut state = self.state.lock().unwrap();
+        state.idle.extend(done);
         loop {
-            let len = state.queue.len();
-            state = match next_step(self.policy, len, state.closed) {
+            state = match next_step(self.policy, state.queue.len(), state.closed) {
                 Step::Exit => return None,
-                Step::Seal(cause) => {
-                    let batch = state.queue.drain(..len.min(max)).collect();
+                Step::Seal(cause) if !state.idle.is_empty() => {
+                    let sealed = self.seal(&mut state, cause);
                     if !state.queue.is_empty() {
                         // `push` will not announce what is left a second time,
                         // so the worker leaving it behind wakes a sibling
                         self.ready.notify_one();
                     }
-                    return Some((batch, cause));
+                    return Some(sealed);
                 }
-                Step::Wait => self.ready.wait(state).unwrap(),
+                // with the pool empty, the release of the edge's state wakes
+                // a worker for what is sealable then
+                Step::Seal(_) | Step::Wait => self.ready.wait(state).unwrap(),
             };
+        }
+    }
+
+    /// [`edge_step`] under the lock, for an edge pass that pushed here: the
+    /// batch the edge evaluates, or `None` once it woke a worker or left the
+    /// queue alone.
+    fn take_on_edge(&self, armed: bool) -> Option<Sealed> {
+        let mut state = self.state.lock().unwrap();
+        let busy = self.workers - state.idle.len();
+        match edge_step(self.policy, state.queue.len(), state.closed, busy, armed) {
+            EdgeStep::Leave => None,
+            EdgeStep::Wake => {
+                drop(state);
+                self.ready.notify_one();
+                None
+            }
+            EdgeStep::Run => Some(self.seal(&mut state, BatchCause::Ready)),
+        }
+    }
+
+    /// Returns an evaluator state from outside a worker's loop (the edge, a
+    /// dying worker). A worker may be parked on a sealable queue for want of
+    /// one only while the pool is empty: then it is woken.
+    fn release(&self, eval: EvalState) {
+        let mut state = self.state.lock().unwrap();
+        let sealable = matches!(
+            next_step(self.policy, state.queue.len(), state.closed),
+            Step::Seal(_)
+        );
+        let starved = sealable && state.idle.is_empty();
+        state.idle.push(eval);
+        drop(state);
+        if starved {
+            self.ready.notify_one();
         }
     }
 
@@ -545,7 +699,8 @@ impl Server {
         // never be observable in a snapshot
         self.recorder.admitted();
         mark(&self.telemetry, trace, EventKind::Enqueue);
-        if let Err(queued) = self.queue.push(queued) {
+        let from_edge = matches!(admission, Admission::Park(_));
+        if let Err(queued) = self.queue.push(queued, from_edge) {
             // every worker is gone: the tensor goes back to the caller and
             // dropping the rest of the request frees its ticket
             self.recorder.unadmitted();
@@ -592,6 +747,20 @@ impl Server {
             )));
         }
         Ok(())
+    }
+
+    /// The edge's end-of-pass help ([`Edge::end_pass`]): when [`edge_step`]
+    /// says so, seals one batch and evaluates it on this thread through the
+    /// workers' own `process_batch`, on an evaluator state from the pool.
+    fn help_from_edge(&self) {
+        let Some(Sealed { batch, cause, eval }) = self.queue.take_on_edge(self.fault.is_armed())
+        else {
+            return;
+        };
+        self.recorder.dispatched(cause, true);
+        let mut eval = BatchEvaluator::from_state(&self.net, eval);
+        process_batch(&mut eval, batch, &self.recorder, &self.telemetry);
+        self.queue.release(eval.into_state());
     }
 
     /// A point-in-time metrics snapshot.
@@ -642,9 +811,10 @@ impl Drop for Server {
     }
 }
 
-/// Worker loop: one persistent [`BatchEvaluator`] per thread (which GEMM
-/// bodies it runs is the host's matter, found in `BatchEvaluator::new`),
-/// sealing its own batches off the shared queue until it closes.
+/// Worker loop: seals its own batches off the shared queue until it closes,
+/// each run by a [`BatchEvaluator`] on a persistent evaluator state from the
+/// queue's pool (which GEMM bodies it runs is the host's matter, found when
+/// the state is made).
 fn run_worker(
     net: &CdlNetwork,
     queue: &WorkQueue,
@@ -653,9 +823,9 @@ fn run_worker(
     telemetry: &Telemetry,
 ) {
     let _exit = WorkerExit { queue, recorder };
-    let mut eval = BatchEvaluator::new(net);
-    while let Some((batch, cause)) = queue.take_batch() {
-        recorder.dispatched(cause);
+    let mut done = None;
+    while let Some(Sealed { batch, cause, eval }) = queue.take_batch(done.take()) {
+        recorder.dispatched(cause, false);
         // scripted disruption (one branch when unarmed): stalls and
         // slowdowns sleep here, inflating the latency tail exactly like a
         // wedged evaluator; a panic kills this worker thread — its batch
@@ -665,10 +835,13 @@ fn run_worker(
             std::thread::sleep(pause);
         }
         if disruption.panic {
+            queue.release(eval);
             abandon(batch, recorder);
             panic!("scripted fault: PanicOnce");
         }
+        let mut eval = BatchEvaluator::from_state(net, eval);
         process_batch(&mut eval, batch, recorder, telemetry);
+        done = Some(eval.into_state());
     }
 }
 
@@ -968,8 +1141,32 @@ pub(crate) mod tests {
         request
     }
 
+    /// Joins a thread the test started, failing — not hanging — if it is
+    /// still running after ten seconds (a lost wake leaves it waiting).
+    pub(crate) fn join_within<T>(handle: JoinHandle<T>) -> T {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !handle.is_finished() {
+            assert!(
+                Instant::now() < deadline,
+                "a thread the test started still runs after 10 s"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        handle.join().unwrap()
+    }
+
     fn ids(batch: &[Queued]) -> Vec<usize> {
         batch.iter().map(|r| r.input.data()[0] as usize).collect()
+    }
+
+    impl WorkQueue {
+        /// A worker's `take_batch` that hands its evaluator state straight
+        /// back: the ids it sealed, and why.
+        fn take(&self) -> Option<(Vec<usize>, BatchCause)> {
+            let sealed = self.take_batch(None)?;
+            self.state.lock().unwrap().idle.push(sealed.eval);
+            Some((ids(&sealed.batch), sealed.cause))
+        }
     }
 
     #[test]
@@ -1010,22 +1207,107 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn the_edge_rule_as_a_table() {
+        use EdgeStep::{Leave, Run, Wake};
+        let (open, closed) = (false, true);
+        let (unarmed, armed) = (false, true);
+        let default = BatchPolicy::default();
+        let uncapped = BatchPolicy::new(usize::MAX);
+        let hold = BatchPolicy::by_size(8);
+        // the policy, queued, closed, batches in evaluation of a pool of two,
+        // an armed plan, and what the edge does at the end of its pass
+        let rows = [
+            // an idle server's short queue runs here, sealed whole
+            (default, 1, open, 0, unarmed, Run),
+            (default, 31, open, 0, unarmed, Run),
+            (uncapped, 1 << 20, open, 0, unarmed, Run),
+            // a full batch is load: the push that filled it woke a worker
+            (default, 32, open, 0, unarmed, Leave),
+            (default, 40, open, 0, unarmed, Leave),
+            (hold, 8, open, 0, unarmed, Leave),
+            (hold, 9, open, 0, armed, Leave),
+            // a busy server: the batch in evaluation looks again when done
+            (default, 1, open, 1, unarmed, Leave),
+            (default, 40, open, 1, unarmed, Leave),
+            // every evaluator state is in use: nobody may seal
+            (default, 1, open, 2, unarmed, Leave),
+            (hold, 8, open, 2, unarmed, Leave),
+            // an armed plan's stalls and panics stay on the workers
+            (default, 1, open, 0, armed, Wake),
+            (default, 31, open, 0, armed, Wake),
+            (default, 1, open, 1, armed, Leave),
+            // a closed queue is the workers' to drain
+            (default, 1, closed, 0, unarmed, Leave),
+            (hold, 3, closed, 0, unarmed, Leave),
+            (hold, 8, closed, 0, unarmed, Leave),
+            (default, 0, closed, 0, unarmed, Leave),
+            // nothing sealable: empty, or short of the batch `by_size` holds for
+            (default, 0, open, 0, unarmed, Leave),
+            (hold, 1, open, 0, unarmed, Leave),
+            (hold, 7, open, 0, unarmed, Leave),
+            (hold, 7, open, 0, armed, Leave),
+        ];
+        for (policy, queued, is_closed, busy, is_armed, want) in rows {
+            assert_eq!(
+                edge_step(policy, queued, is_closed, busy, is_armed),
+                want,
+                "{policy:?}, {queued} queued, closed {is_closed}, {busy} busy, armed {is_armed}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_worker_seals_only_while_the_pool_holds_an_evaluator_state() {
+        let gate = Arc::new(Gate::new(8, None));
+        let queue = Arc::new(WorkQueue::new(BatchPolicy::default(), 1));
+        // an edge push onto the idle server; the edge seals it at its pass's end
+        assert!(queue.push(queued(&gate, 0), true).is_ok());
+        let on_edge = queue.take_on_edge(false).expect("the idle server's batch");
+        assert_eq!(
+            (ids(&on_edge.batch), on_edge.cause),
+            (vec![0], BatchCause::Ready)
+        );
+        assert!(
+            queue.take_on_edge(false).is_none(),
+            "a busy server is left alone"
+        );
+        // with the only state out, a worker leaves a sealable queue alone…
+        let (sealed_tx, sealed) = std::sync::mpsc::channel();
+        let worker = taker(&queue, &sealed_tx);
+        assert!(queue.push(queued(&gate, 1), true).is_ok());
+        assert!(
+            sealed.recv_timeout(Duration::from_millis(50)).is_err(),
+            "a worker sealed with every evaluator state in use"
+        );
+        // …until the edge gives its state back, which wakes the worker
+        queue.release(on_edge.eval);
+        let woken = sealed.recv_timeout(Duration::from_secs(10));
+        assert_eq!(woken, Ok((vec![1], BatchCause::Ready)));
+        join_within(worker);
+        assert_eq!(
+            queue.state.lock().unwrap().idle.len(),
+            1,
+            "the pool is whole"
+        );
+    }
+
+    #[test]
     fn the_default_policy_hands_a_free_worker_what_is_queued() {
         // nobody else pushes or takes, so the sizes and causes are exact
         let gate = Arc::new(Gate::new(64, None));
         let queue = WorkQueue::new(BatchPolicy::default(), 1);
-        assert!(queue.push(queued(&gate, 0)).is_ok());
-        let (batch, cause) = queue.take_batch().expect("queue is open");
-        assert_eq!((ids(&batch), cause), (vec![0], BatchCause::Ready));
+        assert!(queue.push(queued(&gate, 0), false).is_ok());
+        let (batch, cause) = queue.take().expect("queue is open");
+        assert_eq!((batch, cause), (vec![0], BatchCause::Ready));
         // what piled up while every worker was busy still leaves in batches
         for id in 1..=40 {
-            assert!(queue.push(queued(&gate, id)).is_ok());
+            assert!(queue.push(queued(&gate, id), false).is_ok());
         }
-        let (batch, cause) = queue.take_batch().expect("queue is open");
-        assert_eq!(ids(&batch), (1..=32).collect::<Vec<_>>());
+        let (batch, cause) = queue.take().expect("queue is open");
+        assert_eq!(batch, (1..=32).collect::<Vec<_>>());
         assert_eq!(cause, BatchCause::Full);
-        let (batch, cause) = queue.take_batch().expect("queue is open");
-        assert_eq!(ids(&batch), (33..=40).collect::<Vec<_>>());
+        let (batch, cause) = queue.take().expect("queue is open");
+        assert_eq!(batch, (33..=40).collect::<Vec<_>>());
         assert_eq!(cause, BatchCause::Ready);
     }
 
@@ -1035,10 +1317,10 @@ pub(crate) mod tests {
             let gate = Arc::new(Gate::new(8, None));
             let queue = WorkQueue::new(policy, 1);
             for id in 0..4 {
-                assert!(queue.push(queued(&gate, id)).is_ok());
+                assert!(queue.push(queued(&gate, id), false).is_ok());
             }
-            let (batch, cause) = queue.take_batch().expect("queue is open");
-            assert_eq!(ids(&batch), [0, 1, 2], "oldest first, never above max");
+            let (batch, cause) = queue.take().expect("queue is open");
+            assert_eq!(batch, [0, 1, 2], "oldest first, never above max");
             assert_eq!(cause, BatchCause::Full);
         }
     }
@@ -1050,8 +1332,7 @@ pub(crate) mod tests {
     ) -> JoinHandle<()> {
         let (queue, sealed) = (Arc::clone(queue), sealed.clone());
         std::thread::spawn(move || {
-            let (batch, cause) = queue.take_batch().expect("queue is open");
-            sealed.send((ids(&batch), cause)).unwrap();
+            sealed.send(queue.take().expect("queue is open")).unwrap();
         })
     }
 
@@ -1065,10 +1346,11 @@ pub(crate) mod tests {
         let (sealed_tx, sealed) = std::sync::mpsc::channel();
         let blocked = taker(&queue, &sealed_tx);
         for id in 0..3 {
-            assert!(queue.push(queued(&gate, id)).is_ok());
+            assert!(queue.push(queued(&gate, id), false).is_ok());
         }
-        assert_eq!(sealed.recv().unwrap(), (vec![0, 1, 2], BatchCause::Full));
-        blocked.join().unwrap();
+        let woken = sealed.recv_timeout(Duration::from_secs(10));
+        assert_eq!(woken, Ok((vec![0, 1, 2], BatchCause::Full)));
+        join_within(blocked);
     }
 
     #[test]
@@ -1084,13 +1366,15 @@ pub(crate) mod tests {
         queue.ready.notify_one();
         // one taker seals three and strands the fourth: the sibling it wakes
         // (or that only now looks) must leave a short, open queue alone
-        assert_eq!(sealed.recv().unwrap(), (vec![0, 1, 2], BatchCause::Full));
+        let first = sealed.recv_timeout(Duration::from_secs(10));
+        assert_eq!(first, Ok((vec![0, 1, 2], BatchCause::Full)));
         for id in 4..6 {
-            assert!(queue.push(queued(&gate, id)).is_ok());
+            assert!(queue.push(queued(&gate, id), false).is_ok());
         }
-        assert_eq!(sealed.recv().unwrap(), (vec![3, 4, 5], BatchCause::Full));
+        let second = sealed.recv_timeout(Duration::from_secs(10));
+        assert_eq!(second, Ok((vec![3, 4, 5], BatchCause::Full)));
         for taker in takers {
-            taker.join().unwrap();
+            join_within(taker);
         }
         assert_eq!(gate.depth(), 0);
     }
@@ -1100,12 +1384,10 @@ pub(crate) mod tests {
         let gate = Arc::new(Gate::new(8, None));
         let queue = WorkQueue::new(BatchPolicy::by_size(3), 1);
         for id in 0..7 {
-            assert!(queue.push(queued(&gate, id)).is_ok());
+            assert!(queue.push(queued(&gate, id), false).is_ok());
         }
         queue.close();
-        let causes: Vec<(Vec<usize>, BatchCause)> = std::iter::from_fn(|| queue.take_batch())
-            .map(|(batch, cause)| (ids(&batch), cause))
-            .collect();
+        let causes: Vec<(Vec<usize>, BatchCause)> = std::iter::from_fn(|| queue.take()).collect();
         assert_eq!(
             causes,
             [
@@ -1114,12 +1396,9 @@ pub(crate) mod tests {
                 (vec![6], BatchCause::Flush),
             ]
         );
-        assert!(
-            queue.take_batch().is_none(),
-            "closed and empty stays that way"
-        );
+        assert!(queue.take().is_none(), "closed and empty stays that way");
         // a push after close hands the request back, untouched
-        let back = queue.push(queued(&gate, 7)).unwrap_err();
+        let back = queue.push(queued(&gate, 7), false).unwrap_err();
         assert_eq!(ids(&[back]), [7]);
         assert_eq!(gate.depth(), 0, "every ticket was released");
     }
@@ -1150,7 +1429,7 @@ pub(crate) mod tests {
                     0..=4 => {
                         let id = pushed;
                         pushed += 1;
-                        match queue.push(queued(&gate, id)) {
+                        match queue.push(queued(&gate, id), false) {
                             Ok(()) => {
                                 prop_assert!(!closed, "a closed queue accepted {id}");
                                 waiting.push_back(id);
@@ -1165,13 +1444,13 @@ pub(crate) mod tests {
                     // would (rightly) block the take
                     5..=6 if !closed
                         && (waiting.is_empty() || hold_until_full && waiting.len() < max) => {}
-                    5..=6 => match queue.take_batch() {
+                    5..=6 => match queue.take() {
                         None => prop_assert!(closed && waiting.is_empty()),
                         Some((batch, cause)) => {
                             let n = waiting.len().min(max);
                             prop_assert!(n > 0, "a batch out of an empty queue");
                             let expected: Vec<usize> = waiting.drain(..n).collect();
-                            prop_assert_eq!(ids(&batch), expected);
+                            prop_assert_eq!(&batch, &expected);
                             let want = match (n == max, closed) {
                                 (true, _) => BatchCause::Full,
                                 (false, true) => BatchCause::Flush,
@@ -1179,7 +1458,7 @@ pub(crate) mod tests {
                             };
                             prop_assert!(want != BatchCause::Ready || !hold_until_full);
                             prop_assert_eq!(cause, want);
-                            taken.extend(ids(&batch));
+                            taken.extend(batch);
                         }
                     },
                     _ => {
@@ -1188,7 +1467,7 @@ pub(crate) mod tests {
                     }
                 }
             }
-            prop_assert!(waiting.is_empty() && queue.take_batch().is_none());
+            prop_assert!(waiting.is_empty() && queue.take().is_none());
             prop_assert!(taken.windows(2).all(|w| w[0] < w[1]), "FIFO");
             let mut all = [taken, handed_back].concat();
             all.sort_unstable();
@@ -1395,7 +1674,7 @@ pub(crate) mod tests {
         admitted
             .recv_timeout(Duration::from_secs(10))
             .expect("the release wakes the parked submitter");
-        blocked.join().unwrap();
+        join_within(blocked);
         assert_eq!(gate.depth(), 1, "the woken submitter holds the slot");
         assert_eq!(gate.state.lock().unwrap().blocked, 0);
     }
@@ -1407,14 +1686,15 @@ pub(crate) mod tests {
         }
     }
 
-    /// A waker for [`Admission::Park`], and the count of its calls.
-    pub(crate) fn counting_waker() -> (Arc<AtomicUsize>, Arc<dyn Fn() + Send + Sync>) {
+    /// An edge for [`Admission::Park`] whose waker counts its calls, and
+    /// the count.
+    pub(crate) fn counting_edge() -> (Arc<AtomicUsize>, Edge) {
         let calls = Arc::new(AtomicUsize::new(0));
         let count = Arc::clone(&calls);
         let waker = Arc::new(move || {
             count.fetch_add(1, Ordering::SeqCst);
         });
-        (calls, waker)
+        (calls, Edge::new(waker))
     }
 
     fn parked(gate: &Gate) -> usize {
@@ -1423,7 +1703,7 @@ pub(crate) mod tests {
 
     #[test]
     fn a_parked_waker_is_left_by_a_full_refusal_under_park_only() {
-        let (_, waker) = counting_waker();
+        let (_, edge) = counting_edge();
         let (high, low) = (Priority::High, Priority::Low);
         // the gate, the (class, tenant) holding a slot, the one refused, and why
         let cases = [
@@ -1448,23 +1728,26 @@ pub(crate) mod tests {
             ),
         ];
         for (gate, (class, tenant), (refused_class, refused_tenant), refusal) in cases {
+            let gate = Arc::new(gate);
             gate.acquire(Admission::Try, class, tenant).unwrap();
             // `Block` stores nothing: it waits, counted, for the slot to free
-            std::thread::scope(|scope| {
-                let blocked =
-                    scope.spawn(|| gate.acquire(Admission::Block, refused_class, refused_tenant));
-                while gate.state.lock().unwrap().blocked == 0 {
-                    std::thread::yield_now();
-                }
-                assert_eq!(parked(&gate), 0, "{refusal:?} under Block");
-                gate.release(tenant);
-                blocked.join().unwrap().unwrap();
-            });
+            let blocked = {
+                let gate = Arc::clone(&gate);
+                std::thread::spawn(move || {
+                    gate.acquire(Admission::Block, refused_class, refused_tenant)
+                })
+            };
+            while gate.state.lock().unwrap().blocked == 0 {
+                std::thread::yield_now();
+            }
+            assert_eq!(parked(&gate), 0, "{refusal:?} under Block");
+            gate.release(tenant);
+            join_within(blocked).unwrap();
             let stored = usize::from(refusal == ServeError::Full);
             for (how, want) in [
                 (Admission::Try, 0),
-                (Admission::Park(&waker), stored),
-                (Admission::Park(&waker), stored), // each waker once
+                (Admission::Park(&edge), stored),
+                (Admission::Park(&edge), stored), // each waker once
             ] {
                 let refused = gate.acquire(how, refused_class, refused_tenant);
                 assert_eq!(refused, Err(refusal.clone()));
@@ -1478,7 +1761,7 @@ pub(crate) mod tests {
         let gate = Gate::new(1, None);
         gate.acquire(Admission::Try, Priority::High, None).unwrap();
         let [(first, first_waker), (second, second_waker), (dropped, dropped_waker)] =
-            [(); 3].map(|()| counting_waker());
+            [(); 3].map(|()| counting_edge());
         for waker in [&first_waker, &second_waker, &first_waker, &dropped_waker] {
             let refused = gate.acquire(Admission::Park(waker), Priority::High, None);
             assert_eq!(refused, Err(ServeError::Full));
@@ -1502,7 +1785,7 @@ pub(crate) mod tests {
     fn a_parked_waker_is_never_lost_to_a_racing_release() {
         const ROUNDS: usize = 20_000;
         let gate = Gate::new(1, None);
-        let (fired, waker) = counting_waker();
+        let (fired, edge) = counting_edge();
         let (go, done) = (AtomicUsize::new(0), AtomicUsize::new(0));
         let spin = |n: usize| (0..n).for_each(|_| std::hint::spin_loop());
         let (mut refused, mut lost) = (0, None);
@@ -1526,7 +1809,7 @@ pub(crate) mod tests {
                 gate.acquire(Admission::Try, Priority::High, None).unwrap();
                 go.store(round, Ordering::Release);
                 spin(round % 32);
-                let admitted = gate.acquire(Admission::Park(&waker), Priority::High, None);
+                let admitted = gate.acquire(Admission::Park(&edge), Priority::High, None);
                 while done.load(Ordering::Acquire) != round {
                     std::hint::spin_loop();
                 }
@@ -1554,34 +1837,32 @@ pub(crate) mod tests {
     #[test]
     fn concurrent_clients_interleave_arbitrarily() {
         let net = build_untrained();
-        let server = Server::start(Arc::clone(&net), config(BatchPolicy::new(8), 128, 3)).unwrap();
+        let config = config(BatchPolicy::new(8), 128, 3);
+        let server = Arc::new(Server::start(Arc::clone(&net), config).unwrap());
         let inputs = images(60);
-        let outputs: Vec<_> = std::thread::scope(|scope| {
-            let handles: Vec<_> = inputs
-                .chunks(20)
-                .map(|chunk| {
-                    let server = &server;
-                    scope.spawn(move || {
-                        let pendings: Vec<Pending> = chunk
-                            .iter()
-                            .map(|x| server.submit(x.clone()).unwrap())
-                            .collect();
-                        pendings
-                            .into_iter()
-                            .map(|p| p.wait().unwrap())
-                            .collect::<Vec<_>>()
-                    })
+        let clients: Vec<_> = inputs
+            .chunks(20)
+            .map(|chunk| {
+                let (server, chunk) = (Arc::clone(&server), chunk.to_vec());
+                std::thread::spawn(move || {
+                    let pendings: Vec<Pending> = chunk
+                        .into_iter()
+                        .map(|x| server.submit(x).unwrap())
+                        .collect();
+                    pendings
+                        .into_iter()
+                        .map(|p| p.wait().unwrap())
+                        .collect::<Vec<_>>()
                 })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap())
-                .collect()
-        });
+            })
+            .collect();
+        let outputs: Vec<_> = clients.into_iter().flat_map(join_within).collect();
         for (x, out) in inputs.iter().zip(&outputs) {
             assert_eq!(*out, net.classify(x).unwrap());
         }
-        let metrics = server.shutdown();
+        let metrics = Arc::into_inner(server)
+            .expect("the clients are done")
+            .shutdown();
         assert_eq!(metrics.completed, 60);
     }
 

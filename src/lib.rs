@@ -18,7 +18,8 @@
 //!   batched serving path [`core::batch::BatchEvaluator`],
 //! * [`serve`] — streaming inference: bounded submission queue → pool of
 //!   persistent batched evaluators that seal their own batches off it
-//!   (whatever is queued when a worker is free), per-request δ/depth
+//!   (whatever is queued when a worker is free; on an idle server the TCP
+//!   edge thread that read a short queue evaluates it itself), per-request δ/depth
 //!   overrides, a sharded multi-model [`serve::Router`] front-end with
 //!   per-model replica sets ([`serve::ReplicaSpec`] + placement policies),
 //!   and a length-prefixed TCP edge ([`serve::TcpServer`]; clients pipeline
@@ -141,9 +142,13 @@
 //! full, then returns a one-shot [`serve::Pending`] handle at once. Callers
 //! on any number of threads share one server, and every submit, routed and
 //! wire-borne ones included, ends in the same crate-internal admission call.
-//! A worker pool of persistent `BatchEvaluator`s seals batches off the one
-//! queue — a free worker takes what is queued, up to
-//! [`serve::BatchPolicy`]'s `max_batch_size` — and answers them.
+//! A worker pool seals batches off the one queue — a free worker takes what
+//! is queued, up to [`serve::BatchPolicy`]'s `max_batch_size` — and answers
+//! them, each batch on one of the server's `workers` persistent evaluator
+//! states. A wire request that reaches an idle server changes no thread:
+//! the TCP edge thread that read it seals and evaluates its batch at the end
+//! of its pass, on an evaluator state from the same pool (a full batch is
+//! load, and still goes to a worker).
 //! Drop-to-cancel, graceful drain-then-stop shutdown and a
 //! [`serve::ServerMetrics`] snapshot (batch-size histogram, latency
 //! histogram, cumulative ops/energy; printed as Prometheus text) are built

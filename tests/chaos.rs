@@ -327,6 +327,7 @@ fn swap_model_under_load_loses_nothing() {
     .unwrap();
     let model = router.model_id("m").unwrap();
 
+    let _bound = common::Watchdog::arm(Duration::from_secs(300), "hammers across a swap");
     let mut delivered: Vec<CdlOutput> = std::thread::scope(|scope| {
         let router = &router;
         let expected = &expected;
@@ -470,6 +471,7 @@ fn parked_admission_resumes_on_gate_vacancy_without_polling() {
     .unwrap();
     let addr = edge.local_addr();
 
+    let _bound = common::Watchdog::arm(Duration::from_secs(300), "clients on a full gate");
     let (done_a, done_b) = std::thread::scope(|scope| {
         let a = scope.spawn(move || {
             let mut client = TcpClient::connect(addr).unwrap();

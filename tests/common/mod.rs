@@ -2,7 +2,9 @@
 //! (`mod common;`).
 #![allow(dead_code)] // each suite uses the subset it has the data for
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use cdl::core::arch::CdlArchitecture;
 use cdl::core::confidence::ConfidencePolicy;
@@ -12,6 +14,37 @@ use cdl::hw::OpCount;
 use cdl::nn::network::Network;
 use cdl::serve::RouterMetrics;
 use cdl::tensor::Tensor;
+
+/// While alive, bounds the threads a test started and joins: if it is not
+/// dropped within `limit`, the test binary prints `what` and aborts. A
+/// scoped thread waiting on a wake that never comes cannot be left behind
+/// by a failing assertion (the scope joins it), so a lost wake would hang
+/// the suite; this makes it fail.
+pub struct Watchdog(Arc<AtomicBool>);
+
+impl Watchdog {
+    pub fn arm(limit: Duration, what: &'static str) -> Watchdog {
+        let done = Arc::new(AtomicBool::new(false));
+        let seen = Arc::clone(&done);
+        let deadline = Instant::now() + limit;
+        std::thread::spawn(move || {
+            while !seen.load(Ordering::Relaxed) {
+                if Instant::now() >= deadline {
+                    eprintln!("{what}: still running after {limit:?}");
+                    std::process::abort();
+                }
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        });
+        Watchdog(done)
+    }
+}
+
+impl Drop for Watchdog {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
 
 /// An untrained cascade of `arch` (weights drawn from `seed`), one linear
 /// head per tap, gated at max-probability 0.6.

@@ -91,6 +91,7 @@ fn a_warm_batch_allocates_a_handful_whatever_its_size() {
                 .expect("warm batch")
         });
         assert_eq!(outputs, warm[..n], "n={n}");
+        println!("{count} allocations for a warm batch of {n} images through {layers} layers");
         assert!(
             count <= CEILING,
             "{count} allocations for {n} images through {layers} layers (ceiling {CEILING})"
@@ -104,6 +105,7 @@ fn a_warm_batch_allocates_a_handful_whatever_its_size() {
 
     // the natural mix (exits at every gate, compaction) is no different
     let (count, _) = allocations_during(|| eval.classify_batch(&images).expect("natural batch"));
+    println!("{count} allocations for a warm natural batch of 256 images");
     assert!(count <= CEILING, "{count} allocations for the natural mix");
     assert_eq!(eval.scratch_capacity(), grown);
 }

@@ -88,6 +88,9 @@ fn pipelined_connections_are_bit_exact_against_replicas() {
                 scope.spawn(move || {
                     let nets = [m2c, m3c];
                     let stream = TcpStream::connect(addr).unwrap();
+                    stream
+                        .set_read_timeout(Some(Duration::from_secs(30)))
+                        .unwrap();
                     let (mut send, mut recv) = net::split(stream).unwrap();
                     // pipeline the whole burst before reading anything
                     let mut sent = Vec::with_capacity(PER_CONN);
@@ -107,7 +110,8 @@ fn pipelined_connections_are_bit_exact_against_replicas() {
                     // and batches; match them up by id
                     let mut answered = vec![None; PER_CONN];
                     for _ in 0..PER_CONN {
-                        let (id, result) = recv.recv().unwrap().expect("no read time-out is set");
+                        let (id, result) =
+                            recv.recv().unwrap().expect("a reply inside the time-out");
                         let slot = sent.iter().position(|&(s, _)| s == id).unwrap();
                         assert!(answered[slot].is_none(), "id {id} answered twice");
                         answered[slot] = Some(result.unwrap());
@@ -481,4 +485,177 @@ fn the_halves_pipeline_one_flush_and_match_replies_by_id() {
     edge.shutdown();
     let metrics = Arc::try_unwrap(router).unwrap().shutdown();
     assert_eq!(metrics.total().completed, N as u64);
+}
+
+/// Replies off `recv` until `n` arrived, each inside `limit` of the last.
+fn replies(recv: &mut net::RecvHalf, n: usize, limit: Duration) -> Vec<net::Reply> {
+    let mut got = Vec::with_capacity(n);
+    let mut deadline = Instant::now() + limit;
+    while got.len() < n {
+        match recv.recv().unwrap() {
+            Some(reply) => {
+                got.push(reply);
+                deadline = Instant::now() + limit;
+            }
+            None => assert!(
+                Instant::now() < deadline,
+                "{} of {n} replies after {limit:?}",
+                got.len()
+            ),
+        }
+    }
+    got
+}
+
+/// An idle router evaluates a wire request on the edge thread that read it:
+/// requests sent one at a time are each a batch of one, sealed and run by
+/// the edge with no worker woken, and every reply is bit-exact.
+#[test]
+fn an_idle_router_evaluates_sequential_wire_requests_on_the_edge() {
+    const N: usize = 24;
+    let m2c = build_untrained(arch::mnist_2c(), 5);
+    let m3c = build_untrained(arch::mnist_3c(), 9);
+    let config = ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    };
+    let router = Arc::new(
+        Router::start(vec![
+            ShardSpec::new("MNIST_2C", Arc::clone(&m2c), config.clone()),
+            ShardSpec::new("MNIST_3C", Arc::clone(&m3c), config),
+        ])
+        .unwrap(),
+    );
+    let edge = TcpServer::bind("127.0.0.1:0", Arc::clone(&router)).unwrap();
+    let (mut send, mut recv) = halves(&edge, Duration::from_secs(30));
+    for i in 0..N {
+        let (name, net) = if i % 2 == 0 {
+            ("MNIST_2C", &m2c)
+        } else {
+            ("MNIST_3C", &m3c)
+        };
+        let payload = codec::tensor_payload(&image(i));
+        send.queue(i as u64, name, &override_mix(i), None, &payload)
+            .unwrap();
+        send.flush().unwrap();
+        let (id, result) = recv.recv().unwrap().expect("a reply inside the time-out");
+        assert_eq!(id, i as u64);
+        let (got, want) = (result.unwrap(), expected(net, &image(i), override_mix(i)));
+        assert_eq!(
+            got.confidence.to_bits(),
+            want.confidence.to_bits(),
+            "request {i}"
+        );
+        assert_eq!(got, want, "request {i}");
+    }
+    drop((send, recv));
+    edge.shutdown();
+    let metrics = Arc::try_unwrap(router).unwrap().shutdown();
+    common::assert_settled(&metrics);
+    let total = metrics.total();
+    assert_eq!(total.completed, N as u64);
+    assert_eq!(total.batch_size_histogram, [0, N as u64], "batches of one");
+    assert_eq!(
+        total.batches_on_edge, N as u64,
+        "every batch ran on the edge"
+    );
+}
+
+/// An armed fault plan keeps every batch on the workers, even on an idle
+/// router: the stall sleeps a worker, the scripted panic kills one — the
+/// edge, which never ran a batch, keeps serving on the worker left.
+#[test]
+fn an_armed_fault_plan_keeps_every_batch_on_the_workers() {
+    use cdl::serve::{FaultKind, FaultPlan};
+    let net = build_untrained(arch::mnist_2c(), 5);
+    let stall = Duration::from_millis(100);
+    let config = ServerConfig {
+        workers: 2,
+        fault: FaultPlan::scripted(vec![
+            (1, FaultKind::Stall(stall)),
+            (3, FaultKind::PanicOnce),
+        ]),
+        ..ServerConfig::default()
+    };
+    let router =
+        Arc::new(Router::start(vec![ShardSpec::new("m", Arc::clone(&net), config)]).unwrap());
+    let edge = TcpServer::bind("127.0.0.1:0", Arc::clone(&router)).unwrap();
+    let (mut send, mut recv) = halves(&edge, Duration::from_secs(30));
+    let payload = codec::tensor_payload(&image(0));
+    let want = expected(&net, &image(0), SubmitOptions::default());
+    for i in 0..6 {
+        send.queue(i, "m", &SubmitOptions::default(), None, &payload)
+            .unwrap();
+        let started = Instant::now();
+        send.flush().unwrap();
+        let (id, result) = recv.recv().unwrap().expect("a reply inside the time-out");
+        assert_eq!(id, i);
+        match i {
+            1 => {
+                assert!(started.elapsed() >= stall, "batch 1 stalls its worker");
+                assert_eq!(result.unwrap(), want);
+            }
+            3 => assert_eq!(
+                result.unwrap_err().code,
+                ErrorCode::Disconnected,
+                "batch 3 kills its worker"
+            ),
+            _ => assert_eq!(result.unwrap(), want, "request {i}"),
+        }
+    }
+    drop((send, recv));
+    edge.shutdown();
+    let metrics = Arc::try_unwrap(router).unwrap().shutdown();
+    common::assert_settled(&metrics);
+    let total = metrics.total();
+    assert_eq!((total.completed, total.failed), (5, 1));
+    assert_eq!(total.batches_on_edge, 0, "a batch ran on the edge");
+}
+
+/// Under `BatchPolicy::by_size(n)` the edge never takes a short queue: n − 1
+/// pipelined requests wait, unevaluated, and the push of the n-th fills one
+/// batch and wakes a worker, as every push that fills a batch does.
+#[test]
+fn under_by_size_the_edge_never_takes_a_short_queue() {
+    const N: u64 = 4;
+    let net = build_untrained(arch::mnist_2c(), 5);
+    let config = ServerConfig {
+        policy: BatchPolicy::by_size(N as usize),
+        workers: 1,
+        ..ServerConfig::default()
+    };
+    let router =
+        Arc::new(Router::start(vec![ShardSpec::new("m", Arc::clone(&net), config)]).unwrap());
+    let edge = TcpServer::bind("127.0.0.1:0", Arc::clone(&router)).unwrap();
+    let (mut send, mut recv) = halves(&edge, Duration::from_millis(200));
+    let send_one = |send: &mut net::SendHalf, i: u64| {
+        let payload = codec::tensor_payload(&image(i as usize));
+        send.queue(i, "m", &SubmitOptions::default(), None, &payload)
+            .unwrap();
+        send.flush().unwrap();
+    };
+    for i in 0..N - 1 {
+        send_one(&mut send, i);
+    }
+    assert!(
+        recv.recv().unwrap().is_none(),
+        "a short queue was evaluated"
+    );
+    let live = router.metrics().total();
+    let sealed = live.batches_full + live.batches_ready + live.batches_flushed;
+    assert_eq!((live.submitted, sealed), (N - 1, 0));
+    send_one(&mut send, N - 1);
+    for (id, result) in replies(&mut recv, N as usize, Duration::from_secs(30)) {
+        let want = expected(&net, &image(id as usize), SubmitOptions::default());
+        assert_eq!(result.unwrap(), want, "request {id}");
+    }
+    drop((send, recv));
+    edge.shutdown();
+    let total = Arc::try_unwrap(router).unwrap().shutdown().total();
+    assert_eq!(
+        total.batch_size_histogram,
+        [0, 0, 0, 0, 1],
+        "one full batch"
+    );
+    assert_eq!((total.batches_full, total.batches_on_edge), (1, 0));
 }

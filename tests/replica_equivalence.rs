@@ -11,6 +11,7 @@
 //! count, and an exact round-robin split.
 
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 use cdl::core::arch;
 use cdl::core::builder::{BuilderConfig, CdlBuilder};
@@ -23,6 +24,8 @@ use cdl::serve::{
     BatchPolicy, Pending, PlacementPolicy, ReplicaSpec, Router, RouterMetrics, ServerConfig,
     ShardSpec, SubmitOptions,
 };
+
+mod common;
 
 /// Trains MNIST_2C and MNIST_3C once, shares across tests (training
 /// dominates runtime).
@@ -106,6 +109,7 @@ fn assert_replicas_equivalent(placement: PlacementPolicy, clients: usize) -> Rou
     assert_eq!(router.replica_count(models[0]).unwrap(), 3);
     assert_eq!(router.replica_count(models[1]).unwrap(), 2);
 
+    let _bound = common::Watchdog::arm(Duration::from_secs(300), "replica clients");
     let outputs: Vec<(usize, cdl::core::network::CdlOutput)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
             .map(|c| {

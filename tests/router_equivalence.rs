@@ -9,6 +9,7 @@
 //! mix of overrides sharing a batch.
 
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 use cdl::core::arch;
 use cdl::core::builder::{BuilderConfig, CdlBuilder};
@@ -18,6 +19,8 @@ use cdl::dataset::SyntheticMnist;
 use cdl::nn::network::Network;
 use cdl::nn::trainer::{train, LabelledSet, TrainConfig};
 use cdl::serve::{BatchPolicy, ModelId, Pending, Router, ServerConfig, ShardSpec, SubmitOptions};
+
+mod common;
 
 /// Trains MNIST_2C and MNIST_3C once, shares across tests (training
 /// dominates runtime).
@@ -98,6 +101,7 @@ fn assert_router_equivalent(policy: BatchPolicy, clients: usize, workers: usize)
         router.model_id("MNIST_3C").unwrap(),
     ];
 
+    let _bound = common::Watchdog::arm(Duration::from_secs(300), "routed clients");
     let outputs: Vec<(usize, cdl::core::network::CdlOutput)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
             .map(|c| {

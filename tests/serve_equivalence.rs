@@ -7,6 +7,7 @@
 //! **bit-identical** to `CdlNetwork::classify` on the same image.
 
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 use cdl::core::arch;
 use cdl::core::builder::{BuilderConfig, CdlBuilder};
@@ -16,6 +17,8 @@ use cdl::dataset::SyntheticMnist;
 use cdl::nn::network::Network;
 use cdl::nn::trainer::{train, LabelledSet, TrainConfig};
 use cdl::serve::{BatchPolicy, Pending, Server, ServerConfig};
+
+mod common;
 
 /// Trains once, shares across tests (training dominates runtime).
 fn trained_cdln() -> &'static (Arc<CdlNetwork>, LabelledSet) {
@@ -66,6 +69,7 @@ fn assert_server_equivalent(policy: BatchPolicy, clients: usize, workers: usize)
     )
     .expect("server start");
 
+    let _bound = common::Watchdog::arm(Duration::from_secs(300), "serving clients");
     let outputs: Vec<(usize, cdl::core::network::CdlOutput)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
             .map(|c| {

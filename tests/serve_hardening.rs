@@ -111,6 +111,9 @@ fn bad_input_cannot_poison_cobatched_requests_over_tcp() {
     let edge = TcpServer::bind("127.0.0.1:0", Arc::clone(&router)).unwrap();
 
     let stream = TcpStream::connect(edge.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
     let (mut send, mut recv) = net::split(stream).unwrap();
     let poison = Tensor::full(&[2, 2], 0.5);
     let (good_a, poison_id, good_b) = (0, 1, 2);
@@ -123,7 +126,7 @@ fn bad_input_cannot_poison_cobatched_requests_over_tcp() {
 
     let mut outputs = std::collections::HashMap::new();
     for _ in 0..3 {
-        let (id, result) = recv.recv().unwrap().expect("no read time-out is set");
+        let (id, result) = recv.recv().unwrap().expect("a reply inside the time-out");
         outputs.insert(id, result);
     }
     let err = outputs.remove(&poison_id).unwrap().unwrap_err();

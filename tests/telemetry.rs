@@ -163,6 +163,9 @@ fn trace_ids_propagate_across_the_tcp_loopback() {
     );
     let edge = TcpServer::bind("127.0.0.1:0", Arc::clone(&router)).unwrap();
     let stream = std::net::TcpStream::connect(edge.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
     let (mut send, mut recv) = net::split(stream).unwrap();
 
     let trace = TraceId::next();
@@ -176,7 +179,7 @@ fn trace_ids_propagate_across_the_tcp_loopback() {
     send.flush().unwrap();
     let mut outputs = [None, None];
     for _ in 0..2 {
-        let (id, result) = recv.recv().unwrap().expect("no read time-out is set");
+        let (id, result) = recv.recv().unwrap().expect("a reply inside the time-out");
         let slot = if id == traced_id {
             0
         } else {
