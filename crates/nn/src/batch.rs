@@ -54,11 +54,13 @@
 //! inside the requested `(from, upto]`, which every cascade segment does
 //! since taps sit after pools: the network
 //! offers the conv layer the group's epilogue (`Block::take_epilogue`),
-//! and `cdl_tensor::im2col::conv2d_pool_block` convolves, **max-pools the
-//! raw pre-activations**, applies the activation to the pooled values only
-//! and writes them straight into the next block — eight images to a vector
-//! where the direct kernel cannot fill its lanes (see `cdl_tensor::gemm`
-//! for which kernel runs when).
+//! and `cdl_tensor::im2col::conv2d_pool_block` convolves and **max-pools
+//! the pre-activations inside the conv kernel** — each tile's accumulators
+//! are pooled before anything is stored, so no raw conv map is written and
+//! no second pass reads one — applies the activation to the pooled values
+//! only and writes them straight into the next block — eight images to a
+//! vector where the direct kernel cannot fill its lanes (see
+//! `cdl_tensor::gemm` for which kernel runs when).
 //!
 //! Pooling first is exact, not approximate. For a non-decreasing `f`,
 //! `max(f(a), f(b)) = f(max(a, b))`; for the *bits* to agree under the

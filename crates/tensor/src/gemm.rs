@@ -22,7 +22,7 @@
 //! | shape | body | `Reference` (and `Simd` without AVX2) | `Simd` on an AVX2 host |
 //! |---|---|---|---|
 //! | convolution, lanes across images (`conv2d_x8`) | `x8_oc_block` over `tile::<_, _, 8>` | baseline compilation | AVX2 compilation |
-//! | convolution, lanes across a row (`conv2d_direct`) | `direct_oc_block` over `tile::<_, _, 1>` | baseline compilation | AVX2 compilation |
+//! | convolution, lanes across a row, pooled by 1 or 2 in the tile (`conv2d_direct`) | `direct_oc_block` over `tile::<_, _, 1>` and `pool_row_pair` | baseline compilation | AVX2 compilation |
 //! | logistic ([`crate::math::sigmoid_slice`], which takes the arm like every body above) | one straight loop | baseline compilation | AVX2 compilation |
 //! | batched affine, lanes across images (`gemm_nt_rows`) | `nt_rows` | baseline compilation | AVX2 compilation |
 //!
@@ -68,7 +68,7 @@
 //!   (pure bias) included.
 //!
 //! The arms are therefore equal because they are one source, not because a
-//! sweep says so; the oracle sweeps (`direct_conv_matches_oracle_…`,
+//! sweep says so; the oracle sweeps (`direct_conv_…matches_oracle_…`,
 //! `x8_conv_matches_oracle_…`, the proptests, `tests/golden.rs`) now hold
 //! that one source to the specification, on both compilations.
 //!
@@ -108,17 +108,28 @@
 //!   `ow ≥ 8` columns takes `ceil(ow/8)` vectors at `ox = 0, 8, …` with the
 //!   last one placed at `ow − 8`, so a width that is not a multiple of 8
 //!   costs one more full vector (up to 7 columns computed twice) instead of
-//!   a scalar column tail. The positions of the whole `[oh, ow]` plane are
-//!   walked in order and taken two at a time, across a row end too, and
-//!   three output channels share each input load: every tile is 2 vectors ×
-//!   3 channels = 6 independent add chains (the odd last position runs
-//!   1 × 3), which is what hides the latency of the dependent adds. A lane's
-//!   bits depend only on which element it owns, so a cell stored by two
-//!   overlapping vectors receives the same bits twice. Requires `ow ≥ 8`
-//!   (checked, not assumed: `ow − 8` would underflow). Tried and dropped:
-//!   4 vectors × 3 channels (12 accumulators spill — slower than 2 × 3
-//!   throughout), a const-generic kernel size (no gain), and with them a
-//!   packed weight layout: the per-tap broadcasts are L1 hits already.
+//!   a scalar column tail. Three output channels share each input load and
+//!   every tile is 2 vectors × 3 channels = 6 independent add chains, which
+//!   is what hides the latency of the dependent adds. A lane's bits depend
+//!   only on which element it owns, so a cell stored by two overlapping
+//!   vectors receives the same bits twice. Requires `ow ≥ 8` (checked, not
+//!   assumed: `ow − 8` would underflow). Under the identity window the
+//!   positions of the whole `[oh, ow]` plane are taken two at a time in
+//!   order, across a row end too (the odd last one runs 1 × 3). **Under a
+//!   2×2 window the pool is in the tile**: a tile is the vertical pair
+//!   `(2py, ox)`, `(2py + 1, ox)`, max-pooled in registers by
+//!   `pool_row_pair` before anything is stored, so no conv map is written.
+//!   The rule is [`crate::pool`]'s scan `a = (2py, 2px)`, `b = (2py,
+//!   2px+1)`, `c = (2py+1, 2px)`, `d = (2py+1, 2px+1)` with a strict `>`,
+//!   never a max tree (with `c` NaN and `d` largest the tree keeps
+//!   `max(a, b)`, the scan `d`). Against the raw plane and scalar pool pass
+//!   it replaced (fused stage with its sigmoid, in process, AVX2): 2C's C1
+//!   ×1.16–1.26, C2 ×1.07–1.14 at n = 1, 18, 256; pooling each row pair
+//!   from an L1 strip instead (the x8 kernel's way) lost to the registers
+//!   in 17 of those 18 cells. Tried and dropped: 4 vectors × 3 channels
+//!   (12 accumulators spill — slower than 2 × 3 throughout), a
+//!   const-generic kernel size (no gain), and with them a packed weight
+//!   layout: the per-tap broadcasts are L1 hits already.
 //! * **Lanes across images** (`conv2d_x8`): the direct kernel wastes the
 //!   lanes a row cannot fill — 6 of 16 on 3C's 10-wide C2 maps — and cannot
 //!   run at all below 8 columns (3C's 3×3 C3). With the batch travelling as
@@ -140,11 +151,14 @@
 //!
 //! # Which convolution kernel runs
 //!
-//! One pure function of the geometry and the batch size,
-//! `im2col::BatchGeometry::x8_images` (tested as a table), no knob and no
-//! arm: every **full** block of eight images takes the x8 kernel unless
-//! `ow % 8 == 0`; the `n % 8` remainder takes the direct kernel per image
-//! when `ow ≥ 8` and one zero-padded x8 block when `ow < 8`. The numbers
+//! One pure function of the geometry, the pooling window and the batch
+//! size, `im2col::BatchGeometry::x8_images` (tested as a table), no knob
+//! and no arm: a window other than 1 or 2 sends every image to the x8
+//! kernel, which pools any window per lane (no network this workspace
+//! builds has one); otherwise every **full** block of eight images takes
+//! the x8 kernel unless `ow % 8 == 0`, and the `n % 8` remainder takes the
+//! direct kernel per image when `ow ≥ 8` and one zero-padded x8 block when
+//! `ow < 8`. The numbers
 //! behind each clause (fused `conv → pool → sigmoid` per image including
 //! the pack, n = 256, AVX2 compilation, this repository's 2-vCPU reference
 //! box, PR 21): 3C's C3 (ow = 3) 285 ns, C2 (ow = 10) 2150 → 1350–1430 ns
@@ -178,9 +192,9 @@
 //! throughput. The only caller that passes anything but `detect()` is a
 //! parity suite walking [`GemmKernel::ALL`] (`BatchEvaluator::with_kernel`),
 //! and the `benchmark/` package's `tensor.*` rows time the detected arm.
-//! The next steps if LeNet-scale feature maps are outgrown: handing
-//! `conv2d_x8`'s interleaved block straight to the next head instead of
-//! unpacking and repacking it, an AVX-512 instantiation, and a
+//! The next steps: handing `conv2d_x8`'s interleaved block straight to the
+//! next head instead of unpacking and repacking it (ROADMAP 2(b)), and, if
+//! LeNet-scale feature maps are outgrown, an AVX-512 instantiation and a
 //! packed/L2-blocked operand layout.
 
 use std::cell::RefCell;
@@ -481,7 +495,9 @@ pub(crate) const DIRECT_MIN_OW: usize = LANES;
 /// element and runs its chain alone — bias first, then the taps in
 /// `(c, ky, kx)` ascending order, a separate mul and add per tap —
 /// [`crate::conv::conv2d_valid`]'s order, so its bits are the oracle's
-/// whatever shares the vector.
+/// whatever shares the vector. It returns the accumulators, `acc[o][p]` for
+/// channel `oc0 + o` at position `at[p]`: stored as they are by
+/// [`tile_into`], pooled first by [`direct_oc_block`] under window 2.
 ///
 /// Larger tiles and a const-generic kernel size were tried and dropped
 /// (module docs).
@@ -490,32 +506,26 @@ pub(crate) const DIRECT_MIN_OW: usize = LANES;
 ///
 /// `g` is a valid geometry (`oh = h − kh + 1`, `ow = w − kw + 1`),
 /// `weights.len() == c_out·c_in·kh·kw`, `oc0 + OC <= c_out <= bias.len()`;
-/// for each `(input cell, output cell)` of `at`, `input cell = oy·w + ox`
-/// with `oy < oh`, and `input` is valid for reading the 8 values at
-/// `(c·h·w + (oy + ky)·w + ox + kx)·STEP` for every tap `(c, ky, kx)`;
-/// `out` is valid for writing the 8 values at `(o·stride + output
-/// cell)·STEP` for every `o < OC`.
+/// for each input cell `oy·w + ox` of `at`, `oy < oh` and `input` is valid
+/// for reading the 8 values at `(c·h·w + (oy + ky)·w + ox + kx)·STEP` for
+/// every tap `(c, ky, kx)`.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 unsafe fn tile<const OC: usize, const N: usize, const STEP: usize>(
     oc0: usize,
-    at: [(usize, usize); N],
+    at: [usize; N],
     g: &BatchGeometry,
     input: *const f32,
     weights: &[f32],
     bias: &[f32],
-    out: *mut f32,
-    stride: usize,
-) {
+) -> [[Lanes; N]; OC] {
     let ktaps = g.c_in * g.kh * g.kw;
-    // acc[o][p]: output channel `oc0 + o` at position `at[p]`
     let mut acc: [[Lanes; N]; OC] = std::array::from_fn(|o| [[bias[oc0 + o]; LANES]; N]);
     // One read pointer per position and per channel, advanced a row at a
     // time (taps are consecutive in `weights`); recomputing each address
     // from `(c, ky, kx)` instead measured 3–7 % slower on 3C's three stages.
     // `wrapping_add`: past the last tap of the last channel the input
     // pointers step outside `input`, where they are never read.
-    let mut xp: [*const f32; N] = std::array::from_fn(|p| input.wrapping_add(at[p].0 * STEP));
+    let mut xp: [*const f32; N] = std::array::from_fn(|p| input.wrapping_add(at[p] * STEP));
     // SAFETY: `oc0 + o < c_out`, so channel `o`'s taps start inside
     // `weights = [c_out, ktaps]` and the pointer ends at most one past it.
     let mut wp: [*const f32; OC] = std::array::from_fn(|o| weights.as_ptr().add((oc0 + o) * ktaps));
@@ -544,6 +554,31 @@ unsafe fn tile<const OC: usize, const N: usize, const STEP: usize>(
             *xp = xp.wrapping_add((g.h - g.kh) * g.w * STEP);
         }
     }
+    acc
+}
+
+/// A [`tile`] stored unpooled: for each `(input cell, output cell)` of
+/// `at`, channel `o`'s vector goes to that output cell of plane `o`,
+/// `stride` cells apart.
+///
+/// # Safety
+///
+/// [`tile`]'s contract for the input cells of `at`, and `out` is valid for
+/// writing the 8 values at `(o·stride + output cell)·STEP` for every
+/// `o < OC`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn tile_into<const OC: usize, const N: usize, const STEP: usize>(
+    oc0: usize,
+    at: [(usize, usize); N],
+    g: &BatchGeometry,
+    input: *const f32,
+    weights: &[f32],
+    bias: &[f32],
+    out: *mut f32,
+    stride: usize,
+) {
+    let acc = tile::<OC, N, STEP>(oc0, at.map(|(cell, _)| cell), g, input, weights, bias);
     for (o, chains) in acc.iter().enumerate() {
         for (&chain, &(_, cell)) in chains.iter().zip(&at) {
             // SAFETY: this function's contract, channel `o`.
@@ -552,27 +587,36 @@ unsafe fn tile<const OC: usize, const N: usize, const STEP: usize>(
     }
 }
 
-/// The whole `[oh, ow]` output plane of the `OC` channels starting at
-/// `oc0`, as a walk over **vector positions**: a row of `ow >= 8` columns
-/// is covered by `ceil(ow / 8)` 8-lane vectors at `ox = 0, 8, …` with the
-/// last one placed at `ow − 8`, where it overlaps its neighbour and
-/// recomputes up to 7 columns. The positions of the plane are taken in
-/// row-major order two at a time — a pair may straddle a row end — so every
-/// [`tile`] call but possibly the last runs `2 × OC` independent add
-/// chains.
+/// The `OC` channels starting at `oc0`, as a walk over **vector
+/// positions**: a row of `ow >= 8` columns is covered by `ceil(ow / 8)`
+/// 8-lane vectors at `ox = 0, 8, …` with the last one placed at `ow − 8`,
+/// where it overlaps its neighbour and recomputes up to 7 columns. The
+/// overlap is bit-safe: a lane's value depends only on which output element
+/// it owns (see [`tile`]), so a cell stored twice receives the same bits
+/// twice — which is what lets a full vector stand in for a scalar loop over
+/// the `ow % 8` ragged columns.
 ///
-/// The overlap is bit-safe: a lane's value depends only on which output
-/// element it owns (see [`tile`]), so a cell stored twice receives the same
-/// bits twice — which is what lets a full vector stand in for a scalar loop
-/// over the `ow % 8` ragged columns.
-/// Always inlined: into [`direct_block`] (the baseline compilation) and into
-/// [`direct_oc_block_avx2`].
+/// * `window = 1`: `out` is the `[c_out, oh, ow]` conv maps. The positions
+///   of the plane are taken in row-major order two at a time — a pair may
+///   straddle a row end — so every [`tile`] call but possibly the last runs
+///   `2 × OC` independent add chains.
+/// * `window = 2`: `out` is the `[c_out, oh/2, ow/2]` **max-pooled** maps,
+///   and no conv cell is stored. Each tile is the vertical pair `(2py, ox)`,
+///   `(2py + 1, ox)` — the same `2 × OC` chains — and [`pool_row_pair`]
+///   reduces its two rows to the four pooled cells `ox/2 .. ox/2 + 4` of
+///   pooled row `py` in registers (`ox` is even: `ow` is). The overlapped
+///   last vector pools whole windows too, so its repeated cells are the
+///   same bits again.
+///
+/// Always inlined: into [`direct_block`] (the baseline compilation) and
+/// into [`direct_oc_block_avx2`].
 ///
 /// # Safety
 ///
-/// `g` is a valid geometry with `ow >= 8`, `input.len() == c_in·h·w`,
-/// `weights.len() == c_out·c_in·kh·kw`, `bias.len() == c_out`,
-/// `out.len() == c_out·oh·ow` and `oc0 + OC <= c_out`.
+/// `g` is a valid geometry with `ow >= 8`, `window` is 1 or 2 and tiles
+/// `oh × ow`, `input.len() == c_in·h·w`, `weights.len() ==
+/// c_out·c_in·kh·kw`, `bias.len() == c_out`, `out.len() ==
+/// c_out·(oh/window)·(ow/window)` and `oc0 + OC <= c_out`.
 #[inline(always)]
 unsafe fn direct_oc_block<const OC: usize>(
     oc0: usize,
@@ -580,9 +624,35 @@ unsafe fn direct_oc_block<const OC: usize>(
     input: &[f32],
     weights: &[f32],
     bias: &[f32],
+    window: usize,
     out: &mut [f32],
 ) {
     let per_row = g.ow.div_ceil(LANES);
+    let x = input.as_ptr();
+    if window == 2 {
+        let (ph, pw) = (g.oh / 2, g.ow / 2);
+        // SAFETY: `oc0 < c_out`, so the pooled planes of this block start
+        // inside `out`.
+        let planes = out.as_mut_ptr().add(oc0 * ph * pw);
+        for py in 0..ph {
+            for v in 0..per_row {
+                let ox = (v * LANES).min(g.ow - LANES);
+                let top = 2 * py * g.w + ox;
+                // SAFETY: both rows `2py + 1 <= oh − 1` and `ox + 8 <= ow`,
+                // so the loads are those of the `window = 1` walk below; the
+                // highest index stored is (OC − 1)·ph·pw + (ph − 1)·pw +
+                // (ow − 8)/2 + 3 = OC·ph·pw − 1 past `planes`, and
+                // (oc0 + OC)·ph·pw <= c_out·ph·pw = out.len().
+                let acc = tile::<OC, 2, 1>(oc0, [top, top + g.w], g, x, weights, bias);
+                for (o, &[upper, lower]) in acc.iter().enumerate() {
+                    let cell = planes.add((o * ph + py) * pw + ox / 2);
+                    cell.cast::<[f32; 4]>()
+                        .write_unaligned(pool_row_pair(upper, lower));
+                }
+            }
+        }
+        return;
+    }
     // `(input offset, output offset)` within a plane of the `q`-th
     // position; `ox + 8 <= ow` because `ow >= 8`
     let (mut oy, mut v) = (0, 0);
@@ -605,15 +675,64 @@ unsafe fn direct_oc_block<const OC: usize>(
     // (valid geometry: oh + kh − 1 = h, ow + kw − 1 = w), the last element
     // of `input`, and the highest index stored is (oc0+OC−1)·oh·ow +
     // (oh−1)·ow + (ow−8) + 7 <= c_out·oh·ow − 1, the last element of `out`
-    // — which with this function's contract is the whole of `tile`'s.
+    // — which with this function's contract is the whole of `tile_into`'s.
     for _ in 0..positions / 2 {
         let at = [next(), next()];
-        tile::<OC, 2, 1>(oc0, at, g, input.as_ptr(), weights, bias, planes, plane);
+        tile_into::<OC, 2, 1>(oc0, at, g, x, weights, bias, planes, plane);
     }
     if positions % 2 == 1 {
         let at = [next()];
-        tile::<OC, 1, 1>(oc0, at, g, input.as_ptr(), weights, bias, planes, plane);
+        tile_into::<OC, 1, 1>(oc0, at, g, x, weights, bias, planes, plane);
     }
+}
+
+/// The 2×2 max pool of the four windows under eight adjacent columns of two
+/// conv rows, `upper` (row `2py`) and `lower` (row `2py + 1`): pooled cell
+/// `j` scans `a = upper[2j]`, `b = upper[2j + 1]`, `c = lower[2j]`,
+/// `d = lower[2j + 1]` in that order, a later cell replacing the running
+/// best only when **strictly greater** — [`crate::pool`]'s scan, so ties and
+/// `-0.0` / `+0.0` keep the earlier cell, a leading NaN wins and a later
+/// NaN is skipped. Never a max tree: with `c` NaN and `d` the largest,
+/// `max(max(a, b), max(c, d))` is `max(a, b)`, the scan `d`.
+///
+/// The AVX2 compilation is four in-register shuffles and three `vmaxps`
+/// per call (whose operand order is exactly `if x > best`). The form
+/// matters: building the halves as `[upper, lower][l / 4][…]` instead
+/// compiled to lane inserts through the stack.
+#[inline(always)]
+fn pool_row_pair(upper: Lanes, lower: Lanes) -> [f32; 4] {
+    // the even columns of both rows, `[a; c]`, and the odd ones, `[b; d]`
+    let even: Lanes = std::array::from_fn(|l| {
+        if l < 4 {
+            upper[2 * l]
+        } else {
+            lower[2 * l - 8]
+        }
+    });
+    let odd: Lanes = std::array::from_fn(|l| {
+        if l < 4 {
+            upper[2 * l + 1]
+        } else {
+            lower[2 * l - 7]
+        }
+    });
+    // `b` over `a` on every lane (the high half's `d` over `c` is unused),
+    // then `c` and `d` over that
+    let mut ab = even;
+    for (best, x) in ab.iter_mut().zip(odd) {
+        if x > *best {
+            *best = x;
+        }
+    }
+    let mut best: [f32; 4] = std::array::from_fn(|j| ab[j]);
+    for later in [&even, &odd] {
+        for (best, &x) in best.iter_mut().zip(&later[4..]) {
+            if x > *best {
+                *best = x;
+            }
+        }
+    }
+    best
 }
 
 /// [`direct_oc_block`] compiled for AVX2.
@@ -629,9 +748,10 @@ unsafe fn direct_oc_block_avx2<const OC: usize>(
     input: &[f32],
     weights: &[f32],
     bias: &[f32],
+    window: usize,
     out: &mut [f32],
 ) {
-    direct_oc_block::<OC>(oc0, g, input, weights, bias, out)
+    direct_oc_block::<OC>(oc0, g, input, weights, bias, window, out)
 }
 
 /// [`direct_oc_block`] on the compilation `target` names. The compilations
@@ -645,6 +765,7 @@ unsafe fn direct_oc_block_avx2<const OC: usize>(
 ///
 /// As [`direct_oc_block`]; `target` carries the proof of AVX2.
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 unsafe fn direct_block<const OC: usize>(
     target: Target,
     oc0: usize,
@@ -652,45 +773,55 @@ unsafe fn direct_block<const OC: usize>(
     input: &[f32],
     weights: &[f32],
     bias: &[f32],
+    window: usize,
     out: &mut [f32],
 ) {
     match target.avx2 {
         #[cfg(target_arch = "x86_64")]
-        true => direct_oc_block_avx2::<OC>(oc0, g, input, weights, bias, out),
-        _ => direct_oc_block::<OC>(oc0, g, input, weights, bias, out),
+        true => direct_oc_block_avx2::<OC>(oc0, g, input, weights, bias, window, out),
+        _ => direct_oc_block::<OC>(oc0, g, input, weights, bias, window, out),
     }
 }
 
 /// Crate-internal entry for the lanes-across-a-row convolution: convolves
-/// one `[c_in, h, w]` image straight from its feature maps, writing every
-/// cell of the `[c_out, oh, ow]` output, on the compilation `target` names.
-/// Whether it applies — `ow >=` [`DIRECT_MIN_OW`] — is the caller's question
-/// to ask *before* calling (`im2col::BatchGeometry::x8_images` leaves it the
-/// images the x8 kernel does not take); narrower maps are [`conv2d_x8`]'s.
+/// one `[c_in, h, w]` image straight from its feature maps and max-pools it
+/// by `window` (1, the identity, or 2) in the same pass, writing every cell
+/// of the `[c_out, oh/window, ow/window]` output — no conv cell is stored
+/// under window 2 — on the compilation `target` names. Whether it applies
+/// — `ow >=` [`DIRECT_MIN_OW`] and a window of 1 or 2 — is the caller's
+/// question to ask *before* calling (`im2col::BatchGeometry::x8_images`
+/// leaves it the images the x8 kernel does not take); every other case is
+/// [`conv2d_x8`]'s.
 ///
 /// Bit-exactness: each output lane accumulates `bias` first, then the taps
 /// in channel-major `(c, ky, kx)` ascending order with separate mul + add —
-/// [`crate::conv::conv2d_valid`]'s chain.
+/// [`crate::conv::conv2d_valid`]'s chain — and the pool is
+/// [`crate::pool`]'s scan ([`pool_row_pair`]).
 ///
 /// # Panics
 ///
 /// Panics when a buffer length disagrees with the geometry, when the
-/// geometry is not the valid one (`oh = h − kh + 1`, `ow = w − kw + 1`), or
-/// when `ow <` [`DIRECT_MIN_OW`] — these are the invariants the unchecked
-/// loads and stores of the tile rely on, so they are checked in release
-/// builds too.
+/// geometry is not the valid one (`oh = h − kh + 1`, `ow = w − kw + 1`),
+/// when `ow <` [`DIRECT_MIN_OW`], or when `window` is not 1 or 2 or does
+/// not tile the maps — these are the invariants the unchecked loads and
+/// stores of the tile rely on, so they are checked in release builds too.
 pub(crate) fn conv2d_direct(
     target: Target,
     g: &BatchGeometry,
     input: &[f32],
     weights: &[f32],
     bias: &[f32],
+    window: usize,
     out: &mut [f32],
 ) {
+    assert!(
+        (window == 1 || window == 2) && g.oh.is_multiple_of(window) && g.ow.is_multiple_of(window),
+        "direct conv pools by 1 or 2 where the window tiles the maps, got {window}"
+    );
     assert_eq!(input.len(), g.c_in * g.h * g.w);
     assert_eq!(weights.len(), g.c_out * g.c_in * g.kh * g.kw);
     assert_eq!(bias.len(), g.c_out);
-    assert_eq!(out.len(), g.c_out * g.oh * g.ow);
+    assert_eq!(out.len(), g.c_out * (g.oh / window) * (g.ow / window));
     assert!(g.h + 1 == g.oh + g.kh && g.w + 1 == g.ow + g.kw);
     assert!(
         g.ow >= DIRECT_MIN_OW,
@@ -702,13 +833,14 @@ pub(crate) fn conv2d_direct(
         let ocr = CONV_OC.min(g.c_out - oc0);
         // SAFETY: the asserts above are exactly the shape invariants
         // `direct_oc_block` documents: every buffer has its geometry's
-        // length, the geometry is the valid one, and `ow >= 8` keeps the
-        // overlapped position `ow − 8` in range; `oc0 + ocr <= c_out`.
+        // length, the geometry is the valid one, the window is 1 or 2 and
+        // tiles the maps, and `ow >= 8` keeps the overlapped position
+        // `ow − 8` in range; `oc0 + ocr <= c_out`.
         unsafe {
             match ocr {
-                3 => direct_block::<3>(target, oc0, g, input, weights, bias, out),
-                2 => direct_block::<2>(target, oc0, g, input, weights, bias, out),
-                _ => direct_block::<1>(target, oc0, g, input, weights, bias, out),
+                3 => direct_block::<3>(target, oc0, g, input, weights, bias, window, out),
+                2 => direct_block::<2>(target, oc0, g, input, weights, bias, window, out),
+                _ => direct_block::<1>(target, oc0, g, input, weights, bias, window, out),
             }
         }
         oc0 += ocr;
@@ -929,11 +1061,11 @@ unsafe fn x8_oc_block<const OC: usize>(
         // contract is the whole of `tile`'s.
         for _ in 0..cells / 2 {
             let at = [next(), next()];
-            tile::<OC, 2, LANES>(oc0, at, g, packed.as_ptr(), weights, bias, out, stride);
+            tile_into::<OC, 2, LANES>(oc0, at, g, packed.as_ptr(), weights, bias, out, stride);
         }
         if cells % 2 == 1 {
             let at = [next()];
-            tile::<OC, 1, LANES>(oc0, at, g, packed.as_ptr(), weights, bias, out, stride);
+            tile_into::<OC, 1, LANES>(oc0, at, g, packed.as_ptr(), weights, bias, out, stride);
         }
         if window == 1 {
             continue;
@@ -1399,6 +1531,7 @@ mod tests {
                                     &x,
                                     &kernels,
                                     &bias,
+                                    1,
                                     &mut out,
                                 );
                                 for (i, (got, want)) in out.iter().zip(oracle.data()).enumerate() {
@@ -1417,6 +1550,144 @@ mod tests {
                             }
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// The direct kernel pooling in its tile, on both compilations, against
+    /// the staged oracle's conv → scan pool, bit for bit (a NaN only has to
+    /// be a NaN in the same cell): every even output width from one vector
+    /// to five — every overlap of the last vector, which pools whole windows
+    /// too — crossed with heights of one, two and four row pairs, every
+    /// channel-block remainder, kernels from 1×1 to 5×5 and one to three
+    /// input channels, under windows 1 and 2 and on clean, sparse and dense
+    /// edge values each. The output starts as a sentinel no arithmetic on
+    /// these inputs produces, so a pooled cell the walk skipped shows.
+    #[test]
+    fn direct_conv_pooled_matches_oracle_for_every_even_width() {
+        let sentinel = f32::from_bits(0x7fc0_dead);
+        let mut rng = StdRng::seed_from_u64(0xD1EC7);
+        for ow in (8usize..=40).step_by(2) {
+            for oh in [2usize, 4, 8] {
+                for c_out in 1usize..=7 {
+                    for k in 1usize..=5 {
+                        for c_in in 1usize..=3 {
+                            let g = geometry(c_in, c_out, k, oh, ow);
+                            for (rate, window) in [u32::MAX, 64, 6]
+                                .into_iter()
+                                .flat_map(|rate| [(rate, 1), (rate, 2)])
+                            {
+                                let x = Tensor::from_vec(
+                                    edge_fill(&mut rng, c_in * g.h * g.w, rate),
+                                    &[c_in, g.h, g.w],
+                                )
+                                .unwrap();
+                                let kernels = Tensor::from_vec(
+                                    edge_fill(&mut rng, c_out * c_in * k * k, rate),
+                                    &[c_out, c_in, k, k],
+                                )
+                                .unwrap();
+                                let bias = edge_fill(&mut rng, c_out, rate);
+                                let oracle = staged_oracle(&x, &kernels, &bias, false, window);
+                                for kernel in GemmKernel::ALL {
+                                    let mut out = vec![sentinel; oracle.len()];
+                                    conv2d_direct(
+                                        Target::pick(kernel),
+                                        &g,
+                                        x.data(),
+                                        kernels.data(),
+                                        &bias,
+                                        window,
+                                        &mut out,
+                                    );
+                                    for (i, (got, want)) in
+                                        out.iter().zip(oracle.data()).enumerate()
+                                    {
+                                        let at = format!(
+                                            "cell {i} of ow={ow} oh={oh} c_out={c_out} k={k} c_in={c_in} window={window} rate={rate}, {kernel:?}"
+                                        );
+                                        assert_ne!(
+                                            got.to_bits(),
+                                            sentinel.to_bits(),
+                                            "unwritten {at}"
+                                        );
+                                        assert!(
+                                            got.to_bits() == want.to_bits()
+                                                || (got.is_nan() && want.is_nan()),
+                                            "{at}: {got:e} ({:#x}) vs {want:e} ({:#x})",
+                                            got.to_bits(),
+                                            want.to_bits()
+                                        );
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The direct kernel's window-2 rule on windows `[a, b; c, d]` built to
+    /// tell the scan `a, b, c, d` under a strict `>` from its near misses,
+    /// through an identity convolution (`k = 1`, weight 1, bias `-0.0`,
+    /// which returns every `f32` unchanged) on four channels (blocks of 3
+    /// and 1): `b` and `c` tying as `-0.0` / `+0.0` above `a` keep `b` (a
+    /// column-first scan keeps `c`); `c` NaN with `d` the largest returns
+    /// `d` (the max tree `max(max(a, b), max(c, d))` returns `max(a, b)`); a
+    /// leading NaN wins its window. Each window visits every pooled column
+    /// of a 2×12 map, so it meets both vectors and the overlap between them.
+    #[test]
+    fn direct_conv_pool_scans_in_order_not_as_a_tree() {
+        // ([a, b, c, d], what the scan keeps)
+        let windows: [([f32; 4], f32); 6] = [
+            ([-1.0, -0.0, 0.0, -2.0], -0.0),
+            ([-1.0, 0.0, -0.0, -2.0], 0.0),
+            ([1.0, 2.0, f32::NAN, 3.0], 3.0),
+            ([f32::NAN, 1.0, 2.0, 3.0], f32::NAN),
+            ([2.0, 2.0, 1.0, 2.0], 2.0),
+            (
+                [f32::NEG_INFINITY, -1.0, f32::INFINITY, f32::MAX],
+                f32::INFINITY,
+            ),
+        ];
+        let g = geometry(1, 4, 1, 2, 12);
+        let kernels = Tensor::from_vec(vec![1.0; 4], &[4, 1, 1, 1]).unwrap();
+        let bias = [-0.0; 4];
+        for shift in 0..6 {
+            // pooled column `col` holds window `(shift + col) % 6`
+            let mut data = vec![0.0f32; 2 * 12];
+            for col in 0..6 {
+                let ([a, b, c, d], _) = windows[(shift + col) % 6];
+                data[2 * col..2 * col + 2].copy_from_slice(&[a, b]);
+                data[12 + 2 * col..12 + 2 * col + 2].copy_from_slice(&[c, d]);
+            }
+            let x = Tensor::from_vec(data, &[1, 2, 12]).unwrap();
+            let oracle = staged_oracle(&x, &kernels, &bias, false, 2);
+            for kernel in GemmKernel::ALL {
+                let mut out = vec![7.0f32; 4 * 6];
+                conv2d_direct(
+                    Target::pick(kernel),
+                    &g,
+                    x.data(),
+                    kernels.data(),
+                    &bias,
+                    2,
+                    &mut out,
+                );
+                for (i, (got, want)) in out.iter().zip(oracle.data()).enumerate() {
+                    let (win, keep) = windows[(shift + i % 6) % 6];
+                    let at = format!("channel {} window {win:?}, {kernel:?}", i / 6);
+                    assert!(
+                        got.to_bits() == keep.to_bits() || (got.is_nan() && keep.is_nan()),
+                        "{at}: {got:e} ({:#x}), the scan keeps {keep:e}",
+                        got.to_bits()
+                    );
+                    assert!(
+                        got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                        "{at}: {got:e} vs the oracle's {want:e}"
+                    );
                 }
             }
         }
@@ -1771,11 +2042,13 @@ mod tests {
 
     /// The shape checks in front of the unchecked loads and stores: a map
     /// narrower than a vector (the overlapped position `ow − 8` would
-    /// underflow), a geometry that is not the valid one, a short buffer.
+    /// underflow), a geometry that is not the valid one, a short buffer, a
+    /// window other than 1 or 2 or one that does not tile the maps, an
+    /// output sized for the wrong window.
     #[test]
     fn direct_conv_rejects_what_its_unsafe_code_cannot_take() {
         for kernel in GemmKernel::ALL {
-            let run = |input: usize, g: BatchGeometry, out: usize| {
+            let run_pooled = |input: usize, g: BatchGeometry, window: usize, out: usize| {
                 std::panic::catch_unwind(move || {
                     let mut o = vec![0.0f32; out];
                     conv2d_direct(
@@ -1784,10 +2057,12 @@ mod tests {
                         &vec![0.0; input],
                         &[0.0; 4],
                         &[0.0],
+                        window,
                         &mut o,
                     );
                 })
             };
+            let run = |input: usize, g: BatchGeometry, out: usize| run_pooled(input, g, 1, out);
             let good = geometry(1, 1, 2, 8, 8);
             assert!(run(9 * 9, good, 8 * 8).is_ok(), "the valid call");
             assert!(
@@ -1798,6 +2073,18 @@ mod tests {
             assert!(run(9 * 9, bad, 8 * 9).is_err(), "ow != w - kw + 1");
             assert!(run(9 * 9 - 1, good, 8 * 8).is_err(), "short input");
             assert!(run(9 * 9, good, 8 * 8 - 1).is_err(), "short output");
+            assert!(run_pooled(9 * 9, good, 2, 4 * 4).is_ok(), "the pooled call");
+            assert!(
+                run_pooled(9 * 9, good, 2, 8 * 8).is_err(),
+                "unpooled output under window 2"
+            );
+            assert!(run_pooled(9 * 9, good, 0, 0).is_err(), "zero window");
+            let wide = geometry(1, 1, 2, 9, 9);
+            assert!(run_pooled(10 * 10, wide, 3, 3 * 3).is_err(), "window 3");
+            assert!(
+                run_pooled(10 * 10, wide, 2, 4 * 4).is_err(),
+                "window 2 over 9 columns"
+            );
         }
     }
 }

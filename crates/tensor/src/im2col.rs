@@ -7,20 +7,24 @@
 //! tensors, or a block of an evaluator's arena) into a contiguous `[n, f]`
 //! block — no tensor is built per image and nothing is lowered to a patch
 //! matrix. Which kernel convolves is decided once per batch by
-//! `BatchGeometry::x8_images`, from the geometry and `n` alone: blocks of
-//! eight images run the lanes-across-images kernel and single images the
-//! per-image direct kernel (both in [`crate::gemm`]). The [`GemmKernel`]
-//! argument picks only which compilation of those two kernels runs.
+//! `BatchGeometry::x8_images`, from the geometry, the window and `n` alone:
+//! blocks of eight images run the lanes-across-images kernel and single
+//! images the per-image direct kernel (both in [`crate::gemm`]). Both pool
+//! inside the kernel, before anything is stored — the x8 kernel from an
+//! L1-resident strip per pooled row, the direct kernel in registers per
+//! tile — so no raw conv map is written and there is no second pass over
+//! one. The [`GemmKernel`] argument picks only which compilation of those
+//! two kernels runs.
 //!
 //! Both are bit-identical to the per-image reference
-//! [`crate::conv::conv2d_valid`] → activation → [`pool::maxpool2d_forward`].
+//! [`crate::conv::conv2d_valid`] → activation →
+//! [`crate::pool::maxpool2d_forward`].
 //! [`conv2d_valid_batch`] is the tensors-in, tensors-out form of the same
 //! path (identity window, no activation).
 
 use crate::conv::{check_conv_bias, check_conv_operands, valid_out_size};
 use crate::error::TensorError;
 use crate::gemm::{self, GemmKernel, Target, X8Scratch};
-use crate::pool;
 use crate::rows::Rows;
 use crate::tensor::Tensor;
 use crate::Result;
@@ -28,12 +32,10 @@ use crate::Result;
 /// Reusable buffers of [`conv2d_pool_block`], whichever kernel it runs.
 /// Allocate once per evaluator, reuse per stage: they grow on first use and
 /// are never shrunk, so repeated batches at the same (or a smaller)
-/// geometry never reallocate.
+/// geometry never reallocate. The direct kernel needs none: it pools in
+/// registers and writes the caller's row.
 #[derive(Debug, Default, Clone)]
 pub struct ConvScratch {
-    /// One image's raw `[C_out, oH, oW]` maps from the direct kernel,
-    /// awaiting their pool.
-    raw: Vec<f32>,
     /// The lanes-across-images kernel's interleaved buffers.
     x8: X8Scratch,
     /// [`conv2d_valid_batch`]'s output block, before it is cut into tensors.
@@ -44,7 +46,7 @@ impl ConvScratch {
     /// Values the buffers can hold without growing — what "a later, smaller
     /// batch allocates nothing" is checked against.
     pub fn capacity(&self) -> usize {
-        self.raw.capacity() + self.x8.capacity() + self.block.capacity()
+        self.x8.capacity() + self.block.capacity()
     }
 }
 
@@ -87,22 +89,25 @@ impl BatchGeometry {
     /// **The kernel choice**: how many of a batch's `n` images — its
     /// leading ones, in blocks of eight — run the lanes-across-images
     /// kernel; the rest run the per-image direct kernel. A pure function of
-    /// the geometry and `n`, the same on every host and arm (the numbers
-    /// are the AVX2 compilation's; `crate::gemm` has the baseline one's):
+    /// the geometry, the pooling `window` and `n`, the same on every host
+    /// and arm (the numbers are the AVX2 compilation's; `crate::gemm` has
+    /// the baseline one's):
     ///
-    /// * `ow < 8`: all `n` — the direct kernel cannot take the map, so the
-    ///   `n % 8` remainder is one zero-padded block (a lone image on 3C's C3
-    ///   pays eight images' work);
+    /// * `ow < 8` or `window > 2`: all `n` — the direct kernel cannot take
+    ///   the map or pool by the window (it pools by 1 or 2 in registers; no
+    ///   network this workspace builds pools by more), so the `n % 8`
+    ///   remainder is one zero-padded block (a lone image on 3C's C3 pays
+    ///   eight images' work);
     /// * `ow % 8 == 0`: none — the direct kernel's lanes are already full
     ///   (2C's 24- and 8-wide maps measured ×0.89–1.08 under x8);
     /// * otherwise every **full** block of eight, the remainder per image: a
     ///   padded block loses to the direct kernel below about six images
     ///   (×0.58–0.71 at four, ×0.14–0.20 at one).
-    pub(crate) fn x8_images(&self, n: usize) -> usize {
-        if self.ow.is_multiple_of(8) {
-            0
-        } else if self.ow < gemm::DIRECT_MIN_OW {
+    pub(crate) fn x8_images(&self, n: usize, window: usize) -> usize {
+        if self.ow < gemm::DIRECT_MIN_OW || window > 2 {
             n
+        } else if self.ow.is_multiple_of(8) {
+            0
         } else {
             n - n % 8
         }
@@ -111,12 +116,14 @@ impl BatchGeometry {
 
 /// One `conv → activation → max-pool(window)` stage over a batch, with the
 /// pooling moved **ahead of** the activation: image `i` of `src` (each
-/// `dims = [c_in, h, w]`) is convolved, its raw pre-activation maps are
-/// max-pooled, `activation` is applied in place to the pooled values only,
+/// `dims = [c_in, h, w]`) is convolved and max-pooled in one kernel pass —
+/// the raw pre-activations are pooled where they are computed and never
+/// stored — `activation` is applied in place to the pooled values only,
 /// and the result is row `i` of `dst`, a contiguous `[n, c_out·(oh/window)
 /// ·(ow/window)]` block. `window = 1` with a no-op `activation` is the plain
 /// batched convolution. Which kernel convolves is
-/// `BatchGeometry::x8_images`'s decision (module docs).
+/// `BatchGeometry::x8_images`'s decision (module docs): the direct kernel
+/// pools by 1 or 2, the x8 kernel by any window.
 ///
 /// The result equals pooling the activated maps **bit for bit** whenever
 /// `activation` is elementwise — cell `i` of the slice it is handed depends
@@ -158,8 +165,7 @@ pub fn conv2d_pool_block(
         )));
     }
     let n = src.len();
-    let cols_per = g.cols_per();
-    let f_out = g.c_out * cols_per / (window * window);
+    let f_out = g.c_out * g.cols_per() / (window * window);
     if !src.all_have_width(g.c_in * g.h * g.w) || dst.len() != n * f_out {
         return Err(TensorError::ShapeMismatch {
             left: dims.to_vec(),
@@ -170,7 +176,7 @@ pub fn conv2d_pool_block(
         return Ok(());
     }
     let target = Target::pick(kernel);
-    let x8 = g.x8_images(n);
+    let x8 = g.x8_images(n, window);
     for first in (0..x8).step_by(8) {
         let count = (x8 - first).min(8);
         gemm::conv2d_x8(
@@ -187,19 +193,8 @@ pub fn conv2d_pool_block(
             &mut dst[first * f_out..(first + count) * f_out],
         );
     }
-    gemm::grow(&mut scratch.raw, g.c_out * cols_per);
-    let raw = &mut scratch.raw[..g.c_out * cols_per];
     for (i, row) in dst.chunks_exact_mut(f_out).enumerate().skip(x8) {
-        let direct = |out: &mut [f32]| {
-            gemm::conv2d_direct(target, &g, src.row(i), kernels.data(), bias, out)
-        };
-        if window == 1 {
-            // the identity pool: convolve straight into the row
-            direct(row);
-        } else {
-            direct(raw);
-            pool::maxpool2d_into(raw, (g.c_out, g.oh, g.ow), cols_per, window, row);
-        }
+        gemm::conv2d_direct(target, &g, src.row(i), kernels.data(), bias, window, row);
         activation(row);
     }
     Ok(())
@@ -271,6 +266,7 @@ mod tests {
     use super::*;
     use crate::conv::conv2d_valid;
     use crate::math;
+    use crate::pool;
 
     fn t(v: Vec<f32>, d: &[usize]) -> Tensor {
         Tensor::from_vec(v, d).unwrap()
@@ -422,6 +418,10 @@ mod tests {
             (4, 2, 3, 3, 8, 3),
             // a batch of one, and the identity window
             (1, 3, 4, 3, 5, 1),
+            // window 3 over ow = 12 and ow = 24: x8 for every image, the
+            // last block padded (the direct kernel pools only by 1 or 2)
+            (10, 2, 3, 3, 14, 3),
+            (3, 1, 2, 5, 28, 3),
         ] {
             let inputs: Vec<Tensor> = (0..n)
                 .map(|_| {
@@ -517,48 +517,44 @@ mod tests {
         .is_ok());
     }
 
-    /// The kernel choice as the table it is: `x8_images(n)` per geometry
-    /// class.
+    /// The kernel choice as the table it is: `x8_images(n, window)` per
+    /// geometry class and pooling window.
     #[test]
     fn x8_kernel_choice_as_a_table() {
         let geometry = |side: usize, k: usize| {
             BatchGeometry::check(&[1, side, side], &Tensor::ones(&[1, 1, k, k]), &[0.0]).unwrap()
         };
-        // (output width, [(n, images through x8)])
-        let table: [(usize, [(usize, usize); 7]); 6] = [
+        const ALL: [(usize, usize); 7] =
+            [(0, 0), (1, 1), (7, 7), (8, 8), (9, 9), (16, 16), (257, 257)];
+        const NONE: [(usize, usize); 7] =
+            [(0, 0), (1, 0), (7, 0), (8, 0), (9, 0), (16, 0), (257, 0)];
+        const FULL_BLOCKS: [(usize, usize); 7] =
+            [(0, 0), (1, 0), (7, 0), (8, 8), (9, 8), (16, 16), (257, 256)];
+        // (output width, window, [(n, images through x8)])
+        let table = [
             // narrow: all of them, the remainder as a padded block
-            (
-                3,
-                [(0, 0), (1, 1), (7, 7), (8, 8), (9, 9), (16, 16), (257, 257)],
-            ),
-            (
-                7,
-                [(0, 0), (1, 1), (7, 7), (8, 8), (9, 9), (16, 16), (257, 257)],
-            ),
-            // full direct lanes: none (2C's 8 and 24)
-            (
-                8,
-                [(0, 0), (1, 0), (7, 0), (8, 0), (9, 0), (16, 0), (257, 0)],
-            ),
-            (
-                24,
-                [(0, 0), (1, 0), (7, 0), (8, 0), (9, 0), (16, 0), (257, 0)],
-            ),
+            (3, 1, ALL),
+            (6, 2, ALL),
+            (7, 1, ALL),
+            // full direct lanes: none (2C's 24 and 8, pooled by 2)
+            (8, 1, NONE),
+            (8, 2, NONE),
+            (24, 2, NONE),
             // ragged direct lanes: full blocks only (3C's 10 and 26)
-            (
-                10,
-                [(0, 0), (1, 0), (7, 0), (8, 8), (9, 8), (16, 16), (257, 256)],
-            ),
-            (
-                26,
-                [(0, 0), (1, 0), (7, 0), (8, 8), (9, 8), (16, 16), (257, 256)],
-            ),
+            (10, 1, FULL_BLOCKS),
+            (10, 2, FULL_BLOCKS),
+            (26, 2, FULL_BLOCKS),
+            // a window the direct kernel does not pool: all of them,
+            // whatever the width
+            (12, 3, ALL),
+            (24, 3, ALL),
+            (24, 4, ALL),
         ];
-        for (ow, cases) in table {
+        for (ow, window, cases) in table {
             let g = geometry(ow + 2, 3);
             assert_eq!(g.ow, ow);
             for (n, x8) in cases {
-                assert_eq!(g.x8_images(n), x8, "ow={ow} n={n}");
+                assert_eq!(g.x8_images(n, window), x8, "ow={ow} window={window} n={n}");
             }
         }
     }
