@@ -59,8 +59,8 @@
 //! are pooled before anything is stored, so no raw conv map is written and
 //! no second pass reads one — applies the activation to the pooled values
 //! only and writes them straight into the next block — eight images to a
-//! vector where the direct kernel cannot fill its lanes (see
-//! `cdl_tensor::gemm` for which kernel runs when).
+//! vector where the direct kernel would leave more lanes idle than its
+//! taps repay (see `cdl_tensor::gemm` for which kernel runs when).
 //!
 //! Pooling first is exact, not approximate. For a non-decreasing `f`,
 //! `max(f(a), f(b)) = f(max(a, b))`; for the *bits* to agree under the

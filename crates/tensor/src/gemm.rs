@@ -153,28 +153,65 @@
 //!
 //! One pure function of the geometry, the pooling window and the batch
 //! size, `im2col::BatchGeometry::x8_images` (tested as a table), no knob
-//! and no arm: a window other than 1 or 2 sends every image to the x8
-//! kernel, which pools any window per lane (no network this workspace
-//! builds has one); otherwise every **full** block of eight images takes
-//! the x8 kernel unless `ow % 8 == 0`, and the `n % 8` remainder takes the
-//! direct kernel per image when `ow ≥ 8` and one zero-padded x8 block when
-//! `ow < 8`. The numbers
-//! behind each clause (fused `conv → pool → sigmoid` per image including
-//! the pack, n = 256, AVX2 compilation, this repository's 2-vCPU reference
-//! box, PR 21): 3C's C3 (ow = 3) 285 ns, C2 (ow = 10) 2150 → 1350–1430 ns
-//! (×1.5–1.8 over the direct kernel), C1 (ow = 26) 1800 → 1556 ns (×1.16);
-//! 2C's C1 (ow = 24) ×1.07–1.13 and C2 (ow = 8) ×0.89–1.08 — the direct
-//! kernel's lanes are already full there, hence the `ow % 8` clause. A
-//! zero-padded block does eight images' work for fewer and loses to the
-//! direct kernel below about six images (n = 4: ×0.58–0.71; n = 1:
-//! ×0.14–0.20), hence the remainder rule. **Struck: x8 for every `n`** —
-//! simpler by one clause, but it would put that ×0.14–0.20 on every
-//! unloaded request's first two convolutions (a batch of one is the common
-//! case on an idle server). The rule was tuned on the AVX2 compilation and
-//! is kept for the baseline one, where the same two kernels replaced an
-//! im2col lowering + 6×8 GEMM (PR 22) and beat it ×1.15–2.7 at every
-//! `(shape, n)` measured but a lone image on 3C's C3, which pays a padded
-//! block (×0.45, +1.6 µs, on hosts without AVX2 only).
+//! and no arm:
+//!
+//! * a window other than 1 or 2, or `ow < 8`: every image takes the x8
+//!   kernel, which pools any window per lane and takes any width (no
+//!   network this workspace builds pools by more than 2); the `n % 8`
+//!   remainder is one zero-padded block;
+//! * no image takes it where the direct kernel leaves few lanes idle on
+//!   few taps: always when `ow % 8 == 0` (its lanes are full), and when the
+//!   overlapped last vector idles at most a quarter of the lanes,
+//!   `4·(ceil8(ow) − ow) ≤ ceil8(ow)`, on at most 27 taps per cell
+//!   (`c_in·kh·kw`);
+//! * otherwise every **full** block of eight takes it and the `n % 8`
+//!   remainder runs direct, image by image.
+//!
+//! The table behind it is what the ignored test
+//! `im2col::tests::kernel_choice_timings` prints — rerun it after any
+//! change to either kernel and re-derive the rule from it. Fused `conv →
+//! pool → sigmoid` per image (the x8 kernel with its pack and unpack), best
+//! of 24 alternating windows, on a 2-vCPU x86-64 host with AVX2, two runs:
+//! ns per image at n = 256 (AVX2, the better run), and x8's time over the
+//! direct kernel's at n = 8 and 256 over both runs (above 1: direct is
+//! faster). The five model stages, then the geometries at the rule's edges
+//! (c_out 6):
+//!
+//! | stage | taps | ow | direct ns | x8 ns | x8 ÷ direct, AVX2 | x8 ÷ direct, baseline | runs |
+//! |---|---|---|---|---|---|---|---|
+//! | 2C C1 | 25 | 24 | 3948 | 4987 | 1.13–1.38 | 1.07–1.32 | direct |
+//! | 2C C2 | 150 | 8 | 3893 | 4060 | 1.04–1.13 | 0.96–1.01 | direct |
+//! | 3C C1 | 9 | 26 | 1417 | 1728 | 1.20–1.22 | 0.97–1.45 | direct |
+//! | 3C C2 | 48 | 10 | 1746 | 1280 | 0.72–0.74 | 0.69–0.70 | x8 |
+//! | 3C C3 | 54 | 3 | — | 264 | — | — | x8 |
+//! | ow 26, 27 taps | 27 | 26 | 5614 | 5839 | 0.96–1.04 | 0.83–0.93 | direct |
+//! | ow 26, 150 taps | 150 | 26 | 24423 | 21523 | 0.88–0.89 | 0.81–0.83 | x8 |
+//! | ow 26, 48 taps | 48 | 26 | 8761 | 8556 | 0.95–1.02 | 0.86–0.90 | x8 |
+//! | ow 10, 9 taps | 9 | 10 | 542 | 463 | 0.80–0.85 | 0.85–0.87 | x8 |
+//! | ow 12, 9 taps | 9 | 12 | 659 | 685 | 0.99–1.04 | 0.96–0.99 | direct |
+//! | ow 18, 27 taps | 27 | 18 | 2950 | 2803 | 0.94–0.96 | 0.87–0.89 | direct |
+//!
+//! Why taps: the x8 kernel's pack, pool strip and unpack cost about the
+//! same per cell whatever the taps, while the direct kernel's idle lanes
+//! cost in proportion to them. So at ow 26 (6 of 32 lanes idle) the direct
+//! kernel wins on 9 taps (3C's C1, ×1.20–1.22), is even on 27 and 48 and
+//! loses on 150; on 9 taps it is even at ow 12 (4 of 16 idle) and loses at
+//! ow 10 (6 of 16, as on 3C's C2). The rule is within a few percent of the
+//! faster kernel on every AVX2 row; its worst is the corner where both
+//! edges meet, ow 18 on 27 taps, where x8 is ×1.04–1.06 faster. It was
+//! tuned on the AVX2 compilation and is kept for the baseline one, whose
+//! x8 kernel does relatively better: there x8 also wins the 27-tap and
+//! ow-12 rows, 2C's C2 is even, and 3C's C1 reads ×0.97–1.45 (median ×1.09
+//! over six readings). A zero-padded block
+//! does eight images' work for fewer and loses to the direct kernel below
+//! about six images (n = 4: ×0.58–0.71; n = 1: ×0.14–0.20), hence the
+//! remainder rule. **Struck: x8 for every `n`** — simpler by one clause,
+//! but it would put that ×0.14–0.20 on every unloaded request's first two
+//! convolutions (a batch of one is the common case on an idle server). On
+//! the baseline compilation the same two kernels replaced an im2col
+//! lowering + 6×8 GEMM and beat it ×1.15–2.7 at every `(shape, n)`
+//! measured but a lone image on 3C's C3, which pays a padded block (×0.45,
+//! +1.6 µs, on hosts without AVX2 only).
 //!
 //! # The host picks
 //!

@@ -9,7 +9,11 @@
 //! matrix. Which kernel convolves is decided once per batch by
 //! `BatchGeometry::x8_images`, from the geometry, the window and `n` alone:
 //! blocks of eight images run the lanes-across-images kernel and single
-//! images the per-image direct kernel (both in [`crate::gemm`]). Both pool
+//! images the per-image direct kernel (both in [`crate::gemm`]); a stage
+//! whose maps fill the direct kernel's lanes, or idle few of them on few
+//! taps per cell (3C's C1), runs direct for every image — the rule and the
+//! timing table it is read from (`kernel_choice_timings`) are in the
+//! `x8_images` and [`crate::gemm`] docs. Both pool
 //! inside the kernel, before anything is stored — the x8 kernel from an
 //! L1-resident strip per pooled row, the direct kernel in registers per
 //! tile — so no raw conv map is written and there is no second pass over
@@ -90,23 +94,34 @@ impl BatchGeometry {
     /// leading ones, in blocks of eight — run the lanes-across-images
     /// kernel; the rest run the per-image direct kernel. A pure function of
     /// the geometry, the pooling `window` and `n`, the same on every host
-    /// and arm (the numbers are the AVX2 compilation's; `crate::gemm` has
-    /// the baseline one's):
+    /// and arm, read off the fused `conv → pool → sigmoid` timings of both
+    /// kernels (`kernel_choice_timings`; the table, both arms, is in
+    /// `crate::gemm`'s docs):
     ///
     /// * `ow < 8` or `window > 2`: all `n` — the direct kernel cannot take
     ///   the map or pool by the window (it pools by 1 or 2 in registers; no
     ///   network this workspace builds pools by more), so the `n % 8`
     ///   remainder is one zero-padded block (a lone image on 3C's C3 pays
     ///   eight images' work);
-    /// * `ow % 8 == 0`: none — the direct kernel's lanes are already full
-    ///   (2C's 24- and 8-wide maps measured ×0.89–1.08 under x8);
-    /// * otherwise every **full** block of eight, the remainder per image: a
-    ///   padded block loses to the direct kernel below about six images
-    ///   (×0.58–0.71 at four, ×0.14–0.20 at one).
+    /// * none where the direct kernel idles few lanes on few taps: when
+    ///   `ow % 8 == 0` (none idle: 2C's 24- and 8-wide maps), and when its
+    ///   overlapped last vector idles at most a quarter of them,
+    ///   `4·(ceil8(ow) − ow) ≤ ceil8(ow)`, on at most 27 taps per cell
+    ///   (`c_in·kh·kw`: 3C's C1, ow 26 on 9 taps). The x8 kernel's pack,
+    ///   pool strip and unpack cost about the same per cell whatever the
+    ///   taps; the idle lanes cost in proportion to them. Tuned on the AVX2
+    ///   compilation;
+    /// * otherwise every **full** block of eight (3C's C2, 6 of 16 lanes
+    ///   idle), the remainder per image: a padded block loses to the direct
+    ///   kernel below about six images (×0.58–0.71 at four, ×0.14–0.20 at
+    ///   one).
     pub(crate) fn x8_images(&self, n: usize, window: usize) -> usize {
+        let lanes = self.ow.next_multiple_of(8);
+        let few_idle_on_few_taps =
+            4 * (lanes - self.ow) <= lanes && self.c_in * self.kh * self.kw <= 27;
         if self.ow < gemm::DIRECT_MIN_OW || window > 2 {
             n
-        } else if self.ow.is_multiple_of(8) {
+        } else if self.ow.is_multiple_of(8) || few_idle_on_few_taps {
             0
         } else {
             n - n % 8
@@ -272,6 +287,18 @@ mod tests {
         Tensor::from_vec(v, d).unwrap()
     }
 
+    /// One conv stage: `(c_in, c_out, k, input side, pooling window)`.
+    type Stage = (usize, usize, usize, usize, usize);
+
+    /// The conv stages of the two committed models (`cdl_core::arch`).
+    const MODEL_CONVS: [(&str, Stage); 5] = [
+        ("2C C1", (1, 6, 5, 28, 2)),
+        ("2C C2", (6, 12, 5, 12, 2)),
+        ("3C C1", (1, 3, 3, 28, 2)),
+        ("3C C2", (3, 6, 4, 13, 2)),
+        ("3C C3", (6, 9, 3, 5, 1)),
+    ];
+
     #[test]
     fn batch_is_bit_identical_to_direct() {
         use rand::rngs::StdRng;
@@ -409,9 +436,13 @@ mod tests {
             // every image
             (3usize, 1usize, 6usize, 5usize, 28usize, 2usize),
             (10, 6, 12, 5, 12, 2),
-            // 3C's C1/P1 and C2/P2: one x8 block, then direct images
+            // 3C's C1/P1, ow = 26 on nine taps: the direct kernel for every
+            // image, the overlapped last vector pooled in the tile
             (11, 1, 3, 3, 28, 2),
+            // 3C's C2/P2 (ow = 10), and ow = 26 on 150 taps: one x8 block,
+            // then direct images
             (9, 3, 6, 4, 13, 2),
+            (11, 6, 3, 5, 30, 2),
             // 3C's C3/P3, ow = 3: x8 for all, the last block padded
             (13, 6, 9, 3, 5, 1),
             // ow = 6: narrow maps, a lone padded block
@@ -518,43 +549,211 @@ mod tests {
     }
 
     /// The kernel choice as the table it is: `x8_images(n, window)` per
-    /// geometry class and pooling window.
+    /// geometry class, taps per cell and pooling window — first the conv
+    /// stages of the committed models by name, then the classes around each
+    /// clause's edges (`kernel_choice_timings` measures both).
     #[test]
     fn x8_kernel_choice_as_a_table() {
-        let geometry = |side: usize, k: usize| {
-            BatchGeometry::check(&[1, side, side], &Tensor::ones(&[1, 1, k, k]), &[0.0]).unwrap()
-        };
         const ALL: [(usize, usize); 7] =
             [(0, 0), (1, 1), (7, 7), (8, 8), (9, 9), (16, 16), (257, 257)];
         const NONE: [(usize, usize); 7] =
             [(0, 0), (1, 0), (7, 0), (8, 0), (9, 0), (16, 0), (257, 0)];
         const FULL_BLOCKS: [(usize, usize); 7] =
             [(0, 0), (1, 0), (7, 0), (8, 8), (9, 8), (16, 16), (257, 256)];
-        // (output width, window, [(n, images through x8)])
+        let check = |what: &str, g: BatchGeometry, window: usize, cases: [(usize, usize); 7]| {
+            for (n, x8) in cases {
+                assert_eq!(g.x8_images(n, window), x8, "{what} window={window} n={n}");
+            }
+        };
+        for (name, (c_in, c_out, k, side, window)) in MODEL_CONVS {
+            let cases = match name {
+                // full direct lanes; and 3C's C1, a quarter of the lanes
+                // idle at most, on nine taps
+                "2C C1" | "2C C2" | "3C C1" => NONE,
+                // three eighths of the lanes idle
+                "3C C2" => FULL_BLOCKS,
+                // narrow
+                "3C C3" => ALL,
+                _ => unreachable!("{name}"),
+            };
+            let kernels = Tensor::ones(&[c_out, c_in, k, k]);
+            let g = BatchGeometry::check(&[c_in, side, side], &kernels, &vec![0.0; c_out]);
+            check(name, g.unwrap(), window, cases);
+        }
+        // (output width, taps per cell, window, [(n, images through x8)]),
+        // on 1×1 kernels over `taps` input channels
         let table = [
             // narrow: all of them, the remainder as a padded block
-            (3, 1, ALL),
-            (6, 2, ALL),
-            (7, 1, ALL),
-            // full direct lanes: none (2C's 24 and 8, pooled by 2)
-            (8, 1, NONE),
-            (8, 2, NONE),
-            (24, 2, NONE),
-            // ragged direct lanes: full blocks only (3C's 10 and 26)
-            (10, 1, FULL_BLOCKS),
-            (10, 2, FULL_BLOCKS),
-            (26, 2, FULL_BLOCKS),
+            (3, 9, 1, ALL),
+            (6, 9, 2, ALL),
+            (7, 150, 1, ALL),
+            // full direct lanes: none, whatever the taps (2C's 24 and 8)
+            (8, 9, 1, NONE),
+            (8, 150, 2, NONE),
+            (24, 25, 2, NONE),
+            (24, 150, 2, NONE),
+            // ragged lanes: none where a quarter at most is idle on at
+            // most 27 taps — ow 26 (3C's C1) and the edges, a quarter
+            // idle (ow 12, 18) and 27 taps
+            (26, 9, 2, NONE),
+            (26, 27, 2, NONE),
+            (12, 9, 2, NONE),
+            (18, 27, 2, NONE),
+            (25, 1, 1, NONE),
+            // and full blocks past either edge: 28 taps, 48 and 150 at
+            // ow 26, more than a quarter idle (ow 10 is 3C's C2: 6 of 16,
+            // ow 11 and 17)
+            (26, 28, 2, FULL_BLOCKS),
+            (26, 48, 2, FULL_BLOCKS),
+            (26, 150, 2, FULL_BLOCKS),
+            (10, 9, 1, FULL_BLOCKS),
+            (10, 9, 2, FULL_BLOCKS),
+            (11, 1, 1, FULL_BLOCKS),
+            (17, 9, 1, FULL_BLOCKS),
             // a window the direct kernel does not pool: all of them,
-            // whatever the width
-            (12, 3, ALL),
-            (24, 3, ALL),
-            (24, 4, ALL),
+            // whatever the width and the taps
+            (12, 9, 3, ALL),
+            (24, 9, 3, ALL),
+            (24, 9, 4, ALL),
         ];
-        for (ow, window, cases) in table {
-            let g = geometry(ow + 2, 3);
-            assert_eq!(g.ow, ow);
-            for (n, x8) in cases {
-                assert_eq!(g.x8_images(n, window), x8, "ow={ow} window={window} n={n}");
+        for (ow, taps, window, cases) in table {
+            let kernels = Tensor::ones(&[1, taps, 1, 1]);
+            let g = BatchGeometry::check(&[taps, ow, ow], &kernels, &[0.0]).unwrap();
+            check(&format!("ow={ow} taps={taps}"), g, window, cases);
+        }
+    }
+
+    /// Both kernels on one geometry, timed the way a stage runs them — the
+    /// fused `conv → pool → sigmoid` into an `[n, f]` block, the x8 kernel
+    /// over blocks of eight with its pack and unpack, the direct kernel per
+    /// image — alternating the two and keeping each one's best window.
+    /// Returns ns per image, `(direct, x8)`; `direct` is `None` where that
+    /// kernel cannot run (`ow < 8` or a window above 2). Checks that the two
+    /// agree bit for bit, so a timing is never of a wrong result.
+    fn time_both_kernels(
+        (c_in, c_out, k, side, window): Stage,
+        n: usize,
+        kernel: GemmKernel,
+    ) -> (Option<f64>, f64) {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        use std::time::{Duration, Instant};
+        let mut rng = StdRng::seed_from_u64(44);
+        let mut fill = |len: usize, r: f32| -> Vec<f32> {
+            (0..len).map(|_| rng.random_range(-r..r)).collect()
+        };
+        let (data, kernels, bias) = (
+            fill(n * c_in * side * side, 1.0),
+            t(fill(c_out * c_in * k * k, 0.5), &[c_out, c_in, k, k]),
+            fill(c_out, 0.2),
+        );
+        let src = Rows::Block {
+            data: &data,
+            width: c_in * side * side,
+        };
+        let g = BatchGeometry::check(&[c_in, side, side], &kernels, &bias).unwrap();
+        let f_out = g.c_out * g.cols_per() / (window * window);
+        let target = Target::pick(kernel);
+        let activation = |xs: &mut [f32]| math::sigmoid_slice(kernel, xs);
+        let mut scratch = X8Scratch::default();
+        let mut x8_out = vec![0.0f32; n * f_out];
+        let mut x8 = || {
+            for first in (0..n).step_by(8) {
+                let count = (n - first).min(8);
+                let dst = &mut x8_out[first * f_out..(first + count) * f_out];
+                gemm::conv2d_x8(
+                    target,
+                    &g,
+                    src,
+                    first,
+                    count,
+                    kernels.data(),
+                    &bias,
+                    window,
+                    &activation,
+                    &mut scratch,
+                    dst,
+                );
+            }
+        };
+        let direct_runs = g.ow >= gemm::DIRECT_MIN_OW && window <= 2;
+        let mut direct_out = vec![0.0f32; n * f_out];
+        let mut direct = || {
+            for (i, row) in direct_out.chunks_exact_mut(f_out).enumerate() {
+                gemm::conv2d_direct(target, &g, src.row(i), kernels.data(), &bias, window, row);
+                activation(row);
+            }
+        };
+        // ns per image of the best of 24 windows, each `reps` batches
+        let reps = (2048 / n).max(1);
+        let mut best = [Duration::MAX; 2];
+        for _ in 0..24 {
+            for (slot, run) in [&mut x8 as &mut dyn FnMut(), &mut direct]
+                .into_iter()
+                .enumerate()
+                .take(1 + usize::from(direct_runs))
+            {
+                let start = Instant::now();
+                for _ in 0..reps {
+                    run();
+                }
+                best[slot] = best[slot].min(start.elapsed());
+            }
+        }
+        let per_img = |d: Duration| d.as_nanos() as f64 / (reps * n) as f64;
+        if direct_runs {
+            assert!(
+                x8_out
+                    .iter()
+                    .zip(&direct_out)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "the two kernels disagree"
+            );
+        }
+        (direct_runs.then(|| per_img(best[1])), per_img(best[0]))
+    }
+
+    /// The measurement `BatchGeometry::x8_images` is derived from: the
+    /// direct kernel against the x8 kernel, ns per image, for every conv
+    /// stage of the committed models and the synthetic geometries that
+    /// bound the rule, at `n` = 8 and 256 on both arms. Asserts nothing
+    /// about time; rerun after any change to either kernel and update the
+    /// rule and the table in `crate::gemm`'s docs from its output:
+    /// `cargo test --release -p cdl-tensor --lib -- --ignored
+    /// kernel_choice_timings --nocapture`.
+    #[test]
+    #[ignore = "a timing table, not a check: run with --ignored --nocapture"]
+    fn kernel_choice_timings() {
+        let probes = [
+            ("ow 26, 27 taps", (3, 6, 3, 28, 2)),
+            ("ow 26, 150 taps", (6, 6, 5, 30, 2)),
+            ("ow 26, 48 taps", (3, 6, 4, 29, 2)),
+            ("ow 10, 9 taps", (1, 6, 3, 12, 2)),
+            ("ow 12, 9 taps", (1, 6, 3, 14, 2)),
+            ("ow 18, 27 taps", (3, 6, 3, 20, 2)),
+        ];
+        println!(
+            "stage            taps  ow  arm        n  direct ns/img  x8 ns/img  x8/direct  rule"
+        );
+        for (name, stage) in MODEL_CONVS.into_iter().chain(probes) {
+            let (c_in, c_out, k, side, window) = stage;
+            let kernels = Tensor::ones(&[c_out, c_in, k, k]);
+            let g = BatchGeometry::check(&[c_in, side, side], &kernels, &vec![0.0; c_out]).unwrap();
+            let rule = ["direct", "x8"][usize::from(g.x8_images(8, window) > 0)];
+            for kernel in GemmKernel::ALL {
+                for n in [8usize, 256] {
+                    let (direct, x8) = time_both_kernels(stage, n, kernel);
+                    let (direct, ratio) = match direct {
+                        Some(d) => (format!("{d:13.0}"), format!("{:9.2}", x8 / d)),
+                        None => (format!("{:>13}", "-"), format!("{:>9}", "-")),
+                    };
+                    println!(
+                        "{name:<16} {:>4} {:>3}  {:<9} {n:>3}  {direct}  {x8:9.0}  {ratio}  {rule}",
+                        c_in * k * k,
+                        g.ow,
+                        format!("{kernel:?}"),
+                    );
+                }
             }
         }
     }
