@@ -258,8 +258,7 @@ impl Default for HealthPolicy {
 }
 
 /// Request-level resilience for one shard, attached with
-/// [`crate::ShardSpec::retry`]: budgeted retries on replica failure, plus
-/// an optional hedged second attempt.
+/// [`crate::ShardSpec::retry`]: budgeted retries on replica failure.
 ///
 /// A failed attempt is retried (on a freshly placed replica) when its
 /// error is *retryable* — [`ServeError::Eval`],
@@ -268,66 +267,33 @@ impl Default for HealthPolicy {
 /// `max_retries` extra attempts. The other typed refusals (`Shed`, quota,
 /// validation) are **not** retried: retrying them would amplify overload.
 ///
-/// With `hedge_quantile` set, a second attempt is also launched if the
-/// first has not settled after the shard's merged latency histogram says
-/// `hedge_quantile` of requests should have (clamped below by
-/// `hedge_floor`, which is also the cold-start delay while the histogram
-/// is empty). First completion wins; the loser is cancelled through its
-/// drop-to-cancel handle at **zero** evaluator ops. Responses stay
-/// bit-identical whichever attempt wins — every replica serves the same
-/// network.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One attempt is in flight at a time: a relaunch starts only once the
+/// attempt before it has failed, and a caller that hangs up cancels the
+/// attempt in flight (zero evaluator ops) and spends no further retry.
+/// Responses stay bit-identical whichever replica serves the request —
+/// every replica serves the same network.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Extra attempts after the first, spent only on retryable errors.
     pub max_retries: u32,
-    /// Latency quantile deriving the hedge delay from the shard's merged
-    /// histogram; `None` disables hedging.
-    pub hedge_quantile: Option<f64>,
-    /// Lower bound on the hedge delay, and the delay used while the shard
-    /// has no latency samples yet.
-    pub hedge_floor: Duration,
 }
 
 impl RetryPolicy {
-    /// Retry-only policy: `max_retries` extra attempts, no hedging.
+    /// A policy of `max_retries` extra attempts.
     pub fn retries(max_retries: u32) -> Self {
-        RetryPolicy {
-            max_retries,
-            hedge_quantile: None,
-            hedge_floor: Duration::from_millis(10),
-        }
-    }
-
-    /// Returns this policy with hedging at `quantile` (builder-style).
-    pub fn hedged(mut self, quantile: f64) -> Self {
-        self.hedge_quantile = Some(quantile);
-        self
-    }
-
-    /// Returns this policy with the hedge-delay floor set (builder-style).
-    pub fn hedge_floor(mut self, floor: Duration) -> Self {
-        self.hedge_floor = floor;
-        self
+        RetryPolicy { max_retries }
     }
 
     /// Validates the policy.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::BadConfig`] for an out-of-range hedge
-    /// quantile or a zero-attempt policy (no retries *and* no hedge —
-    /// use no policy at all instead).
+    /// Returns [`ServeError::BadConfig`] for a policy of no retries (use no
+    /// policy at all instead).
     pub(crate) fn validate(&self) -> ServeResult<()> {
-        if let Some(q) = self.hedge_quantile {
-            if !q.is_finite() || !(0.0..=1.0).contains(&q) {
-                return Err(ServeError::BadConfig(format!(
-                    "retry hedge_quantile must be in [0, 1], got {q}"
-                )));
-            }
-        }
-        if self.max_retries == 0 && self.hedge_quantile.is_none() {
+        if self.max_retries == 0 {
             return Err(ServeError::BadConfig(
-                "retry policy with no retries and no hedge does nothing (omit it instead)".into(),
+                "retry policy with no retries does nothing (omit it instead)".into(),
             ));
         }
         Ok(())
@@ -335,7 +301,7 @@ impl RetryPolicy {
 }
 
 impl Default for RetryPolicy {
-    /// One retry, no hedging, 10 ms hedge floor.
+    /// One retry.
     fn default() -> Self {
         RetryPolicy::retries(1)
     }
@@ -891,14 +857,7 @@ mod tests {
     #[test]
     fn retry_policy_validates() {
         assert!(RetryPolicy::default().validate().is_ok());
-        assert!(RetryPolicy::retries(2).hedged(0.95).validate().is_ok());
-        assert!(RetryPolicy::retries(1)
-            .hedge_floor(Duration::from_millis(5))
-            .validate()
-            .is_ok());
-        assert!(RetryPolicy::retries(2).hedged(1.5).validate().is_err());
         assert!(RetryPolicy::retries(0).validate().is_err());
-        assert!(RetryPolicy::retries(0).hedged(0.5).validate().is_ok());
     }
 
     #[test]

@@ -99,9 +99,9 @@ impl From<CdlError> for ServeError {
 pub(crate) struct Refused {
     /// Why the request was not admitted.
     pub(crate) error: ServeError,
-    /// The request's input. A [`crate::Server`] always hands it back;
-    /// `None` only from a [`crate::Router`] retry/hedge race that still
-    /// shares the request with an attempt or a hedge timer.
+    /// The request's input. Every refusal hands it back, a
+    /// [`crate::Router`] under a retry policy included: each attempt took a
+    /// clone, and the original is returned.
     pub(crate) input: Option<Tensor>,
 }
 

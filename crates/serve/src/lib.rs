@@ -30,7 +30,7 @@
 //!   [`Router::submit_with`] wait, and [`Router::try_submit_with`] returns
 //!   [`ServeError::Full`]. Each is one line over the crate's one admission
 //!   call, `Server::admit` (behind placement and, under a [`RetryPolicy`],
-//!   the retry/hedge race in `Router::admit`). The TCP edge calls it too: a
+//!   the retries in `Router::admit`). The TCP edge calls it too: a
 //!   refusal hands its tensor back, and a `Full` one leaves the edge's
 //!   waker on the gate that refused, which calls it at its next release.
 //! * **Batch formation** ([`BatchPolicy`]) has no thread of its own: a
@@ -117,7 +117,7 @@
 //!   the edge* above).
 //! * **Fault tolerance** ([`fault`], [`HealthPolicy`], [`RetryPolicy`],
 //!   [`Router::swap_model`]): seeded fault injection, health-based replica
-//!   eviction/readmission, budgeted retries + hedging, and no-drain model
+//!   eviction/readmission, budgeted retries, and no-drain model
 //!   hot-swap — see *Failure model* below.
 //! * **Telemetry** ([`cdl_telemetry`], re-exported here): every latency
 //!   metric is backed by a mergeable log-bucketed [`LogHistogram`] (O(1)
@@ -194,18 +194,17 @@
 //!    `router::placement` (`candidates`, `pick`) and `router::health`
 //!    (`step`, the whole transition table); `tests/chaos.rs` drives the
 //!    same cells through real pipelines.
-//! 3. **Redundancy is spent at zero marginal evaluator cost.** A
-//!    [`RetryPolicy`] relaunches a failed attempt on a sibling replica
-//!    against a per-request budget, and optionally *hedges*: after a
-//!    quantile-derived delay, a second attempt races the first and the
-//!    first completion wins. The losing attempt's handle is dropped,
-//!    which cancels it on the queue — the loser spends **zero**
-//!    evaluator ops, so hedging buys tail latency with queue slots, not
-//!    compute. Responses stay bit-identical to
+//! 3. **A request is evaluated at most once per failure.** A
+//!    [`RetryPolicy`] relaunches an attempt refused or failed by one
+//!    replica on a sibling, against a per-request budget. One attempt is
+//!    in flight at a time — nothing races, so no work is duplicated — and
+//!    the caller's handle holds it: a caller that hangs up cancels the
+//!    attempt at **zero** evaluator ops and spends no further retry.
+//!    Responses stay bit-identical to
 //!    [`cdl_core::network::CdlNetwork::classify_with_override`] whichever
-//!    attempt wins, because every replica evaluates the same network. The
-//!    race lives inside `Router::admit` (`router::race`), so requests
-//!    arriving over TCP are retried and hedged exactly like in-process
+//!    replica serves them, because every replica evaluates the same
+//!    network. The retries live inside `Router::admit` (`router::retry`),
+//!    so requests arriving over TCP are retried exactly like in-process
 //!    ones.
 //! 4. **Model updates don't drain the world.** [`Router::swap_model`]
 //!    replaces a shard's network replica by replica: each retired
@@ -235,7 +234,7 @@
 //! # let cdln = cdl_core::network::CdlNetwork::assemble(
 //! #     base, stages, cdl_core::confidence::ConfidencePolicy::max_prob(0.6))?;
 //! // three replicas, health-evicted on errors or a slow p99, with one
-//! // budgeted retry per request and a hedged attempt at the shard's p95
+//! // budgeted retry per request
 //! let router = Router::start(vec![ShardSpec::new(
 //!     "mnist",
 //!     Arc::new(cdln),
@@ -247,7 +246,7 @@
 //! )
 //! .replicated(ReplicaSpec::new(3, PlacementPolicy::PowerOfTwoChoices))
 //! .health(HealthPolicy::default())
-//! .retry(RetryPolicy::retries(1).hedged(0.95))])?;
+//! .retry(RetryPolicy::retries(1))])?;
 //! let model = router.model_id("mnist").unwrap();
 //! let out = router
 //!     .submit(model, cdl_tensor::Tensor::full(&[1, 28, 28], 0.4))?

@@ -343,9 +343,8 @@ pub struct ShardMetrics {
     /// Submission attempts relaunched on another replica by the shard's
     /// [`crate::RetryPolicy`] after a retryable failure (0 without one).
     pub retries: u64,
-    /// Hedged duplicate submissions launched by the shard's
-    /// [`crate::RetryPolicy`] because the primary outlived the hedge
-    /// delay (0 without hedging).
+    /// Always 0, and not exported: the router launches no duplicate
+    /// attempts. Kept while the measurement harness still reads it.
     pub hedges: u64,
     /// Per-replica metrics, in replica-index order.
     pub replicas: Vec<ReplicaMetrics>,
@@ -405,7 +404,7 @@ impl RouterMetrics {
     }
 
     /// Append the whole snapshot to a [`TelemetrySnapshot`]: per-shard
-    /// retry/hedge counters labelled `model`; every replica's routed
+    /// retry counter labelled `model`; every replica's routed
     /// counter, ledger, health-state gauge and transition counter labelled
     /// `model`/`replica`. The one renderer behind
     /// [`crate::Router::telemetry_snapshot`] and `Display`.
@@ -413,7 +412,6 @@ impl RouterMetrics {
         for shard in &self.shards {
             let model = ("model", shard.model.as_str());
             snapshot.push_counter("cdl_shard_retries_total", &[model], shard.retries);
-            snapshot.push_counter("cdl_shard_hedges_total", &[model], shard.hedges);
             for (i, replica) in shard.replicas.iter().enumerate() {
                 let labels = [model, ("replica", &*i.to_string())];
                 snapshot.push_counter("cdl_replica_routed_total", &labels, replica.routed);

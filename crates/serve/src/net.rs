@@ -8,7 +8,7 @@
 //! a time on them. Both ends frame, encode and decode through [`codec`], which
 //! documents the wire protocol. Everything below the edge
 //! is unchanged — requests admitted over TCP go through the exact same
-//! `Router::admit` (placement, retry/hedge race, gate) → queue →
+//! `Router::admit` (placement, retries, gate) → queue →
 //! worker pipeline as in-process submits, and responses stay bit-identical to
 //! [`cdl_core::network::CdlNetwork::classify_with_override`] (pinned by
 //! `tests/net_loopback.rs`).

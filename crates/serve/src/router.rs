@@ -33,9 +33,10 @@
 //!   signals, readmitting through bounded canary probes:
 //!   `step(state, bad_streak, window, policy)` is its whole transition
 //!   table, over a window of three numbers;
-//! - `race` — a [`RetryPolicy`] adds budgeted retries on replica failure
-//!   and an optional hedged second attempt, first-completion-wins, with
-//!   the losing attempt cancelled at zero evaluator ops; the hedge timer.
+//! - `retry` — a [`RetryPolicy`] relaunches a request refused or failed
+//!   by one replica on another, against a per-request budget; one attempt
+//!   is in flight at a time, held by the caller's handle so that hanging
+//!   up cancels it.
 //!
 //! The first two are pure functions whose table tests start no server and
 //! no thread, and the tables are the specification: `tests/chaos.rs`
@@ -48,7 +49,7 @@
 
 mod health;
 mod placement;
-mod race;
+mod retry;
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -60,7 +61,6 @@ use cdl_telemetry::{EventKind, SpanEvent, TelemetrySnapshot, TraceId};
 use cdl_tensor::Tensor;
 
 use self::health::{HealthWindow, Window};
-use self::race::HedgeTimer;
 use crate::config::{
     HealthPolicy, PlacementPolicy, ReplicaHealth, ReplicaSpec, RetryPolicy, ServerConfig,
     SubmitOptions,
@@ -121,7 +121,7 @@ pub struct ShardSpec {
     /// disables health tracking and every replica stays
     /// [`ReplicaHealth::Healthy`] forever.
     pub health: Option<HealthPolicy>,
-    /// Request-level retry/hedging; `None` (the default) keeps the
+    /// Request-level retries; `None` (the default) keeps the
     /// single-attempt behaviour.
     pub retry: Option<RetryPolicy>,
     /// Per-replica fault-plan overrides `(replica index, plan)`, replacing
@@ -158,7 +158,7 @@ impl ShardSpec {
         self
     }
 
-    /// Attaches a retry/hedge policy (builder style).
+    /// Attaches a retry policy (builder style).
     pub fn retry(mut self, policy: RetryPolicy) -> Self {
         self.retry = Some(policy);
         self
@@ -261,13 +261,6 @@ struct Shard {
     checks: AtomicU64,
     /// Retry attempts launched beyond each request's first.
     retries: AtomicU64,
-    /// Hedged second attempts launched.
-    hedges: AtomicU64,
-    /// Cached hedge delay in nanoseconds (recomputed every
-    /// `HEDGE_REFRESH` hedged submissions from the merged shard latency
-    /// histogram; starts at the policy's `hedge_floor`).
-    hedge_delay_ns: AtomicU64,
-    hedge_calls: AtomicU64,
     replicas: Vec<Replica>,
 }
 
@@ -277,8 +270,8 @@ impl Shard {
     /// With no [`HealthPolicy`] this is exactly the placement policy over
     /// live queue depths. With one, a `Probing` replica first claims
     /// canary placements up to its probe budget; normal placements then
-    /// run over [`placement::candidates`]. `exclude` (used by retries and
-    /// hedges) is the replica that just failed or is already racing.
+    /// run over [`placement::candidates`]. `exclude` (used by retries) is
+    /// the replica that just refused or failed the request.
     fn place(&self, exclude: Option<usize>) -> usize {
         if self.replicas.len() == 1 {
             return 0;
@@ -306,7 +299,7 @@ impl Shard {
 
     /// Places `request` on one replica and admits it there — the one
     /// placement body, shared by the plain path and every attempt of a
-    /// retry/hedge race. Returns the replica index picked (what a relaunch
+    /// retried request. Returns the replica index picked (what a relaunch
     /// excludes) with the admission's outcome.
     fn attempt(
         &self,
@@ -396,7 +389,7 @@ impl Shard {
             model: self.name.clone(),
             placement: self.placement,
             retries: self.retries.load(Ordering::Relaxed),
-            hedges: self.hedges.load(Ordering::Relaxed),
+            hedges: 0,
             replicas,
         }
     }
@@ -413,7 +406,6 @@ impl Shard {
 /// outstanding [`Pending`] handles resolve before the threads exit.
 pub struct Router {
     shards: Vec<Arc<Shard>>,
-    hedge: Option<HedgeTimer>,
 }
 
 impl fmt::Debug for Router {
@@ -471,9 +463,6 @@ impl Router {
                 }
             }
         }
-        let hedges = specs
-            .iter()
-            .any(|s| s.retry.as_ref().is_some_and(|r| r.hedge_quantile.is_some()));
         let shards = specs
             .into_iter()
             .map(|spec| {
@@ -498,7 +487,6 @@ impl Router {
                         })
                     })
                     .collect::<ServeResult<Vec<Replica>>>()?;
-                let hedge_floor = spec.retry.map_or(Duration::ZERO, |r| r.hedge_floor);
                 Ok(Arc::new(Shard {
                     name: spec.name,
                     placement: spec.replicas.placement,
@@ -507,17 +495,11 @@ impl Router {
                     retry: spec.retry,
                     checks: AtomicU64::new(0),
                     retries: AtomicU64::new(0),
-                    hedges: AtomicU64::new(0),
-                    hedge_delay_ns: AtomicU64::new(hedge_floor.as_nanos() as u64),
-                    hedge_calls: AtomicU64::new(0),
                     replicas,
                 }))
             })
             .collect::<ServeResult<Vec<Arc<Shard>>>>()?;
-        Ok(Router {
-            shards,
-            hedge: hedges.then(HedgeTimer::start),
-        })
+        Ok(Router { shards })
     }
 
     /// Looks a model up by name.
@@ -599,19 +581,18 @@ impl Router {
     /// bounces) only the submitters placed on it, never its siblings or
     /// other models.
     ///
-    /// Without a [`RetryPolicy`] that is one placement. With one it is the
-    /// retry/hedge race, for every [`Admission`] and so for in-process
-    /// and wire traffic alike: a retryable refusal ([`ServeError::Full`]
-    /// included — a sibling may have headroom) or failure is relaunched on
-    /// another replica against the retry budget before the caller sees it.
+    /// Without a [`RetryPolicy`] that is one placement. With one, for every
+    /// [`Admission`] and so for in-process and wire traffic alike, a
+    /// retryable refusal ([`ServeError::Full`] included — a sibling may
+    /// have headroom) or failure is relaunched on another replica against
+    /// the retry budget before the caller sees it.
     ///
     /// # Errors
     ///
     /// A [`Refused`] carrying [`ServeError::UnknownModel`] for an
     /// unregistered id, else the placed replica's [`Server::admit`]
     /// refusal (the last one, after the retry budget) — with the tensor
-    /// handed back in every case but a [`ServeError::ShuttingDown`] from a
-    /// pipeline that had already consumed it.
+    /// handed back in every case.
     pub(crate) fn admit(
         &self,
         model: ModelId,
@@ -625,7 +606,7 @@ impl Router {
         shard.auto_check();
         match &shard.retry {
             None => shard.attempt(None, request, admission).1,
-            Some(policy) => race::admit(shard, policy, self.hedge.as_ref(), request, admission),
+            Some(policy) => retry::admit(shard, policy, request, admission),
         }
     }
 
@@ -738,7 +719,7 @@ impl Router {
     /// [`Router::metrics`] rendered through
     /// `RouterMetrics::fill_telemetry` (every replica's routed count,
     /// ledger, latency histogram and health state labeled
-    /// `model`/`replica`, per-shard retry/hedge counters; the text
+    /// `model`/`replica`, per-shard retry counters; the text
     /// `RouterMetrics`' `Display` prints), plus all span events drained
     /// from every replica's telemetry domain. Render it with
     /// [`TelemetrySnapshot::render_prometheus`] or
@@ -776,13 +757,9 @@ impl Router {
     /// its threads join. Returns the final metrics snapshot, including the
     /// folded-in metrics of any pipelines retired by
     /// [`Router::swap_model`].
-    pub fn shutdown(mut self) -> RouterMetrics {
-        // stop the hedge timer first: unfired hedges drop (their attempt
-        // contexts release), and no new attempt can launch from a timer
-        self.hedge.take();
-        let shards = std::mem::take(&mut self.shards);
+    pub fn shutdown(self) -> RouterMetrics {
         let mut out = Vec::new();
-        for shard in shards {
+        for shard in self.shards {
             let mut replicas = Vec::new();
             for replica in &shard.replicas {
                 let server = replica
@@ -1197,12 +1174,11 @@ pub(crate) mod tests {
                 model,
                 placement: _, // configuration, not a count
                 retries,
-                hedges,
+                hedges: _, // always 0, not exported
                 replicas,
             } = shard;
             let model = format!("model=\"{model}\"");
             assert_eq!(exported("cdl_shard_retries_total", &model), *retries);
-            assert_eq!(exported("cdl_shard_hedges_total", &model), *hedges);
             for (i, replica) in replicas.iter().enumerate() {
                 let at = format!("{model},replica=\"{i}\"");
                 let ReplicaMetrics {

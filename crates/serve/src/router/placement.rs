@@ -6,8 +6,8 @@ use crate::config::{PlacementPolicy, ReplicaHealth};
 
 /// The replica indices a normal (non-canary) placement may go to, given
 /// every replica's health in index order: the **live** subset (`Healthy`
-/// and `Degraded`), minus `exclude` — the replica a retry or hedge must
-/// avoid — but only while a live sibling remains, and the full set when
+/// and `Degraded`), minus `exclude` — the replica a retry must avoid —
+/// but only while a live sibling remains, and the full set when
 /// nothing is live (an all-evicted shard keeps serving rather than
 /// stranding traffic).
 pub(super) fn candidates(

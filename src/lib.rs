@@ -162,7 +162,7 @@
 //! registered [`serve::ShardSpec`] gets its own shard (admission gate →
 //! queue → worker pool). [`serve::Router::submit_with`] routes a request by
 //! [`serve::ModelId`], through placement and, when the shard has a
-//! [`serve::RetryPolicy`], the retry/hedge race; the TCP edge takes the same
+//! [`serve::RetryPolicy`], its retries; the TCP edge takes the same
 //! path. [`serve::Router::try_submit_with`] refuses a full replica with
 //! [`serve::ServeError::Full`] instead of waiting. Backpressure is per
 //! shard: a saturated model never blocks traffic for the others. Each

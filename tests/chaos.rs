@@ -9,9 +9,9 @@
 //!   (`Healthy → Degraded → Evicted`), readmits it through bounded canary
 //!   probes (`Probing → Healthy`) once the fault clears, and never routes
 //!   a request to an `Evicted` replica while siblings are live;
-//! * **retries and hedges** spend redundancy at zero marginal evaluator
-//!   cost — the losing side of a race is cancelled before evaluation —
-//!   for requests arriving over TCP exactly as for in-process ones;
+//! * **retries** relaunch a request refused at admission or failed after
+//!   it on a sibling replica, one attempt in flight at a time, for
+//!   requests arriving over TCP exactly as for in-process ones;
 //! * **hot-swap** ([`Router::swap_model`]) loses nothing under concurrent
 //!   load, and every response is consistent with the network that was
 //!   current when its request was placed;
@@ -24,7 +24,6 @@ use std::time::{Duration, Instant};
 
 use cdl::core::arch;
 use cdl::core::network::CdlOutput;
-use cdl::hw::OpCount;
 use cdl::serve::{
     BatchPolicy, EdgeConfig, FaultKind, FaultPlan, HealthPolicy, Pending, PlacementPolicy,
     ReplicaHealth, ReplicaSpec, RetryPolicy, Router, ServeError, ServerConfig, ShardSpec,
@@ -169,56 +168,6 @@ fn stalled_replica_is_evicted_and_readmitted_with_no_lost_requests() {
     assert_settled(&metrics);
 }
 
-/// A hedged request races a stalled primary: the hedge wins on the healthy
-/// sibling, the caller gets the bit-identical answer fast, and the losing
-/// attempt is cancelled before evaluation — zero evaluator ops spent.
-#[test]
-fn hedged_request_wins_on_a_healthy_replica_at_zero_loser_ops() {
-    let net = build_untrained(arch::mnist_2c(), 5);
-    let router = Router::start(vec![ShardSpec::new(
-        "m",
-        Arc::clone(&net),
-        config(BatchPolicy::by_size(1), 8),
-    )
-    .replicated(ReplicaSpec::new(2, PlacementPolicy::RoundRobin))
-    .retry(
-        RetryPolicy::retries(0)
-            .hedged(0.5)
-            .hedge_floor(Duration::from_millis(30)),
-    )
-    // the primary placement (round-robin starts at replica 0) stalls its
-    // first batch half a second — far past the 30ms hedge floor
-    .fault_on(
-        0,
-        FaultPlan::scripted(vec![(0, FaultKind::Stall(Duration::from_millis(500)))]),
-    )])
-    .unwrap();
-    let model = router.model_id("m").unwrap();
-    let x = image(3);
-    let started = Instant::now();
-    let out = router.submit(model, x.clone()).unwrap().wait().unwrap();
-    let elapsed = started.elapsed();
-    assert_eq!(out, net.classify(&x).unwrap());
-    assert!(
-        elapsed < Duration::from_millis(400),
-        "hedge did not win: {elapsed:?}"
-    );
-    let metrics = router.shutdown();
-    let shard = &metrics.shards[0];
-    assert_eq!(shard.hedges, 1, "exactly one hedged attempt");
-    assert_eq!(shard.retries, 0);
-    // the loser was admitted, then cancelled before its worker evaluated:
-    // it cost a queue slot, never an op
-    let loser = &shard.replicas[0].metrics;
-    assert_eq!(loser.submitted, 1);
-    assert_eq!(loser.cancelled, 1);
-    assert_eq!(loser.completed, 0);
-    assert_eq!(loser.total_ops, OpCount::ZERO, "loser burned evaluator ops");
-    let winner = &shard.replicas[1].metrics;
-    assert_eq!(winner.completed, 1);
-    assert_settled_with(&metrics, [&out]);
-}
-
 /// Budgeted retries absorb an error burst: every request refused by the
 /// bursting replica is relaunched on its sibling and settles successfully.
 #[test]
@@ -253,13 +202,63 @@ fn retries_recover_from_an_error_burst() {
     let metrics = router.shutdown();
     let shard = &metrics.shards[0];
     assert_eq!(shard.retries, 3, "one retry per refused admission");
-    assert_eq!(shard.hedges, 0);
     assert_eq!(shard.replicas[0].metrics.faults, 3);
     assert_eq!(shard.replicas[0].metrics.completed, 1);
     assert_eq!(shard.replicas[1].metrics.completed, 7);
     assert_eq!(metrics.total().completed, 8);
     // refused placements count as `faults`, outside `submitted`
     assert_settled_with(&metrics, &delivered);
+}
+
+/// A failure after admission is retried too: replica 0's worker panics
+/// on its first batch, the admitted attempt settles `Disconnected`, and its
+/// completion relaunches the request on replica 1, which answers it.
+#[test]
+fn a_failure_after_admission_is_retried_on_a_sibling() {
+    let net = build_untrained(arch::mnist_2c(), 5);
+    let router = Router::start(vec![ShardSpec::new(
+        "m",
+        Arc::clone(&net),
+        config(BatchPolicy::new(usize::MAX), 64),
+    )
+    .replicated(ReplicaSpec::new(2, PlacementPolicy::RoundRobin))
+    .retry(RetryPolicy::retries(1))
+    .fault_on(0, FaultPlan::scripted(vec![(0, FaultKind::PanicOnce)]))])
+    .unwrap();
+    let model = router.model_id("m").unwrap();
+    let out = router.submit(model, image(3)).unwrap().wait().unwrap();
+    assert_eq!(out, net.classify(&image(3)).unwrap());
+    let metrics = router.shutdown();
+    let shard = &metrics.shards[0];
+    assert_eq!(shard.retries, 1);
+    assert_eq!(shard.replicas[0].metrics.failed, 1);
+    assert_eq!(shard.replicas[1].metrics.completed, 1);
+    assert_settled(&metrics);
+}
+
+/// When the retry fails after admission as well, the caller gets that
+/// failure once the budget is spent: one retry, two placements.
+#[test]
+fn a_retry_that_fails_after_admission_settles_the_caller_with_its_error() {
+    let panic_once = || FaultPlan::scripted(vec![(0, FaultKind::PanicOnce)]);
+    let router = Router::start(vec![ShardSpec::new(
+        "m",
+        build_untrained(arch::mnist_2c(), 5),
+        config(BatchPolicy::new(usize::MAX), 64),
+    )
+    .replicated(ReplicaSpec::new(2, PlacementPolicy::RoundRobin))
+    .retry(RetryPolicy::retries(1))
+    .fault_on(0, panic_once())
+    .fault_on(1, panic_once())])
+    .unwrap();
+    let model = router.model_id("m").unwrap();
+    let outcome = router.submit(model, image(3)).unwrap().wait();
+    assert_eq!(outcome, Err(ServeError::Disconnected));
+    let metrics = router.shutdown();
+    let shard = &metrics.shards[0];
+    assert_eq!(shard.retries, 1);
+    assert_eq!(shard.routed(), 2);
+    assert_settled(&metrics);
 }
 
 /// The wire twin of [`retries_recover_from_an_error_burst`]: the same shard

@@ -125,7 +125,7 @@ pub fn assert_settled(metrics: &RouterMetrics) {
 /// [`assert_settled`], plus the op ledger against the outputs the test
 /// holds: `total_ops − expired_partial_ops` is exactly the work of the
 /// `delivered` answers — valid when every completion was delivered to the
-/// test (no hedge loser ran to completion unobserved).
+/// test (none was evaluated for a caller that had hung up).
 pub fn assert_settled_with<'a>(
     metrics: &RouterMetrics,
     delivered: impl IntoIterator<Item = &'a CdlOutput>,

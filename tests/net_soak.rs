@@ -36,8 +36,8 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 }
 
 /// The serving stack's threads: the tasks of this process named `cdl-*`
-/// (`cdl-edge-poller-*`, `cdl-edge-accept`, `cdl-serve-*`,
-/// `cdl-hedge-timer` — every thread the stack spawns is named, and one it
+/// (`cdl-edge-poller-*`, `cdl-edge-accept`, `cdl-serve-*` — every
+/// thread the stack spawns is named, and one it
 /// spawned anonymously would inherit such a name), plus the tasks named
 /// like the calling thread: a new thread carries its spawner's name until
 /// it first runs and renames itself, so these are the stack's threads that
