@@ -1,4 +1,5 @@
-//! Batch-formation policy, replica placement and server configuration.
+//! Batch-formation policy, per-request options, and the configuration of a
+//! server and of the TCP edge.
 
 use std::fmt;
 use std::time::Duration;
@@ -8,304 +9,6 @@ use cdl_telemetry::TelemetryConfig;
 
 use crate::error::{ServeError, ServeResult};
 use crate::fault::FaultPlan;
-
-/// How a [`crate::Router`] picks the replica that admits a request, chosen
-/// once per submission over the replica set's **live queue depths** (the
-/// gate occupancy `crate::Server::queue_depth` reports).
-///
-/// Whatever the policy picks, the response is bit-identical — every replica
-/// of a model serves the same network — so placement only shapes load,
-/// latency and backpressure, never results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlacementPolicy {
-    /// Cycle through the replicas in index order (a lock-free counter):
-    /// perfectly even admission counts, blind to load imbalance.
-    #[default]
-    RoundRobin,
-    /// Scan every replica's queue depth and place on the least loaded
-    /// (ties to the lowest index). Best balance, O(replicas) per admission.
-    LeastLoaded,
-    /// Sample two distinct replicas pseudo-randomly and place on the less
-    /// loaded of the pair — the classic power-of-two-choices compromise:
-    /// near-least-loaded balance at O(1) probes per admission.
-    PowerOfTwoChoices,
-}
-
-impl PlacementPolicy {
-    /// Every placement policy, for equivalence sweeps.
-    pub const ALL: [PlacementPolicy; 3] = [
-        PlacementPolicy::RoundRobin,
-        PlacementPolicy::LeastLoaded,
-        PlacementPolicy::PowerOfTwoChoices,
-    ];
-}
-
-impl fmt::Display for PlacementPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            PlacementPolicy::RoundRobin => "round_robin",
-            PlacementPolicy::LeastLoaded => "least_loaded",
-            PlacementPolicy::PowerOfTwoChoices => "p2c",
-        })
-    }
-}
-
-/// How a model is replicated inside a [`crate::Router`]: the replica count
-/// and the [`PlacementPolicy`] choosing among them at admission time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplicaSpec {
-    /// Number of identical shards serving this model (each the full
-    /// gate → queue → worker-pool pipeline). Must be ≥ 1.
-    pub replicas: usize,
-    /// The admission-time placement policy over the replica set.
-    pub placement: PlacementPolicy,
-}
-
-impl ReplicaSpec {
-    /// `replicas` shards balanced by `placement`.
-    pub fn new(replicas: usize, placement: PlacementPolicy) -> Self {
-        ReplicaSpec {
-            replicas,
-            placement,
-        }
-    }
-
-    /// Validates the spec.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::BadConfig`] for a zero replica count.
-    pub(crate) fn validate(&self) -> ServeResult<()> {
-        if self.replicas == 0 {
-            return Err(ServeError::BadConfig("replicas must be >= 1".into()));
-        }
-        Ok(())
-    }
-}
-
-impl Default for ReplicaSpec {
-    /// One replica, round-robin (vacuously) placed.
-    fn default() -> Self {
-        ReplicaSpec {
-            replicas: 1,
-            placement: PlacementPolicy::RoundRobin,
-        }
-    }
-}
-
-/// Health state of one replica in a [`crate::Router`] shard, as driven by
-/// the shard's [`HealthPolicy`] state machine:
-///
-/// ```text
-///  Healthy ──unhealthy window──▶ Degraded ──evict_after bad checks──▶ Evicted
-///     ▲                            │                                    │
-///     │◀──────healthy window───────┘                              next check
-///     │                                                                │
-///     └──healthy probe window── Probing ◀──────(canary admissions)─────┘
-/// ```
-///
-/// `Healthy` and `Degraded` replicas take normal placements (`Degraded` is
-/// the hysteresis band — suspicious but still serving). `Evicted` replicas
-/// take **no** placements at all. `Probing` replicas take only a bounded
-/// number of canary admissions ([`HealthPolicy::probe_budget`]) whose
-/// outcomes decide readmission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[repr(u8)]
-pub enum ReplicaHealth {
-    /// Serving normally; takes placements.
-    #[default]
-    Healthy = 0,
-    /// One unhealthy check window observed; still takes placements while
-    /// the hysteresis counter decides between recovery and eviction.
-    Degraded = 1,
-    /// Removed from placement entirely; no requests are routed here.
-    Evicted = 2,
-    /// Taking up to [`HealthPolicy::probe_budget`] canary admissions to
-    /// decide readmission.
-    Probing = 3,
-}
-
-impl ReplicaHealth {
-    /// Stable numeric code (also the telemetry export encoding).
-    pub(crate) fn code(self) -> u8 {
-        self as u8
-    }
-
-    /// Inverse of [`ReplicaHealth::code`].
-    pub(crate) fn from_code(code: u8) -> Option<ReplicaHealth> {
-        match code {
-            0 => Some(ReplicaHealth::Healthy),
-            1 => Some(ReplicaHealth::Degraded),
-            2 => Some(ReplicaHealth::Evicted),
-            3 => Some(ReplicaHealth::Probing),
-            _ => None,
-        }
-    }
-
-    /// Whether the replica takes normal (non-canary) placements.
-    pub(crate) fn is_live(self) -> bool {
-        matches!(self, ReplicaHealth::Healthy | ReplicaHealth::Degraded)
-    }
-}
-
-/// Hysteresis thresholds for the per-replica health state machine (see
-/// [`ReplicaHealth`]), attached to a shard with
-/// [`crate::ShardSpec::health`].
-///
-/// Checks judge a **window**: the delta of a replica's error counters and
-/// latency histogram since the previous judged check (windowed via
-/// [`cdl_telemetry::LogHistogram::subtracted`]). A window is unhealthy
-/// when its error rate exceeds `error_threshold` **or** its
-/// `latency_quantile` latency exceeds `latency_threshold`. Windows with
-/// fewer than `min_samples` settled outcomes are inconclusive and leave
-/// the state untouched, so an idle replica is never judged on noise.
-///
-/// Checks run opportunistically every `check_every` placements on the
-/// shard, and on demand through [`crate::Router::check_health`] (what
-/// deterministic tests drive).
-#[derive(Debug, Clone, PartialEq)]
-pub struct HealthPolicy {
-    /// Window error rate (failed + injected-fault outcomes over all
-    /// settled outcomes) above which the window is unhealthy. In `[0, 1]`:
-    /// `0.0` makes any error unhealthy, and `1.0` effectively disables the
-    /// error signal (a rate can equal but never exceed it).
-    pub error_threshold: f64,
-    /// Window latency above which the window is unhealthy, compared at
-    /// `latency_quantile`. `None` disables the latency signal.
-    pub latency_threshold: Option<Duration>,
-    /// Which quantile of the window's latency histogram to compare against
-    /// `latency_threshold`. In `[0, 1]` (`0.0` is the window's fastest
-    /// outcome, `1.0` its slowest).
-    pub latency_quantile: f64,
-    /// Minimum settled outcomes in a window before it is judged (for a
-    /// `Probing` replica, the effective minimum is
-    /// `min_samples.min(probe_budget)` so a small probe budget can still
-    /// readmit).
-    pub min_samples: u64,
-    /// Consecutive unhealthy checks before the replica is evicted. `1`
-    /// evicts on the first bad window, straight from `Healthy`; `2` (the
-    /// default) requires confirmation, the first bad window moving
-    /// `Healthy → Degraded`.
-    pub evict_after: u32,
-    /// Canary admissions a `Probing` replica may take before its probe
-    /// window is judged for readmission.
-    pub probe_budget: u64,
-    /// Run an automatic health check once per this many placements on the
-    /// shard. `0` disables automatic checks (checks then only run through
-    /// [`crate::Router::check_health`]).
-    pub check_every: u64,
-}
-
-impl HealthPolicy {
-    /// Validates the policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::BadConfig`] for thresholds or quantiles out
-    /// of range, or zero hysteresis/probe/window parameters.
-    pub(crate) fn validate(&self) -> ServeResult<()> {
-        if !self.error_threshold.is_finite() || !(0.0..=1.0).contains(&self.error_threshold) {
-            return Err(ServeError::BadConfig(format!(
-                "health error_threshold must be in [0, 1], got {}",
-                self.error_threshold
-            )));
-        }
-        if !self.latency_quantile.is_finite() || !(0.0..=1.0).contains(&self.latency_quantile) {
-            return Err(ServeError::BadConfig(format!(
-                "health latency_quantile must be in [0, 1], got {}",
-                self.latency_quantile
-            )));
-        }
-        if self.latency_threshold == Some(Duration::ZERO) {
-            return Err(ServeError::BadConfig(
-                "health latency_threshold must be > 0 when set (use None to disable)".into(),
-            ));
-        }
-        if self.min_samples == 0 {
-            return Err(ServeError::BadConfig(
-                "health min_samples must be >= 1".into(),
-            ));
-        }
-        if self.evict_after == 0 {
-            return Err(ServeError::BadConfig(
-                "health evict_after must be >= 1".into(),
-            ));
-        }
-        if self.probe_budget == 0 {
-            return Err(ServeError::BadConfig(
-                "health probe_budget must be >= 1".into(),
-            ));
-        }
-        Ok(())
-    }
-}
-
-impl Default for HealthPolicy {
-    /// Evict on half the window failing or a p99 over 250 ms, confirmed by
-    /// a second bad check; readmit through 4 canary probes; auto-check
-    /// every 64 placements.
-    fn default() -> Self {
-        HealthPolicy {
-            error_threshold: 0.5,
-            latency_threshold: Some(Duration::from_millis(250)),
-            latency_quantile: 0.99,
-            min_samples: 8,
-            evict_after: 2,
-            probe_budget: 4,
-            check_every: 64,
-        }
-    }
-}
-
-/// Request-level resilience for one shard, attached with
-/// [`crate::ShardSpec::retry`]: budgeted retries on replica failure.
-///
-/// A failed attempt is retried (on a freshly placed replica) when its
-/// error is *retryable* — [`ServeError::Eval`],
-/// [`ServeError::Disconnected`], [`ServeError::Fault`], or
-/// [`ServeError::Full`] (a sibling may have queue headroom) — up to
-/// `max_retries` extra attempts. The other typed refusals (`Shed`, quota,
-/// validation) are **not** retried: retrying them would amplify overload.
-///
-/// One attempt is in flight at a time: a relaunch starts only once the
-/// attempt before it has failed, and a caller that hangs up cancels the
-/// attempt in flight (zero evaluator ops) and spends no further retry.
-/// Responses stay bit-identical whichever replica serves the request —
-/// every replica serves the same network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Extra attempts after the first, spent only on retryable errors.
-    pub max_retries: u32,
-}
-
-impl RetryPolicy {
-    /// A policy of `max_retries` extra attempts.
-    pub fn retries(max_retries: u32) -> Self {
-        RetryPolicy { max_retries }
-    }
-
-    /// Validates the policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::BadConfig`] for a policy of no retries (use no
-    /// policy at all instead).
-    pub(crate) fn validate(&self) -> ServeResult<()> {
-        if self.max_retries == 0 {
-            return Err(ServeError::BadConfig(
-                "retry policy with no retries does nothing (omit it instead)".into(),
-            ));
-        }
-        Ok(())
-    }
-}
-
-impl Default for RetryPolicy {
-    /// One retry.
-    fn default() -> Self {
-        RetryPolicy::retries(1)
-    }
-}
 
 /// Priority class of a submission, used by the admission gate to decide
 /// which requests to shed first under load.
@@ -580,7 +283,7 @@ pub struct ServerConfig {
     /// Per-tenant cap on in-flight requests: a submission carrying
     /// [`SubmitOptions::tenant`] is refused with
     /// [`ServeError::QuotaExceeded`] while that tenant already has this
-    /// many requests admitted on the replica, no matter how empty the gate
+    /// many requests admitted on the server, no matter how empty the gate
     /// is — one noisy tenant cannot crowd out the rest. `None` (default)
     /// disables quotas; untenanted submissions are always exempt.
     pub tenant_quota: Option<usize>,
@@ -701,22 +404,6 @@ mod tests {
     }
 
     #[test]
-    fn placement_policy_displays() {
-        let names: Vec<String> = PlacementPolicy::ALL.iter().map(|p| p.to_string()).collect();
-        assert_eq!(names, ["round_robin", "least_loaded", "p2c"]);
-    }
-
-    #[test]
-    fn replica_spec_validates() {
-        assert_eq!(ReplicaSpec::default().replicas, 1);
-        let spec = ReplicaSpec::new(3, PlacementPolicy::PowerOfTwoChoices);
-        assert!(spec.validate().is_ok());
-        assert!(ReplicaSpec::new(0, PlacementPolicy::RoundRobin)
-            .validate()
-            .is_err());
-    }
-
-    #[test]
     fn invalid_configs_rejected() {
         let ok = ServerConfig::default();
         assert!(ok.validate().is_ok());
@@ -791,88 +478,15 @@ mod tests {
     }
 
     #[test]
-    fn health_policy_validates_and_codes_round_trip() {
-        let ok = HealthPolicy::default();
-        assert!(ok.validate().is_ok());
-        assert!(HealthPolicy {
-            error_threshold: 1.5,
-            ..HealthPolicy::default()
-        }
-        .validate()
-        .is_err());
-        assert!(HealthPolicy {
-            latency_quantile: f64::NAN,
-            ..HealthPolicy::default()
-        }
-        .validate()
-        .is_err());
-        assert!(HealthPolicy {
-            latency_threshold: Some(Duration::ZERO),
-            ..HealthPolicy::default()
-        }
-        .validate()
-        .is_err());
-        for (field, bad) in [("min_samples", 0u64), ("probe_budget", 0)] {
-            let policy = match field {
-                "min_samples" => HealthPolicy {
-                    min_samples: bad,
-                    ..HealthPolicy::default()
-                },
-                _ => HealthPolicy {
-                    probe_budget: bad,
-                    ..HealthPolicy::default()
-                },
-            };
-            assert!(policy.validate().is_err(), "{field} = 0 must be rejected");
-        }
-        assert!(HealthPolicy {
-            evict_after: 0,
-            ..HealthPolicy::default()
-        }
-        .validate()
-        .is_err());
-        // manual-only checks are a valid configuration
-        assert!(HealthPolicy {
-            check_every: 0,
-            ..HealthPolicy::default()
-        }
-        .validate()
-        .is_ok());
-        for state in [
-            ReplicaHealth::Healthy,
-            ReplicaHealth::Degraded,
-            ReplicaHealth::Evicted,
-            ReplicaHealth::Probing,
-        ] {
-            assert_eq!(ReplicaHealth::from_code(state.code()), Some(state));
-        }
-        assert_eq!(ReplicaHealth::from_code(4), None);
-        assert!(ReplicaHealth::Healthy.is_live());
-        assert!(ReplicaHealth::Degraded.is_live());
-        assert!(!ReplicaHealth::Evicted.is_live());
-        assert!(!ReplicaHealth::Probing.is_live());
-        assert_eq!(ReplicaHealth::default(), ReplicaHealth::Healthy);
-    }
-
-    #[test]
-    fn retry_policy_validates() {
-        assert!(RetryPolicy::default().validate().is_ok());
-        assert!(RetryPolicy::retries(0).validate().is_err());
-    }
-
-    #[test]
     fn server_config_defaults_unarmed_fault_plan() {
         let config = ServerConfig::default();
-        assert!(config.fault.on_admission().is_none());
+        assert!(!config.fault.is_armed());
         assert!(config.validate().is_ok());
         let chaotic = ServerConfig {
-            fault: crate::fault::FaultPlan::scripted(vec![(
-                0,
-                crate::fault::FaultKind::ErrorBurst(1),
-            )]),
+            fault: crate::fault::FaultPlan::scripted(vec![(0, crate::fault::FaultKind::PanicOnce)]),
             ..ServerConfig::default()
         };
-        assert!(chaotic.fault.on_admission().is_some());
+        assert!(chaotic.fault.is_armed());
         assert!(chaotic.validate().is_ok());
     }
 

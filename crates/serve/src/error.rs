@@ -44,18 +44,12 @@ pub enum ServeError {
     /// first as the gate fills). The request was **not** admitted.
     Shed(Priority),
     /// The tenant already has its full quota of requests in flight on this
-    /// replica. The request was **not** admitted.
+    /// server. The request was **not** admitted.
     QuotaExceeded(u32),
     /// The input tensor's shape does not match the model's expected input
     /// shape. Caught at admission so one wrong-shaped tensor can never
     /// poison co-batched neighbors. The request was **not** admitted.
     BadInput(String),
-    /// An injected fault ([`crate::fault::FaultPlan`]) refused or broke the
-    /// request. Only produced when a fault plan is armed — production
-    /// configurations never see it. Treated as retryable by
-    /// [`crate::RetryPolicy`], exactly like a real replica failure would
-    /// be. The request was **not** admitted.
-    Fault(String),
 }
 
 impl fmt::Display for ServeError {
@@ -72,7 +66,6 @@ impl fmt::Display for ServeError {
             ServeError::Shed(p) => write!(f, "shed at admission (priority class {p})"),
             ServeError::QuotaExceeded(t) => write!(f, "tenant {t} is at its in-flight quota"),
             ServeError::BadInput(msg) => write!(f, "bad input tensor: {msg}"),
-            ServeError::Fault(msg) => write!(f, "injected fault: {msg}"),
         }
     }
 }
@@ -99,18 +92,13 @@ impl From<CdlError> for ServeError {
 pub(crate) struct Refused {
     /// Why the request was not admitted.
     pub(crate) error: ServeError,
-    /// The request's input. Every refusal hands it back, a
-    /// [`crate::Router`] under a retry policy included: each attempt took a
-    /// clone, and the original is returned.
-    pub(crate) input: Option<Tensor>,
+    /// The request's input, the caller's own allocation.
+    pub(crate) input: Tensor,
 }
 
 impl Refused {
     pub(crate) fn returning(error: ServeError, input: Tensor) -> Self {
-        Refused {
-            error,
-            input: Some(input),
-        }
+        Refused { error, input }
     }
 }
 

@@ -1,29 +1,23 @@
-//! Deterministic, replica-scoped fault injection for chaos testing.
+//! Deterministic, server-scoped fault injection for chaos testing.
 //!
-//! A [`FaultPlan`] scripts failures against one serving pipeline ahead of
-//! time, addressed by *sequence numbers* instead of wall-clock time so a
-//! chaos test replays identically on any machine: admission faults fire on
-//! the N-th admission attempt, worker faults on the N-th dispatched batch.
+//! A [`FaultPlan`] scripts failures against one server ahead of time,
+//! addressed by the *sequence number* of the dispatched batch instead of
+//! wall-clock time, so a chaos test replays identically on any machine.
 //! Plans are scripted explicitly ([`FaultPlan::scripted`]) or drawn from a
 //! seed ([`FaultPlan::seeded`] — xoshiro256\*\*, the same determinism
 //! discipline `cdl-load` uses for arrival schedules).
 //!
-//! The plan is wired into a server through
-//! [`crate::ServerConfig::fault`] (or per replica through
-//! [`crate::ShardSpec::fault_on`]) and consulted at two hook points:
+//! The plan is wired into a server through [`crate::ServerConfig::fault`]
+//! and consulted at one hook point, the worker before each batch:
+//! [`FaultKind::Stall`] sleeps the worker (inflating the latency tail
+//! exactly like a wedged evaluator would), and [`FaultKind::PanicOnce`]
+//! panics the worker thread (its in-flight batch settles `Disconnected`,
+//! booked `failed`). An armed plan also keeps every batch on the workers:
+//! the TCP edge evaluates no batch of a server whose plan is armed.
 //!
-//! * **admission** — after option/shape validation, before the gate: an
-//!   active [`FaultKind::ErrorBurst`] refuses the request with a typed
-//!   [`crate::ServeError::Fault`], the shape of a replica spewing errors.
-//! * **worker, before each batch** — [`FaultKind::Stall`] and
-//!   [`FaultKind::SlowFactor`] sleep the worker (inflating the latency
-//!   tail exactly like a wedged or degraded evaluator would), and
-//!   [`FaultKind::PanicOnce`] panics the worker thread (its in-flight
-//!   batch settles `Disconnected`, booked `failed`).
-//!
-//! The default plan is **unarmed**: every hook is then a single branch on
-//! an `Option` — the same disabled-path cost model as telemetry — so the
-//! hooks stay compiled into production builds.
+//! The default plan is **unarmed**: the hook is then a single branch on an
+//! `Option` — the same disabled-path cost model as telemetry — so it stays
+//! compiled into production builds.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -31,45 +25,29 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::error::ServeError;
-
-/// One scripted fault, anchored at a sequence number by
-/// [`FaultPlan::scripted`] (admission sequence for [`FaultKind::ErrorBurst`],
-/// batch sequence for the worker-side kinds).
+/// One scripted fault, anchored at a batch sequence number by
+/// [`FaultPlan::scripted`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// The worker sleeps this long, once, before evaluating the anchor
     /// batch — a single long stall that backs up everything queued behind
     /// it.
     Stall(Duration),
-    /// The next `n` admissions (starting at the anchor) are refused with
-    /// [`ServeError::Fault`] — a replica spewing errors.
-    ErrorBurst(u64),
-    /// Each of the `batches` batches starting at the anchor is delayed by
-    /// `per_batch` before evaluation — a degraded-but-alive replica.
-    SlowFactor {
-        /// Extra delay injected before each affected batch.
-        per_batch: Duration,
-        /// Number of consecutive batches affected.
-        batches: u64,
-    },
     /// The worker thread processing the anchor batch panics, once. Its
-    /// batch settles [`ServeError::Disconnected`] (booked `failed`); the
-    /// rest of the pool keeps serving, and a server that has lost its last
-    /// worker refuses admissions with [`ServeError::ShuttingDown`].
+    /// batch settles [`crate::ServeError::Disconnected`] (booked `failed`);
+    /// the rest of the pool keeps serving, and a server that has lost its
+    /// last worker refuses admissions with
+    /// [`crate::ServeError::ShuttingDown`].
     PanicOnce,
 }
 
-/// The script behind an armed plan: the two sequence counters plus the
-/// scripted faults, shared by every worker of the server the plan is
-/// installed on.
+/// The script behind an armed plan: the batch counter plus the scripted
+/// faults, shared by every worker of the server the plan is installed on.
 #[derive(Debug)]
 struct Script {
-    /// Admission-hook invocations so far.
-    admissions: u64,
     /// Worker-hook invocations (dispatched batches) so far.
     batches: u64,
-    /// `(anchor sequence, fault)`; a one-shot fault fires once because its
+    /// `(anchor sequence, fault)`; each fault fires once because its
     /// sequence number passes once.
     faults: Vec<(u64, FaultKind)>,
 }
@@ -78,18 +56,18 @@ struct Script {
 /// nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Disruption {
-    /// Sleep this long before evaluating (stall + slowdown, combined).
+    /// Sleep this long before evaluating.
     pub(crate) sleep: Option<Duration>,
     /// Panic the worker thread (after any sleep).
     pub(crate) panic: bool,
 }
 
-/// A scripted, deterministic set of faults for one serving pipeline. See
-/// the [module docs](self) for semantics and hook points.
+/// A scripted, deterministic set of faults for one server. See the
+/// [module docs](self) for semantics and the hook point.
 ///
 /// Cloning shares the trigger state: every clone (e.g. the one each worker
-/// thread sees through the server config) draws from the same sequence
-/// counters, so a plan describes one pipeline's failure script, not a
+/// thread sees through the server config) draws from the same batch
+/// counter, so a plan describes one server's failure script, not a
 /// per-thread one. The [`Default`] plan is unarmed and free.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
@@ -97,26 +75,20 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// An explicit plan: each `(at, kind)` scripts `kind` at sequence number
-    /// `at` (admission sequence for [`FaultKind::ErrorBurst`], batch
-    /// sequence otherwise; both count from 0). With no faults this is the
-    /// unarmed plan.
+    /// An explicit plan: each `(at, kind)` scripts `kind` at batch sequence
+    /// number `at` (counting from 0). With no faults this is the unarmed
+    /// plan.
     pub fn scripted(faults: Vec<(u64, FaultKind)>) -> FaultPlan {
         FaultPlan {
-            inner: (!faults.is_empty()).then(|| {
-                Arc::new(Mutex::new(Script {
-                    admissions: 0,
-                    batches: 0,
-                    faults,
-                }))
-            }),
+            inner: (!faults.is_empty())
+                .then(|| Arc::new(Mutex::new(Script { batches: 0, faults }))),
         }
     }
 
-    /// A seeded plan: each fault in `kinds` is anchored at a trigger
-    /// sequence drawn uniformly from `[0, horizon)` by xoshiro256\*\*
-    /// seeded with `seed`. The same `(seed, horizon, kinds)` always
-    /// produces the same plan — the chaos-suite reproducibility contract.
+    /// A seeded plan: each fault in `kinds` is anchored at a batch sequence
+    /// drawn uniformly from `[0, horizon)` by xoshiro256\*\* seeded with
+    /// `seed`. The same `(seed, horizon, kinds)` always produces the same
+    /// plan — the chaos-suite reproducibility contract.
     pub fn seeded(seed: u64, horizon: u64, kinds: &[FaultKind]) -> FaultPlan {
         let mut rng = StdRng::seed_from_u64(seed);
         let anchors = kinds
@@ -131,20 +103,6 @@ impl FaultPlan {
         self.inner.is_some()
     }
 
-    /// Admission hook: called once per submission after validation,
-    /// before the gate. Returns the injected refusal, if this admission
-    /// falls in an [`FaultKind::ErrorBurst`] window.
-    pub(crate) fn on_admission(&self) -> Option<ServeError> {
-        let inner = self.inner.as_ref()?; // unarmed: one branch, done
-        let mut script = inner.lock().unwrap();
-        let seq = script.admissions;
-        script.admissions += 1;
-        let refused = script.faults.iter().any(
-            |&(at, kind)| matches!(kind, FaultKind::ErrorBurst(n) if seq >= at && seq - at < n),
-        );
-        refused.then(|| ServeError::Fault(format!("scripted error burst refused admission #{seq}")))
-    }
-
     /// Worker hook: called once per dispatched batch, before evaluation.
     pub(crate) fn before_batch(&self) -> Disruption {
         let Some(inner) = self.inner.as_ref() else {
@@ -155,14 +113,10 @@ impl FaultPlan {
         script.batches += 1;
         let mut sleep = Duration::ZERO;
         let mut panic = false;
-        for &(at, kind) in &script.faults {
+        for &(_, kind) in script.faults.iter().filter(|&&(at, _)| at == seq) {
             match kind {
-                FaultKind::Stall(d) if seq == at => sleep += d,
-                FaultKind::SlowFactor { per_batch, batches } if seq >= at && seq - at < batches => {
-                    sleep += per_batch
-                }
-                FaultKind::PanicOnce if seq == at => panic = true,
-                _ => {}
+                FaultKind::Stall(d) => sleep += d,
+                FaultKind::PanicOnce => panic = true,
             }
         }
         Disruption {
@@ -179,45 +133,30 @@ mod tests {
     #[test]
     fn unarmed_plan_injects_nothing() {
         let plan = FaultPlan::default();
-        assert!(plan.inner.is_none());
+        assert!(!plan.is_armed());
         for _ in 0..100 {
-            assert!(plan.on_admission().is_none());
             assert_eq!(plan.before_batch(), Disruption::default());
         }
-        assert!(FaultPlan::scripted(Vec::new()).inner.is_none());
-    }
-
-    #[test]
-    fn error_burst_refuses_exactly_its_window() {
-        let plan = FaultPlan::scripted(vec![(2, FaultKind::ErrorBurst(3))]);
-        assert!(plan.inner.is_some());
-        let refused: Vec<bool> = (0..8).map(|_| plan.on_admission().is_some()).collect();
-        assert_eq!(
-            refused,
-            [false, false, true, true, true, false, false, false]
-        );
+        assert!(!FaultPlan::scripted(Vec::new()).is_armed());
     }
 
     #[test]
     fn worker_faults_fire_on_their_batch_sequence() {
         let plan = FaultPlan::scripted(vec![
             (1, FaultKind::Stall(Duration::from_millis(50))),
-            (
-                3,
-                FaultKind::SlowFactor {
-                    per_batch: Duration::from_millis(5),
-                    batches: 2,
-                },
-            ),
+            (3, FaultKind::Stall(Duration::from_millis(5))),
+            (3, FaultKind::Stall(Duration::from_millis(5))),
             (6, FaultKind::PanicOnce),
         ]);
+        assert!(plan.is_armed());
         let hits: Vec<Disruption> = (0..8).map(|_| plan.before_batch()).collect();
         assert_eq!(hits[0], Disruption::default());
         assert_eq!(hits[1].sleep, Some(Duration::from_millis(50)));
         assert!(!hits[1].panic);
         assert_eq!(hits[2], Disruption::default());
-        assert_eq!(hits[3].sleep, Some(Duration::from_millis(5)));
-        assert_eq!(hits[4].sleep, Some(Duration::from_millis(5)));
+        // two faults on one batch add up
+        assert_eq!(hits[3].sleep, Some(Duration::from_millis(10)));
+        assert_eq!(hits[4], Disruption::default());
         assert_eq!(hits[5], Disruption::default());
         assert!(hits[6].panic);
         assert!(hits[6].sleep.is_none());
@@ -226,37 +165,28 @@ mod tests {
 
     #[test]
     fn clones_share_one_trigger_sequence() {
-        let plan = FaultPlan::scripted(vec![(0, FaultKind::ErrorBurst(2))]);
+        let plan = FaultPlan::scripted(vec![(1, FaultKind::PanicOnce)]);
         let clone = plan.clone();
-        assert!(plan.on_admission().is_some()); // admission #0
-        assert!(clone.on_admission().is_some()); // admission #1 — shared counter
-        assert!(plan.on_admission().is_none()); // #2: window over
+        assert!(!plan.before_batch().panic); // batch #0
+        assert!(clone.before_batch().panic); // batch #1 — shared counter
+        assert!(!plan.before_batch().panic); // #2: fired once
     }
 
     #[test]
     fn seeded_plans_are_reproducible_and_seed_sensitive() {
         let kinds = [
-            FaultKind::ErrorBurst(2),
+            FaultKind::PanicOnce,
             FaultKind::Stall(Duration::from_millis(10)),
         ];
-        let outcomes = |plan: &FaultPlan| -> (Vec<bool>, Vec<Disruption>) {
-            (
-                (0..32).map(|_| plan.on_admission().is_some()).collect(),
-                (0..32).map(|_| plan.before_batch()).collect(),
-            )
+        let outcomes = |plan: &FaultPlan| -> Vec<Disruption> {
+            (0..32).map(|_| plan.before_batch()).collect()
         };
         let a = outcomes(&FaultPlan::seeded(7, 16, &kinds));
         let b = outcomes(&FaultPlan::seeded(7, 16, &kinds));
         assert_eq!(a, b, "same seed must replay the same plan");
-        assert!(a.0.iter().filter(|&&hit| hit).count() == 2);
-        assert!(a.1.iter().any(|d| d.sleep.is_some()));
-        let mut differs = false;
-        for seed in 0..64 {
-            if outcomes(&FaultPlan::seeded(seed, 16, &kinds)) != a {
-                differs = true;
-                break;
-            }
-        }
+        assert_eq!(a.iter().filter(|d| d.panic).count(), 1);
+        assert_eq!(a.iter().filter(|d| d.sleep.is_some()).count(), 1);
+        let differs = (0..64).any(|seed| outcomes(&FaultPlan::seeded(seed, 16, &kinds)) != a);
         assert!(differs, "some seed must draw different trigger points");
     }
 }

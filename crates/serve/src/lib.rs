@@ -29,10 +29,10 @@
 //!   *in flight*. Beyond that [`Server::submit`], [`Router::submit`] and
 //!   [`Router::submit_with`] wait, and [`Router::try_submit_with`] returns
 //!   [`ServeError::Full`]. Each is one line over the crate's one admission
-//!   call, `Server::admit` (behind placement and, under a [`RetryPolicy`],
-//!   the retries in `Router::admit`). The TCP edge calls it too: a
-//!   refusal hands its tensor back, and a `Full` one leaves the edge's
-//!   waker on the gate that refused, which calls it at its next release.
+//!   call, `Server::admit` (behind the model lookup in `Router::admit`).
+//!   The TCP edge calls it too: a refusal hands its tensor back, and a
+//!   `Full` one leaves the edge's waker on the gate that refused, which
+//!   calls it at its next release.
 //! * **Batch formation** ([`BatchPolicy`]) has no thread of its own: a
 //!   worker that asks takes what is queued, up to `max_batch_size`, so
 //!   batches grow only while every worker is busy and a request changes
@@ -68,21 +68,14 @@
 //!   accuracy/energy trade-off, selectable per request. A batch is one
 //!   evaluator pass with each row gated by its own override, so results stay
 //!   bit-identical to `classify_with_override` whatever mix it holds.
-//! * **Sharded multi-model serving** ([`Router`]): one front-end routing
-//!   requests by [`ModelId`] to per-model shards (each a full
-//!   gate + queue + worker-pool pipeline) with independent backpressure,
-//!   per-shard and aggregate metrics ([`RouterMetrics`]: routing histogram,
-//!   per-replica ledgers, and [`ShardMetrics::total`] /
-//!   [`RouterMetrics::total`] — the one [`ServerMetrics::merge`] folded
-//!   over a model's replicas or the whole router, so every total is a
-//!   field of one ledger), and drain-then-stop shutdown across all shards.
-//! * **Replica sets** ([`ReplicaSpec`]): each model may be served by N
-//!   identical replicas behind one [`ModelId`]; at admission a
-//!   [`PlacementPolicy`] (round-robin, least-loaded, or
-//!   power-of-two-choices over live queue depths) picks the replica.
-//!   Backpressure stays per replica, the routed/submitted cross-check
-//!   holds per replica ([`metrics::ReplicaMetrics`]), and responses are
-//!   bit-identical whichever replica serves them.
+//! * **Multi-model serving** ([`Router`]): one front-end routing requests
+//!   by [`ModelId`] to one [`Server`] per model, with independent
+//!   backpressure, per-model and aggregate metrics ([`RouterMetrics`]:
+//!   routing histogram, per-model ledgers, and [`RouterMetrics::total`] —
+//!   the one [`ServerMetrics::merge`] folded over every model, so every
+//!   total is a field of one ledger), a routed/submitted cross-check per
+//!   model, no-drain model hot-swap ([`Router::swap_model`]), and
+//!   drain-then-stop shutdown across all models.
 //! * **Overload control** ([`SubmitOptions::deadline`] / [`Priority`] /
 //!   [`ServerConfig::tenant_quota`]): each request may carry a latency
 //!   budget, an admission class, and a tenant id. A request whose deadline
@@ -115,16 +108,15 @@
 //!   an eventfd instead of 50 ms poll slices; an idle server's batch is
 //!   evaluated by the poller that read it (see *An idle server evaluates on
 //!   the edge* above).
-//! * **Fault tolerance** ([`fault`], [`HealthPolicy`], [`RetryPolicy`],
-//!   [`Router::swap_model`]): seeded fault injection, health-based replica
-//!   eviction/readmission, budgeted retries, and no-drain model
-//!   hot-swap — see *Failure model* below.
+//! * **Fault injection** ([`fault`]): seeded worker stalls and panics, by
+//!   batch sequence number, against which the *Failure model* below is
+//!   tested.
 //! * **Telemetry** ([`cdl_telemetry`], re-exported here): every latency
 //!   metric is backed by a mergeable log-bucketed [`LogHistogram`] (O(1)
 //!   record, ≤ 1/64 relative quantile error, exact min/mean/max — the
 //!   merged ledger of [`ShardMetrics::total`] / [`RouterMetrics::total`]
-//!   carries the merged per-replica histogram, so a quantile of its
-//!   [`ServerMetrics::latency_histogram`] is a true cross-replica tail), and
+//!   carries the merged histogram, so a quantile of its
+//!   [`ServerMetrics::latency_histogram`] is a true tail of the union), and
 //!   [`ServerConfig::telemetry`] can switch on per-request lifecycle
 //!   **spans** (admit → enqueue → batch-seal → dispatch → per-stage →
 //!   exit → reply, recorded into lock-free per-thread rings, every
@@ -167,92 +159,60 @@
 //!
 //! ## Failure model
 //!
-//! Replicated serving is only as useful as its behaviour when a replica
-//! misbehaves. The failure model this crate implements — and pins with
-//! `tests/chaos.rs` — is built on four commitments:
+//! A model is served by one [`Server`]; its workers share one process, one
+//! network and one input stream, so the failures worth containing are a
+//! stalled or dying worker and a model update. The crate makes two
+//! commitments, pinned by `tests/chaos.rs`:
 //!
-//! 1. **Every submitted request settles.** A request accepted by the
-//!    router resolves exactly once: bit-identical output, a retried
-//!    success, or a typed [`ServeError`] — never a hang. Faults injected
-//!    mid-stream ([`fault::FaultPlan`]: stalls, error bursts, slowdowns,
-//!    a scripted worker panic) may slow or fail individual requests, but
-//!    cannot strand a [`Pending`] handle: a dying worker's batch settles
-//!    [`ServeError::Disconnected`] (booked `failed`), and the last worker
-//!    out closes the queue, so nothing parks behind a dead pool.
-//! 2. **Health is judged per replica, from the outside.** A
-//!    [`HealthPolicy`] on a [`ShardSpec`] drives a per-replica state
-//!    machine ([`config::ReplicaHealth`]: `Healthy → Degraded → Evicted →
-//!    Probing → Healthy`) over windowed error-rate and latency-tail
-//!    signals read from the replica's own metrics — no cooperation from
-//!    the (possibly wedged) replica is required. Placement skips
-//!    `Evicted` replicas entirely; readmission happens through a bounded
-//!    canary window (`probe_budget` placements while `Probing`) so one
-//!    recovering replica cannot re-poison the stream. If *every* replica
-//!    is evicted the shard keeps serving on the full set: eviction
-//!    degrades placement, it never strands traffic. Both rules are pure
-//!    functions with table tests that need no server, thread or clock —
-//!    `router::placement` (`candidates`, `pick`) and `router::health`
-//!    (`step`, the whole transition table); `tests/chaos.rs` drives the
-//!    same cells through real pipelines.
-//! 3. **A request is evaluated at most once per failure.** A
-//!    [`RetryPolicy`] relaunches an attempt refused or failed by one
-//!    replica on a sibling, against a per-request budget. One attempt is
-//!    in flight at a time — nothing races, so no work is duplicated — and
-//!    the caller's handle holds it: a caller that hangs up cancels the
-//!    attempt at **zero** evaluator ops and spends no further retry.
-//!    Responses stay bit-identical to
-//!    [`cdl_core::network::CdlNetwork::classify_with_override`] whichever
-//!    replica serves them, because every replica evaluates the same
-//!    network. The retries live inside `Router::admit` (`router::retry`),
-//!    so requests arriving over TCP are retried exactly like in-process
-//!    ones.
-//! 4. **Model updates don't drain the world.** [`Router::swap_model`]
-//!    replaces a shard's network replica by replica: each retired
-//!    pipeline finishes every request it admitted (with its *old*
+//! 1. **Every admitted request settles.** A request accepted by the
+//!    router resolves exactly once: a bit-identical output or a typed
+//!    [`ServeError`] — never a hang. Faults injected mid-stream
+//!    ([`fault::FaultPlan`]: a stalled worker, a scripted worker panic) may
+//!    slow or fail individual requests, but cannot strand a [`Pending`]
+//!    handle: a dying worker's batch settles [`ServeError::Disconnected`]
+//!    (booked `failed`), the surviving workers serve the rest, and the last
+//!    worker out closes the queue, so nothing parks behind a dead pool.
+//! 2. **Model updates don't drain the world.** [`Router::swap_model`]
+//!    starts a fresh server on the new network and publishes it; the
+//!    retired server finishes every request it admitted (with its *old*
 //!    network — a response is always consistent with the network that was
-//!    current at placement), its final counters fold into later
-//!    snapshots, and traffic keeps flowing to the rest of the set
-//!    throughout. A TCP request parked on a retiring pipeline's full gate
-//!    is woken by that pipeline's drain, like any release, and its retry
-//!    is placed on the replacement.
+//!    current at admission), and its final counters fold into later
+//!    snapshots. A TCP request parked on the retired server's full gate is
+//!    woken by its drain, like any release, and is admitted by the
+//!    replacement.
 //!
 //! ```
-//! use cdl_serve::{
-//!     BatchPolicy, HealthPolicy, PlacementPolicy, ReplicaSpec, RetryPolicy, Router,
-//!     ServerConfig, ShardSpec,
-//! };
+//! use cdl_serve::{BatchPolicy, Router, ServerConfig, ShardSpec};
 //! use std::sync::Arc;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
+//! # let build = |seed| -> Result<_, Box<dyn std::error::Error>> {
 //! # let arch = cdl_core::arch::mnist_2c();
-//! # let base = cdl_nn::network::Network::from_spec(&arch.spec, 3)?;
+//! # let base = cdl_nn::network::Network::from_spec(&arch.spec, seed)?;
 //! # let feats = arch.tap_features()?;
 //! # let stages = arch.taps.iter().zip(&feats).map(|(t, &f)| {
 //! #     Ok((t.spec_layer, t.name.clone(),
 //! #         cdl_core::head::LinearClassifier::new(f, 10, 1)?))
 //! # }).collect::<Result<Vec<_>, cdl_core::CdlError>>()?;
-//! # let cdln = cdl_core::network::CdlNetwork::assemble(
-//! #     base, stages, cdl_core::confidence::ConfidencePolicy::max_prob(0.6))?;
-//! // three replicas, health-evicted on errors or a slow p99, with one
-//! // budgeted retry per request
-//! let router = Router::start(vec![ShardSpec::new(
-//!     "mnist",
-//!     Arc::new(cdln),
-//!     ServerConfig {
-//!         policy: BatchPolicy::new(8),
-//!         workers: 1,
-//!         ..ServerConfig::default()
-//!     },
-//! )
-//! .replicated(ReplicaSpec::new(3, PlacementPolicy::PowerOfTwoChoices))
-//! .health(HealthPolicy::default())
-//! .retry(RetryPolicy::retries(1))])?;
+//! # Ok(Arc::new(cdl_core::network::CdlNetwork::assemble(
+//! #     base, stages, cdl_core::confidence::ConfidencePolicy::max_prob(0.6))?))
+//! # };
+//! # let (cdln, retrained) = (build(3)?, build(4)?);
+//! // cdln, retrained: two versions of one cdl_core::network::CdlNetwork
+//! let config = ServerConfig {
+//!     policy: BatchPolicy::new(8),
+//!     workers: 2,
+//!     ..ServerConfig::default()
+//! };
+//! let router = Router::start(vec![ShardSpec::new("mnist", Arc::clone(&cdln), config)])?;
 //! let model = router.model_id("mnist").unwrap();
-//! let out = router
-//!     .submit(model, cdl_tensor::Tensor::full(&[1, 28, 28], 0.4))?
-//!     .wait()?;
-//! println!("label {} via {}", out.label, router.model_name(model)?);
-//! router.shutdown();
+//! let image = cdl_tensor::Tensor::full(&[1, 28, 28], 0.4);
+//! let before = router.submit(model, image.clone())?;
+//! // swap while `before` may still be in flight: it is answered by `cdln`
+//! router.swap_model(model, Arc::clone(&retrained))?;
+//! assert_eq!(before.wait()?, cdln.classify(&image)?);
+//! assert_eq!(router.submit(model, image.clone())?.wait()?, retrained.classify(&image)?);
+//! assert_eq!(router.shutdown().total().completed, 2);
 //! # Ok(())
 //! # }
 //! ```
@@ -273,10 +233,7 @@ pub use cdl_telemetry::{
     EventKind, LogHistogram, PhaseBreakdown, SpanEvent, Telemetry, TelemetryConfig,
     TelemetrySnapshot, TraceId,
 };
-pub use config::{
-    BatchPolicy, EdgeConfig, HealthPolicy, PlacementPolicy, Priority, ReplicaHealth, ReplicaSpec,
-    RetryPolicy, ServerConfig, SubmitOptions,
-};
+pub use config::{BatchPolicy, EdgeConfig, Priority, ServerConfig, SubmitOptions};
 pub use error::{ServeError, ServeResult};
 pub use fault::{FaultKind, FaultPlan};
 pub use metrics::{ReplicaMetrics, RouterMetrics, ServerMetrics, ShardMetrics};

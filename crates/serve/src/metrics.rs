@@ -2,10 +2,11 @@
 //! counters, batch-size/exit histograms, latency histogram and cumulative
 //! op/energy accounting — and one renderer of it. The ledger is the
 //! recorder's state, the snapshot a caller gets, the value a hot-swap
-//! carries forward and the unit of every rollup: [`ShardMetrics::total`]
-//! and [`RouterMetrics::total`] fold [`ServerMetrics::merge`] over their
-//! replicas (the latency [`LogHistogram`] merges losslessly, so a total's
-//! percentiles are *true* cross-replica tails). The renderer is
+//! carries forward and the unit of every rollup: a model's ledger
+//! ([`ShardMetrics::total`]) folds in the servers it retired, and
+//! [`RouterMetrics::total`] folds every model (the latency [`LogHistogram`]
+//! merges losslessly, so a total's percentiles are *true* tails of the
+//! union). The renderer is
 //! `fill_telemetry`, which appends a ledger to a [`TelemetrySnapshot`]:
 //! [`crate::Router::telemetry_snapshot`] exports it, and `Display` of
 //! [`ServerMetrics`] and [`RouterMetrics`] prints its Prometheus text.
@@ -18,7 +19,7 @@ use std::time::Duration;
 use cdl_hw::{EnergyModel, OpCount};
 use cdl_telemetry::{LogHistogram, TelemetrySnapshot};
 
-use crate::config::{PlacementPolicy, Priority, ReplicaHealth};
+use crate::config::Priority;
 
 /// Why a worker sealed a batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,12 +70,6 @@ pub struct ServerMetrics {
     /// ([`crate::ServeError::QuotaExceeded`]). Disjoint from `rejected`,
     /// which counts only capacity bounces of the default class.
     pub shed: u64,
-    /// Submissions refused by an armed [`crate::fault::FaultPlan`]
-    /// ([`crate::ServeError::Fault`]). Always zero in production
-    /// configurations (the default plan is unarmed); under chaos testing
-    /// this is the per-replica error signal the router's health tracker
-    /// watches.
-    pub faults: u64,
     /// `expired_by_class[c]` = expired requests of priority class `c`
     /// ([`Priority::class`] index order, high → low).
     pub expired_by_class: [u64; Priority::COUNT],
@@ -173,10 +168,10 @@ impl ServerMetrics {
     }
 
     /// Folds `other` into this ledger — the one rollup of the serve layer:
-    /// a replica slot carrying forward the servers it retired through
-    /// [`crate::Router::swap_model`], a shard summing its replicas, a
-    /// router its shards. Commutative and associative (up to float
-    /// rounding in `energy_pj`), with [`Default`] as the identity.
+    /// a model carrying forward the servers it retired through
+    /// [`crate::Router::swap_model`], a router summing its models.
+    /// Commutative and associative (up to float rounding in `energy_pj`),
+    /// with [`Default`] as the identity.
     pub fn merge(&mut self, other: &ServerMetrics) {
         self.submitted += other.submitted;
         self.rejected += other.rejected;
@@ -185,7 +180,6 @@ impl ServerMetrics {
         self.failed += other.failed;
         self.expired += other.expired;
         self.shed += other.shed;
-        self.faults += other.faults;
         for c in 0..Priority::COUNT {
             self.expired_by_class[c] += other.expired_by_class[c];
             self.shed_by_class[c] += other.shed_by_class[c];
@@ -231,7 +225,6 @@ impl ServerMetrics {
             ("cdl_requests_failed_total", self.failed),
             ("cdl_requests_expired_total", self.expired),
             ("cdl_requests_shed_total", self.shed),
-            ("cdl_requests_faulted_total", self.faults),
             ("cdl_batches_total", self.batches()),
             ("cdl_batches_on_edge_total", self.batches_on_edge),
             ("cdl_stages_activated_total", self.stages_activated),
@@ -305,67 +298,51 @@ impl ServerMetrics {
     }
 }
 
-/// One replica's slice of a [`ShardMetrics`] snapshot.
+/// One model's routed count beside its ledger. The measurement harness
+/// reads `metrics` through `ShardMetrics::replicas`, so the struct is held
+/// until ROADMAP 1(g).
 #[derive(Debug, Clone)]
 pub struct ReplicaMetrics {
-    /// Requests the router placed on this replica — counted at the router
-    /// front-end *before* the replica's own admission (and rolled back if
-    /// admission fails), independently of the replica's `submitted`
+    /// Requests the router handed to the model's server — counted at the
+    /// router front-end *before* the server's own admission (and rolled back
+    /// if admission fails), independently of the server's `submitted`
     /// counter. A concurrent snapshot may therefore transiently observe
-    /// `routed > metrics.submitted` (a placement in flight), but **never**
+    /// `routed > metrics.submitted` (an admission in flight), but **never**
     /// `metrics.submitted > routed`; in any settled snapshot the two are
-    /// equal — a cross-check that nothing was mis-placed or dropped.
+    /// equal — a cross-check that nothing was dropped between the two.
     pub routed: u64,
-    /// The replica's health state at snapshot time (always
-    /// [`ReplicaHealth::Healthy`] when the shard has no
-    /// [`crate::HealthPolicy`]).
-    pub health: ReplicaHealth,
-    /// Health-state transitions this replica has gone through (0 when no
-    /// health policy is installed, or while the replica has never left
-    /// `Healthy`).
-    pub transitions: u64,
-    /// The replica's own [`ServerMetrics`] ledger. After a
+    /// The model's [`ServerMetrics`] ledger. After a
     /// [`crate::Router::swap_model`] this includes the merged lifetime
-    /// totals of every server previously retired from this slot (see
+    /// totals of every server previously retired (see
     /// [`ServerMetrics::merge`]).
     pub metrics: ServerMetrics,
 }
 
-/// One model's slice of a [`RouterMetrics`] snapshot: the placement policy
-/// plus every replica's [`ReplicaMetrics`]; [`ShardMetrics::total`] is the
-/// rollup over the replica set.
+/// One model's slice of a [`RouterMetrics`] snapshot; [`ShardMetrics::total`]
+/// is its ledger.
 #[derive(Debug, Clone)]
 pub struct ShardMetrics {
-    /// The model name the replica set was registered under.
+    /// The model name the shard was registered under.
     pub model: String,
-    /// The admission-time placement policy choosing among the replicas.
-    pub placement: PlacementPolicy,
-    /// Submission attempts relaunched on another replica by the shard's
-    /// [`crate::RetryPolicy`] after a retryable failure (0 without one).
+    /// Always 0, and not exported: the router relaunches nothing. Held,
+    /// with `hedges`, while the measurement harness reads them (ROADMAP
+    /// 1(g)).
     pub retries: u64,
     /// Always 0, and not exported: the router launches no duplicate
-    /// attempts. Kept while the measurement harness still reads it.
+    /// attempts.
     pub hedges: u64,
-    /// Per-replica metrics, in replica-index order.
+    /// One entry: the model's routed count and ledger.
     pub replicas: Vec<ReplicaMetrics>,
 }
 
 impl ShardMetrics {
-    /// Total requests the router routed to this model (sum over replicas).
+    /// Total requests the router routed to this model.
     pub fn routed(&self) -> u64 {
         self.replicas.iter().map(|r| r.routed).sum()
     }
 
-    /// Requests placed per replica, in replica-index order — the placement
-    /// histogram showing how the policy spread this model's admissions.
-    pub fn placement_histogram(&self) -> Vec<u64> {
-        self.replicas.iter().map(|r| r.routed).collect()
-    }
-
-    /// This model's ledger, the [`ServerMetrics::merge`] of its replicas':
-    /// every per-model total is a field of it (`completed`,
-    /// `exit_histogram`, `latency_histogram` — true cross-replica
-    /// percentiles).
+    /// This model's ledger: every per-model total is a field of it
+    /// (`completed`, `exit_histogram`, `latency_histogram`).
     pub fn total(&self) -> ServerMetrics {
         let mut total = ServerMetrics::default();
         self.replicas.iter().for_each(|r| total.merge(&r.metrics));
@@ -373,53 +350,44 @@ impl ShardMetrics {
     }
 }
 
-/// A point-in-time snapshot across every shard of a [`crate::Router`]:
-/// per-model breakdowns plus [`RouterMetrics::total`], the one ledger
-/// summed over all of them.
+/// A point-in-time snapshot across every model of a [`crate::Router`]:
+/// per-model ledgers plus [`RouterMetrics::total`], the one ledger summed
+/// over all of them.
 ///
 /// Obtained from [`crate::Router::metrics`] (live) or returned by
 /// [`crate::Router::shutdown`] (final). `Display` prints the same
 /// Prometheus text as [`crate::Router::telemetry_snapshot`].
 #[derive(Debug, Clone)]
 pub struct RouterMetrics {
-    /// Per-shard metrics, in model registration order ([`crate::ModelId`]
-    /// index order).
+    /// Per-model metrics, in registration order ([`crate::ModelId`] index
+    /// order).
     pub shards: Vec<ShardMetrics>,
 }
 
 impl RouterMetrics {
     /// Requests routed per model, in registration order — the routing
-    /// histogram (each entry summed over that model's replicas; see
-    /// [`ShardMetrics::placement_histogram`] for the per-replica split).
+    /// histogram.
     pub fn routing_histogram(&self) -> Vec<u64> {
         self.shards.iter().map(|s| s.routed()).collect()
     }
 
     /// The router-wide ledger: the [`ServerMetrics::merge`] of every
-    /// replica of every model. Take it once and read fields off it.
+    /// model's. Take it once and read fields off it.
     pub fn total(&self) -> ServerMetrics {
         let mut total = ServerMetrics::default();
         self.shards.iter().for_each(|s| total.merge(&s.total()));
         total
     }
 
-    /// Append the whole snapshot to a [`TelemetrySnapshot`]: per-shard
-    /// retry counter labelled `model`; every replica's routed
-    /// counter, ledger, health-state gauge and transition counter labelled
-    /// `model`/`replica`. The one renderer behind
+    /// Append the whole snapshot to a [`TelemetrySnapshot`]: every model's
+    /// routed counter and ledger, labelled `model`. The one renderer behind
     /// [`crate::Router::telemetry_snapshot`] and `Display`.
     pub(crate) fn fill_telemetry(&self, snapshot: &mut TelemetrySnapshot) {
         for shard in &self.shards {
-            let model = ("model", shard.model.as_str());
-            snapshot.push_counter("cdl_shard_retries_total", &[model], shard.retries);
-            for (i, replica) in shard.replicas.iter().enumerate() {
-                let labels = [model, ("replica", &*i.to_string())];
-                snapshot.push_counter("cdl_replica_routed_total", &labels, replica.routed);
+            let labels = [("model", shard.model.as_str())];
+            for replica in &shard.replicas {
+                snapshot.push_counter("cdl_routed_total", &labels, replica.routed);
                 replica.metrics.fill_telemetry(snapshot, &labels);
-                let health = u64::from(replica.health.code());
-                snapshot.push_gauge("cdl_replica_health_state", &labels, health);
-                let transitions = replica.transitions;
-                snapshot.push_counter("cdl_replica_health_transitions_total", &labels, transitions);
             }
         }
     }
@@ -477,15 +445,14 @@ impl fmt::Display for RouterMetrics {
 
 /// Shared metrics sink for the submit path and the workers:
 /// a [`ServerMetrics`] ledger behind one mutex (updated per batch, so
-/// contention is amortised over the batch size) plus the three admission
-/// counters every submit touches, kept as lock-free atomics. Those three,
+/// contention is amortised over the batch size) plus the two admission
+/// counters every submit touches, kept as lock-free atomics. Those two,
 /// `queue_depth` and `energy_pj` enter the ledger only in
 /// [`Recorder::snapshot`].
 #[derive(Debug)]
 pub(crate) struct Recorder {
     submitted: AtomicU64,
     rejected: AtomicU64,
-    faulted: AtomicU64,
     ledger: Mutex<ServerMetrics>,
 }
 
@@ -494,7 +461,6 @@ impl Recorder {
         Recorder {
             submitted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            faulted: AtomicU64::new(0),
             ledger: Mutex::new(ServerMetrics::default()),
         }
     }
@@ -515,12 +481,6 @@ impl Recorder {
 
     pub(crate) fn rejected(&self) {
         self.rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a submission refused by an injected
-    /// [`crate::fault::FaultPlan`] error burst (never admitted).
-    pub(crate) fn fault_rejected(&self) {
-        self.faulted.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a sealed batch: why it was sealed, and whether the edge
@@ -609,7 +569,6 @@ impl Recorder {
         ServerMetrics {
             submitted: self.submitted.load(Ordering::Acquire),
             rejected: self.rejected.load(Ordering::Relaxed),
-            faults: self.faulted.load(Ordering::Relaxed),
             queue_depth,
             energy_pj: EnergyModel::cmos_45nm().total_pj(&m.total_ops, m.stages_activated),
             ..m.clone()
@@ -661,26 +620,12 @@ mod tests {
         rec.snapshot(1)
     }
 
-    fn replica(routed: u64, metrics: ServerMetrics) -> ReplicaMetrics {
-        ReplicaMetrics {
-            routed,
-            health: ReplicaHealth::Healthy,
-            transitions: 0,
-            metrics,
-        }
-    }
-
-    fn shard(
-        model: &str,
-        placement: PlacementPolicy,
-        replicas: Vec<ReplicaMetrics>,
-    ) -> ShardMetrics {
+    fn shard(model: &str, routed: u64, metrics: ServerMetrics) -> ShardMetrics {
         ShardMetrics {
             model: model.into(),
-            placement,
             retries: 0,
             hedges: 0,
-            replicas,
+            replicas: vec![ReplicaMetrics { routed, metrics }],
         }
     }
 
@@ -698,7 +643,6 @@ mod tests {
                 failed: n(),
                 expired: n(),
                 shed: n(),
-                faults: n(),
                 expired_by_class: [n(), n(), n()],
                 shed_by_class: [n(), n(), n()],
                 queue_depth: n() as usize,
@@ -768,30 +712,22 @@ mod tests {
         }
 
         #[test]
-        fn totals_equal_the_fold_of_the_replica_tree_in_any_order(
-            tree in collection::vec(collection::vec(ledger(), 1..4), 1..4),
+        fn totals_equal_the_fold_of_the_models_in_any_order(
+            ledgers in collection::vec(ledger(), 1..6),
         ) {
             let router = RouterMetrics {
-                shards: tree
-                    .iter()
-                    .map(|ledgers| {
-                        let replicas = ledgers.iter().map(|m| replica(m.submitted, m.clone()));
-                        shard("M", PlacementPolicy::RoundRobin, replicas.collect())
-                    })
-                    .collect(),
+                shards: ledgers.iter().map(|m| shard("M", m.submitted, m.clone())).collect(),
             };
             let fold = |ledgers: &mut dyn Iterator<Item = &ServerMetrics>| {
                 ledgers.fold(ServerMetrics::default(), |acc, m| merged(&acc, m))
             };
-            for (shard, ledgers) in router.shards.iter().zip(&tree) {
-                assert_same(&shard.total(), &fold(&mut ledgers.iter().rev()))?;
+            for (shard, ledger) in router.shards.iter().zip(&ledgers) {
+                prop_assert_eq!(&shard.total(), ledger);
                 prop_assert_eq!(shard.routed(), shard.total().submitted);
             }
             let total = router.total();
-            assert_same(&total, &fold(&mut tree.iter().flatten()))?;
-            assert_same(&total, &fold(&mut tree.iter().rev().flatten().rev()))?;
-            let shard_totals: Vec<ServerMetrics> = router.shards.iter().map(|s| s.total()).collect();
-            assert_same(&total, &fold(&mut shard_totals.iter()))?;
+            assert_same(&total, &fold(&mut ledgers.iter()))?;
+            assert_same(&total, &fold(&mut ledgers.iter().rev()))?;
             // the accessors the benchmark pins are reads of the same total
             prop_assert_eq!(router.completed(), total.completed);
             prop_assert_eq!(router.batches(), total.batches());
@@ -801,27 +737,17 @@ mod tests {
 
     #[test]
     fn router_metrics_roll_up_shards_and_merged_latency() {
+        // B's ledger is a live server's with a retired one folded in
+        let mut b = shard_snapshot(2, vec![1, 0, 1]);
+        b.merge(&shard_snapshot(2, vec![0, 0, 2]));
         let metrics = RouterMetrics {
             shards: vec![
-                shard(
-                    "A",
-                    PlacementPolicy::RoundRobin,
-                    vec![replica(3, shard_snapshot(3, vec![2, 1]))],
-                ),
-                shard(
-                    "B",
-                    PlacementPolicy::LeastLoaded,
-                    vec![
-                        replica(2, shard_snapshot(2, vec![1, 0, 1])),
-                        replica(2, shard_snapshot(2, vec![0, 0, 2])),
-                    ],
-                ),
+                shard("A", 3, shard_snapshot(3, vec![2, 1])),
+                shard("B", 4, b),
             ],
         };
         assert_eq!(metrics.routing_histogram(), vec![3, 4]);
-        assert_eq!(metrics.shards[0].placement_histogram(), vec![3]);
         assert_eq!(metrics.shards[1].routed(), 4);
-        assert_eq!(metrics.shards[1].placement_histogram(), vec![2, 2]);
         assert_eq!(metrics.shards[1].total().exit_histogram, vec![1, 0, 3]);
         let total = metrics.total();
         assert_eq!(
@@ -832,9 +758,8 @@ mod tests {
         assert_eq!(total.exit_histogram, vec![3, 1, 3]);
         assert_eq!(total.total_ops.macs, 7 * 50);
         assert!(total.energy_pj > 0.0);
-        // latency rollups: the shard/router histograms are the lossless
-        // merge of the replicas' (every completion was recorded at 1ms)
-        // merge of the replicas' (every completion was recorded at 1ms)
+        // latency rollups: the model and router histograms are lossless
+        // merges (every completion was recorded at 1ms)
         let shard_latency = metrics.shards[1].total().latency_histogram;
         assert_eq!(shard_latency.count(), 4);
         let router_latency = &total.latency_histogram;
@@ -845,11 +770,11 @@ mod tests {
         }
         assert_eq!(router_latency.min_value(), Some(ms));
         assert_eq!(router_latency.max_value(), Some(ms));
-        // the report is the export: per-replica series under model/replica
+        // the report is the export: per-model series
         let text = metrics.to_string();
-        assert!(text.contains("cdl_replica_routed_total{model=\"B\",replica=\"1\"} 2"));
-        assert!(text.contains("cdl_exits_total{model=\"B\",replica=\"1\",stage=\"2\"} 2"));
-        assert!(text.contains("cdl_request_latency_ns_count{model=\"A\",replica=\"0\"} 3"));
+        assert!(text.contains("cdl_routed_total{model=\"B\"} 4"));
+        assert!(text.contains("cdl_exits_total{model=\"B\",stage=\"2\"} 3"));
+        assert!(text.contains("cdl_request_latency_ns_count{model=\"A\"} 3"));
     }
 
     #[test]

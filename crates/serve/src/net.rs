@@ -1,4 +1,4 @@
-//! Length-prefixed binary TCP edge over the replicated [`Router`].
+//! Length-prefixed binary TCP edge over the [`Router`].
 //!
 //! This is the process boundary of the serving stack: a [`TcpServer`]
 //! accepts plain `std::net` connections and multiplexes **pipelined**
@@ -6,10 +6,10 @@
 //! that pipelines or traces its requests drives the two halves of
 //! [`split`], [`SendHalf`] and [`RecvHalf`]; [`TcpClient`] runs one call at
 //! a time on them. Both ends frame, encode and decode through [`codec`], which
-//! documents the wire protocol. Everything below the edge
-//! is unchanged — requests admitted over TCP go through the exact same
-//! `Router::admit` (placement, retries, gate) → queue →
-//! worker pipeline as in-process submits, and responses stay bit-identical to
+//! documents the wire protocol. Everything below the edge is unchanged —
+//! requests admitted over TCP go through the exact same `Router::admit` →
+//! gate → queue → worker pipeline as in-process submits, and responses
+//! stay bit-identical to
 //! [`cdl_core::network::CdlNetwork::classify_with_override`] (pinned by
 //! `tests/net_loopback.rs`).
 //!
@@ -49,9 +49,9 @@
 //!
 //! Each connection is a small state machine owned by exactly one poller:
 //! a read buffer reassembles length-prefixed frames incrementally from
-//! whatever the socket yields, decoded requests are submitted through the
-//! router's placement policy, and completed responses are serialised into
-//! a write buffer drained as fast as the socket accepts them.
+//! whatever the socket yields, decoded requests are submitted to the
+//! router, and completed responses are serialised into a write buffer
+//! drained as fast as the socket accepts them.
 //!
 //! A request that reaches an **idle** server (no batch of it in evaluation)
 //! does not change threads at all. Its push wakes no worker; the poller
@@ -76,7 +76,7 @@
 //! between two passes of a busy poller. Responses stream back with
 //! readiness latency. Because submission and completion are decoupled, a
 //! client may pipeline many requests before reading a single response;
-//! responses can complete out of submission order (different replicas,
+//! responses can complete out of submission order (different models,
 //! different batches) and carry the request id so the client can match
 //! them up.
 //!
@@ -93,7 +93,7 @@
 //! A client that disconnects mid-request only cancels **its own** pending
 //! work: the poller sees the hangup, drops the connection's state, and
 //! the orphaned [`Pending`] handles cancel in the pipeline (recorded as
-//! `cancelled` in the replica's metrics) while the shard keeps serving
+//! `cancelled` in the server's metrics) while the server keeps serving
 //! everyone else.
 
 use std::collections::HashMap;
@@ -148,9 +148,6 @@ impl From<&ServeError> for ErrorCode {
             // a bad tensor is a malformed request as far as the wire is
             // concerned: the frame decoded but the payload can't be served
             ServeError::BadInput(_) => ErrorCode::Malformed,
-            // injected faults surface on the wire as evaluation failures:
-            // the client sees the same category a real replica fault would
-            ServeError::Fault(_) => ErrorCode::Eval,
         }
     }
 }
@@ -367,7 +364,7 @@ fn admit(
         }
         Err(Refused {
             error: ServeError::Full,
-            input: Some(input),
+            input,
         }) => Some(Parked {
             wire_id,
             model,
@@ -426,7 +423,7 @@ fn parse_frames(
             Err(e) => push_error(conn, claimed_id, ErrorCode::Malformed, e.to_string()),
             Ok(RequestFrame { id, model, request }) => match router.model_id(model) {
                 None => {
-                    let message = format!("no replica set serves {model:?}");
+                    let message = format!("no model is registered as {model:?}");
                     push_error(conn, id, ErrorCode::UnknownModel, message);
                 }
                 Some(model) => {

@@ -37,7 +37,7 @@
 //! (bits 2–5 clear) decode unchanged, and a request carrying only default
 //! options costs no wire space beyond the flags byte. A traced request
 //! continues the client's [`cdl_telemetry::TraceId`] on the server side —
-//! the serving replica records it whenever its own spans are on, so one
+//! the server records it whenever its own spans are on, so one
 //! trace covers the wire hop without any coordination. f32s travel as their
 //! IEEE-754 bit patterns, so the round trip is bit-exact.
 //!
@@ -95,11 +95,11 @@ pub(crate) const NO_ID: u64 = u64::MAX;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum ErrorCode {
-    /// No replica set serves the requested model name.
+    /// No model of the requested name is registered with the router.
     UnknownModel = 1,
     /// The per-request override was rejected at admission.
     BadOptions = 2,
-    /// The placed replica's queue was at capacity.
+    /// The model's server was at capacity.
     Full = 3,
     /// The router is shutting down.
     ShuttingDown = 4,

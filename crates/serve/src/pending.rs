@@ -36,10 +36,6 @@ type WakeFn = Box<dyn FnOnce() + Send>;
 struct Slot {
     state: SlotState,
     waker: Option<WakeFn>,
-    /// The attempt a retried request waits on ([`Fulfiller::follow`]), held
-    /// here so that dropping the caller's [`Pending`] drops — and so
-    /// cancels — it too.
-    attempt: Option<Pending>,
 }
 
 impl std::fmt::Debug for Slot {
@@ -47,7 +43,6 @@ impl std::fmt::Debug for Slot {
         f.debug_struct("Slot")
             .field("state", &self.state)
             .field("waker", &self.waker.is_some())
-            .field("attempt", &self.attempt)
             .finish()
     }
 }
@@ -58,7 +53,6 @@ pub(crate) fn pending_pair() -> (Pending, Fulfiller) {
     let slot = Arc::new(Mutex::new(Slot {
         state: SlotState::Waiting,
         waker: None,
-        attempt: None,
     }));
     (
         Pending {
@@ -93,7 +87,18 @@ impl Pending {
     /// enqueues a completion and wakes the owning poller), and the one a
     /// blocking [`Pending::wait`] parks behind.
     pub(crate) fn set_waker(&self, wake: impl FnOnce() + Send + 'static) {
-        on_settle(&self.slot, Box::new(wake));
+        let mut slot = self.slot.lock().unwrap();
+        match slot.state {
+            SlotState::Waiting => slot.waker = Some(Box::new(wake)),
+            SlotState::Done(_) => {
+                slot.waker = None;
+                drop(slot);
+                wake();
+            }
+            // cancelled or claimed: no result will arrive / it was already
+            // taken — nothing to wake for
+            SlotState::Cancelled | SlotState::Claimed => {}
+        }
     }
 
     /// Non-blocking claim: takes the result if the slot has settled,
@@ -138,29 +143,10 @@ impl Drop for Pending {
             slot.state = SlotState::Cancelled;
         }
         // a registered waker can never fire after the handle is gone;
-        // take it, and the attempt it waits on, under the lock and drop
-        // both outside (dropping the attempt cancels it)
+        // take it under the lock and drop its captures outside
         let waker = slot.waker.take();
-        let attempt = slot.attempt.take();
         drop(slot);
         drop(waker);
-        drop(attempt);
-    }
-}
-
-/// [`Pending::set_waker`] on a bare slot.
-fn on_settle(slot: &Mutex<Slot>, wake: WakeFn) {
-    let mut slot = slot.lock().unwrap();
-    match slot.state {
-        SlotState::Waiting => slot.waker = Some(wake),
-        SlotState::Done(_) => {
-            slot.waker = None;
-            drop(slot);
-            wake();
-        }
-        // cancelled or claimed: no result will arrive / it was already
-        // taken — nothing to wake for
-        SlotState::Cancelled | SlotState::Claimed => {}
     }
 }
 
@@ -177,32 +163,6 @@ impl Fulfiller {
     /// `true` when the caller dropped its handle: skip evaluation.
     pub(crate) fn is_cancelled(&self) -> bool {
         matches!(self.slot.lock().unwrap().state, SlotState::Cancelled)
-    }
-
-    /// Makes `attempt`, admitted on this request's behalf, the one this
-    /// slot waits on, and hands its result with this fulfiller to `then`
-    /// once it settles. The slot holds the attempt's handle meanwhile: a
-    /// caller that drops its [`Pending`] cancels the attempt, and `then`
-    /// never runs. A caller that has already hung up drops it here.
-    pub(crate) fn follow(
-        self,
-        attempt: Pending,
-        then: impl FnOnce(Fulfiller, ServeResult<CdlOutput>) + Send + 'static,
-    ) {
-        let attempt_slot = Arc::clone(&attempt.slot);
-        let mut slot = self.slot.lock().unwrap();
-        if !matches!(slot.state, SlotState::Waiting) {
-            return; // dropping `attempt` on the way out cancels it
-        }
-        slot.attempt = Some(attempt);
-        drop(slot);
-        let wake = move || {
-            let attempt = self.slot.lock().unwrap().attempt.take();
-            if let Some(result) = attempt.and_then(|attempt| attempt.try_claim()) {
-                then(self, result);
-            }
-        };
-        on_settle(&attempt_slot, Box::new(wake));
     }
 
     /// Delivers the result (ignored if the caller cancelled meanwhile) and

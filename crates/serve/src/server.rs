@@ -178,7 +178,7 @@ pub(crate) struct Request {
     /// Per-request δ/depth override, deadline, priority class and tenant.
     pub(crate) options: SubmitOptions,
     /// A trace id to continue (the TCP edge passes the wire-carried one);
-    /// `None` lets the serving replica allocate a fresh id.
+    /// `None` lets the server allocate a fresh id.
     pub(crate) trace: Option<TraceId>,
 }
 
@@ -205,7 +205,7 @@ pub(crate) enum Admission<'a> {
     /// the request and keeps servicing its event loop). A push that starts
     /// an idle server's queue wakes no worker: the edge runs or announces it
     /// at the end of its pass ([`Edge::end_pass`]), having learnt the server
-    /// from `crate::Router::admit`'s placement ([`Edge::pushed_to`]).
+    /// from `crate::Router::admit` ([`Edge::pushed_to`]).
     Park(&'a Edge),
 }
 
@@ -613,15 +613,14 @@ impl Server {
     }
 
     /// A shared handle to the network this server evaluates — what the
-    /// router's hot-swap path compares and hands out without borrowing
-    /// through the replica lock.
+    /// router hands out without borrowing through its server slot's lock.
     pub(crate) fn network_arc(&self) -> Arc<CdlNetwork> {
         Arc::clone(&self.net)
     }
 
     /// The one admission path: validates `request` against the model,
-    /// consults the fault plan, resolves its trace, takes an in-flight
-    /// slot as `admission` says and queues it for the workers.
+    /// resolves its trace, takes an in-flight slot as `admission` says and
+    /// queues it for the workers.
     ///
     /// [`Admission::Block`] waits while the in-flight queue is at
     /// capacity (backpressure propagates to the producer), while the
@@ -644,20 +643,19 @@ impl Server {
     ///
     /// A [`Refused`] carrying [`ServeError::BadOptions`] for an
     /// out-of-range δ override, [`ServeError::BadInput`] for a
-    /// wrong-shaped input tensor, [`ServeError::Fault`] from an armed
-    /// fault plan (all checked before the gate), and under `Try` or `Park`
-    /// [`ServeError::Full`] at capacity, [`ServeError::Shed`] for a class
-    /// over its admission limit or [`ServeError::QuotaExceeded`] for a
-    /// tenant at quota; [`ServeError::ShuttingDown`] once the last worker
-    /// has exited. In every case the request was **not** admitted and
+    /// wrong-shaped input tensor (both checked before the gate), and under
+    /// `Try` or `Park` [`ServeError::Full`] at capacity, [`ServeError::Shed`]
+    /// for a class over its admission limit or
+    /// [`ServeError::QuotaExceeded`] for a tenant at quota;
+    /// [`ServeError::ShuttingDown`] once the last worker has exited. In
+    /// every case the request was **not** admitted and
     /// `input` hands the tensor back, so a retrying caller (the edge's
     /// gate-full park) resubmits the same allocation.
     pub(crate) fn admit(&self, request: Request, admission: Admission) -> Result<Pending, Refused> {
         let options = request.options;
         let checked = options
             .validate_for(self.net.policy())
-            .and_then(|()| self.validate_input(&request.input))
-            .and_then(|()| self.check_fault());
+            .and_then(|()| self.validate_input(&request.input));
         if let Err(error) = checked {
             return Err(Refused::returning(error, request.input));
         }
@@ -719,21 +717,6 @@ impl Server {
         Ok(self.admit(request, Admission::Block)?)
     }
 
-    /// Admission fault hook: consults the installed [`FaultPlan`] (one
-    /// branch when unarmed). An active error burst refuses the request
-    /// with [`ServeError::Fault`] before it touches the gate — the shape
-    /// of a replica spewing errors, visible to the router's retry and
-    /// health machinery exactly like a real failure.
-    fn check_fault(&self) -> ServeResult<()> {
-        match self.fault.on_admission() {
-            None => Ok(()),
-            Some(e) => {
-                self.recorder.fault_rejected();
-                Err(e)
-            }
-        }
-    }
-
     /// Rejects a wrong-shaped input before it can reach a batch: one bad
     /// tensor co-batched with innocent neighbours would fail the whole
     /// batch's evaluator pass, and every member with it.
@@ -773,19 +756,6 @@ impl Server {
     /// [`crate::ServerConfig::telemetry`] enabled them.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    /// The current number of in-flight requests: admitted but not yet
-    /// completed, cancelled or failed (the live occupancy of the admission
-    /// gate, bounded by [`crate::ServerConfig::queue_capacity`]).
-    ///
-    /// Much cheaper than a full [`Server::metrics`] snapshot — this is the
-    /// load signal the [`crate::Router`]'s placement policies
-    /// ([`crate::PlacementPolicy::LeastLoaded`] /
-    /// [`crate::PlacementPolicy::PowerOfTwoChoices`]) sample on every
-    /// admission.
-    pub(crate) fn queue_depth(&self) -> usize {
-        self.gate.depth()
     }
 
     /// Graceful drain-then-stop: stops admissions, waits for the workers
@@ -1507,7 +1477,7 @@ pub(crate) mod tests {
             std::thread::yield_now();
         };
         assert_eq!(refused.error, ServeError::ShuttingDown);
-        assert!(refused.input.is_some(), "the tensor comes back");
+        assert_eq!(refused.input.dims(), img.dims(), "the tensor comes back");
         for orphan in orphans {
             assert_eq!(orphan.wait().unwrap_err(), ServeError::Disconnected);
         }
@@ -1677,13 +1647,6 @@ pub(crate) mod tests {
         join_within(blocked);
         assert_eq!(gate.depth(), 1, "the woken submitter holds the slot");
         assert_eq!(gate.state.lock().unwrap().blocked, 0);
-    }
-
-    impl Server {
-        /// How many wakers [`Admission::Park`] has left on this server's gate.
-        pub(crate) fn parked_wakers(&self) -> usize {
-            parked(&self.gate)
-        }
     }
 
     /// An edge for [`Admission::Park`] whose waker counts its calls, and
@@ -2063,8 +2026,8 @@ pub(crate) mod tests {
             let allocation = input.data().as_ptr();
             let request = Request::new(input, SubmitOptions::default());
             let refused = server.admit(request, Admission::Try).unwrap_err();
-            let back = refused.input.expect("refusal must return the tensor");
-            assert_eq!(back.data().as_ptr(), allocation, "moved, not copied");
+            let back = refused.input.data().as_ptr();
+            assert_eq!(back, allocation, "moved, not copied");
             refused.error
         };
         // a Full refusal hands the exact tensor back — no clone needed to

@@ -274,7 +274,7 @@ pub(crate) fn trace_timelines(events: &[SpanEvent]) -> Vec<TraceTimeline> {
             EventKind::Exit(_) => t.exit_ns = Some(e.at_ns),
             EventKind::Reply => t.reply_ns = Some(e.at_ns),
             EventKind::Stage(s) => t.stages.push((s, e.at_ns)),
-            // replica-scoped, not part of any request's lifecycle
+            // not part of any request's lifecycle
             EventKind::Health { .. } => {}
         }
     }

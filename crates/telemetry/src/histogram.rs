@@ -121,7 +121,7 @@ impl LogHistogram {
     }
 
     /// Fold `other` into `self`. Associative and commutative: merging
-    /// per-replica histograms gives exactly the histogram that would have
+    /// per-server histograms gives exactly the histogram that would have
     /// been produced by recording every sample into one instance.
     pub fn merge(&mut self, other: &LogHistogram) {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {

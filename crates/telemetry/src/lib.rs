@@ -2,9 +2,9 @@
 //! tail-latency telemetry for the CDL serving stack.
 //!
 //! The serving pipeline (admission gate → queue → batch-sealing workers →
-//! replica routing → TCP edge) needs two kinds of visibility that plain
+//! model routing → TCP edge) needs two kinds of visibility that plain
 //! end-state aggregates cannot give: *mergeable* latency distributions, so
-//! replica- and router-level tails are real percentiles instead of
+//! model- and router-level tails are real percentiles instead of
 //! unaggregatable per-server numbers, and *per-request lifecycle spans*,
 //! so a slow request can be attributed to queueing vs batching vs
 //! evaluation vs reply delivery. Both are built to stay compiled into
@@ -28,8 +28,8 @@
 //!   are clamped to the exact extremes, and `q = 0`/`q = 1` are exact.
 //! - **Mergeability.** [`LogHistogram::merge`] adds bucket counts
 //!   pointwise: associative, commutative, and *lossless* — merging
-//!   per-replica histograms yields exactly the histogram that one global
-//!   recorder would have produced, so p99.9 across a replica set is a
+//!   per-server histograms yields exactly the histogram that one global
+//!   recorder would have produced, so p99.9 across servers is a
 //!   true order statistic of the union, not an average of averages.
 //! - **Snapshot cost.** A quantile ([`LogHistogram::quantile`]) walks the
 //!   buckets once: O(1920) regardless of sample count, replacing the serve
@@ -77,7 +77,7 @@
 //! ```
 //! use cdl_telemetry::{EventKind, LogHistogram, Telemetry, TelemetryConfig};
 //!
-//! // mergeable tails: two replicas' histograms roll up losslessly
+//! // mergeable tails: two servers' histograms roll up losslessly
 //! let (mut a, mut b) = (LogHistogram::new(), LogHistogram::new());
 //! for ns in 0..1000u64 {
 //!     if ns % 2 == 0 { a.record(ns) } else { b.record(ns) }

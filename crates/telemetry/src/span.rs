@@ -26,7 +26,7 @@ static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Process-global [`Telemetry`] instance ids, used to key the per-thread
 /// ring registry (one thread may record into several instances — e.g. a
-/// client thread submitting to many replica servers).
+/// client thread submitting to several servers).
 static NEXT_TELEMETRY_ID: AtomicU64 = AtomicU64::new(1);
 
 /// A non-zero request trace id, unique within the process and carried
@@ -76,14 +76,13 @@ pub enum EventKind {
     Exit(u32),
     /// The result was handed back to the waiter.
     Reply,
-    /// A replica health transition (`from` → `to`, encoded as the serving
-    /// layer's health-state codes). Recorded under a synthetic trace id —
-    /// it belongs to a replica, not a request — so timeline reconstruction
-    /// ignores it.
+    /// Recorded by nothing: the serving layer has no replica health any
+    /// more. Held while the measurement harness matches on it (ROADMAP
+    /// 1(g)); timeline reconstruction ignores it.
     Health {
-        /// State code the replica left.
+        /// A former state code.
         from: u8,
-        /// State code the replica entered.
+        /// A former state code.
         to: u8,
     },
 }

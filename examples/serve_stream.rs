@@ -10,14 +10,12 @@
 //! carries a per-request δ/depth override from a small service-level mix —
 //! the Fig. 10 accuracy/energy trade-off exercised per request within one
 //! stream. Prints the router's ledger as Prometheus text — the same
-//! text `Router::telemetry_snapshot` exports: per-replica routed counts,
+//! text `Router::telemetry_snapshot` exports: per-model routed counts,
 //! exits, ops, energy and latency histograms — cross-checks a
 //! sample of responses against `CdlNetwork::classify_with_override`, then
-//! serves the same workload from 1 vs 3 least-loaded replicas per model,
-//! asserting bit-identical answers and consistent placement bookkeeping,
-//! and once more with lifecycle tracing on. Every assert is about answers
-//! and counters; the rates are printed, never asserted — `benchmark/` is
-//! where throughput is measured and compared.
+//! serves the same workload once more with lifecycle tracing on. Every
+//! assert is about answers and counters; the rates are printed, never
+//! asserted — `benchmark/` is where throughput is measured and compared.
 //!
 //! ```text
 //! cargo run --release --example serve_stream
@@ -32,8 +30,8 @@ use cdl::core::network::CdlNetwork;
 use cdl::dataset::SyntheticMnist;
 use cdl::nn::trainer::LabelledSet;
 use cdl::serve::{
-    BatchPolicy, Pending, PhaseBreakdown, PlacementPolicy, ReplicaSpec, Router, ServerConfig,
-    ShardSpec, SubmitOptions, TelemetryConfig,
+    BatchPolicy, Pending, PhaseBreakdown, Router, ServerConfig, ShardSpec, SubmitOptions,
+    TelemetryConfig,
 };
 use cdl::tensor::Tensor;
 
@@ -192,7 +190,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (first_elapsed, outputs) = run_workload(&router, &models);
     let metrics = router.metrics();
     let elapsed = run_workload(&router, &models).0.min(first_elapsed);
-    router.shutdown();
+    for shard in &router.shutdown().shards {
+        // the router's routed count and the server's own ledger agree once
+        // settled
+        assert_eq!(shard.routed(), shard.total().submitted, "{}", shard.model);
+    }
     assert_sample_identical(&outputs, "on the two-shard router")?;
     let srv_exits: usize = outputs.iter().map(|(_, out)| out.exit_stage).sum();
     assert_eq!(srv_exits, seq_exits, "same exit decisions as sequential");
@@ -205,51 +207,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         seq_elapsed.as_secs_f64() / elapsed.as_secs_f64(),
     );
 
-    // 6. Replica scale-out A/B: the identical workload against the same
-    //    two models served by 1 replica vs 3 least-loaded replicas per
-    //    model. Placement must be invisible in the answers.
-    let replica_pass = |n: usize| -> Result<Duration, Box<dyn std::error::Error>> {
-        let replicas = ReplicaSpec::new(n, PlacementPolicy::LeastLoaded);
-        let router = Router::start(vec![
-            ShardSpec::new("MNIST_2C", Arc::clone(&m2c), config.clone()).replicated(replicas),
-            ShardSpec::new("MNIST_3C", Arc::clone(&m3c), config.clone()).replicated(replicas),
-        ])?;
-        let models = model_ids(&router);
-        let (first_elapsed, outputs) = run_workload(&router, &models);
-        let elapsed = run_workload(&router, &models).0.min(first_elapsed);
-        let metrics = router.shutdown();
-        // bit-identical whichever replica served each sampled request
-        assert_sample_identical(&outputs, &format!("with {n} replica(s)"))?;
-        for shard in &metrics.shards {
-            // the placement histogram partitions the shard's traffic and
-            // the router/replica bookkeeping agrees once settled
-            assert_eq!(
-                shard.placement_histogram().iter().sum::<u64>(),
-                shard.routed()
-            );
-            for replica in &shard.replicas {
-                assert_eq!(replica.routed, replica.metrics.submitted);
-            }
-            println!(
-                "  {} × {n} replica(s): placement histogram {:?}",
-                shard.model,
-                shard.placement_histogram()
-            );
-        }
-        Ok(elapsed)
-    };
-    println!("\n=== replica scale-out A/B (least-loaded placement) ===");
-    let single_elapsed = replica_pass(1)?;
-    let replicated_elapsed = replica_pass(3)?;
-    println!(
-        "1 replica: {:.3}s ({:.0} req/s) · 3 replicas: {:.3}s ({:.0} req/s)",
-        single_elapsed.as_secs_f64(),
-        requests as f64 / single_elapsed.as_secs_f64(),
-        replicated_elapsed.as_secs_f64(),
-        requests as f64 / replicated_elapsed.as_secs_f64(),
-    );
-
-    // 7. Lifecycle tracing: the same workload once more with spans on
+    // 6. Lifecycle tracing: the same workload once more with spans on
     //    (every request traced), then the mean per-stage breakdown of the
     //    request lifecycle — where a request's wall time actually goes:
     //    waiting for a batch vs seal → dispatch (one worker does both in

@@ -20,9 +20,8 @@
 //!   persistent batched evaluators that seal their own batches off it
 //!   (whatever is queued when a worker is free; on an idle server the TCP
 //!   edge thread that read a short queue evaluates it itself), per-request δ/depth
-//!   overrides, a sharded multi-model [`serve::Router`] front-end with
-//!   per-model replica sets ([`serve::ReplicaSpec`] + placement policies),
-//!   and a length-prefixed TCP edge ([`serve::TcpServer`]; clients pipeline
+//!   overrides, a multi-model [`serve::Router`] front-end (one server per
+//!   model, hot-swappable), and a length-prefixed TCP edge ([`serve::TcpServer`]; clients pipeline
 //!   on the halves of [`serve::net::split`] or call through
 //!   [`serve::TcpClient`]; the wire format is [`serve::net::codec`]), with
 //!   deadline / priority / tenant-quota overload control
@@ -159,11 +158,10 @@
 //! ## Sharded multi-model serving & per-request δ overrides
 //!
 //! [`serve::Router`] serves **several models behind one front-end**: each
-//! registered [`serve::ShardSpec`] gets its own shard (admission gate →
+//! registered [`serve::ShardSpec`] gets its own server (admission gate →
 //! queue → worker pool). [`serve::Router::submit_with`] routes a request by
-//! [`serve::ModelId`], through placement and, when the shard has a
-//! [`serve::RetryPolicy`], its retries; the TCP edge takes the same
-//! path. [`serve::Router::try_submit_with`] refuses a full replica with
+//! [`serve::ModelId`] to that server; the TCP edge takes the same path.
+//! [`serve::Router::try_submit_with`] refuses at a full gate with
 //! [`serve::ServeError::Full`] instead of waiting. Backpressure is per
 //! shard: a saturated model never blocks traffic for the others. Each
 //! request may also carry [`serve::SubmitOptions`]: a
@@ -219,18 +217,9 @@
 //! # }
 //! ```
 //!
-//! ## Replica sets & the TCP edge
+//! ## The TCP edge
 //!
-//! Each model behind a [`serve::Router`] may be served by a **replica
-//! set** ([`serve::ReplicaSpec`]): N identical pipeline instances behind
-//! one [`serve::ModelId`], with an admission-time
-//! [`serve::PlacementPolicy`] — round-robin, least-loaded, or
-//! power-of-two-choices over the replicas' live queue depths — picking
-//! where each request lands. Backpressure stays per replica, the final
-//! [`serve::RouterMetrics`] reports a per-shard placement histogram next
-//! to the routing histogram, and answers stay bit-identical whichever
-//! replica serves them (`tests/replica_equivalence.rs`, per placement
-//! policy). In front of the router, [`serve::TcpServer`] speaks a
+//! In front of the router, [`serve::TcpServer`] speaks a
 //! length-prefixed binary protocol over plain `std::net` sockets to a
 //! client's [`serve::net::SendHalf`] / [`serve::net::RecvHalf`], or to
 //! [`serve::TcpClient`], which runs one call at a time on them: pipelined
@@ -246,10 +235,7 @@
 //! through an eventfd instead of being polled (`tests/net_soak.rs`).
 //!
 //! ```
-//! use cdl::serve::{
-//!     PlacementPolicy, ReplicaSpec, Router, ServerConfig, ShardSpec, SubmitOptions,
-//!     TcpClient, TcpServer,
-//! };
+//! use cdl::serve::{Router, ServerConfig, ShardSpec, SubmitOptions, TcpClient, TcpServer};
 //! use std::sync::Arc;
 //!
 //! # fn build(arch: cdl::core::arch::CdlArchitecture, seed: u64)
@@ -266,13 +252,11 @@
 //! # }
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let net = Arc::new(build(cdl::core::arch::mnist_2c(), 1)?);
-//! // one model × two replicas, balanced round-robin at admission
 //! let router = Arc::new(Router::start(vec![ShardSpec::new(
 //!     "MNIST_2C",
 //!     Arc::clone(&net),
 //!     ServerConfig::default(),
-//! )
-//! .replicated(ReplicaSpec::new(2, PlacementPolicy::RoundRobin))])?);
+//! )])?);
 //! // the TCP edge shares the router and serves it over loopback
 //! let edge = TcpServer::bind("127.0.0.1:0", Arc::clone(&router))?;
 //! let mut client = TcpClient::connect(edge.local_addr())?;
@@ -280,12 +264,12 @@
 //! let output = client
 //!     .call("MNIST_2C", &image, SubmitOptions::default())?
 //!     .expect("typed server-side errors surface here");
-//! // bit-exact across the wire, whichever replica answered
+//! // bit-exact across the wire
 //! assert_eq!(output, net.classify(&image)?);
 //! drop(client);
 //! edge.shutdown(); // stop the edge first…
 //! let metrics = Arc::try_unwrap(router).unwrap().shutdown(); // …then drain
-//! assert_eq!(metrics.shards[0].placement_histogram().iter().sum::<u64>(), 1);
+//! assert_eq!(metrics.routing_histogram(), [1]);
 //! # Ok(())
 //! # }
 //! ```
@@ -364,12 +348,11 @@
 //! histogram with O(1) recording, exact min/mean/max, and quantiles
 //! within a documented 1/64 relative error over the whole lifetime of the
 //! server (no sliding window, no unbounded sample buffer). Because merge
-//! is associative, [`serve::ShardMetrics::total`] and
-//! [`serve::RouterMetrics::total`] fold the per-replica ledgers — latency
-//! histogram included — into one [`serve::ServerMetrics`], whose
-//! `latency_histogram` quantiles are **true cross-replica tails**
+//! is associative, [`serve::RouterMetrics::total`] folds the per-model
+//! ledgers — latency histogram included — into one [`serve::ServerMetrics`],
+//! whose `latency_histogram` quantiles are **true tails across models**
 //! (p99/p99.9/p99.99 of the merged distribution, not an average of
-//! per-replica percentiles).
+//! per-model percentiles).
 //!
 //! Switching [`serve::ServerConfig`]'s `telemetry` to
 //! [`telemetry::TelemetryConfig::enabled`] additionally records a
@@ -389,7 +372,7 @@
 //! ```
 //! use cdl::telemetry::{EventKind, LogHistogram, Telemetry, TelemetryConfig};
 //!
-//! // mergeable tails: two replicas' histograms fold into one
+//! // mergeable tails: two servers' histograms fold into one
 //! let mut a = LogHistogram::new();
 //! let mut b = LogHistogram::new();
 //! for v in 0..1000u64 {

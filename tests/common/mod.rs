@@ -73,13 +73,13 @@ pub fn image(i: usize) -> Tensor {
 
 /// The conservation laws of a **settled** snapshot — one taken after every
 /// admitted request resolved (a final `Router::shutdown()` always is).
-/// Checked per replica, which by [`cdl::serve::ServerMetrics::merge`]
+/// Checked per model, which by [`cdl::serve::ServerMetrics::merge`]
 /// summing every field involved implies them for `total()`:
 ///
-/// * placement: `routed == submitted`, nothing still queued;
+/// * routing: `routed == submitted`, nothing still queued;
 /// * every admission settles exactly once: `submitted == completed +
-///   cancelled + failed + expired` — so `shed`, `rejected` and `faults`
-///   (refused, never admitted) lie outside `submitted`;
+///   cancelled + failed + expired` — so `shed` and `rejected` (refused,
+///   never admitted) lie outside `submitted`;
 /// * each completion is in exactly one exit slot, one latency sample and
 ///   one evaluated batch: `Σ exit_histogram == completed ==
 ///   latency_histogram.count() == Σ size · batch_size_histogram[size]`
@@ -88,37 +88,34 @@ pub fn image(i: usize) -> Tensor {
 ///   mid-batch partial work is a slice of the total.
 pub fn assert_settled(metrics: &RouterMetrics) {
     for shard in &metrics.shards {
-        for (r, replica) in shard.replicas.iter().enumerate() {
-            let m = &replica.metrics;
-            let at = format!("{} replica {r}", shard.model);
-            assert_eq!(replica.routed, m.submitted, "{at}: routed vs submitted");
-            assert_eq!(m.queue_depth, 0, "{at}: requests still queued");
-            assert_eq!(
-                m.submitted,
-                m.completed + m.cancelled + m.failed + m.expired,
-                "{at}: an admission settled zero or two times"
-            );
-            let exits: u64 = m.exit_histogram.iter().sum();
-            assert_eq!(exits, m.completed, "{at}: exit histogram");
-            assert_eq!(
-                m.latency_histogram.count(),
-                m.completed,
-                "{at}: latency samples"
-            );
-            let batch_members: u64 = (0u64..)
-                .zip(&m.batch_size_histogram)
-                .map(|(size, &n)| size * n)
-                .sum();
-            assert_eq!(batch_members, m.completed, "{at}: batch-size histogram");
-            assert_eq!(m.expired_by_class.iter().sum::<u64>(), m.expired, "{at}");
-            assert_eq!(m.shed_by_class.iter().sum::<u64>(), m.shed, "{at}");
-            let (all, partial) = (m.total_ops, m.expired_partial_ops);
-            assert!(
-                partial.compute_ops() <= all.compute_ops()
-                    && partial.mem_words() <= all.mem_words(),
-                "{at}: partial ops {partial} exceed total ops {all}"
-            );
-        }
+        let m = &shard.total();
+        let at = &shard.model;
+        assert_eq!(shard.routed(), m.submitted, "{at}: routed vs submitted");
+        assert_eq!(m.queue_depth, 0, "{at}: requests still queued");
+        assert_eq!(
+            m.submitted,
+            m.completed + m.cancelled + m.failed + m.expired,
+            "{at}: an admission settled zero or two times"
+        );
+        let exits: u64 = m.exit_histogram.iter().sum();
+        assert_eq!(exits, m.completed, "{at}: exit histogram");
+        assert_eq!(
+            m.latency_histogram.count(),
+            m.completed,
+            "{at}: latency samples"
+        );
+        let batch_members: u64 = (0u64..)
+            .zip(&m.batch_size_histogram)
+            .map(|(size, &n)| size * n)
+            .sum();
+        assert_eq!(batch_members, m.completed, "{at}: batch-size histogram");
+        assert_eq!(m.expired_by_class.iter().sum::<u64>(), m.expired, "{at}");
+        assert_eq!(m.shed_by_class.iter().sum::<u64>(), m.shed, "{at}");
+        let (all, partial) = (m.total_ops, m.expired_partial_ops);
+        assert!(
+            partial.compute_ops() <= all.compute_ops() && partial.mem_words() <= all.mem_words(),
+            "{at}: partial ops {partial} exceed total ops {all}"
+        );
     }
 }
 

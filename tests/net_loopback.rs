@@ -2,12 +2,12 @@
 //!
 //! Everything the in-process serving layer guarantees must survive the
 //! trip through `cdl::serve::net`: concurrent connections pipelining
-//! requests against a **replicated** router get every response bit-exact
+//! requests against a two-model router get every response bit-exact
 //! against `CdlNetwork::classify_with_override` (f32s travel as IEEE-754
 //! bit patterns), malformed frames come back as typed errors without
 //! taking the connection down unless the stream is desynchronised, and a
 //! client that disconnects mid-request cancels only its own pending work
-//! — the shard keeps serving everyone else.
+//! — the server keeps serving everyone else.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -19,8 +19,7 @@ use cdl::core::confidence::ExitOverride;
 use cdl::core::network::{CdlNetwork, CdlOutput};
 use cdl::serve::net::{self, codec};
 use cdl::serve::{
-    BatchPolicy, ErrorCode, PlacementPolicy, ReplicaSpec, Router, ServerConfig, ShardSpec,
-    SubmitOptions, TcpClient, TcpServer,
+    BatchPolicy, ErrorCode, Router, ServerConfig, ShardSpec, SubmitOptions, TcpClient, TcpServer,
 };
 use cdl::tensor::Tensor;
 
@@ -52,12 +51,12 @@ fn expected(net: &CdlNetwork, x: &Tensor, opts: SubmitOptions) -> CdlOutput {
     .unwrap()
 }
 
-/// 4 connections × 64 pipelined requests against a replicated two-model
-/// router: every response bit-exact on the routed model with the carried
-/// override, every id answered exactly once, placement histograms
-/// reported in the final metrics.
+/// 4 connections × 64 pipelined requests against a two-model router: every
+/// response bit-exact on the routed model with the carried override, every
+/// id answered exactly once, the routing histogram reported in the final
+/// metrics.
 #[test]
-fn pipelined_connections_are_bit_exact_against_replicas() {
+fn pipelined_connections_are_bit_exact_against_two_models() {
     const CONNS: usize = 4;
     const PER_CONN: usize = 64;
     let m2c = build_untrained(arch::mnist_2c(), 5);
@@ -70,10 +69,8 @@ fn pipelined_connections_are_bit_exact_against_replicas() {
     };
     let router = Arc::new(
         Router::start(vec![
-            ShardSpec::new("MNIST_2C", Arc::clone(&m2c), config.clone())
-                .replicated(ReplicaSpec::new(2, PlacementPolicy::RoundRobin)),
-            ShardSpec::new("MNIST_3C", Arc::clone(&m3c), config)
-                .replicated(ReplicaSpec::new(2, PlacementPolicy::PowerOfTwoChoices)),
+            ShardSpec::new("MNIST_2C", Arc::clone(&m2c), config.clone()),
+            ShardSpec::new("MNIST_3C", Arc::clone(&m3c), config),
         ])
         .unwrap(),
     );
@@ -106,7 +103,7 @@ fn pipelined_connections_are_bit_exact_against_replicas() {
                         send.flush().unwrap();
                         sent.push((id, i));
                     }
-                    // responses may complete out of order across replicas
+                    // responses may complete out of order across models
                     // and batches; match them up by id
                     let mut answered = vec![None; PER_CONN];
                     for _ in 0..PER_CONN {
@@ -139,20 +136,8 @@ fn pipelined_connections_are_bit_exact_against_replicas() {
     assert_eq!(metrics.total().failed, 0);
     assert_eq!(metrics.routing_histogram(), vec![total / 2, total / 2]);
     for shard in &metrics.shards {
-        // the placement histogram is reported and partitions the traffic
-        assert_eq!(
-            shard.placement_histogram().iter().sum::<u64>(),
-            shard.routed()
-        );
-        for replica in &shard.replicas {
-            assert_eq!(replica.routed, replica.metrics.submitted);
-        }
+        assert_eq!(shard.routed(), shard.total().submitted);
     }
-    // one round-robin cursor per shard: the split is exact
-    assert_eq!(
-        metrics.shards[0].placement_histogram(),
-        vec![total / 4, total / 4]
-    );
 }
 
 /// Malformed bodies and unknown models come back as typed errors on the

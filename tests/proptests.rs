@@ -263,7 +263,7 @@ proptest! {
         prop_assert_eq!(total.completed, routes.len() as u64);
         prop_assert_eq!(total.failed, 0);
         prop_assert_eq!(total.cancelled, 0);
-        // conservation per replica, and the op ledger against the answers
+        // conservation per model, and the op ledger against the answers
         common::assert_settled_with(&metrics, &delivered);
         // the router total is the merge of the shard totals
         let mut of_shards = cdl::serve::ServerMetrics::default();

@@ -5,8 +5,8 @@
 //!   [`MAX_RELATIVE_ERROR`] of the exact order statistic for arbitrary
 //!   sample sets (proptest against a sort oracle), and merging sharded
 //!   histograms is exactly equivalent to recording every sample into one.
-//! * A replicated router's merged tail latencies
-//!   ([`cdl::serve::RouterMetrics::latency`]) agree with the merge oracle.
+//! * A two-model router's merged tail latencies
+//!   ([`cdl::serve::RouterMetrics::total`]) agree with the merge oracle.
 //! * A [`TraceId`] chosen by a TCP client rides the wire flag bit and
 //!   comes back out of the server-side span drain with the full lifecycle
 //!   recorded under that exact id — while responses stay bit-exact.
@@ -21,8 +21,8 @@ use std::time::{Duration, Instant};
 use cdl::core::arch;
 use cdl::serve::net::{self, codec};
 use cdl::serve::{
-    BatchPolicy, EventKind, PlacementPolicy, ReplicaSpec, Router, ServerConfig, ShardSpec,
-    SubmitOptions, TcpServer, Telemetry, TelemetryConfig, TraceId,
+    BatchPolicy, EventKind, Router, ServerConfig, ShardSpec, SubmitOptions, TcpServer, Telemetry,
+    TelemetryConfig, TraceId,
 };
 use cdl::telemetry::{LogHistogram, MAX_RELATIVE_ERROR};
 use proptest::prelude::*;
@@ -102,38 +102,42 @@ proptest! {
     }
 }
 
-/// A replicated router's aggregate tail latencies are the merge of the
-/// per-replica histograms: `RouterMetrics::latency()` quantiles match the
+/// A two-model router's aggregate tail latencies are the merge of the
+/// per-model histograms: `RouterMetrics::total()` quantiles match the
 /// hand-merged oracle exactly, and the merged count covers every request.
 #[test]
-fn cross_replica_merged_tails_match_the_oracle() {
+fn cross_model_merged_tails_match_the_oracle() {
     const REQUESTS: usize = 96;
-    let net = build_untrained(arch::mnist_2c(), 5);
     let config = ServerConfig {
         policy: BatchPolicy::new(8),
         queue_capacity: 256,
         workers: 1,
         ..ServerConfig::default()
     };
-    let router = Router::start(vec![ShardSpec::new("MNIST_2C", net, config)
-        .replicated(ReplicaSpec::new(3, PlacementPolicy::RoundRobin))])
+    let router = Router::start(vec![
+        ShardSpec::new(
+            "MNIST_2C",
+            build_untrained(arch::mnist_2c(), 5),
+            config.clone(),
+        ),
+        ShardSpec::new("MNIST_3C", build_untrained(arch::mnist_3c(), 9), config),
+    ])
     .unwrap();
-    let model = router.model_id("MNIST_2C").unwrap();
+    let models = ["MNIST_2C", "MNIST_3C"].map(|name| router.model_id(name).unwrap());
     let pendings: Vec<_> = (0..REQUESTS)
-        .map(|i| router.submit(model, image(i)).unwrap())
+        .map(|i| router.submit(models[i % 2], image(i)).unwrap())
         .collect();
     for p in pendings {
         p.wait().unwrap();
     }
     let metrics = router.shutdown();
 
-    // oracle: fold the per-replica histograms by hand
+    // oracle: fold the per-model histograms by hand
     let mut oracle = LogHistogram::new();
     for shard in &metrics.shards {
-        for replica in &shard.replicas {
-            oracle.merge(&replica.metrics.latency_histogram);
-        }
+        oracle.merge(&shard.total().latency_histogram);
     }
+    assert_eq!(metrics.routing_histogram(), [REQUESTS as u64 / 2; 2]);
     let merged = metrics.total().latency_histogram;
     assert_eq!(merged.count(), REQUESTS as u64);
     assert_eq!(oracle.count(), REQUESTS as u64);
@@ -237,23 +241,28 @@ fn trace_ids_propagate_across_the_tcp_loopback() {
 
 /// The Prometheus rendering of a live router snapshot re-parses: every
 /// `_bucket{le=...}` series is cumulative, `_count` agrees with the
-/// number of served requests, and the per-replica label sets are present.
+/// number of served requests, and the per-model label sets are present.
 #[test]
 fn prometheus_export_reparses_with_cumulative_buckets() {
     const REQUESTS: usize = 48;
-    let net = build_untrained(arch::mnist_2c(), 7);
     let config = ServerConfig {
         policy: BatchPolicy::new(8),
         queue_capacity: 64,
         workers: 1,
         ..ServerConfig::default()
     };
-    let router = Router::start(vec![ShardSpec::new("MNIST_2C", net, config)
-        .replicated(ReplicaSpec::new(2, PlacementPolicy::RoundRobin))])
+    let router = Router::start(vec![
+        ShardSpec::new(
+            "MNIST_2C",
+            build_untrained(arch::mnist_2c(), 7),
+            config.clone(),
+        ),
+        ShardSpec::new("MNIST_3C", build_untrained(arch::mnist_3c(), 8), config),
+    ])
     .unwrap();
-    let model = router.model_id("MNIST_2C").unwrap();
+    let models = ["MNIST_2C", "MNIST_3C"].map(|name| router.model_id(name).unwrap());
     let pendings: Vec<_> = (0..REQUESTS)
-        .map(|i| router.submit(model, image(i)).unwrap())
+        .map(|i| router.submit(models[i % 2], image(i)).unwrap())
         .collect();
     for p in pendings {
         p.wait().unwrap();
@@ -265,12 +274,11 @@ fn prometheus_export_reparses_with_cumulative_buckets() {
         "# TYPE cdl_requests_completed_total counter",
         "# TYPE cdl_request_latency_ns histogram",
         "model=\"MNIST_2C\"",
-        "replica=\"0\"",
-        "replica=\"1\"",
+        "model=\"MNIST_3C\"",
     ] {
         assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
     }
-    // completed counters over all replicas sum to the request count
+    // completed counters over all models sum to the request count
     let completed: u64 = text
         .lines()
         .filter(|l| l.starts_with("cdl_requests_completed_total{"))
@@ -278,12 +286,12 @@ fn prometheus_export_reparses_with_cumulative_buckets() {
         .sum();
     assert_eq!(completed, REQUESTS as u64);
     // each latency series: cumulative buckets ending at its _count value
-    for replica in ["0", "1"] {
+    for model in ["MNIST_2C", "MNIST_3C"] {
         let series: Vec<u64> = text
             .lines()
             .filter(|l| {
                 l.starts_with("cdl_request_latency_ns_bucket{")
-                    && l.contains(&format!("replica=\"{replica}\""))
+                    && l.contains(&format!("model=\"{model}\""))
             })
             .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
             .collect();
@@ -292,11 +300,11 @@ fn prometheus_export_reparses_with_cumulative_buckets() {
             .lines()
             .find(|l| {
                 l.starts_with("cdl_request_latency_ns_count{")
-                    && l.contains(&format!("replica=\"{replica}\""))
+                    && l.contains(&format!("model=\"{model}\""))
             })
             .unwrap();
         let count: u64 = count_line.rsplit(' ').next().unwrap().parse().unwrap();
-        assert_eq!(series.last().copied(), Some(count), "replica {replica}");
+        assert_eq!(series.last().copied(), Some(count), "model {model}");
     }
 }
 
