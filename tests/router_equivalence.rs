@@ -8,6 +8,7 @@
 //! for any interleaving of concurrent clients, any batch policy, and any
 //! mix of overrides sharing a batch.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -18,7 +19,9 @@ use cdl::core::network::CdlNetwork;
 use cdl::dataset::SyntheticMnist;
 use cdl::nn::network::Network;
 use cdl::nn::trainer::{train, LabelledSet, TrainConfig};
-use cdl::serve::{BatchPolicy, ModelId, Pending, Router, ServerConfig, ShardSpec, SubmitOptions};
+use cdl::serve::{
+    BatchPolicy, ModelId, Pending, Router, ServeError, ServerConfig, ShardSpec, SubmitOptions,
+};
 
 mod common;
 
@@ -232,6 +235,101 @@ fn default_policy_is_bit_identical_across_shards() {
 fn single_request_batches_are_bit_identical_across_shards() {
     // degenerate policy: every request is its own batch
     assert_router_equivalent(BatchPolicy::new(1), 2, 2);
+}
+
+#[test]
+fn one_worker_per_model_is_bit_identical_across_shards() {
+    // each model's batches all run on one evaluator state, in order
+    assert_router_equivalent(BatchPolicy::default(), 3, 1);
+}
+
+#[test]
+fn four_workers_per_model_are_bit_identical_across_shards() {
+    // more workers than clients: batches race onto idle states
+    assert_router_equivalent(BatchPolicy::new(8), 4, 4);
+}
+
+/// Live snapshots, taken while clients stream into both models and bounce
+/// off a two-slot gate, never show a model's server admitting more than the
+/// router routed to it, nor settling more than it admitted:
+/// `routed >= submitted >= completed + cancelled + failed + expired`, with
+/// every completion in one exit slot. A settled snapshot closes exactly.
+#[test]
+fn live_snapshots_never_admit_more_than_was_routed() {
+    const CLIENTS: usize = 3;
+    let (m2c, m3c, test_set) = trained_pair();
+    let config = ServerConfig {
+        queue_capacity: 2,
+        workers: 1,
+        ..ServerConfig::default()
+    };
+    let router = Router::start(vec![
+        ShardSpec::new("MNIST_2C", Arc::clone(m2c), config.clone()),
+        ShardSpec::new("MNIST_3C", Arc::clone(m3c), config),
+    ])
+    .expect("router start");
+    let models = [
+        router.model_id("MNIST_2C").unwrap(),
+        router.model_id("MNIST_3C").unwrap(),
+    ];
+    let done = AtomicBool::new(false);
+
+    let _bound = common::Watchdog::arm(Duration::from_secs(300), "clients under snapshots");
+    let (answered, snapshots) = std::thread::scope(|scope| {
+        let (router, models, done) = (&router, &models, &done);
+        let watcher = scope.spawn(move || {
+            let mut snapshots = 0u64;
+            while !done.load(Ordering::Acquire) {
+                for shard in &router.metrics().shards {
+                    let (m, at) = (shard.total(), &shard.model);
+                    assert!(shard.routed() >= m.submitted, "{at}: {m:?}");
+                    let settled = m.completed + m.cancelled + m.failed + m.expired;
+                    assert!(m.submitted >= settled, "{at}: {m:?}");
+                    let exits: u64 = m.exit_histogram.iter().sum();
+                    assert_eq!(exits, m.completed, "{at}: exit histogram");
+                }
+                snapshots += 1;
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            snapshots
+        });
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                scope.spawn(move || {
+                    let mut answered = 0u64;
+                    let mine = test_set.images.iter().enumerate().skip(c);
+                    for (i, image) in mine.step_by(CLIENTS) {
+                        let (model, opts) = (models[i % 2], override_mix(i));
+                        // half the stream waits for a slot, half bounces
+                        // off a full gate (and rolls its routed count back)
+                        let admitted = if i % 4 < 2 {
+                            router.submit_with(model, image.clone(), opts)
+                        } else {
+                            router.try_submit_with(model, image.clone(), opts)
+                        };
+                        match admitted {
+                            Ok(pending) => {
+                                pending.wait().expect("response");
+                                answered += 1;
+                            }
+                            Err(error) => assert_eq!(error, ServeError::Full, "request {i}"),
+                        }
+                    }
+                    answered
+                })
+            })
+            .collect();
+        let answered: u64 = clients.into_iter().map(|h| h.join().unwrap()).sum();
+        done.store(true, Ordering::Release);
+        (answered, watcher.join().unwrap())
+    });
+    assert!(snapshots > 0, "no snapshot was taken under load");
+
+    let metrics = router.shutdown();
+    common::assert_settled(&metrics);
+    let total = metrics.total();
+    assert_eq!(total.completed, answered);
+    assert_eq!(total.rejected + answered, test_set.len() as u64);
 }
 
 #[test]
