@@ -33,7 +33,9 @@ pub struct ParamGrad<'a> {
 ///   during evaluation.
 /// * `forward_train` caches whatever `backward` needs; `backward` consumes
 ///   the cache of the **most recent** `forward_train` and returns the
-///   gradient w.r.t. that input while *accumulating* parameter gradients.
+///   gradient w.r.t. that input while *accumulating* parameter gradients;
+///   `backward_params` accumulates the same parameter gradients and returns
+///   nothing.
 /// * `op_count` must describe the work done by `forward` for a given input
 ///   shape — it is the basis of the paper's OPS metric, an analytic model of
 ///   the paper's accelerator. The batched routes (`forward_block`, the fused
@@ -89,6 +91,17 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
     /// [`crate::NnError::NoForwardCache`] when called before
     /// `forward_train`, or shape errors when `grad_out` is malformed.
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor>;
+
+    /// [`Layer::backward`] for a layer whose input gradient nobody reads —
+    /// the first layer of a network: accumulates exactly the parameter
+    /// gradients `backward` would and computes nothing else.
+    ///
+    /// # Errors
+    ///
+    /// As [`Layer::backward`].
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
+        self.backward(grad_out).map(drop)
+    }
 
     /// Mutable access to parameters and their gradients (empty for
     /// parameter-free layers).

@@ -123,6 +123,15 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+        self.backward_params(grad_out)?;
+        let x = self
+            .cache_input
+            .as_ref()
+            .expect("backward_params checked the cache");
+        Ok(conv::conv2d_grad_input(x.dims(), &self.kernels, grad_out)?)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
         let x = self
             .cache_input
             .as_ref()
@@ -132,8 +141,7 @@ impl Layer for Conv2d {
         for (acc, g) in self.grad_bias.data_mut().iter_mut().zip(gb) {
             *acc += g;
         }
-        let gx = conv::conv2d_grad_input(x.dims(), &self.kernels, grad_out)?;
-        Ok(gx)
+        Ok(())
     }
 
     fn params(&mut self) -> Vec<ParamGrad<'_>> {
@@ -293,6 +301,8 @@ mod tests {
                 analytic.data()[idx]
             );
         }
+        // loss = sum of the outputs: dL/db is each map's cell count
+        assert_eq!(c.grad_bias.data(), &[4.0, 4.0]);
         assert_eq!(gx.dims(), x.dims());
     }
 

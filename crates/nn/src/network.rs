@@ -279,16 +279,22 @@ impl Network {
     }
 
     /// Backpropagates a loss gradient, accumulating parameter gradients.
+    /// Nothing reads the gradient w.r.t. the network's input, so the first
+    /// layer only accumulates its parameter gradients
+    /// ([`Layer::backward_params`]).
     ///
     /// # Errors
     ///
     /// Propagates layer errors (e.g. backward before forward).
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor) -> Result<()> {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return Ok(());
+        };
         let mut grad = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
+        for layer in rest.iter_mut().rev() {
             grad = layer.backward(&grad)?;
         }
-        Ok(grad)
+        first.backward_params(&grad)
     }
 
     /// Clears all accumulated gradients.
@@ -426,6 +432,52 @@ mod tests {
         let y = net.forward(&Tensor::zeros(&[1, 8, 8])).unwrap();
         assert_eq!(y.dims(), &[4]);
         assert!(y.data().iter().all(|&v| (0.0..=1.0).contains(&v)));
+    }
+
+    /// The trainer's backward leaves out only what nobody reads: after one
+    /// `train_sample`, every accumulated parameter gradient has the bits a
+    /// full backward through every layer accumulates — with a convolution
+    /// in front (its own `backward_params`) and with a dense layer (the
+    /// default one).
+    #[test]
+    fn train_sample_accumulates_the_full_backwards_parameter_gradients() {
+        let dense_first = NetworkSpec::new(
+            vec![
+                LayerSpec::dense(64, 5, Activation::Sigmoid),
+                LayerSpec::dense(5, 4, Activation::Sigmoid),
+            ],
+            &[1, 8, 8],
+        );
+        let x = Tensor::from_vec(
+            (0..64).map(|i| (i as f32 * 0.37).sin()).collect(),
+            &[1, 8, 8],
+        )
+        .unwrap();
+        let target = Tensor::from_vec(vec![0.0, 1.0, 0.0, 0.0], &[4]).unwrap();
+        let grad_bits = |net: &mut Network| -> Vec<Vec<u32>> {
+            let mut bits = Vec::new();
+            for layer in &mut net.layers {
+                for pg in layer.params() {
+                    bits.push(pg.grad.data().iter().map(|g| g.to_bits()).collect());
+                }
+            }
+            bits
+        };
+        for spec in [tiny_spec(), dense_first] {
+            let mut trained = Network::from_spec(&spec, 3).unwrap();
+            trained.train_sample(&x, &target, 0.25).unwrap();
+
+            let mut full = Network::from_spec(&spec, 3).unwrap();
+            let out = full.forward_train(&x).unwrap();
+            let mut grad = loss::mse_gradient(&out, &target).unwrap();
+            grad.map_in_place(|g| g * 0.25);
+            for layer in full.layers.iter_mut().rev() {
+                grad = layer.backward(&grad).unwrap();
+            }
+            let want = grad_bits(&mut full);
+            assert!(want.iter().flatten().any(|&g| g != 0));
+            assert_eq!(grad_bits(&mut trained), want);
+        }
     }
 
     #[test]

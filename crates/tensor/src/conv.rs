@@ -78,6 +78,16 @@ pub(crate) fn check_conv_bias(c_out: usize, bias: &[f32]) -> Result<()> {
 /// `input` is `[C_in, H, W]`, `kernels` is `[C_out, C_in, kH, kW]`, `bias`
 /// has one entry per output map. Returns `[C_out, H-kH+1, W-kW+1]`.
 ///
+/// This is the **specification** every convolution kernel of the workspace
+/// is held to, bit for bit: each output element is one chain, seeded with
+/// its map's bias, that adds `x * k` — a rounded product, then a rounded
+/// sum, never fused — once per tap in `(c, ky, kx)` ascending order. It
+/// runs one output row at a time, in spans of 8 adjacent outputs (then at
+/// most one span each of 4, 2 and 1): a span walks the taps once and
+/// advances its outputs' chains side by side, so the chains' adds overlap
+/// instead of waiting on each other. The spans only choose which chains
+/// run together; no element's operations or their order change.
+///
 /// # Errors
 ///
 /// Returns [`TensorError::RankMismatch`] or [`TensorError::InvalidGeometry`]
@@ -89,36 +99,72 @@ pub fn conv2d_valid(input: &Tensor, kernels: &Tensor, bias: &[f32]) -> Result<Te
     let oh = valid_out_size(h, kh)?;
     let ow = valid_out_size(w, kw)?;
 
-    let x = input.data();
-    let k = kernels.data();
     let mut out = vec![0.0f32; c_out * oh * ow];
-
-    let in_plane = h * w;
-    let k_plane = kh * kw;
-    let k_filter = c_in * k_plane;
-
-    for (m, &b) in bias.iter().enumerate() {
-        let kbase = m * k_filter;
-        let obase = m * oh * ow;
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc = b;
-                for c in 0..c_in {
-                    let xbase = c * in_plane;
-                    let kcbase = kbase + c * k_plane;
-                    for ky in 0..kh {
-                        let xrow = xbase + (oy + ky) * w + ox;
-                        let krow = kcbase + ky * kw;
-                        for kx in 0..kw {
-                            acc += x[xrow + kx] * k[krow + kx];
-                        }
-                    }
-                }
-                out[obase + oy * ow + ox] = acc;
+    let k_filter = c_in * kh * kw;
+    for (m, (plane, &b)) in out.chunks_exact_mut(oh * ow).zip(bias).enumerate() {
+        let map = OutputMap {
+            x: input.data(),
+            in_plane: h * w,
+            w,
+            taps: &kernels.data()[m * k_filter..][..k_filter],
+            k_plane: kh * kw,
+            kw,
+            bias: b,
+        };
+        for (oy, row) in plane.chunks_exact_mut(ow).enumerate() {
+            let mut ox = 0;
+            while ow - ox >= 8 {
+                map.span::<8>(oy, ox, row);
+                ox += 8;
+            }
+            if ow - ox >= 4 {
+                map.span::<4>(oy, ox, row);
+                ox += 4;
+            }
+            if ow - ox >= 2 {
+                map.span::<2>(oy, ox, row);
+                ox += 2;
+            }
+            if ow - ox >= 1 {
+                map.span::<1>(oy, ox, row);
             }
         }
     }
     Tensor::from_vec(out, &[c_out, oh, ow])
+}
+
+/// One output map of [`conv2d_valid`]: the input planes, the map's filter
+/// (`[C_in, kH, kW]`, flat) and its bias.
+struct OutputMap<'a> {
+    x: &'a [f32],
+    in_plane: usize,
+    w: usize,
+    taps: &'a [f32],
+    k_plane: usize,
+    kw: usize,
+    bias: f32,
+}
+
+impl OutputMap<'_> {
+    /// Writes the `N` outputs `row[ox..ox + N]` of output row `oy`: `N`
+    /// chains seeded with the bias, each adding its `x * k` per tap in
+    /// `(c, ky, kx)` order, all `N` one tap at a time.
+    fn span<const N: usize>(&self, oy: usize, ox: usize, row: &mut [f32]) {
+        let mut acc = [self.bias; N];
+        for (c, filter) in self.taps.chunks_exact(self.k_plane).enumerate() {
+            for (ky, krow) in filter.chunks_exact(self.kw).enumerate() {
+                let xrow =
+                    &self.x[c * self.in_plane + (oy + ky) * self.w + ox..][..self.kw - 1 + N];
+                for (kx, &k) in krow.iter().enumerate() {
+                    let xs: [f32; N] = xrow[kx..kx + N].try_into().expect("span is N wide");
+                    for (a, x) in acc.iter_mut().zip(xs) {
+                        *a += x * k;
+                    }
+                }
+            }
+        }
+        row[ox..ox + N].copy_from_slice(&acc);
+    }
 }
 
 /// Gradient of the loss w.r.t. the kernel bank and bias, given the upstream
@@ -300,8 +346,158 @@ pub fn conv2d_macs(c_in: usize, h: usize, w: usize, c_out: usize, kh: usize, kw:
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// The specification's inputs: at `1 / rate` of the positions (none when
+    /// `rate` is 0) a value from the edges of `f32` — NaNs with distinct
+    /// payloads, signs and quiet bits, ±0, ±∞, subnormals, magnitudes whose
+    /// products and sums overflow — and plain values in `[-2, 2)` elsewhere.
+    pub(crate) fn spec_values(rng: &mut StdRng, len: usize, rate: u32) -> Vec<f32> {
+        const EDGES: [f32; 16] = [
+            f32::from_bits(0x7fc0_0001),
+            f32::from_bits(0xffc0_2345),
+            f32::from_bits(0x7f80_0067),
+            f32::from_bits(0xff9a_bcde),
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),
+            -f32::MIN_POSITIVE / 3.0,
+            f32::MAX,
+            f32::MIN,
+            3.0e38,
+            -1.0e19,
+            1.0e-30,
+            1.0,
+        ];
+        (0..len)
+            .map(|_| {
+                if rate > 0 && rng.random_range(0..rate) == 0 {
+                    EDGES[rng.random_range(0..EDGES.len())]
+                } else {
+                    rng.random_range(-2.0..2.0)
+                }
+            })
+            .collect()
+    }
+
+    /// The element-at-a-time loop [`conv2d_valid`] ran before its row
+    /// form, kept verbatim as the literal statement of each element's
+    /// chain.
+    fn literal_conv(input: &Tensor, kernels: &Tensor, bias: &[f32]) -> Vec<f32> {
+        let (c_in, h, w) = (input.dims()[0], input.dims()[1], input.dims()[2]);
+        let (kh, kw) = (kernels.dims()[2], kernels.dims()[3]);
+        let (oh, ow) = (h - kh + 1, w - kw + 1);
+        let x = input.data();
+        let k = kernels.data();
+        let mut out = vec![0.0f32; bias.len() * oh * ow];
+        let in_plane = h * w;
+        let k_plane = kh * kw;
+        let k_filter = c_in * k_plane;
+        for (m, &b) in bias.iter().enumerate() {
+            let kbase = m * k_filter;
+            let obase = m * oh * ow;
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut acc = b;
+                    for c in 0..c_in {
+                        let xbase = c * in_plane;
+                        let kcbase = kbase + c * k_plane;
+                        for ky in 0..kh {
+                            let xrow = xbase + (oy + ky) * w + ox;
+                            let krow = kcbase + ky * kw;
+                            for kx in 0..kw {
+                                acc += x[xrow + kx] * k[krow + kx];
+                            }
+                        }
+                    }
+                    out[obase + oy * ow + ox] = acc;
+                }
+            }
+        }
+        out
+    }
+
+    /// `got` against the literal chain's `want`: the same bits wherever
+    /// `want` is a number, a NaN wherever it is a NaN. The payload of a NaN
+    /// that arithmetic produces is not the source's to fix — Rust lets
+    /// `a * b` and `a + b` return either input NaN's payload, quieted, and
+    /// the compiler commutes both operations when it allocates registers —
+    /// so on one build the literal loop and the row form return different
+    /// payloads for the same NaN operands.
+    pub(crate) fn assert_chain_bits(got: &[f32], want: &[f32], what: &dyn Fn(usize) -> String) {
+        assert_eq!(got.len(), want.len(), "{}", what(0));
+        for (i, (g, e)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.to_bits() == e.to_bits() || (g.is_nan() && e.is_nan()),
+                "{}: {g} ({:#010x}) vs {e} ({:#010x})",
+                what(i),
+                g.to_bits(),
+                e.to_bits()
+            );
+        }
+    }
+
+    /// The row form keeps every element's chain: equal to the literal loop
+    /// ([`assert_chain_bits`]) over `c_in` 1..=3, `c_out` 1..=4, square
+    /// kernels 1..=5 and every `h, w` from the kernel to 14 — every span
+    /// width and every mix of spans on a row — on plain values and on edge
+    /// values in inputs, kernels and biases.
+    #[test]
+    fn spec_conv_row_form_is_the_literal_chain() {
+        let mut rng = StdRng::seed_from_u64(48);
+        let mut checked = 0usize;
+        for c_in in 1..=3 {
+            for c_out in 1..=4 {
+                for k in 1..=5 {
+                    for h in k..=14 {
+                        for w in k..=14 {
+                            for rate in [0, 7] {
+                                let x = t(spec_values(&mut rng, c_in * h * w, rate), &[c_in, h, w]);
+                                let kernels = t(
+                                    spec_values(&mut rng, c_out * c_in * k * k, rate),
+                                    &[c_out, c_in, k, k],
+                                );
+                                let bias = spec_values(&mut rng, c_out, rate);
+                                let got = conv2d_valid(&x, &kernels, &bias).unwrap();
+                                let want = literal_conv(&x, &kernels, &bias);
+                                assert_chain_bits(got.data(), &want, &|i| {
+                                    format!(
+                                        "c_in {c_in} c_out {c_out} k {k} h {h} w {w} \
+                                         rate {rate} element {i}"
+                                    )
+                                });
+                                checked += want.len();
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked > 1_000_000, "{checked} elements");
+    }
+
+    /// The taps are added in `(c, ky, kx)` order, pinned on exact values in
+    /// every span width: with the bias 1 and the products `1e8, -1e8, 1, 1`
+    /// the chain reads `1e8, 0, 1, 2`, while the reversed order rounds
+    /// `3 - 1e8` to `-1e8` and ends at 0.
+    #[test]
+    fn spec_conv_adds_the_taps_in_order() {
+        for ow in 1..=19 {
+            let x = Tensor::ones(&[1, 2, ow + 1]);
+            let k = t(vec![1.0e8, -1.0e8, 1.0, 1.0], &[1, 1, 2, 2]);
+            let y = conv2d_valid(&x, &k, &[1.0]).unwrap();
+            assert!(
+                y.data().iter().all(|&v| v == 2.0),
+                "ow {ow}: {:?}",
+                y.data()
+            );
+        }
+    }
 
     fn t(v: Vec<f32>, d: &[usize]) -> Tensor {
         Tensor::from_vec(v, d).unwrap()

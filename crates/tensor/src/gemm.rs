@@ -17,7 +17,14 @@
 //! every run. The specification both are held to is not in this module's
 //! code: it is [`crate::ops::matvec`] with the bias added last (the unit
 //! tests' `affine_row` is that loop over slices) and
-//! [`crate::conv::conv2d_valid`].
+//! [`crate::conv::conv2d_valid`]. Both are plain safe scalar loops that call
+//! nothing here. They run in the row form: the convolution covers an output
+//! row in spans of adjacent outputs, `matvec` takes rows in blocks, and each
+//! span or block advances its elements' chains side by side, one tap (one
+//! `p`) at a time. Every element's chain is still the literal one — the
+//! same seed, the same `x * k` (`w * x`) per step, the same order — and
+//! `spec_conv_…` / `spec_matvec_…` hold the row form to the
+//! element-at-a-time loops, kept verbatim in their unit tests.
 //!
 //! | shape | body | `Reference` (and `Simd` without AVX2) | `Simd` on an AVX2 host |
 //! |---|---|---|---|

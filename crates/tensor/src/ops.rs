@@ -52,6 +52,14 @@ pub fn axpy(acc: &mut Tensor, alpha: f32, x: &Tensor) -> Result<()> {
 /// Matrix–vector product `W x` where `w` is `[rows, cols]` and `x` has `cols`
 /// elements (any shape, read flat). Returns a rank-1 tensor of `rows`.
 ///
+/// The **specification** of every affine kernel of the workspace (with the
+/// bias added after it): each output is one chain that starts at `0.0` and
+/// adds `w * x` — a rounded product, then a rounded sum, never fused — for
+/// `p` ascending. Rows run in blocks of 8 (then at most one block each of
+/// 4, 2 and 1) whose chains advance side by side over `p`, so their adds
+/// overlap instead of waiting on each other; the blocks only choose which
+/// chains run together.
+///
 /// # Errors
 ///
 /// Returns [`TensorError::RankMismatch`] if `w` is not rank 2 and
@@ -73,15 +81,38 @@ pub fn matvec(w: &Tensor, x: &Tensor) -> Result<Tensor> {
     let wd = w.data();
     let xd = x.data();
     let mut out = vec![0.0f32; rows];
-    for (r, o) in out.iter_mut().enumerate() {
-        let row = &wd[r * cols..(r + 1) * cols];
-        let mut acc = 0.0f32;
-        for (a, b) in row.iter().zip(xd) {
-            acc += a * b;
-        }
-        *o = acc;
+    let mut r = 0;
+    while rows - r >= 8 {
+        matvec_block::<8>(wd, xd, r, &mut out);
+        r += 8;
+    }
+    if rows - r >= 4 {
+        matvec_block::<4>(wd, xd, r, &mut out);
+        r += 4;
+    }
+    if rows - r >= 2 {
+        matvec_block::<2>(wd, xd, r, &mut out);
+        r += 2;
+    }
+    if rows - r >= 1 {
+        matvec_block::<1>(wd, xd, r, &mut out);
     }
     Tensor::from_vec(out, &[rows])
+}
+
+/// Writes `out[first..first + N]` of [`matvec`]: `N` chains from `0.0`,
+/// each adding its row's `w * x` for `p` ascending, all `N` one `p` at a
+/// time.
+fn matvec_block<const N: usize>(w: &[f32], x: &[f32], first: usize, out: &mut [f32]) {
+    let cols = x.len();
+    let rows: [&[f32]; N] = std::array::from_fn(|i| &w[(first + i) * cols..][..cols]);
+    let mut acc = [0.0f32; N];
+    for (p, &xv) in x.iter().enumerate() {
+        for (a, row) in acc.iter_mut().zip(rows) {
+            *a += row[p] * xv;
+        }
+    }
+    out[first..first + N].copy_from_slice(&acc);
 }
 
 /// Transposed matrix–vector product `Wᵀ y` where `w` is `[rows, cols]` and
@@ -237,6 +268,48 @@ pub fn entropy(p: &[f32]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conv::tests::{assert_chain_bits, spec_values};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// The one-row-at-a-time loop [`matvec`] ran before its blocked form,
+    /// kept verbatim as the literal statement of each output's chain.
+    fn literal_matvec(w: &Tensor, x: &Tensor) -> Vec<f32> {
+        let (rows, cols) = (w.dims()[0], w.dims()[1]);
+        let wd = w.data();
+        let xd = x.data();
+        let mut out = vec![0.0f32; rows];
+        for (r, o) in out.iter_mut().enumerate() {
+            let row = &wd[r * cols..(r + 1) * cols];
+            let mut acc = 0.0f32;
+            for (a, b) in row.iter().zip(xd) {
+                acc += a * b;
+            }
+            *o = acc;
+        }
+        out
+    }
+
+    /// The row blocks keep every output's chain: equal to the literal loop
+    /// (`conv::tests::assert_chain_bits`) over rows 1..=17 × cols 0..=40 —
+    /// every mix of blocks — on plain values and on edge values in both
+    /// operands.
+    #[test]
+    fn spec_matvec_blocks_are_the_literal_chain() {
+        let mut rng = StdRng::seed_from_u64(48);
+        for rows in 1..=17 {
+            for cols in 0..=40 {
+                for rate in [0, 5] {
+                    let w = t(spec_values(&mut rng, rows * cols, rate), &[rows, cols]);
+                    let x = t(spec_values(&mut rng, cols, rate), &[cols]);
+                    let got = matvec(&w, &x).unwrap();
+                    assert_chain_bits(got.data(), &literal_matvec(&w, &x), &|r| {
+                        format!("rows {rows} cols {cols} rate {rate} row {r}")
+                    });
+                }
+            }
+        }
+    }
 
     fn t(v: Vec<f32>, d: &[usize]) -> Tensor {
         Tensor::from_vec(v, d).unwrap()
