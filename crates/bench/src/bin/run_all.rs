@@ -64,7 +64,7 @@ fn main() -> Result<(), Failure> {
         Ok::<(), BenchError>(())
     };
 
-    let cfg = ExperimentConfig::from_env();
+    let cfg = ExperimentConfig::from_env()?;
     eprintln!(
         "config: train_n={} test_n={} epochs={} delta={} seed={}",
         cfg.train_n, cfg.test_n, cfg.epochs, cfg.delta, cfg.seed

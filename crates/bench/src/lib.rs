@@ -28,6 +28,10 @@
 //! | `CDL_DELTA` | 0.5 | confidence threshold δ |
 //! | `CDL_SEED` | 42 | master data/init seed |
 //! | `CDL_MNIST_DIR` | — | directory with real MNIST IDX files (optional) |
+//! | `CDL_PROFILE` | `default` | synthetic data profile: `default` or `easy` |
+//!
+//! A value that does not parse, or another profile, is an error that names
+//! the variable and its value: nothing falls back to a default silently.
 //!
 //! The paper's full scale is `CDL_TRAIN_N=60000 CDL_TEST_N=10000`.
 

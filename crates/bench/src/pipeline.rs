@@ -64,25 +64,52 @@ impl Default for ExperimentConfig {
 }
 
 impl ExperimentConfig {
-    /// Reads the configuration from `CDL_*` environment variables, falling
-    /// back to the defaults.
-    pub fn from_env() -> Self {
-        fn get<T: std::str::FromStr>(name: &str, default: T) -> T {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default)
+    /// Reads the configuration from `CDL_*` environment variables; an unset
+    /// variable takes its default.
+    ///
+    /// # Errors
+    ///
+    /// A value that does not parse as its field's type, or a `CDL_PROFILE`
+    /// other than `default` or `easy`: the message names the variable and
+    /// its value.
+    pub fn from_env() -> Result<Self, BenchError> {
+        let var = |name: &str| match std::env::var(name) {
+            Ok(value) => Some(value),
+            Err(std::env::VarError::NotPresent) => None,
+            // not UTF-8: reported, lossily, as a value that does not parse
+            Err(std::env::VarError::NotUnicode(raw)) => Some(raw.to_string_lossy().into_owned()),
+        };
+        Ok(ExperimentConfig::from_vars(var)?)
+    }
+
+    /// [`ExperimentConfig::from_env`] over any lookup of the variables.
+    fn from_vars(var: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+        fn get<T: std::str::FromStr>(
+            var: &dyn Fn(&str) -> Option<String>,
+            name: &str,
+            default: T,
+        ) -> Result<T, String> {
+            var(name).map_or(Ok(default), |v| {
+                v.parse()
+                    .map_err(|_| format!("{name}={v:?} does not parse"))
+            })
         }
         let d = ExperimentConfig::default();
-        ExperimentConfig {
-            train_n: get("CDL_TRAIN_N", d.train_n),
-            test_n: get("CDL_TEST_N", d.test_n),
-            epochs: get("CDL_EPOCHS", d.epochs),
-            delta: get("CDL_DELTA", d.delta),
-            seed: get("CDL_SEED", d.seed),
-            mnist_dir: std::env::var("CDL_MNIST_DIR").ok().map(PathBuf::from),
-            profile: std::env::var("CDL_PROFILE").unwrap_or(d.profile),
+        let profile = var("CDL_PROFILE").unwrap_or(d.profile);
+        if profile != "default" && profile != "easy" {
+            return Err(format!(
+                "CDL_PROFILE={profile:?} is not a profile (default, easy)"
+            ));
         }
+        Ok(ExperimentConfig {
+            train_n: get(&var, "CDL_TRAIN_N", d.train_n)?,
+            test_n: get(&var, "CDL_TEST_N", d.test_n)?,
+            epochs: get(&var, "CDL_EPOCHS", d.epochs)?,
+            delta: get(&var, "CDL_DELTA", d.delta)?,
+            seed: get(&var, "CDL_SEED", d.seed)?,
+            mnist_dir: var("CDL_MNIST_DIR").map(PathBuf::from),
+            profile,
+        })
     }
 
     /// The termination policy used across the experiments (the paper's
@@ -379,13 +406,61 @@ mod tests {
         }
     }
 
+    /// `ExperimentConfig::from_vars` over a fixed table of variables.
+    fn from_table(vars: &[(&str, &str)]) -> Result<ExperimentConfig, String> {
+        ExperimentConfig::from_vars(|name| {
+            vars.iter()
+                .find(|(n, _)| *n == name)
+                .map(|(_, v)| v.to_string())
+        })
+    }
+
     #[test]
     fn config_from_env_defaults() {
-        // without the env vars set, from_env == default
-        let cfg = ExperimentConfig::from_env();
+        // no variable set: every field is its default
+        let cfg = from_table(&[]).unwrap();
         let d = ExperimentConfig::default();
-        // only assert fields not plausibly set in the environment of CI
-        assert!(cfg.train_n > 0 && d.train_n > 0);
+        assert_eq!(
+            (cfg.train_n, cfg.test_n, cfg.epochs, cfg.delta, cfg.seed),
+            (d.train_n, d.test_n, d.epochs, d.delta, d.seed)
+        );
+        assert_eq!((cfg.mnist_dir, cfg.profile), (None, d.profile));
+        let cfg = from_table(&[
+            ("CDL_TRAIN_N", "2500"),
+            ("CDL_TEST_N", "500"),
+            ("CDL_EPOCHS", "6"),
+            ("CDL_DELTA", "0.35"),
+            ("CDL_SEED", "7"),
+            ("CDL_MNIST_DIR", "/data/mnist"),
+            ("CDL_PROFILE", "easy"),
+        ])
+        .unwrap();
+        assert_eq!(
+            (cfg.train_n, cfg.test_n, cfg.epochs, cfg.delta, cfg.seed),
+            (2500, 500, 6, 0.35, 7)
+        );
+        assert_eq!(cfg.mnist_dir, Some(PathBuf::from("/data/mnist")));
+        assert_eq!(cfg.profile, "easy");
+    }
+
+    #[test]
+    fn a_value_that_does_not_parse_is_an_error_naming_it() {
+        for (name, value) in [
+            ("CDL_SEED", "1,2,3"),
+            ("CDL_TRAIN_N", "-5"),
+            ("CDL_TEST_N", "1e3"),
+            ("CDL_EPOCHS", ""),
+            ("CDL_DELTA", "half"),
+        ] {
+            let error = from_table(&[(name, value)]).unwrap_err();
+            assert_eq!(error, format!("{name}={value:?} does not parse"));
+        }
+        let error = from_table(&[("CDL_PROFILE", "hard")]).unwrap_err();
+        assert_eq!(
+            error,
+            "CDL_PROFILE=\"hard\" is not a profile (default, easy)"
+        );
+        assert!(from_table(&[("CDL_PROFILE", "default")]).is_ok());
     }
 
     #[test]

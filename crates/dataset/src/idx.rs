@@ -1,4 +1,4 @@
-//! Reader/writer for the IDX (`ubyte`) format used by the original MNIST
+//! Reader for the IDX (`ubyte`) format used by the original MNIST
 //! distribution.
 //!
 //! If the four classic files (`train-images-idx3-ubyte`,
@@ -6,7 +6,7 @@
 //! `t10k-labels-idx1-ubyte`) are available, [`load_mnist_dir`] lets every
 //! experiment run on the real dataset instead of the synthetic generator.
 
-use bytes::{Buf, BufMut};
+use bytes::Buf;
 use cdl_nn::trainer::LabelledSet;
 use cdl_tensor::Tensor;
 use std::fmt;
@@ -148,36 +148,6 @@ pub fn parse_labels(mut data: &[u8]) -> Result<Vec<usize>, IdxError> {
     Ok((0..count).map(|_| data.get_u8() as usize).collect())
 }
 
-/// Serialises images (each `[1, rows, cols]`, values in `[0, 1]`) to IDX bytes.
-pub fn write_images(images: &[Tensor]) -> Vec<u8> {
-    let (rows, cols) = images
-        .first()
-        .map(|t| (t.dims()[1], t.dims()[2]))
-        .unwrap_or((0, 0));
-    let mut out = Vec::with_capacity(16 + images.len() * rows * cols);
-    out.put_u32(MAGIC_IMAGES);
-    out.put_u32(images.len() as u32);
-    out.put_u32(rows as u32);
-    out.put_u32(cols as u32);
-    for img in images {
-        for &v in img.data() {
-            out.put_u8((v.clamp(0.0, 1.0) * 255.0).round() as u8);
-        }
-    }
-    out
-}
-
-/// Serialises labels to IDX bytes.
-pub fn write_labels(labels: &[usize]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + labels.len());
-    out.put_u32(MAGIC_LABELS);
-    out.put_u32(labels.len() as u32);
-    for &l in labels {
-        out.put_u8(l as u8);
-    }
-    out
-}
-
 /// Combines parsed images and labels into a [`LabelledSet`].
 ///
 /// # Errors
@@ -216,6 +186,37 @@ pub fn load_mnist_dir(dir: &Path) -> Result<(LabelledSet, LabelledSet), IdxError
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BufMut;
+
+    /// Serialises images (each `[1, rows, cols]`, values in `[0, 1]`) to IDX bytes.
+    fn write_images(images: &[Tensor]) -> Vec<u8> {
+        let (rows, cols) = images
+            .first()
+            .map(|t| (t.dims()[1], t.dims()[2]))
+            .unwrap_or((0, 0));
+        let mut out = Vec::with_capacity(16 + images.len() * rows * cols);
+        out.put_u32(MAGIC_IMAGES);
+        out.put_u32(images.len() as u32);
+        out.put_u32(rows as u32);
+        out.put_u32(cols as u32);
+        for img in images {
+            for &v in img.data() {
+                out.put_u8((v.clamp(0.0, 1.0) * 255.0).round() as u8);
+            }
+        }
+        out
+    }
+
+    /// Serialises labels to IDX bytes.
+    fn write_labels(labels: &[usize]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(8 + labels.len());
+        out.put_u32(MAGIC_LABELS);
+        out.put_u32(labels.len() as u32);
+        for &l in labels {
+            out.put_u8(l as u8);
+        }
+        out
+    }
 
     fn demo_images() -> Vec<Tensor> {
         (0..3)

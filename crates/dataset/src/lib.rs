@@ -6,7 +6,7 @@
 //! handwritten digits, 28×28 grayscale). The original IDX files are not
 //! redistributable inside this repository, so this crate provides both:
 //!
-//! * [`idx`] — a loader/writer for the original IDX (`ubyte`) format: if you
+//! * [`idx`] — a loader for the original IDX (`ubyte`) format: if you
 //!   place the four classic MNIST files in a directory, every experiment can
 //!   run on the real data;
 //! * [`generator`] — a **procedural synthetic MNIST**: per-digit stroke

@@ -146,7 +146,7 @@ mod tests {
             },
         );
         // centre row (y=10) should have substantial ink, far rows none
-        let row = |y: usize| -> f32 { (0..20).map(|x| img.get(&[0, y, x]).unwrap()).sum() };
+        let row = |y: usize| -> f32 { img.data()[y * 20..][..20].iter().sum() };
         assert!(row(10) > 5.0);
         assert!(row(0) == 0.0);
         assert!(row(19) == 0.0);

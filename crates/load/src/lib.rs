@@ -9,7 +9,7 @@
 //! the server's behaviour. That is the property that makes overload
 //! experiments meaningful: when offered rate exceeds sustainable
 //! throughput, queues actually grow, and admission control (deadlines,
-//! priorities, quotas — see `cdl_serve`) has something real to do.
+//! priorities — see `cdl_serve`) has something real to do.
 //!
 //! The pipeline is two-phase by design:
 //!
@@ -127,7 +127,7 @@ impl ArrivalProcess {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantProfile {
     /// Tenant id stamped on every request from this profile (`None` for
-    /// anonymous traffic, which no quota applies to).
+    /// anonymous traffic, counted only in the server's aggregate counters).
     pub tenant: Option<u32>,
     /// Relative share of arrivals (need not sum to 1 across profiles;
     /// must be positive and finite).

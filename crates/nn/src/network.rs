@@ -356,15 +356,6 @@ impl Network {
             .collect()
     }
 
-    /// Total operation count of a full forward pass.
-    ///
-    /// # Errors
-    ///
-    /// Propagates geometry errors.
-    pub fn total_ops(&self) -> Result<OpCount> {
-        Ok(self.op_counts()?.into_iter().sum())
-    }
-
     /// Exports all parameters in layer order (for persistence).
     pub fn export_params(&self) -> Vec<Tensor> {
         self.layers
@@ -653,11 +644,9 @@ mod tests {
     }
 
     #[test]
-    fn op_counts_sum_to_total() {
+    fn op_counts_count_each_layer() {
         let net = Network::from_spec(&tiny_spec(), 1).unwrap();
         let per_layer = net.op_counts().unwrap();
-        let total: OpCount = per_layer.iter().copied().sum();
-        assert_eq!(total, net.total_ops().unwrap());
         // conv MACs: 2 maps * 6*6 out * 1*3*3 taps = 648
         assert_eq!(per_layer[0].macs, 648);
         // dense MACs: 18 * 4 = 72

@@ -108,8 +108,8 @@ impl fmt::Display for Priority {
 ///   evaluator ops (the queue-level analogue of early exit).
 /// * `priority` — the admission class; lower classes are shed first as the
 ///   gate fills (see [`Priority`]).
-/// * `tenant` — an opaque tenant id for per-tenant admission quotas
-///   ([`ServerConfig::tenant_quota`]) and per-tenant shed/expired counters.
+/// * `tenant` — an opaque tenant id, a label only: admission ignores it,
+///   and the per-tenant shed/expired counters count by it.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SubmitOptions {
     /// Replacement δ for this request (`None` = the model's configured
@@ -126,8 +126,8 @@ pub struct SubmitOptions {
     /// Admission priority class (default [`Priority::High`] — the
     /// pre-priority behavior).
     pub priority: Priority,
-    /// Tenant id for quota accounting (`None` = untenanted: exempt from
-    /// quotas, counted only in the aggregate counters).
+    /// Tenant id the per-tenant shed/expired counters count by (`None` =
+    /// untenanted: counted only in the aggregate counters).
     pub tenant: Option<u32>,
 }
 
@@ -280,13 +280,6 @@ pub struct ServerConfig {
     /// default — recording calls then cost one branch, so the
     /// instrumentation stays compiled into production paths.
     pub telemetry: TelemetryConfig,
-    /// Per-tenant cap on in-flight requests: a submission carrying
-    /// [`SubmitOptions::tenant`] is refused with
-    /// [`ServeError::QuotaExceeded`] while that tenant already has this
-    /// many requests admitted on the server, no matter how empty the gate
-    /// is — one noisy tenant cannot crowd out the rest. `None` (default)
-    /// disables quotas; untenanted submissions are always exempt.
-    pub tenant_quota: Option<usize>,
     /// Scripted fault injection for chaos testing
     /// ([`crate::fault::FaultPlan`]). Unarmed by default: the hooks then
     /// cost one branch each, the same disabled-path model as telemetry.
@@ -308,11 +301,6 @@ impl ServerConfig {
         if self.workers == 0 {
             return Err(ServeError::BadConfig("workers must be >= 1".into()));
         }
-        if self.tenant_quota == Some(0) {
-            return Err(ServeError::BadConfig(
-                "tenant_quota must be >= 1 when set (use None to disable quotas)".into(),
-            ));
-        }
         Ok(())
     }
 }
@@ -327,7 +315,6 @@ impl Default for ServerConfig {
             queue_capacity: 1024,
             workers,
             telemetry: TelemetryConfig::default(),
-            tenant_quota: None,
             fault: FaultPlan::default(),
         }
     }
@@ -461,20 +448,6 @@ mod tests {
         assert!(edge.pollers >= 1);
         assert!(edge.validate().is_ok());
         assert!(EdgeConfig { pollers: 0 }.validate().is_err());
-    }
-
-    #[test]
-    fn zero_tenant_quota_rejected() {
-        let bad = ServerConfig {
-            tenant_quota: Some(0),
-            ..ServerConfig::default()
-        };
-        assert!(bad.validate().is_err());
-        let ok = ServerConfig {
-            tenant_quota: Some(1),
-            ..ServerConfig::default()
-        };
-        assert!(ok.validate().is_ok());
     }
 
     #[test]

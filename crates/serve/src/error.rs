@@ -43,9 +43,6 @@ pub enum ServeError {
     /// not admitted at the current queue depth (lower classes are shed
     /// first as the gate fills). The request was **not** admitted.
     Shed(Priority),
-    /// The tenant already has its full quota of requests in flight on this
-    /// server. The request was **not** admitted.
-    QuotaExceeded(u32),
     /// The input tensor's shape does not match the model's expected input
     /// shape. Caught at admission so one wrong-shaped tensor can never
     /// poison co-batched neighbors. The request was **not** admitted.
@@ -64,7 +61,6 @@ impl fmt::Display for ServeError {
             ServeError::UnknownModel(id) => write!(f, "no shard serves model {id}"),
             ServeError::Expired => write!(f, "deadline expired before evaluation"),
             ServeError::Shed(p) => write!(f, "shed at admission (priority class {p})"),
-            ServeError::QuotaExceeded(t) => write!(f, "tenant {t} is at its in-flight quota"),
             ServeError::BadInput(msg) => write!(f, "bad input tensor: {msg}"),
         }
     }

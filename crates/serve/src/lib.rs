@@ -71,24 +71,23 @@
 //! * **Multi-model serving** ([`Router`]): one front-end routing requests
 //!   by [`ModelId`] to one [`Server`] per model, with independent
 //!   backpressure, per-model and aggregate metrics ([`RouterMetrics`]:
-//!   routing histogram, per-model ledgers, and [`RouterMetrics::total`] —
+//!   per-model routed counts and ledgers, and [`RouterMetrics::total`] —
 //!   the one [`ServerMetrics::merge`] folded over every model, so every
 //!   total is a field of one ledger), a routed/submitted cross-check per
 //!   model, no-drain model hot-swap ([`Router::swap_model`]), and
 //!   drain-then-stop shutdown across all models.
-//! * **Overload control** ([`SubmitOptions::deadline`] / [`Priority`] /
-//!   [`ServerConfig::tenant_quota`]): each request may carry a latency
-//!   budget, an admission class, and a tenant id. A request whose deadline
+//! * **Overload control** ([`SubmitOptions::deadline`] / [`Priority`]):
+//!   each request may carry a latency budget, an admission class, and a
+//!   tenant id, a label the gate ignores. A request whose deadline
 //!   passes on the queue is settled [`ServeError::Expired`] as its batch is
 //!   sealed, spending **zero** evaluator ops — the queue-level analogue of
 //!   early exit; one that expires *mid-batch* is shed at the next stage
 //!   boundary instead of riding the cascade to the end (survivors stay
 //!   bit-identical; the partial work is charged honestly to the energy
 //!   ledger, see [`ServerMetrics::expired`]). As the gate fills, lower
-//!   priority classes are refused first (typed [`ServeError::Shed`]), and
-//!   tenants over their in-flight quota get [`ServeError::QuotaExceeded`]
-//!   without disturbing anyone else. Shed/expired counts are broken out
-//!   per class and per tenant.
+//!   priority classes are refused first (typed [`ServeError::Shed`]): the
+//!   gate's one policy is its capacity and these class limits. Shed/expired
+//!   counts are broken out per class and per tenant.
 //! * **Input validation**: submissions are shape-checked against the
 //!   model's declared input spec at admission ([`ServeError::BadInput`]),
 //!   so one malformed tensor can no longer poison the co-batched requests

@@ -41,7 +41,7 @@ pub(crate) enum BatchCause {
 /// Every field is **primary**: recorded once, and merged by one rule —
 /// counters, op ledgers, `energy_pj` and `queue_depth` sum, histograms add
 /// slot-wise. What is derived (the batch count, latency quantiles through
-/// [`LogHistogram::quantile_duration`]) is read off the primaries, so it
+/// [`LogHistogram::quantile`]) is read off the primaries, so it
 /// means the same on one server's snapshot and on a merge. `Default` is
 /// the empty ledger, the identity of `merge`.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -66,9 +66,8 @@ pub struct ServerMetrics {
     pub expired: u64,
     /// Submissions refused at the admission gate by overload control: a
     /// priority class above its admission limit
-    /// ([`crate::ServeError::Shed`]) or a tenant over its quota
-    /// ([`crate::ServeError::QuotaExceeded`]). Disjoint from `rejected`,
-    /// which counts only capacity bounces of the default class.
+    /// ([`crate::ServeError::Shed`]). Disjoint from `rejected`, which counts
+    /// only capacity bounces of the default class.
     pub shed: u64,
     /// `expired_by_class[c]` = expired requests of priority class `c`
     /// ([`Priority::class`] index order, high → low).
@@ -78,8 +77,8 @@ pub struct ServerMetrics {
     /// Expired requests per tenant id, sorted by tenant (untenanted
     /// requests appear only in the aggregate `expired`).
     pub expired_by_tenant: Vec<(u32, u64)>,
-    /// Shed submissions per tenant id, sorted by tenant (quota refusals
-    /// always carry a tenant and land here).
+    /// Shed submissions per tenant id, sorted by tenant (untenanted
+    /// submissions appear only in the aggregate `shed`).
     pub shed_by_tenant: Vec<(u32, u64)>,
     /// Admitted requests not yet completed/cancelled/failed (a gauge).
     pub queue_depth: usize,
@@ -365,12 +364,6 @@ pub struct RouterMetrics {
 }
 
 impl RouterMetrics {
-    /// Requests routed per model, in registration order — the routing
-    /// histogram.
-    pub fn routing_histogram(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.routed()).collect()
-    }
-
     /// The router-wide ledger: the [`ServerMetrics::merge`] of every
     /// model's. Take it once and read fields off it.
     pub fn total(&self) -> ServerMetrics {
@@ -530,7 +523,8 @@ impl Recorder {
     }
 
     /// Records a submission refused at the admission gate by overload
-    /// control (priority class over its limit, or tenant over quota).
+    /// control (its priority class over its limit), under its class and, if
+    /// it carries one, its tenant.
     pub(crate) fn shed(&self, priority: Priority, tenant: Option<u32>) {
         let mut m = self.ledger.lock().unwrap();
         m.shed += 1;
@@ -746,7 +740,7 @@ mod tests {
                 shard("B", 4, b),
             ],
         };
-        assert_eq!(metrics.routing_histogram(), vec![3, 4]);
+        assert_eq!(metrics.shards[0].routed(), 3);
         assert_eq!(metrics.shards[1].routed(), 4);
         assert_eq!(metrics.shards[1].total().exit_histogram, vec![1, 0, 3]);
         let total = metrics.total();

@@ -15,14 +15,15 @@
 //!
 //! # Overload control at the edge
 //!
-//! Deadline, priority, and tenant travel with the request and are enforced
-//! by the admission gate and the workers behind the edge, exactly as for
-//! in-process submits. Refusals come back as typed error replies:
+//! Deadline, priority, and tenant travel with the request. The admission
+//! gate and the workers behind the edge enforce the first two exactly as
+//! for in-process submits; the tenant is a label the per-tenant counters
+//! count by. Refusals come back as typed error replies:
 //! [`ErrorCode::Expired`] (deadline passed before dispatch — zero
-//! evaluator ops were spent), [`ErrorCode::Shed`] (admission shed a
-//! lower-priority request under load), and [`ErrorCode::Quota`] (the
-//! tenant is at its in-flight cap). A request with no deadline is never
-//! shed once admitted: a full gate **parks** the decoded request on its
+//! evaluator ops were spent) and [`ErrorCode::Shed`] (admission shed a
+//! lower-priority request under load). No server sends
+//! [`ErrorCode::Quota`], a reserved status. A request with no deadline is
+//! never shed once admitted: a full gate **parks** the decoded request on its
 //! connection (the tensor moves into the parked slot — handed back by
 //! `Router::admit`'s refusal, never cloned) and the owning poller stops
 //! parsing that connection's stream until admission succeeds. The poller
@@ -144,7 +145,6 @@ impl From<&ServeError> for ErrorCode {
             ServeError::UnknownModel(_) => ErrorCode::UnknownModel,
             ServeError::Expired => ErrorCode::Expired,
             ServeError::Shed(_) => ErrorCode::Shed,
-            ServeError::QuotaExceeded(_) => ErrorCode::Quota,
             // a bad tensor is a malformed request as far as the wire is
             // concerned: the frame decoded but the payload can't be served
             ServeError::BadInput(_) => ErrorCode::Malformed,
@@ -335,7 +335,7 @@ fn complete(conn: &mut Conn, seq: u64) {
 
 /// Tries to route one decoded request. On success the [`Pending`] is
 /// registered with a waker that posts its completion to the owning poller
-/// and parked in `inflight`; a typed refusal (Shed, Quota, BadInput, …) is
+/// and parked in `inflight`; a typed refusal (Shed, BadInput, …) is
 /// an answer, not congestion, and becomes an error reply;
 /// [`ServeError::Full`] hands the request back (tensor returned by move,
 /// never cloned) for parking, with the poller's waker left on the gate.
@@ -1419,7 +1419,6 @@ mod tests {
             ),
             (ServeError::Expired, ErrorCode::Expired),
             (ServeError::Shed(Priority::Low), ErrorCode::Shed),
-            (ServeError::QuotaExceeded(3), ErrorCode::Quota),
         ];
         for (err, code) in cases {
             assert_eq!(ErrorCode::from(&err), code);

@@ -28,8 +28,8 @@
 //!                        reply if it cannot dispatch in time)
 //! u8  priority class    (iff bit4; 0 = high, 1 = normal, 2 = low —
 //!                        anything else is rejected as malformed)
-//! u32 tenant id         (iff bit5; counted against the server's
-//!                        per-tenant in-flight quota, if one is set)
+//! u32 tenant id         (iff bit5; a label: the server's per-tenant
+//!                        shed and expired counters count by it)
 //! u8  rank, then u32 × rank dims, then f32 × volume payload
 //! ```
 //!
@@ -115,7 +115,8 @@ pub enum ErrorCode {
     /// Admission shed the request under load (lower priority classes are
     /// shed first).
     Shed = 9,
-    /// The request's tenant is at its in-flight quota.
+    /// Reserved: no server sends it. Kept, with its golden frame, while
+    /// `benchmark/` names it (until ROADMAP item 1(g) or 17(d)).
     Quota = 10,
 }
 

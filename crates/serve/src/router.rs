@@ -201,15 +201,6 @@ impl Router {
         self.shards.iter().position(|s| s.name == name).map(ModelId)
     }
 
-    /// The name `model` was registered under.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::UnknownModel`] for an unregistered id.
-    pub fn model_name(&self, model: ModelId) -> ServeResult<&str> {
-        Ok(self.shard(model)?.name.as_str())
-    }
-
     /// The network `model`'s server currently evaluates (the newly swapped-in
     /// one once [`Router::swap_model`] has published it).
     ///
@@ -337,15 +328,6 @@ impl Router {
         Ok(())
     }
 
-    /// A point-in-time snapshot of one model's ledger.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::UnknownModel`] for an unregistered id.
-    pub fn shard_metrics(&self, model: ModelId) -> ServeResult<ShardMetrics> {
-        Ok(self.shard(model)?.live_metrics())
-    }
-
     /// A point-in-time snapshot across all models: per-model ledgers (routed
     /// counts, exits, energy) plus the router-wide [`RouterMetrics::total`].
     pub fn metrics(&self) -> RouterMetrics {
@@ -423,7 +405,7 @@ fn wait_unshared(mut server: Arc<Server>) -> Server {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::config::BatchPolicy;
+    use crate::config::{BatchPolicy, Priority};
     use crate::server::tests::join_within;
     use cdl_core::arch::{self, CdlArchitecture};
     use cdl_core::confidence::{ConfidencePolicy, ExitOverride};
@@ -478,8 +460,6 @@ pub(crate) mod tests {
         let router = Router::start(two_model_specs(BatchPolicy::new(usize::MAX), 64)).unwrap();
         let m2c = router.model_id("MNIST_2C").unwrap();
         let m3c = router.model_id("MNIST_3C").unwrap();
-        assert_eq!(router.model_name(m2c).unwrap(), "MNIST_2C");
-        assert_eq!(router.model_name(m3c).unwrap(), "MNIST_3C");
         // 2C has 1 conditional stage, 3C has 2 — structurally different
         assert_eq!(router.network(m2c).unwrap().stage_count(), 1);
         assert_eq!(router.network(m3c).unwrap().stage_count(), 2);
@@ -498,11 +478,10 @@ pub(crate) mod tests {
             assert_eq!(pending.wait().unwrap(), expected);
         }
         let metrics = router.shutdown();
-        assert_eq!(metrics.routing_histogram(), vec![6, 6]);
         assert_eq!(metrics.total().completed, 12);
         assert_eq!(metrics.total().failed, 0);
         for shard in &metrics.shards {
-            assert_eq!(shard.routed(), shard.total().submitted);
+            assert_eq!((shard.routed(), shard.total().submitted), (6, 6));
         }
     }
 
@@ -522,10 +501,9 @@ pub(crate) mod tests {
             ServeError::UnknownModel(ghost)
         );
         assert!(matches!(
-            router.shard_metrics(ghost),
+            router.network(ghost),
             Err(ServeError::UnknownModel(_))
         ));
-        assert!(router.model_name(ghost).is_err());
         // nothing was admitted anywhere
         let metrics = router.shutdown();
         assert_eq!(metrics.total().submitted, 0);
@@ -731,7 +709,8 @@ pub(crate) mod tests {
         // pairs, a few callers hanging up before their answer, and
         // tenant-tagged requests that are shed or expire
         let mut specs = two_model_specs(BatchPolicy::by_size(2), 64);
-        specs[0].config.tenant_quota = Some(1);
+        // capacity 3 → the `Low` class is admitted only into an empty gate
+        specs[0].config.queue_capacity = 3;
         let router = Router::start(specs).unwrap();
         let models = [
             router.model_id("MNIST_2C").unwrap(),
@@ -744,13 +723,14 @@ pub(crate) mod tests {
             .collect();
         pendings.truncate(20); // the last four are dropped unanswered
 
-        // tenant 7 holds its one slot while its request waits for a pair,
-        // so its second is shed; tenant 8's completes the pair, expired
+        // tenant 7's request holds a slot while it waits for a pair, so its
+        // `Low` one is shed; tenant 8's completes the pair, expired
         let x = images(1).remove(0);
         let tenant = |t: u32| SubmitOptions::default().tenant(t);
         pendings.push(router.submit_with(models[0], x.clone(), tenant(7)).unwrap());
-        let refused = router.try_submit_with(models[0], x.clone(), tenant(7));
-        assert_eq!(refused.unwrap_err(), ServeError::QuotaExceeded(7));
+        let low = tenant(7).priority(Priority::Low);
+        let refused = router.try_submit_with(models[0], x.clone(), low);
+        assert_eq!(refused.unwrap_err(), ServeError::Shed(Priority::Low));
         let doomed = SubmitOptions::with_deadline(Duration::ZERO).tenant(8);
         let expired = router.submit_with(models[0], x, doomed).unwrap();
         assert_eq!(expired.wait().unwrap_err(), ServeError::Expired);
@@ -833,7 +813,7 @@ pub(crate) mod tests {
                     let labels = format!("{at},{key}=\"{value}\"");
                     assert_eq!(exported(name, &labels), n, "{name}{{{labels}}}");
                 };
-                for p in crate::Priority::ALL {
+                for p in Priority::ALL {
                     let (class, c) = (p.to_string(), p.class());
                     let name = "cdl_requests_expired_by_class_total";
                     labelled(name, "class", &class, expired_by_class[c]);
@@ -975,7 +955,6 @@ pub(crate) mod tests {
 
     #[test]
     fn every_refusal_hands_the_tensor_back() {
-        use crate::config::Priority;
         let spec = ShardSpec::new(
             "m",
             build_untrained(arch::mnist_2c(), 5),
@@ -985,7 +964,6 @@ pub(crate) mod tests {
                 policy: BatchPolicy::by_size(1 << 20),
                 queue_capacity: 6,
                 workers: 1,
-                tenant_quota: Some(1),
                 ..ServerConfig::default()
             },
         );
@@ -1016,11 +994,7 @@ pub(crate) mod tests {
         ));
         let ghost = ModelId::from_index(7);
         assert_eq!(refused(ghost, x(), plain), ServeError::UnknownModel(ghost));
-        let mut held = vec![router.try_submit_with(model, x(), plain.tenant(1)).unwrap()];
-        assert_eq!(
-            refused(model, x(), plain.tenant(1)),
-            ServeError::QuotaExceeded(1)
-        );
+        let mut held = vec![router.try_submit_with(model, x(), plain).unwrap()];
         held.push(router.try_submit_with(model, x(), plain).unwrap());
         assert_eq!(
             refused(model, x(), plain.priority(Priority::Low)),

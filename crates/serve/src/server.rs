@@ -2,7 +2,7 @@
 //! formation, and a pool of persistent batched evaluators.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -19,12 +19,10 @@ use crate::fault::FaultPlan;
 use crate::metrics::{BatchCause, Recorder, ServerMetrics};
 use crate::pending::{pending_pair, Fulfiller, Pending};
 
-/// Occupancy of the admission gate: total in-flight requests plus the
-/// per-tenant split quotas are enforced over.
+/// Occupancy of the admission gate: in-flight requests and who waits on it.
 #[derive(Debug, Default)]
 struct GateState {
     total: usize,
-    per_tenant: HashMap<u32, usize>,
     /// [`Admission::Block`] submitters parked on [`Gate::freed`] right now.
     blocked: usize,
     /// What [`Admission::Park`] left on a [`ServeError::Full`] refusal, each
@@ -35,45 +33,32 @@ struct GateState {
 /// Counting semaphore bounding the number of in-flight requests — the
 /// server's backpressure, extended with overload control: each
 /// [`Priority`] class is admitted only up to its
-/// [`Priority::admission_limit`], and a tenant never holds more than
-/// `tenant_quota` slots at once. A slot is held from admission until the
-/// request reaches a terminal state (completed, cancelled-and-skipped,
-/// expired, or failed).
+/// [`Priority::admission_limit`]. That is its one policy; a request's tenant
+/// does not enter it. A slot is held from admission until the request
+/// reaches a terminal state (completed, cancelled-and-skipped, expired, or
+/// failed).
 #[derive(Debug)]
 struct Gate {
     capacity: usize,
-    tenant_quota: Option<usize>,
     state: Mutex<GateState>,
     freed: Condvar,
 }
 
 impl Gate {
-    fn new(capacity: usize, tenant_quota: Option<usize>) -> Self {
+    fn new(capacity: usize) -> Self {
         Gate {
             capacity,
-            tenant_quota,
             state: Mutex::new(GateState::default()),
             freed: Condvar::new(),
         }
     }
 
-    /// Would a submission of this class/tenant be admitted right now? If
-    /// not: [`ServeError::QuotaExceeded`] for a tenant at its in-flight
-    /// quota, [`ServeError::Full`] at capacity for the highest class
-    /// (plain backpressure), [`ServeError::Shed`] for a lower class above
-    /// its admission limit (overload control shedding it in favour of
-    /// higher classes).
-    fn admittable(
-        &self,
-        state: &GateState,
-        priority: Priority,
-        tenant: Option<u32>,
-    ) -> ServeResult<()> {
-        if let (Some(quota), Some(t)) = (self.tenant_quota, tenant) {
-            if state.per_tenant.get(&t).copied().unwrap_or(0) >= quota {
-                return Err(ServeError::QuotaExceeded(t));
-            }
-        }
+    /// Would a submission of this class be admitted right now? If not:
+    /// [`ServeError::Full`] at capacity for the highest class (plain
+    /// backpressure), [`ServeError::Shed`] for a lower class above its
+    /// admission limit (overload control shedding it in favour of higher
+    /// classes).
+    fn admittable(&self, state: &GateState, priority: Priority) -> ServeResult<()> {
         if state.total >= priority.admission_limit(self.capacity) {
             return Err(if priority == Priority::High {
                 ServeError::Full
@@ -84,23 +69,16 @@ impl Gate {
         Ok(())
     }
 
-    fn book(state: &mut GateState, tenant: Option<u32>) {
-        state.total += 1;
-        if let Some(t) = tenant {
-            *state.per_tenant.entry(t).or_insert(0) += 1;
-        }
-    }
-
-    /// Takes a slot for this class and tenant: [`Admission::Block`] waits
+    /// Takes a slot for this class: [`Admission::Block`] waits
     /// until it may, [`Admission::Try`] and [`Admission::Park`] return why it
     /// may not right now.
     ///
     /// `Park` leaves its waker on a [`ServeError::Full`] refusal under the
     /// lock that refused, so no wake is lost: `Full` means a slot is held,
     /// every slot is released, and that release locks after this refusal.
-    fn acquire(&self, how: Admission, priority: Priority, tenant: Option<u32>) -> ServeResult<()> {
+    fn acquire(&self, how: Admission, priority: Priority) -> ServeResult<()> {
         let mut state = self.state.lock().unwrap();
-        while let Err(refusal) = self.admittable(&state, priority, tenant) {
+        while let Err(refusal) = self.admittable(&state, priority) {
             match how {
                 Admission::Block => {}
                 Admission::Try => return Err(refusal),
@@ -117,22 +95,14 @@ impl Gate {
             state = self.freed.wait(state).unwrap();
             state.blocked -= 1;
         }
-        Gate::book(&mut state, tenant);
+        state.total += 1;
         Ok(())
     }
 
-    fn release(&self, tenant: Option<u32>) {
+    fn release(&self) {
         let mut state = self.state.lock().unwrap();
         state.total = state.total.saturating_sub(1);
-        if let Some(t) = tenant {
-            if let Some(n) = state.per_tenant.get_mut(&t) {
-                *n = n.saturating_sub(1);
-                if *n == 0 {
-                    state.per_tenant.remove(&t);
-                }
-            }
-        }
-        // waiters are heterogeneous (classes, tenants): wake them all so a
+        // waiters are heterogeneous (classes): wake them all so a
         // newly-admissible one is never starved behind a still-blocked one.
         // Only `Admission::Block` submitters ever wait here, each counted
         // under this lock before it parks, and std's futex condvar issues a
@@ -156,16 +126,15 @@ impl Gate {
 
 /// RAII in-flight slot: released when the request leaves the pipeline, on
 /// every path (delivered, cancelled, expired, failed, or dropped by
-/// teardown). Remembers the tenant so the quota count is decremented too.
+/// teardown).
 #[derive(Debug)]
 struct Ticket {
     gate: Arc<Gate>,
-    tenant: Option<u32>,
 }
 
 impl Drop for Ticket {
     fn drop(&mut self) {
-        self.gate.release(self.tenant);
+        self.gate.release();
     }
 }
 
@@ -268,9 +237,10 @@ struct LiveRequest {
     /// [`SubmitOptions::deadline`]); past this instant the shed points
     /// settle it [`ServeError::Expired`] instead of evaluating it.
     expires_at: Option<Instant>,
-    /// Admission class, kept for the per-class expired counters (the
-    /// tenant for the per-tenant ones is the ticket's).
+    /// Admission class and tenant, kept for the per-class and per-tenant
+    /// expired counters.
     priority: Priority,
+    tenant: Option<u32>,
     /// Sampled telemetry trace, if lifecycle spans are being recorded for
     /// this request.
     trace: Option<TraceId>,
@@ -581,7 +551,7 @@ impl Server {
     /// Returns [`ServeError::BadConfig`] for an invalid configuration.
     pub fn start(net: Arc<CdlNetwork>, config: ServerConfig) -> ServeResult<Server> {
         config.validate()?;
-        let gate = Arc::new(Gate::new(config.queue_capacity, config.tenant_quota));
+        let gate = Arc::new(Gate::new(config.queue_capacity));
         let recorder = Arc::new(Recorder::new());
         let telemetry = Telemetry::new(config.telemetry);
         let queue = Arc::new(WorkQueue::new(config.policy, config.workers));
@@ -623,11 +593,10 @@ impl Server {
     /// queues it for the workers.
     ///
     /// [`Admission::Block`] waits while the in-flight queue is at
-    /// capacity (backpressure propagates to the producer), while the
-    /// request's [`Priority`] class is over its admission limit, and while
-    /// its tenant is at quota — blocking submitters wait out overload
-    /// instead of being shed. `Try` and `Park` never wait: the same three
-    /// conditions come back as typed refusals.
+    /// capacity (backpressure propagates to the producer) and while the
+    /// request's [`Priority`] class is over its admission limit — blocking
+    /// submitters wait out overload instead of being shed. `Try` and `Park`
+    /// never wait: the same two conditions come back as typed refusals.
     ///
     /// Under [`BatchPolicy::by_size`] with a `max_batch_size` above the queue
     /// capacity the forming batch can never fill and `Block` waits until
@@ -644,9 +613,8 @@ impl Server {
     /// A [`Refused`] carrying [`ServeError::BadOptions`] for an
     /// out-of-range δ override, [`ServeError::BadInput`] for a
     /// wrong-shaped input tensor (both checked before the gate), and under
-    /// `Try` or `Park` [`ServeError::Full`] at capacity, [`ServeError::Shed`]
-    /// for a class over its admission limit or
-    /// [`ServeError::QuotaExceeded`] for a tenant at quota;
+    /// `Try` or `Park` [`ServeError::Full`] at capacity or [`ServeError::Shed`]
+    /// for a class over its admission limit;
     /// [`ServeError::ShuttingDown`] once the last worker has exited. In
     /// every case the request was **not** admitted and
     /// `input` hands the tensor back, so a retrying caller (the edge's
@@ -663,10 +631,7 @@ impl Server {
             Some(id) => self.telemetry.adopt(id),
             None => self.telemetry.begin_trace(),
         };
-        let slot = self
-            .gate
-            .acquire(admission, options.priority, options.tenant);
-        if let Err(error) = slot {
+        if let Err(error) = self.gate.acquire(admission, options.priority) {
             match error {
                 ServeError::Full => self.recorder.rejected(),
                 _ => self.recorder.shed(options.priority, options.tenant),
@@ -684,11 +649,11 @@ impl Server {
                 fulfiller,
                 ticket: Ticket {
                     gate: Arc::clone(&self.gate),
-                    tenant: options.tenant,
                 },
                 submitted_at,
                 expires_at: options.deadline.and_then(|d| submitted_at.checked_add(d)),
                 priority: options.priority,
+                tenant: options.tenant,
                 trace,
             },
         };
@@ -835,7 +800,7 @@ fn process_batch(
             // deadline ran out while the request waited for its batch: it
             // is settled unevaluated — zero evaluator ops, gate slot freed
             let live = request.live;
-            recorder.expired(live.priority, live.ticket.tenant, cdl_hw::OpCount::ZERO, 0);
+            recorder.expired(live.priority, live.tenant, cdl_hw::OpCount::ZERO, 0);
             live.fulfiller.settle(Err(ServeError::Expired));
         } else {
             mark(telemetry, request.live.trace, EventKind::BatchSeal);
@@ -910,7 +875,7 @@ fn evaluate(
                         // the op/energy ledger even though nothing ships
                         recorder.expired(
                             l.priority,
-                            l.ticket.tenant,
+                            l.tenant,
                             partial.ops,
                             partial.stages_activated,
                         );
@@ -1228,7 +1193,7 @@ pub(crate) mod tests {
 
     #[test]
     fn a_worker_seals_only_while_the_pool_holds_an_evaluator_state() {
-        let gate = Arc::new(Gate::new(8, None));
+        let gate = Arc::new(Gate::new(8));
         let queue = Arc::new(WorkQueue::new(BatchPolicy::default(), 1));
         // an edge push onto the idle server; the edge seals it at its pass's end
         assert!(queue.push(queued(&gate, 0), true).is_ok());
@@ -1264,7 +1229,7 @@ pub(crate) mod tests {
     #[test]
     fn the_default_policy_hands_a_free_worker_what_is_queued() {
         // nobody else pushes or takes, so the sizes and causes are exact
-        let gate = Arc::new(Gate::new(64, None));
+        let gate = Arc::new(Gate::new(64));
         let queue = WorkQueue::new(BatchPolicy::default(), 1);
         assert!(queue.push(queued(&gate, 0), false).is_ok());
         let (batch, cause) = queue.take().expect("queue is open");
@@ -1284,7 +1249,7 @@ pub(crate) mod tests {
     #[test]
     fn a_full_batch_seals_at_once() {
         for policy in [BatchPolicy::new(3), BatchPolicy::by_size(3)] {
-            let gate = Arc::new(Gate::new(8, None));
+            let gate = Arc::new(Gate::new(8));
             let queue = WorkQueue::new(policy, 1);
             for id in 0..4 {
                 assert!(queue.push(queued(&gate, id), false).is_ok());
@@ -1311,7 +1276,7 @@ pub(crate) mod tests {
         // valid under either interleaving: the taker parked on a short queue
         // and the push that filled it woke it, or it first looked with three
         // already queued
-        let gate = Arc::new(Gate::new(8, None));
+        let gate = Arc::new(Gate::new(8));
         let queue = Arc::new(WorkQueue::new(BatchPolicy::by_size(3), 1));
         let (sealed_tx, sealed) = std::sync::mpsc::channel();
         let blocked = taker(&queue, &sealed_tx);
@@ -1325,7 +1290,7 @@ pub(crate) mod tests {
 
     #[test]
     fn a_stranded_request_wakes_a_sibling_that_holds_out_for_a_full_batch() {
-        let gate = Arc::new(Gate::new(8, None));
+        let gate = Arc::new(Gate::new(8));
         let queue = Arc::new(WorkQueue::new(BatchPolicy::by_size(3), 2));
         let (sealed_tx, sealed) = std::sync::mpsc::channel();
         let takers = [taker(&queue, &sealed_tx), taker(&queue, &sealed_tx)];
@@ -1351,7 +1316,7 @@ pub(crate) mod tests {
 
     #[test]
     fn close_yields_full_batches_then_the_remainder_then_none() {
-        let gate = Arc::new(Gate::new(8, None));
+        let gate = Arc::new(Gate::new(8));
         let queue = WorkQueue::new(BatchPolicy::by_size(3), 1);
         for id in 0..7 {
             assert!(queue.push(queued(&gate, id), false).is_ok());
@@ -1386,7 +1351,7 @@ pub(crate) mod tests {
             steps in proptest::collection::vec(0u8..8, 1..120),
         ) {
             use proptest::prelude::*;
-            let gate = Arc::new(Gate::new(1 << 20, None));
+            let gate = Arc::new(Gate::new(1 << 20));
             let (max, hold_until_full) = (max_batch_size, hold == 1);
             let queue = WorkQueue::new(BatchPolicy { max_batch_size, hold_until_full }, 1);
             let mut waiting = VecDeque::new(); // the model: ids queued, in order
@@ -1619,14 +1584,13 @@ pub(crate) mod tests {
 
     #[test]
     fn a_blocked_submitter_parked_on_a_full_gate_is_woken_by_a_release() {
-        let gate = Arc::new(Gate::new(1, None));
-        gate.acquire(Admission::Try, Priority::High, None).unwrap();
+        let gate = Arc::new(Gate::new(1));
+        gate.acquire(Admission::Try, Priority::High).unwrap();
         let (admitted_tx, admitted) = std::sync::mpsc::channel();
         let blocked = {
             let gate = Arc::clone(&gate);
             std::thread::spawn(move || {
-                gate.acquire(Admission::Block, Priority::High, None)
-                    .unwrap();
+                gate.acquire(Admission::Block, Priority::High).unwrap();
                 admitted_tx.send(()).unwrap();
             })
         };
@@ -1640,7 +1604,7 @@ pub(crate) mod tests {
             );
             std::thread::yield_now();
         }
-        gate.release(None);
+        gate.release();
         admitted
             .recv_timeout(Duration::from_secs(10))
             .expect("the release wakes the parked submitter");
@@ -1668,43 +1632,25 @@ pub(crate) mod tests {
     fn a_parked_waker_is_left_by_a_full_refusal_under_park_only() {
         let (_, edge) = counting_edge();
         let (high, low) = (Priority::High, Priority::Low);
-        // the gate, the (class, tenant) holding a slot, the one refused, and why
+        // the gate, the class holding a slot, the one refused, and why
         let cases = [
-            (
-                Gate::new(1, None),
-                (high, None),
-                (high, None),
-                ServeError::Full,
-            ),
+            (Gate::new(1), high, high, ServeError::Full),
             // capacity 3 admits one `Low` at a time
-            (
-                Gate::new(3, None),
-                (high, None),
-                (low, None),
-                ServeError::Shed(low),
-            ),
-            (
-                Gate::new(8, Some(1)),
-                (high, Some(7)),
-                (high, Some(7)),
-                ServeError::QuotaExceeded(7),
-            ),
+            (Gate::new(3), high, low, ServeError::Shed(low)),
         ];
-        for (gate, (class, tenant), (refused_class, refused_tenant), refusal) in cases {
+        for (gate, class, refused_class, refusal) in cases {
             let gate = Arc::new(gate);
-            gate.acquire(Admission::Try, class, tenant).unwrap();
+            gate.acquire(Admission::Try, class).unwrap();
             // `Block` stores nothing: it waits, counted, for the slot to free
             let blocked = {
                 let gate = Arc::clone(&gate);
-                std::thread::spawn(move || {
-                    gate.acquire(Admission::Block, refused_class, refused_tenant)
-                })
+                std::thread::spawn(move || gate.acquire(Admission::Block, refused_class))
             };
             while gate.state.lock().unwrap().blocked == 0 {
                 std::thread::yield_now();
             }
             assert_eq!(parked(&gate), 0, "{refusal:?} under Block");
-            gate.release(tenant);
+            gate.release();
             join_within(blocked).unwrap();
             let stored = usize::from(refusal == ServeError::Full);
             for (how, want) in [
@@ -1712,7 +1658,7 @@ pub(crate) mod tests {
                 (Admission::Park(&edge), stored),
                 (Admission::Park(&edge), stored), // each waker once
             ] {
-                let refused = gate.acquire(how, refused_class, refused_tenant);
+                let refused = gate.acquire(how, refused_class);
                 assert_eq!(refused, Err(refusal.clone()));
                 assert_eq!(parked(&gate), want, "{refusal:?}");
             }
@@ -1721,22 +1667,22 @@ pub(crate) mod tests {
 
     #[test]
     fn a_parked_waker_fires_once_at_the_next_release_unless_dropped() {
-        let gate = Gate::new(1, None);
-        gate.acquire(Admission::Try, Priority::High, None).unwrap();
+        let gate = Gate::new(1);
+        gate.acquire(Admission::Try, Priority::High).unwrap();
         let [(first, first_waker), (second, second_waker), (dropped, dropped_waker)] =
             [(); 3].map(|()| counting_edge());
         for waker in [&first_waker, &second_waker, &first_waker, &dropped_waker] {
-            let refused = gate.acquire(Admission::Park(waker), Priority::High, None);
+            let refused = gate.acquire(Admission::Park(waker), Priority::High);
             assert_eq!(refused, Err(ServeError::Full));
         }
         assert_eq!(parked(&gate), 3, "the same waker is stored once");
         drop(dropped_waker); // held weakly: the gate does not keep it alive
         let calls = || [&first, &second, &dropped].map(|c| c.load(Ordering::SeqCst));
-        gate.release(None);
+        gate.release();
         assert_eq!(calls(), [1, 1, 0]);
         assert_eq!(parked(&gate), 0, "a release takes the list");
-        gate.acquire(Admission::Try, Priority::High, None).unwrap();
-        gate.release(None);
+        gate.acquire(Admission::Try, Priority::High).unwrap();
+        gate.release();
         assert_eq!(calls(), [1, 1, 0], "a waker fires for one release");
     }
 
@@ -1747,7 +1693,7 @@ pub(crate) mod tests {
     #[test]
     fn a_parked_waker_is_never_lost_to_a_racing_release() {
         const ROUNDS: usize = 20_000;
-        let gate = Gate::new(1, None);
+        let gate = Gate::new(1);
         let (fired, edge) = counting_edge();
         let (go, done) = (AtomicUsize::new(0), AtomicUsize::new(0));
         let spin = |n: usize| (0..n).for_each(|_| std::hint::spin_loop());
@@ -1764,20 +1710,20 @@ pub(crate) mod tests {
                         return; // the parker stopped early
                     }
                     spin(round / 32 % 32);
-                    gate.release(None);
+                    gate.release();
                     done.store(round, Ordering::Release);
                 }
             });
             for round in 1..=ROUNDS {
-                gate.acquire(Admission::Try, Priority::High, None).unwrap();
+                gate.acquire(Admission::Try, Priority::High).unwrap();
                 go.store(round, Ordering::Release);
                 spin(round % 32);
-                let admitted = gate.acquire(Admission::Park(&edge), Priority::High, None);
+                let admitted = gate.acquire(Admission::Park(&edge), Priority::High);
                 while done.load(Ordering::Acquire) != round {
                     std::hint::spin_loop();
                 }
                 match admitted {
-                    Ok(()) => gate.release(None),
+                    Ok(()) => gate.release(),
                     Err(_) => refused += 1,
                 }
                 if parked(&gate) != 0 || fired.load(Ordering::SeqCst) != refused {
@@ -1837,8 +1783,7 @@ pub(crate) mod tests {
         expires_at: Option<Instant>,
     ) -> (Pending, Queued) {
         let (pending, fulfiller) = pending_pair();
-        gate.acquire(Admission::Block, Priority::High, None)
-            .unwrap();
+        gate.acquire(Admission::Block, Priority::High).unwrap();
         let request = Queued {
             input,
             overrides: ExitOverride {
@@ -1849,11 +1794,11 @@ pub(crate) mod tests {
                 fulfiller,
                 ticket: Ticket {
                     gate: Arc::clone(gate),
-                    tenant: None,
                 },
                 submitted_at: Instant::now(),
                 expires_at,
                 priority: Priority::High,
+                tenant: None,
                 trace: None,
             },
         };
@@ -1906,7 +1851,7 @@ pub(crate) mod tests {
         // waited for its batch, one still live — only the live one may
         // reach the evaluator, and its result stays bit-identical
         let net = build_untrained();
-        let gate = Arc::new(Gate::new(8, None));
+        let gate = Arc::new(Gate::new(8));
         let recorder = Recorder::new();
         let mut eval = BatchEvaluator::new(&net);
         let img = images(2);
@@ -1943,7 +1888,7 @@ pub(crate) mod tests {
         // first stage boundary would — and require it to settle Expired
         // with *partial* (non-zero, sub-full) work on the ledger.
         let net = build_untrained();
-        let gate = Arc::new(Gate::new(8, None));
+        let gate = Arc::new(Gate::new(8));
         let recorder = Recorder::new();
         let mut eval = BatchEvaluator::new(&net);
         let img = images(2);
@@ -2047,37 +1992,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn quota_isolates_tenants() {
-        let net = build_untrained();
-        let mut cfg = config(BatchPolicy::by_size(1 << 20), 8, 1);
-        cfg.tenant_quota = Some(2);
-        let server = Server::start(Arc::clone(&net), cfg).unwrap();
-        let img = images(1).pop().unwrap();
-        let opts = |t: u32| SubmitOptions::default().tenant(t);
-        // tenant 1 fills its quota; the third submission is refused even
-        // though the gate has plenty of room
-        let _a = try_submit(&server, img.clone(), opts(1)).unwrap();
-        let _b = try_submit(&server, img.clone(), opts(1)).unwrap();
-        assert_eq!(
-            try_submit(&server, img.clone(), opts(1)).unwrap_err(),
-            ServeError::QuotaExceeded(1)
-        );
-        // tenant 2 and untenanted traffic are unaffected
-        let _c = try_submit(&server, img.clone(), opts(2)).unwrap();
-        let _d = try_submit(&server, img.clone(), opts(2)).unwrap();
-        let _e = try_submit(&server, img.clone(), SubmitOptions::default()).unwrap();
-        let live = server.metrics();
-        assert_eq!(live.submitted, 5);
-        assert_eq!(live.shed, 1);
-        assert_eq!(live.shed_by_tenant, vec![(1, 1)]);
-        assert_eq!(live.rejected, 0);
-        let metrics = server.shutdown();
-        assert_eq!(metrics.completed, 5);
-        // completions released the quota slots
-        assert_eq!(metrics.queue_depth, 0);
-    }
-
-    #[test]
     fn lower_classes_shed_first_under_a_filling_gate() {
         let net = build_untrained();
         // stalled: nothing completes, so occupancy only ever grows.
@@ -2142,7 +2056,7 @@ pub(crate) mod tests {
         // bypasses it reaches this arm: the batch's one evaluator pass
         // fails, and every member settles with that error, booked failed
         let net = build_untrained();
-        let gate = Arc::new(Gate::new(8, None));
+        let gate = Arc::new(Gate::new(8));
         let recorder = Recorder::new();
         let mut eval = BatchEvaluator::new(&net);
         let good = images(2);

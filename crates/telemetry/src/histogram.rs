@@ -133,34 +133,6 @@ impl LogHistogram {
         self.max = self.max.max(other.max);
     }
 
-    /// The windowed delta `self - earlier`: the histogram of samples
-    /// recorded *since* `earlier` was snapshotted, assuming `earlier` is a
-    /// previous snapshot of this histogram (bucket counts subtract
-    /// pointwise, saturating so a mismatched pair degrades instead of
-    /// panicking). `min`/`max` of the window are reconstructed from the
-    /// surviving buckets' bounds, so they carry the same bounded relative
-    /// error as quantiles rather than being exact — good enough for the
-    /// health-check thresholds this powers.
-    pub fn subtracted(&self, earlier: &LogHistogram) -> LogHistogram {
-        let mut delta = LogHistogram::new();
-        let mut min = u64::MAX;
-        let mut max = 0u64;
-        for (i, (a, b)) in self.counts.iter().zip(earlier.counts.iter()).enumerate() {
-            let c = a.saturating_sub(*b);
-            delta.counts[i] = c;
-            if c > 0 {
-                let (lo, hi) = bucket_bounds(i);
-                min = min.min(lo);
-                max = max.max(hi);
-            }
-        }
-        delta.count = self.count.saturating_sub(earlier.count);
-        delta.sum = self.sum.saturating_sub(earlier.sum);
-        delta.min = min.max(self.min); // the window min is no smaller than the lifetime min
-        delta.max = max.min(self.max);
-        delta
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count
@@ -203,11 +175,6 @@ impl LogHistogram {
             }
         }
         Some(self.max) // unreachable: counts always sum to self.count
-    }
-
-    /// [`Self::quantile`] as a [`Duration`] (samples taken as nanoseconds).
-    pub fn quantile_duration(&self, q: f64) -> Option<Duration> {
-        self.quantile(q).map(Duration::from_nanos)
     }
 
     /// The non-empty buckets as `(inclusive upper bound, count)` pairs in
@@ -298,32 +265,6 @@ mod tests {
         merged.merge(&left);
         merged.merge(&right);
         assert_eq!(merged, all);
-    }
-
-    #[test]
-    fn subtracted_recovers_the_window_between_two_snapshots() {
-        let mut h = LogHistogram::new();
-        for v in [10u64, 20, 30] {
-            h.record(v);
-        }
-        let earlier = h.clone();
-        for v in [1_000u64, 2_000, 4_000, 8_000] {
-            h.record(v);
-        }
-        let window = h.subtracted(&earlier);
-        assert_eq!(window.count(), 4);
-        assert_eq!(window.sum(), 15_000);
-        // window extremes are bucket-bounded estimates clamped to the
-        // lifetime extremes: they bracket the true window values
-        assert!(window.min_value().unwrap() <= 1_000);
-        assert!(window.min_value().unwrap() > 30);
-        assert!(window.max_value().unwrap() >= 8_000);
-        // quantiles come from the window alone, not the lifetime
-        assert!(window.quantile(0.5).unwrap() >= 1_000);
-        // subtracting a snapshot from itself leaves an empty window
-        let empty = h.subtracted(&h);
-        assert_eq!(empty.count(), 0);
-        assert_eq!(empty.quantile(0.99), None);
     }
 
     /// Asserts the `q` quantile of `h` is within the documented relative

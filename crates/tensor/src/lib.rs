@@ -33,7 +33,7 @@
 //! let kernel = Tensor::from_vec(vec![1., 0.,
 //!                                    0., 1.], &[1, 1, 2, 2]).unwrap();
 //! let out = conv::conv2d_valid(&input, &kernel, &[0.0]).unwrap();
-//! assert_eq!(out.shape().dims(), &[1, 2, 2]);
+//! assert_eq!(out.dims(), &[1, 2, 2]);
 //! assert_eq!(out.data(), &[6., 8., 12., 14.]); // x[i][j] + x[i+1][j+1]
 //! ```
 

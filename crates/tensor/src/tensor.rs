@@ -16,7 +16,7 @@ use crate::Result;
 /// ```
 /// use cdl_tensor::Tensor;
 /// let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2])?;
-/// assert_eq!(t.get(&[1, 0])?, 3.0);
+/// assert_eq!(t.data()[2], 3.0); // element [1, 0], row-major
 /// assert_eq!(t.sum(), 10.0);
 /// # Ok::<(), cdl_tensor::TensorError>(())
 /// ```
@@ -104,16 +104,6 @@ impl Tensor {
     /// Mutable view of the underlying row-major buffer.
     pub fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Reads the element at a multi-dimensional index.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IndexOutOfBounds`] for a bad index.
-    pub fn get(&self, index: &[usize]) -> Result<f32> {
-        let off = self.shape.linear_index(index)?;
-        Ok(self.data[off])
     }
 
     /// Returns a copy with a new shape sharing the same element count.
@@ -215,14 +205,6 @@ mod tests {
     fn from_vec_validates_length() {
         assert!(Tensor::from_vec(vec![1.0; 5], &[2, 3]).is_err());
         assert!(Tensor::from_vec(vec![1.0; 6], &[2, 3]).is_ok());
-    }
-
-    #[test]
-    fn get_reads_row_major() {
-        let t = Tensor::from_vec((0..24).map(|x| x as f32).collect(), &[2, 3, 4]).unwrap();
-        assert_eq!(t.get(&[1, 2, 3]).unwrap(), 23.0);
-        assert_eq!(t.get(&[0, 1, 0]).unwrap(), 4.0);
-        assert!(t.get(&[2, 0, 0]).is_err());
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!   model, hot-swappable), and a length-prefixed TCP edge ([`serve::TcpServer`]; clients pipeline
 //!   on the halves of [`serve::net::split`] or call through
 //!   [`serve::TcpClient`]; the wire format is [`serve::net::codec`]), with
-//!   deadline / priority / tenant-quota overload control
+//!   deadline / priority overload control
 //!   ([`serve::Priority`]),
 //! * [`load`] — open-loop workload generation: seeded Poisson and bursty
 //!   ON/OFF arrival schedules with per-tenant request mixes
@@ -172,7 +172,7 @@
 //! [`core::network::CdlNetwork::classify_with_override`] on the routed
 //! model (enforced by `tests/router_equivalence.rs` and the routing
 //! proptest in `tests/proptests.rs`); [`serve::RouterMetrics`] reports the
-//! routing histogram plus per-model exit/energy breakdowns
+//! per-model routed counts plus per-model exit/energy breakdowns
 //! ([`serve::ShardMetrics::total`]) and the router-wide ledger
 //! ([`serve::RouterMetrics::total`]).
 //!
@@ -269,7 +269,7 @@
 //! drop(client);
 //! edge.shutdown(); // stop the edge first…
 //! let metrics = Arc::try_unwrap(router).unwrap().shutdown(); // …then drain
-//! assert_eq!(metrics.routing_histogram(), [1]);
+//! assert_eq!(metrics.shards[0].routed(), 1);
 //! # Ok(())
 //! # }
 //! ```
@@ -287,9 +287,8 @@
 //! to the energy ledger: the queue-level analogue of early exit),
 //! a **priority class** ([`serve::Priority`] — lower classes are refused
 //! first as the admission gate fills, with a typed
-//! [`serve::ServeError::Shed`]), and a **tenant id** (bounded per-tenant
-//! in-flight quotas via `ServerConfig::tenant_quota`, refusals typed as
-//! [`serve::ServeError::QuotaExceeded`]). Shed and expired counts are
+//! [`serve::ServeError::Shed`]), and a **tenant id** (a label: admission
+//! ignores it, and the counters count by it). Shed and expired counts are
 //! broken out per class and per tenant in [`serve::ServerMetrics`], and
 //! all three fields travel across the TCP edge on backward-compatible
 //! flag bits.

@@ -82,7 +82,7 @@ fn kill_only_worker(router: &Router, model: ModelId) -> u64 {
 
 /// Batches sealed by `model`'s server so far, for any cause.
 fn sealed(router: &Router, model: ModelId) -> u64 {
-    let m = router.shard_metrics(model).unwrap().total();
+    let m = router.metrics().shards[model.index()].total();
     m.batches_full + m.batches_ready + m.batches_flushed
 }
 
@@ -406,7 +406,7 @@ fn a_dead_server_refuses_admissions_and_the_router_rolls_back_its_count() {
         let refused = router.submit(model, image(i));
         assert_eq!(refused.err(), Some(ServeError::ShuttingDown), "submit {i}");
     }
-    let shard = router.shard_metrics(model).unwrap();
+    let shard = &router.metrics().shards[model.index()];
     assert_eq!(
         shard.routed(),
         failed,

@@ -17,7 +17,7 @@ use cdl::core::arch;
 use cdl::core::network::CdlNetwork;
 use cdl::load::{run_open_loop, ArrivalProcess, LoadSpec, TenantProfile};
 use cdl::serve::{
-    BatchPolicy, Pending, Router, RouterMetrics, ServeError, ServerConfig, ShardSpec,
+    BatchPolicy, Pending, Router, RouterMetrics, ServeError, ServerConfig, ServerMetrics, ShardSpec,
 };
 use cdl::tensor::Tensor;
 
@@ -182,14 +182,8 @@ fn deadline_shedding_bounds_served_p99_under_a_burst() {
     // and the point of it all: the served tail stays bounded near the
     // deadline, strictly below the queue-dominated baseline tail (2×
     // margin keeps scheduler noise from flaking the comparison)
-    let baseline_p99 = baseline_total
-        .latency_histogram
-        .quantile_duration(0.99)
-        .unwrap();
-    let shed_p99 = shed_total
-        .latency_histogram
-        .quantile_duration(0.99)
-        .unwrap();
+    let p99 = |m: &ServerMetrics| Duration::from_nanos(m.latency_histogram.quantile(0.99).unwrap());
+    let (baseline_p99, shed_p99) = (p99(&baseline_total), p99(&shed_total));
     assert!(
         shed_p99 * 2 < baseline_p99,
         "shed p99 {shed_p99:?} is not well below baseline p99 {baseline_p99:?} \

@@ -4,6 +4,7 @@ use cdl::core::confidence::{ConfidencePolicy, ExitOverride};
 use cdl::core::network::CdlNetwork;
 use cdl::dataset::generator::{SyntheticConfig, SyntheticMnist};
 use cdl::dataset::idx;
+use cdl::hw::OpCount;
 use cdl::nn::activation::Activation;
 use cdl::nn::network::Network;
 use cdl::nn::spec::{LayerSpec, NetworkSpec};
@@ -13,6 +14,39 @@ use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 
 mod common;
+
+/// Encodes images (each `[1, rows, cols]`, values in `[0, 1]`) as IDX bytes:
+/// the big-endian header `magic, count, rows, cols`, then one byte a pixel.
+fn idx_images(images: &[Tensor]) -> Vec<u8> {
+    let dims = images.first().map_or(&[0, 0, 0][..], |t| t.dims());
+    let mut out = Vec::new();
+    for word in [
+        idx::MAGIC_IMAGES,
+        images.len() as u32,
+        dims[1] as u32,
+        dims[2] as u32,
+    ] {
+        out.extend_from_slice(&word.to_be_bytes());
+    }
+    for img in images {
+        out.extend(
+            img.data()
+                .iter()
+                .map(|&v| (v.clamp(0.0, 1.0) * 255.0).round() as u8),
+        );
+    }
+    out
+}
+
+/// Encodes labels as IDX bytes: the header `magic, count`, then one byte a label.
+fn idx_labels(labels: &[usize]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for word in [idx::MAGIC_LABELS, labels.len() as u32] {
+        out.extend_from_slice(&word.to_be_bytes());
+    }
+    out.extend(labels.iter().map(|&l| l as u8));
+    out
+}
 
 /// Two untrained CDLNs (MNIST_2C: 1 conditional stage, MNIST_3C: 2) —
 /// routing equivalence does not need trained weights, and assembling once
@@ -104,7 +138,7 @@ proptest! {
             prop_assert_eq!(out.dims(), shape.as_slice());
         }
         // op counts are positive and finite
-        let total = net.total_ops().unwrap();
+        let total: OpCount = net.op_counts().unwrap().into_iter().sum();
         prop_assert!(total.compute_ops() > 0);
     }
 
@@ -113,8 +147,7 @@ proptest! {
     #[test]
     fn idx_round_trip_for_generated_images(n in 1usize..6, seed in 0u64..1000) {
         let set = SyntheticMnist::new(SyntheticConfig::default()).generate(n, seed);
-        let bytes = idx::write_images(&set.images);
-        let parsed = idx::parse_images(&bytes).unwrap();
+        let parsed = idx::parse_images(&idx_images(&set.images)).unwrap();
         prop_assert_eq!(parsed.len(), n);
         for (a, b) in parsed.iter().zip(&set.images) {
             prop_assert_eq!(a.dims(), b.dims());
@@ -122,9 +155,7 @@ proptest! {
                 prop_assert!((x - y).abs() <= 0.5 / 255.0 + 1e-6);
             }
         }
-        let labels = set.labels.clone();
-        let lab_bytes = idx::write_labels(&labels);
-        prop_assert_eq!(idx::parse_labels(&lab_bytes).unwrap(), labels);
+        prop_assert_eq!(idx::parse_labels(&idx_labels(&set.labels)).unwrap(), set.labels);
     }
 
     /// The activation module is threshold-monotone for every policy type:
@@ -259,7 +290,8 @@ proptest! {
 
         let metrics = router.shutdown();
         let total = metrics.total();
-        prop_assert_eq!(metrics.routing_histogram(), expected_routed.to_vec());
+        let routed: Vec<u64> = metrics.shards.iter().map(|s| s.routed()).collect();
+        prop_assert_eq!(routed, expected_routed.to_vec());
         prop_assert_eq!(total.completed, routes.len() as u64);
         prop_assert_eq!(total.failed, 0);
         prop_assert_eq!(total.cancelled, 0);

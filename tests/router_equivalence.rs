@@ -174,10 +174,11 @@ fn assert_router_equivalent(policy: BatchPolicy, clients: usize, workers: usize)
     assert_eq!(metrics.total().completed as usize, test_set.len());
     assert_eq!(metrics.total().failed, 0);
     assert_eq!(metrics.total().queue_depth, 0);
-    // routing histogram: even/odd split, and the router-side count agrees
+    // routed counts: even/odd split, and the router-side count agrees
     // with each shard's own admission count (nothing mis-routed or dropped)
     let half = (test_set.len() / 2) as u64;
-    assert_eq!(metrics.routing_histogram(), vec![half, half]);
+    let routed: Vec<u64> = metrics.shards.iter().map(|s| s.routed()).collect();
+    assert_eq!(routed, vec![half, half]);
     for (shard, model) in metrics.shards.iter().zip(models) {
         assert_eq!(shard.routed(), shard.total().submitted, "{model}");
         assert_eq!(shard.total().completed, half);
@@ -389,5 +390,5 @@ fn unknown_model_rejected_without_side_effects() {
     ));
     let metrics = router.shutdown();
     assert_eq!(metrics.total().submitted, 0);
-    assert_eq!(metrics.routing_histogram(), vec![0]);
+    assert_eq!(metrics.shards[0].routed(), 0);
 }
